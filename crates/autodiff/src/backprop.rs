@@ -47,9 +47,6 @@ pub fn accumulate_many(
 ) -> Result<HashMap<u64, Tensor>> {
     let mut grads: HashMap<u64, Tensor> = seeds;
 
-    let profile = std::env::var_os("TFE_GRAD_PROFILE").is_some();
-    let mut op_times: HashMap<String, (u32, std::time::Duration)> = HashMap::new();
-
     for record in records.iter().rev() {
         // Does any output carry gradient?
         if !record.output_ids.iter().any(|id| grads.contains_key(id)) {
@@ -63,13 +60,7 @@ pub fn accumulate_many(
             }
         }
         let f = gradient_fn(&record.op)?;
-        let t0 = profile.then(std::time::Instant::now);
         let input_grads = f(&GradCtx { record, output_grads: &output_grads })?;
-        if let Some(t0) = t0 {
-            let e = op_times.entry(record.op.clone()).or_default();
-            e.0 += 1;
-            e.1 += t0.elapsed();
-        }
         if input_grads.len() != record.input_ids.len() {
             return Err(RuntimeError::Internal(format!(
                 "gradient of `{}` returned {} grads for {} inputs",
@@ -89,13 +80,6 @@ pub fn accumulate_many(
                     }
                 }
             }
-        }
-    }
-    if profile {
-        let mut rows: Vec<_> = op_times.into_iter().collect();
-        rows.sort_by_key(|(_, (_, d))| std::cmp::Reverse(*d));
-        for (op, (n, d)) in rows.into_iter().take(12) {
-            eprintln!("[grad profile] {op}: {n} calls, {d:?}");
         }
     }
     Ok(grads)

@@ -9,7 +9,7 @@
 //! operations" of §1.
 
 use crate::error::{Result, RuntimeError};
-use crate::executor::{self, ExecMode};
+use crate::executor::{self, ExecMode, Structural};
 use crate::tape::{Tape, TapeRecord};
 use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
 use parking_lot::{Mutex, RwLock};
@@ -74,23 +74,6 @@ pub fn set_random_seed(seed: u64) {
 /// Run `f` with exclusive access to the process RNG.
 pub(crate) fn with_rng<R>(f: impl FnOnce(&mut TensorRng) -> R) -> R {
     f(&mut global_rng().lock())
-}
-
-/// Per-op simulated-kernel-time accounting, enabled by the
-/// `TFE_SIM_PROFILE` environment variable (used to calibrate the bench
-/// profiles; not part of the public contract).
-pub fn sim_profile() -> &'static RwLock<HashMap<String, (u64, f64)>> {
-    static P: std::sync::OnceLock<RwLock<HashMap<String, (u64, f64)>>> = std::sync::OnceLock::new();
-    P.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-pub(crate) fn sim_profile_add(op: &str, ns: f64) {
-    if std::env::var_os("TFE_SIM_PROFILE").is_some() {
-        let mut p = sim_profile().write();
-        let e = p.entry(op.to_string()).or_default();
-        e.0 += 1;
-        e.1 += ns;
-    }
 }
 
 /// Make sure op catalog and kernels are registered. Cheap after first call.
@@ -641,6 +624,81 @@ pub fn sim() -> Option<SimConfig> {
     with_stack(|s| s.sim.clone())
 }
 
+/// Dtypes and shapes of concrete values, as inference wants them.
+fn concrete_sigs(values: &[Arc<TensorData>]) -> (Vec<tfe_tensor::DType>, Vec<SymShape>) {
+    values.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip()
+}
+
+/// Who asks [`simulate_op`] about an op.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SimOp {
+    /// Eager dispatch: pays the per-op interpreter cost (the CPython
+    /// stand-in) and, on compile-required devices, the compile cost.
+    Eager,
+    /// A graph node: pays the executor's per-node cost.
+    Node,
+    /// A `call`/`cond`/`while_loop` node: pays as a node, but is never
+    /// zeroed — the nodes of the bodies it runs are.
+    NodeWithBodies,
+}
+
+/// The simulator's whole view of one op. The eager dispatcher and the
+/// executor's node-runner call it only when a virtual clock is installed on
+/// the thread (`sim`) or the device has a compute model; a real device on a
+/// thread without a clock never gets here.
+///
+/// Charges the thread's virtual clocks the host overhead of `origin` and,
+/// through the device's compute model, the kernel time of `op` over these
+/// `inputs`. On a cost-only device (`KernelMode::CostOnly`: paper-scale
+/// benchmarks where numeric output is irrelevant) it then stands in for the
+/// kernel with shared, shape-correct zeros; otherwise it returns `None` and
+/// the caller runs the op for real.
+///
+/// # Errors
+/// Unknown op, failed inference, or cost-only outputs of undefined shape.
+pub(crate) fn simulate_op(
+    sim: Option<&SimConfig>,
+    origin: SimOp,
+    device: &Device,
+    op: &str,
+    attrs: &Attrs,
+    inputs: &[Arc<TensorData>],
+) -> Result<Option<Vec<Arc<TensorData>>>> {
+    let def = tfe_ops::global().lookup(op)?;
+    let (dtypes, shapes) = concrete_sigs(inputs);
+    let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs };
+    let sigs = def.infer(&ctx)?;
+    if let Some(cfg) = sim {
+        if origin == SimOp::Eager {
+            cfg.stats.count_eager_op();
+            cfg.stats.clock.advance(cfg.dispatch.interpreter_ns);
+            if device.device_type().requires_compilation() {
+                cfg.stats.clock.advance(cfg.dispatch.eager_compile_ns);
+            }
+        } else {
+            cfg.stats.count_staged_node();
+            cfg.stats.clock.advance(cfg.dispatch.executor_node_ns);
+        }
+        if let Some(model) = device.compute_model() {
+            let w = def.work(&ctx, &sigs);
+            let cost = KernelCost { flops: w.flops, bytes: w.bytes };
+            cfg.stats.device_clock.advance(model.kernel_time_ns(cost));
+            cfg.stats.count_kernel();
+        }
+    }
+    if device.produces_real_values() || origin == SimOp::NodeWithBodies {
+        return Ok(None);
+    }
+    let zeros = sigs.into_iter().map(|(dt, s)| {
+        s.to_shape().map(|shape| crate::kernels::zero_value(dt, shape)).ok_or_else(|| {
+            RuntimeError::Internal(format!(
+                "cost-only execution needs fully-defined shapes (op {op})"
+            ))
+        })
+    });
+    zeros.collect::<Result<_>>().map(Some)
+}
+
 /// Set the graph-executor mode for this thread (serial planned vs
 /// inter-op parallel). Returns the previous mode.
 pub fn set_exec_mode(mode: ExecMode) -> ExecMode {
@@ -871,14 +929,8 @@ fn resolve_device(inputs: &[Tensor]) -> Device {
 }
 
 fn execute_eager(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
-    // Dispatcher-level ops that are not plain kernels.
-    match op {
-        "call" => return execute_call(inputs, &attrs),
-        "cond" => return execute_cond(inputs, &attrs),
-        "while_loop" => return execute_while(inputs, &attrs),
-        "host_func" => return execute_host_func(inputs, &attrs),
-        "copy" => return execute_copy(inputs, &attrs),
-        _ => {}
+    if let Some(kind) = Structural::of(op) {
+        return execute_structural(kind, op, inputs, &attrs);
     }
 
     tfe_metrics::static_counter!(
@@ -900,164 +952,46 @@ fn execute_eager(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor
     let mut prof_span = tfe_profile::span("eager", || op.to_string());
 
     let device = resolve_device(inputs);
-    let sim = with_stack(|s| s.sim.clone());
+    let sim = sim();
 
     // Async dispatch (§4.1): validate and infer now, enqueue the kernel on
-    // the device's stream, hand back pending handles. Conservative gate —
-    // simulated clocks, cost-only devices, and symbolic inputs stay on the
-    // synchronous path, as does any op whose output shapes aren't fully
-    // inferable from input metadata (data-dependent shapes need values).
-    if sim.is_none()
-        && device.produces_real_values()
-        && async_enabled()
-        && inputs.iter().all(|t| !t.is_symbolic())
-    {
-        if let Some(outputs) = execute_async(op, inputs, &attrs, &device, &mut prof_span)? {
-            return Ok(outputs);
-        }
-    }
-
-    let input_data: Vec<Arc<TensorData>> =
-        inputs.iter().map(Tensor::value).collect::<Result<_>>()?;
-
-    // Validate + infer through the shared op definition.
-    let def = tfe_ops::global().lookup(op)?;
-    let dtypes: Vec<_> = input_data.iter().map(|d| d.dtype()).collect();
-    let shapes: Vec<_> = input_data.iter().map(|d| SymShape::known(d.shape())).collect();
-    let infer_ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs };
-    let out_sigs = def.infer(&infer_ctx)?;
-
-    // Simulation accounting: the per-op interpreter cost (the CPython
-    // stand-in), compile costs on compile-required devices, kernel time.
-    if let Some(cfg) = &sim {
-        cfg.stats.count_eager_op();
-        cfg.stats.clock.advance(cfg.dispatch.interpreter_ns);
-        if device.device_type().requires_compilation() {
-            cfg.stats.clock.advance(cfg.dispatch.eager_compile_ns);
-        }
-        if let Some(model) = device.compute_model() {
-            let w = def.work(&infer_ctx, &out_sigs);
-            let ns = model.kernel_time_ns(KernelCost { flops: w.flops, bytes: w.bytes });
-            sim_profile_add(op, ns);
-            cfg.stats.device_clock.advance(ns);
-            cfg.stats.count_kernel();
-        }
-    }
-
-    let outputs: Vec<Tensor> = if device.produces_real_values() {
-        let t0 = std::time::Instant::now();
-        let out = crate::kernels::run_kernel(op, &attrs, &input_data)?;
-        tfe_metrics::static_histogram!(
-            "tfe_kernel_time_ns",
-            "Wall-clock nanoseconds per compute-kernel invocation (eager and staged)",
-            tfe_metrics::DEFAULT_NS_BUCKETS
-        )
-        .observe(t0.elapsed().as_nanos() as u64);
-        out.into_iter()
-            .map(|d| Tensor::Eager(EagerTensor::new(Arc::new(d), device.name().clone())))
-            .collect()
+    // the device's stream, hand back pending handles. Any op whose output
+    // shapes aren't fully inferable from input metadata stays synchronous
+    // (data-dependent shapes need values).
+    let enqueued = if async_dispatchable(&sim, &device, inputs) {
+        let def = tfe_ops::global().lookup(op)?;
+        let dtypes: Vec<_> = inputs.iter().map(Tensor::dtype).collect();
+        let shapes: Vec<_> = inputs.iter().map(Tensor::sym_shape).collect();
+        let out_sigs = def.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
+        let (job_op, job_attrs) = (op.to_string(), attrs.clone());
+        enqueue(op, &device, &out_sigs, inputs, move |vals| {
+            crate::kernels::launch_kernel(&job_op, &job_attrs, vals)
+        })?
     } else {
-        // Cost-only device: shared shape-correct zero placeholders.
-        out_sigs
-            .iter()
-            .map(|(dt, s)| {
-                s.to_shape()
-                    .map(|shape| {
-                        Tensor::Eager(EagerTensor::new(
-                            crate::kernels::zero_value(*dt, shape),
-                            device.name().clone(),
-                        ))
-                    })
-                    .ok_or_else(|| {
-                        RuntimeError::Internal(format!(
-                            "cost-only execution needs fully-defined shapes (op {op})"
-                        ))
-                    })
-            })
-            .collect::<Result<_>>()?
+        None
     };
-    let out_bytes: u64 = outputs
-        .iter()
-        .filter_map(|t| t.value().ok())
-        .map(|d| (d.num_elements() * d.dtype().size_bytes()) as u64)
-        .sum();
-    tfe_metrics::static_counter!(
-        "tfe_eager_bytes_allocated_total",
-        "Tensor bytes produced by eagerly dispatched operations"
-    )
-    .add(out_bytes);
-    if let Some(sp) = prof_span.as_mut() {
-        sp.set_bytes(out_bytes);
-    }
-    record_on_tapes(op, &attrs, inputs, &outputs);
-    Ok(outputs)
-}
-
-/// Enqueue one primitive op on its device's dispatch stream and return
-/// pending handles. `Ok(None)` means "not async-dispatchable, run it
-/// synchronously" (output shapes depend on input *values*). Validation and
-/// shape inference run here, on the calling thread, from handle metadata —
-/// malformed programs still fail eagerly, exactly like sync mode.
-///
-/// # Errors
-/// Validation/inference failures, or the fast-failed deferred error of a
-/// poisoned stream.
-fn execute_async(
-    op: &str,
-    inputs: &[Tensor],
-    attrs: &Attrs,
-    device: &Device,
-    prof_span: &mut Option<tfe_profile::SpanGuard>,
-) -> Result<Option<Vec<Tensor>>> {
-    let def = tfe_ops::global().lookup(op)?;
-    let dtypes: Vec<_> = inputs.iter().map(Tensor::dtype).collect();
-    let shapes: Vec<_> = inputs.iter().map(Tensor::sym_shape).collect();
-    let infer_ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs };
-    let out_sigs = def.infer(&infer_ctx)?;
-    let mut out_shapes = Vec::with_capacity(out_sigs.len());
-    for (_, s) in &out_sigs {
-        match s.to_shape() {
-            Some(shape) => out_shapes.push(shape),
-            None => return Ok(None),
+    let outputs = match enqueued {
+        Some(pending) => pending,
+        None => {
+            let values = eager_values(inputs)?;
+            let zeros = if sim.is_some() || device.compute_model().is_some() {
+                simulate_op(sim.as_ref(), SimOp::Eager, &device, op, &attrs, &values)?
+            } else {
+                // Validate through the shared op definition.
+                let (dtypes, shapes) = concrete_sigs(&values);
+                let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs };
+                tfe_ops::global().lookup(op)?.infer(&ctx)?;
+                None
+            };
+            let out = match zeros {
+                Some(zeros) => zeros,
+                None => crate::kernels::launch_kernel(op, &attrs, &values)?,
+            };
+            eager_tensors(out, &device)
         }
-    }
-
-    let stream = crate::stream::for_device(device.name());
-    let pending: Vec<_> = out_sigs
-        .iter()
-        .zip(out_shapes)
-        .map(|((dt, _), shape)| stream.pending_value(*dt, shape))
-        .collect();
-    let args: Vec<_> = inputs
-        .iter()
-        .map(|t| t.as_eager().expect("async gate rejects symbolic inputs").async_arg())
-        .collect();
-    let job_op = op.to_string();
-    let job_attrs = attrs.clone();
-    stream.enqueue(
-        op,
-        pending.clone(),
-        Box::new(move || {
-            let input_data: Vec<Arc<TensorData>> =
-                args.iter().map(crate::stream::AsyncArg::resolve).collect::<Result<_>>()?;
-            let t0 = std::time::Instant::now();
-            let out = crate::kernels::run_kernel(&job_op, &job_attrs, &input_data)?;
-            tfe_metrics::static_histogram!(
-                "tfe_kernel_time_ns",
-                "Wall-clock nanoseconds per compute-kernel invocation (eager and staged)",
-                tfe_metrics::DEFAULT_NS_BUCKETS
-            )
-            .observe(t0.elapsed().as_nanos() as u64);
-            Ok(out.into_iter().map(Arc::new).collect())
-        }),
-    )?;
-
-    let outputs: Vec<Tensor> = pending
-        .into_iter()
-        .map(|pv| Tensor::Eager(EagerTensor::pending(pv, device.name().clone())))
-        .collect();
-    // Output sizes are fully determined by the inferred metadata, so the
-    // allocation accounting doesn't have to wait for the kernel.
+    };
+    // Output sizes follow from metadata alone, so the allocation accounting
+    // doesn't have to wait for a pending kernel.
     let out_bytes: u64 = outputs
         .iter()
         .filter_map(Tensor::as_eager)
@@ -1071,158 +1005,129 @@ fn execute_async(
     if let Some(sp) = prof_span.as_mut() {
         sp.set_bytes(out_bytes);
     }
-    record_on_tapes(op, attrs, inputs, &outputs);
-    Ok(Some(outputs))
+    record_on_tapes(op, &attrs, inputs, &outputs);
+    Ok(outputs)
+}
+
+/// The conservative gate on async dispatch: simulated clocks, cost-only
+/// devices and symbolic inputs stay on the synchronous path.
+fn async_dispatchable(sim: &Option<SimConfig>, device: &Device, inputs: &[Tensor]) -> bool {
+    sim.is_none()
+        && device.produces_real_values()
+        && async_enabled()
+        && inputs.iter().all(|t| !t.is_symbolic())
+}
+
+/// Enqueue `job` on `device`'s dispatch stream and return pending handles
+/// shaped by `out_sigs`, which the caller validated and inferred from handle
+/// metadata, so malformed programs still fail eagerly. `job` gets the
+/// resolved input values. `Ok(None)`: some output shape is not fully
+/// defined (it depends on input *values*), run the op synchronously.
+///
+/// # Errors
+/// The fast-failed deferred error of a poisoned stream.
+fn enqueue(
+    label: &str,
+    device: &Device,
+    out_sigs: &[(tfe_tensor::DType, SymShape)],
+    inputs: &[Tensor],
+    job: impl FnOnce(&[Arc<TensorData>]) -> Result<Vec<Arc<TensorData>>> + Send + 'static,
+) -> Result<Option<Vec<Tensor>>> {
+    let Some(out_shapes) = out_sigs.iter().map(|(_, s)| s.to_shape()).collect::<Option<Vec<_>>>()
+    else {
+        return Ok(None);
+    };
+    let stream = crate::stream::for_device(device.name());
+    let pending: Vec<_> = out_sigs
+        .iter()
+        .zip(out_shapes)
+        .map(|((dt, _), shape)| stream.pending_value(*dt, shape))
+        .collect();
+    let args: Vec<_> = inputs
+        .iter()
+        .map(|t| t.as_eager().expect("async gate rejects symbolic inputs").async_arg())
+        .collect();
+    stream.enqueue(
+        label,
+        pending.clone(),
+        Box::new(move || {
+            let vals: Vec<Arc<TensorData>> =
+                args.iter().map(crate::stream::AsyncArg::resolve).collect::<Result<_>>()?;
+            job(&vals)
+        }),
+    )?;
+    Ok(Some(
+        pending
+            .into_iter()
+            .map(|pv| Tensor::Eager(EagerTensor::pending(pv, device.name().clone())))
+            .collect(),
+    ))
 }
 
 fn eager_values(inputs: &[Tensor]) -> Result<Vec<Arc<TensorData>>> {
     inputs.iter().map(Tensor::value).collect()
 }
 
-fn execute_call(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
-    let name = attrs.str("function").map_err(tfe_ops::OpError::from)?;
-    let func = library().get(name).ok_or_else(|| RuntimeError::UnknownFunction(name.into()))?;
-    let device = resolve_device(inputs);
-    let sim = with_stack(|s| s.sim.clone());
-    if let Some(cfg) = &sim {
-        cfg.stats.count_function_call();
-        cfg.stats.clock.advance(cfg.dispatch.function_call_ns);
-        if device.device_type().requires_compilation() {
-            // Round-trip launch of the compiled program (device stream).
-            cfg.stats.device_clock.advance(cfg.dispatch.staged_call_latency_ns);
-        }
+pub(crate) fn eager_tensors(values: Vec<Arc<TensorData>>, device: &Device) -> Vec<Tensor> {
+    values.into_iter().map(|d| Tensor::Eager(EagerTensor::new(d, device.name().clone()))).collect()
+}
+
+/// Eager dispatch of a structural op: the op itself is [`Structural::run`],
+/// the same code the executor's node-runner calls; this side only turns
+/// tensors into values and back, lets a `call` join the caller's stream,
+/// and records on tapes.
+fn execute_structural(
+    kind: Structural,
+    op: &str,
+    inputs: &[Tensor],
+    attrs: &Attrs,
+) -> Result<Vec<Tensor>> {
+    if kind == Structural::HostFunc {
+        // Eagerly a host closure is pass-through (§4.7: wrapping a function
+        // in py_func "has essentially no effect" when executing
+        // imperatively): it runs on the caller's own tensors, so its ops
+        // record on the tapes one by one. Recording the host_func itself as
+        // well would double-count the gradient.
+        let id = attrs.int("fn_id").map_err(tfe_ops::OpError::from)? as u64;
+        return host_fn(id)?(inputs);
     }
+    let mut device = resolve_device(inputs);
     let mode = exec_mode();
-
-    // Staged calls join the caller's stream (§4.1): the graph run is
-    // enqueued like any other op, so a train-step `Func` doesn't block the
-    // input pipeline driving it. Output metadata comes from the traced
-    // signature; calls whose output shapes weren't fully inferred at trace
-    // time fall back to the blocking path.
-    if sim.is_none()
-        && device.produces_real_values()
-        && async_enabled()
-        && inputs.iter().all(|t| !t.is_symbolic())
-    {
-        let out_sigs = func.output_sigs();
-        let known: Option<Vec<_>> = out_sigs.iter().map(|(_, s)| s.to_shape()).collect();
-        if let Some(out_shapes) = known {
-            let stream = crate::stream::for_device(device.name());
-            let pending: Vec<_> = out_sigs
-                .iter()
-                .zip(out_shapes)
-                .map(|((dt, _), shape)| stream.pending_value(*dt, shape))
-                .collect();
-            let args: Vec<_> = inputs
-                .iter()
-                .map(|t| t.as_eager().expect("async gate rejects symbolic inputs").async_arg())
-                .collect();
-            let job_func = func.clone();
+    let mut enqueued = None;
+    if kind == Structural::Call {
+        let sim = sim();
+        if let Some(cfg) = &sim {
+            cfg.stats.count_function_call();
+            cfg.stats.clock.advance(cfg.dispatch.function_call_ns);
+            if device.device_type().requires_compilation() {
+                // Round-trip launch of the compiled program (device stream).
+                cfg.stats.device_clock.advance(cfg.dispatch.staged_call_latency_ns);
+            }
+        }
+        // Staged calls join the caller's stream (§4.1): the graph run is
+        // enqueued like any other op, so a train-step `Func` doesn't block
+        // the input pipeline driving it. Output metadata comes from the
+        // traced signature; calls whose output shapes weren't fully
+        // inferred at trace time fall back to the blocking path.
+        if async_dispatchable(&sim, &device, inputs) {
+            let func = executor::callee(attrs, "function")?;
             let job_device = device.clone();
-            stream.enqueue(
-                &format!("call:{name}"),
-                pending.clone(),
-                Box::new(move || {
-                    let vals: Vec<Arc<TensorData>> =
-                        args.iter().map(crate::stream::AsyncArg::resolve).collect::<Result<_>>()?;
-                    executor::run_function_arc(&job_func, &vals, &job_device, mode)
-                }),
+            enqueued = enqueue(
+                &format!("call:{}", func.name),
+                &device,
+                &func.output_sigs(),
+                inputs,
+                move |vals| executor::run_function_arc(&func, vals, &job_device, mode),
             )?;
-            let outputs: Vec<Tensor> = pending
-                .into_iter()
-                .map(|pv| Tensor::Eager(EagerTensor::pending(pv, device.name().clone())))
-                .collect();
-            record_on_tapes("call", attrs, inputs, &outputs);
-            return Ok(outputs);
         }
+    } else if kind == Structural::Copy {
+        let target = attrs.str("device").map_err(tfe_ops::OpError::from)?;
+        device = device_manager().resolve(target).map_err(RuntimeError::Device)?;
     }
-
-    let args = eager_values(inputs)?;
-    let out = executor::run_function_arc(&func, &args, &device, mode)?;
-    let outputs: Vec<Tensor> = out
-        .into_iter()
-        .map(|d| Tensor::Eager(EagerTensor::new(d, device.name().clone())))
-        .collect();
-    record_on_tapes("call", attrs, inputs, &outputs);
-    Ok(outputs)
-}
-
-fn execute_cond(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
-    if inputs.is_empty() {
-        return Err(RuntimeError::Internal("cond needs a predicate".to_string()));
-    }
-    let pred = inputs[0].value()?.scalar_f64()? != 0.0;
-    let branch = if pred {
-        attrs.str("then_fn").map_err(tfe_ops::OpError::from)?
-    } else {
-        attrs.str("else_fn").map_err(tfe_ops::OpError::from)?
+    let outputs = match enqueued {
+        Some(pending) => pending,
+        None => eager_tensors(kind.run(attrs, &eager_values(inputs)?, &device, mode)?, &device),
     };
-    let func = library().get(branch).ok_or_else(|| RuntimeError::UnknownFunction(branch.into()))?;
-    let device = resolve_device(inputs);
-    let args = eager_values(&inputs[1..])?;
-    let out = executor::run_function_arc(&func, &args, &device, exec_mode())?;
-    let outputs: Vec<Tensor> = out
-        .into_iter()
-        .map(|d| Tensor::Eager(EagerTensor::new(d, device.name().clone())))
-        .collect();
-    record_on_tapes("cond", attrs, inputs, &outputs);
-    Ok(outputs)
-}
-
-fn execute_while(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
-    let cond_name = attrs.str("cond_fn").map_err(tfe_ops::OpError::from)?;
-    let body_name = attrs.str("body_fn").map_err(tfe_ops::OpError::from)?;
-    let cond =
-        library().get(cond_name).ok_or_else(|| RuntimeError::UnknownFunction(cond_name.into()))?;
-    let body =
-        library().get(body_name).ok_or_else(|| RuntimeError::UnknownFunction(body_name.into()))?;
-    let device = resolve_device(inputs);
-    let mut state = eager_values(inputs)?;
-    let max_iters = attrs.int_or("max_iterations", 1_000_000).map_err(tfe_ops::OpError::from)?;
-    let mut iters = 0i64;
-    loop {
-        let p = executor::run_function_arc(&cond, &state, &device, exec_mode())?;
-        let flag = p
-            .first()
-            .ok_or_else(|| RuntimeError::Internal("while cond returned nothing".to_string()))?
-            .scalar_f64()?;
-        if flag == 0.0 {
-            break;
-        }
-        state = executor::run_function_arc(&body, &state, &device, exec_mode())?;
-        iters += 1;
-        if iters >= max_iters {
-            return Err(RuntimeError::Internal(format!(
-                "while_loop exceeded max_iterations={max_iters}"
-            )));
-        }
-    }
-    let outputs: Vec<Tensor> = state
-        .into_iter()
-        .map(|d| Tensor::Eager(EagerTensor::new(d, device.name().clone())))
-        .collect();
-    record_on_tapes("while_loop", attrs, inputs, &outputs);
-    Ok(outputs)
-}
-
-fn execute_host_func(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
-    let id = attrs.int("fn_id").map_err(tfe_ops::OpError::from)? as u64;
-    let f = host_fn(id)?;
-    // NOT recorded on tapes here: eagerly, the closure's internal ops are
-    // recorded individually (§4.7: wrapping a function in py_func "has
-    // essentially no effect" when executing imperatively). Recording the
-    // host_func itself as well would double-count the gradient.
-    f(inputs)
-}
-
-fn execute_copy(inputs: &[Tensor], attrs: &Attrs) -> Result<Vec<Tensor>> {
-    let target = attrs.str("device").map_err(tfe_ops::OpError::from)?;
-    let device = device_manager().resolve(target).map_err(RuntimeError::Device)?;
-    let data = inputs
-        .first()
-        .ok_or_else(|| RuntimeError::Internal("copy needs an input".to_string()))?
-        .value()?;
-    let outputs = vec![Tensor::Eager(EagerTensor::new(data, device.name().clone()))];
-    record_on_tapes("copy", attrs, inputs, &outputs);
+    record_on_tapes(op, attrs, inputs, &outputs);
     Ok(outputs)
 }

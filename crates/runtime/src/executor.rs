@@ -1,29 +1,31 @@
 //! The dataflow executor: runs [`GraphFunction`]s.
 //!
-//! Two modes mirror §4.1/§5:
-//! - **SerialPlanned** (default): nodes execute in topological order using a
-//!   liveness-based buffer-reuse plan — values are dropped the moment their
-//!   last consumer has run ("buffer reuse").
-//! - **Parallel**: dependency-counted inter-op parallelism on a persistent
-//!   worker pool ("runs kernels in parallel when possible"). Every node
-//!   carries an atomic count of unresolved predecessors (data producers
-//!   plus sequencing edges); finishing a node decrements its consumers and
-//!   pushes newly-ready ones onto the shared queue. Stateful graphs run in
-//!   parallel too: the sequencing edges computed at trace time (see
-//!   `tfe_graph::sequencing`) keep variable reads and writes in program
-//!   order while stateless work proceeds concurrently. Buffers are
-//!   refcounted per output and released by their last consumer, matching
-//!   the serial plan's reuse behavior.
+//! One way to hold a run's values, one way to run a node; the two
+//! [`ExecMode`]s differ only in who picks the next node.
+//!
+//! - [`SlotStore`], the per-run value store: one slot per node output, laid
+//!   out flat from the function, each with a count of the reads still to
+//!   come. An output nobody reads is never stored; a stored value is dropped
+//!   by its last reader (§4.1 "buffer reuse").
+//! - [`run_node`]: simulator accounting when the thread or device is
+//!   simulated, then a structural op ([`Structural`], shared with the eager
+//!   dispatcher), a `const`, or a kernel launch.
+//! - The *inline* driver (`SerialPlanned`) walks `f.nodes` in order on the
+//!   calling thread. The *pool* driver (`Parallel`) counts down each node's
+//!   unresolved predecessors — data producers plus the sequencing edges of
+//!   `tfe_graph::sequencing`, which keep variable reads and writes in
+//!   program order — and submits ready nodes to the shared worker pool
+//!   ("runs kernels in parallel when possible", §4.1).
 
+use crate::context::SimOp;
 use crate::error::{Result, RuntimeError};
-use crate::tensor::{EagerTensor, Tensor};
+use crate::tensor::Tensor;
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use tfe_device::{Device, KernelCost};
+use tfe_device::Device;
 use tfe_graph::{GraphFunction, NodeId, TensorRef};
-use tfe_ops::{AttrValue, InferCtx, SymShape};
+use tfe_ops::{AttrValue, Attrs, OpError};
 use tfe_tensor::TensorData;
 
 /// Executor scheduling mode.
@@ -55,12 +57,7 @@ pub fn run_function(
     device: &Device,
     mode: ExecMode,
 ) -> Result<Vec<Arc<TensorData>>> {
-    crate::context::ensure_init();
-    validate_args(f, args)?;
-    match mode {
-        ExecMode::SerialPlanned => run_serial(f, args, device),
-        ExecMode::Parallel => run_parallel(&Arc::new(f.clone()), args, device),
-    }
+    run(f, None, args, device, mode)
 }
 
 /// [`run_function`] for callers that already hold a shared graph handle
@@ -75,12 +72,35 @@ pub fn run_function_arc(
     device: &Device,
     mode: ExecMode,
 ) -> Result<Vec<Arc<TensorData>>> {
+    run(f, Some(f), args, device, mode)
+}
+
+fn run(
+    f: &GraphFunction,
+    shared: Option<&Arc<GraphFunction>>,
+    args: &[Arc<TensorData>],
+    device: &Device,
+    mode: ExecMode,
+) -> Result<Vec<Arc<TensorData>>> {
     crate::context::ensure_init();
     validate_args(f, args)?;
-    match mode {
-        ExecMode::SerialPlanned => run_serial(f, args, device),
-        ExecMode::Parallel => run_parallel(f, args, device),
-    }
+    let store = Arc::new(SlotStore::new(f, args));
+    let done = match mode {
+        ExecMode::SerialPlanned => {
+            crate::context::stat_serial_run();
+            let _prof_span = tfe_profile::span("graph", || format!("serial:{}", f.name));
+            drive_inline(f, &store, device)
+        }
+        ExecMode::Parallel => {
+            crate::context::stat_parallel_run();
+            let _prof_span = tfe_profile::span("graph", || format!("parallel:{}", f.name));
+            let f = shared.cloned().unwrap_or_else(|| Arc::new(f.clone()));
+            drive_pool(&f, &store, device)
+        }
+    };
+    crate::context::stat_live_bytes(store.peak_bytes.load(Ordering::Relaxed));
+    done?;
+    f.outputs.iter().map(|t| store.get(f, t)).collect()
 }
 
 fn validate_args(f: &GraphFunction, args: &[Arc<TensorData>]) -> Result<()> {
@@ -112,20 +132,107 @@ fn tensor_bytes(t: &TensorData) -> u64 {
     (t.num_elements() * t.dtype().size_bytes()) as u64
 }
 
-fn charge_node(device: &Device, work: Option<(f64, f64)>) {
-    if let Some(cfg) = crate::context::sim() {
-        cfg.stats.count_staged_node();
-        cfg.stats.clock.advance(cfg.dispatch.executor_node_ns);
-        if let (Some(model), Some((flops, bytes))) = (device.compute_model(), work) {
-            cfg.stats.device_clock.advance(model.kernel_time_ns(KernelCost { flops, bytes }));
-            cfg.stats.count_kernel();
+// ---------------------------------------------------------------------------
+// Structural ops
+// ---------------------------------------------------------------------------
+
+/// The ops the runtime runs itself rather than through a kernel; the eager
+/// dispatcher and [`run_node`] both classify and run them here.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Structural {
+    Call,
+    Cond,
+    WhileLoop,
+    HostFunc,
+    Copy,
+}
+
+/// The library function that attribute `attr` of a structural op names.
+pub(crate) fn callee(attrs: &Attrs, attr: &str) -> Result<Arc<GraphFunction>> {
+    let name = attrs.str(attr).map_err(OpError::from)?;
+    crate::context::library().get(name).ok_or_else(|| RuntimeError::UnknownFunction(name.into()))
+}
+
+impl Structural {
+    pub(crate) fn of(op: &str) -> Option<Structural> {
+        match op {
+            "call" => Some(Structural::Call),
+            "cond" => Some(Structural::Cond),
+            "while_loop" => Some(Structural::WhileLoop),
+            "host_func" => Some(Structural::HostFunc),
+            "copy" => Some(Structural::Copy),
+            _ => None,
+        }
+    }
+
+    /// Run the op over concrete values. Callee bodies run on `device` in the
+    /// caller's `mode`, so a parallel run keeps its worker pool through
+    /// function-call boundaries.
+    pub(crate) fn run(
+        self,
+        attrs: &Attrs,
+        inputs: &[Arc<TensorData>],
+        device: &Device,
+        mode: ExecMode,
+    ) -> Result<Vec<Arc<TensorData>>> {
+        match self {
+            Structural::Call => run_function_arc(&callee(attrs, "function")?, inputs, device, mode),
+            Structural::Cond => {
+                let (pred, args) = inputs
+                    .split_first()
+                    .ok_or_else(|| RuntimeError::Internal("cond without predicate".into()))?;
+                let branch = if pred.scalar_f64()? != 0.0 { "then_fn" } else { "else_fn" };
+                run_function_arc(&callee(attrs, branch)?, args, device, mode)
+            }
+            Structural::WhileLoop => {
+                let (cond, body) = (callee(attrs, "cond_fn")?, callee(attrs, "body_fn")?);
+                let max = attrs.int_or("max_iterations", 1_000_000).map_err(OpError::from)?;
+                let mut state = inputs.to_vec();
+                let mut trips = 0i64;
+                loop {
+                    let p = run_function_arc(&cond, &state, device, mode)?;
+                    let Some(go) = p.first() else {
+                        return Err(RuntimeError::Internal("while cond returned nothing".into()));
+                    };
+                    if go.scalar_f64()? == 0.0 {
+                        return Ok(state);
+                    }
+                    // The limit bounds trips, so only a trip beyond it fails.
+                    if trips >= max {
+                        return Err(RuntimeError::Internal(format!(
+                            "while_loop exceeded max_iterations={max}"
+                        )));
+                    }
+                    state = run_function_arc(&body, &state, device, mode)?;
+                    trips += 1;
+                }
+            }
+            Structural::HostFunc => {
+                // Escape into imperative code (§4.7): the registered host
+                // closure sees the inputs as eager tensors.
+                let id = attrs.int("fn_id").map_err(OpError::from)? as u64;
+                let hf = crate::context::host_fn(id)?;
+                let eager = crate::context::eager_tensors(inputs.to_vec(), device);
+                // The closure's eager ops must dispatch synchronously: this
+                // node may itself be running on a dispatch-stream thread (a
+                // `call` enqueued in async mode), and enqueueing behind the
+                // op currently executing would deadlock the stream.
+                let _sync = crate::context::force_sync_scope();
+                hf(&eager)?.iter().map(Tensor::value).collect()
+            }
+            Structural::Copy => match inputs.first() {
+                Some(v) => Ok(vec![v.clone()]),
+                None => Err(RuntimeError::Internal("copy without input".into())),
+            },
         }
     }
 }
 
-/// Execute one non-placeholder node given its concrete inputs. Nested
-/// `call`/`cond`/`while_loop` bodies run in the caller's `mode` — a parallel
-/// run keeps its worker pool through function-call boundaries.
+// ---------------------------------------------------------------------------
+// One node
+// ---------------------------------------------------------------------------
+
+/// Execute one non-placeholder node given its concrete inputs.
 fn run_node(
     f: &GraphFunction,
     id: NodeId,
@@ -139,247 +246,162 @@ fn run_node(
     if let Some(sp) = prof_span.as_mut() {
         sp.set_detail(f.node_label(id));
     }
-    // Work estimate for simulated devices (uses concrete input shapes).
-    let work = if device.compute_model().is_some() {
-        let def = tfe_ops::global().lookup(&node.op)?;
-        let dtypes: Vec<_> = inputs.iter().map(|d| d.dtype()).collect();
-        let shapes: Vec<_> = inputs.iter().map(|d| SymShape::known(d.shape())).collect();
-        let ictx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &node.attrs };
-        let sigs = def.infer(&ictx)?;
-        let w = def.work(&ictx, &sigs);
-        Some((w.flops, w.bytes))
-    } else {
-        None
-    };
-    charge_node(device, work);
+    let structural = Structural::of(&node.op);
+    let sim = crate::context::sim();
+    if sim.is_some() || device.compute_model().is_some() {
+        let kind = match structural {
+            Some(Structural::Call | Structural::Cond | Structural::WhileLoop) => {
+                SimOp::NodeWithBodies
+            }
+            _ => SimOp::Node,
+        };
+        let zeros =
+            crate::context::simulate_op(sim.as_ref(), kind, device, &node.op, &node.attrs, inputs)?;
+        if let Some(zeros) = zeros {
+            return Ok(zeros);
+        }
+    }
+    if let Some(s) = structural {
+        return s.run(&node.attrs, inputs, device, mode);
+    }
+    if node.op == "const" {
+        let idx = match node.attrs.get("value_index") {
+            Some(AttrValue::Int(i)) => *i as usize,
+            _ => return Err(RuntimeError::Internal("const without value_index".into())),
+        };
+        let value = f.constants.get(idx).cloned();
+        return Ok(vec![
+            value.ok_or_else(|| RuntimeError::Internal("const pool underflow".into()))?
+        ]);
+    }
+    crate::context::stat_kernel_launched();
+    crate::kernels::launch_kernel(&node.op, &node.attrs, inputs)
+}
 
-    if !device.produces_real_values()
-        && node.op != "call"
-        && node.op != "cond"
-        && node.op != "while_loop"
-    {
-        // Cost-only: shape-correct zeros (resolved against concrete inputs).
-        let def = tfe_ops::global().lookup(&node.op)?;
-        let dtypes: Vec<_> = inputs.iter().map(|d| d.dtype()).collect();
-        let shapes: Vec<_> = inputs.iter().map(|d| SymShape::known(d.shape())).collect();
-        let sigs = def.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &node.attrs })?;
-        return sigs
-            .into_iter()
-            .map(|(dt, s)| {
-                s.to_shape().map(|shape| crate::kernels::zero_value(dt, shape)).ok_or_else(|| {
-                    RuntimeError::Internal(format!(
-                        "cost-only execution needs defined shapes (op {})",
-                        node.op
-                    ))
-                })
-            })
-            .collect();
+// ---------------------------------------------------------------------------
+// The per-run value store
+// ---------------------------------------------------------------------------
+
+/// Values of one run of one graph function. The pool driver's workers share
+/// it, which is why slots and counts are interior-mutable.
+struct SlotStore {
+    /// Slot `offset[n] + k` holds output `k` of node `n`; the last entry is
+    /// the slot count.
+    offset: Vec<usize>,
+    slots: Vec<Mutex<Option<Arc<TensorData>>>>,
+    /// Reads still to come per slot: one per consuming input plus one pin
+    /// per function output (never released). A slot that starts at zero is
+    /// never stored; a stored value is dropped when its count reaches zero.
+    reads: Vec<AtomicUsize>,
+    live_bytes: AtomicU64,
+    /// Most bytes held at once, placeholder bindings included.
+    peak_bytes: AtomicU64,
+}
+
+impl SlotStore {
+    /// Lay the tables out for `f` and bind `args` to its placeholders.
+    fn new(f: &GraphFunction, args: &[Arc<TensorData>]) -> SlotStore {
+        let mut offset = Vec::with_capacity(f.nodes.len() + 1);
+        let mut total = 0usize;
+        for node in &f.nodes {
+            offset.push(total);
+            total += node.outputs.len();
+        }
+        offset.push(total);
+        let mut reads = vec![0usize; total];
+        let consumed = f.nodes.iter().flat_map(|n| &n.inputs);
+        for t in consumed.chain(&f.outputs) {
+            reads[offset[t.node.0] + t.output] += 1;
+        }
+        let store = SlotStore {
+            offset,
+            slots: (0..total).map(|_| Mutex::new(None)).collect(),
+            reads: reads.into_iter().map(AtomicUsize::new).collect(),
+            live_bytes: AtomicU64::new(0),
+            peak_bytes: AtomicU64::new(0),
+        };
+        for (&node_id, arg) in f.inputs.iter().zip(args) {
+            store.put(node_id.0, [arg.clone()]);
+        }
+        store
     }
 
-    match node.op.as_str() {
-        "const" => {
-            let idx = match node.attrs.get("value_index") {
-                Some(AttrValue::Int(i)) => *i as usize,
-                _ => return Err(RuntimeError::Internal("const without value_index".into())),
-            };
-            Ok(vec![f
-                .constants
-                .get(idx)
-                .cloned()
-                .ok_or_else(|| RuntimeError::Internal("const pool underflow".into()))?])
+    fn slot(&self, t: &TensorRef) -> usize {
+        self.offset[t.node.0] + t.output
+    }
+
+    /// Store one node's outputs, skipping slots nobody will read (and any
+    /// output beyond the node's declared ones). Runs strictly before any
+    /// consumer of the node can run, so nothing has released these slots yet.
+    fn put(&self, node: usize, outs: impl IntoIterator<Item = Arc<TensorData>>) {
+        let mut added = 0u64;
+        for (slot, v) in (self.offset[node]..self.offset[node + 1]).zip(outs) {
+            if self.reads[slot].load(Ordering::SeqCst) != 0 {
+                added += tensor_bytes(&v);
+                *self.slots[slot].lock() = Some(v);
+            }
         }
-        "call" => {
-            let name = node.attrs.str("function").map_err(tfe_ops::OpError::from)?;
-            let callee = crate::context::library()
-                .get(name)
-                .ok_or_else(|| RuntimeError::UnknownFunction(name.into()))?;
-            run_function_arc(&callee, inputs, device, mode)
+        if added != 0 {
+            let live = self.live_bytes.fetch_add(added, Ordering::SeqCst) + added;
+            self.peak_bytes.fetch_max(live, Ordering::Relaxed);
         }
-        "cond" => {
-            let pred = inputs
-                .first()
-                .ok_or_else(|| RuntimeError::Internal("cond without predicate".into()))?
-                .scalar_f64()?
-                != 0.0;
-            let branch = if pred {
-                node.attrs.str("then_fn").map_err(tfe_ops::OpError::from)?
-            } else {
-                node.attrs.str("else_fn").map_err(tfe_ops::OpError::from)?
-            };
-            let callee = crate::context::library()
-                .get(branch)
-                .ok_or_else(|| RuntimeError::UnknownFunction(branch.into()))?;
-            run_function_arc(&callee, &inputs[1..], device, mode)
-        }
-        "while_loop" => {
-            let cond_name = node.attrs.str("cond_fn").map_err(tfe_ops::OpError::from)?;
-            let body_name = node.attrs.str("body_fn").map_err(tfe_ops::OpError::from)?;
-            let cond = crate::context::library()
-                .get(cond_name)
-                .ok_or_else(|| RuntimeError::UnknownFunction(cond_name.into()))?;
-            let body = crate::context::library()
-                .get(body_name)
-                .ok_or_else(|| RuntimeError::UnknownFunction(body_name.into()))?;
-            let mut state = inputs.to_vec();
-            let max =
-                node.attrs.int_or("max_iterations", 1_000_000).map_err(tfe_ops::OpError::from)?;
-            let mut iters = 0i64;
-            loop {
-                let p = run_function_arc(&cond, &state, device, mode)?;
-                if p.first()
-                    .ok_or_else(|| RuntimeError::Internal("while cond empty".into()))?
-                    .scalar_f64()?
-                    == 0.0
-                {
-                    break;
-                }
-                state = run_function_arc(&body, &state, device, mode)?;
-                iters += 1;
-                if iters >= max {
-                    return Err(RuntimeError::Internal(format!(
-                        "while_loop exceeded max_iterations={max}"
-                    )));
+    }
+
+    fn get(&self, f: &GraphFunction, t: &TensorRef) -> Result<Arc<TensorData>> {
+        self.slots[self.slot(t)].lock().clone().ok_or_else(|| {
+            RuntimeError::Internal(format!("value for {t:?} missing in `{}`", f.name))
+        })
+    }
+
+    /// A node that read `inputs` is done with them: the last reader of a
+    /// slot frees its tensor.
+    fn release(&self, inputs: &[TensorRef]) {
+        for t in inputs {
+            let slot = self.slot(t);
+            if self.reads[slot].fetch_sub(1, Ordering::SeqCst) == 1 {
+                if let Some(v) = self.slots[slot].lock().take() {
+                    self.live_bytes.fetch_sub(tensor_bytes(&v), Ordering::SeqCst);
                 }
             }
-            Ok(state)
-        }
-        "host_func" => {
-            // Escape into imperative code (§4.7): wrap inputs as eager
-            // tensors and invoke the registered host closure.
-            let id = node.attrs.int("fn_id").map_err(tfe_ops::OpError::from)? as u64;
-            let hf = crate::context::host_fn(id)?;
-            let eager: Vec<Tensor> = inputs
-                .iter()
-                .map(|d| Tensor::Eager(EagerTensor::new(d.clone(), device.name().clone())))
-                .collect();
-            // The closure's eager ops must dispatch synchronously: this
-            // node may itself be running on a dispatch-stream thread (a
-            // `call` enqueued in async mode), and enqueueing behind the
-            // op currently executing would deadlock the stream.
-            let _sync = crate::context::force_sync_scope();
-            let out = hf(&eager)?;
-            out.into_iter().map(|t| t.value()).collect()
-        }
-        "copy" => Ok(vec![inputs
-            .first()
-            .ok_or_else(|| RuntimeError::Internal("copy without input".into()))?
-            .clone()]),
-        _ => {
-            crate::context::stat_kernel_launched();
-            let t0 = std::time::Instant::now();
-            let out = crate::kernels::run_kernel(&node.op, &node.attrs, inputs)?;
-            tfe_metrics::static_histogram!(
-                "tfe_kernel_time_ns",
-                "Wall-clock nanoseconds per compute-kernel invocation (eager and staged)",
-                tfe_metrics::DEFAULT_NS_BUCKETS
-            )
-            .observe(t0.elapsed().as_nanos() as u64);
-            Ok(out.into_iter().map(Arc::new).collect())
         }
     }
 }
 
-fn run_serial(
-    f: &GraphFunction,
-    args: &[Arc<TensorData>],
-    device: &Device,
-) -> Result<Vec<Arc<TensorData>>> {
-    crate::context::stat_serial_run();
-    let _prof_span = tfe_profile::span("graph", || format!("serial:{}", f.name));
-    // Last consumer index per tensor, for buffer release.
-    let mut last_use: HashMap<TensorRef, usize> = HashMap::new();
-    for (i, node) in f.nodes.iter().enumerate() {
-        for &input in &node.inputs {
-            last_use.insert(input, i);
-        }
-    }
-    for &out in &f.outputs {
-        last_use.insert(out, usize::MAX);
-    }
+// ---------------------------------------------------------------------------
+// Drivers
+// ---------------------------------------------------------------------------
 
-    let mut live_bytes = 0u64;
-    let mut peak_bytes = 0u64;
-    let mut values: HashMap<TensorRef, Arc<TensorData>> = HashMap::new();
-    // Bind placeholders.
-    for (&node_id, arg) in f.inputs.iter().zip(args) {
-        live_bytes += tensor_bytes(arg);
-        values.insert(TensorRef::first(node_id), arg.clone());
-    }
-    peak_bytes = peak_bytes.max(live_bytes);
+/// `SerialPlanned`: every node in program order on the calling thread.
+fn drive_inline(f: &GraphFunction, store: &SlotStore, device: &Device) -> Result<()> {
     for (i, node) in f.nodes.iter().enumerate() {
         if node.op == "placeholder" {
             continue;
         }
-        let inputs: Vec<Arc<TensorData>> = node
-            .inputs
-            .iter()
-            .map(|t| {
-                values.get(t).cloned().ok_or_else(|| {
-                    RuntimeError::Internal(format!("value for {t:?} missing in `{}`", f.name))
-                })
-            })
-            .collect::<Result<_>>()?;
-        let outs = run_node(f, NodeId(i), &inputs, device, ExecMode::SerialPlanned)?;
-        for (k, v) in outs.into_iter().enumerate() {
-            live_bytes += tensor_bytes(&v);
-            values.insert(TensorRef { node: NodeId(i), output: k }, v);
-        }
-        peak_bytes = peak_bytes.max(live_bytes);
-        // Buffer reuse: drop values whose last consumer has now run.
-        for &input in &node.inputs {
-            if last_use.get(&input) == Some(&i) {
-                if let Some(v) = values.remove(&input) {
-                    live_bytes -= tensor_bytes(&v);
-                }
-            }
-        }
+        let inputs: Vec<_> = node.inputs.iter().map(|t| store.get(f, t)).collect::<Result<_>>()?;
+        store.put(i, run_node(f, NodeId(i), &inputs, device, ExecMode::SerialPlanned)?);
+        store.release(&node.inputs);
     }
-    crate::context::stat_live_bytes(peak_bytes);
-    f.outputs
-        .iter()
-        .map(|t| {
-            values.get(t).cloned().ok_or_else(|| {
-                RuntimeError::Internal(format!("output {t:?} missing in `{}`", f.name))
-            })
-        })
-        .collect()
+    Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// Dependency-counted parallel scheduler
-// ---------------------------------------------------------------------------
-
-/// Shared state of one parallel run. Jobs on the worker pool hold an `Arc`
-/// to this; the submitting thread waits (and work-helps) until `pending`
-/// reaches zero.
-struct RunState {
+/// Shared state of one pool-driven run. Jobs on the worker pool hold an
+/// `Arc` to this; the submitting thread waits (and work-helps) until
+/// `pending` reaches zero.
+struct PoolRun {
     f: Arc<GraphFunction>,
     device: Device,
-    /// Flat value-slot index of `(node, output 0)`; slot `offset[n] + k` is
-    /// output `k` of node `n`.
-    slot_offset: Vec<usize>,
-    /// One slot per node output.
-    slots: Vec<Mutex<Option<Arc<TensorData>>>>,
-    /// Remaining consumer input-slots of each value slot; a slot's tensor is
-    /// dropped when this hits zero (function outputs carry an extra pin).
-    slot_refs: Vec<AtomicUsize>,
+    store: Arc<SlotStore>,
     /// Unresolved predecessors (data producers + sequencing edges) per node.
     deps: Vec<AtomicUsize>,
     /// Dependent node ids per node (the reverse of `predecessors`).
-    consumers: Vec<Vec<usize>>,
+    dependents: Vec<Vec<usize>>,
     /// Non-placeholder nodes not yet finished.
     pending: AtomicUsize,
-    /// Bytes currently held in slots.
-    live_bytes: AtomicU64,
     error: Mutex<Option<RuntimeError>>,
     abort: AtomicBool,
 }
 
-impl RunState {
-    fn slot_of(&self, t: &TensorRef) -> usize {
-        self.slot_offset[t.node.0] + t.output
-    }
-
+impl PoolRun {
     fn fail(&self, e: RuntimeError) {
         tfe_profile::instant("sched", || format!("abort:{}:{e}", self.f.name));
         crate::context::stat_executor_abort();
@@ -387,52 +409,9 @@ impl RunState {
         self.abort.store(true, Ordering::SeqCst);
     }
 
-    /// Store one node's outputs, skipping slots nobody will ever read.
-    /// Runs strictly before any consumer of the node is enqueued, so the
-    /// unsynchronized refcount read is safe.
-    fn store_outputs(&self, node: usize, outs: Vec<Arc<TensorData>>) {
-        let base = self.slot_offset[node];
-        let mut added = 0u64;
-        for (k, v) in outs.into_iter().enumerate() {
-            if self.slot_refs[base + k].load(Ordering::SeqCst) == 0 {
-                continue; // dead output: never stored, dropped immediately
-            }
-            added += tensor_bytes(&v);
-            *self.slots[base + k].lock() = Some(v);
-        }
-        let live = self.live_bytes.fetch_add(added, Ordering::SeqCst) + added;
-        crate::context::stat_live_bytes(live);
-    }
-
-    /// Drop one reference to a value slot; frees the tensor on the last.
-    fn release_slot(&self, slot: usize) {
-        if self.slot_refs[slot].fetch_sub(1, Ordering::SeqCst) == 1 {
-            if let Some(v) = self.slots[slot].lock().take() {
-                self.live_bytes.fetch_sub(tensor_bytes(&v), Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Bookkeeping after a node ran (or was skipped by an abort): release
-    /// its input buffers, wake consumers that became ready, and signal the
-    /// waiters when this was the last pending node.
-    fn finish_node(self: &Arc<Self>, node: usize) {
-        for t in &self.f.nodes[node].inputs {
-            self.release_slot(self.slot_of(t));
-        }
-        for &c in &self.consumers[node] {
-            if self.deps[c].fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.enqueue(c);
-            }
-        }
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            crate::pool::global().notify();
-        }
-    }
-
-    fn enqueue(self: &Arc<Self>, node: usize) {
-        let state = self.clone();
-        let depth = crate::pool::global().submit(Box::new(move || state.execute(node)));
+    fn submit(self: &Arc<Self>, node: usize) {
+        let run = self.clone();
+        let depth = crate::pool::global().submit(Box::new(move || run.execute(node)));
         crate::context::stat_queue_depth(depth as u64);
         tfe_profile::counter("sched", "ready_queue_depth", depth as u64);
     }
@@ -441,30 +420,19 @@ impl RunState {
     /// dependency countdown still completes so the run drains and the
     /// waiter observes the stored error.
     fn execute(self: &Arc<Self>, node: usize) {
+        let inputs = &self.f.nodes[node].inputs;
         if self.abort.load(Ordering::SeqCst) {
             tfe_profile::instant("sched", || {
                 format!("abort_skip:{}", self.f.node_label(NodeId(node)))
             });
         } else {
-            let inputs: Result<Vec<Arc<TensorData>>> = self.f.nodes[node]
-                .inputs
-                .iter()
-                .map(|t| {
-                    self.slots[self.slot_of(t)].lock().clone().ok_or_else(|| {
-                        RuntimeError::Internal(format!(
-                            "parallel exec missing {t:?} in `{}`",
-                            self.f.name
-                        ))
-                    })
-                })
-                .collect();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                inputs.and_then(|ins| {
-                    run_node(&self.f, NodeId(node), &ins, &self.device, ExecMode::Parallel)
-                })
+                let ins: Vec<_> =
+                    inputs.iter().map(|t| self.store.get(&self.f, t)).collect::<Result<_>>()?;
+                run_node(&self.f, NodeId(node), &ins, &self.device, ExecMode::Parallel)
             }));
             match result {
-                Ok(Ok(outs)) => self.store_outputs(node, outs),
+                Ok(Ok(outs)) => self.store.put(node, outs),
                 Ok(Err(e)) => self.fail(e),
                 Err(_) => self.fail(RuntimeError::Internal(format!(
                     "node %{node} ({}) panicked in `{}`",
@@ -472,131 +440,71 @@ impl RunState {
                 ))),
             }
         }
-        self.finish_node(node);
+        // Done (or skipped by an abort): free the inputs, submit the
+        // dependents that became ready, and signal the waiter on the last.
+        self.store.release(inputs);
+        for &c in &self.dependents[node] {
+            if self.deps[c].fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.submit(c);
+            }
+        }
+        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
+            crate::pool::global().notify();
+        }
     }
 }
 
-fn run_parallel(
-    f: &Arc<GraphFunction>,
-    args: &[Arc<TensorData>],
-    device: &Device,
-) -> Result<Vec<Arc<TensorData>>> {
-    crate::context::stat_parallel_run();
-    let _prof_span = tfe_profile::span("graph", || format!("parallel:{}", f.name));
+/// `Parallel`: dependency countdown on the shared worker pool.
+fn drive_pool(f: &Arc<GraphFunction>, store: &Arc<SlotStore>, device: &Device) -> Result<()> {
     let n = f.nodes.len();
-
-    // Value slots, flattened over node outputs.
-    let mut slot_offset = Vec::with_capacity(n);
-    let mut total_slots = 0usize;
-    for node in &f.nodes {
-        slot_offset.push(total_slots);
-        total_slots += node.outputs.len();
-    }
-    let mut slot_refs = vec![0usize; total_slots];
-    for node in &f.nodes {
-        for t in &node.inputs {
-            slot_refs[slot_offset[t.node.0] + t.output] += 1;
-        }
-    }
-    for t in &f.outputs {
-        // Pin function outputs: never released by the countdown.
-        slot_refs[slot_offset[t.node.0] + t.output] += 1;
-    }
-
-    // Dependency counts and their reverse edges (data + sequencing).
     let mut deps = Vec::with_capacity(n);
-    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut pending = 0usize;
-    for (i, node) in f.nodes.iter().enumerate() {
+    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for i in 0..n {
         let preds = f.predecessors(NodeId(i));
-        deps.push(AtomicUsize::new(preds.len()));
+        deps.push(preds.len());
         for p in preds {
-            consumers[p.0].push(i);
-        }
-        if node.op != "placeholder" {
-            pending += 1;
+            dependents[p.0].push(i);
         }
     }
-
-    let state = Arc::new(RunState {
+    // Placeholders are bound already; what is ready now is every other node
+    // left without predecessors (consts, random sources, consumers of
+    // arguments only).
+    let is_placeholder = |i: usize| f.nodes[i].op == "placeholder";
+    for p in (0..n).filter(|&i| is_placeholder(i)) {
+        for &c in &dependents[p] {
+            deps[c] -= 1;
+        }
+    }
+    let ready: Vec<usize> = (0..n).filter(|&i| !is_placeholder(i) && deps[i] == 0).collect();
+    if ready.is_empty() {
+        return Ok(()); // nothing but placeholders
+    }
+    let run = Arc::new(PoolRun {
         f: f.clone(),
         device: device.clone(),
-        slot_offset,
-        slots: (0..total_slots).map(|_| Mutex::new(None)).collect(),
-        slot_refs: slot_refs.into_iter().map(AtomicUsize::new).collect(),
-        deps,
-        consumers,
-        pending: AtomicUsize::new(pending),
-        live_bytes: AtomicU64::new(0),
+        store: store.clone(),
+        deps: deps.into_iter().map(AtomicUsize::new).collect(),
+        dependents,
+        pending: AtomicUsize::new(f.executable_node_count()),
         error: Mutex::new(None),
         abort: AtomicBool::new(false),
     });
-
-    // Bind placeholders.
-    let mut bound = 0u64;
-    for (&node_id, arg) in f.inputs.iter().zip(args) {
-        let slot = state.slot_offset[node_id.0];
-        if state.slot_refs[slot].load(Ordering::SeqCst) != 0 {
-            bound += tensor_bytes(arg);
-            *state.slots[slot].lock() = Some(arg.clone());
-        }
-    }
-    state.live_bytes.store(bound, Ordering::SeqCst);
-    crate::context::stat_live_bytes(bound);
-
-    if pending == 0 {
-        return collect_outputs(&state);
-    }
-
-    // Seed the queue: nodes with no predecessors at all (consts, random
-    // sources), then everything placeholders unblock. A node can only be in
-    // one of the two sets, so nothing is enqueued twice.
-    let mut ready: Vec<usize> = Vec::new();
-    for (i, node) in f.nodes.iter().enumerate() {
-        if node.op != "placeholder" && state.deps[i].load(Ordering::SeqCst) == 0 {
-            ready.push(i);
-        }
-    }
-    for &node_id in &f.inputs {
-        for &c in &state.consumers[node_id.0] {
-            if state.deps[c].fetch_sub(1, Ordering::SeqCst) == 1 {
-                ready.push(c);
-            }
-        }
-    }
     for i in ready {
-        state.enqueue(i);
+        run.submit(i);
     }
-
     // Work-help until the countdown completes (nested parallel runs issued
     // from worker threads pass through here too — helping instead of
     // blocking is what keeps them deadlock-free).
-    crate::pool::global().wait_until(|| state.pending.load(Ordering::SeqCst) == 0);
-
-    if let Some(e) = state.error.lock().take() {
-        return Err(e);
-    }
-    collect_outputs(&state)
-}
-
-fn collect_outputs(state: &RunState) -> Result<Vec<Arc<TensorData>>> {
-    state
-        .f
-        .outputs
-        .iter()
-        .map(|t| {
-            state.slots[state.slot_of(t)].lock().clone().ok_or_else(|| {
-                RuntimeError::Internal(format!("output {t:?} missing in `{}`", state.f.name))
-            })
-        })
-        .collect()
+    crate::pool::global().wait_until(|| run.pending.load(Ordering::SeqCst) == 0);
+    let failed = run.error.lock().take();
+    failed.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tfe_graph::GraphBuilder;
-    use tfe_ops::Attrs;
+    use tfe_ops::{Attrs, SymShape};
     use tfe_tensor::{DType, Shape};
 
     fn device() -> Device {
@@ -746,6 +654,30 @@ mod tests {
             let out = run_function(&f, std::slice::from_ref(&x), &device(), mode).unwrap();
             assert_eq!(out[0].to_f64_vec(), vec![11.0, 22.0]);
         }
+    }
+
+    #[test]
+    fn unread_output_is_held_by_neither_driver() {
+        // x: f32[4] -> split in two -> neg(first half); nobody reads the
+        // second half, so the store must never hold it.
+        crate::context::ensure_init();
+        let mut b = GraphBuilder::new("half_unread");
+        let x = b.placeholder(DType::F32, known(&[4])).unwrap();
+        let parts = b
+            .add_node("split", vec![x], Attrs::new().with("num", 2i64).with("axis", 0i64))
+            .unwrap();
+        let r = b.add_node("neg", vec![parts[0]], Attrs::new()).unwrap()[0];
+        let f = Arc::new(b.finish(vec![r], 0));
+        let args = [Arc::new(TensorData::zeros(DType::F32, [4]))];
+
+        let inline = SlotStore::new(&f, &args);
+        drive_inline(&f, &inline, &device()).unwrap();
+        let pool = Arc::new(SlotStore::new(&f, &args));
+        drive_pool(&f, &pool, &device()).unwrap();
+        // Peak is x (16 bytes) plus the half that is read (8); holding the
+        // other half too would make it 32.
+        assert_eq!(inline.peak_bytes.load(Ordering::Relaxed), 24);
+        assert_eq!(pool.peak_bytes.load(Ordering::Relaxed), 24);
     }
 
     #[test]

@@ -42,6 +42,25 @@ pub fn run_kernel(op: &str, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result
     Ok(out)
 }
 
+/// [`run_kernel`] as the executing paths (sync eager, the async-eager job,
+/// the executor's node-runner) launch it: timed into `tfe_kernel_time_ns`,
+/// outputs ready to share.
+pub(crate) fn launch_kernel(
+    op: &str,
+    attrs: &Attrs,
+    inputs: &[Arc<TensorData>],
+) -> Result<Vec<Arc<TensorData>>> {
+    let t0 = std::time::Instant::now();
+    let out = run_kernel(op, attrs, inputs)?;
+    tfe_metrics::static_histogram!(
+        "tfe_kernel_time_ns",
+        "Wall-clock nanoseconds per compute-kernel invocation (eager and staged)",
+        tfe_metrics::DEFAULT_NS_BUCKETS
+    )
+    .observe(t0.elapsed().as_nanos() as u64);
+    Ok(out.into_iter().map(Arc::new).collect())
+}
+
 /// Whether a kernel exists for `op`.
 pub fn has_kernel(op: &str) -> bool {
     ensure_kernels();

@@ -11,6 +11,16 @@ cd "$(dirname "$0")/.."
 
 THREADS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
+# Knob count gate: every TFE_* environment variable the crates read must be
+# a row of the table in README "Operating it", so an option cannot be added
+# without being counted.
+echo "==> every TFE_* variable read in crates/*/src is in README's table"
+undocumented=0
+for v in $(grep -rhE -A2 'env::var(_os)?\(' crates/*/src | grep -oE 'TFE_[A-Z0-9_]+' | sort -u); do
+    grep -q "^| \`${v}\` |" README.md || { echo "not in README's table: ${v}"; undocumented=1; }
+done
+[ "${undocumented}" = 0 ]
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

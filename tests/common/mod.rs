@@ -72,9 +72,60 @@ pub fn register_branches(tag: &str, dims: &[usize]) -> (String, String, (String,
     (then_name, else_name, sig)
 }
 
+/// Register the cond/body pair of a counter loop over `(count, x)` with `x`
+/// of `dims`: it runs while `count < trips`, and each trip maps `x` to
+/// `sin(x)` (bounded, so towers of loops stay well-conditioned).
+pub fn register_counter_loop(tag: &str, dims: &[usize], trips: f64) -> (String, String) {
+    let state = |b: &mut GraphBuilder| {
+        let c = b.placeholder(DType::F64, known(&[])).unwrap();
+        (c, b.placeholder(DType::F64, known(dims)).unwrap())
+    };
+    let cond_name = format!("diff_loop_cond_{tag}");
+    let mut b = GraphBuilder::new(&cond_name);
+    let (c, _x) = state(&mut b);
+    let limit = b.constant(Arc::new(TensorData::scalar(trips))).unwrap();
+    let go = b.add_node("less", vec![c, limit], Attrs::new()).unwrap()[0];
+    tfe_runtime::context::library().insert(b.finish(vec![go], 0));
+
+    let body_name = format!("diff_loop_body_{tag}");
+    let mut b = GraphBuilder::new(&body_name);
+    let (c, x) = state(&mut b);
+    let one = b.constant(Arc::new(TensorData::scalar(1.0f64))).unwrap();
+    let next = b.add_node("add", vec![c, one], Attrs::new()).unwrap()[0];
+    let y = b.add_node("sin", vec![x], Attrs::new()).unwrap()[0];
+    tfe_runtime::context::library().insert(b.finish(vec![next, y], 0));
+    (cond_name, body_name)
+}
+
+/// A `while_loop` node over `(0, x)` that makes `trips` trips of the loop
+/// registered by [`register_counter_loop`]; returns the loop's `x` output.
+pub fn counter_loop(
+    b: &mut GraphBuilder,
+    tag: &str,
+    x: &Avail,
+    trips: f64,
+    attrs: Attrs,
+) -> TensorRef {
+    let (cond_fn, body_fn) = register_counter_loop(tag, &x.dims, trips);
+    let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
+    let attrs = attrs.with("cond_fn", cond_fn).with("body_fn", body_fn);
+    b.add_node("while_loop", vec![zero, x.tref], attrs).unwrap()[1]
+}
+
+/// Id of one registered pure host closure (`x -> tanh(x)`, any shape), the
+/// same for every graph so the corpus does not grow the host-fn table.
+pub fn pure_host_fn() -> i64 {
+    static ID: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
+    *ID.get_or_init(|| {
+        tfe_runtime::context::register_host_fn(Arc::new(|xs: &[tf_eager::Tensor]| {
+            Ok(vec![tfe_runtime::api::tanh(&xs[0])?])
+        }))
+    }) as i64
+}
+
 /// Generate one random graph: a handful of F64 placeholders, then a
-/// seeded walk over op kinds, always returning the most recent value plus
-/// one random survivor.
+/// seeded walk over op kinds (every structural op among them), always
+/// returning the most recent value plus one random survivor.
 pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 7919 + 13);
     let mut b = GraphBuilder::new(&format!("diff_case_{seed}"));
@@ -86,7 +137,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
     }
     let steps = rng.gen_range(4usize..14);
     for step in 0..steps {
-        let kind = rng.gen_range(0u32..10);
+        let kind = rng.gen_range(0u32..13);
         let pick = rng.gen_range(0usize..pool.len());
         let a = pool[pick].clone();
         match kind {
@@ -170,7 +221,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 pool.push(Avail { tref: t, dims: a.dims });
             }
             // Data-dependent cond: predicate is a reduction of a live value.
-            _ => {
+            9 => {
                 let scalars: Vec<&Avail> = pool.iter().filter(|c| c.dims.is_empty()).collect();
                 let gate = scalars[rng.gen_range(0usize..scalars.len())].tref;
                 let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
@@ -188,6 +239,27 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                             .with("out_shapes", s),
                     )
                     .unwrap()[0];
+                pool.push(Avail { tref: t, dims: a.dims });
+            }
+            // Bounded counter loop; its counter output is never read.
+            10 => {
+                let trips = rng.gen_range(0u32..4) as f64;
+                let t = counter_loop(&mut b, &format!("{seed}_{step}"), &a, trips, Attrs::new());
+                pool.push(Avail { tref: t, dims: a.dims });
+            }
+            // Escape to a (pure) host closure.
+            11 => {
+                let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, known(&a.dims))]);
+                let attrs = Attrs::new()
+                    .with("fn_id", pure_host_fn())
+                    .with("out_dtypes", d)
+                    .with("out_shapes", s);
+                let t = b.add_node("host_func", vec![a.tref], attrs).unwrap()[0];
+                pool.push(Avail { tref: t, dims: a.dims });
+            }
+            _ => {
+                let attrs = Attrs::new().with("device", "/cpu:0");
+                let t = b.add_node("copy", vec![a.tref], attrs).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
         }

@@ -4,13 +4,16 @@
 //! every failure is reproducible from its case number.
 //!
 //! Covers elementwise chains, matmul, reductions, multi-output `split`,
-//! nested `call`, data-dependent `cond`, and (separately) stateful
+//! every structural op (nested `call`, data-dependent `cond`, bounded
+//! `while_loop`, `host_func`, `copy`), and (separately) stateful
 //! variable read/write graphs, which the parallel scheduler must execute
 //! in program order via sequencing edges — bit-identical to serial.
 
 mod common;
 
-use common::{eager_interpret, fuzz_cases, generate, generate_stateful, known, make_args};
+use common::{
+    counter_loop, eager_interpret, fuzz_cases, generate, generate_stateful, known, make_args, Avail,
+};
 use std::sync::Arc;
 use tf_eager::graph::passes::{self, OptimizeOptions};
 use tf_eager::graph::{GraphBuilder, GraphFunction};
@@ -282,5 +285,78 @@ fn pool_survives_repeated_aborts() {
         for (s, p) in want.iter().zip(&got) {
             assert!(s.all_close(p, 0.0, 0.0), "healthy output drifted after aborts");
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Structural ops at their limits. Eager dispatch and both graph drivers run
+// the same implementation, so they must agree on values and on the typed
+// error.
+// ---------------------------------------------------------------------------
+
+type Outcome = Result<Vec<Arc<TensorData>>, tf_eager::RuntimeError>;
+
+/// `f` interpreted eagerly, run serially, and run in parallel.
+fn three_ways(f: &GraphFunction, args: &[Arc<TensorData>]) -> [Outcome; 3] {
+    let device = tfe_runtime::context::device_manager().host_cpu();
+    [
+        eager_interpret(f, args),
+        executor::run_function(f, args, &device, ExecMode::SerialPlanned),
+        executor::run_function(f, args, &device, ExecMode::Parallel),
+    ]
+}
+
+/// A graph whose only op is a `trips`-trip counter loop over its argument,
+/// limited to three iterations.
+fn limited_loop(tag: &str, trips: f64) -> GraphFunction {
+    let mut b = GraphBuilder::new(tag);
+    let x = Avail { tref: b.placeholder(DType::F64, known(&[4])).unwrap(), dims: vec![4] };
+    let limit = Attrs::new().with("max_iterations", 3i64);
+    let out = counter_loop(&mut b, tag, &x, trips, limit);
+    b.finish(vec![out], 0)
+}
+
+/// `max_iterations` bounds the trips a loop may make; a loop that ends after
+/// exactly that many is within its limit.
+#[test]
+fn while_loop_may_make_max_iterations_trips() {
+    tf_eager::init();
+    let mut want = fault_args()[0].to_f64_vec();
+    for _ in 0..3 {
+        want.iter_mut().for_each(|v| *v = v.sin());
+    }
+    for outcome in three_ways(&limited_loop("loop_at_limit", 3.0), &fault_args()) {
+        assert_eq!(outcome.expect("three trips are within the limit")[0].to_f64_vec(), want);
+    }
+}
+
+#[test]
+fn over_limit_loop_fails_alike_in_every_mode() {
+    tf_eager::init();
+    for outcome in three_ways(&limited_loop("loop_over_limit", 4.0), &fault_args()) {
+        assert_eq!(
+            outcome.expect_err("a fourth trip exceeds the limit"),
+            tf_eager::RuntimeError::Internal("while_loop exceeded max_iterations=3".into())
+        );
+    }
+}
+
+#[test]
+fn unknown_callee_fails_alike_in_every_mode() {
+    tf_eager::init();
+    let mut b = GraphBuilder::new("calls_nothing");
+    let x = b.placeholder(DType::F64, known(&[4])).unwrap();
+    let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, known(&[4]))]);
+    let attrs = Attrs::new()
+        .with("function", "diff_no_such_fn")
+        .with("out_dtypes", d)
+        .with("out_shapes", s);
+    let out = b.add_node("call", vec![x], attrs).unwrap()[0];
+    let f = b.finish(vec![out], 0);
+    for outcome in three_ways(&f, &fault_args()) {
+        assert_eq!(
+            outcome.expect_err("the callee is not in the library"),
+            tf_eager::RuntimeError::UnknownFunction("diff_no_such_fn".into())
+        );
     }
 }
