@@ -137,6 +137,38 @@ struct WorkerEntry {
     client: Arc<RpcClient>,
     control: Mutex<WorkerControl>,
     addr: Option<SocketAddr>,
+    /// Ids of resident tensors whose last handle dropped; the next request
+    /// to this worker carries them as its `free` field.
+    free: Mutex<Vec<u64>>,
+}
+
+impl WorkerEntry {
+    /// One RPC to this worker, with the pending frees riding along. The
+    /// worker drops them before it runs the request, so only a transport
+    /// failure can lose them: then they go back on the list.
+    fn call(
+        &self,
+        op: &str,
+        mut body: Value,
+        idempotent: bool,
+        opts: Option<&RpcOptions>,
+    ) -> Result<Value> {
+        let freed = std::mem::take(&mut *self.free.lock());
+        if !freed.is_empty() {
+            let ids = freed.iter().map(|&id| Value::Int(id as i64)).collect();
+            if let Value::Object(fields) = &mut body {
+                fields.insert("free".to_string(), Value::Array(ids));
+            }
+        }
+        let result = match opts {
+            Some(opts) => self.client.call_with(op, body, idempotent, opts),
+            None => self.client.call(op, body, idempotent),
+        };
+        if !matches!(result, Ok(_) | Err(DistError::RemoteFault { .. })) {
+            self.free.lock().extend(freed);
+        }
+        result
+    }
 }
 
 struct ClusterInner {
@@ -190,16 +222,11 @@ impl Clone for RemoteTensor {
 impl Drop for RemoteTensor {
     fn drop(&mut self) {
         if self.owned.fetch_sub(1, Ordering::Relaxed) == 1 {
-            // Last handle: free the worker-side buffer. Best-effort with a
-            // short fuse — a dead worker must not stall drops.
+            // Last handle: queue the worker-side buffer for release with
+            // the next request to that worker. No round trip here, so a
+            // dead worker cannot stall a drop.
             if let Ok(entry) = self.cluster.entry(&self.device) {
-                let opts = RpcOptions {
-                    deadline: Duration::from_millis(500),
-                    attempt_timeout: Duration::from_millis(500),
-                    retries: 0,
-                    backoff: Duration::from_millis(1),
-                };
-                let _ = entry.client.call_with("delete", delete_body(self.id), true, &opts);
+                entry.free.lock().push(self.id);
             }
         }
     }
@@ -222,30 +249,23 @@ impl RemoteTensor {
     /// # Errors
     /// Typed [`DistError`] within the RPC deadline.
     pub fn fetch(&self) -> Result<Tensor> {
+        let data = tensor_from_value(&self.fetch_value()?)
+            .map_err(|e| DistError::Wire(crate::wire::WireError::Payload(e.to_string())))?;
+        Ok(Tensor::from_data(data))
+    }
+
+    /// The serialized tensor exactly as the worker sent it.
+    fn fetch_value(&self) -> Result<Value> {
         // An RPC is a request entry point (nested fetches — e.g. the
         // coordinator relaying cross-worker args — inherit the ambient
         // request instead).
         let _root = tfe_profile::request_scope("dist", || format!("rpc:fetch:{}", self.id));
-        let entry = self.cluster.entry(&self.device)?;
-        let payload = entry.client.call("fetch", fetch_body(self.id), true)?;
-        let data = tensor_from_value(&payload)
-            .map_err(|e| DistError::Wire(crate::wire::WireError::Payload(e.to_string())))?;
-        Ok(Tensor::from_data(data))
+        let body = Value::object([
+            ("type".to_string(), Value::str("fetch")),
+            ("id".to_string(), Value::Int(self.id as i64)),
+        ]);
+        self.cluster.entry(&self.device)?.call("fetch", body, true, None)
     }
-}
-
-fn fetch_body(id: u64) -> Value {
-    Value::object([
-        ("type".to_string(), Value::str("fetch")),
-        ("id".to_string(), Value::Int(id as i64)),
-    ])
-}
-
-fn delete_body(id: u64) -> Value {
-    Value::object([
-        ("type".to_string(), Value::str("delete")),
-        ("id".to_string(), Value::Int(id as i64)),
-    ])
 }
 
 fn encode_args(args: &[RemoteArg], target: &DeviceName) -> Result<Vec<Value>> {
@@ -255,16 +275,14 @@ fn encode_args(args: &[RemoteArg], target: &DeviceName) -> Result<Vec<Value>> {
                 let data = t.value().map_err(DistError::from)?;
                 Ok(Value::object([("inline".to_string(), tensor_to_value(&data))]))
             }
+            // Cross-worker: fetch then re-ship (the coordinator relays,
+            // like TF's transparent copies in §4.4). The fetched value goes
+            // out as it came in; the target worker is the one to decode it.
+            RemoteArg::Remote(r) if &r.device != target => {
+                Ok(Value::object([("inline".to_string(), r.fetch_value()?)]))
+            }
             RemoteArg::Remote(r) => {
-                if &r.device != target {
-                    // Cross-worker: fetch then re-ship (the coordinator
-                    // relays, like TF's transparent copies in §4.4).
-                    let t = r.fetch()?;
-                    let data = t.value().map_err(DistError::from)?;
-                    Ok(Value::object([("inline".to_string(), tensor_to_value(&data))]))
-                } else {
-                    Ok(Value::object([("resident".to_string(), Value::Int(r.id as i64))]))
-                }
+                Ok(Value::object([("resident".to_string(), Value::Int(r.id as i64))]))
             }
         })
         .collect()
@@ -333,7 +351,7 @@ impl Cluster {
         let mut devices = Vec::new();
         for (job, task) in spec.tasks() {
             let label = format!("{job}/{task}");
-            let state = Arc::new(WorkerState::new());
+            let state = Arc::new(WorkerState::new(&label));
             let (transport, control): (Arc<dyn Transport>, WorkerControl) = match kind {
                 TransportKind::InProcess => {
                     let (t, c) = spawn_in_process(&label, move |frame| state.handle_frame(&frame));
@@ -349,7 +367,7 @@ impl Cluster {
             let client = Arc::new(RpcClient::new(transport, label, opts.clone()));
             workers.insert(
                 (job.clone(), task),
-                WorkerEntry { client, control: Mutex::new(control), addr },
+                WorkerEntry { client, control: Mutex::new(control), addr, free: Mutex::default() },
             );
             devices.push(DeviceName { job, task, device_type: DeviceType::Cpu, index: 0 });
         }
@@ -382,8 +400,7 @@ impl Cluster {
     }
 
     fn run(&self, target: &DeviceName, op: &str, body: Value) -> Result<Vec<RemoteTensor>> {
-        let entry = self.inner.entry(target)?;
-        let payload = entry.client.call(op, body, false)?;
+        let payload = self.inner.entry(target)?.call(op, body, false, None)?;
         Ok(parse_metas(&payload)?
             .into_iter()
             .map(|(id, dtype, dims)| RemoteTensor {
@@ -452,7 +469,7 @@ impl Cluster {
     pub fn ping(&self, device: &str) -> Result<()> {
         let target = self.inner.spec.resolve(device)?;
         let body = Value::object([("type".to_string(), Value::str("ping"))]);
-        self.inner.entry(&target)?.client.call("ping", body, true)?;
+        self.inner.entry(&target)?.call("ping", body, true, None)?;
         Ok(())
     }
 
@@ -480,7 +497,7 @@ impl Cluster {
         };
         for entry in self.inner.workers.values() {
             let body = Value::object([("type".to_string(), Value::str("shutdown"))]);
-            let _ = entry.client.call_with("shutdown", body, false, &opts);
+            let _ = entry.call("shutdown", body, false, Some(&opts));
         }
         for entry in self.inner.workers.values() {
             entry.control.lock().kill();

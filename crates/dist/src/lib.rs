@@ -14,7 +14,7 @@
 //! cluster     ClusterSpec, Cluster, RemoteTensor, arg relay
 //! rpc         request/response, deadlines, bounded retries, typed errors
 //! transport   Transport trait: in-process channels | real TCP sockets
-//! wire        length-prefixed frames over the tfe-encode JSON format
+//! wire        length-prefixed frames over tfe-encode's binary syntax
 //! ```
 //!
 //! Both transports run the same protocol bytes end to end — the in-process
@@ -26,8 +26,9 @@
 //! The paper's workers are gRPC servers on remote hosts. Here each worker
 //! is a thread in this process — behind a channel, or behind a real
 //! localhost `TcpListener` with length-prefixed frames — and every tensor
-//! crossing the coordinator↔worker boundary is serialized through the same
-//! JSON format the on-disk artifacts use. The mechanism (name resolution,
+//! crossing the coordinator↔worker boundary is serialized by the same codec
+//! the on-disk artifacts use (`tfe_graph::serial`), as raw little-endian
+//! bytes. The mechanism (name resolution,
 //! remote-resident tensors, explicit fetch, whole-graph-function dispatch,
 //! deadline-bounded RPCs with typed failures) is preserved; only the
 //! process boundary differs. Graph functions are resolved by *name*

@@ -9,14 +9,17 @@
 //!   so retrying cannot double-execute), up to `retries` times with
 //!   doubling backoff, while the overall deadline allows.
 //! - **Timeouts and lost connections after a send** are retried only for
-//!   *idempotent* requests (`fetch`, `delete`, `ping`): an `execute_op` or
+//!   *idempotent* requests (`fetch`, `ping`): an `execute_op` or
 //!   `call_function` whose response was lost may already have run on the
 //!   worker, and silently re-executing a stateful op would corrupt state.
 //!   Non-idempotent requests surface the typed error instead.
+//!
+//! A request is encoded once; each attempt re-sends those bytes under a
+//! fresh call id.
 
 use crate::error::DistError;
 use crate::transport::{Transport, TransportError};
-use crate::wire::Frame;
+use crate::wire::{set_call_id, Frame, WireError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -105,7 +108,7 @@ impl RpcClient {
     }
 
     /// Like [`RpcClient::call`] but with one-off options — used for
-    /// best-effort cleanup (`delete` on drop) that must not block long.
+    /// best-effort cleanup (`shutdown`) that must not block long.
     pub fn call_with(
         &self,
         op: &str,
@@ -115,31 +118,32 @@ impl RpcClient {
     ) -> Result<Value, DistError> {
         let started = Instant::now();
         let overall = started + opts.deadline;
-        let trace = Frame::current_trace();
+        let mut request = Frame::new(0, Frame::current_trace(), body).encode();
         let mut backoff = opts.backoff;
         let mut attempt = 0u32;
         loop {
             let call_id = self.next_call.fetch_add(1, Ordering::Relaxed);
-            let frame = Frame::new(call_id, trace, body.clone());
+            set_call_id(&mut request, call_id);
             let attempt_deadline = overall.min(Instant::now() + opts.attempt_timeout);
-            let result = self.transport.round_trip(&frame, attempt_deadline);
+            let result = self.transport.round_trip(&request, attempt_deadline);
             match result {
                 Ok(reply) => {
                     if reply.call_id != call_id && reply.call_id != 0 {
-                        return Err(DistError::Wire(crate::wire::WireError::Payload(format!(
+                        return Err(DistError::Wire(WireError::Payload(format!(
                             "response call id {} does not match request {}",
                             reply.call_id, call_id
                         ))));
                     }
                     self.observe(op, started, attempt);
-                    if let Some(err) = reply.body.get("err").and_then(Value::as_str) {
-                        return Err(DistError::RemoteFault {
-                            worker: self.worker.clone(),
-                            detail: err.to_string(),
-                        });
+                    let mut fields = match reply.body {
+                        Value::Object(fields) => fields,
+                        _ => Default::default(),
+                    };
+                    if let Some(Value::Str(detail)) = fields.remove("err") {
+                        return Err(DistError::RemoteFault { worker: self.worker.clone(), detail });
                     }
-                    return reply.body.get("ok").cloned().ok_or_else(|| {
-                        DistError::Wire(crate::wire::WireError::Payload(
+                    return fields.remove("ok").ok_or_else(|| {
+                        DistError::Wire(WireError::Payload(
                             "response body has neither `ok` nor `err`".to_string(),
                         ))
                     });

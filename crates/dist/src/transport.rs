@@ -57,13 +57,14 @@ impl std::fmt::Display for TransportError {
 
 /// One request/response exchange with a worker.
 pub trait Transport: Send + Sync {
-    /// Send `frame` and wait for the matching response, bounded by the
-    /// absolute `deadline`.
+    /// Send `request` (one encoded frame, see [`Frame::encode`]) and wait
+    /// for the matching response, bounded by the absolute `deadline`. The
+    /// caller encodes, so a retry re-sends the same bytes.
     ///
     /// # Errors
     /// Typed [`TransportError`]; implementations never block past the
     /// deadline.
-    fn round_trip(&self, frame: &Frame, deadline: Instant) -> Result<Frame, TransportError>;
+    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError>;
 
     /// `"in_process"` or `"tcp"` — used in metrics labels and Debug.
     fn kind(&self) -> &'static str;
@@ -127,12 +128,11 @@ pub struct InProcessTransport {
 }
 
 impl Transport for InProcessTransport {
-    fn round_trip(&self, frame: &Frame, deadline: Instant) -> Result<Frame, TransportError> {
-        let bytes = frame.encode();
-        let sent = bytes.len();
+    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError> {
+        let sent = request.len();
         let (resp_tx, resp_rx) = unbounded();
         self.tx
-            .send((bytes, resp_tx))
+            .send((request.to_vec(), resp_tx))
             .map_err(|_| TransportError::ConnectionLost("worker channel closed".to_string()))?;
         let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
         let resp = match resp_rx.recv_timeout(timeout) {
@@ -221,7 +221,7 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn round_trip(&self, frame: &Frame, deadline: Instant) -> Result<Frame, TransportError> {
+    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError> {
         let mut slot = self.stream.lock();
         if slot.is_none() {
             let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
@@ -231,7 +231,7 @@ impl Transport for TcpTransport {
             *slot = Some(stream);
         }
         let stream = slot.as_mut().expect("connected above");
-        let result = exchange(stream, frame, deadline, &self.worker);
+        let result = exchange(stream, request, deadline, &self.worker);
         if result.is_err() {
             // Poison the cached connection: a timed-out response may still
             // arrive later and would desynchronize call ids.
@@ -247,7 +247,7 @@ impl Transport for TcpTransport {
 
 fn exchange(
     stream: &mut TcpStream,
-    frame: &Frame,
+    request: &[u8],
     deadline: Instant,
     worker: &str,
 ) -> Result<Frame, TransportError> {
@@ -258,9 +258,8 @@ fn exchange(
     };
     let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
     stream.set_write_timeout(Some(timeout)).ok();
-    let bytes = frame.encode();
     use std::io::Write;
-    stream.write_all(&bytes).map_err(|e| {
+    stream.write_all(request).map_err(|e| {
         if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
             TransportError::Timeout
         } else {
@@ -272,7 +271,7 @@ fn exchange(
     let (reply, reply_bytes) = read_frame(stream, false)
         .map_err(map_wire)?
         .ok_or_else(|| TransportError::ConnectionLost("eof".to_string()))?;
-    count_bytes(worker, bytes.len(), reply_bytes);
+    count_bytes(worker, request.len(), reply_bytes);
     Ok(reply)
 }
 

@@ -1,26 +1,33 @@
-//! Length-prefixed wire frames over the hand-rolled `tfe-encode` format.
+//! Length-prefixed wire frames carrying one `tfe-encode` value each.
 //!
 //! Every coordinator↔worker exchange is one [`Frame`] each way. The binary
-//! layout is a fixed 34-byte header followed by a UTF-8 JSON payload:
+//! layout (version 2) is a fixed 34-byte header followed by the body in
+//! `tfe-encode`'s binary syntax:
 //!
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"TFEW"
-//!      4     1  version (currently 1)
+//!      4     1  version (currently 2)
 //!      5     1  flags   (bit 0: trace ids present)
 //!      6     8  call id (little-endian u64)
 //!     14     8  trace id  (LE u64; zero unless flag bit 0)
 //!     22     8  span id   (LE u64; zero unless flag bit 0)
 //!     30     4  payload length (LE u32, bounded by MAX_FRAME_LEN)
-//!     34   len  payload: tfe-encode JSON
+//!     34   len  payload: `Value::to_bytes` of the body
 //! ```
+//!
+//! A tensor in the body is a `{dtype, shape, data}` object whose `data` is a
+//! bytes leaf, so its elements sit in the payload once, raw and
+//! length-prefixed (`tfe_graph::serial::tensor_to_value` owns that layout;
+//! this module only moves values). Version 1 carried the body as JSON text
+//! and is refused with [`WireError::UnsupportedVersion`].
 //!
 //! The trace ids carry the coordinator's `(trace_id, span_id)` so workers
 //! can continue the request's causal arc via `tfe_profile::adopt_remote`
 //! (DESIGN.md §16). Decoding is hardened: checked length reads everywhere,
-//! a max-frame-size guard before any allocation, and typed [`WireError`]s
-//! instead of panics — `tests/wire_hardening.rs` fuzzes every one-byte
-//! mutation and truncation of valid frames against this decoder.
+//! a max-frame-size guard before any allocation, bounded nesting, and typed
+//! [`WireError`]s instead of panics — `tests/wire_hardening.rs` fuzzes every
+//! one-byte mutation and truncation of valid frames against this decoder.
 
 use std::io::{Read, Write};
 use std::time::Instant;
@@ -30,16 +37,26 @@ use tfe_encode::Value;
 pub const MAGIC: [u8; 4] = *b"TFEW";
 
 /// Current wire protocol version.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 
 /// Fixed header length in bytes.
 pub const HEADER_LEN: usize = 34;
 
-/// Upper bound on the JSON payload of one frame (guards the decoder's
+/// Upper bound on the payload of one frame (guards the decoder's
 /// allocation against a corrupt or hostile length field).
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
 const FLAG_TRACE: u8 = 1;
+
+/// Header offsets of the call id and the payload length.
+const CALL_ID_AT: usize = 6;
+const LEN_AT: usize = 30;
+
+/// Give an encoded frame a new call id, so that a retry re-sends the bytes
+/// of the first attempt instead of encoding the body again.
+pub(crate) fn set_call_id(encoded: &mut [u8], call_id: u64) {
+    encoded[CALL_ID_AT..CALL_ID_AT + 8].copy_from_slice(&call_id.to_le_bytes());
+}
 
 /// One request or response on the wire.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +66,7 @@ pub struct Frame {
     /// The sender's `(trace_id, span_id)`, if a request scope is active —
     /// the receiver rebuilds the causal chain with `adopt_remote`.
     pub trace: Option<(u64, u64)>,
-    /// The JSON body (protocol-level request or response).
+    /// The body (protocol-level request or response).
     pub body: Value,
 }
 
@@ -79,7 +96,7 @@ pub enum WireError {
         /// Number of unconsumed bytes.
         extra: usize,
     },
-    /// The payload was not valid UTF-8 JSON.
+    /// The payload was not one well-formed value.
     Payload(String),
     /// A socket read/write hit its timeout.
     TimedOut,
@@ -122,10 +139,9 @@ impl Frame {
         Frame { call_id, trace, body }
     }
 
-    /// Serialize to header + JSON payload bytes.
+    /// Serialize to header + payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.body.to_json().into_bytes();
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
+        let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.push(VERSION);
         out.push(if self.trace.is_some() { FLAG_TRACE } else { 0 });
@@ -133,8 +149,12 @@ impl Frame {
         let (t, s) = self.trace.unwrap_or((0, 0));
         out.extend_from_slice(&t.to_le_bytes());
         out.extend_from_slice(&s.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&payload);
+        out.extend_from_slice(&[0; 4]);
+        self.body.write_bytes(&mut out);
+        // A payload past u32 saturates, and every receiver refuses that
+        // length as `Oversized` rather than reading a wrapped one.
+        let len = u32::try_from(out.len() - HEADER_LEN).unwrap_or(u32::MAX);
+        out[LEN_AT..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
         out
     }
 
@@ -184,7 +204,7 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<usize, WireError> {
     if header[4] != VERSION {
         return Err(WireError::UnsupportedVersion(header[4]));
     }
-    let len = u32::from_le_bytes(header[30..34].try_into().expect("length checked")) as usize;
+    let len = u32::from_le_bytes(header[LEN_AT..].try_into().expect("length checked")) as usize;
     if len > MAX_FRAME_LEN {
         return Err(WireError::Oversized { len, max: MAX_FRAME_LEN });
     }
@@ -193,7 +213,8 @@ fn parse_header(header: &[u8; HEADER_LEN]) -> Result<usize, WireError> {
 
 fn assemble(header: &[u8; HEADER_LEN], payload: &[u8]) -> Result<Frame, WireError> {
     let flags = header[5];
-    let call_id = u64::from_le_bytes(header[6..14].try_into().expect("length checked"));
+    let call_id =
+        u64::from_le_bytes(header[CALL_ID_AT..CALL_ID_AT + 8].try_into().expect("length checked"));
     let trace = if flags & FLAG_TRACE != 0 {
         Some((
             u64::from_le_bytes(header[14..22].try_into().expect("length checked")),
@@ -202,9 +223,7 @@ fn assemble(header: &[u8; HEADER_LEN], payload: &[u8]) -> Result<Frame, WireErro
     } else {
         None
     };
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| WireError::Payload(format!("invalid utf-8: {e}")))?;
-    let body = Value::parse(text).map_err(|e| WireError::Payload(e.to_string()))?;
+    let body = Value::from_bytes(payload).map_err(|e| WireError::Payload(e.to_string()))?;
     Ok(Frame { call_id, trace, body })
 }
 

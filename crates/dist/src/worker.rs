@@ -3,16 +3,20 @@
 //!
 //! ## Protocol bodies
 //!
-//! Requests are JSON objects dispatched on `"type"`:
+//! Requests are objects dispatched on `"type"`:
 //!
 //! | type            | fields                              | `ok` payload |
 //! |-----------------|-------------------------------------|--------------|
 //! | `execute_op`    | `op`, `attrs`, `inputs`             | `{tensors: [{id, dtype, dims}]}` |
 //! | `call_function` | `name`, `inputs`                    | `{tensors: [{id, dtype, dims}]}` |
 //! | `fetch`         | `id`                                | serialized tensor |
-//! | `delete`        | `id`                                | `null` |
 //! | `ping`          |                                     | `"pong"` |
 //! | `shutdown`      |                                     | `null` (and the worker exits) |
+//!
+//! Any request may also carry `free: [ids]`: resident tensors the
+//! coordinator holds no handle to any more. They are dropped before the
+//! request itself runs, so releasing a tensor never costs a round trip of
+//! its own.
 //!
 //! `inputs` entries are `{"inline": <tensor>}` (shipped over the wire) or
 //! `{"resident": <id>}` (already living on this worker). Responses are
@@ -38,13 +42,27 @@ use tfe_tensor::TensorData;
 pub struct WorkerState {
     resident: Mutex<HashMap<u64, Arc<TensorData>>>,
     next_id: AtomicU64,
+    /// `tfe_dist_resident_tensors{worker}`: moved by the size of every
+    /// change to the table, so workers sharing a label add up.
+    resident_gauge: Arc<tfe_metrics::Gauge>,
 }
 
 impl WorkerState {
-    /// Fresh state with an empty resident table.
-    pub fn new() -> WorkerState {
+    /// Fresh state with an empty resident table, for the worker labelled
+    /// `worker` (`job/task`) in metrics.
+    pub fn new(worker: &str) -> WorkerState {
         context::ensure_init();
-        WorkerState { resident: Mutex::new(HashMap::new()), next_id: AtomicU64::new(1) }
+        let resident_gauge = tfe_metrics::gauge_vec(
+            "tfe_dist_resident_tensors",
+            "Tensors resident on each worker",
+            "worker",
+        )
+        .with(worker);
+        WorkerState {
+            resident: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(1),
+            resident_gauge,
+        }
     }
 
     /// Handle one request frame; returns the reply frame and whether the
@@ -63,6 +81,16 @@ impl WorkerState {
             .get("type")
             .and_then(Value::as_str)
             .ok_or_else(|| "request has no `type` field".to_string())?;
+        if let Some(free) = body.get("free") {
+            let ids =
+                free.as_i64_array().ok_or_else(|| "`free` is not a list of ids".to_string())?;
+            let mut resident = self.resident.lock();
+            let before = resident.len();
+            for id in ids {
+                resident.remove(&(id as u64));
+            }
+            self.resident_gauge.sub((before - resident.len()) as i64);
+        }
         match ty {
             "execute_op" => {
                 let op = body
@@ -114,11 +142,6 @@ impl WorkerState {
                     .ok_or_else(|| format!("tensor {id} is not resident on this worker"))?;
                 Ok((tensor_to_value(&data), false))
             }
-            "delete" => {
-                let id = req_id(body, "delete")?;
-                self.resident.lock().remove(&id);
-                Ok((Value::Null, false))
-            }
             "ping" => Ok((Value::str("pong"), false)),
             "shutdown" => Ok((Value::Null, true)),
             other => Err(format!("unknown request type `{other}`")),
@@ -169,13 +192,15 @@ impl WorkerState {
                 meta
             })
             .collect();
+        self.resident_gauge.add(metas.len() as i64);
         Value::object([("tensors".to_string(), Value::Array(metas))])
     }
 }
 
-impl Default for WorkerState {
-    fn default() -> WorkerState {
-        WorkerState::new()
+impl Drop for WorkerState {
+    /// A worker that is gone holds nothing.
+    fn drop(&mut self) {
+        self.resident_gauge.sub(self.resident.lock().len() as i64);
     }
 }
 
@@ -207,8 +232,8 @@ mod tests {
     }
 
     #[test]
-    fn execute_fetch_delete_round_trip() {
-        let state = WorkerState::new();
+    fn execute_fetch_free_round_trip() {
+        let state = WorkerState::new("unit/0");
         let a = api::constant(vec![1.0f32, 2.0], [2]).unwrap();
         let body = exec_body("square", vec![inline(&a)]);
         let (reply, shutdown) = state.handle_frame(&Frame::new(7, None, body));
@@ -231,20 +256,21 @@ mod tests {
         let t = tensor_from_value(reply.body.get("ok").unwrap()).unwrap();
         assert_eq!(t.to_f64_vec(), vec![1.0, 4.0]);
 
-        let del = Value::object([
-            ("type".to_string(), Value::str("delete")),
-            ("id".to_string(), Value::Int(id)),
+        // The id rides on an unrelated request and is gone before it runs.
+        let ping = Value::object([
+            ("type".to_string(), Value::str("ping")),
+            ("free".to_string(), Value::from(vec![id])),
         ]);
-        let (reply, _) = state.handle_frame(&Frame::new(9, None, del));
+        let (reply, _) = state.handle_frame(&Frame::new(9, None, ping));
         assert!(reply.body.get("ok").is_some());
-        // Fetch after delete is a typed remote fault.
+        // Fetch after the free is a typed remote fault.
         let (reply, _) = state.handle_frame(&Frame::new(10, None, fetch));
         assert!(reply.body.get("err").is_some());
     }
 
     #[test]
     fn malformed_requests_are_faults_not_panics() {
-        let state = WorkerState::new();
+        let state = WorkerState::new("unit/1");
         for body in [
             Value::Null,
             Value::object([("type".to_string(), Value::str("warp"))]),
@@ -252,6 +278,10 @@ mod tests {
             Value::object([
                 ("type".to_string(), Value::str("fetch")),
                 ("id".to_string(), Value::Int(-3)),
+            ]),
+            Value::object([
+                ("type".to_string(), Value::str("ping")),
+                ("free".to_string(), Value::str("everything")),
             ]),
         ] {
             let (reply, shutdown) = state.handle_frame(&Frame::new(1, None, body));
@@ -262,7 +292,7 @@ mod tests {
 
     #[test]
     fn shutdown_flag() {
-        let state = WorkerState::new();
+        let state = WorkerState::new("unit/2");
         let body = Value::object([("type".to_string(), Value::str("shutdown"))]);
         let (reply, shutdown) = state.handle_frame(&Frame::new(1, None, body));
         assert!(shutdown);

@@ -1,12 +1,21 @@
 //! # tfe-encode
 //!
-//! A minimal, self-contained JSON value model, parser and printer.
+//! A minimal, self-contained value model with two syntaxes.
 //!
-//! The `tf-eager` workspace stores all its on-disk artifacts — checkpoints,
-//! SavedFunction bundles, serialized graphs, benchmark reports — as JSON.
-//! Rather than pull a serialization framework into the build, this crate
-//! implements the subset of JSON the workspace needs (full syntax on read;
-//! deterministic, sorted-key output on write) in a few hundred lines.
+//! - **Text** ([`Value::parse`], [`Value::to_json`]): JSON, full syntax on
+//!   read and deterministic sorted-key output on write. Checkpoints,
+//!   SavedFunction bundles, serialized graphs and benchmark reports are
+//!   stored this way.
+//! - **Binary** ([`Value::from_bytes`], [`Value::to_bytes`]): a tagged,
+//!   length-prefixed rendering of the same tree, used as the payload of
+//!   `tfe-dist` wire frames. Floats keep every bit and a [`Value::Bytes`]
+//!   leaf is written raw.
+//!
+//! [`Value::Bytes`] carries an opaque payload (tensor elements). JSON has no
+//! such leaf, so the text syntax writes it as one standard base64 string
+//! (RFC 4648 alphabet, `=` padding) and reads it back as a [`Value::Str`];
+//! [`Value::as_bytes`] accepts both forms. Both decoders bound nesting at
+//! [`MAX_DEPTH`] and check every length against the input before allocating.
 //!
 //! ```
 //! use tfe_encode::Value;
@@ -15,16 +24,23 @@
 //! assert_eq!(v.get("name").and_then(Value::as_str), Some("add"));
 //! let text = v.to_json();
 //! assert_eq!(Value::parse(&text)?, v);
+//! assert_eq!(Value::from_bytes(&v.to_bytes())?, v);
 //! # Ok(())
 //! # }
 //! ```
 
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-/// A JSON value.
+/// Deepest nesting of arrays and objects either decoder accepts. Input comes
+/// from wire frames and files, and both decoders recurse per level.
+pub const MAX_DEPTH: usize = 128;
+
+/// A JSON value, plus a raw-bytes leaf.
 ///
 /// Numbers are split into `Int` and `Float` so integer payloads (tensor
 /// dims, ids) round-trip exactly.
@@ -40,6 +56,9 @@ pub enum Value {
     Float(f64),
     /// A string.
     Str(String),
+    /// An opaque byte payload; shared, so cloning a value that holds one
+    /// does not copy it.
+    Bytes(Arc<[u8]>),
     /// An array.
     Array(Vec<Value>),
     /// An object with sorted keys (deterministic output).
@@ -115,6 +134,16 @@ impl Value {
         }
     }
 
+    /// The byte payload: a `Bytes` leaf as it is, or a string holding the
+    /// base64 text rendering of one (`None` if it is not valid base64).
+    pub fn as_bytes(&self) -> Option<Cow<'_, [u8]>> {
+        match self {
+            Value::Bytes(b) => Some(Cow::Borrowed(b)),
+            Value::Str(s) => base64_decode(s).map(Cow::Owned),
+            _ => None,
+        }
+    }
+
     /// An array of `f64`s (all elements must be numeric).
     pub fn as_f64_array(&self) -> Option<Vec<f64>> {
         self.as_array()?.iter().map(Value::as_f64).collect()
@@ -133,7 +162,7 @@ impl Value {
     pub fn parse(text: &str) -> Result<Value, ParseError> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
         p.skip_ws();
-        let v = p.value()?;
+        let v = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(p.err("trailing characters after JSON value"));
@@ -153,6 +182,85 @@ impl Value {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
         out
+    }
+
+    /// Serialize in the binary syntax.
+    ///
+    /// One tag byte per value, then its payload; lengths and counts are
+    /// LEB128 varints, numbers are little-endian:
+    ///
+    /// ```text
+    /// 0 null    1 false    2 true
+    /// 3 int     i64
+    /// 4 float   f64 bit pattern
+    /// 5 str     len, utf-8 bytes
+    /// 6 bytes   len, raw bytes
+    /// 7 array   count, values
+    /// 8 object  count, (key len, key utf-8, value) pairs
+    /// ```
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Append the binary syntax of this value to `out`.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        fn blob(out: &mut Vec<u8>, bytes: &[u8]) {
+            write_varint(out, bytes.len());
+            out.extend_from_slice(bytes);
+        }
+        match self {
+            Value::Null => out.push(TAG_NULL),
+            Value::Bool(false) => out.push(TAG_FALSE),
+            Value::Bool(true) => out.push(TAG_TRUE),
+            Value::Int(i) => {
+                out.push(TAG_INT);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            Value::Float(f) => {
+                out.push(TAG_FLOAT);
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            Value::Str(s) => {
+                out.push(TAG_STR);
+                blob(out, s.as_bytes());
+            }
+            Value::Bytes(b) => {
+                out.push(TAG_BYTES);
+                blob(out, b);
+            }
+            Value::Array(items) => {
+                out.push(TAG_ARRAY);
+                write_varint(out, items.len());
+                for item in items {
+                    item.write_bytes(out);
+                }
+            }
+            Value::Object(map) => {
+                out.push(TAG_OBJECT);
+                write_varint(out, map.len());
+                for (k, v) in map {
+                    blob(out, k.as_bytes());
+                    v.write_bytes(out);
+                }
+            }
+        }
+    }
+
+    /// Parse the binary syntax written by [`Value::to_bytes`].
+    ///
+    /// # Errors
+    /// [`ParseError`] for an unknown tag, a length or count that exceeds
+    /// the bytes that remain (checked before anything is allocated for
+    /// it), invalid UTF-8, nesting beyond [`MAX_DEPTH`], or trailing bytes.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Value, ParseError> {
+        let mut r = Reader { bytes, pos: 0 };
+        let v = r.value(0)?;
+        if r.pos != bytes.len() {
+            return Err(r.err("trailing bytes after value"));
+        }
+        Ok(v)
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
@@ -175,6 +283,12 @@ impl Value {
                 }
             }
             Value::Str(s) => write_escaped(out, s),
+            Value::Bytes(b) => {
+                // The base64 alphabet needs no escaping.
+                out.push('"');
+                base64_encode(out, b);
+                out.push('"');
+            }
             Value::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -281,7 +395,177 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// A JSON parse failure, with a byte offset into the input.
+const BASE64: &[u8; 64] = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/";
+
+fn base64_encode(out: &mut String, bytes: &[u8]) {
+    out.reserve(bytes.len().div_ceil(3) * 4);
+    for chunk in bytes.chunks(3) {
+        let mut group = [0u8; 3];
+        group[..chunk.len()].copy_from_slice(chunk);
+        let n = u32::from_be_bytes([0, group[0], group[1], group[2]]);
+        for i in 0..4 {
+            if i <= chunk.len() {
+                out.push(BASE64[(n >> (18 - 6 * i)) as usize & 63] as char);
+            } else {
+                out.push('=');
+            }
+        }
+    }
+}
+
+/// Sextet of each base64 character; `0xff` marks a byte outside the alphabet.
+const SEXTET: [u8; 256] = {
+    let mut table = [0xff; 256];
+    let mut i = 0;
+    while i < 64 {
+        table[BASE64[i] as usize] = i as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Strict decode: whole groups of four, `=` only as the last one or two
+/// characters.
+fn base64_decode(text: &str) -> Option<Vec<u8>> {
+    let text = text.as_bytes();
+    if !text.len().is_multiple_of(4) {
+        return None;
+    }
+    let padding = text.iter().rev().take(2).take_while(|&&c| c == b'=').count();
+    let mut out = Vec::with_capacity(text.len() / 4 * 3);
+    // Sextets are below 64, so a set high bit anywhere means a bad byte.
+    let mut seen = 0u8;
+    for group in text[..text.len() - padding].chunks(4) {
+        let mut n = 0u32;
+        for &c in group {
+            let sextet = SEXTET[c as usize];
+            seen |= sextet;
+            n = n << 6 | sextet as u32;
+        }
+        n <<= 6 * (4 - group.len());
+        out.extend_from_slice(&n.to_be_bytes()[1..group.len()]);
+    }
+    (seen & 0xc0 == 0).then_some(out)
+}
+
+const TAG_NULL: u8 = 0;
+const TAG_FALSE: u8 = 1;
+const TAG_TRUE: u8 = 2;
+const TAG_INT: u8 = 3;
+const TAG_FLOAT: u8 = 4;
+const TAG_STR: u8 = 5;
+const TAG_BYTES: u8 = 6;
+const TAG_ARRAY: u8 = 7;
+const TAG_OBJECT: u8 = 8;
+
+fn write_varint(out: &mut Vec<u8>, mut n: usize) {
+    while n >= 0x80 {
+        out.push(n as u8 | 0x80);
+        n >>= 7;
+    }
+    out.push(n as u8);
+}
+
+/// Cursor over the binary syntax.
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn err(&self, msg: &str) -> ParseError {
+        ParseError { position: self.pos, message: msg.to_string() }
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], ParseError> {
+        if n > self.bytes.len() - self.pos {
+            return Err(self.err("length exceeds the remaining input"));
+        }
+        let taken = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(taken)
+    }
+
+    fn varint(&mut self) -> Result<usize, ParseError> {
+        let mut n = 0usize;
+        for shift in (0..usize::BITS).step_by(7) {
+            let byte = self.take(1)?[0];
+            let bits = (byte & 0x7f) as usize;
+            if bits << shift >> shift != bits {
+                break;
+            }
+            n |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(n);
+            }
+        }
+        Err(self.err("varint overflows"))
+    }
+
+    /// A length-prefixed run of bytes.
+    fn blob(&mut self) -> Result<&'a [u8], ParseError> {
+        let len = self.varint()?;
+        self.take(len)
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        let start = self.pos;
+        std::str::from_utf8(self.blob()?)
+            .map(str::to_string)
+            .map_err(|e| ParseError { position: start, message: format!("invalid utf-8: {e}") })
+    }
+
+    /// An element count. Every element takes at least one byte, so a count
+    /// beyond the remaining input is refused before the first push.
+    fn count(&mut self) -> Result<usize, ParseError> {
+        let n = self.varint()?;
+        if n > self.bytes.len() - self.pos {
+            return Err(self.err("count exceeds the remaining input"));
+        }
+        Ok(n)
+    }
+
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
+        let tag = self.take(1)?[0];
+        Ok(match tag {
+            TAG_NULL => Value::Null,
+            TAG_FALSE => Value::Bool(false),
+            TAG_TRUE => Value::Bool(true),
+            TAG_INT => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
+            TAG_FLOAT => {
+                Value::Float(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+            }
+            TAG_STR => Value::Str(self.string()?),
+            TAG_BYTES => Value::Bytes(self.blob()?.into()),
+            TAG_ARRAY | TAG_OBJECT if depth >= MAX_DEPTH => {
+                return Err(self.err("nesting deeper than MAX_DEPTH"))
+            }
+            TAG_ARRAY => {
+                let n = self.count()?;
+                let mut items = Vec::new();
+                for _ in 0..n {
+                    items.push(self.value(depth + 1)?);
+                }
+                Value::Array(items)
+            }
+            TAG_OBJECT => {
+                let n = self.count()?;
+                let mut map = BTreeMap::new();
+                for _ in 0..n {
+                    let key = self.string()?;
+                    map.insert(key, self.value(depth + 1)?);
+                }
+                Value::Object(map)
+            }
+            other => {
+                self.pos -= 1;
+                return Err(self.err(&format!("unknown value tag {other}")));
+            }
+        })
+    }
+}
+
+/// A parse failure in either syntax, with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset where parsing failed.
@@ -292,7 +576,7 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "json parse error at byte {}: {}", self.position, self.message)
+        write!(f, "parse error at byte {}: {}", self.position, self.message)
     }
 }
 
@@ -336,21 +620,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
         match self.peek() {
             Some(b'n') => self.literal("null", Value::Null),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => {
+                Err(self.err("nesting deeper than MAX_DEPTH"))
+            }
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected character '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -360,7 +647,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -373,7 +660,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut map = BTreeMap::new();
         self.skip_ws();
@@ -387,7 +674,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             map.insert(key, value);
             self.skip_ws();
             match self.peek() {
@@ -405,6 +692,17 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, escape or control byte in
+            // one piece. The input is a `str` and the run ends at an ASCII
+            // byte, so it cannot split a multi-byte character.
+            let start = self.pos;
+            while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                self.pos += 1;
+            }
+            out.push_str(
+                std::str::from_utf8(&self.bytes[start..self.pos])
+                    .map_err(|_| self.err("invalid utf-8 sequence"))?,
+            );
             let c = self.peek().ok_or_else(|| self.err("unterminated string"))?;
             self.pos += 1;
             match c {
@@ -444,29 +742,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape character")),
                     }
                 }
-                c if c < 0x20 => return Err(self.err("raw control character in string")),
-                c => {
-                    // Re-assemble multi-byte UTF-8 sequences.
-                    if c < 0x80 {
-                        out.push(c as char);
-                    } else {
-                        let len = match c {
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            0xF0..=0xF7 => 4,
-                            _ => return Err(self.err("invalid utf-8 byte")),
-                        };
-                        let start = self.pos - 1;
-                        let end = start + len;
-                        if end > self.bytes.len() {
-                            return Err(self.err("truncated utf-8 sequence"));
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid utf-8 sequence"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
+                _ => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -597,6 +873,98 @@ mod tests {
     }
 
     #[test]
+    fn base64_matches_rfc4648_vectors() {
+        for (raw, text) in [
+            ("", ""),
+            ("f", "Zg=="),
+            ("fo", "Zm8="),
+            ("foo", "Zm9v"),
+            ("foob", "Zm9vYg=="),
+            ("fooba", "Zm9vYmE="),
+            ("foobar", "Zm9vYmFy"),
+        ] {
+            let v = Value::Bytes(raw.as_bytes().into());
+            assert_eq!(v.to_json(), format!("\"{text}\""));
+            assert_eq!(Value::str(text).as_bytes().as_deref(), Some(raw.as_bytes()));
+        }
+        for bad in ["Zg=", "Zg", "Z===", "Zm9v=", "Zm 9", "=m9v", "Zm9\u{e9}"] {
+            assert_eq!(Value::str(bad).as_bytes(), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn bytes_leaf_reads_back_through_both_syntaxes() {
+        let payload: Vec<u8> = (0..=255).collect();
+        let v = Value::object([("data".to_string(), Value::Bytes(payload.clone().into()))]);
+        // Binary keeps the leaf; text turns it into a string `as_bytes` reads.
+        assert_eq!(Value::from_bytes(&v.to_bytes()).unwrap(), v);
+        let reparsed = Value::parse(&v.to_json_pretty()).unwrap();
+        assert!(matches!(reparsed.get("data"), Some(Value::Str(_))));
+        assert_eq!(reparsed.get("data").unwrap().as_bytes().as_deref(), Some(&payload[..]));
+        assert_eq!(v.get("data").unwrap().as_bytes().as_deref(), Some(&payload[..]));
+        assert_eq!(Value::Int(3).as_bytes(), None);
+    }
+
+    #[test]
+    fn binary_keeps_every_float_bit() {
+        for bits in [f64::NAN.to_bits(), 0xfff8_0000_dead_beef, 1, (-0.0f64).to_bits()] {
+            let v = Value::Float(f64::from_bits(bits));
+            match Value::from_bytes(&v.to_bytes()).unwrap() {
+                Value::Float(f) => assert_eq!(f.to_bits(), bits),
+                other => panic!("decoded {other:?}"),
+            }
+        }
+        assert_eq!(
+            Value::from_bytes(&Value::Int(i64::MIN).to_bytes()).unwrap(),
+            Value::Int(i64::MIN)
+        );
+    }
+
+    #[test]
+    fn nesting_is_bounded_in_both_syntaxes() {
+        // Two million brackets used to overflow the stack.
+        assert!(Value::parse(&"[".repeat(2_000_000)).is_err());
+        assert!(Value::parse(&"{\"a\":".repeat(2_000_000)).is_err());
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        let deepest = Value::parse(&nested(MAX_DEPTH)).unwrap();
+        assert!(Value::parse(&nested(MAX_DEPTH + 1)).is_err());
+
+        assert_eq!(Value::from_bytes(&deepest.to_bytes()).unwrap(), deepest);
+        let too_deep = Value::Array(vec![deepest]).to_bytes();
+        assert!(Value::from_bytes(&too_deep).is_err());
+        // An array of one element, two million levels down.
+        assert!(Value::from_bytes(&[TAG_ARRAY, 1].repeat(2_000_000)).is_err());
+    }
+
+    #[test]
+    fn binary_decoder_rejects_malformed_input() {
+        let v = Value::object([
+            ("s".to_string(), Value::str("héllo")),
+            ("b".to_string(), Value::Bytes(vec![1, 2, 3].into())),
+            ("a".to_string(), Value::from(vec![1i64, -2])),
+            ("f".to_string(), Value::Float(0.5)),
+        ]);
+        let bytes = v.to_bytes();
+        for cut in 0..bytes.len() {
+            assert!(Value::from_bytes(&bytes[..cut]).is_err(), "prefix {cut}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(TAG_NULL);
+        assert!(Value::from_bytes(&trailing).is_err());
+
+        assert!(Value::from_bytes(&[9]).is_err(), "unknown tag");
+        assert!(Value::from_bytes(&[TAG_BYTES, 5, 1, 2]).is_err(), "blob longer than input");
+        assert!(Value::from_bytes(&[TAG_STR, 2, 0xc3, 0x28]).is_err(), "invalid utf-8");
+        assert!(Value::from_bytes(&[TAG_ARRAY, 3, TAG_NULL]).is_err(), "count beyond input");
+        // Lengths near usize::MAX and a varint that never ends.
+        let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff];
+        assert!(Value::from_bytes(&[&[TAG_BYTES][..], &huge, &[0x01]].concat()).is_err());
+        assert!(Value::from_bytes(&[&[TAG_ARRAY][..], &huge, &[0x01]].concat()).is_err());
+        assert!(Value::from_bytes(&[&[TAG_STR][..], &huge, &[0x7f]].concat()).is_err());
+        assert!(Value::from_bytes(&[&[TAG_STR][..], &huge, &[0xff, 0xff]].concat()).is_err());
+    }
+
+    #[test]
     fn pretty_output_parses() {
         let v = Value::object([
             ("list".to_string(), Value::from(vec![1i64, 2, 3])),
@@ -630,6 +998,23 @@ mod tests {
             (-1e12f64..1e12).prop_map(Value::Float),
             "[a-zA-Z0-9 _]{0,12}".prop_map(Value::Str),
         ];
+        arb_tree(leaf)
+    }
+
+    /// Leaves only the binary syntax keeps: raw bytes and any float bits.
+    fn arb_binary_value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            any::<i64>().prop_map(Value::Int),
+            any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+            "\\PC{0,12}".prop_map(Value::Str),
+            prop::collection::vec(any::<u8>(), 0..200).prop_map(|b| Value::Bytes(b.into())),
+        ];
+        arb_tree(leaf)
+    }
+
+    fn arb_tree(
+        leaf: impl Strategy<Value = Value> + Clone + 'static,
+    ) -> impl Strategy<Value = Value> {
         leaf.prop_recursive(3, 24, 4, |inner| {
             prop_oneof![
                 prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
@@ -645,6 +1030,19 @@ mod tests {
             prop_assert_eq!(&compact, &v);
             let pretty = Value::parse(&v.to_json_pretty()).unwrap();
             prop_assert_eq!(&pretty, &v);
+        }
+
+        #[test]
+        fn binary_round_trip(v in arb_binary_value()) {
+            let bytes = v.to_bytes();
+            let back = Value::from_bytes(&bytes).unwrap();
+            // Compare re-encodings: NaN floats are not equal to themselves.
+            prop_assert_eq!(back.to_bytes(), bytes);
+        }
+
+        #[test]
+        fn binary_agrees_with_text(v in arb_value()) {
+            prop_assert_eq!(&Value::from_bytes(&v.to_bytes()).unwrap(), &v);
         }
 
         #[test]

@@ -24,31 +24,29 @@ fn err(msg: impl Into<String>) -> SerialError {
     SerialError(msg.into())
 }
 
-/// Encode a tensor as a JSON value (dtype, dims, row-major data).
+/// Encode a tensor as `{dtype, shape, data}`, where `data` is one
+/// [`Value::Bytes`] leaf holding [`TensorData::to_le_bytes`]: the elements
+/// at their own width, bit for bit. The binary syntax ships that leaf raw;
+/// the text syntax renders it as a base64 string.
 pub fn tensor_to_value(t: &TensorData) -> Value {
-    let data = match t.dtype() {
-        DType::I32 | DType::I64 => {
-            Value::Array(t.to_i64_vec().into_iter().map(Value::Int).collect())
-        }
-        DType::Bool => {
-            Value::Array(t.to_f64_vec().into_iter().map(|v| Value::Bool(v != 0.0)).collect())
-        }
-        _ => Value::Array(t.to_f64_vec().into_iter().map(Value::Float).collect()),
-    };
     Value::object([
         ("dtype".to_string(), Value::str(t.dtype().name())),
         (
             "shape".to_string(),
             Value::Array(t.shape().dims().iter().map(|&d| Value::Int(d as i64)).collect()),
         ),
-        ("data".to_string(), data),
+        ("data".to_string(), Value::Bytes(t.to_le_bytes().into())),
     ])
 }
 
-/// Decode a tensor produced by [`tensor_to_value`].
+/// Decode a tensor produced by [`tensor_to_value`]: `data` as the bytes
+/// leaf, or as the string the text syntax turns it into.
+///
+/// Bundles and checkpoints written before the byte payload carry `data` as
+/// an array of decimal numbers; that form is still read, never written.
 ///
 /// # Errors
-/// Malformed structure.
+/// Malformed structure, or a payload that does not fill the shape.
 pub fn tensor_from_value(v: &Value) -> Result<TensorData, SerialError> {
     let dtype = v
         .get("dtype")
@@ -62,27 +60,42 @@ pub fn tensor_from_value(v: &Value) -> Result<TensorData, SerialError> {
     }
     // Checked product: a hostile shape like [i64::MAX, 8] must not overflow
     // into a bogus (or panicking) element count.
-    let mut n_elements: usize = 1;
-    for &d in &dims {
-        n_elements =
-            n_elements.checked_mul(d as usize).ok_or_else(|| err("tensor shape overflows"))?;
-    }
+    dims.iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d as usize))
+        .ok_or_else(|| err("tensor shape overflows"))?;
     let shape = Shape::new(dims.iter().map(|&d| d as usize).collect::<Vec<_>>());
-    let data: Vec<f64> = v
-        .get("data")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err("bad tensor data"))?
-        .iter()
-        .map(|e| {
-            e.as_f64()
-                .or_else(|| e.as_bool().map(|b| if b { 1.0 } else { 0.0 }))
-                .ok_or_else(|| err("bad tensor element"))
-        })
-        .collect::<Result<_, _>>()?;
-    if data.len() != n_elements {
-        return Err(err("tensor data length mismatch"));
+    let data = v.get("data").ok_or_else(|| err("bad tensor data"))?;
+    if let Value::Array(elements) = data {
+        return legacy_elements(dtype, shape, elements);
     }
-    Ok(TensorData::from_f64_vec(dtype, data, shape))
+    let bytes = data.as_bytes().ok_or_else(|| err("bad tensor data"))?;
+    TensorData::from_le_bytes(dtype, shape, &bytes).map_err(|e| err(e.to_string()))
+}
+
+/// The pre-byte-payload `data`: one JSON number (or bool) per element.
+/// Integers are read as integers, so an i64 beyond 2^53 keeps its value.
+fn legacy_elements(
+    dtype: DType,
+    shape: Shape,
+    elements: &[Value],
+) -> Result<TensorData, SerialError> {
+    fn read<T: tfe_tensor::Scalar>(
+        elements: &[Value],
+        shape: Shape,
+        one: impl Fn(&Value) -> Option<T>,
+    ) -> Result<TensorData, SerialError> {
+        let data: Option<Vec<T>> = elements.iter().map(one).collect();
+        TensorData::from_vec(data.ok_or_else(|| err("bad tensor element"))?, shape)
+            .map_err(|e| err(e.to_string()))
+    }
+    let number = |e: &Value| e.as_f64().or_else(|| e.as_bool().map(|b| b as u8 as f64));
+    match dtype {
+        DType::F32 => read(elements, shape, |e| number(e).map(|v| v as f32)),
+        DType::F64 => read(elements, shape, number),
+        DType::I32 => read(elements, shape, |e| e.as_i64().map(|v| v as i32)),
+        DType::I64 => read(elements, shape, Value::as_i64),
+        DType::Bool => read(elements, shape, |e| number(e).map(|v| v != 0.0)),
+    }
 }
 
 fn attr_to_value(a: &AttrValue) -> Value {

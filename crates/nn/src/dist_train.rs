@@ -355,6 +355,106 @@ mod tests {
         }
     }
 
+    /// A trainer over an in-process cluster whose jobs are `{job}` (two
+    /// workers) and `{job}_ps`, so that the per-worker metrics it moves
+    /// belong to the calling test alone. The model is the 6-variable MLP.
+    fn isolated_trainer(job: &str, ps: bool) -> (DataParallel, Vec<String>) {
+        let mut init = Initializer::seeded(3);
+        let model = Arc::new(mlp(4, &[8, 8], 1, Activation::Tanh, &mut init));
+        let vars = model.variables();
+        assert_eq!(vars.len(), 6);
+        let f = mse_grad_fn(&format!("dp_grad_{job}"), model, vars.clone());
+        let conc = f
+            .concrete_for(&[
+                Arg::from(&api::zeros(DType::F32, [4, 4])),
+                Arg::from(&api::zeros(DType::F32, [4, 1])),
+            ])
+            .unwrap();
+        let ps_job = format!("{job}_ps");
+        let spec = ClusterSpec::new().with_job(job, 2).unwrap().with_job(&ps_job, 1).unwrap();
+        let workers: Vec<String> =
+            (0..2).map(|task| format!("/job:{job}/task:{task}/device:CPU:0")).collect();
+        let ps_device = format!("/job:{ps_job}/task:0/device:CPU:0");
+        let reduction = if ps {
+            Reduction::ParameterServer { ps_device: ps_device.clone() }
+        } else {
+            Reduction::Ring
+        };
+        let dp = DataParallel::new(
+            Cluster::start(&spec),
+            workers.clone(),
+            reduction,
+            &conc.function.name,
+            vars,
+            Arc::new(Sgd::new(0.05)),
+        )
+        .unwrap();
+        (dp, [workers, vec![ps_device]].concat())
+    }
+
+    /// The value of `metric` for each `job/task` label of `devices`.
+    fn per_worker(metric: &str, devices: &[String]) -> Vec<i64> {
+        let snap = tfe_metrics::snapshot();
+        devices
+            .iter()
+            .map(|device| {
+                let name = tfe_device::DeviceName::parse(device).unwrap();
+                let label = format!("{}/{}", name.job, name.task);
+                let sample = snap.family(metric).and_then(|family| {
+                    family
+                        .samples
+                        .iter()
+                        .find(|s| s.label.as_ref().is_some_and(|(_, v)| *v == label))
+                });
+                match sample.map(|s| &s.value) {
+                    Some(tfe_metrics::SampleValue::Counter(v)) => *v as i64,
+                    Some(tfe_metrics::SampleValue::Gauge(v)) => *v,
+                    _ => 0,
+                }
+            })
+            .collect()
+    }
+
+    /// One step is 2 function calls, 2 loss fetches and, per variable, the
+    /// collective plus the fetch of its mean: 5 RPCs through a parameter
+    /// server; 15 around the ring, or 7 for a tensor too short to chunk.
+    /// Releasing the step's ~30 (PS) or ~70 (ring) remote tensors adds none.
+    #[test]
+    fn step_rpc_counts_are_pinned() {
+        tfe_core::init();
+        for (job, ps, expected) in [("count_ps", true, 34), ("count_ring", false, 86)] {
+            let (dp, devices) = isolated_trainer(job, ps);
+            let (x, y) = batch(5);
+            dp.step(&x, &y).unwrap();
+            let before: i64 = per_worker("tfe_dist_rpcs_total", &devices).iter().sum();
+            dp.step(&x, &y).unwrap();
+            let after: i64 = per_worker("tfe_dist_rpcs_total", &devices).iter().sum();
+            assert_eq!(after - before, expected, "{job}");
+        }
+    }
+
+    /// Dropped remote tensors are released with the next request to their
+    /// worker: after 50 steps and one ping each, no worker holds anything.
+    #[test]
+    fn workers_hold_nothing_after_training() {
+        tfe_core::init();
+        for (job, ps) in [("resident_ps", true), ("resident_ring", false)] {
+            let (dp, devices) = isolated_trainer(job, ps);
+            for step in 0..50 {
+                let (x, y) = batch(step);
+                dp.step(&x, &y).unwrap();
+            }
+            let held = per_worker("tfe_dist_resident_tensors", &devices);
+            assert!(held.iter().sum::<i64>() > 0, "{job}: the last step's tensors await a request");
+            // One step's worth at most: nothing accumulates over 50 steps.
+            assert!(held.iter().all(|&n| n < 60), "{job}: {held:?}");
+            for device in &devices {
+                dp.cluster().ping(device).unwrap();
+            }
+            assert_eq!(per_worker("tfe_dist_resident_tensors", &devices), vec![0, 0, 0], "{job}");
+        }
+    }
+
     #[test]
     fn uneven_batch_is_a_typed_error() {
         tfe_core::init();

@@ -29,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod bytes;
 mod data;
 mod dtype;
 mod error;

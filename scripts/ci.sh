@@ -90,7 +90,7 @@ cargo run --release -q -p tfe-bench --bin serving_smoke > /dev/null
 # fused-executor perf gate: it times a ~1k-op eager chain sync vs async
 # (the async_dispatch entry of BENCH_kernels.json) and a 10-op fused f32
 # chain unfused / interpreted / tiled (the fused_chain entry). Under
-# TFE_ASSERT_ASYNC with >= 2 hardware threads, async wall time must beat
+# TFE_ASSERT_ASYNC with >= 4 hardware threads, async wall time must beat
 # the sync baseline; under TFE_ASSERT_FUSED the tiled executor must beat
 # op-by-op by >= 2x and a compile-cache hit must beat a re-parse; under
 # TFE_ASSERT_SERVING with >= 4 hardware threads the adaptive

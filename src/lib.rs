@@ -98,7 +98,8 @@ pub mod metrics {
     pub use tfe_metrics::*;
 }
 
-/// JSON encoding used by on-disk formats.
+/// The value model of the on-disk formats (JSON text) and of wire frames
+/// (binary).
 pub mod encode {
     pub use tfe_encode::*;
 }

@@ -1,9 +1,9 @@
 //! Distribution differential: for a sampled corpus of random graph
 //! functions, executing on a 1-worker cluster — over the in-process
 //! transport *and* over real TCP — must match local execution **bitwise**.
-//! This pins the whole stack: JSON tensor serialization round-trips floats
-//! exactly, frames survive the socket, and workers run the same executor
-//! as the coordinator.
+//! This pins the whole stack: tensor serialization keeps every bit, frames
+//! survive the socket, and workers run the same executor as the
+//! coordinator.
 //!
 //! The suite runs under whatever `TFE_ASYNC` is ambient (CI runs it both
 //! ways) and additionally checks one explicit `sync_scope`/`async_scope`

@@ -75,6 +75,14 @@ fn collect_paths(v: &Value, prefix: String, out: &mut Vec<String>) {
     }
 }
 
+/// The node at `path`.
+fn get_at<'a>(v: &'a Value, path: &str) -> &'a Value {
+    path.split('/').skip(1).fold(v, |node, key| match node {
+        Value::Array(items) => &items[key.parse::<usize>().expect("array index")],
+        other => other.get(key).unwrap_or_else(|| panic!("no `{key}` on the way to {path}")),
+    })
+}
+
 /// Replace (`Some`) or delete (`None`) the node at `path`. Returns false if
 /// the path can't be resolved (e.g. deleting an array element is modeled as
 /// replacement-only).
@@ -188,6 +196,74 @@ fn importer_typed_errors() {
     let mut m = b.clone();
     assert!(set_at(&mut m, "/captures", Some(Value::Array(vec![]))));
     assert!(matches!(saved::import_from_value(&m), Err(SavedError::CaptureArity { got: 0, .. })));
+}
+
+/// A tensor's `data` may arrive as the bytes leaf (in memory), as the base64
+/// string the text syntax turns that into, or as the decimal array older
+/// bundles hold. Swapping one form for another changes nothing; a payload
+/// that does not fit is a typed decode error in every form.
+#[test]
+fn tensor_data_forms_are_interchangeable() {
+    use tf_eager::graph::serial::tensor_from_value;
+    let b = bundle();
+    let x = api::constant(vec![1.0f32, 2.0], [2]).unwrap();
+    let output = |bundle: &Value| {
+        let loaded = saved::import_from_value(bundle).expect("bundle loads");
+        let y = loaded.call(&[&x]).expect("loaded function runs");
+        y[0].to_f64_vec().unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let expected = output(&b);
+
+    for tensor_path in ["/captures/0", "/variables/0/value"] {
+        let data_path = format!("{tensor_path}/data");
+        let tensor = get_at(&b, tensor_path);
+        let as_bytes = tensor.get("data").unwrap().clone();
+        assert!(matches!(as_bytes, Value::Bytes(_)));
+        let as_text = Value::parse(&as_bytes.to_json()).unwrap();
+        assert!(matches!(as_text, Value::Str(_)));
+        let elements = tensor_from_value(tensor).unwrap().to_f64_vec();
+        let as_array = Value::from(elements.clone());
+        for form in [as_bytes, as_text, as_array] {
+            let mut m = b.clone();
+            assert!(set_at(&mut m, &data_path, Some(form)));
+            assert_eq!(output(&m), expected, "{data_path}");
+        }
+
+        let mut long = elements;
+        long.push(0.0);
+        for misfit in [
+            Value::Bytes(vec![0u8; 3].into()),
+            Value::str("AAA"),
+            Value::str("not base64!"),
+            Value::from(long),
+            Value::Array(vec![Value::str("1.0"); 2]),
+            Value::Null,
+        ] {
+            let mut m = b.clone();
+            assert!(set_at(&mut m, &data_path, Some(misfit.clone())));
+            assert!(
+                matches!(saved::import_from_value(&m), Err(SavedError::Decode(_))),
+                "{data_path} := {misfit:?}"
+            );
+        }
+    }
+}
+
+/// Two million open brackets in a bundle or checkpoint file are a typed
+/// error from the parser's nesting limit, not a stack overflow.
+#[test]
+fn nesting_bomb_in_a_file_is_a_typed_error() {
+    use tf_eager::state::{checkpoint, TrackableGroup};
+    let dir = std::env::temp_dir().join(format!("tfe_bomb_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, bomb) in [("array", "[".repeat(2_000_000)), ("object", "{\"a\":".repeat(2_000_000))]
+    {
+        let path = dir.join(name);
+        std::fs::write(&path, bomb).unwrap();
+        assert!(matches!(saved::import(&path), Err(SavedError::Io(_))));
+        assert!(checkpoint::restore(&TrackableGroup::new(), &path).is_err());
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `LoadedFunction::call` validates arity, dtype, and shape up front with

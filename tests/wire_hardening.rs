@@ -3,36 +3,50 @@
 //! valid frame must decode to a typed `WireError` or to a (different but
 //! well-formed) frame — never a panic, never an oversized allocation.
 
+use tf_eager::dist::wire::HEADER_LEN;
 use tf_eager::dist::{Frame, WireError, MAX_FRAME_LEN};
+use tf_eager::graph::serial::{tensor_from_value, tensor_to_value};
+use tf_eager::TensorData;
 use tfe_encode::Value;
+
+/// An `execute_op` request carrying one inline tensor.
+fn execute_frame(tensor: Value) -> Frame {
+    Frame::new(
+        u64::MAX,
+        Some((u64::MAX, 1)),
+        Value::object([
+            ("type".to_string(), Value::str("execute_op")),
+            ("op".to_string(), Value::str("add")),
+            ("free".to_string(), Value::from(vec![3i64, 4])),
+            (
+                "inputs".to_string(),
+                Value::Array(vec![Value::object([("inline".to_string(), tensor)])]),
+            ),
+        ]),
+    )
+}
 
 fn sample_frames() -> Vec<Frame> {
     vec![
         Frame::new(1, None, Value::Null),
         Frame::new(42, Some((7, 9)), Value::str("pong")),
-        Frame::new(
-            u64::MAX,
-            Some((u64::MAX, 1)),
-            Value::object([
-                ("type".to_string(), Value::str("execute_op")),
-                ("op".to_string(), Value::str("add")),
-                (
-                    "inputs".to_string(),
-                    Value::Array(vec![Value::object([(
-                        "inline".to_string(),
-                        Value::object([
-                            ("dtype".to_string(), Value::str("float32")),
-                            ("shape".to_string(), Value::Array(vec![Value::Int(2)])),
-                            (
-                                "data".to_string(),
-                                Value::Array(vec![Value::Float(1.5), Value::Float(-2.25)]),
-                            ),
-                        ]),
-                    )])]),
-                ),
-            ]),
-        ),
+        execute_frame(tensor_to_value(
+            &TensorData::from_vec(vec![1.5f32, f32::NAN, -2.25], [3]).unwrap(),
+        )),
+        execute_frame(tensor_to_value(&TensorData::from_vec(vec![true, false], [2]).unwrap())),
     ]
+}
+
+/// The inline tensor of a frame built by `execute_frame`, decoded.
+fn inline_tensor(frame: &Frame) -> Result<TensorData, String> {
+    let inline = frame
+        .body
+        .get("inputs")
+        .and_then(Value::as_array)
+        .and_then(|inputs| inputs.first())
+        .and_then(|arg| arg.get("inline"))
+        .ok_or("frame has no inline input")?;
+    tensor_from_value(inline).map_err(|e| e.to_string())
 }
 
 /// Every truncation prefix decodes to a typed error (or, for the empty
@@ -62,8 +76,11 @@ fn single_byte_mutations_never_panic() {
                 let mut mutated = bytes.clone();
                 mutated[pos] ^= flip;
                 // Must return, not panic; both Ok (benign payload edit)
-                // and Err (structural damage) are acceptable.
-                let _ = Frame::decode(&mutated);
+                // and Err (structural damage) are acceptable. The same
+                // holds for the tensor codec under the frame.
+                if let Ok(decoded) = Frame::decode(&mutated) {
+                    let _ = inline_tensor(&decoded);
+                }
             }
         }
     }
@@ -90,17 +107,97 @@ fn garbage_inputs_are_typed_errors() {
         vec![],
         b"hello world this is not a frame at all".to_vec(),
         b"TFEW".to_vec(),                      // magic only
-        [b"TFEW".as_slice(), &[2u8]].concat(), // wrong version
+        [b"TFEW".as_slice(), &[3u8]].concat(), // wrong version
         vec![0xff; 64],
     ];
     for bytes in cases {
         assert!(Frame::decode(&bytes).is_err(), "{bytes:?} must not decode");
     }
-    // Valid header, payload that is not UTF-8 JSON.
+    // Valid header, payload that is not a well-formed value.
     let mut bytes = Frame::new(9, None, Value::str("abcd")).encode();
-    let payload_start = bytes.len() - 6; // "abcd" plus quotes
-    bytes[payload_start] = 0xc0; // invalid UTF-8 lead byte
+    let last = bytes.len() - 1;
+    bytes[last] = 0xc0; // invalid UTF-8 in the string
     assert!(matches!(Frame::decode(&bytes), Err(WireError::Payload(_))));
+    bytes[HEADER_LEN] = 0x2a; // no such value tag
+    assert!(matches!(Frame::decode(&bytes), Err(WireError::Payload(_))));
+}
+
+/// Rewrite the payload of an encoded frame, keeping its header consistent.
+fn with_payload(frame: &Frame, payload: &[u8]) -> Vec<u8> {
+    let mut bytes = frame.encode()[..HEADER_LEN].to_vec();
+    bytes[30..34].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    bytes
+}
+
+/// A frame of the previous protocol version (JSON text payload) is refused
+/// by version, before its payload is looked at.
+#[test]
+fn v1_frames_are_refused_by_version() {
+    let frame = Frame::new(5, None, Value::str("pong"));
+    let mut v1 = with_payload(&frame, frame.body.to_json().as_bytes());
+    v1[4] = 1;
+    assert_eq!(Frame::decode(&v1), Err(WireError::UnsupportedVersion(1)));
+}
+
+/// Lengths inside the payload are checked against the bytes that are there:
+/// a blob or a count that claims more is a typed error, and nothing is
+/// allocated for it.
+#[test]
+fn inner_lengths_are_checked_before_allocation() {
+    let frame = Frame::new(1, None, Value::Null);
+    // tag 6 = bytes, tag 5 = string, tag 7 = array, tag 8 = object; then a
+    // varint far beyond MAX_FRAME_LEN and a few bytes of "content".
+    let huge = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f];
+    for tag in [5u8, 6, 7, 8] {
+        let payload = [&[tag][..], &huge, &[0, 0, 0]].concat();
+        let got = Frame::decode(&with_payload(&frame, &payload));
+        assert!(matches!(got, Err(WireError::Payload(_))), "tag {tag}: {got:?}");
+    }
+    // One byte more than is left.
+    let got = Frame::decode(&with_payload(&frame, &[6, 4, 1, 2, 3]));
+    assert!(matches!(got, Err(WireError::Payload(_))), "{got:?}");
+}
+
+/// Nesting deeper than the decoder's limit is a typed error, not a stack
+/// overflow: 16 MB of nested one-element arrays fit in a frame.
+#[test]
+fn nesting_bomb_is_a_typed_error() {
+    let frame = Frame::new(1, None, Value::Null);
+    let bomb = [7u8, 1].repeat(8 << 20);
+    let got = Frame::decode(&with_payload(&frame, &bomb));
+    assert!(matches!(got, Err(WireError::Payload(_))), "{got:?}");
+}
+
+/// A well-formed frame whose tensor payload does not fit its header fields
+/// decodes as a frame and fails, typed, in the tensor codec.
+#[test]
+fn tensor_payload_is_checked_against_dtype_and_shape() {
+    let tensor = |dtype: &str, dims: Vec<i64>, data: Vec<u8>| {
+        Value::object([
+            ("dtype".to_string(), Value::str(dtype)),
+            ("shape".to_string(), Value::from(dims)),
+            ("data".to_string(), Value::Bytes(data.into())),
+        ])
+    };
+    let through_the_wire = |t: Value| {
+        let frame = execute_frame(t);
+        let decoded = Frame::decode(&frame.encode()).expect("frame itself is well-formed");
+        assert_eq!(decoded, frame);
+        inline_tensor(&decoded)
+    };
+    assert!(through_the_wire(tensor("float32", vec![2], vec![0; 8])).is_ok());
+    // One byte short, one element long, wrong width for the dtype.
+    assert!(through_the_wire(tensor("float32", vec![2], vec![0; 7])).is_err());
+    assert!(through_the_wire(tensor("float32", vec![2], vec![0; 12])).is_err());
+    assert!(through_the_wire(tensor("float64", vec![2], vec![0; 8])).is_err());
+    assert!(through_the_wire(tensor("float32", vec![2, 0], vec![0; 4])).is_err());
+    // Dims whose product overflows, with a payload that is merely small.
+    assert!(through_the_wire(tensor("float32", vec![i64::MAX, 8], vec![0; 8])).is_err());
+    // A bool is 0 or 1.
+    assert!(through_the_wire(tensor("bool", vec![3], vec![0, 1, 1])).is_ok());
+    assert!(through_the_wire(tensor("bool", vec![3], vec![0, 1, 2])).is_err());
+    assert!(through_the_wire(tensor("bool", vec![3], vec![0, 1, 0xff])).is_err());
 }
 
 /// Stream reads tolerate arbitrary chunking: a frame split at every
