@@ -29,7 +29,7 @@ fn bench_eager_dispatch(c: &mut Criterion) {
 
 fn bench_staged_dispatch(c: &mut Criterion) {
     tfe_core::init();
-    context::reset_exec_stats();
+    let before = context::exec_stats();
     // The same op chain dispatched through the graph executor instead of
     // per-op eager dispatch, in both scheduling modes; the exec-stats line
     // printed afterwards shows nodes/kernels per call and queue behaviour.
@@ -55,7 +55,7 @@ fn bench_staged_dispatch(c: &mut Criterion) {
         });
     }
     group.finish();
-    tfe_bench::report_exec_stats("staged_dispatch");
+    tfe_bench::report_exec_stats("staged_dispatch", &before);
 }
 
 fn bench_profiler_overhead(c: &mut Criterion) {

@@ -96,7 +96,7 @@ fn bench_executor_ablation(c: &mut Criterion) {
         b.finish(vec![acc], 0)
     };
     let big = Arc::new(TensorData::zeros(DType::F32, [65_536]));
-    tfe_runtime::context::reset_exec_stats();
+    let before = tfe_runtime::context::exec_stats();
     group.bench_function("wide_serial", |b| {
         b.iter(|| {
             executor::run_function(
@@ -115,17 +115,7 @@ fn bench_executor_ablation(c: &mut Criterion) {
         });
     });
     group.finish();
-    tfe_bench::report_exec_stats("wide_graph");
-}
-
-fn bench_memory_planner(c: &mut Criterion) {
-    tfe_core::init();
-    let f = build_messy(64);
-    let mut group = c.benchmark_group("memory_planner");
-    group.bench_function("plan", |b| {
-        b.iter(|| tfe_graph::plan_memory(&f));
-    });
-    group.finish();
+    tfe_bench::report_exec_stats("wide_graph", &before);
 }
 
 criterion_group! {
@@ -134,6 +124,6 @@ criterion_group! {
         .sample_size(12)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_millis(900));
-    targets = bench_pass_pipelines, bench_executor_ablation, bench_memory_planner
+    targets = bench_pass_pipelines, bench_executor_ablation
 }
 criterion_main!(benches);

@@ -15,7 +15,7 @@ use tfe_tensor::DType;
 
 fn bench_mlp(c: &mut Criterion) {
     tfe_core::init();
-    tfe_runtime::context::reset_exec_stats();
+    let before = tfe_runtime::context::exec_stats();
     let mut group = c.benchmark_group("mlp_forward");
     let model = Arc::new(mlp(32, &[64, 64, 64], 8, Activation::Relu, &mut Initializer::seeded(3)));
     let staged = {
@@ -33,12 +33,12 @@ fn bench_mlp(c: &mut Criterion) {
         });
     }
     group.finish();
-    tfe_bench::report_exec_stats("mlp_forward");
+    tfe_bench::report_exec_stats("mlp_forward", &before);
 }
 
 fn bench_l2hmc(c: &mut Criterion) {
     tfe_core::init();
-    tfe_runtime::context::reset_exec_stats();
+    let before = tfe_runtime::context::exec_stats();
     let mut group = c.benchmark_group("l2hmc_step");
     group.sample_size(20);
     let w = L2hmcWorkload::new(5, 10);
@@ -51,7 +51,7 @@ fn bench_l2hmc(c: &mut Criterion) {
         b.iter(|| w.staged_step(&x).unwrap());
     });
     group.finish();
-    tfe_bench::report_exec_stats("l2hmc_step");
+    tfe_bench::report_exec_stats("l2hmc_step", &before);
 }
 
 fn bench_trace_cache(c: &mut Criterion) {

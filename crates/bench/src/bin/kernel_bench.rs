@@ -184,13 +184,12 @@ fn cases() -> Vec<Case> {
 }
 
 /// Fused-elementwise executor: a 10-op f32 chain over 1M elements, timed
-/// three ways — unfused (one eager kernel per op, ten passes over memory),
-/// fused-interpreted (the pre-tile register interpreter, still one
-/// materialized buffer per instruction), and fused-tiled (the compiled
-/// tile executor: one pass over memory in cache-resident tiles). All three
-/// must agree bitwise before anything is timed. The row also records the
-/// one-time decode+compile cost next to the steady-state compile-cache hit,
-/// documenting that the per-call program parse is gone.
+/// unfused (one eager kernel per op, ten passes over memory — what
+/// `Program::eval` does too) and fused-tiled (the compiled tile executor:
+/// one pass over memory in cache-resident tiles). The two must agree
+/// bitwise before anything is timed, and tiled must win by >= 2x. The row
+/// also records the one-time decode+compile cost next to the steady-state
+/// compile-cache hit, which must be the cheaper of the two.
 fn bench_fused_chain(iters: usize, reps: usize) -> tfe_encode::Value {
     use tfe_graph::program::{self, Program};
     use tfe_tensor::elementwise::{unary, UnaryOp};
@@ -223,33 +222,23 @@ fn bench_fused_chain(iters: usize, reps: usize) -> tfe_encode::Value {
         }
     };
 
-    // Bitwise agreement across all three executors before timing any.
+    // Bitwise agreement before timing anything.
     let bits = |t: &TensorData| -> Vec<u32> {
         t.as_slice::<f32>().unwrap().iter().map(|x| x.to_bits()).collect()
     };
     let want = bits(&unfused());
     let tiled_out = compiled.eval(&[&a, &b]).expect("tiled eval");
     assert_eq!(want, bits(&tiled_out), "fused-tiled must match the unfused chain bitwise");
-    let prev = program::set_force_interpreted(true);
-    let interp_out = compiled.eval(&[&a, &b]).expect("interpreted eval");
-    program::set_force_interpreted(prev);
-    assert_eq!(want, bits(&interp_out), "fused-interpreted must match bitwise");
 
     let unfused_ns = time_ns(iters, reps, &|| {
         unfused();
     });
-    let prev = program::set_force_interpreted(true);
-    let interp_ns = time_ns(iters, reps, &|| {
-        compiled.eval(&[&a, &b]).expect("interpreted eval");
-    });
-    program::set_force_interpreted(prev);
     let tiled_ns = time_ns(iters, reps, &|| {
         compiled.eval(&[&a, &b]).expect("tiled eval");
     });
 
-    // What satellite work removed from every call: the string parse +
-    // register planning now happen once, and the hot path is a read-locked
-    // map hit on the encoded text.
+    // The string parse + register planning happen once per program; the
+    // hot path is a read-locked map hit on the encoded text.
     let decode_ns = time_ns(iters.max(100), reps, &|| {
         Program::decode(text).expect("decode").compile();
     });
@@ -258,38 +247,30 @@ fn bench_fused_chain(iters: usize, reps: usize) -> tfe_encode::Value {
     });
 
     let vs_unfused = unfused_ns / tiled_ns;
-    let vs_interp = interp_ns / tiled_ns;
     println!(
-        "{:<26} {:>14.0} {:>14.0} {:>14.0} {:>7.2}x {:>7.2}x   {ops}-op chain, {N} f32 \
-         (unfused / interpreted / tiled)",
-        "fused_chain", unfused_ns, interp_ns, tiled_ns, vs_unfused, vs_interp
+        "{:<26} {:>14} {:>14.0} {:>14.0} {:>7.2}x {:>8}   {ops}-op chain, {N} f32",
+        "fused_chain", "-", unfused_ns, tiled_ns, vs_unfused, "-"
     );
+    // (for this row "serial ns/op" = unfused chain, "par ns/op" = tiled)
 
-    if std::env::var_os("TFE_ASSERT_FUSED").is_some() {
-        assert!(
-            vs_unfused >= 2.0,
-            "fused-tiled must be >=2x over op-by-op on a {ops}-op {N}-element chain: \
-             unfused {unfused_ns:.0} ns vs tiled {tiled_ns:.0} ns ({vs_unfused:.2}x)"
-        );
-        assert!(
-            hit_ns < decode_ns,
-            "compile-cache hit ({hit_ns:.0} ns) must be cheaper than per-call \
-             decode+compile ({decode_ns:.0} ns)"
-        );
-        eprintln!(
-            "fused chain asserted: {vs_unfused:.2}x over unfused, {vs_interp:.2}x over interpreted"
-        );
-    }
+    assert!(
+        vs_unfused >= 2.0,
+        "fused-tiled must be >=2x over op-by-op on a {ops}-op {N}-element chain: \
+         unfused {unfused_ns:.0} ns vs tiled {tiled_ns:.0} ns ({vs_unfused:.2}x)"
+    );
+    assert!(
+        hit_ns < decode_ns,
+        "compile-cache hit ({hit_ns:.0} ns) must be cheaper than per-call \
+         decode+compile ({decode_ns:.0} ns)"
+    );
 
     tfe_encode::Value::object(vec![
         ("ops".to_string(), tfe_encode::Value::Int(ops as i64)),
         ("elements".to_string(), tfe_encode::Value::Int(N as i64)),
         ("shape".to_string(), tfe_encode::Value::str("10-op 1M-element f32 chain")),
         ("unfused_ns_per_call".to_string(), tfe_encode::Value::Float(unfused_ns)),
-        ("interpreted_ns_per_call".to_string(), tfe_encode::Value::Float(interp_ns)),
         ("tiled_ns_per_call".to_string(), tfe_encode::Value::Float(tiled_ns)),
         ("tiled_speedup_vs_unfused".to_string(), tfe_encode::Value::Float(vs_unfused)),
-        ("tiled_speedup_vs_interpreted".to_string(), tfe_encode::Value::Float(vs_interp)),
         ("decode_compile_ns".to_string(), tfe_encode::Value::Float(decode_ns)),
         ("compile_cache_hit_ns".to_string(), tfe_encode::Value::Float(hit_ns)),
         ("scratch_buffers".to_string(), tfe_encode::Value::Int(compiled.scratch_buffers() as i64)),
@@ -343,17 +324,15 @@ fn bench_async_dispatch(iters: usize, reps: usize) -> tfe_encode::Value {
     // Two vCPUs are not enough: the intra-op pool's helper shares them
     // with the caller and the stream thread, and async came out behind sync
     // in every run there.
-    if std::env::var_os("TFE_ASSERT_ASYNC").is_some() {
-        if cores >= 4 {
-            assert!(
-                async_ns < sync_ns,
-                "async dispatch must overlap on {cores} cores: sync {sync_ns:.0} ns/chain \
-                 vs async {async_ns:.0} ns/chain"
-            );
-            eprintln!("async overlap asserted: {speedup:.2}x over sync on {cores} cores");
-        } else {
-            eprintln!("TFE_ASSERT_ASYNC skipped: {cores} hardware thread(s) < 4");
-        }
+    if cores >= 4 {
+        assert!(
+            async_ns < sync_ns,
+            "async dispatch must overlap on {cores} cores: sync {sync_ns:.0} ns/chain \
+             vs async {async_ns:.0} ns/chain"
+        );
+        eprintln!("async overlap asserted: {speedup:.2}x over sync on {cores} cores");
+    } else {
+        eprintln!("async overlap assertion skipped: {cores} hardware thread(s) < 4");
     }
 
     tfe_encode::Value::object(vec![
@@ -622,29 +601,27 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
     );
 
     // The >=2x claim is a wall-clock ratio that needs real concurrency to
-    // hold; on a loaded or low-core runner it flakes, so (like
-    // TFE_ASSERT_ASYNC) the assertion is gated on hardware threads.
+    // hold; on a loaded or low-core runner it flakes, so (like the async
+    // one) the assertion is gated on hardware threads.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if std::env::var_os("TFE_ASSERT_SERVING").is_some() {
-        if cores >= 4 {
-            assert!(
-                speedup >= 2.0,
-                "batched serving must be >=2x over the unbatched front at concurrency \
-                 {CONCURRENCY} on {cores} cores: unbatched {unbatched_ns:.0} ns/req vs batched \
-                 {batched_ns:.0} ns/req ({speedup:.2}x, mean batch {mean_rows:.1} rows)"
-            );
-            assert!(
-                mean_rows > 1.5,
-                "the adaptive batcher must actually coalesce at concurrency {CONCURRENCY}: \
-                 mean batch was {mean_rows:.2} rows"
-            );
-            eprintln!(
-                "serving asserted: {speedup:.2}x over unbatched, mean batch {mean_rows:.1} rows \
-                 on {cores} cores"
-            );
-        } else {
-            eprintln!("TFE_ASSERT_SERVING skipped: {cores} hardware thread(s) < 4");
-        }
+    if cores >= 4 {
+        assert!(
+            speedup >= 2.0,
+            "batched serving must be >=2x over the unbatched front at concurrency \
+             {CONCURRENCY} on {cores} cores: unbatched {unbatched_ns:.0} ns/req vs batched \
+             {batched_ns:.0} ns/req ({speedup:.2}x, mean batch {mean_rows:.1} rows)"
+        );
+        assert!(
+            mean_rows > 1.5,
+            "the adaptive batcher must actually coalesce at concurrency {CONCURRENCY}: \
+             mean batch was {mean_rows:.2} rows"
+        );
+        eprintln!(
+            "serving asserted: {speedup:.2}x over unbatched, mean batch {mean_rows:.1} rows \
+             on {cores} cores"
+        );
+    } else {
+        eprintln!("serving assertion skipped: {cores} hardware thread(s) < 4");
     }
 
     tfe_encode::Value::object(vec![

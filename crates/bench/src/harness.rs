@@ -57,28 +57,27 @@ pub struct Measurement {
     pub staged_nodes_per_step: f64,
 }
 
-/// Print the executor's cumulative scheduling counters (see
-/// [`tfe_runtime::context::exec_stats`]) under a benchmark tag, so bench
-/// runs report what the scheduler actually did — nodes and kernels
-/// executed, serial vs parallel runs, peak ready-queue depth and peak
-/// live intermediate bytes — alongside the wall-clock numbers.
-///
-/// Call [`tfe_runtime::context::reset_exec_stats`] first to scope the
-/// counters to one benchmark.
-pub fn report_exec_stats(tag: &str) {
+/// Print what the scheduler did since `before` (an earlier
+/// [`tfe_runtime::context::exec_stats`] snapshot) under a benchmark tag:
+/// nodes and kernels executed, serial vs parallel runs and intra-op
+/// splits, alongside the wall-clock numbers. The counters are the
+/// process's monotone `tfe_executor_*` / `tfe_intra_*` metrics, so the
+/// two high-water marks (ready-queue depth, live bytes) are the peaks
+/// since process start.
+pub fn report_exec_stats(tag: &str, before: &context::ExecStats) {
     let s = context::exec_stats();
     println!(
         "exec_stats[{tag}]: nodes={} kernels={} serial_runs={} parallel_runs={} \
          max_queue_depth={} peak_live_bytes={} intra_par={} intra_serial={} intra_tiles={}",
-        s.nodes_executed,
-        s.kernels_launched,
-        s.serial_runs,
-        s.parallel_runs,
+        s.nodes_executed - before.nodes_executed,
+        s.kernels_launched - before.kernels_launched,
+        s.serial_runs - before.serial_runs,
+        s.parallel_runs - before.parallel_runs,
         s.max_queue_depth,
         s.peak_live_bytes,
-        s.intra_par_kernels,
-        s.intra_serial_kernels,
-        s.intra_tiles
+        s.intra_par_kernels - before.intra_par_kernels,
+        s.intra_serial_kernels - before.intra_serial_kernels,
+        s.intra_tiles - before.intra_tiles
     );
 }
 

@@ -278,19 +278,8 @@ struct RetraceRing {
     dropped: u64,
 }
 
-/// `TFE_RETRACE_LOG_CAP=N`: retain at most `N` diagnosed retrace events per
-/// `Func` (default 64). Parsed once; unset, `0` or unparsable uses the
-/// default.
-fn retrace_log_cap() -> usize {
-    static C: OnceLock<usize> = OnceLock::new();
-    *C.get_or_init(|| {
-        std::env::var("TFE_RETRACE_LOG_CAP")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(64)
-    })
-}
+/// Diagnosed retrace events retained per `Func`.
+const RETRACE_LOG_CAP: usize = 64;
 
 /// `TFE_LOG_RETRACES=N`: warn on stderr once a `Func` accumulates `N`
 /// retraces (each further retrace also warns). Parsed once; unset, `0` or
@@ -632,8 +621,7 @@ impl Func {
             }
         }
         log.events.push_back(event);
-        let cap = retrace_log_cap();
-        while log.events.len() > cap {
+        while log.events.len() > RETRACE_LOG_CAP {
             log.events.pop_front();
             log.dropped += 1;
         }
@@ -651,10 +639,9 @@ impl Func {
         }
     }
 
-    /// The retained diagnosed retraces, in order of occurrence. At most
-    /// [`TFE_RETRACE_LOG_CAP`](retrace_log_cap) events are kept; see
-    /// [`dropped_retraces`](Func::dropped_retraces) for how many older ones
-    /// were evicted.
+    /// The retained diagnosed retraces, in order of occurrence. At most 64
+    /// events are kept; see [`dropped_retraces`](Func::dropped_retraces)
+    /// for how many older ones were evicted.
     pub fn retraces(&self) -> Vec<RetraceEvent> {
         self.inner.retrace_log.lock().events.iter().cloned().collect()
     }
@@ -684,8 +671,7 @@ impl Func {
             if log.dropped > 0 {
                 out.push_str(&format!(
                     "  ({} older retraces dropped, log capped at {})\n",
-                    log.dropped,
-                    retrace_log_cap()
+                    log.dropped, RETRACE_LOG_CAP
                 ));
             }
             for event in log.events.iter() {

@@ -18,10 +18,10 @@
 //! subsequent RPCs surface typed transport errors within their deadline.
 
 use crate::wire::{read_frame, remaining, write_frame, Frame, WireError};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -130,7 +130,7 @@ pub struct InProcessTransport {
 impl Transport for InProcessTransport {
     fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError> {
         let sent = request.len();
-        let (resp_tx, resp_rx) = unbounded();
+        let (resp_tx, resp_rx) = channel();
         self.tx
             .send((request.to_vec(), resp_tx))
             .map_err(|_| TransportError::ConnectionLost("worker channel closed".to_string()))?;
@@ -159,7 +159,7 @@ pub(crate) fn spawn_in_process(
     name: &str,
     mut handler: impl FnMut(Frame) -> (Frame, bool) + Send + 'static,
 ) -> (InProcessTransport, WorkerControl) {
-    let (tx, rx): (Sender<ByteCall>, Receiver<ByteCall>) = unbounded();
+    let (tx, rx) = channel::<ByteCall>();
     let kill = Arc::new(AtomicBool::new(false));
     let kill_srv = kill.clone();
     let join = std::thread::Builder::new()

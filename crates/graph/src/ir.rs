@@ -205,9 +205,9 @@ impl GraphFunction {
             // Constant payloads are append-only across passes, so hashing a
             // bounded prefix (plus dtype/shape/pool position above) is
             // enough to distinguish sweeps without rehashing big weights.
-            for v in c.to_f64_vec().iter().take(4096) {
-                v.to_bits().hash(&mut h);
-            }
+            // The exact bytes: integers beyond 2^53 must not collide.
+            let bytes = c.to_le_bytes();
+            h.write(&bytes[..bytes.len().min(32 * 1024)]);
         }
         h.finish()
     }

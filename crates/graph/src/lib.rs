@@ -4,9 +4,8 @@
 //! staged artifact of §4.1/§4.6 of the TensorFlow Eager paper — a graph
 //! with named inputs and outputs), the [`GraphBuilder`] a tracing context
 //! writes into, the optimization passes staging unlocks (pruning, CSE,
-//! constant folding, buffer-reuse planning, and XLA-style elementwise
-//! fusion), and hand-rolled JSON serialization for deployment without a
-//! tracer.
+//! constant folding, and XLA-style elementwise fusion), and hand-rolled
+//! JSON serialization for deployment without a tracer.
 //!
 //! ```
 //! use tfe_graph::{GraphBuilder, passes};
@@ -30,11 +29,9 @@
 mod builder;
 mod ir;
 pub mod passes;
-mod plan;
 pub mod program;
 pub mod sequencing;
 pub mod serial;
 
 pub use builder::GraphBuilder;
 pub use ir::{FunctionLibrary, GraphFunction, Node, NodeId, TensorRef};
-pub use plan::{plan_memory, MemoryPlan};

@@ -22,6 +22,7 @@ use crate::ir::{GraphFunction, Node, NodeId, TensorRef};
 use crate::program::{Instr, Program};
 use crate::sequencing::{classify, sequence_control_edges, Access, Resource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::Arc;
 use tfe_ops::algebra::{
     compose_perms, identity_operand, is_identity_perm, is_swap_perm, IdentitySide,
@@ -66,11 +67,9 @@ pub struct OptimizeOptions {
     pub fuse_elementwise: bool,
     /// Skip folding results larger than this many elements.
     pub fold_size_limit: usize,
-    /// Iterate the sweep to a structural-hash fixpoint. When off, exactly
-    /// one sweep runs (the pre-fixpoint pipeline behavior).
-    pub fixpoint: bool,
-    /// Upper bound on sweeps (at least 1 is always run). The loop normally
-    /// exits much earlier via the hash check.
+    /// Upper bound on sweeps (at least 1 is always run; 1 means a single
+    /// sweep, no iteration). The loop normally exits much earlier via the
+    /// hash check.
     pub max_sweeps: usize,
 }
 
@@ -85,7 +84,6 @@ impl Default for OptimizeOptions {
             dead_store_elim: true,
             fuse_elementwise: false, // opt-in: the "XLA" path (TPU) turns it on
             fold_size_limit: 65_536,
-            fixpoint: true,
             max_sweeps: 8,
         }
     }
@@ -108,7 +106,6 @@ impl OptimizeOptions {
             dead_store_elim: false,
             fuse_elementwise: false,
             fold_size_limit: 0,
-            fixpoint: false,
             max_sweeps: 1,
         }
     }
@@ -195,9 +192,9 @@ pub fn optimize(
 
 /// Run the pass pipeline to a structural-hash fixpoint and report what
 /// happened. Each sweep runs the enabled passes once in [`PASS_NAMES`]
-/// order; sweeps repeat until the hash stops changing, `max_sweeps` is
-/// reached, or `fixpoint` is off. Elementwise fusion runs once after the
-/// loop (it is a lowering, not a simplification — see the module docs).
+/// order; sweeps repeat until the hash stops changing or `max_sweeps` is
+/// reached. Elementwise fusion runs once after the loop (it is a lowering,
+/// not a simplification — see the module docs).
 pub fn optimize_with_stats(
     f: &GraphFunction,
     options: &OptimizeOptions,
@@ -224,7 +221,7 @@ pub fn optimize_with_stats(
             stats.converged = true;
             break;
         }
-        if !options.fixpoint || stats.sweeps >= cap {
+        if stats.sweeps >= cap {
             break;
         }
     }
@@ -362,9 +359,13 @@ fn const_key(f: &GraphFunction, node: &Node) -> Option<String> {
     if value.num_elements() > 1024 {
         return None; // don't hash big constants
     }
-    let bits: Vec<String> =
-        value.to_f64_vec().iter().map(|v| format!("{:x}", v.to_bits())).collect();
-    Some(format!("{}:{}:{}", value.dtype(), value.shape(), bits.join(",")))
+    // The exact bytes, not `to_f64_vec`: integers beyond 2^53 that differ
+    // must not share a key.
+    let mut key = format!("{}:{}:", value.dtype(), value.shape());
+    for b in value.to_le_bytes() {
+        write!(key, "{b:02x}").expect("writing to a String cannot fail");
+    }
+    Some(key)
 }
 
 /// Common-subexpression elimination over stateless nodes.
@@ -1091,6 +1092,18 @@ mod tests {
         let f = b.finish(vec![out], 0);
         let g = cse(&f);
         assert_eq!(g.nodes.iter().filter(|n| n.op == "const").count(), 1);
+
+        // Equal means equal bytes: these two i64s round to the same f64.
+        let mut b = GraphBuilder::new("f");
+        let c1 = b.constant(Arc::new(TensorData::scalar(9_007_199_254_740_993i64))).unwrap();
+        let c2 = b.constant(Arc::new(TensorData::scalar(9_007_199_254_740_992i64))).unwrap();
+        let out = b.add_node("sub", vec![c1, c2], Attrs::new()).unwrap()[0];
+        let f = b.finish(vec![out], 0);
+        let g = cse(&f);
+        assert_eq!(g.nodes.iter().filter(|n| n.op == "const").count(), 2, "{}", g.dump());
+        let mut same = f.clone();
+        same.constants[0] = same.constants[1].clone();
+        assert_ne!(f.structural_hash(), same.structural_hash());
     }
 
     fn toy_evaluator(node: &Node, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>, String> {
@@ -1433,7 +1446,7 @@ mod tests {
         let out = b.add_node("add", vec![x, d], Attrs::new()).unwrap()[0];
         let f = b.finish(vec![out], 0);
 
-        let single = OptimizeOptions { fixpoint: false, ..OptimizeOptions::default() };
+        let single = OptimizeOptions { max_sweeps: 1, ..OptimizeOptions::default() };
         let (g1, s1) = optimize_with_stats(&f, &single, Some(&no_mul_evaluator));
         assert_eq!(s1.sweeps, 1);
         assert!(g1.executable_node_count() > 0, "one sweep must not finish");

@@ -17,13 +17,13 @@
 //! from. Tile boundaries depend only on the element count
 //! ([`tfe_parallel::tile_len`]) and every instruction is an element-
 //! independent map, so serial and parallel runs are bit-identical — and
-//! both are bit-identical to the per-instruction interpreter
-//! ([`Program::eval`]), which stays behind [`set_force_interpreted`] as the
-//! differential-testing reference and handles the mixed-shape/dtype
-//! fallback.
+//! both are bit-identical to per-instruction evaluation
+//! ([`Program::eval`]: one `tfe_tensor::elementwise` call per instruction,
+//! the same calls the unfused graph nodes make). That is the only other
+//! evaluator: it handles mixed shapes/dtypes, and tests reach it through
+//! [`CompiledProgram::program`] as the differential reference.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -140,97 +140,16 @@ impl Program {
         CompiledProgram::new(self)
     }
 
-    /// Evaluate against concrete inputs with the per-instruction
-    /// interpreter: one whole-tensor pass per instruction. This is the
-    /// reference the tile executor is differentially tested against; the
-    /// runtime kernel goes through [`CompiledProgram::eval`] instead.
+    /// Evaluate against concrete inputs one instruction at a time, each a
+    /// whole-tensor [`unary`]/[`binary`] call — exactly what the unfused
+    /// graph nodes run. Broadcasts and handles every dtype those ops do,
+    /// so it is both the mixed-shape/dtype fallback of
+    /// [`CompiledProgram::eval`] and the reference the tile executor is
+    /// differentially tested against.
     ///
     /// # Errors
-    /// Kernel errors (dtype/broadcast problems) from the underlying ops.
+    /// Missing inputs or kernel errors (dtype/broadcast problems).
     pub fn eval(&self, inputs: &[&TensorData]) -> TResult<TensorData> {
-        // Fast path: all-f32, identical shapes — evaluate over a small pool
-        // of reused full-size buffers, reading inputs through aliases.
-        if let Some(out) = self.eval_fused_f32(inputs)? {
-            return Ok(out);
-        }
-        self.eval_generic(inputs)
-    }
-
-    /// Interpreted evaluation for same-shape f32 operands. `Instr::Input`
-    /// never materializes a buffer: consumers read the source tensor's
-    /// slice directly. Returns `Ok(None)` when the inputs don't qualify
-    /// (mixed shapes/dtypes), in which case the generic per-instruction
-    /// path runs instead.
-    fn eval_fused_f32(&self, inputs: &[&TensorData]) -> TResult<Option<TensorData>> {
-        use tfe_tensor::DType;
-        let Some(first) = inputs.first() else { return Ok(None) };
-        let shape = first.shape().clone();
-        for t in inputs {
-            if t.dtype() != DType::F32 || t.shape() != &shape {
-                return Ok(None);
-            }
-        }
-        let n = shape.num_elements();
-        let mut ins: Vec<&[f32]> = Vec::with_capacity(inputs.len());
-        for t in inputs {
-            ins.push(t.as_slice::<f32>()?);
-        }
-        // Resolve a source register to its backing slice: input registers
-        // alias the caller's tensor, compute registers their buffer.
-        macro_rules! src {
-            ($regs:expr, $r:expr) => {
-                match self.instrs[$r] {
-                    Instr::Input(k) => ins[k],
-                    _ => $regs[$r].as_deref().expect("register defined"),
-                }
-            };
-        }
-        // Last-use analysis lets compute buffers be recycled.
-        let mut last_use = vec![0usize; self.instrs.len()];
-        for (i, instr) in self.instrs.iter().enumerate() {
-            match instr {
-                Instr::Input(_) => {}
-                Instr::Unary(_, a) => last_use[*a] = i,
-                Instr::Binary(_, a, b) => {
-                    last_use[*a] = i;
-                    last_use[*b] = i;
-                }
-            }
-        }
-        last_use[self.output] = usize::MAX;
-        let mut regs: Vec<Option<Vec<f32>>> = vec![None; self.instrs.len()];
-        let mut free: Vec<Vec<f32>> = Vec::new();
-        for (i, instr) in self.instrs.iter().enumerate() {
-            match instr {
-                Instr::Input(_) => {} // aliased — no buffer, no copy
-                Instr::Unary(op, a) => {
-                    let mut buf = free.pop().unwrap_or_else(|| vec![0.0f32; n]);
-                    lanes::unary_f32(*op, src!(regs, *a), &mut buf);
-                    regs[i] = Some(buf);
-                }
-                Instr::Binary(op, a, b) => {
-                    let mut buf = free.pop().unwrap_or_else(|| vec![0.0f32; n]);
-                    lanes::binary_f32(*op, src!(regs, *a), src!(regs, *b), &mut buf);
-                    regs[i] = Some(buf);
-                }
-            }
-            // Recycle compute buffers whose last consumer was this instr.
-            for (r, lu) in last_use.iter().enumerate() {
-                if *lu == i && r != i {
-                    if let Some(b) = regs[r].take() {
-                        free.push(b);
-                    }
-                }
-            }
-        }
-        let out = match self.instrs[self.output] {
-            Instr::Input(k) => ins[k].to_vec(),
-            _ => regs[self.output].take().expect("output register"),
-        };
-        Ok(Some(TensorData::from_vec(out, shape)?))
-    }
-
-    fn eval_generic(&self, inputs: &[&TensorData]) -> TResult<TensorData> {
         // Input registers borrow the caller's tensors instead of cloning
         // them; only compute results are owned.
         enum Reg<'a> {
@@ -336,7 +255,7 @@ impl Step {
 /// ever broken.
 #[derive(Debug)]
 pub struct CompiledProgram {
-    /// The interpreted form, kept for the mixed-shape/dtype fallback.
+    /// The source program, kept for the mixed-shape/dtype fallback.
     program: Program,
     /// Inputs the program reads (max input index + 1).
     num_inputs: usize,
@@ -412,7 +331,7 @@ impl CompiledProgram {
         CompiledProgram { program, num_inputs, steps, num_bufs, out }
     }
 
-    /// The interpreted program this was compiled from.
+    /// The program this was compiled from.
     pub fn program(&self) -> &Program {
         &self.program
     }
@@ -432,9 +351,8 @@ impl CompiledProgram {
     /// Same-shape all-f32 operands run the tile executor: one pass over
     /// memory for the whole program, tiles split over the shared pool with
     /// partition-independent math (bit-identical for every thread count,
-    /// and bit-identical to [`Program::eval`]). Anything else — and every
-    /// call while [`set_force_interpreted`] is on — falls back to the
-    /// interpreter.
+    /// and bit-identical to [`Program::eval`]). Anything else falls back to
+    /// [`Program::eval`].
     ///
     /// # Errors
     /// Missing inputs or kernel errors (dtype/broadcast problems).
@@ -446,16 +364,14 @@ impl CompiledProgram {
                 inputs.len()
             )));
         }
-        if !force_interpreted() {
-            if let Some(out) = self.eval_tiled_f32(inputs)? {
-                return Ok(out);
-            }
+        match self.eval_tiled_f32(inputs)? {
+            Some(out) => Ok(out),
+            None => self.program.eval(inputs),
         }
-        self.program.eval(inputs)
     }
 
     /// The tile executor. Returns `Ok(None)` when the inputs don't qualify
-    /// (mixed shapes/dtypes) — the interpreter handles those.
+    /// (mixed shapes/dtypes) — [`Program::eval`] handles those.
     fn eval_tiled_f32(&self, inputs: &[&TensorData]) -> TResult<Option<TensorData>> {
         use tfe_tensor::DType;
         let Some(first) = inputs.first() else { return Ok(None) };
@@ -596,21 +512,6 @@ impl<T> SendPtr<T> {
 // Process-wide compile cache
 // ---------------------------------------------------------------------------
 
-static FORCE_INTERPRETED: AtomicBool = AtomicBool::new(false);
-
-/// Force [`CompiledProgram::eval`] onto the per-instruction interpreter
-/// (the differential-testing reference). Returns the previous setting.
-/// Safe to flip at any time: tiled and interpreted paths are bit-identical,
-/// this only changes which one runs.
-pub fn set_force_interpreted(on: bool) -> bool {
-    FORCE_INTERPRETED.swap(on, Ordering::SeqCst)
-}
-
-/// Whether the interpreter is currently forced.
-pub fn force_interpreted() -> bool {
-    FORCE_INTERPRETED.load(Ordering::Relaxed)
-}
-
 type CompileCache = RwLock<HashMap<String, Arc<CompiledProgram>>>;
 
 static COMPILED: OnceLock<CompileCache> = OnceLock::new();
@@ -748,15 +649,15 @@ mod tests {
     }
 
     #[test]
-    fn compiled_matches_interpreter_bitwise_across_tile_boundaries() {
+    fn compiled_matches_per_instruction_eval_bitwise_across_tile_boundaries() {
         let c = relu_of_sum().compile();
         // Odd lengths around the tile and lane widths.
         for n in [0usize, 1, 7, 2048, 2049, 4096, 4097, 10_000] {
             let a = tensor(f32s(n));
             let b = tensor(f32s(n).iter().map(|x| -x * 0.5).collect());
             let tiled = c.eval(&[&a, &b]).unwrap();
-            let interp = c.program().eval(&[&a, &b]).unwrap();
-            assert_eq!(bits(&tiled), bits(&interp), "n = {n}");
+            let reference = c.program().eval(&[&a, &b]).unwrap();
+            assert_eq!(bits(&tiled), bits(&reference), "n = {n}");
         }
     }
 
@@ -782,8 +683,8 @@ mod tests {
         assert!(c.scratch_buffers() >= 2 && c.scratch_buffers() <= 3, "{}", c.scratch_buffers());
         let a = tensor(f32s(5000));
         let tiled = c.eval(&[&a]).unwrap();
-        let interp = c.program().eval(&[&a]).unwrap();
-        assert_eq!(bits(&tiled), bits(&interp));
+        let reference = c.program().eval(&[&a]).unwrap();
+        assert_eq!(bits(&tiled), bits(&reference));
     }
 
     #[test]
@@ -810,13 +711,6 @@ mod tests {
         let c = Program::decode("in:0;in:1;b:add:0:1|2").unwrap().compile();
         let a = tensor(f32s(4));
         assert!(c.eval(&[&a]).is_err());
-    }
-
-    #[test]
-    fn force_interpreted_round_trips() {
-        let prev = set_force_interpreted(true);
-        assert!(force_interpreted());
-        set_force_interpreted(prev);
     }
 
     #[test]

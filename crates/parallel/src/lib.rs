@@ -31,7 +31,7 @@ pub mod pool;
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 pub use pool::{global, worker_count, Job, Pool};
@@ -85,45 +85,34 @@ pub struct IntraStats {
     pub tiles: u64,
 }
 
-static PAR_KERNELS: AtomicU64 = AtomicU64::new(0);
-static SERIAL_KERNELS: AtomicU64 = AtomicU64::new(0);
-static TILES: AtomicU64 = AtomicU64::new(0);
-
-fn metric_par_kernel(tiles: u64) {
+fn par_kernels() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
         "tfe_intra_par_kernels_total",
         "Kernel loops the intra-op splitter ran as parallel tiles"
     )
-    .inc();
-    tfe_metrics::static_counter!(
-        "tfe_intra_tiles_total",
-        "Tiles executed by parallel kernel loops"
-    )
-    .add(tiles);
 }
 
-fn metric_serial_kernel() {
+fn serial_kernels() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
         "tfe_intra_serial_kernels_total",
         "Kernel loops the intra-op grain heuristic kept serial"
     )
-    .inc();
 }
 
-/// Snapshot the intra-op counters.
+fn tiles() -> &'static tfe_metrics::Counter {
+    tfe_metrics::static_counter!("tfe_intra_tiles_total", "Tiles executed by parallel kernel loops")
+}
+
+/// Snapshot the intra-op counters: the current values of the
+/// `tfe_intra_*` registry families, which are the only place these events
+/// are counted. Monotone for the life of the process; scope a measurement
+/// by subtracting an earlier snapshot.
 pub fn intra_stats() -> IntraStats {
     IntraStats {
-        par_kernels: PAR_KERNELS.load(Ordering::Relaxed),
-        serial_kernels: SERIAL_KERNELS.load(Ordering::Relaxed),
-        tiles: TILES.load(Ordering::Relaxed),
+        par_kernels: par_kernels().get(),
+        serial_kernels: serial_kernels().get(),
+        tiles: tiles().get(),
     }
-}
-
-/// Zero the intra-op counters.
-pub fn reset_intra_stats() {
-    PAR_KERNELS.store(0, Ordering::Relaxed);
-    SERIAL_KERNELS.store(0, Ordering::Relaxed);
-    TILES.store(0, Ordering::Relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -221,22 +210,19 @@ pub fn par_for<F: Fn(Range<usize>) + Sync>(n: usize, grain: usize, body: F) {
     let grain = grain.max(1);
     let threads = intra_threads();
     if threads <= 1 || n <= grain {
-        SERIAL_KERNELS.fetch_add(1, Ordering::Relaxed);
-        metric_serial_kernel();
+        serial_kernels().inc();
         body(0..n);
         return;
     }
     let chunk = for_chunk_size(n, grain, threads);
     let num_chunks = n.div_ceil(chunk);
     if num_chunks <= 1 {
-        SERIAL_KERNELS.fetch_add(1, Ordering::Relaxed);
-        metric_serial_kernel();
+        serial_kernels().inc();
         body(0..n);
         return;
     }
-    PAR_KERNELS.fetch_add(1, Ordering::Relaxed);
-    TILES.fetch_add(num_chunks as u64, Ordering::Relaxed);
-    metric_par_kernel(num_chunks as u64);
+    par_kernels().inc();
+    tiles().add(num_chunks as u64);
     tfe_profile::counter("intra", "tiles", num_chunks as u64);
     scope_chunks(num_chunks, &|c: usize| {
         let start = c * chunk;
@@ -265,8 +251,7 @@ where
     let num_chunks = n.div_ceil(grain);
     let chunk_range = |c: usize| (c * grain)..((c + 1) * grain).min(n);
     if num_chunks == 1 || intra_threads() <= 1 {
-        SERIAL_KERNELS.fetch_add(1, Ordering::Relaxed);
-        metric_serial_kernel();
+        serial_kernels().inc();
         // Same fixed chunk boundaries, folded sequentially.
         let mut acc = map(chunk_range(0));
         for c in 1..num_chunks {
@@ -274,9 +259,8 @@ where
         }
         return Some(acc);
     }
-    PAR_KERNELS.fetch_add(1, Ordering::Relaxed);
-    TILES.fetch_add(num_chunks as u64, Ordering::Relaxed);
-    metric_par_kernel(num_chunks as u64);
+    par_kernels().inc();
+    tiles().add(num_chunks as u64);
     tfe_profile::counter("intra", "tiles", num_chunks as u64);
     let slots: Vec<parking_lot::Mutex<Option<R>>> =
         (0..num_chunks).map(|_| parking_lot::Mutex::new(None)).collect();

@@ -87,9 +87,12 @@ pub fn ensure_init() {
 // ---------------------------------------------------------------------------
 
 /// Process-wide executor counters, updated by both scheduling modes and by
-/// workers of the parallel pool (which have no thread-local context). Read
-/// them with [`exec_stats`]; benches reset between phases with
-/// [`reset_exec_stats`].
+/// workers of the parallel pool (which have no thread-local context). Each
+/// field is the current value of one `tfe_executor_*` / `tfe_intra_*`
+/// registry family — the registry handle is the only place the event is
+/// counted, so [`exec_stats`] and a metrics scrape cannot disagree. The
+/// counters are monotone for the life of the process: scope a measurement
+/// by subtracting a snapshot taken before it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Graph nodes executed (placeholders excluded).
@@ -115,164 +118,98 @@ pub struct ExecStats {
     pub intra_tiles: u64,
 }
 
-struct ExecStatCells {
-    /// Update generation: bumped (Release) after every field update, so
-    /// [`exec_stats`] can detect that a read pass overlapped a writer and
-    /// retry — a seqlock with lock-free writers.
-    version: std::sync::atomic::AtomicU64,
-    nodes_executed: std::sync::atomic::AtomicU64,
-    kernels_launched: std::sync::atomic::AtomicU64,
-    serial_runs: std::sync::atomic::AtomicU64,
-    parallel_runs: std::sync::atomic::AtomicU64,
-    max_queue_depth: std::sync::atomic::AtomicU64,
-    peak_live_bytes: std::sync::atomic::AtomicU64,
-}
-
-fn exec_stat_cells() -> &'static ExecStatCells {
-    static C: std::sync::OnceLock<ExecStatCells> = std::sync::OnceLock::new();
-    C.get_or_init(|| ExecStatCells {
-        version: std::sync::atomic::AtomicU64::new(0),
-        nodes_executed: std::sync::atomic::AtomicU64::new(0),
-        kernels_launched: std::sync::atomic::AtomicU64::new(0),
-        serial_runs: std::sync::atomic::AtomicU64::new(0),
-        parallel_runs: std::sync::atomic::AtomicU64::new(0),
-        max_queue_depth: std::sync::atomic::AtomicU64::new(0),
-        peak_live_bytes: std::sync::atomic::AtomicU64::new(0),
-    })
-}
-
-impl ExecStatCells {
-    #[inline]
-    fn bump_version(&self) {
-        self.version.fetch_add(1, std::sync::atomic::Ordering::Release);
-    }
-
-    /// One read pass. `kernels_launched` is read first, with Acquire: every
-    /// kernel bump is a Release RMW sequenced *after* its node bump on the
-    /// same thread, so acquiring a kernel count of `k` guarantees the
-    /// subsequent `nodes_executed` load observes at least the `k` matching
-    /// node bumps. The `kernels ≤ nodes` invariant therefore holds for
-    /// every pass, even one that overlapped writers.
-    fn read_pass(&self) -> ExecStats {
-        use std::sync::atomic::Ordering::{Acquire, Relaxed};
-        let kernels_launched = self.kernels_launched.load(Acquire);
-        let intra = tfe_parallel::intra_stats();
-        ExecStats {
-            nodes_executed: self.nodes_executed.load(Relaxed),
-            kernels_launched,
-            serial_runs: self.serial_runs.load(Relaxed),
-            parallel_runs: self.parallel_runs.load(Relaxed),
-            max_queue_depth: self.max_queue_depth.load(Relaxed),
-            peak_live_bytes: self.peak_live_bytes.load(Relaxed),
-            intra_par_kernels: intra.par_kernels,
-            intra_serial_kernels: intra.serial_kernels,
-            intra_tiles: intra.tiles,
-        }
-    }
-}
-
-/// Snapshot the executor counters — seqlock-consistent: the whole struct is
-/// re-read until a pass completes with no interleaved update (bounded
-/// retries, so a steady stream of writers cannot live-lock the reader). The
-/// bounded-retry fallback still guarantees `kernels_launched ≤
-/// nodes_executed` via the ordered read in `read_pass`, so no torn view of
-/// that invariant is ever observable.
-pub fn exec_stats() -> ExecStats {
-    use std::sync::atomic::Ordering::Acquire;
-    let c = exec_stat_cells();
-    let mut stats = c.read_pass();
-    for _ in 0..8 {
-        let v1 = c.version.load(Acquire);
-        stats = c.read_pass();
-        if c.version.load(Acquire) == v1 {
-            break;
-        }
-    }
-    stats
-}
-
-/// Zero the executor counters. (Resets only this resettable snapshot used
-/// by benches; the always-on `tfe_executor_*` metrics counters are monotone
-/// for the lifetime of the process and are *not* reset.)
-pub fn reset_exec_stats() {
-    use std::sync::atomic::Ordering::Relaxed;
-    let c = exec_stat_cells();
-    c.nodes_executed.store(0, Relaxed);
-    c.kernels_launched.store(0, Relaxed);
-    c.serial_runs.store(0, Relaxed);
-    c.parallel_runs.store(0, Relaxed);
-    c.max_queue_depth.store(0, Relaxed);
-    c.peak_live_bytes.store(0, Relaxed);
-    c.bump_version();
-    tfe_parallel::reset_intra_stats();
-}
-
-pub(crate) fn stat_node_executed() {
-    let c = exec_stat_cells();
-    c.nodes_executed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    c.bump_version();
+fn nodes_run() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
         "tfe_executor_nodes_run_total",
         "Graph nodes executed by either scheduling mode (placeholders excluded)"
     )
-    .inc();
 }
 
-pub(crate) fn stat_kernel_launched() {
-    let c = exec_stat_cells();
-    // Release: pairs with the Acquire read in `read_pass` so a reader that
-    // sees this kernel also sees the node bump sequenced before it.
-    c.kernels_launched.fetch_add(1, std::sync::atomic::Ordering::Release);
-    c.bump_version();
+fn kernels_run() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
         "tfe_executor_kernels_run_total",
         "Compute kernels launched by the graph executor (structural ops excluded)"
     )
-    .inc();
 }
 
-pub(crate) fn stat_serial_run() {
-    let c = exec_stat_cells();
-    c.serial_runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    c.bump_version();
+fn serial_runs() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
         "tfe_executor_serial_runs_total",
         "Graph-function invocations run by the serial-planned executor"
     )
-    .inc();
 }
 
-pub(crate) fn stat_parallel_run() {
-    let c = exec_stat_cells();
-    c.parallel_runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    c.bump_version();
+fn parallel_runs() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
         "tfe_executor_parallel_runs_total",
         "Graph-function invocations run by the dependency-counted parallel executor"
     )
-    .inc();
 }
 
-pub(crate) fn stat_queue_depth(depth: u64) {
-    let c = exec_stat_cells();
-    c.max_queue_depth.fetch_max(depth, std::sync::atomic::Ordering::Relaxed);
-    c.bump_version();
+fn queue_depth_peak() -> &'static tfe_metrics::Gauge {
     tfe_metrics::static_gauge!(
         "tfe_executor_ready_queue_depth_peak",
         "Deepest ready-queue depth observed by the parallel scheduler"
     )
-    .set_max(depth as i64);
 }
 
-pub(crate) fn stat_live_bytes(bytes: u64) {
-    let c = exec_stat_cells();
-    c.peak_live_bytes.fetch_max(bytes, std::sync::atomic::Ordering::Relaxed);
-    c.bump_version();
+fn live_bytes_peak() -> &'static tfe_metrics::Gauge {
     tfe_metrics::static_gauge!(
         "tfe_executor_peak_live_bytes",
         "Largest number of tensor bytes simultaneously live in one graph run"
     )
-    .set_max(bytes as i64);
+}
+
+/// Snapshot the executor counters. Fields are read one relaxed atomic at a
+/// time, so unrelated fields may be a few events apart, but
+/// `kernels_launched <= nodes_executed` holds in every snapshot:
+/// `kernels_launched` is read first, then an Acquire fence, then
+/// `nodes_executed`. That fence pairs with the Release fence
+/// `stat_kernel_launched` issues before its bump (both are free on x86),
+/// so seeing `k` kernel bumps means the later node load sees at least the
+/// `k` node bumps sequenced before them.
+pub fn exec_stats() -> ExecStats {
+    let kernels_launched = kernels_run().get();
+    std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
+    let intra = tfe_parallel::intra_stats();
+    ExecStats {
+        nodes_executed: nodes_run().get(),
+        kernels_launched,
+        serial_runs: serial_runs().get(),
+        parallel_runs: parallel_runs().get(),
+        max_queue_depth: queue_depth_peak().get() as u64,
+        peak_live_bytes: live_bytes_peak().get() as u64,
+        intra_par_kernels: intra.par_kernels,
+        intra_serial_kernels: intra.serial_kernels,
+        intra_tiles: intra.tiles,
+    }
+}
+
+pub(crate) fn stat_node_executed() {
+    nodes_run().inc();
+}
+
+pub(crate) fn stat_kernel_launched() {
+    // Release fence: orders this node's earlier `stat_node_executed` bump
+    // before the kernel bump for the reader in `exec_stats`.
+    std::sync::atomic::fence(std::sync::atomic::Ordering::Release);
+    kernels_run().inc();
+}
+
+pub(crate) fn stat_serial_run() {
+    serial_runs().inc();
+}
+
+pub(crate) fn stat_parallel_run() {
+    parallel_runs().inc();
+}
+
+pub(crate) fn stat_queue_depth(depth: u64) {
+    queue_depth_peak().set_max(depth as i64);
+}
+
+pub(crate) fn stat_live_bytes(bytes: u64) {
+    live_bytes_peak().set_max(bytes as i64);
 }
 
 pub(crate) fn stat_executor_abort() {

@@ -716,18 +716,56 @@ mod tests {
 
     #[test]
     fn exec_stats_report_scheduler_activity() {
-        crate::context::reset_exec_stats();
+        // Every `ExecStats` field against its registry family. Other tests
+        // in this process bump the same counters concurrently, so each
+        // field is bracketed by a scrape on either side; with nothing else
+        // running the three values are equal, and equal values before and
+        // after the runs below mean equal deltas over them.
+        fn checked_stats() -> crate::context::ExecStats {
+            let lo = tfe_metrics::snapshot();
+            let stats = crate::context::exec_stats();
+            let hi = tfe_metrics::snapshot();
+            // A family registers on first use: absent means nothing counted.
+            let read = |s: &tfe_metrics::Snapshot, family: &str| {
+                s.counter_value(family).or(s.gauge_value(family).map(|g| g as u64)).unwrap_or(0)
+            };
+            for (field, family, value) in [
+                ("nodes_executed", "tfe_executor_nodes_run_total", stats.nodes_executed),
+                ("kernels_launched", "tfe_executor_kernels_run_total", stats.kernels_launched),
+                ("serial_runs", "tfe_executor_serial_runs_total", stats.serial_runs),
+                ("parallel_runs", "tfe_executor_parallel_runs_total", stats.parallel_runs),
+                ("max_queue_depth", "tfe_executor_ready_queue_depth_peak", stats.max_queue_depth),
+                ("peak_live_bytes", "tfe_executor_peak_live_bytes", stats.peak_live_bytes),
+                ("intra_par_kernels", "tfe_intra_par_kernels_total", stats.intra_par_kernels),
+                (
+                    "intra_serial_kernels",
+                    "tfe_intra_serial_kernels_total",
+                    stats.intra_serial_kernels,
+                ),
+                ("intra_tiles", "tfe_intra_tiles_total", stats.intra_tiles),
+            ] {
+                let (lo, hi) = (read(&lo, family), read(&hi, family));
+                assert!(
+                    lo <= value && value <= hi,
+                    "{field}: {value} outside {family} {lo}..={hi}"
+                );
+            }
+            stats
+        }
+        let before = checked_stats();
         let f = build_axpy();
         let x = Arc::new(TensorData::from_vec(vec![1.0f32, -3.0, 2.0], Shape::from([3])).unwrap());
         let y = Arc::new(TensorData::from_vec(vec![0.5f32, 1.0, -10.0], Shape::from([3])).unwrap());
         run_function(&f, &[x.clone(), y.clone()], &device(), ExecMode::SerialPlanned).unwrap();
         run_function(&f, &[x, y], &device(), ExecMode::Parallel).unwrap();
-        let stats = crate::context::exec_stats();
-        assert!(stats.serial_runs >= 1);
-        assert!(stats.parallel_runs >= 1);
+        let stats = checked_stats();
+        assert!(stats.serial_runs > before.serial_runs);
+        assert!(stats.parallel_runs > before.parallel_runs);
         // axpy runs const + mul + add + relu per invocation.
-        assert!(stats.nodes_executed >= 8);
-        assert!(stats.kernels_launched >= 6);
+        assert!(stats.nodes_executed - before.nodes_executed >= 8);
+        assert!(stats.kernels_launched - before.kernels_launched >= 6);
+        // Three tiny elementwise kernels per run, all below the grain.
+        assert!(stats.intra_serial_kernels - before.intra_serial_kernels >= 6);
         assert!(stats.peak_live_bytes >= 3 * 4 * 2); // two f32[3] args live
         assert!(stats.max_queue_depth >= 1);
     }

@@ -1,6 +1,6 @@
 //! Differential tests for the compiled fused-elementwise tile executor
 //! (`tfe_graph::program::CompiledProgram`): the tiled path must be
-//! bit-identical to the per-instruction register interpreter for every
+//! bit-identical to per-instruction evaluation (`Program::eval`) for every
 //! unary/binary op, at every length (odd tails, multi-tile sizes) and at
 //! every intra-op thread count; non-f32 and mixed-shape operands must take
 //! the generic fallback and still agree with direct eager evaluation; and
@@ -42,16 +42,15 @@ fn bits32(t: &TensorData) -> Vec<u32> {
 }
 
 /// Evaluate `text` on `inputs` through the compiled tile executor and
-/// through the forced register interpreter; both must agree bitwise.
+/// through the per-instruction reference (`Program::eval`, one
+/// `elementwise` call per instruction); both must agree bitwise.
 /// Returns the tiled result for further checks.
 fn tiled_vs_interpreted(text: &str, inputs: &[&TensorData], ctx: &str) -> TensorData {
     let compiled = program::compiled(text).unwrap_or_else(|e| panic!("{ctx}: {e}"));
     let tiled = compiled.eval(inputs).unwrap_or_else(|e| panic!("{ctx} tiled: {e}"));
-    let prev = program::set_force_interpreted(true);
-    let interp = compiled.eval(inputs);
-    program::set_force_interpreted(prev);
-    let interp = interp.unwrap_or_else(|e| panic!("{ctx} interpreted: {e}"));
-    assert_eq!(bits32(&tiled), bits32(&interp), "{ctx}: tiled vs interpreted bits");
+    let reference =
+        compiled.program().eval(inputs).unwrap_or_else(|e| panic!("{ctx} per-instruction: {e}"));
+    assert_eq!(bits32(&tiled), bits32(&reference), "{ctx}: tiled vs per-instruction bits");
     tiled
 }
 
@@ -128,7 +127,8 @@ proptest! {
         let refs: Vec<&TensorData> = inputs.iter().collect();
         let ctx = format!("chain {text} n={n}");
         let tiled = tiled_vs_interpreted(&text, &refs, &ctx);
-        // The standalone interpreter entry point is the same reference.
+        // Decoding the text loses nothing: the generated program itself
+        // evaluates to the same bits.
         let direct = p.eval(&refs).unwrap();
         prop_assert_eq!(bits32(&tiled), bits32(&direct), "chain {} n={}", text, n);
     }

@@ -37,7 +37,7 @@ fn configs() -> Vec<(String, OptimizeOptions)> {
     for pass in PASS_NAMES {
         v.push((format!("only_{pass}"), OptimizeOptions::only(pass)));
     }
-    v.push(("single_sweep".to_string(), OptimizeOptions { fixpoint: false, ..Default::default() }));
+    v.push(("single_sweep".to_string(), OptimizeOptions { max_sweeps: 1, ..Default::default() }));
     v.push(("fixpoint".to_string(), OptimizeOptions::default()));
     v.push(("fixpoint_fused".to_string(), OptimizeOptions::aggressive()));
     v
@@ -55,7 +55,7 @@ fn check_config(
     device: &Device,
 ) -> Result<OptimizeStats, String> {
     let (g, stats) = passes::optimize_with_stats(f, opts, Some(&evaluator));
-    if opts.fixpoint && !stats.converged {
+    if opts.max_sweeps > 1 && !stats.converged {
         return Err(format!("did not converge within {} sweeps", opts.max_sweeps));
     }
     for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
@@ -109,17 +109,34 @@ fn fail_with_artifact(
 fn all_pass_configs_agree_on_random_graphs() {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
+    let mut merged = 0u64;
     for seed in 0..fuzz_cases(120) {
         let (f, shapes) = common::generate(seed);
         let args = common::make_args(seed, &shapes);
         let want = executor::run_function(&f, &args, &device, ExecMode::SerialPlanned)
             .unwrap_or_else(|e| panic!("case {seed} baseline failed: {e}\n{}", f.dump()));
         for (name, opts) in configs() {
-            if let Err(err) = check_config(&f, &args, &want, &opts, &device) {
-                fail_with_artifact(seed, &name, &err, &f, &args, &opts, &device);
+            match check_config(&f, &args, &want, &opts, &device) {
+                Err(err) => fail_with_artifact(seed, &name, &err, &f, &args, &opts, &device),
+                Ok(stats) => merged += stats.rewrites_for("cse"),
             }
         }
     }
+    assert!(merged > 0, "corpus never triggered CSE");
+}
+
+/// CSE keys a constant on its bytes: two `i64` constants that round to the
+/// same `f64` stay two constants through trace, optimize and execute.
+#[test]
+fn cse_keeps_distinct_integer_constants_apart() {
+    use tf_eager::api;
+    let f = tf_eager::function1("i64_consts", |x| {
+        let a = api::add(x, &api::scalar(9_007_199_254_740_993i64))?;
+        let b = api::add(x, &api::scalar(9_007_199_254_740_992i64))?;
+        api::sub(&a, &b)
+    });
+    let diff = f.call1(&api::scalar(0i64)).unwrap();
+    assert_eq!(diff.value().unwrap().as_slice::<i64>().unwrap(), &[1]);
 }
 
 /// Stateful corpus: every pass configuration must preserve outputs *and*
@@ -168,7 +185,7 @@ fn run_stateful_differential(
         for (name, opts) in configs() {
             let (g, stats) = passes::optimize_with_stats(&f, &opts, Some(&evaluator));
             assert!(
-                !opts.fixpoint || stats.converged,
+                opts.max_sweeps == 1 || stats.converged,
                 "case {seed} config {name}: no fixpoint within {} sweeps\n{}",
                 opts.max_sweeps,
                 f.dump()
@@ -237,16 +254,13 @@ fn algebraic_corpus_is_simplified_and_preserved() {
     assert!(removed > 0, "optimization never shrank a biased graph");
 }
 
-/// The compiled tile executor vs the register interpreter, over every
-/// fused graph the corpus produces: optimize with fusion on, execute the
-/// optimized graph once on the default (tiled) fused path and once with
-/// `force_interpreted`, and require bit-identical outputs. This is the
-/// integration-level differential behind `set_force_interpreted` being a
-/// safe kill switch. Also asserts fusion actually fires on the corpus.
+/// Fusion's claim, over every fused graph the corpus produces: optimize
+/// with fusion on and with fusion off (otherwise the same pipeline), run
+/// both, and require bit-identical outputs — the fused kernel's tile
+/// executor against the op-by-op nodes it replaced. Also asserts fusion
+/// actually fires on the corpus.
 #[test]
-fn fused_tiled_and_interpreted_agree_bitwise() {
-    use tf_eager::graph::program;
-
+fn fused_and_unfused_graphs_agree_bitwise() {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
     let opts = OptimizeOptions::aggressive();
@@ -270,25 +284,24 @@ fn fused_tiled_and_interpreted_agree_bitwise() {
             continue;
         }
         fused_graphs += 1;
+        let unfused = passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator));
         for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
             let tiled = executor::run_function(&g, &args, &device, mode)
-                .unwrap_or_else(|e| panic!("case {seed} tiled {mode:?} failed: {e}\n{}", g.dump()));
-            let prev = program::set_force_interpreted(true);
-            let interp = executor::run_function(&g, &args, &device, mode);
-            program::set_force_interpreted(prev);
-            let interp = interp.unwrap_or_else(|e| {
-                panic!("case {seed} interpreted {mode:?} failed: {e}\n{}", g.dump())
-            });
-            for (k, (t, i)) in tiled.iter().zip(&interp).enumerate() {
-                let same = match (bits(t), bits(i)) {
-                    (Some(tb), Some(ib)) => tb == ib,
-                    _ => t.all_close(i, 0.0, 0.0),
+                .unwrap_or_else(|e| panic!("case {seed} fused {mode:?} failed: {e}\n{}", g.dump()));
+            let plain =
+                executor::run_function(&unfused, &args, &device, mode).unwrap_or_else(|e| {
+                    panic!("case {seed} unfused {mode:?} failed: {e}\n{}", unfused.dump())
+                });
+            for (k, (t, u)) in tiled.iter().zip(&plain).enumerate() {
+                let same = match (bits(t), bits(u)) {
+                    (Some(tb), Some(ub)) => tb == ub,
+                    _ => t.all_close(u, 0.0, 0.0),
                 };
                 assert!(
                     same,
-                    "case {seed} output {k} ({mode:?}): tiled and interpreted fused \
-                     executors diverged\n{}",
-                    g.dump()
+                    "case {seed} output {k} ({mode:?}): fused and unfused graphs diverged\n{}\n{}",
+                    g.dump(),
+                    unfused.dump()
                 );
             }
         }

@@ -436,8 +436,7 @@ fn budget_closes_partial_batch() {
 
 /// The serving layer is the first multi-shape stress consumer of the trace
 /// cache: a `Staged` servable without an input signature retraces per batch
-/// shape, and the bounded retrace log must not grow past its cap
-/// (`TFE_RETRACE_LOG_CAP`, default 64).
+/// shape, and the bounded retrace log must not grow past its cap (64).
 #[test]
 fn staged_stress_keeps_retrace_log_bounded() {
     let f = function1("serve_stress", api::relu);
