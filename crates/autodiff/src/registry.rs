@@ -97,8 +97,21 @@ pub fn has_gradient(op: &str) -> bool {
     registry().read().contains_key(op)
 }
 
-/// `sum_to_like(x, reference)`: the broadcasting adjoint.
+/// `sum_to_like(x, reference)`: the broadcasting adjoint. When both shapes
+/// are fully defined and equal — concrete in eager mode, inferred under a
+/// trace — nothing was broadcast and the adjoint is `x` itself: no op is
+/// dispatched or recorded. An unknown dimension keeps the op.
 fn sum_to_like(x: &Tensor, reference: &Tensor) -> Result<Tensor> {
+    let identity = match (x, reference) {
+        (Tensor::Eager(a), Tensor::Eager(b)) => a.shape() == b.shape(),
+        _ => {
+            let xs = x.sym_shape();
+            xs.is_fully_defined() && xs == reference.sym_shape()
+        }
+    };
+    if identity {
+        return Ok(x.clone());
+    }
     let mut out = tfe_runtime::context::execute(
         "sum_to_like",
         &[x.clone(), reference.clone()],

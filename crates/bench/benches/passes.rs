@@ -41,6 +41,11 @@ fn evaluator(
     tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, inputs).map_err(|e| e.to_string())
 }
 
+/// The default pipeline minus the fusion lowering.
+fn unfused() -> passes::OptimizeOptions {
+    passes::OptimizeOptions { fuse_elementwise: false, ..Default::default() }
+}
+
 fn bench_pass_pipelines(c: &mut Criterion) {
     tfe_core::init();
     let f = build_messy(16);
@@ -48,11 +53,11 @@ fn bench_pass_pipelines(c: &mut Criterion) {
     group.bench_function("none", |b| {
         b.iter(|| passes::optimize(&f, &passes::OptimizeOptions::none(), None));
     });
+    group.bench_function("without_fusion", |b| {
+        b.iter(|| passes::optimize(&f, &unfused(), Some(&evaluator)));
+    });
     group.bench_function("default", |b| {
         b.iter(|| passes::optimize(&f, &passes::OptimizeOptions::default(), Some(&evaluator)));
-    });
-    group.bench_function("aggressive_with_fusion", |b| {
-        b.iter(|| passes::optimize(&f, &passes::OptimizeOptions::aggressive(), Some(&evaluator)));
     });
     group.finish();
 }
@@ -62,8 +67,8 @@ fn bench_executor_ablation(c: &mut Criterion) {
     let f = build_messy(16);
     let device = tfe_runtime::context::device_manager().host_cpu();
     let unopt = passes::optimize(&f, &passes::OptimizeOptions::none(), None);
-    let opt = passes::optimize(&f, &passes::OptimizeOptions::default(), Some(&evaluator));
-    let fused = passes::optimize(&f, &passes::OptimizeOptions::aggressive(), Some(&evaluator));
+    let opt = passes::optimize(&f, &unfused(), Some(&evaluator));
+    let fused = passes::optimize(&f, &passes::OptimizeOptions::default(), Some(&evaluator));
     let x = Arc::new(TensorData::zeros(DType::F32, [4096]));
     let mut group = c.benchmark_group("executor_graph_variants");
     for (name, g) in [("unoptimized", &unopt), ("optimized", &opt), ("fused", &fused)] {

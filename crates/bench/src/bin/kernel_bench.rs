@@ -277,6 +277,126 @@ fn bench_fused_chain(iters: usize, reps: usize) -> tfe_encode::Value {
     ])
 }
 
+/// Fused broadcasting chain: `tanh(x * w + bias) * scale`, the chain behind
+/// a dense layer, with a trailing-axis bias and a scalar scale — staged as
+/// a graph and run through the executor with fusion off (four nodes) and on
+/// (one `fused_elementwise` node on the periodic-operand tile path), at the
+/// L2HMC size and at a multi-tile size. The two graphs must agree bitwise
+/// and fused must not be slower. The row also times the bias add alone
+/// through `binary`'s periodic slice path and through the per-element
+/// `BroadcastWalker` map it replaced.
+fn bench_fused_broadcast_chain(quick: bool) -> tfe_encode::Value {
+    use std::sync::Arc;
+    use tfe_graph::passes::{self, OptimizeOptions};
+    use tfe_graph::GraphBuilder;
+    use tfe_ops::{Attrs, SymShape};
+    use tfe_runtime::{executor, ExecMode};
+    use tfe_tensor::shape::BroadcastWalker;
+    use tfe_tensor::DType;
+
+    let device = tfe_runtime::context::device_manager().host_cpu();
+    let reps = if quick { 3 } else { 7 };
+    let mut cases = Vec::new();
+    for dims in [vec![64usize, 10], vec![32, 32, 32, 16]] {
+        let n: usize = dims.iter().product();
+        // About 20 ms of calls per repetition at either size.
+        let iters = (if quick { 400_000 } else { 2_000_000 } / n).max(3);
+        let bias_dims = [dims[dims.len() - 1]];
+        let known = |d: &[usize]| SymShape::known(&Shape::new(d.to_vec()));
+        let mut b = GraphBuilder::new("bench_fused_broadcast_chain");
+        let x = b.placeholder(DType::F32, known(&dims)).expect("x");
+        let w = b.placeholder(DType::F32, known(&dims)).expect("w");
+        let bias = b.placeholder(DType::F32, known(&bias_dims)).expect("bias");
+        let scale = b.placeholder(DType::F32, SymShape::scalar()).expect("scale");
+        let t = b.add_node("mul", vec![x, w], Attrs::new()).expect("mul")[0];
+        let t = b.add_node("add", vec![t, bias], Attrs::new()).expect("add")[0];
+        let t = b.add_node("tanh", vec![t], Attrs::new()).expect("tanh")[0];
+        let t = b.add_node("mul", vec![t, scale], Attrs::new()).expect("mul")[0];
+        let f = b.finish(vec![t], 0);
+        let unfused_opts = OptimizeOptions { fuse_elementwise: false, ..Default::default() };
+        let unfused = passes::optimize(&f, &unfused_opts, None);
+        let fused = passes::optimize(&f, &OptimizeOptions::default(), None);
+        assert_eq!((unfused.executable_node_count(), fused.executable_node_count()), (4, 1));
+
+        let (xt, bt) = (f32_tensor(&dims), f32_tensor(&bias_dims));
+        let args: Vec<Arc<TensorData>> = vec![
+            Arc::new(xt.clone()),
+            Arc::new(f32_tensor(&dims)),
+            Arc::new(bt.clone()),
+            Arc::new(TensorData::scalar(0.5f32)),
+        ];
+        let run = |g: &tfe_graph::GraphFunction| {
+            executor::run_function(g, &args, &device, ExecMode::SerialPlanned).expect("staged run")
+        };
+        let bits = |t: &TensorData| -> Vec<u32> {
+            t.as_slice::<f32>().unwrap().iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(
+            bits(&run(&unfused)[0]),
+            bits(&run(&fused)[0]),
+            "fused and unfused graphs must agree bitwise at {dims:?}"
+        );
+        let unfused_ns = time_ns(iters, reps, &|| {
+            run(&unfused);
+        });
+        let fused_ns = time_ns(iters, reps, &|| {
+            run(&fused);
+        });
+        // Equal within timer noise counts as not slower.
+        assert!(
+            fused_ns <= unfused_ns * 1.05,
+            "fused must not be slower than unfused at {dims:?}: {fused_ns:.0} vs {unfused_ns:.0} ns"
+        );
+
+        let periodic_ns = time_ns(iters, reps, &|| {
+            binary(&xt, &bt, BinaryOp::Add).expect("bias add");
+        });
+        let walker_add = || -> Vec<f32> {
+            let out = xt.shape();
+            let (xv, bv) = (xt.as_slice::<f32>().unwrap(), bt.as_slice::<f32>().unwrap());
+            BroadcastWalker::new(out, xt.shape())
+                .zip(BroadcastWalker::new(out, bt.shape()))
+                .map(|(i, j)| BinaryOp::Add.eval_f32(xv[i], bv[j]))
+                .collect()
+        };
+        assert_eq!(
+            bits(&binary(&xt, &bt, BinaryOp::Add).expect("bias add")),
+            walker_add().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "periodic bias add must match the walker bitwise at {dims:?}"
+        );
+        let walker_ns = time_ns(iters, reps, &|| {
+            std::hint::black_box(walker_add());
+        });
+
+        let shape = format!("{dims:?} f32, bias {bias_dims:?}, scalar scale");
+        println!(
+            "{:<26} {:>14} {:>14.0} {:>14.0} {:>8} {:>8}   {shape}; bias add periodic {:.0} ns, walker {:.0} ns",
+            "fused_broadcast_chain", "-", unfused_ns, fused_ns, "-", "-", periodic_ns, walker_ns
+        );
+        // (for this row "serial ns/op" = unfused graph, "par ns/op" = fused)
+        cases.push(tfe_encode::Value::object(vec![
+            ("shape".to_string(), tfe_encode::Value::str(shape)),
+            ("unfused_ns_per_call".to_string(), tfe_encode::Value::Float(unfused_ns)),
+            ("fused_ns_per_call".to_string(), tfe_encode::Value::Float(fused_ns)),
+            ("bias_add_periodic_ns".to_string(), tfe_encode::Value::Float(periodic_ns)),
+            ("bias_add_walker_ns".to_string(), tfe_encode::Value::Float(walker_ns)),
+        ]));
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+    tfe_encode::Value::object(vec![
+        ("program".to_string(), tfe_encode::Value::str("tanh(x * w + bias) * scale")),
+        ("cases".to_string(), tfe_encode::Value::Array(cases)),
+        (
+            "environment".to_string(),
+            tfe_encode::Value::object(vec![
+                ("cores".to_string(), tfe_encode::Value::Int(cores as i64)),
+                ("threads".to_string(), tfe_encode::Value::Int(intra_threads() as i64)),
+                ("quick".to_string(), tfe_encode::Value::Bool(quick)),
+            ]),
+        ),
+    ])
+}
+
 /// Async dispatch overlap: a ~1k-op chain of eager elementwise kernels,
 /// timed once with synchronous dispatch (each kernel runs on the caller
 /// before `execute` returns) and once under `async_scope` (ops enqueue on
@@ -848,6 +968,7 @@ fn main() {
     }
 
     let fused_row = bench_fused_chain(iters, reps);
+    let fused_broadcast_row = bench_fused_broadcast_chain(quick);
     let async_row = bench_async_dispatch(iters.min(4), reps);
     let pass_row = bench_pass_pipeline(iters * 20, reps);
     let serving_row = bench_serving(quick);
@@ -856,6 +977,7 @@ fn main() {
     let mut fields = vec![
         ("experiment".to_string(), tfe_encode::Value::str("kernels")),
         ("fused_chain".to_string(), fused_row),
+        ("fused_broadcast_chain".to_string(), fused_broadcast_row),
         ("async_dispatch".to_string(), async_row),
         ("pass_pipeline".to_string(), pass_row),
         ("serving".to_string(), serving_row),

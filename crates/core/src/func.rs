@@ -768,13 +768,9 @@ impl Func {
         let stateful = raw.is_stateful();
         let n_primary = raw.outputs.len();
 
-        // Optimize (the aggressive XLA-style pipeline when the target
-        // device requires compilation, §4.4).
-        let options = if context::current_device().device_type().requires_compilation() {
-            passes::OptimizeOptions::aggressive()
-        } else {
-            passes::OptimizeOptions::default()
-        };
+        // One pipeline for every device: simplification to a fixpoint,
+        // then elementwise fusion (the compilation role of §4.4).
+        let options = passes::OptimizeOptions::default();
         let evaluator = |node: &tfe_graph::Node,
                          inputs: &[Arc<TensorData>]|
          -> std::result::Result<Vec<TensorData>, String> {

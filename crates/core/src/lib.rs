@@ -387,6 +387,29 @@ mod tests {
         assert_eq!(c.function.executable_node_count(), 1);
     }
 
+    /// The broadcasting adjoint is resolved at trace time: equal, fully
+    /// defined shapes record no `sum_to_like`; an unknown dimension keeps it.
+    #[test]
+    fn identity_sum_to_like_is_not_recorded() {
+        fn mul_grad(name: &str, dims: Vec<Option<usize>>) -> Func {
+            function1(name, |x| {
+                let tape = tfe_autodiff::GradientTape::new();
+                tape.watch(x);
+                let y = api::mul(x, x)?;
+                tape.gradient1(&y, x)
+            })
+            .with_input_signature(vec![TensorSpec::new(DType::F32, dims)])
+        }
+        let x = api::ones(DType::F32, [3, 2]);
+        let count = |f: &Func| {
+            assert_eq!(f.call1(&x).unwrap().to_f64_vec().unwrap(), vec![2.0; 6]);
+            let c = f.concrete_for(&[Arg::from(&x)]).unwrap();
+            c.raw.nodes.iter().filter(|n| n.op == "sum_to_like").count()
+        };
+        assert_eq!(count(&mul_grad("stl_static", vec![Some(3), Some(2)])), 0);
+        assert!(count(&mul_grad("stl_dynamic", vec![None, Some(2)])) > 0);
+    }
+
     #[test]
     fn device_is_part_of_cache_key() {
         tfe_runtime::context::device_manager()

@@ -3,7 +3,10 @@
 //! These are the optimizations the paper attributes to staging (§4.1:
 //! "inter-op parallelism and optimizations like constant-folding and buffer
 //! reuse"; §5: "non-stateful operations that are not reachable from the
-//! outputs of a function are pruned"). Fusion is the XLA stand-in (§4.4).
+//! outputs of a function are pruned"). Fusion is the XLA stand-in (§4.4),
+//! and it is the default lowering for every device, the real CPU included:
+//! one pipeline, so a traced function is optimized the same way wherever it
+//! is placed.
 //!
 //! The driver is a *fixpoint loop*: one sweep runs every enabled pass once,
 //! the graph is fingerprinted with [`GraphFunction::structural_hash`], and
@@ -17,6 +20,10 @@
 //! Elementwise fusion is deliberately *outside* the loop: it is a backend
 //! lowering whose `fused_elementwise` programs are opaque to the scalar
 //! passes, so it runs once after convergence.
+//!
+//! Passes take the graph by value and hand it back untouched when they
+//! have nothing to rewrite, so the sweep that proves convergence — and
+//! every pass that does not apply to a given function — copies nothing.
 
 use crate::ir::{GraphFunction, Node, NodeId, TensorRef};
 use crate::program::{Instr, Program};
@@ -49,7 +56,9 @@ pub const PASS_NAMES: [&str; 7] = [
 pub struct OptimizeOptions {
     /// Drop stateless nodes unreachable from the outputs.
     pub prune: bool,
-    /// Deduplicate identical stateless nodes.
+    /// Deduplicate identical stateless nodes, and `read_variable`s that
+    /// must observe the same value as an earlier read (redundant-load
+    /// elimination).
     pub cse: bool,
     /// Evaluate stateless nodes with all-constant inputs at optimization
     /// time (requires an evaluator; skipped otherwise).
@@ -82,7 +91,7 @@ impl Default for OptimizeOptions {
             propagate_constants: true,
             algebraic_simplify: true,
             dead_store_elim: true,
-            fuse_elementwise: false, // opt-in: the "XLA" path (TPU) turns it on
+            fuse_elementwise: true,
             fold_size_limit: 65_536,
             max_sweeps: 8,
         }
@@ -90,11 +99,6 @@ impl Default for OptimizeOptions {
 }
 
 impl OptimizeOptions {
-    /// Everything on — the XLA-style pipeline used for TPU placement.
-    pub fn aggressive() -> OptimizeOptions {
-        OptimizeOptions { fuse_elementwise: true, ..OptimizeOptions::default() }
-    }
-
     /// Everything off (identity pipeline), for ablations.
     pub fn none() -> OptimizeOptions {
         OptimizeOptions {
@@ -208,8 +212,9 @@ pub fn optimize_with_stats(
     let mut stats = OptimizeStats::default();
     let mut g = f.clone();
     let cap = options.max_sweeps.max(1) as u64;
+    // The hash after sweep k is the hash before sweep k + 1.
+    let mut before = g.structural_hash();
     loop {
-        let before = g.structural_hash();
         g = sweep(g, options, evaluator, &mut stats);
         stats.sweeps += 1;
         tfe_metrics::static_counter!(
@@ -217,10 +222,12 @@ pub fn optimize_with_stats(
             "Optimizer pass-pipeline sweeps executed"
         )
         .inc();
-        if g.structural_hash() == before {
+        let after = g.structural_hash();
+        if after == before {
             stats.converged = true;
             break;
         }
+        before = after;
         if stats.sweeps >= cap {
             break;
         }
@@ -233,7 +240,7 @@ pub fn optimize_with_stats(
         .inc();
     }
     if options.fuse_elementwise {
-        let (h, n) = fuse_elementwise_counted(&g);
+        let (h, n) = fuse_elementwise_counted(g);
         record(&mut stats, "fuse_elementwise", n);
         g = h;
     }
@@ -248,34 +255,34 @@ fn sweep(
     stats: &mut OptimizeStats,
 ) -> GraphFunction {
     if options.propagate_constants {
-        let (h, n) = propagate_constants_counted(&g);
+        let (h, n) = propagate_constants_counted(g);
         record(stats, "propagate_constants", n);
         g = h;
     }
     if options.fold_constants {
         if let Some(eval) = evaluator {
-            let (h, n) = fold_constants_counted(&g, eval, options.fold_size_limit);
+            let (h, n) = fold_constants_counted(g, eval, options.fold_size_limit);
             record(stats, "fold_constants", n);
             g = h;
         }
     }
     if options.algebraic_simplify {
-        let (h, n) = simplify_algebraic_counted(&g);
+        let (h, n) = simplify_algebraic_counted(g);
         record(stats, "simplify_algebraic", n);
         g = h;
     }
     if options.cse {
-        let (h, n) = cse_counted(&g);
+        let (h, n) = cse_counted(g);
         record(stats, "cse", n);
         g = h;
     }
     if options.dead_store_elim {
-        let (h, n) = eliminate_dead_stores_counted(&g);
+        let (h, n) = eliminate_dead_stores_counted(g);
         record(stats, "eliminate_dead_stores", n);
         g = h;
     }
     if options.prune {
-        let (h, n) = prune_counted(&g);
+        let (h, n) = prune_counted(g);
         record(stats, "prune", n);
         g = h;
     }
@@ -317,13 +324,30 @@ fn rebuild(f: &GraphFunction, keep: &[bool]) -> GraphFunction {
     }
 }
 
+/// Remove the stateful nodes flagged in `dead` (none of which may still be
+/// consumed) and recompute the control edges for the surviving program
+/// order — the back half of dead-store and redundant-load elimination.
+fn drop_stateful(mut f: GraphFunction, dead: &[bool]) -> GraphFunction {
+    // Old edges may name a dropped node; all are recomputed below.
+    for n in &mut f.nodes {
+        n.control_inputs.clear();
+    }
+    let keep: Vec<bool> = dead.iter().map(|d| !d).collect();
+    let mut g = rebuild(&f, &keep);
+    let ctrl = sequence_control_edges(&g.nodes);
+    for (n, c) in g.nodes.iter_mut().zip(ctrl) {
+        n.control_inputs = c;
+    }
+    g
+}
+
 /// Drop stateless nodes not reachable from the outputs (or from stateful
 /// nodes). Placeholders always survive: they define the call signature.
 pub fn prune(f: &GraphFunction) -> GraphFunction {
-    prune_counted(f).0
+    prune_counted(f.clone()).0
 }
 
-fn prune_counted(f: &GraphFunction) -> (GraphFunction, u64) {
+fn prune_counted(f: GraphFunction) -> (GraphFunction, u64) {
     let mut keep = vec![false; f.nodes.len()];
     let mut stack: Vec<usize> = Vec::new();
     for t in &f.outputs {
@@ -345,9 +369,9 @@ fn prune_counted(f: &GraphFunction) -> (GraphFunction, u64) {
     }
     let dropped = keep.iter().filter(|&&k| !k).count() as u64;
     if dropped == 0 {
-        return (f.clone(), 0);
+        return (f, 0);
     }
-    (rebuild(f, &keep), dropped)
+    (rebuild(&f, &keep), dropped)
 }
 
 fn const_key(f: &GraphFunction, node: &Node) -> Option<String> {
@@ -368,20 +392,53 @@ fn const_key(f: &GraphFunction, node: &Node) -> Option<String> {
     Some(key)
 }
 
-/// Common-subexpression elimination over stateless nodes.
+/// Common-subexpression elimination: identical stateless nodes merge, and
+/// so do redundant loads — a `read_variable` observes the same value as an
+/// earlier read of the same variable when no write to it and no barrier
+/// lies between them in program order (the forward twin of
+/// [`eliminate_dead_stores`], over the same [`classify`] model). A merged
+/// load is removed and the control edges are recomputed, so later writes
+/// wait on the read that survives.
 pub fn cse(f: &GraphFunction) -> GraphFunction {
-    cse_counted(f).0
+    cse_counted(f.clone()).0
 }
 
-fn cse_counted(f: &GraphFunction) -> (GraphFunction, u64) {
+fn cse_counted(mut f: GraphFunction) -> (GraphFunction, u64) {
     let mut replacement: HashMap<usize, usize> = HashMap::new(); // old -> old
     let mut seen: HashMap<String, usize> = HashMap::new();
+    // Per variable, the read whose value is still current.
+    let mut loads: HashMap<i64, usize> = HashMap::new();
+    let mut merged_load = false;
     for (i, node) in f.nodes.iter().enumerate() {
-        if node.stateful || node.op == "placeholder" {
+        if node.op == "placeholder" {
+            continue;
+        }
+        if node.stateful {
+            match classify(&node.op, &node.attrs, true) {
+                Access::Barrier => loads.clear(),
+                Access::Write(Resource::Var(v)) => {
+                    loads.remove(&v);
+                }
+                Access::Read(Resource::Var(v)) if node.op == "read_variable" => {
+                    match loads.get(&v) {
+                        Some(&first)
+                            if f.nodes[first].attrs == node.attrs
+                                && f.nodes[first].outputs == node.outputs =>
+                        {
+                            replacement.insert(i, first);
+                            merged_load = true;
+                        }
+                        _ => {
+                            loads.insert(v, i);
+                        }
+                    }
+                }
+                _ => {}
+            }
             continue;
         }
         let key = if node.op == "const" {
-            match const_key(f, node) {
+            match const_key(&f, node) {
                 Some(k) => format!("const|{k}"),
                 None => continue,
             }
@@ -407,23 +464,29 @@ fn cse_counted(f: &GraphFunction) -> (GraphFunction, u64) {
         }
     }
     if replacement.is_empty() {
-        return (f.clone(), 0);
+        return (f, 0);
     }
     let merged = replacement.len() as u64;
-    let mut g = f.clone();
-    for node in &mut g.nodes {
+    for node in &mut f.nodes {
         for input in &mut node.inputs {
             if let Some(&r) = replacement.get(&input.node.0) {
                 input.node = NodeId(r);
             }
         }
     }
-    for out in &mut g.outputs {
+    for out in &mut f.outputs {
         if let Some(&r) = replacement.get(&out.node.0) {
             out.node = NodeId(r);
         }
     }
-    (prune(&g), merged)
+    if merged_load {
+        // The pruner keeps every stateful node, so merged loads go here.
+        let dead: Vec<bool> = (0..f.nodes.len())
+            .map(|i| f.nodes[i].stateful && replacement.contains_key(&i))
+            .collect();
+        f = drop_stateful(f, &dead);
+    }
+    (prune_counted(f).0, merged)
 }
 
 /// Evaluate stateless nodes whose inputs are all constants, replacing their
@@ -433,11 +496,11 @@ pub fn fold_constants(
     evaluator: &NodeEvaluator,
     size_limit: usize,
 ) -> GraphFunction {
-    fold_constants_counted(f, evaluator, size_limit).0
+    fold_constants_counted(f.clone(), evaluator, size_limit).0
 }
 
 fn fold_constants_counted(
-    f: &GraphFunction,
+    f: GraphFunction,
     evaluator: &NodeEvaluator,
     size_limit: usize,
 ) -> (GraphFunction, u64) {
@@ -467,7 +530,7 @@ fn fold_constants_counted(
         {
             continue; // placeholders handled above; other 0-ary ops stateful
         }
-        let Ok(values) = evaluator(&node.clone(), &inputs) else { continue };
+        let Ok(values) = evaluator(node, &inputs) else { continue };
         if values.iter().any(|v| v.num_elements() > size_limit) {
             continue;
         }
@@ -481,9 +544,9 @@ fn fold_constants_counted(
 /// Replace every non-`const` node all of whose outputs appear in `known`
 /// with fresh `const` nodes, then prune. The shared back half of
 /// [`fold_constants`] and [`propagate_constants`]; returns the rewritten
-/// graph plus the number of nodes replaced (0 leaves `f` untouched).
+/// graph plus the number of nodes replaced (0 hands `f` back untouched).
 fn materialize_known(
-    f: &GraphFunction,
+    f: GraphFunction,
     known: &HashMap<TensorRef, Arc<TensorData>>,
 ) -> (GraphFunction, u64) {
     let fully_known = |i: usize, node: &Node| {
@@ -493,10 +556,9 @@ fn materialize_known(
                 .all(|out| known.contains_key(&TensorRef { node: NodeId(i), output: out }))
     };
     if !f.nodes.iter().enumerate().any(|(i, n)| fully_known(i, n)) {
-        return (f.clone(), 0);
+        return (f, 0);
     }
     let mut folded_nodes = 0u64;
-    let mut g = f.clone();
     // Replace references to folded outputs (of non-const nodes) with fresh
     // const nodes, then prune. Appending the const nodes at the end would
     // break the "inputs reference earlier nodes" invariant for consumers in
@@ -557,11 +619,15 @@ fn materialize_known(
             new_nodes.push(n);
         }
     }
-    g.nodes = new_nodes;
-    g.constants = constants;
-    g.inputs = f.inputs.iter().map(|id| remap[&TensorRef::first(*id)].node).collect();
-    g.outputs = f.outputs.iter().map(|t| remap[t]).collect();
-    (prune(&g), folded_nodes)
+    let g = GraphFunction {
+        inputs: f.inputs.iter().map(|id| remap[&TensorRef::first(*id)].node).collect(),
+        outputs: f.outputs.iter().map(|t| remap[t]).collect(),
+        name: f.name,
+        nodes: new_nodes,
+        num_captures: f.num_captures,
+        constants,
+    };
+    (prune_counted(g).0, folded_nodes)
 }
 
 /// Fold tensor-metadata ops whose answer is already statically known from
@@ -570,10 +636,10 @@ fn materialize_known(
 /// The folded scalars then feed [`fold_constants`] on the next sweep —
 /// this pass is the canonical reason the driver iterates.
 pub fn propagate_constants(f: &GraphFunction) -> GraphFunction {
-    propagate_constants_counted(f).0
+    propagate_constants_counted(f.clone()).0
 }
 
-fn propagate_constants_counted(f: &GraphFunction) -> (GraphFunction, u64) {
+fn propagate_constants_counted(f: GraphFunction) -> (GraphFunction, u64) {
     let mut known: HashMap<TensorRef, Arc<TensorData>> = HashMap::new();
     for (i, node) in f.nodes.iter().enumerate() {
         if node.stateful || node.inputs.len() != 1 {
@@ -613,10 +679,10 @@ fn propagate_constants_counted(f: &GraphFunction) -> (GraphFunction, u64) {
 /// `x * 0` is deliberately not rewritten: it is an annihilator, not an
 /// identity, and folding it would change NaN/Inf propagation.
 pub fn simplify_algebraic(f: &GraphFunction) -> GraphFunction {
-    simplify_algebraic_counted(f).0
+    simplify_algebraic_counted(f.clone()).0
 }
 
-fn simplify_algebraic_counted(f: &GraphFunction) -> (GraphFunction, u64) {
+fn simplify_algebraic_counted(mut g: GraphFunction) -> (GraphFunction, u64) {
     fn resolve(redirect: &HashMap<TensorRef, TensorRef>, mut t: TensorRef) -> TensorRef {
         while let Some(&r) = redirect.get(&t) {
             t = r;
@@ -646,7 +712,6 @@ fn simplify_algebraic_counted(f: &GraphFunction) -> (GraphFunction, u64) {
         n.attrs.int_list("perm").ok().map(<[i64]>::to_vec)
     }
 
-    let mut g = f.clone();
     let mut redirect: HashMap<TensorRef, TensorRef> = HashMap::new();
     let mut rewrites = 0u64;
     for i in 0..g.nodes.len() {
@@ -728,12 +793,13 @@ fn simplify_algebraic_counted(f: &GraphFunction) -> (GraphFunction, u64) {
         }
     }
     if rewrites == 0 {
-        return (f.clone(), 0);
+        // Nothing was redirected, so the rewiring above changed nothing.
+        return (g, 0);
     }
     let outs: Vec<TensorRef> = g.outputs.iter().map(|&t| resolve(&redirect, t)).collect();
     g.outputs = outs;
     // Bypassed nodes are now unreferenced; prune keeps the pass idempotent.
-    (prune(&g), rewrites)
+    (prune_counted(g).0, rewrites)
 }
 
 /// Dead-store elimination over the sequencing model: an `assign`/
@@ -745,10 +811,10 @@ fn simplify_algebraic_counted(f: &GraphFunction) -> (GraphFunction, u64) {
 /// the surviving program order, and the value chain that fed a dropped
 /// store is left to the pruner (which this pass invokes).
 pub fn eliminate_dead_stores(f: &GraphFunction) -> GraphFunction {
-    eliminate_dead_stores_counted(f).0
+    eliminate_dead_stores_counted(f.clone()).0
 }
 
-fn eliminate_dead_stores_counted(f: &GraphFunction) -> (GraphFunction, u64) {
+fn eliminate_dead_stores_counted(f: GraphFunction) -> (GraphFunction, u64) {
     let mut dead = vec![false; f.nodes.len()];
     // Variables a later plain `assign` fully overwrites, with no read or
     // barrier in between (reverse program-order scan).
@@ -790,40 +856,9 @@ fn eliminate_dead_stores_counted(f: &GraphFunction) -> (GraphFunction, u64) {
     }
     let count = dead.iter().filter(|&&d| d).count() as u64;
     if count == 0 {
-        return (f.clone(), 0);
+        return (f, 0);
     }
-    let mut remap: HashMap<usize, usize> = HashMap::new();
-    let mut nodes: Vec<Node> = Vec::new();
-    for (i, node) in f.nodes.iter().enumerate() {
-        if dead[i] {
-            continue;
-        }
-        let mut n = node.clone();
-        for input in &mut n.inputs {
-            input.node = NodeId(remap[&input.node.0]);
-        }
-        // Recomputed below for the surviving program order.
-        n.control_inputs.clear();
-        remap.insert(i, nodes.len());
-        nodes.push(n);
-    }
-    let ctrl = sequence_control_edges(&nodes);
-    for (n, c) in nodes.iter_mut().zip(ctrl) {
-        n.control_inputs = c;
-    }
-    let g = GraphFunction {
-        name: f.name.clone(),
-        nodes,
-        inputs: f.inputs.iter().map(|id| NodeId(remap[&id.0])).collect(),
-        outputs: f
-            .outputs
-            .iter()
-            .map(|t| TensorRef { node: NodeId(remap[&t.node.0]), output: t.output })
-            .collect(),
-        num_captures: f.num_captures,
-        constants: f.constants.clone(),
-    };
-    (prune(&g), count)
+    (prune_counted(drop_stateful(f, &dead)).0, count)
 }
 
 fn elementwise_kind(node: &Node) -> Option<()> {
@@ -854,10 +889,10 @@ fn elementwise_kind(node: &Node) -> Option<()> {
 /// [`GraphFunction::structural_hash`] — is a pure function of the input
 /// graph. The fixpoint driver depends on that reproducibility.
 pub fn fuse_elementwise(f: &GraphFunction) -> GraphFunction {
-    fuse_elementwise_counted(f).0
+    fuse_elementwise_counted(f.clone()).0
 }
 
-fn fuse_elementwise_counted(f: &GraphFunction) -> (GraphFunction, u64) {
+fn fuse_elementwise_counted(f: GraphFunction) -> (GraphFunction, u64) {
     let consumers = f.consumers();
     let output_set: HashSet<TensorRef> = f.outputs.iter().copied().collect();
     let n = f.nodes.len();
@@ -896,7 +931,7 @@ fn fuse_elementwise_counted(f: &GraphFunction) -> (GraphFunction, u64) {
     let fuse_groups: BTreeMap<usize, Vec<usize>> =
         members.into_iter().filter(|(_, m)| m.len() >= 2).collect();
     if fuse_groups.is_empty() {
-        return (f.clone(), 0);
+        return (f, 0);
     }
     let in_fused: BTreeSet<usize> = fuse_groups.values().flatten().copied().collect();
 
@@ -944,12 +979,11 @@ fn fuse_elementwise_counted(f: &GraphFunction) -> (GraphFunction, u64) {
                 reg_of.insert(TensorRef::first(NodeId(m)), reg);
             }
             let output_reg = reg_of[&TensorRef::first(NodeId(i))];
-            let program = Program { instrs, output: output_reg };
-            let encoded = program.encode();
-            // Compile at fusion time so the first kernel invocation — and
-            // every one after — finds the decoded, slot-planned form in the
-            // cache and never parses the attribute string.
-            let _ = crate::program::compiled(&encoded);
+            // Compile at fusion time, from the program in hand, so the
+            // first kernel invocation — and every one after — finds the
+            // slot-planned form in the cache and the attribute string is
+            // never parsed.
+            let encoded = crate::program::intern(Program { instrs, output: output_reg });
             let sink = &f.nodes[i];
             let mapped_inputs: Vec<TensorRef> =
                 prog_inputs.iter().map(|t| *remap.get(t).unwrap_or(t)).collect();
@@ -989,12 +1023,12 @@ fn fuse_elementwise_counted(f: &GraphFunction) -> (GraphFunction, u64) {
     }
     let fused_count = fuse_groups.len() as u64;
     let g = GraphFunction {
-        name: f.name.clone(),
-        nodes: new_nodes,
         inputs: f.inputs.iter().map(|id| TensorRef::first(*id)).map(|t| remap[&t].node).collect(),
         outputs: f.outputs.iter().map(|t| remap[t]).collect(),
+        name: f.name,
+        nodes: new_nodes,
         num_captures: f.num_captures,
-        constants: f.constants.clone(),
+        constants: f.constants,
     };
     (g, fused_count)
 }
@@ -1252,7 +1286,7 @@ mod tests {
         let a2 = b.add_node("relu", vec![a1], Attrs::new()).unwrap()[0];
         let _dead = b.add_node("exp", vec![x], Attrs::new()).unwrap();
         let f = b.finish(vec![a2], 0);
-        let g = optimize(&f, &OptimizeOptions::aggressive(), Some(&toy_evaluator));
+        let g = optimize(&f, &OptimizeOptions::default(), Some(&toy_evaluator));
         // dead exp pruned, consts folded+deduped, add+relu fused.
         assert!(!g.nodes.iter().any(|n| n.op == "exp"));
         assert!(g.nodes.iter().any(|n| n.op == "fused_elementwise"));

@@ -1,34 +1,48 @@
 //! The instruction program carried by `fused_elementwise` nodes — this
 //! workspace's XLA stand-in (§4.4: compiling staged computations provides
-//! "operation fusion" among other optimizations).
+//! "operation fusion" among other optimizations). Fusion is the default
+//! lowering of every traced function, on every device, so this is the code
+//! most staged elementwise work runs through.
 //!
 //! A program is a small SSA register machine over the elementwise op enums
 //! from `tfe-tensor`. The fusion pass compiles a group of elementwise graph
-//! nodes into one [`Program`], and — once, at fusion time — lowers it to a
-//! [`CompiledProgram`]: decoded instructions with a last-use register plan,
-//! input-aliased reads, and a scratch-slot assignment sized for
-//! cache-resident tiles. The runtime kernel fetches the compiled form from
-//! the process-wide [`compiled`] cache (keyed by the encoded text), so the
-//! string attribute is parsed once per distinct program, not once per call.
+//! nodes into one [`Program`], and — once, at fusion time, from the program
+//! in hand ([`intern`]) — lowers it to a [`CompiledProgram`]: a last-use
+//! register plan, input-aliased reads, and a scratch-slot assignment sized
+//! for cache-resident tiles. The runtime kernel fetches the compiled form
+//! from the process-wide [`compiled`] cache (keyed by the encoded text), so
+//! the string attribute is parsed only for programs that arrive as text
+//! (a loaded bundle), and then once per distinct program, not once per call.
 //!
 //! Execution walks the whole program over one ~8 KiB tile at a time
 //! ([`CompiledProgram::eval`]): an N-op group makes one pass over memory
 //! instead of N, which is where fusion's real memory-traffic saving comes
-//! from. Tile boundaries depend only on the element count
+//! from. What qualifies for tiles: every input f32 and a *periodic operand*
+//! of the output ([`tfe_tensor::Shape::is_periodic_in`]) — the output's own
+//! shape, or a scalar, bias or mask over trailing axes, which a tile reads
+//! as `src[i % p]` through [`tfe_tensor::lanes::Periodic`] windows (a
+//! period longer than a tile simply wraps inside one). So `x * w + bias`,
+//! `x * eps`, mask multiplies and an LSTM cell's gate chains run on tiles.
+//! A `[n, 1]` column, two partial operands (`[n, 1]` with `[1, k]`), or a
+//! non-f32 input send the whole program to the fallback below.
+//!
+//! Tile boundaries depend only on the element count
 //! ([`tfe_parallel::tile_len`]) and every instruction is an element-
 //! independent map, so serial and parallel runs are bit-identical — and
 //! both are bit-identical to per-instruction evaluation
 //! ([`Program::eval`]: one `tfe_tensor::elementwise` call per instruction,
 //! the same calls the unfused graph nodes make). That is the only other
-//! evaluator: it handles mixed shapes/dtypes, and tests reach it through
-//! [`CompiledProgram::program`] as the differential reference.
+//! evaluator: it handles every shape and dtype those kernels do, and tests
+//! reach it through [`CompiledProgram::program`] as the differential
+//! reference.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
-use tfe_tensor::{lanes, Result as TResult, TensorData, TensorError};
+use tfe_tensor::lanes::{self, Periodic};
+use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
 
 /// One instruction; instruction `i` writes register `i`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,6 +273,9 @@ pub struct CompiledProgram {
     program: Program,
     /// Inputs the program reads (max input index + 1).
     num_inputs: usize,
+    /// The inputs the output register depends on; their broadcast is the
+    /// output shape.
+    live_inputs: Vec<usize>,
     /// Compiled non-input instructions, in execution order.
     steps: Vec<Step>,
     /// Scratch buffers a tile needs live at once.
@@ -328,7 +345,27 @@ impl CompiledProgram {
             reg_slot.push(dst);
         }
         let out = reg_slot.get(program.output).copied().unwrap_or(Slot::Out);
-        CompiledProgram { program, num_inputs, steps, num_bufs, out }
+        // Walk back from the output register; sources precede their readers.
+        let mut reaches = vec![false; n];
+        if let Some(r) = reaches.get_mut(program.output) {
+            *r = true;
+        }
+        let mut live_inputs = Vec::new();
+        for (i, instr) in program.instrs.iter().enumerate().rev() {
+            if !reaches[i] {
+                continue;
+            }
+            match *instr {
+                Instr::Input(k) if !live_inputs.contains(&k) => live_inputs.push(k),
+                Instr::Input(_) => {}
+                Instr::Unary(_, a) => reaches[a] = true,
+                Instr::Binary(_, a, b) => {
+                    reaches[a] = true;
+                    reaches[b] = true;
+                }
+            }
+        }
+        CompiledProgram { program, num_inputs, live_inputs, steps, num_bufs, out }
     }
 
     /// The program this was compiled from.
@@ -348,11 +385,11 @@ impl CompiledProgram {
 
     /// Evaluate against concrete inputs.
     ///
-    /// Same-shape all-f32 operands run the tile executor: one pass over
-    /// memory for the whole program, tiles split over the shared pool with
-    /// partition-independent math (bit-identical for every thread count,
-    /// and bit-identical to [`Program::eval`]). Anything else falls back to
-    /// [`Program::eval`].
+    /// Inputs that qualify (see [`CompiledProgram::tile_output_shape`]) run
+    /// the tile executor: one pass over memory for the whole program, tiles
+    /// split over the shared pool with partition-independent math
+    /// (bit-identical for every thread count, and bit-identical to
+    /// [`Program::eval`]). Anything else falls back to [`Program::eval`].
     ///
     /// # Errors
     /// Missing inputs or kernel errors (dtype/broadcast problems).
@@ -364,33 +401,60 @@ impl CompiledProgram {
                 inputs.len()
             )));
         }
-        match self.eval_tiled_f32(inputs)? {
-            Some(out) => Ok(out),
-            None => self.program.eval(inputs),
+        match self.tile_output_shape(inputs) {
+            Some(shape) => self.eval_tiled_f32(&inputs[..self.num_inputs], shape),
+            None => {
+                tfe_metrics::static_counter!(
+                    "tfe_fused_fallback_evals_total",
+                    "Fused programs evaluated one instruction at a time (an input was not f32, \
+                     or neither full-shape nor periodic)"
+                )
+                .inc();
+                self.program.eval(inputs)
+            }
         }
     }
 
-    /// The tile executor. Returns `Ok(None)` when the inputs don't qualify
-    /// (mixed shapes/dtypes) — [`Program::eval`] handles those.
-    fn eval_tiled_f32(&self, inputs: &[&TensorData]) -> TResult<Option<TensorData>> {
-        use tfe_tensor::DType;
-        let Some(first) = inputs.first() else { return Ok(None) };
-        let shape = first.shape().clone();
-        for t in inputs {
-            if t.dtype() != DType::F32 || t.shape() != &shape {
-                return Ok(None);
+    /// The output shape when `inputs` qualify for the tile executor, `None`
+    /// when [`CompiledProgram::eval`] will fall back to [`Program::eval`].
+    ///
+    /// Tiles treat every register as a flat array of the output's length,
+    /// so each input must be f32 and a *periodic operand* of the output
+    /// ([`Shape::is_periodic_in`]): the output shape itself, or a scalar, bias or
+    /// mask over trailing axes, read as `src[i % p]`. A `[n, 1]` column
+    /// against `[n, k]`, or two partial operands that only together span
+    /// the output (`[n, 1]` with `[1, k]`), do not qualify. Registers that
+    /// would be smaller than the output in [`Program::eval`] are computed at
+    /// full length here, on repeated operands — the same scalar function on
+    /// the same values, so the same bits.
+    pub fn tile_output_shape(&self, inputs: &[&TensorData]) -> Option<Shape> {
+        let inputs = inputs.get(..self.num_inputs)?;
+        if inputs.iter().any(|t| t.dtype() != DType::F32) {
+            return None;
+        }
+        let mut live = self.live_inputs.iter().map(|&k| inputs[k].shape());
+        let mut shape = live.next()?.clone();
+        for s in live {
+            if *s != shape {
+                shape = broadcast_shapes(&shape, s).ok()?;
             }
         }
-        let mut srcs: Vec<&[f32]> = Vec::with_capacity(inputs.len());
-        for t in inputs {
-            srcs.push(t.as_slice::<f32>()?);
-        }
+        inputs.iter().all(|t| t.shape().is_periodic_in(&shape)).then_some(shape)
+    }
+
+    /// The tile executor, for inputs [`CompiledProgram::tile_output_shape`]
+    /// accepted.
+    fn eval_tiled_f32(&self, inputs: &[&TensorData], shape: Shape) -> TResult<TensorData> {
         let n = shape.num_elements();
         // Tile length depends only on the working set (inputs + scratch +
         // output), never the thread count — fixed boundaries keep tiled
         // results bitwise reproducible under any parallel split.
         let tile =
             tfe_parallel::tile_len(std::mem::size_of::<f32>(), self.num_bufs + inputs.len() + 1);
+        let mut srcs: Vec<Periodic<'_, f32>> = Vec::with_capacity(inputs.len());
+        for t in inputs {
+            srcs.push(Periodic::new(t.as_slice::<f32>()?, n, tile));
+        }
         let n_tiles = n.div_ceil(tile.max(1));
         let mut span = tfe_profile::span("fused", || {
             format!("fused_tiled:{}op:{}tile", self.steps.len(), n_tiles)
@@ -399,6 +463,11 @@ impl CompiledProgram {
             // One read per input element plus one output write.
             s.set_bytes(((inputs.len() + 1) * n * std::mem::size_of::<f32>()) as u64);
         }
+        tfe_metrics::static_counter!(
+            "tfe_fused_tiled_evals_total",
+            "Fused programs evaluated by the tile executor"
+        )
+        .inc();
         metric_fused_elements(n as u64);
         let mut out = vec![0.0f32; n];
         let ptr = SendPtr(out.as_mut_ptr());
@@ -424,22 +493,28 @@ impl CompiledProgram {
                 }
             });
         });
-        Ok(Some(TensorData::from_vec(out, shape)?))
+        TensorData::from_vec(out, shape)
     }
 
     /// Run every step over one tile: `out_tile` covers absolute elements
     /// `start .. start + out_tile.len()` of the flattened tensors.
-    fn run_tile(&self, srcs: &[&[f32]], bufs: &mut [Vec<f32>], out_tile: &mut [f32], start: usize) {
+    fn run_tile(
+        &self,
+        srcs: &[Periodic<'_, f32>],
+        bufs: &mut [Vec<f32>],
+        out_tile: &mut [f32],
+        start: usize,
+    ) {
         let len = out_tile.len();
         fn resolve<'a>(
             slot: Slot,
-            srcs: &[&'a [f32]],
+            srcs: &'a [Periodic<'_, f32>],
             bufs: &'a [Vec<f32>],
             start: usize,
             len: usize,
         ) -> &'a [f32] {
             match slot {
-                Slot::In(k) => &srcs[k][start..start + len],
+                Slot::In(k) => srcs[k].window(start, len),
                 Slot::Buf(s) => &bufs[s][..len],
                 Slot::Out => unreachable!("the output tile is never a source"),
             }
@@ -476,7 +551,7 @@ impl CompiledProgram {
         // finish with one tile-local copy.
         match self.out {
             Slot::Out => {}
-            Slot::In(k) => out_tile.copy_from_slice(&srcs[k][start..start + len]),
+            Slot::In(k) => out_tile.copy_from_slice(srcs[k].window(start, len)),
             Slot::Buf(s) => out_tile.copy_from_slice(&bufs[s][..len]),
         }
     }
@@ -545,21 +620,37 @@ pub fn compiled(text: &str) -> Result<Arc<CompiledProgram>, String> {
         return Ok(p.clone());
     }
     let _span = tfe_profile::span("fused", || "compile".to_string());
-    let program = Program::decode(text)?;
+    Ok(compile_into(cache, text, Program::decode(text)?))
+}
+
+/// Compile a program the caller already holds and cache it under its
+/// encoded text, which is returned for the node attribute. The fusion pass
+/// calls this so that neither it nor the first kernel invocation ever parses
+/// the text it has just printed; a program already cached is left alone.
+pub fn intern(program: Program) -> String {
+    let text = program.encode();
+    let cache = COMPILED.get_or_init(Default::default);
+    if !cache.read().contains_key(&text) {
+        let _span = tfe_profile::span("fused", || "compile".to_string());
+        compile_into(cache, &text, program);
+    }
+    text
+}
+
+fn compile_into(cache: &CompileCache, text: &str, program: Program) -> Arc<CompiledProgram> {
     let built = Arc::new(program.compile());
     tfe_metrics::static_counter!(
         "tfe_fused_compile_total",
-        "Fused programs decoded and compiled (cache misses)"
+        "Fused programs compiled (cache misses)"
     )
     .inc();
     // A racing compile of the same text may have won; keep the first.
-    Ok(cache.write().entry(text.to_string()).or_insert(built).clone())
+    cache.write().entry(text.to_string()).or_insert(built).clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tfe_tensor::Shape;
 
     fn relu_of_sum() -> Program {
         Program {
@@ -697,13 +788,33 @@ mod tests {
     }
 
     #[test]
-    fn compiled_mixed_shape_falls_back() {
+    fn compiled_scalar_operand_tiles_and_column_falls_back() {
         let c = Program::decode("in:0;in:1;b:mul:0:1|2").unwrap().compile();
         let a = TensorData::from_vec(vec![1.0f32, 2.0], Shape::from([2, 1])).unwrap();
         let b = TensorData::scalar(10.0f32);
+        assert_eq!(c.tile_output_shape(&[&a, &b]), Some(Shape::from([2, 1])));
         let r = c.eval(&[&a, &b]).unwrap();
         assert_eq!(r.shape().dims(), &[2, 1]);
         assert_eq!(r.to_f64_vec(), vec![10.0, 20.0]);
+        // A column against a row is two partial operands: not periodic.
+        let row = TensorData::from_vec(vec![1.0f32, 2.0, 3.0], Shape::from([3])).unwrap();
+        assert_eq!(c.tile_output_shape(&[&a, &row]), None);
+        let r = c.eval(&[&a, &row]).unwrap();
+        assert_eq!(r.shape().dims(), &[2, 3]);
+        assert_eq!(r.to_f64_vec(), vec![1.0, 2.0, 3.0, 2.0, 4.0, 6.0]);
+    }
+
+    #[test]
+    fn live_inputs_decide_the_output_shape() {
+        // in:1 feeds only a dead instruction: the output is in:0's shape,
+        // and a dead input larger than that keeps the program off tiles.
+        let c = Program::decode("in:0;in:1;u:neg:0;b:add:0:1|2").unwrap().compile();
+        assert_eq!(c.live_inputs, vec![0]);
+        let small = tensor(f32s(3));
+        let big = TensorData::from_vec(f32s(6), Shape::from([2, 3])).unwrap();
+        assert_eq!(c.tile_output_shape(&[&small, &small]), Some(Shape::from([3])));
+        assert_eq!(c.tile_output_shape(&[&small, &big]), None);
+        assert_eq!(c.eval(&[&small, &big]).unwrap().shape().dims(), &[3]);
     }
 
     #[test]

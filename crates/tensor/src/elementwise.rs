@@ -5,6 +5,7 @@
 //! named, pure function.
 
 use crate::data::Scalar;
+use crate::lanes::Periodic;
 use crate::shape::{broadcast_shapes, BroadcastWalker};
 use crate::{DType, Result, TensorData, TensorError};
 
@@ -644,6 +645,19 @@ pub fn compare(a: &TensorData, b: &TensorData, op: CmpOp) -> Result<TensorData> 
             got: DType::Bool,
         });
     }
+    // Same-shape and periodic numeric operands compare over typed slices;
+    // `to_f64` is the widening `get_f64_linear` applies, so the predicate —
+    // and every result — is the walker's.
+    let typed = match dt {
+        DType::F32 => compare_periodic::<f32>(a, b, op)?,
+        DType::F64 => compare_periodic::<f64>(a, b, op)?,
+        DType::I32 => compare_periodic::<i32>(a, b, op)?,
+        DType::I64 => compare_periodic::<i64>(a, b, op)?,
+        DType::Bool => None,
+    };
+    if let Some(out) = typed {
+        return Ok(out);
+    }
     let out_shape = broadcast_shapes(a.shape(), b.shape())?;
     let n = out_shape.num_elements();
     let mut out = Vec::with_capacity(n);
@@ -653,6 +667,36 @@ pub fn compare(a: &TensorData, b: &TensorData, op: CmpOp) -> Result<TensorData> 
         out.push(op.eval(a.get_f64_linear(ia), b.get_f64_linear(ib)));
     }
     TensorData::from_vec(out, out_shape)
+}
+
+/// Typed fast path of [`compare`]; `None` when an operand is not periodic.
+fn compare_periodic<T: Scalar>(
+    a: &TensorData,
+    b: &TensorData,
+    op: CmpOp,
+) -> Result<Option<TensorData>> {
+    let Some(out_shape) = periodic_out_shape(a, b)? else { return Ok(None) };
+    let n = out_shape.num_elements();
+    let av = Periodic::new(a.as_slice::<T>()?, n, PERIODIC_WINDOW);
+    let bv = Periodic::new(b.as_slice::<T>()?, n, PERIODIC_WINDOW);
+    let mut out = Vec::with_capacity(n);
+    // One `match` per call, not per element: each arm is a loop over slices
+    // with the predicate inlined.
+    macro_rules! dispatch {
+        ($($v:ident),*) => {
+            match op {
+                $(CmpOp::$v => {
+                    for at in (0..n).step_by(PERIODIC_WINDOW) {
+                        let len = PERIODIC_WINDOW.min(n - at);
+                        let (x, y) = (av.window(at, len), bv.window(at, len));
+                        out.extend(x.iter().zip(y).map(|(p, q)| CmpOp::$v.eval(p.to_f64(), q.to_f64())));
+                    }
+                })*
+            }
+        };
+    }
+    dispatch!(Eq, Ne, Lt, Le, Gt, Ge);
+    TensorData::from_vec(out, out_shape).map(Some)
 }
 
 /// Elementwise boolean logic with broadcasting.
@@ -669,22 +713,46 @@ pub fn logical(a: &TensorData, b: &TensorData, op: LogicalOp) -> Result<TensorDa
     map2_par::<bool, bool>(a, b, |x, y| op.eval(x, y))
 }
 
-/// F32 fast path for [`binary`]: same-shape operands run the fixed-width
-/// lane kernel ([`crate::lanes::binary_f32`], op dispatch hoisted per tile);
-/// broadcasts keep the walker-based map. Both are bit-identical to scalar
-/// evaluation — lanes only restructure an element-independent map.
-fn binary_f32_lanes(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<TensorData> {
-    if a.shape() != b.shape() {
-        return map2_par::<f32, f32>(a, b, |x, y| op.eval_float(x, y));
+/// The output shape when both operands of a broadcasting map are periodic
+/// in it (and so can be read through [`Periodic`] windows), or `None` when
+/// either needs a [`BroadcastWalker`] (a `[n, 1]` column, two partial
+/// operands). Same-shape operands are the common case and never compute
+/// the broadcast.
+fn periodic_out_shape(a: &TensorData, b: &TensorData) -> Result<Option<crate::Shape>> {
+    if a.shape() == b.shape() {
+        return Ok(Some(a.shape().clone()));
     }
-    let av = a.as_slice::<f32>()?;
-    let bv = b.as_slice::<f32>()?;
-    let mut out = vec![0.0f32; av.len()];
+    let out = broadcast_shapes(a.shape(), b.shape())?;
+    let periodic = a.shape().is_periodic_in(&out) && b.shape().is_periodic_in(&out);
+    Ok(periodic.then_some(out))
+}
+
+/// Longest slice the periodic fast paths read at once: one L1-resident
+/// block, which also bounds the repeated pattern a short operand costs.
+const PERIODIC_WINDOW: usize = 4096;
+
+/// F32 fast path for [`binary`]: same-shape and periodic operands (scalars,
+/// biases, masks over trailing axes) run the fixed-width lane kernel
+/// ([`crate::lanes::binary_f32`], op dispatch hoisted per block) over
+/// contiguous [`Periodic`] windows; other broadcasts keep the walker-based
+/// map. Both are bit-identical to scalar evaluation — lanes only
+/// restructure an element-independent map.
+fn binary_f32_lanes(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<TensorData> {
+    let Some(out_shape) = periodic_out_shape(a, b)? else {
+        return map2_par::<f32, f32>(a, b, |x, y| op.eval_float(x, y));
+    };
+    let n = out_shape.num_elements();
+    let av = Periodic::new(a.as_slice::<f32>()?, n, PERIODIC_WINDOW);
+    let bv = Periodic::new(b.as_slice::<f32>()?, n, PERIODIC_WINDOW);
+    let mut out = vec![0.0f32; n];
     crate::par::par_fill(&mut out, crate::par::GRAIN_ELEMWISE, |start, chunk| {
-        let end = start + chunk.len();
-        crate::lanes::binary_f32(op, &av[start..end], &bv[start..end], chunk);
+        for (k, block) in chunk.chunks_mut(PERIODIC_WINDOW).enumerate() {
+            let at = start + k * PERIODIC_WINDOW;
+            let len = block.len();
+            crate::lanes::binary_f32(op, av.window(at, len), bv.window(at, len), block);
+        }
     });
-    TensorData::from_vec(out, a.shape().clone())
+    TensorData::from_vec(out, out_shape)
 }
 
 /// Parallel map over a contiguous slice (the unary fast path).

@@ -10,6 +10,15 @@
 //!   per-element function as the scalar path ([`UnaryOp::eval_f32`] /
 //!   [`BinaryOp::eval_f32`]), so results are **bit-identical** to scalar
 //!   evaluation — maps have no cross-element dependence to reassociate.
+//! - [`Periodic`] is how broadcasting reaches those loops: an operand whose
+//!   shape is a suffix of the output's (a scalar, a bias, a mask over
+//!   trailing axes) is read as `src[i % p]`, and `Periodic::window` hands
+//!   the loops a contiguous slice of that sequence — repeated once per
+//!   call into a pattern at most one window longer than the operand. The
+//!   `binary`/`compare` kernels and the fused tile executor in `tfe-graph`
+//!   share it, so a broadcast op costs about what a same-shape op does and
+//!   produces the bits the same-shape loops produce. Operands that are not
+//!   periodic (a `[n, 1]` column) keep the per-element `BroadcastWalker`.
 //! - [`lane_fold_f64`] folds a row through `LANES` independent accumulators.
 //!   This **reassociates** the fold, so for non-associative ops (float
 //!   `add`/`mul`) the bits differ from a strict left fold; the combine order
@@ -113,6 +122,57 @@ pub fn binary_f32(op: BinaryOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
         };
     }
     dispatch!(Add, Sub, Mul, Div, FloorDiv, Mod, Pow, Maximum, Minimum, SquaredDifference,)
+}
+
+/// A *periodic operand* of a flat elementwise map with `n` outputs: output
+/// `i` reads `src[i % src.len()]` (see [`crate::Shape::is_periodic_in`] for which
+/// broadcasts are of that form). [`Periodic::window`] hands out contiguous
+/// slices of that virtual length-`n` sequence, so broadcasting kernels run
+/// the same slice loops — and produce the same bits — as same-shape ones.
+///
+/// An operand that already has `n` elements is borrowed. A shorter one is
+/// repeated once, at construction, into a pattern long enough that any
+/// window of up to `max_window` elements is contiguous in it; that costs
+/// `src.len() + min(max_window, n)` elements per call, however large `n`.
+pub struct Periodic<'a, T: Copy> {
+    buf: std::borrow::Cow<'a, [T]>,
+    period: usize,
+}
+
+impl<'a, T: Copy> Periodic<'a, T> {
+    /// View `src` as a periodic operand of an `n`-element map that will be
+    /// read in windows of at most `max_window` elements. `src.len()` must
+    /// divide `n` (it does whenever `is_periodic_in` accepted the shapes).
+    pub fn new(src: &'a [T], n: usize, max_window: usize) -> Self {
+        let period = src.len();
+        if period == n || period == 0 {
+            return Periodic { buf: src.into(), period: period.max(1) };
+        }
+        debug_assert!(n.is_multiple_of(period));
+        // A window starts at a phase below `period` and is at most
+        // `min(max_window, n)` long.
+        let want = period + max_window.min(n);
+        if period == 1 {
+            return Periodic { buf: vec![src[0]; want].into(), period };
+        }
+        let mut pattern = Vec::with_capacity(want + period);
+        pattern.extend_from_slice(src);
+        while pattern.len() < want {
+            // Doubling copies: O(log) memcpys however short the period.
+            // Whole periods only, so the pattern stays periodic.
+            let take = pattern.len().min(want - pattern.len()).next_multiple_of(period);
+            pattern.extend_from_within(..take);
+        }
+        Periodic { buf: pattern.into(), period }
+    }
+
+    /// Elements `start .. start + len` of the virtual sequence, contiguous.
+    /// `len` must not exceed the `max_window` given to [`Periodic::new`].
+    #[inline]
+    pub fn window(&self, start: usize, len: usize) -> &[T] {
+        let phase = start % self.period;
+        &self.buf[phase..phase + len]
+    }
 }
 
 /// Fold `row` into an `f64` with [`LANES`] independent accumulator chains.

@@ -61,10 +61,19 @@ cargo test --release -q --test pass_pipeline -- --test-threads "${THREADS}"
 
 # Fused-executor gate: the compiled tile executor must stay bitwise
 # against per-instruction evaluation (every op variant, random chains,
-# several thread counts, generic fallback, compile-cache identity) with
-# release codegen — the lane kernels only vectorize there.
+# periodic operands, several thread counts, generic fallback,
+# compile-cache identity) with release codegen — the lane kernels only
+# vectorize there.
 echo "==> fused executor differential (release)"
 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
+
+# Fusion is the default lowering, so both gates above also run with the
+# worker pool collapsed to one thread (tiles and periodic windows must
+# not depend on a split) and under ambient async dispatch (staged calls
+# join the caller's stream).
+echo "==> pass pipeline + fused executor with TFE_NUM_THREADS=1, then TFE_ASYNC=1 (release)"
+TFE_NUM_THREADS=1 cargo test --release -q --test pass_pipeline --test fused_executor
+TFE_ASYNC=1 cargo test --release -q --test pass_pipeline --test fused_executor
 
 # Serving gate, both dispatch modes: the differential suite proves N
 # concurrent batched requests are bitwise identical to N sequential
@@ -87,10 +96,12 @@ echo "==> serving smoke (bundle behind the batcher, metrics audited)"
 cargo run --release -q -p tfe-bench --bin serving_smoke > /dev/null
 
 # The kernel bench doubles as the async dispatch-overhead smoke and the
-# fused-executor perf gate, and asserts its three gates on every run. It
+# fused-executor perf gate, and asserts its gates on every run. It
 # times a 10-op fused f32 chain unfused vs tiled (the fused_chain entry
 # of BENCH_kernels.json): the tiled executor must beat op-by-op by >= 2x
-# and a compile-cache hit must beat a re-parse. It times a ~1k-op eager
+# and a compile-cache hit must beat a re-parse. It stages a dense
+# layer's broadcasting chain (the fused_broadcast_chain entry) with
+# fusion off and on: bitwise equal, fused not slower. It times a ~1k-op eager
 # chain sync vs async (the async_dispatch entry) and the adaptive
 # micro-batcher against the unbatched serving front at concurrency 8
 # (the serving entry): with >= 4 hardware threads async wall time must

@@ -177,7 +177,7 @@ proptest! {
 
     #[test]
     fn fusion_preserves_results(expr in arb_expr(3), seed in 0u64..500) {
-        // Build the raw trace, run it unoptimized and with the aggressive
+        // Build the raw trace, run it unoptimized and with the default
         // (fusing) pipeline through the executor; results must agree.
         tf_eager::init();
         let inputs = input_tensors(seed);
@@ -198,7 +198,7 @@ proptest! {
         };
         let fused = tf_eager::graph::passes::optimize(
             &conc.raw,
-            &tf_eager::graph::passes::OptimizeOptions::aggressive(),
+            &tf_eager::graph::passes::OptimizeOptions::default(),
             Some(&evaluator),
         );
         let device = tfe_runtime::context::device_manager().host_cpu();

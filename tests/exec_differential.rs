@@ -48,7 +48,7 @@ fn serial_parallel_and_optimized_agree_on_random_graphs() {
         }
         // The optimized graph may reassociate through fusion/folding:
         // allow 1e-6.
-        let optimized = passes::optimize(&f, &OptimizeOptions::aggressive(), Some(&evaluator));
+        let optimized = passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator));
         for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
             let opt_out =
                 executor::run_function(&optimized, &args, &device, mode).unwrap_or_else(|e| {

@@ -2,8 +2,10 @@
 //! (`tfe_graph::program::CompiledProgram`): the tiled path must be
 //! bit-identical to per-instruction evaluation (`Program::eval`) for every
 //! unary/binary op, at every length (odd tails, multi-tile sizes) and at
-//! every intra-op thread count; non-f32 and mixed-shape operands must take
-//! the generic fallback and still agree with direct eager evaluation; and
+//! every intra-op thread count — for same-shape and for periodic operands
+//! (scalars, biases and masks over trailing axes); non-f32, column and
+//! two-partial operands must take the generic fallback and still agree
+//! with direct eager evaluation; and
 //! the per-node compile cache must hand back the same `Arc` for the same
 //! encoded program.
 
@@ -157,7 +159,60 @@ fn tiled_execution_is_thread_count_invariant() {
     }
 }
 
-/// Non-f32 dtypes and mixed shapes don't qualify for the tile executor:
+fn shaped_f32(dims: &[usize], seed: u64) -> TensorData {
+    TensorData::from_vec(f32s(dims.iter().product(), seed), Shape::from(dims)).unwrap()
+}
+
+/// Periodic operands — scalars, `[k]` and `[1, k]` biases, periods longer
+/// than a tile and periods that do not divide it — take the tile path and
+/// agree bitwise with per-instruction evaluation at 1 and N intra-op
+/// threads. Degenerate outputs (empty, size-1 axes) included.
+#[test]
+fn periodic_operands_tile_and_match_interpreter_bitwise() {
+    // tanh(x * w + bias) * scale: a dense layer's chain. 1170-element tiles
+    // (one scratch register, four inputs, the output).
+    let dense = "in:0;in:1;b:mul:0:1;in:2;b:add:2:3;u:tanh:4;in:3;b:mul:5:6|7";
+    // [out, w, bias, scale]
+    let cases: [[&[usize]; 4]; 8] = [
+        [&[64, 10], &[64, 10], &[10], &[]],
+        [&[64, 10], &[1, 10], &[10], &[1, 1]],
+        [&[64, 10], &[], &[1, 10], &[64, 10]],
+        [&[3, 5000], &[3, 5000], &[5000], &[]], // period > tile
+        [&[700, 7], &[7], &[1, 7], &[]],        // period does not divide the tile
+        [&[2, 3, 1000], &[1000], &[3, 1000], &[1, 1, 1]],
+        [&[0, 4], &[0, 4], &[4], &[]],
+        [&[5, 1], &[5, 1], &[1], &[]],
+    ];
+    for [out, w, bias, scale] in cases {
+        let inputs =
+            [shaped_f32(out, 41), shaped_f32(w, 42), shaped_f32(bias, 43), shaped_f32(scale, 44)];
+        let refs: Vec<&TensorData> = inputs.iter().collect();
+        let compiled = program::compiled(dense).unwrap();
+        assert_eq!(
+            compiled.tile_output_shape(&refs),
+            Some(Shape::from(out)),
+            "{out:?} * {w:?} + {bias:?}, * {scale:?} must tile"
+        );
+        let base = with_threads(1, || tiled_vs_interpreted(dense, &refs, &format!("{out:?} t=1")));
+        assert_eq!(base.shape().dims(), out);
+        for threads in [2usize, 5] {
+            let got = with_threads(threads, || {
+                tiled_vs_interpreted(dense, &refs, &format!("{out:?} t={threads}"))
+            });
+            assert_eq!(bits32(&base), bits32(&got), "{out:?} threads={threads}");
+        }
+    }
+
+    // A register smaller than the output (`tanh(bias)` is `[k]` when
+    // evaluated per instruction) is computed at full length on tiles.
+    let small_reg = "in:0;u:tanh:0;in:1;b:mul:1:2|3";
+    let (bias, x) = (shaped_f32(&[9], 51), shaped_f32(&[300, 9], 52));
+    assert!(program::compiled(small_reg).unwrap().tile_output_shape(&[&bias, &x]).is_some());
+    tiled_vs_interpreted(small_reg, &[&bias, &x], "tanh(bias) * x");
+}
+
+/// Non-f32 dtypes, a `[n, 1]` column operand, and two partial operands
+/// that only together span the output don't qualify for the tile executor:
 /// `CompiledProgram::eval` must fall back to the generic per-instruction
 /// path and still match direct eager evaluation (broadcast included).
 #[test]
@@ -176,18 +231,24 @@ fn mixed_dtype_and_shape_take_generic_fallback() {
         Shape::from([100]),
     )
     .unwrap();
+    assert_eq!(compiled.tile_output_shape(&[&a64, &b64]), None);
     let got = compiled.eval(&[&a64, &b64]).unwrap();
     assert_eq!(got.dtype(), DType::F64);
     let want = unary(&binary(&a64, &b64, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
     assert!(want.all_close(&got, 0.0, 0.0), "f64 fallback must match eager exactly");
 
-    // Mixed shapes: broadcast goes through the generic path.
-    let col = TensorData::from_vec(f32s(6, 31), Shape::from([6, 1])).unwrap();
-    let row = TensorData::from_vec(f32s(5, 32), Shape::from([1, 5])).unwrap();
-    let got = compiled.eval(&[&col, &row]).unwrap();
-    assert_eq!(got.shape().dims(), &[6, 5]);
-    let want = unary(&binary(&col, &row, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
-    assert_eq!(bits32(&want), bits32(&got), "broadcast fallback must match eager bitwise");
+    // Two partial operands, and a column against the full shape: the
+    // broadcast goes through the generic path.
+    let col = shaped_f32(&[6, 1], 31);
+    let row = shaped_f32(&[1, 5], 32);
+    let full = shaped_f32(&[6, 5], 33);
+    for (a, b) in [(&col, &row), (&col, &full), (&full, &col)] {
+        assert_eq!(compiled.tile_output_shape(&[a, b]), None, "{:?} + {:?}", a.shape(), b.shape());
+        let got = compiled.eval(&[a, b]).unwrap();
+        assert_eq!(got.shape().dims(), &[6, 5]);
+        let want = unary(&binary(a, b, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
+        assert_eq!(bits32(&want), bits32(&got), "broadcast fallback must match eager bitwise");
+    }
 }
 
 /// The compile cache is keyed on the encoded text: repeated lookups hand

@@ -27,12 +27,13 @@
 
 use proptest::prelude::*;
 use tfe_parallel::set_intra_threads;
-use tfe_tensor::elementwise::{binary, BinaryOp};
+use tfe_tensor::elementwise::{binary, compare, BinaryOp, CmpOp};
 use tfe_tensor::gemm::gemm_into;
 use tfe_tensor::matmul::{batch_matmul, matmul, matmul_reference};
 use tfe_tensor::reduce::{reduce, ReduceOp};
+use tfe_tensor::shape::BroadcastWalker;
 use tfe_tensor::softmax::{log_softmax, softmax};
-use tfe_tensor::{conv, Shape, TensorData};
+use tfe_tensor::{broadcast_shapes, conv, Shape, TensorData};
 
 /// Run `f` under a forced intra-op thread count, restoring the previous
 /// setting afterwards. Kernels are thread-count invariant by design, so
@@ -204,6 +205,191 @@ proptest! {
         }
         let got = with_threads(6, || binary(&a, &b, BinaryOp::Mul).unwrap());
         prop_assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Periodic operands: the slice fast path of `binary` and `compare` against
+// a per-element BroadcastWalker reference, exact bits.
+// ---------------------------------------------------------------------------
+
+/// Values with every special the fast path could mishandle: NaNs with
+/// distinct payloads and signs, both infinities, both zeros, a subnormal.
+fn special_f32s(n: usize, seed: u64) -> Vec<f32> {
+    const SPECIALS: [u32; 8] = [
+        0x7fc0_0001, // quiet NaN, payload 1
+        0xffc1_2345, // negative quiet NaN, another payload
+        0x7f80_0000, // +inf
+        0xff80_0000, // -inf
+        0x8000_0000, // -0.0
+        0x0000_0000, // +0.0
+        0x0000_0001, // smallest subnormal
+        0x3f80_0000, // 1.0
+    ];
+    f32s(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| {
+            let pick = (seed as usize).wrapping_mul(31).wrapping_add(i * 7) % 24;
+            SPECIALS.get(pick).map_or(x, |&b| f32::from_bits(b))
+        })
+        .collect()
+}
+
+/// What the walker path computes: one `BroadcastWalker` per operand, the
+/// op's scalar function per element. The result is compared bit for bit —
+/// a NaN operand's payload must come through — except where *both*
+/// operands are NaN: which payload survives then depends on the operand
+/// order the compiler chose for a commutative instruction, so there the
+/// reference is `None` and only NaN-ness is required.
+fn walker_binary_f32(a: &TensorData, b: &TensorData, op: BinaryOp) -> (Shape, Vec<Option<u32>>) {
+    let out = broadcast_shapes(a.shape(), b.shape()).unwrap();
+    let (av, bv) = (a.as_slice::<f32>().unwrap(), b.as_slice::<f32>().unwrap());
+    let wa = BroadcastWalker::new(&out, a.shape());
+    let wb = BroadcastWalker::new(&out, b.shape());
+    let v = wa
+        .zip(wb)
+        .map(|(ia, ib)| {
+            let (x, y) = (av[ia], bv[ib]);
+            (!(x.is_nan() && y.is_nan())).then(|| op.eval_f32(x, y).to_bits())
+        })
+        .collect();
+    (out, v)
+}
+
+fn assert_matches_walker(got: &TensorData, want: &[Option<u32>], ctx: &str) {
+    let got = got.as_slice::<f32>().unwrap();
+    assert_eq!(got.len(), want.len(), "{ctx}");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        match w {
+            Some(bits) => assert_eq!(g.to_bits(), *bits, "{ctx} element {i}"),
+            None => assert!(g.is_nan(), "{ctx} element {i}: NaN op NaN gave {g}"),
+        }
+    }
+}
+
+/// The comparison predicate on operands widened to `f64`, per element.
+fn walker_compare(a: &TensorData, b: &TensorData, op: CmpOp) -> (Shape, Vec<bool>) {
+    let out = broadcast_shapes(a.shape(), b.shape()).unwrap();
+    let wa = BroadcastWalker::new(&out, a.shape());
+    let wb = BroadcastWalker::new(&out, b.shape());
+    let v = wa
+        .zip(wb)
+        .map(|(ia, ib)| {
+            let (x, y) = (a.get_f64_linear(ia), b.get_f64_linear(ib));
+            match op {
+                CmpOp::Eq => x == y,
+                CmpOp::Ne => x != y,
+                CmpOp::Lt => x < y,
+                CmpOp::Le => x <= y,
+                CmpOp::Gt => x > y,
+                CmpOp::Ge => x >= y,
+            }
+        })
+        .collect();
+    (out, v)
+}
+
+/// An output shape (empty and size-1 axes included) and an operand shape
+/// that is periodic in it: a suffix of the output behind `lead` 1s.
+fn periodic_shapes() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
+    (prop::collection::vec(0usize..6, 0..4), 0usize..5, 0usize..3).prop_map(|(out, keep, lead)| {
+        let keep = keep.min(out.len());
+        let mut operand = vec![1usize; lead.min(out.len() - keep)];
+        operand.extend_from_slice(&out[out.len() - keep..]);
+        (out, operand)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every binary op, periodic operand on either side, specials in the
+    /// data: the slice path and the walker agree bit for bit.
+    #[test]
+    fn binary_periodic_matches_walker_bitwise(
+        shapes in periodic_shapes(),
+        op_ix in 0usize..10, swap in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let (out, operand) = shapes;
+        let op = BinaryOp::all()[op_ix];
+        let full = TensorData::from_vec(
+            special_f32s(out.iter().product(), seed), Shape::new(out.clone())).unwrap();
+        let part = TensorData::from_vec(
+            special_f32s(operand.iter().product(), seed + 1), Shape::new(operand.clone())).unwrap();
+        prop_assert!(part.shape().is_periodic_in(full.shape()));
+        let (a, b) = if swap { (&part, &full) } else { (&full, &part) };
+        let (want_shape, want) = walker_binary_f32(a, b, op);
+        let got = binary(a, b, op).unwrap();
+        prop_assert_eq!(got.shape(), &want_shape);
+        assert_matches_walker(&got, &want, &format!("{op:?} {:?} {:?}", a.shape(), b.shape()));
+    }
+
+    /// Every comparison on f32 (specials included), f64, i32 and i64
+    /// (beyond 2^53, where widening to f64 rounds): same predicate, same
+    /// answers as the walker.
+    #[test]
+    fn compare_periodic_matches_walker(
+        shapes in periodic_shapes(),
+        op_ix in 0usize..6, dtype_ix in 0usize..4, swap in any::<bool>(), seed in 0u64..1000,
+    ) {
+        let (out, operand) = shapes;
+        let op = CmpOp::all()[op_ix];
+        let make = |dims: &[usize], seed: u64| -> TensorData {
+            let n: usize = dims.iter().product();
+            let shape = Shape::new(dims.to_vec());
+            let ints = || f32s(n, seed).into_iter().map(|x| (x * 2.0) as i64);
+            match dtype_ix {
+                0 => TensorData::from_vec(special_f32s(n, seed), shape),
+                1 => TensorData::from_vec(
+                    special_f32s(n, seed).into_iter().map(f64::from).collect::<Vec<_>>(), shape),
+                2 => TensorData::from_vec(ints().map(|x| x as i32).collect::<Vec<_>>(), shape),
+                _ => TensorData::from_vec(
+                    ints().map(|x| (1i64 << 53) + x).collect::<Vec<_>>(), shape),
+            }
+            .unwrap()
+        };
+        let (full, part) = (make(&out, seed), make(&operand, seed + 1));
+        let (a, b) = if swap { (&part, &full) } else { (&full, &part) };
+        let (want_shape, want) = walker_compare(a, b, op);
+        let got = compare(a, b, op).unwrap();
+        prop_assert_eq!(got.shape(), &want_shape);
+        prop_assert_eq!(got.as_slice::<bool>().unwrap(), &want[..], "{:?}", op);
+    }
+}
+
+/// Periods around the 4096-element window and the parallel grain — shorter,
+/// longer, dividing and not dividing them — at several thread counts.
+#[test]
+fn binary_periodic_window_and_grain_boundaries_bitwise() {
+    for (out, operand) in [
+        ([9usize, 1000], vec![1000usize]),
+        ([3, 5000], vec![5000]),
+        ([2, 4096], vec![1, 4096]),
+        ([1300, 7], vec![7]),
+        ([8200, 1], vec![]),
+    ] {
+        let full =
+            TensorData::from_vec(special_f32s(out.iter().product(), 61), Shape::from(out)).unwrap();
+        let part = TensorData::from_vec(
+            special_f32s(operand.iter().product(), 62),
+            Shape::new(operand.clone()),
+        )
+        .unwrap();
+        for (a, b) in [(&full, &part), (&part, &full)] {
+            let (_, want) = walker_binary_f32(a, b, BinaryOp::Sub);
+            let (_, want_cmp) = walker_compare(a, b, CmpOp::Le);
+            for threads in [1usize, 2, 7] {
+                let got = with_threads(threads, || binary(a, b, BinaryOp::Sub).unwrap());
+                assert_matches_walker(
+                    &got,
+                    &want,
+                    &format!("{out:?} vs {operand:?} threads={threads}"),
+                );
+                let got = with_threads(threads, || compare(a, b, CmpOp::Le).unwrap());
+                assert_eq!(got.as_slice::<bool>().unwrap(), &want_cmp[..]);
+            }
+        }
     }
 }
 

@@ -7,7 +7,8 @@
 //! additionally require bit-identical final variable state.
 //!
 //! Two corpora are biased toward the new passes (algebraic identities and
-//! dead stores) and assert their rewrite counters actually fired — a
+//! dead stores) and assert their rewrite counters actually fired, and the
+//! stateful corpus asserts that redundant loads were merged — a
 //! differential harness that never triggers the rewrites it gates proves
 //! nothing. On a mismatch the failing graph is shrunk (output narrowing +
 //! prefix truncation) and persisted as Graphviz dot; the panic names the
@@ -30,17 +31,23 @@ fn evaluator(node: &Node, ins: &[Arc<TensorData>]) -> Result<Vec<TensorData>, St
 
 /// Every optimization configuration under differential test. `only_*`
 /// configs run one pass for one sweep; `single_sweep` runs the whole
-/// pipeline once; `fixpoint` iterates to convergence; `fixpoint_fused`
-/// additionally lowers elementwise islands into fused kernels.
+/// pipeline once; `fixpoint` iterates the simplifying passes to
+/// convergence without lowering; `fixpoint_fused` is the default pipeline,
+/// which then lowers elementwise islands into fused kernels.
 fn configs() -> Vec<(String, OptimizeOptions)> {
     let mut v = vec![("none".to_string(), OptimizeOptions::none())];
     for pass in PASS_NAMES {
         v.push((format!("only_{pass}"), OptimizeOptions::only(pass)));
     }
     v.push(("single_sweep".to_string(), OptimizeOptions { max_sweeps: 1, ..Default::default() }));
-    v.push(("fixpoint".to_string(), OptimizeOptions::default()));
-    v.push(("fixpoint_fused".to_string(), OptimizeOptions::aggressive()));
+    v.push(("fixpoint".to_string(), unfused()));
+    v.push(("fixpoint_fused".to_string(), OptimizeOptions::default()));
     v
+}
+
+/// The default pipeline minus the fusion lowering.
+fn unfused() -> OptimizeOptions {
+    OptimizeOptions { fuse_elementwise: false, ..Default::default() }
 }
 
 /// Optimize `f` under `opts` and compare against the unoptimized serial
@@ -144,7 +151,15 @@ fn cse_keeps_distinct_integer_constants_apart() {
 /// that keeps dead-store elimination honest about liveness.
 #[test]
 fn all_pass_configs_preserve_variable_state() {
-    run_stateful_differential(common::generate_stateful, fuzz_cases(40), &mut |_| {});
+    let mut merged_loads = 0usize;
+    run_stateful_differential(common::generate_stateful, fuzz_cases(40), &mut |f, g, _| {
+        merged_loads += count_op(f, "read_variable") - count_op(g, "read_variable");
+    });
+    assert!(merged_loads > 0, "stateful corpus never triggered redundant-load elimination");
+}
+
+fn count_op(f: &GraphFunction, op: &str) -> usize {
+    f.nodes.iter().filter(|n| n.op == op).count()
 }
 
 /// Dead-store-biased corpus: same obligations as the stateful
@@ -153,7 +168,7 @@ fn all_pass_configs_preserve_variable_state() {
 #[test]
 fn dead_store_corpus_is_eliminated_and_preserved() {
     let mut dse_rewrites = 0u64;
-    run_stateful_differential(common::generate_dead_store, fuzz_cases(40), &mut |stats| {
+    run_stateful_differential(common::generate_dead_store, fuzz_cases(40), &mut |_, _, stats| {
         dse_rewrites += stats.rewrites_for("eliminate_dead_stores");
     });
     assert!(dse_rewrites > 0, "biased corpus never triggered dead-store elimination");
@@ -162,7 +177,7 @@ fn dead_store_corpus_is_eliminated_and_preserved() {
 fn run_stateful_differential(
     gen: fn(u64, &[i64]) -> GraphFunction,
     cases: u64,
-    on_fixpoint_stats: &mut dyn FnMut(&OptimizeStats),
+    on_fixpoint: &mut dyn FnMut(&GraphFunction, &GraphFunction, &OptimizeStats),
 ) {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
@@ -191,7 +206,7 @@ fn run_stateful_differential(
                 f.dump()
             );
             if name == "fixpoint" {
-                on_fixpoint_stats(&stats);
+                on_fixpoint(&f, &g, &stats);
             }
             for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
                 reset(&vars);
@@ -246,7 +261,7 @@ fn algebraic_corpus_is_simplified_and_preserved() {
                 }
             }
         }
-        let optimized = passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator));
+        let optimized = passes::optimize(&f, &unfused(), Some(&evaluator));
         removed += f.executable_node_count().saturating_sub(optimized.executable_node_count());
     }
     assert!(algebraic > 0, "biased corpus never triggered algebraic simplification");
@@ -263,7 +278,7 @@ fn algebraic_corpus_is_simplified_and_preserved() {
 fn fused_and_unfused_graphs_agree_bitwise() {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
-    let opts = OptimizeOptions::aggressive();
+    let opts = OptimizeOptions::default();
     let bits = |t: &TensorData| -> Option<Vec<u64>> {
         match t.dtype() {
             tfe_tensor::DType::F32 => {
@@ -284,7 +299,7 @@ fn fused_and_unfused_graphs_agree_bitwise() {
             continue;
         }
         fused_graphs += 1;
-        let unfused = passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator));
+        let unfused = passes::optimize(&f, &unfused(), Some(&evaluator));
         for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
             let tiled = executor::run_function(&g, &args, &device, mode)
                 .unwrap_or_else(|e| panic!("case {seed} fused {mode:?} failed: {e}\n{}", g.dump()));
@@ -307,6 +322,110 @@ fn fused_and_unfused_graphs_agree_bitwise() {
         }
     }
     assert!(fused_graphs > 0, "corpus never produced a fused kernel");
+}
+
+/// Redundant-load elimination on the program `read, read, assign, read`:
+/// the second read merges into the first, the read after the store stays,
+/// and both executors still observe program order.
+#[test]
+fn redundant_loads_merge_up_to_the_next_store() {
+    use tf_eager::Attrs;
+    use tfe_graph::GraphBuilder;
+    use tfe_tensor::DType;
+    tf_eager::init();
+    let device = tfe_runtime::context::device_manager().host_cpu();
+    let var = tf_eager::Variable::new(TensorData::scalar(3.0f64));
+    let vid = var.id() as i64;
+    let read = |b: &mut GraphBuilder| {
+        let attrs = Attrs::new()
+            .with("var_id", vid)
+            .with("dtype", DType::F64)
+            .with("shape", Vec::<i64>::new());
+        b.add_node("read_variable", vec![], attrs).unwrap()[0]
+    };
+    let mut b = GraphBuilder::new("rrar");
+    let r1 = read(&mut b);
+    let r2 = read(&mut b);
+    let sum = b.add_node("add", vec![r1, r2], Attrs::new()).unwrap()[0];
+    b.add_node("assign", vec![sum], Attrs::new().with("var_id", vid)).unwrap();
+    let r3 = read(&mut b);
+    let f = b.finish(vec![r1, r2, r3], 0);
+
+    for (name, opts) in
+        [("only_cse", OptimizeOptions::only("cse")), ("default", Default::default())]
+    {
+        let (g, stats) = passes::optimize_with_stats(&f, &opts, Some(&evaluator));
+        assert_eq!(count_op(&g, "read_variable"), 2, "{name}\n{}", g.dump());
+        assert!(stats.rewrites_for("cse") >= 1, "{name}");
+        // The surviving edges are the sequencing model's own.
+        let recomputed = tfe_graph::sequencing::sequence_control_edges(&g.nodes);
+        for (i, n) in g.nodes.iter().enumerate() {
+            assert_eq!(n.control_inputs, recomputed[i], "{name} node {i}\n{}", g.dump());
+        }
+        for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
+            var.restore(TensorData::scalar(3.0f64)).unwrap();
+            let out = executor::run_function(&g, &[], &device, mode).unwrap();
+            let got: Vec<f64> = out.iter().map(|t| t.scalar_f64().unwrap()).collect();
+            assert_eq!(got, vec![3.0, 3.0, 6.0], "{name} {mode:?}");
+            assert_eq!(var.peek().scalar_f64().unwrap(), 6.0, "{name} {mode:?}");
+        }
+    }
+}
+
+/// A barrier between two reads — a host function or a stateful call, either
+/// of which may write the variable — blocks the merge, and the second read
+/// observes what the barrier wrote.
+#[test]
+fn barriers_block_redundant_load_elimination() {
+    use tf_eager::{api, function, Arg, HostFunc, Variable};
+    tf_eager::init();
+    let bump_by_host = {
+        let var = Variable::new(TensorData::scalar(1.0f64));
+        let host = {
+            let var = var.clone();
+            HostFunc::new(
+                move |_| {
+                    var.assign_add(&api::scalar(10.0f64))?;
+                    Ok(vec![api::scalar(0.0f64)])
+                },
+                vec![(tfe_tensor::DType::F64, tfe_ops::SymShape::scalar())],
+            )
+        };
+        function("reads_around_host_func", move |_| {
+            let before = var.read()?;
+            host.call(&[&before])?;
+            Ok(vec![before, var.read()?])
+        })
+    };
+    let bump_by_call = {
+        let var = Variable::new(TensorData::scalar(1.0f64));
+        let callee = {
+            let var = var.clone();
+            function("bump", move |_| {
+                var.assign_add(&api::scalar(10.0f64))?;
+                Ok(vec![])
+            })
+        };
+        function("reads_around_stateful_call", move |_| {
+            let before = var.read()?;
+            callee.call(&[])?;
+            Ok(vec![before, var.read()?])
+        })
+    };
+    for f in [bump_by_host, bump_by_call] {
+        let none: [Arg; 0] = [];
+        let out = f.call(&none).unwrap();
+        let got: Vec<f64> = out.iter().map(|t| t.scalar_f64().unwrap()).collect();
+        assert_eq!(got, vec![1.0, 11.0], "{}", f.name());
+        let c = f.concrete_for(&none).unwrap();
+        assert_eq!(
+            count_op(&c.function, "read_variable"),
+            2,
+            "{}\n{}",
+            f.name(),
+            c.function.dump()
+        );
+    }
 }
 
 /// Applying any single pass twice must equal applying it once —
@@ -342,10 +461,10 @@ fn optimized_hashes_are_reproducible() {
     tf_eager::init();
     for seed in 0..fuzz_cases(20) {
         let (f, _) = common::generate(seed);
-        let base = passes::optimize(&f, &OptimizeOptions::aggressive(), Some(&evaluator))
-            .structural_hash();
+        let base =
+            passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator)).structural_hash();
         for round in 0..4 {
-            let again = passes::optimize(&f, &OptimizeOptions::aggressive(), Some(&evaluator))
+            let again = passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator))
                 .structural_hash();
             assert_eq!(base, again, "seed {seed} round {round}: optimized hash drifted");
         }
