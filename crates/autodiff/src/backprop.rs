@@ -2,12 +2,13 @@
 
 use crate::registry::{gradient_fn, GradCtx};
 use std::collections::HashMap;
-use tfe_ops::Attrs;
+use std::sync::Arc;
+use tfe_ops::{Attrs, Op};
 use tfe_runtime::{api, Result, RuntimeError, TapeRecord, Tensor};
 
 fn zeros_like(x: &Tensor) -> Result<Tensor> {
     let mut out =
-        tfe_runtime::context::execute("zeros_like", std::slice::from_ref(x), Attrs::new())?;
+        tfe_runtime::context::execute(Op::ZerosLike, std::slice::from_ref(x), Attrs::new())?;
     Ok(out.remove(0))
 }
 
@@ -23,7 +24,7 @@ fn zeros_like(x: &Tensor) -> Result<Tensor> {
 /// Missing gradient definitions along the differentiated path, or kernel
 /// failures inside gradient functions.
 pub fn accumulate(
-    records: &[TapeRecord],
+    records: &[Arc<TapeRecord>],
     target_id: u64,
     seed: Tensor,
     wanted: &[u64],
@@ -42,7 +43,7 @@ pub fn accumulate(
 /// # Errors
 /// Same conditions as [`accumulate`].
 pub fn accumulate_many(
-    records: &[TapeRecord],
+    records: &[Arc<TapeRecord>],
     seeds: HashMap<u64, Tensor>,
 ) -> Result<HashMap<u64, Tensor>> {
     let mut grads: HashMap<u64, Tensor> = seeds;
@@ -59,7 +60,7 @@ pub fn accumulate_many(
                 None => output_grads.push(zeros_like(out)?),
             }
         }
-        let f = gradient_fn(&record.op)?;
+        let f = gradient_fn(record.op)?;
         let input_grads = f(&GradCtx { record, output_grads: &output_grads })?;
         if input_grads.len() != record.input_ids.len() {
             return Err(RuntimeError::Internal(format!(

@@ -31,9 +31,7 @@ pub mod registry;
 mod tape_api;
 
 pub use backprop::{accumulate, accumulate_many};
-pub use registry::{
-    ensure_gradients, gradient_fn, has_gradient, register_gradient, GradCtx, GradFn,
-};
+pub use registry::{gradient_fn, install_staged_gradients, GradCtx, GradFn};
 pub use tape_api::{value_and_grad, GradientTape};
 
 #[cfg(test)]
@@ -288,7 +286,7 @@ mod tests {
         tape.watch(&x);
         let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, tfe_ops::SymShape::scalar())]);
         let y = tfe_runtime::context::execute(
-            "host_func",
+            tfe_ops::Op::HostFunc,
             std::slice::from_ref(&x),
             tfe_ops::Attrs::new()
                 .with("fn_id", id as i64)
@@ -355,7 +353,7 @@ mod extended_gradient_tests {
             let loss = |av: &[f64], bv: &[f64]| -> f64 {
                 let (a, b) = make(av, bv);
                 let y = tfe_runtime::context::execute(
-                    "batch_matmul",
+                    tfe_ops::Op::BatchMatmul,
                     &[a, b],
                     tfe_ops::Attrs::new().with("transpose_a", ta).with("transpose_b", tb),
                 )
@@ -368,7 +366,7 @@ mod extended_gradient_tests {
             tape.watch(&a);
             tape.watch(&b);
             let y = tfe_runtime::context::execute(
-                "batch_matmul",
+                tfe_ops::Op::BatchMatmul,
                 &[a.clone(), b.clone()],
                 tfe_ops::Attrs::new().with("transpose_a", ta).with("transpose_b", tb),
             )

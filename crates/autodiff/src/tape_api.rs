@@ -47,7 +47,6 @@ impl GradientTape {
 
     /// Full control over persistence and variable auto-watching.
     pub fn with_options(persistent: bool, watch_accessed_variables: bool) -> GradientTape {
-        crate::registry::ensure_gradients();
         let tape = Tape::new(persistent, watch_accessed_variables);
         tfe_runtime::context::push_tape(tape.clone());
         GradientTape { tape }
@@ -134,7 +133,7 @@ impl GradientTape {
                 Some(g) => g,
                 None => {
                     let mut out = tfe_runtime::context::execute(
-                        "ones_like",
+                        tfe_ops::Op::OnesLike,
                         std::slice::from_ref(target),
                         tfe_ops::Attrs::new(),
                     )?;

@@ -38,7 +38,7 @@ fn evaluator(
     node: &tfe_graph::Node,
     inputs: &[Arc<TensorData>],
 ) -> Result<Vec<TensorData>, String> {
-    tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, inputs).map_err(|e| e.to_string())
+    tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs).map_err(|e| e.to_string())
 }
 
 /// The default pipeline minus the fusion lowering.

@@ -517,7 +517,7 @@ fn bench_pass_pipeline(iters: usize, reps: usize) -> tfe_encode::Value {
 
     let evaluator =
         |node: &tfe_graph::Node, ins: &[Arc<TensorData>]| -> Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, ins).map_err(|e| e.to_string())
+            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
         };
     let (optimized, stats) =
         passes::optimize_with_stats(&f, &OptimizeOptions::default(), Some(&evaluator));

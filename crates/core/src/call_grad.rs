@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tfe_autodiff::GradCtx;
 use tfe_graph::{GraphFunction, NodeId, TensorRef};
-use tfe_ops::Attrs;
+use tfe_ops::{Attrs, Op};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 use tfe_tensor::TensorData;
 
@@ -119,34 +119,16 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
         }
 
         // Synthetic tape records mirroring the forward graph.
-        let mut records: Vec<TapeRecord> = Vec::new();
+        let mut records: Vec<Arc<TapeRecord>> = Vec::new();
         for (i, node) in raw.nodes.iter().enumerate() {
-            if node.op == "placeholder" || node.op == "const" || node.outputs.is_empty() {
+            if matches!(node.op, Op::Placeholder | Op::Const) || node.outputs.is_empty() {
                 continue;
             }
             let inputs: Vec<Tensor> = node.inputs.iter().map(|t| value_of[t].clone()).collect();
             let outputs: Vec<Tensor> = (0..node.outputs.len())
                 .map(|o| value_of[&TensorRef { node: NodeId(i), output: o }].clone())
                 .collect();
-            let mut input_ids: Vec<u64> = if node.op == "read_variable" {
-                vec![node.attrs.int("var_id").map_err(tfe_ops::OpError::from)? as u64]
-            } else {
-                inputs.iter().map(Tensor::id).collect()
-            };
-            if node.op == "call" {
-                if let Ok(vids) = node.attrs.int_list("var_ids") {
-                    input_ids.extend(vids.iter().map(|&v| v as u64));
-                }
-            }
-            let output_ids = outputs.iter().map(Tensor::id).collect();
-            records.push(TapeRecord {
-                op: node.op.clone(),
-                attrs: node.attrs.clone(),
-                inputs,
-                outputs,
-                input_ids,
-                output_ids,
-            });
+            records.push(Arc::new(TapeRecord::new(node.op, node.attrs.clone(), &inputs, &outputs)));
         }
 
         // Seeds: dy per forward-variant output (summing if a ref repeats).
@@ -173,7 +155,7 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
                 Some(g) => outs.push(g.clone()),
                 None => {
                     outs.push(
-                        context::execute("zeros_like", std::slice::from_ref(ph), Attrs::new())?
+                        context::execute(Op::ZerosLike, std::slice::from_ref(ph), Attrs::new())?
                             .remove(0),
                     );
                 }
@@ -195,7 +177,7 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
         outs.into_iter()
             .map(|t| match &t {
                 Tensor::Symbolic(s) if s.frame_id == frame_id => Ok(t),
-                _ => Ok(context::execute("identity", &[t], Attrs::new())?.remove(0)),
+                _ => Ok(context::execute(Op::Identity, &[t], Attrs::new())?.remove(0)),
             })
             .collect()
     })();
@@ -214,7 +196,7 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
     let evaluator = |node: &tfe_graph::Node,
                      inputs: &[Arc<TensorData>]|
      -> std::result::Result<Vec<TensorData>, String> {
-        tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, inputs).map_err(|e| e.to_string())
+        tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs).map_err(|e| e.to_string())
     };
     let (bwd_opt, bwd_stats) = tfe_graph::passes::optimize_with_stats(
         &bwd_raw,
@@ -253,7 +235,7 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
 
 /// The gradient of the `call` operation: invoke the backward graph function
 /// with the forward intermediates and the output gradients.
-fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
+pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     let fname = c.attrs().str("function").map_err(tfe_ops::OpError::from)?;
     let conc = lookup_concrete(fname).ok_or_else(|| {
         RuntimeError::Unsupported(format!(
@@ -272,7 +254,7 @@ fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
             .get(&bundle.fwd_name)
             .ok_or_else(|| RuntimeError::UnknownFunction(bundle.fwd_name.clone()))?;
         let attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &bundle.var_ids);
-        let outs = context::execute("call", &c.record.inputs, attrs)?;
+        let outs = context::execute(Op::Call, &c.record.inputs, attrs)?;
         outs[bundle.n_primary..].to_vec()
     };
 
@@ -284,7 +266,7 @@ fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
         bwd_inputs.extend(c.output_grads[..bundle.n_primary].iter().cloned());
         for t in &intermediates {
             bwd_inputs.push(
-                context::execute("zeros_like", std::slice::from_ref(t), Attrs::new())?.remove(0),
+                context::execute(Op::ZerosLike, std::slice::from_ref(t), Attrs::new())?.remove(0),
             );
         }
     }
@@ -293,7 +275,7 @@ fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
         .get(&bundle.bwd_name)
         .ok_or_else(|| RuntimeError::UnknownFunction(bundle.bwd_name.clone()))?;
     let attrs = ConcreteFunction::call_attrs(&bwd, false, &[]);
-    let grads = context::execute("call", &bwd_inputs, attrs)?;
+    let grads = context::execute(Op::Call, &bwd_inputs, attrs)?;
     if grads.len() != bundle.n_forward_inputs + bundle.var_ids.len() {
         return Err(RuntimeError::Internal(format!(
             "backward of `{fname}` returned {} gradients, expected {}",
@@ -310,7 +292,7 @@ fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
 /// recorded symbolically (inside another trace) the taken branch is not
 /// knowable at gradient-construction time, and we return a documented
 /// `Unsupported` error (DESIGN.md §7).
-fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
+pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     let pred = c
         .record
         .inputs
@@ -337,21 +319,22 @@ fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
         .ok_or_else(|| RuntimeError::UnknownFunction(bundle.fwd_name.clone()))?;
     let attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &bundle.var_ids);
     let branch_args = &c.record.inputs[1..];
-    let outs = context::execute("call", branch_args, attrs)?;
+    let outs = context::execute(Op::Call, branch_args, attrs)?;
     let intermediates = outs[bundle.n_primary..].to_vec();
 
     let mut bwd_inputs = intermediates.clone();
     bwd_inputs.extend(c.output_grads[..bundle.n_primary].iter().cloned());
     for t in &intermediates {
-        bwd_inputs
-            .push(context::execute("zeros_like", std::slice::from_ref(t), Attrs::new())?.remove(0));
+        bwd_inputs.push(
+            context::execute(Op::ZerosLike, std::slice::from_ref(t), Attrs::new())?.remove(0),
+        );
     }
     bwd_inputs.extend(bundle.bwd_captures.iter().cloned());
     let bwd = context::library()
         .get(&bundle.bwd_name)
         .ok_or_else(|| RuntimeError::UnknownFunction(bundle.bwd_name.clone()))?;
     let attrs = ConcreteFunction::call_attrs(&bwd, false, &[]);
-    let grads = context::execute("call", &bwd_inputs, attrs)?;
+    let grads = context::execute(Op::Call, &bwd_inputs, attrs)?;
     // Slots: predicate (None), then one per branch argument.
     let mut out: Vec<Option<Tensor>> = vec![None];
     out.extend(grads.into_iter().take(branch_args.len()).map(Some));
@@ -361,20 +344,4 @@ fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
         out.push(None);
     }
     Ok(out)
-}
-
-/// Register the `call` and `cond` gradients with the autodiff registry
-/// (idempotent).
-pub fn register_call_gradient() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        tfe_autodiff::register_gradient("call", call_gradient);
-        tfe_autodiff::register_gradient("cond", cond_gradient);
-        tfe_autodiff::register_gradient("while_loop", |_c| {
-            Err(RuntimeError::Unsupported(
-                "the gradient of while_loop is not implemented (documented limitation,                  DESIGN.md §7); rewrite the loop body as a host loop over a staged step"
-                    .to_string(),
-            ))
-        });
-    });
 }

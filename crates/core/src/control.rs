@@ -4,7 +4,7 @@
 use crate::arg::Arg;
 use crate::func::{ConcreteFunction, Func};
 use std::sync::Arc;
-use tfe_ops::{Attrs, SymShape};
+use tfe_ops::{Attrs, Op, SymShape};
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::DType;
 
@@ -43,7 +43,7 @@ pub fn cond(
     let mut inputs = vec![pred.clone()];
     inputs.extend(args.iter().map(|&t| t.clone()));
     context::execute(
-        "cond",
+        Op::Cond,
         &inputs,
         Attrs::new()
             .with("then_fn", t.name.clone())
@@ -92,7 +92,7 @@ pub fn while_loop(cond_fn: &Func, body_fn: &Func, init: &[&Tensor]) -> Result<Ve
     }
     let inputs: Vec<Tensor> = init.iter().map(|&t| t.clone()).collect();
     context::execute(
-        "while_loop",
+        Op::WhileLoop,
         &inputs,
         Attrs::new()
             .with("cond_fn", c.name.clone())
@@ -135,7 +135,7 @@ impl HostFunc {
         let (d, s) = tfe_ops::catalog::encode_sig(&self.out_sig);
         let inputs: Vec<Tensor> = args.iter().map(|&t| t.clone()).collect();
         context::execute(
-            "host_func",
+            Op::HostFunc,
             &inputs,
             Attrs::new().with("fn_id", self.id as i64).with("out_dtypes", d).with("out_shapes", s),
         )

@@ -14,7 +14,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tfe_graph::{passes, GraphFunction, TensorRef};
-use tfe_ops::Attrs;
+use tfe_ops::{Attrs, Op};
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::{DType, TensorData};
 
@@ -774,7 +774,7 @@ impl Func {
         let evaluator = |node: &tfe_graph::Node,
                          inputs: &[Arc<TensorData>]|
          -> std::result::Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, inputs)
+            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs)
                 .map_err(|e| e.to_string())
         };
         let (optimized, opt_stats) = passes::optimize_with_stats(&raw, &options, Some(&evaluator));
@@ -821,7 +821,7 @@ impl Func {
             outs.into_iter()
                 .map(|t| match &t {
                     Tensor::Symbolic(s) if s.frame_id == frame_id => Ok(t),
-                    _ => Ok(context::execute("identity", &[t], Attrs::new())?.remove(0)),
+                    _ => Ok(context::execute(Op::Identity, &[t], Attrs::new())?.remove(0)),
                 })
                 .collect()
         })();
@@ -934,12 +934,12 @@ impl ConcreteFunction {
                 .get(&bundle.fwd_name)
                 .ok_or_else(|| RuntimeError::UnknownFunction(bundle.fwd_name.clone()))?;
             let attrs = Self::call_attrs(&fwd, self.stateful, &self.var_ids);
-            let mut outs = context::execute("call", &all, attrs)?;
+            let mut outs = context::execute(Op::Call, &all, attrs)?;
             outs.truncate(self.n_primary);
             Ok(outs)
         } else {
             let attrs = Self::call_attrs(&self.function, self.stateful, &self.var_ids);
-            context::execute("call", &all, attrs)
+            context::execute(Op::Call, &all, attrs)
         }
     }
 

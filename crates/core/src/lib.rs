@@ -43,13 +43,12 @@ pub use func::{
     function, function1, ConcreteFunction, Func, FuncStats, RetraceCause, RetraceEvent,
 };
 
-/// Wire up every registry this crate depends on (ops, kernels, gradients,
-/// and the `call` gradient). Idempotent and cheap after the first call;
-/// invoked automatically by the public entry points.
+/// Install the gradients of `call` and `cond`, which this crate owns, into
+/// the autodiff table — the one piece of set-up the op set needs, since the
+/// ops, kernels and every other gradient are compiled-in `match`es.
+/// Idempotent; invoked automatically by the public entry points.
 pub fn init() {
-    tfe_runtime::context::ensure_init();
-    tfe_autodiff::ensure_gradients();
-    call_grad::register_call_gradient();
+    tfe_autodiff::install_staged_gradients(call_grad::call_gradient, call_grad::cond_gradient);
 }
 
 #[cfg(test)]

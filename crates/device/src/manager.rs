@@ -87,12 +87,16 @@ impl fmt::Debug for Device {
 #[derive(Debug)]
 pub struct DeviceManager {
     devices: RwLock<Vec<Device>>,
+    /// The host CPU, `devices[0]`, kept beside the list so that the most
+    /// common answer needs no search.
+    host: Device,
 }
 
 impl DeviceManager {
     /// A manager holding only the host CPU.
     pub fn new() -> DeviceManager {
-        DeviceManager { devices: RwLock::new(vec![Device::host_cpu()]) }
+        let host = Device::host_cpu();
+        DeviceManager { devices: RwLock::new(vec![host.clone()]), host }
     }
 
     /// Register a device.
@@ -141,7 +145,7 @@ impl DeviceManager {
 
     /// The host CPU device.
     pub fn host_cpu(&self) -> Device {
-        self.find(&DeviceName::local_cpu()).expect("host CPU is always registered")
+        self.host.clone()
     }
 }
 

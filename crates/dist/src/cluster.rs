@@ -17,7 +17,7 @@ use tfe_device::{DeviceName, DeviceType};
 use tfe_encode::Value;
 use tfe_graph::serial::{attrs_to_value, tensor_from_value, tensor_to_value};
 use tfe_ops::Attrs;
-use tfe_runtime::{context, Tensor};
+use tfe_runtime::Tensor;
 
 /// Result alias for coordinator-side operations.
 pub type Result<T, E = DistError> = std::result::Result<T, E>;
@@ -346,7 +346,6 @@ impl Cluster {
         kind: TransportKind,
         opts: RpcOptions,
     ) -> Result<Cluster> {
-        context::ensure_init();
         let mut workers = HashMap::new();
         let mut devices = Vec::new();
         for (job, task) in spec.tasks() {

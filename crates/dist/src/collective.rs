@@ -23,10 +23,13 @@
 use crate::cluster::{Cluster, RemoteArg, RemoteTensor, Result};
 use crate::error::DistError;
 use std::sync::Arc;
-use tfe_ops::Attrs;
+use tfe_ops::{Attrs, BinaryOp, Op};
 use tfe_runtime::kernels::run_kernel;
 use tfe_runtime::Tensor;
 use tfe_tensor::{DType, TensorData};
+
+const ADD: Op = Op::Binary(BinaryOp::Add);
+const DIV: Op = Op::Binary(BinaryOp::Div);
 
 fn scalar(dtype: DType, v: f64) -> TensorData {
     TensorData::from_f64_vec(dtype, vec![v], Vec::<usize>::new())
@@ -111,11 +114,11 @@ pub fn ps_reference_mean(shards: &[Arc<TensorData>]) -> Result<TensorData> {
     let n = shards.len();
     let mut acc = first.clone();
     for s in &shards[1..] {
-        let out = run_kernel("add", &Attrs::new(), &[acc, s.clone()])?;
+        let out = run_kernel(ADD, &Attrs::new(), &[acc, s.clone()])?;
         acc = Arc::new(out.into_iter().next().expect("add yields one output"));
     }
     let divisor = Arc::new(scalar(first.dtype(), n as f64));
-    let out = run_kernel("div", &Attrs::new(), &[acc, divisor])?;
+    let out = run_kernel(DIV, &Attrs::new(), &[acc, divisor])?;
     Ok(out.into_iter().next().expect("div yields one output"))
 }
 
@@ -242,14 +245,14 @@ pub fn ring_reference_mean(shards: &[Arc<TensorData>]) -> Result<TensorData> {
     if ranges.is_empty() {
         let mut acc = first.clone();
         for s in &shards[1..] {
-            acc = one(run_kernel("add", &Attrs::new(), &[acc, s.clone()])?);
+            acc = one(run_kernel(ADD, &Attrs::new(), &[acc, s.clone()])?);
         }
-        let mean = one(run_kernel("div", &Attrs::new(), &[acc, divisor])?);
+        let mean = one(run_kernel(DIV, &Attrs::new(), &[acc, divisor])?);
         let out = if dims.is_empty() {
             let zero = Arc::new(scalar(dtype, 0.0));
-            run_kernel("add", &Attrs::new(), &[mean, zero])?
+            run_kernel(ADD, &Attrs::new(), &[mean, zero])?
         } else {
-            run_kernel("concat", &Attrs::new().with("axis", 0i64), &[mean])?
+            run_kernel(Op::Concat, &Attrs::new().with("axis", 0i64), &[mean])?
         };
         return Ok(out.into_iter().next().expect("one output"));
     }
@@ -257,16 +260,16 @@ pub fn ring_reference_mean(shards: &[Arc<TensorData>]) -> Result<TensorData> {
     let mut chunk_means = Vec::with_capacity(n);
     for (k, &(start, len)) in ranges.iter().enumerate() {
         let mut acc =
-            one(run_kernel("slice", &slice_attrs(&dims, start, len), &[shards[k].clone()])?);
+            one(run_kernel(Op::Slice, &slice_attrs(&dims, start, len), &[shards[k].clone()])?);
         for j in 1..n {
             let w = (k + j) % n;
             let piece =
-                one(run_kernel("slice", &slice_attrs(&dims, start, len), &[shards[w].clone()])?);
-            acc = one(run_kernel("add", &Attrs::new(), &[acc, piece])?);
+                one(run_kernel(Op::Slice, &slice_attrs(&dims, start, len), &[shards[w].clone()])?);
+            acc = one(run_kernel(ADD, &Attrs::new(), &[acc, piece])?);
         }
-        chunk_means.push(one(run_kernel("div", &Attrs::new(), &[acc, divisor.clone()])?));
+        chunk_means.push(one(run_kernel(DIV, &Attrs::new(), &[acc, divisor.clone()])?));
     }
-    let out = run_kernel("concat", &Attrs::new().with("axis", 0i64), &chunk_means)?;
+    let out = run_kernel(Op::Concat, &Attrs::new().with("axis", 0i64), &chunk_means)?;
     Ok(out.into_iter().next().expect("one output"))
 }
 

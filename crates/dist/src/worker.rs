@@ -51,7 +51,6 @@ impl WorkerState {
     /// Fresh state with an empty resident table, for the worker labelled
     /// `worker` (`job/task`) in metrics.
     pub fn new(worker: &str) -> WorkerState {
-        context::ensure_init();
         let resident_gauge = tfe_metrics::gauge_vec(
             "tfe_dist_resident_tensors",
             "Tensors resident on each worker",
@@ -101,6 +100,7 @@ impl WorkerState {
                     body.get("attrs").ok_or_else(|| "execute_op: missing `attrs`".to_string())?,
                 )
                 .map_err(|e| e.to_string())?;
+                let op = tfe_ops::Op::from_name(op).map_err(|e| format!("execute_op: {e}"))?;
                 let inputs = self.decode_inputs(body)?;
                 let out = tfe_runtime::kernels::run_kernel(op, &attrs, &inputs)
                     .map_err(|e| e.to_string())?;

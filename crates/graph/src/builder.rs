@@ -5,7 +5,7 @@
 use crate::ir::{GraphFunction, Node, NodeId, TensorRef};
 use crate::sequencing::{self, SequencingState};
 use std::sync::Arc;
-use tfe_ops::{AttrValue, Attrs, InferCtx, OpError, SymShape};
+use tfe_ops::{AttrValue, Attrs, InferCtx, Op, OpError, SymShape};
 use tfe_tensor::{DType, TensorData};
 
 /// Builds a [`GraphFunction`] node by node, running shape inference as it
@@ -22,7 +22,6 @@ pub struct GraphBuilder {
 impl GraphBuilder {
     /// Start a new function named `name`.
     pub fn new(name: &str) -> GraphBuilder {
-        tfe_ops::ensure_standard_ops();
         GraphBuilder {
             name: name.to_string(),
             nodes: Vec::new(),
@@ -49,7 +48,7 @@ impl GraphBuilder {
     pub fn placeholder(&mut self, dtype: DType, shape: SymShape) -> Result<TensorRef, OpError> {
         let dims: Vec<i64> = shape.dims().iter().map(|d| d.map_or(-1, |v| v as i64)).collect();
         let attrs = Attrs::new().with("dtype", dtype).with("shape", dims);
-        let refs = self.add_node("placeholder", Vec::new(), attrs)?;
+        let refs = self.add_op(Op::Placeholder, Vec::new(), attrs)?;
         let id = refs[0].node;
         self.inputs.push(id);
         Ok(refs[0])
@@ -67,22 +66,35 @@ impl GraphBuilder {
             .with("dtype", value.dtype())
             .with("shape", dims)
             .with("value_index", index as i64);
-        let refs = self.add_node("const", Vec::new(), attrs)?;
+        let refs = self.add_op(Op::Const, Vec::new(), attrs)?;
         Ok(refs[0])
     }
 
-    /// Append an op node; returns references to its outputs.
+    /// [`add_op`](GraphBuilder::add_op) for an op given by name — one of
+    /// the places a name becomes an [`Op`].
     ///
     /// # Errors
-    /// Unknown ops, arity violations, or shape-inference failures — i.e.
-    /// the same errors eager execution would raise, surfaced at trace time.
+    /// [`OpError::UnknownOp`], or what `add_op` reports.
     pub fn add_node(
         &mut self,
         op: &str,
         inputs: Vec<TensorRef>,
         attrs: Attrs,
     ) -> Result<Vec<TensorRef>, OpError> {
-        let def = tfe_ops::global().lookup(op)?;
+        self.add_op(Op::from_name(op)?, inputs, attrs)
+    }
+
+    /// Append an op node; returns references to its outputs.
+    ///
+    /// # Errors
+    /// Arity violations or shape-inference failures — i.e. the same errors
+    /// eager execution would raise, surfaced at trace time.
+    pub fn add_op(
+        &mut self,
+        op: Op,
+        inputs: Vec<TensorRef>,
+        attrs: Attrs,
+    ) -> Result<Vec<TensorRef>, OpError> {
         let mut dtypes = Vec::with_capacity(inputs.len());
         let mut shapes = Vec::with_capacity(inputs.len());
         for t in &inputs {
@@ -98,25 +110,18 @@ impl GraphBuilder {
             dtypes.push(d);
             shapes.push(s);
         }
-        let outputs = def.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
+        let outputs = op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
         // `call`-like nodes carry statefulness as an attribute set by the
         // tracer from the callee's own statefulness.
         let attr_stateful = matches!(attrs.get("stateful"), Some(AttrValue::Bool(true)));
-        let stateful = def.is_stateful() || attr_stateful;
+        let stateful = op.def().is_stateful() || attr_stateful;
         let id = NodeId(self.nodes.len());
         // Sequencing edges keep stateful ops in program order (per
         // resource) so the parallel executor never needs a serial fallback.
         let access = sequencing::classify(op, &attrs, stateful);
         let data_inputs: Vec<NodeId> = inputs.iter().map(|t| t.node).collect();
         let control_inputs = self.sequencing.sequence(id, access, &data_inputs);
-        self.nodes.push(Node {
-            op: op.to_string(),
-            inputs,
-            attrs,
-            outputs,
-            stateful,
-            control_inputs,
-        });
+        self.nodes.push(Node { op, inputs, attrs, outputs, stateful, control_inputs });
         let n_out = self.nodes[id.0].outputs.len();
         Ok((0..n_out).map(|output| TensorRef { node: id, output }).collect())
     }
@@ -175,8 +180,11 @@ mod tests {
         let y = b.placeholder(DType::I32, SymShape::known(&Shape::from([4]))).unwrap();
         // dtype mismatch caught during tracing
         assert!(b.add_node("add", vec![x, y], Attrs::new()).is_err());
-        // unknown op
-        assert!(b.add_node("not_an_op", vec![x], Attrs::new()).is_err());
+        // unknown op: a typed error, never a panic
+        assert_eq!(
+            b.add_node("nope", vec![x], Attrs::new()),
+            Err(OpError::UnknownOp("nope".to_string()))
+        );
         // dangling ref
         let dangling = TensorRef::first(NodeId(99));
         assert!(b.add_node("relu", vec![dangling], Attrs::new()).is_err());

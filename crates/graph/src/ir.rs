@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use tfe_ops::{Attrs, SymShape};
+use tfe_ops::{Attrs, Op, SymShape};
 use tfe_tensor::{DType, TensorData};
 
 /// Index of a node within its graph.
@@ -33,8 +33,10 @@ impl TensorRef {
 /// One operation instance in a graph.
 #[derive(Debug, Clone)]
 pub struct Node {
-    /// Operation name (must exist in the op registry).
-    pub op: String,
+    /// The operation. A name becomes an [`Op`] where the node is made
+    /// ([`GraphBuilder::add_node`](crate::GraphBuilder::add_node),
+    /// deserialization); printed forms use [`Op::name`].
+    pub op: Op,
     /// Input tensors.
     pub inputs: Vec<TensorRef>,
     /// Static attributes.
@@ -123,7 +125,7 @@ impl GraphFunction {
     /// Number of op nodes that the dataflow executor would run (everything
     /// except placeholders).
     pub fn executable_node_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.op != "placeholder").count()
+        self.nodes.iter().filter(|n| n.op != Op::Placeholder).count()
     }
 
     /// Names of callee functions referenced by `call`/`cond`/`while_loop`
@@ -277,9 +279,9 @@ impl GraphFunction {
             self.outputs.iter().map(|t| t.node.0).collect();
         for (i, n) in self.nodes.iter().enumerate() {
             let sig: Vec<String> = n.outputs.iter().map(|(d, s)| format!("{d}{s}")).collect();
-            let label = format!("%{i} {}\\n{}", esc(&n.op), esc(&sig.join(", ")));
+            let label = format!("%{i} {}\\n{}", n.op, esc(&sig.join(", ")));
             let mut style = Vec::new();
-            if n.op == "placeholder" {
+            if n.op == Op::Placeholder {
                 style.push("style=filled, fillcolor=lightblue");
             } else if n.stateful {
                 style.push("style=filled, fillcolor=mistyrose");

@@ -29,13 +29,11 @@ use crate::ir::{GraphFunction, Node, NodeId, TensorRef};
 use crate::program::{Instr, Program};
 use crate::sequencing::{classify, sequence_control_edges, Access, Resource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt::Write as _;
 use std::sync::Arc;
 use tfe_ops::algebra::{
     compose_perms, identity_operand, is_identity_perm, is_swap_perm, IdentitySide,
 };
-use tfe_ops::{AttrValue, Attrs};
-use tfe_tensor::elementwise::{BinaryOp, UnaryOp};
+use tfe_ops::{AttrValue, Attrs, Op};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Names of the seven pipeline passes, in sweep order (fusion last, outside
@@ -354,7 +352,7 @@ fn prune_counted(f: GraphFunction) -> (GraphFunction, u64) {
         stack.push(t.node.0);
     }
     for (i, n) in f.nodes.iter().enumerate() {
-        if n.stateful || n.op == "placeholder" {
+        if n.stateful || n.op == Op::Placeholder {
             stack.push(i);
         }
     }
@@ -374,7 +372,18 @@ fn prune_counted(f: GraphFunction) -> (GraphFunction, u64) {
     (rebuild(&f, &keep), dropped)
 }
 
-fn const_key(f: &GraphFunction, node: &Node) -> Option<String> {
+/// What makes two stateless nodes the same computation. Compared through
+/// the fields' own `Eq`/`Hash` — attribute floats by bits, constants by
+/// their exact bytes — so nothing that differs in a bit can merge.
+#[derive(PartialEq, Eq, Hash)]
+enum CseKey<'a> {
+    /// A small constant: dtype, shape and little-endian payload.
+    Const(DType, &'a Shape, Vec<u8>),
+    /// Any other op over inputs already rewritten to their representatives.
+    Node(Op, Vec<TensorRef>, &'a Attrs),
+}
+
+fn const_key<'a>(f: &'a GraphFunction, node: &Node) -> Option<CseKey<'a>> {
     let idx = match node.attrs.get("value_index") {
         Some(AttrValue::Int(i)) => *i as usize,
         _ => return None,
@@ -385,11 +394,7 @@ fn const_key(f: &GraphFunction, node: &Node) -> Option<String> {
     }
     // The exact bytes, not `to_f64_vec`: integers beyond 2^53 that differ
     // must not share a key.
-    let mut key = format!("{}:{}:", value.dtype(), value.shape());
-    for b in value.to_le_bytes() {
-        write!(key, "{b:02x}").expect("writing to a String cannot fail");
-    }
-    Some(key)
+    Some(CseKey::Const(value.dtype(), value.shape(), value.to_le_bytes()))
 }
 
 /// Common-subexpression elimination: identical stateless nodes merge, and
@@ -405,21 +410,21 @@ pub fn cse(f: &GraphFunction) -> GraphFunction {
 
 fn cse_counted(mut f: GraphFunction) -> (GraphFunction, u64) {
     let mut replacement: HashMap<usize, usize> = HashMap::new(); // old -> old
-    let mut seen: HashMap<String, usize> = HashMap::new();
+    let mut seen: HashMap<CseKey, usize> = HashMap::new();
     // Per variable, the read whose value is still current.
     let mut loads: HashMap<i64, usize> = HashMap::new();
     let mut merged_load = false;
     for (i, node) in f.nodes.iter().enumerate() {
-        if node.op == "placeholder" {
+        if node.op == Op::Placeholder {
             continue;
         }
         if node.stateful {
-            match classify(&node.op, &node.attrs, true) {
+            match classify(node.op, &node.attrs, true) {
                 Access::Barrier => loads.clear(),
                 Access::Write(Resource::Var(v)) => {
                     loads.remove(&v);
                 }
-                Access::Read(Resource::Var(v)) if node.op == "read_variable" => {
+                Access::Read(Resource::Var(v)) if node.op == Op::ReadVariable => {
                     match loads.get(&v) {
                         Some(&first)
                             if f.nodes[first].attrs == node.attrs
@@ -437,22 +442,17 @@ fn cse_counted(mut f: GraphFunction) -> (GraphFunction, u64) {
             }
             continue;
         }
-        let key = if node.op == "const" {
+        let key = if node.op == Op::Const {
             match const_key(&f, node) {
-                Some(k) => format!("const|{k}"),
+                Some(k) => k,
                 None => continue,
             }
         } else {
-            let inputs: Vec<String> = node
-                .inputs
-                .iter()
-                .map(|t| {
-                    let root = *replacement.get(&t.node.0).unwrap_or(&t.node.0);
-                    format!("{root}:{}", t.output)
-                })
-                .collect();
-            let attrs: Vec<String> = node.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            format!("{}|{}|{}", node.op, inputs.join(","), attrs.join(","))
+            let root = |t: &TensorRef| TensorRef {
+                node: NodeId(*replacement.get(&t.node.0).unwrap_or(&t.node.0)),
+                output: t.output,
+            };
+            CseKey::Node(node.op, node.inputs.iter().map(root).collect(), &node.attrs)
         };
         match seen.entry(key) {
             std::collections::hash_map::Entry::Occupied(e) => {
@@ -507,27 +507,24 @@ fn fold_constants_counted(
     // Map from (node, output) to the constant value it produces, if known.
     let mut known: HashMap<TensorRef, Arc<TensorData>> = HashMap::new();
     for (i, node) in f.nodes.iter().enumerate() {
-        if node.op == "const" {
+        if node.op == Op::Const {
             if let Some(AttrValue::Int(idx)) = node.attrs.get("value_index") {
                 known.insert(TensorRef::first(NodeId(i)), f.constants[*idx as usize].clone());
             }
             continue;
         }
         if node.stateful
-            || node.op == "placeholder"
-            || matches!(node.op.as_str(), "call" | "cond" | "while_loop" | "host_func" | "copy")
+            || matches!(
+                node.op,
+                Op::Placeholder | Op::Call | Op::Cond | Op::WhileLoop | Op::HostFunc | Op::Copy
+            )
         {
             continue;
         }
         let inputs: Option<Vec<Arc<TensorData>>> =
             node.inputs.iter().map(|t| known.get(t).cloned()).collect();
         let Some(inputs) = inputs else { continue };
-        if node.inputs.is_empty()
-            && node.op != "const"
-            && node.op != "fill"
-            && node.op != "eye"
-            && node.op != "range"
-        {
+        if node.inputs.is_empty() && !matches!(node.op, Op::Fill | Op::Eye | Op::Range) {
             continue; // placeholders handled above; other 0-ary ops stateful
         }
         let Ok(values) = evaluator(node, &inputs) else { continue };
@@ -550,7 +547,7 @@ fn materialize_known(
     known: &HashMap<TensorRef, Arc<TensorData>>,
 ) -> (GraphFunction, u64) {
     let fully_known = |i: usize, node: &Node| {
-        node.op != "const"
+        node.op != Op::Const
             && !node.outputs.is_empty()
             && (0..node.outputs.len())
                 .all(|out| known.contains_key(&TensorRef { node: NodeId(i), output: out }))
@@ -574,7 +571,7 @@ fn materialize_known(
                 known.get(&TensorRef { node: NodeId(i), output: out }).map(|v| (out, v.clone()))
             })
             .collect();
-        if node.op != "const" && folded.len() == node.outputs.len() && !folded.is_empty() {
+        if node.op != Op::Const && folded.len() == node.outputs.len() && !folded.is_empty() {
             // Fully folded: emit const nodes instead of the op.
             folded_nodes += 1;
             for (out, value) in folded {
@@ -583,7 +580,7 @@ fn materialize_known(
                 constants.push(value.clone());
                 let sig = (value.dtype(), tfe_ops::SymShape::known(value.shape()));
                 let cnode = Node {
-                    op: "const".to_string(),
+                    op: Op::Const,
                     inputs: Vec::new(),
                     attrs: Attrs::new()
                         .with("dtype", value.dtype())
@@ -646,8 +643,8 @@ fn propagate_constants_counted(f: GraphFunction) -> (GraphFunction, u64) {
             continue;
         }
         let (_, shape) = f.sig(node.inputs[0]);
-        let value = match node.op.as_str() {
-            "shape_of" => {
+        let value = match node.op {
+            Op::ShapeOf => {
                 let dims: Option<Vec<i64>> =
                     shape.dims().iter().map(|d| d.map(|x| x as i64)).collect();
                 dims.and_then(|d| {
@@ -655,8 +652,8 @@ fn propagate_constants_counted(f: GraphFunction) -> (GraphFunction, u64) {
                     TensorData::from_vec(d, Shape::from([rank])).ok()
                 })
             }
-            "rank_of" => Some(TensorData::scalar(shape.rank() as i64)),
-            "size_of" => shape.num_elements().map(|n| TensorData::scalar(n as i64)),
+            Op::RankOf => Some(TensorData::scalar(shape.rank() as i64)),
+            Op::SizeOf => shape.num_elements().map(|n| TensorData::scalar(n as i64)),
             _ => None,
         };
         if let Some(v) = value {
@@ -694,7 +691,7 @@ fn simplify_algebraic_counted(mut g: GraphFunction) -> (GraphFunction, u64) {
             return None;
         }
         let n = &f.nodes[t.node.0];
-        if n.op != "const" {
+        if n.op != Op::Const {
             return None;
         }
         match n.attrs.get("value_index") {
@@ -724,17 +721,18 @@ fn simplify_algebraic_counted(mut g: GraphFunction) -> (GraphFunction, u64) {
             continue;
         }
         let out = TensorRef::first(NodeId(i));
-        let op = g.nodes[i].op.clone();
-        match op.as_str() {
-            "identity" if inputs.len() == 1 && g.nodes[i].outputs.len() == 1 => {
-                if g.sig(inputs[0]) == g.nodes[i].output_sig(0) {
-                    redirect.insert(out, inputs[0]);
-                    rewrites += 1;
-                }
+        match g.nodes[i].op {
+            Op::Identity
+                if inputs.len() == 1
+                    && g.nodes[i].outputs.len() == 1
+                    && g.sig(inputs[0]) == g.nodes[i].output_sig(0) =>
+            {
+                redirect.insert(out, inputs[0]);
+                rewrites += 1;
             }
-            "transpose" if inputs.len() == 1 && inputs[0].output == 0 => {
+            Op::Transpose if inputs.len() == 1 && inputs[0].output == 0 => {
                 let src = inputs[0].node.0;
-                if g.nodes[src].op == "transpose" {
+                if g.nodes[src].op == Op::Transpose {
                     let composed = match (perm_of(&g.nodes[src]), perm_of(&g.nodes[i])) {
                         (Some(pi), Some(po)) => compose_perms(&pi, &po),
                         _ => None,
@@ -751,10 +749,10 @@ fn simplify_algebraic_counted(mut g: GraphFunction) -> (GraphFunction, u64) {
                     }
                 }
             }
-            "matmul" if inputs.len() == 2 => {
+            Op::Matmul if inputs.len() == 2 => {
                 for (slot, flag) in [(0usize, "transpose_a"), (1usize, "transpose_b")] {
                     let src = g.nodes[i].inputs[slot];
-                    if src.output != 0 || g.nodes[src.node.0].op != "transpose" {
+                    if src.output != 0 || g.nodes[src.node.0].op != Op::Transpose {
                         continue;
                     }
                     let Some(p) = perm_of(&g.nodes[src.node.0]) else { continue };
@@ -768,8 +766,8 @@ fn simplify_algebraic_counted(mut g: GraphFunction) -> (GraphFunction, u64) {
                     rewrites += 1;
                 }
             }
-            _ => {
-                let Some((side, ident)) = identity_operand(&op) else { continue };
+            Op::Binary(op) => {
+                let Some((side, ident)) = identity_operand(op) else { continue };
                 if inputs.len() != 2 || g.nodes[i].outputs.len() != 1 {
                     continue;
                 }
@@ -790,6 +788,7 @@ fn simplify_algebraic_counted(mut g: GraphFunction) -> (GraphFunction, u64) {
                     break;
                 }
             }
+            _ => {}
         }
     }
     if rewrites == 0 {
@@ -821,7 +820,7 @@ fn eliminate_dead_stores_counted(f: GraphFunction) -> (GraphFunction, u64) {
     let mut clobbered: HashSet<i64> = HashSet::new();
     for i in (0..f.nodes.len()).rev() {
         let n = &f.nodes[i];
-        match classify(&n.op, &n.attrs, n.stateful) {
+        match classify(n.op, &n.attrs, n.stateful) {
             Access::Pure => {}
             Access::Barrier => clobbered.clear(),
             Access::Read(Resource::Var(v)) => {
@@ -833,7 +832,7 @@ fn eliminate_dead_stores_counted(f: GraphFunction) -> (GraphFunction, u64) {
                     // A dropped read-modify-write also drops its read, so
                     // the clobber window stays open past it.
                     dead[i] = true;
-                } else if n.op == "assign" {
+                } else if n.op == Op::Assign {
                     clobbered.insert(v);
                 }
             }
@@ -869,13 +868,11 @@ fn elementwise_kind(node: &Node) -> Option<()> {
     if dt == DType::Bool {
         return None;
     }
-    if UnaryOp::from_name(&node.op).is_some() && node.inputs.len() == 1 {
-        return Some(());
+    match node.op {
+        Op::Unary(_) if node.inputs.len() == 1 => Some(()),
+        Op::Binary(_) if node.inputs.len() == 2 => Some(()),
+        _ => None,
     }
-    if BinaryOp::from_name(&node.op).is_some() && node.inputs.len() == 2 {
-        return Some(());
-    }
-    None
 }
 
 /// Fuse maximal groups of elementwise nodes into `fused_elementwise` nodes.
@@ -969,13 +966,11 @@ fn fuse_elementwise_counted(f: GraphFunction) -> (GraphFunction, u64) {
                     arg_regs.push(reg);
                 }
                 let reg = instrs.len();
-                if let Some(op) = UnaryOp::from_name(&mnode.op) {
-                    instrs.push(Instr::Unary(op, arg_regs[0]));
-                } else if let Some(op) = BinaryOp::from_name(&mnode.op) {
-                    instrs.push(Instr::Binary(op, arg_regs[0], arg_regs[1]));
-                } else {
-                    unreachable!("non-elementwise node in fusion group");
-                }
+                instrs.push(match mnode.op {
+                    Op::Unary(op) => Instr::Unary(op, arg_regs[0]),
+                    Op::Binary(op) => Instr::Binary(op, arg_regs[0], arg_regs[1]),
+                    _ => unreachable!("non-elementwise node in fusion group"),
+                });
                 reg_of.insert(TensorRef::first(NodeId(m)), reg);
             }
             let output_reg = reg_of[&TensorRef::first(NodeId(i))];
@@ -988,7 +983,7 @@ fn fuse_elementwise_counted(f: GraphFunction) -> (GraphFunction, u64) {
             let mapped_inputs: Vec<TensorRef> =
                 prog_inputs.iter().map(|t| *remap.get(t).unwrap_or(t)).collect();
             let fused = Node {
-                op: "fused_elementwise".to_string(),
+                op: Op::FusedElementwise,
                 inputs: mapped_inputs,
                 attrs: Attrs::new().with("program", encoded).with("out_dtype", sink.outputs[0].0),
                 outputs: sink.outputs.clone(),
@@ -1140,25 +1135,43 @@ mod tests {
         assert_ne!(f.structural_hash(), same.structural_hash());
     }
 
+    #[test]
+    fn cse_keeps_nodes_whose_attrs_differ_only_in_bits_or_type() {
+        // `AttrValue` compares floats by bits and `Int(1)` is not
+        // `Float(1.0)`, though both pairs print alike.
+        let fill = |b: &mut GraphBuilder, value: tfe_ops::AttrValue| {
+            let attrs = Attrs::new().with("dtype", DType::F32).with("shape", vec![2i64]);
+            b.add_node("fill", vec![], attrs.with("value", value)).unwrap()[0]
+        };
+        let quiet_nan = f64::from_bits(0x7ff8_0000_0000_0000);
+        let payload_nan = f64::from_bits(0x7ff8_0000_0000_0001);
+        for (v1, v2) in [
+            (tfe_ops::AttrValue::Float(quiet_nan), tfe_ops::AttrValue::Float(payload_nan)),
+            (tfe_ops::AttrValue::Int(1), tfe_ops::AttrValue::Float(1.0)),
+        ] {
+            let mut b = GraphBuilder::new("f");
+            let (a, c) = (fill(&mut b, v1.clone()), fill(&mut b, v2));
+            let same = fill(&mut b, v1);
+            let f = b.finish(vec![a, c, same], 0);
+            let g = cse(&f);
+            // The exact duplicate merges; the look-alike does not.
+            assert_eq!(g.nodes.iter().filter(|n| n.op == "fill").count(), 2, "{}", g.dump());
+            assert_eq!(g.outputs[0], g.outputs[2]);
+            assert_ne!(g.outputs[0], g.outputs[1]);
+        }
+    }
+
     fn toy_evaluator(node: &Node, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>, String> {
         // Enough kernels to test folding: add/sub/mul/relu on concrete data.
-        match node.op.as_str() {
-            "add" => {
-                Ok(vec![tfe_tensor::elementwise::binary(&inputs[0], &inputs[1], BinaryOp::Add)
-                    .map_err(|e| e.to_string())?])
+        use tfe_ops::{BinaryOp, UnaryOp};
+        let out = match node.op {
+            Op::Binary(op @ (BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul)) => {
+                tfe_tensor::elementwise::binary(&inputs[0], &inputs[1], op)
             }
-            "sub" => {
-                Ok(vec![tfe_tensor::elementwise::binary(&inputs[0], &inputs[1], BinaryOp::Sub)
-                    .map_err(|e| e.to_string())?])
-            }
-            "mul" => {
-                Ok(vec![tfe_tensor::elementwise::binary(&inputs[0], &inputs[1], BinaryOp::Mul)
-                    .map_err(|e| e.to_string())?])
-            }
-            "relu" => Ok(vec![tfe_tensor::elementwise::unary(&inputs[0], UnaryOp::Relu)
-                .map_err(|e| e.to_string())?]),
-            other => Err(format!("no fold kernel for {other}")),
-        }
+            Op::Unary(UnaryOp::Relu) => tfe_tensor::elementwise::unary(&inputs[0], UnaryOp::Relu),
+            other => return Err(format!("no fold kernel for {other}")),
+        };
+        Ok(vec![out.map_err(|e| e.to_string())?])
     }
 
     #[test]

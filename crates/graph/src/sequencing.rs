@@ -29,7 +29,7 @@
 
 use crate::ir::{Node, NodeId};
 use std::collections::HashMap;
-use tfe_ops::{AttrValue, Attrs};
+use tfe_ops::{AttrValue, Attrs, Op};
 
 /// A unit of mutable state a node may touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +56,7 @@ pub enum Access {
 }
 
 /// Classify a node's interaction with mutable state.
-pub fn classify(op: &str, attrs: &Attrs, stateful: bool) -> Access {
+pub fn classify(op: Op, attrs: &Attrs, stateful: bool) -> Access {
     if !stateful {
         return Access::Pure;
     }
@@ -65,12 +65,12 @@ pub fn classify(op: &str, attrs: &Attrs, stateful: bool) -> Access {
         _ => None,
     };
     match op {
-        "read_variable" => var().map_or(Access::Barrier, Access::Read),
-        "assign" | "assign_add" | "assign_sub" => var().map_or(Access::Barrier, Access::Write),
-        "random_normal" | "random_uniform" | "truncated_normal" | "dropout_mask" => {
+        Op::ReadVariable => var().map_or(Access::Barrier, Access::Read),
+        Op::Assign | Op::AssignAdd | Op::AssignSub => var().map_or(Access::Barrier, Access::Write),
+        Op::RandomNormal | Op::RandomUniform | Op::TruncatedNormal | Op::DropoutMask => {
             Access::Write(Resource::Rng)
         }
-        "print" => Access::Write(Resource::Io),
+        Op::Print => Access::Write(Resource::Io),
         // host_func, stateful call/cond/while_loop, and anything else
         // stateful we cannot see inside.
         _ => Access::Barrier,
@@ -154,7 +154,7 @@ pub fn sequence_control_edges(nodes: &[Node]) -> Vec<Vec<NodeId>> {
         .iter()
         .enumerate()
         .map(|(i, n)| {
-            let access = classify(&n.op, &n.attrs, n.stateful);
+            let access = classify(n.op, &n.attrs, n.stateful);
             let data: Vec<NodeId> = n.inputs.iter().map(|t| t.node).collect();
             state.sequence(NodeId(i), access, &data)
         })
@@ -189,15 +189,18 @@ mod tests {
     #[test]
     fn classify_covers_the_catalog() {
         let v = Attrs::new().with("var_id", 3i64);
-        assert_eq!(classify("add", &Attrs::new(), false), Access::Pure);
-        assert_eq!(classify("read_variable", &v, true), Access::Read(Resource::Var(3)));
-        assert_eq!(classify("assign_add", &v, true), Access::Write(Resource::Var(3)));
-        assert_eq!(classify("random_normal", &Attrs::new(), true), Access::Write(Resource::Rng));
-        assert_eq!(classify("print", &Attrs::new(), true), Access::Write(Resource::Io));
-        assert_eq!(classify("host_func", &Attrs::new(), true), Access::Barrier);
-        assert_eq!(classify("call", &Attrs::new(), true), Access::Barrier);
+        assert_eq!(
+            classify(Op::Binary(tfe_ops::BinaryOp::Add), &Attrs::new(), false),
+            Access::Pure
+        );
+        assert_eq!(classify(Op::ReadVariable, &v, true), Access::Read(Resource::Var(3)));
+        assert_eq!(classify(Op::AssignAdd, &v, true), Access::Write(Resource::Var(3)));
+        assert_eq!(classify(Op::RandomNormal, &Attrs::new(), true), Access::Write(Resource::Rng));
+        assert_eq!(classify(Op::Print, &Attrs::new(), true), Access::Write(Resource::Io));
+        assert_eq!(classify(Op::HostFunc, &Attrs::new(), true), Access::Barrier);
+        assert_eq!(classify(Op::Call, &Attrs::new(), true), Access::Barrier);
         // Missing var_id degrades to a barrier, never to Pure.
-        assert_eq!(classify("assign", &Attrs::new(), true), Access::Barrier);
+        assert_eq!(classify(Op::Assign, &Attrs::new(), true), Access::Barrier);
     }
 
     #[test]

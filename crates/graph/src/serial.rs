@@ -5,7 +5,7 @@
 use crate::ir::{FunctionLibrary, GraphFunction, Node, NodeId, TensorRef};
 use std::sync::Arc;
 use tfe_encode::Value;
-use tfe_ops::{AttrValue, Attrs, SymShape};
+use tfe_ops::{AttrValue, Attrs, Op, SymShape};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Serialization failures.
@@ -199,7 +199,7 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
         .iter()
         .map(|n| {
             Value::object([
-                ("op".to_string(), Value::str(n.op.clone())),
+                ("op".to_string(), Value::str(n.op.name())),
                 (
                     "inputs".to_string(),
                     Value::Array(n.inputs.iter().map(tensor_ref_to_value).collect()),
@@ -255,7 +255,8 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     // "control" field; re-derive the edges from program order in that case.
     let mut legacy_controls = true;
     for nv in nodes_v {
-        let op = nv.get("op").and_then(Value::as_str).ok_or_else(|| err("missing op"))?.to_string();
+        let op = nv.get("op").and_then(Value::as_str).ok_or_else(|| err("missing op"))?;
+        let op = Op::from_name(op).map_err(|e| err(e.to_string()))?;
         let inputs: Result<Vec<TensorRef>, SerialError> = nv
             .get("inputs")
             .and_then(Value::as_array)
@@ -371,7 +372,7 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
         }
     }
     for id in &f.inputs {
-        if id.0 >= f.nodes.len() || f.nodes[id.0].op != "placeholder" {
+        if id.0 >= f.nodes.len() || f.nodes[id.0].op != Op::Placeholder {
             return Err(err("function input is not a placeholder"));
         }
     }

@@ -5,6 +5,8 @@
 //! in the pass) means a new op picks up simplification behavior by adding
 //! one table entry here, and the pass never has to guess at semantics.
 
+use tfe_tensor::elementwise::BinaryOp;
+
 /// Which operand of a binary op may be its identity element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IdentitySide {
@@ -20,12 +22,12 @@ pub enum IdentitySide {
 ///
 /// `x * 0` is deliberately absent: it is an annihilator, not an identity,
 /// and rewriting it would change NaN/Inf propagation.
-pub fn identity_operand(op: &str) -> Option<(IdentitySide, f64)> {
+pub fn identity_operand(op: BinaryOp) -> Option<(IdentitySide, f64)> {
     match op {
-        "add" => Some((IdentitySide::Either, 0.0)),
-        "sub" => Some((IdentitySide::Rhs, 0.0)),
-        "mul" => Some((IdentitySide::Either, 1.0)),
-        "div" => Some((IdentitySide::Rhs, 1.0)),
+        BinaryOp::Add => Some((IdentitySide::Either, 0.0)),
+        BinaryOp::Sub => Some((IdentitySide::Rhs, 0.0)),
+        BinaryOp::Mul => Some((IdentitySide::Either, 1.0)),
+        BinaryOp::Div => Some((IdentitySide::Rhs, 1.0)),
         _ => None,
     }
 }
@@ -59,12 +61,11 @@ mod tests {
 
     #[test]
     fn identity_table() {
-        assert_eq!(identity_operand("add"), Some((IdentitySide::Either, 0.0)));
-        assert_eq!(identity_operand("sub"), Some((IdentitySide::Rhs, 0.0)));
-        assert_eq!(identity_operand("mul"), Some((IdentitySide::Either, 1.0)));
-        assert_eq!(identity_operand("div"), Some((IdentitySide::Rhs, 1.0)));
-        assert_eq!(identity_operand("maximum"), None);
-        assert_eq!(identity_operand("matmul"), None);
+        assert_eq!(identity_operand(BinaryOp::Add), Some((IdentitySide::Either, 0.0)));
+        assert_eq!(identity_operand(BinaryOp::Sub), Some((IdentitySide::Rhs, 0.0)));
+        assert_eq!(identity_operand(BinaryOp::Mul), Some((IdentitySide::Either, 1.0)));
+        assert_eq!(identity_operand(BinaryOp::Div), Some((IdentitySide::Rhs, 1.0)));
+        assert_eq!(identity_operand(BinaryOp::Maximum), None);
     }
 
     #[test]

@@ -4,17 +4,16 @@
 //! shapes, shape/dtype inference, and the standard op catalog.
 //!
 //! The paper's key implementation property (§1, §5) is that imperative and
-//! staged execution share *one* set of primitive operations. The
-//! [`OpRegistry`] here is that set: every other layer (eager dispatch,
-//! graph building, gradients, kernels) keys off the definitions registered
-//! by [`ensure_standard_ops`].
+//! staged execution share *one* set of primitive operations. The closed
+//! enum [`Op`] is that set: every other layer (eager dispatch, graph
+//! building, gradients, kernels) is a `match` over it, and an op's
+//! definition is `op.def()` — no registry, no lock, no lookup by name.
 //!
 //! ```
-//! use tfe_ops::{ensure_standard_ops, global, Attrs, InferCtx, SymShape};
+//! use tfe_ops::{Attrs, InferCtx, Op, SymShape};
 //! use tfe_tensor::{DType, Shape};
 //!
-//! ensure_standard_ops();
-//! let add = global().lookup("add").unwrap();
+//! let add = Op::from_name("add").unwrap(); // or `Op::Binary(BinaryOp::Add)`
 //! let shapes = [SymShape::known(&Shape::from([2, 1])), SymShape::known(&Shape::from([3]))];
 //! let attrs = Attrs::new();
 //! let out = add
@@ -32,8 +31,6 @@ mod opdef;
 mod symshape;
 
 pub use attr::{AttrError, AttrValue, Attrs};
-pub use opdef::{
-    elems_or, ensure_standard_ops, global, Arity, InferCtx, OpDef, OpError, OpRegistry, OutputSig,
-    WorkEstimate,
-};
+pub use opdef::{elems_or, Arity, InferCtx, Op, OpDef, OpError, OutputSig, WorkEstimate};
 pub use symshape::SymShape;
+pub use tfe_tensor::elementwise::{BinaryOp, CmpOp, LogicalOp, UnaryOp};

@@ -1,23 +1,26 @@
-//! Operation definitions and the global op registry.
+//! The op set as a type: [`Op`], and what every op declares about itself
+//! ([`OpDef`]).
 //!
 //! The paper's central implementation claim (§1, §5) is that imperative and
 //! staged execution *share a single set of primitive operations*. In this
-//! workspace that set is exactly the contents of the [`OpRegistry`]: the
-//! eager dispatcher, the graph builder, shape inference, the gradient
-//! registry and every kernel table key off the op names defined here.
+//! workspace that set is the closed enum [`Op`]: the eager dispatcher, the
+//! graph IR, shape inference, the kernel table and the gradient table are
+//! all `match`es over it, so an op that lacks a definition, a kernel or a
+//! gradient decision does not compile. An op has a *name* only at the
+//! edges of the process — `GraphBuilder::add_node`, deserialized graphs and
+//! the distributed worker's `execute_op` — where [`Op::from_name`] turns it
+//! into the value everything else carries.
 
 use crate::attr::{AttrError, Attrs};
 use crate::symshape::SymShape;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use tfe_tensor::elementwise::{BinaryOp, CmpOp, LogicalOp, UnaryOp};
 use tfe_tensor::{DType, TensorError};
 
 /// Errors from op lookup, validation, or shape inference.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpError {
-    /// The op name is not registered.
+    /// The name is not an op of the catalog.
     UnknownOp(String),
     /// Wrong number of inputs.
     Arity {
@@ -137,49 +140,38 @@ pub struct WorkEstimate {
 /// Inferred output signature: dtype and symbolic shape per output.
 pub type OutputSig = Vec<(DType, SymShape)>;
 
-type InferFn = dyn Fn(&InferCtx) -> Result<OutputSig, OpError> + Send + Sync;
-type WorkFn = dyn Fn(&InferCtx, &OutputSig) -> WorkEstimate + Send + Sync;
+type InferFn = fn(&InferCtx) -> Result<OutputSig, OpError>;
+type WorkFn = fn(&InferCtx, &OutputSig) -> WorkEstimate;
 
-/// A primitive operation definition: name, arity, statefulness, shape
-/// inference and an analytic work estimate.
+/// What a primitive operation declares about itself: arity, statefulness,
+/// shape inference and an analytic work estimate. One `'static` value per
+/// op (or per elementwise family), handed out by [`Op::def`].
+#[derive(Debug)]
 pub struct OpDef {
-    name: String,
     arity: Arity,
     stateful: bool,
-    infer: Box<InferFn>,
-    work: Option<Box<WorkFn>>,
+    infer: InferFn,
+    work: Option<WorkFn>,
 }
 
 impl OpDef {
-    /// Start building an op definition.
-    pub fn new(
-        name: &str,
-        arity: Arity,
-        infer: impl Fn(&InferCtx) -> Result<OutputSig, OpError> + Send + Sync + 'static,
-    ) -> OpDef {
-        OpDef { name: name.to_string(), arity, stateful: false, infer: Box::new(infer), work: None }
+    /// A stateless definition with the default work estimate.
+    pub(crate) const fn new(arity: Arity, infer: InferFn) -> OpDef {
+        OpDef { arity, stateful: false, infer, work: None }
     }
 
     /// Mark the op stateful (random ops, variable ops, `host_func`...).
     /// Stateful ops are never pruned, folded, or deduplicated.
-    pub fn stateful(mut self) -> OpDef {
+    pub(crate) const fn stateful(mut self) -> OpDef {
         self.stateful = true;
         self
     }
 
     /// Attach a custom work estimate (default: one flop per output element
     /// and read+write memory traffic).
-    pub fn with_work(
-        mut self,
-        work: impl Fn(&InferCtx, &OutputSig) -> WorkEstimate + Send + Sync + 'static,
-    ) -> OpDef {
-        self.work = Some(Box::new(work));
+    pub(crate) const fn with_work(mut self, work: WorkFn) -> OpDef {
+        self.work = Some(work);
         self
-    }
-
-    /// Op name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Arity contract.
@@ -191,22 +183,172 @@ impl OpDef {
     pub fn is_stateful(&self) -> bool {
         self.stateful
     }
+}
+
+/// Element count of a symbolic shape, substituting `unknown_as` for every
+/// unknown dimension (work estimates use 1... callers pick).
+pub fn elems_or(s: &SymShape, unknown_as: usize) -> usize {
+    s.dims().iter().map(|d| d.unwrap_or(unknown_as)).product::<usize>().max(1)
+}
+
+/// Declares [`Op`]: the four elementwise families reuse the kernel enums of
+/// `tfe_tensor::elementwise`; every other op is one variant, named once.
+macro_rules! ops {
+    ($($variant:ident => $name:literal,)*) => {
+        /// A primitive operation of the catalog — `Copy`, comparable and
+        /// hashable, so op identity costs nothing to carry or to key on.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Op {
+            /// A unary elementwise op (`neg`, `exp`, `relu`...).
+            Unary(UnaryOp),
+            /// A binary elementwise op (`add`, `mul`, `maximum`...).
+            Binary(BinaryOp),
+            /// A comparison producing booleans (`equal`, `less`...).
+            Compare(CmpOp),
+            /// A boolean binary op (`logical_and`...).
+            Logical(LogicalOp),
+            $(#[doc = concat!("`", $name, "`")] $variant,)*
+        }
+
+        const PLAIN_OPS: &[Op] = &[$(Op::$variant,)*];
+
+        impl Op {
+            /// The stable lowercase name: what graph dumps, bundles and
+            /// wire frames print.
+            pub fn name(self) -> &'static str {
+                match self {
+                    Op::Unary(op) => op.name(),
+                    Op::Binary(op) => op.name(),
+                    Op::Compare(op) => op.name(),
+                    Op::Logical(op) => op.name(),
+                    $(Op::$variant => $name,)*
+                }
+            }
+
+            /// Inverse of [`Op::name`], for the places a name enters the
+            /// process (see the module docs).
+            ///
+            /// # Errors
+            /// [`OpError::UnknownOp`].
+            pub fn from_name(name: &str) -> Result<Op, OpError> {
+                let plain = match name {
+                    $($name => Some(Op::$variant),)*
+                    _ => None,
+                };
+                plain
+                    .or_else(|| BinaryOp::from_name(name).map(Op::Binary))
+                    .or_else(|| UnaryOp::from_name(name).map(Op::Unary))
+                    .or_else(|| CmpOp::from_name(name).map(Op::Compare))
+                    .or_else(|| LogicalOp::from_name(name).map(Op::Logical))
+                    .ok_or_else(|| OpError::UnknownOp(name.to_string()))
+            }
+        }
+    };
+}
+
+ops! {
+    LogicalNot => "logical_not",
+    Select => "select",
+    Cast => "cast",
+    FusedElementwise => "fused_elementwise",
+    Const => "const",
+    Placeholder => "placeholder",
+    Identity => "identity",
+    ZerosLike => "zeros_like",
+    OnesLike => "ones_like",
+    Fill => "fill",
+    Eye => "eye",
+    Range => "range",
+    ShapeOf => "shape_of",
+    RankOf => "rank_of",
+    SizeOf => "size_of",
+    Reshape => "reshape",
+    Transpose => "transpose",
+    ExpandDims => "expand_dims",
+    Squeeze => "squeeze",
+    Concat => "concat",
+    Split => "split",
+    Slice => "slice",
+    SliceGrad => "slice_grad",
+    Pad => "pad",
+    Gather => "gather",
+    GatherGrad => "gather_grad",
+    Tile => "tile",
+    BroadcastTo => "broadcast_to",
+    SumToLike => "sum_to_like",
+    OneHot => "one_hot",
+    Reverse => "reverse",
+    Copy => "copy",
+    Print => "print",
+    Matmul => "matmul",
+    BatchMatmul => "batch_matmul",
+    ReduceSum => "reduce_sum",
+    ReduceMean => "reduce_mean",
+    ReduceMax => "reduce_max",
+    ReduceMin => "reduce_min",
+    ReduceProd => "reduce_prod",
+    ReduceAny => "reduce_any",
+    ReduceAll => "reduce_all",
+    Argmax => "argmax",
+    Argmin => "argmin",
+    Cumsum => "cumsum",
+    Conv2d => "conv2d",
+    Conv2dBackpropInput => "conv2d_backprop_input",
+    Conv2dBackpropFilter => "conv2d_backprop_filter",
+    MaxPool => "max_pool",
+    AvgPool => "avg_pool",
+    MaxPoolGrad => "max_pool_grad",
+    AvgPoolGrad => "avg_pool_grad",
+    Softmax => "softmax",
+    LogSoftmax => "log_softmax",
+    SparseSoftmaxXent => "sparse_softmax_xent",
+    SoftmaxXentGrad => "softmax_xent_grad",
+    RandomNormal => "random_normal",
+    RandomUniform => "random_uniform",
+    TruncatedNormal => "truncated_normal",
+    DropoutMask => "dropout_mask",
+    ReadVariable => "read_variable",
+    Assign => "assign",
+    AssignAdd => "assign_add",
+    AssignSub => "assign_sub",
+    Call => "call",
+    HostFunc => "host_func",
+    Cond => "cond",
+    WhileLoop => "while_loop",
+}
+
+impl Op {
+    /// Every op of the catalog.
+    pub fn all() -> impl Iterator<Item = Op> {
+        let unary = UnaryOp::all().iter().map(|&op| Op::Unary(op));
+        let binary = BinaryOp::all().iter().map(|&op| Op::Binary(op));
+        let compare = CmpOp::all().iter().map(|&op| Op::Compare(op));
+        let logical = LogicalOp::all().iter().map(|&op| Op::Logical(op));
+        unary.chain(binary).chain(compare).chain(logical).chain(PLAIN_OPS.iter().copied())
+    }
+
+    /// The op's definition. Total: every op has one, and finding it takes
+    /// no lock and no lookup.
+    pub fn def(self) -> &'static OpDef {
+        crate::catalog::def(self)
+    }
 
     /// Run shape inference (validates arity first).
     ///
     /// # Errors
     /// Arity violations, attribute problems, or shape incompatibilities.
-    pub fn infer(&self, ctx: &InferCtx) -> Result<OutputSig, OpError> {
-        self.arity.check(&self.name, ctx.dtypes.len())?;
+    pub fn infer(self, ctx: &InferCtx) -> Result<OutputSig, OpError> {
+        let def = self.def();
+        def.arity.check(self.name(), ctx.dtypes.len())?;
         if ctx.dtypes.len() != ctx.shapes.len() {
             return Err(OpError::Invalid("dtype/shape count mismatch".to_string()));
         }
-        (self.infer)(ctx)
+        (def.infer)(ctx)
     }
 
     /// Estimate the work of one execution given inferred outputs.
-    pub fn work(&self, ctx: &InferCtx, outputs: &OutputSig) -> WorkEstimate {
-        if let Some(work) = &self.work {
+    pub fn work(self, ctx: &InferCtx, outputs: &OutputSig) -> WorkEstimate {
+        if let Some(work) = self.def().work {
             return work(ctx, outputs);
         }
         // Default: elementwise over outputs; inputs and outputs traffic.
@@ -223,105 +365,22 @@ impl OpDef {
     }
 }
 
-impl fmt::Debug for OpDef {
+impl fmt::Display for Op {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OpDef({}, arity={:?}, stateful={})", self.name, self.arity, self.stateful)
+        f.write_str(self.name())
     }
 }
 
-/// Element count of a symbolic shape, substituting `unknown_as` for every
-/// unknown dimension (work estimates use 1... callers pick).
-pub fn elems_or(s: &SymShape, unknown_as: usize) -> usize {
-    s.dims().iter().map(|d| d.unwrap_or(unknown_as)).product::<usize>().max(1)
-}
-
-/// A registry of op definitions keyed by name.
-#[derive(Default)]
-pub struct OpRegistry {
-    map: RwLock<HashMap<String, Arc<OpDef>>>,
-}
-
-impl OpRegistry {
-    /// An empty registry.
-    pub fn new() -> OpRegistry {
-        OpRegistry::default()
+/// `node.op == "relu"`: an op equals its name.
+impl PartialEq<&str> for Op {
+    fn eq(&self, name: &&str) -> bool {
+        self.name() == *name
     }
-
-    /// Register a definition.
-    ///
-    /// # Errors
-    /// Duplicate op name.
-    pub fn register(&self, def: OpDef) -> Result<(), OpError> {
-        let mut map = self.map.write();
-        if map.contains_key(def.name()) {
-            return Err(OpError::Invalid(format!("op `{}` already registered", def.name())));
-        }
-        map.insert(def.name().to_string(), Arc::new(def));
-        Ok(())
-    }
-
-    /// Look up an op by name.
-    ///
-    /// # Errors
-    /// [`OpError::UnknownOp`].
-    pub fn lookup(&self, name: &str) -> Result<Arc<OpDef>, OpError> {
-        self.map.read().get(name).cloned().ok_or_else(|| OpError::UnknownOp(name.to_string()))
-    }
-
-    /// Whether `name` is registered.
-    pub fn contains(&self, name: &str) -> bool {
-        self.map.read().contains_key(name)
-    }
-
-    /// All registered op names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.map.read().keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Number of registered ops.
-    pub fn len(&self) -> usize {
-        self.map.read().len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
-    }
-}
-
-impl fmt::Debug for OpRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "OpRegistry({} ops)", self.len())
-    }
-}
-
-/// The process-wide registry used by the runtime, tracer and autodiff.
-pub fn global() -> &'static OpRegistry {
-    static REGISTRY: std::sync::OnceLock<OpRegistry> = std::sync::OnceLock::new();
-    REGISTRY.get_or_init(OpRegistry::new)
-}
-
-/// Register the standard op catalog into [`global`] exactly once.
-///
-/// Safe (and cheap) to call from every entry point.
-pub fn ensure_standard_ops() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        crate::catalog::register_all(global()).expect("standard op catalog must register");
-    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn scalar_op() -> OpDef {
-        OpDef::new("test_scalar", Arity::Exact(1), |ctx| {
-            Ok(vec![(ctx.dtype(0)?, SymShape::scalar())])
-        })
-    }
 
     #[test]
     fn arity_checks() {
@@ -332,55 +391,36 @@ mod tests {
     }
 
     #[test]
-    fn registry_register_lookup() {
-        let r = OpRegistry::new();
-        assert!(r.is_empty());
-        r.register(scalar_op()).unwrap();
-        assert!(r.contains("test_scalar"));
-        assert_eq!(r.len(), 1);
-        assert!(r.register(scalar_op()).is_err()); // duplicate
-        assert!(r.lookup("nope").is_err());
-        let def = r.lookup("test_scalar").unwrap();
-        assert_eq!(def.name(), "test_scalar");
-        assert!(!def.is_stateful());
+    fn every_op_round_trips_through_its_unique_name_and_has_a_def() {
+        let mut names = std::collections::HashSet::new();
+        for op in Op::all() {
+            assert_eq!(Op::from_name(op.name()), Ok(op));
+            assert!(names.insert(op.name()), "name `{}` is used twice", op.name());
+            assert_eq!(op, op.name());
+            assert_eq!(op.to_string(), op.name());
+            // Total: answers for every op, stateful or not.
+            let _ = (op.def().arity(), op.def().is_stateful());
+        }
+        assert_eq!(names.len(), 107);
+        assert_eq!(Op::from_name("nope"), Err(OpError::UnknownOp("nope".to_string())));
+        assert_eq!(Op::from_name(""), Err(OpError::UnknownOp(String::new())));
     }
 
     #[test]
     fn infer_validates_arity() {
-        let def = scalar_op();
         let attrs = Attrs::new();
         let ctx = InferCtx { dtypes: &[], shapes: &[], attrs: &attrs };
-        assert!(matches!(def.infer(&ctx), Err(OpError::Arity { .. })));
+        assert!(matches!(Op::RankOf.infer(&ctx), Err(OpError::Arity { .. })));
     }
 
     #[test]
     fn default_work_estimate() {
-        let def = scalar_op();
         let attrs = Attrs::new();
         let shapes = [SymShape::known(&tfe_tensor::Shape::from([8]))];
         let ctx = InferCtx { dtypes: &[DType::F32], shapes: &shapes, attrs: &attrs };
-        let out = def.infer(&ctx).unwrap();
-        let w = def.work(&ctx, &out);
+        let out = Op::RankOf.infer(&ctx).unwrap();
+        let w = Op::RankOf.work(&ctx, &out);
         assert_eq!(w.flops, 1.0); // scalar output
         assert!(w.bytes >= 32.0); // read 8 f32
-    }
-
-    #[test]
-    fn custom_work_estimate() {
-        let def = scalar_op().with_work(|_, _| WorkEstimate { flops: 42.0, bytes: 7.0 });
-        let attrs = Attrs::new();
-        let shapes = [SymShape::scalar()];
-        let ctx = InferCtx { dtypes: &[DType::F32], shapes: &shapes, attrs: &attrs };
-        let out = def.infer(&ctx).unwrap();
-        assert_eq!(def.work(&ctx, &out).flops, 42.0);
-    }
-
-    #[test]
-    fn global_catalog_registers() {
-        ensure_standard_ops();
-        ensure_standard_ops(); // idempotent
-        assert!(global().contains("add"));
-        assert!(global().contains("matmul"));
-        assert!(global().len() > 60);
     }
 }

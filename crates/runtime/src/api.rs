@@ -5,14 +5,14 @@
 use crate::context::execute;
 use crate::error::{Result, RuntimeError};
 use crate::tensor::Tensor;
-use tfe_ops::Attrs;
+use tfe_ops::{Attrs, BinaryOp, CmpOp, LogicalOp, Op, UnaryOp};
 use tfe_tensor::{DType, Scalar, Shape, TensorData};
 
 fn one(mut v: Vec<Tensor>) -> Tensor {
     v.remove(0)
 }
 
-fn run1(op: &str, inputs: &[&Tensor], attrs: Attrs) -> Result<Tensor> {
+fn run1(op: Op, inputs: &[&Tensor], attrs: Attrs) -> Result<Tensor> {
     let owned: Vec<Tensor> = inputs.iter().map(|t| (*t).clone()).collect();
     Ok(one(execute(op, &owned, attrs)?))
 }
@@ -63,7 +63,7 @@ pub fn ones(dtype: DType, shape: impl Into<Shape>) -> Tensor {
 /// # Errors
 /// Execution failures.
 pub fn eye(dtype: DType, n: usize) -> Result<Tensor> {
-    run1("eye", &[], Attrs::new().with("dtype", dtype).with("n", n as i64))
+    run1(Op::Eye, &[], Attrs::new().with("dtype", dtype).with("n", n as i64))
 }
 
 /// `[start, start + step, ...)` with `count` elements (`tf.range`).
@@ -72,7 +72,7 @@ pub fn eye(dtype: DType, n: usize) -> Result<Tensor> {
 /// Execution failures.
 pub fn range(dtype: DType, start: f64, step: f64, count: usize) -> Result<Tensor> {
     run1(
-        "range",
+        Op::Range,
         &[],
         Attrs::new()
             .with("dtype", dtype)
@@ -95,7 +95,7 @@ pub fn random_normal(
 ) -> Result<Tensor> {
     let dims: Vec<i64> = shape.into().dims().iter().map(|&d| d as i64).collect();
     run1(
-        "random_normal",
+        Op::RandomNormal,
         &[],
         Attrs::new()
             .with("dtype", dtype)
@@ -117,7 +117,7 @@ pub fn random_uniform(
 ) -> Result<Tensor> {
     let dims: Vec<i64> = shape.into().dims().iter().map(|&d| d as i64).collect();
     run1(
-        "random_uniform",
+        Op::RandomUniform,
         &[],
         Attrs::new().with("dtype", dtype).with("shape", dims).with("low", low).with("high", high),
     )
@@ -130,7 +130,7 @@ pub fn random_uniform(
 pub fn truncated_normal(dtype: DType, shape: impl Into<Shape>, stddev: f64) -> Result<Tensor> {
     let dims: Vec<i64> = shape.into().dims().iter().map(|&d| d as i64).collect();
     run1(
-        "truncated_normal",
+        Op::TruncatedNormal,
         &[],
         Attrs::new()
             .with("dtype", dtype)
@@ -169,198 +169,198 @@ macro_rules! unary_fn {
 binary_fn!(
     #[doc = "Elementwise `a + b` with broadcasting."]
     add,
-    "add"
+    Op::Binary(BinaryOp::Add)
 );
 binary_fn!(
     #[doc = "Elementwise `a - b` with broadcasting."]
     sub,
-    "sub"
+    Op::Binary(BinaryOp::Sub)
 );
 binary_fn!(
     #[doc = "Elementwise `a * b` with broadcasting."]
     mul,
-    "mul"
+    Op::Binary(BinaryOp::Mul)
 );
 binary_fn!(
     #[doc = "Elementwise `a / b` with broadcasting."]
     div,
-    "div"
+    Op::Binary(BinaryOp::Div)
 );
 binary_fn!(
     #[doc = "Elementwise floored division."]
     floor_div,
-    "floor_div"
+    Op::Binary(BinaryOp::FloorDiv)
 );
 binary_fn!(
     #[doc = "Elementwise modulo (Python sign convention)."]
     modulo,
-    "mod"
+    Op::Binary(BinaryOp::Mod)
 );
 binary_fn!(
     #[doc = "Elementwise `a ^ b`."]
     pow,
-    "pow"
+    Op::Binary(BinaryOp::Pow)
 );
 binary_fn!(
     #[doc = "Elementwise maximum."]
     maximum,
-    "maximum"
+    Op::Binary(BinaryOp::Maximum)
 );
 binary_fn!(
     #[doc = "Elementwise minimum."]
     minimum,
-    "minimum"
+    Op::Binary(BinaryOp::Minimum)
 );
 binary_fn!(
     #[doc = "Elementwise `(a - b)^2`."]
     squared_difference,
-    "squared_difference"
+    Op::Binary(BinaryOp::SquaredDifference)
 );
 binary_fn!(
     #[doc = "Elementwise equality, producing bools."]
     equal,
-    "equal"
+    Op::Compare(CmpOp::Eq)
 );
 binary_fn!(
     #[doc = "Elementwise inequality."]
     not_equal,
-    "not_equal"
+    Op::Compare(CmpOp::Ne)
 );
 binary_fn!(
     #[doc = "Elementwise `a < b`."]
     less,
-    "less"
+    Op::Compare(CmpOp::Lt)
 );
 binary_fn!(
     #[doc = "Elementwise `a <= b`."]
     less_equal,
-    "less_equal"
+    Op::Compare(CmpOp::Le)
 );
 binary_fn!(
     #[doc = "Elementwise `a > b`."]
     greater,
-    "greater"
+    Op::Compare(CmpOp::Gt)
 );
 binary_fn!(
     #[doc = "Elementwise `a >= b`."]
     greater_equal,
-    "greater_equal"
+    Op::Compare(CmpOp::Ge)
 );
 binary_fn!(
     #[doc = "Boolean AND."]
     logical_and,
-    "logical_and"
+    Op::Logical(LogicalOp::And)
 );
 binary_fn!(
     #[doc = "Boolean OR."]
     logical_or,
-    "logical_or"
+    Op::Logical(LogicalOp::Or)
 );
 
 unary_fn!(
     #[doc = "Elementwise negation."]
     neg,
-    "neg"
+    Op::Unary(UnaryOp::Neg)
 );
 unary_fn!(
     #[doc = "Elementwise absolute value."]
     abs,
-    "abs"
+    Op::Unary(UnaryOp::Abs)
 );
 unary_fn!(
     #[doc = "Elementwise sign."]
     sign,
-    "sign"
+    Op::Unary(UnaryOp::Sign)
 );
 unary_fn!(
     #[doc = "Elementwise `e^x`."]
     exp,
-    "exp"
+    Op::Unary(UnaryOp::Exp)
 );
 unary_fn!(
     #[doc = "Elementwise natural log."]
     log,
-    "log"
+    Op::Unary(UnaryOp::Log)
 );
 unary_fn!(
     #[doc = "Elementwise `ln(1+x)`."]
     log1p,
-    "log1p"
+    Op::Unary(UnaryOp::Log1p)
 );
 unary_fn!(
     #[doc = "Elementwise square root."]
     sqrt,
-    "sqrt"
+    Op::Unary(UnaryOp::Sqrt)
 );
 unary_fn!(
     #[doc = "Elementwise `1/sqrt(x)`."]
     rsqrt,
-    "rsqrt"
+    Op::Unary(UnaryOp::Rsqrt)
 );
 unary_fn!(
     #[doc = "Elementwise square."]
     square,
-    "square"
+    Op::Unary(UnaryOp::Square)
 );
 unary_fn!(
     #[doc = "Elementwise reciprocal."]
     reciprocal,
-    "reciprocal"
+    Op::Unary(UnaryOp::Reciprocal)
 );
 unary_fn!(
     #[doc = "Rectified linear unit."]
     relu,
-    "relu"
+    Op::Unary(UnaryOp::Relu)
 );
 unary_fn!(
     #[doc = "Logistic sigmoid."]
     sigmoid,
-    "sigmoid"
+    Op::Unary(UnaryOp::Sigmoid)
 );
 unary_fn!(
     #[doc = "Hyperbolic tangent."]
     tanh,
-    "tanh"
+    Op::Unary(UnaryOp::Tanh)
 );
 unary_fn!(
     #[doc = "`ln(1+e^x)` (`tf.nn.softplus`, Listing 3)."]
     softplus,
-    "softplus"
+    Op::Unary(UnaryOp::Softplus)
 );
 unary_fn!(
     #[doc = "Elementwise floor."]
     floor,
-    "floor"
+    Op::Unary(UnaryOp::Floor)
 );
 unary_fn!(
     #[doc = "Elementwise ceil."]
     ceil,
-    "ceil"
+    Op::Unary(UnaryOp::Ceil)
 );
 unary_fn!(
     #[doc = "Elementwise round."]
     round,
-    "round"
+    Op::Unary(UnaryOp::Round)
 );
 unary_fn!(
     #[doc = "Elementwise sine."]
     sin,
-    "sin"
+    Op::Unary(UnaryOp::Sin)
 );
 unary_fn!(
     #[doc = "Elementwise cosine."]
     cos,
-    "cos"
+    Op::Unary(UnaryOp::Cos)
 );
 unary_fn!(
     #[doc = "Gauss error function."]
     erf,
-    "erf"
+    Op::Unary(UnaryOp::Erf)
 );
 unary_fn!(
     #[doc = "Boolean NOT."]
     logical_not,
-    "logical_not"
+    Op::LogicalNot
 );
 
 /// `where(cond, a, b)` with broadcasting.
@@ -368,7 +368,7 @@ unary_fn!(
 /// # Errors
 /// Dtype/shape mismatches.
 pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run1("select", &[cond, a, b], Attrs::new())
+    run1(Op::Select, &[cond, a, b], Attrs::new())
 }
 
 /// Convert to another dtype.
@@ -376,7 +376,7 @@ pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
-    run1("cast", &[a], Attrs::new().with("dtype", dtype))
+    run1(Op::Cast, &[a], Attrs::new().with("dtype", dtype))
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +388,7 @@ pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
 /// # Errors
 /// Rank/shape mismatches.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run1("matmul", &[a, b], Attrs::new())
+    run1(Op::Matmul, &[a, b], Attrs::new())
 }
 
 /// Matmul with transpose flags.
@@ -397,7 +397,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// Rank/shape mismatches.
 pub fn matmul_t(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> Result<Tensor> {
     run1(
-        "matmul",
+        Op::Matmul,
         &[a, b],
         Attrs::new().with("transpose_a", transpose_a).with("transpose_b", transpose_b),
     )
@@ -408,7 +408,7 @@ pub fn matmul_t(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) ->
 /// # Errors
 /// Rank/shape mismatches.
 pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run1("batch_matmul", &[a, b], Attrs::new())
+    run1(Op::BatchMatmul, &[a, b], Attrs::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -435,37 +435,37 @@ macro_rules! reduce_fn {
 reduce_fn!(
     #[doc = "Sum over axes."]
     reduce_sum,
-    "reduce_sum"
+    Op::ReduceSum
 );
 reduce_fn!(
     #[doc = "Mean over axes."]
     reduce_mean,
-    "reduce_mean"
+    Op::ReduceMean
 );
 reduce_fn!(
     #[doc = "Maximum over axes."]
     reduce_max,
-    "reduce_max"
+    Op::ReduceMax
 );
 reduce_fn!(
     #[doc = "Minimum over axes."]
     reduce_min,
-    "reduce_min"
+    Op::ReduceMin
 );
 reduce_fn!(
     #[doc = "Product over axes."]
     reduce_prod,
-    "reduce_prod"
+    Op::ReduceProd
 );
 reduce_fn!(
     #[doc = "Boolean any over axes."]
     reduce_any,
-    "reduce_any"
+    Op::ReduceAny
 );
 reduce_fn!(
     #[doc = "Boolean all over axes."]
     reduce_all,
-    "reduce_all"
+    Op::ReduceAll
 );
 
 /// Index of the maximum along `axis` (int64 output).
@@ -473,7 +473,7 @@ reduce_fn!(
 /// # Errors
 /// Invalid axis.
 pub fn argmax(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1("argmax", &[a], Attrs::new().with("axis", axis))
+    run1(Op::Argmax, &[a], Attrs::new().with("axis", axis))
 }
 
 /// Index of the minimum along `axis`.
@@ -481,7 +481,7 @@ pub fn argmax(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Invalid axis.
 pub fn argmin(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1("argmin", &[a], Attrs::new().with("axis", axis))
+    run1(Op::Argmin, &[a], Attrs::new().with("axis", axis))
 }
 
 /// Cumulative sum along `axis`.
@@ -489,7 +489,7 @@ pub fn argmin(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Invalid axis.
 pub fn cumsum(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1("cumsum", &[a], Attrs::new().with("axis", axis))
+    run1(Op::Cumsum, &[a], Attrs::new().with("axis", axis))
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +501,7 @@ pub fn cumsum(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Element-count mismatch.
 pub fn reshape(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
-    run1("reshape", &[a], Attrs::new().with("shape", dims.to_vec()))
+    run1(Op::Reshape, &[a], Attrs::new().with("shape", dims.to_vec()))
 }
 
 /// Permute axes.
@@ -509,7 +509,7 @@ pub fn reshape(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Bad permutation.
 pub fn transpose(a: &Tensor, perm: &[i64]) -> Result<Tensor> {
-    run1("transpose", &[a], Attrs::new().with("perm", perm.to_vec()))
+    run1(Op::Transpose, &[a], Attrs::new().with("perm", perm.to_vec()))
 }
 
 /// Insert a size-1 axis.
@@ -517,7 +517,7 @@ pub fn transpose(a: &Tensor, perm: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Axis out of range.
 pub fn expand_dims(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1("expand_dims", &[a], Attrs::new().with("axis", axis))
+    run1(Op::ExpandDims, &[a], Attrs::new().with("axis", axis))
 }
 
 /// Remove size-1 axes (all of them when `axes` is empty).
@@ -525,7 +525,7 @@ pub fn expand_dims(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Named axis not of size 1.
 pub fn squeeze(a: &Tensor, axes: &[i64]) -> Result<Tensor> {
-    run1("squeeze", &[a], Attrs::new().with("axes", axes.to_vec()))
+    run1(Op::Squeeze, &[a], Attrs::new().with("axes", axes.to_vec()))
 }
 
 /// Concatenate along `axis`.
@@ -534,7 +534,7 @@ pub fn squeeze(a: &Tensor, axes: &[i64]) -> Result<Tensor> {
 /// Shape/dtype mismatches.
 pub fn concat(parts: &[&Tensor], axis: i64) -> Result<Tensor> {
     let owned: Vec<Tensor> = parts.iter().map(|t| (*t).clone()).collect();
-    Ok(one(execute("concat", &owned, Attrs::new().with("axis", axis))?))
+    Ok(one(execute(Op::Concat, &owned, Attrs::new().with("axis", axis))?))
 }
 
 /// Split into `num` equal parts along `axis`.
@@ -543,7 +543,7 @@ pub fn concat(parts: &[&Tensor], axis: i64) -> Result<Tensor> {
 /// `num` does not divide the axis.
 pub fn split(a: &Tensor, num: usize, axis: i64) -> Result<Vec<Tensor>> {
     execute(
-        "split",
+        Op::Split,
         std::slice::from_ref(a),
         Attrs::new().with("num", num as i64).with("axis", axis),
     )
@@ -554,7 +554,7 @@ pub fn split(a: &Tensor, num: usize, axis: i64) -> Result<Vec<Tensor>> {
 /// # Errors
 /// Out-of-range begin/size.
 pub fn slice(a: &Tensor, begin: &[i64], size: &[i64]) -> Result<Tensor> {
-    run1("slice", &[a], Attrs::new().with("begin", begin.to_vec()).with("size", size.to_vec()))
+    run1(Op::Slice, &[a], Attrs::new().with("begin", begin.to_vec()).with("size", size.to_vec()))
 }
 
 /// Constant-pad with `(before, after)` per axis.
@@ -563,7 +563,7 @@ pub fn slice(a: &Tensor, begin: &[i64], size: &[i64]) -> Result<Tensor> {
 /// Rank mismatch.
 pub fn pad(a: &Tensor, paddings: &[(i64, i64)], value: f64) -> Result<Tensor> {
     let flat: Vec<i64> = paddings.iter().flat_map(|&(b, e)| [b, e]).collect();
-    run1("pad", &[a], Attrs::new().with("paddings", flat).with("value", value))
+    run1(Op::Pad, &[a], Attrs::new().with("paddings", flat).with("value", value))
 }
 
 /// Gather rows/elements by integer indices along `axis`.
@@ -571,7 +571,7 @@ pub fn pad(a: &Tensor, paddings: &[(i64, i64)], value: f64) -> Result<Tensor> {
 /// # Errors
 /// Bad indices.
 pub fn gather(a: &Tensor, indices: &Tensor, axis: i64) -> Result<Tensor> {
-    run1("gather", &[a, indices], Attrs::new().with("axis", axis))
+    run1(Op::Gather, &[a, indices], Attrs::new().with("axis", axis))
 }
 
 /// Repeat each axis `multiples[i]` times.
@@ -579,7 +579,7 @@ pub fn gather(a: &Tensor, indices: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Rank mismatch.
 pub fn tile(a: &Tensor, multiples: &[i64]) -> Result<Tensor> {
-    run1("tile", &[a], Attrs::new().with("multiples", multiples.to_vec()))
+    run1(Op::Tile, &[a], Attrs::new().with("multiples", multiples.to_vec()))
 }
 
 /// Materialize a broadcast to `dims`.
@@ -587,7 +587,7 @@ pub fn tile(a: &Tensor, multiples: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Incompatible shapes.
 pub fn broadcast_to(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
-    run1("broadcast_to", &[a], Attrs::new().with("shape", dims.to_vec()))
+    run1(Op::BroadcastTo, &[a], Attrs::new().with("shape", dims.to_vec()))
 }
 
 /// One-hot encode integer indices.
@@ -595,7 +595,7 @@ pub fn broadcast_to(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Non-integer indices.
 pub fn one_hot(indices: &Tensor, depth: usize, dtype: DType) -> Result<Tensor> {
-    run1("one_hot", &[indices], Attrs::new().with("depth", depth as i64).with("dtype", dtype))
+    run1(Op::OneHot, &[indices], Attrs::new().with("depth", depth as i64).with("dtype", dtype))
 }
 
 /// Stack equal-shaped tensors along a new axis.
@@ -628,7 +628,7 @@ pub fn unstack(a: &Tensor, axis: i64) -> Result<Vec<Tensor>> {
 /// # Errors
 /// Invalid axis.
 pub fn reverse(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1("reverse", &[a], Attrs::new().with("axis", axis))
+    run1(Op::Reverse, &[a], Attrs::new().with("axis", axis))
 }
 
 /// The runtime shape as an int64 tensor (`tf.shape`).
@@ -636,7 +636,7 @@ pub fn reverse(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn shape_of(a: &Tensor) -> Result<Tensor> {
-    run1("shape_of", &[a], Attrs::new())
+    run1(Op::ShapeOf, &[a], Attrs::new())
 }
 
 /// The rank as an int64 scalar (`tf.rank`).
@@ -644,7 +644,7 @@ pub fn shape_of(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn rank_of(a: &Tensor) -> Result<Tensor> {
-    run1("rank_of", &[a], Attrs::new())
+    run1(Op::RankOf, &[a], Attrs::new())
 }
 
 /// The element count as an int64 scalar (`tf.size`).
@@ -652,7 +652,7 @@ pub fn rank_of(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn size_of(a: &Tensor) -> Result<Tensor> {
-    run1("size_of", &[a], Attrs::new())
+    run1(Op::SizeOf, &[a], Attrs::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -670,7 +670,7 @@ pub fn conv2d(
     padding: &str,
 ) -> Result<Tensor> {
     run1(
-        "conv2d",
+        Op::Conv2d,
         &[input, filter],
         Attrs::new()
             .with("strides", vec![strides.0 as i64, strides.1 as i64])
@@ -689,7 +689,7 @@ pub fn max_pool(
     padding: &str,
 ) -> Result<Tensor> {
     run1(
-        "max_pool",
+        Op::MaxPool,
         &[input],
         Attrs::new()
             .with("ksize", vec![ksize.0 as i64, ksize.1 as i64])
@@ -709,7 +709,7 @@ pub fn avg_pool(
     padding: &str,
 ) -> Result<Tensor> {
     run1(
-        "avg_pool",
+        Op::AvgPool,
         &[input],
         Attrs::new()
             .with("ksize", vec![ksize.0 as i64, ksize.1 as i64])
@@ -723,7 +723,7 @@ pub fn avg_pool(
 /// # Errors
 /// Non-float input.
 pub fn softmax(a: &Tensor) -> Result<Tensor> {
-    run1("softmax", &[a], Attrs::new())
+    run1(Op::Softmax, &[a], Attrs::new())
 }
 
 /// Log-softmax over the last axis.
@@ -731,7 +731,7 @@ pub fn softmax(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Non-float input.
 pub fn log_softmax(a: &Tensor) -> Result<Tensor> {
-    run1("log_softmax", &[a], Attrs::new())
+    run1(Op::LogSoftmax, &[a], Attrs::new())
 }
 
 /// Per-example sparse softmax cross-entropy.
@@ -739,7 +739,7 @@ pub fn log_softmax(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Label/shape problems.
 pub fn sparse_softmax_xent(logits: &Tensor, labels: &Tensor) -> Result<Tensor> {
-    run1("sparse_softmax_xent", &[logits, labels], Attrs::new())
+    run1(Op::SparseSoftmaxXent, &[logits, labels], Attrs::new())
 }
 
 /// Dropout: scales kept activations by `1/keep_prob` (`tf.nn.dropout`).
@@ -747,7 +747,7 @@ pub fn sparse_softmax_xent(logits: &Tensor, labels: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// keep_prob outside (0, 1].
 pub fn dropout(a: &Tensor, keep_prob: f64) -> Result<Tensor> {
-    let mask = run1("dropout_mask", &[a], Attrs::new().with("keep_prob", keep_prob))?;
+    let mask = run1(Op::DropoutMask, &[a], Attrs::new().with("keep_prob", keep_prob))?;
     mul(a, &mask)
 }
 
@@ -760,7 +760,7 @@ pub fn dropout(a: &Tensor, keep_prob: f64) -> Result<Tensor> {
 /// # Errors
 /// Unknown device.
 pub fn copy_to(a: &Tensor, device: &str) -> Result<Tensor> {
-    run1("copy", &[a], Attrs::new().with("device", device))
+    run1(Op::Copy, &[a], Attrs::new().with("device", device))
 }
 
 /// Debug-print a tensor as a side-effecting op, passing the value through.
@@ -768,7 +768,7 @@ pub fn copy_to(a: &Tensor, device: &str) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn print(a: &Tensor, message: &str) -> Result<Tensor> {
-    run1("print", &[a], Attrs::new().with("message", message))
+    run1(Op::Print, &[a], Attrs::new().with("message", message))
 }
 
 impl Tensor {

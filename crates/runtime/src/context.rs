@@ -10,6 +10,7 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::executor::{self, ExecMode, Structural};
+use crate::stream::Label;
 use crate::tape::{Tape, TapeRecord};
 use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
 use parking_lot::{Mutex, RwLock};
@@ -18,7 +19,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tfe_device::{Device, DeviceManager, DeviceName, DispatchModel, KernelCost, SimStats};
 use tfe_graph::{FunctionLibrary, GraphBuilder, TensorRef};
-use tfe_ops::{Attrs, InferCtx, SymShape};
+use tfe_ops::{Attrs, InferCtx, Op, SymShape};
 use tfe_tensor::rng::TensorRng;
 use tfe_tensor::TensorData;
 
@@ -74,12 +75,6 @@ pub fn set_random_seed(seed: u64) {
 /// Run `f` with exclusive access to the process RNG.
 pub(crate) fn with_rng<R>(f: impl FnOnce(&mut TensorRng) -> R) -> R {
     f(&mut global_rng().lock())
-}
-
-/// Make sure op catalog and kernels are registered. Cheap after first call.
-pub fn ensure_init() {
-    tfe_ops::ensure_standard_ops();
-    crate::kernels::ensure_kernels();
 }
 
 // ---------------------------------------------------------------------------
@@ -373,7 +368,7 @@ pub fn active_tapes() -> Vec<Arc<Tape>> {
     with_stack(|s| s.tapes.clone())
 }
 
-fn record_on_tapes(op: &str, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
+fn record_on_tapes(op: Op, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
     if outputs.is_empty() {
         return; // assigns and friends are not differentiable events
     }
@@ -381,50 +376,19 @@ fn record_on_tapes(op: &str, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor
     if tapes.is_empty() {
         return;
     }
-    // `read_variable` flows gradients from the *variable id*, so that
-    // multiple reads of one variable alias to one gradient slot and tapes
-    // auto-watch variables (§4.2/§4.3).
-    let mut input_ids: Vec<u64> = if op == "read_variable" {
-        match attrs.int("var_id") {
-            Ok(id) => vec![id as u64],
-            Err(_) => inputs.iter().map(Tensor::id).collect(),
-        }
-    } else {
-        inputs.iter().map(Tensor::id).collect()
-    };
-    if op == "read_variable" {
-        for tape in &tapes {
-            if tape.watch_accessed_variables {
-                if let Ok(id) = attrs.int("var_id") {
-                    tape.watch_id(id as u64);
-                }
-            }
+    let slots = TapeRecord::gradient_slots(op, attrs, inputs);
+    // Tapes auto-watch the variables an op reads, directly or through a
+    // staged call (§4.2/§4.3).
+    for &var_id in &slots[inputs.len()..] {
+        for tape in tapes.iter().filter(|t| t.watch_accessed_variables) {
+            tape.watch_id(var_id);
         }
     }
-    // A `call` node exposes the variables its graph reads as extra gradient
-    // slots (attr `var_ids`, set by the tracer), so tapes can flow
-    // gradients to variables *through* staged functions and auto-watch
-    // them, just like direct `read_variable` ops.
-    if op == "call" {
-        if let Ok(var_ids) = attrs.int_list("var_ids") {
-            for &vid in var_ids {
-                input_ids.push(vid as u64);
-                for tape in &tapes {
-                    if tape.watch_accessed_variables {
-                        tape.watch_id(vid as u64);
-                    }
-                }
-            }
-        }
+    if !tapes.iter().any(|t| t.tracks_any(&slots)) {
+        return;
     }
-    let record = TapeRecord {
-        op: op.to_string(),
-        attrs: attrs.clone(),
-        inputs: inputs.to_vec(),
-        outputs: outputs.to_vec(),
-        input_ids,
-        output_ids: outputs.iter().map(Tensor::id).collect(),
-    };
+    // One record, shared by every nested tape that tracks it.
+    let record = Arc::new(TapeRecord::with_slots(slots, op, attrs.clone(), inputs, outputs));
     for tape in &tapes {
         tape.maybe_record(&record);
     }
@@ -447,7 +411,6 @@ pub fn current_frame_id() -> Option<u64> {
 /// Open a new tracing frame; subsequent [`execute`] calls record nodes into
 /// it. Returns the frame id.
 pub fn begin_tracing(name: &str) -> u64 {
-    ensure_init();
     let frame_id = fresh_id();
     let frame = TraceFrame {
         frame_id,
@@ -592,19 +555,18 @@ pub(crate) enum SimOp {
 /// the caller runs the op for real.
 ///
 /// # Errors
-/// Unknown op, failed inference, or cost-only outputs of undefined shape.
+/// Failed inference, or cost-only outputs of undefined shape.
 pub(crate) fn simulate_op(
     sim: Option<&SimConfig>,
     origin: SimOp,
     device: &Device,
-    op: &str,
+    op: Op,
     attrs: &Attrs,
     inputs: &[Arc<TensorData>],
 ) -> Result<Option<Vec<Arc<TensorData>>>> {
-    let def = tfe_ops::global().lookup(op)?;
     let (dtypes, shapes) = concrete_sigs(inputs);
     let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs };
-    let sigs = def.infer(&ctx)?;
+    let sigs = op.infer(&ctx)?;
     if let Some(cfg) = sim {
         if origin == SimOp::Eager {
             cfg.stats.count_eager_op();
@@ -617,7 +579,7 @@ pub(crate) fn simulate_op(
             cfg.stats.clock.advance(cfg.dispatch.executor_node_ns);
         }
         if let Some(model) = device.compute_model() {
-            let w = def.work(&ctx, &sigs);
+            let w = op.work(&ctx, &sigs);
             let cost = KernelCost { flops: w.flops, bytes: w.bytes };
             cfg.stats.device_clock.advance(model.kernel_time_ns(cost));
             cfg.stats.count_kernel();
@@ -795,9 +757,8 @@ pub fn async_scope<R>(f: impl FnOnce() -> R) -> Result<R> {
 /// point every API wrapper, gradient function, and layer goes through.
 ///
 /// # Errors
-/// Unknown ops, arity/attr/shape problems, kernel failures, device errors.
-pub fn execute(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
-    ensure_init();
+/// Arity/attr/shape problems, kernel failures, device errors.
+pub fn execute(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
     if is_tracing() {
         execute_traced(op, inputs, attrs)
     } else {
@@ -805,7 +766,7 @@ pub fn execute(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     }
 }
 
-fn execute_traced(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
+fn execute_traced(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
     let outputs = with_stack(|s| -> Result<Vec<Tensor>> {
         let frame = s
             .traces
@@ -830,7 +791,7 @@ fn execute_traced(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tenso
             };
             trefs.push(tref);
         }
-        let refs = frame.builder.add_node(op, trefs, attrs.clone())?;
+        let refs = frame.builder.add_op(op, trefs, attrs.clone())?;
         Ok(refs
             .into_iter()
             .map(|tref| {
@@ -865,7 +826,7 @@ fn resolve_device(inputs: &[Tensor]) -> Device {
     device_manager().host_cpu()
 }
 
-fn execute_eager(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
+fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
     if let Some(kind) = Structural::of(op) {
         return execute_structural(kind, op, inputs, &attrs);
     }
@@ -886,7 +847,7 @@ fn execute_eager(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor
     // in async mode, just the enqueue), so the timeline shows dispatch
     // overhead as the gap around the nested `kernel` span (§6's
     // eager-vs-staged overhead, measured for real).
-    let mut prof_span = tfe_profile::span("eager", || op.to_string());
+    let mut prof_span = tfe_profile::span("eager", || op.name().to_string());
 
     let device = resolve_device(inputs);
     let sim = sim();
@@ -896,13 +857,12 @@ fn execute_eager(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor
     // shapes aren't fully inferable from input metadata stays synchronous
     // (data-dependent shapes need values).
     let enqueued = if async_dispatchable(&sim, &device, inputs) {
-        let def = tfe_ops::global().lookup(op)?;
         let dtypes: Vec<_> = inputs.iter().map(Tensor::dtype).collect();
         let shapes: Vec<_> = inputs.iter().map(Tensor::sym_shape).collect();
-        let out_sigs = def.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
-        let (job_op, job_attrs) = (op.to_string(), attrs.clone());
-        enqueue(op, &device, &out_sigs, inputs, move |vals| {
-            crate::kernels::launch_kernel(&job_op, &job_attrs, vals)
+        let out_sigs = op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
+        let job_attrs = attrs.clone();
+        enqueue(Label::Op(op), &device, &out_sigs, inputs, move |vals| {
+            crate::kernels::launch_kernel(op, &job_attrs, vals)
         })?
     } else {
         None
@@ -917,7 +877,7 @@ fn execute_eager(op: &str, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor
                 // Validate through the shared op definition.
                 let (dtypes, shapes) = concrete_sigs(&values);
                 let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs };
-                tfe_ops::global().lookup(op)?.infer(&ctx)?;
+                op.infer(&ctx)?;
                 None
             };
             let out = match zeros {
@@ -964,7 +924,7 @@ fn async_dispatchable(sim: &Option<SimConfig>, device: &Device, inputs: &[Tensor
 /// # Errors
 /// The fast-failed deferred error of a poisoned stream.
 fn enqueue(
-    label: &str,
+    label: Label,
     device: &Device,
     out_sigs: &[(tfe_tensor::DType, SymShape)],
     inputs: &[Tensor],
@@ -1015,7 +975,7 @@ pub(crate) fn eager_tensors(values: Vec<Arc<TensorData>>, device: &Device) -> Ve
 /// and records on tapes.
 fn execute_structural(
     kind: Structural,
-    op: &str,
+    op: Op,
     inputs: &[Tensor],
     attrs: &Attrs,
 ) -> Result<Vec<Tensor>> {
@@ -1050,7 +1010,7 @@ fn execute_structural(
             let func = executor::callee(attrs, "function")?;
             let job_device = device.clone();
             enqueued = enqueue(
-                &format!("call:{}", func.name),
+                Label::Call(func.name.clone()),
                 &device,
                 &func.output_sigs(),
                 inputs,

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tfe_device::Device;
 use tfe_graph::{GraphFunction, NodeId, TensorRef};
-use tfe_ops::{AttrValue, Attrs, OpError};
+use tfe_ops::{AttrValue, Attrs, Op, OpError};
 use tfe_tensor::TensorData;
 
 /// Executor scheduling mode.
@@ -82,7 +82,6 @@ fn run(
     device: &Device,
     mode: ExecMode,
 ) -> Result<Vec<Arc<TensorData>>> {
-    crate::context::ensure_init();
     validate_args(f, args)?;
     let store = Arc::new(SlotStore::new(f, args));
     let done = match mode {
@@ -154,13 +153,13 @@ pub(crate) fn callee(attrs: &Attrs, attr: &str) -> Result<Arc<GraphFunction>> {
 }
 
 impl Structural {
-    pub(crate) fn of(op: &str) -> Option<Structural> {
+    pub(crate) fn of(op: Op) -> Option<Structural> {
         match op {
-            "call" => Some(Structural::Call),
-            "cond" => Some(Structural::Cond),
-            "while_loop" => Some(Structural::WhileLoop),
-            "host_func" => Some(Structural::HostFunc),
-            "copy" => Some(Structural::Copy),
+            Op::Call => Some(Structural::Call),
+            Op::Cond => Some(Structural::Cond),
+            Op::WhileLoop => Some(Structural::WhileLoop),
+            Op::HostFunc => Some(Structural::HostFunc),
+            Op::Copy => Some(Structural::Copy),
             _ => None,
         }
     }
@@ -242,11 +241,11 @@ fn run_node(
 ) -> Result<Vec<Arc<TensorData>>> {
     let node = f.node(id);
     crate::context::stat_node_executed();
-    let mut prof_span = tfe_profile::span("node", || node.op.clone());
+    let mut prof_span = tfe_profile::span("node", || node.op.name().to_string());
     if let Some(sp) = prof_span.as_mut() {
         sp.set_detail(f.node_label(id));
     }
-    let structural = Structural::of(&node.op);
+    let structural = Structural::of(node.op);
     let sim = crate::context::sim();
     if sim.is_some() || device.compute_model().is_some() {
         let kind = match structural {
@@ -256,7 +255,7 @@ fn run_node(
             _ => SimOp::Node,
         };
         let zeros =
-            crate::context::simulate_op(sim.as_ref(), kind, device, &node.op, &node.attrs, inputs)?;
+            crate::context::simulate_op(sim.as_ref(), kind, device, node.op, &node.attrs, inputs)?;
         if let Some(zeros) = zeros {
             return Ok(zeros);
         }
@@ -264,7 +263,7 @@ fn run_node(
     if let Some(s) = structural {
         return s.run(&node.attrs, inputs, device, mode);
     }
-    if node.op == "const" {
+    if node.op == Op::Const {
         let idx = match node.attrs.get("value_index") {
             Some(AttrValue::Int(i)) => *i as usize,
             _ => return Err(RuntimeError::Internal("const without value_index".into())),
@@ -275,7 +274,7 @@ fn run_node(
         ]);
     }
     crate::context::stat_kernel_launched();
-    crate::kernels::launch_kernel(&node.op, &node.attrs, inputs)
+    crate::kernels::launch_kernel(node.op, &node.attrs, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -374,7 +373,7 @@ impl SlotStore {
 /// `SerialPlanned`: every node in program order on the calling thread.
 fn drive_inline(f: &GraphFunction, store: &SlotStore, device: &Device) -> Result<()> {
     for (i, node) in f.nodes.iter().enumerate() {
-        if node.op == "placeholder" {
+        if node.op == Op::Placeholder {
             continue;
         }
         let inputs: Vec<_> = node.inputs.iter().map(|t| store.get(f, t)).collect::<Result<_>>()?;
@@ -469,7 +468,7 @@ fn drive_pool(f: &Arc<GraphFunction>, store: &Arc<SlotStore>, device: &Device) -
     // Placeholders are bound already; what is ready now is every other node
     // left without predecessors (consts, random sources, consumers of
     // arguments only).
-    let is_placeholder = |i: usize| f.nodes[i].op == "placeholder";
+    let is_placeholder = |i: usize| f.nodes[i].op == Op::Placeholder;
     for p in (0..n).filter(|&i| is_placeholder(i)) {
         for &c in &dependents[p] {
             deps[c] -= 1;
@@ -660,7 +659,6 @@ mod tests {
     fn unread_output_is_held_by_neither_driver() {
         // x: f32[4] -> split in two -> neg(first half); nobody reads the
         // second half, so the store must never hold it.
-        crate::context::ensure_init();
         let mut b = GraphBuilder::new("half_unread");
         let x = b.placeholder(DType::F32, known(&[4])).unwrap();
         let parts = b

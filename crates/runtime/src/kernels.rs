@@ -3,39 +3,28 @@
 //! One kernel per primitive op, shared by the eager dispatcher and the
 //! graph executor (§1: imperative and staged execution "share a single set
 //! of primitive operations, kernels"). Simulated devices run these same
-//! kernels (or skip them in cost-only mode).
+//! kernels (or skip them in cost-only mode). The table is one exhaustive
+//! `match` over [`Op`] in [`run_kernel`]: an op without an arm does not
+//! compile, and finding a kernel is a jump, not a map lookup.
 
 use crate::error::{Result, RuntimeError};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tfe_ops::{Attrs, OpError};
+use tfe_ops::{Attrs, Op, OpError};
 use tfe_tensor::conv::{self, Padding};
-use tfe_tensor::elementwise::{self, BinaryOp, CmpOp, LogicalOp, UnaryOp};
+use tfe_tensor::elementwise::{self, BinaryOp};
 use tfe_tensor::pool::{self, PoolKind};
 use tfe_tensor::{matmul, reduce, shape_ops, softmax, Shape, TensorData, TensorError};
 
-/// A kernel: attributes + concrete inputs → concrete outputs.
-pub type Kernel = fn(&Attrs, &[Arc<TensorData>]) -> Result<Vec<TensorData>>;
-
-fn kernels() -> &'static RwLock<HashMap<&'static str, Kernel>> {
-    static K: std::sync::OnceLock<RwLock<HashMap<&'static str, Kernel>>> =
-        std::sync::OnceLock::new();
-    K.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Run the kernel for `op`.
+/// Run the kernel for `op`, under a `kernel` profile span.
 ///
 /// # Errors
-/// No kernel registered, or kernel failure.
-pub fn run_kernel(op: &str, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
-    ensure_kernels();
-    let k = *kernels()
-        .read()
-        .get(op)
-        .ok_or_else(|| RuntimeError::Internal(format!("no kernel registered for op `{op}`")))?;
-    let mut sp = tfe_profile::span("kernel", || op.to_string());
-    let out = k(attrs, inputs)?;
+/// Kernel failure, or an op the dispatcher runs itself (`call`, `cond`,
+/// `while_loop`, `host_func`, `copy`) or that only marks a graph position
+/// (`placeholder`, `const`).
+pub fn run_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
+    let mut sp = tfe_profile::span("kernel", || op.name().to_string());
+    let out = kernel(op, attrs, inputs)?;
     if let Some(sp) = sp.as_mut() {
         sp.set_bytes(out.iter().map(|t| (t.num_elements() * t.dtype().size_bytes()) as u64).sum());
     }
@@ -46,7 +35,7 @@ pub fn run_kernel(op: &str, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result
 /// the executor's node-runner) launch it: timed into `tfe_kernel_time_ns`,
 /// outputs ready to share.
 pub(crate) fn launch_kernel(
-    op: &str,
+    op: Op,
     attrs: &Attrs,
     inputs: &[Arc<TensorData>],
 ) -> Result<Vec<Arc<TensorData>>> {
@@ -59,12 +48,6 @@ pub(crate) fn launch_kernel(
     )
     .observe(t0.elapsed().as_nanos() as u64);
     Ok(out.into_iter().map(Arc::new).collect())
-}
-
-/// Whether a kernel exists for `op`.
-pub fn has_kernel(op: &str) -> bool {
-    ensure_kernels();
-    kernels().read().contains_key(op)
 }
 
 fn one(t: TensorData) -> Result<Vec<TensorData>> {
@@ -110,10 +93,26 @@ fn ksize_of(attrs: &Attrs) -> Result<(usize, usize)> {
     Ok((s[0] as usize, s[1] as usize))
 }
 
-macro_rules! kernel {
-    ($map:expr, $name:expr, $f:expr) => {
-        $map.insert($name, $f as Kernel);
-    };
+fn shape_attr(a: &Attrs) -> Result<Vec<usize>> {
+    Ok(a.int_list("shape").map_err(attrs_err)?.iter().map(|&d| d as usize).collect())
+}
+
+fn reduce_attrs(a: &Attrs) -> Result<(&[i64], bool)> {
+    let axes = a.int_list_or("axes", &[]).map_err(attrs_err)?;
+    Ok((axes, a.bool_or("keep_dims", false).map_err(attrs_err)?))
+}
+
+fn reduce_kernel(
+    a: &Attrs,
+    i: &[Arc<TensorData>],
+    op: reduce::ReduceOp,
+) -> Result<Vec<TensorData>> {
+    let (axes, keep) = reduce_attrs(a)?;
+    one(reduce::reduce(in0(i)?, axes, keep, op)?)
+}
+
+fn variable(a: &Attrs) -> Result<Arc<crate::variable::VarStorage>> {
+    crate::variable::registry().resolve(a.int("var_id").map_err(attrs_err)? as u64)
 }
 
 /// Reduce `x` to the shape of `reference` by summing broadcast dimensions —
@@ -168,432 +167,249 @@ pub fn zero_value(dtype: tfe_tensor::DType, shape: Shape) -> Arc<TensorData> {
         .clone()
 }
 
-/// Register all kernels exactly once.
-pub fn ensure_kernels() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let mut map = kernels().write();
-        register_elementwise(&mut map);
-        register_structural(&mut map);
-        register_linalg(&mut map);
-        register_reduction(&mut map);
-        register_nn(&mut map);
-        register_random(&mut map);
-        register_state(&mut map);
-    });
-}
-
-fn register_elementwise(map: &mut HashMap<&'static str, Kernel>) {
-    kernel!(map, "add", |_, i| one(elementwise::binary(in0(i)?, in_n(i, 1)?, BinaryOp::Add)?));
-    kernel!(map, "sub", |_, i| one(elementwise::binary(in0(i)?, in_n(i, 1)?, BinaryOp::Sub)?));
-    kernel!(map, "mul", |_, i| one(elementwise::binary(in0(i)?, in_n(i, 1)?, BinaryOp::Mul)?));
-    kernel!(map, "div", |_, i| one(elementwise::binary(in0(i)?, in_n(i, 1)?, BinaryOp::Div)?));
-    kernel!(map, "floor_div", |_, i| one(elementwise::binary(
-        in0(i)?,
-        in_n(i, 1)?,
-        BinaryOp::FloorDiv
-    )?));
-    kernel!(map, "mod", |_, i| one(elementwise::binary(in0(i)?, in_n(i, 1)?, BinaryOp::Mod)?));
-    kernel!(map, "pow", |_, i| one(elementwise::binary(in0(i)?, in_n(i, 1)?, BinaryOp::Pow)?));
-    kernel!(map, "maximum", |_, i| one(elementwise::binary(
-        in0(i)?,
-        in_n(i, 1)?,
-        BinaryOp::Maximum
-    )?));
-    kernel!(map, "minimum", |_, i| one(elementwise::binary(
-        in0(i)?,
-        in_n(i, 1)?,
-        BinaryOp::Minimum
-    )?));
-    kernel!(map, "squared_difference", |_, i| one(elementwise::binary(
-        in0(i)?,
-        in_n(i, 1)?,
-        BinaryOp::SquaredDifference
-    )?));
-    // Unary family (names match UnaryOp::name()); function pointers cannot
-    // close over the op, so each is spelled out.
-    kernel!(map, "neg", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Neg)?));
-    kernel!(map, "abs", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Abs)?));
-    kernel!(map, "sign", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Sign)?));
-    kernel!(map, "exp", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Exp)?));
-    kernel!(map, "log", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Log)?));
-    kernel!(map, "log1p", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Log1p)?));
-    kernel!(map, "sqrt", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Sqrt)?));
-    kernel!(map, "rsqrt", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Rsqrt)?));
-    kernel!(map, "square", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Square)?));
-    kernel!(map, "reciprocal", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Reciprocal)?));
-    kernel!(map, "relu", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Relu)?));
-    kernel!(map, "sigmoid", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Sigmoid)?));
-    kernel!(map, "tanh", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Tanh)?));
-    kernel!(map, "softplus", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Softplus)?));
-    kernel!(map, "floor", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Floor)?));
-    kernel!(map, "ceil", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Ceil)?));
-    kernel!(map, "round", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Round)?));
-    kernel!(map, "sin", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Sin)?));
-    kernel!(map, "cos", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Cos)?));
-    kernel!(map, "erf", |_, i| one(elementwise::unary(in0(i)?, UnaryOp::Erf)?));
-
-    kernel!(map, "equal", |_, i| one(elementwise::compare(in0(i)?, in_n(i, 1)?, CmpOp::Eq)?));
-    kernel!(map, "not_equal", |_, i| one(elementwise::compare(in0(i)?, in_n(i, 1)?, CmpOp::Ne)?));
-    kernel!(map, "less", |_, i| one(elementwise::compare(in0(i)?, in_n(i, 1)?, CmpOp::Lt)?));
-    kernel!(map, "less_equal", |_, i| one(elementwise::compare(in0(i)?, in_n(i, 1)?, CmpOp::Le)?));
-    kernel!(map, "greater", |_, i| one(elementwise::compare(in0(i)?, in_n(i, 1)?, CmpOp::Gt)?));
-    kernel!(map, "greater_equal", |_, i| one(elementwise::compare(
-        in0(i)?,
-        in_n(i, 1)?,
-        CmpOp::Ge
-    )?));
-    kernel!(map, "logical_and", |_, i| one(elementwise::logical(
-        in0(i)?,
-        in_n(i, 1)?,
-        LogicalOp::And
-    )?));
-    kernel!(map, "logical_or", |_, i| one(elementwise::logical(
-        in0(i)?,
-        in_n(i, 1)?,
-        LogicalOp::Or
-    )?));
-    kernel!(map, "logical_xor", |_, i| one(elementwise::logical(
-        in0(i)?,
-        in_n(i, 1)?,
-        LogicalOp::Xor
-    )?));
-    kernel!(map, "logical_not", |_, i| one(elementwise::logical_not(in0(i)?)?));
-    kernel!(map, "select", |_, i| one(elementwise::select(in0(i)?, in_n(i, 1)?, in_n(i, 2)?)?));
-    kernel!(map, "cast", |a, i| one(in0(i)?.cast(a.dtype("dtype").map_err(attrs_err)?)));
-    kernel!(map, "fused_elementwise", |a, i| {
-        let text = a.str("program").map_err(attrs_err)?;
-        // Cache hit on the compiled form (warmed at fusion time) — the
-        // program text is only parsed the first time it is ever seen.
-        let program = tfe_graph::program::compiled(text).map_err(RuntimeError::Internal)?;
-        let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
-        one(program.eval(&refs)?)
-    });
-}
-
-fn register_structural(map: &mut HashMap<&'static str, Kernel>) {
-    kernel!(map, "identity", |_, i| one(in0(i)?.clone()));
-    kernel!(map, "zeros_like", |_, i| {
-        let x = in0(i)?;
-        one(TensorData::zeros(x.dtype(), x.shape().clone()))
-    });
-    kernel!(map, "ones_like", |_, i| {
-        let x = in0(i)?;
-        one(TensorData::ones(x.dtype(), x.shape().clone()))
-    });
-    kernel!(map, "fill", |a, _| {
-        let dt = a.dtype("dtype").map_err(attrs_err)?;
-        let dims: Vec<usize> =
-            a.int_list("shape").map_err(attrs_err)?.iter().map(|&d| d as usize).collect();
-        let v = a.float_or("value", 0.0).map_err(attrs_err)?;
-        one(TensorData::fill_f64(dt, dims, v))
-    });
-    kernel!(map, "eye", |a, _| {
-        let dt = a.dtype("dtype").map_err(attrs_err)?;
-        let n = a.int("n").map_err(attrs_err)? as usize;
-        one(TensorData::eye(dt, n))
-    });
-    kernel!(map, "range", |a, _| {
-        let dt = a.dtype("dtype").map_err(attrs_err)?;
-        let start = a.float_or("start", 0.0).map_err(attrs_err)?;
-        let step = a.float_or("step", 1.0).map_err(attrs_err)?;
-        let count = a.int("count").map_err(attrs_err)? as usize;
-        one(TensorData::range_f64(dt, start, step, count))
-    });
-    kernel!(map, "shape_of", |_, i| {
-        let dims: Vec<i64> = in0(i)?.shape().dims().iter().map(|&d| d as i64).collect();
-        let n = dims.len();
-        one(TensorData::from_vec(dims, Shape::from([n]))?)
-    });
-    kernel!(map, "rank_of", |_, i| { one(TensorData::scalar(in0(i)?.shape().rank() as i64)) });
-    kernel!(map, "size_of", |_, i| { one(TensorData::scalar(in0(i)?.num_elements() as i64)) });
-    kernel!(map, "reshape", |a, i| one(shape_ops::reshape(
-        in0(i)?,
-        a.int_list("shape").map_err(attrs_err)?
-    )?));
-    kernel!(map, "transpose", |a, i| {
-        let perm: Vec<usize> =
-            a.int_list("perm").map_err(attrs_err)?.iter().map(|&p| p as usize).collect();
-        one(shape_ops::transpose(in0(i)?, &perm)?)
-    });
-    kernel!(map, "expand_dims", |a, i| one(shape_ops::expand_dims(
-        in0(i)?,
-        a.int("axis").map_err(attrs_err)?
-    )?));
-    kernel!(map, "squeeze", |a, i| one(shape_ops::squeeze(
-        in0(i)?,
-        a.int_list_or("axes", &[]).map_err(attrs_err)?
-    )?));
-    kernel!(map, "concat", |a, i| {
-        let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
-        one(shape_ops::concat(&refs, a.int("axis").map_err(attrs_err)?)?)
-    });
-    kernel!(map, "split", |a, i| {
-        let num = a.int("num").map_err(attrs_err)?;
-        if num < 1 {
-            return Err(
-                TensorError::InvalidArgument(format!("split num must be >= 1, got {num}")).into()
-            );
+/// The kernel table.
+#[allow(clippy::too_many_lines)]
+fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
+    match op {
+        // --- elementwise --------------------------------------------------
+        Op::Unary(op) => one(elementwise::unary(in0(i)?, op)?),
+        Op::Binary(op) => one(elementwise::binary(in0(i)?, in_n(i, 1)?, op)?),
+        Op::Compare(op) => one(elementwise::compare(in0(i)?, in_n(i, 1)?, op)?),
+        Op::Logical(op) => one(elementwise::logical(in0(i)?, in_n(i, 1)?, op)?),
+        Op::LogicalNot => one(elementwise::logical_not(in0(i)?)?),
+        Op::Select => one(elementwise::select(in0(i)?, in_n(i, 1)?, in_n(i, 2)?)?),
+        Op::Cast => one(in0(i)?.cast(a.dtype("dtype").map_err(attrs_err)?)),
+        Op::FusedElementwise => {
+            let text = a.str("program").map_err(attrs_err)?;
+            // Cache hit on the compiled form (warmed at fusion time) — the
+            // program text is only parsed the first time it is ever seen.
+            let program = tfe_graph::program::compiled(text).map_err(RuntimeError::Internal)?;
+            let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
+            one(program.eval(&refs)?)
         }
-        Ok(shape_ops::split(in0(i)?, num as usize, a.int("axis").map_err(attrs_err)?)?)
-    });
-    kernel!(map, "slice", |a, i| one(shape_ops::slice(
-        in0(i)?,
-        a.int_list("begin").map_err(attrs_err)?,
-        a.int_list("size").map_err(attrs_err)?
-    )?));
-    kernel!(map, "slice_grad", |a, i| {
-        let input = in0(i)?;
-        let grad = in_n(i, 1)?;
-        one(shape_ops::pad_to(grad, a.int_list("begin").map_err(attrs_err)?, input.shape())?)
-    });
-    kernel!(map, "pad", |a, i| {
-        let flat = a.int_list("paddings").map_err(attrs_err)?;
-        let pairs: Vec<(usize, usize)> =
-            flat.chunks(2).map(|c| (c[0] as usize, c[1] as usize)).collect();
-        let v = a.float_or("value", 0.0).map_err(attrs_err)?;
-        one(shape_ops::pad(in0(i)?, &pairs, v)?)
-    });
-    kernel!(map, "gather", |a, i| one(shape_ops::gather(
-        in0(i)?,
-        in_n(i, 1)?,
-        a.int_or("axis", 0).map_err(attrs_err)?
-    )?));
-    kernel!(map, "gather_grad", |a, i| {
-        let axis = a.int_or("axis", 0).map_err(attrs_err)?;
-        if axis != 0 {
-            return Err(RuntimeError::Unsupported(
-                "gather gradient is implemented for axis 0 only".to_string(),
-            ));
+        Op::Identity => one(in0(i)?.clone()),
+        Op::ZerosLike => {
+            let x = in0(i)?;
+            one(TensorData::zeros(x.dtype(), x.shape().clone()))
         }
-        let params = in0(i)?;
-        let indices = in_n(i, 1)?;
-        let grad = in_n(i, 2)?;
-        // Flatten indices and the matching leading dims of grad.
-        let n_idx = indices.num_elements();
-        let flat_idx = indices.with_shape([n_idx])?;
-        let inner: usize = params.shape().dims()[1..].iter().product();
-        let flat_grad = grad.with_shape(vec![n_idx, inner.max(1)])?;
-        let scattered = shape_ops::scatter_add_rows(&flat_idx, &flat_grad, params.shape().dim(0))?;
-        one(scattered.with_shape(params.shape().clone())?)
-    });
-    kernel!(map, "tile", |a, i| {
-        let m: Vec<usize> =
-            a.int_list("multiples").map_err(attrs_err)?.iter().map(|&x| x as usize).collect();
-        one(shape_ops::tile(in0(i)?, &m)?)
-    });
-    kernel!(map, "broadcast_to", |a, i| {
-        let dims: Vec<usize> =
-            a.int_list("shape").map_err(attrs_err)?.iter().map(|&d| d as usize).collect();
-        one(shape_ops::broadcast_to(in0(i)?, &Shape::new(dims))?)
-    });
-    kernel!(map, "sum_to_like", |_, i| {
-        let target = in_n(i, 1)?.shape().clone();
-        one(sum_to_shape(in0(i)?, &target)?)
-    });
-    kernel!(map, "reverse", |a, i| one(shape_ops::reverse(
-        in0(i)?,
-        a.int_or("axis", 0).map_err(attrs_err)?
-    )?));
-    kernel!(map, "one_hot", |a, i| one(shape_ops::one_hot(
-        in0(i)?,
-        a.int("depth").map_err(attrs_err)? as usize,
-        a.dtype("dtype").map_err(attrs_err)?
-    )?));
-    kernel!(map, "print", |a, i| {
-        let x = in0(i)?;
-        let tag = a.str("message").unwrap_or("");
-        eprintln!("[tfe print] {tag}{:?}", x);
-        one(x.clone())
-    });
-}
-
-fn register_linalg(map: &mut HashMap<&'static str, Kernel>) {
-    kernel!(map, "matmul", |a, i| one(matmul::matmul(
-        in0(i)?,
-        in_n(i, 1)?,
-        a.bool_or("transpose_a", false).map_err(attrs_err)?,
-        a.bool_or("transpose_b", false).map_err(attrs_err)?
-    )?));
-    kernel!(map, "batch_matmul", |a, i| one(matmul::batch_matmul(
-        in0(i)?,
-        in_n(i, 1)?,
-        a.bool_or("transpose_a", false).map_err(attrs_err)?,
-        a.bool_or("transpose_b", false).map_err(attrs_err)?
-    )?));
-}
-
-fn register_reduction(map: &mut HashMap<&'static str, Kernel>) {
-    fn reduce_kernel(
-        a: &Attrs,
-        i: &[Arc<TensorData>],
-        op: reduce::ReduceOp,
-    ) -> Result<Vec<TensorData>> {
-        let axes = a.int_list_or("axes", &[]).map_err(attrs_err)?;
-        let keep = a.bool_or("keep_dims", false).map_err(attrs_err)?;
-        one(reduce::reduce(in0(i)?, axes, keep, op)?)
-    }
-    kernel!(map, "reduce_sum", |a, i| reduce_kernel(a, i, reduce::ReduceOp::Sum));
-    kernel!(map, "reduce_mean", |a, i| reduce_kernel(a, i, reduce::ReduceOp::Mean));
-    kernel!(map, "reduce_max", |a, i| reduce_kernel(a, i, reduce::ReduceOp::Max));
-    kernel!(map, "reduce_min", |a, i| reduce_kernel(a, i, reduce::ReduceOp::Min));
-    kernel!(map, "reduce_prod", |a, i| reduce_kernel(a, i, reduce::ReduceOp::Prod));
-    kernel!(map, "reduce_any", |a, i| {
-        let axes = a.int_list_or("axes", &[]).map_err(attrs_err)?;
-        let keep = a.bool_or("keep_dims", false).map_err(attrs_err)?;
-        one(reduce::reduce_bool(in0(i)?, axes, keep, false)?)
-    });
-    kernel!(map, "reduce_all", |a, i| {
-        let axes = a.int_list_or("axes", &[]).map_err(attrs_err)?;
-        let keep = a.bool_or("keep_dims", false).map_err(attrs_err)?;
-        one(reduce::reduce_bool(in0(i)?, axes, keep, true)?)
-    });
-    kernel!(map, "argmax", |a, i| one(reduce::argminmax(
-        in0(i)?,
-        a.int_or("axis", 0).map_err(attrs_err)?,
-        true
-    )?));
-    kernel!(map, "argmin", |a, i| one(reduce::argminmax(
-        in0(i)?,
-        a.int_or("axis", 0).map_err(attrs_err)?,
-        false
-    )?));
-    kernel!(map, "cumsum", |a, i| one(reduce::cumsum(
-        in0(i)?,
-        a.int_or("axis", 0).map_err(attrs_err)?
-    )?));
-}
-
-fn register_nn(map: &mut HashMap<&'static str, Kernel>) {
-    kernel!(map, "conv2d", |a, i| one(conv::conv2d(
-        in0(i)?,
-        in_n(i, 1)?,
-        strides_of(a)?,
-        padding_of(a)?
-    )?));
-    kernel!(map, "conv2d_backprop_input", |a, i| {
-        let input = in0(i)?;
-        one(conv::conv2d_backprop_input(
-            input.shape(),
-            in_n(i, 1)?,
-            in_n(i, 2)?,
-            strides_of(a)?,
-            padding_of(a)?,
-        )?)
-    });
-    kernel!(map, "conv2d_backprop_filter", |a, i| {
-        let filter = in_n(i, 1)?;
-        one(conv::conv2d_backprop_filter(
+        Op::OnesLike => {
+            let x = in0(i)?;
+            one(TensorData::ones(x.dtype(), x.shape().clone()))
+        }
+        Op::Fill => {
+            let dt = a.dtype("dtype").map_err(attrs_err)?;
+            let v = a.float_or("value", 0.0).map_err(attrs_err)?;
+            one(TensorData::fill_f64(dt, shape_attr(a)?, v))
+        }
+        Op::Eye => {
+            let dt = a.dtype("dtype").map_err(attrs_err)?;
+            let n = a.int("n").map_err(attrs_err)? as usize;
+            one(TensorData::eye(dt, n))
+        }
+        Op::Range => {
+            let dt = a.dtype("dtype").map_err(attrs_err)?;
+            let start = a.float_or("start", 0.0).map_err(attrs_err)?;
+            let step = a.float_or("step", 1.0).map_err(attrs_err)?;
+            let count = a.int("count").map_err(attrs_err)? as usize;
+            one(TensorData::range_f64(dt, start, step, count))
+        }
+        Op::ShapeOf => {
+            let dims: Vec<i64> = in0(i)?.shape().dims().iter().map(|&d| d as i64).collect();
+            let n = dims.len();
+            one(TensorData::from_vec(dims, Shape::from([n]))?)
+        }
+        Op::RankOf => one(TensorData::scalar(in0(i)?.shape().rank() as i64)),
+        Op::SizeOf => one(TensorData::scalar(in0(i)?.num_elements() as i64)),
+        Op::Reshape => one(shape_ops::reshape(in0(i)?, a.int_list("shape").map_err(attrs_err)?)?),
+        Op::Transpose => {
+            let perm: Vec<usize> =
+                a.int_list("perm").map_err(attrs_err)?.iter().map(|&p| p as usize).collect();
+            one(shape_ops::transpose(in0(i)?, &perm)?)
+        }
+        Op::ExpandDims => one(shape_ops::expand_dims(in0(i)?, a.int("axis").map_err(attrs_err)?)?),
+        Op::Squeeze => {
+            one(shape_ops::squeeze(in0(i)?, a.int_list_or("axes", &[]).map_err(attrs_err)?)?)
+        }
+        Op::Concat => {
+            let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
+            one(shape_ops::concat(&refs, a.int("axis").map_err(attrs_err)?)?)
+        }
+        Op::Split => {
+            let num = a.int("num").map_err(attrs_err)?;
+            if num < 1 {
+                return Err(TensorError::InvalidArgument(format!(
+                    "split num must be >= 1, got {num}"
+                ))
+                .into());
+            }
+            Ok(shape_ops::split(in0(i)?, num as usize, a.int("axis").map_err(attrs_err)?)?)
+        }
+        Op::Slice => one(shape_ops::slice(
             in0(i)?,
-            filter.shape(),
-            in_n(i, 2)?,
-            strides_of(a)?,
-            padding_of(a)?,
-        )?)
-    });
-    kernel!(map, "max_pool", |a, i| one(pool::pool2d(
-        in0(i)?,
-        ksize_of(a)?,
-        strides_of(a)?,
-        padding_of(a)?,
-        PoolKind::Max
-    )?));
-    kernel!(map, "avg_pool", |a, i| one(pool::pool2d(
-        in0(i)?,
-        ksize_of(a)?,
-        strides_of(a)?,
-        padding_of(a)?,
-        PoolKind::Avg
-    )?));
-    kernel!(map, "max_pool_grad", |a, i| one(pool::pool2d_grad(
-        in0(i)?,
-        in_n(i, 1)?,
-        ksize_of(a)?,
-        strides_of(a)?,
-        padding_of(a)?,
-        PoolKind::Max
-    )?));
-    kernel!(map, "avg_pool_grad", |a, i| one(pool::pool2d_grad(
-        in0(i)?,
-        in_n(i, 1)?,
-        ksize_of(a)?,
-        strides_of(a)?,
-        padding_of(a)?,
-        PoolKind::Avg
-    )?));
-    kernel!(map, "softmax", |_, i| one(softmax::softmax(in0(i)?)?));
-    kernel!(map, "log_softmax", |_, i| one(softmax::log_softmax(in0(i)?)?));
-    kernel!(map, "sparse_softmax_xent", |_, i| one(softmax::sparse_softmax_xent(
-        in0(i)?,
-        in_n(i, 1)?
-    )?));
-    kernel!(map, "softmax_xent_grad", |_, i| one(softmax::softmax_xent_grad(
-        in0(i)?,
-        in_n(i, 1)?,
-        in_n(i, 2)?
-    )?));
-}
-
-fn register_random(map: &mut HashMap<&'static str, Kernel>) {
-    fn shape_attr(a: &Attrs) -> Result<Vec<usize>> {
-        Ok(a.int_list("shape").map_err(attrs_err)?.iter().map(|&d| d as usize).collect())
+            a.int_list("begin").map_err(attrs_err)?,
+            a.int_list("size").map_err(attrs_err)?,
+        )?),
+        Op::SliceGrad => {
+            let input = in0(i)?;
+            let grad = in_n(i, 1)?;
+            one(shape_ops::pad_to(grad, a.int_list("begin").map_err(attrs_err)?, input.shape())?)
+        }
+        Op::Pad => {
+            let flat = a.int_list("paddings").map_err(attrs_err)?;
+            let pairs: Vec<(usize, usize)> =
+                flat.chunks(2).map(|c| (c[0] as usize, c[1] as usize)).collect();
+            let v = a.float_or("value", 0.0).map_err(attrs_err)?;
+            one(shape_ops::pad(in0(i)?, &pairs, v)?)
+        }
+        Op::Gather => {
+            one(shape_ops::gather(in0(i)?, in_n(i, 1)?, a.int_or("axis", 0).map_err(attrs_err)?)?)
+        }
+        Op::GatherGrad => {
+            let axis = a.int_or("axis", 0).map_err(attrs_err)?;
+            if axis != 0 {
+                return Err(RuntimeError::Unsupported(
+                    "gather gradient is implemented for axis 0 only".to_string(),
+                ));
+            }
+            let params = in0(i)?;
+            let indices = in_n(i, 1)?;
+            let grad = in_n(i, 2)?;
+            // Flatten indices and the matching leading dims of grad.
+            let n_idx = indices.num_elements();
+            let flat_idx = indices.with_shape([n_idx])?;
+            let inner: usize = params.shape().dims()[1..].iter().product();
+            let flat_grad = grad.with_shape(vec![n_idx, inner.max(1)])?;
+            let scattered =
+                shape_ops::scatter_add_rows(&flat_idx, &flat_grad, params.shape().dim(0))?;
+            one(scattered.with_shape(params.shape().clone())?)
+        }
+        Op::Tile => {
+            let m: Vec<usize> =
+                a.int_list("multiples").map_err(attrs_err)?.iter().map(|&x| x as usize).collect();
+            one(shape_ops::tile(in0(i)?, &m)?)
+        }
+        Op::BroadcastTo => one(shape_ops::broadcast_to(in0(i)?, &Shape::new(shape_attr(a)?))?),
+        Op::SumToLike => {
+            let target = in_n(i, 1)?.shape().clone();
+            one(sum_to_shape(in0(i)?, &target)?)
+        }
+        Op::Reverse => one(shape_ops::reverse(in0(i)?, a.int_or("axis", 0).map_err(attrs_err)?)?),
+        Op::OneHot => one(shape_ops::one_hot(
+            in0(i)?,
+            a.int("depth").map_err(attrs_err)? as usize,
+            a.dtype("dtype").map_err(attrs_err)?,
+        )?),
+        Op::Print => {
+            let x = in0(i)?;
+            let tag = a.str("message").unwrap_or("");
+            eprintln!("[tfe print] {tag}{:?}", x);
+            one(x.clone())
+        }
+        Op::Matmul => one(matmul::matmul(
+            in0(i)?,
+            in_n(i, 1)?,
+            a.bool_or("transpose_a", false).map_err(attrs_err)?,
+            a.bool_or("transpose_b", false).map_err(attrs_err)?,
+        )?),
+        Op::BatchMatmul => one(matmul::batch_matmul(
+            in0(i)?,
+            in_n(i, 1)?,
+            a.bool_or("transpose_a", false).map_err(attrs_err)?,
+            a.bool_or("transpose_b", false).map_err(attrs_err)?,
+        )?),
+        Op::ReduceSum => reduce_kernel(a, i, reduce::ReduceOp::Sum),
+        Op::ReduceMean => reduce_kernel(a, i, reduce::ReduceOp::Mean),
+        Op::ReduceMax => reduce_kernel(a, i, reduce::ReduceOp::Max),
+        Op::ReduceMin => reduce_kernel(a, i, reduce::ReduceOp::Min),
+        Op::ReduceProd => reduce_kernel(a, i, reduce::ReduceOp::Prod),
+        Op::ReduceAny | Op::ReduceAll => {
+            let (axes, keep) = reduce_attrs(a)?;
+            one(reduce::reduce_bool(in0(i)?, axes, keep, op == Op::ReduceAll)?)
+        }
+        Op::Argmax | Op::Argmin => {
+            let axis = a.int_or("axis", 0).map_err(attrs_err)?;
+            one(reduce::argminmax(in0(i)?, axis, op == Op::Argmax)?)
+        }
+        Op::Cumsum => one(reduce::cumsum(in0(i)?, a.int_or("axis", 0).map_err(attrs_err)?)?),
+        Op::Conv2d => one(conv::conv2d(in0(i)?, in_n(i, 1)?, strides_of(a)?, padding_of(a)?)?),
+        Op::Conv2dBackpropInput => {
+            let input = in0(i)?;
+            one(conv::conv2d_backprop_input(
+                input.shape(),
+                in_n(i, 1)?,
+                in_n(i, 2)?,
+                strides_of(a)?,
+                padding_of(a)?,
+            )?)
+        }
+        Op::Conv2dBackpropFilter => {
+            let filter = in_n(i, 1)?;
+            one(conv::conv2d_backprop_filter(
+                in0(i)?,
+                filter.shape(),
+                in_n(i, 2)?,
+                strides_of(a)?,
+                padding_of(a)?,
+            )?)
+        }
+        Op::MaxPool | Op::AvgPool => {
+            let kind = if op == Op::MaxPool { PoolKind::Max } else { PoolKind::Avg };
+            one(pool::pool2d(in0(i)?, ksize_of(a)?, strides_of(a)?, padding_of(a)?, kind)?)
+        }
+        Op::MaxPoolGrad | Op::AvgPoolGrad => {
+            let kind = if op == Op::MaxPoolGrad { PoolKind::Max } else { PoolKind::Avg };
+            let (ksize, strides) = (ksize_of(a)?, strides_of(a)?);
+            one(pool::pool2d_grad(in0(i)?, in_n(i, 1)?, ksize, strides, padding_of(a)?, kind)?)
+        }
+        Op::Softmax => one(softmax::softmax(in0(i)?)?),
+        Op::LogSoftmax => one(softmax::log_softmax(in0(i)?)?),
+        Op::SparseSoftmaxXent => one(softmax::sparse_softmax_xent(in0(i)?, in_n(i, 1)?)?),
+        Op::SoftmaxXentGrad => one(softmax::softmax_xent_grad(in0(i)?, in_n(i, 1)?, in_n(i, 2)?)?),
+        Op::RandomNormal | Op::TruncatedNormal => {
+            let dt = a.dtype("dtype").map_err(attrs_err)?;
+            let shape = shape_attr(a)?;
+            let mean = a.float_or("mean", 0.0).map_err(attrs_err)?;
+            let stddev = a.float_or("stddev", 1.0).map_err(attrs_err)?;
+            one(crate::context::with_rng(|rng| match op {
+                Op::RandomNormal => rng.normal(dt, shape, mean, stddev),
+                _ => rng.truncated_normal(dt, shape, mean, stddev),
+            })?)
+        }
+        Op::RandomUniform => {
+            let dt = a.dtype("dtype").map_err(attrs_err)?;
+            let shape = shape_attr(a)?;
+            let low = a.float_or("low", 0.0).map_err(attrs_err)?;
+            let high = a.float_or("high", 1.0).map_err(attrs_err)?;
+            one(crate::context::with_rng(|rng| rng.uniform(dt, shape, low, high))?)
+        }
+        Op::DropoutMask => {
+            let x = in0(i)?;
+            let keep = a.float("keep_prob").map_err(attrs_err)?;
+            one(crate::context::with_rng(|rng| {
+                rng.dropout_mask(x.dtype(), x.shape().clone(), keep)
+            })?)
+        }
+        Op::ReadVariable => one(variable(a)?.value().as_ref().clone()),
+        Op::Assign => {
+            variable(a)?.set_value(in0(i)?.clone())?;
+            Ok(Vec::new())
+        }
+        Op::AssignAdd | Op::AssignSub => {
+            let storage = variable(a)?;
+            let step = if op == Op::AssignAdd { BinaryOp::Add } else { BinaryOp::Sub };
+            storage.set_value(elementwise::binary(&storage.value(), in0(i)?, step)?)?;
+            Ok(Vec::new())
+        }
+        Op::Call
+        | Op::Cond
+        | Op::WhileLoop
+        | Op::HostFunc
+        | Op::Copy
+        | Op::Placeholder
+        | Op::Const => Err(RuntimeError::Internal(format!(
+            "op `{op}` has no kernel: the dispatcher and the executor run it themselves"
+        ))),
     }
-    kernel!(map, "random_normal", |a, _| {
-        let dt = a.dtype("dtype").map_err(attrs_err)?;
-        let shape = shape_attr(a)?;
-        let mean = a.float_or("mean", 0.0).map_err(attrs_err)?;
-        let stddev = a.float_or("stddev", 1.0).map_err(attrs_err)?;
-        one(crate::context::with_rng(|rng| rng.normal(dt, shape, mean, stddev))?)
-    });
-    kernel!(map, "truncated_normal", |a, _| {
-        let dt = a.dtype("dtype").map_err(attrs_err)?;
-        let shape = shape_attr(a)?;
-        let mean = a.float_or("mean", 0.0).map_err(attrs_err)?;
-        let stddev = a.float_or("stddev", 1.0).map_err(attrs_err)?;
-        one(crate::context::with_rng(|rng| rng.truncated_normal(dt, shape, mean, stddev))?)
-    });
-    kernel!(map, "random_uniform", |a, _| {
-        let dt = a.dtype("dtype").map_err(attrs_err)?;
-        let shape = shape_attr(a)?;
-        let low = a.float_or("low", 0.0).map_err(attrs_err)?;
-        let high = a.float_or("high", 1.0).map_err(attrs_err)?;
-        one(crate::context::with_rng(|rng| rng.uniform(dt, shape, low, high))?)
-    });
-    kernel!(map, "dropout_mask", |a, i| {
-        let x = in0(i)?;
-        let keep = a.float("keep_prob").map_err(attrs_err)?;
-        one(crate::context::with_rng(|rng| rng.dropout_mask(x.dtype(), x.shape().clone(), keep))?)
-    });
-}
-
-fn register_state(map: &mut HashMap<&'static str, Kernel>) {
-    kernel!(map, "read_variable", |a, _| {
-        let id = a.int("var_id").map_err(attrs_err)? as u64;
-        let storage = crate::variable::registry().resolve(id)?;
-        one(storage.value().as_ref().clone())
-    });
-    kernel!(map, "assign", |a, i| {
-        let id = a.int("var_id").map_err(attrs_err)? as u64;
-        let storage = crate::variable::registry().resolve(id)?;
-        storage.set_value(in0(i)?.clone())?;
-        Ok(Vec::new())
-    });
-    kernel!(map, "assign_add", |a, i| {
-        let id = a.int("var_id").map_err(attrs_err)? as u64;
-        let storage = crate::variable::registry().resolve(id)?;
-        let cur = storage.value();
-        let next = elementwise::binary(&cur, in0(i)?, BinaryOp::Add)?;
-        storage.set_value(next)?;
-        Ok(Vec::new())
-    });
-    kernel!(map, "assign_sub", |a, i| {
-        let id = a.int("var_id").map_err(attrs_err)? as u64;
-        let storage = crate::variable::registry().resolve(id)?;
-        let cur = storage.value();
-        let next = elementwise::binary(&cur, in0(i)?, BinaryOp::Sub)?;
-        storage.set_value(next)?;
-        Ok(Vec::new())
-    });
 }
 
 #[cfg(test)]
@@ -602,26 +418,13 @@ mod tests {
     use tfe_tensor::DType;
 
     #[test]
-    fn kernels_cover_catalog() {
-        tfe_ops::ensure_standard_ops();
-        ensure_kernels();
-        // Dispatcher-level ops and graph-only markers are exempt.
-        let exempt = ["call", "cond", "while_loop", "host_func", "copy", "placeholder", "const"];
-        for name in tfe_ops::global().names() {
-            if exempt.contains(&name.as_str()) {
-                continue;
-            }
-            assert!(has_kernel(&name), "missing kernel for `{name}`");
-        }
-    }
-
-    #[test]
     fn run_kernel_basic() {
         let a = Arc::new(TensorData::scalar(2.0f32));
         let b = Arc::new(TensorData::scalar(3.0f32));
-        let out = run_kernel("mul", &Attrs::new(), &[a, b]).unwrap();
+        let out = run_kernel(Op::Binary(BinaryOp::Mul), &Attrs::new(), &[a, b]).unwrap();
         assert_eq!(out[0].scalar_f64().unwrap(), 6.0);
-        assert!(run_kernel("nope", &Attrs::new(), &[]).is_err());
+        // Ops the dispatcher runs itself answer with an error, not a panic.
+        assert!(run_kernel(Op::Call, &Attrs::new(), &[]).is_err());
     }
 
     #[test]
@@ -643,7 +446,7 @@ mod tests {
         let input = Arc::new(TensorData::zeros(DType::F32, [4]));
         let grad = Arc::new(TensorData::ones(DType::F32, [2]));
         let attrs = Attrs::new().with("begin", vec![1i64]);
-        let out = run_kernel("slice_grad", &attrs, &[input, grad]).unwrap();
+        let out = run_kernel(Op::SliceGrad, &attrs, &[input, grad]).unwrap();
         assert_eq!(out[0].to_f64_vec(), vec![0.0, 1.0, 1.0, 0.0]);
     }
 
@@ -655,7 +458,7 @@ mod tests {
             TensorData::from_vec(vec![1.0f32, 1.0, 2.0, 2.0, 4.0, 4.0], Shape::from([3, 2]))
                 .unwrap(),
         );
-        let out = run_kernel("gather_grad", &Attrs::new(), &[params, idx, grad]).unwrap();
+        let out = run_kernel(Op::GatherGrad, &Attrs::new(), &[params, idx, grad]).unwrap();
         assert_eq!(out[0].to_f64_vec(), vec![2.0, 2.0, 0.0, 0.0, 5.0, 5.0]);
     }
 }

@@ -36,5 +36,5 @@ pub use context::{async_enabled, async_scope, sync, sync_scope, DeviceScope};
 pub use error::{Result, RuntimeError};
 pub use executor::ExecMode;
 pub use tape::{Tape, TapeRecord};
-pub use tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
+pub use tensor::{fresh_id, EagerInner, EagerTensor, SymbolicTensor, Tensor};
 pub use variable::{registry as variable_registry, VarStorage, Variable};

@@ -33,6 +33,7 @@
 use crate::error::{Result, RuntimeError};
 use parking_lot::{Condvar, Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::sync::Arc;
 use tfe_device::DeviceName;
 use tfe_tensor::{AsyncSlot, DType, Shape, TensorData};
@@ -123,12 +124,29 @@ impl AsyncArg {
     }
 }
 
+/// What a stream op is called in spans, deferred errors and post-mortems.
+pub(crate) enum Label {
+    /// A primitive op.
+    Op(tfe_ops::Op),
+    /// A staged call, by callee.
+    Call(String),
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Label::Op(op) => f.write_str(op.name()),
+            Label::Call(callee) => write!(f, "call:{callee}"),
+        }
+    }
+}
+
 /// The kernel invocation a stream op defers.
 type StreamJob = Box<dyn FnOnce() -> Result<Vec<Arc<TensorData>>> + Send>;
 
 struct StreamOp {
     seq: u64,
-    op: String,
+    op: Label,
     job: StreamJob,
     outputs: Vec<Arc<PendingValue>>,
     /// Trace group of the enqueuing thread; the dispatch thread adopts it
@@ -201,7 +219,7 @@ impl DeviceStream {
     /// the stream is poisoned, surfacing (and clearing) the deferred error.
     pub(crate) fn enqueue(
         self: &Arc<Self>,
-        op: &str,
+        op: Label,
         outputs: Vec<Arc<PendingValue>>,
         job: StreamJob,
     ) -> Result<()> {
@@ -219,7 +237,7 @@ impl DeviceStream {
             let seq = s.issued;
             s.queue.push_back(StreamOp {
                 seq,
-                op: op.to_string(),
+                op,
                 job,
                 outputs,
                 group: tfe_profile::current_group(),
@@ -315,7 +333,7 @@ impl DeviceStream {
 /// Wrap a synchronous failure as a deferred error naming `op`; an error
 /// that is already deferred (a failed upstream input) passes through so it
 /// keeps naming the op whose kernel originally failed.
-fn deferred(op: &str, e: RuntimeError) -> RuntimeError {
+fn deferred(op: &Label, e: RuntimeError) -> RuntimeError {
     match e {
         RuntimeError::Deferred { .. } => e,
         other => RuntimeError::Deferred { op: op.to_string(), source: Box::new(other) },
@@ -349,7 +367,7 @@ fn dispatch_loop(stream: Arc<DeviceStream>) {
             // Poisoned: fail without running, attributed to the original op.
             Some((origin, err)) => Err((origin, err)),
             None => {
-                let mut span = tfe_profile::span("async_op", || op.op.clone());
+                let mut span = tfe_profile::span("async_op", || op.op.to_string());
                 let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (op.job)()));
                 match run {
                     Ok(Ok(vals)) => {
@@ -408,7 +426,7 @@ fn dispatch_loop(stream: Arc<DeviceStream>) {
                     // now, while it is still in the flight rings.
                     let trace_id =
                         op.group.as_ref().map(|g| g.primary().trace_id).unwrap_or_default();
-                    tfe_profile::flight_dump("deferred_error", &op.op, trace_id);
+                    tfe_profile::flight_dump("deferred_error", &op.op.to_string(), trace_id);
                 }
                 for pv in &op.outputs {
                     pv.slot.fail((origin, err.clone()));

@@ -11,13 +11,14 @@ use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
-use tfe_ops::Attrs;
+use tfe_ops::{Attrs, Op};
 
-/// One recorded operation.
-#[derive(Debug, Clone)]
+/// One recorded operation. Built once and shared: every tape that records
+/// it, and every `gradient` call that walks it, holds the same `Arc`.
+#[derive(Debug)]
 pub struct TapeRecord {
-    /// Op name.
-    pub op: String,
+    /// The operation.
+    pub op: Op,
     /// Attributes it ran with.
     pub attrs: Attrs,
     /// Input handles (eager or symbolic — tapes work in both modes).
@@ -31,10 +32,57 @@ pub struct TapeRecord {
     pub output_ids: Vec<u64>,
 }
 
+impl TapeRecord {
+    /// The ids gradients of `op` flow *from* — the one place the rule is
+    /// written. Usually the input ids. `read_variable` flows from its
+    /// *variable id*, so that every read of one variable aliases to one
+    /// gradient slot (§4.2/§4.3); a `call` appends the variables its graph
+    /// reads (attr `var_ids`, set by the tracer), so gradients reach
+    /// variables *through* staged functions. Variable slots, when present,
+    /// are exactly the ones past `inputs.len()`.
+    pub(crate) fn gradient_slots(op: Op, attrs: &Attrs, inputs: &[Tensor]) -> Vec<u64> {
+        let mut slots: Vec<u64> = inputs.iter().map(Tensor::id).collect();
+        match op {
+            Op::ReadVariable => slots.extend(attrs.int("var_id").ok().map(|id| id as u64)),
+            Op::Call => {
+                let var_ids = attrs.int_list("var_ids").unwrap_or(&[]);
+                slots.extend(var_ids.iter().map(|&id| id as u64));
+            }
+            _ => {}
+        }
+        slots
+    }
+
+    /// The record of `op` over these handles.
+    pub fn new(op: Op, attrs: Attrs, inputs: &[Tensor], outputs: &[Tensor]) -> TapeRecord {
+        let slots = TapeRecord::gradient_slots(op, &attrs, inputs);
+        TapeRecord::with_slots(slots, op, attrs, inputs, outputs)
+    }
+
+    /// [`TapeRecord::new`] for a caller that already asked for the slots.
+    pub(crate) fn with_slots(
+        input_ids: Vec<u64>,
+        op: Op,
+        attrs: Attrs,
+        inputs: &[Tensor],
+        outputs: &[Tensor],
+    ) -> TapeRecord {
+        let output_ids = outputs.iter().map(Tensor::id).collect();
+        TapeRecord {
+            op,
+            attrs,
+            inputs: inputs.to_vec(),
+            outputs: outputs.to_vec(),
+            input_ids,
+            output_ids,
+        }
+    }
+}
+
 struct TapeInner {
     watched: HashSet<u64>,
     tracked: HashSet<u64>,
-    records: Vec<TapeRecord>,
+    records: Vec<Arc<TapeRecord>>,
     consumed: bool,
 }
 
@@ -77,14 +125,15 @@ impl Tape {
         inner.tracked.insert(id);
     }
 
-    /// Whether `id` is on the differentiable path.
-    pub fn is_tracked(&self, id: u64) -> bool {
-        self.inner.lock().tracked.contains(&id)
+    /// Whether any of `ids` is on the differentiable path.
+    pub fn tracks_any(&self, ids: &[u64]) -> bool {
+        let inner = self.inner.lock();
+        ids.iter().any(|id| inner.tracked.contains(id))
     }
 
     /// Record `record` if any of its `input_ids` is tracked. Returns
     /// whether it was recorded.
-    pub fn maybe_record(&self, record: &TapeRecord) -> bool {
+    pub fn maybe_record(&self, record: &Arc<TapeRecord>) -> bool {
         let mut inner = self.inner.lock();
         if !record.input_ids.iter().any(|id| inner.tracked.contains(id)) {
             return false;
@@ -96,8 +145,8 @@ impl Tape {
         true
     }
 
-    /// Snapshot the records (used by backprop).
-    pub fn records(&self) -> Vec<TapeRecord> {
+    /// Snapshot the records (used by backprop): handles, not copies.
+    pub fn records(&self) -> Vec<Arc<TapeRecord>> {
         self.inner.lock().records.clone()
     }
 
@@ -139,9 +188,9 @@ mod tests {
     use super::*;
     use tfe_tensor::TensorData;
 
-    fn record(ids_in: &[u64], ids_out: &[u64]) -> TapeRecord {
-        TapeRecord {
-            op: "add".to_string(),
+    fn record(ids_in: &[u64], ids_out: &[u64]) -> Arc<TapeRecord> {
+        Arc::new(TapeRecord {
+            op: Op::Identity,
             attrs: Attrs::new(),
             inputs: ids_in.iter().map(|_| Tensor::from_data(TensorData::scalar(0.0f32))).collect(),
             outputs: ids_out
@@ -150,7 +199,7 @@ mod tests {
                 .collect(),
             input_ids: ids_in.to_vec(),
             output_ids: ids_out.to_vec(),
-        }
+        })
     }
 
     #[test]
@@ -160,8 +209,8 @@ mod tests {
         assert!(!tape.maybe_record(&record(&[7], &[8]))); // untracked input
         assert!(tape.maybe_record(&record(&[1], &[2]))); // watched
         assert!(tape.maybe_record(&record(&[2], &[3]))); // transitively tracked
-        assert!(tape.is_tracked(3));
-        assert!(!tape.is_tracked(8));
+        assert!(tape.tracks_any(&[3]));
+        assert!(!tape.tracks_any(&[8]));
         assert_eq!(tape.len(), 2);
     }
 
@@ -181,6 +230,6 @@ mod tests {
         tape.watch_id(10);
         tape.watch_id(20);
         assert!(tape.maybe_record(&record(&[5, 20], &[30])));
-        assert!(tape.is_tracked(30));
+        assert!(tape.tracks_any(&[30]));
     }
 }

@@ -24,46 +24,20 @@ pub fn fresh_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Keeps the live-tensor gauges honest: one token per [`EagerTensor`]
-/// *allocation*, shared by all clones of the handle, so the gauges go up
-/// exactly once per `EagerTensor::new` and come back down exactly once,
-/// when the last clone drops.
-struct AllocToken {
-    bytes: i64,
+fn live_tensors() -> &'static tfe_metrics::Gauge {
+    tfe_metrics::static_gauge!("tfe_live_tensors", "Live eager tensor handles")
 }
 
-impl AllocToken {
-    fn new(bytes: i64) -> Arc<AllocToken> {
-        tfe_metrics::static_gauge!("tfe_live_tensors", "Live eager tensor handles").inc();
-        let live = tfe_metrics::static_gauge!(
-            "tfe_live_tensor_bytes",
-            "Tensor bytes referenced by live eager handles (a shared buffer counts once per handle)"
-        );
-        let now = live.add_and_get(bytes);
-        tfe_metrics::static_gauge!(
-            "tfe_live_tensor_bytes_peak",
-            "High-water mark of tfe_live_tensor_bytes"
-        )
-        .set_max(now);
-        Arc::new(AllocToken { bytes })
-    }
-}
-
-impl Drop for AllocToken {
-    fn drop(&mut self) {
-        tfe_metrics::static_gauge!("tfe_live_tensors", "Live eager tensor handles").dec();
-        tfe_metrics::static_gauge!(
-            "tfe_live_tensor_bytes",
-            "Tensor bytes referenced by live eager handles (a shared buffer counts once per handle)"
-        )
-        .sub(self.bytes);
-    }
+fn live_tensor_bytes() -> &'static tfe_metrics::Gauge {
+    tfe_metrics::static_gauge!(
+        "tfe_live_tensor_bytes",
+        "Tensor bytes referenced by live eager handles (a shared buffer counts once per handle)"
+    )
 }
 
 /// The value behind a concrete handle: materialized, or still in flight on
 /// an async dispatch stream (§4.1 — handles are returned before kernels
 /// run; metadata is known either way).
-#[derive(Clone)]
 pub(crate) enum Payload {
     /// Materialized data.
     Ready(Arc<TensorData>),
@@ -71,41 +45,65 @@ pub(crate) enum Payload {
     Pending(Arc<PendingValue>),
 }
 
-/// A concrete tensor resident on a device.
+/// A concrete tensor resident on a device: one shared allocation, so a
+/// clone of the handle is one reference-count bump.
 #[derive(Clone)]
-pub struct EagerTensor {
+pub struct EagerTensor(Arc<EagerInner>);
+
+/// What every clone of an [`EagerTensor`] shares.
+pub struct EagerInner {
     /// Tape-tracking id.
     pub id: u64,
     payload: Payload,
     /// Where the tensor lives.
     pub device: DeviceName,
-    /// Live-tensor accounting; shared by clones, settled on last drop.
-    _alloc: Arc<AllocToken>,
+    /// What the live-tensor gauges were charged for this allocation.
+    bytes: i64,
+}
+
+impl std::ops::Deref for EagerTensor {
+    type Target = EagerInner;
+
+    fn deref(&self) -> &EagerInner {
+        &self.0
+    }
+}
+
+/// The live-tensor gauges come back down exactly once per allocation: when
+/// the last clone of the handle drops.
+impl Drop for EagerInner {
+    fn drop(&mut self) {
+        live_tensors().dec();
+        live_tensor_bytes().sub(self.bytes);
+    }
 }
 
 impl EagerTensor {
+    /// One allocation: the gauges go up exactly once, here.
+    fn alloc(payload: Payload, device: DeviceName, bytes: usize) -> EagerTensor {
+        let bytes = bytes as i64;
+        live_tensors().inc();
+        let now = live_tensor_bytes().add_and_get(bytes);
+        tfe_metrics::static_gauge!(
+            "tfe_live_tensor_bytes_peak",
+            "High-water mark of tfe_live_tensor_bytes"
+        )
+        .set_max(now);
+        EagerTensor(Arc::new(EagerInner { id: fresh_id(), payload, device, bytes }))
+    }
+
     /// Wrap data on a device with a fresh id.
     pub fn new(data: Arc<TensorData>, device: DeviceName) -> EagerTensor {
-        let bytes = (data.num_elements() * data.dtype().size_bytes()) as i64;
-        EagerTensor {
-            id: fresh_id(),
-            payload: Payload::Ready(data),
-            device,
-            _alloc: AllocToken::new(bytes),
-        }
+        let bytes = data.num_elements() * data.dtype().size_bytes();
+        EagerTensor::alloc(Payload::Ready(data), device, bytes)
     }
 
     /// Wrap a pending async-dispatch handle. Dtype and shape were inferred
     /// synchronously at enqueue, so the allocation gauges can account for
     /// the value before it exists.
     pub(crate) fn pending(pv: Arc<PendingValue>, device: DeviceName) -> EagerTensor {
-        let bytes = (pv.shape.num_elements() * pv.dtype.size_bytes()) as i64;
-        EagerTensor {
-            id: fresh_id(),
-            payload: Payload::Pending(pv),
-            device,
-            _alloc: AllocToken::new(bytes),
-        }
+        let bytes = pv.shape.num_elements() * pv.dtype.size_bytes();
+        EagerTensor::alloc(Payload::Pending(pv), device, bytes)
     }
 
     /// Element dtype (known even while pending).

@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Weak};
 use tfe_device::DeviceName;
-use tfe_ops::Attrs;
+use tfe_ops::{Attrs, Op};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Backing storage for one variable.
@@ -179,7 +179,7 @@ impl Variable {
             .with("var_id", self.storage.id as i64)
             .with("dtype", self.storage.dtype)
             .with("shape", dims);
-        let mut out = crate::context::execute("read_variable", &[], attrs)?;
+        let mut out = crate::context::execute(Op::ReadVariable, &[], attrs)?;
         Ok(out.remove(0))
     }
 
@@ -188,7 +188,7 @@ impl Variable {
     /// # Errors
     /// dtype/shape mismatch or execution failure.
     pub fn assign(&self, value: &Tensor) -> Result<()> {
-        self.assign_op("assign", value)
+        self.assign_op(Op::Assign, value)
     }
 
     /// Add `value` in place.
@@ -196,7 +196,7 @@ impl Variable {
     /// # Errors
     /// dtype/shape mismatch or execution failure.
     pub fn assign_add(&self, value: &Tensor) -> Result<()> {
-        self.assign_op("assign_add", value)
+        self.assign_op(Op::AssignAdd, value)
     }
 
     /// Subtract `value` in place.
@@ -204,10 +204,10 @@ impl Variable {
     /// # Errors
     /// dtype/shape mismatch or execution failure.
     pub fn assign_sub(&self, value: &Tensor) -> Result<()> {
-        self.assign_op("assign_sub", value)
+        self.assign_op(Op::AssignSub, value)
     }
 
-    fn assign_op(&self, op: &str, value: &Tensor) -> Result<()> {
+    fn assign_op(&self, op: Op, value: &Tensor) -> Result<()> {
         let attrs = Attrs::new().with("var_id", self.storage.id as i64);
         crate::context::execute(op, std::slice::from_ref(value), attrs)?;
         Ok(())

@@ -18,7 +18,7 @@ use tfe_graph::serial::{
     function_from_value, function_to_value, tensor_from_value, tensor_to_value,
 };
 use tfe_graph::GraphFunction;
-use tfe_ops::AttrValue;
+use tfe_ops::{AttrValue, Op};
 use tfe_runtime::{context, RuntimeError, Tensor, Variable};
 
 /// Errors from SavedFunction export/import.
@@ -230,7 +230,7 @@ impl LoadedFunction {
             .with("stateful", self.stateful)
             .with("out_dtypes", d)
             .with("out_shapes", s);
-        context::execute("call", &inputs, attrs)
+        context::execute(Op::Call, &inputs, attrs)
     }
 }
 

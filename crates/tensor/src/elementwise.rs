@@ -474,6 +474,16 @@ impl LogicalOp {
         }
     }
 
+    /// Inverse of [`LogicalOp::name`].
+    pub fn from_name(name: &str) -> Option<LogicalOp> {
+        LogicalOp::all().iter().copied().find(|op| op.name() == name)
+    }
+
+    /// All boolean binary ops.
+    pub fn all() -> &'static [LogicalOp] {
+        &[LogicalOp::And, LogicalOp::Or, LogicalOp::Xor]
+    }
+
     fn eval(self, a: bool, b: bool) -> bool {
         match self {
             LogicalOp::And => a && b,

@@ -21,6 +21,15 @@ for v in $(grep -rhE -A2 'env::var(_os)?\(' crates/*/src | grep -oE 'TFE_[A-Z0-9
 done
 [ "${undocumented}" = 0 ]
 
+# One-op-table gate: the op set is the `tfe_ops::Op` enum, and definitions,
+# kernels and gradients are `match`es over it. The string-keyed registries
+# it replaced, their lazy-init calls and their lookups must not come back.
+echo "==> no op/kernel/gradient registry, no lazy init, no lookup by name"
+gone='ensure_kernels|ensure_gradients|ensure_standard_ops|ensure_init\(|OpRegistry|global\(\)\.lookup|has_kernel|register_gradient\("'
+if grep -rnE "${gone}" crates src tests; then exit 1; fi
+if grep -n 'RwLock<HashMap' crates/ops/src/opdef.rs crates/runtime/src/kernels.rs \
+    crates/autodiff/src/registry.rs; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

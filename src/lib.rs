@@ -49,7 +49,7 @@ pub use tfe_core::{cond, function, function1, init_scope, while_loop};
 pub use tfe_core::{
     Arg, ConcreteFunction, Func, FuncStats, HostFunc, RetraceCause, RetraceEvent, TensorSpec,
 };
-pub use tfe_ops::{Attrs, OpError};
+pub use tfe_ops::{Attrs, Op, OpError};
 pub use tfe_runtime::api;
 pub use tfe_runtime::{
     async_scope, context, sync, sync_scope, DeviceScope, ExecMode, RuntimeError, Tensor, Variable,
@@ -114,9 +114,10 @@ pub mod prelude {
     pub use tfe_tensor::{DType, Shape, TensorData};
 }
 
-/// Initialize every registry (ops, kernels, gradients, the `call`
-/// gradient). Idempotent; the public entry points call it themselves, so
-/// this is only needed when talking to low-level registries directly.
+/// Install the gradients of `call` and `cond` (everything else about the
+/// op set is compiled in). Idempotent; the public entry points call it
+/// themselves, so this is only needed when differentiating hand-built
+/// `call` records.
 pub fn init() {
     tfe_core::init();
 }

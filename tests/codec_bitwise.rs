@@ -12,7 +12,7 @@ use tf_eager::encode::Value;
 use tf_eager::graph::serial::{tensor_from_value, tensor_to_value};
 use tf_eager::prelude::*;
 use tf_eager::state::{checkpoint, saved, TrackableGroup};
-use tf_eager::{context, Attrs};
+use tf_eager::{context, Attrs, Op};
 
 fn edge_tensors() -> Vec<TensorData> {
     let f32s = vec![
@@ -125,7 +125,7 @@ fn returns_all(name: &str, tensors: &[TensorData]) -> Func {
     function(name, move |_args| {
         let mut out = Vec::new();
         for c in &captures {
-            out.extend(context::execute("identity", std::slice::from_ref(c), Attrs::new())?);
+            out.extend(context::execute(Op::Identity, std::slice::from_ref(c), Attrs::new())?);
         }
         for v in &variables {
             out.push(v.read()?);

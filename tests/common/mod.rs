@@ -293,7 +293,7 @@ pub fn eager_interpret(
         vals.insert((nid.0, 0), tf_eager::Tensor::from_data((*args[i]).clone()));
     }
     for (id, node) in f.nodes.iter().enumerate() {
-        match node.op.as_str() {
+        match node.op.name() {
             "placeholder" => {}
             "const" => {
                 let idx = node.attrs.int("value_index").expect("const index") as usize;
@@ -302,7 +302,7 @@ pub fn eager_interpret(
             _ => {
                 let ins: Vec<tf_eager::Tensor> =
                     node.inputs.iter().map(|r| vals[&(r.node.0, r.output)].clone()).collect();
-                let outs = tfe_runtime::context::execute(&node.op, &ins, node.attrs.clone())?;
+                let outs = tfe_runtime::context::execute(node.op, &ins, node.attrs.clone())?;
                 for (k, t) in outs.into_iter().enumerate() {
                     vals.insert((id, k), t);
                 }

@@ -100,7 +100,7 @@ fn split_rejects_non_positive_num() {
     let z = api::zeros(DType::F32, [0, 2]);
     for num in [-3i64, 0] {
         let r = tf_eager::context::execute(
-            "split",
+            tf_eager::Op::Split,
             std::slice::from_ref(&z),
             tf_eager::Attrs::new().with("num", num).with("axis", 0i64),
         );

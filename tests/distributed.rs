@@ -143,6 +143,32 @@ fn remote_tensor_lifecycle() {
     cluster.shutdown();
 }
 
+/// The worker is one of the places an op *name* enters the process: a name
+/// the catalog does not have is a typed remote fault, over both transports,
+/// and the worker serves the next request.
+#[test]
+fn unknown_op_is_a_remote_fault_and_the_worker_keeps_serving() {
+    for kind in both_transports() {
+        let cluster = start(&ClusterSpec::new().with_job("w", 1).unwrap(), kind);
+        let dev = "/job:w/task:0/device:CPU:0";
+        let x = api::scalar(3.0f32);
+        match cluster.execute(dev, "nope", &[RemoteArg::from(&x)], Attrs::new()) {
+            Err(DistError::RemoteFault { detail, .. }) => {
+                assert!(detail.contains("unknown operation `nope`"), "{detail}");
+            }
+            other => panic!("want a remote fault ({kind:?}), got {:?}", other.map(|_| ())),
+        }
+        // So is an op that exists but that only the dispatcher can run.
+        assert!(matches!(
+            cluster.execute(dev, "call", &[], Attrs::new()),
+            Err(DistError::RemoteFault { .. })
+        ));
+        let out = cluster.execute(dev, "square", &[RemoteArg::from(&x)], Attrs::new()).unwrap();
+        assert_eq!(out[0].fetch().unwrap().scalar_f64().unwrap(), 9.0);
+        cluster.shutdown();
+    }
+}
+
 /// Multiple jobs in one cluster, mirroring the paper's naming examples
 /// (`/job:training/task:2/...`).
 #[test]

@@ -45,11 +45,13 @@ fn eval(expr: &Expr, inputs: &[Tensor]) -> Result<Tensor, RuntimeError> {
         Expr::Input(i) => Ok(inputs[*i % inputs.len()].clone()),
         Expr::Unary(op, e) => {
             let x = eval(e, inputs)?;
+            let op = tfe_ops::Op::from_name(op).expect("a catalog op");
             tfe_runtime::context::execute(op, &[x], tfe_ops::Attrs::new()).map(|mut v| v.remove(0))
         }
         Expr::Binary(op, a, b) => {
             let a = eval(a, inputs)?;
             let b = eval(b, inputs)?;
+            let op = tfe_ops::Op::from_name(op).expect("a catalog op");
             tfe_runtime::context::execute(op, &[a, b], tfe_ops::Attrs::new())
                 .map(|mut v| v.remove(0))
         }
@@ -193,7 +195,7 @@ proptest! {
         let evaluator = |node: &tf_eager::graph::Node,
                          ins: &[std::sync::Arc<TensorData>]|
          -> Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, ins)
+            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins)
                 .map_err(|e| e.to_string())
         };
         let fused = tf_eager::graph::passes::optimize(

@@ -29,7 +29,7 @@ fn serial_parallel_and_optimized_agree_on_random_graphs() {
     let evaluator = |node: &tf_eager::graph::Node,
                      ins: &[Arc<TensorData>]|
      -> Result<Vec<TensorData>, String> {
-        tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, ins).map_err(|e| e.to_string())
+        tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
     };
     for seed in 0..fuzz_cases(120) {
         let (f, shapes) = generate(seed);

@@ -41,11 +41,13 @@ fn eval(node: &Node, x: &Tensor, w: &Tensor) -> Result<Tensor, RuntimeError> {
         Node::X => Ok(x.clone()),
         Node::Unary(op, n) => {
             let v = eval(n, x, w)?;
+            let op = tfe_ops::Op::from_name(op).expect("a catalog op");
             tfe_runtime::context::execute(op, &[v], tfe_ops::Attrs::new()).map(|mut o| o.remove(0))
         }
         Node::Binary(op, a, b) => {
             let a = eval(a, x, w)?;
             let b = eval(b, x, w)?;
+            let op = tfe_ops::Op::from_name(op).expect("a catalog op");
             tfe_runtime::context::execute(op, &[a, b], tfe_ops::Attrs::new())
                 .map(|mut o| o.remove(0))
         }

@@ -26,7 +26,7 @@ use tfe_runtime::executor;
 use tfe_tensor::TensorData;
 
 fn evaluator(node: &Node, ins: &[Arc<TensorData>]) -> Result<Vec<TensorData>, String> {
-    tfe_runtime::kernels::run_kernel(&node.op, &node.attrs, ins).map_err(|e| e.to_string())
+    tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
 }
 
 /// Every optimization configuration under differential test. `only_*`

@@ -192,6 +192,15 @@ fn importer_typed_errors() {
     let mut m = b.clone();
     assert!(set_at(&mut m, "/variables/0/id", Some(Value::Int(424242))));
     assert!(matches!(saved::import_from_value(&m), Err(SavedError::UnknownVariable(_))));
+    // A node naming an op the catalog does not have: a name becomes an
+    // `Op` while the bundle is decoded, so this is a decode error here, not
+    // a failure at the first call.
+    let mut m = b.clone();
+    assert!(set_at(&mut m, "/functions/0/nodes/0/op", Some(Value::str("nope"))));
+    match saved::import_from_value(&m) {
+        Err(SavedError::Decode(why)) => assert!(why.contains("unknown operation `nope`"), "{why}"),
+        other => panic!("want a decode error, got {:?}", other.map(|_| ())),
+    }
     // Dropping a capture trips the arity check against the entry signature.
     let mut m = b.clone();
     assert!(set_at(&mut m, "/captures", Some(Value::Array(vec![]))));

@@ -22,6 +22,9 @@ fn serialized_graph_still_executes() {
     // JSON text round trip.
     let text = serial::function_to_value(&conc.function).to_json();
     let back = serial::function_from_value(&Value::parse(&text).unwrap()).unwrap();
+    // Ops travel as names and come back as the same `Op`s: same graph.
+    assert_eq!(back.structural_hash(), conc.function.structural_hash());
+    assert_eq!(back.dump(), conc.function.dump());
     // Execute the deserialized graph directly through the executor.
     let x = Arc::new(TensorData::from_vec(vec![0.0f64, 1.0, -1.0, 2.0], Shape::from([4])).unwrap());
     let device = context::device_manager().host_cpu();
