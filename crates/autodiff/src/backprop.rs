@@ -3,14 +3,7 @@
 use crate::registry::{gradient_fn, GradCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tfe_ops::{Attrs, Op};
 use tfe_runtime::{api, Result, RuntimeError, TapeRecord, Tensor};
-
-fn zeros_like(x: &Tensor) -> Result<Tensor> {
-    let mut out =
-        tfe_runtime::context::execute(Op::ZerosLike, std::slice::from_ref(x), Attrs::new())?;
-    Ok(out.remove(0))
-}
 
 /// Run reverse-mode accumulation over `records` (in recording order),
 /// starting from `seed` at `target_id`. Returns the gradient for every id
@@ -53,15 +46,10 @@ pub fn accumulate_many(
         if !record.output_ids.iter().any(|id| grads.contains_key(id)) {
             continue;
         }
-        let mut output_grads = Vec::with_capacity(record.outputs.len());
-        for (out, id) in record.outputs.iter().zip(&record.output_ids) {
-            match grads.get(id) {
-                Some(g) => output_grads.push(g.clone()),
-                None => output_grads.push(zeros_like(out)?),
-            }
-        }
+        let output_grads: Vec<Option<Tensor>> =
+            record.output_ids.iter().map(|id| grads.get(id).cloned()).collect();
         let f = gradient_fn(record.op)?;
-        let input_grads = f(&GradCtx { record, output_grads: &output_grads })?;
+        let input_grads = f(&GradCtx::new(record, &output_grads))?;
         if input_grads.len() != record.input_ids.len() {
             return Err(RuntimeError::Internal(format!(
                 "gradient of `{}` returned {} grads for {} inputs",

@@ -302,6 +302,96 @@ mod tests {
 }
 
 #[cfg(test)]
+mod lazy_zero_tests {
+    use super::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+    use tfe_ops::{Attrs, Op};
+    use tfe_runtime::{api, context, TapeRecord, Tensor};
+    use tfe_tensor::DType;
+
+    fn ones(n: usize) -> Tensor {
+        api::ones(DType::F64, [n])
+    }
+
+    #[test]
+    fn grad_makes_a_zero_once_and_only_when_asked() {
+        let x = api::constant(vec![1.0f64, 2.0, 3.0, 4.0], [4]).unwrap();
+        let parts = api::split(&x, 4, 0).unwrap();
+        let attrs = Attrs::new().with("num", 4i64).with("axis", 0i64);
+        let record = TapeRecord::new(Op::Split, attrs, std::slice::from_ref(&x), &parts);
+        let grads = [None, Some(api::constant(vec![3.0f64], [1]).unwrap()), None, None];
+        let ctx = GradCtx::new(&record, &grads);
+        assert_eq!(ctx.grad(1).unwrap().id(), grads[1].as_ref().unwrap().id());
+        let zero = ctx.grad(0).unwrap();
+        assert_eq!(zero.to_f64_vec().unwrap(), vec![0.0]);
+        assert_eq!(ctx.grad(0).unwrap().id(), zero.id(), "the zero is made once");
+        assert!(ctx.grad(4).is_err());
+        // `split` asks for all four: three zeros around the one gradient.
+        let dx = gradient_fn(Op::Split).unwrap()(&ctx).unwrap().remove(0).unwrap();
+        assert_eq!(dx.to_f64_vec().unwrap(), vec![0.0, 3.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn split_with_one_used_output_through_a_tape() {
+        let x = api::constant(vec![1.0f64, 2.0, 3.0, 4.0], [4]).unwrap();
+        let tape = GradientTape::new();
+        tape.watch(&x);
+        let parts = api::split(&x, 4, 0).unwrap();
+        let y = api::mul(&parts[2], &api::scalar(5.0f64)).unwrap();
+        let g = tape.gradient1(&api::reduce_sum(&y, &[], false).unwrap(), &x).unwrap();
+        assert_eq!(g.to_f64_vec().unwrap(), vec![0.0, 0.0, 5.0, 0.0]);
+    }
+
+    #[test]
+    fn host_func_with_one_used_output_gets_a_zero_for_the_other() {
+        // Eagerly a host closure is pass-through and never recorded; the
+        // record below is what a staged backward is built from.
+        let f: context::HostFn = Arc::new(|xs| {
+            Ok(vec![api::mul(&xs[0], &api::scalar(2.0f64))?, api::mul(&xs[0], &xs[0])?])
+        });
+        let id = context::register_host_fn(f.clone());
+        let x = api::constant(vec![1.0f64, 3.0], [2]).unwrap();
+        let outputs = f(std::slice::from_ref(&x)).unwrap();
+        let record = Arc::new(TapeRecord::new(
+            Op::HostFunc,
+            Attrs::new().with("fn_id", id as i64),
+            std::slice::from_ref(&x),
+            &outputs,
+        ));
+        // Only x*x carries a gradient: d/dx = 2x, and 0 from the silent 2x.
+        let seeds = HashMap::from([(outputs[1].id(), ones(2))]);
+        let grads = accumulate_many(&[record], seeds).unwrap();
+        assert_eq!(grads[&x.id()].to_f64_vec().unwrap(), vec![2.0, 6.0]);
+    }
+
+    #[test]
+    fn record_without_any_output_gradient_is_skipped() {
+        // `while_loop` has no gradient function: reaching it would fail.
+        let x = api::scalar(1.0f64);
+        let y = api::scalar(2.0f64);
+        let dead = Arc::new(TapeRecord::new(
+            Op::WhileLoop,
+            Attrs::new(),
+            std::slice::from_ref(&x),
+            std::slice::from_ref(&y),
+        ));
+        let live = api::neg(&x).unwrap();
+        let record = Arc::new(TapeRecord::new(
+            Op::Unary(tfe_ops::UnaryOp::Neg),
+            Attrs::new(),
+            std::slice::from_ref(&x),
+            std::slice::from_ref(&live),
+        ));
+        let seeds = HashMap::from([(live.id(), api::scalar(1.0f64))]);
+        let grads = accumulate_many(&[dead.clone(), record], seeds).unwrap();
+        assert_eq!(grads[&x.id()].scalar_f64().unwrap(), -1.0);
+        let seeds = HashMap::from([(y.id(), api::scalar(1.0f64))]);
+        assert!(accumulate_many(&[dead], seeds).is_err(), "with a gradient it is reached");
+    }
+}
+
+#[cfg(test)]
 mod extended_gradient_tests {
     use super::*;
     use tfe_runtime::api;

@@ -8,23 +8,40 @@
 //! computation is itself expressed as a function which executes primitive
 //! operations, so it is possible to stage it or not"). That is what makes
 //! higher-order derivatives and staged backward passes fall out for free.
+//!
+//! A gradient function reads the incoming gradient of output `i` through
+//! [`GradCtx::grad`]. An output no gradient reached has a `None` slot, and
+//! its `zeros_like` is dispatched when a function first asks for it — so a
+//! multi-output record (a staged `call` above all) costs one op per silent
+//! output somebody reads, not one per silent output. `split` and
+//! `host_func` read every slot ([`GradCtx::grads`]).
 
+use std::cell::OnceCell;
 use tfe_ops::{Attrs, BinaryOp, Op, UnaryOp};
 use tfe_runtime::api;
 use tfe_runtime::{Result, RuntimeError, TapeRecord, Tensor};
 use tfe_tensor::DType;
 
 /// Everything a gradient function sees: the forward record plus the
-/// incoming output gradients (one per forward output, zero-filled when an
-/// output did not influence the target).
+/// incoming output gradients, one slot per forward output. An output that
+/// did not influence the target has none; [`GradCtx::grad`] stands a zero
+/// in for it when a gradient function asks, and not before — an output
+/// nobody asks about costs no op.
 pub struct GradCtx<'a> {
     /// The recorded forward operation.
     pub record: &'a TapeRecord,
-    /// Gradients flowing into each forward output.
-    pub output_grads: &'a [Tensor],
+    /// Gradients flowing into each forward output, `None` where none did.
+    pub output_grads: &'a [Option<Tensor>],
+    /// The zeros [`GradCtx::grad`] made for `None` slots, by output.
+    zeros: Vec<OnceCell<Tensor>>,
 }
 
 impl<'a> GradCtx<'a> {
+    /// The context of `record` with these incoming gradients.
+    pub fn new(record: &'a TapeRecord, output_grads: &'a [Option<Tensor>]) -> GradCtx<'a> {
+        GradCtx { record, output_grads, zeros: vec![OnceCell::new(); output_grads.len()] }
+    }
+
     /// Forward input `i`.
     ///
     /// # Errors
@@ -47,14 +64,32 @@ impl<'a> GradCtx<'a> {
             .ok_or_else(|| RuntimeError::Internal(format!("gradient: missing output {i}")))
     }
 
-    /// Incoming gradient for output `i`.
+    /// Incoming gradient for output `i`: the one that arrived, or
+    /// `zeros_like(output i)`, dispatched on first use.
     ///
     /// # Errors
-    /// Out of range.
+    /// Out of range, or the `zeros_like` failed.
     pub fn grad(&self, i: usize) -> Result<&Tensor> {
-        self.output_grads
+        let slot = self
+            .output_grads
             .get(i)
-            .ok_or_else(|| RuntimeError::Internal(format!("gradient: missing grad {i}")))
+            .ok_or_else(|| RuntimeError::Internal(format!("gradient: missing grad {i}")))?;
+        if let Some(g) = slot {
+            return Ok(g);
+        }
+        let zero = &self.zeros[i];
+        if zero.get().is_none() {
+            let _ = zero.set(zeros_like(self.output(i)?)?);
+        }
+        Ok(zero.get().expect("set above"))
+    }
+
+    /// [`GradCtx::grad`] for every output, in order.
+    ///
+    /// # Errors
+    /// As [`GradCtx::grad`].
+    pub fn grads(&self) -> Result<Vec<&Tensor>> {
+        (0..self.output_grads.len()).map(|i| self.grad(i)).collect()
     }
 
     /// The forward attributes.
@@ -404,8 +439,7 @@ fn lookup(op: Op) -> Option<GradFn> {
         },
         Op::Split => |c| {
             let axis = c.attrs().int("axis").map_err(tfe_ops::OpError::from)?;
-            let parts: Vec<&Tensor> = c.output_grads.iter().collect();
-            Ok(vec![Some(api::concat(&parts, axis)?)])
+            Ok(vec![Some(api::concat(&c.grads()?, axis)?)])
         },
         Op::Slice => |c| {
             let begin = c.attrs().int_list("begin").map_err(tfe_ops::OpError::from)?.to_vec();
@@ -619,14 +653,15 @@ fn lookup(op: Op) -> Option<GradFn> {
         Op::HostFunc => |c| {
             let fn_id = c.attrs().int("fn_id").map_err(tfe_ops::OpError::from)? as u64;
             let inputs: Vec<Tensor> = c.record.inputs.clone();
-            let grads: Vec<Tensor> = c.output_grads.to_vec();
-            let all: Vec<Tensor> = inputs.iter().chain(grads.iter()).cloned().collect();
+            let grads = c.grads()?;
+            let all: Vec<Tensor> = inputs.iter().chain(grads).cloned().collect();
             let n_inputs = inputs.len();
             let grad_closure: tfe_runtime::context::HostFn =
                 std::sync::Arc::new(move |args: &[Tensor]| {
                     let (xs, gs) = args.split_at(n_inputs);
                     let f = tfe_runtime::context::host_fn(fn_id)?;
-                    let tape = crate::GradientTape::new();
+                    // One `gradient` call per output: persistent.
+                    let tape = crate::GradientTape::persistent();
                     for x in xs {
                         tape.watch(x);
                     }

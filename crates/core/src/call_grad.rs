@@ -1,37 +1,105 @@
 //! Gradients *through* staged calls (§4.2's tape/staging integration).
 //!
 //! When a graph function is called while a tape is active, the runtime
-//! executes a **forward** variant that additionally returns every
-//! intermediate value; differentiating the call then invokes a **backward**
-//! graph function built once per concrete function, whose inputs are those
+//! executes a **forward** variant that additionally returns intermediate
+//! values; differentiating the call then invokes a **backward** graph
+//! function built once per concrete function, whose inputs are those
 //! intermediates plus the output gradients. This reproduces the paper's
-//! guarantee that staging or unstaging a computation does not change the
-//! amount of work in its backward pass, and that "if a computation was
+//! guarantee that "staging or unstaging a computation does not change the
+//! amount of work in its backward pass", and that "if a computation was
 //! staged in the forward pass, its corresponding backward pass will also be
 //! staged".
+//!
+//! A concrete function has two such pairs, built lazily by one builder
+//! ([`build_pair`]) that differs only in which forward-variant outputs may
+//! receive a gradient ([`GradTargets`]):
+//!
+//! * **First order** — the primary outputs only. The backward is the
+//!   continuation that closes over exactly the forward values it uses: it
+//!   is traced with a `dy` per primary output, optimized, and the
+//!   intermediate placeholders nothing reads are dropped; the forward
+//!   returns the primary outputs plus the *kept* intermediates and goes
+//!   through the optimizer like any other graph (the kept values are
+//!   pinned as outputs, the rest may fuse, merge or fold). This is the
+//!   pair that makes the §4.2 claim true on the clock: no zero gradient is
+//!   made, added or carried for a value no gradient can reach.
+//! * **Any order** — every intermediate is returned and takes a `dy`, on
+//!   the unoptimized trace. An outer tape that recorded both the forward
+//!   call and the backward call differentiates the latter with respect to
+//!   the intermediates, and those gradients flow back into the forward
+//!   record, so it has to offer all of them.
+//!
+//! **Which pair runs is decided at forward time by who can observe the
+//! call: the active tapes and an open trace.** A tape pops only itself
+//! while it computes a gradient, so the backward call of a forward record is
+//! recorded by exactly the *other* tapes that were active at the forward.
+//! With one tape active and no trace open there is no such observer:
+//! nothing that holds the forward record can ever hold its backward call, no
+//! gradient can arrive at an intermediate, and the first-order pair is
+//! exact. With two or more tapes the any-order pair runs. An open trace
+//! counts as an observer too, whatever the tapes: the graph it builds holds
+//! every call made into it, so a `tape.gradient` inside the trace, or the
+//! backward built later from that graph, puts a forward call and its
+//! backward call side by side, and differentiating the graph sends
+//! gradients from the one to the intermediates of the other. Inside a trace
+//! the any-order pair always runs, so a raw graph holds `call` nodes of
+//! inference functions and any-order variants only.
+//!
+//! A tape opened *after* an eager one-tape forward may record the backward
+//! call and differentiate it (with respect to `dy`, say), but it does not
+//! hold the forward record, so what it computes for the intermediates goes
+//! nowhere. Should a gradient reach an intermediate of a first-order record
+//! all the same, [`call_gradient`] answers `RuntimeError::Internal`: never a
+//! silent drop. One program does that: a `function` whose body calls
+//! `gradient` on the only tape, itself called under that (persistent) tape,
+//! captures the kept intermediates and hands their gradients back to it.
+//! Open a second tape around the forward for that.
 
-use crate::func::ConcreteFunction;
+use crate::func::{optimize, ConcreteFunction};
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tfe_autodiff::GradCtx;
-use tfe_graph::{GraphFunction, NodeId, TensorRef};
+use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
 use tfe_ops::{Attrs, Op};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 use tfe_tensor::TensorData;
 
-/// The lazily-built forward-with-intermediates / backward pair for one
-/// concrete function.
+/// Which outputs of a forward variant may receive a gradient: the one
+/// thing the two pairs of a concrete function differ in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum GradTargets {
+    /// The primary outputs: the first-order pair.
+    Primary,
+    /// The primary outputs and every intermediate: the any-order pair.
+    All,
+}
+
+impl GradTargets {
+    /// The pair for a forward variant that `recording` tapes record
+    /// together with its backward call, made now. An open trace holds both
+    /// calls whatever the tapes (module docs).
+    pub(crate) fn observed_by(recording: usize) -> GradTargets {
+        if recording == 0 && !context::is_tracing() {
+            GradTargets::Primary
+        } else {
+            GradTargets::All
+        }
+    }
+}
+
+/// A lazily-built forward / backward pair of one concrete function.
 #[derive(Debug)]
 pub struct ForwardBundle {
     /// Library name of the forward variant returning `n_primary` outputs
-    /// followed by every intermediate value.
+    /// followed by the intermediates the backward takes (every one of them
+    /// in the any-order pair, the kept ones in the first-order pair).
     pub fwd_name: String,
     /// Library name of the backward function. Its inputs are the
     /// intermediates (in `fwd` output order) followed by one gradient per
-    /// primary output, then any captures of the backward graph itself; its
-    /// outputs are one gradient per forward input followed by one per
-    /// referenced variable id.
+    /// forward-variant output that may receive one, then any captures of
+    /// the backward graph itself; its outputs are one gradient per forward
+    /// input followed by one per referenced variable id.
     pub bwd_name: String,
     /// User-visible output count of the original function.
     pub n_primary: usize,
@@ -41,6 +109,10 @@ pub struct ForwardBundle {
     pub var_ids: Vec<i64>,
     /// Captures of the backward graph (values to append when calling it).
     pub bwd_captures: Vec<Tensor>,
+    pub(crate) targets: GradTargets,
+    /// The `call` attributes of the two functions, encoded once.
+    pub(crate) fwd_attrs: Attrs,
+    pub(crate) bwd_attrs: Attrs,
 }
 
 fn concretes() -> &'static RwLock<HashMap<String, Arc<ConcreteFunction>>> {
@@ -50,7 +122,7 @@ fn concretes() -> &'static RwLock<HashMap<String, Arc<ConcreteFunction>>> {
 }
 
 /// Index a concrete function under its inference name (and later its
-/// forward name), so the `call` gradient can find it.
+/// forward names), so the `call` gradient can find it.
 pub fn register_concrete(c: &Arc<ConcreteFunction>) {
     concretes().write().insert(c.name.clone(), c.clone());
 }
@@ -72,33 +144,37 @@ fn all_refs(f: &GraphFunction) -> Vec<TensorRef> {
     out
 }
 
-/// Build the forward/backward pair for `conc`. Called once per concrete
-/// function, lazily, from [`ConcreteFunction::forward_bundle`].
+/// The nodes some node or output of `f` reads.
+fn read_nodes(f: &GraphFunction) -> HashSet<NodeId> {
+    let inputs = f.nodes.iter().flat_map(|n| n.inputs.iter());
+    inputs.chain(&f.outputs).map(|t| t.node).collect()
+}
+
+/// Build one forward/backward pair of `conc`. Called once per concrete
+/// function and `targets`, lazily, from [`ConcreteFunction::pair`].
 ///
 /// # Errors
 /// Missing gradients for ops inside the traced function, or trace errors.
-pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
-    let raw = &conc.raw;
-    let intermediates = all_refs(raw);
-
-    // ---- forward-with-intermediates --------------------------------------
-    let fwd_name = format!("{}__fwd", conc.name);
-    let mut fwd_outputs = raw.outputs.clone();
-    fwd_outputs.extend(intermediates.iter().copied());
-    let fwd = GraphFunction {
-        name: fwd_name.clone(),
-        nodes: raw.nodes.clone(),
-        inputs: raw.inputs.clone(),
-        outputs: fwd_outputs,
-        num_captures: raw.num_captures,
-        constants: raw.constants.clone(),
+pub(crate) fn build_pair(
+    conc: &Arc<ConcreteFunction>,
+    targets: GradTargets,
+) -> Result<ForwardBundle> {
+    let raw = &*conc.raw;
+    let suffix = match targets {
+        GradTargets::Primary => "1",
+        GradTargets::All => "",
     };
-    context::library().insert(fwd);
-    // The gradient function looks concretes up by the *forward* name too.
-    concretes().write().insert(fwd_name.clone(), conc.clone());
+    let intermediates = all_refs(raw);
+    let fwd_name = format!("{}__fwd{suffix}", conc.name);
+    let bwd_name = format!("{}__bwd{suffix}", conc.name);
 
     // ---- backward ----------------------------------------------------------
-    let bwd_name = format!("{}__bwd", conc.name);
+    // The tapes of the caller have no business in this trace: what it builds
+    // must not depend on when (under how many tapes) it was first needed.
+    let tapes = context::active_tapes();
+    for tape in &tapes {
+        context::pop_tape(tape.id);
+    }
     let frame_id = context::begin_tracing(&bwd_name);
     let built = (|| -> Result<Vec<Tensor>> {
         // Placeholders for every intermediate value, then output grads.
@@ -107,13 +183,15 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
             let (dt, sh) = raw.sig(tref);
             value_of.insert(tref, context::tracing_placeholder(dt, sh)?);
         }
-        // One incoming-gradient placeholder per *forward-variant* output:
-        // the primary outputs first, then every intermediate. Higher-order
-        // differentiation sends gradients into intermediates too.
-        let mut fwd_out_refs = raw.outputs.clone();
-        fwd_out_refs.extend(intermediates.iter().copied());
-        let mut dys = Vec::with_capacity(fwd_out_refs.len());
-        for &out in &fwd_out_refs {
+        // One incoming-gradient placeholder per forward-variant output that
+        // may receive one: the primary outputs, then (any order) every
+        // intermediate.
+        let mut grad_refs = raw.outputs.clone();
+        if targets == GradTargets::All {
+            grad_refs.extend(intermediates.iter().copied());
+        }
+        let mut dys = Vec::with_capacity(grad_refs.len());
+        for &out in &grad_refs {
             let (dt, sh) = raw.sig(out);
             dys.push(context::tracing_placeholder(dt, sh)?);
         }
@@ -131,9 +209,9 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
             records.push(Arc::new(TapeRecord::new(node.op, node.attrs.clone(), &inputs, &outputs)));
         }
 
-        // Seeds: dy per forward-variant output (summing if a ref repeats).
+        // Seeds: dy per gradient target (summing if a ref repeats).
         let mut seeds: HashMap<u64, Tensor> = HashMap::new();
-        for (out, dy) in fwd_out_refs.iter().zip(&dys) {
+        for (out, dy) in grad_refs.iter().zip(&dys) {
             let id = value_of[out].id();
             match seeds.remove(&id) {
                 Some(existing) => {
@@ -181,7 +259,11 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
             })
             .collect()
     })();
-    let finished = context::end_tracing()?;
+    let finished = context::end_tracing();
+    for tape in tapes {
+        context::push_tape(tape);
+    }
+    let finished = finished?;
     let outs = built?;
     let out_refs: Vec<TensorRef> = outs
         .iter()
@@ -191,23 +273,42 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
                 .ok_or_else(|| RuntimeError::Internal("non-symbolic backward output".into()))
         })
         .collect::<Result<_>>()?;
-    let bwd_raw = finished.builder.finish(out_refs, finished.captures.len());
+    let mut bwd_raw = finished.builder.finish(out_refs, finished.captures.len());
     // The backward pass is staged too: optimize it like any graph function.
-    let evaluator = |node: &tfe_graph::Node,
-                     inputs: &[Arc<TensorData>]|
-     -> std::result::Result<Vec<TensorData>, String> {
-        tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs).map_err(|e| e.to_string())
-    };
-    let (bwd_opt, bwd_stats) = tfe_graph::passes::optimize_with_stats(
-        &bwd_raw,
-        &tfe_graph::passes::OptimizeOptions::default(),
-        Some(&evaluator),
-    );
+    let (mut bwd_opt, bwd_stats) = optimize(&bwd_raw);
+
+    // ---- first order: the backward closes over what it reads, no more -------
+    // The trace and its optimized form keep one signature: the backward is
+    // itself a concrete function an outer tape may differentiate, from `raw`.
+    let mut unread = vec![false; bwd_raw.inputs.len()];
+    if targets == GradTargets::Primary {
+        bwd_raw = passes::prune(&bwd_raw);
+        let (read_raw, read_opt) = (read_nodes(&bwd_raw), read_nodes(&bwd_opt));
+        for (i, unread) in unread.iter_mut().enumerate().take(intermediates.len()) {
+            *unread =
+                !read_raw.contains(&bwd_raw.inputs[i]) && !read_opt.contains(&bwd_opt.inputs[i]);
+        }
+        bwd_raw = passes::drop_inputs(&bwd_raw, &unread);
+        bwd_opt = passes::drop_inputs(&bwd_opt, &unread);
+    }
     let bwd_fn = context::library().insert(bwd_opt);
+
+    // ---- forward: the primary outputs, then the kept intermediates ----------
+    let mut fwd = raw.clone();
+    fwd.name = fwd_name.clone();
+    fwd.outputs.extend(intermediates.iter().zip(&unread).filter(|(_, &u)| !u).map(|(&t, _)| t));
+    if targets == GradTargets::Primary {
+        fwd = optimize(&fwd).0;
+    }
+    let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
+    context::library().insert(fwd);
+    // The gradient function looks concretes up by the *forward* name too.
+    concretes().write().insert(fwd_name.clone(), conc.clone());
 
     // Register the backward pass as a concrete function of its own, so an
     // outer tape can differentiate *it* — higher-order gradients through
     // staged calls (§4.2's composable tapes).
+    let bwd_attrs = ConcreteFunction::call_attrs(&bwd_fn, false, &[]);
     let bwd_concrete = Arc::new(ConcreteFunction {
         name: bwd_name.clone(),
         function: bwd_fn,
@@ -219,7 +320,8 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
         stateful: false,
         n_primary: outs.len(),
         opt_stats: bwd_stats,
-        forward: std::sync::OnceLock::new(),
+        inference_attrs: bwd_attrs.clone(),
+        pairs: Default::default(),
     });
     register_concrete(&bwd_concrete);
 
@@ -230,7 +332,58 @@ pub fn build_bundle(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
         n_forward_inputs: raw.inputs.len(),
         var_ids: conc.var_ids.clone(),
         bwd_captures: finished.captures,
+        targets,
+        fwd_attrs,
+        bwd_attrs,
     })
+}
+
+/// Call the backward of `pair` on the forward intermediates and one `dy`
+/// per gradient target: one gradient per slot of the forward `call` record.
+fn run_backward(
+    pair: &ForwardBundle,
+    intermediates: &[Tensor],
+    dys: Vec<Tensor>,
+) -> Result<Vec<Option<Tensor>>> {
+    let mut inputs = intermediates.to_vec();
+    inputs.extend(dys);
+    inputs.extend(pair.bwd_captures.iter().cloned());
+    let grads = context::execute(Op::Call, &inputs, pair.bwd_attrs.clone())?;
+    if grads.len() != pair.n_forward_inputs + pair.var_ids.len() {
+        return Err(RuntimeError::Internal(format!(
+            "backward `{}` returned {} gradients, expected {}",
+            pair.bwd_name,
+            grads.len(),
+            pair.n_forward_inputs + pair.var_ids.len()
+        )));
+    }
+    Ok(grads.into_iter().map(Some).collect())
+}
+
+/// Differentiate a call whose record holds no intermediates (the inference
+/// variant ran: a `call` node of a graph traced under no tape, the backward
+/// call an outer tape recorded, the branch of a `cond`): run a forward
+/// variant on the same inputs now, then its backward.
+fn rerun_and_differentiate(
+    conc: &Arc<ConcreteFunction>,
+    inputs: &[Tensor],
+    c: &GradCtx,
+) -> Result<Vec<Option<Tensor>>> {
+    // The differentiating tape has popped itself; every tape active now
+    // records both calls made here, and so does an open trace.
+    let pair = conc.pair(GradTargets::observed_by(context::active_tapes().len()))?;
+    let outs = context::execute(Op::Call, inputs, pair.fwd_attrs.clone())?;
+    let intermediates = &outs[pair.n_primary..];
+    let mut dys =
+        (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<Vec<Tensor>>>()?;
+    if pair.targets == GradTargets::All {
+        for t in intermediates {
+            dys.push(
+                context::execute(Op::ZerosLike, std::slice::from_ref(t), Attrs::new())?.remove(0),
+            );
+        }
+    }
+    run_backward(&pair, intermediates, dys)
 }
 
 /// The gradient of the `call` operation: invoke the backward graph function
@@ -242,48 +395,26 @@ pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
             "cannot differentiate a call to `{fname}`: it was not created via tfe_core::function"
         ))
     })?;
-    let bundle = conc.forward_bundle()?;
-
-    let intermediates: Vec<Tensor> = if fname == bundle.fwd_name {
-        // The forward-with-intermediates ran; values are on the record.
-        c.record.outputs[bundle.n_primary..].to_vec()
-    } else {
-        // Fallback: the inference variant ran (no tape was detected at call
-        // time). Re-execute the forward to materialize intermediates.
-        let fwd = context::library()
-            .get(&bundle.fwd_name)
-            .ok_or_else(|| RuntimeError::UnknownFunction(bundle.fwd_name.clone()))?;
-        let attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &bundle.var_ids);
-        let outs = context::execute(Op::Call, &c.record.inputs, attrs)?;
-        outs[bundle.n_primary..].to_vec()
+    // A forward variant ran: its intermediates are on the record.
+    let Some(pair) = conc.built_pair(fname) else {
+        return rerun_and_differentiate(&conc, &c.record.inputs, c);
     };
-
-    let mut bwd_inputs = intermediates.clone();
-    if fname == bundle.fwd_name {
-        // Gradients for every forward-variant output, intermediates too.
-        bwd_inputs.extend(c.output_grads.iter().cloned());
-    } else {
-        bwd_inputs.extend(c.output_grads[..bundle.n_primary].iter().cloned());
-        for t in &intermediates {
-            bwd_inputs.push(
-                context::execute(Op::ZerosLike, std::slice::from_ref(t), Attrs::new())?.remove(0),
-            );
+    let n = pair.n_primary;
+    let dys: Vec<&Tensor> = match pair.targets {
+        GradTargets::All => c.grads()?,
+        GradTargets::Primary => {
+            if let Some(i) = c.output_grads[n..].iter().position(Option::is_some) {
+                return Err(RuntimeError::Internal(format!(
+                    "a gradient arrived at intermediate {i} of `{fname}`, a first-order forward \
+                     variant: it ran eagerly under one tape, and only a function that staged its \
+                     backward call and was then called under that tape can send one here; open a \
+                     second tape around the forward call (DESIGN.md §7)"
+                )));
+            }
+            (0..n).map(|i| c.grad(i)).collect::<Result<_>>()?
         }
-    }
-    bwd_inputs.extend(bundle.bwd_captures.iter().cloned());
-    let bwd = context::library()
-        .get(&bundle.bwd_name)
-        .ok_or_else(|| RuntimeError::UnknownFunction(bundle.bwd_name.clone()))?;
-    let attrs = ConcreteFunction::call_attrs(&bwd, false, &[]);
-    let grads = context::execute(Op::Call, &bwd_inputs, attrs)?;
-    if grads.len() != bundle.n_forward_inputs + bundle.var_ids.len() {
-        return Err(RuntimeError::Internal(format!(
-            "backward of `{fname}` returned {} gradients, expected {}",
-            grads.len(),
-            bundle.n_forward_inputs + bundle.var_ids.len()
-        )));
-    }
-    Ok(grads.into_iter().map(Some).collect())
+    };
+    run_backward(&pair, &c.record.outputs[n..], dys.into_iter().cloned().collect())
 }
 
 /// The gradient of `cond`: differentiate the branch that actually ran.
@@ -310,34 +441,13 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
             "cannot differentiate cond branch `{branch}`: not created via tfe_core::function"
         ))
     })?;
-    let bundle = conc.forward_bundle()?;
-
-    // Recompute the branch with intermediates (the cond executed the plain
-    // branch function, so the record has no intermediates of its own).
-    let fwd = context::library()
-        .get(&bundle.fwd_name)
-        .ok_or_else(|| RuntimeError::UnknownFunction(bundle.fwd_name.clone()))?;
-    let attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &bundle.var_ids);
+    // The cond executed the plain branch function, so the record has no
+    // intermediates of its own.
     let branch_args = &c.record.inputs[1..];
-    let outs = context::execute(Op::Call, branch_args, attrs)?;
-    let intermediates = outs[bundle.n_primary..].to_vec();
-
-    let mut bwd_inputs = intermediates.clone();
-    bwd_inputs.extend(c.output_grads[..bundle.n_primary].iter().cloned());
-    for t in &intermediates {
-        bwd_inputs.push(
-            context::execute(Op::ZerosLike, std::slice::from_ref(t), Attrs::new())?.remove(0),
-        );
-    }
-    bwd_inputs.extend(bundle.bwd_captures.iter().cloned());
-    let bwd = context::library()
-        .get(&bundle.bwd_name)
-        .ok_or_else(|| RuntimeError::UnknownFunction(bundle.bwd_name.clone()))?;
-    let attrs = ConcreteFunction::call_attrs(&bwd, false, &[]);
-    let grads = context::execute(Op::Call, &bwd_inputs, attrs)?;
+    let grads = rerun_and_differentiate(&conc, branch_args, c)?;
     // Slots: predicate (None), then one per branch argument.
     let mut out: Vec<Option<Tensor>> = vec![None];
-    out.extend(grads.into_iter().take(branch_args.len()).map(Some));
+    out.extend(grads.into_iter().take(branch_args.len()));
     // If the branch had captures, their gradients are dropped (captures are
     // not cond inputs); pad to the record's input arity.
     while out.len() < c.record.input_ids.len() {

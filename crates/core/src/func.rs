@@ -8,6 +8,7 @@
 //! traces the closure in a graph-building context to create one.
 
 use crate::arg::{Arg, ArgKey, TensorSpec};
+use crate::call_grad::{ForwardBundle, GradTargets};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -768,17 +769,9 @@ impl Func {
         let stateful = raw.is_stateful();
         let n_primary = raw.outputs.len();
 
-        // One pipeline for every device: simplification to a fixpoint,
-        // then elementwise fusion (the compilation role of §4.4).
-        let options = passes::OptimizeOptions::default();
-        let evaluator = |node: &tfe_graph::Node,
-                         inputs: &[Arc<TensorData>]|
-         -> std::result::Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs)
-                .map_err(|e| e.to_string())
-        };
-        let (optimized, opt_stats) = passes::optimize_with_stats(&raw, &options, Some(&evaluator));
+        let (optimized, opt_stats) = optimize(&raw);
         let function = context::library().insert(optimized);
+        let inference_attrs = ConcreteFunction::call_attrs(&function, stateful, &var_ids);
 
         let concrete = Arc::new(ConcreteFunction {
             name: cname,
@@ -789,7 +782,8 @@ impl Func {
             stateful,
             n_primary,
             opt_stats,
-            forward: OnceLock::new(),
+            inference_attrs,
+            pairs: Default::default(),
         });
         crate::call_grad::register_concrete(&concrete);
         Ok(concrete)
@@ -856,6 +850,18 @@ struct TraceOut {
     created_variables: Vec<u64>,
 }
 
+/// One pipeline for every device and every graph a concrete function owns
+/// (inference, forward variants, backward): simplification to a fixpoint,
+/// then elementwise fusion (the compilation role of §4.4).
+pub(crate) fn optimize(f: &GraphFunction) -> (GraphFunction, passes::OptimizeStats) {
+    let evaluator = |node: &tfe_graph::Node,
+                     inputs: &[Arc<TensorData>]|
+     -> std::result::Result<Vec<TensorData>, String> {
+        tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs).map_err(|e| e.to_string())
+    };
+    passes::optimize_with_stats(f, &passes::OptimizeOptions::default(), Some(&evaluator))
+}
+
 /// Every variable id referenced by a graph (including, transitively, by its
 /// `call` nodes — which carry their own `var_ids` attribute).
 pub(crate) fn collect_var_ids(f: &GraphFunction) -> Vec<i64> {
@@ -891,7 +897,11 @@ pub struct ConcreteFunction {
     /// What the fixpoint optimizer did to turn [`raw`](Self::raw) into
     /// [`function`](Self::function): sweeps, convergence, per-pass rewrites.
     pub opt_stats: passes::OptimizeStats,
-    pub(crate) forward: OnceLock<std::result::Result<Arc<crate::call_grad::ForwardBundle>, String>>,
+    /// The `call` attributes of [`function`](Self::function), encoded once.
+    pub(crate) inference_attrs: Attrs,
+    /// The first-order and the any-order forward/backward pair (§4.2), in
+    /// that order, each built when first needed.
+    pub(crate) pairs: [OnceLock<std::result::Result<Arc<ForwardBundle>, String>>; 2],
 }
 
 impl ConcreteFunction {
@@ -910,9 +920,12 @@ impl ConcreteFunction {
     /// automatically). Works eagerly and inside traces (composition via
     /// `call` nodes, Listing 8).
     ///
-    /// When a gradient tape is active the forward-with-intermediates
-    /// variant runs instead, so the backward pass has every value it needs
-    /// without recomputation (§4.2).
+    /// When a gradient tape is active a forward variant runs instead, which
+    /// also returns the values the backward pass reads, so that pass
+    /// recomputes nothing (§4.2): eagerly under one tape the first-order
+    /// variant (optimized, returning only what its backward reads), under
+    /// two or more, or inside a trace, the any-order one (`call_grad` module
+    /// docs say why that rule is sound).
     ///
     /// # Errors
     /// Arity mismatches or execution failures.
@@ -927,35 +940,52 @@ impl ConcreteFunction {
         }
         let mut all = tensor_args.to_vec();
         all.extend(self.captures.iter().cloned());
-        let under_tape = !context::active_tapes().is_empty();
-        if under_tape {
-            let bundle = self.forward_bundle()?;
-            let fwd = context::library()
-                .get(&bundle.fwd_name)
-                .ok_or_else(|| RuntimeError::UnknownFunction(bundle.fwd_name.clone()))?;
-            let attrs = Self::call_attrs(&fwd, self.stateful, &self.var_ids);
-            let mut outs = context::execute(Op::Call, &all, attrs)?;
-            outs.truncate(self.n_primary);
-            Ok(outs)
-        } else {
-            let attrs = Self::call_attrs(&self.function, self.stateful, &self.var_ids);
-            context::execute(Op::Call, &all, attrs)
+        match context::active_tapes().len() {
+            0 => context::execute(Op::Call, &all, self.inference_attrs.clone()),
+            tapes => {
+                // The tape that differentiates this call pops itself to do
+                // so; the others record the backward call beside this one.
+                let pair = self.pair(GradTargets::observed_by(tapes - 1))?;
+                let mut outs = context::execute(Op::Call, &all, pair.fwd_attrs.clone())?;
+                outs.truncate(self.n_primary);
+                Ok(outs)
+            }
         }
     }
 
-    /// Build (once) the forward-with-intermediates + backward pair.
+    /// Build (once) the any-order forward/backward pair: the forward returns
+    /// every intermediate and the backward takes a gradient for each.
     ///
     /// # Errors
     /// Gradient-construction failures (e.g. an op without a registered
     /// gradient inside the traced function).
-    pub fn forward_bundle(self: &Arc<Self>) -> Result<Arc<crate::call_grad::ForwardBundle>> {
-        let me = self.clone();
-        self.forward
-            .get_or_init(move || {
-                crate::call_grad::build_bundle(&me).map(Arc::new).map_err(|e| e.to_string())
+    pub fn forward_bundle(self: &Arc<Self>) -> Result<Arc<ForwardBundle>> {
+        self.pair(GradTargets::All)
+    }
+
+    /// Build (once) the first-order pair: the backward takes a gradient per
+    /// primary output and the forward returns, after them, only the
+    /// intermediates that backward reads.
+    ///
+    /// # Errors
+    /// As [`ConcreteFunction::forward_bundle`].
+    pub fn first_order_bundle(self: &Arc<Self>) -> Result<Arc<ForwardBundle>> {
+        self.pair(GradTargets::Primary)
+    }
+
+    pub(crate) fn pair(self: &Arc<Self>, targets: GradTargets) -> Result<Arc<ForwardBundle>> {
+        self.pairs[targets as usize]
+            .get_or_init(|| {
+                crate::call_grad::build_pair(self, targets).map(Arc::new).map_err(|e| e.to_string())
             })
             .clone()
             .map_err(RuntimeError::Internal)
+    }
+
+    /// The already-built pair whose forward variant is named `fwd_name`.
+    pub(crate) fn built_pair(&self, fwd_name: &str) -> Option<Arc<ForwardBundle>> {
+        let mut built = self.pairs.iter().filter_map(|p| p.get()?.as_ref().ok());
+        built.find(|p| p.fwd_name == fwd_name).cloned()
     }
 }
 

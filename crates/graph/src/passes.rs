@@ -322,6 +322,23 @@ fn rebuild(f: &GraphFunction, keep: &[bool]) -> GraphFunction {
     }
 }
 
+/// `f` without the inputs flagged in `drop` (one flag per input, none of
+/// them a capture): their placeholders leave the node list and the call
+/// signature. For a caller that built `f` with inputs it turned out not to
+/// need — [`prune`] never does this, placeholders being the signature.
+///
+/// # Panics
+/// A node or an output of `f` still reads a dropped input.
+pub fn drop_inputs(f: &GraphFunction, drop: &[bool]) -> GraphFunction {
+    let mut g = f.clone();
+    let mut keep = vec![true; f.nodes.len()];
+    for (id, _) in f.inputs.iter().zip(drop).filter(|(_, &d)| d) {
+        keep[id.0] = false;
+    }
+    g.inputs.retain(|id| keep[id.0]);
+    rebuild(&g, &keep)
+}
+
 /// Remove the stateful nodes flagged in `dead` (none of which may still be
 /// consumed) and recompute the control edges for the surviving program
 /// order — the back half of dead-store and redundant-load elimination.

@@ -471,7 +471,11 @@ impl CompiledProgram {
         metric_fused_elements(n as u64);
         let mut out = vec![0.0f32; n];
         let ptr = SendPtr(out.as_mut_ptr());
-        tfe_parallel::par_for(n_tiles, 1, |r: std::ops::Range<usize>| {
+        // The pool on the terms of a plain elementwise kernel: as many
+        // tiles as make its grain run inline, however many registers shrank
+        // the tile. Who runs a tile changes, its boundaries do not.
+        let grain = tfe_tensor::GRAIN_ELEMWISE.div_ceil(tile);
+        tfe_parallel::par_for(n_tiles, grain, |r: std::ops::Range<usize>| {
             SCRATCH.with(|cell| {
                 let mut scratch = cell.borrow_mut();
                 if scratch.len() < self.num_bufs {

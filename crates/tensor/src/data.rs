@@ -253,6 +253,11 @@ impl TensorData {
         &self.buf
     }
 
+    /// The underlying buffer, for kernels that move whole runs of elements.
+    pub(crate) fn buffer_mut(&mut self) -> &mut Buffer {
+        &mut self.buf
+    }
+
     /// Consume into the underlying buffer and shape.
     pub fn into_parts(self) -> (Buffer, Shape) {
         (self.buf, self.shape)
@@ -379,8 +384,6 @@ impl TensorData {
         if dtype == self.dtype() {
             return self.clone();
         }
-        let n = self.num_elements();
-        let vals: Vec<f64> = (0..n).map(|i| self.get_f64_linear(i)).collect();
         // Int64 values above 2^53 would lose precision through f64; handle
         // the int-to-int paths exactly.
         match (&self.buf, dtype) {
@@ -392,7 +395,7 @@ impl TensorData {
                 TensorData::from_vec(v.iter().map(|&x| x as i64).collect(), self.shape.clone())
                     .expect("same length")
             }
-            _ => TensorData::from_f64_vec(dtype, vals, self.shape.clone()),
+            _ => TensorData::from_f64_vec(dtype, self.to_f64_vec(), self.shape.clone()),
         }
     }
 

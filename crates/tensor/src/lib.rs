@@ -52,5 +52,6 @@ pub mod softmax;
 pub use data::{Buffer, Scalar, TensorData};
 pub use dtype::DType;
 pub use error::{Result, TensorError};
+pub use par::GRAIN_ELEMWISE;
 pub use shape::{broadcast_shapes, Shape};
 pub use slot::{AsyncSlot, SlotState};

@@ -14,8 +14,9 @@
 
 use std::ops::Range;
 
-/// Minimum elements before an elementwise map goes parallel.
-pub(crate) const GRAIN_ELEMWISE: usize = 4096;
+/// Minimum elements before an elementwise map goes parallel (the fused
+/// tile executor in `tfe-graph` holds its tiles to the same figure).
+pub const GRAIN_ELEMWISE: usize = 4096;
 /// Minimum rows before row-wise kernels (softmax, row reduce) go parallel
 /// — rows are usually long, so the per-row grain is smaller.
 pub(crate) const GRAIN_ROWS: usize = 8;

@@ -1,8 +1,8 @@
 //! Shape-manipulating kernels: reshape, transpose, concat, split, slice,
 //! pad, gather/scatter, tile, broadcast_to, one-hot, stack/unstack.
 
-use crate::shape::{broadcast_shapes, BroadcastWalker};
-use crate::{DType, Result, Shape, TensorData, TensorError};
+use crate::shape::broadcast_shapes;
+use crate::{Buffer, DType, Result, Shape, TensorData, TensorError};
 
 /// Reshape with a single optional `-1` wildcard dimension (like
 /// `tf.reshape`).
@@ -41,6 +41,108 @@ pub fn reshape(a: &TensorData, dims: &[i64]) -> Result<TensorData> {
     a.with_shape(out)
 }
 
+/// Copy runs of `run` contiguous elements from `src` into `dst`, one run
+/// per `(dst_offset, src_offset)` pair. The two buffers hold one dtype; it
+/// is matched once per call and a run moves as one `copy_from_slice`, so
+/// every value arrives with the bits it had (an i64 beyond 2^53, a
+/// signalling NaN) and no element is converted. Every data-movement kernel
+/// below is this call plus its own offsets.
+fn copy_runs(
+    dst: &mut TensorData,
+    src: &TensorData,
+    run: usize,
+    offsets: impl Iterator<Item = (usize, usize)>,
+) {
+    fn typed<T: Copy>(
+        dst: &mut [T],
+        src: &[T],
+        run: usize,
+        offsets: impl Iterator<Item = (usize, usize)>,
+    ) {
+        if run == 1 {
+            for (d, s) in offsets {
+                dst[d] = src[s];
+            }
+        } else {
+            for (d, s) in offsets {
+                dst[d..d + run].copy_from_slice(&src[s..s + run]);
+            }
+        }
+    }
+    if run == 0 {
+        return;
+    }
+    match (dst.buffer_mut(), src.buffer()) {
+        (Buffer::F32(d), Buffer::F32(s)) => typed(d, s, run, offsets),
+        (Buffer::F64(d), Buffer::F64(s)) => typed(d, s, run, offsets),
+        (Buffer::I32(d), Buffer::I32(s)) => typed(d, s, run, offsets),
+        (Buffer::I64(d), Buffer::I64(s)) => typed(d, s, run, offsets),
+        (Buffer::Bool(d), Buffer::Bool(s)) => typed(d, s, run, offsets),
+        (d, s) => unreachable!("copy_runs between {} and {}", d.dtype(), s.dtype()),
+    }
+}
+
+/// The offsets `base + Σ coords[i]·strides[i]` of a row-major walk over
+/// `extents`. A stride of 0 repeats an axis (tile, broadcast).
+fn strided(extents: &[usize], strides: &[usize], base: usize) -> impl Iterator<Item = usize> {
+    let extents = extents.to_vec();
+    let strides = strides.to_vec();
+    let mut coords = vec![0usize; extents.len()];
+    let mut offset = base;
+    let mut left: usize = extents.iter().product();
+    std::iter::from_fn(move || {
+        if left == 0 {
+            return None;
+        }
+        left -= 1;
+        let current = offset;
+        for i in (0..extents.len()).rev() {
+            coords[i] += 1;
+            offset += strides[i];
+            if coords[i] < extents[i] {
+                break;
+            }
+            offset -= strides[i] * extents[i];
+            coords[i] = 0;
+        }
+        Some(current)
+    })
+}
+
+/// Copy the box of `extents` elements at `src_begin` of `src` to
+/// `dst_begin` of `dst` (slice, pad and concat are all this). Trailing axes
+/// the box spans whole on both sides fold into the run, together with the
+/// first axis it spans in part.
+fn copy_box(
+    dst: &mut TensorData,
+    dst_begin: &[usize],
+    src: &TensorData,
+    src_begin: &[usize],
+    extents: &[usize],
+) {
+    let (dst_dims, dst_strides) = (dst.shape().dims().to_vec(), dst.shape().strides());
+    let (src_dims, src_strides) = (src.shape().dims(), src.shape().strides());
+    let base = |begin: &[usize], strides: &[usize]| -> usize {
+        begin.iter().zip(strides).map(|(b, s)| b * s).sum()
+    };
+    let (dst_base, src_base) = (base(dst_begin, &dst_strides), base(src_begin, &src_strides));
+    let mut outer = extents.len();
+    let mut run = 1;
+    while outer > 0 {
+        outer -= 1;
+        run *= extents[outer];
+        if extents[outer] != dst_dims[outer] || extents[outer] != src_dims[outer] {
+            break;
+        }
+    }
+    let offsets = strided(&extents[..outer], &dst_strides[..outer], dst_base).zip(strided(
+        &extents[..outer],
+        &src_strides[..outer],
+        src_base,
+    ));
+    copy_runs(dst, src, run, offsets);
+}
+
 /// Permute dimensions. `perm` must be a permutation of `0..rank`.
 ///
 /// # Errors
@@ -61,54 +163,20 @@ pub fn transpose(a: &TensorData, perm: &[usize]) -> Result<TensorData> {
         seen[p] = true;
     }
     let in_dims = a.shape().dims();
-    let out_dims: Vec<usize> = perm.iter().map(|&p| in_dims[p]).collect();
     let in_strides = a.shape().strides();
-    let out_shape = Shape::new(out_dims.clone());
-    let mut out = TensorData::zeros(a.dtype(), out_shape.clone());
-    let n = a.num_elements();
-    // Walk output elements; map each output coordinate back through perm.
-    let mut coords = vec![0usize; rank];
-    for lin in 0..n {
-        let mut src = 0;
-        for (i, &c) in coords.iter().enumerate() {
-            src += c * in_strides[perm[i]];
-        }
-        out.set_f64_linear(lin, a.get_f64_linear(src));
-        for i in (0..rank).rev() {
-            coords[i] += 1;
-            if coords[i] < out_dims[i] {
-                break;
-            }
-            coords[i] = 0;
-        }
+    let out_dims: Vec<usize> = perm.iter().map(|&p| in_dims[p]).collect();
+    let src_strides: Vec<usize> = perm.iter().map(|&p| in_strides[p]).collect();
+    let mut out = TensorData::zeros(a.dtype(), Shape::new(out_dims.clone()));
+    // Trailing axes the permutation leaves in place move as one run.
+    let mut outer = rank;
+    while outer > 0 && perm[outer - 1] == outer - 1 {
+        outer -= 1;
     }
-    // Preserve exact bits for int64; the f64 round-trip above is exact for
-    // |x| < 2^53 which covers practical index tensors, but ints deserve an
-    // exact path.
-    if a.dtype().is_int() || a.dtype() == DType::Bool {
-        let mut exact = TensorData::zeros(a.dtype(), out_shape);
-        let iv = a.to_i64_vec();
-        let mut coords = vec![0usize; rank];
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            let mut src = 0;
-            for (i, &c) in coords.iter().enumerate() {
-                src += c * in_strides[perm[i]];
-            }
-            vals.push(iv[src]);
-            for i in (0..rank).rev() {
-                coords[i] += 1;
-                if coords[i] < out_dims[i] {
-                    break;
-                }
-                coords[i] = 0;
-            }
-        }
-        for (i, v) in vals.into_iter().enumerate() {
-            exact.set_f64_linear(i, v as f64);
-        }
-        return Ok(exact);
-    }
+    let run: usize = out_dims[outer..].iter().product();
+    let offsets = strided(&out_dims[..outer], &src_strides[..outer], 0)
+        .enumerate()
+        .map(|(r, s)| (r * run, s));
+    copy_runs(&mut out, a, run, offsets);
     Ok(out)
 }
 
@@ -191,24 +259,12 @@ pub fn concat(parts: &[&TensorData], axis: i64) -> Result<TensorData> {
     }
     let mut out_dims = first.shape().dims().to_vec();
     out_dims[ax] = axis_total;
-    let out_shape = Shape::new(out_dims);
-    let mut out = TensorData::zeros(first.dtype(), out_shape.clone());
-
-    let outer: usize = first.shape().dims()[..ax].iter().product();
-    let inner: usize = first.shape().dims()[ax + 1..].iter().product();
-    let mut axis_offset = 0usize;
+    let mut out = TensorData::zeros(first.dtype(), Shape::new(out_dims));
+    let zeros = vec![0usize; rank];
+    let mut begin = zeros.clone();
     for p in parts {
-        let extent = p.shape().dim(ax);
-        for o in 0..outer {
-            for k in 0..extent {
-                for i in 0..inner {
-                    let src = (o * extent + k) * inner + i;
-                    let dst = (o * axis_total + axis_offset + k) * inner + i;
-                    out.set_f64_linear(dst, p.get_f64_linear(src));
-                }
-            }
-        }
-        axis_offset += extent;
+        copy_box(&mut out, &begin, p, &zeros, p.shape().dims());
+        begin[ax] += p.shape().dim(ax);
     }
     Ok(out)
 }
@@ -269,25 +325,8 @@ pub fn slice(a: &TensorData, begin: &[i64], size: &[i64]) -> Result<TensorData> 
         }
         s[i] = sz;
     }
-    let out_shape = Shape::new(s.clone());
-    let mut out = TensorData::zeros(a.dtype(), out_shape.clone());
-    let in_strides = a.shape().strides();
-    let n = out_shape.num_elements();
-    let mut coords = vec![0usize; rank];
-    for lin in 0..n {
-        let mut src = 0;
-        for i in 0..rank {
-            src += (coords[i] + b[i]) * in_strides[i];
-        }
-        out.set_f64_linear(lin, a.get_f64_linear(src));
-        for i in (0..rank).rev() {
-            coords[i] += 1;
-            if coords[i] < s[i] {
-                break;
-            }
-            coords[i] = 0;
-        }
-    }
+    let mut out = TensorData::zeros(a.dtype(), Shape::new(s.clone()));
+    copy_box(&mut out, &vec![0; rank], a, &b, &s);
     Ok(out)
 }
 
@@ -301,30 +340,15 @@ pub fn pad_to(a: &TensorData, begin: &[i64], full: &Shape) -> Result<TensorData>
     if a.shape().rank() != rank || begin.len() != rank {
         return Err(TensorError::InvalidArgument("pad_to rank mismatch".to_string()));
     }
-    let mut out = TensorData::zeros(a.dtype(), full.clone());
-    let out_strides = full.strides();
     let dims = a.shape().dims();
     for i in 0..rank {
         if begin[i] < 0 || begin[i] as usize + dims[i] > full.dim(i) {
             return Err(TensorError::InvalidArgument("pad_to region out of range".to_string()));
         }
     }
-    let n = a.num_elements();
-    let mut coords = vec![0usize; rank];
-    for lin in 0..n {
-        let mut dst = 0;
-        for i in 0..rank {
-            dst += (coords[i] + begin[i] as usize) * out_strides[i];
-        }
-        out.set_f64_linear(dst, a.get_f64_linear(lin));
-        for i in (0..rank).rev() {
-            coords[i] += 1;
-            if coords[i] < dims[i] {
-                break;
-            }
-            coords[i] = 0;
-        }
-    }
+    let begin: Vec<usize> = begin.iter().map(|&b| b as usize).collect();
+    let mut out = TensorData::zeros(a.dtype(), full.clone());
+    copy_box(&mut out, &begin, a, &vec![0; rank], dims);
     Ok(out)
 }
 
@@ -339,26 +363,9 @@ pub fn pad(a: &TensorData, paddings: &[(usize, usize)], value: f64) -> Result<Te
     }
     let out_dims: Vec<usize> =
         a.shape().dims().iter().zip(paddings).map(|(&d, &(b, e))| d + b + e).collect();
-    let out_shape = Shape::new(out_dims);
-    let mut out = TensorData::fill_f64(a.dtype(), out_shape.clone(), value);
-    let out_strides = out_shape.strides();
-    let dims = a.shape().dims();
-    let n = a.num_elements();
-    let mut coords = vec![0usize; rank];
-    for lin in 0..n {
-        let mut dst = 0;
-        for i in 0..rank {
-            dst += (coords[i] + paddings[i].0) * out_strides[i];
-        }
-        out.set_f64_linear(dst, a.get_f64_linear(lin));
-        for i in (0..rank).rev() {
-            coords[i] += 1;
-            if coords[i] < dims[i] {
-                break;
-            }
-            coords[i] = 0;
-        }
-    }
+    let mut out = TensorData::fill_f64(a.dtype(), Shape::new(out_dims), value);
+    let begin: Vec<usize> = paddings.iter().map(|&(before, _)| before).collect();
+    copy_box(&mut out, &begin, a, &vec![0; rank], a.shape().dims());
     Ok(out)
 }
 
@@ -390,16 +397,8 @@ pub fn gather(a: &TensorData, indices: &TensorData, axis: i64) -> Result<TensorD
     out_dims.extend_from_slice(&a.shape().dims()[ax + 1..]);
     let out_shape = Shape::new(out_dims);
     let mut out = TensorData::zeros(a.dtype(), out_shape);
-    let m = idx.len();
-    for o in 0..outer {
-        for (j, &i) in idx.iter().enumerate() {
-            for k in 0..inner {
-                let src = (o * extent + i as usize) * inner + k;
-                let dst = (o * m + j) * inner + k;
-                out.set_f64_linear(dst, a.get_f64_linear(src));
-            }
-        }
-    }
+    let rows = (0..outer).flat_map(|o| idx.iter().map(move |&i| o * extent + i as usize));
+    copy_runs(&mut out, a, inner, rows.enumerate().map(|(r, row)| (r * inner, row * inner)));
     Ok(out)
 }
 
@@ -456,15 +455,8 @@ pub fn reverse(a: &TensorData, axis: i64) -> Result<TensorData> {
     let outer: usize = a.shape().dims()[..ax].iter().product();
     let inner: usize = a.shape().dims()[ax + 1..].iter().product();
     let mut out = TensorData::zeros(a.dtype(), a.shape().clone());
-    for o in 0..outer {
-        for k in 0..extent {
-            for i in 0..inner {
-                let src = (o * extent + k) * inner + i;
-                let dst = (o * extent + (extent - 1 - k)) * inner + i;
-                out.set_f64_linear(dst, a.get_f64_linear(src));
-            }
-        }
-    }
+    let rows = (0..outer).flat_map(|o| (0..extent).map(move |k| o * extent + (extent - 1 - k)));
+    copy_runs(&mut out, a, inner, rows.enumerate().map(|(r, row)| (r * inner, row * inner)));
     Ok(out)
 }
 
@@ -479,26 +471,33 @@ pub fn tile(a: &TensorData, multiples: &[usize]) -> Result<TensorData> {
     }
     let out_dims: Vec<usize> =
         a.shape().dims().iter().zip(multiples).map(|(&d, &m)| d * m).collect();
-    let out_shape = Shape::new(out_dims.clone());
     let in_dims = a.shape().dims();
     let in_strides = a.shape().strides();
-    let mut out = TensorData::zeros(a.dtype(), out_shape.clone());
-    let n = out_shape.num_elements();
-    let mut coords = vec![0usize; rank];
-    for lin in 0..n {
-        let mut src = 0;
-        for i in 0..rank {
-            src += (coords[i] % in_dims[i]) * in_strides[i];
-        }
-        out.set_f64_linear(lin, a.get_f64_linear(src));
-        for i in (0..rank).rev() {
-            coords[i] += 1;
-            if coords[i] < out_dims[i] {
-                break;
-            }
-            coords[i] = 0;
+    let mut out = TensorData::zeros(a.dtype(), Shape::new(out_dims));
+    // Output axis i is (multiples[i], in_dims[i]) row-major, the repeat
+    // reading at stride 0. Trailing axes that are not repeated fold into
+    // the run, with the extent of the first one that is.
+    let mut outer = rank;
+    let mut run = 1;
+    while outer > 0 {
+        outer -= 1;
+        run *= in_dims[outer];
+        if multiples[outer] != 1 {
+            break;
         }
     }
+    let mut extents = Vec::with_capacity(2 * rank);
+    let mut strides = Vec::with_capacity(2 * rank);
+    for i in 0..outer {
+        extents.extend([multiples[i], in_dims[i]]);
+        strides.extend([0, in_strides[i]]);
+    }
+    if rank > 0 {
+        extents.push(multiples[outer]);
+        strides.push(0);
+    }
+    let offsets = strided(&extents, &strides, 0).enumerate().map(|(r, s)| (r * run, s));
+    copy_runs(&mut out, a, run, offsets);
     Ok(out)
 }
 
@@ -512,9 +511,22 @@ pub fn broadcast_to(a: &TensorData, shape: &Shape) -> Result<TensorData> {
         return Err(TensorError::BroadcastMismatch { lhs: a.shape().clone(), rhs: shape.clone() });
     }
     let mut out = TensorData::zeros(a.dtype(), shape.clone());
-    for (dst, src) in BroadcastWalker::new(shape, a.shape()).enumerate() {
-        out.set_f64_linear(dst, a.get_f64_linear(src));
+    let rank = shape.rank();
+    let lead = rank - a.shape().rank();
+    let a_strides = a.shape().strides();
+    // Stride 0 along every axis `a` is stretched (or does not have).
+    let stretched = |i: usize| i < lead || a.shape().dim(i - lead) != shape.dim(i);
+    let src_strides: Vec<usize> =
+        (0..rank).map(|i| if stretched(i) { 0 } else { a_strides[i - lead] }).collect();
+    let mut outer = rank;
+    while outer > 0 && !stretched(outer - 1) {
+        outer -= 1;
     }
+    let run: usize = shape.dims()[outer..].iter().product();
+    let offsets = strided(&shape.dims()[..outer], &src_strides[..outer], 0)
+        .enumerate()
+        .map(|(r, s)| (r * run, s));
+    copy_runs(&mut out, a, run, offsets);
     Ok(out)
 }
 

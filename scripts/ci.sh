@@ -30,6 +30,12 @@ if grep -rnE "${gone}" crates src tests; then exit 1; fi
 if grep -n 'RwLock<HashMap' crates/ops/src/opdef.rs crates/runtime/src/kernels.rs \
     crates/autodiff/src/registry.rs; then exit 1; fi
 
+# Copy-kernel gate: the data-movement kernels move typed runs through one
+# helper (`copy_runs`); an element that goes out through `f64` and back
+# loses an i64 beyond 2^53 and quiets a signalling NaN.
+echo "==> no set_f64_linear(get_f64_linear(..)) copy in tensor/src/shape_ops.rs"
+if grep -nE 'set_f64_linear\([^,]*, *[A-Za-z_.]*get_f64_linear\(' crates/tensor/src/shape_ops.rs; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -39,8 +45,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (debug, ${THREADS} threads)"
 cargo test --workspace -q -- --test-threads "${THREADS}"
 
-echo "==> executor differential + concurrency stress (release, ${THREADS} threads)"
-cargo test --release -q --test exec_differential --test concurrency -- --test-threads "${THREADS}"
+# With them, gradients through staged calls: the first-order and any-order
+# pairs against the eager tape (bitwise) and against finite differences.
+# Not in a TFE_ASYNC=1 leg: two tests of staging_semantics assert errors
+# that an async dispatch defers.
+echo "==> executor differential + concurrency stress + staged gradients (release, ${THREADS} threads)"
+cargo test --release -q --test exec_differential --test concurrency --test staging_semantics \
+    --test gradcheck -- --test-threads "${THREADS}"
 
 # Same differential suite with the worker pool collapsed to one thread:
 # kernels promise identical bits at every intra-op thread count, so the

@@ -278,19 +278,18 @@ pub fn make_args(seed: u64, shapes: &[Vec<usize>]) -> Vec<Arc<TensorData>> {
         .collect()
 }
 
-/// Interpret a generated graph as a chain of *eager* ops through the
-/// central dispatcher, node by node in program order — the same kernels
-/// over the same operands as the graph executors, but driven through
-/// `context::execute` so the eager dispatch path (sync or async, per the
-/// ambient mode) is what's under test.
-pub fn eager_interpret(
+/// Run a generated graph as a chain of ops through the central dispatcher,
+/// node by node in program order: eager ops on eager tensors, and inside a
+/// trace the same nodes again (which makes any corpus graph a `function`
+/// body).
+pub fn replay(
     f: &GraphFunction,
-    args: &[Arc<TensorData>],
-) -> Result<Vec<Arc<TensorData>>, tf_eager::RuntimeError> {
+    args: &[tf_eager::Tensor],
+) -> Result<Vec<tf_eager::Tensor>, tf_eager::RuntimeError> {
     use std::collections::HashMap;
     let mut vals: HashMap<(usize, usize), tf_eager::Tensor> = HashMap::new();
     for (i, nid) in f.inputs.iter().enumerate() {
-        vals.insert((nid.0, 0), tf_eager::Tensor::from_data((*args[i]).clone()));
+        vals.insert((nid.0, 0), args[i].clone());
     }
     for (id, node) in f.nodes.iter().enumerate() {
         match node.op.name() {
@@ -309,7 +308,20 @@ pub fn eager_interpret(
             }
         }
     }
-    f.outputs.iter().map(|r| vals[&(r.node.0, r.output)].value()).collect()
+    Ok(f.outputs.iter().map(|r| vals[&(r.node.0, r.output)].clone()).collect())
+}
+
+/// Interpret a generated graph as a chain of *eager* ops — the same kernels
+/// over the same operands as the graph executors, but driven through
+/// `context::execute` so the eager dispatch path (sync or async, per the
+/// ambient mode) is what's under test.
+pub fn eager_interpret(
+    f: &GraphFunction,
+    args: &[Arc<TensorData>],
+) -> Result<Vec<Arc<TensorData>>, tf_eager::RuntimeError> {
+    let args: Vec<tf_eager::Tensor> =
+        args.iter().map(|a| tf_eager::Tensor::from_data((**a).clone())).collect();
+    replay(f, &args)?.iter().map(tf_eager::Tensor::value).collect()
 }
 
 /// The stateful-graph generator shared by the graph-mode and async-eager

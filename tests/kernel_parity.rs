@@ -714,3 +714,366 @@ fn staged_matmul_matches_eager_bitwise() {
     assert_eq!(bits32(&ev), bits32(&want));
     assert_eq!(bits32(&sv), bits32(&want));
 }
+
+// ---------------------------------------------------------------------------
+// Data-movement kernels: every element arrives with the bits it had, in
+// every dtype. The reference below addresses one element at a time by its
+// multi-index and moves its little-endian bytes.
+// ---------------------------------------------------------------------------
+
+mod copy_kernels {
+    use tfe_tensor::shape_ops;
+    use tfe_tensor::{DType, Shape, TensorData};
+
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Rank 0–4, extents 0–4 (an empty extent one time in six).
+        fn dims(&mut self) -> Vec<usize> {
+            (0..self.below(5))
+                .map(|_| if self.below(6) == 0 { 0 } else { 1 + self.below(4) })
+                .collect()
+        }
+    }
+
+    const F32_SNAN: u32 = 0x7fa0_0001;
+    const F64_SNAN: u64 = 0x7ff4_0000_0000_0001;
+    const BIG: i64 = (1 << 53) + 1;
+
+    /// `dims` full of distinct-looking values of `dtype`, the ones a trip
+    /// through `f64` would change first.
+    fn tensor(dtype: DType, dims: &[usize], rng: &mut Rng) -> TensorData {
+        let n: usize = dims.iter().product();
+        let shape = Shape::new(dims.to_vec());
+        match dtype {
+            DType::F32 => {
+                let special = [F32_SNAN, 0xffa0_0001, 0x8000_0000, 1, 0x7f80_0000];
+                let v = (0..n).map(|i| match special.get(i) {
+                    Some(&bits) => f32::from_bits(bits),
+                    None => f32::from_bits(rng.next() as u32),
+                });
+                TensorData::from_vec(v.collect(), shape)
+            }
+            DType::F64 => {
+                let special = [F64_SNAN, 0xfff4_0000_0000_0001, 1 << 63, 1];
+                let v = (0..n).map(|i| match special.get(i) {
+                    Some(&bits) => f64::from_bits(bits),
+                    None => f64::from_bits(rng.next()),
+                });
+                TensorData::from_vec(v.collect(), shape)
+            }
+            DType::I32 => {
+                let special = [i32::MIN, i32::MAX, -1];
+                let v = (0..n).map(|i| special.get(i).copied().unwrap_or(rng.next() as i32));
+                TensorData::from_vec(v.collect(), shape)
+            }
+            DType::I64 => {
+                let special = [BIG, -BIG, i64::MIN, i64::MAX];
+                let v = (0..n).map(|i| special.get(i).copied().unwrap_or(rng.next() as i64));
+                TensorData::from_vec(v.collect(), shape)
+            }
+            DType::Bool => TensorData::from_vec((0..n).map(|_| rng.below(2) == 1).collect(), shape),
+        }
+        .unwrap()
+    }
+
+    /// The tensor of `out_dims` whose element at each multi-index is the
+    /// element of `src` at the linear index `pick` names, or `fill`.
+    fn reference(
+        src: &[&TensorData],
+        out_dims: &[usize],
+        fill: &TensorData,
+        pick: impl Fn(&[usize]) -> Option<(usize, usize)>,
+    ) -> TensorData {
+        let dtype = fill.dtype();
+        let width = dtype.size_bytes();
+        let bytes: Vec<Vec<u8>> = src.iter().map(|t| t.to_le_bytes()).collect();
+        let fill = fill.to_le_bytes();
+        let n: usize = out_dims.iter().product();
+        let mut out = Vec::with_capacity(n * width);
+        let mut index = vec![0usize; out_dims.len()];
+        for _ in 0..n {
+            match pick(&index) {
+                Some((part, at)) => out.extend_from_slice(&bytes[part][at * width..][..width]),
+                None => out.extend_from_slice(&fill),
+            }
+            for axis in (0..out_dims.len()).rev() {
+                index[axis] += 1;
+                if index[axis] < out_dims[axis] {
+                    break;
+                }
+                index[axis] = 0;
+            }
+        }
+        TensorData::from_le_bytes(dtype, Shape::new(out_dims.to_vec()), &out).unwrap()
+    }
+
+    fn linear(dims: &[usize], index: impl Iterator<Item = usize>) -> usize {
+        dims.iter().zip(index).fold(0, |acc, (&d, i)| acc * d + i)
+    }
+
+    fn assert_same_bits(got: &TensorData, want: &TensorData, what: &str) {
+        assert_eq!(got.dtype(), want.dtype(), "{what}");
+        assert_eq!(got.shape(), want.shape(), "{what}");
+        assert_eq!(got.to_le_bytes(), want.to_le_bytes(), "{what}");
+    }
+
+    #[test]
+    fn every_dtype_moves_bit_for_bit() {
+        let mut rng = Rng(0x5eed_c0de);
+        for dtype in DType::all() {
+            let zero = TensorData::zeros(dtype, Shape::scalar());
+            for case in 0..150 {
+                let dims = rng.dims();
+                let rank = dims.len();
+                let a = tensor(dtype, &dims, &mut rng);
+                let what = |op: &str| format!("{op} {dtype} {dims:?} case {case}");
+
+                // slice: a partial window on every axis, middle ones too.
+                let begin: Vec<usize> = dims.iter().map(|&d| rng.below(d + 1)).collect();
+                let size: Vec<usize> =
+                    dims.iter().zip(&begin).map(|(&d, &b)| rng.below(d - b + 1)).collect();
+                let got = shape_ops::slice(
+                    &a,
+                    &begin.iter().map(|&b| b as i64).collect::<Vec<_>>(),
+                    &size.iter().map(|&s| s as i64).collect::<Vec<_>>(),
+                )
+                .unwrap();
+                let want = reference(&[&a], &size, &zero, |ix| {
+                    Some((0, linear(&dims, ix.iter().zip(&begin).map(|(i, b)| i + b))))
+                });
+                assert_same_bits(&got, &want, &what("slice"));
+
+                // pad_to is slice's adjoint: the window back into zeros.
+                let got = shape_ops::pad_to(
+                    &got,
+                    &begin.iter().map(|&b| b as i64).collect::<Vec<_>>(),
+                    a.shape(),
+                )
+                .unwrap();
+                let want_back = reference(&[&want], &dims, &zero, |ix| {
+                    let inside =
+                        ix.iter().zip(&begin).zip(&size).all(|((i, b), s)| i >= b && i < &(b + s));
+                    inside.then(|| (0, linear(&size, ix.iter().zip(&begin).map(|(i, b)| i - b))))
+                });
+                assert_same_bits(&got, &want_back, &what("pad_to"));
+
+                // pad: the fill goes through `fill_f64`, the body does not.
+                let pads: Vec<(usize, usize)> =
+                    dims.iter().map(|_| (rng.below(3), rng.below(3))).collect();
+                let padded: Vec<usize> =
+                    dims.iter().zip(&pads).map(|(&d, &(b, e))| d + b + e).collect();
+                let got = shape_ops::pad(&a, &pads, 1.0).unwrap();
+                let one = TensorData::fill_f64(dtype, Shape::scalar(), 1.0);
+                let want = reference(&[&a], &padded, &one, |ix| {
+                    let inside = ix
+                        .iter()
+                        .zip(&pads)
+                        .zip(&dims)
+                        .all(|((i, p), d)| *i >= p.0 && *i < p.0 + d);
+                    inside.then(|| (0, linear(&dims, ix.iter().zip(&pads).map(|(i, p)| i - p.0))))
+                });
+                assert_same_bits(&got, &want, &what("pad"));
+
+                // transpose by a random permutation.
+                let mut perm: Vec<usize> = (0..rank).collect();
+                for i in (1..rank).rev() {
+                    perm.swap(i, rng.below(i + 1));
+                }
+                let out_dims: Vec<usize> = perm.iter().map(|&p| dims[p]).collect();
+                let got = shape_ops::transpose(&a, &perm).unwrap();
+                let want = reference(&[&a], &out_dims, &zero, |ix| {
+                    let mut src = vec![0; rank];
+                    for (i, &p) in perm.iter().enumerate() {
+                        src[p] = ix[i];
+                    }
+                    Some((0, linear(&dims, src.into_iter())))
+                });
+                assert_same_bits(&got, &want, &what(&format!("transpose {perm:?}")));
+
+                // tile.
+                let multiples: Vec<usize> = dims.iter().map(|_| rng.below(4)).collect();
+                let tiled: Vec<usize> = dims.iter().zip(&multiples).map(|(d, m)| d * m).collect();
+                let got = shape_ops::tile(&a, &multiples).unwrap();
+                let want = reference(&[&a], &tiled, &zero, |ix| {
+                    Some((0, linear(&dims, ix.iter().zip(&dims).map(|(i, d)| i % d))))
+                });
+                assert_same_bits(&got, &want, &what(&format!("tile {multiples:?}")));
+
+                // broadcast_to: new leading axes, and every extent-1 axis stretched.
+                let lead: Vec<usize> = (0..rng.below(3)).map(|_| rng.below(4)).collect();
+                let target: Vec<usize> = lead
+                    .iter()
+                    .copied()
+                    .chain(dims.iter().map(|&d| if d == 1 { rng.below(4) } else { d }))
+                    .collect();
+                let got = shape_ops::broadcast_to(&a, &Shape::new(target.clone())).unwrap();
+                let want = reference(&[&a], &target, &zero, |ix| {
+                    let own = ix[lead.len()..]
+                        .iter()
+                        .zip(&dims)
+                        .map(|(&i, &d)| if d == 1 { 0 } else { i });
+                    Some((0, linear(&dims, own)))
+                });
+                assert_same_bits(&got, &want, &what(&format!("broadcast_to {target:?}")));
+
+                if rank == 0 {
+                    continue;
+                }
+                let axis = rng.below(rank);
+                let extent = dims[axis];
+
+                // reverse.
+                let got = shape_ops::reverse(&a, axis as i64).unwrap();
+                let want = reference(&[&a], &dims, &zero, |ix| {
+                    let flipped =
+                        ix.iter()
+                            .enumerate()
+                            .map(|(k, &i)| if k == axis { extent - 1 - i } else { i });
+                    Some((0, linear(&dims, flipped)))
+                });
+                assert_same_bits(&got, &want, &what(&format!("reverse {axis}")));
+
+                // concat of three parts that differ along `axis`.
+                let mut parts = vec![a.clone()];
+                for _ in 0..2 {
+                    let mut d = dims.clone();
+                    d[axis] = rng.below(4);
+                    parts.push(tensor(dtype, &d, &mut rng));
+                }
+                let refs: Vec<&TensorData> = parts.iter().collect();
+                let mut joined = dims.clone();
+                joined[axis] = parts.iter().map(|p| p.shape().dim(axis)).sum();
+                let got = shape_ops::concat(&refs, axis as i64).unwrap();
+                let want = reference(&refs, &joined, &zero, |ix| {
+                    let mut at = ix[axis];
+                    let mut part = 0;
+                    while at >= parts[part].shape().dim(axis) {
+                        at -= parts[part].shape().dim(axis);
+                        part += 1;
+                    }
+                    let own = ix.iter().enumerate().map(|(k, &i)| if k == axis { at } else { i });
+                    Some((part, linear(parts[part].shape().dims(), own)))
+                });
+                assert_same_bits(&got, &want, &what(&format!("concat {axis}")));
+
+                // split is the inverse of that concat when the parts are equal.
+                if extent > 0 {
+                    let num = (1..=extent)
+                        .rev()
+                        .find(|&n| extent.is_multiple_of(n) && rng.below(2) == 0)
+                        .unwrap_or(1);
+                    let mut piece = dims.clone();
+                    piece[axis] = extent / num;
+                    for (k, got) in
+                        shape_ops::split(&a, num, axis as i64).unwrap().iter().enumerate()
+                    {
+                        let want = reference(&[&a], &piece, &zero, |ix| {
+                            let own = ix.iter().enumerate().map(|(d, &i)| {
+                                if d == axis {
+                                    i + k * piece[axis]
+                                } else {
+                                    i
+                                }
+                            });
+                            Some((0, linear(&dims, own)))
+                        });
+                        assert_same_bits(
+                            got,
+                            &want,
+                            &what(&format!("split {num} along {axis}, part {k}")),
+                        );
+                    }
+                }
+
+                // gather with a rank-2 index tensor, repeats included.
+                if extent > 0 {
+                    let idx_dims = [rng.below(3), 1 + rng.below(3)];
+                    let idx: Vec<i64> =
+                        (0..idx_dims[0] * idx_dims[1]).map(|_| rng.below(extent) as i64).collect();
+                    let indices = TensorData::from_vec(idx.clone(), Shape::from(idx_dims)).unwrap();
+                    let mut out_dims = dims[..axis].to_vec();
+                    out_dims.extend(idx_dims);
+                    out_dims.extend(&dims[axis + 1..]);
+                    let got = shape_ops::gather(&a, &indices, axis as i64).unwrap();
+                    let want = reference(&[&a], &out_dims, &zero, |ix| {
+                        let row = idx[ix[axis] * idx_dims[1] + ix[axis + 1]] as usize;
+                        let own = ix[..axis]
+                            .iter()
+                            .copied()
+                            .chain([row])
+                            .chain(ix[axis + 2..].iter().copied());
+                        Some((0, linear(&dims, own)))
+                    });
+                    assert_same_bits(&got, &want, &what(&format!("gather {axis}")));
+                }
+            }
+        }
+    }
+
+    /// The values a trip through `f64` changes, named: they fail at any
+    /// kernel that converts. (At PR 18 `slice` returned 2^53 for 2^53 + 1
+    /// and `concat` quieted the f32 signalling NaN.)
+    #[test]
+    fn payloads_survive_each_kernel() {
+        let ints = TensorData::from_vec(vec![BIG, -BIG, i64::MIN, i64::MAX], [2, 2]).unwrap();
+        let f32s = TensorData::from_vec(
+            [F32_SNAN, 0xffa0_0001, 0x7fc0_0000, 0x8000_0000].map(f32::from_bits).to_vec(),
+            [2, 2],
+        )
+        .unwrap();
+        let f64s = TensorData::from_vec(
+            [F64_SNAN, 0xfff4_0000_0000_0001, 0x7ff8_0000_0000_0000, 1 << 63]
+                .map(f64::from_bits)
+                .to_vec(),
+            [2, 2],
+        )
+        .unwrap();
+        let index = TensorData::from_vec(vec![0i64, 1], [2]).unwrap();
+        for t in [&ints, &f32s, &f64s] {
+            let same = |got: TensorData, what: &str| assert_same_bits(&got, t, what);
+            same(shape_ops::slice(t, &[0, 0], &[-1, -1]).unwrap(), "slice");
+            same(shape_ops::pad_to(t, &[0, 0], t.shape()).unwrap(), "pad_to");
+            same(shape_ops::pad(t, &[(0, 0), (0, 0)], 0.0).unwrap(), "pad");
+            same(shape_ops::gather(t, &index, 0).unwrap(), "gather");
+            same(shape_ops::tile(t, &[1, 1]).unwrap(), "tile");
+            same(shape_ops::broadcast_to(t, t.shape()).unwrap(), "broadcast_to");
+            let halves = shape_ops::split(t, 2, 1).unwrap();
+            same(
+                shape_ops::concat(&halves.iter().collect::<Vec<_>>(), 1).unwrap(),
+                "split + concat",
+            );
+            same(
+                shape_ops::reverse(&shape_ops::reverse(t, 0).unwrap(), 0).unwrap(),
+                "reverse twice",
+            );
+            let tt =
+                shape_ops::transpose(&shape_ops::transpose(t, &[1, 0]).unwrap(), &[1, 0]).unwrap();
+            same(tt, "transpose twice");
+            // And one element at a time, so a whole-buffer shortcut cannot hide a converting path.
+            let corner = shape_ops::slice(t, &[0, 0], &[1, 1]).unwrap();
+            assert_eq!(
+                corner.to_le_bytes(),
+                t.to_le_bytes()[..t.dtype().size_bytes()],
+                "slice of one"
+            );
+            let joined = shape_ops::concat(&[&corner, &corner], 0).unwrap();
+            assert_eq!(
+                joined.to_le_bytes()[..t.dtype().size_bytes()],
+                corner.to_le_bytes(),
+                "concat of one"
+            );
+        }
+    }
+}
