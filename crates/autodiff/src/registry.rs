@@ -687,7 +687,9 @@ fn lookup(op: Op) -> Option<GradFn> {
                         })
                         .collect::<Result<Vec<_>>>()
                 });
-            let grad_id = tfe_runtime::context::register_host_fn(grad_closure);
+            // The gradient's closure belongs to the graph that gets its node.
+            let grad_fn = tfe_runtime::context::HostFnHandle::new(grad_closure);
+            tfe_runtime::context::retain_in_trace(&(grad_fn.clone() as _));
             let sig: Vec<(DType, tfe_ops::SymShape)> =
                 inputs.iter().map(|t| (t.dtype(), t.sym_shape())).collect();
             let (d, s) = tfe_ops::catalog::encode_sig(&sig);
@@ -695,7 +697,7 @@ fn lookup(op: Op) -> Option<GradFn> {
                 Op::HostFunc,
                 &all,
                 Attrs::new()
-                    .with("fn_id", grad_id as i64)
+                    .with("fn_id", grad_fn.id() as i64)
                     .with("out_dtypes", d)
                     .with("out_shapes", s),
             )?;

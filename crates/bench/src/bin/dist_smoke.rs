@@ -28,8 +28,9 @@ use tfe_tensor::{DType, Shape};
 const STEPS: usize = 4;
 
 /// Seeded model + traced gradient function; returns its variables and the
-/// concrete library name workers resolve.
-fn setup(tag: &str, seed: u64) -> (Vec<Variable>, String) {
+/// concrete function whose library name workers resolve (the name is good
+/// for as long as something holds the function).
+fn setup(tag: &str, seed: u64) -> (Vec<Variable>, Arc<tfe_core::ConcreteFunction>) {
     let mut init = Initializer::seeded(seed);
     let model = Arc::new(mlp(4, &[8], 1, Activation::Tanh, &mut init));
     let vars = model.variables();
@@ -40,7 +41,7 @@ fn setup(tag: &str, seed: u64) -> (Vec<Variable>, String) {
             tfe_core::Arg::from(&api::zeros(DType::F32, [4, 1])),
         ])
         .expect("trace grad fn");
-    (vars, conc.function.name.clone())
+    (vars, conc)
 }
 
 fn batch(seed: u64) -> (Tensor, Tensor) {
@@ -58,8 +59,8 @@ fn var_bits(vars: &[Variable]) -> Vec<Vec<u64>> {
 /// identically-seeded twin through the local bit-reference; panic on any
 /// bit of divergence. Returns ns/step for the distributed run.
 fn train_parity(tag: &str, reduction: Reduction) -> f64 {
-    let (vars_dist, name_dist) = setup(&format!("d_{tag}"), 42);
-    let (vars_local, name_local) = setup(&format!("l_{tag}"), 42);
+    let (vars_dist, fn_dist) = setup(&format!("d_{tag}"), 42);
+    let (vars_local, fn_local) = setup(&format!("l_{tag}"), 42);
     assert_eq!(var_bits(&vars_dist), var_bits(&vars_local), "same seed must give same init");
 
     let spec =
@@ -73,7 +74,7 @@ fn train_parity(tag: &str, reduction: Reduction) -> f64 {
         tcp,
         workers.clone(),
         reduction.clone(),
-        &name_dist,
+        &fn_dist.function.name,
         vars_dist.clone(),
         Arc::new(Sgd::new(0.05)),
     )
@@ -84,7 +85,7 @@ fn train_parity(tag: &str, reduction: Reduction) -> f64 {
         Cluster::start(&spec),
         workers,
         reduction,
-        &name_local,
+        &fn_local.function.name,
         vars_local.clone(),
         Arc::new(Sgd::new(0.05)),
     )

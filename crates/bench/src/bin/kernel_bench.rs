@@ -787,7 +787,9 @@ fn bench_dist_train(quick: bool) -> tfe_encode::Value {
     const HIDDEN: [usize; 2] = [128, 128];
 
     let steps = if quick { 3 } else { 10 };
-    let setup = |tag: &str| -> (Vec<tfe_runtime::Variable>, String) {
+    // The traced function comes back with its name's owner: the name is good
+    // for as long as something holds the `ConcreteFunction`.
+    let setup = |tag: &str| -> (Vec<tfe_runtime::Variable>, Arc<tfe_core::ConcreteFunction>) {
         let mut init = Initializer::seeded(42);
         let model = Arc::new(mlp(FEATURES, &HIDDEN, 1, Activation::Tanh, &mut init));
         let vars = model.variables();
@@ -798,7 +800,7 @@ fn bench_dist_train(quick: bool) -> tfe_encode::Value {
                 tfe_core::Arg::from(&api::zeros(DType::F32, [BATCH / 2, 1])),
             ])
             .expect("trace grad fn");
-        (vars, conc.function.name.clone())
+        (vars, conc)
     };
     let batch = |seed: u64| -> (Tensor, Tensor) {
         let mut rng = tfe_tensor::rng::TensorRng::seed_from_u64(seed);
@@ -830,12 +832,12 @@ fn bench_dist_train(quick: bool) -> tfe_encode::Value {
         "/job:train/task:1/device:CPU:0".to_string(),
     ];
     let trainer = |tag: &str, reduction: Reduction| -> DataParallel {
-        let (vars, name) = setup(tag);
+        let (vars, grad_fn) = setup(tag);
         DataParallel::new(
             Cluster::start_tcp(&spec).expect("TCP cluster"),
             workers.clone(),
             reduction,
-            &name,
+            &grad_fn.function.name,
             vars,
             Arc::new(Sgd::new(0.05)),
         )

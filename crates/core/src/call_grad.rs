@@ -55,10 +55,10 @@
 //! captures the kept intermediates and hands their gradients back to it.
 //! Open a second tape around the forward for that.
 
-use crate::func::{optimize, ConcreteFunction};
+use crate::func::{keep_alive, optimize, ConcreteFunction};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use tfe_autodiff::GradCtx;
 use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
 use tfe_ops::{Attrs, Op};
@@ -95,7 +95,8 @@ pub struct ForwardBundle {
     /// followed by the intermediates the backward takes (every one of them
     /// in the any-order pair, the kept ones in the first-order pair).
     pub fwd_name: String,
-    /// Library name of the backward function. Its inputs are the
+    /// Library name of the backward function, a concrete function of its
+    /// own that this bundle keeps alive. Its inputs are the
     /// intermediates (in `fwd` output order) followed by one gradient per
     /// forward-variant output that may receive one, then any captures of
     /// the backward graph itself; its outputs are one gradient per forward
@@ -110,25 +111,45 @@ pub struct ForwardBundle {
     /// Captures of the backward graph (values to append when calling it).
     pub bwd_captures: Vec<Tensor>,
     pub(crate) targets: GradTargets,
-    /// The `call` attributes of the two functions, encoded once.
+    /// The forward variant, as inserted in the library.
+    pub(crate) fwd: Arc<GraphFunction>,
+    /// The backward function.
+    pub(crate) bwd: Arc<ConcreteFunction>,
+    /// The `call` attributes of the forward variant, encoded once.
     pub(crate) fwd_attrs: Attrs,
-    pub(crate) bwd_attrs: Attrs,
 }
 
-fn concretes() -> &'static RwLock<HashMap<String, Arc<ConcreteFunction>>> {
-    static C: std::sync::OnceLock<RwLock<HashMap<String, Arc<ConcreteFunction>>>> =
+/// Library name (inference or forward variant) → the concrete function that
+/// owns it, for the `call` gradient. An index: entries are weak, and a
+/// concrete function takes its own out when it drops.
+fn concretes() -> &'static RwLock<HashMap<String, Weak<ConcreteFunction>>> {
+    static C: std::sync::OnceLock<RwLock<HashMap<String, Weak<ConcreteFunction>>>> =
         std::sync::OnceLock::new();
     C.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-/// Index a concrete function under its inference name (and later its
-/// forward names), so the `call` gradient can find it.
-pub fn register_concrete(c: &Arc<ConcreteFunction>) {
-    concretes().write().insert(c.name.clone(), c.clone());
+pub(crate) fn index_concrete(name: &str, c: &Arc<ConcreteFunction>) {
+    concretes().write().insert(name.to_string(), Arc::downgrade(c));
 }
 
-fn lookup_concrete(name: &str) -> Option<Arc<ConcreteFunction>> {
-    concretes().read().get(name).cloned()
+/// Called by the drop of the concrete function indexed under `name`; leaves
+/// a live entry (a later function of the same name) alone.
+pub(crate) fn unindex_concrete(name: &str) {
+    let mut map = concretes().write();
+    if map.get(name).is_some_and(|c| c.strong_count() == 0) {
+        map.remove(name);
+    }
+}
+
+/// The live concrete function that owns library name `name` (its inference
+/// graph's or a forward variant's), if it was traced by [`crate::function`]
+/// and something still holds it. Holding the result keeps every name the
+/// function owns resolving.
+pub fn concrete_named(name: &str) -> Option<Arc<ConcreteFunction>> {
+    // The guard goes before the handle is returned: should that handle turn
+    // out to be the last, its drop takes this lock for writing.
+    let entry = concretes().read().get(name).cloned();
+    entry?.upgrade()
 }
 
 /// All intermediate tensor refs of a graph: every output of every node (in
@@ -291,26 +312,13 @@ pub(crate) fn build_pair(
         bwd_raw = passes::drop_inputs(&bwd_raw, &unread);
         bwd_opt = passes::drop_inputs(&bwd_opt, &unread);
     }
+    // The backward pass is a concrete function of its own, so an outer tape
+    // can differentiate *it* — higher-order gradients through staged calls
+    // (§4.2's composable tapes). It owns what its trace called.
     let bwd_fn = context::library().insert(bwd_opt);
-
-    // ---- forward: the primary outputs, then the kept intermediates ----------
-    let mut fwd = raw.clone();
-    fwd.name = fwd_name.clone();
-    fwd.outputs.extend(intermediates.iter().zip(&unread).filter(|(_, &u)| !u).map(|(&t, _)| t));
-    if targets == GradTargets::Primary {
-        fwd = optimize(&fwd).0;
-    }
-    let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
-    context::library().insert(fwd);
-    // The gradient function looks concretes up by the *forward* name too.
-    concretes().write().insert(fwd_name.clone(), conc.clone());
-
-    // Register the backward pass as a concrete function of its own, so an
-    // outer tape can differentiate *it* — higher-order gradients through
-    // staged calls (§4.2's composable tapes).
-    let bwd_attrs = ConcreteFunction::call_attrs(&bwd_fn, false, &[]);
-    let bwd_concrete = Arc::new(ConcreteFunction {
+    let bwd = Arc::new(ConcreteFunction {
         name: bwd_name.clone(),
+        inference_attrs: ConcreteFunction::call_attrs(&bwd_fn, false, &[]),
         function: bwd_fn,
         raw: Arc::new(bwd_raw),
         captures: finished.captures.clone(),
@@ -320,10 +328,22 @@ pub(crate) fn build_pair(
         stateful: false,
         n_primary: outs.len(),
         opt_stats: bwd_stats,
-        inference_attrs: bwd_attrs.clone(),
         pairs: Default::default(),
+        owners: finished.owners,
     });
-    register_concrete(&bwd_concrete);
+    index_concrete(&bwd.function.name, &bwd);
+
+    // ---- forward: the primary outputs, then the kept intermediates ----------
+    let mut fwd = raw.clone();
+    fwd.name = fwd_name.clone();
+    fwd.outputs.extend(intermediates.iter().zip(&unread).filter(|(_, &u)| !u).map(|(&t, _)| t));
+    if targets == GradTargets::Primary {
+        fwd = optimize(&fwd).0;
+    }
+    let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
+    let fwd = context::library().insert(fwd);
+    // The gradient function looks concretes up by the *forward* name too.
+    index_concrete(&fwd_name, conc);
 
     Ok(ForwardBundle {
         fwd_name,
@@ -333,8 +353,9 @@ pub(crate) fn build_pair(
         var_ids: conc.var_ids.clone(),
         bwd_captures: finished.captures,
         targets,
+        fwd,
+        bwd,
         fwd_attrs,
-        bwd_attrs,
     })
 }
 
@@ -348,7 +369,8 @@ fn run_backward(
     let mut inputs = intermediates.to_vec();
     inputs.extend(dys);
     inputs.extend(pair.bwd_captures.iter().cloned());
-    let grads = context::execute(Op::Call, &inputs, pair.bwd_attrs.clone())?;
+    let grads = context::execute(Op::Call, &inputs, pair.bwd.inference_attrs.clone())?;
+    keep_alive(&pair.bwd);
     if grads.len() != pair.n_forward_inputs + pair.var_ids.len() {
         return Err(RuntimeError::Internal(format!(
             "backward `{}` returned {} gradients, expected {}",
@@ -373,6 +395,7 @@ fn rerun_and_differentiate(
     // records both calls made here, and so does an open trace.
     let pair = conc.pair(GradTargets::observed_by(context::active_tapes().len()))?;
     let outs = context::execute(Op::Call, inputs, pair.fwd_attrs.clone())?;
+    keep_alive(conc);
     let intermediates = &outs[pair.n_primary..];
     let mut dys =
         (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<Vec<Tensor>>>()?;
@@ -390,7 +413,7 @@ fn rerun_and_differentiate(
 /// with the forward intermediates and the output gradients.
 pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     let fname = c.attrs().str("function").map_err(tfe_ops::OpError::from)?;
-    let conc = lookup_concrete(fname).ok_or_else(|| {
+    let conc = concrete_named(fname).ok_or_else(|| {
         RuntimeError::Unsupported(format!(
             "cannot differentiate a call to `{fname}`: it was not created via tfe_core::function"
         ))
@@ -436,7 +459,7 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     };
     let branch_attr = if pred_value != 0.0 { "then_fn" } else { "else_fn" };
     let branch = c.attrs().str(branch_attr).map_err(tfe_ops::OpError::from)?;
-    let conc = lookup_concrete(branch).ok_or_else(|| {
+    let conc = concrete_named(branch).ok_or_else(|| {
         RuntimeError::Unsupported(format!(
             "cannot differentiate cond branch `{branch}`: not created via tfe_core::function"
         ))

@@ -2,7 +2,7 @@
 //! hatches of §4.7 (`host_func` ≈ `py_func`, `init_scope`).
 
 use crate::arg::Arg;
-use crate::func::{ConcreteFunction, Func};
+use crate::func::{keep_alive, ConcreteFunction, Func};
 use std::sync::Arc;
 use tfe_ops::{Attrs, Op, SymShape};
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
@@ -42,7 +42,7 @@ pub fn cond(
     let stateful = t.stateful || e.stateful;
     let mut inputs = vec![pred.clone()];
     inputs.extend(args.iter().map(|&t| t.clone()));
-    context::execute(
+    let outs = context::execute(
         Op::Cond,
         &inputs,
         Attrs::new()
@@ -51,7 +51,10 @@ pub fn cond(
             .with("out_dtypes", d)
             .with("out_shapes", s)
             .with("stateful", stateful),
-    )
+    )?;
+    keep_alive(&t);
+    keep_alive(&e);
+    Ok(outs)
 }
 
 /// Tensor-dependent loop: repeats `body(state)` while `cond(state)` yields
@@ -91,23 +94,29 @@ pub fn while_loop(cond_fn: &Func, body_fn: &Func, init: &[&Tensor]) -> Result<Ve
         )));
     }
     let inputs: Vec<Tensor> = init.iter().map(|&t| t.clone()).collect();
-    context::execute(
+    let outs = context::execute(
         Op::WhileLoop,
         &inputs,
         Attrs::new()
             .with("cond_fn", c.name.clone())
             .with("body_fn", b.name.clone())
             .with("stateful", c.stateful || b.stateful),
-    )
+    )?;
+    keep_alive(&c);
+    keep_alive(&b);
+    Ok(outs)
 }
 
 /// A host closure embeddable in staged computations — the `py_func` analog
 /// (§4.7). Imperatively it is pass-through; inside a graph it becomes a
 /// `host_func` node that jumps back into the imperative runtime, and it is
 /// differentiable (the gradient re-runs the closure under a tape).
+///
+/// The closure lives as long as a `HostFunc` handle or a graph traced
+/// through one does; after that its id no longer resolves.
 #[derive(Clone)]
 pub struct HostFunc {
-    id: u64,
+    closure: Arc<context::HostFnHandle>,
     out_sig: Vec<(DType, SymShape)>,
 }
 
@@ -118,13 +127,12 @@ impl HostFunc {
         out_sig: Vec<(DType, SymShape)>,
     ) -> HostFunc {
         crate::init();
-        let id = context::register_host_fn(Arc::new(f));
-        HostFunc { id, out_sig }
+        HostFunc { closure: context::HostFnHandle::new(Arc::new(f)), out_sig }
     }
 
     /// The registered host-function id.
     pub fn id(&self) -> u64 {
-        self.id
+        self.closure.id()
     }
 
     /// Invoke (directly when eager; as a graph node when tracing).
@@ -134,17 +142,23 @@ impl HostFunc {
     pub fn call(&self, args: &[&Tensor]) -> Result<Vec<Tensor>> {
         let (d, s) = tfe_ops::catalog::encode_sig(&self.out_sig);
         let inputs: Vec<Tensor> = args.iter().map(|&t| t.clone()).collect();
-        context::execute(
+        let outs = context::execute(
             Op::HostFunc,
             &inputs,
-            Attrs::new().with("fn_id", self.id as i64).with("out_dtypes", d).with("out_shapes", s),
-        )
+            Attrs::new()
+                .with("fn_id", self.id() as i64)
+                .with("out_dtypes", d)
+                .with("out_shapes", s),
+        )?;
+        // A graph that got the node keeps the closure; eagerly it has run.
+        context::retain_in_trace(&(self.closure.clone() as _));
+        Ok(outs)
     }
 }
 
 impl std::fmt::Debug for HostFunc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HostFunc(id={}, {} outputs)", self.id, self.out_sig.len())
+        write!(f, "HostFunc(id={}, {} outputs)", self.id(), self.out_sig.len())
     }
 }
 

@@ -6,6 +6,13 @@
 //! the arguments (tensors are abstracted to dtype/shape, everything else is
 //! specialized by value), and either reuses a cached graph function or
 //! traces the closure in a graph-building context to create one.
+//!
+//! A traced function lives as long as something can still reach it: its
+//! [`ConcreteFunction`] is the single owner of every graph traced for one
+//! specialization and takes their names out of the process-global tables
+//! when it drops; it is held by the `Func`'s cache and by whatever wrote one
+//! of its names into an attribute ([`keep_alive`]). The tables only index,
+//! so a name stops resolving once the owner is gone (DESIGN.md §7).
 
 use crate::arg::{Arg, ArgKey, TensorSpec};
 use crate::call_grad::{ForwardBundle, GradTargets};
@@ -326,40 +333,48 @@ impl FuncStats {
     }
 }
 
-fn func_hits(label: &str) -> Arc<tfe_metrics::Counter> {
+// The four per-`Func` families, label `func`. A `Func`'s series end with it
+// (`Drop for FuncInner`), so the registry holds live functions only.
+
+fn func_hits() -> Arc<tfe_metrics::CounterVec> {
     tfe_metrics::counter_vec("tfe_func_cache_hits_total", "Per-function trace-cache hits", "func")
-        .with(label)
 }
 
-fn func_misses(label: &str) -> Arc<tfe_metrics::Counter> {
+fn func_misses() -> Arc<tfe_metrics::CounterVec> {
     tfe_metrics::counter_vec(
         "tfe_func_cache_misses_total",
         "Per-function trace-cache misses (initial traces + retraces)",
         "func",
     )
-    .with(label)
 }
 
-fn func_retraces(label: &str) -> Arc<tfe_metrics::Counter> {
+fn func_retraces() -> Arc<tfe_metrics::CounterVec> {
     tfe_metrics::counter_vec(
         "tfe_func_retraces_total",
         "Per-function retraces (cache misses after the first trace)",
         "func",
     )
-    .with(label)
 }
 
-fn func_concrete(label: &str) -> Arc<tfe_metrics::Gauge> {
+fn func_concrete() -> Arc<tfe_metrics::GaugeVec> {
     tfe_metrics::gauge_vec(
         "tfe_func_concrete_functions",
         "Per-function count of cached concrete (traced) graph functions",
         "func",
     )
-    .with(label)
+}
+
+fn cached_concrete_functions() -> &'static tfe_metrics::Gauge {
+    tfe_metrics::static_gauge!(
+        "tfe_trace_cache_concrete_functions",
+        "Concrete (traced) graph functions cached across all live Funcs"
+    )
 }
 
 struct FuncInner {
     name: String,
+    /// Value of the `func` label on this function's metric series.
+    label: String,
     trace_fn: Box<TraceClosure>,
     input_signature: Option<Vec<TensorSpec>>,
     cache: Mutex<HashMap<CacheKey, Arc<ConcreteFunction>>>,
@@ -378,16 +393,17 @@ struct FuncInner {
 impl FuncInner {
     fn new(
         name: String,
-        label: &str,
+        label: String,
         trace_fn: Box<TraceClosure>,
         input_signature: Option<Vec<TensorSpec>>,
     ) -> FuncInner {
         FuncInner {
-            m_hits: func_hits(label),
-            m_misses: func_misses(label),
-            m_retraces: func_retraces(label),
-            m_concrete: func_concrete(label),
+            m_hits: func_hits().with(&label),
+            m_misses: func_misses().with(&label),
+            m_retraces: func_retraces().with(&label),
+            m_concrete: func_concrete().with(&label),
             name,
+            label,
             trace_fn,
             input_signature,
             cache: Mutex::new(HashMap::new()),
@@ -395,6 +411,16 @@ impl FuncInner {
             counter: AtomicUsize::new(0),
             retrace_log: Mutex::new(RetraceRing::default()),
         }
+    }
+}
+
+impl Drop for FuncInner {
+    fn drop(&mut self) {
+        cached_concrete_functions().sub(self.cache.get_mut().len() as i64);
+        for family in [func_hits(), func_misses(), func_retraces()] {
+            family.remove(&self.label);
+        }
+        func_concrete().remove(&self.label);
     }
 }
 
@@ -432,7 +458,7 @@ pub fn function(
         format!("{name}_{}", ANON.fetch_add(1, Ordering::Relaxed))
     };
     let label = name.clone();
-    Func { inner: Arc::new(FuncInner::new(name, &label, Box::new(f), None)) }
+    Func { inner: Arc::new(FuncInner::new(name, label, Box::new(f), None)) }
 }
 
 /// Single-tensor-in, single-tensor-out convenience wrapper.
@@ -462,7 +488,7 @@ impl Func {
         // Re-wrap the closure by delegating through the Arc.
         let orig = self.inner.clone();
         let trace_fn = Box::new(move |args: &[Arg]| (orig.trace_fn)(args));
-        Func { inner: Arc::new(FuncInner::new(name, &label, trace_fn, Some(signature))) }
+        Func { inner: Arc::new(FuncInner::new(name, label, trace_fn, Some(signature))) }
     }
 
     /// The function's base name.
@@ -595,11 +621,7 @@ impl Func {
         let was = cache.len();
         let out = cache.entry(key).or_insert(concrete).clone();
         if cache.len() > was {
-            tfe_metrics::static_gauge!(
-                "tfe_trace_cache_concrete_functions",
-                "Concrete (traced) graph functions cached across all Funcs"
-            )
-            .inc();
+            cached_concrete_functions().inc();
         }
         self.inner.m_concrete.set(cache.len() as i64);
         Ok(out)
@@ -784,8 +806,9 @@ impl Func {
             opt_stats,
             inference_attrs,
             pairs: Default::default(),
+            owners: traced.owners,
         });
-        crate::call_grad::register_concrete(&concrete);
+        crate::call_grad::index_concrete(&concrete.function.name, &concrete);
         Ok(concrete)
     }
 
@@ -834,6 +857,7 @@ impl Func {
             raw,
             captures: finished.captures,
             created_variables: finished.created_variables,
+            owners: finished.owners,
         })
     }
 }
@@ -848,6 +872,7 @@ struct TraceOut {
     raw: GraphFunction,
     captures: Vec<Tensor>,
     created_variables: Vec<u64>,
+    owners: Vec<context::Owner>,
 }
 
 /// One pipeline for every device and every graph a concrete function owns
@@ -878,6 +903,11 @@ pub(crate) fn collect_var_ids(f: &GraphFunction) -> Vec<i64> {
 }
 
 /// One traced specialization: a graph function plus its captured inputs.
+///
+/// The single owner of everything traced for it — the inference graph, the
+/// raw trace, both lazily built forward/backward pairs — and, through
+/// `owners`, of every function its graphs name. Dropping it takes its names
+/// out of the function library and the gradient index.
 pub struct ConcreteFunction {
     /// Library name of the (optimized) inference graph.
     pub name: String,
@@ -902,6 +932,43 @@ pub struct ConcreteFunction {
     /// The first-order and the any-order forward/backward pair (§4.2), in
     /// that order, each built when first needed.
     pub(crate) pairs: [OnceLock<std::result::Result<Arc<ForwardBundle>, String>>; 2],
+    /// What the nodes of `raw` name: the functions it calls or branches to
+    /// and the host closures it embeds, collected by the trace. Held, never
+    /// read.
+    #[allow(dead_code)]
+    pub(crate) owners: Vec<context::Owner>,
+}
+
+/// The one way a [`ConcreteFunction`] comes to be held by what can still
+/// reach it by name, called wherever one of its names (inference, forward
+/// variant, backward) has just gone into the attributes of an executed op.
+/// The holders are then exactly: the graph being traced, which got a node
+/// with the name (and the `ConcreteFunction` built from that trace after
+/// it); every active tape, which may have recorded the op and will resolve
+/// the name to differentiate it; and, under async dispatch, the dispatch
+/// streams until the calls queued so far have run.
+pub(crate) fn keep_alive(conc: &Arc<ConcreteFunction>) {
+    let owner: context::Owner = conc.clone();
+    if context::is_tracing() {
+        context::retain_in_trace(&owner);
+    } else {
+        context::retain_behind_queued_calls(&owner);
+    }
+    for tape in context::active_tapes() {
+        tape.retain(owner.clone());
+    }
+}
+
+impl Drop for ConcreteFunction {
+    /// May run on a dispatch-stream thread (a handle parked behind a queued
+    /// call): takes the two table locks, one at a time, and nothing else.
+    fn drop(&mut self) {
+        let pairs = self.pairs.iter().filter_map(|p| p.get()?.as_ref().ok());
+        for f in std::iter::once(&self.function).chain(pairs.map(|p| &p.fwd)) {
+            context::library().remove(f);
+            crate::call_grad::unindex_concrete(&f.name);
+        }
+    }
 }
 
 impl ConcreteFunction {
@@ -940,17 +1007,19 @@ impl ConcreteFunction {
         }
         let mut all = tensor_args.to_vec();
         all.extend(self.captures.iter().cloned());
-        match context::active_tapes().len() {
-            0 => context::execute(Op::Call, &all, self.inference_attrs.clone()),
+        let outs = match context::active_tapes().len() {
+            0 => context::execute(Op::Call, &all, self.inference_attrs.clone())?,
             tapes => {
                 // The tape that differentiates this call pops itself to do
                 // so; the others record the backward call beside this one.
                 let pair = self.pair(GradTargets::observed_by(tapes - 1))?;
                 let mut outs = context::execute(Op::Call, &all, pair.fwd_attrs.clone())?;
                 outs.truncate(self.n_primary);
-                Ok(outs)
+                outs
             }
-        }
+        };
+        keep_alive(self);
+        Ok(outs)
     }
 
     /// Build (once) the any-order forward/backward pair: the forward returns

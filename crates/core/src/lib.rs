@@ -37,7 +37,7 @@ mod control;
 mod func;
 
 pub use arg::{Arg, ArgKey, TensorSpec};
-pub use call_grad::ForwardBundle;
+pub use call_grad::{concrete_named, ForwardBundle};
 pub use control::{cond, init_scope, while_loop, HostFunc};
 pub use func::{
     function, function1, ConcreteFunction, Func, FuncStats, RetraceCause, RetraceEvent,

@@ -326,6 +326,13 @@ impl fmt::Debug for GraphFunction {
 /// §5 notes that function composition falls out of executing functions via
 /// an operation; the library is the name→function mapping that operation
 /// consults. It is also the unit serialized for deployment (§4.3).
+///
+/// The library is an index, not an owner: whoever inserts a function
+/// decides how long it lives and takes it out again ([`remove`]
+/// (FunctionLibrary::remove)) when it is done — a traced function when its
+/// `ConcreteFunction` drops, a loaded bundle with its `LoadedFunction`. A
+/// name stops resolving once its owner is gone. A function inserted by hand
+/// and never removed has no owner and stays for the process.
 #[derive(Default, Clone)]
 pub struct FunctionLibrary {
     inner: Arc<parking_lot::RwLock<HashMap<String, Arc<GraphFunction>>>>,
@@ -347,6 +354,15 @@ impl FunctionLibrary {
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<Arc<GraphFunction>> {
         self.inner.read().get(name).cloned()
+    }
+
+    /// Take `f` out, if its name still resolves to it (a later `insert`
+    /// under the same name is left alone). Returns whether it was there.
+    pub fn remove(&self, f: &Arc<GraphFunction>) -> bool {
+        let mut map = self.inner.write();
+        let same = map.get(&f.name).is_some_and(|g| Arc::ptr_eq(g, f));
+        // `f` is a second handle, so nothing is freed under the lock.
+        same && map.remove(&f.name).is_some()
     }
 
     /// All registered names, sorted.
@@ -429,5 +445,17 @@ mod tests {
         // Clones share contents.
         let lib2 = lib.clone();
         assert!(lib2.get("f").is_some());
+    }
+
+    #[test]
+    fn remove_takes_out_only_what_the_name_still_resolves_to() {
+        let lib = FunctionLibrary::new();
+        let first = lib.insert(simple_fn());
+        let second = lib.insert(simple_fn());
+        assert!(!lib.remove(&first), "a replaced function is no longer in the library");
+        assert_eq!(lib.len(), 1);
+        assert!(lib.remove(&second));
+        assert!(lib.get("f").is_none());
+        assert!(!lib.remove(&second));
     }
 }

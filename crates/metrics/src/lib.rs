@@ -240,6 +240,13 @@ impl CounterVec {
         children.insert(value.to_string(), c.clone());
         c
     }
+
+    /// Drop the series for `value` from the family (and from snapshots):
+    /// for a label whose subject is gone. Handles already given out keep
+    /// counting, unseen.
+    pub fn remove(&self, value: &str) {
+        self.children.lock().remove(value);
+    }
 }
 
 /// A family of [`Gauge`]s keyed by one label value.
@@ -259,6 +266,12 @@ impl GaugeVec {
         let g = Arc::new(Gauge::default());
         children.insert(value.to_string(), g.clone());
         g
+    }
+
+    /// Drop the series for `value` from the family, as
+    /// [`CounterVec::remove`].
+    pub fn remove(&self, value: &str) {
+        self.children.lock().remove(value);
     }
 }
 

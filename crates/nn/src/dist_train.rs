@@ -79,6 +79,10 @@ pub struct DataParallel {
     workers: Vec<String>,
     reduction: Reduction,
     grad_fn: String,
+    /// Keeps `grad_fn` resolving, here and on the workers, when a traced
+    /// function owns the name; a function put in the library by hand has no
+    /// owner and needs none.
+    _grad_fn_owner: Option<Arc<tfe_core::ConcreteFunction>>,
     vars: Vec<Variable>,
     opt: Arc<dyn Optimizer>,
 }
@@ -88,7 +92,9 @@ impl DataParallel {
     ///
     /// `grad_fn` is the library name of an already-traced gradient
     /// function (see [`mse_grad_fn`]) returning `[loss, grad per var]`;
-    /// `workers` are the devices that each run one shard.
+    /// `workers` are the devices that each run one shard. The trainer holds
+    /// the function for its own lifetime, so the caller may drop the `Func`
+    /// it traced the name from.
     ///
     /// # Errors
     /// Empty worker lists and unknown devices are rejected up front.
@@ -109,7 +115,15 @@ impl DataParallel {
         if let Reduction::ParameterServer { ps_device } = &reduction {
             cluster.ping(ps_device)?;
         }
-        Ok(DataParallel { cluster, workers, reduction, grad_fn: grad_fn.to_string(), vars, opt })
+        Ok(DataParallel {
+            cluster,
+            workers,
+            reduction,
+            grad_fn: grad_fn.to_string(),
+            _grad_fn_owner: tfe_core::concrete_named(grad_fn),
+            vars,
+            opt,
+        })
     }
 
     /// The number of workers (and therefore shards).
@@ -274,7 +288,12 @@ mod tests {
         vars.iter().map(|v| v.peek().to_f64_vec().iter().map(|f| f.to_bits()).collect()).collect()
     }
 
-    fn setup(tag: &str, seed: u64) -> (Arc<crate::Sequential>, Vec<Variable>, String) {
+    /// The gradient function comes back as its owner: its library name
+    /// resolves for as long as the `ConcreteFunction` is held.
+    fn setup(
+        tag: &str,
+        seed: u64,
+    ) -> (Arc<crate::Sequential>, Vec<Variable>, Arc<tfe_core::ConcreteFunction>) {
         let mut init = Initializer::seeded(seed);
         let model = Arc::new(mlp(4, &[8], 1, Activation::Tanh, &mut init));
         let vars = model.variables();
@@ -285,7 +304,7 @@ mod tests {
                 Arg::from(&api::zeros(DType::F32, [4, 1])),
             ])
             .unwrap();
-        (model, vars, conc.function.name.clone())
+        (model, vars, conc)
     }
 
     fn batch(seed: u64) -> (Tensor, Tensor) {
@@ -301,8 +320,8 @@ mod tests {
         for (reduction_tag, make) in [("ps", true), ("ring", false)] {
             // Two models with identical seeds: one trained distributed,
             // one trained through the local bit-reference.
-            let (_m1, vars_dist, name_dist) = setup(&format!("d_{reduction_tag}"), 42);
-            let (_m2, vars_local, name_local) = setup(&format!("l_{reduction_tag}"), 42);
+            let (_m1, vars_dist, fn_dist) = setup(&format!("d_{reduction_tag}"), 42);
+            let (_m2, vars_local, fn_local) = setup(&format!("l_{reduction_tag}"), 42);
             assert_eq!(var_bits(&vars_dist), var_bits(&vars_local), "same seed, same init");
 
             let spec = ClusterSpec::new().with_job("train", 2).unwrap().with_job("ps", 1).unwrap();
@@ -320,7 +339,7 @@ mod tests {
                 Cluster::start(&spec),
                 workers.clone(),
                 reduction.clone(),
-                &name_dist,
+                &fn_dist.function.name,
                 vars_dist.clone(),
                 Arc::new(Sgd::new(0.05)),
             )
@@ -329,7 +348,7 @@ mod tests {
                 Cluster::start(&spec),
                 workers,
                 reduction,
-                &name_local,
+                &fn_local.function.name,
                 vars_local.clone(),
                 Arc::new(Sgd::new(0.05)),
             )
@@ -458,7 +477,7 @@ mod tests {
     #[test]
     fn uneven_batch_is_a_typed_error() {
         tfe_core::init();
-        let (_m, vars, name) = setup("uneven", 7);
+        let (_m, vars, grad_fn) = setup("uneven", 7);
         let spec = ClusterSpec::new().with_job("train", 2).unwrap();
         let dp = DataParallel::new(
             Cluster::start(&spec),
@@ -467,7 +486,7 @@ mod tests {
                 "/job:train/task:1/device:CPU:0".to_string(),
             ],
             Reduction::Ring,
-            &name,
+            &grad_fn.function.name,
             vars,
             Arc::new(Sgd::new(0.1)),
         )

@@ -33,7 +33,8 @@ pub fn device_manager() -> &'static DeviceManager {
     M.get_or_init(DeviceManager::new)
 }
 
-/// The process-wide graph-function library (resolves `call` nodes).
+/// The process-wide graph-function library (resolves `call` nodes): an
+/// index, never an owner (see [`FunctionLibrary`]).
 pub fn library() -> &'static FunctionLibrary {
     static L: std::sync::OnceLock<FunctionLibrary> = std::sync::OnceLock::new();
     L.get_or_init(FunctionLibrary::new)
@@ -48,10 +49,37 @@ fn host_fns() -> &'static RwLock<HashMap<u64, HostFn>> {
 }
 
 /// Register a host function; the returned id goes into `host_func` nodes.
+/// The table is an index: an id registered here has no owner and resolves
+/// for the process; [`HostFnHandle`] is the owning form.
 pub fn register_host_fn(f: HostFn) -> u64 {
     let id = fresh_id();
     host_fns().write().insert(id, f);
     id
+}
+
+/// Owns one host function: its id resolves until the handle drops. Shared
+/// by whatever can still run a `host_func` node carrying the id — the
+/// `HostFunc` the user holds and the graphs traced through it.
+pub struct HostFnHandle(u64);
+
+impl HostFnHandle {
+    /// Register `f` under a fresh id owned by the returned handle.
+    pub fn new(f: HostFn) -> Arc<HostFnHandle> {
+        Arc::new(HostFnHandle(register_host_fn(f)))
+    }
+
+    /// The id `host_func` nodes carry.
+    pub fn id(&self) -> u64 {
+        self.0
+    }
+}
+
+impl Drop for HostFnHandle {
+    fn drop(&mut self) {
+        // Bound first: what the closure captured is freed after the guard.
+        let removed = host_fns().write().remove(&self.0);
+        drop(removed);
+    }
 }
 
 /// Resolve a host-function id.
@@ -239,6 +267,8 @@ pub struct TraceFrame {
     capture_refs: HashMap<u64, TensorRef>,
     /// Variables created while this frame was active (§4.6 state creation).
     pub created_variables: Vec<u64>,
+    /// Owners of what the graph's nodes name: callees, host closures.
+    pub owners: Vec<Owner>,
 }
 
 /// Everything [`end_tracing`] hands back to the tracer.
@@ -251,6 +281,9 @@ pub struct FinishedTrace {
     pub captures: Vec<Tensor>,
     /// Variables created during the trace.
     pub created_variables: Vec<u64>,
+    /// Owners of what the graph's nodes name; whoever keeps the graph keeps
+    /// these with it.
+    pub owners: Vec<Owner>,
 }
 
 #[derive(Default)]
@@ -368,6 +401,32 @@ pub fn active_tapes() -> Vec<Arc<Tape>> {
     with_stack(|s| s.tapes.clone())
 }
 
+/// A handle that keeps alive whatever a name or an id written into an
+/// attribute resolves to. The tables that do the resolving are indexes; the
+/// things that can still follow the name hold one of these.
+pub type Owner = Arc<dyn std::any::Any + Send + Sync>;
+
+/// Have the graph being traced keep `owner`: one of its nodes names
+/// something `owner` owns. No-op outside tracing.
+pub fn retain_in_trace(owner: &Owner) {
+    with_stack(|s| {
+        if let Some(frame) = s.traces.last_mut() {
+            frame.owners.push(owner.clone());
+        }
+    });
+}
+
+/// Keep `owner` until the staged calls this thread has enqueued so far have
+/// run (a queued call resolves the names inside its graph when it runs).
+/// No-op under synchronous dispatch.
+pub fn retain_behind_queued_calls(owner: &Owner) {
+    if async_enabled() {
+        for stream in crate::stream::all() {
+            stream.park(owner.clone());
+        }
+    }
+}
+
 fn record_on_tapes(op: Op, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
     if outputs.is_empty() {
         return; // assigns and friends are not differentiable events
@@ -418,6 +477,7 @@ pub fn begin_tracing(name: &str) -> u64 {
         captures: Vec::new(),
         capture_refs: HashMap::new(),
         created_variables: Vec::new(),
+        owners: Vec::new(),
     };
     with_stack(|s| s.traces.push(frame));
     frame_id
@@ -434,6 +494,7 @@ pub fn end_tracing() -> Result<FinishedTrace> {
             builder: f.builder,
             captures: f.captures,
             created_variables: f.created_variables,
+            owners: f.owners,
         })
         .ok_or_else(|| RuntimeError::Internal("end_tracing without begin_tracing".to_string()))
 }

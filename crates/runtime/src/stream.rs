@@ -130,6 +130,9 @@ pub(crate) enum Label {
     Op(tfe_ops::Op),
     /// A staged call, by callee.
     Call(String),
+    /// A handle held behind the calls queued ahead of it
+    /// ([`DeviceStream::park`]).
+    Park,
 }
 
 impl fmt::Display for Label {
@@ -137,6 +140,7 @@ impl fmt::Display for Label {
         match self {
             Label::Op(op) => f.write_str(op.name()),
             Label::Call(callee) => write!(f, "call:{callee}"),
+            Label::Park => f.write_str("park"),
         }
     }
 }
@@ -233,26 +237,7 @@ impl DeviceStream {
                     .clear_poison(None)
                     .expect("poison observed under lock cannot vanish before clear"));
             }
-            s.issued += 1;
-            let seq = s.issued;
-            s.queue.push_back(StreamOp {
-                seq,
-                op,
-                job,
-                outputs,
-                group: tfe_profile::current_group(),
-            });
-            if !s.running {
-                s.running = true;
-                let stream = self.clone();
-                static STREAM_NO: std::sync::atomic::AtomicUsize =
-                    std::sync::atomic::AtomicUsize::new(0);
-                let n = STREAM_NO.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                std::thread::Builder::new()
-                    .name(format!("tfe-stream-{n}"))
-                    .spawn(move || dispatch_loop(stream))
-                    .expect("spawn async dispatch stream thread");
-            }
+            self.push(&mut s, op, outputs, job);
         }
         tfe_metrics::static_counter!(
             "tfe_async_ops_enqueued_total",
@@ -267,6 +252,52 @@ impl DeviceStream {
         .set_max(depth);
         self.cv.notify_all();
         Ok(())
+    }
+
+    /// Append to the queue, starting the dispatch thread on first use.
+    fn push(
+        self: &Arc<Self>,
+        s: &mut StreamShared,
+        op: Label,
+        outputs: Vec<Arc<PendingValue>>,
+        job: StreamJob,
+    ) {
+        s.issued += 1;
+        let seq = s.issued;
+        s.queue.push_back(StreamOp { seq, op, job, outputs, group: tfe_profile::current_group() });
+        if !s.running {
+            s.running = true;
+            let stream = self.clone();
+            static STREAM_NO: std::sync::atomic::AtomicUsize =
+                std::sync::atomic::AtomicUsize::new(0);
+            let n = STREAM_NO.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::thread::Builder::new()
+                .name(format!("tfe-stream-{n}"))
+                .spawn(move || dispatch_loop(stream))
+                .expect("spawn async dispatch stream thread");
+        }
+    }
+
+    /// Hold `owner` until everything enqueued so far has finished: a job
+    /// that does nothing but drop it, in stream order. A queued staged call
+    /// holds only its outer graph and resolves the names inside it when it
+    /// runs, so whatever owns those names must outlive it. `owner` may thus
+    /// die on the dispatch thread (or, skipped behind a poison, on whichever
+    /// thread clears it): its `Drop` must never sync or drain.
+    pub(crate) fn park(self: &Arc<Self>, owner: crate::context::Owner) {
+        {
+            let mut s = self.shared.lock();
+            if s.completed == s.issued {
+                return; // nothing ahead: `owner` drops here, after the guard
+            }
+            let job = move || {
+                drop(owner);
+                Ok(Vec::new())
+            };
+            self.push(&mut s, Label::Park, Vec::new(), Box::new(job));
+        }
+        queue_depth_gauge().inc();
+        self.cv.notify_all();
     }
 
     /// Block until every enqueued op has completed. Does *not* consume the

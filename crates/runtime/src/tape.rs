@@ -6,6 +6,7 @@
 //! `tfe-autodiff`; this module only owns the data structure and the
 //! recording rule, because recording has to happen inside the dispatcher.
 
+use crate::context::Owner;
 use crate::tensor::Tensor;
 use parking_lot::Mutex;
 use std::collections::HashSet;
@@ -83,6 +84,8 @@ struct TapeInner {
     watched: HashSet<u64>,
     tracked: HashSet<u64>,
     records: Vec<Arc<TapeRecord>>,
+    /// Owners of the functions the records' `call`/`cond` attributes name.
+    owners: Vec<Owner>,
     consumed: bool,
 }
 
@@ -113,6 +116,7 @@ impl Tape {
                 watched: HashSet::new(),
                 tracked: HashSet::new(),
                 records: Vec::new(),
+                owners: Vec::new(),
                 consumed: false,
             }),
         })
@@ -143,6 +147,13 @@ impl Tape {
         }
         inner.records.push(record.clone());
         true
+    }
+
+    /// Keep `owner` for as long as this tape can still be differentiated:
+    /// a record names a function `owner` owns, and `gradient` resolves the
+    /// name.
+    pub fn retain(&self, owner: Owner) {
+        self.inner.lock().owners.push(owner);
     }
 
     /// Snapshot the records (used by backprop): handles, not copies.

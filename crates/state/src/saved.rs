@@ -158,9 +158,24 @@ pub fn export(concrete: &ConcreteFunction, path: impl AsRef<Path>) -> Result<(),
     std::fs::write(path, v.to_json()).map_err(|e| err(format!("write failed: {e}")))
 }
 
-/// A function loaded from a SavedFunction bundle, ready to execute.
+/// The graph functions one load put in the library, under names unique to
+/// that load; taken out again when this drops.
+struct LibraryEntries(Vec<Arc<GraphFunction>>);
+
+impl Drop for LibraryEntries {
+    fn drop(&mut self) {
+        for f in &self.0 {
+            context::library().remove(f);
+        }
+    }
+}
+
+/// A function loaded from a SavedFunction bundle, ready to execute. It owns
+/// what the load created — the graph functions, the recreated variables,
+/// the captures — and all of it goes when this is dropped.
 pub struct LoadedFunction {
     entry: String,
+    _functions: LibraryEntries,
     n_args: usize,
     /// Expected (dtype, symbolic shape) per non-capture argument.
     arg_sigs: Vec<(tfe_tensor::DType, tfe_ops::SymShape)>,
@@ -275,6 +290,7 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
         loaded.push(f);
     }
     let mut entry_stateful = false;
+    let mut inserted = LibraryEntries(Vec::new());
     for mut f in loaded {
         let new_name = name_map[&f.name].clone();
         if f.name == entry {
@@ -303,7 +319,7 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
                 node.attrs.set("var_ids", new?);
             }
         }
-        context::library().insert(f);
+        inserted.0.push(context::library().insert(f));
     }
 
     let entry_new = name_map
@@ -333,6 +349,7 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
     // `function_from_value` guarantees num_captures <= inputs.len().
     Ok(LoadedFunction {
         entry: entry_new,
+        _functions: inserted,
         n_args: entry_fn.inputs.len() - entry_fn.num_captures,
         arg_sigs: entry_fn.arg_sigs(),
         captures,

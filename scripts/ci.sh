@@ -30,6 +30,13 @@ if grep -rnE "${gone}" crates src tests; then exit 1; fi
 if grep -n 'RwLock<HashMap' crates/ops/src/opdef.rs crates/runtime/src/kernels.rs \
     crates/autodiff/src/registry.rs; then exit 1; fi
 
+# Function-lifetime gate: the tables that resolve a name are indexes. A
+# traced function is owned by its `ConcreteFunction` and held by what can
+# still reach it (DESIGN.md §7); a strong name -> function map in core is the
+# immortal second owner coming back.
+echo "==> no name -> Arc<ConcreteFunction> table in crates/core/src"
+if grep -rnE 'HashMap<String, *Arc<ConcreteFunction>>' crates/core/src; then exit 1; fi
+
 # Copy-kernel gate: the data-movement kernels move typed runs through one
 # helper (`copy_runs`); an element that goes out through `f64` and back
 # loses an i64 beyond 2^53 and quiets a signalling NaN.
@@ -48,10 +55,12 @@ cargo test --workspace -q -- --test-threads "${THREADS}"
 # With them, gradients through staged calls: the first-order and any-order
 # pairs against the eager tape (bitwise) and against finite differences.
 # Not in a TFE_ASYNC=1 leg: two tests of staging_semantics assert errors
-# that an async dispatch defers.
-echo "==> executor differential + concurrency stress + staged gradients (release, ${THREADS} threads)"
+# that an async dispatch defers. And function lifetime: a dropped `Func`
+# leaves nothing behind (by count), whatever can still reach a function
+# keeps it, a name whose owner is gone is a typed error.
+echo "==> executor differential + concurrency stress + staged gradients + lifetimes (release, ${THREADS} threads)"
 cargo test --release -q --test exec_differential --test concurrency --test staging_semantics \
-    --test gradcheck -- --test-threads "${THREADS}"
+    --test gradcheck --test lifetimes -- --test-threads "${THREADS}"
 
 # Same differential suite with the worker pool collapsed to one thread:
 # kernels promise identical bits at every intra-op thread count, so the

@@ -430,3 +430,56 @@ fn nested_graph_parallel_and_intra_op_no_deadlock() {
     }
     context::set_exec_mode(prev);
 }
+
+/// Function lifetime under contention (DESIGN.md §7): eight threads create,
+/// call, differentiate and drop `Func`s — every drop takes both name tables
+/// for writing — while two threads call and differentiate a long-lived one.
+/// No deadlock, and the live function never stops resolving.
+#[test]
+fn dropping_funcs_never_disturbs_a_live_one() {
+    tf_eager::init();
+    let live = function1("lt_long_lived", |x| api::mul(&api::tanh(x)?, x));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
+    let churners = (0..8).map(|t| {
+        std::thread::spawn(move || {
+            let x = api::scalar(0.25f64 + t as f64);
+            let mut made = 0u64;
+            while std::time::Instant::now() < deadline {
+                let f = function1("lt_churn", |x| api::mul(&api::mul(x, x)?, x));
+                let tape = GradientTape::new();
+                tape.watch(&x);
+                let y = f.call1(&x).expect("a fresh function resolves");
+                drop(f);
+                let g = tape.gradient1(&y, &x).expect("the tape keeps what it recorded");
+                assert_eq!(g.scalar_f64().unwrap(), 3.0 * (0.25 + t as f64).powi(2));
+                made += 1;
+            }
+            made
+        })
+    });
+    let callers = (0..2).map(|_| {
+        let live = live.clone();
+        std::thread::spawn(move || {
+            let x = api::scalar(0.5f64);
+            let want = live.call1(&x).unwrap().scalar_f64().unwrap();
+            let mut calls = 0u64;
+            while std::time::Instant::now() < deadline {
+                let tape = GradientTape::new();
+                tape.watch(&x);
+                let y = match live.call1(&x) {
+                    Ok(y) => y,
+                    Err(e) => panic!("the live function stopped resolving: {e}"),
+                };
+                assert_eq!(y.scalar_f64().unwrap(), want);
+                tape.gradient1(&y, &x).expect("and stays differentiable");
+                calls += 1;
+            }
+            calls
+        })
+    });
+    let handles: Vec<_> = churners.chain(callers).collect();
+    for h in handles {
+        assert!(h.join().expect("no thread panicked") > 0);
+    }
+    assert_eq!(live.num_concrete(), 1);
+}

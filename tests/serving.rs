@@ -392,6 +392,33 @@ fn version_swap_and_rollback() {
     assert!(matches!(registry.infer("m", &[&x]), Err(ServeError::UnknownModel(_))));
 }
 
+/// A model version owns the graphs it was loaded with: every function a
+/// bundle put in the library, under the names of that one load, is there
+/// while a version serves from it and gone once the version is unregistered.
+#[test]
+fn unregister_frees_the_functions_a_loaded_version_brought() {
+    let inner = function1("serve_owned_inner", api::tanh);
+    let f = function1("serve_owned", move |x| inner.call1(&api::mul(x, &api::scalar(0.5f32))?));
+    let x = example(4, 2);
+    let want = f.call1(&x).unwrap().to_f64_vec().unwrap();
+    let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
+    let loaded = saved::import_from_value(&saved::export_to_value(&conc).unwrap()).unwrap();
+    // Names are `{name}__loaded{N}`, `N` unique to the load.
+    let load = loaded.entry_name()[loaded.entry_name().rfind("__loaded").unwrap()..].to_string();
+    let of_this_load = || {
+        let names = tf_eager::context::library().names();
+        names.into_iter().filter(|n| n.ends_with(&load)).count()
+    };
+    assert_eq!(of_this_load(), 2, "the entry function and the one it calls");
+
+    let registry = ModelRegistry::new();
+    registry.register_with("owned", 1, loaded, policy(4, Dispatch::Sync)).unwrap();
+    assert_eq!(registry.infer("owned", &[&x]).unwrap()[0].to_f64_vec().unwrap(), want);
+    assert_eq!(of_this_load(), 2);
+    assert!(registry.unregister("owned"));
+    assert_eq!(of_this_load(), 0, "the version took its functions with it");
+}
+
 /// Malformed requests are rejected at the front door with `BadRequest`.
 #[test]
 fn front_door_validation() {
