@@ -467,14 +467,83 @@ fn bench_async_dispatch(iters: usize, reps: usize) -> tfe_encode::Value {
     ])
 }
 
+/// What the optimizer folds constants with: the runtime's own kernels.
+fn kernel_evaluator(
+    node: &tfe_graph::Node,
+    ins: &[std::sync::Arc<TensorData>],
+) -> Result<Vec<TensorData>, String> {
+    tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
+}
+
+/// The optimizer's own cost on an L2HMC-sized graph: the training step of
+/// the repo benchmark's `l2hmc_small_ops` (64 chains, 10 leapfrog steps,
+/// hidden 10; loss, `gradient_vars`, Adam) traced once, then the median
+/// time of `optimize_with_stats` over its raw graph — most of what a first
+/// call of that step costs.
+fn l2hmc_step_optimize(runs: usize) -> tfe_encode::Value {
+    use std::sync::Arc;
+    use tfe_autodiff::GradientTape;
+    use tfe_core::Arg;
+    use tfe_graph::passes::{self, OptimizeOptions};
+    use tfe_nn::l2hmc::{L2hmc, StronglyCorrelatedGaussian};
+    use tfe_nn::{Adam, Initializer, Optimizer};
+    use tfe_runtime::{Tensor, Variable};
+
+    let target = Arc::new(StronglyCorrelatedGaussian::new());
+    let sampler = L2hmc::new(target, 10, 10, 0.1, &mut Initializer::seeded(1));
+    let vars = sampler.variables();
+    let opt = Adam::new(1e-3);
+    let step = tfe_core::function("l2hmc_train_step", move |args| {
+        let x = args[0].as_tensor().expect("x");
+        let tape = GradientTape::new();
+        let loss = sampler.loss(x, 1.0)?;
+        let refs: Vec<&Variable> = vars.iter().collect();
+        let grads = tape.gradient_vars(&loss, &refs)?;
+        let pairs: Vec<(Tensor, Variable)> =
+            grads.into_iter().zip(&vars).filter_map(|(g, v)| g.map(|g| (g, v.clone()))).collect();
+        opt.apply(&pairs)?;
+        Ok(vec![loss])
+    });
+    let x = Tensor::from_data(f32_tensor(&[64, 2]));
+    let concrete = step.concrete_for(&[Arg::from(&x)]).expect("trace the l2hmc step");
+    let optimize = || {
+        passes::optimize_with_stats(
+            &concrete.raw,
+            &OptimizeOptions::default(),
+            Some(&kernel_evaluator),
+        )
+    };
+    let mut ms: Vec<f64> = (0..runs)
+        .map(|_| {
+            let t = Instant::now();
+            std::hint::black_box(optimize());
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    ms.sort_by(f64::total_cmp);
+    let (optimized, stats) = optimize();
+    tfe_encode::Value::object(vec![
+        ("optimize_ms".to_string(), tfe_encode::Value::Float(ms[runs / 2])),
+        ("runs".to_string(), tfe_encode::Value::Int(runs as i64)),
+        ("nodes_before".to_string(), int(concrete.raw.executable_node_count())),
+        ("nodes_after".to_string(), int(optimized.executable_node_count())),
+        ("rounds".to_string(), tfe_encode::Value::Int(stats.sweeps as i64)),
+        ("total_rewrites".to_string(), tfe_encode::Value::Int(stats.total_rewrites() as i64)),
+    ])
+}
+
+fn int(n: usize) -> tfe_encode::Value {
+    tfe_encode::Value::Int(n as i64)
+}
+
 /// Optimized-vs-unoptimized staged step: a graph deliberately rich in
-/// rewrite opportunities (identity chains, `x*1`/`x+0` constants, double
+/// rewrite opportunities (identity chains, `x*1`/`x+-0` constants, double
 /// transposes, a transpose feeding matmul, duplicated subexpressions and
-/// a static `shape_of`) is executed as traced and after the fixpoint
-/// pipeline. The delta is what the pass driver buys per staged step; the
-/// row also records how many sweeps the fixpoint took and how many nodes
-/// it removed.
-fn bench_pass_pipeline(iters: usize, reps: usize) -> tfe_encode::Value {
+/// a static `shape_of`) is executed as traced and after the optimizer. The
+/// delta is what the optimizer buys per staged step; the row also records
+/// how many replay rounds it took, how many nodes it removed, what it costs
+/// on an L2HMC-sized step, and the environment all of that was measured in.
+fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value {
     use std::sync::Arc;
     use tfe_graph::passes::{self, OptimizeOptions};
     use tfe_graph::GraphBuilder;
@@ -493,12 +562,12 @@ fn bench_pass_pipeline(iters: usize, reps: usize) -> tfe_encode::Value {
     for _ in 0..12 {
         let one = b.constant(Arc::new(TensorData::scalar(1.0f64))).expect("const 1");
         t = b.add_node("mul", vec![t, one], Attrs::new()).expect("mul")[0];
-        let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).expect("const 0");
+        // `-0.0`: the zero that leaves every `x`, a `-0.0` included, as it is.
+        let zero = b.constant(Arc::new(TensorData::scalar(-0.0f64))).expect("const -0");
         t = b.add_node("add", vec![t, zero], Attrs::new()).expect("add")[0];
         t = b.add_node("identity", vec![t], Attrs::new()).expect("identity")[0];
     }
-    // Double transposes cancel; pairs only disappear once the inner one's
-    // other consumers are gone, so this exercises the fixpoint.
+    // Double transposes cancel, each pair against the one before it.
     let perm = || Attrs::new().with("perm", vec![1i64, 0]);
     for _ in 0..4 {
         let inner = b.add_node("transpose", vec![t], perm()).expect("transpose")[0];
@@ -515,12 +584,8 @@ fn bench_pass_pipeline(iters: usize, reps: usize) -> tfe_encode::Value {
     let sh = b.add_node("shape_of", vec![x], Attrs::new()).expect("shape_of")[0];
     let f = b.finish(vec![m, sh], 0);
 
-    let evaluator =
-        |node: &tfe_graph::Node, ins: &[Arc<TensorData>]| -> Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
-        };
     let (optimized, stats) =
-        passes::optimize_with_stats(&f, &OptimizeOptions::default(), Some(&evaluator));
+        passes::optimize_with_stats(&f, &OptimizeOptions::default(), Some(&kernel_evaluator));
 
     let device = tfe_runtime::context::device_manager().host_cpu();
     let args: Vec<Arc<TensorData>> = vec![Arc::new(f32_tensor(&dims).cast(DType::F64))];
@@ -545,11 +610,19 @@ fn bench_pass_pipeline(iters: usize, reps: usize) -> tfe_encode::Value {
     let speedup = raw_ns / opt_ns;
     let (before, after) = (f.executable_node_count(), optimized.executable_node_count());
     println!(
-        "{:<26} {:>14} {:>14.0} {:>14.0} {:>7.2}x {:>8}   {} -> {} nodes, {} sweeps",
+        "{:<26} {:>14} {:>14.0} {:>14.0} {:>7.2}x {:>8}   {} -> {} nodes, {} rounds",
         "pass_pipeline", "-", raw_ns, opt_ns, speedup, "-", before, after, stats.sweeps
     );
     // (for this row "serial ns/op" = unoptimized staged step, "par ns/op"
-    //  = fixpoint-optimized staged step)
+    //  = optimized staged step)
+    let l2hmc = l2hmc_step_optimize(if quick { 5 } else { 15 });
+    println!("{:<26} l2hmc-sized step: {}", "pass_pipeline", l2hmc.to_json());
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    let environment = tfe_encode::Value::object(vec![
+        ("nproc".to_string(), int(nproc)),
+        ("intra_op_threads".to_string(), int(intra_threads())),
+        ("quick".to_string(), tfe_encode::Value::Bool(quick)),
+    ]);
 
     let rewrites: Vec<tfe_encode::Value> = stats
         .rewrites
@@ -562,12 +635,14 @@ fn bench_pass_pipeline(iters: usize, reps: usize) -> tfe_encode::Value {
         })
         .collect();
     tfe_encode::Value::object(vec![
+        ("environment".to_string(), environment),
+        ("l2hmc_step".to_string(), l2hmc),
         ("shape".to_string(), tfe_encode::Value::str("32x32 f64 rewrite-rich staged step")),
         ("unoptimized_ns_per_step".to_string(), tfe_encode::Value::Float(raw_ns)),
         ("optimized_ns_per_step".to_string(), tfe_encode::Value::Float(opt_ns)),
         ("speedup".to_string(), tfe_encode::Value::Float(speedup)),
-        ("nodes_before".to_string(), tfe_encode::Value::Int(before as i64)),
-        ("nodes_after".to_string(), tfe_encode::Value::Int(after as i64)),
+        ("nodes_before".to_string(), int(before)),
+        ("nodes_after".to_string(), int(after)),
         ("sweeps".to_string(), tfe_encode::Value::Int(stats.sweeps as i64)),
         ("converged".to_string(), tfe_encode::Value::Bool(stats.converged)),
         ("total_rewrites".to_string(), tfe_encode::Value::Int(stats.total_rewrites() as i64)),
@@ -972,7 +1047,7 @@ fn main() {
     let fused_row = bench_fused_chain(iters, reps);
     let fused_broadcast_row = bench_fused_broadcast_chain(quick);
     let async_row = bench_async_dispatch(iters.min(4), reps);
-    let pass_row = bench_pass_pipeline(iters * 20, reps);
+    let pass_row = bench_pass_pipeline(iters * 20, reps, quick);
     let serving_row = bench_serving(quick);
     let dist_row = bench_dist_train(quick);
 

@@ -705,8 +705,8 @@ impl Func {
     }
 
     /// Human-readable optimization report: one line per cached concrete
-    /// function with the fixpoint sweep count, whether it converged,
-    /// executable node counts before/after, and per-pass rewrite totals.
+    /// function with the optimizer's replay rounds, executable node counts
+    /// before/after, and per-family rewrite totals.
     /// The runtime-wide counterparts are the `tfe_pass_pipeline_*` metrics.
     pub fn optimization_report(&self) -> String {
         let mut entries: Vec<Arc<ConcreteFunction>> =
@@ -720,12 +720,11 @@ impl Func {
         for c in entries {
             let s = &c.opt_stats;
             out.push_str(&format!(
-                "  {}: {} -> {} nodes, {} sweeps ({}), {} rewrites",
+                "  {}: {} -> {} nodes, {} rounds, {} rewrites",
                 c.name,
                 c.raw.executable_node_count(),
                 c.function.executable_node_count(),
                 s.sweeps,
-                if s.converged { "converged" } else { "sweep cap hit" },
                 s.total_rewrites(),
             ));
             if !s.rewrites.is_empty() {
@@ -876,8 +875,9 @@ struct TraceOut {
 }
 
 /// One pipeline for every device and every graph a concrete function owns
-/// (inference, forward variants, backward): simplification to a fixpoint,
-/// then elementwise fusion (the compilation role of §4.4).
+/// (inference, forward variants, backward): a replay through the
+/// simplifying builder, then elementwise fusion (the compilation role of
+/// §4.4).
 pub(crate) fn optimize(f: &GraphFunction) -> (GraphFunction, passes::OptimizeStats) {
     let evaluator = |node: &tfe_graph::Node,
                      inputs: &[Arc<TensorData>]|
@@ -924,8 +924,8 @@ pub struct ConcreteFunction {
     pub stateful: bool,
     /// Number of user-visible outputs.
     pub n_primary: usize,
-    /// What the fixpoint optimizer did to turn [`raw`](Self::raw) into
-    /// [`function`](Self::function): sweeps, convergence, per-pass rewrites.
+    /// What the optimizer did to turn [`raw`](Self::raw) into
+    /// [`function`](Self::function): replay rounds and per-family rewrites.
     pub opt_stats: passes::OptimizeStats,
     /// The `call` attributes of [`function`](Self::function), encoded once.
     pub(crate) inference_attrs: Attrs,

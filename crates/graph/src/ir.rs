@@ -171,9 +171,9 @@ impl GraphFunction {
     /// A structural fingerprint of the whole function: ops, dataflow,
     /// attributes, signatures, control edges, outputs, and constant values.
     /// Two functions with equal hashes are (modulo collisions) the same
-    /// graph, so the optimizer's fixpoint driver iterates its pass sweep
-    /// until this value stops changing. Uses `DefaultHasher` with its fixed
-    /// default keys, so the value is stable across processes.
+    /// graph: what the idempotence and reproducibility tests of the
+    /// optimizer compare. Uses `DefaultHasher` with its fixed default keys,
+    /// so the value is stable across processes.
     pub fn structural_hash(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -204,10 +204,9 @@ impl GraphFunction {
         for c in &self.constants {
             c.dtype().hash(&mut h);
             c.shape().dims().hash(&mut h);
-            // Constant payloads are append-only across passes, so hashing a
-            // bounded prefix (plus dtype/shape/pool position above) is
-            // enough to distinguish sweeps without rehashing big weights.
-            // The exact bytes: integers beyond 2^53 must not collide.
+            // A bounded prefix (plus dtype/shape/pool position above), so a
+            // big weight is not rehashed whole. The exact bytes: integers
+            // beyond 2^53 must not collide.
             let bytes = c.to_le_bytes();
             h.write(&bytes[..bytes.len().min(32 * 1024)]);
         }

@@ -94,6 +94,12 @@ impl SequencingState {
         SequencingState::default()
     }
 
+    /// The reads of `resource` that still observe its current value: those
+    /// recorded since the last write to it and the last barrier.
+    pub fn reads_since_write(&self, resource: Resource) -> &[NodeId] {
+        self.reads_since_write.get(&resource).map_or(&[], Vec::as_slice)
+    }
+
     /// Record node `id` with the given access pattern and return the
     /// control dependencies it must wait on. `data_inputs` lets the state
     /// drop edges already implied by a direct data input.

@@ -18,13 +18,17 @@ pub enum IdentitySide {
 
 /// The identity element of a binary op, if it has one: applying the op
 /// with this constant on the permitted side returns the other operand
-/// unchanged (same dtype and shape assumed; the pass checks both).
+/// unchanged, bit for bit (same dtype and shape assumed; the rule checks
+/// both). For floats that pins the sign of a zero: `x + -0.0` is `x` for
+/// every `x`, but `-0.0 + 0.0` is `0.0`; `x - 0.0` is `x`, but
+/// `-0.0 - -0.0` is `0.0`. An integer constant matches by value, having
+/// one zero.
 ///
 /// `x * 0` is deliberately absent: it is an annihilator, not an identity,
 /// and rewriting it would change NaN/Inf propagation.
 pub fn identity_operand(op: BinaryOp) -> Option<(IdentitySide, f64)> {
     match op {
-        BinaryOp::Add => Some((IdentitySide::Either, 0.0)),
+        BinaryOp::Add => Some((IdentitySide::Either, -0.0)),
         BinaryOp::Sub => Some((IdentitySide::Rhs, 0.0)),
         BinaryOp::Mul => Some((IdentitySide::Either, 1.0)),
         BinaryOp::Div => Some((IdentitySide::Rhs, 1.0)),
@@ -61,8 +65,10 @@ mod tests {
 
     #[test]
     fn identity_table() {
-        assert_eq!(identity_operand(BinaryOp::Add), Some((IdentitySide::Either, 0.0)));
-        assert_eq!(identity_operand(BinaryOp::Sub), Some((IdentitySide::Rhs, 0.0)));
+        let (side, zero) = identity_operand(BinaryOp::Add).unwrap();
+        assert_eq!((side, zero.to_bits()), (IdentitySide::Either, (-0.0f64).to_bits()));
+        let (side, zero) = identity_operand(BinaryOp::Sub).unwrap();
+        assert_eq!((side, zero.to_bits()), (IdentitySide::Rhs, 0.0f64.to_bits()));
         assert_eq!(identity_operand(BinaryOp::Mul), Some((IdentitySide::Either, 1.0)));
         assert_eq!(identity_operand(BinaryOp::Div), Some((IdentitySide::Rhs, 1.0)));
         assert_eq!(identity_operand(BinaryOp::Maximum), None);

@@ -261,7 +261,7 @@ pub struct TraceFrame {
     /// Frame id (symbolic tensors remember which frame minted them).
     pub frame_id: u64,
     /// The graph builder.
-    pub builder: GraphBuilder,
+    pub builder: GraphBuilder<'static>,
     /// Captured outer tensors, in placeholder order (§4.6 lexical closure).
     pub captures: Vec<Tensor>,
     capture_refs: HashMap<u64, TensorRef>,
@@ -276,7 +276,7 @@ pub struct FinishedTrace {
     /// The frame id that was traced.
     pub frame_id: u64,
     /// The builder, ready for `finish(outputs, num_captures)`.
-    pub builder: GraphBuilder,
+    pub builder: GraphBuilder<'static>,
     /// Captured outer tensors, in placeholder order.
     pub captures: Vec<Tensor>,
     /// Variables created during the trace.

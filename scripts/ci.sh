@@ -30,6 +30,19 @@ if grep -rnE "${gone}" crates src tests; then exit 1; fi
 if grep -n 'RwLock<HashMap' crates/ops/src/opdef.rs crates/runtime/src/kernels.rs \
     crates/autodiff/src/registry.rs; then exit 1; fi
 
+# One-door gate: a graph node is written by hand where it is made from
+# checked parts — `GraphBuilder` (every traced and every replayed node) and
+# the deserializer, which validates what it builds — plus the one fused node
+# `fuse_elementwise` emits for members that were already checked. The
+# per-pass rewiring the replay replaced must not come back under its names.
+echo "==> Node literals only in graph/{builder,serial}.rs and fuse_elementwise; no per-pass rewiring"
+if grep -rnE '(^|[^A-Za-z_&])Node \{' --include='*.rs' crates src tests examples \
+    | grep -vE '(struct|impl|enum) Node \{' \
+    | grep -vE '^crates/graph/src/(builder|serial)\.rs:' \
+    | grep -vE '^crates/graph/src/passes\.rs:[0-9]+: *f\.nodes\[sink\] = Node \{'; then exit 1; fi
+if grep -rnE 'materialize_known|cse_counted|simplify_algebraic_counted|drop_stateful' \
+    --include='*.rs' crates src tests examples; then exit 1; fi
+
 # Function-lifetime gate: the tables that resolve a name are indexes. A
 # traced function is owned by its `ConcreteFunction` and held by what can
 # still reach it (DESIGN.md §7); a strong name -> function map in core is the
@@ -77,12 +90,14 @@ TFE_NUM_THREADS=1 cargo test --release -q --test exec_differential --test kernel
 echo "==> async eager differential + deferred errors with TFE_ASYNC=1 (release)"
 TFE_ASYNC=1 cargo test --release -q --test exec_differential --test async_eager
 
-# Pass-pipeline gate: the pass-level differential fuzz harness in
+# Pass-pipeline gate: the optimizer's differential fuzz harness in
 # release — every corpus graph (stateless, stateful, algebraic-biased,
 # dead-store-biased; all seeds fixed) must agree with the unoptimized
-# serial baseline under every pass configuration, the fixpoint must
-# converge within the 8-sweep cap on every graph, and the rewrite
-# counters for the new passes must be nonzero on the biased corpora.
+# serial baseline under every configuration (bit for bit on the
+# algebraic corpus wherever nothing folds or fuses), a graph with no dead
+# store must be done in one replay round, every constant pool must hold
+# exactly what its graph names, and the rewrite counters must be nonzero
+# on the biased corpora.
 # TFE_FUZZ_CASES scales the corpora (default sizes here; raise for
 # overnight soaks, lower for a smoke run).
 echo "==> pass-pipeline differential fuzz gate (release)"

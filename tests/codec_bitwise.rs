@@ -182,6 +182,43 @@ fn bundle_round_trip_is_bitwise() {
     assert_bundle_holds(&loaded, &tensors);
 }
 
+/// A function the optimizer folded and merged constants in: the bundle
+/// holds the optimized graph, whose pool has one entry per `const` node —
+/// nothing a fold consumed or a merge orphaned is written out — and the
+/// loaded function answers bit-equal to the traced one.
+#[test]
+fn folded_bundle_round_trips_without_orphan_constants() {
+    tf_eager::init();
+    let nan = f32::from_bits(0xffc0_1234);
+    let f = function1("codec_folded", move |x| {
+        // (2 * 3) folds; both `-0.0`s are one constant; the NaN keeps its
+        // payload through the pool, the bundle and back.
+        let six = api::mul(&api::scalar(2.0f32), &api::scalar(3.0f32))?;
+        let y = api::add(&api::mul(x, &six)?, &api::scalar(-0.0f32))?;
+        let z = api::maximum(&y, &api::scalar(-0.0f32))?;
+        api::concat(&[&z, &api::constant(vec![nan, -0.0], [2])?], 0)
+    });
+    let x = api::constant(vec![-0.0f32, 1.5], [2]).unwrap();
+    let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
+    let const_nodes =
+        |g: &tf_eager::graph::GraphFunction| g.nodes.iter().filter(|n| n.op == Op::Const).count();
+    assert!(conc.raw.constants.len() > conc.function.constants.len(), "nothing was folded");
+    assert_eq!(conc.function.constants.len(), const_nodes(&conc.function));
+
+    let bundle = saved::export_to_value(&conc).unwrap();
+    let loaded = saved::import_from_value(&bundle).unwrap();
+    let graph = context::library().get(loaded.entry_name()).expect("loaded entry");
+    assert_eq!(graph.constants.len(), const_nodes(&graph), "{}", graph.dump());
+    assert_eq!(graph.constants.len(), conc.function.constants.len());
+    for (a, b) in graph.constants.iter().zip(&conc.function.constants) {
+        assert_eq!(bits(a), bits(b));
+    }
+    let direct = f.call1(&x).unwrap().value().unwrap();
+    let through = loaded.call(&[&x]).unwrap()[0].value().unwrap();
+    assert_eq!(bits(&through), bits(&direct));
+    assert_eq!(bits(&direct).2[2], nan.to_bits() as u64);
+}
+
 #[test]
 fn v1_bundle_fixture_loads_bit_equal() {
     tf_eager::init();

@@ -278,6 +278,23 @@ pub fn make_args(seed: u64, shapes: &[Vec<usize>]) -> Vec<Arc<TensorData>> {
         .collect()
 }
 
+/// [`make_args`] with a `-0.0` first and a `+0.0` second in every tensor (a
+/// scalar gets one or the other by `seed`): the inputs on which a rewrite
+/// that is right up to the sign of zero shows.
+pub fn make_signed_zero_args(seed: u64, shapes: &[Vec<usize>]) -> Vec<Arc<TensorData>> {
+    make_args(seed, shapes)
+        .iter()
+        .map(|t| {
+            let mut v = t.to_f64_vec();
+            let zeros = if seed.is_multiple_of(2) { [-0.0, 0.0] } else { [0.0, -0.0] };
+            for (x, z) in v.iter_mut().zip(zeros) {
+                *x = z;
+            }
+            Arc::new(TensorData::from_vec(v, t.shape().clone()).unwrap())
+        })
+        .collect()
+}
+
 /// Run a generated graph as a chain of ops through the central dispatcher,
 /// node by node in program order: eager ops on eager tensors, and inside a
 /// trace the same nodes again (which makes any corpus graph a `function`
@@ -393,12 +410,15 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
         let a = pool[rng.gen_range(0usize..pool.len())].clone();
         match kind {
             // Identity-element binary: the constant sits on whichever side
-            // the op allows, so both candidate orders get exercised.
+            // the op allows, so both candidate orders get exercised. A zero
+            // takes either sign: only one of them is the op's identity
+            // (`x + -0.0`, `x - +0.0`), the other changes a `-0.0` in `x`.
             0..=3 => {
+                let zero = if rng.gen_bool(0.5) { 0.0f64 } else { -0.0 };
                 let (op, ident, either) = match rng.gen_range(0u32..4) {
                     0 => ("mul", 1.0f64, true),
-                    1 => ("add", 0.0, true),
-                    2 => ("sub", 0.0, false),
+                    1 => ("add", zero, true),
+                    2 => ("sub", zero, false),
                     _ => ("div", 1.0, false),
                 };
                 let c = b.constant(Arc::new(TensorData::scalar(ident))).unwrap();

@@ -1,18 +1,21 @@
-//! Pass-level differential fuzz harness for the fixpoint optimization
-//! pipeline: every random graph from the `exec_differential` corpus
-//! generator is optimized under {no passes, each pass alone, a single
-//! sweep, full fixpoint, fixpoint+fusion} and every configuration must
-//! agree with the unoptimized serial run — across the serial planner,
-//! the parallel scheduler, and eager interpretation. Stateful graphs
-//! additionally require bit-identical final variable state.
+//! Differential fuzz harness for the graph optimizer: every random graph
+//! from the `exec_differential` corpus generator is optimized under {no
+//! rule, each rewrite family alone, the default pipeline without fusion,
+//! the default pipeline} and every configuration must agree with the
+//! unoptimized serial run — across the serial planner, the parallel
+//! scheduler, and eager interpretation. Stateful graphs additionally
+//! require bit-identical final variable state.
 //!
-//! Two corpora are biased toward the new passes (algebraic identities and
-//! dead stores) and assert their rewrite counters actually fired, and the
-//! stateful corpus asserts that redundant loads were merged — a
+//! Two corpora are biased toward particular rewrites (algebraic identities
+//! and dead stores) and assert their rewrite counters actually fired, and
+//! the stateful corpus asserts that redundant loads were merged — a
 //! differential harness that never triggers the rewrites it gates proves
-//! nothing. On a mismatch the failing graph is shrunk (output narrowing +
-//! prefix truncation) and persisted as Graphviz dot; the panic names the
-//! artifact. `TFE_FUZZ_CASES` scales every corpus.
+//! nothing. The algebraic corpus feeds `±0.0` and compares bit patterns
+//! wherever nothing is folded or fused. Every optimized graph's constant
+//! pool holds exactly the constants its nodes name. On a mismatch the
+//! failing graph is shrunk (output narrowing + prefix truncation) and
+//! persisted as Graphviz dot; the panic names the artifact.
+//! `TFE_FUZZ_CASES` scales every corpus.
 
 mod common;
 
@@ -30,16 +33,14 @@ fn evaluator(node: &Node, ins: &[Arc<TensorData>]) -> Result<Vec<TensorData>, St
 }
 
 /// Every optimization configuration under differential test. `only_*`
-/// configs run one pass for one sweep; `single_sweep` runs the whole
-/// pipeline once; `fixpoint` iterates the simplifying passes to
-/// convergence without lowering; `fixpoint_fused` is the default pipeline,
-/// which then lowers elementwise islands into fused kernels.
+/// configs enable one rewrite family; `fixpoint` is every simplification
+/// without the lowering; `fixpoint_fused` is the default pipeline, which
+/// then lowers elementwise islands into fused kernels.
 fn configs() -> Vec<(String, OptimizeOptions)> {
     let mut v = vec![("none".to_string(), OptimizeOptions::none())];
     for pass in PASS_NAMES {
         v.push((format!("only_{pass}"), OptimizeOptions::only(pass)));
     }
-    v.push(("single_sweep".to_string(), OptimizeOptions { max_sweeps: 1, ..Default::default() }));
     v.push(("fixpoint".to_string(), unfused()));
     v.push(("fixpoint_fused".to_string(), OptimizeOptions::default()));
     v
@@ -50,8 +51,23 @@ fn unfused() -> OptimizeOptions {
     OptimizeOptions { fuse_elementwise: false, ..Default::default() }
 }
 
+/// Same dtype, same shape, same bit pattern in every element.
+fn same_bits(a: &TensorData, b: &TensorData) -> bool {
+    a.dtype() == b.dtype() && a.shape() == b.shape() && a.to_le_bytes() == b.to_le_bytes()
+}
+
+/// The constant pool holds what the graph uses: one entry per `const` node.
+fn pool_matches_nodes(g: &GraphFunction) -> Result<(), String> {
+    let nodes = count_op(g, "const");
+    if g.constants.len() != nodes {
+        return Err(format!("{} pool entries for {nodes} const nodes", g.constants.len()));
+    }
+    Ok(())
+}
+
 /// Optimize `f` under `opts` and compare against the unoptimized serial
-/// baseline `want` in serial, parallel, and eager interpretation.
+/// baseline `want` in serial, parallel, and eager interpretation — bit for
+/// bit when `bitwise` is asked for and `opts` neither folds nor fuses.
 /// Returns a description of the first divergence instead of panicking so
 /// the caller can shrink the graph before reporting.
 fn check_config(
@@ -60,18 +76,31 @@ fn check_config(
     want: &[Arc<TensorData>],
     opts: &OptimizeOptions,
     device: &Device,
+    bitwise: bool,
 ) -> Result<OptimizeStats, String> {
     let (g, stats) = passes::optimize_with_stats(f, opts, Some(&evaluator));
-    if opts.max_sweeps > 1 && !stats.converged {
-        return Err(format!("did not converge within {} sweeps", opts.max_sweeps));
+    if !stats.converged {
+        return Err(format!("did not converge in {} rounds", stats.sweeps));
     }
+    if stats.rewrites_for("eliminate_dead_stores") == 0 && stats.sweeps != 1 {
+        return Err(format!("{} rounds with no store dropped", stats.sweeps));
+    }
+    pool_matches_nodes(&g)?;
+    // Folding/fusion may reassociate floating point: 1e-6, like the
+    // executor differential. Everything else is exact.
+    let exact = bitwise && !opts.fold_constants && !opts.fuse_elementwise;
+    let agree = |w: &TensorData, o: &TensorData| {
+        if exact {
+            same_bits(w, o)
+        } else {
+            w.all_close(o, 1e-6, 1e-6)
+        }
+    };
     for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
         let got = executor::run_function(&g, args, device, mode)
             .map_err(|e| format!("{mode:?} failed on optimized graph: {e}"))?;
         for (k, (w, o)) in want.iter().zip(&got).enumerate() {
-            // Folding/fusion may reassociate floating point: 1e-6, like
-            // the executor differential. Everything else is exact.
-            if !w.all_close(o, 1e-6, 1e-6) {
+            if !agree(w, o) {
                 return Err(format!("output {k} ({mode:?}): want {w:?} got {o:?}"));
             }
         }
@@ -79,7 +108,7 @@ fn check_config(
     let eager = common::eager_interpret(&g, args)
         .map_err(|e| format!("eager interpretation of optimized graph failed: {e}"))?;
     for (k, (w, o)) in want.iter().zip(&eager).enumerate() {
-        if !w.all_close(o, 1e-6, 1e-6) {
+        if !agree(w, o) {
             return Err(format!("output {k} (eager): want {w:?} got {o:?}"));
         }
     }
@@ -94,12 +123,13 @@ fn fail_with_artifact(
     f: &GraphFunction,
     args: &[Arc<TensorData>],
     opts: &OptimizeOptions,
-    device: &Device,
+    bitwise: bool,
 ) -> ! {
+    let device = &tfe_runtime::context::device_manager().host_cpu();
     let shrunk = common::shrink_failing_graph(f, &|cand| {
         executor::run_function(cand, args, device, ExecMode::SerialPlanned)
             .ok()
-            .map(|want| check_config(cand, args, &want, opts, device).is_err())
+            .map(|want| check_config(cand, args, &want, opts, device, bitwise).is_err())
             .unwrap_or(false)
     });
     let path = common::dot_artifact(&shrunk);
@@ -123,8 +153,8 @@ fn all_pass_configs_agree_on_random_graphs() {
         let want = executor::run_function(&f, &args, &device, ExecMode::SerialPlanned)
             .unwrap_or_else(|e| panic!("case {seed} baseline failed: {e}\n{}", f.dump()));
         for (name, opts) in configs() {
-            match check_config(&f, &args, &want, &opts, &device) {
-                Err(err) => fail_with_artifact(seed, &name, &err, &f, &args, &opts, &device),
+            match check_config(&f, &args, &want, &opts, &device, false) {
+                Err(err) => fail_with_artifact(seed, &name, &err, &f, &args, &opts, false),
                 Ok(stats) => merged += stats.rewrites_for("cse"),
             }
         }
@@ -199,12 +229,13 @@ fn run_stateful_differential(
 
         for (name, opts) in configs() {
             let (g, stats) = passes::optimize_with_stats(&f, &opts, Some(&evaluator));
-            assert!(
-                opts.max_sweeps == 1 || stats.converged,
-                "case {seed} config {name}: no fixpoint within {} sweeps\n{}",
-                opts.max_sweeps,
-                f.dump()
-            );
+            assert!(stats.converged, "case {seed} config {name}: no fixpoint\n{}", f.dump());
+            if stats.rewrites_for("eliminate_dead_stores") == 0 {
+                assert_eq!(stats.sweeps, 1, "case {seed} config {name}: a round for nothing");
+            }
+            if let Err(e) = pool_matches_nodes(&g) {
+                panic!("case {seed} config {name}: {e}\n{}", g.dump());
+            }
             if name == "fixpoint" {
                 on_fixpoint(&f, &g, &stats);
             }
@@ -247,12 +278,12 @@ fn algebraic_corpus_is_simplified_and_preserved() {
     let mut removed = 0usize;
     for seed in 0..fuzz_cases(60) {
         let (f, shapes) = common::generate_algebraic(seed);
-        let args = common::make_args(seed ^ 0xa19, &shapes);
+        let args = common::make_signed_zero_args(seed ^ 0xa19, &shapes);
         let want = executor::run_function(&f, &args, &device, ExecMode::SerialPlanned)
             .unwrap_or_else(|e| panic!("case {seed} baseline failed: {e}\n{}", f.dump()));
         for (name, opts) in configs() {
-            match check_config(&f, &args, &want, &opts, &device) {
-                Err(err) => fail_with_artifact(seed, &name, &err, &f, &args, &opts, &device),
+            match check_config(&f, &args, &want, &opts, &device, true) {
+                Err(err) => fail_with_artifact(seed, &name, &err, &f, &args, &opts, true),
                 Ok(stats) => {
                     if name == "fixpoint" {
                         algebraic += stats.rewrites_for("simplify_algebraic");
@@ -279,17 +310,6 @@ fn fused_and_unfused_graphs_agree_bitwise() {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
     let opts = OptimizeOptions::default();
-    let bits = |t: &TensorData| -> Option<Vec<u64>> {
-        match t.dtype() {
-            tfe_tensor::DType::F32 => {
-                Some(t.as_slice::<f32>().unwrap().iter().map(|x| u64::from(x.to_bits())).collect())
-            }
-            tfe_tensor::DType::F64 => {
-                Some(t.as_slice::<f64>().unwrap().iter().map(|x| x.to_bits()).collect())
-            }
-            _ => None,
-        }
-    };
     let mut fused_graphs = 0u64;
     for seed in 0..fuzz_cases(60) {
         let (f, shapes) = common::generate(seed);
@@ -308,12 +328,8 @@ fn fused_and_unfused_graphs_agree_bitwise() {
                     panic!("case {seed} unfused {mode:?} failed: {e}\n{}", unfused.dump())
                 });
             for (k, (t, u)) in tiled.iter().zip(&plain).enumerate() {
-                let same = match (bits(t), bits(u)) {
-                    (Some(tb), Some(ub)) => tb == ub,
-                    _ => t.all_close(u, 0.0, 0.0),
-                };
                 assert!(
-                    same,
+                    same_bits(t, u),
                     "case {seed} output {k} ({mode:?}): fused and unfused graphs diverged\n{}\n{}",
                     g.dump(),
                     unfused.dump()
@@ -368,6 +384,86 @@ fn redundant_loads_merge_up_to_the_next_store() {
             let got: Vec<f64> = out.iter().map(|t| t.scalar_f64().unwrap()).collect();
             assert_eq!(got, vec![3.0, 3.0, 6.0], "{name} {mode:?}");
             assert_eq!(var.peek().scalar_f64().unwrap(), 6.0, "{name} {mode:?}");
+        }
+    }
+}
+
+/// A round that drops a store is followed by one more, which scans the graph
+/// that round left; a graph with no dead store is done in one. Here the
+/// dead store sits between two reads of `v` — it writes `u`: a store to `v`
+/// itself would be read by the second and so not dead — and the reads end
+/// as one.
+#[test]
+fn a_dropped_store_costs_one_more_round() {
+    use tf_eager::Attrs;
+    use tfe_graph::GraphBuilder;
+    use tfe_tensor::DType;
+    tf_eager::init();
+    let device = tfe_runtime::context::device_manager().host_cpu();
+    let v = tf_eager::Variable::new(TensorData::scalar(3.0f64));
+    let u = tf_eager::Variable::new(TensorData::scalar(0.0f64));
+    let read = |b: &mut GraphBuilder| {
+        let attrs = Attrs::new()
+            .with("var_id", v.id() as i64)
+            .with("dtype", DType::F64)
+            .with("shape", Vec::<i64>::new());
+        b.add_node("read_variable", vec![], attrs).unwrap()[0]
+    };
+    let store = |b: &mut GraphBuilder, value| {
+        b.add_node("assign", vec![value], Attrs::new().with("var_id", u.id() as i64)).unwrap();
+    };
+    let mut b = GraphBuilder::new("read_store_read_store");
+    let r1 = read(&mut b);
+    let doubled = b.add_node("add", vec![r1, r1], Attrs::new()).unwrap()[0];
+    store(&mut b, doubled); // overwritten below, `u` unread in between
+    let r2 = read(&mut b);
+    store(&mut b, r2);
+    let f = b.finish(vec![r1, r2], 0);
+
+    let (g, stats) = passes::optimize_with_stats(&f, &OptimizeOptions::default(), Some(&evaluator));
+    assert_eq!(stats.sweeps, 2, "{}", g.dump());
+    assert_eq!(stats.rewrites_for("eliminate_dead_stores"), 1);
+    assert_eq!(count_op(&g, "read_variable"), 1, "{}", g.dump());
+    assert_eq!(count_op(&g, "assign"), 1, "{}", g.dump());
+    assert_eq!(count_op(&g, "add"), 0, "what fed the dead store is pruned\n{}", g.dump());
+    for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
+        u.restore(TensorData::scalar(0.0f64)).unwrap();
+        let out = executor::run_function(&g, &[], &device, mode).unwrap();
+        let got: Vec<f64> = out.iter().map(|t| t.scalar_f64().unwrap()).collect();
+        assert_eq!(got, vec![3.0, 3.0], "{mode:?}");
+        assert_eq!(u.peek().scalar_f64().unwrap(), 3.0, "{mode:?}");
+    }
+    let without = OptimizeOptions { dead_store_elim: false, ..Default::default() };
+    assert_eq!(passes::optimize_with_stats(&f, &without, Some(&evaluator)).1.sweeps, 1);
+}
+
+/// `x + 0` and `x - 0` are `x` only for the zero that is the op's identity:
+/// `-0.0 + +0.0` and `-0.0 - -0.0` are `+0.0`. Staged equals eager bit for
+/// bit on all four spellings (and the commuted sums), and the two exact
+/// ones are still rewritten away.
+#[test]
+fn additive_identity_keeps_the_sign_of_zero() {
+    use tf_eager::{api, Arg};
+    tf_eager::init();
+    let x = api::constant(vec![-0.0f32, 0.0, 1.0], [3]).unwrap();
+    let bits = |t: &tf_eager::Tensor| -> Vec<u32> {
+        t.value().unwrap().as_slice::<f32>().unwrap().iter().map(|v| v.to_bits()).collect()
+    };
+    type Spelling = fn(&tf_eager::Tensor, f32) -> Result<tf_eager::Tensor, tf_eager::RuntimeError>;
+    let spellings: [(&str, Spelling, f32); 3] = [
+        ("x + z", |x, z| api::add(x, &api::scalar(z)), -0.0),
+        ("z + x", |x, z| api::add(&api::scalar(z), x), -0.0),
+        ("x - z", |x, z| api::sub(x, &api::scalar(z)), 0.0),
+    ];
+    for (name, spell, identity) in spellings {
+        for z in [0.0f32, -0.0] {
+            let eager = spell(&x, z).unwrap();
+            let staged = tf_eager::function1("signed_zero", move |x| spell(x, z));
+            assert_eq!(bits(&staged.call1(&x).unwrap()), bits(&eager), "{name}, z = {z:?}");
+            let nodes =
+                staged.concrete_for(&[Arg::from(&x)]).unwrap().function.executable_node_count();
+            let exact = z.to_bits() == identity.to_bits();
+            assert_eq!(nodes == 0, exact, "{name}, z = {z:?}: {nodes} nodes");
         }
     }
 }
@@ -453,9 +549,34 @@ fn single_passes_are_idempotent() {
     }
 }
 
-/// Graph hashes after optimization are reproducible run-to-run — the
-/// property the fixpoint driver's convergence test rests on (a pass with
-/// nondeterministic output order would never stabilize the hash).
+/// Optimizing an optimized graph changes nothing — one walk leaves nothing
+/// for a second to find — with and without the fusion lowering, on both
+/// the general and the algebraic-biased corpus.
+#[test]
+fn optimizing_twice_changes_nothing() {
+    tf_eager::init();
+    for seed in 0..fuzz_cases(30) {
+        let graphs = [common::generate(seed).0, common::generate_algebraic(seed).0];
+        for f in &graphs {
+            for opts in [unfused(), OptimizeOptions::default()] {
+                let once = passes::optimize(f, &opts, Some(&evaluator));
+                let (twice, stats) = passes::optimize_with_stats(&once, &opts, Some(&evaluator));
+                assert_eq!(
+                    once.structural_hash(),
+                    twice.structural_hash(),
+                    "seed {seed}: a second optimize found {:?}\nonce:\n{}\ntwice:\n{}",
+                    stats.rewrites,
+                    once.dump(),
+                    twice.dump()
+                );
+                assert_eq!(stats.sweeps, 1, "seed {seed}");
+            }
+        }
+    }
+}
+
+/// Graph hashes after optimization are reproducible run-to-run: nothing in
+/// the builder's tables or the fusion grouping depends on iteration order.
 #[test]
 fn optimized_hashes_are_reproducible() {
     tf_eager::init();
