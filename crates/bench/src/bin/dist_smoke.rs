@@ -6,11 +6,16 @@
 //!    trained over the 2-worker TCP cluster (parameter-server and then
 //!    ring all-reduce), one through the single-process bit-reference;
 //!    every variable and every reported loss must agree bit for bit.
-//! 2. **Metric reconciliation.** For each worker, completed RPCs in
+//! 2. **Requests and rounds a step.** Counted from the RPC counter and
+//!    from the `rpc:round` / `rpc:run` spans of the profiled steps: 3
+//!    requests in 2 rounds through the parameter server, 6 in 3 around the
+//!    ring — the counts `nn::dist_train` pins, here over real sockets.
+//! 3. **Metric reconciliation.** For each worker, completed RPCs in
 //!    `tfe_dist_rpcs_total` must equal the `tfe_dist_rpc_ns` histogram
-//!    count, and wire bytes must have moved in both directions.
-//! 3. **Chaos.** Killing a worker mid-run must surface a typed
-//!    `DistError` on every RPC path within the configured deadline —
+//!    count, wire bytes must have moved in both directions, and the
+//!    workers ran more program steps than they answered requests.
+//! 4. **Chaos.** Killing a worker mid-run must surface a typed
+//!    `DistError` on every request shape within the configured deadline —
 //!    never a hang — while the surviving worker keeps serving.
 //!
 //! Run with `cargo run --release -p tfe-bench --bin dist_smoke`.
@@ -55,10 +60,19 @@ fn var_bits(vars: &[Variable]) -> Vec<Vec<u64>> {
     vars.iter().map(|v| v.peek().to_f64_vec().iter().map(|f| f.to_bits()).collect()).collect()
 }
 
+const WORKERS: [&str; 3] = ["train/0", "train/1", "ps/0"];
+
+/// Requests completed so far, over every worker of the smoke's clusters.
+fn requests_completed() -> u64 {
+    let snap = tfe_metrics::snapshot();
+    WORKERS.iter().map(|w| snap.counter_with("tfe_dist_rpcs_total", w).unwrap_or(0)).sum()
+}
+
 /// Train one (reduction, transport) configuration distributed and its
 /// identically-seeded twin through the local bit-reference; panic on any
-/// bit of divergence. Returns ns/step for the distributed run.
-fn train_parity(tag: &str, reduction: Reduction) -> f64 {
+/// bit of divergence, or if a step is not `requests` requests in `rounds`
+/// rounds. Returns ns/step for the distributed run (profiler on).
+fn train_parity(tag: &str, reduction: Reduction, requests: u64, rounds: usize) -> f64 {
     let (vars_dist, fn_dist) = setup(&format!("d_{tag}"), 42);
     let (vars_local, fn_local) = setup(&format!("l_{tag}"), 42);
     assert_eq!(var_bits(&vars_dist), var_bits(&vars_local), "same seed must give same init");
@@ -91,6 +105,8 @@ fn train_parity(tag: &str, reduction: Reduction) -> f64 {
     )
     .expect("reference trainer");
 
+    let requests_before = requests_completed();
+    tfe_profile::start();
     let started = Instant::now();
     let mut losses = Vec::new();
     for step in 0..STEPS {
@@ -98,6 +114,20 @@ fn train_parity(tag: &str, reduction: Reduction) -> f64 {
         losses.push(dist.step(&x, &y).expect("distributed step"));
     }
     let ns_per_step = started.elapsed().as_nanos() as f64 / STEPS as f64;
+    let profile = tfe_profile::stop();
+    let spans = |prefix: &str| {
+        let events = profile.threads.iter().flat_map(|t| &t.events);
+        events.filter(|e| e.name.starts_with(prefix)).count()
+    };
+    let sent = requests_completed() - requests_before;
+    println!(
+        "dist smoke: {tag} step over TCP = {} request(s) in {} round(s)",
+        sent as f64 / STEPS as f64,
+        spans("rpc:round[") as f64 / STEPS as f64
+    );
+    assert_eq!(sent, requests * STEPS as u64, "{tag}: requests over {STEPS} steps");
+    assert_eq!(spans("rpc:run["), (requests as usize) * STEPS, "{tag}: one span a request");
+    assert_eq!(spans("rpc:round["), rounds * STEPS, "{tag}: rounds over {STEPS} steps");
 
     for (step, loss) in losses.iter().enumerate() {
         let (x, y) = batch(100 + step as u64);
@@ -131,7 +161,7 @@ fn reconcile_metrics() {
             })
             .unwrap_or(0)
     };
-    for worker in ["train/0", "train/1", "ps/0"] {
+    for worker in WORKERS {
         let rpcs = snap.counter_with("tfe_dist_rpcs_total", worker).unwrap_or(0);
         let samples = histogram_count("tfe_dist_rpc_ns", worker);
         assert!(rpcs > 0, "no RPCs recorded for {worker}");
@@ -140,12 +170,18 @@ fn reconcile_metrics() {
         let received = snap.counter_with("tfe_dist_bytes_received_total", worker).unwrap_or(0);
         assert!(sent > 0, "{worker}: no bytes sent");
         assert!(received > 0, "{worker}: no bytes received");
-        println!("dist smoke: {worker} reconciled — {rpcs} RPCs, {sent} B out, {received} B back");
+        // Pings run no step; every program of a training step runs several.
+        let steps = snap.counter_with("tfe_dist_program_steps_total", worker).unwrap_or(0);
+        assert!(steps > rpcs, "{worker}: {steps} program steps in {rpcs} requests — not batched");
+        println!(
+            "dist smoke: {worker} reconciled — {rpcs} RPCs running {steps} steps, {sent} B out, \
+             {received} B back"
+        );
     }
 }
 
-/// Kill a TCP worker mid-run: every RPC path must return a typed error
-/// within the deadline, and the survivor must keep serving.
+/// Kill a TCP worker mid-run: every request shape must return a typed
+/// error within the deadline, and the survivor must keep serving.
 fn chaos() {
     let opts = RpcOptions::with_deadline(Duration::from_millis(800));
     let deadline = opts.deadline;
@@ -188,7 +224,7 @@ fn chaos() {
     drop(resident);
     cluster.shutdown();
     println!(
-        "dist smoke: killed worker surfaced typed errors on all 4 RPC paths in {elapsed:?} \
+        "dist smoke: killed worker surfaced typed errors on all 4 request shapes in {elapsed:?} \
          (deadline {deadline:?}); survivor kept serving"
     );
 }
@@ -198,8 +234,10 @@ fn main() {
     let ps_ns = train_parity(
         "ps",
         Reduction::ParameterServer { ps_device: "/job:ps/task:0/device:CPU:0".to_string() },
+        3,
+        2,
     );
-    let ring_ns = train_parity("ring", Reduction::Ring);
+    let ring_ns = train_parity("ring", Reduction::Ring, 6, 3);
     reconcile_metrics();
     chaos();
     println!(

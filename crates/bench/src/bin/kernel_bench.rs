@@ -835,154 +835,6 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
     ])
 }
 
-/// Data-parallel training step cost: the same seeded MLP + staged gradient
-/// function driven three ways — single-process (the local bit-reference),
-/// a 2-worker TCP cluster with parameter-server reduction, and a 2-worker
-/// TCP ring all-reduce. Bytes moved per step come from the `tfe_dist_*`
-/// byte counters (coordinator-side, both directions). No speedup is
-/// asserted: on a 1-core runner the workers time-slice, and the row
-/// documents the cost of distribution, not a win. What is asserted is a
-/// count: each collective moves at most twice the f32 bytes a step cannot
-/// avoid (the batch out, every worker's gradients out of it, the mean
-/// back). The coordinator relays tensors between workers, which alone
-/// costs 1.65x; a codec that spends more than the rest on rendering does
-/// not pass.
-fn bench_dist_train(quick: bool) -> tfe_encode::Value {
-    use std::sync::Arc;
-    use tfe_dist::{Cluster, ClusterSpec};
-    use tfe_nn::optimizer::Sgd;
-    use tfe_nn::{mlp, mse_grad_fn, Activation, DataParallel, Initializer, Layer, Reduction};
-    use tfe_runtime::{api, Tensor};
-    use tfe_tensor::{DType, Shape};
-
-    // The repo benchmark's `dist_tcp_mlp` model: large enough that tensor
-    // payload, not per-RPC framing, decides the bytes on the wire.
-    const BATCH: usize = 64;
-    const FEATURES: usize = 32;
-    const HIDDEN: [usize; 2] = [128, 128];
-
-    let steps = if quick { 3 } else { 10 };
-    // The traced function comes back with its name's owner: the name is good
-    // for as long as something holds the `ConcreteFunction`.
-    let setup = |tag: &str| -> (Vec<tfe_runtime::Variable>, Arc<tfe_core::ConcreteFunction>) {
-        let mut init = Initializer::seeded(42);
-        let model = Arc::new(mlp(FEATURES, &HIDDEN, 1, Activation::Tanh, &mut init));
-        let vars = model.variables();
-        let f = mse_grad_fn(&format!("bench_dp_grad_{tag}"), model, vars.clone());
-        let conc = f
-            .concrete_for(&[
-                tfe_core::Arg::from(&api::zeros(DType::F32, [BATCH / 2, FEATURES])),
-                tfe_core::Arg::from(&api::zeros(DType::F32, [BATCH / 2, 1])),
-            ])
-            .expect("trace grad fn");
-        (vars, conc)
-    };
-    let batch = |seed: u64| -> (Tensor, Tensor) {
-        let mut rng = tfe_tensor::rng::TensorRng::seed_from_u64(seed);
-        let mut uniform = |cols: usize| {
-            let shape = Shape::from([BATCH, cols]);
-            Tensor::from_data(rng.uniform(DType::F32, shape, -1.0, 1.0).unwrap())
-        };
-        let x = uniform(FEATURES);
-        let y = uniform(1);
-        (x, y)
-    };
-    let dist_bytes = || -> u64 {
-        let snap = tfe_metrics::snapshot();
-        ["tfe_dist_bytes_sent_total", "tfe_dist_bytes_received_total"]
-            .iter()
-            .filter_map(|name| snap.family(name))
-            .flat_map(|fam| &fam.samples)
-            .map(|s| match s.value {
-                tfe_metrics::SampleValue::Counter(v) => v,
-                _ => 0,
-            })
-            .sum()
-    };
-
-    let spec =
-        ClusterSpec::new().with_job("train", 2).expect("job").with_job("ps", 1).expect("job");
-    let workers = vec![
-        "/job:train/task:0/device:CPU:0".to_string(),
-        "/job:train/task:1/device:CPU:0".to_string(),
-    ];
-    let trainer = |tag: &str, reduction: Reduction| -> DataParallel {
-        let (vars, grad_fn) = setup(tag);
-        DataParallel::new(
-            Cluster::start_tcp(&spec).expect("TCP cluster"),
-            workers.clone(),
-            reduction,
-            &grad_fn.function.name,
-            vars,
-            Arc::new(Sgd::new(0.05)),
-        )
-        .expect("trainer")
-    };
-    let ps = Reduction::ParameterServer { ps_device: "/job:ps/task:0/device:CPU:0".to_string() };
-
-    // Wall clock + byte-counter delta over `steps` training steps.
-    let run = |dp: &DataParallel, local: bool| -> (f64, f64) {
-        let (x, y) = batch(7);
-        if local {
-            dp.local_step(&x, &y).expect("warm step");
-        } else {
-            dp.step(&x, &y).expect("warm step");
-        }
-        let bytes_before = dist_bytes();
-        let t = Instant::now();
-        for step in 0..steps {
-            let (x, y) = batch(100 + step as u64);
-            if local {
-                dp.local_step(&x, &y).expect("bench step");
-            } else {
-                dp.step(&x, &y).expect("bench step");
-            }
-        }
-        let ns = t.elapsed().as_nanos() as f64 / steps as f64;
-        let bytes = (dist_bytes() - bytes_before) as f64 / steps as f64;
-        (ns, bytes)
-    };
-
-    let local_dp = trainer("local", ps.clone());
-    let (local_ns, _) = run(&local_dp, true);
-    let ps_dp = trainer("ps", ps);
-    let (ps_ns, ps_bytes) = run(&ps_dp, false);
-    let ring_dp = trainer("ring", Reduction::Ring);
-    let (ring_ns, ring_bytes) = run(&ring_dp, false);
-
-    let parameters: usize = [FEATURES, HIDDEN[0], HIDDEN[1]]
-        .iter()
-        .zip(HIDDEN.iter().chain(&[1]))
-        .map(|(i, o)| i * o + o)
-        .sum();
-    let raw_bytes = (4 * (BATCH * (FEATURES + 1) + 3 * parameters)) as f64;
-    for (collective, bytes) in [("ps", ps_bytes), ("ring", ring_bytes)] {
-        assert!(
-            bytes <= 2.0 * raw_bytes,
-            "{collective} step moved {bytes:.0} B over the wire, more than twice the \
-             {raw_bytes:.0} B of f32 payload it has to move"
-        );
-    }
-
-    println!(
-        "{:<26} {:>14.0} {:>14.0} {:>14.0} {:>8} {:>8}   64x32 f32 MLP step \
-         (local / 2-worker ps / 2-worker ring), {:.0} / {:.0} B per step",
-        "dist_train", local_ns, ps_ns, ring_ns, "-", "-", ps_bytes, ring_bytes
-    );
-
-    tfe_encode::Value::object(vec![
-        ("steps".to_string(), tfe_encode::Value::Int(steps as i64)),
-        ("shape".to_string(), tfe_encode::Value::str("64x32 f32 batch, 32-128-128-1 MLP, sgd")),
-        ("local_ns_per_step".to_string(), tfe_encode::Value::Float(local_ns)),
-        ("ps_tcp_ns_per_step".to_string(), tfe_encode::Value::Float(ps_ns)),
-        ("ring_tcp_ns_per_step".to_string(), tfe_encode::Value::Float(ring_ns)),
-        ("ps_wire_bytes_per_step".to_string(), tfe_encode::Value::Float(ps_bytes)),
-        ("ring_wire_bytes_per_step".to_string(), tfe_encode::Value::Float(ring_bytes)),
-        ("raw_f32_bytes_per_step".to_string(), tfe_encode::Value::Float(raw_bytes)),
-        ("workers".to_string(), tfe_encode::Value::Int(2)),
-    ])
-}
-
 /// Best-of-`reps` mean ns/op over `iters` iterations each.
 fn time_ns(iters: usize, reps: usize, f: &dyn Fn()) -> f64 {
     f(); // warm caches / allocator outside the timed region
@@ -1049,7 +901,6 @@ fn main() {
     let async_row = bench_async_dispatch(iters.min(4), reps);
     let pass_row = bench_pass_pipeline(iters * 20, reps, quick);
     let serving_row = bench_serving(quick);
-    let dist_row = bench_dist_train(quick);
 
     let mut fields = vec![
         ("experiment".to_string(), tfe_encode::Value::str("kernels")),
@@ -1058,7 +909,6 @@ fn main() {
         ("async_dispatch".to_string(), async_row),
         ("pass_pipeline".to_string(), pass_row),
         ("serving".to_string(), serving_row),
-        ("dist_train".to_string(), dist_row),
         ("threads".to_string(), tfe_encode::Value::Int(threads as i64)),
         ("quick".to_string(), tfe_encode::Value::Bool(quick)),
         ("rows".to_string(), tfe_encode::Value::Array(rows)),

@@ -2,17 +2,26 @@
 //! and remote-resident tensors — rebuilt on the RPC layer so both
 //! transports (in-process channels and real TCP sockets) run identical
 //! protocol code.
+//!
+//! Everything the coordinator asks a worker to compute is a [`Program`]
+//! (the `run` request of `worker.rs`), and every program travels in a
+//! *round* ([`Cluster::round`]): at most one program per worker, all of
+//! them written before any reply is read, so the workers run at the same
+//! time and a phase of a distributed step costs one round trip, not one
+//! per worker or per op. [`Cluster::execute`], [`Cluster::call_function`]
+//! and [`RemoteTensor::fetch`] are one-request rounds of one- or zero-step
+//! programs.
 
 use crate::error::DistError;
-use crate::rpc::{RpcClient, RpcOptions};
+use crate::rpc::{InFlight, RpcClient, RpcOptions};
 use crate::transport::{spawn_in_process, spawn_tcp, Transport, WorkerControl};
+use crate::wire::WireError;
 use crate::worker::WorkerState;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use tfe_device::{DeviceName, DeviceType};
 use tfe_encode::Value;
 use tfe_graph::serial::{attrs_to_value, tensor_from_value, tensor_to_value};
@@ -143,16 +152,18 @@ struct WorkerEntry {
 }
 
 impl WorkerEntry {
-    /// One RPC to this worker, with the pending frees riding along. The
-    /// worker drops them before it runs the request, so only a transport
-    /// failure can lose them: then they go back on the list.
-    fn call(
-        &self,
+    /// The send half of one RPC to this worker, with the pending frees
+    /// riding along. The worker drops them before it runs the request, so
+    /// only a transport failure can lose them: then they go back on the
+    /// list.
+    fn send<'a>(
+        &'a self,
         op: &str,
         mut body: Value,
         idempotent: bool,
-        opts: Option<&RpcOptions>,
-    ) -> Result<Value> {
+        opts: &'a RpcOptions,
+        overall: Instant,
+    ) -> Result<Sent<'a>> {
         let freed = std::mem::take(&mut *self.free.lock());
         if !freed.is_empty() {
             let ids = freed.iter().map(|&id| Value::Int(id as i64)).collect();
@@ -160,12 +171,34 @@ impl WorkerEntry {
                 fields.insert("free".to_string(), Value::Array(ids));
             }
         }
-        let result = match opts {
-            Some(opts) => self.client.call_with(op, body, idempotent, opts),
-            None => self.client.call(op, body, idempotent),
-        };
+        match self.client.send(op, body, idempotent, opts, overall) {
+            Ok(flight) => Ok(Sent { entry: self, freed, flight }),
+            Err(e) => {
+                self.free.lock().extend(freed);
+                Err(e)
+            }
+        }
+    }
+
+    /// Both halves in sequence, under the client's own options.
+    fn call(&self, op: &str, body: Value, idempotent: bool) -> Result<Value> {
+        let opts = self.client.options();
+        self.send(op, body, idempotent, opts, Instant::now() + opts.deadline)?.receive()
+    }
+}
+
+/// The receive half of [`WorkerEntry::send`].
+struct Sent<'a> {
+    entry: &'a WorkerEntry,
+    freed: Vec<u64>,
+    flight: InFlight<'a>,
+}
+
+impl Sent<'_> {
+    fn receive(self) -> Result<Value> {
+        let result = self.flight.receive();
         if !matches!(result, Ok(_) | Err(DistError::RemoteFault { .. })) {
-            self.free.lock().extend(freed);
+            self.entry.free.lock().extend(self.freed);
         }
         result
     }
@@ -173,6 +206,7 @@ impl WorkerEntry {
 
 struct ClusterInner {
     workers: HashMap<(String, usize), WorkerEntry>,
+    /// In spec order, which is the order a round writes and reads in.
     devices: Vec<DeviceName>,
     spec: ClusterSpec,
 }
@@ -183,6 +217,83 @@ impl ClusterInner {
             .get(&(device.job.clone(), device.task))
             .ok_or_else(|| DistError::NoSuchWorker(device.to_string()))
     }
+
+    /// One round (see [`Cluster::round`]); replies in the order of
+    /// `programs`.
+    fn round(self: &Arc<Self>, programs: Vec<(DeviceName, Program)>) -> Result<Vec<Reply>> {
+        let _root = tfe_profile::request_scope("dist", || format!("rpc:round[{}]", programs.len()));
+        // Spec order, on every coordinator thread: a pending reply holds its
+        // worker's connection, so two rounds must take them in one order.
+        let mut slots = Vec::with_capacity(programs.len());
+        for (at, (device, program)) in programs.into_iter().enumerate() {
+            let worker = self.devices.iter().position(|d| *d == device);
+            let worker = worker.ok_or_else(|| DistError::NoSuchWorker(device.to_string()))?;
+            slots.push((worker, at, program));
+        }
+        slots.sort_by_key(|&(worker, ..)| worker);
+        if slots.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+            return Err(DistError::Spec("a round takes at most one program per worker".into()));
+        }
+
+        // Write every request, then read every reply — also after a
+        // failure, so that no reply of this round is left for a later one.
+        let mut replies: Vec<Option<Reply>> = slots.iter().map(|_| None).collect();
+        let started = Instant::now();
+        let mut sent = Vec::with_capacity(slots.len());
+        let mut unsent = None;
+        for (worker, at, program) in slots {
+            let device = &self.devices[worker];
+            let entry = self.entry(device)?;
+            let opts = entry.client.options();
+            let steps = program.steps.len();
+            let span = tfe_profile::span("dist", || format!("rpc:run[{steps}]@{device}"));
+            let (op, idempotent) = (format!("run[{steps}]"), program.idempotent());
+            match entry.send(&op, program.into_body(), idempotent, opts, started + opts.deadline) {
+                Ok(flight) => sent.push((at, device, flight, span)),
+                Err(e) => {
+                    unsent = Some(e);
+                    break;
+                }
+            }
+        }
+        let mut failed = None;
+        for (at, device, flight, span) in sent {
+            match flight.receive().and_then(|payload| self.reply(device, payload)) {
+                Ok(reply) => replies[at] = Some(reply),
+                Err(e) => failed = failed.or(Some(e)),
+            }
+            drop(span);
+        }
+        // The request that was not written is the last in worker order.
+        match failed.or(unsent) {
+            Some(e) => Err(e),
+            None => {
+                Ok(replies.into_iter().map(|r| r.expect("every request was answered")).collect())
+            }
+        }
+    }
+
+    /// Turn the `ok` payload of a `run` request to `device` into handles and
+    /// values.
+    fn reply(self: &Arc<Self>, device: &DeviceName, payload: Value) -> Result<Reply> {
+        let Value::Object(mut fields) = payload else {
+            return Err(bad_reply("not an object"));
+        };
+        let kept = parse_metas(&fields.remove("kept").unwrap_or(Value::Null))?
+            .into_iter()
+            .map(|(id, dtype, dims)| RemoteTensor {
+                device: device.clone(),
+                id,
+                dtype,
+                dims,
+                buffer: Arc::new(Buffer { device: device.clone(), id, cluster: self.clone() }),
+            })
+            .collect();
+        match fields.remove("returned") {
+            Some(Value::Array(returned)) => Ok(Reply { kept, returned }),
+            _ => Err(bad_reply("no `returned` list")),
+        }
+    }
 }
 
 /// A running cluster: the coordinator's handle to its worker servers.
@@ -192,6 +303,9 @@ pub struct Cluster {
 
 /// A tensor resident on a remote device (§4.5: results "stay on the remote
 /// device" until more ops consume them or the coordinator fetches them).
+/// Clones share the worker-side buffer; it is released after the last one
+/// drops.
+#[derive(Clone)]
 pub struct RemoteTensor {
     /// Where the tensor lives.
     pub device: DeviceName,
@@ -201,33 +315,22 @@ pub struct RemoteTensor {
     pub dtype: tfe_tensor::DType,
     /// Shape.
     pub dims: Vec<usize>,
+    buffer: Arc<Buffer>,
+}
+
+/// The coordinator's one claim on a worker-side buffer.
+struct Buffer {
+    device: DeviceName,
+    id: u64,
     cluster: Arc<ClusterInner>,
-    owned: Arc<AtomicU64>, // refcount-ish marker for Drop-based deletion
 }
 
-impl Clone for RemoteTensor {
-    fn clone(&self) -> RemoteTensor {
-        self.owned.fetch_add(1, Ordering::Relaxed);
-        RemoteTensor {
-            device: self.device.clone(),
-            id: self.id,
-            dtype: self.dtype,
-            dims: self.dims.clone(),
-            cluster: self.cluster.clone(),
-            owned: self.owned.clone(),
-        }
-    }
-}
-
-impl Drop for RemoteTensor {
+impl Drop for Buffer {
+    /// Queue the buffer for release with the next request to its worker.
+    /// No round trip here, so a dead worker cannot stall a drop.
     fn drop(&mut self) {
-        if self.owned.fetch_sub(1, Ordering::Relaxed) == 1 {
-            // Last handle: queue the worker-side buffer for release with
-            // the next request to that worker. No round trip here, so a
-            // dead worker cannot stall a drop.
-            if let Ok(entry) = self.cluster.entry(&self.device) {
-                entry.free.lock().push(self.id);
-            }
+        if let Ok(entry) = self.cluster.entry(&self.device) {
+            entry.free.lock().push(self.id);
         }
     }
 }
@@ -249,69 +352,191 @@ impl RemoteTensor {
     /// # Errors
     /// Typed [`DistError`] within the RPC deadline.
     pub fn fetch(&self) -> Result<Tensor> {
-        let data = tensor_from_value(&self.fetch_value()?)
-            .map_err(|e| DistError::Wire(crate::wire::WireError::Payload(e.to_string())))?;
-        Ok(Tensor::from_data(data))
+        decode_tensor(&self.fetch_value()?)
     }
 
-    /// The serialized tensor exactly as the worker sent it.
+    /// The serialized tensor exactly as the worker sent it: a program of no
+    /// steps that returns the resident tensor.
     fn fetch_value(&self) -> Result<Value> {
-        // An RPC is a request entry point (nested fetches — e.g. the
-        // coordinator relaying cross-worker args — inherit the ambient
-        // request instead).
-        let _root = tfe_profile::request_scope("dist", || format!("rpc:fetch:{}", self.id));
-        let body = Value::object([
-            ("type".to_string(), Value::str("fetch")),
-            ("id".to_string(), Value::Int(self.id as i64)),
-        ]);
-        self.cluster.entry(&self.device)?.call("fetch", body, true, None)
+        let mut program = Program::new();
+        program.give(Input::Resident(self.id));
+        let replies = self.buffer.cluster.round(vec![(self.device.clone(), program)])?;
+        let returned = replies.into_iter().next().and_then(|r| r.returned.into_iter().next());
+        returned.ok_or_else(|| bad_reply("nothing returned"))
     }
 }
 
-fn encode_args(args: &[RemoteArg], target: &DeviceName) -> Result<Vec<Value>> {
+fn bad_reply(what: &str) -> DistError {
+    DistError::Wire(WireError::Payload(format!("`run` reply: {what}")))
+}
+
+/// Decode a tensor a worker returned inline.
+///
+/// # Errors
+/// [`DistError::Wire`] when the value is not a well-formed tensor.
+pub fn decode_tensor(value: &Value) -> Result<Tensor> {
+    let data =
+        tensor_from_value(value).map_err(|e| DistError::Wire(WireError::Payload(e.to_string())))?;
+    Ok(Tensor::from_data(data))
+}
+
+/// A reference to a tensor, as a worker's `run` request names one (the
+/// table in `worker.rs`).
+#[derive(Debug, Clone)]
+pub enum Input {
+    /// A serialized tensor shipped in the request. A value a worker
+    /// returned goes back out as it came in, never decoded in between.
+    Inline(Value),
+    /// The id of a tensor resident on the worker the program is sent to.
+    Resident(u64),
+    /// Output `.1` of step `.0` of the same program.
+    Step(usize, usize),
+}
+
+impl Input {
+    /// Serialize a local tensor.
+    ///
+    /// # Errors
+    /// The tensor's own deferred error, if it has one.
+    pub fn tensor(t: &Tensor) -> Result<Input> {
+        Ok(Input::Inline(tensor_to_value(&*t.value().map_err(DistError::from)?)))
+    }
+
+    fn into_value(self) -> Value {
+        match self {
+            Input::Inline(tensor) => Value::object([("inline".to_string(), tensor)]),
+            Input::Resident(id) => Value::object([("resident".to_string(), Value::Int(id as i64))]),
+            Input::Step(step, output) => Value::object([
+                ("step".to_string(), Value::Int(step as i64)),
+                ("output".to_string(), Value::Int(output as i64)),
+            ]),
+        }
+    }
+}
+
+/// What one worker is asked to do in one request: an ordered list of steps
+/// whose inputs may be earlier steps' outputs, and the tensors to keep
+/// resident or to return inline when the last step has run. Whatever is
+/// neither kept nor returned never outlives the request.
+#[derive(Debug, Default)]
+pub struct Program {
+    steps: Vec<Value>,
+    keep: Vec<Value>,
+    give: Vec<Value>,
+    calls: bool,
+}
+
+impl Program {
+    /// A program that does nothing yet.
+    pub fn new() -> Program {
+        Program::default()
+    }
+
+    /// Append a primitive op; returns the step's index.
+    pub fn op(&mut self, op: &str, attrs: &Attrs, inputs: Vec<Input>) -> usize {
+        self.step(inputs, [("op", Value::str(op)), ("attrs", attrs_to_value(attrs))])
+    }
+
+    /// Append a call of a graph function by library name; returns the
+    /// step's index.
+    pub fn call(&mut self, name: &str, inputs: Vec<Input>) -> usize {
+        self.calls = true;
+        self.step(inputs, [("call", Value::str(name))])
+    }
+
+    fn step<const N: usize>(&mut self, inputs: Vec<Input>, what: [(&str, Value); N]) -> usize {
+        let inputs = Value::Array(inputs.into_iter().map(Input::into_value).collect());
+        let fields = what.into_iter().chain([("inputs", inputs)]);
+        self.steps.push(Value::object(fields.map(|(key, value)| (key.to_string(), value))));
+        self.steps.len() - 1
+    }
+
+    /// Keep `tensor` resident on the worker; the reply's `kept` lists what
+    /// was kept in the order asked.
+    pub fn keep(&mut self, tensor: Input) {
+        self.keep.push(tensor.into_value());
+    }
+
+    /// Keep every output of `step`.
+    pub fn keep_all(&mut self, step: usize) {
+        self.keep.push(Value::object([("step".to_string(), Value::Int(step as i64))]));
+    }
+
+    /// Return `tensor` inline; the reply's `returned` lists what was
+    /// returned in the order asked.
+    pub fn give(&mut self, tensor: Input) {
+        self.give.push(tensor.into_value());
+    }
+
+    /// How many tensors the reply will return.
+    pub fn given(&self) -> usize {
+        self.give.len()
+    }
+
+    /// Whether there is anything to send: a worker with nothing to do in a
+    /// round gets no request.
+    pub fn is_empty(&self) -> bool {
+        self.steps.is_empty() && self.keep.is_empty() && self.give.is_empty()
+    }
+
+    /// Running it twice is harmless: it leaves nothing on the worker and
+    /// calls no function, which might update a variable.
+    fn idempotent(&self) -> bool {
+        self.keep.is_empty() && !self.calls
+    }
+
+    fn into_body(self) -> Value {
+        Value::object([
+            ("type".to_string(), Value::str("run")),
+            ("steps".to_string(), Value::Array(self.steps)),
+            ("keep".to_string(), Value::Array(self.keep)),
+            ("return".to_string(), Value::Array(self.give)),
+        ])
+    }
+}
+
+/// A worker's answer to one [`Program`].
+#[derive(Debug, Default)]
+pub struct Reply {
+    /// Handles to what the program kept, in the order it asked.
+    pub kept: Vec<RemoteTensor>,
+    /// What the program returned, still serialized, in the order it asked.
+    pub returned: Vec<Value>,
+}
+
+fn encode_args(args: &[RemoteArg], target: &DeviceName) -> Result<Vec<Input>> {
     args.iter()
         .map(|a| match a {
-            RemoteArg::Local(t) => {
-                let data = t.value().map_err(DistError::from)?;
-                Ok(Value::object([("inline".to_string(), tensor_to_value(&data))]))
-            }
+            RemoteArg::Local(t) => Input::tensor(t),
             // Cross-worker: fetch then re-ship (the coordinator relays,
             // like TF's transparent copies in §4.4). The fetched value goes
             // out as it came in; the target worker is the one to decode it.
-            RemoteArg::Remote(r) if &r.device != target => {
-                Ok(Value::object([("inline".to_string(), r.fetch_value()?)]))
-            }
-            RemoteArg::Remote(r) => {
-                Ok(Value::object([("resident".to_string(), Value::Int(r.id as i64))]))
-            }
+            RemoteArg::Remote(r) if &r.device != target => Ok(Input::Inline(r.fetch_value()?)),
+            RemoteArg::Remote(r) => Ok(Input::Resident(r.id)),
         })
         .collect()
 }
 
-/// Parse the `{tensors: [{id, dtype, dims}]}` payload of an execute/call
-/// response.
-fn parse_metas(payload: &Value) -> Result<Vec<(u64, tfe_tensor::DType, Vec<usize>)>> {
-    let bad = |msg: &str| DistError::Wire(crate::wire::WireError::Payload(msg.to_string()));
-    payload
-        .get("tensors")
-        .and_then(Value::as_array)
-        .ok_or_else(|| bad("response has no `tensors` array"))?
+/// Parse the `[{id, dtype, dims}]` list of a `run` reply.
+fn parse_metas(kept: &Value) -> Result<Vec<(u64, tfe_tensor::DType, Vec<usize>)>> {
+    kept.as_array()
+        .ok_or_else(|| bad_reply("no `kept` list"))?
         .iter()
         .map(|m| {
             let id = m
                 .get("id")
                 .and_then(Value::as_i64)
                 .filter(|id| *id >= 0)
-                .ok_or_else(|| bad("tensor meta has no valid `id`"))?;
+                .ok_or_else(|| bad_reply("tensor meta has no valid `id`"))?;
             let dtype = m
                 .get("dtype")
                 .and_then(Value::as_str)
                 .and_then(tfe_tensor::DType::from_name)
-                .ok_or_else(|| bad("tensor meta has no valid `dtype`"))?;
+                .ok_or_else(|| bad_reply("tensor meta has no valid `dtype`"))?;
             let dims = m
                 .get("dims")
                 .and_then(Value::as_i64_array)
-                .ok_or_else(|| bad("tensor meta has no valid `dims`"))?
+                .ok_or_else(|| bad_reply("tensor meta has no valid `dims`"))?
                 .into_iter()
                 .map(|d| d as usize)
                 .collect();
@@ -398,19 +623,45 @@ impl Cluster {
         Ok(self.inner.entry(&target)?.addr)
     }
 
-    fn run(&self, target: &DeviceName, op: &str, body: Value) -> Result<Vec<RemoteTensor>> {
-        let payload = self.inner.entry(target)?.call(op, body, false, None)?;
-        Ok(parse_metas(&payload)?
+    /// One round: send each worker its program, **every request written
+    /// before any reply is read**, then read the replies in worker (spec)
+    /// order — so the workers run at the same time, on the one coordinator
+    /// thread. At most one program per worker; the replies come back in the
+    /// order of `programs`. The whole round has one absolute deadline, the
+    /// cluster's RPC deadline from its start.
+    ///
+    /// The retry rule is the RPC layer's: a connect failure is retried
+    /// before the send; after a send only a program that keeps nothing and
+    /// calls no function is sent again. A round reads (or gives up on, which
+    /// abandons the connection) the reply to every request it wrote before
+    /// it returns, whatever failed, and then reports the first failure in
+    /// worker order.
+    ///
+    /// # Errors
+    /// Unknown devices, two programs for one worker, or any typed RPC
+    /// failure, within the deadline.
+    pub fn round(&self, programs: Vec<(&str, Program)>) -> Result<Vec<Reply>> {
+        let programs: Result<Vec<_>> = programs
             .into_iter()
-            .map(|(id, dtype, dims)| RemoteTensor {
-                device: target.clone(),
-                id,
-                dtype,
-                dims,
-                cluster: self.inner.clone(),
-                owned: Arc::new(AtomicU64::new(1)),
-            })
-            .collect())
+            .map(|(device, program)| Ok((self.inner.spec.resolve(device)?, program)))
+            .collect();
+        self.inner.round(programs?)
+    }
+
+    /// A round of one request: `program` on `device`, everything it makes
+    /// kept.
+    fn run_one(
+        &self,
+        device: &str,
+        build: impl FnOnce(&mut Program, Vec<Input>) -> usize,
+        args: &[RemoteArg],
+    ) -> Result<Vec<RemoteTensor>> {
+        let target = self.inner.spec.resolve(device)?;
+        let mut program = Program::new();
+        let step = build(&mut program, encode_args(args, &target)?);
+        program.keep_all(step);
+        let replies = self.inner.round(vec![(target, program)])?;
+        Ok(replies.into_iter().next().map(|r| r.kept).unwrap_or_default())
     }
 
     /// Execute one primitive op on the named remote device; outputs stay
@@ -426,16 +677,7 @@ impl Cluster {
         args: &[RemoteArg],
         attrs: Attrs,
     ) -> Result<Vec<RemoteTensor>> {
-        let _root = tfe_profile::request_scope("dist", || format!("rpc:execute:{op}@{device}"));
-        let target = self.inner.spec.resolve(device)?;
-        let inputs = encode_args(args, &target)?;
-        let body = Value::object([
-            ("type".to_string(), Value::str("execute_op")),
-            ("op".to_string(), Value::str(op)),
-            ("attrs".to_string(), attrs_to_value(&attrs)),
-            ("inputs".to_string(), Value::Array(inputs)),
-        ]);
-        self.run(&target, &format!("execute:{op}"), body)
+        self.run_one(device, |program, inputs| program.op(op, &attrs, inputs), args)
     }
 
     /// Execute a whole graph function (by library name) on a remote device
@@ -450,15 +692,7 @@ impl Cluster {
         name: &str,
         args: &[RemoteArg],
     ) -> Result<Vec<RemoteTensor>> {
-        let _root = tfe_profile::request_scope("dist", || format!("rpc:call:{name}@{device}"));
-        let target = self.inner.spec.resolve(device)?;
-        let inputs = encode_args(args, &target)?;
-        let body = Value::object([
-            ("type".to_string(), Value::str("call_function")),
-            ("name".to_string(), Value::str(name)),
-            ("inputs".to_string(), Value::Array(inputs)),
-        ]);
-        self.run(&target, &format!("call:{name}"), body)
+        self.run_one(device, |program, inputs| program.call(name, inputs), args)
     }
 
     /// Liveness probe: a round-trip that exercises the full wire path.
@@ -468,7 +702,7 @@ impl Cluster {
     pub fn ping(&self, device: &str) -> Result<()> {
         let target = self.inner.spec.resolve(device)?;
         let body = Value::object([("type".to_string(), Value::str("ping"))]);
-        self.inner.entry(&target)?.call("ping", body, true, None)?;
+        self.inner.entry(&target)?.call("ping", body, true)?;
         Ok(())
     }
 
@@ -496,7 +730,8 @@ impl Cluster {
         };
         for entry in self.inner.workers.values() {
             let body = Value::object([("type".to_string(), Value::str("shutdown"))]);
-            let _ = entry.call("shutdown", body, false, Some(&opts));
+            let sent = entry.send("shutdown", body, false, &opts, Instant::now() + opts.deadline);
+            let _ = sent.and_then(Sent::receive);
         }
         for entry in self.inner.workers.values() {
             entry.control.lock().kill();

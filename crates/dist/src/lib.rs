@@ -10,9 +10,9 @@
 //! ## Layering (DESIGN.md §17)
 //!
 //! ```text
-//! collective  ring / parameter-server gradient means + bit references
-//! cluster     ClusterSpec, Cluster, RemoteTensor, arg relay
-//! rpc         request/response, deadlines, bounded retries, typed errors
+//! collective  ring / parameter-server gradient means as rounds + bit references
+//! cluster     ClusterSpec, Cluster, RemoteTensor, Program, the round
+//! rpc         send / receive, deadlines, bounded retries, typed errors
 //! transport   Transport trait: in-process channels | real TCP sockets
 //! wire        length-prefixed frames over tfe-encode's binary syntax
 //! ```
@@ -45,13 +45,17 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use cluster::{Cluster, ClusterSpec, RemoteArg, RemoteTensor, Result, TransportKind};
+pub use cluster::{
+    decode_tensor, Cluster, ClusterSpec, Input, Program, RemoteArg, RemoteTensor, Reply, Result,
+    TransportKind,
+};
 pub use collective::{
-    ps_all_reduce_mean, ps_reference_mean, ring_all_reduce_mean, ring_reference_mean,
+    all_reduce_means, ps_all_reduce_mean, ps_reference_mean, ring_all_reduce_mean,
+    ring_reference_mean, Mean, Reduced, Shard, Spec,
 };
 pub use error::DistError;
-pub use rpc::{RpcClient, RpcOptions};
-pub use transport::{InProcessTransport, TcpTransport, Transport, TransportError};
+pub use rpc::{InFlight, RpcClient, RpcOptions};
+pub use transport::{InProcessTransport, PendingReply, TcpTransport, Transport, TransportError};
 pub use wire::{Frame, WireError, MAX_FRAME_LEN};
 pub use worker::WorkerState;
 

@@ -1,9 +1,17 @@
 //! The byte-transport layer: one trait, two implementations.
 //!
-//! [`Transport`] is a synchronous request/response exchange of
-//! [`Frame`]s under an absolute deadline. The two implementations are
-//! deliberately symmetric so the in-process path remains the bitwise
-//! differential reference for the TCP path:
+//! [`Transport`] is a request/response exchange of [`Frame`]s under an
+//! absolute deadline, in two halves: [`Transport::send`] writes the
+//! request and hands back the [`PendingReply`] on which its reply is read.
+//! A coordinator that talks to several workers writes to all of them
+//! before it reads from any (a *round*, `cluster.rs`), so the workers
+//! compute at the same time; [`Transport::round_trip`] is the two halves
+//! in sequence. A worker has at most one request in flight: the pending
+//! reply holds the connection, and dropping it unread abandons that
+//! connection, so a reply nobody waited for is never read as the answer to
+//! a later request. The two implementations are deliberately symmetric so
+//! the in-process path remains the bitwise differential reference for the
+//! TCP path:
 //!
 //! - [`InProcessTransport`] — the worker is a thread fed by a channel.
 //!   Frames are still *encoded to wire bytes and decoded back* on both
@@ -18,10 +26,10 @@
 //! subsequent RPCs surface typed transport errors within their deadline.
 
 use crate::wire::{read_frame, remaining, write_frame, Frame, WireError};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -55,19 +63,41 @@ impl std::fmt::Display for TransportError {
     }
 }
 
-/// One request/response exchange with a worker.
+/// One request/response exchange with a worker, in two halves.
 pub trait Transport: Send + Sync {
-    /// Send `request` (one encoded frame, see [`Frame::encode`]) and wait
-    /// for the matching response, bounded by the absolute `deadline`. The
-    /// caller encodes, so a retry re-sends the same bytes.
+    /// Write `request` (one encoded frame, see [`Frame::encode`]), bounded
+    /// by the absolute `deadline`. The caller encodes, so a retry re-sends
+    /// the same bytes.
     ///
     /// # Errors
     /// Typed [`TransportError`]; implementations never block past the
     /// deadline.
-    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError>;
+    fn send(
+        &self,
+        request: &[u8],
+        deadline: Instant,
+    ) -> Result<Box<dyn PendingReply + '_>, TransportError>;
+
+    /// [`Transport::send`], then [`PendingReply::receive`].
+    ///
+    /// # Errors
+    /// Those of the two halves.
+    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError> {
+        self.send(request, deadline)?.receive(deadline)
+    }
 
     /// `"in_process"` or `"tcp"` — used in metrics labels and Debug.
     fn kind(&self) -> &'static str;
+}
+
+/// The receive half of an exchange: a request that has been written and
+/// whose reply has not been read.
+pub trait PendingReply {
+    /// Wait for the reply, bounded by the absolute `deadline`.
+    ///
+    /// # Errors
+    /// Typed [`TransportError`]; never blocks past the deadline.
+    fn receive(self: Box<Self>, deadline: Instant) -> Result<Frame, TransportError>;
 }
 
 /// Handle to a running worker server (either transport).
@@ -128,14 +158,35 @@ pub struct InProcessTransport {
 }
 
 impl Transport for InProcessTransport {
-    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError> {
-        let sent = request.len();
+    fn send(
+        &self,
+        request: &[u8],
+        _deadline: Instant,
+    ) -> Result<Box<dyn PendingReply + '_>, TransportError> {
         let (resp_tx, resp_rx) = channel();
         self.tx
             .send((request.to_vec(), resp_tx))
             .map_err(|_| TransportError::ConnectionLost("worker channel closed".to_string()))?;
+        Ok(Box::new(ChannelReply { rx: resp_rx, worker: &self.worker, sent: request.len() }))
+    }
+
+    fn kind(&self) -> &'static str {
+        "in_process"
+    }
+}
+
+/// The reply channel of one in-process request; it is the request's own, so
+/// an abandoned reply goes nowhere.
+struct ChannelReply<'a> {
+    rx: Receiver<Vec<u8>>,
+    worker: &'a str,
+    sent: usize,
+}
+
+impl PendingReply for ChannelReply<'_> {
+    fn receive(self: Box<Self>, deadline: Instant) -> Result<Frame, TransportError> {
         let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
-        let resp = match resp_rx.recv_timeout(timeout) {
+        let resp = match self.rx.recv_timeout(timeout) {
             Ok(bytes) => bytes,
             Err(RecvTimeoutError::Timeout) => return Err(TransportError::Timeout),
             Err(RecvTimeoutError::Disconnected) => {
@@ -144,12 +195,8 @@ impl Transport for InProcessTransport {
                 ))
             }
         };
-        count_bytes(&self.worker, sent, resp.len());
+        count_bytes(self.worker, self.sent, resp.len());
         Frame::decode(&resp).map_err(TransportError::Wire)
-    }
-
-    fn kind(&self) -> &'static str {
-        "in_process"
     }
 }
 
@@ -205,8 +252,8 @@ pub(crate) fn spawn_in_process(
 // ---------------------------------------------------------------------------
 
 /// Socket transport to a worker serving a localhost listener. One
-/// connection is kept and reused across calls; any failure poisons it so
-/// the next call reconnects from scratch.
+/// connection is kept and reused across calls; any failure, and any reply
+/// left unread, poisons it so the next call reconnects from scratch.
 pub struct TcpTransport {
     addr: SocketAddr,
     stream: Mutex<Option<TcpStream>>,
@@ -221,7 +268,11 @@ impl TcpTransport {
 }
 
 impl Transport for TcpTransport {
-    fn round_trip(&self, request: &[u8], deadline: Instant) -> Result<Frame, TransportError> {
+    fn send(
+        &self,
+        request: &[u8],
+        deadline: Instant,
+    ) -> Result<Box<dyn PendingReply + '_>, TransportError> {
         let mut slot = self.stream.lock();
         if slot.is_none() {
             let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
@@ -230,14 +281,21 @@ impl Transport for TcpTransport {
             stream.set_nodelay(true).ok();
             *slot = Some(stream);
         }
-        let stream = slot.as_mut().expect("connected above");
-        let result = exchange(stream, request, deadline, &self.worker);
-        if result.is_err() {
-            // Poison the cached connection: a timed-out response may still
-            // arrive later and would desynchronize call ids.
-            *slot = None;
-        }
-        result
+        // From here the connection is poisoned unless the reply is read
+        // whole: a late or half-read reply would desynchronize call ids.
+        let mut reply = TcpReply { slot, worker: &self.worker, sent: request.len(), read: false };
+        let stream = reply.slot.as_mut().expect("connected above");
+        let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
+        stream.set_write_timeout(Some(timeout)).ok();
+        use std::io::Write;
+        stream.write_all(request).map_err(|e| {
+            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
+                TransportError::Timeout
+            } else {
+                TransportError::ConnectionLost(e.to_string())
+            }
+        })?;
+        Ok(Box::new(reply))
     }
 
     fn kind(&self) -> &'static str {
@@ -245,34 +303,40 @@ impl Transport for TcpTransport {
     }
 }
 
-fn exchange(
-    stream: &mut TcpStream,
-    request: &[u8],
-    deadline: Instant,
-    worker: &str,
-) -> Result<Frame, TransportError> {
-    let map_wire = |e: WireError| match e {
-        WireError::TimedOut => TransportError::Timeout,
-        WireError::Disconnected(msg) => TransportError::ConnectionLost(msg),
-        other => TransportError::Wire(other),
-    };
-    let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
-    stream.set_write_timeout(Some(timeout)).ok();
-    use std::io::Write;
-    stream.write_all(request).map_err(|e| {
-        if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut) {
-            TransportError::Timeout
-        } else {
-            TransportError::ConnectionLost(e.to_string())
+/// A request written to the cached connection. It holds the connection's
+/// lock until the reply is read or given up on, so nothing else can write
+/// to, or read from, the stream in between.
+struct TcpReply<'a> {
+    slot: MutexGuard<'a, Option<TcpStream>>,
+    worker: &'a str,
+    sent: usize,
+    read: bool,
+}
+
+impl PendingReply for TcpReply<'_> {
+    fn receive(mut self: Box<Self>, deadline: Instant) -> Result<Frame, TransportError> {
+        let stream = self.slot.as_mut().expect("send left the connection in place");
+        let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
+        stream.set_read_timeout(Some(timeout)).ok();
+        let (reply, reply_bytes) = read_frame(stream, false)
+            .map_err(|e| match e {
+                WireError::TimedOut => TransportError::Timeout,
+                WireError::Disconnected(msg) => TransportError::ConnectionLost(msg),
+                other => TransportError::Wire(other),
+            })?
+            .ok_or_else(|| TransportError::ConnectionLost("eof".to_string()))?;
+        count_bytes(self.worker, self.sent, reply_bytes);
+        self.read = true;
+        Ok(reply)
+    }
+}
+
+impl Drop for TcpReply<'_> {
+    fn drop(&mut self) {
+        if !self.read {
+            *self.slot = None;
         }
-    })?;
-    let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
-    stream.set_read_timeout(Some(timeout)).ok();
-    let (reply, reply_bytes) = read_frame(stream, false)
-        .map_err(map_wire)?
-        .ok_or_else(|| TransportError::ConnectionLost("eof".to_string()))?;
-    count_bytes(worker, request.len(), reply_bytes);
-    Ok(reply)
+    }
 }
 
 /// Spawn a TCP worker: bind `127.0.0.1:0`, serve connections until killed

@@ -3,6 +3,13 @@
 //! aggregate gradients with a deterministic collective, and apply the
 //! optimizer update on the coordinator.
 //!
+//! A step is a handful of round trips, not one per op: each worker gets one
+//! request that calls the gradient function and runs the collective's first
+//! round over its outputs, all workers' requests are in flight at once, and
+//! losses and means come back in the replies (`tfe_dist::collective` has
+//! the rounds). On 2 workers that is 3 requests in 2 rounds through a
+//! parameter server and 6 in 3 around a ring, for any number of variables.
+//!
 //! [`DataParallel::local_step`] is the bit-reference: it runs the *same*
 //! staged function on the same shards in the same order on the
 //! coordinator, aggregates with the collective's local reference
@@ -17,8 +24,8 @@ use std::sync::Arc;
 use tfe_autodiff::GradientTape;
 use tfe_core::Func;
 use tfe_dist::{
-    ps_all_reduce_mean, ps_reference_mean, ring_all_reduce_mean, ring_reference_mean, Cluster,
-    DistError, RemoteArg, RemoteTensor,
+    all_reduce_means, decode_tensor, ps_reference_mean, ring_reference_mean, Cluster, DistError,
+    Input, Program, Shard, Spec,
 };
 use tfe_runtime::{api, context, ExecMode, RuntimeError, Tensor, Variable};
 use tfe_tensor::TensorData;
@@ -166,52 +173,46 @@ impl DataParallel {
     /// One distributed step: dispatch shards, all-reduce gradients, apply
     /// the optimizer on the coordinator. Returns the mean shard loss.
     ///
+    /// Each worker gets one request that calls the gradient function on its
+    /// shard, returns the loss and goes straight on to the collective's
+    /// first round over the gradients, so the shards compute at the same
+    /// time and a step is 3 requests in 2 rounds through a parameter
+    /// server, `3n` in 3 around a ring — whatever the number of variables.
+    ///
     /// # Errors
     /// Typed [`DistError`] — sharding misfits, worker faults, transport
     /// failures — always within the RPC deadlines.
     pub fn step(&self, x: &Tensor, y: &Tensor) -> Result<f64> {
-        let shards = self.shard(x, y)?;
         let n = self.workers.len();
-
-        // Fan out: one remote gradient-function call per worker.
-        let mut outs: Vec<Vec<RemoteTensor>> = Vec::with_capacity(n);
-        for (dev, (xs, ys)) in self.workers.iter().zip(&shards) {
-            let out = self.cluster.call_function(
-                dev,
-                &self.grad_fn,
-                &[RemoteArg::from(xs), RemoteArg::from(ys)],
-            )?;
-            if out.len() != 1 + self.vars.len() {
-                return Err(DistError::Spec(format!(
-                    "grad fn `{}` returned {} outputs, expected {}",
-                    self.grad_fn,
-                    out.len(),
-                    1 + self.vars.len()
-                )));
-            }
-            outs.push(out);
+        let mut sides = Vec::with_capacity(n);
+        for (device, (xs, ys)) in self.workers.iter().zip(self.shard(x, y)?) {
+            let mut program = Program::new();
+            let call = program.call(&self.grad_fn, vec![Input::tensor(&xs)?, Input::tensor(&ys)?]);
+            program.give(Input::Step(call, 0));
+            let grads = (0..self.vars.len()).map(|i| Input::Step(call, 1 + i)).collect();
+            sides.push(Shard { device: device.clone(), program, grads });
         }
+        let specs: Vec<Spec> =
+            self.vars.iter().map(|v| (v.dtype(), v.shape().dims().to_vec())).collect();
+        let ps_device = match &self.reduction {
+            Reduction::ParameterServer { ps_device } => Some(ps_device.as_str()),
+            Reduction::Ring => None,
+        };
+        let reduced = all_reduce_means(&self.cluster, ps_device, &specs, sides, true)?;
 
-        // Aggregate each variable's gradient with the chosen collective.
         let mut pairs = Vec::with_capacity(self.vars.len());
-        for (i, v) in self.vars.iter().enumerate() {
-            let shard_grads: Vec<RemoteTensor> = outs.iter().map(|o| o[1 + i].clone()).collect();
-            let mean = match &self.reduction {
-                Reduction::ParameterServer { ps_device } => {
-                    ps_all_reduce_mean(&self.cluster, ps_device, &shard_grads)?
-                }
-                Reduction::Ring => {
-                    let reduced = ring_all_reduce_mean(&self.cluster, &shard_grads)?;
-                    reduced.into_iter().next().expect("one result per worker")
-                }
-            };
-            pairs.push((mean.fetch()?, v.clone()));
+        for (mean, v) in reduced.means.iter().zip(&self.vars) {
+            let value = mean.value.as_ref().expect("asked to fetch the means");
+            pairs.push((decode_tensor(value)?, v.clone()));
         }
 
         // Mean shard loss, for reporting.
         let mut loss_sum = 0.0;
-        for out in &outs {
-            loss_sum += out[0].fetch()?.scalar_f64().map_err(DistError::from)?;
+        for lead in &reduced.lead {
+            let loss = lead.first().ok_or_else(|| {
+                DistError::Spec(format!("grad fn `{}` returned no loss", self.grad_fn))
+            })?;
+            loss_sum += decode_tensor(loss)?.scalar_f64().map_err(DistError::from)?;
         }
 
         self.opt.apply(&pairs).map_err(DistError::from)?;
@@ -378,15 +379,27 @@ mod tests {
     /// workers) and `{job}_ps`, so that the per-worker metrics it moves
     /// belong to the calling test alone. The model is the 6-variable MLP.
     fn isolated_trainer(job: &str, ps: bool) -> (DataParallel, Vec<String>) {
+        isolated_trainer_of(job, ps, &[4, 8, 8, 1], 4)
+    }
+
+    /// [`isolated_trainer`] for an MLP of the layer `sizes`, its gradient
+    /// function traced for shards of `rows` rows.
+    fn isolated_trainer_of(
+        job: &str,
+        ps: bool,
+        sizes: &[usize],
+        rows: usize,
+    ) -> (DataParallel, Vec<String>) {
         let mut init = Initializer::seeded(3);
-        let model = Arc::new(mlp(4, &[8, 8], 1, Activation::Tanh, &mut init));
+        let hidden = &sizes[1..sizes.len() - 1];
+        let model = Arc::new(mlp(sizes[0], hidden, 1, Activation::Tanh, &mut init));
         let vars = model.variables();
-        assert_eq!(vars.len(), 6);
+        assert_eq!(vars.len(), 2 * (sizes.len() - 1));
         let f = mse_grad_fn(&format!("dp_grad_{job}"), model, vars.clone());
         let conc = f
             .concrete_for(&[
-                Arg::from(&api::zeros(DType::F32, [4, 4])),
-                Arg::from(&api::zeros(DType::F32, [4, 1])),
+                Arg::from(&api::zeros(DType::F32, [rows, sizes[0]])),
+                Arg::from(&api::zeros(DType::F32, [rows, 1])),
             ])
             .unwrap();
         let ps_job = format!("{job}_ps");
@@ -434,26 +447,107 @@ mod tests {
             .collect()
     }
 
-    /// One step is 2 function calls, 2 loss fetches and, per variable, the
-    /// collective plus the fetch of its mean: 5 RPCs through a parameter
-    /// server; 15 around the ring, or 7 for a tensor too short to chunk.
-    /// Releasing the step's ~30 (PS) or ~70 (ring) remote tensors adds none.
+    /// Requests completed by, and wire bytes moved to and from, `devices`
+    /// so far.
+    fn traffic(devices: &[String]) -> (i64, i64) {
+        let sum = |metric| per_worker(metric, devices).iter().sum::<i64>();
+        (
+            sum("tfe_dist_rpcs_total"),
+            sum("tfe_dist_bytes_sent_total") + sum("tfe_dist_bytes_received_total"),
+        )
+    }
+
+    /// A step is one request per worker a round, whatever the number of
+    /// variables: the gradient call with the collective's first round, then
+    /// the parameter server's reduction (3 requests, 2 rounds) or the ring's
+    /// reduce and gather (6 requests, 3 rounds). Losses and means come back
+    /// in those replies; releasing the ring's kept pieces adds no request.
+    /// The bytes a step moves repeat exactly and are pinned (less the two
+    /// copies of the gradient function's name, whose trace index depends on
+    /// test order): the per-op protocol moved 10 163 and 23 129 for the same
+    /// tensors, names included, in 34 and 86 requests.
     #[test]
     fn step_rpc_counts_are_pinned() {
         tfe_core::init();
-        for (job, ps, expected) in [("count_ps", true, 34), ("count_ring", false, 86)] {
+        for (job, ps, requests, bytes) in
+            [("count_ps", true, 3, 6_220), ("count_ring", false, 6, 15_272)]
+        {
             let (dp, devices) = isolated_trainer(job, ps);
+            let bytes = bytes + 2 * dp.grad_fn.len() as i64;
             let (x, y) = batch(5);
             dp.step(&x, &y).unwrap();
-            let before: i64 = per_worker("tfe_dist_rpcs_total", &devices).iter().sum();
+            let before = traffic(&devices);
             dp.step(&x, &y).unwrap();
-            let after: i64 = per_worker("tfe_dist_rpcs_total", &devices).iter().sum();
-            assert_eq!(after - before, expected, "{job}");
+            let after = traffic(&devices);
+            assert_eq!((after.0 - before.0, after.1 - before.1), (requests, bytes), "{job}");
+            dp.step(&x, &y).unwrap();
+            assert_eq!(traffic(&devices).1 - after.1, bytes, "{job}: bytes repeat");
+        }
+    }
+
+    /// The per-tensor collectives over shards already on the workers, the
+    /// mean left where it is: `n + 1` requests through a parameter server,
+    /// `3n` around the ring, fewer for a tensor too short to chunk (worker 0
+    /// has nothing to send in the first round and nobody else reduces).
+    #[test]
+    fn collective_rpc_counts_are_pinned() {
+        tfe_core::init();
+        let (dp, devices) = isolated_trainer("count_coll", true);
+        let cluster = dp.cluster();
+        let place = |dims: &[usize]| -> Vec<tfe_dist::RemoteTensor> {
+            let t = api::ones(DType::F32, dims.to_vec());
+            let placed = devices[..2].iter().map(|device| {
+                let args = [tfe_dist::RemoteArg::from(&t)];
+                cluster.execute(device, "identity", &args, tfe_ops::Attrs::new()).unwrap().remove(0)
+            });
+            placed.collect()
+        };
+        let (matrix, short) = (place(&[8, 8]), place(&[1]));
+        let count = |run: &dyn Fn()| {
+            let before = traffic(&devices).0;
+            run();
+            traffic(&devices).0 - before
+        };
+        let ps = &devices[2];
+        assert_eq!(count(&|| drop(tfe_dist::ps_all_reduce_mean(cluster, ps, &matrix).unwrap())), 3);
+        assert_eq!(count(&|| drop(tfe_dist::ps_all_reduce_mean(cluster, ps, &short).unwrap())), 3);
+        assert_eq!(count(&|| drop(tfe_dist::ring_all_reduce_mean(cluster, &matrix).unwrap())), 6);
+        assert_eq!(count(&|| drop(tfe_dist::ring_all_reduce_mean(cluster, &short).unwrap())), 4);
+    }
+
+    /// A step moves at most twice the f32 bytes it cannot avoid — the batch
+    /// out, every worker's gradients out of it, the mean back — on the repo
+    /// benchmark's model, where tensor payload decides the bytes on the
+    /// wire. The coordinator relays tensors between workers, which alone
+    /// costs 1.65x; a codec or a framing that spends more than the rest does
+    /// not pass.
+    #[test]
+    fn a_step_moves_at_most_twice_its_payload() {
+        tfe_core::init();
+        const BATCH: usize = 64;
+        const SIZES: [usize; 4] = [32, 128, 128, 1];
+        for (job, ps) in [("bytes_ps", true), ("bytes_ring", false)] {
+            let (dp, devices) = isolated_trainer_of(job, ps, &SIZES, BATCH / 2);
+            let mut rng = tfe_tensor::rng::TensorRng::seed_from_u64(7);
+            let mut uniform = |cols: usize| {
+                let shape = Shape::from([BATCH, cols]);
+                Tensor::from_data(rng.uniform(DType::F32, shape, -1.0, 1.0).unwrap())
+            };
+            let (x, y) = (uniform(SIZES[0]), uniform(1));
+            dp.step(&x, &y).unwrap();
+            let before = traffic(&devices).1;
+            dp.step(&x, &y).unwrap();
+            let moved = traffic(&devices).1 - before;
+            let parameters: usize = SIZES.windows(2).map(|io| io[0] * io[1] + io[1]).sum();
+            let payload = (4 * (BATCH * (SIZES[0] + 1) + 3 * parameters)) as i64;
+            assert!(moved <= 2 * payload, "{job}: {moved} B moved for {payload} B of f32 payload");
         }
     }
 
     /// Dropped remote tensors are released with the next request to their
     /// worker: after 50 steps and one ping each, no worker holds anything.
+    /// A parameter-server step leaves nothing behind in the first place; a
+    /// ring step leaves the pieces and means its rounds kept.
     #[test]
     fn workers_hold_nothing_after_training() {
         tfe_core::init();
@@ -464,7 +558,7 @@ mod tests {
                 dp.step(&x, &y).unwrap();
             }
             let held = per_worker("tfe_dist_resident_tensors", &devices);
-            assert!(held.iter().sum::<i64>() > 0, "{job}: the last step's tensors await a request");
+            assert_eq!(held.iter().sum::<i64>() == 0, ps, "{job}: {held:?}");
             // One step's worth at most: nothing accumulates over 50 steps.
             assert!(held.iter().all(|&n| n < 60), "{job}: {held:?}");
             for device in &devices {

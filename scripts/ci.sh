@@ -168,24 +168,39 @@ cargo run --release -q -p tfe-bench --bin profiler_smoke > /dev/null
 echo "==> metrics smoke (probe overhead + exposition validation)"
 cargo run --release -q -p tfe-bench --bin metrics_smoke > /dev/null
 
-# Distribution gate: integration suite over both transports (typed
-# failure semantics under worker death included), the wire-format
-# hardening fuzz (truncations, single-byte mutations, hostile lengths),
-# and the dist differential — every sampled corpus graph must execute
-# bitwise-identically locally, over the in-process transport, and over
-# real TCP; the differential is repeated with an ambient TFE_ASYNC=1.
+# Distribution gate: the trainer's unit tests (requests, rounds' worth of
+# bytes and resident tensors per step pinned; step == local_step bitwise)
+# and the integration suite over both transports — one-request rounds
+# (execute, call_function, fetch) and many-request rounds (both
+# collectives, all tensors at once and one at a time, bitwise against
+# their references for 1-3 workers), a round with a killed worker failing
+# typed inside its deadline with the survivor's connection still in step,
+# an oversized request refused before it is sent — then the wire-format
+# hardening fuzz (truncations, single-byte mutations handed on to a
+# worker, hostile lengths) and the dist differential: every sampled corpus
+# graph must execute bitwise-identically locally, over the in-process
+# transport, and over real TCP. The differential is repeated with an
+# ambient TFE_ASYNC=1. The trainer and the integration suite are repeated
+# with TFE_NUM_THREADS=1: a round's workers run at the same time, and must
+# not wait on the intra-op pool, or on each other, to make progress.
 echo "==> distribution suite + wire hardening + dist differential (release)"
+cargo test --release -q -p tfe-nn dist_train
 cargo test --release -q --test distributed --test wire_hardening --test dist_differential \
     -- --test-threads "${THREADS}"
 echo "==> dist differential with TFE_ASYNC=1 (release)"
 TFE_ASYNC=1 cargo test --release -q --test dist_differential
+echo "==> distribution suite with TFE_NUM_THREADS=1 (release)"
+TFE_NUM_THREADS=1 cargo test --release -q -p tfe-nn dist_train
+TFE_NUM_THREADS=1 cargo test --release -q --test distributed -- --test-threads "${THREADS}"
 
 # Distribution smoke: boots real TCP workers on localhost, trains
 # data-parallel through both collectives bitwise-equal to the
-# single-process reference, reconciles the tfe_dist_* metric families
-# (RPC completions == latency samples, bytes moved both ways), and kills
-# a worker mid-run — every RPC path must surface a typed DistError
-# within the deadline while the survivor keeps serving.
+# single-process reference, counts a step's requests and rounds (3 in 2
+# through the parameter server, 6 in 3 around the ring), reconciles the
+# tfe_dist_* metric families (RPC completions == latency samples, bytes
+# moved both ways, more program steps than requests), and kills a worker
+# mid-run — every request shape must surface a typed DistError within the
+# deadline while the survivor keeps serving.
 echo "==> dist smoke (TCP workers, bitwise training parity, chaos)"
 cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 

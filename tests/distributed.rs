@@ -6,8 +6,9 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tf_eager::dist::{
-    ps_all_reduce_mean, ps_reference_mean, ring_all_reduce_mean, ring_reference_mean, Cluster,
-    ClusterSpec, DistError, RemoteArg, RemoteTensor, RpcOptions, TransportKind,
+    all_reduce_means, ps_all_reduce_mean, ps_reference_mean, ring_all_reduce_mean,
+    ring_reference_mean, Cluster, ClusterSpec, DistError, Input, Program, RemoteArg, RemoteTensor,
+    RpcOptions, Shard, TransportKind,
 };
 use tf_eager::nn::layers::Layer;
 use tf_eager::nn::{mlp, Activation, Initializer};
@@ -235,7 +236,8 @@ fn killed_worker_surfaces_typed_error_within_deadline() {
 
         cluster.kill_worker(d0).unwrap();
 
-        // Every RPC path: execute, call_function, fetch, ping.
+        // Every request shape: a one-step program of either kind, a
+        // no-step fetch, a ping.
         let started = Instant::now();
         let results: Vec<Result<(), DistError>> = vec![
             cluster.execute(d0, "square", &[RemoteArg::from(&x)], Attrs::new()).map(|_| ()),
@@ -331,6 +333,224 @@ fn ring_collective_matches_reference_bitwise() {
             }
             cluster.shutdown();
         }
+    }
+}
+
+/// A tensor of `dtype` and `dims` whose first elements are the values a
+/// careless codec or combine order loses: −0.0, NaNs with a payload and a
+/// sign, subnormals, infinities (floats); negatives and values that do not
+/// divide evenly (ints). `salt` varies them from shard to shard.
+fn awkward(dtype: DType, dims: &[usize], salt: u64) -> Tensor {
+    let mut rng = tfe_tensor::rng::TensorRng::seed_from_u64(1000 + salt);
+    let data = rng.uniform(DType::F64, Shape::from(dims.to_vec()), -3.0, 3.0).unwrap();
+    let mut values = data.to_f64_vec();
+    let len = values.len();
+    let data = match dtype {
+        DType::F32 => {
+            let mut values: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+            let specials = [
+                -0.0f32,
+                f32::from_bits(0x7fc0_1234 + salt as u32),
+                f32::from_bits(0xffa0_0001),
+                f32::from_bits(1 + salt as u32),
+                -f32::MIN_POSITIVE / 2.0,
+                f32::INFINITY,
+            ];
+            for (at, special) in specials.into_iter().enumerate().take(len) {
+                values[(at + salt as usize) % len] = special;
+            }
+            TensorData::from_vec(values, dims.to_vec()).unwrap()
+        }
+        DType::F64 => {
+            let specials = [
+                -0.0f64,
+                f64::from_bits(0x7ff8_0000_dead_0000 + salt),
+                f64::from_bits(3 + salt),
+                f64::NEG_INFINITY,
+            ];
+            for (at, special) in specials.into_iter().enumerate().take(len) {
+                values[(at + salt as usize) % len] = special;
+            }
+            TensorData::from_vec(values, dims.to_vec()).unwrap()
+        }
+        _ => {
+            let values: Vec<i32> = values.iter().map(|&v| (v * 1000.0) as i32 - 7).collect();
+            TensorData::from_vec(values, dims.to_vec()).unwrap()
+        }
+    };
+    Tensor::from_data(data)
+}
+
+/// Both collectives, over several tensors at once and one tensor at a
+/// time, match their references bit for bit — on both transports, for one,
+/// two and three workers, over shapes that chunk evenly, unevenly, not at
+/// all (fewer rows than workers, a scalar) or hold nothing, and over values
+/// a lossy codec or another combine order would change.
+#[test]
+fn collectives_match_their_references_over_shapes_and_workers() {
+    tf_eager::init();
+    let cases: Vec<(DType, Vec<usize>)> = vec![
+        (DType::F32, vec![]),
+        (DType::F32, vec![1]),
+        (DType::F32, vec![2, 3]),
+        (DType::F32, vec![7, 2]),
+        (DType::F32, vec![6]),
+        (DType::F32, vec![0, 3]),
+        (DType::F64, vec![5, 3]),
+        (DType::F64, vec![]),
+        (DType::I32, vec![4, 2]),
+        (DType::I32, vec![2]),
+    ];
+    let raw = |t: &Tensor| t.value().unwrap().to_le_bytes();
+    for kind in both_transports() {
+        for n in 1..=3usize {
+            let spec = ClusterSpec::new().with_job("train", n).unwrap().with_job("ps", 1).unwrap();
+            let cluster = start(&spec, kind);
+            let ps = "/job:ps/task:0/device:CPU:0";
+            let device = |w: usize| format!("/job:train/task:{w}/device:CPU:0");
+            let what =
+                |v: usize| format!("{kind:?}, {n} worker(s), {:?}{:?}", cases[v].0, cases[v].1);
+
+            let mut shards = Vec::new();
+            let mut ps_bits = Vec::new();
+            let mut ring_bits = Vec::new();
+            for (v, (dtype, dims)) in cases.iter().enumerate() {
+                let local: Vec<Tensor> =
+                    (0..n).map(|w| awkward(*dtype, dims, (3 * v + w) as u64)).collect();
+                let values: Vec<_> = local.iter().map(|t| t.value().unwrap()).collect();
+                ps_bits.push(ps_reference_mean(&values).unwrap().to_le_bytes());
+                ring_bits.push(ring_reference_mean(&values).unwrap().to_le_bytes());
+                let placed: Vec<RemoteTensor> =
+                    local.iter().enumerate().map(|(w, t)| place(&cluster, &device(w), t)).collect();
+                shards.push(placed);
+            }
+
+            let all_at_once = |ps_device: Option<&str>| {
+                let (specs, sides) = Shard::resident(&shards).unwrap();
+                all_reduce_means(&cluster, ps_device, &specs, sides, false).unwrap().means
+            };
+            for (v, mean) in all_at_once(Some(ps)).iter().enumerate() {
+                assert!(mean.value.is_none(), "not asked to fetch");
+                let mean = &mean.resident[0];
+                assert_eq!(mean.device.to_string(), ps);
+                assert_eq!(raw(&mean.fetch().unwrap()), ps_bits[v], "ps, all at once: {}", what(v));
+            }
+            for (v, mean) in all_at_once(None).iter().enumerate() {
+                assert_eq!(mean.resident.len(), n);
+                for (w, mean) in mean.resident.iter().enumerate() {
+                    assert_eq!(mean.device.to_string(), device(w));
+                    assert_eq!(mean.dims, cases[v].1);
+                    let bits = raw(&mean.fetch().unwrap());
+                    assert_eq!(bits, ring_bits[v], "ring, all at once: {}", what(v));
+                }
+            }
+            for (v, of_tensor) in shards.iter().enumerate() {
+                let mean = ps_all_reduce_mean(&cluster, ps, of_tensor).unwrap();
+                assert_eq!(raw(&mean.fetch().unwrap()), ps_bits[v], "ps, alone: {}", what(v));
+                for mean in ring_all_reduce_mean(&cluster, of_tensor).unwrap() {
+                    assert_eq!(
+                        raw(&mean.fetch().unwrap()),
+                        ring_bits[v],
+                        "ring, alone: {}",
+                        what(v)
+                    );
+                }
+            }
+            cluster.shutdown();
+        }
+    }
+}
+
+/// A round with a dead worker in it — first or last in worker order — is a
+/// typed transport error inside the deadline, and it leaves the survivor's
+/// connection in step: the reply the round did read, or gave up on, is not
+/// what the next request reads.
+#[test]
+fn a_round_with_a_killed_worker_fails_typed_and_leaves_the_survivor_in_step() {
+    tf_eager::init();
+    for kind in both_transports() {
+        for dead in 0..2 {
+            let opts = RpcOptions::with_deadline(Duration::from_millis(800));
+            let deadline = opts.deadline;
+            let spec = ClusterSpec::new().with_job("w", 2).unwrap();
+            let cluster = Cluster::start_with(&spec, kind, opts).expect("cluster starts");
+            let devices = ["/job:w/task:0/device:CPU:0", "/job:w/task:1/device:CPU:0"];
+            let x = api::scalar(3.0f32);
+            let square = || {
+                let mut program = Program::new();
+                let step = program.op("square", &Attrs::new(), vec![Input::tensor(&x).unwrap()]);
+                program.give(Input::Step(step, 0));
+                program
+            };
+            // One good round first, so both connections are up and warm.
+            let replies =
+                cluster.round(vec![(devices[0], square()), (devices[1], square())]).unwrap();
+            assert_eq!(replies.len(), 2);
+
+            cluster.kill_worker(devices[dead]).unwrap();
+            let started = Instant::now();
+            let outcome = cluster.round(vec![(devices[0], square()), (devices[1], square())]);
+            let elapsed = started.elapsed();
+            match outcome {
+                Err(DistError::Timeout { .. }) | Err(DistError::ConnectionLost { .. }) => {}
+                other => panic!("want a typed transport error ({kind:?}), got {other:?}"),
+            }
+            assert!(elapsed < deadline + Duration::from_secs(1), "took {elapsed:?} ({kind:?})");
+
+            // A mismatched call id would be a wire error here.
+            let survivor = devices[1 - dead];
+            cluster.ping(survivor).unwrap();
+            let out = cluster.execute(survivor, "square", &[RemoteArg::from(&x)], Attrs::new());
+            assert_eq!(out.unwrap()[0].fetch().unwrap().scalar_f64().unwrap(), 9.0);
+            let replies = cluster.round(vec![(survivor, square())]).unwrap();
+            let value = tf_eager::dist::decode_tensor(&replies[0].returned[0]).unwrap();
+            assert_eq!(value.scalar_f64().unwrap(), 9.0);
+            cluster.shutdown();
+        }
+    }
+}
+
+/// Two programs for one worker are not a round.
+#[test]
+fn a_round_takes_one_program_per_worker() {
+    let cluster = Cluster::start(&ClusterSpec::new().with_job("w", 1).unwrap());
+    let dev = "/job:w/task:0/device:CPU:0";
+    let outcome = cluster.round(vec![(dev, Program::new()), (dev, Program::new())]);
+    assert!(matches!(outcome, Err(DistError::Spec(_))), "{outcome:?}");
+    assert!(cluster.round(vec![]).unwrap().is_empty());
+    cluster.shutdown();
+}
+
+/// A request no receiver would take is refused by the sender, typed, before
+/// a byte is written: the connection stays up, and neither the completed
+/// nor the failed counter moves. (One 64 MiB tensor: release builds only.)
+#[cfg(not(debug_assertions))]
+#[test]
+fn an_oversized_request_is_refused_before_it_is_sent() {
+    use tf_eager::dist::{WireError, MAX_FRAME_LEN};
+    tf_eager::init();
+    let huge = Tensor::from_data(TensorData::zeros(DType::Bool, Shape::from([MAX_FRAME_LEN])));
+    for (kind, job) in both_transports().into_iter().zip(["big_chan", "big_tcp"]) {
+        let cluster = start(&ClusterSpec::new().with_job(job, 1).unwrap(), kind);
+        let dev = format!("/job:{job}/task:0/device:CPU:0");
+        cluster.ping(&dev).unwrap();
+        let counters = || {
+            let snap = tf_eager::metrics::snapshot();
+            let label = format!("{job}/0");
+            let read = |name| snap.counter_with(name, &label).unwrap_or(0);
+            (read("tfe_dist_rpcs_total"), read("tfe_dist_rpc_failures_total"))
+        };
+        let before = counters();
+        match cluster.execute(&dev, "identity", &[RemoteArg::from(&huge)], Attrs::new()) {
+            Err(DistError::Wire(WireError::Oversized { len, max })) => {
+                assert!(len > max && max == MAX_FRAME_LEN, "{len} vs {max}");
+            }
+            other => panic!("want an oversized refusal ({kind:?}), got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(counters(), before, "{kind:?}: the refusal is not an RPC");
+        cluster.ping(&dev).unwrap();
+        assert_eq!(counters(), (before.0 + 1, before.1), "{kind:?}: same connection, no failure");
+        cluster.shutdown();
     }
 }
 

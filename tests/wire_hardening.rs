@@ -9,19 +9,35 @@ use tf_eager::graph::serial::{tensor_from_value, tensor_to_value};
 use tf_eager::TensorData;
 use tfe_encode::Value;
 
-/// An `execute_op` request carrying one inline tensor.
-fn execute_frame(tensor: Value) -> Frame {
+/// A `run` request whose first step takes one inline tensor and whose
+/// second reads the first by step reference.
+fn run_frame(tensor: Value) -> Frame {
+    let object = |fields: Vec<(&str, Value)>| {
+        Value::object(fields.into_iter().map(|(k, v)| (k.to_string(), v)))
+    };
+    let first = object(vec![("step", Value::Int(0)), ("output", Value::Int(0))]);
+    let step = |op: &str, inputs: Vec<Value>| {
+        object(vec![
+            ("op", Value::str(op)),
+            ("attrs", object(vec![])),
+            ("inputs", Value::Array(inputs)),
+        ])
+    };
     Frame::new(
         u64::MAX,
         Some((u64::MAX, 1)),
-        Value::object([
-            ("type".to_string(), Value::str("execute_op")),
-            ("op".to_string(), Value::str("add")),
-            ("free".to_string(), Value::from(vec![3i64, 4])),
+        object(vec![
+            ("type", Value::str("run")),
+            ("free", Value::from(vec![3i64, 4])),
             (
-                "inputs".to_string(),
-                Value::Array(vec![Value::object([("inline".to_string(), tensor)])]),
+                "steps",
+                Value::Array(vec![
+                    step("square", vec![object(vec![("inline", tensor)])]),
+                    step("add", vec![first.clone(), first]),
+                ]),
             ),
+            ("keep", Value::Array(vec![object(vec![("step", Value::Int(1))])])),
+            ("return", Value::Array(vec![object(vec![("resident", Value::Int(3))])])),
         ]),
     )
 }
@@ -30,18 +46,21 @@ fn sample_frames() -> Vec<Frame> {
     vec![
         Frame::new(1, None, Value::Null),
         Frame::new(42, Some((7, 9)), Value::str("pong")),
-        execute_frame(tensor_to_value(
+        run_frame(tensor_to_value(
             &TensorData::from_vec(vec![1.5f32, f32::NAN, -2.25], [3]).unwrap(),
         )),
-        execute_frame(tensor_to_value(&TensorData::from_vec(vec![true, false], [2]).unwrap())),
+        run_frame(tensor_to_value(&TensorData::from_vec(vec![true, false], [2]).unwrap())),
     ]
 }
 
-/// The inline tensor of a frame built by `execute_frame`, decoded.
+/// The inline tensor of a frame built by `run_frame`, decoded.
 fn inline_tensor(frame: &Frame) -> Result<TensorData, String> {
     let inline = frame
         .body
-        .get("inputs")
+        .get("steps")
+        .and_then(Value::as_array)
+        .and_then(|steps| steps.first())
+        .and_then(|step| step.get("inputs"))
         .and_then(Value::as_array)
         .and_then(|inputs| inputs.first())
         .and_then(|arg| arg.get("inline"))
@@ -69,6 +88,8 @@ fn truncations_are_typed_errors() {
 /// frame — the decoder must not panic on any of them.
 #[test]
 fn single_byte_mutations_never_panic() {
+    tf_eager::init();
+    let worker = tf_eager::dist::WorkerState::new("fuzz/0");
     for frame in sample_frames() {
         let bytes = frame.encode();
         for pos in 0..bytes.len() {
@@ -77,9 +98,12 @@ fn single_byte_mutations_never_panic() {
                 mutated[pos] ^= flip;
                 // Must return, not panic; both Ok (benign payload edit)
                 // and Err (structural damage) are acceptable. The same
-                // holds for the tensor codec under the frame.
+                // holds for the tensor codec under the frame, and for the
+                // worker that is handed whatever still decodes.
                 if let Ok(decoded) = Frame::decode(&mutated) {
                     let _ = inline_tensor(&decoded);
+                    let (reply, _) = worker.handle_frame(&decoded);
+                    assert!(reply.body.get("ok").is_some() || reply.body.get("err").is_some());
                 }
             }
         }
@@ -181,7 +205,7 @@ fn tensor_payload_is_checked_against_dtype_and_shape() {
         ])
     };
     let through_the_wire = |t: Value| {
-        let frame = execute_frame(t);
+        let frame = run_frame(t);
         let decoded = Frame::decode(&frame.encode()).expect("frame itself is well-formed");
         assert_eq!(decoded, frame);
         inline_tensor(&decoded)
