@@ -190,7 +190,7 @@ fn cases() -> Vec<Case> {
 /// bitwise before anything is timed, and tiled must win by >= 2x. The row
 /// also records the one-time decode+compile cost next to the steady-state
 /// compile-cache hit, which must be the cheaper of the two.
-fn bench_fused_chain(iters: usize, reps: usize) -> tfe_encode::Value {
+fn bench_fused_chain(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value {
     use tfe_graph::program::{self, Program};
     use tfe_tensor::elementwise::{unary, UnaryOp};
 
@@ -274,6 +274,7 @@ fn bench_fused_chain(iters: usize, reps: usize) -> tfe_encode::Value {
         ("decode_compile_ns".to_string(), tfe_encode::Value::Float(decode_ns)),
         ("compile_cache_hit_ns".to_string(), tfe_encode::Value::Float(hit_ns)),
         ("scratch_buffers".to_string(), tfe_encode::Value::Int(compiled.scratch_buffers() as i64)),
+        ("environment".to_string(), environment(quick)),
     ])
 }
 
@@ -382,88 +383,10 @@ fn bench_fused_broadcast_chain(quick: bool) -> tfe_encode::Value {
             ("bias_add_walker_ns".to_string(), tfe_encode::Value::Float(walker_ns)),
         ]));
     }
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     tfe_encode::Value::object(vec![
         ("program".to_string(), tfe_encode::Value::str("tanh(x * w + bias) * scale")),
         ("cases".to_string(), tfe_encode::Value::Array(cases)),
-        (
-            "environment".to_string(),
-            tfe_encode::Value::object(vec![
-                ("cores".to_string(), tfe_encode::Value::Int(cores as i64)),
-                ("threads".to_string(), tfe_encode::Value::Int(intra_threads() as i64)),
-                ("quick".to_string(), tfe_encode::Value::Bool(quick)),
-            ]),
-        ),
-    ])
-}
-
-/// Async dispatch overlap: a ~1k-op chain of eager elementwise kernels,
-/// timed once with synchronous dispatch (each kernel runs on the caller
-/// before `execute` returns) and once under `async_scope` (ops enqueue on
-/// the host device's dispatch stream; the final `value()` read is the only
-/// sync point). With hardware threads to spare the async run should be
-/// faster: the caller's per-op validation/shape-inference/record-keeping
-/// overlaps with kernel execution on the stream thread.
-fn bench_async_dispatch(iters: usize, reps: usize) -> tfe_encode::Value {
-    use tfe_runtime::api;
-    const OPS: usize = 1000;
-
-    // Small enough that per-op dispatch cost is a real fraction of kernel
-    // time — the regime where overlapping the two pays off.
-    let x0 = api::ones(tfe_tensor::DType::F64, [32, 32]);
-    let y = api::constant(vec![0.125f64; 32 * 32], [32, 32]).expect("constant");
-    let chain = |x0: &tfe_runtime::Tensor| -> tfe_tensor::TensorData {
-        let mut x = x0.clone();
-        for _ in 0..OPS / 2 {
-            x = api::tanh(&api::add(&x, &y).expect("add")).expect("tanh");
-        }
-        (*x.value().expect("no deferred errors")).clone()
-    };
-
-    // Bitwise agreement first — a fast benchmark that computes the wrong
-    // thing is worse than no benchmark.
-    let want = tfe_runtime::sync_scope(|| chain(&x0));
-    let got = tfe_runtime::async_scope(|| chain(&x0)).expect("async chain");
-    assert!(want.all_close(&got, 0.0, 0.0), "sync and async chains must agree bitwise");
-
-    let sync_ns = time_ns(iters, reps, &|| {
-        tfe_runtime::sync_scope(|| chain(&x0));
-    });
-    let async_ns = time_ns(iters, reps, &|| {
-        tfe_runtime::async_scope(|| chain(&x0)).expect("async chain");
-    });
-    let speedup = sync_ns / async_ns;
-    println!(
-        "{:<26} {:>14} {:>14.0} {:>14.0} {:>7.2}x {:>8}   {} chained ops, 32x32 f64",
-        "async_dispatch", "-", sync_ns, async_ns, speedup, "-", OPS
-    );
-    // (for this row "serial ns/op" = sync dispatch, "par ns/op" = async;
-    //  both are per whole 1000-op chain, not per op)
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Two vCPUs are not enough: the intra-op pool's helper shares them
-    // with the caller and the stream thread, and async came out behind sync
-    // in every run there.
-    if cores >= 4 {
-        assert!(
-            async_ns < sync_ns,
-            "async dispatch must overlap on {cores} cores: sync {sync_ns:.0} ns/chain \
-             vs async {async_ns:.0} ns/chain"
-        );
-        eprintln!("async overlap asserted: {speedup:.2}x over sync on {cores} cores");
-    } else {
-        eprintln!("async overlap assertion skipped: {cores} hardware thread(s) < 4");
-    }
-
-    tfe_encode::Value::object(vec![
-        ("ops".to_string(), tfe_encode::Value::Int(OPS as i64)),
-        ("shape".to_string(), tfe_encode::Value::str("32x32 f64 tanh(add) chain")),
-        ("sync_ns_per_chain".to_string(), tfe_encode::Value::Float(sync_ns)),
-        ("async_ns_per_chain".to_string(), tfe_encode::Value::Float(async_ns)),
-        ("sync_ns_per_op".to_string(), tfe_encode::Value::Float(sync_ns / OPS as f64)),
-        ("async_ns_per_op".to_string(), tfe_encode::Value::Float(async_ns / OPS as f64)),
-        ("speedup".to_string(), tfe_encode::Value::Float(speedup)),
-        ("cores".to_string(), tfe_encode::Value::Int(cores as i64)),
+        ("environment".to_string(), environment(quick)),
     ])
 }
 
@@ -534,6 +457,17 @@ fn l2hmc_step_optimize(runs: usize) -> tfe_encode::Value {
 
 fn int(n: usize) -> tfe_encode::Value {
     tfe_encode::Value::Int(n as i64)
+}
+
+/// What a row was measured on: hardware threads, intra-op pool size, and
+/// whether this was a `--quick` smoke run.
+fn environment(quick: bool) -> tfe_encode::Value {
+    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
+    tfe_encode::Value::object(vec![
+        ("nproc".to_string(), int(nproc)),
+        ("intra_op_threads".to_string(), int(intra_threads())),
+        ("quick".to_string(), tfe_encode::Value::Bool(quick)),
+    ])
 }
 
 /// Optimized-vs-unoptimized staged step: a graph deliberately rich in
@@ -617,12 +551,6 @@ fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Va
     //  = optimized staged step)
     let l2hmc = l2hmc_step_optimize(if quick { 5 } else { 15 });
     println!("{:<26} l2hmc-sized step: {}", "pass_pipeline", l2hmc.to_json());
-    let nproc = std::thread::available_parallelism().map_or(1, usize::from);
-    let environment = tfe_encode::Value::object(vec![
-        ("nproc".to_string(), int(nproc)),
-        ("intra_op_threads".to_string(), int(intra_threads())),
-        ("quick".to_string(), tfe_encode::Value::Bool(quick)),
-    ]);
 
     let rewrites: Vec<tfe_encode::Value> = stats
         .rewrites
@@ -635,7 +563,7 @@ fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Va
         })
         .collect();
     tfe_encode::Value::object(vec![
-        ("environment".to_string(), environment),
+        ("environment".to_string(), environment(quick)),
         ("l2hmc_step".to_string(), l2hmc),
         ("shape".to_string(), tfe_encode::Value::str("32x32 f64 rewrite-rich staged step")),
         ("unoptimized_ns_per_step".to_string(), tfe_encode::Value::Float(raw_ns)),
@@ -663,7 +591,7 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
     use std::time::Duration;
     use tfe_core::{function1, Func, TensorSpec};
     use tfe_runtime::{api, Tensor};
-    use tfe_serve::{BatchPolicy, Dispatch, ModelRegistry};
+    use tfe_serve::{BatchPolicy, ModelRegistry};
     use tfe_tensor::DType;
 
     const D: usize = 256;
@@ -725,7 +653,6 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
         max_batch,
         budget: Duration::from_millis(2),
         ewma_alpha: 0.25,
-        dispatch: Dispatch::Sync,
     };
     registry
         .register_with("serving_bench_unbatched", 1, mlp("serving_bench_unbatched"), policy(1))
@@ -796,8 +723,8 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
     );
 
     // The >=2x claim is a wall-clock ratio that needs real concurrency to
-    // hold; on a loaded or low-core runner it flakes, so (like the async
-    // one) the assertion is gated on hardware threads.
+    // hold; on a loaded or low-core runner it flakes, so the assertion is
+    // gated on hardware threads.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     if cores >= 4 {
         assert!(
@@ -832,6 +759,7 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
         ("speedup_vs_unbatched".to_string(), tfe_encode::Value::Float(speedup)),
         ("speedup_vs_direct".to_string(), tfe_encode::Value::Float(vs_direct)),
         ("mean_batch_rows".to_string(), tfe_encode::Value::Float(mean_rows)),
+        ("environment".to_string(), environment(quick)),
     ])
 }
 
@@ -853,7 +781,6 @@ fn main() {
     tfe_core::init();
     let quick = std::env::args().any(|a| a == "--quick");
     let (iters, reps) = if quick { (2, 1) } else { (10, 3) };
-    let threads = intra_threads();
     let trace_path = tfe_profile::env_trace_path();
     if trace_path.is_some() {
         tfe_profile::start();
@@ -893,12 +820,12 @@ fn main() {
             fields.push(("seed_ns_per_op".to_string(), tfe_encode::Value::Float(seed)));
             fields.push(("speedup_vs_seed".to_string(), tfe_encode::Value::Float(vs)));
         }
+        fields.push(("environment".to_string(), environment(quick)));
         rows.push(tfe_encode::Value::object(fields));
     }
 
-    let fused_row = bench_fused_chain(iters, reps);
+    let fused_row = bench_fused_chain(iters, reps, quick);
     let fused_broadcast_row = bench_fused_broadcast_chain(quick);
-    let async_row = bench_async_dispatch(iters.min(4), reps);
     let pass_row = bench_pass_pipeline(iters * 20, reps, quick);
     let serving_row = bench_serving(quick);
 
@@ -906,11 +833,8 @@ fn main() {
         ("experiment".to_string(), tfe_encode::Value::str("kernels")),
         ("fused_chain".to_string(), fused_row),
         ("fused_broadcast_chain".to_string(), fused_broadcast_row),
-        ("async_dispatch".to_string(), async_row),
         ("pass_pipeline".to_string(), pass_row),
         ("serving".to_string(), serving_row),
-        ("threads".to_string(), tfe_encode::Value::Int(threads as i64)),
-        ("quick".to_string(), tfe_encode::Value::Bool(quick)),
         ("rows".to_string(), tfe_encode::Value::Array(rows)),
     ];
     if let Some(path) = trace_path {
@@ -927,5 +851,5 @@ fn main() {
     }
     let json = tfe_encode::Value::object(fields);
     std::fs::write("BENCH_kernels.json", json.to_json_pretty()).expect("write BENCH_kernels.json");
-    eprintln!("wrote BENCH_kernels.json (intra-op threads: {threads})");
+    eprintln!("wrote BENCH_kernels.json (intra-op threads: {})", intra_threads());
 }

@@ -15,7 +15,7 @@ use std::time::Duration;
 use tfe_core::{function1, TensorSpec};
 use tfe_metrics::SampleValue;
 use tfe_runtime::{api, Tensor};
-use tfe_serve::{BatchPolicy, Dispatch, ModelRegistry};
+use tfe_serve::{BatchPolicy, ModelRegistry};
 use tfe_state::saved;
 use tfe_tensor::DType;
 
@@ -65,7 +65,6 @@ fn main() {
                 max_batch: CONCURRENCY,
                 budget: Duration::from_millis(5),
                 ewma_alpha: 0.25,
-                dispatch: Dispatch::Inherit,
             },
         )
         .expect("register");

@@ -944,24 +944,18 @@ pub struct ConcreteFunction {
 /// variant, backward) has just gone into the attributes of an executed op.
 /// The holders are then exactly: the graph being traced, which got a node
 /// with the name (and the `ConcreteFunction` built from that trace after
-/// it); every active tape, which may have recorded the op and will resolve
-/// the name to differentiate it; and, under async dispatch, the dispatch
-/// streams until the calls queued so far have run.
+/// it); and every active tape, which may have recorded the op and will
+/// resolve the name to differentiate it.
 pub(crate) fn keep_alive(conc: &Arc<ConcreteFunction>) {
     let owner: context::Owner = conc.clone();
-    if context::is_tracing() {
-        context::retain_in_trace(&owner);
-    } else {
-        context::retain_behind_queued_calls(&owner);
-    }
+    context::retain_in_trace(&owner);
     for tape in context::active_tapes() {
         tape.retain(owner.clone());
     }
 }
 
 impl Drop for ConcreteFunction {
-    /// May run on a dispatch-stream thread (a handle parked behind a queued
-    /// call): takes the two table locks, one at a time, and nothing else.
+    /// Takes the two table locks, one at a time, and nothing else.
     fn drop(&mut self) {
         let pairs = self.pairs.iter().filter_map(|p| p.get()?.as_ref().ok());
         for f in std::iter::once(&self.function).chain(pairs.map(|p| &p.fwd)) {

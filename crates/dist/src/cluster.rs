@@ -397,7 +397,7 @@ impl Input {
     /// Serialize a local tensor.
     ///
     /// # Errors
-    /// The tensor's own deferred error, if it has one.
+    /// A symbolic tensor (one being traced) has no value to send.
     pub fn tensor(t: &Tensor) -> Result<Input> {
         Ok(Input::Inline(tensor_to_value(&*t.value().map_err(DistError::from)?)))
     }

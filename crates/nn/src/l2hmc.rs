@@ -394,6 +394,7 @@ mod tests {
 
     #[test]
     fn sample_step_produces_valid_probabilities() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(1);
         let s = sampler(10);
         let x = api::zeros(DType::F32, [8, 2]);
@@ -406,6 +407,7 @@ mod tests {
 
     #[test]
     fn chain_explores_the_target() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(2);
         let s = sampler(10);
         let mut x = api::zeros(DType::F32, [16, 2]);
@@ -420,6 +422,7 @@ mod tests {
 
     #[test]
     fn loss_is_differentiable() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(3);
         let s = sampler(2);
         let x = api::zeros(DType::F32, [4, 2]);
@@ -436,6 +439,7 @@ mod tests {
 
     #[test]
     fn staged_sample_step_matches_shape() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(4);
         let s = Arc::new(sampler(3));
         let staged = {
@@ -467,6 +471,7 @@ mod training_tests {
     /// the loss improves while the sampler stays numerically sound.
     #[test]
     fn l2hmc_training_improves_loss() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(10);
         let mut init = Initializer::seeded(100);
         let sampler = L2hmc::new(
@@ -504,6 +509,7 @@ mod training_tests {
     /// Staged training step for the sampler: one trace, loss still drops.
     #[test]
     fn l2hmc_staged_training_step() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(11);
         let mut init = Initializer::seeded(101);
         let sampler = Arc::new(L2hmc::new(

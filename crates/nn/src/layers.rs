@@ -515,6 +515,7 @@ mod tests {
 
     #[test]
     fn dropout_modes() {
+        let _rng = crate::rng_lock();
         tfe_runtime::context::set_random_seed(3);
         let d = Dropout::new(0.5);
         let x = api::ones(DType::F32, [100]);

@@ -53,6 +53,16 @@ pub fn mlp(
     model.push(layers::Dense::new(prev, outputs, Activation::Linear, init))
 }
 
+/// Held by every unit test here that seeds or draws from the process RNG
+/// (`context::set_random_seed`, random ops, dropout): tests run on parallel
+/// threads, and another test's reseed or draw landing between a seed and
+/// its draws makes a seeded test depend on scheduling.
+#[cfg(test)]
+pub(crate) fn rng_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

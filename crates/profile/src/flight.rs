@@ -1,9 +1,8 @@
 //! Always-on flight recorder: a fixed-size lock-free per-thread ring of
 //! recent span/instant/hop records that can be dumped to JSON the moment
 //! something goes wrong — a typed serve error, a poisoned batch, a
-//! deferred async error, a latency-budget breach — so production failures
-//! are diagnosable *after the fact* without rerunning under
-//! `TFE_PROFILE`.
+//! latency-budget breach — so production failures are diagnosable *after
+//! the fact* without rerunning under `TFE_PROFILE`.
 //!
 //! # Design
 //!
@@ -214,19 +213,7 @@ pub(crate) fn span_wants(cat: &str) -> bool {
 }
 
 fn cat_wants(cat: &str) -> bool {
-    matches!(
-        cat,
-        "serve"
-            | "request"
-            | "trace"
-            | "graph"
-            | "async_op"
-            | "stream"
-            | "sync"
-            | "eager"
-            | "sched"
-            | "dist"
-    )
+    matches!(cat, "serve" | "request" | "trace" | "graph" | "eager" | "sched" | "dist")
 }
 
 // ---------------------------------------------------------------------------
@@ -289,7 +276,7 @@ pub fn flight_snapshot(window_ns: u64) -> Vec<FlightRecord> {
 /// belongs to, and the recent causally-relevant history.
 #[derive(Debug, Clone)]
 pub struct FlightDump {
-    /// `batch_poisoned`, `batch_panic`, `deferred_error`, `budget_breach`, ...
+    /// `batch_poisoned`, `batch_panic`, `budget_breach`, ...
     pub reason: String,
     /// The failing op (or model label when no op is known).
     pub op: String,

@@ -20,13 +20,13 @@
 //!
 //! [`Profile::chrome_trace`] renders a chrome://tracing / Perfetto
 //! compatible JSON timeline: one named row per thread (pool workers as
-//! `pool-worker-{i}`, serve workers as `serve:{model}@v{n}`, stream
-//! threads as `tfe-stream-{n}`, grouped by `thread_sort_index`), nested
-//! `X` duration events for eager dispatch → graph functions → nodes →
-//! kernels → intra-op tiles, `i` instant events for trace-cache misses
-//! and executor aborts, `C` counter events for ready-queue depth and pool
-//! wait latency, and `s`/`t`/`f` flow events linking each request's hops
-//! across thread rows (see [`request_scope`]/[`adopt`]).
+//! `pool-worker-{i}`, serve workers as `serve:{model}@v{n}`, grouped by
+//! `thread_sort_index`), nested `X` duration events for eager dispatch →
+//! graph functions → nodes → kernels → intra-op tiles, `i` instant events
+//! for trace-cache misses and executor aborts, `C` counter events for
+//! ready-queue depth and pool wait latency, and `s`/`t`/`f` flow events
+//! linking each request's hops across thread rows (see
+//! [`request_scope`]/[`adopt`]).
 //! [`Profile::summary`] aggregates the same events into per-op
 //! count/total/p50/p99 rows plus cache hit rates and bytes produced;
 //! [`Profile::trace_report`] splits one request's latency into
@@ -416,7 +416,7 @@ impl Profile {
     /// Timestamps are microseconds as required by the trace-event format;
     /// span nesting falls out of `ts`/`dur` containment per thread row.
     /// Thread rows are named for their role ([`display_thread_name`]) and
-    /// grouped front-door → serve → stream → pool → dist via
+    /// grouped front-door → serve → pool → dist via
     /// `thread_sort_index`; flow events share name `"request"`, category
     /// `"flow"` and `id = trace_id` so the viewer binds each request's
     /// `s`/`t`/`f` phases into one arc.
@@ -682,13 +682,11 @@ pub fn display_thread_name(name: &str) -> String {
 }
 
 /// Chrome-trace `thread_sort_index` for a thread name: request order —
-/// front-door threads first, then serve workers, stream threads, pool
-/// workers, dist workers — so a request's arc reads top to bottom.
+/// front-door threads first, then serve workers, pool workers, dist
+/// workers — so a request's arc reads top to bottom.
 pub fn thread_sort_index(name: &str) -> i64 {
     if name.starts_with("tfe-serve-") {
         10
-    } else if name.starts_with("tfe-stream-") {
-        20
     } else if name.starts_with("tfe-exec-") {
         30
     } else if name.starts_with("tfe-worker-") {

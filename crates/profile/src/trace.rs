@@ -10,9 +10,8 @@
 //! context; several inside a coalesced serve batch, whose members all
 //! causally feed the same staged call). Carriers capture
 //! [`current_group`] into their envelope at the send side — a batcher
-//! request slot, a stream op, a pool job, an RPC frame — and the
-//! receiving thread re-installs it with [`adopt`] for the duration of
-//! the work. Scopes are strictly RAII: the previous group is restored on
+//! request slot, a pool job, an RPC frame — and the receiving thread
+//! re-installs it with [`adopt`] for the duration of the work. Scopes are strictly RAII: the previous group is restored on
 //! drop, so nested requests and work-helping threads can't leak contexts
 //! into unrelated work.
 //!
@@ -66,8 +65,8 @@ impl TraceContext {
 
 /// The set of request contexts causally feeding the current work. Almost
 /// always one; a coalesced serve batch carries every member's context so
-/// each request's flow arc follows the batch onto the stream and pool
-/// threads. `Single` is unboxed so per-op roots never allocate.
+/// each request's flow arc follows the batch onto the pool threads.
+/// `Single` is unboxed so per-op roots never allocate.
 #[derive(Debug, Clone)]
 pub enum TraceGroup {
     /// One request (the common case; no heap allocation).

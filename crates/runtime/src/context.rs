@@ -9,8 +9,7 @@
 //! operations" of §1.
 
 use crate::error::{Result, RuntimeError};
-use crate::executor::{self, ExecMode, Structural};
-use crate::stream::Label;
+use crate::executor::{ExecMode, Structural};
 use crate::tape::{Tape, TapeRecord};
 use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
 use parking_lot::{Mutex, RwLock};
@@ -294,9 +293,6 @@ struct Stack {
     tapes: Vec<Arc<Tape>>,
     sim: Option<SimConfig>,
     exec_mode: ExecMode,
-    /// Nested async-mode overrides; the innermost wins, the `TFE_ASYNC`
-    /// environment default applies when empty.
-    async_overrides: Vec<bool>,
 }
 
 thread_local! {
@@ -414,17 +410,6 @@ pub fn retain_in_trace(owner: &Owner) {
             frame.owners.push(owner.clone());
         }
     });
-}
-
-/// Keep `owner` until the staged calls this thread has enqueued so far have
-/// run (a queued call resolves the names inside its graph when it runs).
-/// No-op under synchronous dispatch.
-pub fn retain_behind_queued_calls(owner: &Owner) {
-    if async_enabled() {
-        for stream in crate::stream::all() {
-            stream.park(owner.clone());
-        }
-    }
 }
 
 fn record_on_tapes(op: Op, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
@@ -670,144 +655,15 @@ pub fn exec_mode() -> ExecMode {
     with_stack(|s| s.exec_mode)
 }
 
-// ---------------------------------------------------------------------------
-// Async eager mode (§4.1 asynchronous dispatch)
-// ---------------------------------------------------------------------------
-
-/// The `TFE_ASYNC` environment default, parsed once. Unrecognized values
-/// warn once on stderr and fall back to sync (off).
-fn env_async_default() -> bool {
-    static D: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *D.get_or_init(|| match std::env::var("TFE_ASYNC") {
-        Ok(v) => match v.trim() {
-            "1" | "true" | "on" | "yes" => true,
-            "" | "0" | "false" | "off" | "no" => false,
-            other => {
-                eprintln!(
-                    "tf-eager: ignoring unparseable TFE_ASYNC={other:?} \
-                     (expected 0/1/true/false); eager execution stays synchronous"
-                );
-                false
-            }
-        },
-        Err(_) => false,
-    })
-}
-
-/// Whether eager ops on this thread should dispatch asynchronously.
-pub fn async_enabled() -> bool {
-    with_stack(|s| s.async_overrides.last().copied()).unwrap_or_else(env_async_default)
-}
-
-/// RAII guard that forces synchronous dispatch on the current thread while
-/// alive. Used wherever re-entering the async path could deadlock a
-/// dispatch stream against itself: on the stream threads, and around host
-/// closures invoked from inside graph execution.
-pub(crate) struct ForceSyncScope {
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl Drop for ForceSyncScope {
-    fn drop(&mut self) {
-        with_stack(|s| {
-            s.async_overrides.pop();
-        });
-    }
-}
-
-pub(crate) fn force_sync_scope() -> ForceSyncScope {
-    with_stack(|s| s.async_overrides.push(false));
-    ForceSyncScope { _not_send: std::marker::PhantomData }
-}
-
-/// Run `f` with asynchronous dispatch disabled on the calling thread,
-/// overriding both the `TFE_ASYNC` environment default and any enclosing
-/// [`async_scope`]. The exact inverse of [`async_scope`]: ops dispatched
-/// inside run to completion on the caller before `execute` returns.
-///
-/// Unlike [`async_scope`] this is not a sync point — work already enqueued
-/// on the streams keeps running; only *new* dispatches from `f` are forced
-/// synchronous. Pending handles created before the scope still force a
-/// wait when `f` consumes them as inputs.
-pub fn sync_scope<R>(f: impl FnOnce() -> R) -> R {
-    let _guard = force_sync_scope();
-    f()
-}
-
-/// Permanently pin the calling thread to synchronous dispatch. Called once
-/// at the top of every stream dispatch thread: an op executing *on* a
-/// stream must never enqueue behind itself.
-pub(crate) fn disable_async_on_thread() {
-    with_stack(|s| s.async_overrides.push(false));
-}
-
-/// Block until every async dispatch stream has run everything enqueued so
-/// far, and surface the first deferred error, if any (clearing it). With
-/// multiple poisoned streams the remaining errors stay put and surface at
-/// their own next sync point — a deferred error is never silently dropped.
+/// Run `f` and return its result: a pass-through. Eager dispatch is
+/// synchronous — every op runs on the caller before `execute` returns — and
+/// this survives, with its signature, only because the repository
+/// benchmark's probes call it; nothing else does.
 ///
 /// # Errors
-/// The first [`RuntimeError::Deferred`] captured by any stream.
-pub fn sync() -> Result<()> {
-    tfe_metrics::static_counter!(
-        "tfe_async_syncs_total",
-        "Explicit synchronization points (context::sync and async_scope exits)"
-    )
-    .inc();
-    let streams = crate::stream::all();
-    if streams.is_empty() {
-        return Ok(());
-    }
-    let _span = tfe_profile::span("sync", || "context_sync".to_string());
-    for s in &streams {
-        s.drain();
-    }
-    for s in &streams {
-        if let Some(e) = s.take_error() {
-            return Err(e);
-        }
-    }
-    Ok(())
-}
-
-/// Block until all streams are quiet *without* consuming deferred errors —
-/// for raw-storage peeks (e.g. `Variable::peek`) that must not swallow an
-/// error destined for the caller's next real sync point.
-pub(crate) fn drain_streams() {
-    for s in crate::stream::all() {
-        s.drain();
-    }
-}
-
-/// Whether any async dispatch stream still has in-flight work. A
-/// non-blocking probe for tests, benches, and progress displays.
-pub fn async_pending() -> bool {
-    crate::stream::all().iter().any(|s| s.has_inflight())
-}
-
-/// Run `f` with asynchronous eager dispatch enabled on this thread, then
-/// synchronize: the scope exit is a sync point, so every op enqueued inside
-/// has completed — and any deferred error has surfaced — before this
-/// returns. Panic-safe: the mode override is popped during unwinding.
-///
-/// # Errors
-/// The first deferred error captured while the scope was active.
+/// Never; the `Result` is part of the kept signature.
 pub fn async_scope<R>(f: impl FnOnce() -> R) -> Result<R> {
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            with_stack(|s| {
-                s.async_overrides.pop();
-            });
-        }
-    }
-    with_stack(|s| s.async_overrides.push(true));
-    let r = {
-        let _restore = Restore;
-        f()
-    };
-    sync()?;
-    Ok(r)
+    Ok(f())
 }
 
 // ---------------------------------------------------------------------------
@@ -901,55 +757,31 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     // A top-level eager op is a request entry point: when no ambient
     // request exists (a serve batch, `Func` call or RPC would have
     // installed one), open a lightweight root so the op's spans — and
-    // any async stream / pool work it fans out — share one trace id.
+    // any pool work it fans out — share one trace id.
     let _root = tfe_profile::request_scope("eager", || format!("eager:{op}"));
 
-    // Eager-dispatch span: covers validation + inference + the kernel (or,
-    // in async mode, just the enqueue), so the timeline shows dispatch
-    // overhead as the gap around the nested `kernel` span (§6's
-    // eager-vs-staged overhead, measured for real).
+    // Eager-dispatch span: covers validation + inference + the kernel, so
+    // the timeline shows dispatch overhead as the gap around the nested
+    // `kernel` span (§6's eager-vs-staged overhead, measured for real).
     let mut prof_span = tfe_profile::span("eager", || op.name().to_string());
 
     let device = resolve_device(inputs);
     let sim = sim();
-
-    // Async dispatch (§4.1): validate and infer now, enqueue the kernel on
-    // the device's stream, hand back pending handles. Any op whose output
-    // shapes aren't fully inferable from input metadata stays synchronous
-    // (data-dependent shapes need values).
-    let enqueued = if async_dispatchable(&sim, &device, inputs) {
-        let dtypes: Vec<_> = inputs.iter().map(Tensor::dtype).collect();
-        let shapes: Vec<_> = inputs.iter().map(Tensor::sym_shape).collect();
-        let out_sigs = op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
-        let job_attrs = attrs.clone();
-        enqueue(Label::Op(op), &device, &out_sigs, inputs, move |vals| {
-            crate::kernels::launch_kernel(op, &job_attrs, vals)
-        })?
+    let values = eager_values(inputs)?;
+    let zeros = if sim.is_some() || device.compute_model().is_some() {
+        simulate_op(sim.as_ref(), SimOp::Eager, &device, op, &attrs, &values)?
     } else {
+        // Validate through the shared op definition.
+        let (dtypes, shapes) = concrete_sigs(&values);
+        let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs };
+        op.infer(&ctx)?;
         None
     };
-    let outputs = match enqueued {
-        Some(pending) => pending,
-        None => {
-            let values = eager_values(inputs)?;
-            let zeros = if sim.is_some() || device.compute_model().is_some() {
-                simulate_op(sim.as_ref(), SimOp::Eager, &device, op, &attrs, &values)?
-            } else {
-                // Validate through the shared op definition.
-                let (dtypes, shapes) = concrete_sigs(&values);
-                let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs };
-                op.infer(&ctx)?;
-                None
-            };
-            let out = match zeros {
-                Some(zeros) => zeros,
-                None => crate::kernels::launch_kernel(op, &attrs, &values)?,
-            };
-            eager_tensors(out, &device)
-        }
+    let out = match zeros {
+        Some(zeros) => zeros,
+        None => crate::kernels::launch_kernel(op, &attrs, &values)?,
     };
-    // Output sizes follow from metadata alone, so the allocation accounting
-    // doesn't have to wait for a pending kernel.
+    let outputs = eager_tensors(out, &device);
     let out_bytes: u64 = outputs
         .iter()
         .filter_map(Tensor::as_eager)
@@ -967,61 +799,6 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     Ok(outputs)
 }
 
-/// The conservative gate on async dispatch: simulated clocks, cost-only
-/// devices and symbolic inputs stay on the synchronous path.
-fn async_dispatchable(sim: &Option<SimConfig>, device: &Device, inputs: &[Tensor]) -> bool {
-    sim.is_none()
-        && device.produces_real_values()
-        && async_enabled()
-        && inputs.iter().all(|t| !t.is_symbolic())
-}
-
-/// Enqueue `job` on `device`'s dispatch stream and return pending handles
-/// shaped by `out_sigs`, which the caller validated and inferred from handle
-/// metadata, so malformed programs still fail eagerly. `job` gets the
-/// resolved input values. `Ok(None)`: some output shape is not fully
-/// defined (it depends on input *values*), run the op synchronously.
-///
-/// # Errors
-/// The fast-failed deferred error of a poisoned stream.
-fn enqueue(
-    label: Label,
-    device: &Device,
-    out_sigs: &[(tfe_tensor::DType, SymShape)],
-    inputs: &[Tensor],
-    job: impl FnOnce(&[Arc<TensorData>]) -> Result<Vec<Arc<TensorData>>> + Send + 'static,
-) -> Result<Option<Vec<Tensor>>> {
-    let Some(out_shapes) = out_sigs.iter().map(|(_, s)| s.to_shape()).collect::<Option<Vec<_>>>()
-    else {
-        return Ok(None);
-    };
-    let stream = crate::stream::for_device(device.name());
-    let pending: Vec<_> = out_sigs
-        .iter()
-        .zip(out_shapes)
-        .map(|((dt, _), shape)| stream.pending_value(*dt, shape))
-        .collect();
-    let args: Vec<_> = inputs
-        .iter()
-        .map(|t| t.as_eager().expect("async gate rejects symbolic inputs").async_arg())
-        .collect();
-    stream.enqueue(
-        label,
-        pending.clone(),
-        Box::new(move || {
-            let vals: Vec<Arc<TensorData>> =
-                args.iter().map(crate::stream::AsyncArg::resolve).collect::<Result<_>>()?;
-            job(&vals)
-        }),
-    )?;
-    Ok(Some(
-        pending
-            .into_iter()
-            .map(|pv| Tensor::Eager(EagerTensor::pending(pv, device.name().clone())))
-            .collect(),
-    ))
-}
-
 fn eager_values(inputs: &[Tensor]) -> Result<Vec<Arc<TensorData>>> {
     inputs.iter().map(Tensor::value).collect()
 }
@@ -1032,8 +809,7 @@ pub(crate) fn eager_tensors(values: Vec<Arc<TensorData>>, device: &Device) -> Ve
 
 /// Eager dispatch of a structural op: the op itself is [`Structural::run`],
 /// the same code the executor's node-runner calls; this side only turns
-/// tensors into values and back, lets a `call` join the caller's stream,
-/// and records on tapes.
+/// tensors into values and back, and records on tapes.
 fn execute_structural(
     kind: Structural,
     op: Op,
@@ -1050,11 +826,8 @@ fn execute_structural(
         return host_fn(id)?(inputs);
     }
     let mut device = resolve_device(inputs);
-    let mode = exec_mode();
-    let mut enqueued = None;
     if kind == Structural::Call {
-        let sim = sim();
-        if let Some(cfg) = &sim {
+        if let Some(cfg) = sim() {
             cfg.stats.count_function_call();
             cfg.stats.clock.advance(cfg.dispatch.function_call_ns);
             if device.device_type().requires_compilation() {
@@ -1062,30 +835,12 @@ fn execute_structural(
                 cfg.stats.device_clock.advance(cfg.dispatch.staged_call_latency_ns);
             }
         }
-        // Staged calls join the caller's stream (§4.1): the graph run is
-        // enqueued like any other op, so a train-step `Func` doesn't block
-        // the input pipeline driving it. Output metadata comes from the
-        // traced signature; calls whose output shapes weren't fully
-        // inferred at trace time fall back to the blocking path.
-        if async_dispatchable(&sim, &device, inputs) {
-            let func = executor::callee(attrs, "function")?;
-            let job_device = device.clone();
-            enqueued = enqueue(
-                Label::Call(func.name.clone()),
-                &device,
-                &func.output_sigs(),
-                inputs,
-                move |vals| executor::run_function_arc(&func, vals, &job_device, mode),
-            )?;
-        }
     } else if kind == Structural::Copy {
         let target = attrs.str("device").map_err(tfe_ops::OpError::from)?;
         device = device_manager().resolve(target).map_err(RuntimeError::Device)?;
     }
-    let outputs = match enqueued {
-        Some(pending) => pending,
-        None => eager_tensors(kind.run(attrs, &eager_values(inputs)?, &device, mode)?, &device),
-    };
+    let values = kind.run(attrs, &eager_values(inputs)?, &device, exec_mode())?;
+    let outputs = eager_tensors(values, &device);
     record_on_tapes(op, attrs, inputs, &outputs);
     Ok(outputs)
 }

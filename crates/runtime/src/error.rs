@@ -31,17 +31,6 @@ pub enum RuntimeError {
     /// A non-persistent `GradientTape` was asked for a second gradient.
     /// Exactly one caller wins the tape; everyone else gets this.
     TapeConsumed,
-    /// An asynchronously dispatched operation failed after its handle was
-    /// already returned to the caller. Captured in stream order and
-    /// surfaced at the next sync point (`Tensor::value`, `context::sync`,
-    /// an `async_scope` exit, or a fast-failed enqueue on the poisoned
-    /// stream); `op` names the operation whose kernel originally failed.
-    Deferred {
-        /// The operation that failed on the dispatch stream.
-        op: String,
-        /// The underlying synchronous error.
-        source: Box<RuntimeError>,
-    },
     /// Anything else.
     Internal(String),
 }
@@ -69,9 +58,6 @@ impl fmt::Display for RuntimeError {
                 f,
                 "a non-persistent GradientTape can only be used to compute one set of gradients"
             ),
-            RuntimeError::Deferred { op, source } => {
-                write!(f, "deferred error from async op `{op}`: {source}")
-            }
             RuntimeError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -106,16 +92,6 @@ mod tests {
         assert!(e.to_string().contains("unknown operation"));
         let e: RuntimeError = TensorError::InvalidArgument("bad".into()).into();
         assert!(e.to_string().contains("bad"));
-    }
-
-    #[test]
-    fn deferred_names_the_originating_op() {
-        let inner: RuntimeError = TensorError::InvalidArgument("bad index".into()).into();
-        let e = RuntimeError::Deferred { op: "gather".into(), source: Box::new(inner) };
-        let msg = e.to_string();
-        assert!(msg.contains("`gather`"), "{msg}");
-        assert!(msg.contains("bad index"), "{msg}");
-        assert!(msg.contains("deferred"), "{msg}");
     }
 
     #[test]

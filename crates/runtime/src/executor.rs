@@ -212,11 +212,6 @@ impl Structural {
                 let id = attrs.int("fn_id").map_err(OpError::from)? as u64;
                 let hf = crate::context::host_fn(id)?;
                 let eager = crate::context::eager_tensors(inputs.to_vec(), device);
-                // The closure's eager ops must dispatch synchronously: this
-                // node may itself be running on a dispatch-stream thread (a
-                // `call` enqueued in async mode), and enqueueing behind the
-                // op currently executing would deadlock the stream.
-                let _sync = crate::context::force_sync_scope();
                 hf(&eager)?.iter().map(Tensor::value).collect()
             }
             Structural::Copy => match inputs.first() {

@@ -31,8 +31,8 @@ pub fn run_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<V
     Ok(out)
 }
 
-/// [`run_kernel`] as the executing paths (sync eager, the async-eager job,
-/// the executor's node-runner) launch it: timed into `tfe_kernel_time_ns`,
+/// [`run_kernel`] as the executing paths (eager dispatch, the executor's
+/// node-runner) launch it: timed into `tfe_kernel_time_ns`,
 /// outputs ready to share.
 pub(crate) fn launch_kernel(
     op: Op,

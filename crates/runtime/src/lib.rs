@@ -27,12 +27,11 @@ mod error;
 pub mod executor;
 pub mod kernels;
 mod pool;
-mod stream;
 mod tape;
 mod tensor;
 mod variable;
 
-pub use context::{async_enabled, async_scope, sync, sync_scope, DeviceScope};
+pub use context::DeviceScope;
 pub use error::{Result, RuntimeError};
 pub use executor::ExecMode;
 pub use tape::{Tape, TapeRecord};

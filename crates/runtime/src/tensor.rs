@@ -7,7 +7,6 @@
 //! surface ... agnostic to execution mode" (§1).
 
 use crate::error::{Result, RuntimeError};
-use crate::stream::{AsyncArg, PendingValue};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,16 +34,6 @@ fn live_tensor_bytes() -> &'static tfe_metrics::Gauge {
     )
 }
 
-/// The value behind a concrete handle: materialized, or still in flight on
-/// an async dispatch stream (§4.1 — handles are returned before kernels
-/// run; metadata is known either way).
-pub(crate) enum Payload {
-    /// Materialized data.
-    Ready(Arc<TensorData>),
-    /// Produced by an op still enqueued on (or running on) a stream.
-    Pending(Arc<PendingValue>),
-}
-
 /// A concrete tensor resident on a device: one shared allocation, so a
 /// clone of the handle is one reference-count bump.
 #[derive(Clone)]
@@ -54,7 +43,8 @@ pub struct EagerTensor(Arc<EagerInner>);
 pub struct EagerInner {
     /// Tape-tracking id.
     pub id: u64,
-    payload: Payload,
+    /// The value, computed before the handle was made.
+    data: Arc<TensorData>,
     /// Where the tensor lives.
     pub device: DeviceName,
     /// What the live-tensor gauges were charged for this allocation.
@@ -79,9 +69,10 @@ impl Drop for EagerInner {
 }
 
 impl EagerTensor {
-    /// One allocation: the gauges go up exactly once, here.
-    fn alloc(payload: Payload, device: DeviceName, bytes: usize) -> EagerTensor {
-        let bytes = bytes as i64;
+    /// Wrap data on a device with a fresh id. One allocation: the gauges go
+    /// up exactly once, here.
+    pub fn new(data: Arc<TensorData>, device: DeviceName) -> EagerTensor {
+        let bytes = (data.num_elements() * data.dtype().size_bytes()) as i64;
         live_tensors().inc();
         let now = live_tensor_bytes().add_and_get(bytes);
         tfe_metrics::static_gauge!(
@@ -89,93 +80,28 @@ impl EagerTensor {
             "High-water mark of tfe_live_tensor_bytes"
         )
         .set_max(now);
-        EagerTensor(Arc::new(EagerInner { id: fresh_id(), payload, device, bytes }))
+        EagerTensor(Arc::new(EagerInner { id: fresh_id(), data, device, bytes }))
     }
 
-    /// Wrap data on a device with a fresh id.
-    pub fn new(data: Arc<TensorData>, device: DeviceName) -> EagerTensor {
-        let bytes = data.num_elements() * data.dtype().size_bytes();
-        EagerTensor::alloc(Payload::Ready(data), device, bytes)
-    }
-
-    /// Wrap a pending async-dispatch handle. Dtype and shape were inferred
-    /// synchronously at enqueue, so the allocation gauges can account for
-    /// the value before it exists.
-    pub(crate) fn pending(pv: Arc<PendingValue>, device: DeviceName) -> EagerTensor {
-        let bytes = pv.shape.num_elements() * pv.dtype.size_bytes();
-        EagerTensor::alloc(Payload::Pending(pv), device, bytes)
-    }
-
-    /// Element dtype (known even while pending).
+    /// Element dtype.
     pub fn dtype(&self) -> DType {
-        match &self.payload {
-            Payload::Ready(d) => d.dtype(),
-            Payload::Pending(pv) => pv.dtype,
-        }
+        self.data.dtype()
     }
 
-    /// Concrete shape (known even while pending — async dispatch requires
-    /// fully-inferred output shapes).
+    /// Concrete shape.
     pub fn shape(&self) -> &Shape {
-        match &self.payload {
-            Payload::Ready(d) => d.shape(),
-            Payload::Pending(pv) => &pv.shape,
-        }
+        self.data.shape()
     }
 
-    /// Whether the producing op has not completed yet. A resolved async
-    /// output reports `false` even before anyone reads it.
-    pub fn is_pending(&self) -> bool {
-        match &self.payload {
-            Payload::Ready(_) => false,
-            Payload::Pending(pv) => pv.is_pending(),
-        }
-    }
-
-    /// The materialized value. On a pending handle this is a sync point:
-    /// it blocks until the producing op completes and surfaces the
-    /// stream's deferred error if that op (or one before it) failed.
-    ///
-    /// # Errors
-    /// The producing async op failed ([`RuntimeError::Deferred`]).
-    pub fn value(&self) -> Result<Arc<TensorData>> {
-        match &self.payload {
-            Payload::Ready(d) => Ok(d.clone()),
-            Payload::Pending(pv) => {
-                if let Some(r) = pv.try_value() {
-                    return r;
-                }
-                tfe_metrics::static_counter!(
-                    "tfe_async_sync_points_total",
-                    "Blocking waits on pending async tensors (value reads)"
-                )
-                .inc();
-                let _span = tfe_profile::span("sync", || "tensor_value".to_string());
-                pv.wait_value()
-            }
-        }
-    }
-
-    /// The value as a stream-job input: ready data passes through, a
-    /// pending payload is resolved by the consuming job when it runs.
-    pub(crate) fn async_arg(&self) -> AsyncArg {
-        match &self.payload {
-            Payload::Ready(d) => AsyncArg::Ready(d.clone()),
-            Payload::Pending(pv) => AsyncArg::Pending(pv.clone()),
-        }
+    /// The value.
+    pub fn value(&self) -> &Arc<TensorData> {
+        &self.data
     }
 }
 
 impl fmt::Debug for EagerTensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.payload {
-            Payload::Ready(d) => {
-                write!(f, "EagerTensor(id={}, {:?}, device={})", self.id, d, self.device)
-            }
-            Payload::Pending(pv) => {
-                write!(f, "EagerTensor(id={}, {:?}, device={})", self.id, pv, self.device)
-            }
-        }
+        write!(f, "EagerTensor(id={}, {:?}, device={})", self.id, self.data, self.device)
     }
 }
 
@@ -243,15 +169,6 @@ impl Tensor {
         }
     }
 
-    /// Whether this is a concrete handle whose producing async op has not
-    /// completed yet. Symbolic tensors are never pending.
-    pub fn is_pending(&self) -> bool {
-        match self {
-            Tensor::Eager(t) => t.is_pending(),
-            Tensor::Symbolic(_) => false,
-        }
-    }
-
     /// Concrete shape.
     ///
     /// # Errors
@@ -275,16 +192,13 @@ impl Tensor {
         matches!(self, Tensor::Symbolic(_))
     }
 
-    /// The concrete value — the analog of `.numpy()` in the paper. On a
-    /// pending async handle this is a sync point: it blocks until the
-    /// producing op completes and surfaces any deferred stream error.
+    /// The concrete value — the analog of `.numpy()` in the paper.
     ///
     /// # Errors
-    /// Called on a symbolic tensor (inside a trace), or the producing
-    /// async op failed ([`RuntimeError::Deferred`]).
+    /// Called on a symbolic tensor (inside a trace).
     pub fn value(&self) -> Result<Arc<TensorData>> {
         match self {
-            Tensor::Eager(t) => t.value(),
+            Tensor::Eager(t) => Ok(t.value().clone()),
             Tensor::Symbolic(t) => Err(RuntimeError::SymbolicValue(format!(
                 "tensor {t:?} is symbolic; use host_func or init_scope to escape the trace"
             ))),

@@ -215,25 +215,15 @@ impl Variable {
 
     /// Peek at the value without going through an operation (not recorded
     /// by tapes; used by optimizers' host-side logic and checkpointing).
-    ///
-    /// Quiesces the async dispatch streams first, so in-flight `assign`s
-    /// are applied before the raw storage is read. Deferred errors are
-    /// deliberately *not* consumed here — they stay queued for the caller's
-    /// next real sync point.
     pub fn peek(&self) -> Arc<TensorData> {
-        crate::context::drain_streams();
         self.storage.value()
     }
 
     /// Directly overwrite storage without an operation (checkpoint restore).
     ///
-    /// Quiesces the async dispatch streams first so an in-flight `assign`
-    /// enqueued before this call cannot land *after* the restore.
-    ///
     /// # Errors
     /// dtype/shape mismatch.
     pub fn restore(&self, value: TensorData) -> Result<()> {
-        crate::context::drain_streams();
         self.storage.set_value(value)
     }
 }

@@ -27,18 +27,6 @@ use tfe_runtime::{api, context, RuntimeError, Tensor};
 use tfe_state::saved::LoadedFunction;
 use tfe_tensor::TensorError;
 
-/// Which dispatch mode the batcher's staged calls run under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Dispatch {
-    /// Inherit the process default (`TFE_ASYNC`).
-    #[default]
-    Inherit,
-    /// Force synchronous execution ([`context::sync_scope`]).
-    Sync,
-    /// Force per-device dispatch streams ([`context::async_scope`]).
-    Async,
-}
-
 /// Batching policy for one model.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchPolicy {
@@ -51,18 +39,11 @@ pub struct BatchPolicy {
     /// Smoothing factor for the staged-call-time EWMA in `(0, 1]`; higher
     /// weights recent observations more.
     pub ewma_alpha: f64,
-    /// Dispatch mode for the staged calls.
-    pub dispatch: Dispatch,
 }
 
 impl Default for BatchPolicy {
     fn default() -> BatchPolicy {
-        BatchPolicy {
-            max_batch: 32,
-            budget: Duration::from_millis(5),
-            ewma_alpha: 0.25,
-            dispatch: Dispatch::Inherit,
-        }
+        BatchPolicy { max_batch: 32, budget: Duration::from_millis(5), ewma_alpha: 0.25 }
     }
 }
 
@@ -424,7 +405,7 @@ impl Model {
         self.metrics.batch_rows.observe(total_rows as u64);
         // Fan-in of the causal arcs: adopt every member's context for the
         // whole batch (one flow step per member lands on this worker row),
-        // so concat/dispatch/split and the stream/pool work they fan out
+        // so concat/dispatch/split and the pool work they fan out
         // stay linked to each coalesced request.
         let group = tfe_profile::TraceGroup::of(members.iter().filter_map(|p| p.trace).collect());
         let _trace = tfe_profile::adopt(group.as_ref(), "batcher");
@@ -437,7 +418,7 @@ impl Model {
         // would enqueue into a dead queue. Catch the unwind and fail the
         // batch instead.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_dispatch(&members, total_rows)
+            self.run_batch(&members, total_rows)
         }));
         let exec_ns = started.elapsed().as_nanos() as u64;
         self.metrics.batch_exec_ns.observe(exec_ns);
@@ -491,26 +472,6 @@ impl Model {
                     }));
                 }
             }
-        }
-    }
-
-    /// Run the batch under the model's dispatch mode. Always syncs before
-    /// returning so async faults surface here, attributed to this batch,
-    /// instead of hanging or leaking into a later one.
-    fn run_dispatch(
-        &self,
-        members: &[Pending],
-        total_rows: usize,
-    ) -> Result<Vec<Vec<Tensor>>, RuntimeError> {
-        let body = || -> Result<Vec<Vec<Tensor>>, RuntimeError> {
-            let out = self.run_batch(members, total_rows)?;
-            context::sync()?;
-            Ok(out)
-        };
-        match self.policy.dispatch {
-            Dispatch::Inherit => body(),
-            Dispatch::Sync => context::sync_scope(body),
-            Dispatch::Async => context::async_scope(body)?,
         }
     }
 

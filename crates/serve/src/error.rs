@@ -28,8 +28,8 @@ pub enum ServeError {
     BadRequest(String),
     /// The staged call executing this request's batch failed. Every member
     /// of the batch observes the same error; `op` names the operation that
-    /// faulted (exactly, when the runtime attributes it — e.g. async
-    /// deferred errors — otherwise the entry function).
+    /// faulted (exactly, when the runtime attributes it — an arity error,
+    /// an unknown op or function — otherwise the entry function).
     Batch {
         /// Best-effort name of the faulting op.
         op: String,
@@ -81,11 +81,11 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Best-effort extraction of the faulting op's name from a runtime error.
-/// Async deferred errors carry it exactly; otherwise fall back to the
-/// model's entry function so the error always names *something* actionable.
+/// Errors that carry an op or function name report it; otherwise fall back
+/// to the model's entry function so the error always names *something*
+/// actionable.
 pub(crate) fn fault_op(e: &RuntimeError, fallback: &str) -> String {
     match e {
-        RuntimeError::Deferred { op, .. } => op.clone(),
         RuntimeError::Op(tfe_ops::OpError::Arity { op, .. }) => op.clone(),
         RuntimeError::Op(tfe_ops::OpError::UnknownOp(op)) => op.clone(),
         RuntimeError::UnknownFunction(name) => name.clone(),

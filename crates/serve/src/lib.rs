@@ -41,7 +41,7 @@ mod error;
 mod metrics;
 mod registry;
 
-pub use batcher::{BatchPolicy, Dispatch, Model, Servable};
+pub use batcher::{BatchPolicy, Model, Servable};
 pub use error::ServeError;
 pub use metrics::{ModelMetrics, ROWS_BUCKETS, SLO_NS_BUCKETS};
 pub use registry::ModelRegistry;

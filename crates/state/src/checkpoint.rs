@@ -190,23 +190,15 @@ fn nodes_from_value(v: &Value) -> Result<Vec<SavedNode>, CheckpointError> {
 }
 
 /// Save the object graph rooted at `root` as a JSON value.
-///
-/// Variable reads go through `Variable::peek`, which quiesces the async
-/// dispatch streams, so the snapshot reflects every previously issued
-/// assignment; deferred errors are surfaced by [`save`], not here.
 pub fn save_to_value(root: &dyn Trackable) -> Value {
     nodes_to_value(&save_graph(root))
 }
 
-/// Save to a file. Checkpointing is a sync point: all in-flight async work
-/// completes first, and a deferred stream error fails the save instead of
-/// silently writing state produced before the failure.
+/// Save to a file.
 ///
 /// # Errors
-/// A deferred async error, or I/O failures.
+/// I/O failures.
 pub fn save(root: &dyn Trackable, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    tfe_runtime::context::sync()
-        .map_err(|e| err(format!("cannot checkpoint a failed async stream: {e}")))?;
     let v = save_to_value(root);
     std::fs::write(path, v.to_json_pretty()).map_err(|e| err(format!("write failed: {e}")))
 }
@@ -217,16 +209,11 @@ pub fn save(root: &dyn Trackable, path: impl AsRef<Path>) -> Result<(), Checkpoi
 /// paired by edge name and recursion proceeds only through paired nodes.
 ///
 /// # Errors
-/// A deferred async error, structural decode failures, or value mismatches
-/// (wrong dtype/shape). Restoring is a sync point: in-flight async work
-/// completes first so it cannot clobber the restored values, and a
-/// deferred error fails the restore rather than being dropped.
+/// Structural decode failures, or value mismatches (wrong dtype/shape).
 pub fn restore_from_value(
     root: &dyn Trackable,
     value: &Value,
 ) -> Result<RestoreStatus, CheckpointError> {
-    tfe_runtime::context::sync()
-        .map_err(|e| err(format!("cannot restore over a failed async stream: {e}")))?;
     let nodes = nodes_from_value(value)?;
     let mut status = RestoreStatus::default();
     let mut visited: HashMap<usize, ()> = HashMap::new();

@@ -46,7 +46,6 @@ pub mod reduce;
 pub mod rng;
 pub mod shape;
 pub mod shape_ops;
-pub mod slot;
 pub mod softmax;
 
 pub use data::{Buffer, Scalar, TensorData};
@@ -54,4 +53,3 @@ pub use dtype::DType;
 pub use error::{Result, TensorError};
 pub use par::GRAIN_ELEMWISE;
 pub use shape::{broadcast_shapes, Shape};
-pub use slot::{AsyncSlot, SlotState};

@@ -56,6 +56,18 @@ if grep -rnE 'HashMap<String, *Arc<ConcreteFunction>>' crates/core/src; then exi
 echo "==> no set_f64_linear(get_f64_linear(..)) copy in tensor/src/shape_ops.rs"
 if grep -nE 'set_f64_linear\([^,]*, *[A-Za-z_.]*get_f64_linear\(' crates/tensor/src/shape_ops.rs; then exit 1; fi
 
+# Synchronous-dispatch gate: an eager op runs on the caller before
+# `execute` returns. The async streams, pending handles, deferred errors,
+# the dispatch-mode switches and the serve dispatch option must not come
+# back; `async_scope` survives only as a pass-through, defined once and
+# re-exported by the facade for the repository benchmark.
+echo "==> no async eager dispatch; async_scope only at its definition and facade re-export"
+async_gone='TFE_ASYNC|AsyncSlot|PendingValue|Deferred \{|\bsync_scope|async_enabled|async_pending|is_pending|Dispatch::'
+if grep -rnE "${async_gone}" crates src tests examples; then exit 1; fi
+if grep -rn 'async_scope' crates src tests examples \
+    | grep -vE '^crates/runtime/src/context\.rs:[0-9]+:pub fn async_scope<' \
+    | grep -vE '^src/lib\.rs:[0-9]+:pub use tfe_runtime::context::async_scope;$'; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -67,8 +79,7 @@ cargo test --workspace -q -- --test-threads "${THREADS}"
 
 # With them, gradients through staged calls: the first-order and any-order
 # pairs against the eager tape (bitwise) and against finite differences.
-# Not in a TFE_ASYNC=1 leg: two tests of staging_semantics assert errors
-# that an async dispatch defers. And function lifetime: a dropped `Func`
+# And function lifetime: a dropped `Func`
 # leaves nothing behind (by count), whatever can still reach a function
 # keeps it, a name whose owner is gone is a typed error.
 echo "==> executor differential + concurrency stress + staged gradients + lifetimes (release, ${THREADS} threads)"
@@ -81,14 +92,6 @@ cargo test --release -q --test exec_differential --test concurrency --test stagi
 # concurrently (and when the pool has no helpers to steal tiles).
 echo "==> differential + kernel parity with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q --test exec_differential --test kernel_parity
-
-# Async eager gate, both directions: the differential suite under an
-# ambient TFE_ASYNC=1 proves sync == async dispatch bitwise on all the
-# random graphs (eager interpretation included), and the async_eager
-# suite pins the deferred-error contract (surfacing at value reads,
-# explicit syncs, scope exits, fast-failed enqueues, checkpoint saves).
-echo "==> async eager differential + deferred errors with TFE_ASYNC=1 (release)"
-TFE_ASYNC=1 cargo test --release -q --test exec_differential --test async_eager
 
 # Pass-pipeline gate: the optimizer's differential fuzz harness in
 # release — every corpus graph (stateless, stateful, algebraic-biased,
@@ -113,13 +116,11 @@ cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
 
 # Fusion is the default lowering, so both gates above also run with the
 # worker pool collapsed to one thread (tiles and periodic windows must
-# not depend on a split) and under ambient async dispatch (staged calls
-# join the caller's stream).
-echo "==> pass pipeline + fused executor with TFE_NUM_THREADS=1, then TFE_ASYNC=1 (release)"
+# not depend on a split).
+echo "==> pass pipeline + fused executor with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q --test pass_pipeline --test fused_executor
-TFE_ASYNC=1 cargo test --release -q --test pass_pipeline --test fused_executor
 
-# Serving gate, both dispatch modes: the differential suite proves N
+# Serving gate: the differential suite proves N
 # concurrent batched requests are bitwise identical to N sequential
 # unbatched calls (across batch sizes, zero-row members, version swaps,
 # poisoned batches fanning the typed error to every member), the
@@ -129,8 +130,6 @@ TFE_ASYNC=1 cargo test --release -q --test pass_pipeline --test fused_executor
 echo "==> serving differential + degenerate shapes + importer fuzz (release)"
 cargo test --release -q --test serving --test degenerate_shapes --test saved_hardening \
     -- --test-threads "${THREADS}"
-echo "==> serving differential with TFE_ASYNC=1 (release)"
-TFE_ASYNC=1 cargo test --release -q --test serving
 
 # Serving smoke: a SavedFunction bundle behind the registry under 8
 # concurrent clients — responses must match the direct staged call
@@ -139,19 +138,17 @@ TFE_ASYNC=1 cargo test --release -q --test serving
 echo "==> serving smoke (bundle behind the batcher, metrics audited)"
 cargo run --release -q -p tfe-bench --bin serving_smoke > /dev/null
 
-# The kernel bench doubles as the async dispatch-overhead smoke and the
-# fused-executor perf gate, and asserts its gates on every run. It
-# times a 10-op fused f32 chain unfused vs tiled (the fused_chain entry
-# of BENCH_kernels.json): the tiled executor must beat op-by-op by >= 2x
-# and a compile-cache hit must beat a re-parse. It stages a dense
-# layer's broadcasting chain (the fused_broadcast_chain entry) with
-# fusion off and on: bitwise equal, fused not slower. It times a ~1k-op eager
-# chain sync vs async (the async_dispatch entry) and the adaptive
-# micro-batcher against the unbatched serving front at concurrency 8
-# (the serving entry): with >= 4 hardware threads async wall time must
-# beat the sync baseline and batching must win by >= 2x; on smaller
-# runners, where those wall-clock ratios flake, both are skipped.
-echo "==> kernel bench smoke (--quick, async + fused + serving asserted)"
+# The kernel bench doubles as the fused-executor perf gate, and asserts
+# its gates on every run. It times a 10-op fused f32 chain unfused vs
+# tiled (the fused_chain entry of BENCH_kernels.json): the tiled executor
+# must beat op-by-op by >= 2x and a compile-cache hit must beat a
+# re-parse. It stages a dense layer's broadcasting chain (the
+# fused_broadcast_chain entry) with fusion off and on: bitwise equal,
+# fused not slower. It times the adaptive micro-batcher against the
+# unbatched serving front at concurrency 8 (the serving entry): with >= 4
+# hardware threads batching must win by >= 2x; on smaller runners, where
+# that wall-clock ratio flakes, it is skipped.
+echo "==> kernel bench smoke (--quick, fused + serving asserted)"
 cargo run --release -q -p tfe-bench --bin kernel_bench -- --quick > /dev/null
 
 # Profiler gate: asserts the disabled probe costs < 2% of an eager
@@ -179,16 +176,14 @@ cargo run --release -q -p tfe-bench --bin metrics_smoke > /dev/null
 # hardening fuzz (truncations, single-byte mutations handed on to a
 # worker, hostile lengths) and the dist differential: every sampled corpus
 # graph must execute bitwise-identically locally, over the in-process
-# transport, and over real TCP. The differential is repeated with an
-# ambient TFE_ASYNC=1. The trainer and the integration suite are repeated
-# with TFE_NUM_THREADS=1: a round's workers run at the same time, and must
-# not wait on the intra-op pool, or on each other, to make progress.
+# transport, and over real TCP. The trainer and the integration suite are
+# repeated with TFE_NUM_THREADS=1: a round's workers run at the same time,
+# and must not wait on the intra-op pool, or on each other, to make
+# progress.
 echo "==> distribution suite + wire hardening + dist differential (release)"
 cargo test --release -q -p tfe-nn dist_train
 cargo test --release -q --test distributed --test wire_hardening --test dist_differential \
     -- --test-threads "${THREADS}"
-echo "==> dist differential with TFE_ASYNC=1 (release)"
-TFE_ASYNC=1 cargo test --release -q --test dist_differential
 echo "==> distribution suite with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q -p tfe-nn dist_train
 TFE_NUM_THREADS=1 cargo test --release -q --test distributed -- --test-threads "${THREADS}"
@@ -205,10 +200,10 @@ echo "==> dist smoke (TCP workers, bitwise training parity, chaos)"
 cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 
 # Causal-tracing gate: asserts the flight recorder's disabled path costs
-# < 5 ns per probe site, runs a batched serve workload (async dispatch,
-# parallel executor) under profiling and checks every request's flow
-# events form one connected s -> t* -> f chain across >= 3 thread rows
-# (>= 4 on at least one: front door, batcher, stream, pool), that thread
+# < 5 ns per probe site, runs a batched serve workload (parallel
+# executor) under profiling and checks every request's flow events form
+# one connected s -> t* -> f chain across >= 2 thread rows (front door,
+# batcher; >= 3 on at least one, reaching a pool worker), that thread
 # rows carry role names, and that a poisoned batch leaves a flight dump
 # naming the failing op with the request's trace id.
 echo "==> trace smoke (flight overhead + causal chain validation)"

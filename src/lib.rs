@@ -51,9 +51,8 @@ pub use tfe_core::{
 };
 pub use tfe_ops::{Attrs, Op, OpError};
 pub use tfe_runtime::api;
-pub use tfe_runtime::{
-    async_scope, context, sync, sync_scope, DeviceScope, ExecMode, RuntimeError, Tensor, Variable,
-};
+pub use tfe_runtime::context::async_scope;
+pub use tfe_runtime::{context, DeviceScope, ExecMode, RuntimeError, Tensor, Variable};
 pub use tfe_tensor::{DType, Shape, TensorData, TensorError};
 
 /// Device abstraction (names, kinds, simulation profiles).

@@ -341,7 +341,7 @@ pub fn eager_interpret(
     replay(f, &args)?.iter().map(tf_eager::Tensor::value).collect()
 }
 
-/// The stateful-graph generator shared by the graph-mode and async-eager
+/// The stateful-graph generator shared by the graph-mode and eager
 /// differentials: random interleavings of variable reads, writes, and
 /// stateless math over `vars`, always ending on fresh reads so the final
 /// state is observable.

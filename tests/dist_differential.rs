@@ -4,16 +4,12 @@
 //! This pins the whole stack: tensor serialization keeps every bit, frames
 //! survive the socket, and workers run the same executor as the
 //! coordinator.
-//!
-//! The suite runs under whatever `TFE_ASYNC` is ambient (CI runs it both
-//! ways) and additionally checks one explicit `sync_scope`/`async_scope`
-//! pair per transport.
 
 mod common;
 
 use common::{fuzz_cases, generate, make_args};
 use std::sync::Arc;
-use tf_eager::dist::{Cluster, ClusterSpec, RemoteArg, TransportKind};
+use tf_eager::dist::{Cluster, ClusterSpec, RemoteArg};
 use tfe_tensor::TensorData;
 
 fn bits(t: &TensorData) -> Vec<u64> {
@@ -65,29 +61,4 @@ fn cluster_matches_local_bitwise() {
     }
     in_process.shutdown();
     tcp.shutdown();
-}
-
-/// The differential holds regardless of the coordinator's dispatch mode:
-/// shipping args and fetching results from inside an `async_scope` yields
-/// the same bits as from a forced-sync scope.
-#[test]
-fn cluster_parity_under_both_dispatch_modes() {
-    tf_eager::init();
-    let spec = ClusterSpec::new().with_job("diff", 1).unwrap();
-    let (f, shapes) = generate(9001);
-    let name = f.name.clone();
-    tfe_runtime::context::library().insert(f);
-    let args = make_args(9001, &shapes);
-    let local = tf_eager::sync_scope(|| run_local(&name, &args));
-
-    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
-        let cluster =
-            Cluster::start_with(&spec, kind, tf_eager::dist::RpcOptions::default()).unwrap();
-        let in_sync = tf_eager::sync_scope(|| run_remote(&cluster, &name, &args));
-        let in_async = tf_eager::async_scope(|| run_remote(&cluster, &name, &args))
-            .expect("async scope drains clean");
-        assert_eq!(local, in_sync, "{kind:?} sync");
-        assert_eq!(local, in_async, "{kind:?} async");
-        cluster.shutdown();
-    }
 }

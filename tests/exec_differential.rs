@@ -67,13 +67,9 @@ fn serial_parallel_and_optimized_agree_on_random_graphs() {
 }
 
 /// Eager dispatch differential: the same random graphs, interpreted as
-/// chains of eager ops, must match the serial graph executor bitwise — in
-/// synchronous dispatch *and* under `async_scope`, where every op becomes
-/// a pending handle on the device's dispatch stream. With `TFE_ASYNC=1`
-/// the "sync" interpretation dispatches asynchronously too, so a CI run
-/// under that variable covers env-driven async as well.
+/// chains of eager ops, must match the serial graph executor bitwise.
 #[test]
-fn eager_sync_and_async_match_serial_on_random_graphs() {
+fn eager_matches_serial_on_random_graphs() {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
     for seed in 0..fuzz_cases(120) {
@@ -83,18 +79,10 @@ fn eager_sync_and_async_match_serial_on_random_graphs() {
             .unwrap_or_else(|e| panic!("case {seed} serial failed: {e}\n{}", f.dump()));
         let eager = eager_interpret(&f, &args)
             .unwrap_or_else(|e| panic!("case {seed} eager failed: {e}\n{}", f.dump()));
-        let eager_async = tf_eager::async_scope(|| eager_interpret(&f, &args))
-            .unwrap_or_else(|e| panic!("case {seed} async scope failed: {e}\n{}", f.dump()))
-            .unwrap_or_else(|e| panic!("case {seed} async eager failed: {e}\n{}", f.dump()));
-        for (k, ((s, e), a)) in serial.iter().zip(&eager).zip(&eager_async).enumerate() {
+        for (k, (s, e)) in serial.iter().zip(&eager).enumerate() {
             assert!(
                 s.all_close(e, 0.0, 0.0),
                 "case {seed} output {k}: serial {s:?} vs eager {e:?}\n{}",
-                f.dump()
-            );
-            assert!(
-                s.all_close(a, 0.0, 0.0),
-                "case {seed} output {k}: serial {s:?} vs async eager {a:?}\n{}",
                 f.dump()
             );
         }
@@ -140,13 +128,11 @@ fn stateful_graphs_match_serial_bit_for_bit() {
     }
 }
 
-/// Async eager dispatch over stateful programs: reads and writes enqueued
-/// on the device stream execute in program order, so interpreting the same
-/// random read/write interleavings eagerly inside an `async_scope` must
-/// reproduce the serial graph executor bit-for-bit — outputs *and* final
-/// variable state.
+/// Eager dispatch over stateful programs: interpreting the same random
+/// read/write interleavings as eager ops must reproduce the serial graph
+/// executor bit-for-bit — outputs *and* final variable state.
 #[test]
-fn async_eager_stateful_interleavings_match_serial() {
+fn eager_stateful_interleavings_match_serial() {
     tf_eager::init();
     let device = tfe_runtime::context::device_manager().host_cpu();
     for seed in 0..fuzz_cases(40) {
@@ -160,23 +146,22 @@ fn async_eager_stateful_interleavings_match_serial() {
             .unwrap_or_else(|e| panic!("case {seed} serial failed: {e}\n{}", f.dump()));
         let serial_state: Vec<f64> = vars.iter().map(|v| v.peek().scalar_f64().unwrap()).collect();
 
-        // Reset and replay the same program as async eager ops.
+        // Reset and replay the same program as eager ops.
         for (v, init) in vars.iter().zip(&initial) {
             v.restore((**init).clone()).unwrap();
         }
-        let eager_async = tf_eager::async_scope(|| eager_interpret(&f, &[]))
-            .unwrap_or_else(|e| panic!("case {seed} async scope failed: {e}\n{}", f.dump()))
-            .unwrap_or_else(|e| panic!("case {seed} async eager failed: {e}\n{}", f.dump()));
-        let async_state: Vec<f64> = vars.iter().map(|v| v.peek().scalar_f64().unwrap()).collect();
+        let eager = eager_interpret(&f, &[])
+            .unwrap_or_else(|e| panic!("case {seed} eager failed: {e}\n{}", f.dump()));
+        let eager_state: Vec<f64> = vars.iter().map(|v| v.peek().scalar_f64().unwrap()).collect();
 
-        for (k, (s, a)) in serial.iter().zip(&eager_async).enumerate() {
+        for (k, (s, e)) in serial.iter().zip(&eager).enumerate() {
             assert!(
-                s.all_close(a, 0.0, 0.0),
-                "case {seed} output {k}: serial {s:?} vs async eager {a:?}\n{}",
+                s.all_close(e, 0.0, 0.0),
+                "case {seed} output {k}: serial {s:?} vs eager {e:?}\n{}",
                 f.dump()
             );
         }
-        assert_eq!(serial_state, async_state, "case {seed} variable state\n{}", f.dump());
+        assert_eq!(serial_state, eager_state, "case {seed} variable state\n{}", f.dump());
     }
 }
 

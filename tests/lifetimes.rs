@@ -5,7 +5,7 @@
 //! its captured tensors, its gauge counts and its metric series — by count,
 //! not by RSS, so the check is exact. *Still reachable means still alive*:
 //! whatever can still follow one of a function's names (a tape, an outer
-//! graph, a queued call, a data-parallel trainer) keeps it, so programs that
+//! graph, a data-parallel trainer) keeps it, so programs that
 //! drop a `Func` early compute what they computed before. *Gone means
 //! typed*: a name whose owner is gone is `UnknownFunction` / a `DistError`,
 //! in every mode. And the frozen benchmark's pattern — build a trainer from
@@ -13,7 +13,6 @@
 //!
 //! The counts are process-wide, so the tests of this file take turns.
 
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use tf_eager::dist::{Cluster, ClusterSpec, DistError};
@@ -48,8 +47,6 @@ struct Residue {
 }
 
 fn residue() -> Residue {
-    // Under an ambient TFE_ASYNC=1 the last handles may die on the stream.
-    tf_eager::sync().expect("no deferred error");
     let snap = tf_eager::metrics::snapshot();
     let gauge = |name: &str| snap.gauge_value(name).unwrap_or(0);
     Residue {
@@ -259,58 +256,6 @@ fn a_graph_keeps_the_host_closure_traced_into_it() {
     );
 }
 
-/// An outer function with an inner `call` and a `cond`, every handle dropped
-/// while its staged call is still queued behind a blocked one.
-#[test]
-fn a_queued_call_keeps_the_functions_it_will_resolve() {
-    let _t = turn();
-    let build = || {
-        let inner = cube("lt_q_inner");
-        let then_f = function1("lt_q_then", |x| api::add(x, &api::scalar(1.0f64)));
-        let else_f = function1("lt_q_else", api::neg);
-        function1("lt_q_outer", move |x| {
-            let y = inner.call1(x)?;
-            let pred = api::greater(&y, &api::scalar(0.0f64))?;
-            Ok(tf_eager::cond(&pred, &then_f, &else_f, &[&y])?.remove(0))
-        })
-    };
-    let x = api::scalar(2.0f64);
-    let want = tf_eager::sync_scope(|| bits(&build().call1(&x).unwrap()));
-    assert_eq!(want, 9.0f64.to_le_bytes().to_vec());
-
-    // A staged call that holds the stream until the test lets it go.
-    let (open, gate) = mpsc::channel::<()>();
-    let gate = Mutex::new(gate);
-    let wait = HostFunc::new(
-        move |xs| {
-            gate.lock().unwrap().recv().expect("the test opens the gate");
-            Ok(xs.to_vec())
-        },
-        vec![(DType::F64, SymShape::scalar())],
-    );
-    let blocker = function1("lt_q_blocker", move |x| Ok(wait.call(&[x])?.remove(0)));
-
-    let before = context::library().len();
-    let got = tf_eager::async_scope(|| {
-        let held = blocker.call1(&x).unwrap();
-        let y = {
-            let outer = build();
-            outer.concrete_for(&[Arg::from(&x)]).unwrap();
-            outer.call1(&x).unwrap()
-        };
-        // Every handle to `outer` and its callees is gone; its call is not.
-        assert!(tf_eager::context::async_pending());
-        assert!(context::library().len() > before, "the queued call still holds its graphs");
-        open.send(()).unwrap();
-        (held.value().unwrap(), bits(&y))
-    })
-    .expect("no deferred error");
-    assert_eq!(got.1, want);
-    drop(blocker);
-    tf_eager::sync().unwrap();
-    assert_eq!(context::library().len(), before, "and gives them back once it has run");
-}
-
 // ---------------------------------------------------------------------------
 // (iii) Gone means typed
 // ---------------------------------------------------------------------------
@@ -345,19 +290,10 @@ fn a_name_whose_owner_is_gone_is_a_typed_error_in_every_mode() {
             .expect_err("callee is gone");
         assert!(unknown(&err), "{mode:?}: {err}");
     }
-    // The eager dispatcher, synchronous and asynchronous (the callee is
-    // resolved at enqueue, so the error is immediate there too).
-    let err = tf_eager::sync_scope(|| {
-        context::execute(Op::Call, std::slice::from_ref(&x), attrs.clone())
-    })
-    .expect_err("callee is gone");
+    // The eager dispatcher.
+    let err =
+        context::execute(Op::Call, std::slice::from_ref(&x), attrs).expect_err("callee is gone");
     assert!(unknown(&err), "eager: {err}");
-    let err = tf_eager::async_scope(|| {
-        context::execute(Op::Call, std::slice::from_ref(&x), attrs.clone())
-    })
-    .expect("nothing was enqueued")
-    .expect_err("callee is gone");
-    assert!(unknown(&err), "async: {err}");
 
     // A worker asked for it by name.
     let cluster = Cluster::start(&ClusterSpec::new().with_job("worker", 1).unwrap());

@@ -1,14 +1,13 @@
 //! Differential serving gate (DESIGN.md §15): concurrent requests routed
 //! through the adaptive micro-batcher must be *bitwise identical* to the
 //! same requests executed one-by-one against the bare servable — across
-//! batch sizes, dispatch modes, degenerate member shapes, and version
-//! swaps — and a poisoned batch must fail every member with the typed
-//! error, never hang.
+//! batch sizes, degenerate member shapes, and version swaps — and a
+//! poisoned batch must fail every member with the typed error, never hang.
 
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 use tf_eager::prelude::*;
-use tf_eager::serve::{BatchPolicy, Dispatch, ModelRegistry, ServeError};
+use tf_eager::serve::{BatchPolicy, ModelRegistry, ServeError};
 use tf_eager::state::saved;
 use tf_eager::RuntimeError;
 
@@ -49,13 +48,13 @@ fn example(i: usize, rows: usize) -> Tensor {
     api::constant(vals, [rows, 4]).unwrap()
 }
 
-fn policy(max_batch: usize, dispatch: Dispatch) -> BatchPolicy {
-    BatchPolicy { max_batch, budget: Duration::from_millis(50), ewma_alpha: 0.25, dispatch }
+fn policy(max_batch: usize) -> BatchPolicy {
+    BatchPolicy { max_batch, budget: Duration::from_millis(50), ewma_alpha: 0.25 }
 }
 
 /// N concurrent single-example requests through the batcher vs. N
 /// sequential unbatched calls: outputs must match exactly.
-fn differential(tag: &str, n: usize, max_batch: usize, dispatch: Dispatch) {
+fn differential(tag: &str, n: usize, max_batch: usize) {
     let name = format!("serve_diff_{tag}");
     let f = mlp(&name, 1.0);
     let inputs: Vec<Tensor> = (0..n).map(|i| example(i, 1)).collect();
@@ -63,7 +62,7 @@ fn differential(tag: &str, n: usize, max_batch: usize, dispatch: Dispatch) {
         inputs.iter().map(|x| f.call_tensors(&[x]).unwrap()[0].to_f64_vec().unwrap()).collect();
 
     let registry = Arc::new(ModelRegistry::new());
-    registry.register_with(&name, 1, f, policy(max_batch, dispatch)).unwrap();
+    registry.register_with(&name, 1, f, policy(max_batch)).unwrap();
     let barrier = Arc::new(Barrier::new(n));
     let handles: Vec<_> = inputs
         .into_iter()
@@ -86,24 +85,12 @@ fn differential(tag: &str, n: usize, max_batch: usize, dispatch: Dispatch) {
 
 #[test]
 fn differential_sync_across_batch_sizes() {
-    differential("sync_1x8", 1, 8, Dispatch::Sync);
-    differential("sync_4x2", 4, 2, Dispatch::Sync);
-    differential("sync_8x8", 8, 8, Dispatch::Sync);
-    differential("sync_16x5", 16, 5, Dispatch::Sync);
-}
-
-#[test]
-fn differential_async_across_batch_sizes() {
-    differential("async_4x4", 4, 4, Dispatch::Async);
-    differential("async_8x3", 8, 3, Dispatch::Async);
-    differential("async_16x16", 16, 16, Dispatch::Async);
-}
-
-#[test]
-fn differential_inherit_mode() {
-    // Runs under whatever TFE_ASYNC the suite was launched with; CI runs
-    // both settings.
-    differential("inherit_8x4", 8, 4, Dispatch::Inherit);
+    differential("sync_1x8", 1, 8);
+    differential("sync_4x2", 4, 2);
+    differential("sync_8x8", 8, 8);
+    differential("sync_16x5", 16, 5);
+    differential("sync_8x3", 8, 3);
+    differential("sync_16x16", 16, 16);
 }
 
 /// Mixed row counts per request — including a zero-row member — exercise
@@ -117,7 +104,7 @@ fn differential_mixed_and_zero_row_members() {
     let expected: Vec<Vec<f64>> =
         inputs.iter().map(|x| f.call_tensors(&[x]).unwrap()[0].to_f64_vec().unwrap()).collect();
     let registry = Arc::new(ModelRegistry::new());
-    registry.register_with(name, 1, f, policy(16, Dispatch::Sync)).unwrap();
+    registry.register_with(name, 1, f, policy(16)).unwrap();
     let barrier = Arc::new(Barrier::new(rows.len()));
     let handles: Vec<_> = inputs
         .into_iter()
@@ -152,7 +139,7 @@ fn loaded_bundle_matches_staged() {
     let expected: Vec<Vec<f64>> =
         inputs.iter().map(|x| f.call_tensors(&[x]).unwrap()[0].to_f64_vec().unwrap()).collect();
     let registry = Arc::new(ModelRegistry::new());
-    registry.register_with(name, 1, loaded, policy(8, Dispatch::Sync)).unwrap();
+    registry.register_with(name, 1, loaded, policy(8)).unwrap();
     let barrier = Arc::new(Barrier::new(inputs.len()));
     let handles: Vec<_> = inputs
         .into_iter()
@@ -175,10 +162,9 @@ fn loaded_bundle_matches_staged() {
 /// A mid-batch fault (out-of-range gather index in one member) fails every
 /// member of the batch with the typed error: `op` names the staged entry
 /// the batch died in, `source` carries the kernel-level cause (`gather`).
-/// Staged `call` ops execute synchronously even under async dispatch (the
-/// stream defers primitive ops only), so both modes report the same shape.
-fn fault_fan_out(dispatch: Dispatch, tag: &str) {
-    let name = format!("serve_fault_{tag}");
+#[test]
+fn poisoned_batch_fails_every_member_sync() {
+    let name = "serve_fault_sync".to_string();
     let f = {
         let n = name.clone();
         function1(&n.clone(), move |idx| {
@@ -193,12 +179,7 @@ fn fault_fan_out(dispatch: Dispatch, tag: &str) {
             &name,
             1,
             f,
-            BatchPolicy {
-                max_batch: 4,
-                budget: Duration::from_millis(500),
-                ewma_alpha: 0.25,
-                dispatch,
-            },
+            BatchPolicy { max_batch: 4, budget: Duration::from_millis(500), ewma_alpha: 0.25 },
         )
         .unwrap();
     let barrier = Arc::new(Barrier::new(4));
@@ -234,16 +215,6 @@ fn fault_fan_out(dispatch: Dispatch, tag: &str) {
     assert!(started.elapsed() < Duration::from_secs(10));
 }
 
-#[test]
-fn poisoned_batch_fails_every_member_sync() {
-    fault_fan_out(Dispatch::Sync, "sync");
-}
-
-#[test]
-fn poisoned_batch_fails_every_member_async() {
-    fault_fan_out(Dispatch::Async, "async");
-}
-
 /// Concurrent requests with mismatched arity against a `Staged` servable
 /// (which declares no arity the front door could check) must not poison
 /// the batcher: matching requests succeed bitwise, wrong-arity ones fail
@@ -273,7 +244,7 @@ fn mixed_arity_requests_fail_typed_never_hang() {
         .collect();
 
     let registry = Arc::new(ModelRegistry::new());
-    registry.register_with(name, 1, f, policy(8, Dispatch::Sync)).unwrap();
+    registry.register_with(name, 1, f, policy(8)).unwrap();
     let barrier = Arc::new(Barrier::new(12));
     let good: Vec<_> = (0..8)
         .map(|i| {
@@ -319,7 +290,7 @@ fn mixed_arity_requests_fail_typed_never_hang() {
 fn panicking_servable_fails_members_typed_never_hangs() {
     let f = function1("serve_panics", |_x| panic!("deliberate serving-test panic"));
     let registry = Arc::new(ModelRegistry::new());
-    registry.register_with("panics", 1, f, policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("panics", 1, f, policy(4)).unwrap();
     let barrier = Arc::new(Barrier::new(4));
     let handles: Vec<_> = (0..4)
         .map(|i| {
@@ -364,11 +335,11 @@ fn version_swap_and_rollback() {
     let y2 = f2.call_tensors(&[&x]).unwrap()[0].to_f64_vec().unwrap();
     assert_ne!(y1, y2, "the two versions must be distinguishable");
 
-    registry.register_with("m", 1, f1, policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("m", 1, f1, policy(4)).unwrap();
     assert_eq!(registry.latest("m"), Some(1));
     assert_eq!(registry.infer("m", &[&x]).unwrap()[0].to_f64_vec().unwrap(), y1);
 
-    registry.register_with("m", 2, f2, policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("m", 2, f2, policy(4)).unwrap();
     assert_eq!(registry.latest("m"), Some(2));
     assert_eq!(registry.versions("m"), vec![1, 2]);
     assert_eq!(registry.infer("m", &[&x]).unwrap()[0].to_f64_vec().unwrap(), y2);
@@ -412,7 +383,7 @@ fn unregister_frees_the_functions_a_loaded_version_brought() {
     assert_eq!(of_this_load(), 2, "the entry function and the one it calls");
 
     let registry = ModelRegistry::new();
-    registry.register_with("owned", 1, loaded, policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("owned", 1, loaded, policy(4)).unwrap();
     assert_eq!(registry.infer("owned", &[&x]).unwrap()[0].to_f64_vec().unwrap(), want);
     assert_eq!(of_this_load(), 2);
     assert!(registry.unregister("owned"));
@@ -423,7 +394,7 @@ fn unregister_frees_the_functions_a_loaded_version_brought() {
 #[test]
 fn front_door_validation() {
     let registry = ModelRegistry::new();
-    registry.register_with("v", 1, mlp("serve_val", 1.0), policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("v", 1, mlp("serve_val", 1.0), policy(4)).unwrap();
     // Scalar input: no batch dimension.
     let s = api::scalar(1.0f32);
     assert!(matches!(registry.infer("v", &[&s]), Err(ServeError::BadRequest(_))));
@@ -444,12 +415,7 @@ fn budget_closes_partial_batch() {
             "lone",
             1,
             mlp("serve_lone", 1.0),
-            BatchPolicy {
-                max_batch: 1024,
-                budget: Duration::from_millis(10),
-                ewma_alpha: 0.25,
-                dispatch: Dispatch::Sync,
-            },
+            BatchPolicy { max_batch: 1024, budget: Duration::from_millis(10), ewma_alpha: 0.25 },
         )
         .unwrap();
     let x = example(1, 1);
@@ -477,7 +443,6 @@ fn staged_stress_keeps_retrace_log_bounded() {
                 max_batch: usize::MAX,
                 budget: Duration::from_millis(1),
                 ewma_alpha: 0.25,
-                dispatch: Dispatch::Sync,
             },
         )
         .unwrap();
@@ -531,7 +496,7 @@ fn queue_depth_gauge_returns_to_zero_on_every_exit_path() {
         panic!("deliberate gauge-test panic")
     });
     let registry = ModelRegistry::new();
-    registry.register_with("gauge_panics", 1, f, policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("gauge_panics", 1, f, policy(4)).unwrap();
     for i in 0..4 {
         let x = example(i, 1);
         assert!(matches!(registry.infer("gauge_panics", &[&x]), Err(ServeError::Panic { .. })));
@@ -552,7 +517,7 @@ fn queue_depth_gauge_returns_to_zero_on_every_exit_path() {
             .ok_or_else(|| RuntimeError::Internal("missing arg 1".to_string()))?;
         Ok(vec![api::add(a, b)?])
     });
-    registry.register_with("gauge_arity", 1, two, policy(4, Dispatch::Sync)).unwrap();
+    registry.register_with("gauge_arity", 1, two, policy(4)).unwrap();
     let a = example(0, 1);
     assert!(registry.infer("gauge_arity", &[&a]).is_err(), "wrong arity must fail");
     let b = example(1, 1);
@@ -568,12 +533,7 @@ fn queue_depth_gauge_returns_to_zero_on_every_exit_path() {
             "gauge_budget",
             1,
             f,
-            BatchPolicy {
-                max_batch: 4,
-                budget: Duration::from_nanos(1),
-                ewma_alpha: 0.25,
-                dispatch: Dispatch::Sync,
-            },
+            BatchPolicy { max_batch: 4, budget: Duration::from_nanos(1), ewma_alpha: 0.25 },
         )
         .unwrap();
     let x = example(2, 1);
@@ -594,7 +554,7 @@ fn queue_depth_gauge_returns_to_zero_on_every_exit_path() {
         api::relu(x)
     });
     let registry = Arc::new(ModelRegistry::new());
-    registry.register_with("gauge_slow", 1, slow, policy(1, Dispatch::Sync)).unwrap();
+    registry.register_with("gauge_slow", 1, slow, policy(1)).unwrap();
     let barrier = Arc::new(Barrier::new(7));
     let clients: Vec<_> = (0..6)
         .map(|i| {

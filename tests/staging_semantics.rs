@@ -733,11 +733,41 @@ fn gather_out_of_range_is_typed_and_mode_invariant() {
     context::set_exec_mode(prev);
     assert_eq!(staged_err.to_string(), eager_err.to_string());
     assert_eq!(parallel_err.to_string(), eager_err.to_string());
+    // The inline error names the kernel that faulted.
+    assert!(staged_err.to_string().contains("gather index 7 out of range"), "{staged_err}");
 
     // In-range calls still work in both modes after the failures.
     let ok_idx = Tensor::from_data(TensorData::from_vec(vec![2i64, 0], Shape::from([2])).unwrap());
     let out = f.call(&[Arg::from(&params), Arg::from(&ok_idx)]).unwrap().remove(0);
     assert_eq!(out.to_f64_vec().unwrap(), vec![3.0, 1.0]);
+}
+
+/// An eager op failing inside a host closure traced into a staged call is
+/// the call's inline error, naming the op that faulted, under both executor
+/// modes.
+#[test]
+fn host_func_failure_inside_staged_call_names_the_op() {
+    tf_eager::init();
+    let hf = HostFunc::new(
+        |xs| {
+            // Gather index 19 on a 4-element tensor.
+            let idx = api::constant(vec![19i64], [1])?;
+            api::gather(&xs[0], &idx, 0)?;
+            unreachable!("gather must fail")
+        },
+        vec![(DType::F64, tfe_ops::SymShape::known(&Shape::from([1])))],
+    );
+    let staged = function("hostfunc_fault", move |args: &[Arg]| {
+        let t = api::tanh(args[0].as_tensor().expect("tensor arg"))?;
+        Ok(vec![hf.call(&[&t])?.remove(0)])
+    });
+    let x = api::constant(vec![0.1f64, 0.2, 0.3, 0.4], [4]).unwrap();
+    for mode in [tf_eager::ExecMode::SerialPlanned, tf_eager::ExecMode::Parallel] {
+        let prev = context::set_exec_mode(mode);
+        let err = staged.call_tensors(&[&x]).expect_err("traced host fault");
+        context::set_exec_mode(prev);
+        assert!(err.to_string().contains("gather index 19 out of range"), "{mode:?}: {err}");
+    }
 }
 
 /// The gather *gradient* is only implemented for axis 0; asking for another
