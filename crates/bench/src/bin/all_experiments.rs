@@ -8,7 +8,6 @@
 use tfe_bench::calibrate;
 use tfe_bench::harness::{measure, render_table, sim_device, ExecutionConfig, Measurement};
 use tfe_bench::workloads::{L2hmcWorkload, ResnetWorkload};
-use tfe_device::KernelMode;
 use tfe_encode::Value;
 
 fn main() {
@@ -24,7 +23,7 @@ fn main() {
     let batches: &[usize] = &[1, 2, 4, 8, 16, 32];
 
     let fig3 = calibrate::figure3_gpu();
-    let gpu = sim_device("/gpu:0", &fig3, KernelMode::CostOnly);
+    let gpu = sim_device("/gpu:0");
     let mut rows: Vec<Measurement> = Vec::new();
     for &batch in batches {
         let (x, y) = resnet.batch(batch).expect("inputs");
@@ -44,7 +43,7 @@ fn main() {
     report.push(tfe_bench::harness::to_json("figure3", &rows));
 
     let tab1 = calibrate::table1_tpu();
-    let tpu = sim_device("/tpu:0", &tab1, KernelMode::CostOnly);
+    let tpu = sim_device("/tpu:0");
     let mut rows: Vec<Measurement> = Vec::new();
     for &batch in batches {
         let (x, y) = resnet.batch(batch).expect("inputs");
@@ -64,7 +63,7 @@ fn main() {
 
     // ---- Figure 4 -----------------------------------------------------------
     let fig4 = calibrate::figure4_cpu();
-    let cpu = sim_device("/job:localhost/task:0/device:CPU:1", &fig4, KernelMode::Simulated);
+    let cpu = sim_device("/job:localhost/task:0/device:CPU:1");
     let l2hmc = if quick || tiny { L2hmcWorkload::new(2, 4) } else { L2hmcWorkload::paper() };
     let samples: &[usize] = &[10, 25, 50, 100, 200];
     let mut rows: Vec<Measurement> = Vec::new();

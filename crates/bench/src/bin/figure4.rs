@@ -7,15 +7,14 @@
 use tfe_bench::calibrate;
 use tfe_bench::harness::{measure, render_table, sim_device, ExecutionConfig, Measurement};
 use tfe_bench::workloads::L2hmcWorkload;
-use tfe_device::KernelMode;
 
 fn main() {
     tfe_core::init();
     let quick = std::env::args().any(|a| a == "--tiny");
     let profile = calibrate::figure4_cpu();
-    // A *simulated* CPU (index 1): the host CPU at index 0 keeps running
-    // kernels for real; this one also charges the virtual clock.
-    let device = sim_device("/job:localhost/task:0/device:CPU:1", &profile, KernelMode::Simulated);
+    // The simulated CPU (index 1): kernels run for real on either CPU, but
+    // only those placed here charge the virtual clock.
+    let device = sim_device("/job:localhost/task:0/device:CPU:1");
 
     let workload = if quick { L2hmcWorkload::new(2, 4) } else { L2hmcWorkload::paper() };
     let sample_counts: &[usize] = &[10, 25, 50, 100, 200];

@@ -578,6 +578,68 @@ fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Va
     ])
 }
 
+/// Serial vs parallel executor driver on a wide graph: 12 independent
+/// `tanh(exp(x))` branches over 65 536 f32 elements, summed, run whole by
+/// the inline driver (`SerialPlanned`) and by the pool driver (`Parallel`),
+/// which has inter-op parallelism to use here. The two must agree bitwise
+/// before either is timed.
+fn bench_wide_graph(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value {
+    use std::sync::Arc;
+    use tfe_graph::GraphBuilder;
+    use tfe_ops::{Attrs, SymShape};
+    use tfe_runtime::{executor, ExecMode};
+    use tfe_tensor::DType;
+
+    const N: usize = 65_536;
+    const BRANCHES: usize = 12;
+    let mut b = GraphBuilder::new("bench_wide_graph");
+    let x = b.placeholder(DType::F32, SymShape::known(&Shape::from([N]))).expect("x");
+    let mut sum = None;
+    for _ in 0..BRANCHES {
+        let t = b.add_node("exp", vec![x], Attrs::new()).expect("exp")[0];
+        let t = b.add_node("tanh", vec![t], Attrs::new()).expect("tanh")[0];
+        sum = Some(match sum {
+            None => t,
+            Some(acc) => b.add_node("add", vec![acc, t], Attrs::new()).expect("add")[0],
+        });
+    }
+    let f = b.finish(vec![sum.expect("at least one branch")], 0);
+    let device = tfe_runtime::context::device_manager().host_cpu();
+    let args = [Arc::new(f32_tensor(&[N]))];
+    let run = |mode| executor::run_function(&f, &args, &device, mode).expect("wide graph run");
+    let bits = |t: &TensorData| -> Vec<u32> {
+        t.as_slice::<f32>().unwrap().iter().map(|v| v.to_bits()).collect()
+    };
+    assert_eq!(
+        bits(&run(ExecMode::SerialPlanned)[0]),
+        bits(&run(ExecMode::Parallel)[0]),
+        "serial and parallel drivers must agree bitwise on the wide graph"
+    );
+
+    let serial_ns = time_ns(iters, reps, &|| {
+        run(ExecMode::SerialPlanned);
+    });
+    let parallel_ns = time_ns(iters, reps, &|| {
+        run(ExecMode::Parallel);
+    });
+    let speedup = serial_ns / parallel_ns;
+    let shape = format!("{BRANCHES} branches of tanh(exp(x)) over {N} f32, summed");
+    println!(
+        "{:<26} {:>14} {:>14.0} {:>14.0} {:>7.2}x {:>8}   {shape}",
+        "wide_graph", "-", serial_ns, parallel_ns, speedup, "-"
+    );
+    // (for this row "serial ns/op" = a SerialPlanned run, "par ns/op" = a
+    //  Parallel run)
+    tfe_encode::Value::object(vec![
+        ("shape".to_string(), tfe_encode::Value::str(shape)),
+        ("nodes".to_string(), int(f.executable_node_count())),
+        ("serial_ns_per_run".to_string(), tfe_encode::Value::Float(serial_ns)),
+        ("parallel_ns_per_run".to_string(), tfe_encode::Value::Float(parallel_ns)),
+        ("speedup".to_string(), tfe_encode::Value::Float(speedup)),
+        ("environment".to_string(), environment(quick)),
+    ])
+}
+
 /// Serving throughput: a small MLP behind the `tfe-serve` registry, hit by
 /// 8 concurrent single-example clients. Three configurations — direct
 /// staged calls from the client threads (no serving stack at all),
@@ -827,6 +889,7 @@ fn main() {
     let fused_row = bench_fused_chain(iters, reps, quick);
     let fused_broadcast_row = bench_fused_broadcast_chain(quick);
     let pass_row = bench_pass_pipeline(iters * 20, reps, quick);
+    let wide_row = bench_wide_graph(iters, reps, quick);
     let serving_row = bench_serving(quick);
 
     let mut fields = vec![
@@ -834,6 +897,7 @@ fn main() {
         ("fused_chain".to_string(), fused_row),
         ("fused_broadcast_chain".to_string(), fused_broadcast_row),
         ("pass_pipeline".to_string(), pass_row),
+        ("wide_graph".to_string(), wide_row),
         ("serving".to_string(), serving_row),
         ("rows".to_string(), tfe_encode::Value::Array(rows)),
     ];

@@ -10,13 +10,12 @@
 use tfe_bench::calibrate;
 use tfe_bench::harness::{measure, sim_device, ExecutionConfig, Measurement};
 use tfe_bench::workloads::ResnetWorkload;
-use tfe_device::KernelMode;
 
 fn main() {
     tfe_core::init();
     let tiny = std::env::args().any(|a| a == "--tiny");
     let profile = calibrate::table1_tpu();
-    let device = sim_device("/tpu:0", &profile, KernelMode::CostOnly);
+    let device = sim_device("/tpu:0");
 
     eprintln!("building {} ...", if tiny { "tiny ResNet" } else { "ResNet-50" });
     let workload = if tiny { ResnetWorkload::tiny() } else { ResnetWorkload::resnet50() };

@@ -6,13 +6,16 @@
 //! §3). Absolute agreement is not the bar — the reproduction target is the
 //! *shape*: who wins, by what factor, and where the crossovers sit.
 
-use tfe_device::{ComputeModel, DispatchModel};
+use crate::sim::{ComputeModel, DispatchModel};
 
 /// Per-experiment simulation profile: a device plus host-side overheads.
 #[derive(Debug, Clone)]
 pub struct SimProfile {
     /// The accelerator/CPU compute model.
     pub compute: ComputeModel,
+    /// Whether the simulated device skips its kernels and produces zeros
+    /// ([`Simulator::cost_only`](crate::sim::Simulator::cost_only)).
+    pub cost_only: bool,
     /// Fraction of the smaller of (host time, device time) hidden by
     /// pipelined asynchronous dispatch: a run spans
     /// `max(host, device) + (1 - overlap) * min(host, device)`.
@@ -61,7 +64,7 @@ pub fn figure3_gpu() -> SimProfile {
         eager_compile_ns: 0.0,
         staged_call_latency_ns: 0.0,
     };
-    SimProfile { compute, overlap: 0.6, eager, staged, graph_mode }
+    SimProfile { compute, cost_only: true, overlap: 0.6, eager, staged, graph_mode }
 }
 
 /// Table 1: ResNet-50 training on a Cloud-TPU-class accelerator.
@@ -95,7 +98,7 @@ pub fn table1_tpu() -> SimProfile {
     };
     let graph_mode = staged.clone();
     // Per-op compilation blocks the dispatch thread: no overlap.
-    SimProfile { compute, overlap: 0.0, eager, staged, graph_mode }
+    SimProfile { compute, cost_only: true, overlap: 0.0, eager, staged, graph_mode }
 }
 
 /// Figure 4: L2HMC on a Xeon-W-2135-class CPU.
@@ -129,7 +132,7 @@ pub fn figure4_cpu() -> SimProfile {
     };
     let graph_mode = DispatchModel { function_call_ns: 110_000.0, ..staged.clone() };
     // CPU kernels run on the dispatching thread: no overlap.
-    SimProfile { compute, overlap: 0.0, eager, staged, graph_mode }
+    SimProfile { compute, cost_only: false, overlap: 0.0, eager, staged, graph_mode }
 }
 
 #[cfg(test)]

@@ -4,8 +4,10 @@
 //! optimization times excluded).
 
 use crate::calibrate::SimProfile;
-use tfe_device::{Device, DeviceName, DispatchModel, KernelMode, SimStats};
-use tfe_runtime::context::{self, SimConfig};
+use crate::sim::{DispatchModel, Simulator};
+use std::rc::Rc;
+use tfe_device::{Device, DeviceName};
+use tfe_runtime::context;
 use tfe_runtime::Result;
 
 /// Which execution mode a measurement exercises.
@@ -57,40 +59,15 @@ pub struct Measurement {
     pub staged_nodes_per_step: f64,
 }
 
-/// Print what the scheduler did since `before` (an earlier
-/// [`tfe_runtime::context::exec_stats`] snapshot) under a benchmark tag:
-/// nodes and kernels executed, serial vs parallel runs and intra-op
-/// splits, alongside the wall-clock numbers. The counters are the
-/// process's monotone `tfe_executor_*` / `tfe_intra_*` metrics, so the
-/// two high-water marks (ready-queue depth, live bytes) are the peaks
-/// since process start.
-pub fn report_exec_stats(tag: &str, before: &context::ExecStats) {
-    let s = context::exec_stats();
-    println!(
-        "exec_stats[{tag}]: nodes={} kernels={} serial_runs={} parallel_runs={} \
-         max_queue_depth={} peak_live_bytes={} intra_par={} intra_serial={} intra_tiles={}",
-        s.nodes_executed - before.nodes_executed,
-        s.kernels_launched - before.kernels_launched,
-        s.serial_runs - before.serial_runs,
-        s.parallel_runs - before.parallel_runs,
-        s.max_queue_depth,
-        s.peak_live_bytes,
-        s.intra_par_kernels - before.intra_par_kernels,
-        s.intra_serial_kernels - before.intra_serial_kernels,
-        s.intra_tiles - before.intra_tiles
-    );
-}
-
-/// Register (idempotently) a simulated device and return it.
+/// Register (idempotently) the device a measurement simulates and return
+/// it: a plain name, since what it costs travels with the measurement.
 ///
 /// # Panics
 /// Invalid device names (programmer error in the harness).
-pub fn sim_device(name: &str, profile: &SimProfile, mode: KernelMode) -> Device {
-    let parsed = DeviceName::parse(name).expect("valid device name");
-    let device = Device::simulated(parsed.clone(), profile.compute.clone(), mode);
-    let manager = context::device_manager();
-    manager.register(device.clone()).ok();
-    manager.find(&parsed).expect("registered device")
+pub fn sim_device(name: &str) -> Device {
+    let device = Device::new(DeviceName::parse(name).expect("valid device name"));
+    context::device_manager().register(device.clone()).ok();
+    device
 }
 
 /// Run `step` under the profile's virtual clock and measure throughput.
@@ -112,49 +89,43 @@ pub fn measure(
     iters: usize,
     mut step: impl FnMut() -> Result<()>,
 ) -> Result<Measurement> {
-    let stats = SimStats::new();
-    let previous = context::set_sim(Some(SimConfig {
-        stats: stats.clone(),
-        dispatch: config.dispatch(profile),
-    }));
-    let result = (|| -> Result<Measurement> {
+    let sim = Rc::new(Simulator::new(profile, config.dispatch(profile), device));
+    let _observer = context::observer_scope(sim.clone());
+    let stats = &sim.stats;
+    context::with_device_obj(device.clone(), || -> Result<()> {
+        for _ in 0..warmup {
+            step()?;
+        }
+        Ok(())
+    })?;
+    let mut total_secs = 0.0;
+    let mut eager_ops = 0u64;
+    let mut staged_nodes = 0u64;
+    for _ in 0..runs {
+        stats.reset();
         context::with_device_obj(device.clone(), || -> Result<()> {
-            for _ in 0..warmup {
+            for _ in 0..iters {
                 step()?;
             }
             Ok(())
         })?;
-        let mut total_secs = 0.0;
-        let mut eager_ops = 0u64;
-        let mut staged_nodes = 0u64;
-        for _ in 0..runs {
-            stats.reset();
-            context::with_device_obj(device.clone(), || -> Result<()> {
-                for _ in 0..iters {
-                    step()?;
-                }
-                Ok(())
-            })?;
-            let host = stats.clock.now_secs();
-            let device = stats.device_clock.now_secs();
-            total_secs += host.max(device) + (1.0 - profile.overlap) * host.min(device);
-            let counters = stats.counters();
-            eager_ops += counters.eager_ops;
-            staged_nodes += counters.staged_nodes;
-        }
-        let steps = (runs * iters) as f64;
-        let step_seconds = total_secs / steps;
-        Ok(Measurement {
-            config,
-            batch,
-            examples_per_sec: batch as f64 / step_seconds,
-            step_seconds,
-            eager_ops_per_step: eager_ops as f64 / steps,
-            staged_nodes_per_step: staged_nodes as f64 / steps,
-        })
-    })();
-    context::set_sim(previous);
-    result
+        let host = stats.clock.now_secs();
+        let device = stats.device_clock.now_secs();
+        total_secs += host.max(device) + (1.0 - profile.overlap) * host.min(device);
+        let counters = stats.counters();
+        eager_ops += counters.eager_ops;
+        staged_nodes += counters.staged_nodes;
+    }
+    let steps = (runs * iters) as f64;
+    let step_seconds = total_secs / steps;
+    Ok(Measurement {
+        config,
+        batch,
+        examples_per_sec: batch as f64 / step_seconds,
+        step_seconds,
+        eager_ops_per_step: eager_ops as f64 / steps,
+        staged_nodes_per_step: staged_nodes as f64 / steps,
+    })
 }
 
 /// Render a list of measurements as an aligned text table, grouped by mode.
@@ -244,8 +215,7 @@ mod tests {
     #[test]
     fn measure_counts_and_charges_time() {
         let profile = figure4_cpu();
-        let device =
-            sim_device("/job:localhost/task:0/device:CPU:9", &profile, KernelMode::Simulated);
+        let device = sim_device("/job:localhost/task:0/device:CPU:9");
         let a = api::scalar(1.0f32);
         let m = measure(ExecutionConfig::Eager, &profile, &device, 4, 1, 2, 5, || {
             let _ = api::add(&a, &a)?;

@@ -2,8 +2,8 @@
 //!
 //! The evaluation harness: regenerates every table and figure of §6 of the
 //! TensorFlow Eager paper (Figure 3, Table 1, Figure 4) under the virtual
-//! clock, plus Criterion micro-benchmarks measuring the *real* wall-clock
-//! costs of dispatch, tracing and graph optimization.
+//! clock of [`sim`], plus the wall-clock `kernel_bench` and the smoke gates
+//! of its binaries.
 //!
 //! See DESIGN.md §3 for the simulation substitution and EXPERIMENTS.md for
 //! paper-vs-measured numbers.
@@ -12,6 +12,7 @@
 
 pub mod calibrate;
 pub mod harness;
+pub mod sim;
 pub mod workloads;
 
-pub use harness::{measure, report_exec_stats, ExecutionConfig, Measurement};
+pub use harness::{measure, ExecutionConfig, Measurement};

@@ -150,12 +150,11 @@ mod tests {
     use super::*;
     use crate::calibrate;
     use crate::harness::{measure, sim_device, ExecutionConfig};
-    use tfe_device::KernelMode;
 
     #[test]
     fn tiny_resnet_workload_measures() {
         let profile = calibrate::figure3_gpu();
-        let device = sim_device("/gpu:3", &profile, KernelMode::CostOnly);
+        let device = sim_device("/gpu:3");
         let w = ResnetWorkload::tiny();
         let (x, y) = w.batch(2).unwrap();
         let eager =
@@ -174,8 +173,7 @@ mod tests {
     #[test]
     fn l2hmc_workload_measures() {
         let profile = calibrate::figure4_cpu();
-        let device =
-            sim_device("/job:localhost/task:0/device:CPU:7", &profile, KernelMode::Simulated);
+        let device = sim_device("/job:localhost/task:0/device:CPU:7");
         let w = L2hmcWorkload::new(2, 4);
         let x = w.chain(8);
         let eager =

@@ -412,11 +412,10 @@ mod tests {
     #[test]
     fn device_is_part_of_cache_key() {
         tfe_runtime::context::device_manager()
-            .register(tfe_device::Device::simulated(
-                tfe_device::DeviceName::local(tfe_device::DeviceType::Gpu, 7),
-                tfe_device::profiles::gtx1080(),
-                tfe_device::KernelMode::Simulated,
-            ))
+            .register(tfe_device::Device::new(tfe_device::DeviceName::local(
+                tfe_device::DeviceType::Gpu,
+                7,
+            )))
             .ok();
         let f = function1("devkey", api::relu);
         f.call1(&api::zeros(DType::F32, [2])).unwrap();

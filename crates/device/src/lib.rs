@@ -2,10 +2,11 @@
 //!
 //! Device abstraction for the `tf-eager` workspace (§4.4/§4.5 of the
 //! TensorFlow Eager paper): application-level device names
-//! (`/job:training/task:2/device:GPU:0`), the device registry behind
-//! `list_devices`, and the analytic cost models + virtual clock that stand
-//! in for the paper's real GPU/TPU hardware (see DESIGN.md §3 for the
-//! substitution rationale).
+//! (`/job:training/task:2/device:GPU:0`), device kinds, and the device
+//! registry behind `list_devices`. A device is a name: every device runs
+//! the host kernels. The paper's GPU and TPU timings are reproduced by the
+//! simulator in `tfe-bench`, which observes the runtime rather than living
+//! in the device (DESIGN.md §3).
 //!
 //! ```
 //! use tfe_device::{DeviceName, DeviceType};
@@ -16,10 +17,8 @@
 
 #![warn(missing_docs)]
 
-mod cost;
 mod manager;
 mod name;
 
-pub use cost::{ComputeModel, DispatchModel, KernelCost, SimCounters, SimStats, VirtualClock};
-pub use manager::{profiles, Device, DeviceManager, KernelMode};
+pub use manager::{Device, DeviceManager};
 pub use name::{DeviceName, DeviceType};

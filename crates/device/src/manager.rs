@@ -1,45 +1,26 @@
 //! Device registry: the runtime detects devices at start-up and exposes
 //! `list_devices` (§4.4); this module is that machinery.
 
-use crate::cost::ComputeModel;
 use crate::name::{DeviceName, DeviceType};
 use parking_lot::RwLock;
-use std::fmt;
-use std::sync::Arc;
 
-/// How kernels behave on a device.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Run the real CPU kernel and return real results (host execution).
-    #[default]
-    Real,
-    /// Run the real kernel *and* charge the device's compute model to the
-    /// virtual clock — simulated devices whose outputs must still be
-    /// numerically correct (tests, examples).
-    Simulated,
-    /// Skip the kernel; produce zero-filled outputs of the right shape and
-    /// charge the compute model. Used for paper-scale benchmarks
-    /// (ResNet-50 at batch 32) where numeric output is irrelevant.
-    CostOnly,
-}
-
-/// One device known to the runtime.
-#[derive(Clone)]
+/// One device known to the runtime: a name. Every device runs the host
+/// kernels; what an op would cost on the hardware the name stands for is an
+/// observer's business (DESIGN.md §3).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
     name: DeviceName,
-    compute: Option<Arc<ComputeModel>>,
-    kernel_mode: KernelMode,
 }
 
 impl Device {
-    /// A real host-CPU device (no simulation).
-    pub fn host_cpu() -> Device {
-        Device { name: DeviceName::local_cpu(), compute: None, kernel_mode: KernelMode::Real }
+    /// The device called `name`.
+    pub fn new(name: DeviceName) -> Device {
+        Device { name }
     }
 
-    /// A simulated device with a compute model.
-    pub fn simulated(name: DeviceName, compute: ComputeModel, kernel_mode: KernelMode) -> Device {
-        Device { name, compute: Some(Arc::new(compute)), kernel_mode }
+    /// The host CPU, `/job:localhost/task:0/device:CPU:0`.
+    pub fn host_cpu() -> Device {
+        Device::new(DeviceName::local_cpu())
     }
 
     /// The device's fully-qualified name.
@@ -50,33 +31,6 @@ impl Device {
     /// The device kind.
     pub fn device_type(&self) -> DeviceType {
         self.name.device_type
-    }
-
-    /// The compute model, if this device is simulated.
-    pub fn compute_model(&self) -> Option<&ComputeModel> {
-        self.compute.as_deref()
-    }
-
-    /// How kernels execute here.
-    pub fn kernel_mode(&self) -> &KernelMode {
-        &self.kernel_mode
-    }
-
-    /// Whether results produced on this device are numerically meaningful.
-    pub fn produces_real_values(&self) -> bool {
-        !matches!(self.kernel_mode, KernelMode::CostOnly)
-    }
-}
-
-impl fmt::Debug for Device {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "Device({}, mode={:?}, simulated={})",
-            self.name,
-            self.kernel_mode,
-            self.compute.is_some()
-        )
     }
 }
 
@@ -155,51 +109,6 @@ impl Default for DeviceManager {
     }
 }
 
-/// Calibrated device profiles for the paper's evaluation hardware.
-///
-/// These numbers are *effective* throughputs chosen so the reproduction
-/// harness lands near the paper's reported examples/sec; see
-/// EXPERIMENTS.md for the calibration table.
-pub mod profiles {
-    use super::*;
-
-    /// A GTX-1080-class GPU (Figure 3's device).
-    pub fn gtx1080() -> ComputeModel {
-        ComputeModel {
-            flops_per_sec: 2.4e12,
-            bytes_per_sec: 2.4e11,
-            launch_ns: 6_000.0,
-            min_kernel_ns: 4_000.0,
-            saturation_flops: 3.0e9,
-            min_utilization: 0.18,
-        }
-    }
-
-    /// A Cloud-TPU-class accelerator (Table 1's device).
-    pub fn cloud_tpu() -> ComputeModel {
-        ComputeModel {
-            flops_per_sec: 8.0e12,
-            bytes_per_sec: 6.0e11,
-            launch_ns: 2_000.0,
-            min_kernel_ns: 1_500.0,
-            saturation_flops: 2.0e10,
-            min_utilization: 0.10,
-        }
-    }
-
-    /// A Xeon-W-2135-class CPU (Figure 4's device).
-    pub fn xeon_w2135() -> ComputeModel {
-        ComputeModel {
-            flops_per_sec: 8.0e10,
-            bytes_per_sec: 6.0e10,
-            launch_ns: 150.0,
-            min_kernel_ns: 250.0,
-            saturation_flops: 1.0e6,
-            min_utilization: 0.05,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,22 +118,15 @@ mod tests {
         let m = DeviceManager::new();
         let names = m.list_devices();
         assert_eq!(names, vec![DeviceName::local_cpu()]);
-        assert!(m.host_cpu().compute_model().is_none());
+        assert_eq!(m.host_cpu(), Device::host_cpu());
     }
 
     #[test]
     fn register_and_resolve() {
         let m = DeviceManager::new();
-        m.register(Device::simulated(
-            DeviceName::local(DeviceType::Gpu, 0),
-            profiles::gtx1080(),
-            KernelMode::Simulated,
-        ))
-        .unwrap();
+        m.register(Device::new(DeviceName::local(DeviceType::Gpu, 0))).unwrap();
         let d = m.resolve("/gpu:0").unwrap();
         assert_eq!(d.device_type(), DeviceType::Gpu);
-        assert!(d.compute_model().is_some());
-        assert!(d.produces_real_values());
         assert!(m.resolve("/gpu:1").is_err());
         assert!(m.resolve("bad").is_err());
     }
@@ -239,26 +141,8 @@ mod tests {
     fn first_of_type() {
         let m = DeviceManager::new();
         assert!(m.first_of_type(DeviceType::Gpu).is_none());
-        m.register(Device::simulated(
-            DeviceName::local(DeviceType::Gpu, 1),
-            profiles::gtx1080(),
-            KernelMode::CostOnly,
-        ))
-        .unwrap();
+        m.register(Device::new(DeviceName::local(DeviceType::Gpu, 1))).unwrap();
         let d = m.first_of_type(DeviceType::Gpu).unwrap();
         assert_eq!(d.name().index, 1);
-        assert!(!d.produces_real_values());
-    }
-
-    #[test]
-    fn profiles_are_sane() {
-        for p in [profiles::gtx1080(), profiles::cloud_tpu(), profiles::xeon_w2135()] {
-            assert!(p.flops_per_sec > 0.0);
-            assert!(p.bytes_per_sec > 0.0);
-            assert!(p.min_utilization > 0.0 && p.min_utilization <= 1.0);
-        }
-        // Accelerators are faster than the CPU profile.
-        assert!(profiles::gtx1080().flops_per_sec > profiles::xeon_w2135().flops_per_sec);
-        assert!(profiles::cloud_tpu().flops_per_sec > profiles::gtx1080().flops_per_sec);
     }
 }

@@ -128,7 +128,7 @@ impl<'a> InferCtx<'a> {
 }
 
 /// Estimated work for one execution of an op (device-independent; the
-/// device's [`ComputeModel`](tfe_device-like) turns it into time).
+/// simulator in `tfe-bench` turns it into time).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct WorkEstimate {
     /// Floating-point (or equivalent) operations.

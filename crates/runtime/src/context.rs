@@ -15,8 +15,10 @@ use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use tfe_device::{Device, DeviceManager, DeviceName, DispatchModel, KernelCost, SimStats};
+use tfe_device::{Device, DeviceManager, DeviceName};
 use tfe_graph::{FunctionLibrary, GraphBuilder, TensorRef};
 use tfe_ops::{Attrs, InferCtx, Op, SymShape};
 use tfe_tensor::rng::TensorRng;
@@ -246,15 +248,6 @@ pub(crate) fn stat_executor_abort() {
 // Thread-local context stack
 // ---------------------------------------------------------------------------
 
-/// Per-thread simulation configuration (virtual clock + overhead model).
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Shared counters and virtual clock.
-    pub stats: SimStats,
-    /// Host-side dispatch overheads.
-    pub dispatch: DispatchModel,
-}
-
 /// One tracing frame: a graph under construction.
 pub struct TraceFrame {
     /// Frame id (symbolic tensors remember which frame minted them).
@@ -291,7 +284,7 @@ struct Stack {
     init_scope_stash: Vec<Vec<TraceFrame>>,
     devices: Vec<Device>,
     tapes: Vec<Arc<Tape>>,
-    sim: Option<SimConfig>,
+    observer: Option<Rc<dyn Observer>>,
     exec_mode: ExecMode,
 }
 
@@ -556,93 +549,95 @@ pub fn init_scope<R>(f: impl FnOnce() -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Simulation controls
+// Observers
 // ---------------------------------------------------------------------------
 
-/// Install a simulation config (virtual clock + overhead model) for this
-/// thread. Returns the previous config.
-pub fn set_sim(config: Option<SimConfig>) -> Option<SimConfig> {
-    with_stack(|s| std::mem::replace(&mut s.sim, config))
-}
-
-/// The active simulation config, if any.
-pub fn sim() -> Option<SimConfig> {
-    with_stack(|s| s.sim.clone())
-}
-
-/// Dtypes and shapes of concrete values, as inference wants them.
-fn concrete_sigs(values: &[Arc<TensorData>]) -> (Vec<tfe_tensor::DType>, Vec<SymShape>) {
-    values.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip()
-}
-
-/// Who asks [`simulate_op`] about an op.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SimOp {
-    /// Eager dispatch: pays the per-op interpreter cost (the CPython
-    /// stand-in) and, on compile-required devices, the compile cost.
+/// Where the runtime hands an op to the thread's [`Observer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Site {
+    /// An op dispatched eagerly (structural ops excluded), after inference
+    /// has validated it and before its kernel runs.
     Eager,
-    /// A graph node: pays the executor's per-node cost.
+    /// A graph node of any kind (`const`, `call`, `cond`, ... included),
+    /// before it runs.
     Node,
-    /// A `call`/`cond`/`while_loop` node: pays as a node, but is never
-    /// zeroed — the nodes of the bodies it runs are.
-    NodeWithBodies,
+    /// An eager `call` of a staged function, before its body runs.
+    Call,
 }
 
-/// The simulator's whole view of one op. The eager dispatcher and the
-/// executor's node-runner call it only when a virtual clock is installed on
-/// the thread (`sim`) or the device has a compute model; a real device on a
-/// thread without a clock never gets here.
+/// Sees the ops this thread runs and may stand in for them: the hook the
+/// virtual-clock simulator of `tfe-bench` hangs on (DESIGN.md §3).
 ///
-/// Charges the thread's virtual clocks the host overhead of `origin` and,
-/// through the device's compute model, the kernel time of `op` over these
-/// `inputs`. On a cost-only device (`KernelMode::CostOnly`: paper-scale
-/// benchmarks where numeric output is irrelevant) it then stands in for the
-/// kernel with shared, shape-correct zeros; otherwise it returns `None` and
-/// the caller runs the op for real.
+/// An observer is installed per thread by [`observer_scope`], so the nodes
+/// an [`ExecMode::Parallel`] run hands to pool workers are not observed.
+pub trait Observer {
+    /// See `op` at `site` on `device`, over concrete `inputs`. Returning
+    /// `Some(outputs)` replaces what the op would have produced: its kernel,
+    /// or the body of a node or call, does not run.
+    ///
+    /// # Errors
+    /// An error fails the op.
+    fn observe(
+        &self,
+        site: Site,
+        device: &Device,
+        op: Op,
+        attrs: &Attrs,
+        inputs: &[Arc<TensorData>],
+    ) -> Result<Option<Vec<Arc<TensorData>>>>;
+}
+
+/// Observers installed on any thread: while this is zero, [`observe`] is
+/// one relaxed load.
+static OBSERVERS: AtomicUsize = AtomicUsize::new(0);
+
+/// RAII guard for an observer, shaped like [`DeviceScope`]: installing
+/// happens at construction, and the drop puts back the observer it replaced,
+/// so nested scopes and a panic unwinding through one restore correctly.
 ///
-/// # Errors
-/// Failed inference, or cost-only outputs of undefined shape.
-pub(crate) fn simulate_op(
-    sim: Option<&SimConfig>,
-    origin: SimOp,
+/// Not `Send`: the observer lives on the thread that installed it.
+#[must_use = "the observer is removed when this guard drops"]
+pub struct ObserverScope {
+    previous: Option<Rc<dyn Observer>>,
+}
+
+/// Install `observer` on this thread until the returned guard drops.
+pub fn observer_scope(observer: Rc<dyn Observer>) -> ObserverScope {
+    OBSERVERS.fetch_add(1, Ordering::Relaxed);
+    let previous = with_stack(|s| s.observer.replace(observer));
+    ObserverScope { previous }
+}
+
+impl Drop for ObserverScope {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        // Bound first: the observer being removed is dropped after the guard.
+        let removed = with_stack(|s| std::mem::replace(&mut s.observer, previous));
+        drop(removed);
+        OBSERVERS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Hand one op to this thread's observer; `None` when there is none.
+pub(crate) fn observe(
+    site: Site,
     device: &Device,
     op: Op,
     attrs: &Attrs,
     inputs: &[Arc<TensorData>],
 ) -> Result<Option<Vec<Arc<TensorData>>>> {
-    let (dtypes, shapes) = concrete_sigs(inputs);
-    let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs };
-    let sigs = op.infer(&ctx)?;
-    if let Some(cfg) = sim {
-        if origin == SimOp::Eager {
-            cfg.stats.count_eager_op();
-            cfg.stats.clock.advance(cfg.dispatch.interpreter_ns);
-            if device.device_type().requires_compilation() {
-                cfg.stats.clock.advance(cfg.dispatch.eager_compile_ns);
-            }
-        } else {
-            cfg.stats.count_staged_node();
-            cfg.stats.clock.advance(cfg.dispatch.executor_node_ns);
-        }
-        if let Some(model) = device.compute_model() {
-            let w = op.work(&ctx, &sigs);
-            let cost = KernelCost { flops: w.flops, bytes: w.bytes };
-            cfg.stats.device_clock.advance(model.kernel_time_ns(cost));
-            cfg.stats.count_kernel();
-        }
-    }
-    if device.produces_real_values() || origin == SimOp::NodeWithBodies {
+    if OBSERVERS.load(Ordering::Relaxed) == 0 {
         return Ok(None);
     }
-    let zeros = sigs.into_iter().map(|(dt, s)| {
-        s.to_shape().map(|shape| crate::kernels::zero_value(dt, shape)).ok_or_else(|| {
-            RuntimeError::Internal(format!(
-                "cost-only execution needs fully-defined shapes (op {op})"
-            ))
-        })
-    });
-    zeros.collect::<Result<_>>().map(Some)
+    match with_stack(|s| s.observer.clone()) {
+        Some(observer) => observer.observe(site, device, op, attrs, inputs),
+        None => Ok(None),
+    }
 }
+
+// ---------------------------------------------------------------------------
+// Executor mode
+// ---------------------------------------------------------------------------
 
 /// Set the graph-executor mode for this thread (serial planned vs
 /// inter-op parallel). Returns the previous mode.
@@ -766,19 +761,13 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     let mut prof_span = tfe_profile::span("eager", || op.name().to_string());
 
     let device = resolve_device(inputs);
-    let sim = sim();
     let values = eager_values(inputs)?;
-    let zeros = if sim.is_some() || device.compute_model().is_some() {
-        simulate_op(sim.as_ref(), SimOp::Eager, &device, op, &attrs, &values)?
-    } else {
-        // Validate through the shared op definition.
-        let (dtypes, shapes) = concrete_sigs(&values);
-        let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs };
-        op.infer(&ctx)?;
-        None
-    };
-    let out = match zeros {
-        Some(zeros) => zeros,
+    // Validate through the shared op definition.
+    let (dtypes, shapes): (Vec<_>, Vec<_>) =
+        values.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip();
+    op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
+    let out = match observe(Site::Eager, &device, op, &attrs, &values)? {
+        Some(outputs) => outputs,
         None => crate::kernels::launch_kernel(op, &attrs, &values)?,
     };
     let outputs = eager_tensors(out, &device);
@@ -826,21 +815,126 @@ fn execute_structural(
         return host_fn(id)?(inputs);
     }
     let mut device = resolve_device(inputs);
-    if kind == Structural::Call {
-        if let Some(cfg) = sim() {
-            cfg.stats.count_function_call();
-            cfg.stats.clock.advance(cfg.dispatch.function_call_ns);
-            if device.device_type().requires_compilation() {
-                // Round-trip launch of the compiled program (device stream).
-                cfg.stats.device_clock.advance(cfg.dispatch.staged_call_latency_ns);
-            }
-        }
-    } else if kind == Structural::Copy {
+    if kind == Structural::Copy {
         let target = attrs.str("device").map_err(tfe_ops::OpError::from)?;
         device = device_manager().resolve(target).map_err(RuntimeError::Device)?;
     }
-    let values = kind.run(attrs, &eager_values(inputs)?, &device, exec_mode())?;
+    let values = eager_values(inputs)?;
+    let observed = match kind {
+        Structural::Call => observe(Site::Call, &device, op, attrs, &values)?,
+        _ => None,
+    };
+    let values = match observed {
+        Some(outputs) => outputs,
+        None => kind.run(attrs, &values, &device, exec_mode())?,
+    };
     let outputs = eager_tensors(values, &device);
     record_on_tapes(op, attrs, inputs, &outputs);
     Ok(outputs)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tfe_tensor::{DType, Shape};
+
+    /// Records every op it sees; stands in for eager ops when `stand_in`
+    /// is set.
+    #[derive(Default)]
+    struct Recorder {
+        seen: RefCell<Vec<(Site, &'static str)>>,
+        stand_in: Option<Arc<TensorData>>,
+    }
+
+    impl Observer for Recorder {
+        fn observe(
+            &self,
+            site: Site,
+            _device: &Device,
+            op: Op,
+            _attrs: &Attrs,
+            _inputs: &[Arc<TensorData>],
+        ) -> Result<Option<Vec<Arc<TensorData>>>> {
+            self.seen.borrow_mut().push((site, op.name()));
+            Ok(self.stand_in.clone().filter(|_| site == Site::Eager).map(|v| vec![v]))
+        }
+    }
+
+    impl Recorder {
+        fn take(&self) -> Vec<(Site, &'static str)> {
+            std::mem::take(&mut self.seen.borrow_mut())
+        }
+    }
+
+    /// `g(x) = relu(x * x + x)` in the library: three nodes to run.
+    fn call_attrs(name: &str) -> Attrs {
+        let mut b = GraphBuilder::new(name);
+        let x = b.placeholder(DType::F32, SymShape::known(&Shape::from([2]))).unwrap();
+        let m = b.add_node("mul", vec![x, x], Attrs::new()).unwrap()[0];
+        let s = b.add_node("add", vec![m, x], Attrs::new()).unwrap()[0];
+        let r = b.add_node("relu", vec![s], Attrs::new()).unwrap()[0];
+        let f = b.finish(vec![r], 0);
+        let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
+        library().insert(f);
+        Attrs::new().with("function", name).with("out_dtypes", d).with("out_shapes", s)
+    }
+
+    fn vector() -> Tensor {
+        Tensor::from_data(TensorData::from_vec(vec![1.0f32, -3.0], Shape::from([2])).unwrap())
+    }
+
+    #[test]
+    fn observer_sees_each_op_node_and_call_once() {
+        let recorder = Rc::new(Recorder::default());
+        let _scope = observer_scope(recorder.clone());
+        let x = vector();
+        let y = api::add(&x, &x).unwrap();
+        api::mul(&y, &x).unwrap();
+        assert_eq!(recorder.take(), [(Site::Eager, "add"), (Site::Eager, "mul")]);
+
+        let out = execute(Op::Call, &[x], call_attrs("observed_call")).unwrap();
+        assert_eq!(out[0].to_f64_vec().unwrap(), vec![2.0, 6.0]);
+        assert_eq!(
+            recorder.take(),
+            [(Site::Call, "call"), (Site::Node, "mul"), (Site::Node, "add"), (Site::Node, "relu")]
+        );
+
+        // Another thread has no observer, this one's included.
+        std::thread::spawn(|| api::neg(&vector()).unwrap().to_f64_vec().unwrap()).join().unwrap();
+        assert_eq!(recorder.take(), []);
+    }
+
+    #[test]
+    fn observer_scopes_restore_after_nesting_and_panics() {
+        let (outer, inner) = (Rc::new(Recorder::default()), Rc::new(Recorder::default()));
+        let x = vector();
+        {
+            let _outer = observer_scope(outer.clone());
+            {
+                let _inner = observer_scope(inner.clone());
+                api::neg(&x).unwrap();
+            }
+            api::neg(&x).unwrap();
+            let unwound = catch_unwind(AssertUnwindSafe(|| {
+                let _inner = observer_scope(inner.clone());
+                panic!("unwinds through an observer scope");
+            }));
+            assert!(unwound.is_err());
+            api::neg(&x).unwrap();
+        }
+        api::neg(&x).unwrap();
+        assert_eq!(inner.take().len(), 1);
+        assert_eq!(outer.take().len(), 2);
+    }
+
+    #[test]
+    fn observer_outputs_replace_the_kernel() {
+        let stand_in = Arc::new(TensorData::scalar(42.0f32));
+        let recorder = Rc::new(Recorder { stand_in: Some(stand_in), ..Recorder::default() });
+        let _scope = observer_scope(recorder);
+        let y = api::add(&vector(), &vector()).unwrap();
+        assert_eq!(y.scalar_f64().unwrap(), 42.0);
+    }
 }

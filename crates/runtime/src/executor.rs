@@ -7,9 +7,9 @@
 //!   out flat from the function, each with a count of the reads still to
 //!   come. An output nobody reads is never stored; a stored value is dropped
 //!   by its last reader (§4.1 "buffer reuse").
-//! - [`run_node`]: simulator accounting when the thread or device is
-//!   simulated, then a structural op ([`Structural`], shared with the eager
-//!   dispatcher), a `const`, or a kernel launch.
+//! - [`run_node`]: the thread's observer, if one is installed, then a
+//!   structural op ([`Structural`], shared with the eager dispatcher), a
+//!   `const`, or a kernel launch.
 //! - The *inline* driver (`SerialPlanned`) walks `f.nodes` in order on the
 //!   calling thread. The *pool* driver (`Parallel`) counts down each node's
 //!   unresolved predecessors — data producers plus the sequencing edges of
@@ -17,7 +17,7 @@
 //!   program order — and submits ready nodes to the shared worker pool
 //!   ("runs kernels in parallel when possible", §4.1).
 
-use crate::context::SimOp;
+use crate::context::{observe, Site};
 use crate::error::{Result, RuntimeError};
 use crate::tensor::Tensor;
 use parking_lot::Mutex;
@@ -240,22 +240,10 @@ fn run_node(
     if let Some(sp) = prof_span.as_mut() {
         sp.set_detail(f.node_label(id));
     }
-    let structural = Structural::of(node.op);
-    let sim = crate::context::sim();
-    if sim.is_some() || device.compute_model().is_some() {
-        let kind = match structural {
-            Some(Structural::Call | Structural::Cond | Structural::WhileLoop) => {
-                SimOp::NodeWithBodies
-            }
-            _ => SimOp::Node,
-        };
-        let zeros =
-            crate::context::simulate_op(sim.as_ref(), kind, device, node.op, &node.attrs, inputs)?;
-        if let Some(zeros) = zeros {
-            return Ok(zeros);
-        }
+    if let Some(outputs) = observe(Site::Node, device, node.op, &node.attrs, inputs)? {
+        return Ok(outputs);
     }
-    if let Some(s) = structural {
+    if let Some(s) = Structural::of(node.op) {
         return s.run(&node.attrs, inputs, device, mode);
     }
     if node.op == Op::Const {

@@ -8,7 +8,6 @@
 //! compile, and finding a kernel is a jump, not a map lookup.
 
 use crate::error::{Result, RuntimeError};
-use std::collections::HashMap;
 use std::sync::Arc;
 use tfe_ops::{Attrs, Op, OpError};
 use tfe_tensor::conv::{self, Padding};
@@ -149,22 +148,6 @@ pub fn sum_to_shape(x: &TensorData, target: &Shape) -> Result<TensorData> {
         )));
     }
     Ok(cur)
-}
-
-/// Shared zero tensors for cost-only simulated execution.
-///
-/// Cost-only devices produce shape-correct zero placeholders; allocating a
-/// fresh multi-hundred-megabyte buffer per op causes severe mmap churn, so
-/// identical (dtype, shape) zeros share one immutable allocation.
-pub fn zero_value(dtype: tfe_tensor::DType, shape: Shape) -> Arc<TensorData> {
-    type ZeroCache = parking_lot::Mutex<HashMap<(tfe_tensor::DType, Vec<usize>), Arc<TensorData>>>;
-    static CACHE: std::sync::OnceLock<ZeroCache> = std::sync::OnceLock::new();
-    let cache = CACHE.get_or_init(|| parking_lot::Mutex::new(HashMap::new()));
-    cache
-        .lock()
-        .entry((dtype, shape.dims().to_vec()))
-        .or_insert_with(|| Arc::new(TensorData::zeros(dtype, shape)))
-        .clone()
 }
 
 /// The kernel table.

@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example devices_and_distribution`.
 
-use tf_eager::device::{profiles, DeviceType, KernelMode};
+use tf_eager::device::DeviceType;
 use tf_eager::dist::{Cluster, ClusterSpec, RemoteArg};
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
@@ -14,10 +14,10 @@ use tfe_ops::Attrs;
 fn main() -> Result<(), RuntimeError> {
     tf_eager::init();
 
-    // The runtime detects devices at startup; simulated accelerators are
-    // registered explicitly (DESIGN.md §3 substitution).
-    tf_eager::register_sim_device("/gpu:0", profiles::gtx1080(), KernelMode::Simulated).ok();
-    tf_eager::register_sim_device("/tpu:0", profiles::cloud_tpu(), KernelMode::Simulated).ok();
+    // The runtime detects devices at startup; accelerators, which run the
+    // host kernels here, are registered by name (DESIGN.md §3 substitution).
+    tf_eager::register_device("/gpu:0").ok();
+    tf_eager::register_device("/tpu:0").ok();
     println!("list_devices:");
     for d in tf_eager::context::device_manager().list_devices() {
         println!("  {d}");

@@ -8,12 +8,12 @@
 //! with per-request causal flows.
 
 use std::sync::Arc;
-use tf_eager::device::{DispatchModel, KernelMode, SimStats};
 use tf_eager::nn::l2hmc::{L2hmc, StronglyCorrelatedGaussian};
 use tf_eager::nn::Initializer;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
-use tfe_runtime::context::{self, SimConfig};
+use tfe_bench::calibrate;
+use tfe_bench::harness::{measure, sim_device, ExecutionConfig};
 
 fn main() -> Result<(), RuntimeError> {
     tf_eager::init();
@@ -42,34 +42,21 @@ fn main() -> Result<(), RuntimeError> {
         &x_next.to_f64_vec()?[..2]
     );
 
-    // Step 2 — ANALYZE: profile. We register a simulated CPU that charges
-    // a virtual clock with a CPython-like per-op cost (DESIGN.md §3), and
-    // count how many primitive dispatches one update costs.
-    tf_eager::register_sim_device(
-        "/job:localhost/task:0/device:CPU:1",
-        tf_eager::device::profiles::xeon_w2135(),
-        KernelMode::Simulated,
-    )
-    .ok();
-    let device = context::device_manager()
-        .resolve("/job:localhost/task:0/device:CPU:1")
-        .map_err(RuntimeError::Device)?;
-    let stats = SimStats::new();
-    let dispatch = DispatchModel {
-        interpreter_ns: 300_000.0, // the simulated interpreter
-        executor_node_ns: 2_000.0,
-        function_call_ns: 60_000.0,
-        eager_compile_ns: 0.0,
-        staged_call_latency_ns: 0.0,
-    };
-    context::set_sim(Some(SimConfig { stats: stats.clone(), dispatch }));
-    context::with_device_obj(device.clone(), || sampler.sample_step(&x).map(|_| ()))?;
-    let counters = stats.counters();
+    // Step 2 — ANALYZE: profile. The Figure 4 simulator (DESIGN.md §3)
+    // charges a virtual clock with a CPython-like per-op cost and the
+    // kernels of a Xeon-class CPU, and counts how many primitive dispatches
+    // one update costs.
+    let profile = calibrate::figure4_cpu();
+    let device = sim_device("/job:localhost/task:0/device:CPU:1");
+    let chains = 64;
+    let analysis = measure(ExecutionConfig::Eager, &profile, &device, chains, 0, 1, 1, || {
+        sampler.sample_step(&x).map(|_| ())
+    })?;
     println!(
-        "analysis: one update dispatches {} primitive ops -> {:.1} ms of \
-         simulated interpreter time per step",
-        counters.eager_ops,
-        stats.clock.now_secs() * 1e3,
+        "analysis: one update dispatches {:.0} primitive ops -> {:.1} ms of \
+         simulated time per step",
+        analysis.eager_ops_per_step,
+        analysis.step_seconds * 1e3,
     );
     println!("          -> the update loop is the block to stage (§4.1 step 2)");
 
@@ -79,36 +66,22 @@ fn main() -> Result<(), RuntimeError> {
         function1("l2hmc_update", move |state| Ok(sampler.sample_step(state)?.0))
     };
 
-    // Compare simulated throughput, eager vs staged.
-    let eager_secs = {
-        stats.reset();
-        context::with_device_obj(device.clone(), || -> Result<(), RuntimeError> {
-            for _ in 0..5 {
-                x = sampler.sample_step(&x)?.0;
-            }
-            Ok(())
-        })?;
-        stats.clock.now_secs().max(stats.device_clock.now_secs()) / 5.0
-    };
-    // Warm the trace cache outside the measurement (like the paper, build
-    // time is excluded).
-    x = staged.call1(&x)?;
-    let staged_secs = {
-        stats.reset();
-        context::with_device_obj(device.clone(), || -> Result<(), RuntimeError> {
-            for _ in 0..5 {
-                x = staged.call1(&x)?;
-            }
-            Ok(())
-        })?;
-        stats.clock.now_secs().max(stats.device_clock.now_secs()) / 5.0
-    };
-    context::set_sim(None);
+    // Compare simulated throughput, eager vs staged. The staged update is
+    // traced in a warm-up call the measurement excludes, like the paper's
+    // build time.
+    let eager = measure(ExecutionConfig::Eager, &profile, &device, chains, 0, 1, 5, || {
+        x = sampler.sample_step(&x)?.0;
+        Ok(())
+    })?;
+    let staged_run = measure(ExecutionConfig::Staged, &profile, &device, chains, 1, 1, 5, || {
+        x = staged.call1(&x)?;
+        Ok(())
+    })?;
     println!(
         "staging payoff: {:.1} ms/step imperative -> {:.2} ms/step staged ({:.0}x)",
-        eager_secs * 1e3,
-        staged_secs * 1e3,
-        eager_secs / staged_secs
+        eager.step_seconds * 1e3,
+        staged_run.step_seconds * 1e3,
+        eager.step_seconds / staged_run.step_seconds
     );
     println!("chains are still healthy: x[0] = {:?}", &x.to_f64_vec()?[..2]);
 

@@ -68,6 +68,14 @@ if grep -rn 'async_scope' crates src tests examples \
     | grep -vE '^crates/runtime/src/context\.rs:[0-9]+:pub fn async_scope<' \
     | grep -vE '^src/lib\.rs:[0-9]+:pub use tfe_runtime::context::async_scope;$'; then exit 1; fi
 
+# Observer gate: the simulator behind Figure 3, Table 1 and Figure 4 (the
+# virtual clock, the cost models, the cost-only zeros) lives in tfe-bench and
+# reaches the runtime only through its one observer hook; a device is a name.
+# Its names must not come back anywhere else.
+echo "==> simulator names only under crates/bench"
+sim_gone='SimConfig|set_sim|simulate_op|SimOp|compute_model|KernelMode|produces_real_values|zero_value|VirtualClock|SimStats|DispatchModel|ComputeModel'
+if grep -rnE "${sim_gone}" crates/*/src src | grep -v '^crates/bench/'; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -147,9 +155,25 @@ cargo run --release -q -p tfe-bench --bin serving_smoke > /dev/null
 # fused not slower. It times the adaptive micro-batcher against the
 # unbatched serving front at concurrency 8 (the serving entry): with >= 4
 # hardware threads batching must win by >= 2x; on smaller runners, where
-# that wall-clock ratio flakes, it is skipped.
+# that wall-clock ratio flakes, it is skipped. It runs a 12-branch wide
+# graph through the inline and the pool driver (the wide_graph entry):
+# bitwise equal before either is timed.
 echo "==> kernel bench smoke (--quick, fused + serving asserted)"
 cargo run --release -q -p tfe-bench --bin kernel_bench -- --quick > /dev/null
+
+# Figures gate: Figure 3, Table 1 and Figure 4 are reproduced on the
+# virtual clock, deterministically, so the committed experiments.json must
+# come out of all_experiments byte for byte. It runs in a temporary
+# directory, where it writes its own copy, so the committed file is never
+# overwritten.
+echo "==> all_experiments reproduces experiments.json byte for byte"
+root="${PWD}"
+figures="$(mktemp -d)"
+(cd "${figures}" && cargo run --release -q --manifest-path "${root}/Cargo.toml" \
+    -p tfe-bench --bin all_experiments > /dev/null 2> stderr) \
+    || { cat "${figures}/stderr"; exit 1; }
+cmp "${figures}/experiments.json" experiments.json
+rm -rf "${figures}"
 
 # Profiler gate: asserts the disabled probe costs < 2% of an eager
 # dispatch, then profiles two staged parallel training steps and

@@ -55,7 +55,7 @@ pub use tfe_runtime::context::async_scope;
 pub use tfe_runtime::{context, DeviceScope, ExecMode, RuntimeError, Tensor, Variable};
 pub use tfe_tensor::{DType, Shape, TensorData, TensorError};
 
-/// Device abstraction (names, kinds, simulation profiles).
+/// Device abstraction (names, kinds, the registry).
 pub mod device {
     pub use tfe_device::*;
 }
@@ -121,19 +121,16 @@ pub fn init() {
     tfe_core::init();
 }
 
-/// Register a simulated accelerator (GPU/TPU) with a calibrated profile.
-/// Most programs use real host execution and never call this; the
-/// benchmark harness and the device examples do.
+/// Register a device by name (say `/gpu:0`) so that `device` scopes and
+/// copies can name it. Every device runs the host kernels; the benchmark
+/// harness simulates what they would cost on the hardware the name stands
+/// for.
 ///
 /// # Errors
-/// Duplicate device names.
-pub fn register_sim_device(
-    name: &str,
-    compute: tfe_device::ComputeModel,
-    mode: tfe_device::KernelMode,
-) -> Result<(), RuntimeError> {
+/// Malformed or duplicate device names.
+pub fn register_device(name: &str) -> Result<(), RuntimeError> {
     let parsed = tfe_device::DeviceName::parse(name).map_err(RuntimeError::Device)?;
     context::device_manager()
-        .register(tfe_device::Device::simulated(parsed, compute, mode))
+        .register(tfe_device::Device::new(parsed))
         .map_err(RuntimeError::Device)
 }

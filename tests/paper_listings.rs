@@ -13,12 +13,7 @@ use tf_eager::prelude::*;
 use tf_eager::{device, Arg};
 
 fn ensure_gpu() {
-    tf_eager::register_sim_device(
-        "/gpu:0",
-        device::profiles::gtx1080(),
-        device::KernelMode::Simulated,
-    )
-    .ok();
+    tf_eager::register_device("/gpu:0").ok();
 }
 
 #[test]

@@ -7,6 +7,7 @@ mod common;
 use std::sync::Arc;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
+use tfe_bench::sim::Simulator;
 use tfe_runtime::context;
 
 /// `cond` used inside a traced function becomes a `cond` *node* whose
@@ -484,12 +485,7 @@ fn staged_gradient_call_under_its_own_persistent_tape() {
 #[test]
 fn copy_nodes_in_graphs() {
     tf_eager::init();
-    tf_eager::register_sim_device(
-        "/gpu:1",
-        tf_eager::device::profiles::gtx1080(),
-        tf_eager::device::KernelMode::Simulated,
-    )
-    .ok();
+    tf_eager::register_device("/gpu:1").ok();
     let f = function1("copies", |x| {
         let on_gpu = api::copy_to(x, "/gpu:1")?;
         let back = api::copy_to(&api::square(&on_gpu)?, "/cpu:0")?;
@@ -606,17 +602,16 @@ fn dead_variable_in_graph_fails() {
     assert_eq!(f.call(&[]).unwrap()[0].scalar_f64().unwrap(), 7.0);
 }
 
-/// Eager dispatch on a cost-only device yields shape-correct placeholder
-/// values and never runs kernels.
+/// Eager dispatch on the device of a cost-only simulator yields
+/// shape-correct placeholder values and never runs kernels.
 #[test]
 fn cost_only_devices_produce_placeholders() {
     tf_eager::init();
-    tf_eager::register_sim_device(
-        "/gpu:2",
-        tf_eager::device::profiles::gtx1080(),
-        tf_eager::device::KernelMode::CostOnly,
-    )
-    .ok();
+    let profile = tfe_bench::calibrate::figure3_gpu();
+    let device = tfe_bench::harness::sim_device("/gpu:2");
+    let sim = Simulator::new(&profile, profile.eager.clone(), &device);
+    assert!(sim.cost_only);
+    let _observer = context::observer_scope(std::rc::Rc::new(sim));
     let a = api::constant(vec![5.0f32, 5.0], [2]).unwrap();
     let out = context::with_device("/gpu:2", || api::add(&a, &a)).unwrap().unwrap();
     assert_eq!(out.shape().unwrap().dims(), &[2]);
@@ -630,12 +625,7 @@ fn cost_only_devices_produce_placeholders() {
 #[test]
 fn nested_device_scopes() {
     tf_eager::init();
-    tf_eager::register_sim_device(
-        "/gpu:4",
-        tf_eager::device::profiles::gtx1080(),
-        tf_eager::device::KernelMode::Simulated,
-    )
-    .ok();
+    tf_eager::register_device("/gpu:4").ok();
     let x = api::scalar(1.0f32);
     let (inner_dev, outer_dev) = context::with_device("/gpu:4", || {
         let inner =
