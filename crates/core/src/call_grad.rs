@@ -1,130 +1,73 @@
 //! Gradients *through* staged calls (§4.2's tape/staging integration).
 //!
-//! When a graph function is called while a tape is active, the runtime
-//! executes a **forward** variant that additionally returns intermediate
-//! values; differentiating the call then invokes a **backward** graph
-//! function built once per concrete function, whose inputs are those
-//! intermediates plus the output gradients. This reproduces the paper's
-//! guarantee that "staging or unstaging a computation does not change the
-//! amount of work in its backward pass", and that "if a computation was
-//! staged in the forward pass, its corresponding backward pass will also be
-//! staged".
+//! A graph function called under a gradient tape runs its **forward
+//! variant**, `<name>__fwd`: the optimized graph returning the primary
+//! outputs followed by the *kept* intermediates, the forward values its
+//! backward reads and no others. Differentiating the call then invokes a
+//! **backward** graph function on those values and the output gradients.
+//! This reproduces the paper's guarantee that "staging or unstaging a
+//! computation does not change the amount of work in its backward pass",
+//! and that "if a computation was staged in the forward pass, its
+//! corresponding backward pass will also be staged".
 //!
-//! A concrete function has two such pairs, built lazily by one builder
-//! ([`build_pair`]) that differs only in which forward-variant outputs may
-//! receive a gradient ([`GradTargets`]):
+//! A concrete function has one forward variant, and the gradients that
+//! arrive at its record pick the backward ([`call_gradient`]):
 //!
-//! * **First order** — the primary outputs only. The backward is the
-//!   continuation that closes over exactly the forward values it uses: it
-//!   is traced with a `dy` per primary output, optimized, and the
-//!   intermediate placeholders nothing reads are dropped; the forward
-//!   returns the primary outputs plus the *kept* intermediates and goes
-//!   through the optimizer like any other graph (the kept values are
-//!   pinned as outputs, the rest may fuse, merge or fold). This is the
-//!   pair that makes the §4.2 claim true on the clock: no zero gradient is
-//!   made, added or carried for a value no gradient can reach.
-//! * **Any order** — every intermediate is returned and takes a `dy`, on
-//!   the unoptimized trace. An outer tape that recorded both the forward
-//!   call and the backward call differentiates the latter with respect to
-//!   the intermediates, and those gradients flow back into the forward
-//!   record, so it has to offer all of them.
-//!
-//! **Which pair runs is decided at forward time by who can observe the
-//! call: the active tapes and an open trace.** A tape pops only itself
-//! while it computes a gradient, so the backward call of a forward record is
-//! recorded by exactly the *other* tapes that were active at the forward.
-//! With one tape active and no trace open there is no such observer:
-//! nothing that holds the forward record can ever hold its backward call, no
-//! gradient can arrive at an intermediate, and the first-order pair is
-//! exact. With two or more tapes the any-order pair runs. An open trace
-//! counts as an observer too, whatever the tapes: the graph it builds holds
-//! every call made into it, so a `tape.gradient` inside the trace, or the
-//! backward built later from that graph, puts a forward call and its
-//! backward call side by side, and differentiating the graph sends
-//! gradients from the one to the intermediates of the other. Inside a trace
-//! the any-order pair always runs, so a raw graph holds `call` nodes of
-//! inference functions and any-order variants only.
-//!
-//! A tape opened *after* an eager one-tape forward may record the backward
-//! call and differentiate it (with respect to `dy`, say), but it does not
-//! hold the forward record, so what it computes for the intermediates goes
-//! nowhere. Should a gradient reach an intermediate of a first-order record
-//! all the same, [`call_gradient`] answers `RuntimeError::Internal`: never a
-//! silent drop. One program does that: a `function` whose body calls
-//! `gradient` on the only tape, itself called under that (persistent) tape,
-//! captures the kept intermediates and hands their gradients back to it.
-//! Open a second tape around the forward for that.
+//! * **`__bwd`**, when only primary outputs got one: traced with a `dy` per
+//!   primary output and optimized. The intermediates it reads are the kept
+//!   set; the others are dropped from its inputs.
+//! * **`__bwd2`**, when a gradient reached a kept intermediate (an outer
+//!   tape or graph differentiated the backward call with respect to its
+//!   inputs): the same trace with one more seed per kept intermediate,
+//!   built on first need. A seed only adds to the adjoint of a value the
+//!   first-order trace already propagates through, so this backward reads
+//!   nothing outside the kept set (DESIGN.md §7). A build that would all
+//!   the same fails naming the op: it never widens the forward and never
+//!   drops the term.
 
 use crate::func::{keep_alive, optimize, ConcreteFunction};
 use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use tfe_autodiff::GradCtx;
 use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
 use tfe_ops::{Attrs, Op};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 use tfe_tensor::TensorData;
 
-/// Which outputs of a forward variant may receive a gradient: the one
-/// thing the two pairs of a concrete function differ in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum GradTargets {
-    /// The primary outputs: the first-order pair.
-    Primary,
-    /// The primary outputs and every intermediate: the any-order pair.
-    All,
-}
-
-impl GradTargets {
-    /// The pair for a forward variant that `recording` tapes record
-    /// together with its backward call, made now. An open trace holds both
-    /// calls whatever the tapes (module docs).
-    pub(crate) fn observed_by(recording: usize) -> GradTargets {
-        if recording == 0 && !context::is_tracing() {
-            GradTargets::Primary
-        } else {
-            GradTargets::All
-        }
-    }
-}
-
-/// A lazily-built forward / backward pair of one concrete function.
+/// The forward variant of one concrete function and its backward functions,
+/// built once, when first needed.
 #[derive(Debug)]
 pub struct ForwardBundle {
-    /// Library name of the forward variant returning `n_primary` outputs
-    /// followed by the intermediates the backward takes (every one of them
-    /// in the any-order pair, the kept ones in the first-order pair).
-    pub fwd_name: String,
-    /// Library name of the backward function, a concrete function of its
-    /// own that this bundle keeps alive. Its inputs are the
-    /// intermediates (in `fwd` output order) followed by one gradient per
-    /// forward-variant output that may receive one, then any captures of
-    /// the backward graph itself; its outputs are one gradient per forward
-    /// input followed by one per referenced variable id.
-    pub bwd_name: String,
     /// User-visible output count of the original function.
     pub n_primary: usize,
     /// Inputs (args + captures) of the forward function.
     pub n_forward_inputs: usize,
     /// Variables referenced by the forward graph.
     pub var_ids: Vec<i64>,
-    /// Captures of the backward graph (values to append when calling it).
-    pub bwd_captures: Vec<Tensor>,
-    pub(crate) targets: GradTargets,
-    /// The forward variant, as inserted in the library.
-    pub(crate) fwd: Arc<GraphFunction>,
-    /// The backward function.
-    pub(crate) bwd: Arc<ConcreteFunction>,
+    /// The forward variant, as inserted in the library: the `n_primary`
+    /// outputs followed by the kept intermediates.
+    pub fwd: Arc<GraphFunction>,
+    /// The first-order backward, a concrete function of its own that this
+    /// bundle keeps alive. Its inputs are the kept intermediates (in `fwd`
+    /// output order), one gradient per primary output, then its own
+    /// captures; its outputs are one gradient per forward input followed
+    /// by one per variable in `var_ids`.
+    pub bwd: Arc<ConcreteFunction>,
     /// The `call` attributes of the forward variant, encoded once.
     pub(crate) fwd_attrs: Attrs,
+    /// The kept intermediates, as outputs of the raw trace.
+    kept: Vec<TensorRef>,
+    /// `bwd` with one more gradient input per kept intermediate after the
+    /// primary ones, built when a gradient first reaches one.
+    seeded: OnceLock<std::result::Result<Arc<ConcreteFunction>, String>>,
 }
 
 /// Library name (inference or forward variant) → the concrete function that
 /// owns it, for the `call` gradient. An index: entries are weak, and a
 /// concrete function takes its own out when it drops.
 fn concretes() -> &'static RwLock<HashMap<String, Weak<ConcreteFunction>>> {
-    static C: std::sync::OnceLock<RwLock<HashMap<String, Weak<ConcreteFunction>>>> =
-        std::sync::OnceLock::new();
+    static C: OnceLock<RwLock<HashMap<String, Weak<ConcreteFunction>>>> = OnceLock::new();
     C.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
@@ -171,32 +114,74 @@ fn read_nodes(f: &GraphFunction) -> HashSet<NodeId> {
     inputs.chain(&f.outputs).map(|t| t.node).collect()
 }
 
-/// Build one forward/backward pair of `conc`. Called once per concrete
-/// function and `targets`, lazily, from [`ConcreteFunction::pair`].
+/// Build the forward variant of `conc` and its first-order backward. Called
+/// once per concrete function, lazily, from
+/// [`ConcreteFunction::forward_bundle`].
 ///
 /// # Errors
 /// Missing gradients for ops inside the traced function, or trace errors.
-pub(crate) fn build_pair(
-    conc: &Arc<ConcreteFunction>,
-    targets: GradTargets,
-) -> Result<ForwardBundle> {
-    let raw = &*conc.raw;
-    let suffix = match targets {
-        GradTargets::Primary => "1",
-        GradTargets::All => "",
-    };
-    let intermediates = all_refs(raw);
-    let fwd_name = format!("{}__fwd{suffix}", conc.name);
-    let bwd_name = format!("{}__bwd{suffix}", conc.name);
+pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
+    let (bwd, kept) = build_backward(conc, &format!("{}__bwd", conc.name), None)?;
+    // The primary outputs, then the kept intermediates, which are pinned by
+    // being outputs: everything else may fuse, merge or fold.
+    let mut fwd = (*conc.raw).clone();
+    fwd.name = format!("{}__fwd", conc.name);
+    fwd.outputs.extend(&kept);
+    let fwd = optimize(&fwd).0;
+    let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
+    let fwd = context::library().insert(fwd);
+    // The gradient function looks concretes up by the *forward* name too.
+    index_concrete(&fwd.name, conc);
+    Ok(ForwardBundle {
+        n_primary: conc.n_primary,
+        n_forward_inputs: conc.raw.inputs.len(),
+        var_ids: conc.var_ids.clone(),
+        fwd,
+        bwd,
+        fwd_attrs,
+        kept,
+        seeded: OnceLock::new(),
+    })
+}
 
-    // ---- backward ----------------------------------------------------------
+impl ForwardBundle {
+    /// The backward seeded at the kept intermediates too, built on first
+    /// need.
+    fn seeded_backward(&self, conc: &Arc<ConcreteFunction>) -> Result<Arc<ConcreteFunction>> {
+        let name = format!("{}__bwd2", conc.name);
+        self.seeded
+            .get_or_init(|| {
+                build_backward(conc, &name, Some(&self.kept))
+                    .map(|(b, _)| b)
+                    .map_err(|e| e.to_string())
+            })
+            .clone()
+            .map_err(RuntimeError::Internal)
+    }
+}
+
+/// Trace one backward of `conc` and register it as a concrete function of
+/// its own. It is seeded with a gradient per primary output and, given
+/// `seeded`, then one per intermediate in it; its inputs are the
+/// intermediates it keeps, those gradients and its captures, its outputs
+/// one gradient per forward input and one per variable. Without `seeded`
+/// it keeps exactly the intermediates it reads; with it, those in `seeded`,
+/// and reading any other is an error. Returns the backward and what it
+/// kept, in node order.
+fn build_backward(
+    conc: &ConcreteFunction,
+    name: &str,
+    seeded: Option<&[TensorRef]>,
+) -> Result<(Arc<ConcreteFunction>, Vec<TensorRef>)> {
+    let raw = &*conc.raw;
+    let intermediates = all_refs(raw);
     // The tapes of the caller have no business in this trace: what it builds
     // must not depend on when (under how many tapes) it was first needed.
     let tapes = context::active_tapes();
     for tape in &tapes {
         context::pop_tape(tape.id);
     }
-    let frame_id = context::begin_tracing(&bwd_name);
+    let frame_id = context::begin_tracing(name);
     let built = (|| -> Result<Vec<Tensor>> {
         // Placeholders for every intermediate value, then output grads.
         let mut value_of: HashMap<TensorRef, Tensor> = HashMap::new();
@@ -204,13 +189,10 @@ pub(crate) fn build_pair(
             let (dt, sh) = raw.sig(tref);
             value_of.insert(tref, context::tracing_placeholder(dt, sh)?);
         }
-        // One incoming-gradient placeholder per forward-variant output that
-        // may receive one: the primary outputs, then (any order) every
-        // intermediate.
-        let mut grad_refs = raw.outputs.clone();
-        if targets == GradTargets::All {
-            grad_refs.extend(intermediates.iter().copied());
-        }
+        // One incoming-gradient placeholder per primary output, then one per
+        // seeded intermediate.
+        let grad_refs: Vec<TensorRef> =
+            raw.outputs.iter().chain(seeded.unwrap_or_default()).copied().collect();
         let mut dys = Vec::with_capacity(grad_refs.len());
         for &out in &grad_refs {
             let (dt, sh) = raw.sig(out);
@@ -230,9 +212,14 @@ pub(crate) fn build_pair(
             records.push(Arc::new(TapeRecord::new(node.op, node.attrs.clone(), &inputs, &outputs)));
         }
 
-        // Seeds: dy per gradient target (summing if a ref repeats).
+        // Seeds: dy per gradient target (summing if a ref repeats). The
+        // table sends no gradient into an integer or boolean value, so a
+        // kept one takes none (DESIGN.md §7).
         let mut seeds: HashMap<u64, Tensor> = HashMap::new();
-        for (out, dy) in grad_refs.iter().zip(&dys) {
+        for (i, (out, dy)) in grad_refs.iter().zip(&dys).enumerate() {
+            if i >= raw.outputs.len() && !dy.dtype().is_float() {
+                continue;
+            }
             let id = value_of[out].id();
             match seeds.remove(&id) {
                 Some(existing) => {
@@ -294,89 +281,85 @@ pub(crate) fn build_pair(
                 .ok_or_else(|| RuntimeError::Internal("non-symbolic backward output".into()))
         })
         .collect::<Result<_>>()?;
-    let mut bwd_raw = finished.builder.finish(out_refs, finished.captures.len());
+    let bwd_raw = finished.builder.finish(out_refs, finished.captures.len());
     // The backward pass is staged too: optimize it like any graph function.
-    let (mut bwd_opt, bwd_stats) = optimize(&bwd_raw);
+    let (bwd_opt, bwd_stats) = optimize(&bwd_raw);
 
-    // ---- first order: the backward closes over what it reads, no more -------
-    // The trace and its optimized form keep one signature: the backward is
-    // itself a concrete function an outer tape may differentiate, from `raw`.
-    let mut unread = vec![false; bwd_raw.inputs.len()];
-    if targets == GradTargets::Primary {
-        bwd_raw = passes::prune(&bwd_raw);
-        let (read_raw, read_opt) = (read_nodes(&bwd_raw), read_nodes(&bwd_opt));
-        for (i, unread) in unread.iter_mut().enumerate().take(intermediates.len()) {
-            *unread =
-                !read_raw.contains(&bwd_raw.inputs[i]) && !read_opt.contains(&bwd_opt.inputs[i]);
+    // The backward closes over what it keeps, no more. The trace and its
+    // optimized form keep one signature: the backward is itself a concrete
+    // function an outer tape may differentiate, from `raw`.
+    let bwd_raw = passes::prune(&bwd_raw);
+    let (read_raw, read_opt) = (read_nodes(&bwd_raw), read_nodes(&bwd_opt));
+    let allowed: Option<HashSet<&TensorRef>> = seeded.map(|s| s.iter().collect());
+    let mut dropped = vec![false; bwd_raw.inputs.len()];
+    let mut kept = Vec::new();
+    for (i, tref) in intermediates.iter().enumerate() {
+        let read = read_raw.contains(&bwd_raw.inputs[i]) || read_opt.contains(&bwd_opt.inputs[i]);
+        let keep = allowed.as_ref().map_or(read, |a| a.contains(tref));
+        if read && !keep {
+            let reader = |f: &GraphFunction| {
+                let n = f.nodes.iter().find(|n| n.inputs.iter().any(|t| t.node == f.inputs[i]));
+                n.map(|n| n.op)
+            };
+            let reader = reader(&bwd_raw).or_else(|| reader(&bwd_opt));
+            return Err(RuntimeError::Internal(format!(
+                "backward `{name}` reads output {} of forward `{}` node {} through `{}`, which \
+                 the first-order backward does not keep",
+                tref.output,
+                raw.nodes[tref.node.0].op,
+                tref.node.0,
+                reader.map_or_else(|| "an output".to_string(), |op| op.to_string()),
+            )));
         }
-        bwd_raw = passes::drop_inputs(&bwd_raw, &unread);
-        bwd_opt = passes::drop_inputs(&bwd_opt, &unread);
+        dropped[i] = !keep;
+        if keep {
+            kept.push(*tref);
+        }
     }
+    let bwd_raw = passes::drop_inputs(&bwd_raw, &dropped);
+    let bwd_opt = passes::drop_inputs(&bwd_opt, &dropped);
     // The backward pass is a concrete function of its own, so an outer tape
     // can differentiate *it* — higher-order gradients through staged calls
     // (§4.2's composable tapes). It owns what its trace called.
-    let bwd_fn = context::library().insert(bwd_opt);
+    let function = context::library().insert(bwd_opt);
     let bwd = Arc::new(ConcreteFunction {
-        name: bwd_name.clone(),
-        inference_attrs: ConcreteFunction::call_attrs(&bwd_fn, false, &[]),
-        function: bwd_fn,
+        name: name.to_string(),
+        inference_attrs: ConcreteFunction::call_attrs(&function, false, &[]),
+        function,
         raw: Arc::new(bwd_raw),
-        captures: finished.captures.clone(),
+        captures: finished.captures,
         // Backward graphs reference no variables of their own (they consume
         // placeholders and constants only).
         var_ids: Vec::new(),
         stateful: false,
         n_primary: outs.len(),
         opt_stats: bwd_stats,
-        pairs: Default::default(),
+        pair: OnceLock::new(),
         owners: finished.owners,
     });
     index_concrete(&bwd.function.name, &bwd);
-
-    // ---- forward: the primary outputs, then the kept intermediates ----------
-    let mut fwd = raw.clone();
-    fwd.name = fwd_name.clone();
-    fwd.outputs.extend(intermediates.iter().zip(&unread).filter(|(_, &u)| !u).map(|(&t, _)| t));
-    if targets == GradTargets::Primary {
-        fwd = optimize(&fwd).0;
-    }
-    let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
-    let fwd = context::library().insert(fwd);
-    // The gradient function looks concretes up by the *forward* name too.
-    index_concrete(&fwd_name, conc);
-
-    Ok(ForwardBundle {
-        fwd_name,
-        bwd_name,
-        n_primary: conc.n_primary,
-        n_forward_inputs: raw.inputs.len(),
-        var_ids: conc.var_ids.clone(),
-        bwd_captures: finished.captures,
-        targets,
-        fwd,
-        bwd,
-        fwd_attrs,
-    })
+    Ok((bwd, kept))
 }
 
-/// Call the backward of `pair` on the forward intermediates and one `dy`
-/// per gradient target: one gradient per slot of the forward `call` record.
+/// Call backward `bwd` of `pair` on the forward intermediates, its `dys`
+/// and its captures: one gradient per slot of the forward `call` record.
 fn run_backward(
     pair: &ForwardBundle,
+    bwd: &Arc<ConcreteFunction>,
     intermediates: &[Tensor],
     dys: Vec<Tensor>,
 ) -> Result<Vec<Option<Tensor>>> {
     let mut inputs = intermediates.to_vec();
     inputs.extend(dys);
-    inputs.extend(pair.bwd_captures.iter().cloned());
-    let grads = context::execute(Op::Call, &inputs, pair.bwd.inference_attrs.clone())?;
-    keep_alive(&pair.bwd);
-    if grads.len() != pair.n_forward_inputs + pair.var_ids.len() {
+    inputs.extend(bwd.captures.iter().cloned());
+    let grads = context::execute(Op::Call, &inputs, bwd.inference_attrs.clone())?;
+    keep_alive(bwd);
+    let expected = pair.n_forward_inputs + pair.var_ids.len();
+    if grads.len() != expected {
         return Err(RuntimeError::Internal(format!(
-            "backward `{}` returned {} gradients, expected {}",
-            pair.bwd_name,
+            "backward `{}` returned {} gradients, expected {expected}",
+            bwd.name,
             grads.len(),
-            pair.n_forward_inputs + pair.var_ids.len()
         )));
     }
     Ok(grads.into_iter().map(Some).collect())
@@ -384,32 +367,21 @@ fn run_backward(
 
 /// Differentiate a call whose record holds no intermediates (the inference
 /// variant ran: a `call` node of a graph traced under no tape, the backward
-/// call an outer tape recorded, the branch of a `cond`): run a forward
-/// variant on the same inputs now, then its backward.
+/// call an outer tape recorded, the branch of a `cond`): run the forward
+/// variant on the same inputs now, then its first-order backward.
 fn rerun_and_differentiate(
     conc: &Arc<ConcreteFunction>,
     inputs: &[Tensor],
     c: &GradCtx,
 ) -> Result<Vec<Option<Tensor>>> {
-    // The differentiating tape has popped itself; every tape active now
-    // records both calls made here, and so does an open trace.
-    let pair = conc.pair(GradTargets::observed_by(context::active_tapes().len()))?;
+    let pair = conc.forward_bundle()?;
     let outs = context::execute(Op::Call, inputs, pair.fwd_attrs.clone())?;
     keep_alive(conc);
-    let intermediates = &outs[pair.n_primary..];
-    let mut dys =
-        (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<Vec<Tensor>>>()?;
-    if pair.targets == GradTargets::All {
-        for t in intermediates {
-            dys.push(
-                context::execute(Op::ZerosLike, std::slice::from_ref(t), Attrs::new())?.remove(0),
-            );
-        }
-    }
-    run_backward(&pair, intermediates, dys)
+    let dys = (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<_>>()?;
+    run_backward(&pair, &pair.bwd, &outs[pair.n_primary..], dys)
 }
 
-/// The gradient of the `call` operation: invoke the backward graph function
+/// The gradient of the `call` operation: invoke a backward graph function
 /// with the forward intermediates and the output gradients.
 pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     let fname = c.attrs().str("function").map_err(tfe_ops::OpError::from)?;
@@ -418,26 +390,20 @@ pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
             "cannot differentiate a call to `{fname}`: it was not created via tfe_core::function"
         ))
     })?;
-    // A forward variant ran: its intermediates are on the record.
-    let Some(pair) = conc.built_pair(fname) else {
+    let pair = conc.forward_bundle()?;
+    if fname != pair.fwd.name {
         return rerun_and_differentiate(&conc, &c.record.inputs, c);
-    };
+    }
+    // The forward variant ran: the kept intermediates are on the record, and
+    // whether a gradient reached one picks the backward.
     let n = pair.n_primary;
-    let dys: Vec<&Tensor> = match pair.targets {
-        GradTargets::All => c.grads()?,
-        GradTargets::Primary => {
-            if let Some(i) = c.output_grads[n..].iter().position(Option::is_some) {
-                return Err(RuntimeError::Internal(format!(
-                    "a gradient arrived at intermediate {i} of `{fname}`, a first-order forward \
-                     variant: it ran eagerly under one tape, and only a function that staged its \
-                     backward call and was then called under that tape can send one here; open a \
-                     second tape around the forward call (DESIGN.md §7)"
-                )));
-            }
-            (0..n).map(|i| c.grad(i)).collect::<Result<_>>()?
-        }
+    let (bwd, n_dys) = if c.output_grads[n..].iter().all(Option::is_none) {
+        (pair.bwd.clone(), n)
+    } else {
+        (pair.seeded_backward(&conc)?, c.output_grads.len())
     };
-    run_backward(&pair, &c.record.outputs[n..], dys.into_iter().cloned().collect())
+    let dys = (0..n_dys).map(|i| c.grad(i).cloned()).collect::<Result<_>>()?;
+    run_backward(&pair, &bwd, &c.record.outputs[n..], dys)
 }
 
 /// The gradient of `cond`: differentiate the branch that actually ran.
@@ -467,14 +433,16 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     // The cond executed the plain branch function, so the record has no
     // intermediates of its own.
     let branch_args = &c.record.inputs[1..];
-    let grads = rerun_and_differentiate(&conc, branch_args, c)?;
-    // Slots: predicate (None), then one per branch argument.
+    let mut grads = rerun_and_differentiate(&conc, branch_args, c)?;
+    let var_grads = grads.split_off(branch_args.len());
+    // Slots: the predicate, the branch arguments, then the variables either
+    // branch reads; one only the other branch reads gets no gradient.
+    let var_ids = c.attrs().int_list_or("var_ids", &[]).map_err(tfe_ops::OpError::from)?;
     let mut out: Vec<Option<Tensor>> = vec![None];
-    out.extend(grads.into_iter().take(branch_args.len()));
-    // If the branch had captures, their gradients are dropped (captures are
-    // not cond inputs); pad to the record's input arity.
-    while out.len() < c.record.input_ids.len() {
-        out.push(None);
-    }
+    out.append(&mut grads);
+    out.extend(var_ids.iter().map(|id| {
+        let i = conc.var_ids.iter().position(|v| v == id)?;
+        var_grads[i].clone()
+    }));
     Ok(out)
 }

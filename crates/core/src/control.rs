@@ -2,7 +2,7 @@
 //! hatches of §4.7 (`host_func` ≈ `py_func`, `init_scope`).
 
 use crate::arg::Arg;
-use crate::func::{keep_alive, ConcreteFunction, Func};
+use crate::func::{keep_alive, Func};
 use std::sync::Arc;
 use tfe_ops::{Attrs, Op, SymShape};
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
@@ -40,6 +40,10 @@ pub fn cond(
     }
     let (d, s) = tfe_ops::catalog::encode_sig(&t_sig);
     let stateful = t.stateful || e.stateful;
+    // Both branches' variables are gradient slots of the record, as a
+    // `call`'s are: the taken branch fills its own.
+    let var_ids: std::collections::BTreeSet<i64> =
+        t.var_ids.iter().chain(&e.var_ids).copied().collect();
     let mut inputs = vec![pred.clone()];
     inputs.extend(args.iter().map(|&t| t.clone()));
     let outs = context::execute(
@@ -50,7 +54,8 @@ pub fn cond(
             .with("else_fn", e.name.clone())
             .with("out_dtypes", d)
             .with("out_shapes", s)
-            .with("stateful", stateful),
+            .with("stateful", stateful)
+            .with("var_ids", var_ids.into_iter().collect::<Vec<_>>()),
     )?;
     keep_alive(&t);
     keep_alive(&e);
@@ -167,9 +172,4 @@ impl std::fmt::Debug for HostFunc {
 /// state-creation contract.
 pub fn init_scope<R>(f: impl FnOnce() -> R) -> R {
     context::init_scope(f)
-}
-
-/// Convenience re-export point used by `cond`/`while_loop` helpers.
-pub(crate) fn _concrete_name(c: &Arc<ConcreteFunction>) -> &str {
-    &c.name
 }

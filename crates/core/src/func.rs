@@ -15,7 +15,7 @@
 //! so a name stops resolving once the owner is gone (DESIGN.md §7).
 
 use crate::arg::{Arg, ArgKey, TensorSpec};
-use crate::call_grad::{ForwardBundle, GradTargets};
+use crate::call_grad::{build_pair, ForwardBundle};
 use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -804,7 +804,7 @@ impl Func {
             n_primary,
             opt_stats,
             inference_attrs,
-            pairs: Default::default(),
+            pair: OnceLock::new(),
             owners: traced.owners,
         });
         crate::call_grad::index_concrete(&concrete.function.name, &concrete);
@@ -905,7 +905,7 @@ pub(crate) fn collect_var_ids(f: &GraphFunction) -> Vec<i64> {
 /// One traced specialization: a graph function plus its captured inputs.
 ///
 /// The single owner of everything traced for it — the inference graph, the
-/// raw trace, both lazily built forward/backward pairs — and, through
+/// raw trace, the lazily built forward variant and backwards — and, through
 /// `owners`, of every function its graphs name. Dropping it takes its names
 /// out of the function library and the gradient index.
 pub struct ConcreteFunction {
@@ -929,9 +929,9 @@ pub struct ConcreteFunction {
     pub opt_stats: passes::OptimizeStats,
     /// The `call` attributes of [`function`](Self::function), encoded once.
     pub(crate) inference_attrs: Attrs,
-    /// The first-order and the any-order forward/backward pair (§4.2), in
-    /// that order, each built when first needed.
-    pub(crate) pairs: [OnceLock<std::result::Result<Arc<ForwardBundle>, String>>; 2],
+    /// The forward variant and its backwards (§4.2), built when first
+    /// needed.
+    pub(crate) pair: OnceLock<std::result::Result<Arc<ForwardBundle>, String>>,
     /// What the nodes of `raw` name: the functions it calls or branches to
     /// and the host closures it embeds, collected by the trace. Held, never
     /// read.
@@ -957,8 +957,8 @@ pub(crate) fn keep_alive(conc: &Arc<ConcreteFunction>) {
 impl Drop for ConcreteFunction {
     /// Takes the two table locks, one at a time, and nothing else.
     fn drop(&mut self) {
-        let pairs = self.pairs.iter().filter_map(|p| p.get()?.as_ref().ok());
-        for f in std::iter::once(&self.function).chain(pairs.map(|p| &p.fwd)) {
+        let fwd = self.pair.get().and_then(|p| p.as_ref().ok()).map(|p| &p.fwd);
+        for f in std::iter::once(&self.function).chain(fwd) {
             context::library().remove(f);
             crate::call_grad::unindex_concrete(&f.name);
         }
@@ -981,74 +981,49 @@ impl ConcreteFunction {
     /// automatically). Works eagerly and inside traces (composition via
     /// `call` nodes, Listing 8).
     ///
-    /// When a gradient tape is active a forward variant runs instead, which
-    /// also returns the values the backward pass reads, so that pass
-    /// recomputes nothing (§4.2): eagerly under one tape the first-order
-    /// variant (optimized, returning only what its backward reads), under
-    /// two or more, or inside a trace, the any-order one (`call_grad` module
-    /// docs say why that rule is sound).
+    /// Under a gradient tape (eagerly or inside a trace) the forward
+    /// variant runs instead, which also returns the values the backward
+    /// pass reads, so that pass recomputes nothing (§4.2); the `call_grad`
+    /// module docs say how its gradient picks a backward.
     ///
     /// # Errors
-    /// Arity mismatches or execution failures.
+    /// [`tfe_ops::OpError::Arity`] for the wrong number of arguments, or
+    /// execution failures.
     pub fn call(self: &Arc<Self>, tensor_args: &[Tensor]) -> Result<Vec<Tensor>> {
         let declared = self.function.inputs.len() - self.function.num_captures;
         if tensor_args.len() != declared {
-            return Err(RuntimeError::Internal(format!(
-                "function `{}` expects {declared} tensor arguments, got {}",
-                self.name,
-                tensor_args.len()
-            )));
+            return Err(RuntimeError::Op(tfe_ops::OpError::Arity {
+                op: self.name.clone(),
+                expected: format!("{declared} arguments"),
+                got: tensor_args.len(),
+            }));
         }
         let mut all = tensor_args.to_vec();
         all.extend(self.captures.iter().cloned());
-        let outs = match context::active_tapes().len() {
-            0 => context::execute(Op::Call, &all, self.inference_attrs.clone())?,
-            tapes => {
-                // The tape that differentiates this call pops itself to do
-                // so; the others record the backward call beside this one.
-                let pair = self.pair(GradTargets::observed_by(tapes - 1))?;
-                let mut outs = context::execute(Op::Call, &all, pair.fwd_attrs.clone())?;
-                outs.truncate(self.n_primary);
-                outs
-            }
+        let outs = if context::active_tapes().is_empty() {
+            context::execute(Op::Call, &all, self.inference_attrs.clone())?
+        } else {
+            let pair = self.forward_bundle()?;
+            let mut outs = context::execute(Op::Call, &all, pair.fwd_attrs.clone())?;
+            outs.truncate(self.n_primary);
+            outs
         };
         keep_alive(self);
         Ok(outs)
     }
 
-    /// Build (once) the any-order forward/backward pair: the forward returns
-    /// every intermediate and the backward takes a gradient for each.
+    /// Build (once) the forward variant, returning the primary outputs
+    /// followed by the intermediates its first-order backward reads, and
+    /// that backward.
     ///
     /// # Errors
     /// Gradient-construction failures (e.g. an op without a registered
     /// gradient inside the traced function).
     pub fn forward_bundle(self: &Arc<Self>) -> Result<Arc<ForwardBundle>> {
-        self.pair(GradTargets::All)
-    }
-
-    /// Build (once) the first-order pair: the backward takes a gradient per
-    /// primary output and the forward returns, after them, only the
-    /// intermediates that backward reads.
-    ///
-    /// # Errors
-    /// As [`ConcreteFunction::forward_bundle`].
-    pub fn first_order_bundle(self: &Arc<Self>) -> Result<Arc<ForwardBundle>> {
-        self.pair(GradTargets::Primary)
-    }
-
-    pub(crate) fn pair(self: &Arc<Self>, targets: GradTargets) -> Result<Arc<ForwardBundle>> {
-        self.pairs[targets as usize]
-            .get_or_init(|| {
-                crate::call_grad::build_pair(self, targets).map(Arc::new).map_err(|e| e.to_string())
-            })
+        self.pair
+            .get_or_init(|| build_pair(self).map(Arc::new).map_err(|e| e.to_string()))
             .clone()
             .map_err(RuntimeError::Internal)
-    }
-
-    /// The already-built pair whose forward variant is named `fwd_name`.
-    pub(crate) fn built_pair(&self, fwd_name: &str) -> Option<Arc<ForwardBundle>> {
-        let mut built = self.pairs.iter().filter_map(|p| p.get()?.as_ref().ok());
-        built.find(|p| p.fwd_name == fwd_name).cloned()
     }
 }
 

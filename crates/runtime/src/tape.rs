@@ -37,15 +37,15 @@ impl TapeRecord {
     /// The ids gradients of `op` flow *from* — the one place the rule is
     /// written. Usually the input ids. `read_variable` flows from its
     /// *variable id*, so that every read of one variable aliases to one
-    /// gradient slot (§4.2/§4.3); a `call` appends the variables its graph
-    /// reads (attr `var_ids`, set by the tracer), so gradients reach
-    /// variables *through* staged functions. Variable slots, when present,
-    /// are exactly the ones past `inputs.len()`.
+    /// gradient slot (§4.2/§4.3); a `call` or `cond` appends the variables
+    /// its graphs read (attr `var_ids`, set by the tracer), so gradients
+    /// reach variables *through* staged functions. Variable slots, when
+    /// present, are exactly the ones past `inputs.len()`.
     pub(crate) fn gradient_slots(op: Op, attrs: &Attrs, inputs: &[Tensor]) -> Vec<u64> {
         let mut slots: Vec<u64> = inputs.iter().map(Tensor::id).collect();
         match op {
             Op::ReadVariable => slots.extend(attrs.int("var_id").ok().map(|id| id as u64)),
-            Op::Call => {
+            Op::Call | Op::Cond => {
                 let var_ids = attrs.int_list("var_ids").unwrap_or(&[]);
                 slots.extend(var_ids.iter().map(|&id| id as u64));
             }

@@ -76,6 +76,13 @@ echo "==> simulator names only under crates/bench"
 sim_gone='SimConfig|set_sim|simulate_op|SimOp|compute_model|KernelMode|produces_real_values|zero_value|VirtualClock|SimStats|DispatchModel|ComputeModel'
 if grep -rnE "${sim_gone}" crates/*/src src | grep -v '^crates/bench/'; then exit 1; fi
 
+# One-pair gate: a concrete function has one forward variant, and the
+# gradients that arrive at its record pick the backward (DESIGN.md §7). The
+# forward-time observer rule and the second, any-order pair must not come
+# back under their names.
+echo "==> one forward variant per staged specialization"
+if grep -rnE 'GradTargets|observed_by|first_order_bundle|__fwd1|__bwd1' crates src tests examples; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -85,8 +92,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test (debug, ${THREADS} threads)"
 cargo test --workspace -q -- --test-threads "${THREADS}"
 
-# With them, gradients through staged calls: the first-order and any-order
-# pairs against the eager tape (bitwise) and against finite differences.
+# With them, gradients through staged calls: the one forward variant with
+# its first-order and seeded backwards, under one tape and two, against the
+# eager tape (bitwise) and against finite differences.
 # And function lifetime: a dropped `Func`
 # leaves nothing behind (by count), whatever can still reach a function
 # keeps it, a name whose owner is gone is a typed error.

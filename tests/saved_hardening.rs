@@ -290,6 +290,12 @@ fn loaded_call_rejects_malformed_requests() {
         loaded.call(&[&good, &good]),
         Err(RuntimeError::Op(OpError::Arity { got: 2, .. }))
     ));
+    // A traced function answers a wrong arity the same way.
+    let conc = function1("arity_square", api::square).concrete_for(&[Arg::from(&good)]).unwrap();
+    assert!(matches!(
+        conc.call(&[good.clone(), good.clone()]),
+        Err(RuntimeError::Op(OpError::Arity { got: 2, .. }))
+    ));
     // Wrong dtype.
     let f64_arg = api::constant(vec![1.0f64, 2.0], [2]).unwrap();
     assert!(matches!(
