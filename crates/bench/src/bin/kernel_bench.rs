@@ -9,8 +9,10 @@
 //! the benchmark run: a chrome://tracing timeline at that path, plus a
 //! metrics summary printed to stderr and embedded in `BENCH_kernels.json`.
 
+use std::sync::Arc;
 use std::time::Instant;
 
+use tfe_core::ConcreteFunction;
 use tfe_parallel::{intra_threads, set_intra_threads};
 use tfe_tensor::elementwise::{binary, BinaryOp};
 use tfe_tensor::reduce::{reduce, ReduceOp};
@@ -287,7 +289,6 @@ fn bench_fused_chain(iters: usize, reps: usize, quick: bool) -> tfe_encode::Valu
 /// through `binary`'s periodic slice path and through the per-element
 /// `BroadcastWalker` map it replaced.
 fn bench_fused_broadcast_chain(quick: bool) -> tfe_encode::Value {
-    use std::sync::Arc;
     use tfe_graph::passes::{self, OptimizeOptions};
     use tfe_graph::GraphBuilder;
     use tfe_ops::{Attrs, SymShape};
@@ -398,16 +399,11 @@ fn kernel_evaluator(
     tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
 }
 
-/// The optimizer's own cost on an L2HMC-sized graph: the training step of
-/// the repo benchmark's `l2hmc_small_ops` (64 chains, 10 leapfrog steps,
-/// hidden 10; loss, `gradient_vars`, Adam) traced once, then the median
-/// time of `optimize_with_stats` over its raw graph — most of what a first
-/// call of that step costs.
-fn l2hmc_step_optimize(runs: usize) -> tfe_encode::Value {
-    use std::sync::Arc;
+/// The training step of the repo benchmark's `l2hmc_small_ops` (64 chains,
+/// 10 leapfrog steps, hidden 10; loss, `gradient_vars`, Adam), traced once.
+fn l2hmc_train_step() -> Arc<ConcreteFunction> {
     use tfe_autodiff::GradientTape;
     use tfe_core::Arg;
-    use tfe_graph::passes::{self, OptimizeOptions};
     use tfe_nn::l2hmc::{L2hmc, StronglyCorrelatedGaussian};
     use tfe_nn::{Adam, Initializer, Optimizer};
     use tfe_runtime::{Tensor, Variable};
@@ -428,7 +424,15 @@ fn l2hmc_step_optimize(runs: usize) -> tfe_encode::Value {
         Ok(vec![loss])
     });
     let x = Tensor::from_data(f32_tensor(&[64, 2]));
-    let concrete = step.concrete_for(&[Arg::from(&x)]).expect("trace the l2hmc step");
+    step.concrete_for(&[Arg::from(&x)]).expect("trace the l2hmc step")
+}
+
+/// The optimizer's own cost on an L2HMC-sized graph: the median time of
+/// `optimize_with_stats` over the raw graph of [`l2hmc_train_step`] — most
+/// of what a first call of that step costs.
+fn l2hmc_step_optimize(concrete: &ConcreteFunction, runs: usize) -> tfe_encode::Value {
+    use tfe_graph::passes::{self, OptimizeOptions};
+
     let optimize = || {
         passes::optimize_with_stats(
             &concrete.raw,
@@ -477,8 +481,12 @@ fn environment(quick: bool) -> tfe_encode::Value {
 /// delta is what the optimizer buys per staged step; the row also records
 /// how many replay rounds it took, how many nodes it removed, what it costs
 /// on an L2HMC-sized step, and the environment all of that was measured in.
-fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value {
-    use std::sync::Arc;
+fn bench_pass_pipeline(
+    l2hmc_step: &ConcreteFunction,
+    iters: usize,
+    reps: usize,
+    quick: bool,
+) -> tfe_encode::Value {
     use tfe_graph::passes::{self, OptimizeOptions};
     use tfe_graph::GraphBuilder;
     use tfe_ops::{Attrs, SymShape};
@@ -549,7 +557,7 @@ fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Va
     );
     // (for this row "serial ns/op" = unoptimized staged step, "par ns/op"
     //  = optimized staged step)
-    let l2hmc = l2hmc_step_optimize(if quick { 5 } else { 15 });
+    let l2hmc = l2hmc_step_optimize(l2hmc_step, if quick { 5 } else { 15 });
     println!("{:<26} l2hmc-sized step: {}", "pass_pipeline", l2hmc.to_json());
 
     let rewrites: Vec<tfe_encode::Value> = stats
@@ -584,7 +592,6 @@ fn bench_pass_pipeline(iters: usize, reps: usize, quick: bool) -> tfe_encode::Va
 /// which has inter-op parallelism to use here. The two must agree bitwise
 /// before either is timed.
 fn bench_wide_graph(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value {
-    use std::sync::Arc;
     use tfe_graph::GraphBuilder;
     use tfe_ops::{Attrs, SymShape};
     use tfe_runtime::{executor, ExecMode};
@@ -640,6 +647,92 @@ fn bench_wide_graph(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value
     ])
 }
 
+/// Small products, direct against packed: every distinct `matmul` of the
+/// staged L2HMC training step ([`l2hmc_train_step`]'s optimized graph), run
+/// through `matmul_direct` — what `matmul` runs below `DIRECT_MADDS`
+/// multiply-adds — and through the packed `gemm_into` it ran before, each
+/// allocating its zeroed output as `matmul` does. Both must give
+/// `matmul_reference`'s bits before either is timed. The per-step totals
+/// weigh each shape by how often the step runs it.
+fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode::Value {
+    use std::collections::BTreeMap;
+    use tfe_ops::Op;
+    use tfe_tensor::gemm::gemm_into;
+
+    let g = &l2hmc_step.function;
+    let mut shapes: BTreeMap<(usize, usize, usize, bool, bool), usize> = BTreeMap::new();
+    for node in g.nodes.iter().filter(|n| n.op == Op::Matmul) {
+        let dims = |i: usize| {
+            let t = node.inputs[i];
+            g.node(t.node).outputs[t.output].1.to_shape().expect("a static operand shape")
+        };
+        let flag = |name| node.attrs.bool_or(name, false).expect("a transpose flag");
+        let (a, b, ta, tb) = (dims(0), dims(1), flag("transpose_a"), flag("transpose_b"));
+        let (m, k) = if ta { (a.dim(1), a.dim(0)) } else { (a.dim(0), a.dim(1)) };
+        let n = if tb { b.dim(0) } else { b.dim(1) };
+        *shapes.entry((m, k, n, ta, tb)).or_default() += 1;
+    }
+    let (iters, reps) = if quick { (500, 3) } else { (5_000, 7) };
+    let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+    let (mut cases, mut direct_step, mut packed_step) = (Vec::new(), 0.0, 0.0);
+    for (&(m, k, n, ta, tb), &calls) in &shapes {
+        assert!(m * k * n < matmul::DIRECT_MADDS, "{m}x{k}x{n} is not a direct product");
+        let (a, b) = (f32_tensor(&[m * k]), f32_tensor(&[k * n]));
+        let (av, bv) = (a.as_slice::<f32>().unwrap(), b.as_slice::<f32>().unwrap());
+        let direct = || {
+            let mut out = vec![0.0f32; m * n];
+            matmul::matmul_direct(av, bv, m, k, n, ta, tb, &mut out);
+            out
+        };
+        let packed = || {
+            let mut out = vec![0.0f32; m * n];
+            gemm_into(m, k, n, av, ta, bv, tb, &mut out, true);
+            out
+        };
+        let mut want = vec![0.0f32; m * n];
+        matmul::matmul_reference(av, bv, m, k, n, ta, tb, &mut want);
+        let shape = format!(
+            "({m}x{k}){} x ({k}x{n}){}",
+            if ta { " from (k,m)" } else { "" },
+            if tb { " from (n,k)" } else { "" }
+        );
+        assert_eq!(bits(&direct()), bits(&want), "direct {shape} must be the reference's bits");
+        assert_eq!(bits(&packed()), bits(&want), "packed {shape} must be the reference's bits");
+        let direct_ns = time_ns(iters, reps, &|| {
+            std::hint::black_box(direct());
+        });
+        let packed_ns = time_ns(iters, reps, &|| {
+            std::hint::black_box(packed());
+        });
+        println!(
+            "{:<26} {:>14} {:>14.0} {:>14.0} {:>7.2}x {:>8}   {shape} f32, {calls} a step",
+            "small_matmul",
+            "-",
+            packed_ns,
+            direct_ns,
+            packed_ns / direct_ns,
+            "-"
+        );
+        // (for this row "serial ns/op" = packed, "par ns/op" = direct)
+        direct_step += direct_ns * calls as f64;
+        packed_step += packed_ns * calls as f64;
+        cases.push(tfe_encode::Value::object(vec![
+            ("shape".to_string(), tfe_encode::Value::str(shape)),
+            ("calls_per_step".to_string(), int(calls)),
+            ("direct_ns".to_string(), tfe_encode::Value::Float(direct_ns)),
+            ("packed_ns".to_string(), tfe_encode::Value::Float(packed_ns)),
+            ("speedup".to_string(), tfe_encode::Value::Float(packed_ns / direct_ns)),
+        ]));
+    }
+    tfe_encode::Value::object(vec![
+        ("threshold_madds".to_string(), int(matmul::DIRECT_MADDS)),
+        ("cases".to_string(), tfe_encode::Value::Array(cases)),
+        ("direct_us_per_step".to_string(), tfe_encode::Value::Float(direct_step / 1e3)),
+        ("packed_us_per_step".to_string(), tfe_encode::Value::Float(packed_step / 1e3)),
+        ("environment".to_string(), environment(quick)),
+    ])
+}
+
 /// Serving throughput: a small MLP behind the `tfe-serve` registry, hit by
 /// 8 concurrent single-example clients. Three configurations — direct
 /// staged calls from the client threads (no serving stack at all),
@@ -649,7 +742,7 @@ fn bench_wide_graph(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value
 /// per-call dispatch overhead amortizes across the batch, and the weight
 /// matrices are read once per batch instead of once per request.
 fn bench_serving(quick: bool) -> tfe_encode::Value {
-    use std::sync::{Arc, Barrier};
+    use std::sync::Barrier;
     use std::time::Duration;
     use tfe_core::{function1, Func, TensorSpec};
     use tfe_runtime::{api, Tensor};
@@ -888,7 +981,9 @@ fn main() {
 
     let fused_row = bench_fused_chain(iters, reps, quick);
     let fused_broadcast_row = bench_fused_broadcast_chain(quick);
-    let pass_row = bench_pass_pipeline(iters * 20, reps, quick);
+    let l2hmc_step = l2hmc_train_step();
+    let pass_row = bench_pass_pipeline(&l2hmc_step, iters * 20, reps, quick);
+    let small_matmul_row = bench_small_matmul(&l2hmc_step, quick);
     let wide_row = bench_wide_graph(iters, reps, quick);
     let serving_row = bench_serving(quick);
 
@@ -897,6 +992,7 @@ fn main() {
         ("fused_chain".to_string(), fused_row),
         ("fused_broadcast_chain".to_string(), fused_broadcast_row),
         ("pass_pipeline".to_string(), pass_row),
+        ("small_matmul".to_string(), small_matmul_row),
         ("wide_graph".to_string(), wide_row),
         ("serving".to_string(), serving_row),
         ("rows".to_string(), tfe_encode::Value::Array(rows)),

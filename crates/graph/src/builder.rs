@@ -15,7 +15,9 @@
 //! already been through them:
 //!
 //! 1. **Constant propagation.** `shape_of` / `size_of` over a fully known
-//!    signature and `rank_of` over any become constants.
+//!    signature and `rank_of` over any become constants; so do `ones_like`
+//!    / `zeros_like` over a fully known signature of at most
+//!    [`FOLD_SIZE_LIMIT`] elements.
 //! 2. **Constant folding.** A stateless node all of whose inputs are
 //!    constants is evaluated (not `call`, `cond`, `while_loop`, `host_func`
 //!    or `copy`; not when a result exceeds [`FOLD_SIZE_LIMIT`] elements).
@@ -390,11 +392,21 @@ impl<'e> GraphBuilder<'e> {
         None
     }
 
-    /// Tensor-metadata ops whose answer the input's signature already holds.
+    /// Tensor-metadata ops whose answer the input's signature already holds,
+    /// and `ones_like` / `zeros_like` over a fully known one (no larger than
+    /// a fold may be).
     fn static_metadata(&self, node: &Node) -> Option<TensorData> {
         let [input] = node.inputs[..] else { return None };
-        let shape = &self.nodes[input.node.0].outputs[input.output].1;
+        let (dtype, shape) = &self.nodes[input.node.0].outputs[input.output];
         match node.op {
+            Op::OnesLike | Op::ZerosLike => {
+                let shape = shape.to_shape().filter(|s| s.num_elements() <= FOLD_SIZE_LIMIT)?;
+                Some(if node.op == Op::OnesLike {
+                    TensorData::ones(*dtype, shape)
+                } else {
+                    TensorData::zeros(*dtype, shape)
+                })
+            }
             Op::ShapeOf => {
                 let dims: Vec<i64> =
                     shape.dims().iter().map(|d| d.map(|x| x as i64)).collect::<Option<_>>()?;
@@ -638,6 +650,32 @@ mod tests {
         let f = b.finish(vec![r[0], after], 0);
         assert_eq!(f.inputs.len(), 2);
         assert_eq!(f.constants.len(), f.nodes.iter().filter(|n| n.op == Op::Const).count());
+    }
+
+    #[test]
+    fn ones_and_zeros_like_over_a_static_shape_are_constants() {
+        let on = OptimizeOptions::default();
+        let mut b = GraphBuilder::simplifying("t", None, &on);
+        let x = b.placeholder(DType::F32, SymShape::known(&Shape::from([64, 2]))).unwrap();
+        let dynamic = b.placeholder(DType::F32, SymShape::new(vec![None, Some(2)])).unwrap();
+        let big = Shape::from([FOLD_SIZE_LIMIT + 1]);
+        let big = b.placeholder(DType::I32, SymShape::known(&big)).unwrap();
+        let ones = b.add_node("ones_like", vec![x], Attrs::new()).unwrap()[0];
+        let zeros = b.add_node("zeros_like", vec![x], Attrs::new()).unwrap()[0];
+        for (t, want) in [
+            (ones, TensorData::ones(DType::F32, [64, 2])),
+            (zeros, TensorData::zeros(DType::F32, [64, 2])),
+        ] {
+            let value = b.const_value(&b.nodes[t.node.0]).expect("a constant");
+            assert_eq!(value.to_le_bytes(), want.to_le_bytes());
+        }
+        // `x * ones_like(x)` is then `x`.
+        assert_eq!(b.add_node("mul", vec![x, ones], Attrs::new()).unwrap(), vec![x]);
+        for input in [dynamic, big] {
+            let t = b.add_node("ones_like", vec![input], Attrs::new()).unwrap()[0];
+            assert_eq!(b.nodes[t.node.0].op, Op::OnesLike);
+        }
+        assert_eq!(b.rewrites().next(), Some(("propagate_constants", 2)));
     }
 
     #[test]

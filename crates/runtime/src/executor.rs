@@ -6,7 +6,8 @@
 //! - [`SlotStore`], the per-run value store: one slot per node output, laid
 //!   out flat from the function, each with a count of the reads still to
 //!   come. An output nobody reads is never stored; a stored value is dropped
-//!   by its last reader (§4.1 "buffer reuse").
+//!   by its last reader (§4.1 "buffer reuse"). Plain data: the inline
+//!   driver owns it, the pool driver holds it behind one lock.
 //! - [`run_node`]: the thread's observer, if one is installed, then a
 //!   structural op ([`Structural`], shared with the eager dispatcher), a
 //!   `const`, or a kernel launch.
@@ -21,12 +22,12 @@ use crate::context::{observe, Site};
 use crate::error::{Result, RuntimeError};
 use crate::tensor::Tensor;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use tfe_device::Device;
 use tfe_graph::{GraphFunction, NodeId, TensorRef};
 use tfe_ops::{AttrValue, Attrs, Op, OpError};
-use tfe_tensor::TensorData;
+use tfe_tensor::{TensorData, TensorError};
 
 /// Executor scheduling mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -83,45 +84,45 @@ fn run(
     mode: ExecMode,
 ) -> Result<Vec<Arc<TensorData>>> {
     validate_args(f, args)?;
-    let store = Arc::new(SlotStore::new(f, args));
+    let mut store = SlotStore::new(f, args);
     let done = match mode {
         ExecMode::SerialPlanned => {
             crate::context::stat_serial_run();
             let _prof_span = tfe_profile::span("graph", || format!("serial:{}", f.name));
-            drive_inline(f, &store, device)
+            drive_inline(f, &mut store, device)
         }
         ExecMode::Parallel => {
             crate::context::stat_parallel_run();
             let _prof_span = tfe_profile::span("graph", || format!("parallel:{}", f.name));
             let f = shared.cloned().unwrap_or_else(|| Arc::new(f.clone()));
-            drive_pool(&f, &store, device)
+            drive_pool(&f, &mut store, device)
         }
     };
-    crate::context::stat_live_bytes(store.peak_bytes.load(Ordering::Relaxed));
+    crate::context::stat_live_bytes(store.peak_bytes);
     done?;
     f.outputs.iter().map(|t| store.get(f, t)).collect()
 }
 
+/// The typed errors a loaded function's `call` (`tfe_state`) gives: arity
+/// naming the function, then dtype or shape naming the argument.
 fn validate_args(f: &GraphFunction, args: &[Arc<TensorData>]) -> Result<()> {
     if args.len() != f.inputs.len() {
-        return Err(RuntimeError::Internal(format!(
-            "function `{}` expects {} inputs ({} args + {} captures), got {}",
-            f.name,
-            f.inputs.len(),
-            f.inputs.len() - f.num_captures,
-            f.num_captures,
-            args.len()
-        )));
+        return Err(RuntimeError::Op(OpError::Arity {
+            op: f.name.clone(),
+            expected: format!("{} inputs ({} captured)", f.inputs.len(), f.num_captures),
+            got: args.len(),
+        }));
     }
     for (i, (&node_id, arg)) in f.inputs.iter().zip(args).enumerate() {
         let (dtype, shape) = f.node(node_id).output_sig(0);
-        if arg.dtype() != dtype || !shape.matches(arg.shape()) {
-            return Err(RuntimeError::Internal(format!(
-                "argument {i} of `{}` expects {dtype}{shape}, got {}{}",
-                f.name,
-                arg.dtype(),
-                arg.shape()
-            )));
+        let expected = |sig: String| format!("{sig} for argument {i} of `{}`", f.name);
+        if arg.dtype() != dtype {
+            let expected = expected(dtype.to_string());
+            return Err(TensorError::DTypeMismatch { expected, got: arg.dtype() }.into());
+        }
+        if !shape.matches(arg.shape()) {
+            let (expected, got) = (expected(shape.to_string()), arg.shape().clone());
+            return Err(TensorError::ShapeMismatch { expected, got }.into());
         }
     }
     Ok(())
@@ -264,20 +265,21 @@ fn run_node(
 // The per-run value store
 // ---------------------------------------------------------------------------
 
-/// Values of one run of one graph function. The pool driver's workers share
-/// it, which is why slots and counts are interior-mutable.
+/// Values of one run of one graph function, as plain data: the inline
+/// driver owns it, the pool driver's workers share it behind one lock.
+#[derive(Default)]
 struct SlotStore {
     /// Slot `offset[n] + k` holds output `k` of node `n`; the last entry is
     /// the slot count.
     offset: Vec<usize>,
-    slots: Vec<Mutex<Option<Arc<TensorData>>>>,
+    slots: Vec<Option<Arc<TensorData>>>,
     /// Reads still to come per slot: one per consuming input plus one pin
     /// per function output (never released). A slot that starts at zero is
     /// never stored; a stored value is dropped when its count reaches zero.
-    reads: Vec<AtomicUsize>,
-    live_bytes: AtomicU64,
+    reads: Vec<u32>,
+    live_bytes: u64,
     /// Most bytes held at once, placeholder bindings included.
-    peak_bytes: AtomicU64,
+    peak_bytes: u64,
 }
 
 impl SlotStore {
@@ -290,18 +292,12 @@ impl SlotStore {
             total += node.outputs.len();
         }
         offset.push(total);
-        let mut reads = vec![0usize; total];
+        let mut reads = vec![0u32; total];
         let consumed = f.nodes.iter().flat_map(|n| &n.inputs);
         for t in consumed.chain(&f.outputs) {
             reads[offset[t.node.0] + t.output] += 1;
         }
-        let store = SlotStore {
-            offset,
-            slots: (0..total).map(|_| Mutex::new(None)).collect(),
-            reads: reads.into_iter().map(AtomicUsize::new).collect(),
-            live_bytes: AtomicU64::new(0),
-            peak_bytes: AtomicU64::new(0),
-        };
+        let mut store = SlotStore { offset, slots: vec![None; total], reads, ..Default::default() };
         for (&node_id, arg) in f.inputs.iter().zip(args) {
             store.put(node_id.0, [arg.clone()]);
         }
@@ -315,35 +311,30 @@ impl SlotStore {
     /// Store one node's outputs, skipping slots nobody will read (and any
     /// output beyond the node's declared ones). Runs strictly before any
     /// consumer of the node can run, so nothing has released these slots yet.
-    fn put(&self, node: usize, outs: impl IntoIterator<Item = Arc<TensorData>>) {
-        let mut added = 0u64;
+    fn put(&mut self, node: usize, outs: impl IntoIterator<Item = Arc<TensorData>>) {
         for (slot, v) in (self.offset[node]..self.offset[node + 1]).zip(outs) {
-            if self.reads[slot].load(Ordering::SeqCst) != 0 {
-                added += tensor_bytes(&v);
-                *self.slots[slot].lock() = Some(v);
+            if self.reads[slot] != 0 {
+                self.live_bytes += tensor_bytes(&v);
+                self.slots[slot] = Some(v);
             }
         }
-        if added != 0 {
-            let live = self.live_bytes.fetch_add(added, Ordering::SeqCst) + added;
-            self.peak_bytes.fetch_max(live, Ordering::Relaxed);
-        }
+        self.peak_bytes = self.peak_bytes.max(self.live_bytes);
     }
 
     fn get(&self, f: &GraphFunction, t: &TensorRef) -> Result<Arc<TensorData>> {
-        self.slots[self.slot(t)].lock().clone().ok_or_else(|| {
+        self.slots[self.slot(t)].clone().ok_or_else(|| {
             RuntimeError::Internal(format!("value for {t:?} missing in `{}`", f.name))
         })
     }
 
     /// A node that read `inputs` is done with them: the last reader of a
     /// slot frees its tensor.
-    fn release(&self, inputs: &[TensorRef]) {
+    fn release(&mut self, inputs: &[TensorRef]) {
         for t in inputs {
             let slot = self.slot(t);
-            if self.reads[slot].fetch_sub(1, Ordering::SeqCst) == 1 {
-                if let Some(v) = self.slots[slot].lock().take() {
-                    self.live_bytes.fetch_sub(tensor_bytes(&v), Ordering::SeqCst);
-                }
+            self.reads[slot] -= 1;
+            if let Some(v) = self.slots[slot].take_if(|_| self.reads[slot] == 0) {
+                self.live_bytes -= tensor_bytes(&v);
             }
         }
     }
@@ -353,14 +344,20 @@ impl SlotStore {
 // Drivers
 // ---------------------------------------------------------------------------
 
-/// `SerialPlanned`: every node in program order on the calling thread.
-fn drive_inline(f: &GraphFunction, store: &SlotStore, device: &Device) -> Result<()> {
+/// `SerialPlanned`: every node in program order on the calling thread, one
+/// input buffer for all, emptied as soon as a node has run.
+fn drive_inline(f: &GraphFunction, store: &mut SlotStore, device: &Device) -> Result<()> {
+    let mut inputs = Vec::new();
     for (i, node) in f.nodes.iter().enumerate() {
         if node.op == Op::Placeholder {
             continue;
         }
-        let inputs: Vec<_> = node.inputs.iter().map(|t| store.get(f, t)).collect::<Result<_>>()?;
-        store.put(i, run_node(f, NodeId(i), &inputs, device, ExecMode::SerialPlanned)?);
+        for t in &node.inputs {
+            inputs.push(store.get(f, t)?);
+        }
+        let outputs = run_node(f, NodeId(i), &inputs, device, ExecMode::SerialPlanned);
+        inputs.clear();
+        store.put(i, outputs?);
         store.release(&node.inputs);
     }
     Ok(())
@@ -368,11 +365,12 @@ fn drive_inline(f: &GraphFunction, store: &SlotStore, device: &Device) -> Result
 
 /// Shared state of one pool-driven run. Jobs on the worker pool hold an
 /// `Arc` to this; the submitting thread waits (and work-helps) until
-/// `pending` reaches zero.
+/// `pending` reaches zero. A job locks the store twice: to read its inputs,
+/// then to store its outputs and release its inputs.
 struct PoolRun {
     f: Arc<GraphFunction>,
     device: Device,
-    store: Arc<SlotStore>,
+    store: Mutex<SlotStore>,
     /// Unresolved predecessors (data producers + sequencing edges) per node.
     deps: Vec<AtomicUsize>,
     /// Dependent node ids per node (the reverse of `predecessors`).
@@ -403,18 +401,21 @@ impl PoolRun {
     /// waiter observes the stored error.
     fn execute(self: &Arc<Self>, node: usize) {
         let inputs = &self.f.nodes[node].inputs;
+        let mut outputs = Vec::new();
         if self.abort.load(Ordering::SeqCst) {
             tfe_profile::instant("sched", || {
                 format!("abort_skip:{}", self.f.node_label(NodeId(node)))
             });
         } else {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let ins: Vec<_> =
-                    inputs.iter().map(|t| self.store.get(&self.f, t)).collect::<Result<_>>()?;
+                let ins: Vec<_> = {
+                    let store = self.store.lock();
+                    inputs.iter().map(|t| store.get(&self.f, t)).collect::<Result<_>>()?
+                };
                 run_node(&self.f, NodeId(node), &ins, &self.device, ExecMode::Parallel)
             }));
             match result {
-                Ok(Ok(outs)) => self.store.put(node, outs),
+                Ok(Ok(outs)) => outputs = outs,
                 Ok(Err(e)) => self.fail(e),
                 Err(_) => self.fail(RuntimeError::Internal(format!(
                     "node %{node} ({}) panicked in `{}`",
@@ -422,9 +423,13 @@ impl PoolRun {
                 ))),
             }
         }
-        // Done (or skipped by an abort): free the inputs, submit the
-        // dependents that became ready, and signal the waiter on the last.
-        self.store.release(inputs);
+        // Done (or skipped by an abort): store the outputs, free the inputs,
+        // submit the dependents that became ready, and signal the waiter on
+        // the last.
+        let mut store = self.store.lock();
+        store.put(node, outputs);
+        store.release(inputs);
+        drop(store);
         for &c in &self.dependents[node] {
             if self.deps[c].fetch_sub(1, Ordering::SeqCst) == 1 {
                 self.submit(c);
@@ -437,24 +442,18 @@ impl PoolRun {
 }
 
 /// `Parallel`: dependency countdown on the shared worker pool.
-fn drive_pool(f: &Arc<GraphFunction>, store: &Arc<SlotStore>, device: &Device) -> Result<()> {
+fn drive_pool(f: &Arc<GraphFunction>, store: &mut SlotStore, device: &Device) -> Result<()> {
     let n = f.nodes.len();
-    let mut deps = Vec::with_capacity(n);
+    let mut deps = vec![0usize; n];
     let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for i in 0..n {
-        let preds = f.predecessors(NodeId(i));
-        deps.push(preds.len());
-        for p in preds {
-            dependents[p.0].push(i);
-        }
-    }
-    // Placeholders are bound already; what is ready now is every other node
-    // left without predecessors (consts, random sources, consumers of
-    // arguments only).
+    // Placeholders are bound already and hold nothing up; what is ready now
+    // is every other node left without predecessors (consts, random
+    // sources, consumers of arguments only).
     let is_placeholder = |i: usize| f.nodes[i].op == Op::Placeholder;
-    for p in (0..n).filter(|&i| is_placeholder(i)) {
-        for &c in &dependents[p] {
-            deps[c] -= 1;
+    for (i, count) in deps.iter_mut().enumerate() {
+        for p in f.predecessors(NodeId(i)).into_iter().filter(|p| !is_placeholder(p.0)) {
+            *count += 1;
+            dependents[p.0].push(i);
         }
     }
     let ready: Vec<usize> = (0..n).filter(|&i| !is_placeholder(i) && deps[i] == 0).collect();
@@ -464,7 +463,7 @@ fn drive_pool(f: &Arc<GraphFunction>, store: &Arc<SlotStore>, device: &Device) -
     let run = Arc::new(PoolRun {
         f: f.clone(),
         device: device.clone(),
-        store: store.clone(),
+        store: Mutex::new(std::mem::take(store)),
         deps: deps.into_iter().map(AtomicUsize::new).collect(),
         dependents,
         pending: AtomicUsize::new(f.executable_node_count()),
@@ -478,6 +477,7 @@ fn drive_pool(f: &Arc<GraphFunction>, store: &Arc<SlotStore>, device: &Device) -
     // from worker threads pass through here too — helping instead of
     // blocking is what keeps them deadlock-free).
     crate::pool::global().wait_until(|| run.pending.load(Ordering::SeqCst) == 0);
+    *store = std::mem::take(&mut *run.store.lock());
     let failed = run.error.lock().take();
     failed.map_or(Ok(()), Err)
 }
@@ -609,15 +609,24 @@ mod tests {
     fn arity_and_signature_validation() {
         let f = build_axpy();
         let x = Arc::new(TensorData::zeros(DType::F32, [3]));
-        assert!(
-            run_function(&f, std::slice::from_ref(&x), &device(), ExecMode::SerialPlanned).is_err()
-        );
         let bad_dtype = Arc::new(TensorData::zeros(DType::F64, [3]));
-        assert!(
-            run_function(&f, &[x.clone(), bad_dtype], &device(), ExecMode::SerialPlanned).is_err()
-        );
         let bad_shape = Arc::new(TensorData::zeros(DType::F32, [4]));
-        assert!(run_function(&f, &[x, bad_shape], &device(), ExecMode::SerialPlanned).is_err());
+        for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
+            let run = |args: &[Arc<TensorData>]| run_function(&f, args, &device(), mode);
+            assert!(matches!(
+                run(std::slice::from_ref(&x)),
+                Err(RuntimeError::Op(OpError::Arity { ref op, got: 1, .. })) if op == "axpy"
+            ));
+            assert!(matches!(
+                run(&[x.clone(), bad_dtype.clone()]),
+                Err(RuntimeError::Tensor(TensorError::DTypeMismatch { got: DType::F64, .. }))
+            ));
+            assert!(matches!(
+                run(&[x.clone(), bad_shape.clone()]),
+                Err(RuntimeError::Tensor(TensorError::ShapeMismatch { ref got, .. }))
+                    if got.dims() == [4]
+            ));
+        }
     }
 
     #[test]
@@ -651,14 +660,60 @@ mod tests {
         let f = Arc::new(b.finish(vec![r], 0));
         let args = [Arc::new(TensorData::zeros(DType::F32, [4]))];
 
-        let inline = SlotStore::new(&f, &args);
-        drive_inline(&f, &inline, &device()).unwrap();
-        let pool = Arc::new(SlotStore::new(&f, &args));
-        drive_pool(&f, &pool, &device()).unwrap();
+        let mut inline = SlotStore::new(&f, &args);
+        drive_inline(&f, &mut inline, &device()).unwrap();
+        let mut pool = SlotStore::new(&f, &args);
+        drive_pool(&f, &mut pool, &device()).unwrap();
         // Peak is x (16 bytes) plus the half that is read (8); holding the
         // other half too would make it 32.
-        assert_eq!(inline.peak_bytes.load(Ordering::Relaxed), 24);
-        assert_eq!(pool.peak_bytes.load(Ordering::Relaxed), 24);
+        assert_eq!(inline.peak_bytes, 24);
+        assert_eq!(pool.peak_bytes, 24);
+    }
+
+    #[test]
+    fn inline_inputs_die_with_their_last_reader() {
+        // x -> neg -> neg -> neg -> neg, f32[4] each: every value is read
+        // once, by the next node, so no more than an input and its output
+        // (32 bytes) are ever held.
+        let mut b = GraphBuilder::new("dying_chain");
+        let mut t = b.placeholder(DType::F32, known(&[4])).unwrap();
+        for _ in 0..4 {
+            t = b.add_node("neg", vec![t], Attrs::new()).unwrap()[0];
+        }
+        let f = b.finish(vec![t], 0);
+        let args = [Arc::new(TensorData::zeros(DType::F32, [4]))];
+
+        // At each node, the value the node before it read must be gone: an
+        // input buffer kept until the next node would still hold it.
+        struct Watch(std::cell::RefCell<Vec<std::sync::Weak<TensorData>>>);
+        impl crate::context::Observer for Watch {
+            fn observe(
+                &self,
+                _: Site,
+                _: &Device,
+                _: Op,
+                _: &Attrs,
+                inputs: &[Arc<TensorData>],
+            ) -> Result<Option<Vec<Arc<TensorData>>>> {
+                let mut seen = self.0.borrow_mut();
+                // The first node's input is the caller's argument.
+                if seen.len() >= 2 {
+                    let before = &seen[seen.len() - 1];
+                    assert!(before.upgrade().is_none(), "node {} input outlived it", seen.len());
+                }
+                seen.push(Arc::downgrade(&inputs[0]));
+                Ok(None)
+            }
+        }
+        let watch = std::rc::Rc::new(Watch(Default::default()));
+        let mut store = SlotStore::new(&f, &args);
+        {
+            let _scope = crate::context::observer_scope(watch.clone());
+            drive_inline(&f, &mut store, &device()).unwrap();
+        }
+        assert_eq!(watch.0.borrow().len(), 4);
+        assert_eq!(store.peak_bytes, 32);
+        assert_eq!(store.live_bytes, 16, "only the output is left");
     }
 
     #[test]

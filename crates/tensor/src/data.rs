@@ -384,19 +384,33 @@ impl TensorData {
         if dtype == self.dtype() {
             return self.clone();
         }
-        // Int64 values above 2^53 would lose precision through f64; handle
-        // the int-to-int paths exactly.
-        match (&self.buf, dtype) {
-            (Buffer::I64(v), DType::I32) => {
-                TensorData::from_vec(v.iter().map(|&x| x as i32).collect(), self.shape.clone())
-                    .expect("same length")
+        /// Each element through `f64` (`Scalar::to_f64`, then `from_f64`),
+        /// one element at a time: the value a trip through a `Vec<f64>`
+        /// gives, without the `Vec`.
+        fn each<T: Scalar>(v: &[T], dtype: DType) -> Buffer {
+            fn to<T: Scalar, U: Scalar>(v: &[T]) -> Buffer {
+                U::into_buffer(v.iter().map(|&x| U::from_f64(x.to_f64())).collect())
             }
-            (Buffer::I32(v), DType::I64) => {
-                TensorData::from_vec(v.iter().map(|&x| x as i64).collect(), self.shape.clone())
-                    .expect("same length")
+            match dtype {
+                DType::F32 => to::<T, f32>(v),
+                DType::F64 => to::<T, f64>(v),
+                DType::I32 => to::<T, i32>(v),
+                DType::I64 => to::<T, i64>(v),
+                DType::Bool => to::<T, bool>(v),
             }
-            _ => TensorData::from_f64_vec(dtype, self.to_f64_vec(), self.shape.clone()),
         }
+        let buf = match (&self.buf, dtype) {
+            // Int64 values above 2^53 would lose precision through f64;
+            // the int-to-int paths are exact.
+            (Buffer::I64(v), DType::I32) => Buffer::I32(v.iter().map(|&x| x as i32).collect()),
+            (Buffer::I32(v), DType::I64) => Buffer::I64(v.iter().map(|&x| x as i64).collect()),
+            (Buffer::F32(v), _) => each(v, dtype),
+            (Buffer::F64(v), _) => each(v, dtype),
+            (Buffer::I32(v), _) => each(v, dtype),
+            (Buffer::I64(v), _) => each(v, dtype),
+            (Buffer::Bool(v), _) => each(v, dtype),
+        };
+        TensorData { shape: self.shape.clone(), buf }
     }
 
     /// Reinterpret the data with a new shape of equal element count.

@@ -4,8 +4,10 @@
 //! Products run on the packed, register-tiled [`crate::gemm`] kernel —
 //! all four transpose combinations hit the same fast path (the packing
 //! step absorbs the transposes), large products split across the shared
-//! worker pool, and every result is bit-for-bit identical to the serial
-//! reference loop regardless of thread count.
+//! worker pool — except those below [`DIRECT_MADDS`] multiply-adds, which
+//! [`matmul_direct`] runs without packing. Every result is bit-for-bit
+//! identical to the serial reference loop regardless of path and thread
+//! count.
 
 use crate::gemm::{gemm_into, GemmScalar};
 use crate::par::SendPtr;
@@ -15,9 +17,13 @@ use crate::{DType, Result, Shape, TensorData, TensorError};
 /// each product rather than across batches.
 const BATCH_INNER_PAR_MADDS: usize = 1 << 18;
 
+/// Multiply-adds below which `matmul` runs [`matmul_direct`] instead of the
+/// packed kernel (`kernel_bench`'s `small_matmul` row; DESIGN.md §9).
+pub const DIRECT_MADDS: usize = 1 << 14;
+
 /// Naive serial triple loop, kept as the reference implementation the
-/// packed kernel is tested against (`crates/tensor/src/gemm.rs` tests and
-/// `tests/kernel_parity.rs`).
+/// packed and direct kernels are tested against (`crates/tensor/src/gemm.rs`
+/// tests and `tests/kernel_parity.rs`).
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_reference<T: GemmScalar>(
     a: &[T],
@@ -42,6 +48,49 @@ pub fn matmul_reference<T: GemmScalar>(
     }
 }
 
+/// `out = op(a) @ op(b)` by plain loops, for products too small to pay for
+/// packing: `i-p-j`, row `i` of `out` taking `a[i,p]` times row `p` of
+/// `b`, with a transposed `b` first copied out as `k x n` (a dot over `p`
+/// per element measured slower on the transposed L2HMC shapes: DESIGN.md
+/// §9). Each element is the ascending-`p` sum from the zeroed `out`, so
+/// the bits are [`matmul_reference`]'s and the packed kernel's. Layouts as
+/// in [`matmul_reference`].
+#[allow(clippy::too_many_arguments)]
+pub fn matmul_direct<T: GemmScalar>(
+    a: &[T],
+    b: &[T],
+    m: usize,
+    k: usize,
+    n: usize,
+    ta: bool,
+    tb: bool,
+    out: &mut [T],
+) {
+    assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n), "matmul buffer sizes");
+    if n == 0 {
+        return;
+    }
+    let a_at = |i: usize, p: usize| if ta { a[p * m + i] } else { a[i * k + p] };
+    let mut bt = Vec::new();
+    let b = if tb {
+        bt.reserve_exact(k * n);
+        for p in 0..k {
+            bt.extend((0..n).map(|j| b[j * k + p]));
+        }
+        &bt[..]
+    } else {
+        b
+    };
+    for (i, row) in out.chunks_exact_mut(n).enumerate() {
+        for (p, b_row) in b.chunks_exact(n).enumerate() {
+            let x = a_at(i, p);
+            for (o, &y) in row.iter_mut().zip(b_row) {
+                *o = *o + x * y;
+            }
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn mm_f<T: GemmScalar>(
     a: &[T],
@@ -53,7 +102,11 @@ fn mm_f<T: GemmScalar>(
     tb: bool,
     out: &mut [T],
 ) {
-    gemm_into(m, k, n, a, ta, b, tb, out, true);
+    if m * k * n < DIRECT_MADDS {
+        matmul_direct(a, b, m, k, n, ta, tb, out);
+    } else {
+        gemm_into(m, k, n, a, ta, b, tb, out, true);
+    }
 }
 
 /// 2-D matrix product `op(a) @ op(b)` where `op` optionally transposes.

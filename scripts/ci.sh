@@ -83,6 +83,12 @@ if grep -rnE "${sim_gone}" crates/*/src src | grep -v '^crates/bench/'; then exi
 echo "==> one forward variant per staged specialization"
 if grep -rnE 'GradTargets|observed_by|first_order_bundle|__fwd1|__bwd1' crates src tests examples; then exit 1; fi
 
+# One-store gate: a staged run's values are plain data — owned by the inline
+# driver, behind one lock for the pool driver (DESIGN.md §9). A lock per
+# slot must not come back.
+echo "==> no per-slot lock in the executor's value store"
+if grep -n 'Mutex<Option<Arc<TensorData>>>' crates/runtime/src/executor.rs; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

@@ -6,7 +6,8 @@
 //!
 //! * **Bitwise** vs the serial reference at any thread count: matmul /
 //!   batch matmul (the packed micro-kernel resumes its accumulators from
-//!   the output tile, so per-element accumulation is the plain ascending
+//!   the output tile, and the direct loop for small products adds into the
+//!   zeroed output, so per-element accumulation is the plain ascending
 //!   fold), elementwise + broadcast ops (the 8-wide lane fast path applies
 //!   the identical per-element function), prefix-axis float reductions,
 //!   and `conv2d_backprop_input` (batches are disjoint). `max`/`min`
@@ -28,7 +29,7 @@
 use proptest::prelude::*;
 use tfe_parallel::set_intra_threads;
 use tfe_tensor::elementwise::{binary, compare, BinaryOp, CmpOp};
-use tfe_tensor::gemm::gemm_into;
+use tfe_tensor::gemm::{gemm_into, GemmScalar};
 use tfe_tensor::matmul::{batch_matmul, matmul, matmul_reference};
 use tfe_tensor::reduce::{reduce, ReduceOp};
 use tfe_tensor::shape::BroadcastWalker;
@@ -151,6 +152,111 @@ proptest! {
         matmul_reference(&av, &bv, m, k, n, ta, tb, &mut want);
         let got = with_threads(5, || matmul(&a, &b, ta, tb).unwrap());
         prop_assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Small products: below `DIRECT_MADDS` (2^14 multiply-adds) `matmul` runs
+// plain loops instead of the packed kernel; both must give the reference's
+// bits, specials included.
+// ---------------------------------------------------------------------------
+
+/// Finite values with, one in 32, a special: both zeros, both infinities,
+/// NaN, subnormals of either width. Row 0 of the `m x k` matrix (as `op`
+/// sees it, with `transpose`) is all `-0.0`, whose products sum to `+0.0`
+/// only if each sum starts from `+0.0`.
+fn small_operand(m: usize, k: usize, transpose: bool, seed: u64) -> Vec<f64> {
+    const SPECIALS: [f64; 8] =
+        [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e-40, -1e-310, 5e-324];
+    let mut v: Vec<f64> = f32s(m * k, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| match (i * 7 + seed as usize) % 256 {
+            s if s < 8 => SPECIALS[s],
+            _ => f64::from(x),
+        })
+        .collect();
+    for p in (0..k).filter(|_| m > 0) {
+        v[if transpose { p * m } else { p }] = -0.0;
+    }
+    v
+}
+
+/// `matmul` on `op(a) (m x k) @ op(b) (k x n)` against `matmul_reference`,
+/// bit for bit at one intra-op thread, four, and the default — except that
+/// where the reference is NaN only NaN-ness is required: which payload
+/// survives `NaN + NaN` depends on the operand order the compiler picked.
+fn assert_matmul_is_reference<T: GemmScalar>(
+    (m, k, n): (usize, usize, usize),
+    (ta, tb): (bool, bool),
+    convert: fn(f64) -> T,
+) {
+    let av: Vec<T> =
+        small_operand(m, k, ta, (m * 31 + k) as u64).into_iter().map(convert).collect();
+    let bv: Vec<T> =
+        small_operand(n, k, !tb, (n * 17 + k) as u64).into_iter().map(convert).collect();
+    let a =
+        TensorData::from_vec(av.clone(), Shape::from(if ta { [k, m] } else { [m, k] })).unwrap();
+    let b =
+        TensorData::from_vec(bv.clone(), Shape::from(if tb { [n, k] } else { [k, n] })).unwrap();
+    let mut want = vec![T::default(); m * n];
+    matmul_reference(&av, &bv, m, k, n, ta, tb, &mut want);
+    for threads in [Some(1usize), Some(4), None] {
+        let prev = set_intra_threads(threads);
+        let got = matmul(&a, &b, ta, tb).unwrap();
+        set_intra_threads(prev);
+        for (i, (g, w)) in got.as_slice::<T>().unwrap().iter().zip(&want).enumerate() {
+            // Widening to f64 keeps every non-NaN f32 apart, -0.0 included.
+            let (g, w) = (g.to_f64(), w.to_f64());
+            assert!(
+                if w.is_nan() { g.is_nan() } else { g.to_bits() == w.to_bits() },
+                "{m}x{k}x{n} ta={ta} tb={tb} {:?} threads={threads:?} element {i}: {g} vs {w}",
+                T::DTYPE
+            );
+        }
+    }
+}
+
+#[test]
+fn small_matmul_matches_reference_bitwise() {
+    // `(m, k, n)` of every product the staged L2HMC training step runs (64
+    // chains, 2-D state, hidden 10; `kernel_bench`'s `small_matmul` row).
+    let mut shapes = vec![
+        (64usize, 10usize, 10usize),
+        (64, 10, 2),
+        (64, 10, 5),
+        (10, 64, 10),
+        (10, 64, 2),
+        (64, 2, 10),
+        (64, 2, 2),
+        (64, 5, 10),
+        (5, 64, 10),
+    ];
+    let grid = [1usize, 2, 3, 5, 8, 13];
+    for m in grid {
+        for k in grid {
+            shapes.extend(grid.map(|n| (m, k, n)));
+        }
+    }
+    // Either side of the threshold, and empty dimensions.
+    shapes.extend([
+        (1, 1, 16383),
+        (1, 1, 16384),
+        (64, 16, 15),
+        (64, 16, 16),
+        (17, 31, 31),
+        (17, 32, 31),
+        (127, 129, 1),
+        (128, 128, 1),
+        (4, 0, 3),
+        (0, 3, 4),
+        (3, 4, 0),
+    ]);
+    for (m, k, n) in shapes {
+        for flags in [(false, false), (true, false), (false, true), (true, true)] {
+            assert_matmul_is_reference::<f32>((m, k, n), flags, |x| x as f32);
+            assert_matmul_is_reference::<f64>((m, k, n), flags, |x| x);
+        }
     }
 }
 
@@ -927,6 +1033,17 @@ mod copy_kernels {
                     Some((0, linear(&dims, own)))
                 });
                 assert_same_bits(&got, &want, &what(&format!("broadcast_to {target:?}")));
+
+                // cast converts each element as a trip through a Vec<f64>
+                // would, apart from the exact int32 <-> int64 arms.
+                for to in DType::all() {
+                    let ints = [DType::I32, DType::I64];
+                    if to == dtype || (ints.contains(&dtype) && ints.contains(&to)) {
+                        continue;
+                    }
+                    let via_f64 = TensorData::from_f64_vec(to, a.to_f64_vec(), a.shape().clone());
+                    assert_same_bits(&a.cast(to), &via_f64, &what(&format!("cast to {to}")));
+                }
 
                 if rank == 0 {
                     continue;
