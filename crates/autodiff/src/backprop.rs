@@ -20,13 +20,8 @@ pub fn accumulate(
     records: &[Arc<TapeRecord>],
     target_id: u64,
     seed: Tensor,
-    wanted: &[u64],
 ) -> Result<HashMap<u64, Tensor>> {
-    let mut seeds = HashMap::new();
-    seeds.insert(target_id, seed);
-    let r = accumulate_many(records, seeds)?;
-    let _ = wanted;
-    Ok(r)
+    accumulate_many(records, HashMap::from([(target_id, seed)]))
 }
 
 /// Multi-target variant of [`accumulate`]: start with a seed gradient per

@@ -140,7 +140,7 @@ impl GradientTape {
                     out.remove(0)
                 }
             };
-            let grads = backprop::accumulate(&self.tape.records(), target.id(), seed, source_ids)?;
+            let grads = backprop::accumulate(&self.tape.records(), target.id(), seed)?;
             Ok(source_ids.iter().map(|id| grads.get(id).cloned()).collect())
         })();
         if was_active {

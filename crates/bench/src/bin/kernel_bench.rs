@@ -9,6 +9,8 @@
 //! the benchmark run: a chrome://tracing timeline at that path, plus a
 //! metrics summary printed to stderr and embedded in `BENCH_kernels.json`.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -733,6 +735,138 @@ fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode:
     ])
 }
 
+/// The system allocator, counting allocations and reallocations for the
+/// `eager_dispatch` row.
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Heap allocations per call of `f`: the mean over `n` calls, after `n`
+/// calls of warm-up.
+fn allocations_per_call(n: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..n {
+        f();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..n {
+        f();
+    }
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / n as f64
+}
+
+/// Eager dispatch, per op: wall-clock ns of an untaped and a taped scalar
+/// f32 `add` and an untaped `[64,2]` f32 `mul` (an l2hmc operand shape),
+/// backward ns per op over a 200-op `mul`/`add` chain, and heap allocations
+/// per op for those three, a `Variable::read` and a cache-hit `Func::call1`
+/// of a one-op function. `tests/eager_allocations.rs` gates the first three
+/// counts.
+fn bench_eager_dispatch(quick: bool) -> tfe_encode::Value {
+    use tfe_autodiff::GradientTape;
+    use tfe_runtime::{api, Variable};
+
+    const CHAIN: usize = 200;
+    let (iters, reps) = if quick { (2_000, 3) } else { (20_000, 7) };
+    let (a, b) = (api::scalar(1.5f32), api::scalar(0.25f32));
+    let x = api::constant((0..128).map(|i| i as f32 * 0.5).collect::<Vec<_>>(), [64, 2])
+        .expect("[64,2] operand");
+    let add = || {
+        std::hint::black_box(api::add(&a, &b).expect("add"));
+    };
+    let mul = || {
+        std::hint::black_box(api::mul(&x, &x).expect("mul"));
+    };
+    let add_ns = time_ns(iters, reps, &add);
+    let mul_ns = time_ns(iters, reps, &mul);
+    // A fresh tape per 500 ops keeps what it records short.
+    let taped_ns = (0..reps)
+        .map(|_| {
+            let tape = GradientTape::new();
+            tape.watch(&a);
+            let t = Instant::now();
+            for _ in 0..500 {
+                add();
+            }
+            t.elapsed().as_nanos() as f64 / 500.0
+        })
+        .fold(f64::INFINITY, f64::min);
+    let backward_ns = (0..reps)
+        .map(|_| {
+            let tape = GradientTape::new();
+            tape.watch(&a);
+            let mut y = a.clone();
+            for i in 0..CHAIN {
+                y = if i % 2 == 0 { api::mul(&y, &b) } else { api::add(&y, &b) }.expect("chain op");
+            }
+            let t = Instant::now();
+            std::hint::black_box(tape.gradient1(&y, &a).expect("gradient"));
+            t.elapsed().as_nanos() as f64 / CHAIN as f64
+        })
+        .fold(f64::INFINITY, f64::min);
+
+    let n = if quick { 200 } else { 1_000 };
+    let add_allocs = allocations_per_call(n, add);
+    let mul_allocs = allocations_per_call(n, mul);
+    let taped_allocs = {
+        let tape = GradientTape::new();
+        tape.watch(&a);
+        allocations_per_call(n, add)
+    };
+    let v = Variable::new(TensorData::scalar(2.0f32));
+    let read_allocs = allocations_per_call(n, || {
+        std::hint::black_box(v.read().expect("read"));
+    });
+    let f = tfe_core::function1("kernel_bench_eager_call", |t| api::add(t, t));
+    let call_allocs = allocations_per_call(n, || {
+        std::hint::black_box(f.call1(&a).expect("call"));
+    });
+    println!(
+        "{:<26} {:>14} {:>14.0} {:>14.0} {:>8} {:>9}   ns/op scalar add untaped / taped; \
+         [64,2] mul {mul_ns:.0} ns; backward {backward_ns:.0} ns/op; allocations/op: add \
+         {add_allocs}, mul {mul_allocs}, taped add {taped_allocs}, read {read_allocs}, call1 \
+         {call_allocs}",
+        "eager_dispatch", "-", add_ns, taped_ns, "-", "-"
+    );
+    let float = tfe_encode::Value::Float;
+    tfe_encode::Value::object(vec![
+        ("add_ns_per_op".to_string(), float(add_ns)),
+        ("add_taped_ns_per_op".to_string(), float(taped_ns)),
+        ("mul_64x2_ns_per_op".to_string(), float(mul_ns)),
+        ("backward_ns_per_op".to_string(), float(backward_ns)),
+        ("backward_chain_ops".to_string(), int(CHAIN)),
+        (
+            "allocations_per_op".to_string(),
+            tfe_encode::Value::object(vec![
+                ("add".to_string(), float(add_allocs)),
+                ("mul_64x2".to_string(), float(mul_allocs)),
+                ("add_taped".to_string(), float(taped_allocs)),
+                ("variable_read".to_string(), float(read_allocs)),
+                ("call1_cache_hit".to_string(), float(call_allocs)),
+            ]),
+        ),
+        ("environment".to_string(), environment(quick)),
+    ])
+}
+
 /// Serving throughput: a small MLP behind the `tfe-serve` registry, hit by
 /// 8 concurrent single-example clients. Three configurations — direct
 /// staged calls from the client threads (no serving stack at all),
@@ -985,6 +1119,7 @@ fn main() {
     let pass_row = bench_pass_pipeline(&l2hmc_step, iters * 20, reps, quick);
     let small_matmul_row = bench_small_matmul(&l2hmc_step, quick);
     let wide_row = bench_wide_graph(iters, reps, quick);
+    let eager_row = bench_eager_dispatch(quick);
     let serving_row = bench_serving(quick);
 
     let mut fields = vec![
@@ -994,6 +1129,7 @@ fn main() {
         ("pass_pipeline".to_string(), pass_row),
         ("small_matmul".to_string(), small_matmul_row),
         ("wide_graph".to_string(), wide_row),
+        ("eager_dispatch".to_string(), eager_row),
         ("serving".to_string(), serving_row),
         ("rows".to_string(), tfe_encode::Value::Array(rows)),
     ];

@@ -54,7 +54,9 @@ fn check_flight_disabled_overhead() {
     });
     // A full probe site with both sinks off: profiler check + flight check.
     let probe_ns = per_call_ns(ITERS, || {
-        std::hint::black_box(tfe_profile::span("serve", || unreachable!("closure must not run")));
+        std::hint::black_box(tfe_profile::span("serve", || -> &str {
+            unreachable!("closure must not run")
+        }));
     });
     let overhead = (probe_ns - baseline_ns).max(0.0);
     eprintln!(

@@ -3,19 +3,24 @@
 
 use crate::name::{DeviceName, DeviceType};
 use parking_lot::RwLock;
+use std::sync::Arc;
 
 /// One device known to the runtime: a name. Every device runs the host
 /// kernels; what an op would cost on the hardware the name stands for is an
 /// observer's business (DESIGN.md §3).
+///
+/// A handle: a clone is a reference-count bump, and two handles of one
+/// registered device compare equal without looking at the name (`Arc`
+/// compares by pointer first).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Device {
-    name: DeviceName,
+    name: Arc<DeviceName>,
 }
 
 impl Device {
     /// The device called `name`.
     pub fn new(name: DeviceName) -> Device {
-        Device { name }
+        Device { name: Arc::new(name) }
     }
 
     /// The host CPU, `/job:localhost/task:0/device:CPU:0`.
@@ -59,7 +64,7 @@ impl DeviceManager {
     /// A device with the same name already exists.
     pub fn register(&self, device: Device) -> Result<(), String> {
         let mut devs = self.devices.write();
-        if devs.iter().any(|d| d.name == device.name) {
+        if devs.contains(&device) {
             return Err(format!("device {} already registered", device.name));
         }
         devs.push(device);
@@ -69,12 +74,7 @@ impl DeviceManager {
     /// All registered device names, in registration order (the
     /// `list_devices` endpoint of §4.4).
     pub fn list_devices(&self) -> Vec<DeviceName> {
-        self.devices.read().iter().map(|d| d.name.clone()).collect()
-    }
-
-    /// Look up a device by exact name.
-    pub fn find(&self, name: &DeviceName) -> Option<Device> {
-        self.devices.read().iter().find(|d| &d.name == name).cloned()
+        self.devices.read().iter().map(|d| d.name().clone()).collect()
     }
 
     /// Resolve a device string (full or shorthand) to a registered device.
@@ -83,18 +83,13 @@ impl DeviceManager {
     /// Parse failures or unknown devices.
     pub fn resolve(&self, name: &str) -> Result<Device, String> {
         let parsed = DeviceName::parse(name)?;
-        self.find(&parsed).ok_or_else(|| {
+        let found = self.devices.read().iter().find(|d| *d.name() == parsed).cloned();
+        found.ok_or_else(|| {
             format!(
                 "device {parsed} is not registered (known: {})",
                 self.list_devices().iter().map(|d| d.to_string()).collect::<Vec<_>>().join(", ")
             )
         })
-    }
-
-    /// The first registered device of `ty`, if any — used for kernel-based
-    /// default placement when the user gives no `device` scope (§4.4).
-    pub fn first_of_type(&self, ty: DeviceType) -> Option<Device> {
-        self.devices.read().iter().find(|d| d.device_type() == ty).cloned()
     }
 
     /// The host CPU device.
@@ -138,11 +133,11 @@ mod tests {
     }
 
     #[test]
-    fn first_of_type() {
+    fn handles_of_one_device_are_one_device() {
         let m = DeviceManager::new();
-        assert!(m.first_of_type(DeviceType::Gpu).is_none());
-        m.register(Device::new(DeviceName::local(DeviceType::Gpu, 1))).unwrap();
-        let d = m.first_of_type(DeviceType::Gpu).unwrap();
-        assert_eq!(d.name().index, 1);
+        let (a, b) = (m.host_cpu(), m.host_cpu());
+        assert!(Arc::ptr_eq(&a.name, &b.name), "a clone shares the name");
+        assert_eq!(a, Device::host_cpu());
+        assert_ne!(a, Device::new(DeviceName::local(DeviceType::Gpu, 0)));
     }
 }

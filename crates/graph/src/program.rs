@@ -623,7 +623,7 @@ pub fn compiled(text: &str) -> Result<Arc<CompiledProgram>, String> {
         .inc();
         return Ok(p.clone());
     }
-    let _span = tfe_profile::span("fused", || "compile".to_string());
+    let _span = tfe_profile::span("fused", || "compile");
     Ok(compile_into(cache, text, Program::decode(text)?))
 }
 
@@ -635,7 +635,7 @@ pub fn intern(program: Program) -> String {
     let text = program.encode();
     let cache = COMPILED.get_or_init(Default::default);
     if !cache.read().contains_key(&text) {
-        let _span = tfe_profile::span("fused", || "compile".to_string());
+        let _span = tfe_profile::span("fused", || "compile");
         compile_into(cache, &text, program);
     }
     text

@@ -140,7 +140,7 @@ fn scope_chunks(num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     // 'static never outlives the frame that owns the closure.
     let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
     let run_chunk = move |c: usize| {
-        let _sp = tfe_profile::span("intra", || "tile".to_string());
+        let _sp = tfe_profile::span("intra", || "tile");
         f_static(c);
     };
     let latch = Arc::new(Latch {

@@ -55,6 +55,7 @@ pub use trace::{
 };
 
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,14 +78,6 @@ pub fn now_ns() -> u64 {
 #[inline]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether any event sink is live: a profiling scope, or the always-on
-/// flight recorder. Two relaxed loads; request entry points gate their
-/// context allocation on this.
-#[inline]
-pub fn tracing_active() -> bool {
-    enabled() || flight::flight_enabled()
 }
 
 struct ThreadBuf {
@@ -224,9 +217,10 @@ pub enum FlowPhase {
 
 /// RAII guard for an open span; records on drop — into the profiling
 /// scope, the flight recorder, or both, depending on which wanted it when
-/// the span opened.
+/// the span opened. A static name is carried as is; only the profiler's
+/// event owns a copy.
 pub struct SpanGuard {
-    name: String,
+    name: Cow<'static, str>,
     cat: &'static str,
     start_ns: u64,
     bytes: u64,
@@ -256,7 +250,7 @@ impl SpanGuard {
         trace: Option<(u64, u64)>,
     ) -> SpanGuard {
         SpanGuard {
-            name,
+            name: name.into(),
             cat,
             start_ns: now_ns(),
             bytes: 0,
@@ -283,7 +277,7 @@ impl Drop for SpanGuard {
         }
         if self.to_profiler {
             record(Event {
-                name: std::mem::take(&mut self.name),
+                name: std::mem::take(&mut self.name).into_owned(),
                 cat: self.cat,
                 kind: EventKind::Span { start_ns: self.start_ns, dur_ns, bytes: self.bytes },
                 detail: self.detail.take(),
@@ -295,16 +289,19 @@ impl Drop for SpanGuard {
 
 /// Open a span; `None` (at the cost of two relaxed loads) when neither
 /// the profiler nor the flight recorder wants it. The name closure only
-/// runs when some sink is live.
+/// runs when some sink is live, and a `&'static str` name is not copied.
 #[inline]
-pub fn span(cat: &'static str, name: impl FnOnce() -> String) -> Option<SpanGuard> {
+pub fn span<N: Into<Cow<'static, str>>>(
+    cat: &'static str,
+    name: impl FnOnce() -> N,
+) -> Option<SpanGuard> {
     let to_profiler = enabled();
     let to_flight = flight::span_wants(cat);
     if !to_profiler && !to_flight {
         return None;
     }
     Some(SpanGuard {
-        name: name(),
+        name: name().into(),
         cat,
         start_ns: now_ns(),
         bytes: 0,

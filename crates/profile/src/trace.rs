@@ -167,9 +167,12 @@ pub struct RequestScope {
 ///
 /// `"eager"` roots are lightweight: they install the context and emit
 /// flow events, but skip the request span and the flight begin/end marks
-/// (per-op volume would drown both).
+/// (per-op volume would drown both). Their flow events are all they add,
+/// so they open only while the profiler is on: a flight dump fires on a
+/// serve path, which opens its own root.
 pub fn request_scope(kind: &'static str, name: impl FnOnce() -> String) -> Option<RequestScope> {
-    if !crate::tracing_active() || has_current() {
+    let wanted = enabled() || (kind != "eager" && flight::flight_enabled());
+    if !wanted || has_current() {
         return None;
     }
     let ctx = TraceContext::new_root();

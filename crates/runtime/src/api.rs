@@ -12,8 +12,8 @@ fn one(mut v: Vec<Tensor>) -> Tensor {
     v.remove(0)
 }
 
-fn run1(op: Op, inputs: &[&Tensor], attrs: Attrs) -> Result<Tensor> {
-    let owned: Vec<Tensor> = inputs.iter().map(|t| (*t).clone()).collect();
+fn run1<const N: usize>(op: Op, inputs: &[&Tensor; N], attrs: Attrs) -> Result<Tensor> {
+    let owned = inputs.map(Tensor::clone);
     Ok(one(execute(op, &owned, attrs)?))
 }
 

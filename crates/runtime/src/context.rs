@@ -10,11 +10,13 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::executor::{ExecMode, Structural};
-use crate::tape::{Tape, TapeRecord};
+use crate::kernels::{many, tensor_bytes};
+use crate::tape::Tape;
 use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -22,7 +24,7 @@ use tfe_device::{Device, DeviceManager, DeviceName};
 use tfe_graph::{FunctionLibrary, GraphBuilder, TensorRef};
 use tfe_ops::{Attrs, InferCtx, Op, SymShape};
 use tfe_tensor::rng::TensorRng;
-use tfe_tensor::TensorData;
+use tfe_tensor::{DType, Shape, TensorData};
 
 // ---------------------------------------------------------------------------
 // Global singletons
@@ -286,6 +288,8 @@ struct Stack {
     tapes: Vec<Arc<Tape>>,
     observer: Option<Rc<dyn Observer>>,
     exec_mode: ExecMode,
+    /// What inference has accepted (see [`validate`]), by key hash.
+    accepted: HashMap<u64, Accepted>,
 }
 
 thread_local! {
@@ -405,30 +409,11 @@ pub fn retain_in_trace(owner: &Owner) {
     });
 }
 
-fn record_on_tapes(op: Op, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
+fn record_on_tapes(op: Op, attrs: Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
     if outputs.is_empty() {
         return; // assigns and friends are not differentiable events
     }
-    let tapes = with_stack(|s| s.tapes.clone());
-    if tapes.is_empty() {
-        return;
-    }
-    let slots = TapeRecord::gradient_slots(op, attrs, inputs);
-    // Tapes auto-watch the variables an op reads, directly or through a
-    // staged call (§4.2/§4.3).
-    for &var_id in &slots[inputs.len()..] {
-        for tape in tapes.iter().filter(|t| t.watch_accessed_variables) {
-            tape.watch_id(var_id);
-        }
-    }
-    if !tapes.iter().any(|t| t.tracks_any(&slots)) {
-        return;
-    }
-    // One record, shared by every nested tape that tracks it.
-    let record = Arc::new(TapeRecord::with_slots(slots, op, attrs.clone(), inputs, outputs));
-    for tape in &tapes {
-        tape.maybe_record(&record);
-    }
+    with_stack(|s| Tape::record_on(&s.tapes, op, attrs, inputs, outputs));
 }
 
 // ---------------------------------------------------------------------------
@@ -438,11 +423,6 @@ fn record_on_tapes(op: Op, attrs: &Attrs, inputs: &[Tensor], outputs: &[Tensor])
 /// Whether the current thread is inside a graph-building context.
 pub fn is_tracing() -> bool {
     with_stack(|s| !s.traces.is_empty())
-}
-
-/// Id of the innermost tracing frame, if any.
-pub fn current_frame_id() -> Option<u64> {
-    with_stack(|s| s.traces.last().map(|t| t.frame_id))
 }
 
 /// Open a new tracing frame; subsequent [`execute`] calls record nodes into
@@ -718,29 +698,21 @@ fn execute_traced(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>
             })
             .collect())
     })?;
-    record_on_tapes(op, &attrs, inputs, &outputs);
+    record_on_tapes(op, attrs, inputs, &outputs);
     Ok(outputs)
 }
 
 /// Pick the device for an eager op: innermost `device` scope, else the
 /// device of the first concrete input, else the host CPU (§4.4).
 fn resolve_device(inputs: &[Tensor]) -> Device {
-    if let Some(d) = with_stack(|s| s.devices.last().cloned()) {
-        return d;
-    }
-    for t in inputs {
-        if let Tensor::Eager(e) = t {
-            if let Some(d) = device_manager().find(&e.device) {
-                return d;
-            }
-        }
-    }
-    device_manager().host_cpu()
+    with_stack(|s| s.devices.last().cloned())
+        .or_else(|| inputs.iter().find_map(|t| Some(t.as_eager()?.device.clone())))
+        .unwrap_or_else(|| device_manager().host_cpu())
 }
 
 fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
     if let Some(kind) = Structural::of(op) {
-        return execute_structural(kind, op, inputs, &attrs);
+        return execute_structural(kind, op, inputs, attrs);
     }
 
     tfe_metrics::static_counter!(
@@ -749,33 +721,27 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     )
     .inc();
 
-    // A top-level eager op is a request entry point: when no ambient
-    // request exists (a serve batch, `Func` call or RPC would have
-    // installed one), open a lightweight root so the op's spans — and
+    // While profiling, a top-level eager op is a request entry point: when
+    // no ambient request exists (a serve batch, `Func` call or RPC would
+    // have installed one), a lightweight root makes the op's spans — and
     // any pool work it fans out — share one trace id.
     let _root = tfe_profile::request_scope("eager", || format!("eager:{op}"));
 
     // Eager-dispatch span: covers validation + inference + the kernel, so
     // the timeline shows dispatch overhead as the gap around the nested
     // `kernel` span (§6's eager-vs-staged overhead, measured for real).
-    let mut prof_span = tfe_profile::span("eager", || op.name().to_string());
+    let mut prof_span = tfe_profile::span("eager", || op.name());
 
     let device = resolve_device(inputs);
-    let values = eager_values(inputs)?;
-    // Validate through the shared op definition.
-    let (dtypes, shapes): (Vec<_>, Vec<_>) =
-        values.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip();
-    op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
-    let out = match observe(Site::Eager, &device, op, &attrs, &values)? {
-        Some(outputs) => outputs,
-        None => crate::kernels::launch_kernel(op, &attrs, &values)?,
-    };
-    let outputs = eager_tensors(out, &device);
-    let out_bytes: u64 = outputs
-        .iter()
-        .filter_map(Tensor::as_eager)
-        .map(|t| (t.shape().num_elements() * t.dtype().size_bytes()) as u64)
-        .sum();
+    let out = with_values(inputs, |values| {
+        validate(op, &attrs, values)?;
+        match observe(Site::Eager, &device, op, &attrs, values)? {
+            Some(outputs) => Ok(many(outputs)),
+            None => crate::kernels::launch_kernel(op, &attrs, values),
+        }
+    })?;
+    let mut out_bytes = 0;
+    let outputs = eager_tensors(out.inspect(|t| out_bytes += tensor_bytes(t)), &device);
     tfe_metrics::static_counter!(
         "tfe_eager_bytes_allocated_total",
         "Tensor bytes produced by eagerly dispatched operations"
@@ -784,16 +750,76 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     if let Some(sp) = prof_span.as_mut() {
         sp.set_bytes(out_bytes);
     }
-    record_on_tapes(op, &attrs, inputs, &outputs);
+    record_on_tapes(op, attrs, inputs, &outputs);
     Ok(outputs)
 }
 
-fn eager_values(inputs: &[Tensor]) -> Result<Vec<Arc<TensorData>>> {
-    inputs.iter().map(Tensor::value).collect()
+/// Run `f` over the values of `inputs`, on the stack for up to three.
+fn with_values<R>(inputs: &[Tensor], f: impl FnOnce(&[Arc<TensorData>]) -> Result<R>) -> Result<R> {
+    match inputs {
+        [a] => f(&[a.value()?]),
+        [a, b] => f(&[a.value()?, b.value()?]),
+        [a, b, c] => f(&[a.value()?, b.value()?, c.value()?]),
+        _ => f(&inputs.iter().map(Tensor::value).collect::<Result<Vec<_>>>()?),
+    }
 }
 
-pub(crate) fn eager_tensors(values: Vec<Arc<TensorData>>, device: &Device) -> Vec<Tensor> {
-    values.into_iter().map(|d| Tensor::Eager(EagerTensor::new(d, device.name().clone()))).collect()
+/// An input signature inference accepted: the key [`validate`] checks.
+type Accepted = (Op, Attrs, Vec<(DType, Shape)>);
+
+/// Signatures one thread's [`validate`] keeps before it starts over: far
+/// more than a training step dispatches, few enough to stay small.
+const ACCEPTED_CAP: usize = 1024;
+
+/// Validate an eager op through the shared op definition, memoised per
+/// thread. `op.infer` is a function of the op, its attributes and its
+/// inputs' dtypes and dims alone, and eager dispatch needs only its verdict,
+/// so what it accepted once is accepted again without a second call. Only
+/// acceptance is kept: a failing op runs inference every time and fails
+/// with the same typed error. A stateful op is not kept: it names its state
+/// in its attributes, so every variable would be a signature of its own.
+fn validate(op: Op, attrs: &Attrs, values: &[Arc<TensorData>]) -> Result<()> {
+    let infer = || -> Result<()> {
+        let (dtypes, shapes): (Vec<_>, Vec<_>) =
+            values.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip();
+        op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs })?;
+        Ok(())
+    };
+    if op.def().is_stateful() {
+        return infer();
+    }
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    (op, attrs).hash(&mut hasher);
+    for v in values {
+        (v.dtype(), v.shape().dims()).hash(&mut hasher);
+    }
+    let key = hasher.finish();
+    let seen = |(o, a, ins): &Accepted| {
+        *o == op
+            && a == attrs
+            && ins.len() == values.len()
+            && ins.iter().zip(values).all(|((dt, sh), v)| *dt == v.dtype() && sh == v.shape())
+    };
+    if with_stack(|s| s.accepted.get(&key).is_some_and(seen)) {
+        return Ok(());
+    }
+    infer()?;
+    let inputs = values.iter().map(|v| (v.dtype(), v.shape().clone())).collect();
+    with_stack(|s| {
+        if s.accepted.len() >= ACCEPTED_CAP {
+            s.accepted.clear();
+        }
+        s.accepted.insert(key, (op, attrs.clone(), inputs));
+    });
+    Ok(())
+}
+
+/// Eager handles on `device` for an op's outputs.
+pub(crate) fn eager_tensors(
+    values: impl IntoIterator<Item = Arc<TensorData>>,
+    device: &Device,
+) -> Vec<Tensor> {
+    values.into_iter().map(|d| Tensor::Eager(EagerTensor::new(d, device.clone()))).collect()
 }
 
 /// Eager dispatch of a structural op: the op itself is [`Structural::run`],
@@ -803,7 +829,7 @@ fn execute_structural(
     kind: Structural,
     op: Op,
     inputs: &[Tensor],
-    attrs: &Attrs,
+    attrs: Attrs,
 ) -> Result<Vec<Tensor>> {
     if kind == Structural::HostFunc {
         // Eagerly a host closure is pass-through (§4.7: wrapping a function
@@ -819,15 +845,16 @@ fn execute_structural(
         let target = attrs.str("device").map_err(tfe_ops::OpError::from)?;
         device = device_manager().resolve(target).map_err(RuntimeError::Device)?;
     }
-    let values = eager_values(inputs)?;
-    let observed = match kind {
-        Structural::Call => observe(Site::Call, &device, op, attrs, &values)?,
-        _ => None,
-    };
-    let values = match observed {
-        Some(outputs) => outputs,
-        None => kind.run(attrs, &values, &device, exec_mode())?,
-    };
+    let values = with_values(inputs, |values| {
+        let observed = match kind {
+            Structural::Call => observe(Site::Call, &device, op, &attrs, values)?,
+            _ => None,
+        };
+        match observed {
+            Some(outputs) => Ok(outputs),
+            None => kind.run(&attrs, values, &device, exec_mode()),
+        }
+    })?;
     let outputs = eager_tensors(values, &device);
     record_on_tapes(op, attrs, inputs, &outputs);
     Ok(outputs)

@@ -20,6 +20,7 @@
 
 use crate::context::{observe, Site};
 use crate::error::{Result, RuntimeError};
+use crate::kernels::{many, shared, tensor_bytes, Outputs};
 use crate::tensor::Tensor;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -128,10 +129,6 @@ fn validate_args(f: &GraphFunction, args: &[Arc<TensorData>]) -> Result<()> {
     Ok(())
 }
 
-fn tensor_bytes(t: &TensorData) -> u64 {
-    (t.num_elements() * t.dtype().size_bytes()) as u64
-}
-
 // ---------------------------------------------------------------------------
 // Structural ops
 // ---------------------------------------------------------------------------
@@ -212,7 +209,7 @@ impl Structural {
                 // closure sees the inputs as eager tensors.
                 let id = attrs.int("fn_id").map_err(OpError::from)? as u64;
                 let hf = crate::context::host_fn(id)?;
-                let eager = crate::context::eager_tensors(inputs.to_vec(), device);
+                let eager = crate::context::eager_tensors(inputs.iter().cloned(), device);
                 hf(&eager)?.iter().map(Tensor::value).collect()
             }
             Structural::Copy => match inputs.first() {
@@ -234,18 +231,18 @@ fn run_node(
     inputs: &[Arc<TensorData>],
     device: &Device,
     mode: ExecMode,
-) -> Result<Vec<Arc<TensorData>>> {
+) -> Result<Outputs> {
     let node = f.node(id);
     crate::context::stat_node_executed();
-    let mut prof_span = tfe_profile::span("node", || node.op.name().to_string());
+    let mut prof_span = tfe_profile::span("node", || node.op.name());
     if let Some(sp) = prof_span.as_mut() {
         sp.set_detail(f.node_label(id));
     }
     if let Some(outputs) = observe(Site::Node, device, node.op, &node.attrs, inputs)? {
-        return Ok(outputs);
+        return Ok(many(outputs));
     }
     if let Some(s) = Structural::of(node.op) {
-        return s.run(&node.attrs, inputs, device, mode);
+        return s.run(&node.attrs, inputs, device, mode).map(many);
     }
     if node.op == Op::Const {
         let idx = match node.attrs.get("value_index") {
@@ -253,9 +250,9 @@ fn run_node(
             _ => return Err(RuntimeError::Internal("const without value_index".into())),
         };
         let value = f.constants.get(idx).cloned();
-        return Ok(vec![
-            value.ok_or_else(|| RuntimeError::Internal("const pool underflow".into()))?
-        ]);
+        return Ok(shared(
+            value.ok_or_else(|| RuntimeError::Internal("const pool underflow".into()))?,
+        ));
     }
     crate::context::stat_kernel_launched();
     crate::kernels::launch_kernel(node.op, &node.attrs, inputs)
@@ -401,7 +398,7 @@ impl PoolRun {
     /// waiter observes the stored error.
     fn execute(self: &Arc<Self>, node: usize) {
         let inputs = &self.f.nodes[node].inputs;
-        let mut outputs = Vec::new();
+        let mut outputs = many(Vec::new());
         if self.abort.load(Ordering::SeqCst) {
             tfe_profile::instant("sched", || {
                 format!("abort_skip:{}", self.f.node_label(NodeId(node)))

@@ -15,42 +15,63 @@ use tfe_tensor::elementwise::{self, BinaryOp};
 use tfe_tensor::pool::{self, PoolKind};
 use tfe_tensor::{matmul, reduce, shape_ops, softmax, Shape, TensorData, TensorError};
 
-/// Run the kernel for `op`, under a `kernel` profile span.
+/// What a kernel hands back: its outputs in order, each shared as its
+/// consumers hold it, with no `Vec` for the one output nearly every op has.
+pub(crate) type Outputs =
+    std::iter::Chain<std::option::IntoIter<Arc<TensorData>>, std::vec::IntoIter<Arc<TensorData>>>;
+
+/// The one output `t`.
+pub(crate) fn shared(t: Arc<TensorData>) -> Outputs {
+    Some(t).into_iter().chain(Vec::new())
+}
+
+/// The outputs `ts`.
+pub(crate) fn many(ts: Vec<Arc<TensorData>>) -> Outputs {
+    None.into_iter().chain(ts)
+}
+
+/// Bytes of one value's elements.
+pub(crate) fn tensor_bytes(t: &TensorData) -> u64 {
+    (t.num_elements() * t.dtype().size_bytes()) as u64
+}
+
+/// Run the kernel for `op`, under a `kernel` profile span. The values come
+/// back unshared: a `read_variable` gets its own copy of the value.
 ///
 /// # Errors
 /// Kernel failure, or an op the dispatcher runs itself (`call`, `cond`,
 /// `while_loop`, `host_func`, `copy`) or that only marks a graph position
 /// (`placeholder`, `const`).
 pub fn run_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
-    let mut sp = tfe_profile::span("kernel", || op.name().to_string());
+    Ok(spanned_kernel(op, attrs, inputs)?.map(Arc::unwrap_or_clone).collect())
+}
+
+fn spanned_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Outputs> {
+    let mut sp = tfe_profile::span("kernel", || op.name());
     let out = kernel(op, attrs, inputs)?;
     if let Some(sp) = sp.as_mut() {
-        sp.set_bytes(out.iter().map(|t| (t.num_elements() * t.dtype().size_bytes()) as u64).sum());
+        sp.set_bytes(out.clone().map(|t| tensor_bytes(&t)).sum());
     }
     Ok(out)
 }
 
-/// [`run_kernel`] as the executing paths (eager dispatch, the executor's
-/// node-runner) launch it: timed into `tfe_kernel_time_ns`,
-/// outputs ready to share.
-pub(crate) fn launch_kernel(
-    op: Op,
-    attrs: &Attrs,
-    inputs: &[Arc<TensorData>],
-) -> Result<Vec<Arc<TensorData>>> {
+/// The kernel as the executing paths (eager dispatch, the executor's
+/// node-runner) launch it: under a `kernel` span, timed into
+/// `tfe_kernel_time_ns`, its outputs handed on as they were made.
+pub(crate) fn launch_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Outputs> {
     let t0 = std::time::Instant::now();
-    let out = run_kernel(op, attrs, inputs)?;
+    let out = spanned_kernel(op, attrs, inputs)?;
     tfe_metrics::static_histogram!(
         "tfe_kernel_time_ns",
         "Wall-clock nanoseconds per compute-kernel invocation (eager and staged)",
         tfe_metrics::DEFAULT_NS_BUCKETS
     )
     .observe(t0.elapsed().as_nanos() as u64);
-    Ok(out.into_iter().map(Arc::new).collect())
+    Ok(out)
 }
 
-fn one(t: TensorData) -> Result<Vec<TensorData>> {
-    Ok(vec![t])
+fn one(t: TensorData) -> Result<Outputs> {
+    Ok(shared(Arc::new(t)))
 }
 
 fn in0(inputs: &[Arc<TensorData>]) -> Result<&TensorData> {
@@ -101,11 +122,7 @@ fn reduce_attrs(a: &Attrs) -> Result<(&[i64], bool)> {
     Ok((axes, a.bool_or("keep_dims", false).map_err(attrs_err)?))
 }
 
-fn reduce_kernel(
-    a: &Attrs,
-    i: &[Arc<TensorData>],
-    op: reduce::ReduceOp,
-) -> Result<Vec<TensorData>> {
+fn reduce_kernel(a: &Attrs, i: &[Arc<TensorData>], op: reduce::ReduceOp) -> Result<Outputs> {
     let (axes, keep) = reduce_attrs(a)?;
     one(reduce::reduce(in0(i)?, axes, keep, op)?)
 }
@@ -152,7 +169,7 @@ pub fn sum_to_shape(x: &TensorData, target: &Shape) -> Result<TensorData> {
 
 /// The kernel table.
 #[allow(clippy::too_many_lines)]
-fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
+fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
     match op {
         // --- elementwise --------------------------------------------------
         Op::Unary(op) => one(elementwise::unary(in0(i)?, op)?),
@@ -225,7 +242,8 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
                 ))
                 .into());
             }
-            Ok(shape_ops::split(in0(i)?, num as usize, a.int("axis").map_err(attrs_err)?)?)
+            let parts = shape_ops::split(in0(i)?, num as usize, a.int("axis").map_err(attrs_err)?)?;
+            Ok(many(parts.into_iter().map(Arc::new).collect()))
         }
         Op::Slice => one(shape_ops::slice(
             in0(i)?,
@@ -372,16 +390,18 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
                 rng.dropout_mask(x.dtype(), x.shape().clone(), keep)
             })?)
         }
-        Op::ReadVariable => one(variable(a)?.value().as_ref().clone()),
+        // The variable's own `Arc`: an assign replaces it rather than
+        // writing into it, so a value read earlier keeps its contents.
+        Op::ReadVariable => Ok(shared(variable(a)?.value())),
         Op::Assign => {
             variable(a)?.set_value(in0(i)?.clone())?;
-            Ok(Vec::new())
+            Ok(many(Vec::new()))
         }
         Op::AssignAdd | Op::AssignSub => {
             let storage = variable(a)?;
             let step = if op == Op::AssignAdd { BinaryOp::Add } else { BinaryOp::Sub };
             storage.set_value(elementwise::binary(&storage.value(), in0(i)?, step)?)?;
-            Ok(Vec::new())
+            Ok(many(Vec::new()))
         }
         Op::Call
         | Op::Cond

@@ -41,7 +41,7 @@ impl TapeRecord {
     /// its graphs read (attr `var_ids`, set by the tracer), so gradients
     /// reach variables *through* staged functions. Variable slots, when
     /// present, are exactly the ones past `inputs.len()`.
-    pub(crate) fn gradient_slots(op: Op, attrs: &Attrs, inputs: &[Tensor]) -> Vec<u64> {
+    fn gradient_slots(op: Op, attrs: &Attrs, inputs: &[Tensor]) -> Vec<u64> {
         let mut slots: Vec<u64> = inputs.iter().map(Tensor::id).collect();
         match op {
             Op::ReadVariable => slots.extend(attrs.int("var_id").ok().map(|id| id as u64)),
@@ -60,8 +60,7 @@ impl TapeRecord {
         TapeRecord::with_slots(slots, op, attrs, inputs, outputs)
     }
 
-    /// [`TapeRecord::new`] for a caller that already asked for the slots.
-    pub(crate) fn with_slots(
+    fn with_slots(
         input_ids: Vec<u64>,
         op: Op,
         attrs: Attrs,
@@ -129,24 +128,44 @@ impl Tape {
         inner.tracked.insert(id);
     }
 
-    /// Whether any of `ids` is on the differentiable path.
-    pub fn tracks_any(&self, ids: &[u64]) -> bool {
-        let inner = self.inner.lock();
-        ids.iter().any(|id| inner.tracked.contains(id))
-    }
-
-    /// Record `record` if any of its `input_ids` is tracked. Returns
-    /// whether it was recorded.
-    pub fn maybe_record(&self, record: &Arc<TapeRecord>) -> bool {
-        let mut inner = self.inner.lock();
-        if !record.input_ids.iter().any(|id| inner.tracked.contains(id)) {
-            return false;
+    /// Record `op` on each of `tapes` whose differentiable path one of its
+    /// gradient slots is on, taking each tape's lock once. A tape that
+    /// watches accessed variables first watches the ones `op` reads (§4.3).
+    /// One record, built for the first tape that takes it, is shared by
+    /// every other; `attrs` move into it.
+    pub(crate) fn record_on(
+        tapes: &[Arc<Tape>],
+        op: Op,
+        attrs: Attrs,
+        inputs: &[Tensor],
+        outputs: &[Tensor],
+    ) {
+        if tapes.is_empty() {
+            return;
         }
-        for &id in &record.output_ids {
-            inner.tracked.insert(id);
+        let mut slots = TapeRecord::gradient_slots(op, &attrs, inputs);
+        let mut attrs = Some(attrs);
+        let mut record: Option<Arc<TapeRecord>> = None;
+        for tape in tapes {
+            let mut inner = tape.inner.lock();
+            let ids = record.as_ref().map_or(&slots[..], |r| &r.input_ids[..]);
+            if tape.watch_accessed_variables {
+                for &id in &ids[inputs.len()..] {
+                    inner.watched.insert(id);
+                    inner.tracked.insert(id);
+                }
+            }
+            if !ids.iter().any(|id| inner.tracked.contains(id)) {
+                continue;
+            }
+            let record = record.get_or_insert_with(|| {
+                let attrs = attrs.take().unwrap_or_default();
+                let slots = std::mem::take(&mut slots);
+                Arc::new(TapeRecord::with_slots(slots, op, attrs, inputs, outputs))
+            });
+            inner.tracked.extend(record.output_ids.iter().copied());
+            inner.records.push(record.clone());
         }
-        inner.records.push(record.clone());
-        true
     }
 
     /// Keep `owner` for as long as this tape can still be differentiated:
@@ -199,29 +218,33 @@ mod tests {
     use super::*;
     use tfe_tensor::TensorData;
 
-    fn record(ids_in: &[u64], ids_out: &[u64]) -> Arc<TapeRecord> {
-        Arc::new(TapeRecord {
-            op: Op::Identity,
-            attrs: Attrs::new(),
-            inputs: ids_in.iter().map(|_| Tensor::from_data(TensorData::scalar(0.0f32))).collect(),
-            outputs: ids_out
-                .iter()
-                .map(|_| Tensor::from_data(TensorData::scalar(0.0f32)))
-                .collect(),
-            input_ids: ids_in.to_vec(),
-            output_ids: ids_out.to_vec(),
-        })
+    fn scalar() -> Tensor {
+        Tensor::from_data(TensorData::scalar(0.0f32))
+    }
+
+    /// Record an op from `inputs` to a fresh output on `tapes`; the output.
+    fn op(tapes: &[Arc<Tape>], inputs: &[&Tensor]) -> Tensor {
+        let out = scalar();
+        let inputs: Vec<Tensor> = inputs.iter().map(|&t| t.clone()).collect();
+        Tape::record_on(tapes, Op::Identity, Attrs::new(), &inputs, std::slice::from_ref(&out));
+        out
+    }
+
+    fn tracks(tape: &Tape, t: &Tensor) -> bool {
+        tape.inner.lock().tracked.contains(&t.id())
     }
 
     #[test]
     fn records_only_watched_paths() {
         let tape = Tape::new(false, true);
-        tape.watch_id(1);
-        assert!(!tape.maybe_record(&record(&[7], &[8]))); // untracked input
-        assert!(tape.maybe_record(&record(&[1], &[2]))); // watched
-        assert!(tape.maybe_record(&record(&[2], &[3]))); // transitively tracked
-        assert!(tape.tracks_any(&[3]));
-        assert!(!tape.tracks_any(&[8]));
+        let tapes = [tape.clone()];
+        let (x, other) = (scalar(), scalar());
+        tape.watch_id(x.id());
+        let untracked = op(&tapes, &[&other]);
+        let y = op(&tapes, &[&x]); // watched
+        let z = op(&tapes, &[&y]); // transitively tracked
+        assert!(tracks(&tape, &z));
+        assert!(!tracks(&tape, &untracked));
         assert_eq!(tape.len(), 2);
     }
 
@@ -238,9 +261,25 @@ mod tests {
     #[test]
     fn multiple_watches() {
         let tape = Tape::new(false, true);
-        tape.watch_id(10);
-        tape.watch_id(20);
-        assert!(tape.maybe_record(&record(&[5, 20], &[30])));
-        assert!(tape.tracks_any(&[30]));
+        let (a, b) = (scalar(), scalar());
+        tape.watch_id(a.id());
+        tape.watch_id(b.id());
+        let y = op(std::slice::from_ref(&tape), &[&scalar(), &b]);
+        assert!(tracks(&tape, &y));
+        assert_eq!(tape.len(), 1);
+    }
+
+    #[test]
+    fn nested_tapes_share_one_record() {
+        let (outer, inner) = (Tape::new(false, true), Tape::new(false, true));
+        let tapes = [outer.clone(), inner.clone()];
+        let x = scalar();
+        inner.watch_id(x.id());
+        let y = op(&tapes, &[&x]);
+        assert_eq!((outer.len(), inner.len()), (0, 1));
+        outer.watch_id(y.id());
+        op(&tapes, &[&y]);
+        let (o, i) = (outer.records(), inner.records());
+        assert!(Arc::ptr_eq(&o[0], &i[1]), "one record, held by both tapes");
     }
 }

@@ -10,7 +10,7 @@ use crate::error::{Result, RuntimeError};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tfe_device::DeviceName;
+use tfe_device::{Device, DeviceName};
 use tfe_graph::TensorRef;
 use tfe_ops::SymShape;
 use tfe_tensor::{DType, Shape, TensorData};
@@ -46,7 +46,7 @@ pub struct EagerInner {
     /// The value, computed before the handle was made.
     data: Arc<TensorData>,
     /// Where the tensor lives.
-    pub device: DeviceName,
+    pub device: Device,
     /// What the live-tensor gauges were charged for this allocation.
     bytes: i64,
 }
@@ -71,7 +71,7 @@ impl Drop for EagerInner {
 impl EagerTensor {
     /// Wrap data on a device with a fresh id. One allocation: the gauges go
     /// up exactly once, here.
-    pub fn new(data: Arc<TensorData>, device: DeviceName) -> EagerTensor {
+    pub fn new(data: Arc<TensorData>, device: Device) -> EagerTensor {
         let bytes = (data.num_elements() * data.dtype().size_bytes()) as i64;
         live_tensors().inc();
         let now = live_tensor_bytes().add_and_get(bytes);
@@ -101,7 +101,7 @@ impl EagerTensor {
 
 impl fmt::Debug for EagerTensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "EagerTensor(id={}, {:?}, device={})", self.id, self.data, self.device)
+        write!(f, "EagerTensor(id={}, {:?}, device={})", self.id, self.data, self.device.name())
     }
 }
 
@@ -142,7 +142,7 @@ pub enum Tensor {
 impl Tensor {
     /// Build a concrete tensor on the host CPU.
     pub fn from_data(data: TensorData) -> Tensor {
-        Tensor::Eager(EagerTensor::new(Arc::new(data), DeviceName::local_cpu()))
+        Tensor::Eager(EagerTensor::new(Arc::new(data), crate::context::device_manager().host_cpu()))
     }
 
     /// The tape-tracking id.
@@ -227,7 +227,7 @@ impl Tensor {
     /// Symbolic handle.
     pub fn device(&self) -> Result<DeviceName> {
         match self {
-            Tensor::Eager(t) => Ok(t.device.clone()),
+            Tensor::Eager(t) => Ok(t.device.name().clone()),
             Tensor::Symbolic(_) => Err(RuntimeError::SymbolicValue(
                 "symbolic tensors have no device until executed".to_string(),
             )),

@@ -97,11 +97,6 @@ impl VariableRegistry {
     pub fn sweep(&self) {
         self.map.write().retain(|_, w| w.strong_count() > 0);
     }
-
-    /// Number of live variables.
-    pub fn live_count(&self) -> usize {
-        self.map.read().values().filter(|w| w.strong_count() > 0).count()
-    }
 }
 
 /// The process-wide variable registry.

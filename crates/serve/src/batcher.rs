@@ -487,7 +487,7 @@ impl Model {
         }
         let n_args = members[0].inputs.len();
         let batched: Vec<Tensor> = {
-            let _s = tfe_profile::span("serve", || "concat".to_string());
+            let _s = tfe_profile::span("serve", || "concat");
             (0..n_args)
                 .map(|a| {
                     let parts: Vec<&Tensor> = members.iter().map(|m| &m.inputs[a]).collect();
@@ -501,7 +501,7 @@ impl Model {
             self.servable.call(&args)?
         };
         // Fan out: every output must carry the coalesced batch dimension.
-        let _s = tfe_profile::span("serve", || "split".to_string());
+        let _s = tfe_profile::span("serve", || "split");
         for (i, out) in outs.iter().enumerate() {
             let shape = out.shape()?;
             if shape.rank() == 0 || shape.dim(0) != total_rows {

@@ -257,7 +257,7 @@ pub fn conv2d(
     strides: (usize, usize),
     padding: Padding,
 ) -> Result<TensorData> {
-    let _sp = tfe_profile::span("intra", || "conv2d_im2col".to_string());
+    let _sp = tfe_profile::span("intra", || "conv2d_im2col");
     check_float_pair(input, filter)?;
     let g = conv2d_geometry(input.shape(), filter.shape(), strides, padding)?;
     let out = conv2d_im2col(&input.to_f64_vec(), &filter.to_f64_vec(), &g);

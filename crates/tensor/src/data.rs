@@ -268,7 +268,7 @@ impl TensorData {
     /// # Errors
     /// Returns [`TensorError::DTypeMismatch`] when `T` does not match.
     pub fn as_slice<T: Scalar>(&self) -> Result<&[T]> {
-        T::slice(&self.buf).ok_or(TensorError::DTypeMismatch {
+        T::slice(&self.buf).ok_or_else(|| TensorError::DTypeMismatch {
             expected: T::DTYPE.name().to_string(),
             got: self.dtype(),
         })
@@ -280,8 +280,10 @@ impl TensorData {
     /// Returns [`TensorError::DTypeMismatch`] when `T` does not match.
     pub fn as_slice_mut<T: Scalar>(&mut self) -> Result<&mut [T]> {
         let dtype = self.dtype();
-        T::slice_mut(&mut self.buf)
-            .ok_or(TensorError::DTypeMismatch { expected: T::DTYPE.name().to_string(), got: dtype })
+        T::slice_mut(&mut self.buf).ok_or_else(|| TensorError::DTypeMismatch {
+            expected: T::DTYPE.name().to_string(),
+            got: dtype,
+        })
     }
 
     /// Read one element at a multi-index, converted to `f64`.

@@ -123,7 +123,7 @@ pub fn matmul(
     transpose_a: bool,
     transpose_b: bool,
 ) -> Result<TensorData> {
-    let _sp = tfe_profile::span("intra", || "gemm".to_string());
+    let _sp = tfe_profile::span("intra", || "gemm");
     if a.shape().rank() != 2 || b.shape().rank() != 2 {
         return Err(TensorError::ShapeMismatch {
             expected: "rank-2 operands for matmul (use batch_matmul for higher ranks)".to_string(),

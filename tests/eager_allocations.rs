@@ -1,0 +1,86 @@
+//! Heap allocations of one eager op, counted by a counting global allocator
+//! after warm-up, with the flight recorder at its default (on). Every check
+//! is one test, the only one in this binary, so nothing else allocates while
+//! it counts.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use tf_eager::prelude::*;
+use tf_eager::{function1, GradientTape};
+
+/// The system allocator, counting allocations and reallocations.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded to `System` unchanged.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations per call of `f`: the mean over `n` calls, after `n` calls of
+/// warm-up.
+fn per_call(n: usize, mut f: impl FnMut()) -> f64 {
+    for _ in 0..n {
+        f();
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..n {
+        f();
+    }
+    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / n as f64
+}
+
+#[test]
+fn an_eager_op_allocates_its_output_and_little_else() {
+    tf_eager::init();
+    const N: usize = 1000;
+    let (a, b) = (api::scalar(1.5f32), api::scalar(0.25f32));
+    let x = api::constant((0..128).map(|i| i as f32 * 0.5).collect::<Vec<_>>(), [64, 2]).unwrap();
+
+    let add = per_call(N, || {
+        black_box(api::add(&a, &b).unwrap());
+    });
+    let mul = per_call(N, || {
+        black_box(api::mul(&x, &x).unwrap());
+    });
+    let taped_add = {
+        let tape = GradientTape::new();
+        tape.watch(&a);
+        per_call(N, || {
+            black_box(api::add(&a, &b).unwrap());
+        })
+    };
+    let v = Variable::new(TensorData::scalar(2.0f32));
+    let read = per_call(N, || {
+        black_box(v.read().unwrap());
+    });
+    let f = function1("eager_allocations_call", |t| api::add(t, t));
+    let call = per_call(N, || {
+        black_box(f.call1(&a).unwrap());
+    });
+    println!(
+        "allocations per op: scalar add {add}, [64,2] mul {mul}, taped scalar add {taped_add}, \
+         Variable::read {read}, cache-hit call1 {call}"
+    );
+
+    assert!(add <= 5.0, "an untaped scalar add makes {add} allocations (at most 5)");
+    assert!(mul <= 7.0, "an untaped [64,2] mul makes {mul} allocations (at most 7)");
+    assert!(taped_add <= 10.0, "a taped scalar add makes {taped_add} allocations (at most 10)");
+}

@@ -814,6 +814,71 @@ fn shared_state_across_funcs() {
     assert_eq!(read.call(&[]).unwrap()[0].scalar_f64().unwrap(), 3.0);
 }
 
+/// A read hands on the variable's value without copying it, so an assign
+/// must not reach a value read before it: that read keeps the old contents
+/// and the read after sees the new ones, eagerly and staged.
+#[test]
+fn a_read_before_an_assign_keeps_the_old_value() {
+    tf_eager::init();
+    let v = Arc::new(Variable::new(TensorData::from_vec(vec![1.0f32, 2.0], [2]).unwrap()));
+    let step = api::constant(vec![10.0f32, 20.0], [2]).unwrap();
+    let values =
+        |ts: &[Tensor]| -> Vec<Vec<f64>> { ts.iter().map(|t| t.to_f64_vec().unwrap()).collect() };
+
+    let before = v.read().unwrap();
+    v.assign_add(&step).unwrap();
+    let after_add = v.read().unwrap();
+    v.assign(&api::constant(vec![7.0f32, 8.0], [2]).unwrap()).unwrap();
+    assert_eq!(
+        values(&[before, after_add, v.read().unwrap()]),
+        [vec![1.0, 2.0], vec![11.0, 22.0], vec![7.0, 8.0]]
+    );
+
+    let staged = {
+        let (v, step) = (v.clone(), step.clone());
+        function("read_assign_read", move |_| {
+            let before = v.read()?;
+            v.assign_add(&step)?;
+            let after_add = v.read()?;
+            v.assign(&api::constant(vec![0.5f32, 0.5], [2])?)?;
+            Ok(vec![before, after_add, v.read()?])
+        })
+    };
+    for mode in [tf_eager::ExecMode::SerialPlanned, tf_eager::ExecMode::Parallel] {
+        v.assign(&api::constant(vec![7.0f32, 8.0], [2]).unwrap()).unwrap();
+        let prev = context::set_exec_mode(mode);
+        let out = staged.call(&[]).unwrap();
+        context::set_exec_mode(prev);
+        assert_eq!(values(&out), [vec![7.0, 8.0], vec![17.0, 28.0], vec![0.5, 0.5]], "{mode:?}");
+    }
+}
+
+/// Eager validation remembers only what it accepted: an arity, dtype or
+/// shape error is the op definition's typed error, and an identical call
+/// after it fails the same way, before and after the op once succeeded.
+#[test]
+fn eager_validation_errors_are_typed_and_repeat() {
+    tf_eager::init();
+    let add = tf_eager::Op::Binary(tfe_tensor::elementwise::BinaryOp::Add);
+    let x = api::constant(vec![1.0f32, 2.0, 3.0], [3]).unwrap();
+    let bad = [
+        vec![x.clone()],
+        vec![x.clone(), api::scalar(1.0f64)],
+        vec![x.clone(), api::constant(vec![1.0f32, 2.0], [2]).unwrap()],
+    ];
+    let fail = |inputs: &[Tensor]| {
+        let err = context::execute(add, inputs, tf_eager::Attrs::new()).unwrap_err();
+        assert!(matches!(err, RuntimeError::Op(_)), "typed op error: {err:?}");
+        format!("{err:?}")
+    };
+    let first: Vec<String> = bad.iter().map(|inputs| fail(inputs)).collect();
+    api::add(&x, &x).unwrap();
+    for (inputs, first) in bad.iter().zip(&first) {
+        assert_eq!(&fail(inputs), first);
+        assert_eq!(&fail(inputs), first);
+    }
+}
+
 /// Creating variables inside `init_scope` lifts the creation *out* of the
 /// trace — the state-creation contract sees no in-trace creation, so the
 /// function traces only once (this is exactly what `init_scope` is for:
