@@ -210,12 +210,11 @@ mod tests {
     fn host_rng_baked_vs_op_rng() {
         // §4.1 `add_noise`: host randomness becomes a constant in the trace;
         // op randomness stays random.
-        use rand::{Rng, SeedableRng};
         let host_noise = {
-            let rng = parking_lot::Mutex::new(rand::rngs::StdRng::seed_from_u64(1));
+            let rng = parking_lot::Mutex::new(tfe_tensor::rng::Rng::seed_from_u64(1));
             function("host_noise", move |_args| {
                 let eye = api::eye(DType::F64, 2)?;
-                let n: f64 = rng.lock().gen();
+                let n = rng.lock().f64();
                 let noise = api::scalar(n);
                 Ok(vec![api::add(&eye, &noise)?])
             })

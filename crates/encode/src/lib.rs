@@ -800,7 +800,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use tfe_tensor::rng::{each_seed, Rng};
 
     #[test]
     fn parse_scalars() {
@@ -990,66 +990,92 @@ mod tests {
         assert_eq!(a.to_json(), r#"{"a":2,"b":1}"#);
     }
 
-    fn arb_value() -> impl Strategy<Value = Value> {
-        let leaf = prop_oneof![
-            Just(Value::Null),
-            any::<bool>().prop_map(Value::Bool),
-            any::<i64>().prop_map(Value::Int),
-            (-1e12f64..1e12).prop_map(Value::Float),
-            "[a-zA-Z0-9 _]{0,12}".prop_map(Value::Str),
-        ];
-        arb_tree(leaf)
+    const ALNUM: &str = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _";
+    const LOWER: &str = "abcdefghijklmnopqrstuvwxyz";
+
+    /// Printable ASCII plus a few multibyte characters.
+    fn printable() -> String {
+        (' '..='~').chain(['\u{e9}', '\u{3b1}', '\u{221a}', '\u{65e5}', '\u{1f600}']).collect()
+    }
+
+    /// A string of `len` characters drawn from `chars`.
+    fn text(rng: &mut Rng, chars: &str, len: std::ops::RangeInclusive<usize>) -> String {
+        let chars: Vec<char> = chars.chars().collect();
+        (0..rng.range(len)).map(|_| chars[rng.range(0..chars.len())]).collect()
+    }
+
+    fn leaf(rng: &mut Rng) -> Value {
+        match rng.range(0u32..5) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.bool(0.5)),
+            2 => Value::Int(rng.u64() as i64),
+            3 => Value::Float(rng.range(-1e12..1e12)),
+            _ => Value::Str(text(rng, ALNUM, 0..=12)),
+        }
     }
 
     /// Leaves only the binary syntax keeps: raw bytes and any float bits.
-    fn arb_binary_value() -> impl Strategy<Value = Value> {
-        let leaf = prop_oneof![
-            any::<i64>().prop_map(Value::Int),
-            any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
-            "\\PC{0,12}".prop_map(Value::Str),
-            prop::collection::vec(any::<u8>(), 0..200).prop_map(|b| Value::Bytes(b.into())),
-        ];
-        arb_tree(leaf)
-    }
-
-    fn arb_tree(
-        leaf: impl Strategy<Value = Value> + Clone + 'static,
-    ) -> impl Strategy<Value = Value> {
-        leaf.prop_recursive(3, 24, 4, |inner| {
-            prop_oneof![
-                prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-                prop::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(Value::Object),
-            ]
-        })
-    }
-
-    proptest! {
-        #[test]
-        fn round_trip(v in arb_value()) {
-            let compact = Value::parse(&v.to_json()).unwrap();
-            prop_assert_eq!(&compact, &v);
-            let pretty = Value::parse(&v.to_json_pretty()).unwrap();
-            prop_assert_eq!(&pretty, &v);
+    fn binary_leaf(rng: &mut Rng) -> Value {
+        match rng.range(0u32..4) {
+            0 => Value::Int(rng.u64() as i64),
+            1 => Value::Float(f64::from_bits(rng.u64())),
+            2 => Value::Str(text(rng, &printable(), 0..=12)),
+            _ => Value::Bytes((0..rng.range(0usize..200)).map(|_| rng.u64() as u8).collect()),
         }
+    }
 
-        #[test]
-        fn binary_round_trip(v in arb_binary_value()) {
+    /// A leaf, or with odds two in three (while `depth` lasts) an array or
+    /// an object of up to three subtrees.
+    fn tree(rng: &mut Rng, depth: u32, leaf: fn(&mut Rng) -> Value) -> Value {
+        if depth == 0 || rng.range(0u32..3) == 0 {
+            return leaf(rng);
+        }
+        let n = rng.range(0usize..4);
+        if rng.bool(0.5) {
+            Value::Array((0..n).map(|_| tree(rng, depth - 1, leaf)).collect())
+        } else {
+            let entry = |rng: &mut Rng| (text(rng, LOWER, 1..=6), tree(rng, depth - 1, leaf));
+            Value::Object((0..n).map(|_| entry(rng)).collect())
+        }
+    }
+
+    #[test]
+    fn round_trip() {
+        each_seed(64, |rng| {
+            let v = tree(rng, 3, leaf);
+            let compact = Value::parse(&v.to_json()).unwrap();
+            assert_eq!(&compact, &v);
+            let pretty = Value::parse(&v.to_json_pretty()).unwrap();
+            assert_eq!(&pretty, &v);
+        });
+    }
+
+    #[test]
+    fn binary_round_trip() {
+        each_seed(64, |rng| {
+            let v = tree(rng, 3, binary_leaf);
             let bytes = v.to_bytes();
             let back = Value::from_bytes(&bytes).unwrap();
             // Compare re-encodings: NaN floats are not equal to themselves.
-            prop_assert_eq!(back.to_bytes(), bytes);
-        }
+            assert_eq!(back.to_bytes(), bytes);
+        });
+    }
 
-        #[test]
-        fn binary_agrees_with_text(v in arb_value()) {
-            prop_assert_eq!(&Value::from_bytes(&v.to_bytes()).unwrap(), &v);
-        }
+    #[test]
+    fn binary_agrees_with_text() {
+        each_seed(64, |rng| {
+            let v = tree(rng, 3, leaf);
+            assert_eq!(&Value::from_bytes(&v.to_bytes()).unwrap(), &v);
+        });
+    }
 
-        #[test]
-        fn arbitrary_strings_round_trip(s in "\\PC{0,24}") {
+    #[test]
+    fn arbitrary_strings_round_trip() {
+        each_seed(64, |rng| {
+            let s = text(rng, &printable(), 0..=24);
             let v = Value::str(s.clone());
             let parsed = Value::parse(&v.to_json()).unwrap();
-            prop_assert_eq!(parsed.as_str(), Some(s.as_str()));
-        }
+            assert_eq!(parsed.as_str(), Some(s.as_str()));
+        });
     }
 }

@@ -433,11 +433,11 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+mod property_tests {
     use super::*;
     use crate::trackable::TrackableGroup;
-    use proptest::prelude::*;
     use tfe_runtime::Variable;
+    use tfe_tensor::rng::{each_seed, Rng};
     use tfe_tensor::{DType, TensorData};
 
     /// Recipe for a random trackable tree.
@@ -447,12 +447,21 @@ mod proptests {
         Group(Vec<(String, TreeSpec)>),
     }
 
-    fn arb_tree() -> impl Strategy<Value = TreeSpec> {
-        let leaf = prop::collection::vec(-10.0f64..10.0, 1..4).prop_map(TreeSpec::Var);
-        leaf.prop_recursive(3, 16, 3, |inner| {
-            prop::collection::btree_map("[a-z]{1,5}", inner, 1..4)
-                .prop_map(|m| TreeSpec::Group(m.into_iter().collect()))
-        })
+    /// A variable of one to three values, or with odds two in three (while
+    /// `depth` lasts) a group of one to three uniquely named subtrees.
+    fn arb_tree(rng: &mut Rng, depth: u32) -> TreeSpec {
+        if depth == 0 || rng.range(0u32..3) == 0 {
+            return TreeSpec::Var(
+                (0..rng.range(1usize..4)).map(|_| rng.range(-10.0..10.0)).collect(),
+            );
+        }
+        let mut children = std::collections::BTreeMap::new();
+        for _ in 0..rng.range(1usize..4) {
+            let name: String =
+                (0..rng.range(1usize..=5)).map(|_| rng.range(b'a'..=b'z') as char).collect();
+            children.insert(name, arb_tree(rng, depth - 1));
+        }
+        TreeSpec::Group(children.into_iter().collect())
     }
 
     fn build(spec: &TreeSpec, vars: &mut Vec<Variable>) -> TrackableGroup {
@@ -476,38 +485,39 @@ mod proptests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Save → perturb → restore recovers every variable, and the
-        /// status reports a complete two-way match, for arbitrary trees.
-        #[test]
-        fn random_trees_round_trip(spec in arb_tree()) {
+    /// Save → perturb → restore recovers every variable, and the status
+    /// reports a complete two-way match, for arbitrary trees.
+    #[test]
+    fn random_trees_round_trip() {
+        each_seed(32, |rng| {
+            let spec = arb_tree(rng, 3);
             let mut vars = Vec::new();
             let root = build(&spec, &mut vars);
-            let originals: Vec<Vec<f64>> =
-                vars.iter().map(|v| v.peek().to_f64_vec()).collect();
+            let originals: Vec<Vec<f64>> = vars.iter().map(|v| v.peek().to_f64_vec()).collect();
             let saved = save_to_value(&root);
             for v in &vars {
                 v.restore(TensorData::zeros(v.dtype(), v.shape().clone())).unwrap();
             }
             let status = restore_from_value(&root, &saved).unwrap();
-            prop_assert!(status.is_complete(), "{:?}", status);
-            prop_assert_eq!(status.restored_variables, vars.len());
+            assert!(status.is_complete(), "{status:?}");
+            assert_eq!(status.restored_variables, vars.len());
             for (v, orig) in vars.iter().zip(&originals) {
-                prop_assert_eq!(&v.peek().to_f64_vec(), orig);
+                assert_eq!(&v.peek().to_f64_vec(), orig);
             }
             // Round trip through actual JSON text as well.
             let text = saved.to_json();
             let reparsed = tfe_encode::Value::parse(&text).unwrap();
             let status2 = restore_from_value(&root, &reparsed).unwrap();
-            prop_assert!(status2.is_complete());
-        }
+            assert!(status2.is_complete());
+        });
+    }
 
-        /// Restoring into a *structurally identical* tree with fresh
-        /// variables works regardless of creation order (the §4.3 claim).
-        #[test]
-        fn random_trees_restore_into_fresh_copies(spec in arb_tree()) {
+    /// Restoring into a *structurally identical* tree with fresh variables
+    /// works regardless of creation order (the §4.3 claim).
+    #[test]
+    fn random_trees_restore_into_fresh_copies() {
+        each_seed(32, |rng| {
+            let spec = arb_tree(rng, 3);
             let mut vars_a = Vec::new();
             let root_a = build(&spec, &mut vars_a);
             let saved = save_to_value(&root_a);
@@ -517,10 +527,10 @@ mod proptests {
                 v.restore(TensorData::zeros(v.dtype(), v.shape().clone())).unwrap();
             }
             let status = restore_from_value(&root_b, &saved).unwrap();
-            prop_assert!(status.is_complete());
+            assert!(status.is_complete());
             for (a, b) in vars_a.iter().zip(&vars_b) {
-                prop_assert_eq!(a.peek().to_f64_vec(), b.peek().to_f64_vec());
+                assert_eq!(a.peek().to_f64_vec(), b.peek().to_f64_vec());
             }
-        }
+        });
     }
 }

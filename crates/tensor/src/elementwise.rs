@@ -812,8 +812,8 @@ pub fn select(cond: &TensorData, a: &TensorData, b: &TensorData) -> Result<Tenso
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::{each_seed, Rng};
     use crate::Shape;
-    use proptest::prelude::*;
 
     fn t(v: Vec<f32>, s: impl Into<Shape>) -> TensorData {
         TensorData::from_vec(v, s).unwrap()
@@ -966,46 +966,63 @@ mod tests {
         }
     }
 
-    proptest! {
-        #[test]
-        fn add_commutes(xs in prop::collection::vec(-1e3f64..1e3, 1..16)) {
+    fn f64s(rng: &mut Rng, bound: f64) -> Vec<f64> {
+        let n = rng.range(1usize..16);
+        (0..n).map(|_| rng.range(-bound..bound)).collect()
+    }
+
+    #[test]
+    fn add_commutes() {
+        each_seed(64, |rng| {
+            let xs = f64s(rng, 1e3);
             let n = xs.len();
             let a = TensorData::from_vec(xs.clone(), Shape::from([n])).unwrap();
-            let b = TensorData::from_vec(xs.iter().rev().copied().collect::<Vec<_>>(), Shape::from([n])).unwrap();
+            let rev: Vec<f64> = xs.iter().rev().copied().collect();
+            let b = TensorData::from_vec(rev, Shape::from([n])).unwrap();
             let ab = binary(&a, &b, BinaryOp::Add).unwrap();
             let ba = binary(&b, &a, BinaryOp::Add).unwrap();
-            prop_assert_eq!(ab.to_f64_vec(), ba.to_f64_vec());
-        }
+            assert_eq!(ab.to_f64_vec(), ba.to_f64_vec());
+        });
+    }
 
-        #[test]
-        fn relu_idempotent(xs in prop::collection::vec(-1e3f32..1e3, 1..16)) {
-            let n = xs.len();
+    #[test]
+    fn relu_idempotent() {
+        each_seed(64, |rng| {
+            let n = rng.range(1..16);
+            let xs: Vec<f32> = (0..n).map(|_| rng.range(-1e3f32..1e3)).collect();
             let a = TensorData::from_vec(xs, Shape::from([n])).unwrap();
             let once = unary(&a, UnaryOp::Relu).unwrap();
             let twice = unary(&once, UnaryOp::Relu).unwrap();
-            prop_assert_eq!(once.to_f64_vec(), twice.to_f64_vec());
-        }
+            assert_eq!(once.to_f64_vec(), twice.to_f64_vec());
+        });
+    }
 
-        #[test]
-        fn sigmoid_bounded(xs in prop::collection::vec(-50f64..50.0, 1..16)) {
+    #[test]
+    fn sigmoid_bounded() {
+        each_seed(64, |rng| {
+            let xs = f64s(rng, 50.0);
             let n = xs.len();
             let a = TensorData::from_vec(xs, Shape::from([n])).unwrap();
             for v in unary(&a, UnaryOp::Sigmoid).unwrap().to_f64_vec() {
-                prop_assert!((0.0..=1.0).contains(&v));
+                assert!((0.0..=1.0).contains(&v));
             }
-        }
+        });
+    }
 
-        #[test]
-        fn select_matches_manual(mask in prop::collection::vec(any::<bool>(), 1..16)) {
-            let n = mask.len();
+    #[test]
+    fn select_matches_manual() {
+        each_seed(64, |rng| {
+            let n = rng.range(1..16);
+            let mask: Vec<bool> = (0..n).map(|_| rng.bool(0.5)).collect();
             let cond = TensorData::from_vec(mask.clone(), Shape::from([n])).unwrap();
-            let a = TensorData::from_f64_vec(DType::F64, (0..n).map(|i| i as f64).collect(), Shape::from([n]));
-            let b = TensorData::from_f64_vec(DType::F64, (0..n).map(|i| -(i as f64)).collect(), Shape::from([n]));
+            let ramp = |sign: f64| (0..n).map(|i| sign * i as f64).collect();
+            let a = TensorData::from_f64_vec(DType::F64, ramp(1.0), Shape::from([n]));
+            let b = TensorData::from_f64_vec(DType::F64, ramp(-1.0), Shape::from([n]));
             let r = select(&cond, &a, &b).unwrap();
             for (i, m) in mask.iter().enumerate() {
                 let expect = if *m { i as f64 } else { -(i as f64) };
-                prop_assert_eq!(r.get_f64_linear(i), expect);
+                assert_eq!(r.get_f64_linear(i), expect);
             }
-        }
+        });
     }
 }

@@ -347,7 +347,7 @@ fn batch_mm<T: GemmScalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::each_seed;
 
     fn t(v: Vec<f32>, s: impl Into<Shape>) -> TensorData {
         TensorData::from_vec(v, s).unwrap()
@@ -434,44 +434,41 @@ mod tests {
         assert_eq!(batch_matmul(&a, &b, false, false).unwrap(), a);
     }
 
-    proptest! {
-        #[test]
-        fn matmul_matches_naive(
-            m in 1usize..4, k in 1usize..4, n in 1usize..4,
-            seed in 0u64..1000
-        ) {
-            let mut s = seed;
-            let mut next = || { s = s.wrapping_mul(6364136223846793005).wrapping_add(1); ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5 };
-            let av: Vec<f64> = (0..m*k).map(|_| next()).collect();
-            let bv: Vec<f64> = (0..k*n).map(|_| next()).collect();
+    #[test]
+    fn matmul_matches_naive() {
+        each_seed(64, |rng| {
+            let (m, k, n) = (rng.range(1..4), rng.range(1..4), rng.range(1..4));
+            let mut next = || rng.f64() - 0.5;
+            let av: Vec<f64> = (0..m * k).map(|_| next()).collect();
+            let bv: Vec<f64> = (0..k * n).map(|_| next()).collect();
             let a = TensorData::from_vec(av.clone(), Shape::from([m, k])).unwrap();
             let b = TensorData::from_vec(bv.clone(), Shape::from([k, n])).unwrap();
             let r = matmul(&a, &b, false, false).unwrap();
             for i in 0..m {
                 for j in 0..n {
-                    let mut acc = 0.0;
-                    for p in 0..k { acc += av[i*k+p] * bv[p*n+j]; }
-                    prop_assert!((r.get_f64(&[i, j]).unwrap() - acc).abs() < 1e-9);
+                    let acc: f64 = (0..k).map(|p| av[i * k + p] * bv[p * n + j]).sum();
+                    assert!((r.get_f64(&[i, j]).unwrap() - acc).abs() < 1e-9);
                 }
             }
-        }
+        });
+    }
 
-        #[test]
-        fn matmul_left_distributes(
-            seed in 0u64..1000
-        ) {
-            let mut s = seed.wrapping_add(7);
-            let mut next = || { s = s.wrapping_mul(6364136223846793005).wrapping_add(1); ((s >> 33) as f64 / (1u64 << 31) as f64) - 0.5 };
+    #[test]
+    fn matmul_left_distributes() {
+        each_seed(64, |rng| {
             let (m, k, n) = (3, 2, 3);
-            let a = TensorData::from_vec((0..m*k).map(|_| next()).collect::<Vec<f64>>(), Shape::from([m, k])).unwrap();
-            let b = TensorData::from_vec((0..k*n).map(|_| next()).collect::<Vec<f64>>(), Shape::from([k, n])).unwrap();
-            let c = TensorData::from_vec((0..k*n).map(|_| next()).collect::<Vec<f64>>(), Shape::from([k, n])).unwrap();
-            let bc = crate::elementwise::binary(&b, &c, crate::elementwise::BinaryOp::Add).unwrap();
-            let lhs = matmul(&a, &bc, false, false).unwrap();
+            let mut t = |rows: usize, cols: usize| {
+                let v: Vec<f64> = (0..rows * cols).map(|_| rng.f64() - 0.5).collect();
+                TensorData::from_vec(v, Shape::from([rows, cols])).unwrap()
+            };
+            let (a, b, c) = (t(m, k), t(k, n), t(k, n));
+            let add = |x: &TensorData, y: &TensorData| {
+                crate::elementwise::binary(x, y, crate::elementwise::BinaryOp::Add).unwrap()
+            };
+            let lhs = matmul(&a, &add(&b, &c), false, false).unwrap();
             let ab = matmul(&a, &b, false, false).unwrap();
             let ac = matmul(&a, &c, false, false).unwrap();
-            let rhs = crate::elementwise::binary(&ab, &ac, crate::elementwise::BinaryOp::Add).unwrap();
-            prop_assert!(lhs.all_close(&rhs, 1e-9, 1e-9));
-        }
+            assert!(lhs.all_close(&add(&ab, &ac), 1e-9, 1e-9));
+        });
     }
 }

@@ -293,7 +293,7 @@ impl ExactSizeIterator for BroadcastWalker {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::{each_seed, Rng};
 
     #[test]
     fn scalar_shape() {
@@ -379,53 +379,53 @@ mod tests {
         assert_eq!(idx, vec![0, 0, 0, 0]);
     }
 
-    fn small_dims() -> impl Strategy<Value = Vec<usize>> {
-        prop::collection::vec(1usize..4, 0..4)
+    fn small_dims(rng: &mut Rng) -> Shape {
+        let rank = rng.range(0usize..4);
+        Shape::new((0..rank).map(|_| rng.range(1..4)).collect::<Vec<usize>>())
     }
 
-    proptest! {
-        #[test]
-        fn broadcast_commutes(a in small_dims(), b in small_dims()) {
-            let sa = Shape::new(a);
-            let sb = Shape::new(b);
-            let ab = broadcast_shapes(&sa, &sb);
-            let ba = broadcast_shapes(&sb, &sa);
-            match (ab, ba) {
-                (Ok(x), Ok(y)) => prop_assert_eq!(x, y),
+    #[test]
+    fn broadcast_commutes() {
+        each_seed(64, |rng| {
+            let (sa, sb) = (small_dims(rng), small_dims(rng));
+            match (broadcast_shapes(&sa, &sb), broadcast_shapes(&sb, &sa)) {
+                (Ok(x), Ok(y)) => assert_eq!(x, y),
                 (Err(_), Err(_)) => {}
-                _ => prop_assert!(false, "broadcast not symmetric"),
+                _ => panic!("broadcast not symmetric"),
             }
-        }
+        });
+    }
 
-        #[test]
-        fn broadcast_with_self_is_identity(a in small_dims()) {
-            let s = Shape::new(a);
-            prop_assert_eq!(broadcast_shapes(&s, &s).unwrap(), s);
-        }
+    #[test]
+    fn broadcast_with_self_is_identity() {
+        each_seed(64, |rng| {
+            let s = small_dims(rng);
+            assert_eq!(broadcast_shapes(&s, &s).unwrap(), s);
+        });
+    }
 
-        #[test]
-        fn walker_matches_per_element_math(a in small_dims(), b in small_dims()) {
-            let sa = Shape::new(a);
-            let sb = Shape::new(b);
+    #[test]
+    fn walker_matches_per_element_math() {
+        each_seed(64, |rng| {
+            let (sa, sb) = (small_dims(rng), small_dims(rng));
             if let Ok(out) = broadcast_shapes(&sa, &sb) {
                 let walked: Vec<usize> = BroadcastWalker::new(&out, &sa).collect();
                 let direct: Vec<usize> = (0..out.num_elements())
                     .map(|i| broadcast_source_index(out.dims(), sa.dims(), i))
                     .collect();
-                prop_assert_eq!(walked, direct);
+                assert_eq!(walked, direct);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn walker_indices_in_bounds(a in small_dims(), b in small_dims()) {
-            let sa = Shape::new(a);
-            let sb = Shape::new(b);
+    #[test]
+    fn walker_indices_in_bounds() {
+        each_seed(64, |rng| {
+            let (sa, sb) = (small_dims(rng), small_dims(rng));
             if let Ok(out) = broadcast_shapes(&sa, &sb) {
                 let n = sa.num_elements();
-                for idx in BroadcastWalker::new(&out, &sa) {
-                    prop_assert!(idx < n);
-                }
+                assert!(BroadcastWalker::new(&out, &sa).all(|idx| idx < n));
             }
-        }
+        });
     }
 }

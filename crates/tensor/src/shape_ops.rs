@@ -583,7 +583,7 @@ pub fn unstack(a: &TensorData, axis: i64) -> Result<Vec<TensorData>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use crate::rng::each_seed;
 
     fn t6() -> TensorData {
         TensorData::from_vec(vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0], Shape::from([2, 3])).unwrap()
@@ -776,34 +776,44 @@ mod tests {
         assert_eq!(parts, vec![a, b]);
     }
 
-    proptest! {
-        #[test]
-        fn reshape_preserves_order(xs in prop::collection::vec(-10.0f64..10.0, 12..=12)) {
+    #[test]
+    fn reshape_preserves_order() {
+        each_seed(64, |rng| {
+            let xs: Vec<f64> = (0..12).map(|_| rng.range(-10.0..10.0)).collect();
             let a = TensorData::from_vec(xs.clone(), Shape::from([12])).unwrap();
             let r = reshape(&a, &[3, 4]).unwrap();
-            prop_assert_eq!(r.to_f64_vec(), xs);
-        }
+            assert_eq!(r.to_f64_vec(), xs);
+        });
+    }
 
-        #[test]
-        fn transpose_involution(xs in prop::collection::vec(-10.0f64..10.0, 6..=6)) {
+    #[test]
+    fn transpose_involution() {
+        each_seed(64, |rng| {
+            let xs: Vec<f64> = (0..6).map(|_| rng.range(-10.0..10.0)).collect();
             let a = TensorData::from_vec(xs, Shape::from([2, 3])).unwrap();
             let tt = transpose(&transpose(&a, &[1, 0]).unwrap(), &[1, 0]).unwrap();
-            prop_assert_eq!(tt, a);
-        }
+            assert_eq!(tt, a);
+        });
+    }
 
-        #[test]
-        fn slice_of_pad_recovers(xs in prop::collection::vec(-10.0f64..10.0, 4..=4)) {
+    #[test]
+    fn slice_of_pad_recovers() {
+        each_seed(64, |rng| {
+            let xs: Vec<f64> = (0..4).map(|_| rng.range(-10.0..10.0)).collect();
             let a = TensorData::from_vec(xs, Shape::from([4])).unwrap();
             let p = pad(&a, &[(2, 3)], 0.0).unwrap();
             let s = slice(&p, &[2], &[4]).unwrap();
-            prop_assert_eq!(s, a);
-        }
+            assert_eq!(s, a);
+        });
+    }
 
-        #[test]
-        fn tile_multiplies_elements(m in 1usize..4, n in 1usize..4) {
+    #[test]
+    fn tile_multiplies_elements() {
+        each_seed(64, |rng| {
+            let (m, n) = (rng.range(1..4), rng.range(1..4));
             let a = TensorData::ones(DType::F32, [2, 2]);
             let r = tile(&a, &[m, n]).unwrap();
-            prop_assert_eq!(r.num_elements(), 4 * m * n);
-        }
+            assert_eq!(r.num_elements(), 4 * m * n);
+        });
     }
 }

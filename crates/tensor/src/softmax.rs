@@ -165,8 +165,8 @@ pub fn softmax_xent_grad(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::each_seed;
     use crate::DType;
-    use proptest::prelude::*;
 
     #[test]
     fn softmax_rows_sum_to_one() {
@@ -250,24 +250,30 @@ mod tests {
         assert!((g[3] + g[4] + g[5]).abs() < 1e-12);
     }
 
-    proptest! {
-        #[test]
-        fn softmax_invariant_to_shift(xs in prop::collection::vec(-5.0f64..5.0, 4..=4), c in -10.0f64..10.0) {
+    #[test]
+    fn softmax_invariant_to_shift() {
+        each_seed(64, |rng| {
+            let xs: Vec<f64> = (0..4).map(|_| rng.range(-5.0..5.0)).collect();
+            let c = rng.range(-10.0..10.0);
             let a = TensorData::from_vec(xs.clone(), Shape::from([4])).unwrap();
-            let shifted = TensorData::from_vec(xs.iter().map(|v| v + c).collect::<Vec<_>>(), Shape::from([4])).unwrap();
+            let shifted: Vec<f64> = xs.iter().map(|v| v + c).collect();
+            let shifted = TensorData::from_vec(shifted, Shape::from([4])).unwrap();
             let s1 = softmax(&a).unwrap();
             let s2 = softmax(&shifted).unwrap();
-            prop_assert!(s1.all_close(&s2, 1e-9, 1e-9));
-        }
+            assert!(s1.all_close(&s2, 1e-9, 1e-9));
+        });
+    }
 
-        #[test]
-        fn softmax_outputs_are_probabilities(xs in prop::collection::vec(-20.0f64..20.0, 1..8)) {
-            let n = xs.len();
+    #[test]
+    fn softmax_outputs_are_probabilities() {
+        each_seed(64, |rng| {
+            let n = rng.range(1..8);
+            let xs: Vec<f64> = (0..n).map(|_| rng.range(-20.0..20.0)).collect();
             let a = TensorData::from_vec(xs, Shape::from([n])).unwrap();
             let s = softmax(&a).unwrap().to_f64_vec();
             let total: f64 = s.iter().sum();
-            prop_assert!((total - 1.0).abs() < 1e-9);
-            prop_assert!(s.iter().all(|&p| (0.0..=1.0).contains(&p)));
-        }
+            assert!((total - 1.0).abs() < 1e-9);
+            assert!(s.iter().all(|&p| (0.0..=1.0).contains(&p)));
+        });
     }
 }

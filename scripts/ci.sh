@@ -89,6 +89,14 @@ if grep -rnE 'GradTargets|observed_by|first_order_bundle|__fwd1|__bwd1' crates s
 echo "==> no per-slot lock in the executor's value store"
 if grep -n 'Mutex<Option<Arc<TensorData>>>' crates/runtime/src/executor.rs; then exit 1; fi
 
+# One-generator gate: random numbers — initializers, random ops, dropout and
+# every property test — come from the seeded generator in tfe_tensor::rng,
+# whose streams its `stream_golden` test pins. The vendored rand and
+# proptest stand-ins it replaced must not come back.
+echo "==> no rand or proptest; one seeded generator in tfe_tensor::rng"
+rng_gone='proptest|(^|[^A-Za-z_])rand::|rand\.workspace|shims/(proptest|rand)'
+if grep -rnE "${rng_gone}" crates src tests examples Cargo.toml; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 

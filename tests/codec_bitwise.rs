@@ -7,6 +7,9 @@
 //! codec replaced; they still load, bit-equal to the tensors they were made
 //! from.
 
+mod common;
+
+use common::bits;
 use tf_eager::dist::{Cluster, ClusterSpec, Frame, RemoteArg, TransportKind};
 use tf_eager::encode::Value;
 use tf_eager::graph::serial::{tensor_from_value, tensor_to_value};
@@ -67,18 +70,6 @@ fn v1_fixture_tensors() -> Vec<TensorData> {
 
 fn fixture(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Dtype, dims and the raw bit pattern of every element.
-fn bits(t: &TensorData) -> (DType, Vec<usize>, Vec<u64>) {
-    let raw = match t.dtype() {
-        DType::F32 => t.as_slice::<f32>().unwrap().iter().map(|v| v.to_bits() as u64).collect(),
-        DType::F64 => t.as_slice::<f64>().unwrap().iter().map(|v| v.to_bits()).collect(),
-        DType::I32 => t.as_slice::<i32>().unwrap().iter().map(|&v| v as u32 as u64).collect(),
-        DType::I64 => t.as_slice::<i64>().unwrap().iter().map(|&v| v as u64).collect(),
-        DType::Bool => t.as_slice::<bool>().unwrap().iter().map(|&v| v as u64).collect(),
-    };
-    (t.dtype(), t.shape().dims().to_vec(), raw)
 }
 
 fn scratch_dir(tag: &str) -> std::path::PathBuf {
@@ -216,7 +207,7 @@ fn folded_bundle_round_trips_without_orphan_constants() {
     let direct = f.call1(&x).unwrap().value().unwrap();
     let through = loaded.call(&[&x]).unwrap()[0].value().unwrap();
     assert_eq!(bits(&through), bits(&direct));
-    assert_eq!(bits(&direct).2[2], nan.to_bits() as u64);
+    assert_eq!(direct.as_slice::<f32>().unwrap()[2].to_bits(), nan.to_bits());
 }
 
 #[test]

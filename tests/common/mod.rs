@@ -8,16 +8,44 @@
 //! number; `TFE_FUZZ_CASES` scales corpus sizes without editing tests.
 #![allow(dead_code)] // each test binary links a different subset
 
-use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 use tf_eager::graph::{GraphBuilder, GraphFunction, Node, NodeId, TensorRef};
 use tfe_ops::{Attrs, SymShape};
+use tfe_tensor::rng::Rng;
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Corpus size: `TFE_FUZZ_CASES` when set (one knob for CI smoke runs vs.
-/// overnight soaks), otherwise the suite's default.
+/// overnight soaks), otherwise the suite's default. Anything but a positive
+/// integer is refused: zero cases would pass without testing anything.
 pub fn fuzz_cases(default: u64) -> u64 {
-    std::env::var("TFE_FUZZ_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default)
+    match std::env::var("TFE_FUZZ_CASES") {
+        Err(std::env::VarError::NotPresent) => default,
+        Ok(v) => match v.parse() {
+            Ok(n) if n > 0 => n,
+            _ => panic!("TFE_FUZZ_CASES={v:?}: expected a positive integer"),
+        },
+        Err(e) => panic!("TFE_FUZZ_CASES: {e}"),
+    }
+}
+
+/// What a bitwise comparison compares: dtype, dims and every element's
+/// little-endian bytes. Unlike values widened to `f64`, this tells dtypes
+/// and shapes apart, keeps an `i64` beyond 2^53 and a signalling NaN.
+pub type Bits = (DType, Vec<usize>, Vec<u8>);
+
+/// The [`Bits`] of `t`.
+pub fn bits(t: &TensorData) -> Bits {
+    (t.dtype(), t.shape().dims().to_vec(), t.to_le_bytes())
+}
+
+/// The [`Bits`] of an eager tensor's value.
+pub fn tensor_bits(t: &tf_eager::Tensor) -> Bits {
+    bits(&t.value().unwrap())
+}
+
+/// Same dtype, same shape, same bit pattern in every element.
+pub fn same_bits(a: &TensorData, b: &TensorData) -> bool {
+    bits(a) == bits(b)
 }
 
 pub fn known(dims: &[usize]) -> SymShape {
@@ -127,7 +155,7 @@ pub fn pure_host_fn() -> i64 {
 /// seeded walk over op kinds (every structural op among them), always
 /// returning the most recent value plus one random survivor.
 pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 7919 + 13);
+    let mut rng = Rng::seed_from_u64(seed * 7919 + 13);
     let mut b = GraphBuilder::new(&format!("diff_case_{seed}"));
     let input_shapes: Vec<Vec<usize>> = vec![vec![2, 3], vec![3, 2], vec![4], vec![]];
     let mut pool: Vec<Avail> = Vec::new();
@@ -135,15 +163,15 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
         let t = b.placeholder(DType::F64, known(dims)).unwrap();
         pool.push(Avail { tref: t, dims: dims.clone() });
     }
-    let steps = rng.gen_range(4usize..14);
+    let steps = rng.range(4usize..14);
     for step in 0..steps {
-        let kind = rng.gen_range(0u32..13);
-        let pick = rng.gen_range(0usize..pool.len());
+        let kind = rng.range(0u32..13);
+        let pick = rng.range(0usize..pool.len());
         let a = pool[pick].clone();
         match kind {
             // Elementwise unary (weighted: the bread and butter).
             0..=2 => {
-                let op = UNARY[rng.gen_range(0usize..UNARY.len())];
+                let op = UNARY[rng.range(0usize..UNARY.len())];
                 let t = b.add_node(op, vec![a.tref], Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
@@ -151,8 +179,8 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             3..=4 => {
                 let mates: Vec<&Avail> =
                     pool.iter().filter(|c| c.dims == a.dims || c.dims.is_empty()).collect();
-                let m = mates[rng.gen_range(0usize..mates.len())].clone();
-                let op = BINARY[rng.gen_range(0usize..BINARY.len())];
+                let m = mates[rng.range(0usize..mates.len())].clone();
+                let op = BINARY[rng.range(0usize..BINARY.len())];
                 let t = b.add_node(op, vec![a.tref, m.tref], Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
@@ -172,7 +200,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 if pairs.is_empty() {
                     continue;
                 }
-                let (x, y) = pairs[rng.gen_range(0usize..pairs.len())].clone();
+                let (x, y) = pairs[rng.range(0usize..pairs.len())].clone();
                 let t = b.add_node("matmul", vec![x.tref, y.tref], Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: vec![x.dims[0], y.dims[1]] });
             }
@@ -181,7 +209,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 if a.dims.is_empty() {
                     continue;
                 }
-                let op = if rng.gen_bool(0.5) { "reduce_sum" } else { "reduce_mean" };
+                let op = if rng.bool(0.5) { "reduce_sum" } else { "reduce_mean" };
                 let axis = (a.dims.len() - 1) as i64;
                 let t =
                     b.add_node(op, vec![a.tref], Attrs::new().with("axes", vec![axis])).unwrap()[0];
@@ -223,7 +251,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             // Data-dependent cond: predicate is a reduction of a live value.
             9 => {
                 let scalars: Vec<&Avail> = pool.iter().filter(|c| c.dims.is_empty()).collect();
-                let gate = scalars[rng.gen_range(0usize..scalars.len())].tref;
+                let gate = scalars[rng.range(0usize..scalars.len())].tref;
                 let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
                 let pred = b.add_node("greater", vec![gate, zero], Attrs::new()).unwrap()[0];
                 let (then_name, else_name, (d, s)) =
@@ -243,7 +271,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             }
             // Bounded counter loop; its counter output is never read.
             10 => {
-                let trips = rng.gen_range(0u32..4) as f64;
+                let trips = rng.range(0u32..4) as f64;
                 let t = counter_loop(&mut b, &format!("{seed}_{step}"), &a, trips, Attrs::new());
                 pool.push(Avail { tref: t, dims: a.dims });
             }
@@ -265,7 +293,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
         }
     }
     let last = pool.last().unwrap().clone();
-    let extra = pool[rng.gen_range(0usize..pool.len())].clone();
+    let extra = pool[rng.range(0usize..pool.len())].clone();
     let f = b.finish(vec![last.tref, extra.tref], 0);
     (f, input_shapes)
 }
@@ -346,27 +374,27 @@ pub fn eager_interpret(
 /// stateless math over `vars`, always ending on fresh reads so the final
 /// state is observable.
 pub fn generate_stateful(seed: u64, var_ids: &[i64]) -> GraphFunction {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 104729 + 7);
+    let mut rng = Rng::seed_from_u64(seed * 104729 + 7);
     let mut b = GraphBuilder::new(&format!("diff_stateful_{seed}"));
     let read_attrs = |vid: i64| {
         Attrs::new().with("var_id", vid).with("dtype", DType::F64).with("shape", Vec::<i64>::new())
     };
     let mut latest: Vec<TensorRef> = Vec::new();
-    for _ in 0..rng.gen_range(6usize..16) {
-        let vid = var_ids[rng.gen_range(0usize..var_ids.len())];
-        match rng.gen_range(0u32..4) {
+    for _ in 0..rng.range(6usize..16) {
+        let vid = var_ids[rng.range(0usize..var_ids.len())];
+        match rng.range(0u32..4) {
             0 | 1 => {
                 let r = b.add_node("read_variable", vec![], read_attrs(vid)).unwrap()[0];
                 latest.push(r);
             }
             2 if !latest.is_empty() => {
-                let src = latest[rng.gen_range(0usize..latest.len())];
+                let src = latest[rng.range(0usize..latest.len())];
                 let t = b.add_node("tanh", vec![src], Attrs::new()).unwrap()[0];
                 b.add_node("assign_add", vec![t], Attrs::new().with("var_id", vid)).unwrap();
             }
             _ if !latest.is_empty() => {
-                let x = latest[rng.gen_range(0usize..latest.len())];
-                let y = latest[rng.gen_range(0usize..latest.len())];
+                let x = latest[rng.range(0usize..latest.len())];
+                let y = latest[rng.range(0usize..latest.len())];
                 let s = b.add_node("add", vec![x, y], Attrs::new()).unwrap()[0];
                 latest.push(s);
             }
@@ -396,7 +424,7 @@ pub fn generate_stateful(seed: u64, var_ids: &[i64]) -> GraphFunction {
 /// `shape_of`/`rank_of`/`size_of` over statically-known shapes — all
 /// interleaved with ordinary math so rewrites have live neighborhoods.
 pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 6151 + 3);
+    let mut rng = Rng::seed_from_u64(seed * 6151 + 3);
     let mut b = GraphBuilder::new(&format!("alg_case_{seed}"));
     let input_shapes: Vec<Vec<usize>> = vec![vec![2, 3], vec![3, 3], vec![]];
     let mut pool: Vec<Avail> = Vec::new();
@@ -405,25 +433,24 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
         pool.push(Avail { tref: t, dims: dims.clone() });
     }
     let mut meta: Vec<TensorRef> = Vec::new();
-    for _ in 0..rng.gen_range(6usize..18) {
-        let kind = rng.gen_range(0u32..10);
-        let a = pool[rng.gen_range(0usize..pool.len())].clone();
+    for _ in 0..rng.range(6usize..18) {
+        let kind = rng.range(0u32..10);
+        let a = pool[rng.range(0usize..pool.len())].clone();
         match kind {
             // Identity-element binary: the constant sits on whichever side
             // the op allows, so both candidate orders get exercised. A zero
             // takes either sign: only one of them is the op's identity
             // (`x + -0.0`, `x - +0.0`), the other changes a `-0.0` in `x`.
             0..=3 => {
-                let zero = if rng.gen_bool(0.5) { 0.0f64 } else { -0.0 };
-                let (op, ident, either) = match rng.gen_range(0u32..4) {
+                let zero = if rng.bool(0.5) { 0.0f64 } else { -0.0 };
+                let (op, ident, either) = match rng.range(0u32..4) {
                     0 => ("mul", 1.0f64, true),
                     1 => ("add", zero, true),
                     2 => ("sub", zero, false),
                     _ => ("div", 1.0, false),
                 };
                 let c = b.constant(Arc::new(TensorData::scalar(ident))).unwrap();
-                let ins =
-                    if either && rng.gen_bool(0.5) { vec![c, a.tref] } else { vec![a.tref, c] };
+                let ins = if either && rng.bool(0.5) { vec![c, a.tref] } else { vec![a.tref, c] };
                 let t = b.add_node(op, ins, Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
@@ -451,7 +478,7 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 if mates.is_empty() {
                     continue;
                 }
-                let m = mates[rng.gen_range(0usize..mates.len())].clone();
+                let m = mates[rng.range(0usize..mates.len())].clone();
                 let tr = b
                     .add_node("transpose", vec![a.tref], Attrs::new().with("perm", vec![1i64, 0]))
                     .unwrap()[0];
@@ -460,20 +487,20 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             }
             // Static metadata: folds to a constant in the pipeline.
             8 => {
-                let op = ["shape_of", "rank_of", "size_of"][rng.gen_range(0usize..3)];
+                let op = ["shape_of", "rank_of", "size_of"][rng.range(0usize..3)];
                 let t = b.add_node(op, vec![a.tref], Attrs::new()).unwrap()[0];
                 meta.push(t);
             }
             // Ordinary math keeps the rewrites embedded in live graphs.
             _ => {
-                let op = UNARY[rng.gen_range(0usize..UNARY.len())];
+                let op = UNARY[rng.range(0usize..UNARY.len())];
                 let t = b.add_node(op, vec![a.tref], Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
         }
     }
     let last = pool.last().unwrap().clone();
-    let extra = pool[rng.gen_range(0usize..pool.len())].clone();
+    let extra = pool[rng.range(0usize..pool.len())].clone();
     let mut outs = vec![last.tref, extra.tref];
     outs.extend(meta.into_iter().take(2));
     let f = b.finish(outs, 0);
@@ -486,7 +513,7 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
 /// pin the stores they observe. Ends on fresh reads of every variable so
 /// final state stays observable.
 pub fn generate_dead_store(seed: u64, var_ids: &[i64]) -> GraphFunction {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed * 31337 + 11);
+    let mut rng = Rng::seed_from_u64(seed * 31337 + 11);
     let mut b = GraphBuilder::new(&format!("dse_case_{seed}"));
     let read_attrs = |vid: i64| {
         Attrs::new().with("var_id", vid).with("dtype", DType::F64).with("shape", Vec::<i64>::new())
@@ -499,13 +526,13 @@ pub fn generate_dead_store(seed: u64, var_ids: &[i64]) -> GraphFunction {
         let t = b.add_node("tanh", vec![latest[0]], Attrs::new()).unwrap()[0];
         b.add_node("assign", vec![t], Attrs::new().with("var_id", var_ids[0])).unwrap();
     }
-    for _ in 0..rng.gen_range(8usize..20) {
-        let vid = var_ids[rng.gen_range(0usize..var_ids.len())];
-        match rng.gen_range(0u32..6) {
+    for _ in 0..rng.range(8usize..20) {
+        let vid = var_ids[rng.range(0usize..var_ids.len())];
+        match rng.range(0u32..6) {
             // Burst of plain assigns: only the last one can live.
             0..=2 => {
-                for _ in 0..rng.gen_range(2usize..4) {
-                    let src = latest[rng.gen_range(0usize..latest.len())];
+                for _ in 0..rng.range(2usize..4) {
+                    let src = latest[rng.range(0usize..latest.len())];
                     let v = b.add_node("tanh", vec![src], Attrs::new()).unwrap()[0];
                     b.add_node("assign", vec![v], Attrs::new().with("var_id", vid)).unwrap();
                 }
@@ -517,13 +544,13 @@ pub fn generate_dead_store(seed: u64, var_ids: &[i64]) -> GraphFunction {
             // Read-modify-write: reads the variable, so it pins the store
             // before it even when a later assign clobbers the result.
             4 => {
-                let src = latest[rng.gen_range(0usize..latest.len())];
+                let src = latest[rng.range(0usize..latest.len())];
                 let t = b.add_node("sin", vec![src], Attrs::new()).unwrap()[0];
                 b.add_node("assign_add", vec![t], Attrs::new().with("var_id", vid)).unwrap();
             }
             _ => {
-                let x = latest[rng.gen_range(0usize..latest.len())];
-                let y = latest[rng.gen_range(0usize..latest.len())];
+                let x = latest[rng.range(0usize..latest.len())];
+                let y = latest[rng.range(0usize..latest.len())];
                 let s = b.add_node("add", vec![x, y], Attrs::new()).unwrap()[0];
                 latest.push(s);
             }
@@ -537,11 +564,11 @@ pub fn generate_dead_store(seed: u64, var_ids: &[i64]) -> GraphFunction {
 }
 
 // ---------------------------------------------------------------------------
-// Failure artifacts: the vendored proptest shim has no shrinking, so the
-// differential suites shrink failing graphs themselves — prefix-truncate
-// the (topologically ordered) node list and drop outputs while the
-// property still fails — and persist the minimized graph as Graphviz dot
-// so the panic message names a file, not a wall of text.
+// Failure artifacts: a failing seed reproduces its case but is not shrunk,
+// so the differential suites shrink failing graphs themselves —
+// prefix-truncate the (topologically ordered) node list and drop outputs
+// while the property still fails — and persist the minimized graph as
+// Graphviz dot so the panic message names a file, not a wall of text.
 // ---------------------------------------------------------------------------
 
 /// Shrink a failing graph: first try narrowing to a single output, then

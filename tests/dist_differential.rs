@@ -7,16 +7,12 @@
 
 mod common;
 
-use common::{fuzz_cases, generate, make_args};
+use common::{bits, fuzz_cases, generate, make_args, Bits};
 use std::sync::Arc;
 use tf_eager::dist::{Cluster, ClusterSpec, RemoteArg};
 use tfe_tensor::TensorData;
 
-fn bits(t: &TensorData) -> Vec<u64> {
-    t.to_f64_vec().iter().map(|v| v.to_bits()).collect()
-}
-
-fn run_local(name: &str, args: &[Arc<TensorData>]) -> Vec<Vec<u64>> {
+fn run_local(name: &str, args: &[Arc<TensorData>]) -> Vec<Bits> {
     let f = tfe_runtime::context::library().get(name).expect("case in library");
     let device = tfe_runtime::context::device_manager().host_cpu();
     let out = tfe_runtime::executor::run_function(
@@ -29,7 +25,7 @@ fn run_local(name: &str, args: &[Arc<TensorData>]) -> Vec<Vec<u64>> {
     out.iter().map(|t| bits(t)).collect()
 }
 
-fn run_remote(cluster: &Cluster, name: &str, args: &[Arc<TensorData>]) -> Vec<Vec<u64>> {
+fn run_remote(cluster: &Cluster, name: &str, args: &[Arc<TensorData>]) -> Vec<Bits> {
     let dev = "/job:diff/task:0/device:CPU:0";
     let remote_args: Vec<RemoteArg> =
         args.iter().map(|a| RemoteArg::Local(tf_eager::Tensor::from_data((**a).clone()))).collect();

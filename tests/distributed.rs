@@ -3,6 +3,9 @@
 //! over both transports, typed failure semantics under worker death, and
 //! bitwise collective parity against local reference emulations.
 
+mod common;
+
+use common::{bits, tensor_bits};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tf_eager::dist::{
@@ -21,10 +24,6 @@ fn both_transports() -> [TransportKind; 2] {
 
 fn start(spec: &ClusterSpec, kind: TransportKind) -> Cluster {
     Cluster::start_with(spec, kind, RpcOptions::default()).expect("cluster starts")
-}
-
-fn bits(t: &Tensor) -> Vec<u64> {
-    t.to_f64_vec().unwrap().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Ship a local tensor to a worker and leave it resident there.
@@ -280,7 +279,7 @@ fn ps_collective_matches_reference_bitwise() {
         .collect();
     let reference =
         ps_reference_mean(&grads.iter().map(|g| g.value().unwrap()).collect::<Vec<_>>()).unwrap();
-    let ref_bits = bits(&Tensor::from_data(reference));
+    let ref_bits = bits(&reference);
 
     for kind in both_transports() {
         let spec = ClusterSpec::new().with_job("train", 3).unwrap().with_job("ps", 1).unwrap();
@@ -292,7 +291,7 @@ fn ps_collective_matches_reference_bitwise() {
             .collect();
         let mean = ps_all_reduce_mean(&cluster, "/job:ps/task:0/device:CPU:0", &shards).unwrap();
         assert_eq!(mean.device.to_string(), "/job:ps/task:0/device:CPU:0");
-        assert_eq!(bits(&mean.fetch().unwrap()), ref_bits, "{kind:?}");
+        assert_eq!(tensor_bits(&mean.fetch().unwrap()), ref_bits, "{kind:?}");
         cluster.shutdown();
     }
 }
@@ -316,7 +315,7 @@ fn ring_collective_matches_reference_bitwise() {
         let reference =
             ring_reference_mean(&grads.iter().map(|g| g.value().unwrap()).collect::<Vec<_>>())
                 .unwrap();
-        let ref_bits = bits(&Tensor::from_data(reference));
+        let ref_bits = bits(&reference);
 
         for kind in both_transports() {
             let spec = ClusterSpec::new().with_job("train", 3).unwrap();
@@ -329,7 +328,7 @@ fn ring_collective_matches_reference_bitwise() {
             let reduced = ring_all_reduce_mean(&cluster, &shards).unwrap();
             assert_eq!(reduced.len(), 3);
             for r in &reduced {
-                assert_eq!(bits(&r.fetch().unwrap()), ref_bits, "{kind:?} dims {dims:?}");
+                assert_eq!(tensor_bits(&r.fetch().unwrap()), ref_bits, "{kind:?} dims {dims:?}");
             }
             cluster.shutdown();
         }
@@ -401,7 +400,6 @@ fn collectives_match_their_references_over_shapes_and_workers() {
         (DType::I32, vec![4, 2]),
         (DType::I32, vec![2]),
     ];
-    let raw = |t: &Tensor| t.value().unwrap().to_le_bytes();
     for kind in both_transports() {
         for n in 1..=3usize {
             let spec = ClusterSpec::new().with_job("train", n).unwrap().with_job("ps", 1).unwrap();
@@ -418,8 +416,8 @@ fn collectives_match_their_references_over_shapes_and_workers() {
                 let local: Vec<Tensor> =
                     (0..n).map(|w| awkward(*dtype, dims, (3 * v + w) as u64)).collect();
                 let values: Vec<_> = local.iter().map(|t| t.value().unwrap()).collect();
-                ps_bits.push(ps_reference_mean(&values).unwrap().to_le_bytes());
-                ring_bits.push(ring_reference_mean(&values).unwrap().to_le_bytes());
+                ps_bits.push(bits(&ps_reference_mean(&values).unwrap()));
+                ring_bits.push(bits(&ring_reference_mean(&values).unwrap()));
                 let placed: Vec<RemoteTensor> =
                     local.iter().enumerate().map(|(w, t)| place(&cluster, &device(w), t)).collect();
                 shards.push(placed);
@@ -433,23 +431,33 @@ fn collectives_match_their_references_over_shapes_and_workers() {
                 assert!(mean.value.is_none(), "not asked to fetch");
                 let mean = &mean.resident[0];
                 assert_eq!(mean.device.to_string(), ps);
-                assert_eq!(raw(&mean.fetch().unwrap()), ps_bits[v], "ps, all at once: {}", what(v));
+                assert_eq!(
+                    tensor_bits(&mean.fetch().unwrap()),
+                    ps_bits[v],
+                    "ps, all at once: {}",
+                    what(v)
+                );
             }
             for (v, mean) in all_at_once(None).iter().enumerate() {
                 assert_eq!(mean.resident.len(), n);
                 for (w, mean) in mean.resident.iter().enumerate() {
                     assert_eq!(mean.device.to_string(), device(w));
                     assert_eq!(mean.dims, cases[v].1);
-                    let bits = raw(&mean.fetch().unwrap());
+                    let bits = tensor_bits(&mean.fetch().unwrap());
                     assert_eq!(bits, ring_bits[v], "ring, all at once: {}", what(v));
                 }
             }
             for (v, of_tensor) in shards.iter().enumerate() {
                 let mean = ps_all_reduce_mean(&cluster, ps, of_tensor).unwrap();
-                assert_eq!(raw(&mean.fetch().unwrap()), ps_bits[v], "ps, alone: {}", what(v));
+                assert_eq!(
+                    tensor_bits(&mean.fetch().unwrap()),
+                    ps_bits[v],
+                    "ps, alone: {}",
+                    what(v)
+                );
                 for mean in ring_all_reduce_mean(&cluster, of_tensor).unwrap() {
                     assert_eq!(
-                        raw(&mean.fetch().unwrap()),
+                        tensor_bits(&mean.fetch().unwrap()),
                         ring_bits[v],
                         "ring, alone: {}",
                         what(v)

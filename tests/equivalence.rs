@@ -7,9 +7,12 @@
 //! trace-cache hit the second time) → compare bitwise-ish; also compare
 //! gradients, and fused-vs-unfused execution.
 
-use proptest::prelude::*;
+mod common;
+
+use common::fuzz_cases;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
+use tfe_tensor::rng::{each_seed, Rng};
 
 /// A tiny random-program AST over well-conditioned float ops.
 #[derive(Debug, Clone)]
@@ -24,20 +27,19 @@ enum Expr {
 const UNARY: &[&str] = &["tanh", "sigmoid", "softplus", "sin", "cos", "relu", "neg", "erf"];
 const BINARY: &[&str] = &["add", "sub", "mul", "maximum", "minimum"];
 
-fn arb_expr(inputs: usize) -> impl Strategy<Value = Expr> {
-    let leaf = (0..inputs).prop_map(Expr::Input);
-    leaf.prop_recursive(4, 24, 3, move |inner| {
-        prop_oneof![
-            (0..UNARY.len(), inner.clone()).prop_map(|(i, e)| Expr::Unary(UNARY[i], Box::new(e))),
-            (0..BINARY.len(), inner.clone(), inner.clone()).prop_map(|(i, a, b)| Expr::Binary(
-                BINARY[i],
-                Box::new(a),
-                Box::new(b)
-            )),
-            (inner.clone(), any::<bool>()).prop_map(|(e, k)| Expr::Reduce(Box::new(e), k)),
-            inner.prop_map(|e| Expr::Reshape(Box::new(e))),
-        ]
-    })
+/// An input, or with odds two in three (while `depth` lasts) one of four
+/// ops over subtrees.
+fn arb_expr(rng: &mut Rng, inputs: usize, depth: u32) -> Expr {
+    if depth == 0 || rng.range(0u32..3) == 0 {
+        return Expr::Input(rng.range(0..inputs));
+    }
+    let sub = |rng: &mut Rng| Box::new(arb_expr(rng, inputs, depth - 1));
+    match rng.range(0u32..4) {
+        0 => Expr::Unary(UNARY[rng.range(0..UNARY.len())], sub(rng)),
+        1 => Expr::Binary(BINARY[rng.range(0..BINARY.len())], sub(rng), sub(rng)),
+        2 => Expr::Reduce(sub(rng), rng.bool(0.5)),
+        _ => Expr::Reshape(sub(rng)),
+    }
 }
 
 fn eval(expr: &Expr, inputs: &[Tensor]) -> Result<Tensor, RuntimeError> {
@@ -83,38 +85,35 @@ fn input_tensors(seed: u64) -> Vec<Tensor> {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn staging_preserves_results(expr in arb_expr(3), seed in 0u64..500) {
+#[test]
+fn staging_preserves_results() {
+    each_seed(fuzz_cases(64), |rng| {
+        let (expr, seed) = (arb_expr(rng, 3, 4), rng.range(0..500));
         tf_eager::init();
         let inputs = input_tensors(seed);
-        let Ok(eager) = eval(&expr, &inputs) else { return Ok(()) };
+        let Ok(eager) = eval(&expr, &inputs) else { return };
 
         let expr2 = expr.clone();
         let staged_fn = function("prop_equiv", move |args: &[Arg]| {
-            let tensors: Vec<Tensor> =
-                args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
+            let tensors: Vec<Tensor> = args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
             Ok(vec![eval(&expr2, &tensors)?])
         });
         let args: Vec<Arg> = inputs.iter().map(Arg::from).collect();
         let staged = staged_fn.call(&args).unwrap().remove(0);
         let e = eager.value().unwrap();
         let s = staged.value().unwrap();
-        prop_assert!(
-            e.all_close(&s, 1e-12, 1e-12),
-            "eager {:?} vs staged {:?} for {:?}",
-            e, s, expr
-        );
+        assert!(e.all_close(&s, 1e-12, 1e-12), "eager {:?} vs staged {:?} for {:?}", e, s, expr);
         // Cache hit must agree too.
         let again = staged_fn.call(&args).unwrap().remove(0);
-        prop_assert!(s.all_close(&again.value().unwrap(), 0.0, 0.0));
-        prop_assert_eq!(staged_fn.num_concrete(), 1);
-    }
+        assert!(s.all_close(&again.value().unwrap(), 0.0, 0.0));
+        assert_eq!(staged_fn.num_concrete(), 1);
+    });
+}
 
-    #[test]
-    fn staging_preserves_gradients(expr in arb_expr(2), seed in 0u64..500) {
+#[test]
+fn staging_preserves_gradients() {
+    each_seed(fuzz_cases(64), |rng| {
+        let (expr, seed) = (arb_expr(rng, 2, 4), rng.range(0..500));
         tf_eager::init();
         let inputs = input_tensors(seed);
         // Scalar loss = mean of the program output.
@@ -122,7 +121,7 @@ proptest! {
             let y = eval(&expr, xs)?;
             api::reduce_mean(&y, &[], false)
         };
-        let Ok(_) = loss_of(&inputs) else { return Ok(()) };
+        let Ok(_) = loss_of(&inputs) else { return };
 
         // Eager gradient.
         let tape = GradientTape::new();
@@ -136,8 +135,7 @@ proptest! {
         // Gradient through a staged call.
         let expr2 = expr.clone();
         let staged_fn = function("prop_grad", move |args: &[Arg]| {
-            let tensors: Vec<Tensor> =
-                args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
+            let tensors: Vec<Tensor> = args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
             let y = eval(&expr2, &tensors)?;
             Ok(vec![api::reduce_mean(&y, &[], false)?])
         });
@@ -153,41 +151,46 @@ proptest! {
             match (e, s) {
                 (Some(e), Some(s)) => {
                     let (e, s) = (e.value().unwrap(), s.value().unwrap());
-                    prop_assert!(
+                    assert!(
                         e.all_close(&s, 1e-9, 1e-9),
                         "grad {i}: eager {:?} vs staged {:?} for {:?}",
-                        e, s, expr
+                        e,
+                        s,
+                        expr
                     );
                 }
                 // Staged zeros-for-unconnected vs eager None both mean "no
                 // dependence"; verify the staged one is all zero then.
                 (None, Some(s)) => {
                     let s = s.value().unwrap();
-                    prop_assert!(
+                    assert!(
                         s.to_f64_vec().iter().all(|&v| v == 0.0),
-                        "staged grad {i} should be zero for {:?}", expr
+                        "staged grad {i} should be zero for {:?}",
+                        expr
                     );
                 }
                 (Some(e), None) => {
                     let e = e.value().unwrap();
-                    prop_assert!(e.to_f64_vec().iter().all(|&v| v == 0.0));
+                    assert!(e.to_f64_vec().iter().all(|&v| v == 0.0));
                 }
                 (None, None) => {}
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn fusion_preserves_results(expr in arb_expr(3), seed in 0u64..500) {
+#[test]
+fn fusion_preserves_results() {
+    each_seed(fuzz_cases(64), |rng| {
+        let (expr, seed) = (arb_expr(rng, 3, 4), rng.range(0..500));
         // Build the raw trace, run it unoptimized and with the default
         // (fusing) pipeline through the executor; results must agree.
         tf_eager::init();
         let inputs = input_tensors(seed);
-        let Ok(_) = eval(&expr, &inputs) else { return Ok(()) };
+        let Ok(_) = eval(&expr, &inputs) else { return };
         let expr2 = expr.clone();
         let f = function("prop_fuse", move |args: &[Arg]| {
-            let tensors: Vec<Tensor> =
-                args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
+            let tensors: Vec<Tensor> = args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
             Ok(vec![eval(&expr2, &tensors)?])
         });
         let args: Vec<Arg> = inputs.iter().map(Arg::from).collect();
@@ -195,8 +198,7 @@ proptest! {
         let evaluator = |node: &tf_eager::graph::Node,
                          ins: &[std::sync::Arc<TensorData>]|
          -> Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins)
-                .map_err(|e| e.to_string())
+            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
         };
         let fused = tf_eager::graph::passes::optimize(
             &conc.raw,
@@ -220,9 +222,10 @@ proptest! {
             tf_eager::ExecMode::SerialPlanned,
         )
         .unwrap();
-        prop_assert!(
+        assert!(
             raw_out[0].all_close(&fused_out[0], 1e-12, 1e-12),
-            "fusion changed the result for {:?}", expr
+            "fusion changed the result for {:?}",
+            expr
         );
         // And the parallel executor agrees with the serial one.
         let par_out = tfe_runtime::executor::run_function(
@@ -232,6 +235,6 @@ proptest! {
             tf_eager::ExecMode::Parallel,
         )
         .unwrap();
-        prop_assert!(raw_out[0].all_close(&par_out[0], 0.0, 0.0));
-    }
+        assert!(raw_out[0].all_close(&par_out[0], 0.0, 0.0));
+    });
 }

@@ -9,10 +9,13 @@
 //! the per-node compile cache must hand back the same `Arc` for the same
 //! encoded program.
 
-use proptest::prelude::*;
+mod common;
+
+use common::fuzz_cases;
 use tfe_graph::program::{self, Instr, Program};
 use tfe_parallel::set_intra_threads;
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
+use tfe_tensor::rng::each_seed;
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Run `f` under a forced intra-op thread count, restoring it afterwards.
@@ -90,21 +93,18 @@ fn binary_ops_tiled_matches_interpreter_and_eager_bitwise() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Random multi-op programs over 1-3 inputs: registers get recycled,
-    /// the output may or may not be the last instruction, lengths include
-    /// lane tails and multiple tiles. Tiled == interpreter bitwise.
-    #[test]
-    fn random_chains_tiled_matches_interpreter(
-        num_inputs in 1usize..4,
-        ops in prop::collection::vec((0usize..30, 0usize..64, 0usize..64), 1..12),
-        n_ix in 0usize..7,
-        out_back in 0usize..4,
-        seed in 0u64..1000,
-    ) {
-        let n = [1usize, 3, 8, 100, 2048, 4099, 9001][n_ix];
+/// Random multi-op programs over 1-3 inputs: registers get recycled, the
+/// output may or may not be the last instruction, lengths include lane
+/// tails and multiple tiles. Tiled == interpreter bitwise.
+#[test]
+fn random_chains_tiled_matches_interpreter() {
+    each_seed(fuzz_cases(48), |rng| {
+        let num_inputs = rng.range(1..4);
+        let ops: Vec<(usize, usize, usize)> = (0..rng.range(1usize..12))
+            .map(|_| (rng.range(0..30), rng.range(0..64), rng.range(0..64)))
+            .collect();
+        let n = [1usize, 3, 8, 100, 2048, 4099, 9001][rng.range(0usize..7)];
+        let (out_back, seed) = (rng.range(0usize..4), rng.range(0u64..1000));
         let unaries = UnaryOp::all();
         let binaries = BinaryOp::all();
         let mut instrs: Vec<Instr> = (0..num_inputs).map(Instr::Input).collect();
@@ -122,7 +122,7 @@ proptest! {
         let output = instrs.len() - 1 - out_back.min(instrs.len() - 1);
         let p = Program { instrs, output };
         // Valid by construction: sources always reference earlier registers.
-        prop_assert!(p.validate(num_inputs).is_ok(), "generator produced an invalid program");
+        assert!(p.validate(num_inputs).is_ok(), "generator produced an invalid program");
         let text = p.encode();
         let inputs: Vec<TensorData> =
             (0..num_inputs).map(|k| tensor_f32(n, seed + k as u64)).collect();
@@ -132,8 +132,8 @@ proptest! {
         // Decoding the text loses nothing: the generated program itself
         // evaluates to the same bits.
         let direct = p.eval(&refs).unwrap();
-        prop_assert_eq!(bits32(&tiled), bits32(&direct), "chain {} n={}", text, n);
-    }
+        assert_eq!(bits32(&tiled), bits32(&direct), "chain {} n={}", text, n);
+    });
 }
 
 /// The tiled executor parallelizes over fixed tile boundaries, so the

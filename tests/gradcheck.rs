@@ -3,9 +3,12 @@
 //! staged calls. This is the strongest evidence the §4.2 machinery is
 //! implemented correctly across the whole op surface.
 
-use proptest::prelude::*;
+mod common;
+
+use common::fuzz_cases;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
+use tfe_tensor::rng::{each_seed, Rng};
 
 /// Smooth ops only (finite differences hate kinks like relu/abs at 0 —
 /// those have targeted unit tests instead).
@@ -22,18 +25,24 @@ enum Node {
     MatmulW(Box<Node>),
 }
 
-fn arb_node() -> impl Strategy<Value = Node> {
-    let leaf = Just(Node::X);
-    leaf.prop_recursive(3, 12, 2, |inner| {
-        prop_oneof![
-            (0..SMOOTH_UNARY.len(), inner.clone())
-                .prop_map(|(i, n)| Node::Unary(SMOOTH_UNARY[i], Box::new(n))),
-            (0..SMOOTH_BINARY.len(), inner.clone(), inner.clone())
-                .prop_map(|(i, a, b)| Node::Binary(SMOOTH_BINARY[i], Box::new(a), Box::new(b))),
-            inner.clone().prop_map(|n| Node::MeanLast(Box::new(n))),
-            inner.prop_map(|n| Node::MatmulW(Box::new(n))),
-        ]
+/// `x`, or with odds two in three (while `depth` lasts) one of four ops
+/// over subtrees.
+fn arb_node(rng: &mut Rng, depth: u32) -> Box<Node> {
+    if depth == 0 || rng.range(0u32..3) == 0 {
+        return Box::new(Node::X);
+    }
+    let sub = |rng: &mut Rng| arb_node(rng, depth - 1);
+    Box::new(match rng.range(0u32..4) {
+        0 => Node::Unary(SMOOTH_UNARY[rng.range(0..SMOOTH_UNARY.len())], sub(rng)),
+        1 => Node::Binary(SMOOTH_BINARY[rng.range(0..SMOOTH_BINARY.len())], sub(rng), sub(rng)),
+        2 => Node::MeanLast(sub(rng)),
+        _ => Node::MatmulW(sub(rng)),
     })
+}
+
+/// Six values in `(-bound, bound)`: the elements of a `(2, 3)` input.
+fn six(rng: &mut Rng, bound: f64) -> Vec<f64> {
+    (0..6).map(|_| rng.range(-bound..bound)).collect()
 }
 
 fn eval(node: &Node, x: &Tensor, w: &Tensor) -> Result<Tensor, RuntimeError> {
@@ -81,19 +90,15 @@ fn tensors(xs: &[f64]) -> (Tensor, Tensor) {
     (x, w)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn analytic_matches_finite_difference(
-        node in arb_node(),
-        xs in prop::collection::vec(-0.9f64..0.9, 6..=6),
-    ) {
+#[test]
+fn analytic_matches_finite_difference() {
+    each_seed(fuzz_cases(48), |rng| {
+        let (node, xs) = (arb_node(rng, 3), six(rng, 0.9));
         tf_eager::init();
         let (x, w) = tensors(&xs);
-        let Ok(base) = loss(&node, &x, &w) else { return Ok(()) };
+        let Ok(base) = loss(&node, &x, &w) else { return };
         if !base.is_finite() {
-            return Ok(());
+            return;
         }
 
         let tape = GradientTape::new();
@@ -112,20 +117,20 @@ proptest! {
             let (xm, _) = tensors(&minus);
             let fd = (loss(&node, &xp, &w).unwrap() - loss(&node, &xm, &w).unwrap()) / (2.0 * eps);
             let scale = 1.0 + fd.abs().max(g[i].abs());
-            prop_assert!(
+            assert!(
                 (fd - g[i]).abs() / scale < 1e-4,
                 "elem {i}: fd={fd} analytic={} node={:?}",
                 g[i],
                 node
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn reduce_prod_gradient_matches_fd_with_zeros(
-        xs in prop::collection::vec(-2.0f64..2.0, 6..=6),
-        zero_count in 0usize..=2,
-    ) {
+#[test]
+fn reduce_prod_gradient_matches_fd_with_zeros() {
+    each_seed(fuzz_cases(48), |rng| {
+        let (xs, zero_count) = (six(rng, 2.0), rng.range(0..=2));
         // The product is linear in each element, so central differences are
         // exact — including at zeros. Plant 0, 1, or 2 exact zeros.
         tf_eager::init();
@@ -134,9 +139,8 @@ proptest! {
             xs[i * 2] = 0.0;
         }
         let grad_of = |vals: &[f64]| -> Vec<f64> {
-            let x = Tensor::from_data(
-                TensorData::from_vec(vals.to_vec(), Shape::from([6])).unwrap(),
-            );
+            let x =
+                Tensor::from_data(TensorData::from_vec(vals.to_vec(), Shape::from([6])).unwrap());
             let tape = GradientTape::new();
             tape.watch(&x);
             let y = api::reduce_prod(&x, &[], false).unwrap();
@@ -152,24 +156,24 @@ proptest! {
             minus[i] -= eps;
             let fd = (prod_of(&plus) - prod_of(&minus)) / (2.0 * eps);
             let scale = 1.0 + fd.abs().max(g[i].abs());
-            prop_assert!(
+            assert!(
                 (fd - g[i]).abs() / scale < 1e-6,
                 "elem {i}: fd={fd} analytic={} xs={xs:?} (zeros={zero_count})",
                 g[i]
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn staged_gradient_matches_finite_difference(
-        node in arb_node(),
-        xs in prop::collection::vec(-0.9f64..0.9, 6..=6),
-    ) {
+#[test]
+fn staged_gradient_matches_finite_difference() {
+    each_seed(fuzz_cases(48), |rng| {
+        let (node, xs) = (arb_node(rng, 3), six(rng, 0.9));
         tf_eager::init();
         let (x, w) = tensors(&xs);
-        let Ok(base) = loss(&node, &x, &w) else { return Ok(()) };
+        let Ok(base) = loss(&node, &x, &w) else { return };
         if !base.is_finite() {
-            return Ok(());
+            return;
         }
         let node2 = node.clone();
         let w2 = w.clone();
@@ -192,14 +196,14 @@ proptest! {
             let (xm, _) = tensors(&minus);
             let fd = (loss(&node, &xp, &w).unwrap() - loss(&node, &xm, &w).unwrap()) / (2.0 * eps);
             let scale = 1.0 + fd.abs().max(g[i].abs());
-            prop_assert!(
+            assert!(
                 (fd - g[i]).abs() / scale < 1e-4,
                 "staged elem {i}: fd={fd} analytic={} node={:?}",
                 g[i],
                 node
             );
         }
-    }
+    });
 }
 
 /// Closed-form zero cases for the reduce_prod gradient, eager and staged.

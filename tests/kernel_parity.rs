@@ -26,12 +26,15 @@
 //!   as the reference, with exact `+0.0` padding terms; compared here by
 //!   value (a `-0.0` vs `+0.0` sign difference is tolerated).
 
-use proptest::prelude::*;
+mod common;
+
+use common::fuzz_cases;
 use tfe_parallel::set_intra_threads;
 use tfe_tensor::elementwise::{binary, compare, BinaryOp, CmpOp};
 use tfe_tensor::gemm::{gemm_into, GemmScalar};
 use tfe_tensor::matmul::{batch_matmul, matmul, matmul_reference};
 use tfe_tensor::reduce::{reduce, ReduceOp};
+use tfe_tensor::rng::{each_seed, Rng};
 use tfe_tensor::shape::BroadcastWalker;
 use tfe_tensor::softmax::{log_softmax, softmax};
 use tfe_tensor::{broadcast_shapes, conv, Shape, TensorData};
@@ -134,14 +137,11 @@ fn gemm_accumulates_across_kc_blocks_bitwise() {
     assert_eq!(bits32(&got), bits32(&want));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn matmul_parity_random_shapes(
-        m in 1usize..24, k in 1usize..40, n in 1usize..24,
-        ta in any::<bool>(), tb in any::<bool>(), seed in 0u64..1000,
-    ) {
+#[test]
+fn matmul_parity_random_shapes() {
+    each_seed(fuzz_cases(24), |rng| {
+        let (m, k, n) = (rng.range(1..24), rng.range(1..40), rng.range(1..24));
+        let (ta, tb, seed) = (rng.bool(0.5), rng.bool(0.5), rng.range(0..1000));
         let av = f32s(m * k, seed);
         let bv = f32s(k * n, seed + 1);
         let a_dims = if ta { [k, m] } else { [m, k] };
@@ -151,8 +151,8 @@ proptest! {
         let mut want = vec![0.0f32; m * n];
         matmul_reference(&av, &bv, m, k, n, ta, tb, &mut want);
         let got = with_threads(5, || matmul(&a, &b, ta, tb).unwrap());
-        prop_assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
-    }
+        assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -284,14 +284,11 @@ fn elementwise_add_grain_boundaries_bitwise() {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn broadcast_binary_parity(
-        rows in 1usize..80, cols in 1usize..80,
-        a_bcast in any::<bool>(), b_bcast in any::<bool>(), seed in 0u64..1000,
-    ) {
+#[test]
+fn broadcast_binary_parity() {
+    each_seed(fuzz_cases(24), |rng| {
+        let (rows, cols) = (rng.range(1..80), rng.range(1..80));
+        let (a_bcast, b_bcast, seed) = (rng.bool(0.5), rng.bool(0.5), rng.range(0..1000));
         // (rows|1, cols) op (rows|1, cols) — broadcast along axis 0. When
         // both sides have a size-1 axis the broadcast output keeps it.
         let ar = if a_bcast { 1 } else { rows };
@@ -310,8 +307,8 @@ proptest! {
             }
         }
         let got = with_threads(6, || binary(&a, &b, BinaryOp::Mul).unwrap());
-        prop_assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
-    }
+        assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -398,48 +395,48 @@ fn walker_compare(a: &TensorData, b: &TensorData, op: CmpOp) -> (Shape, Vec<bool
 
 /// An output shape (empty and size-1 axes included) and an operand shape
 /// that is periodic in it: a suffix of the output behind `lead` 1s.
-fn periodic_shapes() -> impl Strategy<Value = (Vec<usize>, Vec<usize>)> {
-    (prop::collection::vec(0usize..6, 0..4), 0usize..5, 0usize..3).prop_map(|(out, keep, lead)| {
-        let keep = keep.min(out.len());
-        let mut operand = vec![1usize; lead.min(out.len() - keep)];
-        operand.extend_from_slice(&out[out.len() - keep..]);
-        (out, operand)
-    })
+fn periodic_shapes(rng: &mut Rng) -> (Vec<usize>, Vec<usize>) {
+    let out: Vec<usize> = (0..rng.range(0usize..4)).map(|_| rng.range(0..6)).collect();
+    let keep = rng.range(0usize..5).min(out.len());
+    let mut operand = vec![1usize; rng.range(0usize..3).min(out.len() - keep)];
+    operand.extend_from_slice(&out[out.len() - keep..]);
+    (out, operand)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Every binary op, periodic operand on either side, specials in the
-    /// data: the slice path and the walker agree bit for bit.
-    #[test]
-    fn binary_periodic_matches_walker_bitwise(
-        shapes in periodic_shapes(),
-        op_ix in 0usize..10, swap in any::<bool>(), seed in 0u64..1000,
-    ) {
-        let (out, operand) = shapes;
+/// Every binary op, periodic operand on either side, specials in the
+/// data: the slice path and the walker agree bit for bit.
+#[test]
+fn binary_periodic_matches_walker_bitwise() {
+    each_seed(fuzz_cases(256), |rng| {
+        let (out, operand) = periodic_shapes(rng);
+        let (op_ix, swap, seed) = (rng.range(0usize..10), rng.bool(0.5), rng.range(0..1000));
         let op = BinaryOp::all()[op_ix];
-        let full = TensorData::from_vec(
-            special_f32s(out.iter().product(), seed), Shape::new(out.clone())).unwrap();
+        let full =
+            TensorData::from_vec(special_f32s(out.iter().product(), seed), Shape::new(out.clone()))
+                .unwrap();
         let part = TensorData::from_vec(
-            special_f32s(operand.iter().product(), seed + 1), Shape::new(operand.clone())).unwrap();
-        prop_assert!(part.shape().is_periodic_in(full.shape()));
+            special_f32s(operand.iter().product(), seed + 1),
+            Shape::new(operand.clone()),
+        )
+        .unwrap();
+        assert!(part.shape().is_periodic_in(full.shape()));
         let (a, b) = if swap { (&part, &full) } else { (&full, &part) };
         let (want_shape, want) = walker_binary_f32(a, b, op);
         let got = binary(a, b, op).unwrap();
-        prop_assert_eq!(got.shape(), &want_shape);
+        assert_eq!(got.shape(), &want_shape);
         assert_matches_walker(&got, &want, &format!("{op:?} {:?} {:?}", a.shape(), b.shape()));
-    }
+    });
+}
 
-    /// Every comparison on f32 (specials included), f64, i32 and i64
-    /// (beyond 2^53, where widening to f64 rounds): same predicate, same
-    /// answers as the walker.
-    #[test]
-    fn compare_periodic_matches_walker(
-        shapes in periodic_shapes(),
-        op_ix in 0usize..6, dtype_ix in 0usize..4, swap in any::<bool>(), seed in 0u64..1000,
-    ) {
-        let (out, operand) = shapes;
+/// Every comparison on f32 (specials included), f64, i32 and i64 (beyond
+/// 2^53, where widening to f64 rounds): same predicate, same answers as the
+/// walker.
+#[test]
+fn compare_periodic_matches_walker() {
+    each_seed(fuzz_cases(256), |rng| {
+        let (out, operand) = periodic_shapes(rng);
+        let (op_ix, dtype_ix) = (rng.range(0usize..6), rng.range(0u32..4));
+        let (swap, seed) = (rng.bool(0.5), rng.range(0..1000));
         let op = CmpOp::all()[op_ix];
         let make = |dims: &[usize], seed: u64| -> TensorData {
             let n: usize = dims.iter().product();
@@ -448,10 +445,14 @@ proptest! {
             match dtype_ix {
                 0 => TensorData::from_vec(special_f32s(n, seed), shape),
                 1 => TensorData::from_vec(
-                    special_f32s(n, seed).into_iter().map(f64::from).collect::<Vec<_>>(), shape),
+                    special_f32s(n, seed).into_iter().map(f64::from).collect::<Vec<_>>(),
+                    shape,
+                ),
                 2 => TensorData::from_vec(ints().map(|x| x as i32).collect::<Vec<_>>(), shape),
                 _ => TensorData::from_vec(
-                    ints().map(|x| (1i64 << 53) + x).collect::<Vec<_>>(), shape),
+                    ints().map(|x| (1i64 << 53) + x).collect::<Vec<_>>(),
+                    shape,
+                ),
             }
             .unwrap()
         };
@@ -459,9 +460,9 @@ proptest! {
         let (a, b) = if swap { (&part, &full) } else { (&full, &part) };
         let (want_shape, want) = walker_compare(a, b, op);
         let got = compare(a, b, op).unwrap();
-        prop_assert_eq!(got.shape(), &want_shape);
-        prop_assert_eq!(got.as_slice::<bool>().unwrap(), &want[..], "{:?}", op);
-    }
+        assert_eq!(got.shape(), &want_shape);
+        assert_eq!(got.as_slice::<bool>().unwrap(), &want[..], "{:?}", op);
+    });
 }
 
 /// Periods around the 4096-element window and the parallel grain — shorter,
@@ -694,14 +695,11 @@ fn reduce_full_sum_thread_invariant_and_close_to_fold() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn reduce_parity_random(
-        d0 in 1usize..10, d1 in 1usize..14, d2 in 1usize..20,
-        which in 0usize..4, op_ix in 0usize..5, seed in 0u64..1000,
-    ) {
+#[test]
+fn reduce_parity_random() {
+    each_seed(fuzz_cases(24), |rng| {
+        let (d0, d1, d2) = (rng.range(1..10), rng.range(1..14), rng.range(1..20));
+        let (which, op_ix, seed) = (rng.range(0u32..4), rng.range(0usize..5), rng.range(0..1000));
         let ops = [ReduceOp::Sum, ReduceOp::Mean, ReduceOp::Max, ReduceOp::Min, ReduceOp::Prod];
         let op = ops[op_ix];
         let dims = [d0, d1, d2];
@@ -718,8 +716,8 @@ proptest! {
         // the serial fold or a single documented lane fold per row.
         let want = reduce_want_f32(&v, &dims, &uaxes, op);
         let got = with_threads(3, || reduce(&a, &axes, false, op).unwrap());
-        prop_assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
-    }
+        assert_eq!(bits32(got.as_slice::<f32>().unwrap()), bits32(&want));
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -743,33 +741,36 @@ fn softmax_thread_invariant_bitwise() {
 // Conv2d: forward vs direct-loop reference; backprops thread-invariant.
 // ---------------------------------------------------------------------------
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn conv2d_forward_parity_random_geometry(
-        n in 1usize..3, h in 1usize..8, w in 1usize..8,
-        kh in 1usize..4, kw in 1usize..4, c_in in 1usize..4, c_out in 1usize..4,
-        stride in 1usize..3, same in any::<bool>(), seed in 0u64..1000,
-    ) {
+#[test]
+fn conv2d_forward_parity_random_geometry() {
+    each_seed(fuzz_cases(16), |rng| {
+        let (n, h, w) = (rng.range(1..3), rng.range(1..8), rng.range(1..8));
+        let (kh, kw) = (rng.range(1..4), rng.range(1..4));
+        let (c_in, c_out) = (rng.range(1..4), rng.range(1..4));
+        let (stride, same, seed) = (rng.range(1..3), rng.bool(0.5), rng.range(0..1000));
         let padding = if same { conv::Padding::Same } else { conv::Padding::Valid };
-        let x = TensorData::from_vec(f32s(n * h * w * c_in, seed), Shape::from([n, h, w, c_in])).unwrap();
-        let f = TensorData::from_vec(f32s(kh * kw * c_in * c_out, seed + 1), Shape::from([kh, kw, c_in, c_out])).unwrap();
+        let x = TensorData::from_vec(f32s(n * h * w * c_in, seed), Shape::from([n, h, w, c_in]))
+            .unwrap();
+        let f = TensorData::from_vec(
+            f32s(kh * kw * c_in * c_out, seed + 1),
+            Shape::from([kh, kw, c_in, c_out]),
+        )
+        .unwrap();
         let Ok(g) = conv::conv2d_geometry(x.shape(), f.shape(), (stride, stride), padding) else {
             // Valid padding can make the output empty; nothing to compare.
-            return Ok(());
+            return;
         };
-        let want = conv::conv2d_reference(
-            x.as_slice::<f32>().unwrap(), f.as_slice::<f32>().unwrap(), &g);
+        let want =
+            conv::conv2d_reference(x.as_slice::<f32>().unwrap(), f.as_slice::<f32>().unwrap(), &g);
         let got = with_threads(4, || conv::conv2d(&x, &f, (stride, stride), padding).unwrap());
         let got = got.as_slice::<f32>().unwrap();
-        prop_assert_eq!(got.len(), want.len());
+        assert_eq!(got.len(), want.len());
         for (i, (&gv, &wv)) in got.iter().zip(&want).enumerate() {
             // Value equality: the im2col path's +0.0 padding terms can
             // flip a -0.0 to +0.0, which `==` treats as equal.
-            prop_assert!(gv == wv as f32, "element {i}: got {gv} want {wv}");
+            assert!(gv == wv as f32, "element {i}: got {gv} want {wv}");
         }
-    }
+    });
 }
 
 #[test]

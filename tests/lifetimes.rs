@@ -13,6 +13,9 @@
 //!
 //! The counts are process-wide, so the tests of this file take turns.
 
+mod common;
+
+use common::{bits, tensor_bits, Bits};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use tf_eager::dist::{Cluster, ClusterSpec, DistError};
@@ -30,10 +33,6 @@ fn turn() -> MutexGuard<'static, ()> {
     let g = TURN.lock().unwrap_or_else(|p| p.into_inner());
     tf_eager::init();
     g
-}
-
-fn bits(t: &Tensor) -> Vec<u8> {
-    t.value().unwrap().to_le_bytes()
 }
 
 /// Everything a `Func` used to leave behind, counted.
@@ -152,7 +151,7 @@ fn gone() -> RuntimeError {
 
 /// `outer(x) = inner(x) * x` with `inner(x) = x^3`; value, first and second
 /// derivative at `x`, the inner `Func` dropped after the outer trace or not.
-fn nested_call_run(drop_inner: bool) -> [Vec<u8>; 3] {
+fn nested_call_run(drop_inner: bool) -> [Bits; 3] {
     let inner = slot(cube("lt_inner"));
     let outer = {
         let inner = inner.clone();
@@ -173,7 +172,7 @@ fn nested_call_run(drop_inner: bool) -> [Vec<u8>; 3] {
     let y = outer.call1(&x).unwrap();
     let dy = t1.gradient1(&y, &x).unwrap();
     let ddy = t2.gradient1(&dy, &x).unwrap();
-    [bits(&y), bits(&dy), bits(&ddy)]
+    [tensor_bits(&y), tensor_bits(&dy), tensor_bits(&ddy)]
 }
 
 #[test]
@@ -182,12 +181,12 @@ fn an_outer_graph_keeps_the_functions_it_calls() {
     let alive = nested_call_run(false);
     assert_eq!(nested_call_run(true), alive);
     // x^4 at 1.5: 5.0625, 13.5, 27.
-    assert_eq!(alive[2], 27.0f64.to_le_bytes().to_vec());
+    assert_eq!(alive[2], bits(&TensorData::scalar(27.0f64)));
 }
 
 /// An outer function whose body is a `cond` over a `while_loop`'s result;
 /// all four callees dropped after the outer trace, or not.
-fn control_flow_run(drop_callees: bool) -> Vec<Vec<u8>> {
+fn control_flow_run(drop_callees: bool) -> Vec<Bits> {
     let callees = slot([
         function1("lt_cf_then", |x| api::mul(x, &api::scalar(10.0f64))),
         function1("lt_cf_else", api::neg),
@@ -214,7 +213,7 @@ fn control_flow_run(drop_callees: bool) -> Vec<Vec<u8>> {
     if drop_callees {
         callees.lock().unwrap().take();
     }
-    [1.25f64, -1.25].iter().map(|&v| bits(&outer.call1(&api::scalar(v)).unwrap())).collect()
+    [1.25f64, -1.25].iter().map(|&v| tensor_bits(&outer.call1(&api::scalar(v)).unwrap())).collect()
 }
 
 #[test]
@@ -222,7 +221,7 @@ fn an_outer_graph_keeps_its_branches_and_loop_bodies() {
     let _t = turn();
     let alive = control_flow_run(false);
     assert_eq!(control_flow_run(true), alive);
-    assert_eq!(alive, vec![100.0f64.to_le_bytes().to_vec(), 10.0f64.to_le_bytes().to_vec()]);
+    assert_eq!(alive, [100.0f64, 10.0].map(|v| bits(&TensorData::scalar(v))));
 }
 
 #[test]
@@ -341,9 +340,8 @@ fn a_trainer_built_from_a_name_keeps_the_function() {
     let _t = turn();
     let (vars_dist, dist) = replica("dist");
     let (vars_local, local) = replica("local");
-    let var_bits = |vars: &[Variable]| -> Vec<Vec<u8>> {
-        vars.iter().map(|v| v.peek().to_le_bytes()).collect()
-    };
+    let var_bits =
+        |vars: &[Variable]| -> Vec<Bits> { vars.iter().map(|v| bits(&v.peek())).collect() };
     let mut rng = tfe_tensor::rng::TensorRng::seed_from_u64(7);
     for _ in 0..3 {
         let x = Tensor::from_data(rng.uniform(DType::F32, Shape::from([8, 4]), -1.0, 1.0).unwrap());

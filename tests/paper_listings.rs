@@ -160,13 +160,12 @@ fn listing_8_figure_2_function_composition() {
 
 #[test]
 fn section_4_1_add_noise_semantics() {
-    use rand::{Rng, SeedableRng};
     // Host randomness: inserted into the graph as a constant.
     let host = {
-        let rng = parking_lot::Mutex::new(rand::rngs::StdRng::seed_from_u64(7));
+        let rng = parking_lot::Mutex::new(tfe_tensor::rng::Rng::seed_from_u64(7));
         tf_eager::function("add_noise_host", move |_| {
             let eye = api::eye(DType::F64, 5)?;
-            let noise = api::scalar(rng.lock().gen::<f64>());
+            let noise = api::scalar(rng.lock().f64());
             Ok(vec![api::add(&eye, &noise)?])
         })
     };

@@ -19,7 +19,7 @@
 
 mod common;
 
-use common::fuzz_cases;
+use common::{fuzz_cases, same_bits, tensor_bits};
 use std::sync::Arc;
 use tf_eager::graph::passes::{self, OptimizeOptions, OptimizeStats, PASS_NAMES};
 use tf_eager::graph::{GraphFunction, Node};
@@ -49,11 +49,6 @@ fn configs() -> Vec<(String, OptimizeOptions)> {
 /// The default pipeline minus the fusion lowering.
 fn unfused() -> OptimizeOptions {
     OptimizeOptions { fuse_elementwise: false, ..Default::default() }
-}
-
-/// Same dtype, same shape, same bit pattern in every element.
-fn same_bits(a: &TensorData, b: &TensorData) -> bool {
-    a.dtype() == b.dtype() && a.shape() == b.shape() && a.to_le_bytes() == b.to_le_bytes()
 }
 
 /// The constant pool holds what the graph uses: one entry per `const` node.
@@ -446,9 +441,6 @@ fn additive_identity_keeps_the_sign_of_zero() {
     use tf_eager::{api, Arg};
     tf_eager::init();
     let x = api::constant(vec![-0.0f32, 0.0, 1.0], [3]).unwrap();
-    let bits = |t: &tf_eager::Tensor| -> Vec<u32> {
-        t.value().unwrap().as_slice::<f32>().unwrap().iter().map(|v| v.to_bits()).collect()
-    };
     type Spelling = fn(&tf_eager::Tensor, f32) -> Result<tf_eager::Tensor, tf_eager::RuntimeError>;
     let spellings: [(&str, Spelling, f32); 3] = [
         ("x + z", |x, z| api::add(x, &api::scalar(z)), -0.0),
@@ -459,7 +451,11 @@ fn additive_identity_keeps_the_sign_of_zero() {
         for z in [0.0f32, -0.0] {
             let eager = spell(&x, z).unwrap();
             let staged = tf_eager::function1("signed_zero", move |x| spell(x, z));
-            assert_eq!(bits(&staged.call1(&x).unwrap()), bits(&eager), "{name}, z = {z:?}");
+            assert_eq!(
+                tensor_bits(&staged.call1(&x).unwrap()),
+                tensor_bits(&eager),
+                "{name}, z = {z:?}"
+            );
             let nodes =
                 staged.concrete_for(&[Arg::from(&x)]).unwrap().function.executable_node_count();
             let exact = z.to_bits() == identity.to_bits();

@@ -4,6 +4,7 @@
 
 mod common;
 
+use common::{bits, tensor_bits, Bits};
 use std::sync::Arc;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
@@ -85,10 +86,6 @@ fn eager_ops_of<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
         .map(|e| e.name.clone())
         .collect();
     (out, names)
-}
-
-fn bits(t: &Tensor) -> Vec<u8> {
-    t.value().unwrap().to_le_bytes()
 }
 
 /// §4.2: "there is no meaningful change in the amount of computation ...
@@ -197,7 +194,7 @@ fn lstm_cell_matches_eager_bitwise(tapes: usize) {
     let xs: Vec<Tensor> = (0..POSITIONS)
         .map(|_| Tensor::from_data(rng.normal(DType::F32, Shape::from([4, 16]), 0.0, 1.0).unwrap()))
         .collect();
-    let gradients = |staged: Option<&Func>| -> Vec<Vec<u8>> {
+    let gradients = |staged: Option<&Func>| -> Vec<Bits> {
         let outer = (tapes > 1).then(GradientTape::new);
         let tape = GradientTape::persistent();
         for x in &xs {
@@ -231,8 +228,8 @@ fn lstm_cell_matches_eager_bitwise(tapes: usize) {
             grads.extend(outer.gradient(&norm, &sources).unwrap());
         }
         grads.extend(dxs);
-        std::iter::once(bits(&loss))
-            .chain(grads.iter().map(|g| bits(g.as_ref().unwrap())))
+        std::iter::once(tensor_bits(&loss))
+            .chain(grads.iter().map(|g| tensor_bits(g.as_ref().unwrap())))
             .collect()
     };
     let eager = gradients(None);
@@ -285,7 +282,7 @@ fn corpus_gradients_match_eager_bitwise(tapes: usize) {
                 common::replay(&graph, &tensors)
             })
         };
-        let gradients = |through_staged: bool| -> Vec<Vec<u8>> {
+        let gradients = |through_staged: bool| -> Vec<Bits> {
             let outer = (tapes > 1).then(GradientTape::new);
             let tape = GradientTape::new();
             for a in &args {
@@ -307,12 +304,12 @@ fn corpus_gradients_match_eager_bitwise(tapes: usize) {
             let grads = tape.gradient(&loss, &sources).unwrap();
             // An input the outputs do not depend on has no gradient eagerly
             // and a zero one through the call, whose record names every input.
-            let as_bits = |grads: &[Option<Tensor>]| -> Vec<Vec<u8>> {
-                let zeros = |a: &Tensor| vec![0u8; bits(a).len()];
+            let as_bits = |grads: &[Option<Tensor>]| -> Vec<Bits> {
+                let zeros = |a: &Tensor| bits(&TensorData::zeros(a.dtype(), a.shape().unwrap()));
                 grads
                     .iter()
                     .zip(&args)
-                    .map(|(g, a)| g.as_ref().map_or_else(|| zeros(a), bits))
+                    .map(|(g, a)| g.as_ref().map_or_else(|| zeros(a), tensor_bits))
                     .collect()
             };
             let mut out = as_bits(&grads);
@@ -338,10 +335,11 @@ fn corpus_gradients_match_eager_bitwise(tapes: usize) {
             false => eager.len(),
         };
         assert_eq!(eager[..exact], staged[..exact], "corpus graph {seed}:\n{}", graph.dump());
-        let floats = |b: &[u8]| -> Vec<f64> {
+        let floats = |(_, _, b): &Bits| -> Vec<f64> {
             b.chunks(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
         };
         for (e, s) in eager[exact..].iter().zip(&staged[exact..]) {
+            assert_eq!((e.0, &e.1), (s.0, &s.1), "corpus graph {seed}");
             for (e, s) in floats(e).into_iter().zip(floats(s)) {
                 assert!(
                     (e - s).abs() <= 1e-12 * e.abs().max(1.0),
@@ -375,7 +373,7 @@ fn tape_opened_after_the_forward_differentiates_the_backward_call() {
     let staged = function1("late_tape", program);
     let x = api::constant(vec![0.3f64, -0.2, 0.7], [3]).unwrap();
     let dy = api::constant(vec![1.5f64, -0.5, 2.0], [3]).unwrap();
-    let run = |f: &dyn Fn(&Tensor) -> Tensor| -> (Vec<u8>, Vec<u8>) {
+    let run = |f: &dyn Fn(&Tensor) -> Tensor| -> (Bits, Bits) {
         let first = GradientTape::new();
         first.watch(&x);
         let y = f(&x);
@@ -385,7 +383,7 @@ fn tape_opened_after_the_forward_differentiates_the_backward_call() {
         let g = g.unwrap();
         // g = dy * f'(x), so d sum(g * g) / d dy = 2 * g * f'(x).
         let target = api::reduce_sum(&api::mul(&g, &g).unwrap(), &[], false).unwrap();
-        (bits(&g), bits(&late.gradient1(&target, &dy).unwrap()))
+        (tensor_bits(&g), tensor_bits(&late.gradient1(&target, &dy).unwrap()))
     };
     let eager = run(&|x| program(x).unwrap());
     let through_staged = run(&|x| staged.call1(x).unwrap());
@@ -471,17 +469,17 @@ fn gradient_inside_a_trace_is_differentiable_from_outside() {
     let staged = function1("inner_grad_outer", slope.clone());
     let x = api::scalar(1.5f64);
     assert_eq!(staged.call1(&x).unwrap().scalar_f64().unwrap(), 6.75);
-    let derivatives = |f: &dyn Fn(&Tensor) -> Tensor| -> (Vec<u8>, Vec<u8>) {
+    let derivatives = |f: &dyn Fn(&Tensor) -> Tensor| -> (Bits, Bits) {
         let t1 = GradientTape::new();
         t1.watch(&x);
         let t2 = GradientTape::new();
         t2.watch(&x);
         let d1 = t2.gradient1(&f(&x), &x).unwrap();
-        (bits(&d1), bits(&t1.gradient1(&d1, &x).unwrap()))
+        (tensor_bits(&d1), tensor_bits(&t1.gradient1(&d1, &x).unwrap()))
     };
     // d2/dx2 = 6 x, d3/dx3 = 6.
     let eager = derivatives(&|x| slope(x).unwrap());
-    assert_eq!(eager, (bits(&api::scalar(9.0f64)), bits(&api::scalar(6.0f64))));
+    assert_eq!(eager, (tensor_bits(&api::scalar(9.0f64)), tensor_bits(&api::scalar(6.0f64))));
     assert_eq!(derivatives(&|x| staged.call1(x).unwrap()), eager);
     let tape = GradientTape::new();
     tape.watch(&x);
@@ -513,7 +511,10 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
     let outputs = context::execute(Op::Call, std::slice::from_ref(&x), attrs.clone()).unwrap();
     // The backward of tanh(x*x) reads x and the tanh: they are kept.
     assert_eq!(outputs.len(), 3);
-    assert_eq!((bits(&outputs[1]), bits(&outputs[2])), (bits(&x), bits(&outputs[0])));
+    assert_eq!(
+        (tensor_bits(&outputs[1]), tensor_bits(&outputs[2])),
+        (tensor_bits(&x), tensor_bits(&outputs[0]))
+    );
     let record = Arc::new(TapeRecord::new(Op::Call, attrs, std::slice::from_ref(&x), &outputs));
     let constant = |v: [f64; 2]| api::constant(v.to_vec(), [2]).unwrap();
     let (dy, dx_kept, dy_kept) =
@@ -537,7 +538,7 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
     .map(Arc::new);
     let seeds = HashMap::from([(y[0].id(), api::add(&dy, &dy_kept).unwrap()), (x.id(), dx_kept)]);
     let eager = tfe_autodiff::accumulate_many(&records, seeds).unwrap();
-    assert_eq!(bits(&staged[&x.id()]), bits(&eager[&x.id()]));
+    assert_eq!(tensor_bits(&staged[&x.id()]), tensor_bits(&eager[&x.id()]));
 }
 
 /// The condition a `select` gradient reads is a boolean kept value: the
@@ -553,14 +554,14 @@ fn second_order_past_a_boolean_kept_value_matches_eager() {
     };
     let staged = function1("select_cube", program);
     let x = api::constant(vec![0.5f64, -1.5, 2.0], [3]).unwrap();
-    let derivatives = |f: &dyn Fn(&Tensor) -> Tensor| -> (Vec<u8>, Vec<u8>) {
+    let derivatives = |f: &dyn Fn(&Tensor) -> Tensor| -> (Bits, Bits) {
         let t1 = GradientTape::new();
         t1.watch(&x);
         let t2 = GradientTape::new();
         t2.watch(&x);
         let d1 = t2.gradient1(&api::reduce_sum(&f(&x), &[], false).unwrap(), &x).unwrap();
         let d2 = t1.gradient1(&api::reduce_sum(&d1, &[], false).unwrap(), &x).unwrap();
-        (bits(&d1), bits(&d2))
+        (tensor_bits(&d1), tensor_bits(&d2))
     };
     let eager = derivatives(&|x| program(x).unwrap());
     assert_eq!(derivatives(&|x| staged.call1(x).unwrap()), eager);
@@ -615,10 +616,10 @@ fn cond_branch_variables_get_eager_gradients() {
     };
     let x = api::scalar(0.7f64);
     for taken in [true, false] {
-        let gradients = |y: &dyn Fn() -> Tensor| -> Vec<Option<Vec<u8>>> {
+        let gradients = |y: &dyn Fn() -> Tensor| -> Vec<Option<Bits>> {
             let tape = GradientTape::new();
             let grads = tape.gradient_vars(&y(), &[&v, &w]).unwrap();
-            grads.iter().map(|g| g.as_ref().map(bits)).collect()
+            grads.iter().map(|g| g.as_ref().map(tensor_bits)).collect()
         };
         let eager =
             gradients(&|| if taken { then_branch(&v, &x) } else { else_branch(&w, &x) }.unwrap());
