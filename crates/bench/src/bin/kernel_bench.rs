@@ -9,11 +9,10 @@
 //! the benchmark run: a chrome://tracing timeline at that path, plus a
 //! metrics summary printed to stderr and embedded in `BENCH_kernels.json`.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use tfe_bench::alloc::allocations_per_call;
 use tfe_core::ConcreteFunction;
 use tfe_parallel::{intra_threads, set_intra_threads};
 use tfe_tensor::elementwise::{binary, BinaryOp};
@@ -735,44 +734,9 @@ fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode:
     ])
 }
 
-/// The system allocator, counting allocations and reallocations for the
-/// `eager_dispatch` row.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded to `System` unchanged.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
+/// Counts heap allocations for the `eager_dispatch` row.
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Heap allocations per call of `f`: the mean over `n` calls, after `n`
-/// calls of warm-up.
-fn allocations_per_call(n: usize, mut f: impl FnMut()) -> f64 {
-    for _ in 0..n {
-        f();
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..n {
-        f();
-    }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / n as f64
-}
+static GLOBAL: tfe_bench::alloc::CountingAlloc = tfe_bench::alloc::CountingAlloc;
 
 /// Eager dispatch, per op: wall-clock ns of an untaped and a taped scalar
 /// f32 `add` and an untaped `[64,2]` f32 `mul` (an l2hmc operand shape),

@@ -10,6 +10,7 @@
 
 #![warn(missing_docs)]
 
+pub mod alloc;
 pub mod calibrate;
 pub mod harness;
 pub mod sim;

@@ -10,12 +10,13 @@
 //! models below. DESIGN.md §3 documents this substitution.
 
 use crate::calibrate::SimProfile;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use tfe_device::{Device, DeviceName};
 use tfe_ops::{Attrs, InferCtx, Op, SymShape, WorkEstimate};
+use tfe_parallel::lock;
 use tfe_runtime::context::{Observer, Site};
 use tfe_runtime::{Result, RuntimeError};
 use tfe_tensor::{DType, Shape, TensorData};
@@ -155,32 +156,32 @@ impl SimStats {
 
     /// Record an eagerly-dispatched op.
     pub fn count_eager_op(&self) {
-        self.inner.lock().eager_ops += 1;
+        lock(&self.inner).eager_ops += 1;
     }
 
     /// Record a staged node execution.
     pub fn count_staged_node(&self) {
-        self.inner.lock().staged_nodes += 1;
+        lock(&self.inner).staged_nodes += 1;
     }
 
     /// Record a staged function call.
     pub fn count_function_call(&self) {
-        self.inner.lock().function_calls += 1;
+        lock(&self.inner).function_calls += 1;
     }
 
     /// Record a kernel launch.
     pub fn count_kernel(&self) {
-        self.inner.lock().kernel_launches += 1;
+        lock(&self.inner).kernel_launches += 1;
     }
 
     /// Snapshot the counters.
     pub fn counters(&self) -> SimCounters {
-        self.inner.lock().clone()
+        lock(&self.inner).clone()
     }
 
     /// Reset counters and clocks.
     pub fn reset(&self) {
-        *self.inner.lock() = SimCounters::default();
+        *lock(&self.inner) = SimCounters::default();
         self.clock.reset();
         self.device_clock.reset();
     }
@@ -291,8 +292,7 @@ fn zero_value(dtype: DType, shape: Shape) -> Arc<TensorData> {
     type ZeroCache = Mutex<HashMap<(DType, Vec<usize>), Arc<TensorData>>>;
     static CACHE: std::sync::OnceLock<ZeroCache> = std::sync::OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    cache
-        .lock()
+    lock(cache)
         .entry((dtype, shape.dims().to_vec()))
         .or_insert_with(|| Arc::new(TensorData::zeros(dtype, shape)))
         .clone()

@@ -26,12 +26,13 @@
 //!   drops the term.
 
 use crate::func::{keep_alive, optimize, ConcreteFunction};
-use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
+use std::sync::RwLock;
 use std::sync::{Arc, OnceLock, Weak};
 use tfe_autodiff::GradCtx;
 use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
 use tfe_ops::{Attrs, Op};
+use tfe_parallel::{read, write};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 use tfe_tensor::TensorData;
 
@@ -72,13 +73,13 @@ fn concretes() -> &'static RwLock<HashMap<String, Weak<ConcreteFunction>>> {
 }
 
 pub(crate) fn index_concrete(name: &str, c: &Arc<ConcreteFunction>) {
-    concretes().write().insert(name.to_string(), Arc::downgrade(c));
+    write(concretes()).insert(name.to_string(), Arc::downgrade(c));
 }
 
 /// Called by the drop of the concrete function indexed under `name`; leaves
 /// a live entry (a later function of the same name) alone.
 pub(crate) fn unindex_concrete(name: &str) {
-    let mut map = concretes().write();
+    let mut map = write(concretes());
     if map.get(name).is_some_and(|c| c.strong_count() == 0) {
         map.remove(name);
     }
@@ -91,7 +92,7 @@ pub(crate) fn unindex_concrete(name: &str) {
 pub fn concrete_named(name: &str) -> Option<Arc<ConcreteFunction>> {
     // The guard goes before the handle is returned: should that handle turn
     // out to be the last, its drop takes this lock for writing.
-    let entry = concretes().read().get(name).cloned();
+    let entry = read(concretes()).get(name).cloned();
     entry?.upgrade()
 }
 

@@ -16,13 +16,14 @@
 
 use crate::arg::{Arg, ArgKey, TensorSpec};
 use crate::call_grad::{build_pair, ForwardBundle};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::sync::{Mutex, PoisonError};
 use tfe_graph::{passes, GraphFunction, TensorRef};
 use tfe_ops::{Attrs, Op};
+use tfe_parallel::lock;
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::{DType, TensorData};
 
@@ -416,7 +417,8 @@ impl FuncInner {
 
 impl Drop for FuncInner {
     fn drop(&mut self) {
-        cached_concrete_functions().sub(self.cache.get_mut().len() as i64);
+        cached_concrete_functions()
+            .sub(self.cache.get_mut().unwrap_or_else(PoisonError::into_inner).len() as i64);
         for family in [func_hits(), func_misses(), func_retraces()] {
             family.remove(&self.label);
         }
@@ -499,7 +501,7 @@ impl Func {
     /// Number of concrete graph functions traced so far (Listing 6's two
     /// specializations show up here).
     pub fn num_concrete(&self) -> usize {
-        self.inner.cache.lock().len()
+        lock(&self.inner.cache).len()
     }
 
     /// Invoke with mixed tensor/static arguments.
@@ -571,7 +573,7 @@ impl Func {
         // One lock acquisition answers both "is it cached?" and, on a miss,
         // "what keys exist to diff against?".
         let (hit, prior_keys) = {
-            let cache = self.inner.cache.lock();
+            let cache = lock(&self.inner.cache);
             match cache.get(&key) {
                 Some(c) => (Some(c.clone()), Vec::new()),
                 None => (None, cache.keys().cloned().collect::<Vec<_>>()),
@@ -617,7 +619,7 @@ impl Func {
         if let Some(causes) = retrace_causes {
             self.record_retrace(&concrete.name, causes);
         }
-        let mut cache = self.inner.cache.lock();
+        let mut cache = lock(&self.inner.cache);
         let was = cache.len();
         let out = cache.entry(key).or_insert(concrete).clone();
         if cache.len() > was {
@@ -628,7 +630,7 @@ impl Func {
     }
 
     fn record_retrace(&self, concrete_name: &str, causes: Vec<RetraceCause>) {
-        let mut log = self.inner.retrace_log.lock();
+        let mut log = lock(&self.inner.retrace_log);
         let event = RetraceEvent {
             ordinal: log.dropped + log.events.len() as u64 + 1,
             concrete_name: concrete_name.to_string(),
@@ -666,12 +668,12 @@ impl Func {
     /// events are kept; see [`dropped_retraces`](Func::dropped_retraces)
     /// for how many older ones were evicted.
     pub fn retraces(&self) -> Vec<RetraceEvent> {
-        self.inner.retrace_log.lock().events.iter().cloned().collect()
+        lock(&self.inner.retrace_log).events.iter().cloned().collect()
     }
 
     /// How many diagnosed retrace events were evicted from the bounded log.
     pub fn dropped_retraces(&self) -> u64 {
-        self.inner.retrace_log.lock().dropped
+        lock(&self.inner.retrace_log).dropped
     }
 
     /// Human-readable retrace report: per-func cache statistics followed by
@@ -687,7 +689,7 @@ impl Func {
             stats.retraces,
             stats.concrete_functions
         );
-        let log = self.inner.retrace_log.lock();
+        let log = lock(&self.inner.retrace_log);
         if log.events.is_empty() && log.dropped == 0 {
             out.push_str("  no retraces recorded\n");
         } else {
@@ -710,7 +712,7 @@ impl Func {
     /// The runtime-wide counterparts are the `tfe_pass_pipeline_*` metrics.
     pub fn optimization_report(&self) -> String {
         let mut entries: Vec<Arc<ConcreteFunction>> =
-            self.inner.cache.lock().values().cloned().collect();
+            lock(&self.inner.cache).values().cloned().collect();
         entries.sort_by(|a, b| a.name.cmp(&b.name));
         let mut out =
             format!("function `{}`: {} concrete functions\n", self.inner.name, entries.len());

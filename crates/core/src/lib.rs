@@ -174,7 +174,8 @@ mod tests {
 
     #[test]
     fn state_creation_contract() {
-        use parking_lot::Mutex;
+        use std::sync::Mutex;
+        use tfe_parallel::lock;
         // Creates a variable on every call: must fail the second-trace rule.
         let created: Arc<Mutex<Vec<Variable>>> = Arc::new(Mutex::new(Vec::new()));
         let bad = {
@@ -182,7 +183,7 @@ mod tests {
             function("bad_state", move |_args| {
                 let v = Variable::new(TensorData::scalar(1.0f32));
                 let out = v.read()?;
-                created.lock().push(v);
+                lock(&created).push(v);
                 Ok(vec![out])
             })
         };
@@ -193,7 +194,7 @@ mod tests {
         let good = {
             let slot = slot.clone();
             function("good_state", move |_args| {
-                let mut guard = slot.lock();
+                let mut guard = lock(&slot);
                 if guard.is_none() {
                     *guard = Some(Variable::new(TensorData::scalar(5.0f32)));
                 }
@@ -211,10 +212,10 @@ mod tests {
         // §4.1 `add_noise`: host randomness becomes a constant in the trace;
         // op randomness stays random.
         let host_noise = {
-            let rng = parking_lot::Mutex::new(tfe_tensor::rng::Rng::seed_from_u64(1));
+            let rng = std::sync::Mutex::new(tfe_tensor::rng::Rng::seed_from_u64(1));
             function("host_noise", move |_args| {
                 let eye = api::eye(DType::F64, 2)?;
-                let n = rng.lock().f64();
+                let n = tfe_parallel::lock(&rng).f64();
                 let noise = api::scalar(n);
                 Ok(vec![api::add(&eye, &noise)?])
             })

@@ -2,8 +2,8 @@
 //! `list_devices` (§4.4); this module is that machinery.
 
 use crate::name::{DeviceName, DeviceType};
-use parking_lot::RwLock;
 use std::sync::Arc;
+use std::sync::{PoisonError, RwLock};
 
 /// One device known to the runtime: a name. Every device runs the host
 /// kernels; what an op would cost on the hardware the name stands for is an
@@ -63,7 +63,7 @@ impl DeviceManager {
     /// # Errors
     /// A device with the same name already exists.
     pub fn register(&self, device: Device) -> Result<(), String> {
-        let mut devs = self.devices.write();
+        let mut devs = self.devices.write().unwrap_or_else(PoisonError::into_inner);
         if devs.contains(&device) {
             return Err(format!("device {} already registered", device.name));
         }
@@ -74,7 +74,12 @@ impl DeviceManager {
     /// All registered device names, in registration order (the
     /// `list_devices` endpoint of §4.4).
     pub fn list_devices(&self) -> Vec<DeviceName> {
-        self.devices.read().iter().map(|d| d.name().clone()).collect()
+        self.devices
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .map(|d| d.name().clone())
+            .collect()
     }
 
     /// Resolve a device string (full or shorthand) to a registered device.
@@ -83,7 +88,13 @@ impl DeviceManager {
     /// Parse failures or unknown devices.
     pub fn resolve(&self, name: &str) -> Result<Device, String> {
         let parsed = DeviceName::parse(name)?;
-        let found = self.devices.read().iter().find(|d| *d.name() == parsed).cloned();
+        let found = self
+            .devices
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .iter()
+            .find(|d| *d.name() == parsed)
+            .cloned();
         found.ok_or_else(|| {
             format!(
                 "device {parsed} is not registered (known: {})",

@@ -17,15 +17,16 @@ use crate::rpc::{InFlight, RpcClient, RpcOptions};
 use crate::transport::{spawn_in_process, spawn_tcp, Transport, WorkerControl};
 use crate::wire::WireError;
 use crate::worker::WorkerState;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tfe_device::{DeviceName, DeviceType};
 use tfe_encode::Value;
 use tfe_graph::serial::{attrs_to_value, tensor_from_value, tensor_to_value};
 use tfe_ops::Attrs;
+use tfe_parallel::lock;
 use tfe_runtime::Tensor;
 
 /// Result alias for coordinator-side operations.
@@ -164,7 +165,7 @@ impl WorkerEntry {
         opts: &'a RpcOptions,
         overall: Instant,
     ) -> Result<Sent<'a>> {
-        let freed = std::mem::take(&mut *self.free.lock());
+        let freed = std::mem::take(&mut *lock(&self.free));
         if !freed.is_empty() {
             let ids = freed.iter().map(|&id| Value::Int(id as i64)).collect();
             if let Value::Object(fields) = &mut body {
@@ -174,7 +175,7 @@ impl WorkerEntry {
         match self.client.send(op, body, idempotent, opts, overall) {
             Ok(flight) => Ok(Sent { entry: self, freed, flight }),
             Err(e) => {
-                self.free.lock().extend(freed);
+                lock(&self.free).extend(freed);
                 Err(e)
             }
         }
@@ -198,7 +199,7 @@ impl Sent<'_> {
     fn receive(self) -> Result<Value> {
         let result = self.flight.receive();
         if !matches!(result, Ok(_) | Err(DistError::RemoteFault { .. })) {
-            self.entry.free.lock().extend(self.freed);
+            lock(&self.entry.free).extend(self.freed);
         }
         result
     }
@@ -330,7 +331,7 @@ impl Drop for Buffer {
     /// No round trip here, so a dead worker cannot stall a drop.
     fn drop(&mut self) {
         if let Ok(entry) = self.cluster.entry(&self.device) {
-            entry.free.lock().push(self.id);
+            lock(&entry.free).push(self.id);
         }
     }
 }
@@ -716,7 +717,7 @@ impl Cluster {
     /// Unknown devices.
     pub fn kill_worker(&self, device: &str) -> Result<()> {
         let target = self.inner.spec.resolve(device)?;
-        self.inner.entry(&target)?.control.lock().kill();
+        lock(&self.inner.entry(&target)?.control).kill();
         Ok(())
     }
 
@@ -734,7 +735,7 @@ impl Cluster {
             let _ = sent.and_then(Sent::receive);
         }
         for entry in self.inner.workers.values() {
-            entry.control.lock().kill();
+            lock(&entry.control).kill();
         }
     }
 }

@@ -26,13 +26,14 @@
 //! subsequent RPCs surface typed transport errors within their deadline.
 
 use crate::wire::{read_frame, remaining, write_frame, Frame, WireError};
-use parking_lot::{Mutex, MutexGuard};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
+use std::sync::{Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+use tfe_parallel::lock;
 
 /// How often servers poll the kill flag while idle.
 const POLL: Duration = Duration::from_millis(25);
@@ -273,7 +274,7 @@ impl Transport for TcpTransport {
         request: &[u8],
         deadline: Instant,
     ) -> Result<Box<dyn PendingReply + '_>, TransportError> {
-        let mut slot = self.stream.lock();
+        let mut slot = lock(&self.stream);
         if slot.is_none() {
             let timeout = remaining(deadline).ok_or(TransportError::Timeout)?;
             let stream = TcpStream::connect_timeout(&self.addr, timeout)

@@ -44,12 +44,13 @@
 
 use crate::rpc::{err_body, ok_body};
 use crate::wire::Frame;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use tfe_encode::Value;
 use tfe_graph::serial::{attrs_from_value, tensor_from_value, tensor_to_value};
+use tfe_parallel::lock;
 use tfe_runtime::{context, ExecMode};
 use tfe_tensor::TensorData;
 
@@ -114,7 +115,7 @@ impl WorkerState {
         if let Some(free) = body.get("free") {
             let ids =
                 free.as_i64_array().ok_or_else(|| "`free` is not a list of ids".to_string())?;
-            let mut resident = self.resident.lock();
+            let mut resident = lock(&self.resident);
             let before = resident.len();
             for id in ids {
                 resident.remove(&(id as u64));
@@ -157,7 +158,7 @@ impl WorkerState {
             if let Some(inline) = r.get("inline") {
                 tensors.push(Arc::new(tensor_from_value(inline).map_err(|e| e.to_string())?));
             } else if let Some(id) = r.get("resident").and_then(Value::as_i64) {
-                let found = self.resident.lock().get(&(id as u64)).cloned();
+                let found = lock(&self.resident).get(&(id as u64)).cloned();
                 tensors.push(
                     found.ok_or_else(|| format!("tensor {id} is not resident on this worker"))?,
                 );
@@ -185,7 +186,7 @@ impl WorkerState {
     /// Store tensors in the resident table and describe them for the
     /// coordinator.
     fn adopt(&self, tensors: Tensors) -> Value {
-        let mut resident = self.resident.lock();
+        let mut resident = lock(&self.resident);
         self.resident_gauge.add(tensors.len() as i64);
         let metas = tensors.into_iter().map(|t| {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -207,7 +208,7 @@ impl WorkerState {
 impl Drop for WorkerState {
     /// A worker that is gone holds nothing.
     fn drop(&mut self) {
-        self.resident_gauge.sub(self.resident.lock().len() as i64);
+        self.resident_gauge.sub(lock(&self.resident).len() as i64);
     }
 }
 

@@ -8,6 +8,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use tfe_ops::{Attrs, Op, SymShape};
+use tfe_parallel::{read, write};
 use tfe_tensor::{DType, TensorData};
 
 /// Index of a node within its graph.
@@ -334,7 +335,7 @@ impl fmt::Debug for GraphFunction {
 /// and never removed has no owner and stays for the process.
 #[derive(Default, Clone)]
 pub struct FunctionLibrary {
-    inner: Arc<parking_lot::RwLock<HashMap<String, Arc<GraphFunction>>>>,
+    inner: Arc<std::sync::RwLock<HashMap<String, Arc<GraphFunction>>>>,
 }
 
 impl FunctionLibrary {
@@ -346,19 +347,19 @@ impl FunctionLibrary {
     /// Insert (or replace) a function.
     pub fn insert(&self, f: GraphFunction) -> Arc<GraphFunction> {
         let f = Arc::new(f);
-        self.inner.write().insert(f.name.clone(), f.clone());
+        write(&self.inner).insert(f.name.clone(), f.clone());
         f
     }
 
     /// Look up by name.
     pub fn get(&self, name: &str) -> Option<Arc<GraphFunction>> {
-        self.inner.read().get(name).cloned()
+        read(&self.inner).get(name).cloned()
     }
 
     /// Take `f` out, if its name still resolves to it (a later `insert`
     /// under the same name is left alone). Returns whether it was there.
     pub fn remove(&self, f: &Arc<GraphFunction>) -> bool {
-        let mut map = self.inner.write();
+        let mut map = write(&self.inner);
         let same = map.get(&f.name).is_some_and(|g| Arc::ptr_eq(g, f));
         // `f` is a second handle, so nothing is freed under the lock.
         same && map.remove(&f.name).is_some()
@@ -366,19 +367,19 @@ impl FunctionLibrary {
 
     /// All registered names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.inner.read().keys().cloned().collect();
+        let mut v: Vec<String> = read(&self.inner).keys().cloned().collect();
         v.sort();
         v
     }
 
     /// Number of functions.
     pub fn len(&self) -> usize {
-        self.inner.read().len()
+        read(&self.inner).len()
     }
 
     /// Whether the library is empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.read().is_empty()
+        read(&self.inner).is_empty()
     }
 }
 

@@ -39,7 +39,8 @@
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::RwLock;
+use std::sync::RwLock;
+use tfe_parallel::{read, write};
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
 use tfe_tensor::lanes::{self, Periodic};
 use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
@@ -264,9 +265,9 @@ impl Step {
 /// A step's destination buffer is allocated **before** the buffers of
 /// sources dying at that step are released, so `dst` never aliases a live
 /// source. Tile execution relies on this: it `mem::take`s the destination
-/// buffer while reading source buffers through shared borrows — safe
-/// without `unsafe`, and loud (an empty-slice panic) if the invariant were
-/// ever broken.
+/// buffer while reading source buffers through shared borrows — plain
+/// borrow-checked code, and loud (an empty-slice panic) if the invariant
+/// were ever broken.
 #[derive(Debug)]
 pub struct CompiledProgram {
     /// The source program, kept for the mixed-shape/dtype fallback.
@@ -470,12 +471,11 @@ impl CompiledProgram {
         .inc();
         metric_fused_elements(n as u64);
         let mut out = vec![0.0f32; n];
-        let ptr = SendPtr(out.as_mut_ptr());
         // The pool on the terms of a plain elementwise kernel: as many
         // tiles as make its grain run inline, however many registers shrank
         // the tile. Who runs a tile changes, its boundaries do not.
         let grain = tfe_tensor::GRAIN_ELEMWISE.div_ceil(tile);
-        tfe_parallel::par_for(n_tiles, grain, |r: std::ops::Range<usize>| {
+        tfe_parallel::par_chunks_mut(&mut out, tile, grain, |tiles, block| {
             SCRATCH.with(|cell| {
                 let mut scratch = cell.borrow_mut();
                 if scratch.len() < self.num_bufs {
@@ -486,14 +486,8 @@ impl CompiledProgram {
                         buf.resize(tile, 0.0);
                     }
                 }
-                for t in r {
-                    let start = t * tile;
-                    let len = tile.min(n - start);
-                    // SAFETY: tiles partition 0..n disjointly ([t*tile,
-                    // t*tile+len) for distinct t), and par_for joins every
-                    // tile before returning, so `out` outlives all views.
-                    let out_tile = unsafe { ptr.slice_mut(start, len) };
-                    self.run_tile(&srcs, &mut scratch, out_tile, start);
+                for (t, out_tile) in tiles.zip(block.chunks_mut(tile)) {
+                    self.run_tile(&srcs, &mut scratch, out_tile, t * tile);
                 }
             });
         });
@@ -567,26 +561,6 @@ thread_local! {
     static SCRATCH: std::cell::RefCell<Vec<Vec<f32>>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// A raw pointer that may cross thread boundaries; tiles receive disjoint
-/// mutable views of the output buffer through it.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-// SAFETY: every tile touches a disjoint element range and `par_for` joins
-// all tiles before the buffer is moved or dropped.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// Mutable subslice `[start, start + len)`.
-    ///
-    /// # Safety
-    /// The range must be in bounds and disjoint from every other live view
-    /// of the buffer.
-    unsafe fn slice_mut<'a>(self, start: usize, len: usize) -> &'a mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(start), len)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Process-wide compile cache
 // ---------------------------------------------------------------------------
@@ -615,7 +589,7 @@ fn metric_fused_elements(n: u64) {
 /// Malformed program text (same conditions as [`Program::decode`]).
 pub fn compiled(text: &str) -> Result<Arc<CompiledProgram>, String> {
     let cache = COMPILED.get_or_init(Default::default);
-    if let Some(p) = cache.read().get(text) {
+    if let Some(p) = read(cache).get(text) {
         tfe_metrics::static_counter!(
             "tfe_fused_compile_cache_hits_total",
             "Fused-program compile-cache hits"
@@ -634,7 +608,7 @@ pub fn compiled(text: &str) -> Result<Arc<CompiledProgram>, String> {
 pub fn intern(program: Program) -> String {
     let text = program.encode();
     let cache = COMPILED.get_or_init(Default::default);
-    if !cache.read().contains_key(&text) {
+    if !read(cache).contains_key(&text) {
         let _span = tfe_profile::span("fused", || "compile");
         compile_into(cache, &text, program);
     }
@@ -649,7 +623,7 @@ fn compile_into(cache: &CompileCache, text: &str, program: Program) -> Arc<Compi
     )
     .inc();
     // A racing compile of the same text may have won; keep the first.
-    cache.write().entry(text.to_string()).or_insert(built).clone()
+    write(cache).entry(text.to_string()).or_insert(built).clone()
 }
 
 #[cfg(test)]

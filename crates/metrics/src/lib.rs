@@ -27,10 +27,10 @@
 
 #![warn(missing_docs)]
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Instruments
@@ -232,7 +232,7 @@ impl CounterVec {
     /// The child counter for `value`, created on first use. Takes the
     /// family lock — cache the returned handle on hot paths.
     pub fn with(&self, value: &str) -> Arc<Counter> {
-        let mut children = self.children.lock();
+        let mut children = self.children.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(c) = children.get(value) {
             return c.clone();
         }
@@ -245,7 +245,7 @@ impl CounterVec {
     /// for a label whose subject is gone. Handles already given out keep
     /// counting, unseen.
     pub fn remove(&self, value: &str) {
-        self.children.lock().remove(value);
+        self.children.lock().unwrap_or_else(PoisonError::into_inner).remove(value);
     }
 }
 
@@ -259,7 +259,7 @@ pub struct GaugeVec {
 impl GaugeVec {
     /// The child gauge for `value`, created on first use.
     pub fn with(&self, value: &str) -> Arc<Gauge> {
-        let mut children = self.children.lock();
+        let mut children = self.children.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(g) = children.get(value) {
             return g.clone();
         }
@@ -271,7 +271,7 @@ impl GaugeVec {
     /// Drop the series for `value` from the family, as
     /// [`CounterVec::remove`].
     pub fn remove(&self, value: &str) {
-        self.children.lock().remove(value);
+        self.children.lock().unwrap_or_else(PoisonError::into_inner).remove(value);
     }
 }
 
@@ -286,7 +286,7 @@ pub struct HistogramVec {
 impl HistogramVec {
     /// The child histogram for `value`, created on first use.
     pub fn with(&self, value: &str) -> Arc<Histogram> {
-        let mut children = self.children.lock();
+        let mut children = self.children.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(h) = children.get(value) {
             return h.clone();
         }
@@ -326,7 +326,7 @@ fn register(
     help: &'static str,
     make: impl FnOnce() -> Instrument,
 ) -> Instrument {
-    let mut reg = registry().lock();
+    let mut reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     if let Some(f) = reg.iter().find(|f| f.name == name) {
         return f.instrument.clone();
     }
@@ -602,6 +602,7 @@ fn sample_children<T, F: Fn(&Arc<T>) -> SampleValue>(
 ) -> Vec<Sample> {
     let mut samples: Vec<Sample> = children
         .lock()
+        .unwrap_or_else(PoisonError::into_inner)
         .iter()
         .map(|(k, v)| Sample { label: Some((label, k.clone())), value: read(v) })
         .collect();
@@ -613,7 +614,7 @@ fn sample_children<T, F: Fn(&Arc<T>) -> SampleValue>(
 /// lock plus relaxed loads) and safe to call from any thread at any time —
 /// it never blocks a probe.
 pub fn snapshot() -> Snapshot {
-    let reg = registry().lock();
+    let reg = registry().lock().unwrap_or_else(PoisonError::into_inner);
     let mut families: Vec<FamilySnapshot> = reg
         .iter()
         .map(|f| {

@@ -6,9 +6,10 @@
 //! "an iterator over input data whose position in a dataset is serialized"
 //! is one of the paper's explicit examples of non-variable state.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
+use std::sync::Mutex;
 use tfe_encode::Value;
+use tfe_parallel::lock;
 use tfe_runtime::{api, Result, Tensor};
 use tfe_state::MutableState;
 use tfe_tensor::rng::TensorRng;
@@ -86,7 +87,7 @@ pub struct DatasetIterator {
 impl DatasetIterator {
     /// Current position (element index).
     pub fn position(&self) -> usize {
-        *self.position.lock()
+        *lock(&self.position)
     }
 
     /// Produce the next `(images, labels)` batch, wrapping at the end of
@@ -95,7 +96,7 @@ impl DatasetIterator {
     /// # Errors
     /// Tensor construction failures.
     pub fn next_batch(&self) -> Result<(Tensor, Tensor)> {
-        let mut pos = self.position.lock();
+        let mut pos = lock(&self.position);
         let (h, w, c) = self.dataset.shape;
         let mut images = Vec::with_capacity(self.batch_size * h * w * c);
         let mut labels = Vec::with_capacity(self.batch_size);
@@ -139,12 +140,12 @@ struct IteratorState {
 
 impl MutableState for IteratorState {
     fn save_state(&self) -> Value {
-        Value::Int(*self.position.lock() as i64)
+        Value::Int(*lock(&self.position) as i64)
     }
 
     fn restore_state(&self, value: &Value) -> std::result::Result<(), String> {
         let p = value.as_i64().ok_or("iterator state must be an int")?;
-        *self.position.lock() = p as usize;
+        *lock(&self.position) = p as usize;
         Ok(())
     }
 }

@@ -4,9 +4,10 @@
 //! (forward + backward + update) can be staged with `function` — the
 //! configuration §6 benchmarks as "TFE + function".
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::sync::Mutex;
+use tfe_parallel::lock;
 use tfe_runtime::{api, Result, RuntimeError, Tensor, Variable};
 use tfe_state::Trackable;
 use tfe_tensor::{Shape, TensorData};
@@ -67,8 +68,7 @@ impl Momentum {
     }
 
     fn slot(&self, v: &Variable) -> Variable {
-        self.slots
-            .lock()
+        lock(&self.slots)
             .entry(v.id())
             .or_insert_with(|| Variable::new(TensorData::zeros(v.dtype(), v.shape().clone())))
             .clone()
@@ -88,7 +88,7 @@ impl Optimizer for Momentum {
     }
 
     fn trackable(&self) -> Arc<dyn Trackable> {
-        let slots = self.slots.lock();
+        let slots = lock(&self.slots);
         let mut g = tfe_state::TrackableGroup::new();
         let mut keys: Vec<&u64> = slots.keys().collect();
         keys.sort();
@@ -128,8 +128,7 @@ impl Adam {
     }
 
     fn slots_for(&self, v: &Variable) -> (Variable, Variable) {
-        self.slots
-            .lock()
+        lock(&self.slots)
             .entry(v.id())
             .or_insert_with(|| {
                 (
@@ -179,7 +178,7 @@ impl Optimizer for Adam {
     }
 
     fn trackable(&self) -> Arc<dyn Trackable> {
-        let slots = self.slots.lock();
+        let slots = lock(&self.slots);
         let mut g = tfe_state::TrackableGroup::new().with_variable("step", &self.step);
         let mut keys: Vec<&u64> = slots.keys().collect();
         keys.sort();

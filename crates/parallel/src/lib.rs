@@ -32,9 +32,34 @@ pub mod pool;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 pub use pool::{global, worker_count, Job, Pool};
+
+// ---------------------------------------------------------------------------
+// Non-poisoning lock acquisition
+// ---------------------------------------------------------------------------
+//
+// A panic while a lock is held (a failing kernel tile, a poisoned serving
+// batch) must not turn every later acquisition into a second panic: the
+// workspace's locks guard plain data that is valid between statements, so
+// every crate above this one acquires through these three helpers, which
+// take the value out of a poisoned lock.
+
+/// Lock `m`, recovering the guard if a panicking holder poisoned it.
+pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-lock `l`, recovering the guard if a panicking writer poisoned it.
+pub fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Write-lock `l`, recovering the guard if a panicking writer poisoned it.
+pub fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}
 
 // ---------------------------------------------------------------------------
 // Thread-count control
@@ -135,9 +160,18 @@ struct Latch {
 /// drained.
 fn scope_chunks(num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     debug_assert!(num_chunks >= 1);
-    // SAFETY: every job referencing `f` completes before this function
-    // returns (the latch countdown below), so extending the borrow to
-    // 'static never outlives the frame that owns the closure.
+    // SAFETY: the borrow of `f` is stretched to 'static only for the jobs
+    // submitted below, and this function neither returns nor unwinds until
+    // each of them is done with it:
+    // - a job counts the latch down after its chunk, whether the chunk
+    //   returned or panicked (it runs under `catch_unwind`);
+    // - chunk 0 runs here under `catch_unwind` too, the wait returns only
+    //   once the latch reads zero, and the re-raise comes after the wait;
+    // - nothing between the first submit and the wait unwinds: `submit`
+    //   only allocates (a failed allocation aborts), and the queued jobs the
+    //   wait helps with catch their own panics (graph nodes and tiles).
+    // `tile_panic_reraises_after_every_other_tile_finished` tests the panic
+    // path; the ASan step of `scripts/ci.sh` runs the kernels over it.
     let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
     let run_chunk = move |c: usize| {
         let _sp = tfe_profile::span("intra", || "tile");
@@ -194,6 +228,27 @@ pub fn tile_len(elem_bytes: usize, buffers: usize) -> usize {
     (TILE_BUDGET_BYTES / per_elem.max(1)).clamp(512, 4096)
 }
 
+/// The partition [`par_for`] and [`par_chunks_mut`] share for `0..n`:
+/// `None` when the loop runs inline on the caller (tiny problems never pay
+/// scheduling overhead), else `(chunk, num_chunks)`. Counts the decision in
+/// the `tfe_intra_*` families. `n` must be nonzero.
+fn plan(n: usize, grain: usize) -> Option<(usize, usize)> {
+    let grain = grain.max(1);
+    let threads = intra_threads();
+    if threads > 1 && n > grain {
+        let chunk = for_chunk_size(n, grain, threads);
+        let num_chunks = n.div_ceil(chunk);
+        if num_chunks > 1 {
+            par_kernels().inc();
+            tiles().add(num_chunks as u64);
+            tfe_profile::counter("intra", "tiles", num_chunks as u64);
+            return Some((chunk, num_chunks));
+        }
+    }
+    serial_kernels().inc();
+    None
+}
+
 /// Run `body` over disjoint index ranges covering `0..n`, in parallel on
 /// the shared pool when the problem is big enough.
 ///
@@ -207,26 +262,47 @@ pub fn par_for<F: Fn(Range<usize>) + Sync>(n: usize, grain: usize, body: F) {
     if n == 0 {
         return;
     }
-    let grain = grain.max(1);
-    let threads = intra_threads();
-    if threads <= 1 || n <= grain {
-        serial_kernels().inc();
-        body(0..n);
+    match plan(n, grain) {
+        None => body(0..n),
+        Some((chunk, num_chunks)) => scope_chunks(num_chunks, &|c: usize| {
+            let start = c * chunk;
+            body(start..(start + chunk).min(n));
+        }),
+    }
+}
+
+/// Fill `out` in parallel, one disjoint block per tile: the writer side of
+/// [`par_for`]. `out` is cut into `out.len().div_ceil(unit)` units of
+/// `unit` elements (the last may be short), the units are partitioned
+/// exactly as `par_for(units, grain_units, ..)` partitions its indices, and
+/// `body(units, block)` receives each range of unit indices with its block
+/// `out[units.start * unit .. min(units.end * unit, out.len())]`.
+///
+/// Blocks are disjoint `&mut` borrows handed out through `chunks_mut`, so
+/// any per-element computation that does not depend on the partition gives
+/// identical bits for every thread count. An empty `out` is a no-op (and
+/// may come with a zero `unit`).
+pub fn par_chunks_mut<T, F>(out: &mut [T], unit: usize, grain_units: usize, body: F)
+where
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
+{
+    if out.is_empty() {
         return;
     }
-    let chunk = for_chunk_size(n, grain, threads);
-    let num_chunks = n.div_ceil(chunk);
-    if num_chunks <= 1 {
-        serial_kernels().inc();
-        body(0..n);
-        return;
-    }
-    par_kernels().inc();
-    tiles().add(num_chunks as u64);
-    tfe_profile::counter("intra", "tiles", num_chunks as u64);
+    assert!(unit > 0, "par_chunks_mut: zero-length unit");
+    let n = out.len().div_ceil(unit);
+    let Some((chunk, num_chunks)) = plan(n, grain_units) else {
+        return body(0..n, out);
+    };
+    // One slot per tile, each taken exactly once by the tile that owns it.
+    let blocks: Vec<Mutex<Option<&mut [T]>>> =
+        out.chunks_mut(chunk * unit).map(|b| Mutex::new(Some(b))).collect();
+    debug_assert_eq!(blocks.len(), num_chunks);
     scope_chunks(num_chunks, &|c: usize| {
+        let block = lock(&blocks[c]).take().expect("each tile takes its block once");
         let start = c * chunk;
-        body(start..(start + chunk).min(n));
+        body(start..(start + chunk).min(n), block);
     });
 }
 
@@ -262,20 +338,32 @@ where
     par_kernels().inc();
     tiles().add(num_chunks as u64);
     tfe_profile::counter("intra", "tiles", num_chunks as u64);
-    let slots: Vec<parking_lot::Mutex<Option<R>>> =
-        (0..num_chunks).map(|_| parking_lot::Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<R>>> = (0..num_chunks).map(|_| Mutex::new(None)).collect();
     scope_chunks(num_chunks, &|c: usize| {
-        *slots[c].lock() = Some(map(chunk_range(c)));
+        *lock(&slots[c]) = Some(map(chunk_range(c)));
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().expect("completed chunk must have a result"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("completed chunk must have a result")
+        })
         .reduce(combine)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
+
+    /// Serializes the tests that split work or flip the split width, so a
+    /// test reading the process-wide `tfe_intra_*` counters sees only its
+    /// own loops.
+    fn exclusive() -> MutexGuard<'static, ()> {
+        static ONE: Mutex<()> = Mutex::new(());
+        lock(&ONE)
+    }
 
     #[test]
     fn tile_len_scales_with_working_set_and_clamps() {
@@ -291,6 +379,7 @@ mod tests {
 
     #[test]
     fn par_for_covers_every_index_once() {
+        let _one = exclusive();
         let n = 100_000;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         par_for(n, 128, |r| {
@@ -314,6 +403,7 @@ mod tests {
 
     #[test]
     fn par_reduce_matches_serial_bitwise() {
+        let _one = exclusive();
         // Pseudo-random f64s summed with fixed chunking: forcing the serial
         // path must give the exact same bits as the parallel path.
         let xs: Vec<f64> = (0..50_000)
@@ -337,6 +427,7 @@ mod tests {
 
     #[test]
     fn nested_par_for_does_not_deadlock() {
+        let _one = exclusive();
         let total = AtomicUsize::new(0);
         par_for(64, 1, |outer| {
             for _ in outer {
@@ -350,6 +441,7 @@ mod tests {
 
     #[test]
     fn tile_panic_propagates_and_pool_survives() {
+        let _one = exclusive();
         let caught = std::panic::catch_unwind(|| {
             par_for(10_000, 1, |r| {
                 if r.contains(&4321) {
@@ -364,5 +456,128 @@ mod tests {
             sum.fetch_add(r.len(), Ordering::SeqCst);
         });
         assert_eq!(sum.load(Ordering::SeqCst), 10_000);
+    }
+
+    #[test]
+    fn tile_panic_reraises_after_every_other_tile_finished() {
+        const TILES: usize = 6;
+        // A buffer on this stack frame that every tile borrows: a tile still
+        // running after the panic re-raises would write a dead frame.
+        let wrote: [AtomicUsize; TILES] = std::array::from_fn(|_| AtomicUsize::new(0));
+        let (started, failing) = (AtomicUsize::new(0), AtomicBool::new(false));
+        let spin_until = |cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !cond() && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        };
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            scope_chunks(TILES, &|c| {
+                if c == 0 {
+                    // Tile 0 runs inline on the caller: it fails once another
+                    // tile is under way, so the panic lands mid-batch.
+                    spin_until(&|| started.load(Ordering::SeqCst) > 0);
+                    failing.store(true, Ordering::SeqCst);
+                    panic!("tile 0 fails while the others run");
+                }
+                started.fetch_add(1, Ordering::SeqCst);
+                // Write only after the panic has begun, and late enough that
+                // an early re-raise would be seen before the write.
+                spin_until(&|| failing.load(Ordering::SeqCst));
+                std::thread::sleep(Duration::from_millis(10));
+                wrote[c].store(c, Ordering::SeqCst);
+            });
+        }));
+        assert!(caught.is_err(), "the tile's panic re-raises at the caller");
+        for (c, slot) in wrote.iter().enumerate().skip(1) {
+            assert_eq!(slot.load(Ordering::SeqCst), c, "tile {c} finished before the re-raise");
+        }
+    }
+
+    #[test]
+    fn poisoned_lock_recovers() {
+        let m = Arc::new(Mutex::new(1));
+        let l = Arc::new(RwLock::new(2));
+        let (m2, l2) = (m.clone(), l.clone());
+        let holder = std::thread::spawn(move || {
+            let _m = lock(&m2);
+            let _l = write(&l2);
+            panic!("poison both locks");
+        });
+        assert!(holder.join().is_err());
+        assert!(m.is_poisoned() && l.is_poisoned());
+        assert_eq!(*lock(&m), 1);
+        assert_eq!(*read(&l), 2);
+        *write(&l) += 1;
+        assert_eq!(*read(&l), 3);
+    }
+
+    #[test]
+    fn par_chunks_mut_visits_every_element_once() {
+        let _one = exclusive();
+        let mut out = vec![0usize; 100_003];
+        par_chunks_mut(&mut out, 7, 4, |units, block| {
+            for (off, v) in block.iter_mut().enumerate() {
+                *v += units.start * 7 + off + 1;
+            }
+        });
+        assert!(out.iter().enumerate().all(|(i, &v)| v == i + 1));
+    }
+
+    #[test]
+    fn par_chunks_mut_blocks_align_to_unit_with_a_short_last_unit() {
+        let _one = exclusive();
+        let (unit, len) = (33, 33 * 1000 + 5);
+        let seen = Mutex::new(Vec::new());
+        let mut out = vec![0u8; len];
+        par_chunks_mut(&mut out, unit, 4, |units, block| {
+            lock(&seen).push((units, block.len()));
+        });
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|(units, _)| units.start);
+        let mut next = 0;
+        for (units, block_len) in &seen {
+            assert_eq!(units.start, next, "unit ranges tile 0..units in order");
+            assert_eq!(*block_len, (units.end * unit).min(len) - units.start * unit);
+            next = units.end;
+        }
+        assert_eq!(next, len.div_ceil(unit));
+        assert_eq!(seen.last().unwrap().1 % unit, 5, "the last unit is short");
+    }
+
+    #[test]
+    fn par_chunks_mut_tiles_match_par_for() {
+        let _one = exclusive();
+        for (n, grain) in [(1, 1), (100, 1), (10_000, 16), (50_000, 4096), (4096, 4096)] {
+            let before = intra_stats();
+            par_for(n, grain, |_| {});
+            let mid = intra_stats();
+            par_chunks_mut(&mut vec![0u8; n * 3], 3, grain, |_, _| {});
+            let after = intra_stats();
+            assert_eq!(mid.tiles - before.tiles, after.tiles - mid.tiles, "n={n} grain={grain}");
+            assert_eq!(
+                mid.par_kernels - before.par_kernels,
+                after.par_kernels - mid.par_kernels,
+                "n={n} grain={grain}"
+            );
+        }
+    }
+
+    #[test]
+    fn par_chunks_mut_with_one_thread_is_one_inline_block() {
+        let _one = exclusive();
+        let prev = set_intra_threads(Some(1));
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        let mut out = vec![0u32; 100_000];
+        par_chunks_mut(&mut out, 10, 1, |units, block| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(std::thread::current().id(), caller, "runs on the caller");
+            assert_eq!((units, block.len()), (0..10_000, 100_000));
+            block.fill(1);
+        });
+        set_intra_threads(prev);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
+        assert!(out.iter().all(|&v| v == 1));
     }
 }

@@ -9,8 +9,9 @@
 //! own completion condition holds. That work-helping loop is what makes
 //! nested parallel runs deadlock-free even when every worker is busy.
 
-use parking_lot::{Condvar, Mutex};
+use crate::lock;
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 /// A unit of work: one ready graph node, or one kernel tile batch.
@@ -65,12 +66,12 @@ fn worker_loop() {
         // would swamp the trace, so they are dropped).
         let idle_from = tfe_profile::enabled().then(tfe_profile::now_ns);
         let job = {
-            let mut q = pool.queue.lock();
+            let mut q = lock(&pool.queue);
             loop {
                 if let Some(job) = q.pop_front() {
                     break job;
                 }
-                pool.signal.wait(&mut q);
+                q = pool.signal.wait(q).unwrap_or_else(PoisonError::into_inner);
             }
         };
         if let Some(t0) = idle_from {
@@ -119,7 +120,7 @@ impl Pool {
             job();
         }) as Job;
         let depth = {
-            let mut q = self.queue.lock();
+            let mut q = lock(&self.queue);
             q.push_back(job);
             q.len()
         };
@@ -129,7 +130,7 @@ impl Pool {
 
     /// Pop and run one job if any is queued. Returns whether a job ran.
     pub fn help_one(&self) -> bool {
-        let job = self.queue.lock().pop_front();
+        let job = lock(&self.queue).pop_front();
         match job {
             Some(job) => {
                 // A waiter stole work from the queue instead of blocking.
@@ -157,9 +158,9 @@ impl Pool {
             if self.help_one() {
                 continue;
             }
-            let mut q = self.queue.lock();
+            let q = lock(&self.queue);
             if q.is_empty() && !done() {
-                self.signal.wait_for(&mut q, Duration::from_millis(1));
+                drop(self.signal.wait_timeout(q, Duration::from_millis(1)));
             }
         }
     }

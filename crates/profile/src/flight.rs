@@ -25,10 +25,10 @@
 //! `{prefix}-{seq}.json` at most once per 100 ms.
 
 use crate::trace::TraceContext;
-use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::sync::{Mutex, PoisonError};
 use tfe_encode::Value;
 
 /// Slots per thread-local ring. Power of two so the index wrap is a mask.
@@ -196,7 +196,7 @@ pub(crate) fn record(kind: Kind, name: &str, ctx: TraceContext, dur_ns: u64) {
                 NEXT_RING_TID.fetch_add(1, Ordering::Relaxed),
                 std::thread::current().name().unwrap_or("unnamed").to_string(),
             ));
-            rings().lock().push(ring.clone());
+            rings().lock().unwrap_or_else(PoisonError::into_inner).push(ring.clone());
             ring
         });
         ring.push(kind, name, ctx, dur_ns);
@@ -241,7 +241,7 @@ pub struct FlightRecord {
 pub fn flight_snapshot(window_ns: u64) -> Vec<FlightRecord> {
     let cutoff = crate::now_ns().saturating_sub(window_ns);
     let mut out = Vec::new();
-    for ring in rings().lock().iter() {
+    for ring in rings().lock().unwrap_or_else(PoisonError::into_inner).iter() {
         let head = ring.head.load(Ordering::Acquire);
         let n = head.min(FLIGHT_RING_CAPACITY as u64);
         for index in head - n..head {
@@ -345,7 +345,7 @@ pub fn flight_dump(reason: &str, op: &str, trace_id: u64) -> Option<Arc<FlightDu
         records: flight_snapshot(window_ns),
     });
     {
-        let mut recent = recent().lock();
+        let mut recent = recent().lock().unwrap_or_else(PoisonError::into_inner);
         recent.push_back(dump.clone());
         while recent.len() > MAX_RECENT_DUMPS {
             recent.pop_front();
@@ -357,12 +357,12 @@ pub fn flight_dump(reason: &str, op: &str, trace_id: u64) -> Option<Arc<FlightDu
 
 /// The most recent dump, if any.
 pub fn last_dump() -> Option<Arc<FlightDump>> {
-    recent().lock().back().cloned()
+    recent().lock().unwrap_or_else(PoisonError::into_inner).back().cloned()
 }
 
 /// The last [`MAX_RECENT_DUMPS`] dumps, oldest first.
 pub fn recent_dumps() -> Vec<Arc<FlightDump>> {
-    recent().lock().iter().cloned().collect()
+    recent().lock().unwrap_or_else(PoisonError::into_inner).iter().cloned().collect()
 }
 
 /// When `TFE_FLIGHT_DUMP={prefix}` is set, write `{prefix}-{seq}.json`,
@@ -482,7 +482,7 @@ mod tests {
 
     #[test]
     fn dump_names_op_and_trace_and_contains_history() {
-        let _g = crate::test_scope_lock().lock();
+        let _g = crate::test_scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         set_flight_enabled(true);
         let scope = crate::request_scope("serve", || "dump-test".to_string()).unwrap();
         let trace_id = scope.trace_id();
@@ -512,7 +512,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_dumps_nothing() {
-        let _g = crate::test_scope_lock().lock();
+        let _g = crate::test_scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         set_flight_enabled(false);
         assert!(flight_dump("budget_breach", "noop", 1).is_none());
         set_flight_enabled(true);

@@ -54,10 +54,10 @@ pub use trace::{
     TraceContext, TraceGroup,
 };
 
-use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -103,7 +103,7 @@ fn with_buf(f: impl FnOnce(&ThreadBuf)) {
                 name: std::thread::current().name().unwrap_or("thread").to_string(),
                 events: Mutex::new(Vec::new()),
             });
-            registry().lock().push(buf.clone());
+            registry().lock().unwrap_or_else(PoisonError::into_inner).push(buf.clone());
             buf
         });
         f(buf);
@@ -111,15 +111,15 @@ fn with_buf(f: impl FnOnce(&ThreadBuf)) {
 }
 
 fn record(event: Event) {
-    with_buf(|buf| buf.events.lock().push(event));
+    with_buf(|buf| buf.events.lock().unwrap_or_else(PoisonError::into_inner).push(event));
 }
 
 /// Begin a profiling scope: clear all per-thread buffers and enable
 /// collection. Safe to call again after [`stop`].
 pub fn start() {
     now_ns(); // pin the epoch before any event can be recorded
-    for buf in registry().lock().iter() {
-        buf.events.lock().clear();
+    for buf in registry().lock().unwrap_or_else(PoisonError::into_inner).iter() {
+        buf.events.lock().unwrap_or_else(PoisonError::into_inner).clear();
     }
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -131,8 +131,9 @@ pub fn start() {
 pub fn stop() -> Profile {
     ENABLED.store(false, Ordering::SeqCst);
     let mut threads = Vec::new();
-    for buf in registry().lock().iter() {
-        let events = std::mem::take(&mut *buf.events.lock());
+    for buf in registry().lock().unwrap_or_else(PoisonError::into_inner).iter() {
+        let events =
+            std::mem::take(&mut *buf.events.lock().unwrap_or_else(PoisonError::into_inner));
         if !events.is_empty() {
             threads.push(ThreadTrace { tid: buf.tid, name: buf.name.clone(), events });
         }
@@ -865,7 +866,7 @@ mod tests {
 
     #[test]
     fn disabled_probes_record_nothing() {
-        let _g = scope_lock().lock();
+        let _g = scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         assert!(!enabled());
         let ran = std::cell::Cell::new(false);
         let sp = span("kernel", || {
@@ -884,7 +885,7 @@ mod tests {
 
     #[test]
     fn span_collection_and_summary() {
-        let _g = scope_lock().lock();
+        let _g = scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         start();
         {
             let mut sp = span("kernel", || "matmul".to_string()).unwrap();
@@ -917,7 +918,7 @@ mod tests {
 
     #[test]
     fn multi_thread_events_land_on_separate_rows() {
-        let _g = scope_lock().lock();
+        let _g = scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         start();
         let handles: Vec<_> = (0..3)
             .map(|i| {
@@ -944,7 +945,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape_and_roundtrip() {
-        let _g = scope_lock().lock();
+        let _g = scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         start();
         {
             let _outer = span("graph", || "f".to_string());
@@ -982,7 +983,7 @@ mod tests {
 
     #[test]
     fn restart_clears_previous_scope() {
-        let _g = scope_lock().lock();
+        let _g = scope_lock().lock().unwrap_or_else(PoisonError::into_inner);
         start();
         let _ = span("kernel", || "stale".to_string());
         let _ = stop();

@@ -13,16 +13,17 @@ use crate::executor::{ExecMode, Structural};
 use crate::kernels::{many, tensor_bytes};
 use crate::tape::Tape;
 use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
-use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::{Mutex, RwLock};
 use tfe_device::{Device, DeviceManager, DeviceName};
 use tfe_graph::{FunctionLibrary, GraphBuilder, TensorRef};
 use tfe_ops::{Attrs, InferCtx, Op, SymShape};
+use tfe_parallel::{lock, read, write};
 use tfe_tensor::rng::TensorRng;
 use tfe_tensor::{DType, Shape, TensorData};
 
@@ -56,7 +57,7 @@ fn host_fns() -> &'static RwLock<HashMap<u64, HostFn>> {
 /// for the process; [`HostFnHandle`] is the owning form.
 pub fn register_host_fn(f: HostFn) -> u64 {
     let id = fresh_id();
-    host_fns().write().insert(id, f);
+    write(host_fns()).insert(id, f);
     id
 }
 
@@ -80,7 +81,7 @@ impl HostFnHandle {
 impl Drop for HostFnHandle {
     fn drop(&mut self) {
         // Bound first: what the closure captured is freed after the guard.
-        let removed = host_fns().write().remove(&self.0);
+        let removed = write(host_fns()).remove(&self.0);
         drop(removed);
     }
 }
@@ -90,7 +91,7 @@ impl Drop for HostFnHandle {
 /// # Errors
 /// Unknown id.
 pub fn host_fn(id: u64) -> Result<HostFn> {
-    host_fns().read().get(&id).cloned().ok_or(RuntimeError::UnknownHostFunction(id))
+    read(host_fns()).get(&id).cloned().ok_or(RuntimeError::UnknownHostFunction(id))
 }
 
 fn global_rng() -> &'static Mutex<TensorRng> {
@@ -100,12 +101,12 @@ fn global_rng() -> &'static Mutex<TensorRng> {
 
 /// Re-seed the process RNG used by stateful random ops (`tf.set_random_seed`).
 pub fn set_random_seed(seed: u64) {
-    *global_rng().lock() = TensorRng::seed_from_u64(seed);
+    *lock(global_rng()) = TensorRng::seed_from_u64(seed);
 }
 
 /// Run `f` with exclusive access to the process RNG.
 pub(crate) fn with_rng<R>(f: impl FnOnce(&mut TensorRng) -> R) -> R {
-    f(&mut global_rng().lock())
+    f(&mut lock(global_rng()))
 }
 
 // ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ use crate::context::{observe, Site};
 use crate::error::{Result, RuntimeError};
 use crate::kernels::{many, shared, tensor_bytes, Outputs};
 use crate::tensor::Tensor;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 use tfe_device::Device;
 use tfe_graph::{GraphFunction, NodeId, TensorRef};
 use tfe_ops::{AttrValue, Attrs, Op, OpError};
+use tfe_parallel::lock;
 use tfe_tensor::{TensorData, TensorError};
 
 /// Executor scheduling mode.
@@ -382,7 +383,7 @@ impl PoolRun {
     fn fail(&self, e: RuntimeError) {
         tfe_profile::instant("sched", || format!("abort:{}:{e}", self.f.name));
         crate::context::stat_executor_abort();
-        self.error.lock().get_or_insert(e);
+        lock(&self.error).get_or_insert(e);
         self.abort.store(true, Ordering::SeqCst);
     }
 
@@ -406,7 +407,7 @@ impl PoolRun {
         } else {
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let ins: Vec<_> = {
-                    let store = self.store.lock();
+                    let store = lock(&self.store);
                     inputs.iter().map(|t| store.get(&self.f, t)).collect::<Result<_>>()?
                 };
                 run_node(&self.f, NodeId(node), &ins, &self.device, ExecMode::Parallel)
@@ -423,7 +424,7 @@ impl PoolRun {
         // Done (or skipped by an abort): store the outputs, free the inputs,
         // submit the dependents that became ready, and signal the waiter on
         // the last.
-        let mut store = self.store.lock();
+        let mut store = lock(&self.store);
         store.put(node, outputs);
         store.release(inputs);
         drop(store);
@@ -474,8 +475,8 @@ fn drive_pool(f: &Arc<GraphFunction>, store: &mut SlotStore, device: &Device) ->
     // from worker threads pass through here too — helping instead of
     // blocking is what keeps them deadlock-free).
     crate::pool::global().wait_until(|| run.pending.load(Ordering::SeqCst) == 0);
-    *store = std::mem::take(&mut *run.store.lock());
-    let failed = run.error.lock().take();
+    *store = std::mem::take(&mut *lock(&run.store));
+    let failed = lock(&run.error).take();
     failed.map_or(Ok(()), Err)
 }
 

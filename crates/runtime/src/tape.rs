@@ -8,11 +8,12 @@
 
 use crate::context::Owner;
 use crate::tensor::Tensor;
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 use tfe_ops::{Attrs, Op};
+use tfe_parallel::lock;
 
 /// One recorded operation. Built once and shared: every tape that records
 /// it, and every `gradient` call that walks it, holds the same `Arc`.
@@ -123,7 +124,7 @@ impl Tape {
 
     /// Start watching an id (tensor id or variable id).
     pub fn watch_id(&self, id: u64) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.watched.insert(id);
         inner.tracked.insert(id);
     }
@@ -147,7 +148,7 @@ impl Tape {
         let mut attrs = Some(attrs);
         let mut record: Option<Arc<TapeRecord>> = None;
         for tape in tapes {
-            let mut inner = tape.inner.lock();
+            let mut inner = lock(&tape.inner);
             let ids = record.as_ref().map_or(&slots[..], |r| &r.input_ids[..]);
             if tape.watch_accessed_variables {
                 for &id in &ids[inputs.len()..] {
@@ -172,17 +173,17 @@ impl Tape {
     /// a record names a function `owner` owns, and `gradient` resolves the
     /// name.
     pub fn retain(&self, owner: Owner) {
-        self.inner.lock().owners.push(owner);
+        lock(&self.inner).owners.push(owner);
     }
 
     /// Snapshot the records (used by backprop): handles, not copies.
     pub fn records(&self) -> Vec<Arc<TapeRecord>> {
-        self.inner.lock().records.clone()
+        lock(&self.inner).records.clone()
     }
 
     /// Number of recorded ops.
     pub fn len(&self) -> usize {
-        self.inner.lock().records.len()
+        lock(&self.inner).records.len()
     }
 
     /// Whether nothing was recorded.
@@ -198,7 +199,7 @@ impl Tape {
     /// [`RuntimeError::TapeConsumed`] for a non-persistent tape that was
     /// already consumed (mirrors TensorFlow's `GradientTape` error).
     pub fn consume(&self) -> Result<(), crate::RuntimeError> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.consumed && !self.persistent {
             return Err(crate::RuntimeError::TapeConsumed);
         }
@@ -231,7 +232,7 @@ mod tests {
     }
 
     fn tracks(tape: &Tape, t: &Tensor) -> bool {
-        tape.inner.lock().tracked.contains(&t.id())
+        lock(&tape.inner).tracked.contains(&t.id())
     }
 
     #[test]

@@ -8,12 +8,13 @@
 
 use crate::error::{Result, RuntimeError};
 use crate::tensor::{fresh_id, Tensor};
-use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::RwLock;
 use std::sync::{Arc, Weak};
 use tfe_device::DeviceName;
 use tfe_ops::{Attrs, Op};
+use tfe_parallel::{read, write};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Backing storage for one variable.
@@ -33,7 +34,7 @@ pub struct VarStorage {
 impl VarStorage {
     /// Current value (cheap Arc clone).
     pub fn value(&self) -> Arc<TensorData> {
-        self.value.read().clone()
+        read(&self.value).clone()
     }
 
     fn bytes(&self) -> i64 {
@@ -57,7 +58,7 @@ impl VarStorage {
                 got: v.shape().clone(),
             }));
         }
-        *self.value.write() = Arc::new(v);
+        *write(&self.value) = Arc::new(v);
         Ok(())
     }
 }
@@ -82,7 +83,7 @@ pub struct VariableRegistry {
 
 impl VariableRegistry {
     fn register(&self, storage: &Arc<VarStorage>) {
-        self.map.write().insert(storage.id, Arc::downgrade(storage));
+        write(&self.map).insert(storage.id, Arc::downgrade(storage));
     }
 
     /// Resolve an id to live storage.
@@ -90,12 +91,12 @@ impl VariableRegistry {
     /// # Errors
     /// [`RuntimeError::VariableDead`] when the owning object is gone.
     pub fn resolve(&self, id: u64) -> Result<Arc<VarStorage>> {
-        self.map.read().get(&id).and_then(Weak::upgrade).ok_or(RuntimeError::VariableDead(id))
+        read(&self.map).get(&id).and_then(Weak::upgrade).ok_or(RuntimeError::VariableDead(id))
     }
 
     /// Drop dead entries (called opportunistically).
     pub fn sweep(&self) {
-        self.map.write().retain(|_, w| w.strong_count() > 0);
+        write(&self.map).retain(|_, w| w.strong_count() > 0);
     }
 }
 

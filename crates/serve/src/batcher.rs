@@ -17,12 +17,13 @@
 
 use crate::error::{fault_op, ServeError};
 use crate::metrics::ModelMetrics;
-use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use tfe_core::Func;
+use tfe_parallel::lock;
 use tfe_runtime::{api, context, RuntimeError, Tensor};
 use tfe_state::saved::LoadedFunction;
 use tfe_tensor::TensorError;
@@ -126,17 +127,17 @@ struct Slot {
 
 impl Slot {
     fn deliver(&self, r: Result<Vec<Tensor>, ServeError>) {
-        *self.result.lock() = Some(r);
+        *lock(&self.result) = Some(r);
         self.cv.notify_all();
     }
 
     fn wait(&self) -> Result<Vec<Tensor>, ServeError> {
-        let mut guard = self.result.lock();
+        let mut guard = lock(&self.result);
         loop {
             if let Some(r) = guard.take() {
                 return r;
             }
-            self.cv.wait(&mut guard);
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -201,7 +202,7 @@ impl Model {
                 }
             })
             .expect("spawn batcher worker");
-        *model.worker.lock() = Some(handle);
+        *lock(&model.worker) = Some(handle);
         model
     }
 
@@ -237,7 +238,7 @@ impl Model {
         let enqueued = Instant::now();
         tfe_profile::instant("serve", || format!("enqueue:{}@v{}", self.name, self.version));
         {
-            let mut q = self.queue.lock();
+            let mut q = lock(&self.queue);
             if q.shutdown {
                 self.metrics.errors.inc();
                 return Err(ServeError::Shutdown { model: self.name.clone() });
@@ -304,7 +305,7 @@ impl Model {
     /// Stop the worker and fail everything still queued. Idempotent.
     pub(crate) fn shutdown(&self) {
         let drained: Vec<Pending> = {
-            let mut q = self.queue.lock();
+            let mut q = lock(&self.queue);
             q.shutdown = true;
             q.pending.drain(..).collect()
         };
@@ -315,7 +316,7 @@ impl Model {
             p.slot.deliver(Err(ServeError::Shutdown { model: self.name.clone() }));
         }
         self.metrics.queue_depth.set(0);
-        let handle = self.worker.lock().take();
+        let handle = lock(&self.worker).take();
         if let Some(h) = handle {
             // The worker owns an Arc<Model>; if it drops the last reference
             // as it exits, this runs *on* the worker thread — never
@@ -333,7 +334,7 @@ impl Model {
     fn worker_turn(&self) -> bool {
         const IDLE_RECHECK: Duration = Duration::from_millis(50);
         let members = {
-            let mut q = self.queue.lock();
+            let mut q = lock(&self.queue);
             // Park until there is work (or shutdown, or an idle heartbeat).
             loop {
                 if q.shutdown {
@@ -342,7 +343,10 @@ impl Model {
                 if !q.pending.is_empty() {
                     break;
                 }
-                if self.cv.wait_for(&mut q, IDLE_RECHECK).timed_out() && q.pending.is_empty() {
+                let (guard, wait) =
+                    self.cv.wait_timeout(q, IDLE_RECHECK).unwrap_or_else(PoisonError::into_inner);
+                q = guard;
+                if wait.timed_out() && q.pending.is_empty() {
                     // Still idle: end the turn so the entry loop releases
                     // its Arc and the model can be dropped.
                     return !q.shutdown;
@@ -363,11 +367,13 @@ impl Model {
                 if now >= deadline {
                     break;
                 }
-                let timed_out = self.cv.wait_for(&mut q, deadline - now).timed_out();
+                let (guard, wait) =
+                    self.cv.wait_timeout(q, deadline - now).unwrap_or_else(PoisonError::into_inner);
+                q = guard;
                 if q.shutdown {
                     return false;
                 }
-                if timed_out {
+                if wait.timed_out() {
                     break;
                 }
             }

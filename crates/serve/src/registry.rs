@@ -9,9 +9,10 @@
 
 use crate::batcher::{BatchPolicy, Model, Servable};
 use crate::error::ServeError;
-use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+use std::sync::RwLock;
+use tfe_parallel::{read, write};
 use tfe_runtime::Tensor;
 
 struct ModelEntry {
@@ -60,7 +61,7 @@ impl ModelRegistry {
         // Start the worker outside the write lock; insertion below is the
         // atomic publish point.
         let model = Model::start(name, version, servable.into(), policy);
-        let mut reg = self.inner.write();
+        let mut reg = write(&self.inner);
         let entry = reg
             .entry(name.to_string())
             .or_insert_with(|| ModelEntry { versions: BTreeMap::new(), latest: version });
@@ -79,7 +80,7 @@ impl ModelRegistry {
     /// # Errors
     /// Unknown model or version.
     pub fn set_latest(&self, name: &str, version: u64) -> Result<(), ServeError> {
-        let mut reg = self.inner.write();
+        let mut reg = write(&self.inner);
         let entry = reg.get_mut(name).ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
         if !entry.versions.contains_key(&version) {
             return Err(ServeError::UnknownVersion { model: name.to_string(), version });
@@ -90,13 +91,12 @@ impl ModelRegistry {
 
     /// The version `latest` currently points at.
     pub fn latest(&self, name: &str) -> Option<u64> {
-        self.inner.read().get(name).map(|e| e.latest)
+        read(&self.inner).get(name).map(|e| e.latest)
     }
 
     /// All registered versions of `name`, ascending.
     pub fn versions(&self, name: &str) -> Vec<u64> {
-        self.inner
-            .read()
+        read(&self.inner)
             .get(name)
             .map(|e| e.versions.keys().copied().collect())
             .unwrap_or_default()
@@ -104,7 +104,7 @@ impl ModelRegistry {
 
     /// Registered model names, sorted.
     pub fn names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.inner.read().keys().cloned().collect();
+        let mut names: Vec<String> = read(&self.inner).keys().cloned().collect();
         names.sort();
         names
     }
@@ -113,7 +113,7 @@ impl ModelRegistry {
     /// failing still-queued requests with [`ServeError::Shutdown`]. Returns
     /// whether the model existed.
     pub fn unregister(&self, name: &str) -> bool {
-        let entry = self.inner.write().remove(name);
+        let entry = write(&self.inner).remove(name);
         match entry {
             Some(e) => {
                 for model in e.versions.values() {
@@ -126,7 +126,7 @@ impl ModelRegistry {
     }
 
     fn resolve(&self, name: &str, version: Option<u64>) -> Result<Arc<Model>, ServeError> {
-        let reg = self.inner.read();
+        let reg = read(&self.inner);
         let entry = reg.get(name).ok_or_else(|| ServeError::UnknownModel(name.to_string()))?;
         let v = version.unwrap_or(entry.latest);
         entry
@@ -172,7 +172,7 @@ impl ModelRegistry {
 
 impl Drop for ModelRegistry {
     fn drop(&mut self) {
-        for entry in self.inner.write().values() {
+        for entry in write(&self.inner).values() {
             for model in entry.versions.values() {
                 model.shutdown();
             }

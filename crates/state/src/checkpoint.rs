@@ -296,7 +296,8 @@ pub fn restore(
 mod tests {
     use super::*;
     use crate::trackable::{MutableState, TrackableGroup};
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
+    use tfe_parallel::lock;
     use tfe_runtime::Variable;
     use tfe_tensor::{DType, TensorData};
 
@@ -386,20 +387,20 @@ mod tests {
         struct Counter(Mutex<i64>);
         impl MutableState for Counter {
             fn save_state(&self) -> Value {
-                Value::Int(*self.0.lock())
+                Value::Int(*lock(&self.0))
             }
             fn restore_state(&self, v: &Value) -> Result<(), String> {
-                *self.0.lock() = v.as_i64().ok_or("expected int")?;
+                *lock(&self.0) = v.as_i64().ok_or("expected int")?;
                 Ok(())
             }
         }
         let counter = Arc::new(Counter(Mutex::new(42)));
         let g = TrackableGroup::new().with_state("step", counter.clone());
         let saved = save_to_value(&g);
-        *counter.0.lock() = 0;
+        *lock(&counter.0) = 0;
         let status = restore_from_value(&g, &saved).unwrap();
         assert_eq!(status.restored_state, 1);
-        assert_eq!(*counter.0.lock(), 42);
+        assert_eq!(*lock(&counter.0), 42);
     }
 
     #[test]

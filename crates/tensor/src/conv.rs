@@ -10,8 +10,8 @@
 
 use crate::elementwise::FloatScalar;
 use crate::gemm::gemm_into;
-use crate::par::{par_fill_rows, SendPtr};
 use crate::{Result, Shape, TensorData, TensorError};
+use tfe_parallel::par_chunks_mut;
 
 /// Multiply-adds per batch above which conv kernels parallelize across
 /// rather than within batches (and at all).
@@ -214,7 +214,7 @@ fn conv2d_im2col(x: &[f64], f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
         // and let the gemm split its row blocks across the pool.
         let mut patches = vec![0.0f64; m * k];
         for b in 0..g.n {
-            par_fill_rows(&mut patches, g.ow * k, crate::par::GRAIN_ROWS, |rows, chunk| {
+            par_chunks_mut(&mut patches, g.ow * k, crate::par::GRAIN_ROWS, |rows, chunk| {
                 pack_patch_rows(x, g, b, rows.start * g.ow..rows.end * g.ow, chunk);
             });
             gemm_into(
@@ -232,14 +232,10 @@ fn conv2d_im2col(x: &[f64], f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
     } else {
         // Many small batches: one task per group of batches, serial inside.
         let grain = (CONV_PAR_MADDS / per_batch.max(1)).max(1);
-        let ptr = SendPtr::new(out.as_mut_ptr());
-        tfe_parallel::par_for(g.n, grain, |bs| {
+        par_chunks_mut(&mut out, m * g.c_out, grain, |bs, block| {
             let mut patches = vec![0.0f64; m * k];
-            for b in bs {
+            for (b, ob) in bs.zip(block.chunks_exact_mut(m * g.c_out)) {
                 pack_patch_rows(x, g, b, 0..m, &mut patches);
-                // SAFETY: per-batch output slices are disjoint; par_for
-                // joins before `out` is read.
-                let ob = unsafe { ptr.slice_mut(b * m * g.c_out, m * g.c_out) };
                 gemm_into(m, k, g.c_out, &patches, false, f, false, ob, false);
             }
         });
@@ -288,9 +284,8 @@ pub fn conv2d_backprop_input(
         // with the per-batch loop untouched (bitwise equal to serial).
         let per_batch = g.oh * g.ow * g.kh * g.kw * g.c_in * g.c_out;
         let grain = if per_batch >= CONV_PAR_MADDS { 1 } else { g.n };
-        par_fill_rows(&mut gx, batch_elems, grain, |bs, chunk| {
-            for b in bs.clone() {
-                let gxb = &mut chunk[(b - bs.start) * batch_elems..][..batch_elems];
+        par_chunks_mut(&mut gx, batch_elems, grain, |bs, block| {
+            for (b, gxb) in bs.zip(block.chunks_exact_mut(batch_elems)) {
                 input_grad_batch(&f, &go, &g, b, gxb);
             }
         });

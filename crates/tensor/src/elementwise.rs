@@ -567,15 +567,15 @@ fn map2_par<T: Scalar, U: Scalar + Default>(
     let bv = b.as_slice::<T>()?;
     let mut out = vec![U::default(); out_shape.num_elements()];
     if a.shape() == b.shape() {
-        crate::par::par_fill(&mut out, crate::par::GRAIN_ELEMWISE, |start, chunk| {
-            for (off, o) in chunk.iter_mut().enumerate() {
-                *o = f(av[start + off], bv[start + off]);
+        tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
+            for ((o, &x), &y) in chunk.iter_mut().zip(&av[r.clone()]).zip(&bv[r]) {
+                *o = f(x, y);
             }
         });
     } else {
-        crate::par::par_fill(&mut out, crate::par::GRAIN_ELEMWISE, |start, chunk| {
-            let wa = BroadcastWalker::new_at(&out_shape, a.shape(), start);
-            let wb = BroadcastWalker::new_at(&out_shape, b.shape(), start);
+        tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
+            let wa = BroadcastWalker::new_at(&out_shape, a.shape(), r.start);
+            let wb = BroadcastWalker::new_at(&out_shape, b.shape(), r.start);
             for ((o, ia), ib) in chunk.iter_mut().zip(wa).zip(wb) {
                 *o = f(av[ia], bv[ib]);
             }
@@ -615,8 +615,8 @@ pub fn unary(a: &TensorData, op: UnaryOp) -> Result<TensorData> {
             // Bit-identical to the scalar map (no cross-element math).
             let v = a.as_slice::<f32>()?;
             let mut out = vec![0.0f32; v.len()];
-            crate::par::par_fill(&mut out, crate::par::GRAIN_ELEMWISE, |start, chunk| {
-                crate::lanes::unary_f32(op, &v[start..start + chunk.len()], chunk);
+            tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
+                crate::lanes::unary_f32(op, &v[r], chunk);
             });
             TensorData::from_vec(out, a.shape().clone())
         }
@@ -755,9 +755,9 @@ fn binary_f32_lanes(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<Tens
     let av = Periodic::new(a.as_slice::<f32>()?, n, PERIODIC_WINDOW);
     let bv = Periodic::new(b.as_slice::<f32>()?, n, PERIODIC_WINDOW);
     let mut out = vec![0.0f32; n];
-    crate::par::par_fill(&mut out, crate::par::GRAIN_ELEMWISE, |start, chunk| {
+    tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
         for (k, block) in chunk.chunks_mut(PERIODIC_WINDOW).enumerate() {
-            let at = start + k * PERIODIC_WINDOW;
+            let at = r.start + k * PERIODIC_WINDOW;
             let len = block.len();
             crate::lanes::binary_f32(op, av.window(at, len), bv.window(at, len), block);
         }
@@ -768,9 +768,9 @@ fn binary_f32_lanes(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<Tens
 /// Parallel map over a contiguous slice (the unary fast path).
 fn unary_par<T: Scalar, U: Scalar + Default>(v: &[T], f: impl Fn(T) -> U + Sync) -> Vec<U> {
     let mut out = vec![U::default(); v.len()];
-    crate::par::par_fill(&mut out, crate::par::GRAIN_ELEMWISE, |start, chunk| {
-        for (off, o) in chunk.iter_mut().enumerate() {
-            *o = f(v[start + off]);
+    tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
+        for (o, &x) in chunk.iter_mut().zip(&v[r]) {
+            *o = f(x);
         }
     });
     out

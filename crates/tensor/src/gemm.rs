@@ -13,7 +13,8 @@
 //! - an `MR x NR` register-tiled micro-kernel walks the packed panels.
 //!
 //! Row blocks are independent, so they run in parallel on the shared pool
-//! ([`tfe_parallel::par_for`]) when the problem is large enough.
+//! ([`tfe_parallel::par_chunks_mut`], one `MC x n` block of `out` per unit)
+//! when the problem is large enough.
 //!
 //! # Determinism
 //!
@@ -24,7 +25,6 @@
 //! count.
 
 use crate::data::Scalar;
-use crate::par::SendPtr;
 use std::ops::{Add, Mul};
 
 /// Rows per register tile.
@@ -97,11 +97,10 @@ pub fn gemm_into<T: GemmScalar>(
             }
             let n_blocks = m.div_ceil(MC);
             let grain = if allow_par && m * nc * kc >= PAR_MADDS { 1 } else { n_blocks };
-            let out_ptr = SendPtr::new(out.as_mut_ptr());
             let bp = &bp;
-            tfe_parallel::par_for(n_blocks, grain, |blocks| {
+            tfe_parallel::par_chunks_mut(out, MC * n, grain, |blocks, rows| {
                 let mut ap = vec![T::default(); MC.div_ceil(MR) * kc * MR];
-                for ib in blocks {
+                for (ib, row_block) in blocks.zip(rows.chunks_mut(MC * n)) {
                     let ic = ib * MC;
                     let mc = MC.min(m - ic);
                     let m_panels = mc.div_ceil(MR);
@@ -124,12 +123,7 @@ pub fn gemm_into<T: GemmScalar>(
                             let i0 = ic + ipl * MR;
                             let iw = MR.min(m - i0);
                             let apan = &ap[ipl * kc * MR..][..kc * MR];
-                            // SAFETY: row blocks cover disjoint i ranges, and
-                            // within a block the (i0, j0) tiles are disjoint;
-                            // out lives past the par_for join.
-                            unsafe {
-                                micro_kernel(apan, bpan, kc, out_ptr, i0, j0, iw, jw, n);
-                            }
+                            micro_kernel(apan, bpan, kc, row_block, i0 - ic, j0, iw, jw, n);
                         }
                     }
                 }
@@ -138,16 +132,17 @@ pub fn gemm_into<T: GemmScalar>(
     }
 }
 
-/// One `MR x NR` register tile: resumes the accumulators from `out`,
-/// sweeps the packed panels over `kc` depth steps, writes the valid
-/// `iw x jw` corner back.
+/// One `MR x NR` register tile: resumes the accumulators from `out` (a
+/// row block with row stride `ldc`; the tile's corner is row `i0`, column
+/// `j0` of it), sweeps the packed panels over `kc` depth steps, writes the
+/// valid `iw x jw` corner back.
 #[allow(clippy::too_many_arguments)]
 #[inline]
-unsafe fn micro_kernel<T: GemmScalar>(
+fn micro_kernel<T: GemmScalar>(
     apan: &[T],
     bpan: &[T],
     kc: usize,
-    out: SendPtr<T>,
+    out: &mut [T],
     i0: usize,
     j0: usize,
     iw: usize,
@@ -158,9 +153,7 @@ unsafe fn micro_kernel<T: GemmScalar>(
     // Resume each element's accumulation chain from the previous KC slice
     // so the final sum is the plain ascending-p fold (bitwise == naive).
     for (ir, row) in acc.iter_mut().enumerate().take(iw) {
-        for (jr, v) in row.iter_mut().enumerate().take(jw) {
-            *v = *out.add((i0 + ir) * ldc + j0 + jr);
-        }
+        row[..jw].copy_from_slice(&out[(i0 + ir) * ldc + j0..][..jw]);
     }
     for p in 0..kc {
         let av = &apan[p * MR..p * MR + MR];
@@ -173,9 +166,7 @@ unsafe fn micro_kernel<T: GemmScalar>(
         }
     }
     for (ir, row) in acc.iter().enumerate().take(iw) {
-        for (jr, v) in row.iter().enumerate().take(jw) {
-            *out.add((i0 + ir) * ldc + j0 + jr) = *v;
-        }
+        out[(i0 + ir) * ldc + j0..][..jw].copy_from_slice(&row[..jw]);
     }
 }
 

@@ -10,7 +10,6 @@
 //! count.
 
 use crate::gemm::{gemm_into, GemmScalar};
-use crate::par::SendPtr;
 use crate::{DType, Result, Shape, TensorData, TensorError};
 
 /// Multiply-adds per batch above which `batch_matmul` parallelizes inside
@@ -322,12 +321,8 @@ fn batch_mm<T: GemmScalar>(
         }
     } else {
         let grain = (BATCH_INNER_PAR_MADDS / per.max(1)).max(1);
-        let ptr = SendPtr::new(out.as_mut_ptr());
-        tfe_parallel::par_for(batch_n, grain, |bs| {
-            for i in bs {
-                // SAFETY: batch output slices are disjoint; par_for joins
-                // before `out` is released.
-                let o = unsafe { ptr.slice_mut(i * m * n, m * n) };
+        tfe_parallel::par_chunks_mut(out, m * n, grain, |bs, block| {
+            for (i, o) in bs.zip(block.chunks_exact_mut(m * n)) {
                 gemm_into(
                     m,
                     k,

@@ -301,9 +301,8 @@ fn float_fast_typed<T: Scalar>(
             return;
         }
         let grain = (crate::par::GRAIN_ELEMWISE / row).max(1);
-        crate::par::par_fill(acc, grain, |start, chunk| {
-            for (off, o) in chunk.iter_mut().enumerate() {
-                let r = &v[(start + off) * row..][..row];
+        tfe_parallel::par_chunks_mut(acc, 1, grain, |rs, chunk| {
+            for (o, r) in chunk.iter_mut().zip(v[rs.start * row..].chunks_exact(row)) {
                 *o = crate::lanes::lane_fold_f64(r, *o, |a, b| fold(op, a, b));
             }
         });
@@ -315,9 +314,9 @@ fn float_fast_typed<T: Scalar>(
         let inner: usize = shape.dims()[num_axes..].iter().product();
         let outer = v.len() / inner;
         let grain = (crate::par::GRAIN_ELEMWISE / outer.max(1)).max(1);
-        crate::par::par_fill(acc, grain, |start, chunk| {
+        tfe_parallel::par_chunks_mut(acc, 1, grain, |r, chunk| {
             for k in 0..outer {
-                let src = &v[k * inner + start..][..chunk.len()];
+                let src = &v[k * inner + r.start..][..chunk.len()];
                 crate::lanes::fold_columns_f64(chunk, src, |a, b| fold(op, a, b));
             }
         });

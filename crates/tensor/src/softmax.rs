@@ -10,8 +10,9 @@
 //! relative to a strict left fold (tolerance mode — see DESIGN.md
 //! "Exactness vs. tolerance policy").
 
-use crate::par::{par_fill_rows, GRAIN_ROWS};
+use crate::par::GRAIN_ROWS;
 use crate::{Result, Shape, TensorData, TensorError};
+use tfe_parallel::par_chunks_mut;
 
 fn check_float_min_rank(a: &TensorData, min_rank: usize) -> Result<(usize, usize)> {
     if !a.dtype().is_float() {
@@ -41,7 +42,7 @@ pub fn softmax(a: &TensorData) -> Result<TensorData> {
     let x = a.to_f64_vec();
     let mut out = vec![0.0f64; x.len()];
     if classes > 0 && rows > 0 {
-        par_fill_rows(&mut out, classes, GRAIN_ROWS, |rs, chunk| {
+        par_chunks_mut(&mut out, classes, GRAIN_ROWS, |rs, chunk| {
             for (ri, orow) in rs.zip(chunk.chunks_exact_mut(classes)) {
                 let row = &x[ri * classes..(ri + 1) * classes];
                 let m = crate::lanes::lane_fold_f64(row, f64::NEG_INFINITY, f64::max);
@@ -67,7 +68,7 @@ pub fn log_softmax(a: &TensorData) -> Result<TensorData> {
     let x = a.to_f64_vec();
     let mut out = vec![0.0f64; x.len()];
     if classes > 0 && rows > 0 {
-        par_fill_rows(&mut out, classes, GRAIN_ROWS, |rs, chunk| {
+        par_chunks_mut(&mut out, classes, GRAIN_ROWS, |rs, chunk| {
             for (ri, orow) in rs.zip(chunk.chunks_exact_mut(classes)) {
                 let row = &x[ri * classes..(ri + 1) * classes];
                 let m = crate::lanes::lane_fold_f64(row, f64::NEG_INFINITY, f64::max);

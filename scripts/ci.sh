@@ -97,6 +97,22 @@ echo "==> no rand or proptest; one seeded generator in tfe_tensor::rng"
 rng_gone='proptest|(^|[^A-Za-z_])rand::|rand\.workspace|shims/(proptest|rand)'
 if grep -rnE "${rng_gone}" crates src tests examples Cargo.toml; then exit 1; fi
 
+# No-vendored-crate gate: the workspace is `crates/*` on std alone. Locks
+# are std's, acquired through tfe_parallel's non-poisoning `lock`/`read`/
+# `write`; a kernel's disjoint output is split by `par_chunks_mut`. The
+# stand-in crate and the raw output pointers they replaced must not come
+# back.
+echo "==> no vendored crate, no parking_lot, no SendPtr"
+if grep -rnE 'parking_lot|shims/|SendPtr' crates src tests examples Cargo.toml; then exit 1; fi
+
+# Unsafe allowlist: the pool's lifetime extension in `scope_chunks` and the
+# counting allocator are the only `unsafe` code, each with its SAFETY
+# argument and a test (DESIGN.md §9). Anything else is a new argument to
+# make there first.
+echo "==> unsafe only in tfe_parallel::scope_chunks and tfe_bench::alloc"
+if grep -rn unsafe crates/*/src src tests examples \
+    | grep -vE '^crates/(parallel/src/lib|bench/src/alloc)\.rs:'; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -122,6 +138,22 @@ cargo test --release -q --test exec_differential --test concurrency --test stagi
 # concurrently (and when the pool has no helpers to steal tiles).
 echo "==> differential + kernel parity with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q --test exec_differential --test kernel_parity
+
+# AddressSanitizer gate: the kernels that hand tiles disjoint blocks of a
+# borrowed output, the executors that run them and the pool underneath,
+# built with ASan on the nightly toolchain (doctests do not link under ASan,
+# hence --lib --tests). Without a nightly toolchain the step cannot run, and
+# says so.
+echo "==> AddressSanitizer: tensor, parallel, graph crates + kernel/executor/concurrency suites"
+if cargo +nightly --version > /dev/null 2>&1; then
+    asan=(env RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q
+        --target x86_64-unknown-linux-gnu)
+    "${asan[@]}" -p tfe-tensor -p tfe-parallel -p tfe-graph --lib --tests
+    "${asan[@]}" --test kernel_parity --test fused_executor --test exec_differential \
+        --test concurrency -- --test-threads "${THREADS}"
+else
+    echo "SKIPPED: AddressSanitizer step (no nightly toolchain; install one to run it)"
+fi
 
 # Pass-pipeline gate: the optimizer's differential fuzz harness in
 # release — every corpus graph (stateless, stateful, algebraic-biased,

@@ -11,6 +11,7 @@
 
 use tf_eager::prelude::*;
 use tf_eager::{device, Arg};
+use tfe_parallel::lock;
 
 fn ensure_gpu() {
     tf_eager::register_device("/gpu:0").ok();
@@ -162,10 +163,10 @@ fn listing_8_figure_2_function_composition() {
 fn section_4_1_add_noise_semantics() {
     // Host randomness: inserted into the graph as a constant.
     let host = {
-        let rng = parking_lot::Mutex::new(tfe_tensor::rng::Rng::seed_from_u64(7));
+        let rng = std::sync::Mutex::new(tfe_tensor::rng::Rng::seed_from_u64(7));
         tf_eager::function("add_noise_host", move |_| {
             let eye = api::eye(DType::F64, 5)?;
-            let noise = api::scalar(rng.lock().f64());
+            let noise = api::scalar(lock(&rng).f64());
             Ok(vec![api::add(&eye, &noise)?])
         })
     };
@@ -186,14 +187,14 @@ fn section_4_1_add_noise_semantics() {
 
 #[test]
 fn section_4_6_state_creation_contract() {
-    use parking_lot::Mutex;
     use std::sync::Arc;
+    use std::sync::Mutex;
     // Good citizen: creates variables only on the first call.
     let slot: Arc<Mutex<Option<Variable>>> = Arc::new(Mutex::new(None));
     let good = {
         let slot = slot.clone();
         tf_eager::function("state_once", move |_| {
-            let mut guard = slot.lock();
+            let mut guard = lock(&slot);
             if guard.is_none() {
                 *guard = Some(Variable::new(TensorData::scalar(2.0f32)));
             }
@@ -210,7 +211,7 @@ fn section_4_6_state_creation_contract() {
         tf_eager::function("state_always", move |_| {
             let v = Variable::new(TensorData::scalar(0.0f32));
             let out = v.read()?;
-            hoard.lock().push(v);
+            lock(&hoard).push(v);
             Ok(vec![out])
         })
     };

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
 use tfe_bench::sim::Simulator;
+use tfe_parallel::lock;
 use tfe_runtime::context;
 
 /// `cond` used inside a traced function becomes a `cond` *node* whose
@@ -71,8 +72,8 @@ fn while_inside_trace_stays_dynamic() {
 /// read from a profile (the process-wide counters also count the tests
 /// running beside this one). One profiling scope at a time.
 fn eager_ops_of<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
-    static ONE_SCOPE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
-    let _one = ONE_SCOPE.lock();
+    static ONE_SCOPE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _one = lock(&ONE_SCOPE);
     tf_eager::profile::start();
     let out = f();
     let profile = tf_eager::profile::stop();
@@ -887,7 +888,7 @@ fn eager_validation_errors_are_typed_and_repeat() {
 #[test]
 fn init_scope_lifts_state_creation() {
     tf_eager::init();
-    use parking_lot::Mutex;
+    use std::sync::Mutex;
     let slot: Arc<Mutex<Option<Variable>>> = Arc::new(Mutex::new(None));
     let trace_count = Arc::new(std::sync::atomic::AtomicUsize::new(0));
     let f = {
@@ -896,12 +897,12 @@ fn init_scope_lifts_state_creation() {
         function("init_scope_state", move |_| {
             trace_count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
             tf_eager::init_scope(|| {
-                let mut guard = slot.lock();
+                let mut guard = lock(&slot);
                 if guard.is_none() {
                     *guard = Some(Variable::new(TensorData::scalar(9.0f32)));
                 }
             });
-            slot.lock().as_ref().unwrap().read().map(|t| vec![t])
+            lock(&slot).as_ref().unwrap().read().map(|t| vec![t])
         })
     };
     assert_eq!(f.call(&[]).unwrap()[0].scalar_f64().unwrap(), 9.0);
