@@ -34,15 +34,18 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 // only addition is a relaxed counter increment, which neither allocates nor
 // touches the memory handed out.
 unsafe impl GlobalAlloc for CountingAlloc {
+    #[inline]
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         System.alloc(layout)
     }
 
+    #[inline]
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
     }
 
+    #[inline]
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)

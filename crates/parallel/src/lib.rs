@@ -3,7 +3,7 @@
 //! - **Inter-op**: the dependency-counted graph scheduler in `tfe-runtime`
 //!   enqueues ready nodes as jobs (see `tfe_runtime::executor`).
 //! - **Intra-op**: tensor kernels split one large operation into tiles via
-//!   [`par_for`]/[`par_reduce`] and run the tiles as jobs on the *same*
+//!   [`par_chunks_mut`]/[`par_reduce`] and run the tiles as jobs on the *same*
 //!   queue, so graph-level and kernel-level parallelism never oversubscribe
 //!   the machine with two competing thread pools.
 //!
@@ -17,8 +17,9 @@
 //!
 //! Kernel results are **thread-count invariant** by construction:
 //!
-//! - [`par_for`] tiles must write disjoint outputs whose per-element math
-//!   does not depend on the partition, so any split gives identical bits.
+//! - [`par_chunks_mut`] tiles write disjoint output blocks; a kernel whose
+//!   per-element math does not depend on the partition gives identical bits
+//!   for any split.
 //! - [`par_reduce`] always uses *fixed chunking*: chunk boundaries depend
 //!   only on the problem size and grain, never on the thread count, and
 //!   partial results are combined left-to-right in chunk order. A reduction
@@ -204,9 +205,9 @@ fn scope_chunks(num_chunks: usize, f: &(dyn Fn(usize) + Sync)) {
     }
 }
 
-/// Partition `0..n` for [`par_for`]: enough chunks to balance across the
-/// workers (with a little slack for uneven tiles) but never finer than
-/// `grain` items per chunk.
+/// Units per tile for [`par_chunks_mut`] over `n` units: enough tiles to
+/// balance across the workers (with a little slack for uneven tiles) but
+/// never finer than `grain` units per tile.
 fn for_chunk_size(n: usize, grain: usize, threads: usize) -> usize {
     grain.max(n.div_ceil(threads * 4)).max(1)
 }
@@ -228,60 +229,21 @@ pub fn tile_len(elem_bytes: usize, buffers: usize) -> usize {
     (TILE_BUDGET_BYTES / per_elem.max(1)).clamp(512, 4096)
 }
 
-/// The partition [`par_for`] and [`par_chunks_mut`] share for `0..n`:
-/// `None` when the loop runs inline on the caller (tiny problems never pay
-/// scheduling overhead), else `(chunk, num_chunks)`. Counts the decision in
-/// the `tfe_intra_*` families. `n` must be nonzero.
-fn plan(n: usize, grain: usize) -> Option<(usize, usize)> {
-    let grain = grain.max(1);
-    let threads = intra_threads();
-    if threads > 1 && n > grain {
-        let chunk = for_chunk_size(n, grain, threads);
-        let num_chunks = n.div_ceil(chunk);
-        if num_chunks > 1 {
-            par_kernels().inc();
-            tiles().add(num_chunks as u64);
-            tfe_profile::counter("intra", "tiles", num_chunks as u64);
-            return Some((chunk, num_chunks));
-        }
-    }
-    serial_kernels().inc();
-    None
-}
-
-/// Run `body` over disjoint index ranges covering `0..n`, in parallel on
-/// the shared pool when the problem is big enough.
-///
-/// `grain` is the minimum number of items per tile; problems of `grain` or
-/// fewer items run inline on the calling thread (tiny tensors never pay
-/// scheduling overhead). Tiles must be independent: `body(r1)` and
-/// `body(r2)` run concurrently for disjoint ranges, and each element's
-/// result must not depend on the partition, so results are identical for
-/// every thread count.
-pub fn par_for<F: Fn(Range<usize>) + Sync>(n: usize, grain: usize, body: F) {
-    if n == 0 {
-        return;
-    }
-    match plan(n, grain) {
-        None => body(0..n),
-        Some((chunk, num_chunks)) => scope_chunks(num_chunks, &|c: usize| {
-            let start = c * chunk;
-            body(start..(start + chunk).min(n));
-        }),
-    }
-}
-
-/// Fill `out` in parallel, one disjoint block per tile: the writer side of
-/// [`par_for`]. `out` is cut into `out.len().div_ceil(unit)` units of
-/// `unit` elements (the last may be short), the units are partitioned
-/// exactly as `par_for(units, grain_units, ..)` partitions its indices, and
-/// `body(units, block)` receives each range of unit indices with its block
+/// Fill `out` in parallel, one disjoint block per tile. `out` is cut into
+/// `n = out.len().div_ceil(unit)` units of `unit` elements (the last may be
+/// short), and `body(units, block)` receives disjoint ranges of unit
+/// indices covering `0..n`, each with its block
 /// `out[units.start * unit .. min(units.end * unit, out.len())]`.
 ///
-/// Blocks are disjoint `&mut` borrows handed out through `chunks_mut`, so
-/// any per-element computation that does not depend on the partition gives
-/// identical bits for every thread count. An empty `out` is a no-op (and
-/// may come with a zero `unit`).
+/// `grain_units` is the minimum number of units per tile; problems of
+/// `grain_units` or fewer units run inline on the calling thread as one
+/// block (tiny tensors never pay scheduling overhead). Otherwise the units
+/// are split into tiles of `for_chunk_size(n, grain_units, intra_threads())`
+/// units that run concurrently on the shared pool. Blocks are disjoint
+/// `&mut` borrows handed out through `chunks_mut`, so any per-element
+/// computation that does not depend on the partition gives identical bits
+/// for every thread count. An empty `out` is a no-op (and may come with a
+/// zero `unit`).
 pub fn par_chunks_mut<T, F>(out: &mut [T], unit: usize, grain_units: usize, body: F)
 where
     T: Send,
@@ -292,9 +254,17 @@ where
     }
     assert!(unit > 0, "par_chunks_mut: zero-length unit");
     let n = out.len().div_ceil(unit);
-    let Some((chunk, num_chunks)) = plan(n, grain_units) else {
+    let grain = grain_units.max(1);
+    let threads = intra_threads();
+    let chunk = if threads > 1 && n > grain { for_chunk_size(n, grain, threads) } else { n };
+    if chunk >= n {
+        serial_kernels().inc();
         return body(0..n, out);
-    };
+    }
+    let num_chunks = n.div_ceil(chunk);
+    par_kernels().inc();
+    tiles().add(num_chunks as u64);
+    tfe_profile::counter("intra", "tiles", num_chunks as u64);
     // One slot per tile, each taken exactly once by the tile that owns it.
     let blocks: Vec<Mutex<Option<&mut [T]>>> =
         out.chunks_mut(chunk * unit).map(|b| Mutex::new(Some(b))).collect();
@@ -378,26 +348,18 @@ mod tests {
     }
 
     #[test]
-    fn par_for_covers_every_index_once() {
+    fn par_chunks_mut_small_runs_inline() {
         let _one = exclusive();
-        let n = 100_000;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        par_for(n, 128, |r| {
-            for i in r {
-                hits[i].fetch_add(1, Ordering::SeqCst);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn par_for_small_stays_serial() {
         let before = intra_stats().serial_kernels;
-        let sum = AtomicUsize::new(0);
-        par_for(8, 1024, |r| {
-            sum.fetch_add(r.len(), Ordering::SeqCst);
+        let caller = std::thread::current().id();
+        let calls = AtomicUsize::new(0);
+        let mut out = [0u8; 8];
+        par_chunks_mut(&mut out, 1, 1024, |units, block| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(std::thread::current().id(), caller, "runs on the caller");
+            assert_eq!((units, block.len()), (0..8, 8));
         });
-        assert_eq!(sum.load(Ordering::SeqCst), 8);
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
         assert!(intra_stats().serial_kernels > before);
     }
 
@@ -426,36 +388,32 @@ mod tests {
     }
 
     #[test]
-    fn nested_par_for_does_not_deadlock() {
+    fn nested_par_chunks_mut_does_not_deadlock() {
         let _one = exclusive();
-        let total = AtomicUsize::new(0);
-        par_for(64, 1, |outer| {
-            for _ in outer {
-                par_for(256, 16, |inner| {
-                    total.fetch_add(inner.len(), Ordering::SeqCst);
-                });
+        let mut rows = vec![0u32; 64 * 256];
+        par_chunks_mut(&mut rows, 256, 1, |_, outer| {
+            for row in outer.chunks_mut(256) {
+                par_chunks_mut(row, 1, 16, |_, inner| inner.fill(1));
             }
         });
-        assert_eq!(total.load(Ordering::SeqCst), 64 * 256);
+        assert!(rows.iter().all(|&v| v == 1));
     }
 
     #[test]
     fn tile_panic_propagates_and_pool_survives() {
         let _one = exclusive();
-        let caught = std::panic::catch_unwind(|| {
-            par_for(10_000, 1, |r| {
+        let mut out = vec![0u8; 10_000];
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            par_chunks_mut(&mut out, 1, 1, |r, _| {
                 if r.contains(&4321) {
                     panic!("boom");
                 }
             });
-        });
+        }));
         assert!(caught.is_err());
         // Pool still functional afterwards.
-        let sum = AtomicUsize::new(0);
-        par_for(10_000, 16, |r| {
-            sum.fetch_add(r.len(), Ordering::SeqCst);
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), 10_000);
+        par_chunks_mut(&mut out, 1, 16, |_, block| block.fill(1));
+        assert!(out.iter().all(|&v| v == 1));
     }
 
     #[test]
@@ -546,21 +504,28 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_tiles_match_par_for() {
+    fn par_chunks_mut_tiles_follow_for_chunk_size() {
         let _one = exclusive();
+        let prev = set_intra_threads(Some(4));
         for (n, grain) in [(1, 1), (100, 1), (10_000, 16), (50_000, 4096), (4096, 4096)] {
+            // Units per tile as the splitter sizes them at width 4, with the
+            // inline path for problems of `grain` units or fewer.
+            let chunk = if n > grain { for_chunk_size(n, grain, 4) } else { n };
+            let tiles = n.div_ceil(chunk);
+            let blocks = AtomicUsize::new(0);
             let before = intra_stats();
-            par_for(n, grain, |_| {});
-            let mid = intra_stats();
-            par_chunks_mut(&mut vec![0u8; n * 3], 3, grain, |_, _| {});
+            par_chunks_mut(&mut vec![0u8; n * 3], 3, grain, |units, _| {
+                blocks.fetch_add(1, Ordering::SeqCst);
+                assert!(units.len() == chunk || units.end == n, "n={n} grain={grain}");
+            });
             let after = intra_stats();
-            assert_eq!(mid.tiles - before.tiles, after.tiles - mid.tiles, "n={n} grain={grain}");
-            assert_eq!(
-                mid.par_kernels - before.par_kernels,
-                after.par_kernels - mid.par_kernels,
-                "n={n} grain={grain}"
-            );
+            assert_eq!(blocks.load(Ordering::SeqCst), tiles, "n={n} grain={grain}");
+            let parallel = u64::from(tiles > 1);
+            assert_eq!(after.par_kernels - before.par_kernels, parallel, "n={n} grain={grain}");
+            assert_eq!(after.serial_kernels - before.serial_kernels, 1 - parallel);
+            assert_eq!(after.tiles - before.tiles, parallel * tiles as u64, "n={n} grain={grain}");
         }
+        set_intra_threads(prev);
     }
 
     #[test]

@@ -297,7 +297,6 @@ mod tests {
     use super::*;
     use crate::trackable::{MutableState, TrackableGroup};
     use std::sync::Mutex;
-    use tfe_parallel::lock;
     use tfe_runtime::Variable;
     use tfe_tensor::{DType, TensorData};
 
@@ -387,20 +386,20 @@ mod tests {
         struct Counter(Mutex<i64>);
         impl MutableState for Counter {
             fn save_state(&self) -> Value {
-                Value::Int(*lock(&self.0))
+                Value::Int(*self.0.lock().unwrap())
             }
             fn restore_state(&self, v: &Value) -> Result<(), String> {
-                *lock(&self.0) = v.as_i64().ok_or("expected int")?;
+                *self.0.lock().unwrap() = v.as_i64().ok_or("expected int")?;
                 Ok(())
             }
         }
         let counter = Arc::new(Counter(Mutex::new(42)));
         let g = TrackableGroup::new().with_state("step", counter.clone());
         let saved = save_to_value(&g);
-        *lock(&counter.0) = 0;
+        *counter.0.lock().unwrap() = 0;
         let status = restore_from_value(&g, &saved).unwrap();
         assert_eq!(status.restored_state, 1);
-        assert_eq!(*lock(&counter.0), 42);
+        assert_eq!(*counter.0.lock().unwrap(), 42);
     }
 
     #[test]
