@@ -339,12 +339,16 @@ fn bench_fused_broadcast_chain(quick: bool) -> tfe_encode::Value {
             bits(&run(&fused)[0]),
             "fused and unfused graphs must agree bitwise at {dims:?}"
         );
-        let unfused_ns = time_ns(iters, reps, &|| {
-            run(&unfused);
-        });
-        let fused_ns = time_ns(iters, reps, &|| {
-            run(&fused);
-        });
+        let (unfused_ns, fused_ns) = time_pair_ns(
+            iters,
+            reps,
+            &|| {
+                run(&unfused);
+            },
+            &|| {
+                run(&fused);
+            },
+        );
         // Equal within timer noise counts as not slower.
         assert!(
             fused_ns <= unfused_ns * 1.05,
@@ -1019,15 +1023,35 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
 /// Best-of-`reps` mean ns/op over `iters` iterations each.
 fn time_ns(iters: usize, reps: usize, f: &dyn Fn()) -> f64 {
     f(); // warm caches / allocator outside the timed region
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        for _ in 0..iters {
-            f();
+    (0..reps).map(|_| block_ns(iters, f)).fold(f64::INFINITY, f64::min)
+}
+
+/// [`time_ns`] of `a` and of `b`, interleaved: each rep times one block of
+/// each, alternating which goes first, so a slow stretch of a loaded host
+/// lands on both sides rather than on whichever was timed second.
+fn time_pair_ns(iters: usize, reps: usize, a: &dyn Fn(), b: &dyn Fn()) -> (f64, f64) {
+    a();
+    b();
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            best_a = best_a.min(block_ns(iters, a));
+            best_b = best_b.min(block_ns(iters, b));
+        } else {
+            best_b = best_b.min(block_ns(iters, b));
+            best_a = best_a.min(block_ns(iters, a));
         }
-        best = best.min(t.elapsed().as_nanos() as f64 / iters as f64);
     }
-    best
+    (best_a, best_b)
+}
+
+/// Mean ns/op of one block of `iters` calls.
+fn block_ns(iters: usize, f: &dyn Fn()) -> f64 {
+    let t = Instant::now();
+    for _ in 0..iters {
+        f();
+    }
+    t.elapsed().as_nanos() as f64 / iters as f64
 }
 
 fn main() {

@@ -3,9 +3,10 @@
 #
 # Order is cheap-to-expensive: formatting, then clippy with warnings
 # denied, then the full (multi-threaded) test suite in debug, then the
-# executor differential + concurrency stress suites again in release —
+# corpus differential + concurrency stress suites again in release —
 # the scheduler races worth catching only show up with optimized codegen
-# and real thread interleavings.
+# and real thread interleavings — and last the differential on an
+# enlarged corpus.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -113,6 +114,12 @@ echo "==> unsafe only in tfe_parallel::scope_chunks and tfe_bench::alloc"
 if grep -rn unsafe crates/*/src src tests examples \
     | grep -vE '^crates/(parallel/src/lib|bench/src/alloc)\.rs:'; then exit 1; fi
 
+# Bitwise gate: every differential compares bits (`common::same_bits`). A
+# tolerance of zero reads as exact but is not: it takes -0.0 for +0.0 and
+# any NaN for any other.
+echo "==> no all_close(.., 0.0, 0.0) under tests/"
+if grep -rnE 'all_close\([^)]*0\.0, *0\.0' tests; then exit 1; fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
@@ -128,8 +135,8 @@ cargo test --workspace -q -- --test-threads "${THREADS}"
 # And function lifetime: a dropped `Func`
 # leaves nothing behind (by count), whatever can still reach a function
 # keeps it, a name whose owner is gone is a typed error.
-echo "==> executor differential + concurrency stress + staged gradients + lifetimes (release, ${THREADS} threads)"
-cargo test --release -q --test exec_differential --test concurrency --test staging_semantics \
+echo "==> corpus differential + concurrency stress + staged gradients + lifetimes (release, ${THREADS} threads)"
+cargo test --release -q --test differential --test concurrency --test staging_semantics \
     --test gradcheck --test lifetimes -- --test-threads "${THREADS}"
 
 # Same differential suite with the worker pool collapsed to one thread:
@@ -137,7 +144,7 @@ cargo test --release -q --test exec_differential --test concurrency --test stagi
 # serial==parallel guarantees must also hold when nothing actually runs
 # concurrently (and when the pool has no helpers to steal tiles).
 echo "==> differential + kernel parity with TFE_NUM_THREADS=1 (release)"
-TFE_NUM_THREADS=1 cargo test --release -q --test exec_differential --test kernel_parity
+TFE_NUM_THREADS=1 cargo test --release -q --test differential --test kernel_parity
 
 # AddressSanitizer gate: the kernels that hand tiles disjoint blocks of a
 # borrowed output, the executors that run them and the pool underneath,
@@ -149,24 +156,24 @@ if cargo +nightly --version > /dev/null 2>&1; then
     asan=(env RUSTFLAGS=-Zsanitizer=address cargo +nightly test -q
         --target x86_64-unknown-linux-gnu)
     "${asan[@]}" -p tfe-tensor -p tfe-parallel -p tfe-graph --lib --tests
-    "${asan[@]}" --test kernel_parity --test fused_executor --test exec_differential \
+    "${asan[@]}" --test kernel_parity --test fused_executor --test differential \
         --test concurrency -- --test-threads "${THREADS}"
 else
     echo "SKIPPED: AddressSanitizer step (no nightly toolchain; install one to run it)"
 fi
 
-# Pass-pipeline gate: the optimizer's differential fuzz harness in
-# release — every corpus graph (stateless, stateful, algebraic-biased,
-# dead-store-biased; all seeds fixed) must agree with the unoptimized
-# serial baseline under every configuration (bit for bit on the
-# algebraic corpus wherever nothing folds or fuses), a graph with no dead
+# Pass-pipeline gate: the optimizer's differential in release — every
+# corpus graph (stateless, stateful, algebraic-biased, dead-store-biased;
+# all seeds fixed) must agree bit for bit with the unoptimized serial
+# baseline under every configuration and runner, a graph with no dead
 # store must be done in one replay round, every constant pool must hold
 # exactly what its graph names, and the rewrite counters must be nonzero
-# on the biased corpora.
+# on the biased corpora — plus the optimizer's own properties
+# (idempotence, reproducible hashes, the hand-built rewrites).
 # TFE_FUZZ_CASES scales the corpora (default sizes here; raise for
 # overnight soaks, lower for a smoke run).
 echo "==> pass-pipeline differential fuzz gate (release)"
-cargo test --release -q --test pass_pipeline -- --test-threads "${THREADS}"
+cargo test --release -q --test differential --test pass_pipeline -- --test-threads "${THREADS}"
 
 # Fused-executor gate: the compiled tile executor must stay bitwise
 # against per-instruction evaluation (every op variant, random chains,
@@ -180,7 +187,8 @@ cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
 # worker pool collapsed to one thread (tiles and periodic windows must
 # not depend on a split).
 echo "==> pass pipeline + fused executor with TFE_NUM_THREADS=1 (release)"
-TFE_NUM_THREADS=1 cargo test --release -q --test pass_pipeline --test fused_executor
+TFE_NUM_THREADS=1 cargo test --release -q --test differential --test pass_pipeline \
+    --test fused_executor
 
 # Serving gate: the differential suite proves N
 # concurrent batched requests are bitwise identical to N sequential
@@ -252,15 +260,15 @@ cargo run --release -q -p tfe-bench --bin metrics_smoke > /dev/null
 # typed inside its deadline with the survivor's connection still in step,
 # an oversized request refused before it is sent — then the wire-format
 # hardening fuzz (truncations, single-byte mutations handed on to a
-# worker, hostile lengths) and the dist differential: every sampled corpus
-# graph must execute bitwise-identically locally, over the in-process
+# worker, hostile lengths) and the corpus differential, whose stateless
+# graphs must execute bitwise-identically locally, over the in-process
 # transport, and over real TCP. The trainer and the integration suite are
 # repeated with TFE_NUM_THREADS=1: a round's workers run at the same time,
 # and must not wait on the intra-op pool, or on each other, to make
 # progress.
 echo "==> distribution suite + wire hardening + dist differential (release)"
 cargo test --release -q -p tfe-nn dist_train
-cargo test --release -q --test distributed --test wire_hardening --test dist_differential \
+cargo test --release -q --test distributed --test wire_hardening --test differential \
     -- --test-threads "${THREADS}"
 echo "==> distribution suite with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q -p tfe-nn dist_train
@@ -286,5 +294,13 @@ cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 # naming the failing op with the request's trace id.
 echo "==> trace smoke (flight overhead + causal chain validation)"
 cargo run --release -q -p tfe-bench --bin trace_smoke > /dev/null
+
+# Enlarged corpus: the corpus differential at 1000 cases a corpus, every
+# mode of the oracle's table (≈ 10 s on 2 vCPUs, release). Known failure:
+# its two-tape gradient check diverges at stateless seeds 308 and 905,
+# where a second derivative through a staged call is +0.0 and eager's is
+# -0.0 (ROADMAP, "One oracle"); it passes once that is fixed.
+echo "==> corpus differential on an enlarged corpus (TFE_FUZZ_CASES=1000, release)"
+TFE_FUZZ_CASES=1000 cargo test --release -q --test differential
 
 echo "CI gate passed."

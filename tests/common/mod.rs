@@ -1,12 +1,35 @@
-//! Shared corpus machinery for the differential suites
-//! (`exec_differential.rs`, `pass_pipeline.rs`): seeded random-graph
-//! generators, the eager reference interpreter, corpora biased toward the
-//! optimizer's rewrite patterns, and a graph-level shrinker that persists
-//! failing graphs as Graphviz artifacts.
+//! Shared corpus machinery for the differential suites: seeded
+//! random-graph generators, corpora biased toward the optimizer's rewrite
+//! patterns, the eager replay of a graph, a graph-level shrinker that
+//! persists failing graphs as Graphviz artifacts, and [`oracle`], the one
+//! driver every corpus suite (`tests/differential.rs`) runs through.
+//!
+//! The driver's mode table, by corpus ([`oracle::Corpus::modes`]); each
+//! mode is compared bit for bit with the raw graph on the serial planner:
+//!
+//! | corpus | cases | modes |
+//! |---|---|---|
+//! | stateless ([`generate`]) | 120 | parallel, eager, staged, saved, dist in-process and TCP |
+//! | algebraic ([`generate_algebraic`], signed zeros) | 60 | parallel, eager, staged, saved |
+//! | stateful ([`generate_stateful`]), outputs and variables | 40 | parallel, eager |
+//! | dead-store ([`generate_dead_store`]), outputs and variables | 40 | parallel, eager |
+//!
+//! and every corpus also runs each optimizer config (`none`, `only_<pass>`
+//! for each pass, `fixpoint`, `fused`) under the serial, parallel and eager
+//! runners. The stateless graphs whose every op has a gradient also run a
+//! tape over the staged call against a tape over eager replay, under one
+//! tape and under two.
+//!
+//! To add a mode: a variant of [`oracle::Mode`], its arm in
+//! [`oracle::run`], and the variant in the rows of
+//! [`oracle::Corpus::modes`] it applies to. Nothing else changes: the
+//! comparison, the shrinking and the artifact are the driver's.
 //!
 //! Every generator is seeded, so any failure reproduces from its case
 //! number; `TFE_FUZZ_CASES` scales corpus sizes without editing tests.
 #![allow(dead_code)] // each test binary links a different subset
+
+pub mod oracle;
 
 use std::sync::Arc;
 use tf_eager::graph::{GraphBuilder, GraphFunction, Node, NodeId, TensorRef};
@@ -46,6 +69,11 @@ pub fn tensor_bits(t: &tf_eager::Tensor) -> Bits {
 /// Same dtype, same shape, same bit pattern in every element.
 pub fn same_bits(a: &TensorData, b: &TensorData) -> bool {
     bits(a) == bits(b)
+}
+
+/// How many nodes of `f` run `op`.
+pub fn count_op(f: &GraphFunction, op: &str) -> usize {
+    f.nodes.iter().filter(|n| n.op == op).count()
 }
 
 pub fn known(dims: &[usize]) -> SymShape {
@@ -356,17 +384,9 @@ pub fn replay(
     Ok(f.outputs.iter().map(|r| vals[&(r.node.0, r.output)].clone()).collect())
 }
 
-/// Interpret a generated graph as a chain of *eager* ops — the same kernels
-/// over the same operands as the graph executors, but driven through
-/// `context::execute` so the eager dispatch path (sync or async, per the
-/// ambient mode) is what's under test.
-pub fn eager_interpret(
-    f: &GraphFunction,
-    args: &[Arc<TensorData>],
-) -> Result<Vec<Arc<TensorData>>, tf_eager::RuntimeError> {
-    let args: Vec<tf_eager::Tensor> =
-        args.iter().map(|a| tf_eager::Tensor::from_data((**a).clone())).collect();
-    replay(f, &args)?.iter().map(tf_eager::Tensor::value).collect()
+/// The attributes of a `read_variable` of the f64 scalar `vid`.
+fn read_attrs(vid: i64) -> Attrs {
+    Attrs::new().with("var_id", vid).with("dtype", DType::F64).with("shape", Vec::<i64>::new())
 }
 
 /// The stateful-graph generator shared by the graph-mode and eager
@@ -376,9 +396,6 @@ pub fn eager_interpret(
 pub fn generate_stateful(seed: u64, var_ids: &[i64]) -> GraphFunction {
     let mut rng = Rng::seed_from_u64(seed * 104729 + 7);
     let mut b = GraphBuilder::new(&format!("diff_stateful_{seed}"));
-    let read_attrs = |vid: i64| {
-        Attrs::new().with("var_id", vid).with("dtype", DType::F64).with("shape", Vec::<i64>::new())
-    };
     let mut latest: Vec<TensorRef> = Vec::new();
     for _ in 0..rng.range(6usize..16) {
         let vid = var_ids[rng.range(0usize..var_ids.len())];
@@ -515,9 +532,6 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
 pub fn generate_dead_store(seed: u64, var_ids: &[i64]) -> GraphFunction {
     let mut rng = Rng::seed_from_u64(seed * 31337 + 11);
     let mut b = GraphBuilder::new(&format!("dse_case_{seed}"));
-    let read_attrs = |vid: i64| {
-        Attrs::new().with("var_id", vid).with("dtype", DType::F64).with("shape", Vec::<i64>::new())
-    };
     let mut latest: Vec<TensorRef> =
         vec![b.add_node("read_variable", vec![], read_attrs(var_ids[0])).unwrap()[0]];
     // A guaranteed clobbered store, so the corpus trips the pass on every
@@ -565,10 +579,10 @@ pub fn generate_dead_store(seed: u64, var_ids: &[i64]) -> GraphFunction {
 
 // ---------------------------------------------------------------------------
 // Failure artifacts: a failing seed reproduces its case but is not shrunk,
-// so the differential suites shrink failing graphs themselves —
-// prefix-truncate the (topologically ordered) node list and drop outputs
-// while the property still fails — and persist the minimized graph as
-// Graphviz dot so the panic message names a file, not a wall of text.
+// so the oracle shrinks failing graphs itself — prefix-truncate the
+// (topologically ordered) node list and drop outputs while the property
+// still fails — and persists the minimized graph as Graphviz dot so the
+// panic message names a file, not a wall of text.
 // ---------------------------------------------------------------------------
 
 /// Shrink a failing graph: first try narrowing to a single output, then

@@ -4,12 +4,16 @@
 //! not depend on Python state we can generate a correct trace").
 //!
 //! Random program generator → run eagerly → run staged (optimized graphs,
-//! trace-cache hit the second time) → compare bitwise-ish; also compare
-//! gradients, and fused-vs-unfused execution.
+//! trace-cache hit the second time) → compare bit for bit; also compare
+//! gradients, and fused-vs-unfused execution, bit for bit. The generator
+//! covers what the corpus of `tests/common` does not emit: broadcasting,
+//! `reshape`, and unary ops beyond the corpus' set.
 
 mod common;
 
-use common::fuzz_cases;
+use common::oracle::{divergence, run, Case, Config, Mode, Runner};
+use common::{fuzz_cases, same_bits};
+use std::sync::Arc;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
 use tfe_tensor::rng::{each_seed, Rng};
@@ -102,10 +106,10 @@ fn staging_preserves_results() {
         let staged = staged_fn.call(&args).unwrap().remove(0);
         let e = eager.value().unwrap();
         let s = staged.value().unwrap();
-        assert!(e.all_close(&s, 1e-12, 1e-12), "eager {:?} vs staged {:?} for {:?}", e, s, expr);
+        assert!(same_bits(&e, &s), "eager {e:?} vs staged {s:?} for {expr:?}");
         // Cache hit must agree too.
         let again = staged_fn.call(&args).unwrap().remove(0);
-        assert!(s.all_close(&again.value().unwrap(), 0.0, 0.0));
+        assert!(same_bits(&s, &again.value().unwrap()));
         assert_eq!(staged_fn.num_concrete(), 1);
     });
 }
@@ -147,34 +151,15 @@ fn staging_preserves_gradients() {
         let loss = staged_fn.call(&args).unwrap().remove(0);
         let staged_grads = tape.gradient(&loss, &refs).unwrap();
 
-        for (i, (e, s)) in eager_grads.iter().zip(&staged_grads).enumerate() {
-            match (e, s) {
-                (Some(e), Some(s)) => {
-                    let (e, s) = (e.value().unwrap(), s.value().unwrap());
-                    assert!(
-                        e.all_close(&s, 1e-9, 1e-9),
-                        "grad {i}: eager {:?} vs staged {:?} for {:?}",
-                        e,
-                        s,
-                        expr
-                    );
-                }
-                // Staged zeros-for-unconnected vs eager None both mean "no
-                // dependence"; verify the staged one is all zero then.
-                (None, Some(s)) => {
-                    let s = s.value().unwrap();
-                    assert!(
-                        s.to_f64_vec().iter().all(|&v| v == 0.0),
-                        "staged grad {i} should be zero for {:?}",
-                        expr
-                    );
-                }
-                (Some(e), None) => {
-                    let e = e.value().unwrap();
-                    assert!(e.to_f64_vec().iter().all(|&v| v == 0.0));
-                }
-                (None, None) => {}
-            }
+        // An input the loss does not depend on has no gradient eagerly and a
+        // zero one through the call, whose record names every input.
+        let dense = |g: &Option<Tensor>, x: &Tensor| match g {
+            Some(g) => g.value().unwrap(),
+            None => Arc::new(TensorData::zeros(x.dtype(), x.shape().unwrap())),
+        };
+        for (i, ((e, s), x)) in eager_grads.iter().zip(&staged_grads).zip(&inputs).enumerate() {
+            let (e, s) = (dense(e, x), dense(s, x));
+            assert!(same_bits(&e, &s), "grad {i}: eager {e:?} vs staged {s:?} for {expr:?}");
         }
     });
 }
@@ -183,8 +168,8 @@ fn staging_preserves_gradients() {
 fn fusion_preserves_results() {
     each_seed(fuzz_cases(64), |rng| {
         let (expr, seed) = (arb_expr(rng, 3, 4), rng.range(0..500));
-        // Build the raw trace, run it unoptimized and with the default
-        // (fusing) pipeline through the executor; results must agree.
+        // The raw trace, fused by the default pipeline and on the parallel
+        // executor, bit for bit its serial run.
         tf_eager::init();
         let inputs = input_tensors(seed);
         let Ok(_) = eval(&expr, &inputs) else { return };
@@ -194,47 +179,14 @@ fn fusion_preserves_results() {
             Ok(vec![eval(&expr2, &tensors)?])
         });
         let args: Vec<Arg> = inputs.iter().map(Arg::from).collect();
-        let conc = f.concrete_for(&args).unwrap();
-        let evaluator = |node: &tf_eager::graph::Node,
-                         ins: &[std::sync::Arc<TensorData>]|
-         -> Result<Vec<TensorData>, String> {
-            tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
-        };
-        let fused = tf_eager::graph::passes::optimize(
-            &conc.raw,
-            &tf_eager::graph::passes::OptimizeOptions::default(),
-            Some(&evaluator),
-        );
-        let device = tfe_runtime::context::device_manager().host_cpu();
-        let arg_data: Vec<std::sync::Arc<TensorData>> =
-            inputs.iter().map(|t| t.value().unwrap()).collect();
-        let raw_out = tfe_runtime::executor::run_function(
-            &conc.raw,
-            &arg_data,
-            &device,
-            tf_eager::ExecMode::SerialPlanned,
-        )
-        .unwrap();
-        let fused_out = tfe_runtime::executor::run_function(
-            &fused,
-            &arg_data,
-            &device,
-            tf_eager::ExecMode::SerialPlanned,
-        )
-        .unwrap();
-        assert!(
-            raw_out[0].all_close(&fused_out[0], 1e-12, 1e-12),
-            "fusion changed the result for {:?}",
-            expr
-        );
-        // And the parallel executor agrees with the serial one.
-        let par_out = tfe_runtime::executor::run_function(
-            &conc.raw,
-            &arg_data,
-            &device,
-            tf_eager::ExecMode::Parallel,
-        )
-        .unwrap();
-        assert!(raw_out[0].all_close(&par_out[0], 0.0, 0.0));
+        let graph = (*f.concrete_for(&args).unwrap().raw).clone();
+        let args = inputs.iter().map(|t| t.value().unwrap()).collect();
+        let case = Case { graph, args, variables: Vec::new() };
+        let serial = run(&case, Mode::Serial);
+        assert!(serial.is_ok(), "{serial:?}");
+        for mode in [Mode::Optimized(Config::Fused, Runner::Serial), Mode::Parallel] {
+            let diff = divergence(&case, mode, &serial, &run(&case, mode));
+            assert!(diff.is_none(), "{mode:?} changed the result for {expr:?}: {diff:?}");
+        }
     });
 }

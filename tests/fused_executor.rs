@@ -11,7 +11,7 @@
 
 mod common;
 
-use common::fuzz_cases;
+use common::{fuzz_cases, same_bits};
 use tfe_graph::program::{self, Instr, Program};
 use tfe_parallel::set_intra_threads;
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
@@ -235,7 +235,7 @@ fn mixed_dtype_and_shape_take_generic_fallback() {
     let got = compiled.eval(&[&a64, &b64]).unwrap();
     assert_eq!(got.dtype(), DType::F64);
     let want = unary(&binary(&a64, &b64, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
-    assert!(want.all_close(&got, 0.0, 0.0), "f64 fallback must match eager exactly");
+    assert!(same_bits(&want, &got), "f64 fallback must match eager exactly");
 
     // Two partial operands, and a column against the full shape: the
     // broadcast goes through the generic path.

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{bits, tensor_bits, Bits};
+use common::{tensor_bits, Bits};
 use std::sync::Arc;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
@@ -252,115 +252,6 @@ fn lstm_cell_under_one_tape_matches_eager_bitwise() {
 #[test]
 fn lstm_cell_under_two_tapes_matches_eager_bitwise() {
     lstm_cell_matches_eager_bitwise(2);
-}
-
-/// Tape over eager ops == tape over the staged call, bit for bit, for the
-/// shared random-graph corpus (the graphs whose every op has a gradient in
-/// both modes): under one tape the first derivatives, under two the first
-/// and second.
-fn corpus_gradients_match_eager_bitwise(tapes: usize) {
-    tf_eager::init();
-    // `while_loop` has no gradient, a `cond` inside a trace has none (its
-    // predicate is symbolic), and the corpus' `call` nodes name callees
-    // that were not made by `function`.
-    let no_gradient = ["while_loop", "cond", "call"];
-    let mut checked = 0;
-    for seed in 0..common::fuzz_cases(120) {
-        let (graph, shapes) = common::generate(seed);
-        if graph.nodes.iter().any(|n| no_gradient.contains(&n.op.name())) {
-            continue;
-        }
-        let graph = Arc::new(graph);
-        let args: Vec<Tensor> = common::make_args(seed, &shapes)
-            .iter()
-            .map(|a| Tensor::from_data((**a).clone()))
-            .collect();
-        let staged = {
-            let graph = graph.clone();
-            function(&format!("corpus_grad_{seed}"), move |args| {
-                let tensors: Vec<Tensor> =
-                    args.iter().map(|a| a.as_tensor().cloned().expect("tensor")).collect();
-                common::replay(&graph, &tensors)
-            })
-        };
-        let gradients = |through_staged: bool| -> Vec<Bits> {
-            let outer = (tapes > 1).then(GradientTape::new);
-            let tape = GradientTape::new();
-            for a in &args {
-                if let Some(outer) = &outer {
-                    outer.watch(a);
-                }
-                tape.watch(a);
-            }
-            let outs = if through_staged {
-                staged.call_tensors(&args.iter().collect::<Vec<_>>()).unwrap()
-            } else {
-                common::replay(&graph, &args).unwrap()
-            };
-            // Weight the first output so the two do not get the same `dy`.
-            let first = api::reduce_sum(&api::square(&outs[0]).unwrap(), &[], false).unwrap();
-            let second = api::reduce_sum(&outs[1], &[], false).unwrap();
-            let loss = api::add(&first, &second).unwrap();
-            let sources: Vec<&Tensor> = args.iter().collect();
-            let grads = tape.gradient(&loss, &sources).unwrap();
-            // An input the outputs do not depend on has no gradient eagerly
-            // and a zero one through the call, whose record names every input.
-            let as_bits = |grads: &[Option<Tensor>]| -> Vec<Bits> {
-                let zeros = |a: &Tensor| bits(&TensorData::zeros(a.dtype(), a.shape().unwrap()));
-                grads
-                    .iter()
-                    .zip(&args)
-                    .map(|(g, a)| g.as_ref().map_or_else(|| zeros(a), tensor_bits))
-                    .collect()
-            };
-            let mut out = as_bits(&grads);
-            // Second derivatives: of the gradient's squared norm (a zero
-            // gradient adds a `+0.0` to a sum of squares, which leaves it).
-            if let Some(outer) = outer {
-                let mut norm = api::scalar(0.0f64);
-                for g in grads.iter().flatten() {
-                    let square = api::reduce_sum(&api::square(g).unwrap(), &[], false).unwrap();
-                    norm = api::add(&norm, &square).unwrap();
-                }
-                out.extend(as_bits(&outer.gradient(&norm, &sources).unwrap()));
-            }
-            out
-        };
-        let (eager, staged) = (gradients(false), gradients(true));
-        // The `host_func` gradient re-runs its closure (§4.7), so a second
-        // derivative through it forms `a·f′ + b·f′` where eager, which
-        // differentiates the one closure body, forms `(a + b)·f′`: equal up
-        // to rounding. Every other value is bitwise.
-        let exact = match graph.nodes.iter().any(|n| n.op == tfe_ops::Op::HostFunc) {
-            true => args.len(),
-            false => eager.len(),
-        };
-        assert_eq!(eager[..exact], staged[..exact], "corpus graph {seed}:\n{}", graph.dump());
-        let floats = |(_, _, b): &Bits| -> Vec<f64> {
-            b.chunks(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect()
-        };
-        for (e, s) in eager[exact..].iter().zip(&staged[exact..]) {
-            assert_eq!((e.0, &e.1), (s.0, &s.1), "corpus graph {seed}");
-            for (e, s) in floats(e).into_iter().zip(floats(s)) {
-                assert!(
-                    (e - s).abs() <= 1e-12 * e.abs().max(1.0),
-                    "corpus graph {seed}: {e} vs {s}"
-                );
-            }
-        }
-        checked += 1;
-    }
-    assert!(checked >= 20, "only {checked} corpus graphs had gradients");
-}
-
-#[test]
-fn corpus_gradients_under_one_tape_match_eager_bitwise() {
-    corpus_gradients_match_eager_bitwise(1);
-}
-
-#[test]
-fn corpus_gradients_under_two_tapes_match_eager_bitwise() {
-    corpus_gradients_match_eager_bitwise(2);
 }
 
 /// A tape opened *between* a one-tape forward and its `gradient` call
