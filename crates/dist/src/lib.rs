@@ -19,7 +19,7 @@
 //!
 //! Both transports run the same protocol bytes end to end — the in-process
 //! path encodes/decodes every frame exactly like the TCP path and serves
-//! as its bitwise differential reference (`tests/differential.rs`).
+//! as its bitwise differential reference (`tests/dist_differential.rs`).
 //!
 //! ## Substitution (DESIGN.md §3)
 //!

@@ -136,15 +136,16 @@ cargo test --workspace -q -- --test-threads "${THREADS}"
 # leaves nothing behind (by count), whatever can still reach a function
 # keeps it, a name whose owner is gone is a typed error.
 echo "==> corpus differential + concurrency stress + staged gradients + lifetimes (release, ${THREADS} threads)"
-cargo test --release -q --test differential --test concurrency --test staging_semantics \
-    --test gradcheck --test lifetimes -- --test-threads "${THREADS}"
+cargo test --release -q --test differential --test exec_differential --test concurrency \
+    --test staging_semantics --test gradcheck --test lifetimes -- --test-threads "${THREADS}"
 
 # Same differential suite with the worker pool collapsed to one thread:
 # kernels promise identical bits at every intra-op thread count, so the
 # serial==parallel guarantees must also hold when nothing actually runs
 # concurrently (and when the pool has no helpers to steal tiles).
 echo "==> differential + kernel parity with TFE_NUM_THREADS=1 (release)"
-TFE_NUM_THREADS=1 cargo test --release -q --test differential --test kernel_parity
+TFE_NUM_THREADS=1 cargo test --release -q --test differential --test exec_differential \
+    --test kernel_parity
 
 # AddressSanitizer gate: the kernels that hand tiles disjoint blocks of a
 # borrowed output, the executors that run them and the pool underneath,
@@ -157,7 +158,7 @@ if cargo +nightly --version > /dev/null 2>&1; then
         --target x86_64-unknown-linux-gnu)
     "${asan[@]}" -p tfe-tensor -p tfe-parallel -p tfe-graph --lib --tests
     "${asan[@]}" --test kernel_parity --test fused_executor --test differential \
-        --test concurrency -- --test-threads "${THREADS}"
+        --test exec_differential --test concurrency -- --test-threads "${THREADS}"
 else
     echo "SKIPPED: AddressSanitizer step (no nightly toolchain; install one to run it)"
 fi
@@ -268,8 +269,8 @@ cargo run --release -q -p tfe-bench --bin metrics_smoke > /dev/null
 # progress.
 echo "==> distribution suite + wire hardening + dist differential (release)"
 cargo test --release -q -p tfe-nn dist_train
-cargo test --release -q --test distributed --test wire_hardening --test differential \
-    -- --test-threads "${THREADS}"
+cargo test --release -q --test distributed --test wire_hardening --test dist_differential \
+    --test differential -- --test-threads "${THREADS}"
 echo "==> distribution suite with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q -p tfe-nn dist_train
 TFE_NUM_THREADS=1 cargo test --release -q --test distributed -- --test-threads "${THREADS}"
@@ -295,12 +296,14 @@ cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 echo "==> trace smoke (flight overhead + causal chain validation)"
 cargo run --release -q -p tfe-bench --bin trace_smoke > /dev/null
 
-# Enlarged corpus: the corpus differential at 1000 cases a corpus, every
-# mode of the oracle's table (≈ 10 s on 2 vCPUs, release). Known failure:
+# Enlarged corpus: the corpus suites at 1000 cases a corpus, every mode of
+# the oracle's table (≈ 10 s on 2 vCPUs, release; --no-fail-fast, so one
+# suite's failure does not hide the others'). Known failure:
 # its two-tape gradient check diverges at stateless seeds 308 and 905,
 # where a second derivative through a staged call is +0.0 and eager's is
 # -0.0 (ROADMAP, "One oracle"); it passes once that is fixed.
 echo "==> corpus differential on an enlarged corpus (TFE_FUZZ_CASES=1000, release)"
-TFE_FUZZ_CASES=1000 cargo test --release -q --test differential
+TFE_FUZZ_CASES=1000 cargo test --release -q --no-fail-fast --test differential --test exec_differential \
+    --test dist_differential --test pass_pipeline
 
 echo "CI gate passed."

@@ -2,7 +2,7 @@
 //! random-graph generators, corpora biased toward the optimizer's rewrite
 //! patterns, the eager replay of a graph, a graph-level shrinker that
 //! persists failing graphs as Graphviz artifacts, and [`oracle`], the one
-//! driver every corpus suite (`tests/differential.rs`) runs through.
+//! driver every corpus suite runs through.
 //!
 //! The driver's mode table, by corpus ([`oracle::Corpus::modes`]); each
 //! mode is compared bit for bit with the raw graph on the serial planner:
@@ -20,10 +20,19 @@
 //! tape over the staged call against a tape over eager replay, under one
 //! tape and under two.
 //!
+//! A suite is a call to [`oracle::check_corpus`] that picks modes from a
+//! corpus' row: `exec_differential` takes parallel and eager on the raw
+//! stateless and stateful graphs, `dist_differential` the cluster,
+//! `pass_pipeline` the optimizer configs on those two rows, and
+//! `differential` the algebraic and dead-store rows whole, the tapes, and
+//! every stateless mode the others do not take.
+//!
 //! To add a mode: a variant of [`oracle::Mode`], its arm in
 //! [`oracle::run`], and the variant in the rows of
-//! [`oracle::Corpus::modes`] it applies to. Nothing else changes: the
-//! comparison, the shrinking and the artifact are the driver's.
+//! [`oracle::Corpus::modes`] it applies to; on the stateless, algebraic
+//! and dead-store rows `differential` picks it up, on the stateful row a
+//! test picks it. Nothing else changes: the comparison, the shrinking and
+//! the artifact are the driver's.
 //!
 //! Every generator is seeded, so any failure reproduces from its case
 //! number; `TFE_FUZZ_CASES` scales corpus sizes without editing tests.

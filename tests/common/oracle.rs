@@ -90,6 +90,7 @@ impl Corpus {
     /// The corpus' row of the mode table: what it runs besides the serial
     /// reference. Every corpus runs every optimizer config under every
     /// runner; the stateful rows have no staged, saved or remote mode yet.
+    /// A test takes its modes from here ([`check_corpus`]).
     pub fn modes(self) -> Vec<Mode> {
         use Mode::*;
         let mut modes = match self {
@@ -114,7 +115,8 @@ impl Corpus {
 }
 
 /// One way to run a case. Adding a mode is a variant here, its arm in
-/// [`run`], and its place in the rows of [`Corpus::modes`] it applies to.
+/// [`run`], and its place in the rows of [`Corpus::modes`] it applies to;
+/// the test that checks it picks it from the row.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Mode {
     /// The raw graph on the serial planner: the reference.
@@ -306,6 +308,11 @@ pub fn optimize(graph: &GraphFunction, config: Config) -> Result<Optimization, F
     Err(Failure::Check(format!("{config:?}: {broken}")))
 }
 
+/// The optimization under `config` in a report of [`check`].
+pub fn optimized(report: &[Optimization], config: Config) -> &Optimization {
+    report.iter().find(|o| o.config == config).unwrap_or_else(|| panic!("{config:?} not checked"))
+}
+
 /// Run `case` in every mode of `modes` and compare each with its
 /// reference; on a mismatch shrink the graph against that mode and panic
 /// with the artifact. Returns every config's optimization of the case, for
@@ -348,11 +355,16 @@ pub fn check_with(
     report
 }
 
-/// Check every case of `corpus` in every mode of its row, handing each
-/// case and its optimizations to `tally`.
-pub fn check_corpus(corpus: Corpus, mut tally: impl FnMut(&Case, &[Optimization])) {
+/// Check every case of `corpus` in the modes of its row that `pick`
+/// takes, handing each case and its optimizations to `tally`.
+pub fn check_corpus(
+    corpus: Corpus,
+    pick: impl Fn(&Mode) -> bool,
+    mut tally: impl FnMut(&Case, &[Optimization]),
+) {
     tf_eager::init();
-    let modes = corpus.modes();
+    let modes: Vec<Mode> = corpus.modes().into_iter().filter(pick).collect();
+    assert!(!modes.is_empty(), "no mode of the {corpus:?} row picked");
     for seed in 0..corpus.cases() {
         let case = corpus.case(seed);
         tally(&case, &check(corpus, seed, &case, &modes));

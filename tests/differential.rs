@@ -1,10 +1,15 @@
-//! The corpus differential: every seeded corpus graph of `tests/common`
-//! runs through every mode of the oracle's table (`common::oracle`) and
-//! must agree bit for bit, outputs and final variable state, with the raw
-//! graph on the serial planner. On a mismatch the driver shrinks the graph
-//! and panics with a dot artifact naming the corpus, seed and mode. The
+//! The corpus differential: seeded corpus graphs of `tests/common` run
+//! through the modes of the oracle's table (`common::oracle`) and must
+//! agree bit for bit, outputs and final variable state, with the raw graph
+//! on the serial planner. On a mismatch the driver shrinks the graph and
+//! panics with a dot artifact naming the corpus, seed and mode. The
 //! rewrite counters each corpus was built to trip must be nonzero: a
 //! differential that never triggers the rewrites it gates proves nothing.
+//!
+//! The stateless and stateful rows are split between suites, each a call
+//! into the same driver: the raw graph's executors in
+//! `exec_differential.rs`, the cluster in `dist_differential.rs`, the
+//! optimizer configs in `pass_pipeline.rs`, and every other mode here.
 //!
 //! Also here: the executor's failure paths, which the serial planner, the
 //! parallel scheduler and eager dispatch must report alike.
@@ -12,75 +17,64 @@
 mod common;
 
 use common::oracle::{
-    check, check_corpus, check_with, divergence, run, Case, Config, Corpus, Failure, Mode,
-    Optimization,
+    check, check_corpus, check_with, divergence, optimized, run, Case, Config, Corpus, Failure,
+    Mode,
 };
-use common::{count_op, counter_loop, known, Avail};
+use common::{counter_loop, known, Avail};
 use std::sync::Arc;
 use tf_eager::graph::{GraphBuilder, GraphFunction};
 use tf_eager::{Op, RuntimeError};
 use tfe_ops::Attrs;
 use tfe_tensor::{DType, Shape, TensorData};
 
-fn fixpoint(report: &[Optimization]) -> &Optimization {
-    report.iter().find(|o| o.config == Config::Fixpoint).expect("every row runs fixpoint")
+/// The modes of the stateless and stateful rows that the other suites
+/// check. Every other mode of those rows runs here, so a new one is
+/// checked without a new test.
+fn checked_elsewhere(mode: &Mode) -> bool {
+    matches!(mode, Mode::Parallel | Mode::Eager | Mode::Dist(_) | Mode::Optimized(..))
 }
 
-/// The headline differential: every structural op, in every executor,
-/// staged, saved and loaded, on a cluster over both transports, and under
-/// every optimizer config.
+/// Every structural op, traced into a `function` and called, and exported,
+/// saved, loaded and called.
 #[test]
-fn stateless_corpus_agrees_in_every_mode() {
-    let (mut merged, mut fused) = (0, 0);
-    check_corpus(Corpus::Stateless, |_, report| {
-        for o in report {
-            merged += o.stats.rewrites_for("cse");
-            if o.config == Config::Fused {
-                fused += o.stats.rewrites_for("fuse_elementwise");
-            }
-        }
-    });
-    assert!(merged > 0, "corpus never triggered CSE");
-    assert!(fused > 0, "corpus never produced a fused kernel");
+fn stateless_corpus_agrees_staged_and_saved() {
+    check_corpus(Corpus::Stateless, |m| !checked_elsewhere(m), |_, _| {});
 }
 
-/// The algebraic-biased corpus on `±0.0` inputs: every rewrite that is
-/// right only up to the sign of zero shows here.
+/// The algebraic-biased corpus on `±0.0` inputs, in every mode of its row:
+/// every rewrite that is right only up to the sign of zero shows here.
 #[test]
 fn algebraic_corpus_is_simplified_and_preserved() {
     let (mut algebraic, mut propagated, mut removed) = (0, 0, 0);
-    check_corpus(Corpus::Algebraic, |case, report| {
-        let fixpoint = fixpoint(report);
-        algebraic += fixpoint.stats.rewrites_for("simplify_algebraic");
-        propagated += fixpoint.stats.rewrites_for("propagate_constants");
-        removed += case.graph.executable_node_count() - fixpoint.graph.executable_node_count();
-    });
+    check_corpus(
+        Corpus::Algebraic,
+        |_| true,
+        |case, report| {
+            let fixpoint = optimized(report, Config::Fixpoint);
+            algebraic += fixpoint.stats.rewrites_for("simplify_algebraic");
+            propagated += fixpoint.stats.rewrites_for("propagate_constants");
+            removed += case.graph.executable_node_count() - fixpoint.graph.executable_node_count();
+        },
+    );
     assert!(algebraic > 0, "biased corpus never triggered algebraic simplification");
     assert!(propagated > 0, "biased corpus never triggered constant propagation");
     assert!(removed > 0, "optimization never shrank a biased graph");
 }
 
-/// Random interleavings of variable reads, writes and math: the parallel
-/// scheduler keeps program order through sequencing edges, and redundant
-/// loads merge only up to the next store.
-#[test]
-fn stateful_corpus_agrees_in_every_mode() {
-    let mut merged_loads = 0;
-    check_corpus(Corpus::Stateful, |case, report| {
-        let reads = |g| count_op(g, "read_variable");
-        merged_loads += reads(&case.graph) - reads(&fixpoint(report).graph);
-    });
-    assert!(merged_loads > 0, "stateful corpus never triggered redundant-load elimination");
-}
-
-/// Bursts of clobbered stores: dead-store elimination drops only what no
-/// read observes. Every graph opens with a guaranteed dead store.
+/// Bursts of clobbered stores, in every mode of their row: dead-store
+/// elimination drops only what no read observes. Every graph opens with a
+/// guaranteed dead store.
 #[test]
 fn dead_store_corpus_is_eliminated_and_preserved() {
     let mut dse_rewrites = 0;
-    check_corpus(Corpus::DeadStore, |_, report| {
-        dse_rewrites += fixpoint(report).stats.rewrites_for("eliminate_dead_stores");
-    });
+    check_corpus(
+        Corpus::DeadStore,
+        |_| true,
+        |_, report| {
+            dse_rewrites +=
+                optimized(report, Config::Fixpoint).stats.rewrites_for("eliminate_dead_stores");
+        },
+    );
     assert!(dse_rewrites > 0, "biased corpus never triggered dead-store elimination");
 }
 

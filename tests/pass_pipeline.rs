@@ -1,21 +1,66 @@
-//! The graph optimizer's own properties, beside the corpus differential
-//! (`tests/differential.rs`, where every corpus graph runs under every
-//! pass configuration): single rewrites pinned on hand-built programs —
-//! redundant loads up to the next store, one more round per dropped store,
-//! the sign of zero through the additive identities, barriers that block a
-//! merge — and, over the general and algebraic corpora, that each pass is
-//! idempotent, that optimizing twice changes nothing and that optimized
-//! hashes are reproducible. The shrinker the differential's failures go
-//! through is tested here too.
+//! The graph optimizer: every stateless and stateful corpus graph under
+//! every config, in every runner, bit for bit with the unoptimized serial
+//! run, outputs and variables (calls into `common::oracle`; the biased
+//! corpora are `tests/differential.rs`'s). Beside it: single rewrites
+//! pinned on hand-built programs — redundant loads up to the next store,
+//! one more round per dropped store, the sign of zero through the additive
+//! identities, barriers that block a merge — and, over the general and
+//! algebraic corpora, that each pass is idempotent, that optimizing twice
+//! changes nothing and that optimized hashes are reproducible. The
+//! shrinker the differential's failures go through is tested here too.
 
 mod common;
 
-use common::oracle::{evaluator, Config};
+use common::oracle::{check_corpus, evaluator, optimized, Config, Corpus, Mode};
 use common::{count_op, fuzz_cases, tensor_bits};
 use tf_eager::graph::passes::{self, OptimizeOptions, PASS_NAMES};
 use tf_eager::ExecMode;
 use tfe_runtime::executor;
 use tfe_tensor::TensorData;
+
+/// The headline differential: every stateless corpus graph under `none`
+/// and each rewrite family alone, in all three runners. `fixpoint` and
+/// `fused` are [`fused_and_unfused_graphs_agree_bitwise`]'s.
+#[test]
+fn all_pass_configs_agree_on_random_graphs() {
+    let mut merged = 0;
+    let single = |m: &Mode| matches!(m, Mode::Optimized(Config::None | Config::Only(_), _));
+    check_corpus(Corpus::Stateless, single, |_, report| {
+        merged += report.iter().map(|o| o.stats.rewrites_for("cse")).sum::<u64>();
+    });
+    assert!(merged > 0, "corpus never triggered CSE");
+}
+
+/// The default pipeline, which lowers elementwise islands into fused
+/// kernels, and the same pipeline without the lowering: both bit for bit
+/// with the raw graph in all three runners, so the fused kernel's tile
+/// executor agrees with the op-by-op nodes it replaced. Fusion must fire.
+#[test]
+fn fused_and_unfused_graphs_agree_bitwise() {
+    let mut fused = 0;
+    let pipeline = |m: &Mode| matches!(m, Mode::Optimized(Config::Fixpoint | Config::Fused, _));
+    check_corpus(Corpus::Stateless, pipeline, |_, report| {
+        fused += optimized(report, Config::Fused).stats.rewrites_for("fuse_elementwise");
+    });
+    assert!(fused > 0, "corpus never produced a fused kernel");
+}
+
+/// Stateful corpus: every config preserves outputs *and* final variable
+/// state bit for bit, in all three runners. This keeps dead-store
+/// elimination honest about liveness; redundant loads must merge.
+#[test]
+fn all_pass_configs_preserve_variable_state() {
+    let mut merged_loads = 0;
+    check_corpus(
+        Corpus::Stateful,
+        |m| matches!(m, Mode::Optimized(..)),
+        |case, report| {
+            let reads = |g| count_op(g, "read_variable");
+            merged_loads += reads(&case.graph) - reads(&optimized(report, Config::Fixpoint).graph);
+        },
+    );
+    assert!(merged_loads > 0, "stateful corpus never triggered redundant-load elimination");
+}
 
 /// CSE keys a constant on its bytes: two `i64` constants that round to the
 /// same `f64` stay two constants through trace, optimize and execute.
