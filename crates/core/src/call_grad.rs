@@ -18,23 +18,23 @@
 //!   set; the others are dropped from its inputs.
 //! * **`__bwd2`**, when a gradient reached a kept intermediate (an outer
 //!   tape or graph differentiated the backward call with respect to its
-//!   inputs): the same trace with one more seed per kept intermediate,
-//!   built on first need. A seed only adds to the adjoint of a value the
-//!   first-order trace already propagates through, so this backward reads
-//!   nothing outside the kept set (DESIGN.md §7). A build that would all
-//!   the same fails naming the op: it never widens the forward and never
-//!   drops the term.
+//!   inputs): the same trace with one more seed per kept intermediate a
+//!   gradient reached, built on first need for each such set (`__bwd2`
+//!   when it is all of them, `__bwd2_{mask}` otherwise). A seed only adds
+//!   to the adjoint of a value the first-order trace already propagates
+//!   through, so this backward reads nothing outside the kept set
+//!   (DESIGN.md §7). A build that would all the same fails naming the op:
+//!   it never widens the forward and never drops the term.
 
 use crate::func::{keep_alive, optimize, ConcreteFunction};
 use std::collections::{HashMap, HashSet};
 use std::sync::RwLock;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use tfe_autodiff::GradCtx;
 use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
 use tfe_ops::{Attrs, Op};
-use tfe_parallel::{read, write};
+use tfe_parallel::{lock, read, write};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
-use tfe_tensor::TensorData;
 
 /// The forward variant of one concrete function and its backward functions,
 /// built once, when first needed.
@@ -42,10 +42,6 @@ use tfe_tensor::TensorData;
 pub struct ForwardBundle {
     /// User-visible output count of the original function.
     pub n_primary: usize,
-    /// Inputs (args + captures) of the forward function.
-    pub n_forward_inputs: usize,
-    /// Variables referenced by the forward graph.
-    pub var_ids: Vec<i64>,
     /// The forward variant, as inserted in the library: the `n_primary`
     /// outputs followed by the kept intermediates.
     pub fwd: Arc<GraphFunction>,
@@ -53,16 +49,26 @@ pub struct ForwardBundle {
     /// bundle keeps alive. Its inputs are the kept intermediates (in `fwd`
     /// output order), one gradient per primary output, then its own
     /// captures; its outputs are one gradient per forward input followed
-    /// by one per variable in `var_ids`.
+    /// by one per variable the forward reads — for the slots that
+    /// `bwd_returns` marks, and no others.
     pub bwd: Arc<ConcreteFunction>,
+    /// Which slots of the forward `call` record (forward inputs, then
+    /// variables) `bwd` returns a gradient for. No gradient reaches the
+    /// others, and they get none, as under eager.
+    bwd_returns: Vec<bool>,
     /// The `call` attributes of the forward variant, encoded once.
     pub(crate) fwd_attrs: Attrs,
     /// The kept intermediates, as outputs of the raw trace.
     kept: Vec<TensorRef>,
-    /// `bwd` with one more gradient input per kept intermediate after the
-    /// primary ones, built when a gradient first reaches one.
-    seeded: OnceLock<std::result::Result<Arc<ConcreteFunction>, String>>,
+    /// `bwd` with one more gradient input, after the primary ones, per kept
+    /// intermediate a gradient reached, and the slots it returns: built per
+    /// set of reached intermediates, when a gradient first reaches it. A
+    /// kept value no gradient reaches takes no seed, so no zero is added to
+    /// its adjoint that eager would not add.
+    seeded: Mutex<HashMap<Vec<bool>, SeededBackward>>,
 }
+
+type SeededBackward = std::result::Result<(Arc<ConcreteFunction>, Arc<[bool]>), String>;
 
 /// Library name (inference or forward variant) → the concrete function that
 /// owns it, for the `call` gradient. An index: entries are weak, and a
@@ -122,7 +128,7 @@ fn read_nodes(f: &GraphFunction) -> HashSet<NodeId> {
 /// # Errors
 /// Missing gradients for ops inside the traced function, or trace errors.
 pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> {
-    let (bwd, kept) = build_backward(conc, &format!("{}__bwd", conc.name), None)?;
+    let (bwd, bwd_returns, kept) = build_backward(conc, &format!("{}__bwd", conc.name), None, &[])?;
     // The primary outputs, then the kept intermediates, which are pinned by
     // being outputs: everything else may fuse, merge or fold.
     let mut fwd = (*conc.raw).clone();
@@ -135,45 +141,55 @@ pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> 
     index_concrete(&fwd.name, conc);
     Ok(ForwardBundle {
         n_primary: conc.n_primary,
-        n_forward_inputs: conc.raw.inputs.len(),
-        var_ids: conc.var_ids.clone(),
         fwd,
         bwd,
+        bwd_returns,
         fwd_attrs,
         kept,
-        seeded: OnceLock::new(),
+        seeded: Mutex::default(),
     })
 }
 
 impl ForwardBundle {
-    /// The backward seeded at the kept intermediates too, built on first
-    /// need.
-    fn seeded_backward(&self, conc: &Arc<ConcreteFunction>) -> Result<Arc<ConcreteFunction>> {
-        let name = format!("{}__bwd2", conc.name);
-        self.seeded
-            .get_or_init(|| {
-                build_backward(conc, &name, Some(&self.kept))
-                    .map(|(b, _)| b)
-                    .map_err(|e| e.to_string())
-            })
-            .clone()
-            .map_err(RuntimeError::Internal)
+    /// The backward seeded at the kept intermediates `reached` marks too,
+    /// and the slots it returns, built on first need.
+    fn seeded_backward(
+        &self,
+        conc: &Arc<ConcreteFunction>,
+        reached: Vec<bool>,
+    ) -> Result<(Arc<ConcreteFunction>, Arc<[bool]>)> {
+        let mut seeded = lock(&self.seeded);
+        let built = seeded.entry(reached).or_insert_with_key(|reached| {
+            let mut name = format!("{}__bwd2", conc.name);
+            if reached.contains(&false) {
+                name.push('_');
+                name.extend(reached.iter().map(|&r| if r { '1' } else { '0' }));
+            }
+            let seeds: Vec<TensorRef> =
+                self.kept.iter().zip(reached).filter(|(_, r)| **r).map(|(k, _)| *k).collect();
+            build_backward(conc, &name, Some(&self.kept), &seeds)
+                .map(|(b, returns, _)| (b, returns.into()))
+                .map_err(|e| e.to_string())
+        });
+        built.clone().map_err(RuntimeError::Internal)
     }
 }
 
 /// Trace one backward of `conc` and register it as a concrete function of
-/// its own. It is seeded with a gradient per primary output and, given
-/// `seeded`, then one per intermediate in it; its inputs are the
-/// intermediates it keeps, those gradients and its captures, its outputs
-/// one gradient per forward input and one per variable. Without `seeded`
-/// it keeps exactly the intermediates it reads; with it, those in `seeded`,
-/// and reading any other is an error. Returns the backward and what it
-/// kept, in node order.
+/// its own. It is seeded with a gradient per primary output, then one per
+/// intermediate in `seeds`; its inputs are the intermediates it keeps,
+/// those gradients and its captures, its outputs one gradient per forward
+/// input and one per variable that a gradient reaches. Without `keep` it
+/// keeps exactly the intermediates it reads; with it, those in `keep`, and
+/// reading any other is an error. Returns the backward, which slots
+/// (forward inputs, then variables) it returns, and what it kept, in node
+/// order.
 fn build_backward(
     conc: &ConcreteFunction,
     name: &str,
-    seeded: Option<&[TensorRef]>,
-) -> Result<(Arc<ConcreteFunction>, Vec<TensorRef>)> {
+    keep: Option<&[TensorRef]>,
+    seeds: &[TensorRef],
+) -> Result<(Arc<ConcreteFunction>, Vec<bool>, Vec<TensorRef>)> {
     let raw = &*conc.raw;
     let intermediates = all_refs(raw);
     // The tapes of the caller have no business in this trace: what it builds
@@ -183,7 +199,7 @@ fn build_backward(
         context::pop_tape(tape.id);
     }
     let frame_id = context::begin_tracing(name);
-    let built = (|| -> Result<Vec<Tensor>> {
+    let built = (|| -> Result<(Vec<Tensor>, Vec<bool>)> {
         // Placeholders for every intermediate value, then output grads.
         let mut value_of: HashMap<TensorRef, Tensor> = HashMap::new();
         for &tref in &intermediates {
@@ -192,8 +208,7 @@ fn build_backward(
         }
         // One incoming-gradient placeholder per primary output, then one per
         // seeded intermediate.
-        let grad_refs: Vec<TensorRef> =
-            raw.outputs.iter().chain(seeded.unwrap_or_default()).copied().collect();
+        let grad_refs: Vec<TensorRef> = raw.outputs.iter().chain(seeds).copied().collect();
         let mut dys = Vec::with_capacity(grad_refs.len());
         for &out in &grad_refs {
             let (dt, sh) = raw.sig(out);
@@ -234,46 +249,29 @@ fn build_backward(
 
         let grads = tfe_autodiff::accumulate_many(&records, seeds)?;
 
-        // Outputs: d/d(input) for each forward input, then d/d(var).
-        let mut outs: Vec<Tensor> = Vec::new();
-        for &input_node in &raw.inputs {
-            let ph = &value_of[&TensorRef::first(input_node)];
-            match grads.get(&ph.id()) {
-                Some(g) => outs.push(g.clone()),
-                None => {
-                    outs.push(
-                        context::execute(Op::ZerosLike, std::slice::from_ref(ph), Attrs::new())?
-                            .remove(0),
-                    );
-                }
-            }
-        }
-        for &vid in &conc.var_ids {
-            match grads.get(&(vid as u64)) {
-                Some(g) => outs.push(g.clone()),
-                None => {
-                    let storage = tfe_runtime::variable_registry().resolve(vid as u64)?;
-                    outs.push(tfe_runtime::api::constant_data(TensorData::zeros(
-                        storage.dtype,
-                        storage.shape.clone(),
-                    )));
-                }
-            }
-        }
-        // Everything must be a node of this frame.
-        outs.into_iter()
-            .map(|t| match &t {
-                Tensor::Symbolic(s) if s.frame_id == frame_id => Ok(t),
-                _ => Ok(context::execute(Op::Identity, &[t], Attrs::new())?.remove(0)),
+        // Outputs: d/d(input) for each forward input, then d/d(var), for
+        // those a gradient reaches. Each must be a node of this frame.
+        let inputs = raw.inputs.iter().map(|&n| value_of[&TensorRef::first(n)].id());
+        let slots = inputs.chain(conc.var_ids.iter().map(|&v| v as u64));
+        let slot_grads: Vec<Option<&Tensor>> = slots.map(|id| grads.get(&id)).collect();
+        let returns = slot_grads.iter().map(Option::is_some).collect();
+        let outs = slot_grads
+            .into_iter()
+            .flatten()
+            .map(|t| match t {
+                Tensor::Symbolic(s) if s.frame_id == frame_id => Ok(t.clone()),
+                _ => Ok(context::execute(Op::Identity, std::slice::from_ref(t), Attrs::new())?
+                    .remove(0)),
             })
-            .collect()
+            .collect::<Result<_>>()?;
+        Ok((outs, returns))
     })();
     let finished = context::end_tracing();
     for tape in tapes {
         context::push_tape(tape);
     }
     let finished = finished?;
-    let outs = built?;
+    let (outs, returns) = built?;
     let out_refs: Vec<TensorRef> = outs
         .iter()
         .map(|t| {
@@ -291,7 +289,7 @@ fn build_backward(
     // function an outer tape may differentiate, from `raw`.
     let bwd_raw = passes::prune(&bwd_raw);
     let (read_raw, read_opt) = (read_nodes(&bwd_raw), read_nodes(&bwd_opt));
-    let allowed: Option<HashSet<&TensorRef>> = seeded.map(|s| s.iter().collect());
+    let allowed: Option<HashSet<&TensorRef>> = keep.map(|s| s.iter().collect());
     let mut dropped = vec![false; bwd_raw.inputs.len()];
     let mut kept = Vec::new();
     for (i, tref) in intermediates.iter().enumerate() {
@@ -339,23 +337,29 @@ fn build_backward(
         owners: finished.owners,
     });
     index_concrete(&bwd.function.name, &bwd);
-    Ok((bwd, kept))
+    Ok((bwd, returns, kept))
 }
 
-/// Call backward `bwd` of `pair` on the forward intermediates, its `dys`
-/// and its captures: one gradient per slot of the forward `call` record.
+/// Call backward `bwd` on the forward intermediates, its `dys` and its
+/// captures: one gradient per slot of the forward `call` record that
+/// `returns` marks, `None` in the others (and no call when it marks none).
 fn run_backward(
-    pair: &ForwardBundle,
     bwd: &Arc<ConcreteFunction>,
+    returns: &[bool],
     intermediates: &[Tensor],
     dys: Vec<Tensor>,
 ) -> Result<Vec<Option<Tensor>>> {
-    let mut inputs = intermediates.to_vec();
-    inputs.extend(dys);
-    inputs.extend(bwd.captures.iter().cloned());
-    let grads = context::execute(Op::Call, &inputs, bwd.inference_attrs.clone())?;
-    keep_alive(bwd);
-    let expected = pair.n_forward_inputs + pair.var_ids.len();
+    let expected = returns.iter().filter(|r| **r).count();
+    let grads = if expected == 0 {
+        Vec::new()
+    } else {
+        let mut inputs = intermediates.to_vec();
+        inputs.extend(dys);
+        inputs.extend(bwd.captures.iter().cloned());
+        let grads = context::execute(Op::Call, &inputs, bwd.inference_attrs.clone())?;
+        keep_alive(bwd);
+        grads
+    };
     if grads.len() != expected {
         return Err(RuntimeError::Internal(format!(
             "backward `{}` returned {} gradients, expected {expected}",
@@ -363,7 +367,8 @@ fn run_backward(
             grads.len(),
         )));
     }
-    Ok(grads.into_iter().map(Some).collect())
+    let mut grads = grads.into_iter();
+    Ok(returns.iter().map(|&r| if r { grads.next() } else { None }).collect())
 }
 
 /// Differentiate a call whose record holds no intermediates (the inference
@@ -379,7 +384,7 @@ fn rerun_and_differentiate(
     let outs = context::execute(Op::Call, inputs, pair.fwd_attrs.clone())?;
     keep_alive(conc);
     let dys = (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<_>>()?;
-    run_backward(&pair, &pair.bwd, &outs[pair.n_primary..], dys)
+    run_backward(&pair.bwd, &pair.bwd_returns, &outs[pair.n_primary..], dys)
 }
 
 /// The gradient of the `call` operation: invoke a backward graph function
@@ -398,13 +403,14 @@ pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     // The forward variant ran: the kept intermediates are on the record, and
     // whether a gradient reached one picks the backward.
     let n = pair.n_primary;
-    let (bwd, n_dys) = if c.output_grads[n..].iter().all(Option::is_none) {
-        (pair.bwd.clone(), n)
-    } else {
-        (pair.seeded_backward(&conc)?, c.output_grads.len())
-    };
-    let dys = (0..n_dys).map(|i| c.grad(i).cloned()).collect::<Result<_>>()?;
-    run_backward(&pair, &bwd, &c.record.outputs[n..], dys)
+    let mut dys = (0..n).map(|i| c.grad(i).cloned()).collect::<Result<Vec<_>>>()?;
+    let reached: Vec<bool> = c.output_grads[n..].iter().map(Option::is_some).collect();
+    if !reached.contains(&true) {
+        return run_backward(&pair.bwd, &pair.bwd_returns, &c.record.outputs[n..], dys);
+    }
+    let (bwd, returns) = pair.seeded_backward(&conc, reached)?;
+    dys.extend(c.output_grads[n..].iter().flatten().cloned());
+    run_backward(&bwd, &returns, &c.record.outputs[n..], dys)
 }
 
 /// The gradient of `cond`: differentiate the branch that actually ran.

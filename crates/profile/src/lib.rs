@@ -8,11 +8,13 @@
 //!   ([`span`], [`instant`], [`counter`]) starts with `ENABLED.load(Relaxed)`
 //!   and returns immediately when profiling is off; name strings are built
 //!   lazily behind that check, so an idle profiler never allocates.
-//! - **Per-thread buffers.** Each thread appends to its own buffer (an
-//!   uncontended per-thread lock taken only by the owner while recording),
-//!   so recording never contends across threads; [`stop`] merges all
-//!   buffers into one [`Profile`].
-//! - **Scoped collection.** [`start`] clears the buffers and flips the
+//! - **One recorder, one buffer per thread.** Each probe builds one
+//!   [`Event`] and hands it to the recording thread's buffer, under a lock
+//!   only its owner takes while recording (a dump or [`stop`] takes it
+//!   briefly to copy out). The buffer holds the profiling scope's events
+//!   and the flight window: the last [`FLIGHT_RING_CAPACITY`]
+//!   request-relevant events, oldest evicted first.
+//! - **Scoped collection.** [`start`] clears the scope buffers and flips the
 //!   enabled flag; [`stop`] flips it back and drains. Only one scope can be
 //!   active at a time (the collector is process-wide).
 //!
@@ -36,18 +38,18 @@
 //!
 //! The [`trace`]-module primitives ([`TraceContext`], [`request_scope`],
 //! [`adopt`]) attribute work to requests across thread hops, and the
-//! always-on [`flight`]-module recorder keeps a per-thread ring of recent
-//! causally-relevant records that [`flight_dump`] snapshots to JSON when
-//! a failure fires. Both are independent of the profiling scope: spans
-//! and instants in request-relevant categories reach the flight recorder
-//! even while `TFE_PROFILE` collection is off.
+//! always-on flight window keeps each thread's recent causally-relevant
+//! events, which [`flight_dump`] snapshots to JSON when a failure fires.
+//! The window is independent of the profiling scope: spans and instants
+//! in request-relevant categories reach it even while `TFE_PROFILE`
+//! collection is off.
 
 mod flight;
 mod trace;
 
 pub use flight::{
-    flight_dump, flight_enabled, flight_snapshot, last_dump, recent_dumps, set_flight_enabled,
-    FlightDump, FlightRecord, FLIGHT_DUMP_WINDOW_MS, FLIGHT_RING_CAPACITY, MAX_RECENT_DUMPS,
+    flight_dump, flight_enabled, flight_snapshot, recent_dumps, set_flight_enabled, FlightDump,
+    FlightRecord, FLIGHT_DUMP_WINDOW_MS, FLIGHT_RING_CAPACITY, MAX_RECENT_DUMPS,
 };
 pub use trace::{
     adopt, adopt_remote, current_context, current_group, request_scope, AdoptScope, RequestScope,
@@ -55,9 +57,10 @@ pub use trace::{
 };
 
 use std::borrow::Cow;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
@@ -80,10 +83,24 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One thread's recorder: its id and name, and what it has recorded.
 struct ThreadBuf {
     tid: u64,
     name: String,
-    events: Mutex<Vec<Event>>,
+    events: Mutex<Events>,
+}
+
+#[derive(Default)]
+struct Events {
+    /// The profiling scope's events, drained by [`stop`].
+    scope: Vec<Event>,
+    /// The flight window: the last [`FLIGHT_RING_CAPACITY`] events the
+    /// flight recorder wanted, oldest first.
+    window: VecDeque<Event>,
 }
 
 fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
@@ -95,31 +112,43 @@ thread_local! {
     static LOCAL: std::cell::OnceCell<Arc<ThreadBuf>> = const { std::cell::OnceCell::new() };
 }
 
-fn with_buf(f: impl FnOnce(&ThreadBuf)) {
+/// Record one event into the calling thread's buffer: into the profiling
+/// scope, the flight window, or both. A full window evicts its oldest
+/// event; its storage is reserved once, on the thread's first flight event.
+fn record(event: Event, to_profiler: bool, to_flight: bool) {
     LOCAL.with(|cell| {
         let buf = cell.get_or_init(|| {
             let buf = Arc::new(ThreadBuf {
                 tid: NEXT_TID.fetch_add(1, Ordering::Relaxed),
                 name: std::thread::current().name().unwrap_or("thread").to_string(),
-                events: Mutex::new(Vec::new()),
+                events: Mutex::default(),
             });
-            registry().lock().unwrap_or_else(PoisonError::into_inner).push(buf.clone());
+            lock(registry()).push(buf.clone());
             buf
         });
-        f(buf);
+        let Events { scope, window } = &mut *lock(&buf.events);
+        if to_flight {
+            if to_profiler {
+                scope.push(event.clone());
+            }
+            if window.len() == FLIGHT_RING_CAPACITY {
+                window.pop_front();
+            } else if window.capacity() == 0 {
+                window.reserve_exact(FLIGHT_RING_CAPACITY);
+            }
+            window.push_back(event);
+        } else if to_profiler {
+            scope.push(event);
+        }
     });
 }
 
-fn record(event: Event) {
-    with_buf(|buf| buf.events.lock().unwrap_or_else(PoisonError::into_inner).push(event));
-}
-
-/// Begin a profiling scope: clear all per-thread buffers and enable
+/// Begin a profiling scope: clear all per-thread scope buffers and enable
 /// collection. Safe to call again after [`stop`].
 pub fn start() {
     now_ns(); // pin the epoch before any event can be recorded
-    for buf in registry().lock().unwrap_or_else(PoisonError::into_inner).iter() {
-        buf.events.lock().unwrap_or_else(PoisonError::into_inner).clear();
+    for buf in lock(registry()).iter() {
+        lock(&buf.events).scope.clear();
     }
     ENABLED.store(true, Ordering::SeqCst);
 }
@@ -131,9 +160,8 @@ pub fn start() {
 pub fn stop() -> Profile {
     ENABLED.store(false, Ordering::SeqCst);
     let mut threads = Vec::new();
-    for buf in registry().lock().unwrap_or_else(PoisonError::into_inner).iter() {
-        let events =
-            std::mem::take(&mut *buf.events.lock().unwrap_or_else(PoisonError::into_inner));
+    for buf in lock(registry()).iter() {
+        let events = std::mem::take(&mut lock(&buf.events).scope);
         if !events.is_empty() {
             threads.push(ThreadTrace { tid: buf.tid, name: buf.name.clone(), events });
         }
@@ -152,13 +180,16 @@ pub fn env_trace_path() -> Option<String> {
 // Events and probes
 // ---------------------------------------------------------------------------
 
-/// One recorded profiling event.
-#[derive(Debug, Clone)]
+/// One recorded event: what the profile holds, and what the flight window
+/// holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Event {
-    /// Display name (op type, function name, `tile`, `idle`, ...).
-    pub name: String,
+    /// Display name (op type, function name, `tile`, `idle`, ...). A flow
+    /// event's name is its request kind (start, end) or its hop (step). A
+    /// static name is carried as is, never copied.
+    pub name: Cow<'static, str>,
     /// Event category: `eager`, `kernel`, `graph`, `node`, `trace`,
-    /// `sched`, `pool`, `intra`.
+    /// `sched`, `pool`, `intra`, `flow`; `error` for a flight dump's fault.
     pub cat: &'static str,
     /// Timing payload.
     pub kind: EventKind,
@@ -170,7 +201,7 @@ pub struct Event {
 }
 
 /// The timing payload of an [`Event`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
     /// A duration on the recording thread's timeline.
     Span {
@@ -217,9 +248,8 @@ pub enum FlowPhase {
 }
 
 /// RAII guard for an open span; records on drop — into the profiling
-/// scope, the flight recorder, or both, depending on which wanted it when
-/// the span opened. A static name is carried as is; only the profiler's
-/// event owns a copy.
+/// scope, the flight window, or both, depending on which wanted it when
+/// the span opened.
 pub struct SpanGuard {
     name: Cow<'static, str>,
     cat: &'static str,
@@ -266,25 +296,14 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let dur_ns = now_ns().saturating_sub(self.start_ns);
-        if self.to_flight {
-            if let Some((trace_id, span_id)) = self.trace {
-                flight::record(
-                    flight::Kind::Span,
-                    &self.name,
-                    TraceContext { trace_id, span_id },
-                    dur_ns,
-                );
-            }
-        }
-        if self.to_profiler {
-            record(Event {
-                name: std::mem::take(&mut self.name).into_owned(),
-                cat: self.cat,
-                kind: EventKind::Span { start_ns: self.start_ns, dur_ns, bytes: self.bytes },
-                detail: self.detail.take(),
-                trace: self.trace,
-            });
-        }
+        let event = Event {
+            name: std::mem::take(&mut self.name),
+            cat: self.cat,
+            kind: EventKind::Span { start_ns: self.start_ns, dur_ns, bytes: self.bytes },
+            detail: self.detail.take(),
+            trace: self.trace,
+        };
+        record(event, self.to_profiler, self.to_flight);
     }
 }
 
@@ -321,13 +340,9 @@ pub fn span_from(cat: &'static str, name: impl FnOnce() -> String, start_ns: u64
         return;
     }
     let dur_ns = now_ns().saturating_sub(start_ns);
-    record(Event {
-        name: name(),
-        cat,
-        kind: EventKind::Span { start_ns, dur_ns, bytes: 0 },
-        detail: None,
-        trace: trace::current_pair(),
-    });
+    let kind = EventKind::Span { start_ns, dur_ns, bytes: 0 };
+    let trace = trace::current_pair();
+    record(Event { name: name().into(), cat, kind, detail: None, trace }, true, false);
 }
 
 /// Record an instant marker. The name closure only runs when the
@@ -339,37 +354,20 @@ pub fn instant(cat: &'static str, name: impl FnOnce() -> String) {
     if !to_profiler && !to_flight {
         return;
     }
-    let name = name();
-    if to_flight {
-        if let Some(ctx) = trace::current_context() {
-            flight::record(flight::Kind::Instant, &name, ctx, 0);
-        }
-    }
-    if to_profiler {
-        record(Event {
-            name,
-            cat,
-            kind: EventKind::Instant { ts_ns: now_ns() },
-            detail: None,
-            trace: trace::current_pair(),
-        });
-    }
+    let kind = EventKind::Instant { ts_ns: now_ns() };
+    let trace = trace::current_pair();
+    record(Event { name: name().into(), cat, kind, detail: None, trace }, to_profiler, to_flight);
 }
 
 /// Record a counter sample (profiler-only; counters carry no causal
-/// attribution worth ring space).
+/// attribution worth window space).
 #[inline]
 pub fn counter(cat: &'static str, name: &'static str, value: u64) {
     if !enabled() {
         return;
     }
-    record(Event {
-        name: name.to_string(),
-        cat,
-        kind: EventKind::Counter { ts_ns: now_ns(), value },
-        detail: None,
-        trace: None,
-    });
+    let kind = EventKind::Counter { ts_ns: now_ns(), value };
+    record(Event { name: name.into(), cat, kind, detail: None, trace: None }, true, false);
 }
 
 // ---------------------------------------------------------------------------
@@ -454,15 +452,23 @@ impl Profile {
                 ),
             ]));
             for e in &t.events {
+                // Flow events share one name so the viewer binds each
+                // request's phases into one arc; the event's own name (the
+                // request kind or the hop) goes under `args.detail` when no
+                // label took it.
+                let (name, detail) = match e.kind {
+                    EventKind::Flow { .. } => ("request", e.detail.as_deref().or(Some(&*e.name))),
+                    _ => (&*e.name, e.detail.as_deref()),
+                };
                 let mut fields = vec![
-                    ("name".to_string(), Value::str(e.name.clone())),
+                    ("name".to_string(), Value::str(name)),
                     ("cat".to_string(), Value::str(e.cat)),
                     ("pid".to_string(), Value::Int(1)),
                     ("tid".to_string(), Value::Int(t.tid as i64)),
                 ];
                 let mut args: Vec<(String, Value)> = Vec::new();
-                if let Some(d) = &e.detail {
-                    args.push(("detail".to_string(), Value::str(d.clone())));
+                if let Some(d) = detail {
+                    args.push(("detail".to_string(), Value::str(d)));
                 }
                 if let Some((trace_id, span_id)) = e.trace {
                     args.push(("trace_id".to_string(), Value::Int(trace_id as i64)));
@@ -525,7 +531,7 @@ impl Profile {
 
     /// Aggregate the events into the metrics summary.
     pub fn summary(&self) -> Summary {
-        let mut by_op: std::collections::BTreeMap<(&'static str, String), Vec<(u64, u64)>> =
+        let mut by_op: std::collections::BTreeMap<(&'static str, &str), Vec<(u64, u64)>> =
             std::collections::BTreeMap::new();
         let mut cache_hits = 0u64;
         let mut cache_misses = 0u64;
@@ -539,7 +545,7 @@ impl Profile {
                     // the per-op table reads best from dispatch + kernel +
                     // intra rows, keyed by category so names can collide.
                     if matches!(e.cat, "eager" | "kernel" | "intra") {
-                        by_op.entry((e.cat, e.name.clone())).or_default().push((dur_ns, bytes));
+                        by_op.entry((e.cat, &e.name)).or_default().push((dur_ns, bytes));
                     }
                 }
                 // Instant names may carry a `:detail` suffix (e.g.
@@ -565,7 +571,8 @@ impl Profile {
                 let total_ns: u64 = rows.iter().map(|r| r.0).sum();
                 let bytes: u64 = rows.iter().map(|r| r.1).sum();
                 let pct = |p: f64| rows[((rows.len() - 1) as f64 * p) as usize].0;
-                OpStat { cat, name, count, total_ns, p50_ns: pct(0.50), p99_ns: pct(0.99), bytes }
+                let (p50_ns, p99_ns, name) = (pct(0.50), pct(0.99), name.to_string());
+                OpStat { cat, name, count, total_ns, p50_ns, p99_ns, bytes }
             })
             .collect();
         Summary { ops, cache_hits, cache_misses, retraces, aborts }

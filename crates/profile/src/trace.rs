@@ -17,15 +17,17 @@
 //!
 //! # Flow events
 //!
-//! When the profiler is enabled, entry points emit a chrome-trace flow
-//! *start* (`s`), every cross-thread adoption a *step* (`t`), and the
-//! scope exit a *finish* (`f`), all keyed by the trace id — the trace
-//! viewer draws them as arrows linking the hops. Consecutive adoptions
+//! Entry points emit a flow *start* (`s`), every cross-thread adoption a
+//! *step* (`t`), and the scope exit a *finish* (`f`), all keyed by the
+//! trace id — the trace viewer draws them as arrows linking the hops. Each
+//! is one [`Event`], named for the request kind (start, finish) or the hop
+//! (step), recorded into the profile while profiling and into the flight
+//! window while the recorder is on. Consecutive adoptions
 //! of the same group on the same thread (e.g. one pool worker executing
 //! many nodes of one graph run) are deduplicated to keep the arrow count
 //! proportional to hops, not jobs.
 
-use crate::flight;
+use crate::flight::flight_enabled;
 use crate::{enabled, now_ns, record, Event, EventKind, FlowPhase, SpanGuard};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -133,23 +135,31 @@ pub(crate) fn has_current() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
-fn record_flow(phase: FlowPhase, ctx: TraceContext, detail: Option<String>) {
-    if !enabled() {
+fn record_flow(
+    phase: FlowPhase,
+    ctx: TraceContext,
+    name: &'static str,
+    detail: Option<String>,
+    to_flight: bool,
+) {
+    let to_profiler = enabled();
+    if !to_profiler && !to_flight {
         return;
     }
-    record(Event {
-        name: "request".to_string(),
+    let event = Event {
+        name: name.into(),
         cat: "flow",
         kind: EventKind::Flow { ts_ns: now_ns(), phase, id: ctx.trace_id },
         detail,
         trace: Some((ctx.trace_id, ctx.span_id)),
-    });
+    };
+    record(event, to_profiler, to_flight);
 }
 
 /// RAII scope of one request root: installs a fresh context on the entry
-/// thread, emits the flow start/finish pair, and (for non-eager kinds)
-/// opens a `request`-category span covering the whole request plus
-/// flight-recorder begin/end marks.
+/// thread, emits the flow start/finish pair (into the flight window too,
+/// for non-eager kinds), and (for non-eager kinds) opens a
+/// `request`-category span covering the whole request.
 pub struct RequestScope {
     prev: Option<TraceGroup>,
     ctx: TraceContext,
@@ -166,12 +176,12 @@ pub struct RequestScope {
 /// name closure only runs when the profiler is enabled.
 ///
 /// `"eager"` roots are lightweight: they install the context and emit
-/// flow events, but skip the request span and the flight begin/end marks
-/// (per-op volume would drown both). Their flow events are all they add,
+/// flow events to the profiler, but skip the request span and the flight
+/// window (per-op volume would drown both). Their flow events are all they add,
 /// so they open only while the profiler is on: a flight dump fires on a
 /// serve path, which opens its own root.
 pub fn request_scope(kind: &'static str, name: impl FnOnce() -> String) -> Option<RequestScope> {
-    let wanted = enabled() || (kind != "eager" && flight::flight_enabled());
+    let wanted = enabled() || (kind != "eager" && flight_enabled());
     if !wanted || has_current() {
         return None;
     }
@@ -185,10 +195,7 @@ pub fn request_scope(kind: &'static str, name: impl FnOnce() -> String) -> Optio
         }
         _ => None,
     };
-    record_flow(FlowPhase::Start, ctx, label.clone());
-    if heavy && flight::flight_enabled() {
-        flight::record(flight::Kind::RequestStart, kind, ctx, 0);
-    }
+    record_flow(FlowPhase::Start, ctx, kind, label.clone(), heavy && flight_enabled());
     Some(RequestScope { prev, ctx, kind, label, span })
 }
 
@@ -206,10 +213,8 @@ impl RequestScope {
 
 impl Drop for RequestScope {
     fn drop(&mut self) {
-        record_flow(FlowPhase::End, self.ctx, self.label.take());
-        if self.kind != "eager" && flight::flight_enabled() {
-            flight::record(flight::Kind::RequestEnd, self.kind, self.ctx, 0);
-        }
+        let to_flight = self.kind != "eager" && flight_enabled();
+        record_flow(FlowPhase::End, self.ctx, self.kind, self.label.take(), to_flight);
         self.span = None; // record the request span while still inside the scope
         CURRENT.with(|c| *c.borrow_mut() = self.prev.take());
     }
@@ -222,9 +227,9 @@ pub struct AdoptScope {
 }
 
 /// Install `group` on the current thread for the duration of the returned
-/// guard, emitting one flow step per member (deduplicated against an
-/// immediately-preceding identical adoption on this thread) plus a flight
-/// hop record for the primary. A `None` group is a no-op guard, so
+/// guard, emitting one flow step per member into the profile
+/// (deduplicated against an immediately-preceding identical adoption on
+/// this thread); the primary's step also goes into the flight window. A `None` group is a no-op guard, so
 /// carriers can pass their envelope through unconditionally.
 pub fn adopt(group: Option<&TraceGroup>, hop: &'static str) -> AdoptScope {
     let Some(g) = group else {
@@ -238,13 +243,9 @@ pub fn adopt(group: Option<&TraceGroup>, hop: &'static str) -> AdoptScope {
         repeat
     });
     if !repeat {
-        if enabled() {
-            for ctx in g.members() {
-                record_flow(FlowPhase::Step, *ctx, Some(hop.to_string()));
-            }
-        }
-        if flight::flight_enabled() {
-            flight::record(flight::Kind::Hop, hop, g.primary(), 0);
+        let to_flight = flight_enabled();
+        for (i, ctx) in g.members().iter().enumerate() {
+            record_flow(FlowPhase::Step, *ctx, hop, None, to_flight && i == 0);
         }
     }
     AdoptScope { prev, installed: true }

@@ -389,7 +389,7 @@ impl PoolRun {
 
     fn submit(self: &Arc<Self>, node: usize) {
         let run = self.clone();
-        let depth = crate::pool::global().submit(Box::new(move || run.execute(node)));
+        let depth = tfe_parallel::pool::global().submit(Box::new(move || run.execute(node)));
         crate::context::stat_queue_depth(depth as u64);
         tfe_profile::counter("sched", "ready_queue_depth", depth as u64);
     }
@@ -434,7 +434,7 @@ impl PoolRun {
             }
         }
         if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            crate::pool::global().notify();
+            tfe_parallel::pool::global().notify();
         }
     }
 }
@@ -474,7 +474,7 @@ fn drive_pool(f: &Arc<GraphFunction>, store: &mut SlotStore, device: &Device) ->
     // Work-help until the countdown completes (nested parallel runs issued
     // from worker threads pass through here too — helping instead of
     // blocking is what keeps them deadlock-free).
-    crate::pool::global().wait_until(|| run.pending.load(Ordering::SeqCst) == 0);
+    tfe_parallel::pool::global().wait_until(|| run.pending.load(Ordering::SeqCst) == 0);
     *store = std::mem::take(&mut *lock(&run.store));
     let failed = lock(&run.error).take();
     failed.map_or(Ok(()), Err)

@@ -26,7 +26,6 @@ pub mod context;
 mod error;
 pub mod executor;
 pub mod kernels;
-mod pool;
 mod tape;
 mod tensor;
 mod variable;

@@ -106,6 +106,13 @@ if grep -rnE "${rng_gone}" crates src tests examples Cargo.toml; then exit 1; fi
 echo "==> no vendored crate, no parking_lot, no SendPtr"
 if grep -rnE 'parking_lot|shims/|SendPtr' crates src tests examples Cargo.toml; then exit 1; fi
 
+# One-recorder gate: the profiler's per-thread buffer is the only event
+# store; the flight recorder is a bounded window of it (DESIGN.md §16). The
+# second per-thread ring it replaced — its packed slots, its thread
+# registry and tid counter — must not come back.
+echo "==> one per-thread event recorder in crates/profile/src"
+if grep -rnE 'NEXT_RING_TID|SLOT_WORDS|fn rings\(' crates/profile/src; then exit 1; fi
+
 # Unsafe allowlist: the pool's lifetime extension in `scope_chunks` and the
 # counting allocator are the only `unsafe` code, each with its SAFETY
 # argument and a test (DESIGN.md §9). Anything else is a new argument to
@@ -238,19 +245,20 @@ figures="$(mktemp -d)"
 cmp "${figures}/experiments.json" experiments.json
 rm -rf "${figures}"
 
-# Profiler gate: asserts the disabled probe costs < 2% of an eager
-# dispatch, then profiles two staged parallel training steps and
-# validates the chrome trace (JSON parses, spans land on >= 2 thread
-# rows, spans per thread nest, cache miss/hit instants present).
-echo "==> profiler smoke (overhead + trace validation)"
-cargo run --release -q -p tfe-bench --bin profiler_smoke > /dev/null
-
-# Metrics gate: asserts a counter bump costs < 5 ns, trains a staged model
-# briefly, and validates the always-on registry (Prometheus text parses,
-# histograms internally consistent, no counter decreases between scrapes,
-# trace_cache_retraces_total flat during steady-state training).
-echo "==> metrics smoke (probe overhead + exposition validation)"
-cargo run --release -q -p tfe-bench --bin metrics_smoke > /dev/null
+# Observability gate: the probe budgets (a disabled profiler probe < 2% of
+# an eager dispatch, a counter bump < 5 ns over an atomic increment, a
+# probe site with profiler and flight recorder off < 5 ns), then one staged
+# parallel training workload feeding both the profiler checks (chrome
+# trace parses, spans on >= 2 thread rows nest per row, cache miss/hit
+# instants, a matmul row, no aborts) and the registry checks (Prometheus
+# text parses, histograms consistent, counters monotone, retraces flat, a
+# shape change diagnosed), and a batched serve workload (parallel
+# executor) whose requests' flow events must each form one s -> t* -> f
+# chain across >= 2 thread rows (>= 3, reaching a pool worker, on at least
+# one) on role-named rows; last, a poisoned batch must leave a flight dump
+# naming the failing op with the request's trace id.
+echo "==> observability smoke (probe budgets, profiler, registry, causal chains, flight dump)"
+cargo run --release -q -p tfe-bench --bin observability_smoke > /dev/null
 
 # Distribution gate: the trainer's unit tests (requests, rounds' worth of
 # bytes and resident tensors per step pinned; step == local_step bitwise)
@@ -286,22 +294,9 @@ TFE_NUM_THREADS=1 cargo test --release -q --test distributed -- --test-threads "
 echo "==> dist smoke (TCP workers, bitwise training parity, chaos)"
 cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 
-# Causal-tracing gate: asserts the flight recorder's disabled path costs
-# < 5 ns per probe site, runs a batched serve workload (parallel
-# executor) under profiling and checks every request's flow events form
-# one connected s -> t* -> f chain across >= 2 thread rows (front door,
-# batcher; >= 3 on at least one, reaching a pool worker), that thread
-# rows carry role names, and that a poisoned batch leaves a flight dump
-# naming the failing op with the request's trace id.
-echo "==> trace smoke (flight overhead + causal chain validation)"
-cargo run --release -q -p tfe-bench --bin trace_smoke > /dev/null
-
 # Enlarged corpus: the corpus suites at 1000 cases a corpus, every mode of
 # the oracle's table (≈ 10 s on 2 vCPUs, release; --no-fail-fast, so one
-# suite's failure does not hide the others'). Known failure:
-# its two-tape gradient check diverges at stateless seeds 308 and 905,
-# where a second derivative through a staged call is +0.0 and eager's is
-# -0.0 (ROADMAP, "One oracle"); it passes once that is fixed.
+# suite's failure does not hide the others').
 echo "==> corpus differential on an enlarged corpus (TFE_FUZZ_CASES=1000, release)"
 TFE_FUZZ_CASES=1000 cargo test --release -q --no-fail-fast --test differential --test exec_differential \
     --test dist_differential --test pass_pipeline

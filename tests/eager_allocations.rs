@@ -47,4 +47,5 @@ fn an_eager_op_allocates_its_output_and_little_else() {
     assert!(add <= 5.0, "an untaped scalar add makes {add} allocations (at most 5)");
     assert!(mul <= 7.0, "an untaped [64,2] mul makes {mul} allocations (at most 7)");
     assert!(taped_add <= 10.0, "a taped scalar add makes {taped_add} allocations (at most 10)");
+    assert!(call <= 31.0, "a cache-hit call1 makes {call} allocations (at most 31)");
 }

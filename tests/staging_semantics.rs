@@ -84,7 +84,7 @@ fn eager_ops_of<R>(f: impl FnOnce() -> R) -> (R, Vec<String>) {
         .filter(|t| Some(t.name.as_str()) == me.name())
         .flat_map(|t| &t.events)
         .filter(|e| e.cat == "eager" && matches!(e.kind, tf_eager::profile::EventKind::Span { .. }))
-        .map(|e| e.name.clone())
+        .map(|e| e.name.to_string())
         .collect();
     (out, names)
 }
@@ -434,7 +434,7 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
 }
 
 /// The condition a `select` gradient reads is a boolean kept value: the
-/// backward call hands it a zero gradient, and it takes no seed, since the
+/// backward call hands it no gradient, and it takes no seed, since the
 /// table sends no gradient into an integer or boolean value. Second
 /// derivatives through the staged call are eager's.
 #[test]
@@ -457,6 +457,46 @@ fn second_order_past_a_boolean_kept_value_matches_eager() {
     };
     let eager = derivatives(&|x| program(x).unwrap());
     assert_eq!(derivatives(&|x| staged.call1(x).unwrap()), eager);
+}
+
+/// `minimum(x, m)` with `m < 0`: the first and second derivatives are
+/// `-0.0` at every `x` the minimum did not select. Of the kept values, the
+/// backward call sends a gradient into `c + c` (a zero) and none into `x`,
+/// so the seeded backward takes a seed at `c + c` only: a `+0.0` seed at
+/// `x` would turn its `-0.0` into `+0.0`.
+#[test]
+fn second_order_keeps_the_sign_of_a_zero() {
+    tf_eager::init();
+    let program =
+        |x: &Tensor, c: &Tensor| api::minimum(x, &api::reduce_mean(&api::add(c, c)?, &[0], false)?);
+    let staged = function("minimum_of_mean", move |args| {
+        let t = |i: usize| args[i].as_tensor().expect("tensor argument");
+        Ok(vec![program(t(0), t(1))?])
+    });
+    let x = api::constant(vec![1.0f64, 2.0, -3.0, 0.5, 1.5, -4.0], [2, 3]).unwrap();
+    let c = api::constant(vec![-0.5f64; 4], [4]).unwrap();
+    let derivatives = |f: &dyn Fn(&Tensor, &Tensor) -> Tensor| -> Vec<Bits> {
+        let (t1, t2) = (GradientTape::new(), GradientTape::new());
+        for t in [&t1, &t2] {
+            t.watch(&x);
+            t.watch(&c);
+        }
+        let y = f(&x, &c);
+        let loss = api::reduce_sum(&api::square(&y).unwrap(), &[], false).unwrap();
+        let d1 = t2.gradient(&loss, &[&x, &c]).unwrap();
+        let mut norm = api::scalar(0.0f64);
+        for g in d1.iter().flatten() {
+            let square = api::reduce_sum(&api::square(g).unwrap(), &[], false).unwrap();
+            norm = api::add(&norm, &square).unwrap();
+        }
+        let d2 = t1.gradient(&norm, &[&x, &c]).unwrap();
+        d1.iter().chain(&d2).map(|g| tensor_bits(g.as_ref().unwrap())).collect()
+    };
+    let eager = derivatives(&|x, c| program(x, c).unwrap());
+    let d2x = f64::from_le_bytes(eager[2].2[..8].try_into().unwrap());
+    assert!(d2x == 0.0 && d2x.is_sign_negative(), "eager's d²/dx at x[0] is -0.0, got {d2x}");
+    let through_staged = |x: &Tensor, c: &Tensor| staged.call_tensors(&[x, c]).unwrap().remove(0);
+    assert_eq!(derivatives(&through_staged), eager);
 }
 
 /// The only tape's `gradient` call is staged into a function (which
