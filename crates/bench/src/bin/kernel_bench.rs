@@ -906,11 +906,7 @@ fn bench_serving(quick: bool) -> tfe_encode::Value {
 
     let direct_fn = mlp("serving_bench_direct");
     let registry = Arc::new(ModelRegistry::new());
-    let policy = |max_batch: usize| BatchPolicy {
-        max_batch,
-        budget: Duration::from_millis(2),
-        ewma_alpha: 0.25,
-    };
+    let policy = |max_batch: usize| BatchPolicy { max_batch, budget: Duration::from_millis(2) };
     registry
         .register_with("serving_bench_unbatched", 1, mlp("serving_bench_unbatched"), policy(1))
         .expect("register unbatched");

@@ -61,11 +61,7 @@ fn main() {
             MODEL,
             1,
             loaded,
-            BatchPolicy {
-                max_batch: CONCURRENCY,
-                budget: Duration::from_millis(5),
-                ewma_alpha: 0.25,
-            },
+            BatchPolicy { max_batch: CONCURRENCY, budget: Duration::from_millis(5) },
         )
         .expect("register");
 

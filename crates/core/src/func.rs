@@ -373,9 +373,9 @@ fn cached_concrete_functions() -> &'static tfe_metrics::Gauge {
 }
 
 struct FuncInner {
+    /// Unique per `Func`: its traces' names and its metric series' `func`
+    /// label.
     name: String,
-    /// Value of the `func` label on this function's metric series.
-    label: String,
     trace_fn: Box<TraceClosure>,
     input_signature: Option<Vec<TensorSpec>>,
     cache: Mutex<HashMap<CacheKey, Arc<ConcreteFunction>>>,
@@ -392,19 +392,23 @@ struct FuncInner {
 }
 
 impl FuncInner {
+    /// A function named `base` plus a process-unique suffix (`__anon{n}`
+    /// when `base` is empty), so no two `Func`s share trace names or metric
+    /// series.
     fn new(
-        name: String,
-        label: String,
+        base: &str,
         trace_fn: Box<TraceClosure>,
         input_signature: Option<Vec<TensorSpec>>,
     ) -> FuncInner {
+        static ANON: AtomicUsize = AtomicUsize::new(0);
+        let n = ANON.fetch_add(1, Ordering::Relaxed);
+        let name = if base.is_empty() { format!("__anon{n}") } else { format!("{base}_{n}") };
         FuncInner {
-            m_hits: func_hits().with(&label),
-            m_misses: func_misses().with(&label),
-            m_retraces: func_retraces().with(&label),
-            m_concrete: func_concrete().with(&label),
+            m_hits: func_hits().with(&name),
+            m_misses: func_misses().with(&name),
+            m_retraces: func_retraces().with(&name),
+            m_concrete: func_concrete().with(&name),
             name,
-            label,
             trace_fn,
             input_signature,
             cache: Mutex::new(HashMap::new()),
@@ -420,9 +424,9 @@ impl Drop for FuncInner {
         cached_concrete_functions()
             .sub(self.cache.get_mut().unwrap_or_else(PoisonError::into_inner).len() as i64);
         for family in [func_hits(), func_misses(), func_retraces()] {
-            family.remove(&self.label);
+            family.remove(&self.name);
         }
-        func_concrete().remove(&self.label);
+        func_concrete().remove(&self.name);
     }
 }
 
@@ -453,14 +457,7 @@ pub fn function(
     f: impl Fn(&[Arg]) -> Result<Vec<Tensor>> + Send + Sync + 'static,
 ) -> Func {
     crate::init();
-    static ANON: AtomicUsize = AtomicUsize::new(0);
-    let name = if name.is_empty() {
-        format!("__anon{}", ANON.fetch_add(1, Ordering::Relaxed))
-    } else {
-        format!("{name}_{}", ANON.fetch_add(1, Ordering::Relaxed))
-    };
-    let label = name.clone();
-    Func { inner: Arc::new(FuncInner::new(name, label, Box::new(f), None)) }
+    Func { inner: Arc::new(FuncInner::new(name, Box::new(f), None)) }
 }
 
 /// Single-tensor-in, single-tensor-out convenience wrapper.
@@ -480,20 +477,18 @@ pub fn function1(
 impl Func {
     /// Constrain this function to an explicit input signature, eliminating
     /// input polymorphism: exactly one concrete function is generated, and
-    /// `None` dims accept any size (e.g. a dynamic batch dimension).
+    /// `None` dims accept any size (e.g. a dynamic batch dimension). The
+    /// variant gets a fresh name, so its traces and metric series never
+    /// replace or merge with the original's.
     pub fn with_input_signature(self, signature: Vec<TensorSpec>) -> Func {
-        let name = self.inner.name.clone();
-        // The metric label gets a `#sig` suffix so the constrained variant's
-        // series never merges with the original's (the trace name itself is
-        // unchanged).
-        let label = format!("{name}#sig");
         // Re-wrap the closure by delegating through the Arc.
         let orig = self.inner.clone();
         let trace_fn = Box::new(move |args: &[Arg]| (orig.trace_fn)(args));
-        Func { inner: Arc::new(FuncInner::new(name, label, trace_fn, Some(signature))) }
+        Func { inner: Arc::new(FuncInner::new(&self.inner.name, trace_fn, Some(signature))) }
     }
 
-    /// The function's base name.
+    /// The function's name: the one it was created with plus a
+    /// process-unique suffix.
     pub fn name(&self) -> &str {
         &self.inner.name
     }

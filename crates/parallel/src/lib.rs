@@ -96,20 +96,11 @@ pub fn intra_threads() -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// Intra-op statistics
+// Intra-op counters
 // ---------------------------------------------------------------------------
 
-/// Counters describing what the intra-op splitter actually did; exposed
-/// through `tfe_runtime::context::exec_stats` and the bench reports.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IntraStats {
-    /// Kernel loops that ran on the parallel path (split into tiles).
-    pub par_kernels: u64,
-    /// Kernel loops the grain heuristic kept serial.
-    pub serial_kernels: u64,
-    /// Total tiles (chunks) executed by parallel kernel loops.
-    pub tiles: u64,
-}
+// One handle per `tfe_intra_*` family, each bumped by both splitters
+// (`par_chunks_mut` and `par_reduce`).
 
 fn par_kernels() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!(
@@ -127,18 +118,6 @@ fn serial_kernels() -> &'static tfe_metrics::Counter {
 
 fn tiles() -> &'static tfe_metrics::Counter {
     tfe_metrics::static_counter!("tfe_intra_tiles_total", "Tiles executed by parallel kernel loops")
-}
-
-/// Snapshot the intra-op counters: the current values of the
-/// `tfe_intra_*` registry families, which are the only place these events
-/// are counted. Monotone for the life of the process; scope a measurement
-/// by subtracting an earlier snapshot.
-pub fn intra_stats() -> IntraStats {
-    IntraStats {
-        par_kernels: par_kernels().get(),
-        serial_kernels: serial_kernels().get(),
-        tiles: tiles().get(),
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -350,7 +329,7 @@ mod tests {
     #[test]
     fn par_chunks_mut_small_runs_inline() {
         let _one = exclusive();
-        let before = intra_stats().serial_kernels;
+        let before = serial_kernels().get();
         let caller = std::thread::current().id();
         let calls = AtomicUsize::new(0);
         let mut out = [0u8; 8];
@@ -360,7 +339,7 @@ mod tests {
             assert_eq!((units, block.len()), (0..8, 8));
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert!(intra_stats().serial_kernels > before);
+        assert!(serial_kernels().get() > before);
     }
 
     #[test]
@@ -513,17 +492,19 @@ mod tests {
             let chunk = if n > grain { for_chunk_size(n, grain, 4) } else { n };
             let tiles = n.div_ceil(chunk);
             let blocks = AtomicUsize::new(0);
-            let before = intra_stats();
+            let read = || [par_kernels().get(), serial_kernels().get(), super::tiles().get()];
+            let before = read();
             par_chunks_mut(&mut vec![0u8; n * 3], 3, grain, |units, _| {
                 blocks.fetch_add(1, Ordering::SeqCst);
                 assert!(units.len() == chunk || units.end == n, "n={n} grain={grain}");
             });
-            let after = intra_stats();
+            let after = read();
             assert_eq!(blocks.load(Ordering::SeqCst), tiles, "n={n} grain={grain}");
             let parallel = u64::from(tiles > 1);
-            assert_eq!(after.par_kernels - before.par_kernels, parallel, "n={n} grain={grain}");
-            assert_eq!(after.serial_kernels - before.serial_kernels, 1 - parallel);
-            assert_eq!(after.tiles - before.tiles, parallel * tiles as u64, "n={n} grain={grain}");
+            let [par, serial, tiles_run] = [0, 1, 2].map(|i| after[i] - before[i]);
+            assert_eq!(par, parallel, "n={n} grain={grain}");
+            assert_eq!(serial, 1 - parallel);
+            assert_eq!(tiles_run, parallel * tiles as u64, "n={n} grain={grain}");
         }
         set_intra_threads(prev);
     }

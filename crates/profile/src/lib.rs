@@ -29,8 +29,9 @@
 //! ready-queue depth and pool wait latency, and `s`/`t`/`f` flow events
 //! linking each request's hops across thread rows (see
 //! [`request_scope`]/[`adopt`]).
-//! [`Profile::summary`] aggregates the same events into per-op
-//! count/total/p50/p99 rows plus cache hit rates and bytes produced;
+//! [`Profile::summary`] aggregates the spans into per-op
+//! count/total/p50/p99 rows and bytes produced (event counts are the
+//! metrics registry's);
 //! [`Profile::trace_report`] splits one request's latency into
 //! queue/concat/dispatch/split/kernel time.
 //!
@@ -529,38 +530,19 @@ impl Profile {
         std::fs::write(path, self.chrome_trace().to_json_pretty())
     }
 
-    /// Aggregate the events into the metrics summary.
+    /// Aggregate the spans into the per-op timing table.
     pub fn summary(&self) -> Summary {
         let mut by_op: std::collections::BTreeMap<(&'static str, &str), Vec<(u64, u64)>> =
             std::collections::BTreeMap::new();
-        let mut cache_hits = 0u64;
-        let mut cache_misses = 0u64;
-        let mut retraces = 0u64;
-        let mut aborts = 0u64;
         for e in self.threads.iter().flat_map(|t| &t.events) {
-            match e.kind {
-                EventKind::Span { dur_ns, bytes, .. } => {
-                    // `node` spans duplicate the kernel spans nested inside
-                    // them and `graph`/`trace` spans cover whole functions;
-                    // the per-op table reads best from dispatch + kernel +
-                    // intra rows, keyed by category so names can collide.
-                    if matches!(e.cat, "eager" | "kernel" | "intra") {
-                        by_op.entry((e.cat, &e.name)).or_default().push((dur_ns, bytes));
-                    }
+            // `node` spans duplicate the kernel spans nested inside them and
+            // `graph`/`trace` spans cover whole functions; the per-op table
+            // reads best from dispatch + kernel + intra rows, keyed by
+            // category so names can collide.
+            if let EventKind::Span { dur_ns, bytes, .. } = e.kind {
+                if matches!(e.cat, "eager" | "kernel" | "intra") {
+                    by_op.entry((e.cat, &e.name)).or_default().push((dur_ns, bytes));
                 }
-                // Instant names may carry a `:detail` suffix (e.g.
-                // `cache_hit:train_step`); classify on the prefix.
-                EventKind::Instant { .. } => match e.name.split(':').next().unwrap_or("") {
-                    "cache_hit" => cache_hits += 1,
-                    "cache_miss" => cache_misses += 1,
-                    "retrace" => {
-                        cache_misses += 1;
-                        retraces += 1;
-                    }
-                    "abort" => aborts += 1,
-                    _ => {}
-                },
-                EventKind::Counter { .. } | EventKind::Flow { .. } => {}
             }
         }
         let ops = by_op
@@ -575,7 +557,7 @@ impl Profile {
                 OpStat { cat, name, count, total_ns, p50_ns, p99_ns, bytes }
             })
             .collect();
-        Summary { ops, cache_hits, cache_misses, retraces, aborts }
+        Summary { ops }
     }
 
     /// Every trace id that appears in the profile, ascending.
@@ -765,28 +747,16 @@ pub struct OpStat {
     pub bytes: u64,
 }
 
-/// The metrics summary: per-op rows plus trace-cache behaviour.
+/// The per-op timing table. Event counts (trace-cache hits and misses,
+/// retraces, executor aborts) are the metrics registry's; the profile only
+/// keeps their instants on the timeline.
 #[derive(Debug, Clone)]
 pub struct Summary {
     /// Per-(category, op) rows, sorted by key.
     pub ops: Vec<OpStat>,
-    /// Trace-cache hits observed.
-    pub cache_hits: u64,
-    /// Trace-cache misses (including retraces).
-    pub cache_misses: u64,
-    /// Misses that happened after the first trace of a `Func`.
-    pub retraces: u64,
-    /// Executor abort markers observed.
-    pub aborts: u64,
 }
 
 impl Summary {
-    /// Cache hit rate in `[0, 1]`; `None` when the cache was never probed.
-    pub fn cache_hit_rate(&self) -> Option<f64> {
-        let total = self.cache_hits + self.cache_misses;
-        (total > 0).then(|| self.cache_hits as f64 / total as f64)
-    }
-
     /// Total bytes across all rows.
     pub fn total_bytes(&self) -> u64 {
         self.ops.iter().map(|o| o.bytes).sum()
@@ -810,18 +780,10 @@ impl Summary {
                 ])
             })
             .collect();
-        let mut fields = vec![
+        Value::object([
             ("ops".to_string(), Value::Array(rows)),
-            ("cache_hits".to_string(), Value::Int(self.cache_hits as i64)),
-            ("cache_misses".to_string(), Value::Int(self.cache_misses as i64)),
-            ("retraces".to_string(), Value::Int(self.retraces as i64)),
-            ("aborts".to_string(), Value::Int(self.aborts as i64)),
             ("total_bytes".to_string(), Value::Int(self.total_bytes() as i64)),
-        ];
-        if let Some(rate) = self.cache_hit_rate() {
-            fields.push(("cache_hit_rate".to_string(), Value::Float(rate)));
-        }
-        tfe_encode::Value::object(fields)
+        ])
     }
 }
 
@@ -838,17 +800,6 @@ impl std::fmt::Display for Summary {
                 "{:<8} {:<22} {:>8} {:>12} {:>10} {:>10} {:>12}",
                 o.cat, o.name, o.count, o.total_ns, o.p50_ns, o.p99_ns, o.bytes
             )?;
-        }
-        write!(
-            f,
-            "cache: {} hits, {} misses, {} retraces",
-            self.cache_hits, self.cache_misses, self.retraces
-        )?;
-        if let Some(rate) = self.cache_hit_rate() {
-            write!(f, " ({:.1}% hit rate)", rate * 100.0)?;
-        }
-        if self.aborts > 0 {
-            write!(f, "; {} aborts", self.aborts)?;
         }
         Ok(())
     }
@@ -918,9 +869,10 @@ mod tests {
         assert!(row.total_ns >= 1_000_000, "slept 1ms inside the span");
         assert_eq!(row.bytes, 1024);
         assert!(row.p50_ns <= row.p99_ns);
-        assert_eq!(summary.cache_hits, 2);
-        assert_eq!(summary.cache_misses, 1);
-        assert!((summary.cache_hit_rate().unwrap() - 2.0 / 3.0).abs() < 1e-12);
+        // The instants stay on the timeline; they make no summary row.
+        let instants = profile.threads.iter().flat_map(|t| &t.events);
+        assert_eq!(instants.filter(|e| matches!(e.kind, EventKind::Instant { .. })).count(), 3);
+        assert!(summary.ops.iter().all(|o| o.cat != "trace"));
     }
 
     #[test]

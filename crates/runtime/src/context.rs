@@ -110,144 +110,6 @@ pub(crate) fn with_rng<R>(f: impl FnOnce(&mut TensorRng) -> R) -> R {
 }
 
 // ---------------------------------------------------------------------------
-// Executor statistics
-// ---------------------------------------------------------------------------
-
-/// Process-wide executor counters, updated by both scheduling modes and by
-/// workers of the parallel pool (which have no thread-local context). Each
-/// field is the current value of one `tfe_executor_*` / `tfe_intra_*`
-/// registry family — the registry handle is the only place the event is
-/// counted, so [`exec_stats`] and a metrics scrape cannot disagree. The
-/// counters are monotone for the life of the process: scope a measurement
-/// by subtracting a snapshot taken before it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecStats {
-    /// Graph nodes executed (placeholders excluded).
-    pub nodes_executed: u64,
-    /// Compute kernels launched (structural ops — `const`, `call`, `cond`,
-    /// `while_loop`, `host_func`, `copy` — excluded).
-    pub kernels_launched: u64,
-    /// Completed `run_function` invocations in serial-planned mode.
-    pub serial_runs: u64,
-    /// Completed `run_function` invocations in parallel mode.
-    pub parallel_runs: u64,
-    /// Deepest ready-queue depth observed by the parallel scheduler.
-    pub max_queue_depth: u64,
-    /// Largest number of tensor bytes simultaneously live in one run
-    /// (placeholder bindings included), across both modes.
-    pub peak_live_bytes: u64,
-    /// Kernel loops the intra-op splitter ran in parallel tiles on the
-    /// shared pool (sourced from `tfe-parallel`).
-    pub intra_par_kernels: u64,
-    /// Kernel loops the intra-op grain heuristic kept serial.
-    pub intra_serial_kernels: u64,
-    /// Total tiles executed by parallel kernel loops.
-    pub intra_tiles: u64,
-}
-
-fn nodes_run() -> &'static tfe_metrics::Counter {
-    tfe_metrics::static_counter!(
-        "tfe_executor_nodes_run_total",
-        "Graph nodes executed by either scheduling mode (placeholders excluded)"
-    )
-}
-
-fn kernels_run() -> &'static tfe_metrics::Counter {
-    tfe_metrics::static_counter!(
-        "tfe_executor_kernels_run_total",
-        "Compute kernels launched by the graph executor (structural ops excluded)"
-    )
-}
-
-fn serial_runs() -> &'static tfe_metrics::Counter {
-    tfe_metrics::static_counter!(
-        "tfe_executor_serial_runs_total",
-        "Graph-function invocations run by the serial-planned executor"
-    )
-}
-
-fn parallel_runs() -> &'static tfe_metrics::Counter {
-    tfe_metrics::static_counter!(
-        "tfe_executor_parallel_runs_total",
-        "Graph-function invocations run by the dependency-counted parallel executor"
-    )
-}
-
-fn queue_depth_peak() -> &'static tfe_metrics::Gauge {
-    tfe_metrics::static_gauge!(
-        "tfe_executor_ready_queue_depth_peak",
-        "Deepest ready-queue depth observed by the parallel scheduler"
-    )
-}
-
-fn live_bytes_peak() -> &'static tfe_metrics::Gauge {
-    tfe_metrics::static_gauge!(
-        "tfe_executor_peak_live_bytes",
-        "Largest number of tensor bytes simultaneously live in one graph run"
-    )
-}
-
-/// Snapshot the executor counters. Fields are read one relaxed atomic at a
-/// time, so unrelated fields may be a few events apart, but
-/// `kernels_launched <= nodes_executed` holds in every snapshot:
-/// `kernels_launched` is read first, then an Acquire fence, then
-/// `nodes_executed`. That fence pairs with the Release fence
-/// `stat_kernel_launched` issues before its bump (both are free on x86),
-/// so seeing `k` kernel bumps means the later node load sees at least the
-/// `k` node bumps sequenced before them.
-pub fn exec_stats() -> ExecStats {
-    let kernels_launched = kernels_run().get();
-    std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
-    let intra = tfe_parallel::intra_stats();
-    ExecStats {
-        nodes_executed: nodes_run().get(),
-        kernels_launched,
-        serial_runs: serial_runs().get(),
-        parallel_runs: parallel_runs().get(),
-        max_queue_depth: queue_depth_peak().get() as u64,
-        peak_live_bytes: live_bytes_peak().get() as u64,
-        intra_par_kernels: intra.par_kernels,
-        intra_serial_kernels: intra.serial_kernels,
-        intra_tiles: intra.tiles,
-    }
-}
-
-pub(crate) fn stat_node_executed() {
-    nodes_run().inc();
-}
-
-pub(crate) fn stat_kernel_launched() {
-    // Release fence: orders this node's earlier `stat_node_executed` bump
-    // before the kernel bump for the reader in `exec_stats`.
-    std::sync::atomic::fence(std::sync::atomic::Ordering::Release);
-    kernels_run().inc();
-}
-
-pub(crate) fn stat_serial_run() {
-    serial_runs().inc();
-}
-
-pub(crate) fn stat_parallel_run() {
-    parallel_runs().inc();
-}
-
-pub(crate) fn stat_queue_depth(depth: u64) {
-    queue_depth_peak().set_max(depth as i64);
-}
-
-pub(crate) fn stat_live_bytes(bytes: u64) {
-    live_bytes_peak().set_max(bytes as i64);
-}
-
-pub(crate) fn stat_executor_abort() {
-    tfe_metrics::static_counter!(
-        "tfe_executor_aborts_total",
-        "Parallel graph runs aborted by a node error or panic"
-    )
-    .inc();
-}
-
-// ---------------------------------------------------------------------------
 // Thread-local context stack
 // ---------------------------------------------------------------------------
 

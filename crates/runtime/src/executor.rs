@@ -89,18 +89,30 @@ fn run(
     let mut store = SlotStore::new(f, args);
     let done = match mode {
         ExecMode::SerialPlanned => {
-            crate::context::stat_serial_run();
+            tfe_metrics::static_counter!(
+                "tfe_executor_serial_runs_total",
+                "Graph-function invocations run by the serial-planned executor"
+            )
+            .inc();
             let _prof_span = tfe_profile::span("graph", || format!("serial:{}", f.name));
             drive_inline(f, &mut store, device)
         }
         ExecMode::Parallel => {
-            crate::context::stat_parallel_run();
+            tfe_metrics::static_counter!(
+                "tfe_executor_parallel_runs_total",
+                "Graph-function invocations run by the dependency-counted parallel executor"
+            )
+            .inc();
             let _prof_span = tfe_profile::span("graph", || format!("parallel:{}", f.name));
             let f = shared.cloned().unwrap_or_else(|| Arc::new(f.clone()));
             drive_pool(&f, &mut store, device)
         }
     };
-    crate::context::stat_live_bytes(store.peak_bytes);
+    tfe_metrics::static_gauge!(
+        "tfe_executor_peak_live_bytes",
+        "Largest number of tensor bytes simultaneously live in one graph run"
+    )
+    .set_max(store.peak_bytes as i64);
     done?;
     f.outputs.iter().map(|t| store.get(f, t)).collect()
 }
@@ -234,7 +246,11 @@ fn run_node(
     mode: ExecMode,
 ) -> Result<Outputs> {
     let node = f.node(id);
-    crate::context::stat_node_executed();
+    tfe_metrics::static_counter!(
+        "tfe_executor_nodes_run_total",
+        "Graph nodes executed by either scheduling mode (placeholders excluded)"
+    )
+    .inc();
     let mut prof_span = tfe_profile::span("node", || node.op.name());
     if let Some(sp) = prof_span.as_mut() {
         sp.set_detail(f.node_label(id));
@@ -255,7 +271,15 @@ fn run_node(
             value.ok_or_else(|| RuntimeError::Internal("const pool underflow".into()))?,
         ));
     }
-    crate::context::stat_kernel_launched();
+    // Release fence: a reader that loads the kernel count, then fences
+    // Acquire, then loads the node count sees at least this node's bump
+    // above, so it never reads more kernels than nodes.
+    std::sync::atomic::fence(Ordering::Release);
+    tfe_metrics::static_counter!(
+        "tfe_executor_kernels_run_total",
+        "Compute kernels launched by the graph executor (structural ops excluded)"
+    )
+    .inc();
     crate::kernels::launch_kernel(node.op, &node.attrs, inputs)
 }
 
@@ -382,7 +406,11 @@ struct PoolRun {
 impl PoolRun {
     fn fail(&self, e: RuntimeError) {
         tfe_profile::instant("sched", || format!("abort:{}:{e}", self.f.name));
-        crate::context::stat_executor_abort();
+        tfe_metrics::static_counter!(
+            "tfe_executor_aborts_total",
+            "Parallel graph runs aborted by a node error or panic"
+        )
+        .inc();
         lock(&self.error).get_or_insert(e);
         self.abort.store(true, Ordering::SeqCst);
     }
@@ -390,7 +418,11 @@ impl PoolRun {
     fn submit(self: &Arc<Self>, node: usize) {
         let run = self.clone();
         let depth = tfe_parallel::pool::global().submit(Box::new(move || run.execute(node)));
-        crate::context::stat_queue_depth(depth as u64);
+        tfe_metrics::static_gauge!(
+            "tfe_executor_ready_queue_depth_peak",
+            "Deepest ready-queue depth observed by the parallel scheduler"
+        )
+        .set_max(depth as i64);
         tfe_profile::counter("sched", "ready_queue_depth", depth as u64);
     }
 
@@ -507,6 +539,12 @@ mod tests {
         b.finish(vec![r], 0)
     }
 
+    /// The value of the counter or gauge `family` in `s` (a family
+    /// registers on first use: absent means nothing counted yet).
+    fn family(s: &tfe_metrics::Snapshot, family: &str) -> u64 {
+        s.counter_value(family).or(s.gauge_value(family).map(|g| g as u64)).unwrap_or(0)
+    }
+
     #[test]
     fn serial_execution() {
         let f = build_axpy();
@@ -572,12 +610,13 @@ mod tests {
         let f = b.finish(vec![r2], 0);
         assert!(f.is_stateful());
 
-        let before = crate::context::exec_stats().parallel_runs;
+        let parallel_runs = || family(&tfe_metrics::snapshot(), "tfe_executor_parallel_runs_total");
+        let before = parallel_runs();
         let out = run_function(&f, &[], &device(), ExecMode::Parallel).unwrap();
         assert_eq!(out[0].scalar_f64().unwrap(), 6.0);
         assert_eq!(var.peek().scalar_f64().unwrap(), 6.0);
         // Regression: Parallel mode must actually take the parallel path.
-        assert!(crate::context::exec_stats().parallel_runs > before);
+        assert!(parallel_runs() > before);
     }
 
     #[test]
@@ -750,57 +789,26 @@ mod tests {
 
     #[test]
     fn exec_stats_report_scheduler_activity() {
-        // Every `ExecStats` field against its registry family. Other tests
-        // in this process bump the same counters concurrently, so each
-        // field is bracketed by a scrape on either side; with nothing else
-        // running the three values are equal, and equal values before and
-        // after the runs below mean equal deltas over them.
-        fn checked_stats() -> crate::context::ExecStats {
-            let lo = tfe_metrics::snapshot();
-            let stats = crate::context::exec_stats();
-            let hi = tfe_metrics::snapshot();
-            // A family registers on first use: absent means nothing counted.
-            let read = |s: &tfe_metrics::Snapshot, family: &str| {
-                s.counter_value(family).or(s.gauge_value(family).map(|g| g as u64)).unwrap_or(0)
-            };
-            for (field, family, value) in [
-                ("nodes_executed", "tfe_executor_nodes_run_total", stats.nodes_executed),
-                ("kernels_launched", "tfe_executor_kernels_run_total", stats.kernels_launched),
-                ("serial_runs", "tfe_executor_serial_runs_total", stats.serial_runs),
-                ("parallel_runs", "tfe_executor_parallel_runs_total", stats.parallel_runs),
-                ("max_queue_depth", "tfe_executor_ready_queue_depth_peak", stats.max_queue_depth),
-                ("peak_live_bytes", "tfe_executor_peak_live_bytes", stats.peak_live_bytes),
-                ("intra_par_kernels", "tfe_intra_par_kernels_total", stats.intra_par_kernels),
-                (
-                    "intra_serial_kernels",
-                    "tfe_intra_serial_kernels_total",
-                    stats.intra_serial_kernels,
-                ),
-                ("intra_tiles", "tfe_intra_tiles_total", stats.intra_tiles),
-            ] {
-                let (lo, hi) = (read(&lo, family), read(&hi, family));
-                assert!(
-                    lo <= value && value <= hi,
-                    "{field}: {value} outside {family} {lo}..={hi}"
-                );
-            }
-            stats
-        }
-        let before = checked_stats();
+        // The scheduler's activity as deltas of its registry families. Other
+        // tests in this process bump the same families concurrently, so
+        // every delta is a lower bound.
+        let before = tfe_metrics::snapshot();
         let f = build_axpy();
         let x = Arc::new(TensorData::from_vec(vec![1.0f32, -3.0, 2.0], Shape::from([3])).unwrap());
         let y = Arc::new(TensorData::from_vec(vec![0.5f32, 1.0, -10.0], Shape::from([3])).unwrap());
         run_function(&f, &[x.clone(), y.clone()], &device(), ExecMode::SerialPlanned).unwrap();
         run_function(&f, &[x, y], &device(), ExecMode::Parallel).unwrap();
-        let stats = checked_stats();
-        assert!(stats.serial_runs > before.serial_runs);
-        assert!(stats.parallel_runs > before.parallel_runs);
+        let after = tfe_metrics::snapshot();
+        let delta = |name: &str| family(&after, name) - family(&before, name);
+        assert!(delta("tfe_executor_serial_runs_total") >= 1);
+        assert!(delta("tfe_executor_parallel_runs_total") >= 1);
         // axpy runs const + mul + add + relu per invocation.
-        assert!(stats.nodes_executed - before.nodes_executed >= 8);
-        assert!(stats.kernels_launched - before.kernels_launched >= 6);
+        assert!(delta("tfe_executor_nodes_run_total") >= 8);
+        assert!(delta("tfe_executor_kernels_run_total") >= 6);
         // Three tiny elementwise kernels per run, all below the grain.
-        assert!(stats.intra_serial_kernels - before.intra_serial_kernels >= 6);
-        assert!(stats.peak_live_bytes >= 3 * 4 * 2); // two f32[3] args live
-        assert!(stats.max_queue_depth >= 1);
+        assert!(delta("tfe_intra_serial_kernels_total") >= 6);
+        // Two f32[3] args live.
+        assert!(family(&after, "tfe_executor_peak_live_bytes") >= 3 * 4 * 2);
+        assert!(family(&after, "tfe_executor_ready_queue_depth_peak") >= 1);
     }
 }

@@ -37,14 +37,14 @@ pub struct BatchPolicy {
     /// oldest member can still make it, given current execution-time
     /// estimates.
     pub budget: Duration,
-    /// Smoothing factor for the staged-call-time EWMA in `(0, 1]`; higher
-    /// weights recent observations more.
-    pub ewma_alpha: f64,
 }
+
+/// Weight of the newest observation in the staged-call-time EWMA.
+const EWMA_ALPHA: f64 = 0.25;
 
 impl Default for BatchPolicy {
     fn default() -> BatchPolicy {
-        BatchPolicy { max_batch: 32, budget: Duration::from_millis(5), ewma_alpha: 0.25 }
+        BatchPolicy { max_batch: 32, budget: Duration::from_millis(5) }
     }
 }
 
@@ -433,8 +433,7 @@ impl Model {
         let next = if prev == 0 {
             exec_ns
         } else {
-            let a = self.policy.ewma_alpha.clamp(0.0, 1.0);
-            (a * exec_ns as f64 + (1.0 - a) * prev as f64) as u64
+            (EWMA_ALPHA * exec_ns as f64 + (1.0 - EWMA_ALPHA) * prev as f64) as u64
         };
         self.ewma_ns.store(next, Ordering::Relaxed);
 

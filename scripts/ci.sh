@@ -113,6 +113,16 @@ if grep -rnE 'parking_lot|shims/|SendPtr' crates src tests examples Cargo.toml; 
 echo "==> one per-thread event recorder in crates/profile/src"
 if grep -rnE 'NEXT_RING_TID|SLOT_WORDS|fn rings\(' crates/profile/src; then exit 1; fi
 
+# One-tally gate: the metrics registry is the only place a count lives and
+# the only way to read one (DESIGN.md §11). The typed mirrors of the
+# executor and intra-op families, the profile summary's re-count of
+# trace-cache and abort instants, and the `#sig` series label of an
+# input-signature variant (which now gets a fresh name) must not come back.
+# Word boundaries keep test names such as `exec_stats_snapshot_is_never_torn`.
+echo "==> one tally per event: no stats mirror beside the metrics registry"
+if grep -rnE '\b(exec_stats|intra_stats|ExecStats|IntraStats|cache_hit_rate)\b|#sig' \
+    crates src tests examples; then exit 1; fi
+
 # Unsafe allowlist: the pool's lifetime extension in `scope_chunks` and the
 # counting allocator are the only `unsafe` code, each with its SAFETY
 # argument and a test (DESIGN.md §9). Anything else is a new argument to

@@ -228,12 +228,15 @@ fn parallel_stateful_train_step_matches_serial() {
 
     w.restore(TensorData::scalar(2.0f64)).unwrap();
     let prev = context::set_exec_mode(ExecMode::Parallel);
-    let before = context::exec_stats().parallel_runs;
+    let parallel_runs = || {
+        tf_eager::metrics::snapshot().counter_value("tfe_executor_parallel_runs_total").unwrap_or(0)
+    };
+    let before = parallel_runs();
     let parallel: Vec<u64> = (0..steps)
         .map(|_| step.call_tensors(&[]).unwrap()[0].scalar_f64().unwrap().to_bits())
         .collect();
     let parallel_final = w.peek().scalar_f64().unwrap().to_bits();
-    assert!(context::exec_stats().parallel_runs > before, "stateful step fell back to serial");
+    assert!(parallel_runs() > before, "stateful step fell back to serial");
     context::set_exec_mode(prev);
 
     assert_eq!(serial, parallel);
@@ -322,17 +325,24 @@ fn concurrent_staged_training_on_disjoint_models() {
 
 #[test]
 fn exec_stats_snapshot_is_never_torn() {
-    // Regression test for the torn-view bug: `exec_stats()` used to load
-    // each counter independently, so a reader overlapping a writer could
-    // observe a kernel bump without its node bump. The seqlock read pass
-    // must uphold the cross-field invariant kernels_launched <=
-    // nodes_executed (every kernel launch is preceded by its node's bump
-    // on the same thread) even while writer threads hammer the cells.
+    // Regression test for the torn-view bug: a reader that loads the
+    // executor's counters independently while a writer bumps them could
+    // observe a kernel bump without its node bump. Every kernel launch is
+    // preceded by its node's bump on the same thread, then a Release fence;
+    // a reader that loads the kernel count, fences Acquire, then loads the
+    // node count must see kernels <= nodes even while writer threads
+    // hammer the cells. (A registry snapshot would not do: it walks the
+    // families in registration order, nodes first.)
     tf_eager::init();
     let f = function1("seqlock_stress_fn", |x| {
         let y = api::mul(x, x)?;
         api::reduce_sum(&y, &[], false)
     });
+    // One call registers both families, so the handles below are the
+    // executor's.
+    f.call1(&api::ones(DType::F64, [16])).unwrap();
+    let kernels = tf_eager::metrics::counter("tfe_executor_kernels_run_total", "");
+    let nodes = tf_eager::metrics::counter("tfe_executor_nodes_run_total", "");
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
     let writers: Vec<_> = (0..4)
         .map(|_| {
@@ -353,19 +363,17 @@ fn exec_stats_snapshot_is_never_torn() {
     let readers: Vec<_> = (0..2)
         .map(|_| {
             let stop = stop.clone();
+            let (kernels, nodes) = (kernels.clone(), nodes.clone());
             std::thread::spawn(move || {
                 let mut prev_nodes = 0u64;
                 let mut snaps = 0u64;
                 while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                    let s = context::exec_stats();
-                    assert!(
-                        s.kernels_launched <= s.nodes_executed,
-                        "torn snapshot: {} kernels > {} nodes",
-                        s.kernels_launched,
-                        s.nodes_executed
-                    );
-                    assert!(s.nodes_executed >= prev_nodes, "counters went backwards");
-                    prev_nodes = s.nodes_executed;
+                    let k = kernels.get();
+                    std::sync::atomic::fence(std::sync::atomic::Ordering::Acquire);
+                    let n = nodes.get();
+                    assert!(k <= n, "torn snapshot: {k} kernels > {n} nodes");
+                    assert!(n >= prev_nodes, "counters went backwards");
+                    prev_nodes = n;
                     snaps += 1;
                 }
                 snaps

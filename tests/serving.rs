@@ -49,7 +49,7 @@ fn example(i: usize, rows: usize) -> Tensor {
 }
 
 fn policy(max_batch: usize) -> BatchPolicy {
-    BatchPolicy { max_batch, budget: Duration::from_millis(50), ewma_alpha: 0.25 }
+    BatchPolicy { max_batch, budget: Duration::from_millis(50) }
 }
 
 /// N concurrent single-example requests through the batcher vs. N
@@ -179,7 +179,7 @@ fn poisoned_batch_fails_every_member_sync() {
             &name,
             1,
             f,
-            BatchPolicy { max_batch: 4, budget: Duration::from_millis(500), ewma_alpha: 0.25 },
+            BatchPolicy { max_batch: 4, budget: Duration::from_millis(500) },
         )
         .unwrap();
     let barrier = Arc::new(Barrier::new(4));
@@ -415,7 +415,7 @@ fn budget_closes_partial_batch() {
             "lone",
             1,
             mlp("serve_lone", 1.0),
-            BatchPolicy { max_batch: 1024, budget: Duration::from_millis(10), ewma_alpha: 0.25 },
+            BatchPolicy { max_batch: 1024, budget: Duration::from_millis(10) },
         )
         .unwrap();
     let x = example(1, 1);
@@ -439,11 +439,7 @@ fn staged_stress_keeps_retrace_log_bounded() {
             "stress",
             1,
             f.clone(),
-            BatchPolicy {
-                max_batch: usize::MAX,
-                budget: Duration::from_millis(1),
-                ewma_alpha: 0.25,
-            },
+            BatchPolicy { max_batch: usize::MAX, budget: Duration::from_millis(1) },
         )
         .unwrap();
     // 70 distinct row counts -> 70 distinct traced shapes (no signature).
@@ -533,7 +529,7 @@ fn queue_depth_gauge_returns_to_zero_on_every_exit_path() {
             "gauge_budget",
             1,
             f,
-            BatchPolicy { max_batch: 4, budget: Duration::from_nanos(1), ewma_alpha: 0.25 },
+            BatchPolicy { max_batch: 4, budget: Duration::from_nanos(1) },
         )
         .unwrap();
     let x = example(2, 1);

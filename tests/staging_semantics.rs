@@ -747,6 +747,46 @@ fn shared_state_across_funcs() {
     assert_eq!(read.call(&[]).unwrap()[0].scalar_f64().unwrap(), 3.0);
 }
 
+/// §4.6 input signatures: a constrained variant is a function of its own.
+/// Its traces must not replace the original's graphs — a cache hit on the
+/// original would then run the variant's — and two variants of one `Func`
+/// keep separate metric series, so dropping one leaves the other's.
+#[test]
+fn input_signature_variant_never_replaces_its_origin() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+    tf_eager::init();
+    static DOUBLE: AtomicBool = AtomicBool::new(true);
+    // A host branch, baked in at trace time.
+    let origin = function1("sig_origin", |x| {
+        if DOUBLE.load(Ordering::SeqCst) {
+            api::mul(x, &api::scalar(2.0f64))
+        } else {
+            api::add(x, &api::scalar(100.0f64))
+        }
+    });
+    let x = api::scalar(1.0f64);
+    let first = origin.call1(&x).unwrap().scalar_f64().unwrap();
+    assert_eq!(first, 2.0);
+
+    DOUBLE.store(false, Ordering::SeqCst);
+    let sig = vec![TensorSpec::new(DType::F64, vec![])];
+    let variant = origin.clone().with_input_signature(sig.clone());
+    assert_eq!(variant.call1(&x).unwrap().scalar_f64().unwrap(), 101.0);
+    let again = origin.call1(&x).unwrap().scalar_f64().unwrap();
+    assert_eq!(again.to_bits(), first.to_bits(), "the origin ran its variant's graph");
+    assert_eq!((origin.stats().hits, origin.stats().misses), (1, 1));
+
+    let other = origin.clone().with_input_signature(sig);
+    other.call1(&x).unwrap();
+    assert_ne!(variant.name(), other.name());
+    assert_eq!(variant.stats().misses, 1);
+    assert_eq!(other.stats().misses, 1);
+    let label = other.name().to_string();
+    drop(variant);
+    let series = tf_eager::metrics::snapshot().counter_with("tfe_func_cache_misses_total", &label);
+    assert_eq!(series, Some(1), "dropping one variant removed the other's series");
+}
+
 /// A read hands on the variable's value without copying it, so an assign
 /// must not reach a value read before it: that read keeps the old contents
 /// and the read after sees the new ones, eagerly and staged.
