@@ -280,7 +280,6 @@ mod tests {
             let x = &xs[0];
             api::mul(x, x).map(|t| vec![t])
         });
-        let id = tfe_runtime::context::register_host_fn(f);
         let x = api::scalar(3.0f64);
         let tape = GradientTape::new();
         tape.watch(&x);
@@ -289,7 +288,7 @@ mod tests {
             tfe_ops::Op::HostFunc,
             std::slice::from_ref(&x),
             tfe_ops::Attrs::new()
-                .with("fn_id", id as i64)
+                .with("host_fn", tfe_runtime::context::host_fn_handle(f))
                 .with("out_dtypes", d)
                 .with("out_shapes", s),
         )
@@ -350,12 +349,11 @@ mod lazy_zero_tests {
         let f: context::HostFn = Arc::new(|xs| {
             Ok(vec![api::mul(&xs[0], &api::scalar(2.0f64))?, api::mul(&xs[0], &xs[0])?])
         });
-        let id = context::register_host_fn(f.clone());
         let x = api::constant(vec![1.0f64, 3.0], [2]).unwrap();
         let outputs = f(std::slice::from_ref(&x)).unwrap();
         let record = Arc::new(TapeRecord::new(
             Op::HostFunc,
-            Attrs::new().with("fn_id", id as i64),
+            Attrs::new().with("host_fn", context::host_fn_handle(f)),
             std::slice::from_ref(&x),
             &outputs,
         ));

@@ -19,6 +19,7 @@
 use std::cell::OnceCell;
 use tfe_ops::{Attrs, BinaryOp, Op, UnaryOp};
 use tfe_runtime::api;
+use tfe_runtime::context::HostFn;
 use tfe_runtime::{Result, RuntimeError, TapeRecord, Tensor};
 use tfe_tensor::DType;
 
@@ -651,45 +652,39 @@ fn lookup(op: Op) -> Option<GradFn> {
         // under a fresh tape and differentiates it; inside a trace this emits a
         // new `host_func` node wrapping that computation.
         Op::HostFunc => |c| {
-            let fn_id = c.attrs().int("fn_id").map_err(tfe_ops::OpError::from)? as u64;
+            let f = c.attrs().handle::<HostFn>("host_fn").map_err(tfe_ops::OpError::from)?;
             let inputs: Vec<Tensor> = c.record.inputs.clone();
             let grads = c.grads()?;
             let all: Vec<Tensor> = inputs.iter().chain(grads).cloned().collect();
             let n_inputs = inputs.len();
-            let grad_closure: tfe_runtime::context::HostFn =
-                std::sync::Arc::new(move |args: &[Tensor]| {
-                    let (xs, gs) = args.split_at(n_inputs);
-                    let f = tfe_runtime::context::host_fn(fn_id)?;
-                    // One `gradient` call per output: persistent.
-                    let tape = crate::GradientTape::persistent();
-                    for x in xs {
-                        tape.watch(x);
+            let grad_closure: HostFn = std::sync::Arc::new(move |args: &[Tensor]| {
+                let (xs, gs) = args.split_at(n_inputs);
+                // One `gradient` call per output: persistent.
+                let tape = crate::GradientTape::persistent();
+                for x in xs {
+                    tape.watch(x);
+                }
+                let ys = f(xs)?;
+                let sources: Vec<&Tensor> = xs.iter().collect();
+                let mut acc: Vec<Option<Tensor>> = vec![None; xs.len()];
+                for (y, g) in ys.iter().zip(gs) {
+                    let partial = tape.gradient_with_output_grad(y, Some(g.clone()), &sources)?;
+                    for (slot, p) in acc.iter_mut().zip(partial) {
+                        *slot = match (slot.take(), p) {
+                            (None, x) => x,
+                            (x, None) => x,
+                            (Some(a), Some(b)) => Some(api::add(&a, &b)?),
+                        };
                     }
-                    let ys = f(xs)?;
-                    let sources: Vec<&Tensor> = xs.iter().collect();
-                    let mut acc: Vec<Option<Tensor>> = vec![None; xs.len()];
-                    for (y, g) in ys.iter().zip(gs) {
-                        let partial =
-                            tape.gradient_with_output_grad(y, Some(g.clone()), &sources)?;
-                        for (slot, p) in acc.iter_mut().zip(partial) {
-                            *slot = match (slot.take(), p) {
-                                (None, x) => x,
-                                (x, None) => x,
-                                (Some(a), Some(b)) => Some(api::add(&a, &b)?),
-                            };
-                        }
-                    }
-                    acc.into_iter()
-                        .enumerate()
-                        .map(|(i, g)| match g {
-                            Some(g) => Ok(g),
-                            None => zeros_like(&xs[i]),
-                        })
-                        .collect::<Result<Vec<_>>>()
-                });
-            // The gradient's closure belongs to the graph that gets its node.
-            let grad_fn = tfe_runtime::context::HostFnHandle::new(grad_closure);
-            tfe_runtime::context::retain_in_trace(&(grad_fn.clone() as _));
+                }
+                acc.into_iter()
+                    .enumerate()
+                    .map(|(i, g)| match g {
+                        Some(g) => Ok(g),
+                        None => zeros_like(&xs[i]),
+                    })
+                    .collect::<Result<Vec<_>>>()
+            });
             let sig: Vec<(DType, tfe_ops::SymShape)> =
                 inputs.iter().map(|t| (t.dtype(), t.sym_shape())).collect();
             let (d, s) = tfe_ops::catalog::encode_sig(&sig);
@@ -697,7 +692,7 @@ fn lookup(op: Op) -> Option<GradFn> {
                 Op::HostFunc,
                 &all,
                 Attrs::new()
-                    .with("fn_id", grad_fn.id() as i64)
+                    .with("host_fn", tfe_runtime::context::host_fn_handle(grad_closure))
                     .with("out_dtypes", d)
                     .with("out_shapes", s),
             )?;

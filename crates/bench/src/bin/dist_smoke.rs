@@ -33,8 +33,8 @@ use tfe_tensor::{DType, Shape};
 const STEPS: usize = 4;
 
 /// Seeded model + traced gradient function; returns its variables and the
-/// concrete function whose library name workers resolve (the name is good
-/// for as long as something holds the function).
+/// concrete function whose name workers resolve (the name is good for as
+/// long as something holds the function).
 fn setup(tag: &str, seed: u64) -> (Vec<Variable>, Arc<tfe_core::ConcreteFunction>) {
     let mut init = Initializer::seeded(seed);
     let model = Arc::new(mlp(4, &[8], 1, Activation::Tanh, &mut init));

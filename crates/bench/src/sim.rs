@@ -409,7 +409,7 @@ mod tests {
         }
     }
 
-    /// `f(x, y) = relu(x * y + y)` in the library: three nodes to run.
+    /// A call of `f(x, y) = relu(x * y + y)`: three nodes to run.
     fn call_attrs(name: &str) -> Attrs {
         let known = SymShape::known(&Shape::from([2, 3]));
         let mut b = GraphBuilder::new(name);
@@ -420,8 +420,8 @@ mod tests {
         let r = b.add_node("relu", vec![s], Attrs::new()).unwrap()[0];
         let f = b.finish(vec![r], 0);
         let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        context::library().insert(f);
-        Attrs::new().with("function", name).with("out_dtypes", d).with("out_shapes", s)
+        let f = Arc::new(f).handle();
+        Attrs::new().with("function", f).with("out_dtypes", d).with("out_shapes", s)
     }
 
     /// Run `f` on a fresh device `name` under a simulator; what it charged,

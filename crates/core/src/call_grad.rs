@@ -26,13 +26,13 @@
 //!   (DESIGN.md §7). A build that would all the same fails naming the op:
 //!   it never widens the forward and never drops the term.
 
-use crate::func::{keep_alive, optimize, ConcreteFunction};
+use crate::func::{optimize, ConcreteFunction};
 use std::collections::{HashMap, HashSet};
 use std::sync::RwLock;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use tfe_autodiff::GradCtx;
 use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Attrs, Op, OpError};
 use tfe_parallel::{lock, read, write};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 
@@ -42,8 +42,8 @@ use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 pub struct ForwardBundle {
     /// User-visible output count of the original function.
     pub n_primary: usize,
-    /// The forward variant, as inserted in the library: the `n_primary`
-    /// outputs followed by the kept intermediates.
+    /// The forward variant: the `n_primary` outputs followed by the kept
+    /// intermediates.
     pub fwd: Arc<GraphFunction>,
     /// The first-order backward, a concrete function of its own that this
     /// bundle keeps alive. Its inputs are the kept intermediates (in `fwd`
@@ -70,36 +70,25 @@ pub struct ForwardBundle {
 
 type SeededBackward = std::result::Result<(Arc<ConcreteFunction>, Arc<[bool]>), String>;
 
-/// Library name (inference or forward variant) → the concrete function that
-/// owns it, for the `call` gradient. An index: entries are weak, and a
-/// concrete function takes its own out when it drops.
+/// Inference name → the concrete function [`crate::function`] traced under
+/// it: the one name index, for callers that hold only a name (a remote
+/// `call` step, a data-parallel trainer built from a name). Entries are
+/// weak, so the index owns nothing; dead ones are dropped at the next trace.
 fn concretes() -> &'static RwLock<HashMap<String, Weak<ConcreteFunction>>> {
     static C: OnceLock<RwLock<HashMap<String, Weak<ConcreteFunction>>>> = OnceLock::new();
     C.get_or_init(|| RwLock::new(HashMap::new()))
 }
 
-pub(crate) fn index_concrete(name: &str, c: &Arc<ConcreteFunction>) {
-    write(concretes()).insert(name.to_string(), Arc::downgrade(c));
-}
-
-/// Called by the drop of the concrete function indexed under `name`; leaves
-/// a live entry (a later function of the same name) alone.
-pub(crate) fn unindex_concrete(name: &str) {
+pub(crate) fn index_concrete(c: &Arc<ConcreteFunction>) {
     let mut map = write(concretes());
-    if map.get(name).is_some_and(|c| c.strong_count() == 0) {
-        map.remove(name);
-    }
+    map.retain(|_, entry| entry.strong_count() > 0);
+    map.insert(c.name.clone(), Arc::downgrade(c));
 }
 
-/// The live concrete function that owns library name `name` (its inference
-/// graph's or a forward variant's), if it was traced by [`crate::function`]
-/// and something still holds it. Holding the result keeps every name the
-/// function owns resolving.
+/// The live concrete function traced under inference name `name`, if it
+/// was traced by [`crate::function`] and something still holds it.
 pub fn concrete_named(name: &str) -> Option<Arc<ConcreteFunction>> {
-    // The guard goes before the handle is returned: should that handle turn
-    // out to be the last, its drop takes this lock for writing.
-    let entry = read(concretes()).get(name).cloned();
-    entry?.upgrade()
+    read(concretes()).get(name)?.upgrade()
 }
 
 /// All intermediate tensor refs of a graph: every output of every node (in
@@ -134,11 +123,8 @@ pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> 
     let mut fwd = (*conc.raw).clone();
     fwd.name = format!("{}__fwd", conc.name);
     fwd.outputs.extend(&kept);
-    let fwd = optimize(&fwd).0;
+    let fwd = Arc::new(optimize(&fwd).0);
     let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
-    let fwd = context::library().insert(fwd);
-    // The gradient function looks concretes up by the *forward* name too.
-    index_concrete(&fwd.name, conc);
     Ok(ForwardBundle {
         n_primary: conc.n_primary,
         fwd,
@@ -151,6 +137,12 @@ pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> 
 }
 
 impl ForwardBundle {
+    /// The seeded backwards built so far, each one the first time a
+    /// gradient reached its set of kept intermediates.
+    pub fn seeded_backwards(&self) -> Vec<Arc<ConcreteFunction>> {
+        lock(&self.seeded).values().filter_map(|b| Some(b.as_ref().ok()?.0.clone())).collect()
+    }
+
     /// The backward seeded at the kept intermediates `reached` marks too,
     /// and the slots it returns, built on first need.
     fn seeded_backward(
@@ -175,7 +167,7 @@ impl ForwardBundle {
     }
 }
 
-/// Trace one backward of `conc` and register it as a concrete function of
+/// Trace one backward of `conc` and build it as a concrete function of
 /// its own. It is seeded with a gradient per primary output, then one per
 /// intermediate in `seeds`; its inputs are the intermediates it keeps,
 /// those gradients and its captures, its outputs one gradient per forward
@@ -319,10 +311,11 @@ fn build_backward(
     let bwd_opt = passes::drop_inputs(&bwd_opt, &dropped);
     // The backward pass is a concrete function of its own, so an outer tape
     // can differentiate *it* — higher-order gradients through staged calls
-    // (§4.2's composable tapes). It owns what its trace called.
-    let function = context::library().insert(bwd_opt);
+    // (§4.2's composable tapes). Its graphs hold what its trace called.
+    let function = Arc::new(bwd_opt);
     let bwd = Arc::new(ConcreteFunction {
         name: name.to_string(),
+        label: name.into(),
         inference_attrs: ConcreteFunction::call_attrs(&function, false, &[]),
         function,
         raw: Arc::new(bwd_raw),
@@ -334,9 +327,7 @@ fn build_backward(
         n_primary: outs.len(),
         opt_stats: bwd_stats,
         pair: OnceLock::new(),
-        owners: finished.owners,
     });
-    index_concrete(&bwd.function.name, &bwd);
     Ok((bwd, returns, kept))
 }
 
@@ -356,9 +347,7 @@ fn run_backward(
         let mut inputs = intermediates.to_vec();
         inputs.extend(dys);
         inputs.extend(bwd.captures.iter().cloned());
-        let grads = context::execute(Op::Call, &inputs, bwd.inference_attrs.clone())?;
-        keep_alive(bwd);
-        grads
+        context::execute(Op::Call, &inputs, bwd.held_by(&bwd.inference_attrs))?
     };
     if grads.len() != expected {
         return Err(RuntimeError::Internal(format!(
@@ -381,23 +370,30 @@ fn rerun_and_differentiate(
     c: &GradCtx,
 ) -> Result<Vec<Option<Tensor>>> {
     let pair = conc.forward_bundle()?;
-    let outs = context::execute(Op::Call, inputs, pair.fwd_attrs.clone())?;
-    keep_alive(conc);
+    let outs = context::execute(Op::Call, inputs, conc.held_by(&pair.fwd_attrs))?;
     let dys = (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<_>>()?;
     run_backward(&pair.bwd, &pair.bwd_returns, &outs[pair.n_primary..], dys)
+}
+
+/// The concrete function a `call` or `cond` record holds at `key` for the
+/// graph it holds at `graph`: only a call made by [`crate::function`]'s
+/// functions carries one.
+fn concrete_of(c: &GradCtx, graph: &str, key: &str) -> Result<Arc<ConcreteFunction>> {
+    c.attrs().handle::<ConcreteFunction>(key).map_err(|_| {
+        RuntimeError::Unsupported(format!(
+            "cannot differentiate a call of `{}`: it was not created via tfe_core::function",
+            c.attrs().label(graph).unwrap_or("?")
+        ))
+    })
 }
 
 /// The gradient of the `call` operation: invoke a backward graph function
 /// with the forward intermediates and the output gradients.
 pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
-    let fname = c.attrs().str("function").map_err(tfe_ops::OpError::from)?;
-    let conc = concrete_named(fname).ok_or_else(|| {
-        RuntimeError::Unsupported(format!(
-            "cannot differentiate a call to `{fname}`: it was not created via tfe_core::function"
-        ))
-    })?;
+    let conc = concrete_of(c, "function", "concrete")?;
+    let graph = c.attrs().handle::<GraphFunction>("function").map_err(OpError::from)?;
     let pair = conc.forward_bundle()?;
-    if fname != pair.fwd.name {
+    if !Arc::ptr_eq(&graph, &pair.fwd) {
         return rerun_and_differentiate(&conc, &c.record.inputs, c);
     }
     // The forward variant ran: the kept intermediates are on the record, and
@@ -430,13 +426,11 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
             "gradient of a `cond` traced inside another function (symbolic predicate)".to_string(),
         ));
     };
-    let branch_attr = if pred_value != 0.0 { "then_fn" } else { "else_fn" };
-    let branch = c.attrs().str(branch_attr).map_err(tfe_ops::OpError::from)?;
-    let conc = concrete_named(branch).ok_or_else(|| {
-        RuntimeError::Unsupported(format!(
-            "cannot differentiate cond branch `{branch}`: not created via tfe_core::function"
-        ))
-    })?;
+    let conc = if pred_value != 0.0 {
+        concrete_of(c, "then_fn", "then_concrete")?
+    } else {
+        concrete_of(c, "else_fn", "else_concrete")?
+    };
     // The cond executed the plain branch function, so the record has no
     // intermediates of its own.
     let branch_args = &c.record.inputs[1..];
@@ -444,7 +438,7 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     let var_grads = grads.split_off(branch_args.len());
     // Slots: the predicate, the branch arguments, then the variables either
     // branch reads; one only the other branch reads gets no gradient.
-    let var_ids = c.attrs().int_list_or("var_ids", &[]).map_err(tfe_ops::OpError::from)?;
+    let var_ids = c.attrs().int_list_or("var_ids", &[]).map_err(OpError::from)?;
     let mut out: Vec<Option<Tensor>> = vec![None];
     out.append(&mut grads);
     out.extend(var_ids.iter().map(|id| {

@@ -2,9 +2,8 @@
 //! hatches of §4.7 (`host_func` ≈ `py_func`, `init_scope`).
 
 use crate::arg::Arg;
-use crate::func::{keep_alive, Func};
-use std::sync::Arc;
-use tfe_ops::{Attrs, Op, SymShape};
+use crate::func::Func;
+use tfe_ops::{Attrs, Handle, Op, SymShape};
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::DType;
 
@@ -46,20 +45,19 @@ pub fn cond(
         t.var_ids.iter().chain(&e.var_ids).copied().collect();
     let mut inputs = vec![pred.clone()];
     inputs.extend(args.iter().map(|&t| t.clone()));
-    let outs = context::execute(
+    context::execute(
         Op::Cond,
         &inputs,
         Attrs::new()
-            .with("then_fn", t.name.clone())
-            .with("else_fn", e.name.clone())
+            .with("then_fn", t.function.handle())
+            .with("else_fn", e.function.handle())
+            .with("then_concrete", t.handle())
+            .with("else_concrete", e.handle())
             .with("out_dtypes", d)
             .with("out_shapes", s)
             .with("stateful", stateful)
             .with("var_ids", var_ids.into_iter().collect::<Vec<_>>()),
-    )?;
-    keep_alive(&t);
-    keep_alive(&e);
-    Ok(outs)
+    )
 }
 
 /// Tensor-dependent loop: repeats `body(state)` while `cond(state)` yields
@@ -99,17 +97,14 @@ pub fn while_loop(cond_fn: &Func, body_fn: &Func, init: &[&Tensor]) -> Result<Ve
         )));
     }
     let inputs: Vec<Tensor> = init.iter().map(|&t| t.clone()).collect();
-    let outs = context::execute(
+    context::execute(
         Op::WhileLoop,
         &inputs,
         Attrs::new()
-            .with("cond_fn", c.name.clone())
-            .with("body_fn", b.name.clone())
+            .with("cond_fn", c.function.handle())
+            .with("body_fn", b.function.handle())
             .with("stateful", c.stateful || b.stateful),
-    )?;
-    keep_alive(&c);
-    keep_alive(&b);
-    Ok(outs)
+    )
 }
 
 /// A host closure embeddable in staged computations — the `py_func` analog
@@ -117,27 +112,22 @@ pub fn while_loop(cond_fn: &Func, body_fn: &Func, init: &[&Tensor]) -> Result<Ve
 /// `host_func` node that jumps back into the imperative runtime, and it is
 /// differentiable (the gradient re-runs the closure under a tape).
 ///
-/// The closure lives as long as a `HostFunc` handle or a graph traced
-/// through one does; after that its id no longer resolves.
+/// The closure lives as long as a `HostFunc` or a graph traced through one
+/// does: the node holds it.
 #[derive(Clone)]
 pub struct HostFunc {
-    closure: Arc<context::HostFnHandle>,
+    closure: Handle,
     out_sig: Vec<(DType, SymShape)>,
 }
 
 impl HostFunc {
-    /// Register a closure with a declared output signature.
+    /// Wrap a closure with a declared output signature.
     pub fn new(
         f: impl Fn(&[Tensor]) -> Result<Vec<Tensor>> + Send + Sync + 'static,
         out_sig: Vec<(DType, SymShape)>,
     ) -> HostFunc {
         crate::init();
-        HostFunc { closure: context::HostFnHandle::new(Arc::new(f)), out_sig }
-    }
-
-    /// The registered host-function id.
-    pub fn id(&self) -> u64 {
-        self.closure.id()
+        HostFunc { closure: context::host_fn_handle(std::sync::Arc::new(f)), out_sig }
     }
 
     /// Invoke (directly when eager; as a graph node when tracing).
@@ -147,23 +137,20 @@ impl HostFunc {
     pub fn call(&self, args: &[&Tensor]) -> Result<Vec<Tensor>> {
         let (d, s) = tfe_ops::catalog::encode_sig(&self.out_sig);
         let inputs: Vec<Tensor> = args.iter().map(|&t| t.clone()).collect();
-        let outs = context::execute(
+        context::execute(
             Op::HostFunc,
             &inputs,
             Attrs::new()
-                .with("fn_id", self.id() as i64)
+                .with("host_fn", self.closure.clone())
                 .with("out_dtypes", d)
                 .with("out_shapes", s),
-        )?;
-        // A graph that got the node keeps the closure; eagerly it has run.
-        context::retain_in_trace(&(self.closure.clone() as _));
-        Ok(outs)
+        )
     }
 }
 
 impl std::fmt::Debug for HostFunc {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HostFunc(id={}, {} outputs)", self.id(), self.out_sig.len())
+        write!(f, "HostFunc({} outputs)", self.out_sig.len())
     }
 }
 

@@ -7,12 +7,11 @@
 //! specialized by value), and either reuses a cached graph function or
 //! traces the closure in a graph-building context to create one.
 //!
-//! A traced function lives as long as something can still reach it: its
-//! [`ConcreteFunction`] is the single owner of every graph traced for one
-//! specialization and takes their names out of the process-global tables
-//! when it drops; it is held by the `Func`'s cache and by whatever wrote one
-//! of its names into an attribute ([`keep_alive`]). The tables only index,
-//! so a name stops resolving once the owner is gone (DESIGN.md §7).
+//! A traced function lives as long as something holds it: its
+//! [`ConcreteFunction`] owns every graph traced for one specialization, and
+//! is held by the `Func`'s cache and by every `call` node and tape record
+//! that ran one of those graphs — the node's attributes hold the graph and
+//! the concrete function as handles (DESIGN.md §7).
 
 use crate::arg::{Arg, ArgKey, TensorSpec};
 use crate::call_grad::{build_pair, ForwardBundle};
@@ -22,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::sync::{Mutex, PoisonError};
 use tfe_graph::{passes, GraphFunction, TensorRef};
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Attrs, Handle, Op};
 use tfe_parallel::lock;
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::{DType, TensorData};
@@ -788,10 +787,11 @@ impl Func {
         let n_primary = raw.outputs.len();
 
         let (optimized, opt_stats) = optimize(&raw);
-        let function = context::library().insert(optimized);
+        let function = Arc::new(optimized);
         let inference_attrs = ConcreteFunction::call_attrs(&function, stateful, &var_ids);
 
         let concrete = Arc::new(ConcreteFunction {
+            label: cname.as_str().into(),
             name: cname,
             function,
             raw,
@@ -802,9 +802,8 @@ impl Func {
             opt_stats,
             inference_attrs,
             pair: OnceLock::new(),
-            owners: traced.owners,
         });
-        crate::call_grad::index_concrete(&concrete.function.name, &concrete);
+        crate::call_grad::index_concrete(&concrete);
         Ok(concrete)
     }
 
@@ -853,7 +852,6 @@ impl Func {
             raw,
             captures: finished.captures,
             created_variables: finished.created_variables,
-            owners: finished.owners,
         })
     }
 }
@@ -868,7 +866,6 @@ struct TraceOut {
     raw: GraphFunction,
     captures: Vec<Tensor>,
     created_variables: Vec<u64>,
-    owners: Vec<context::Owner>,
 }
 
 /// One pipeline for every device and every graph a concrete function owns
@@ -901,12 +898,13 @@ pub(crate) fn collect_var_ids(f: &GraphFunction) -> Vec<i64> {
 
 /// One traced specialization: a graph function plus its captured inputs.
 ///
-/// The single owner of everything traced for it — the inference graph, the
-/// raw trace, the lazily built forward variant and backwards — and, through
-/// `owners`, of every function its graphs name. Dropping it takes its names
-/// out of the function library and the gradient index.
+/// The owner of everything traced for it — the inference graph, the raw
+/// trace, the lazily built forward variant and backwards. A `call` node or a
+/// tape record that ran one of its graphs holds it too (attribute
+/// `concrete`), so it lives as long as anything can still run or
+/// differentiate it.
 pub struct ConcreteFunction {
-    /// Library name of the (optimized) inference graph.
+    /// Name of the (optimized) inference graph.
     pub name: String,
     /// The optimized graph function.
     pub function: Arc<GraphFunction>,
@@ -929,45 +927,16 @@ pub struct ConcreteFunction {
     /// The forward variant and its backwards (§4.2), built when first
     /// needed.
     pub(crate) pair: OnceLock<std::result::Result<Arc<ForwardBundle>, String>>,
-    /// What the nodes of `raw` name: the functions it calls or branches to
-    /// and the host closures it embeds, collected by the trace. Held, never
-    /// read.
-    #[allow(dead_code)]
-    pub(crate) owners: Vec<context::Owner>,
-}
-
-/// The one way a [`ConcreteFunction`] comes to be held by what can still
-/// reach it by name, called wherever one of its names (inference, forward
-/// variant, backward) has just gone into the attributes of an executed op.
-/// The holders are then exactly: the graph being traced, which got a node
-/// with the name (and the `ConcreteFunction` built from that trace after
-/// it); and every active tape, which may have recorded the op and will
-/// resolve the name to differentiate it.
-pub(crate) fn keep_alive(conc: &Arc<ConcreteFunction>) {
-    let owner: context::Owner = conc.clone();
-    context::retain_in_trace(&owner);
-    for tape in context::active_tapes() {
-        tape.retain(owner.clone());
-    }
-}
-
-impl Drop for ConcreteFunction {
-    /// Takes the two table locks, one at a time, and nothing else.
-    fn drop(&mut self) {
-        let fwd = self.pair.get().and_then(|p| p.as_ref().ok()).map(|p| &p.fwd);
-        for f in std::iter::once(&self.function).chain(fwd) {
-            context::library().remove(f);
-            crate::call_grad::unindex_concrete(&f.name);
-        }
-    }
+    /// [`name`](Self::name), as the label of the handle a call holds.
+    pub(crate) label: Arc<str>,
 }
 
 impl ConcreteFunction {
     /// Graph attributes for a `call` node invoking function `f`.
-    pub(crate) fn call_attrs(f: &GraphFunction, stateful: bool, var_ids: &[i64]) -> Attrs {
+    pub(crate) fn call_attrs(f: &Arc<GraphFunction>, stateful: bool, var_ids: &[i64]) -> Attrs {
         let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
         Attrs::new()
-            .with("function", f.name.clone())
+            .with("function", f.handle())
             .with("stateful", stateful)
             .with("out_dtypes", d)
             .with("out_shapes", s)
@@ -997,16 +966,26 @@ impl ConcreteFunction {
         }
         let mut all = tensor_args.to_vec();
         all.extend(self.captures.iter().cloned());
-        let outs = if context::active_tapes().is_empty() {
-            context::execute(Op::Call, &all, self.inference_attrs.clone())?
+        if context::active_tapes().is_empty() {
+            context::execute(Op::Call, &all, self.held_by(&self.inference_attrs))
         } else {
             let pair = self.forward_bundle()?;
-            let mut outs = context::execute(Op::Call, &all, pair.fwd_attrs.clone())?;
+            let mut outs = context::execute(Op::Call, &all, self.held_by(&pair.fwd_attrs))?;
             outs.truncate(self.n_primary);
-            outs
-        };
-        keep_alive(self);
-        Ok(outs)
+            Ok(outs)
+        }
+    }
+
+    /// `attrs` of a call of one of this function's graphs, plus this
+    /// function itself (attribute `concrete`): what the call's gradient
+    /// differentiates, held by the node or record that made the call.
+    pub(crate) fn held_by(self: &Arc<Self>, attrs: &Attrs) -> Attrs {
+        attrs.clone().with("concrete", self.handle())
+    }
+
+    /// The handle through which a node holds this function.
+    pub fn handle(self: &Arc<Self>) -> Handle {
+        Handle::new(self.clone(), self.label.clone())
     }
 
     /// Build (once) the forward variant, returning the primary outputs

@@ -438,7 +438,7 @@ impl Program {
         self.step(inputs, [("op", Value::str(op)), ("attrs", attrs_to_value(attrs))])
     }
 
-    /// Append a call of a graph function by library name; returns the
+    /// Append a call of a traced graph function by name; returns the
     /// step's index.
     pub fn call(&mut self, name: &str, inputs: Vec<Input>) -> usize {
         self.calls = true;
@@ -681,7 +681,7 @@ impl Cluster {
         self.run_one(device, |program, inputs| program.op(op, &attrs, inputs), args)
     }
 
-    /// Execute a whole graph function (by library name) on a remote device
+    /// Execute a whole traced graph function (by name) on a remote device
     /// — §4.5: "execute operations or whole graph functions on remote
     /// devices through the worker servers".
     ///

@@ -31,9 +31,11 @@
 //! bytes. The mechanism (name resolution,
 //! remote-resident tensors, explicit fetch, whole-graph-function dispatch,
 //! deadline-bounded RPCs with typed failures) is preserved; only the
-//! process boundary differs. Graph functions are resolved by *name*
-//! against the shared in-process function library, standing in for
-//! shipping the serialized function to the worker once.
+//! process boundary differs. A `call` step names a graph function; the
+//! worker resolves the name through `tfe_core::concrete_named`, the weak
+//! index of live traced functions, standing in for shipping the serialized
+//! function to the worker once. A name whose function is gone is a typed
+//! `RemoteFault`.
 
 #![warn(missing_docs)]
 

@@ -20,7 +20,8 @@
 //!
 //! `run` carries a small program. `steps` is an ordered list; a step is
 //! `{op, attrs, inputs}` (one primitive kernel) or `{call, inputs}` (a
-//! whole graph function, by library name). A *reference* names a tensor:
+//! whole graph function, by the name it was traced under:
+//! [`tfe_core::concrete_named`]). A *reference* names a tensor:
 //!
 //! | reference                | names |
 //! |--------------------------|-------|
@@ -216,12 +217,13 @@ fn list<'a>(of: &'a Value, key: &str) -> Result<&'a [Value], String> {
     of.get(key).and_then(Value::as_array).ok_or_else(|| format!("`{key}` is not a list"))
 }
 
-/// One step: a graph function by name, or a primitive kernel.
+/// One step: a traced graph function by name, or a primitive kernel.
 fn run_step(step: &Value, inputs: &[Arc<TensorData>]) -> Result<Tensors, String> {
     if let Some(name) = step.get("call").and_then(Value::as_str) {
-        let f = context::library()
-            .get(name)
-            .ok_or_else(|| format!("function `{name}` not in library"))?;
+        let f = tfe_core::concrete_named(name)
+            .ok_or_else(|| format!("no live traced function is named `{name}`"))?
+            .function
+            .clone();
         if f.num_captures > 0 {
             return Err(format!(
                 "function `{name}` closes over {} captured value(s); workers only execute \

@@ -680,6 +680,7 @@ mod tests {
 
     #[test]
     fn stateful_attr_propagates() {
+        let g = Arc::new(GraphBuilder::new("g").finish(Vec::new(), 0));
         let mut b = GraphBuilder::new("t");
         let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F32, SymShape::scalar())]);
         let refs = b
@@ -687,7 +688,7 @@ mod tests {
                 "call",
                 vec![],
                 Attrs::new()
-                    .with("function", "g")
+                    .with("function", g.handle())
                     .with("stateful", true)
                     .with("out_dtypes", d)
                     .with("out_shapes", s),
@@ -695,6 +696,7 @@ mod tests {
             .unwrap();
         let f = b.finish(vec![refs[0]], 0);
         assert!(f.is_stateful());
-        assert_eq!(f.callee_names(), vec!["g".to_string()]);
+        let callees = f.callees();
+        assert!(callees.len() == 1 && Arc::ptr_eq(&callees[0], &g));
     }
 }

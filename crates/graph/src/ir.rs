@@ -7,9 +7,12 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use tfe_ops::{Attrs, Op, SymShape};
-use tfe_parallel::{read, write};
+use tfe_ops::{AttrValue, Attrs, Handle, Op, SymShape};
 use tfe_tensor::{DType, TensorData};
+
+/// The attributes through which `call`, `cond` and `while_loop` nodes hold
+/// the graph functions they run.
+pub(crate) const CALLEE_KEYS: [&str; 5] = ["function", "then_fn", "else_fn", "cond_fn", "body_fn"];
 
 /// Index of a node within its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -66,7 +69,8 @@ impl Node {
 /// A dataflow graph function: nodes plus named inputs and outputs.
 #[derive(Clone)]
 pub struct GraphFunction {
-    /// Function name (unique within a [`FunctionLibrary`]).
+    /// Function name: what a node that holds the function prints and
+    /// serializes in its place.
     pub name: String,
     /// Nodes in topological (construction) order. Node `inputs` always
     /// reference earlier nodes.
@@ -129,15 +133,22 @@ impl GraphFunction {
         self.nodes.iter().filter(|n| n.op != Op::Placeholder).count()
     }
 
-    /// Names of callee functions referenced by `call`/`cond`/`while_loop`
-    /// nodes (non-recursive).
-    pub fn callee_names(&self) -> Vec<String> {
-        let mut out = Vec::new();
+    /// The handle a node that runs this function holds (labelled with its
+    /// name).
+    pub fn handle(self: &Arc<Self>) -> Handle {
+        Handle::new(self.clone(), self.name.as_str())
+    }
+
+    /// The graph functions the `call`/`cond`/`while_loop` nodes of this one
+    /// hold (non-recursive), each once, in node order.
+    pub fn callees(&self) -> Vec<Arc<GraphFunction>> {
+        let mut out: Vec<Arc<GraphFunction>> = Vec::new();
         for n in &self.nodes {
-            for key in ["function", "then_fn", "else_fn", "cond_fn", "body_fn"] {
-                if let Some(tfe_ops::AttrValue::Str(s)) = n.attrs.get(key) {
-                    if !out.contains(s) {
-                        out.push(s.clone());
+            for key in CALLEE_KEYS {
+                if let Some(AttrValue::Handle(h)) = n.attrs.get(key) {
+                    match h.get::<GraphFunction>() {
+                        Some(f) if !out.iter().any(|g| Arc::ptr_eq(g, &f)) => out.push(f),
+                        _ => {}
                     }
                 }
             }
@@ -321,74 +332,6 @@ impl fmt::Debug for GraphFunction {
     }
 }
 
-/// A shared library of graph functions, used to resolve `call` nodes.
-///
-/// §5 notes that function composition falls out of executing functions via
-/// an operation; the library is the name→function mapping that operation
-/// consults. It is also the unit serialized for deployment (§4.3).
-///
-/// The library is an index, not an owner: whoever inserts a function
-/// decides how long it lives and takes it out again ([`remove`]
-/// (FunctionLibrary::remove)) when it is done — a traced function when its
-/// `ConcreteFunction` drops, a loaded bundle with its `LoadedFunction`. A
-/// name stops resolving once its owner is gone. A function inserted by hand
-/// and never removed has no owner and stays for the process.
-#[derive(Default, Clone)]
-pub struct FunctionLibrary {
-    inner: Arc<std::sync::RwLock<HashMap<String, Arc<GraphFunction>>>>,
-}
-
-impl FunctionLibrary {
-    /// An empty library.
-    pub fn new() -> FunctionLibrary {
-        FunctionLibrary::default()
-    }
-
-    /// Insert (or replace) a function.
-    pub fn insert(&self, f: GraphFunction) -> Arc<GraphFunction> {
-        let f = Arc::new(f);
-        write(&self.inner).insert(f.name.clone(), f.clone());
-        f
-    }
-
-    /// Look up by name.
-    pub fn get(&self, name: &str) -> Option<Arc<GraphFunction>> {
-        read(&self.inner).get(name).cloned()
-    }
-
-    /// Take `f` out, if its name still resolves to it (a later `insert`
-    /// under the same name is left alone). Returns whether it was there.
-    pub fn remove(&self, f: &Arc<GraphFunction>) -> bool {
-        let mut map = write(&self.inner);
-        let same = map.get(&f.name).is_some_and(|g| Arc::ptr_eq(g, f));
-        // `f` is a second handle, so nothing is freed under the lock.
-        same && map.remove(&f.name).is_some()
-    }
-
-    /// All registered names, sorted.
-    pub fn names(&self) -> Vec<String> {
-        let mut v: Vec<String> = read(&self.inner).keys().cloned().collect();
-        v.sort();
-        v
-    }
-
-    /// Number of functions.
-    pub fn len(&self) -> usize {
-        read(&self.inner).len()
-    }
-
-    /// Whether the library is empty.
-    pub fn is_empty(&self) -> bool {
-        read(&self.inner).is_empty()
-    }
-}
-
-impl fmt::Debug for FunctionLibrary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FunctionLibrary({:?})", self.names())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,31 +374,5 @@ mod tests {
         assert!(d.contains("function f(2 args, 0 captures) -> 1 outputs"));
         assert!(d.contains("add(%0, %1)"));
         assert!(d.contains("return %3"));
-    }
-
-    #[test]
-    fn library_round_trip() {
-        let lib = FunctionLibrary::new();
-        assert!(lib.is_empty());
-        lib.insert(simple_fn());
-        assert_eq!(lib.len(), 1);
-        assert!(lib.get("f").is_some());
-        assert!(lib.get("g").is_none());
-        assert_eq!(lib.names(), vec!["f".to_string()]);
-        // Clones share contents.
-        let lib2 = lib.clone();
-        assert!(lib2.get("f").is_some());
-    }
-
-    #[test]
-    fn remove_takes_out_only_what_the_name_still_resolves_to() {
-        let lib = FunctionLibrary::new();
-        let first = lib.insert(simple_fn());
-        let second = lib.insert(simple_fn());
-        assert!(!lib.remove(&first), "a replaced function is no longer in the library");
-        assert_eq!(lib.len(), 1);
-        assert!(lib.remove(&second));
-        assert!(lib.get("f").is_none());
-        assert!(!lib.remove(&second));
     }
 }

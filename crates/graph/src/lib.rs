@@ -43,4 +43,4 @@ pub mod sequencing;
 pub mod serial;
 
 pub use builder::GraphBuilder;
-pub use ir::{FunctionLibrary, GraphFunction, Node, NodeId, TensorRef};
+pub use ir::{GraphFunction, Node, NodeId, TensorRef};

@@ -31,7 +31,7 @@ use crate::program::{Instr, Program};
 use crate::sequencing::{classify, Access, Resource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Attrs, Handle, Op};
 use tfe_tensor::{DType, TensorData};
 
 /// The seven rewrite families: the four rule families of the simplifying
@@ -446,6 +446,9 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
     // external inputs by their old references; the other members go. (No
     // group reads another's members, only their outputs by reference.)
     let mut skip = vec![false; n];
+    // One compiled program per distinct program in the graph: the nodes that
+    // run the same program hold the same one.
+    let mut compiled: HashMap<String, Handle> = HashMap::new();
     for (&sink, members) in &fuse_groups {
         let mut inputs: Vec<TensorRef> = Vec::new();
         let mut reg_of: HashMap<TensorRef, usize> = HashMap::new();
@@ -472,15 +475,18 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
             reg_of.insert(TensorRef::first(NodeId(m)), instrs.len() - 1);
         }
         let output = reg_of[&TensorRef::first(NodeId(sink))];
-        // Compile at fusion time, from the program in hand, so the first
-        // kernel invocation — and every one after — finds the slot-planned
-        // form in the cache and the attribute string is never parsed.
-        let encoded = crate::program::intern(Program { instrs, output });
+        // Compiled here, from the program in hand, and held by the node: no
+        // kernel invocation ever parses or looks up the program.
+        let program = Program { instrs, output };
+        let program = compiled
+            .entry(program.encode())
+            .or_insert_with_key(|text| Handle::new(Arc::new(program.compile()), text.as_str()))
+            .clone();
         let outputs = f.nodes[sink].outputs.clone();
         f.nodes[sink] = Node {
             op: Op::FusedElementwise,
             inputs,
-            attrs: Attrs::new().with("program", encoded).with("out_dtype", outputs[0].0),
+            attrs: Attrs::new().with("program", program).with("out_dtype", outputs[0].0),
             outputs,
             stateful: false,
             control_inputs: Vec::new(),
@@ -494,6 +500,7 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::program::CompiledProgram;
     use crate::sequencing::sequence_control_edges;
     use tfe_ops::{AttrValue, SymShape};
     use tfe_tensor::Shape;
@@ -698,11 +705,8 @@ mod tests {
         let fused: Vec<&Node> = g.nodes.iter().filter(|n| n.op == "fused_elementwise").collect();
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].inputs.len(), 2);
-        let program = Program::decode(match fused[0].attrs.get("program") {
-            Some(AttrValue::Str(s)) => s,
-            _ => panic!("missing program"),
-        })
-        .unwrap();
+        let program = fused[0].attrs.handle::<CompiledProgram>("program").unwrap();
+        assert_eq!(fused[0].attrs.label("program").unwrap(), program.program().encode());
         assert_eq!(program.op_count(), 3);
         // Executable count dropped from 3 to 1.
         assert_eq!(g.executable_node_count(), 1);
@@ -746,11 +750,7 @@ mod tests {
         let f = b.finish(vec![sq], 0);
         let g = run(&f, "fuse_elementwise");
         let fused = g.nodes.iter().find(|n| n.op == "fused_elementwise").unwrap();
-        let program = Program::decode(match fused.attrs.get("program") {
-            Some(AttrValue::Str(s)) => s,
-            _ => panic!(),
-        })
-        .unwrap();
+        let program = fused.attrs.handle::<CompiledProgram>("program").unwrap();
         let a = TensorData::from_vec(vec![1.0f32, 2.0, 3.0, -1.0], Shape::from([4])).unwrap();
         let c = TensorData::from_vec(vec![1.0f32, 1.0, 1.0, 1.0], Shape::from([4])).unwrap();
         let r = program.eval(&[&a, &c]).unwrap();
@@ -929,7 +929,10 @@ mod tests {
         b.add_node(
             "host_func",
             vec![x],
-            Attrs::new().with("fn_id", 0i64).with("out_dtypes", sig.0).with("out_shapes", sig.1),
+            Attrs::new()
+                .with("host_fn", Handle::new(Arc::new(()), "host_fn"))
+                .with("out_dtypes", sig.0)
+                .with("out_shapes", sig.1),
         )
         .unwrap();
         var_write(&mut b, "assign", 7, x);

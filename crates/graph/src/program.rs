@@ -6,13 +6,13 @@
 //!
 //! A program is a small SSA register machine over the elementwise op enums
 //! from `tfe-tensor`. The fusion pass compiles a group of elementwise graph
-//! nodes into one [`Program`], and — once, at fusion time, from the program
-//! in hand ([`intern`]) — lowers it to a [`CompiledProgram`]: a last-use
+//! nodes into one [`Program`] and lowers it, once per distinct program in
+//! the graph, from the program in hand, to a [`CompiledProgram`]: a last-use
 //! register plan, input-aliased reads, and a scratch-slot assignment sized
-//! for cache-resident tiles. The runtime kernel fetches the compiled form
-//! from the process-wide [`compiled`] cache (keyed by the encoded text), so
-//! the string attribute is parsed only for programs that arrive as text
-//! (a loaded bundle), and then once per distinct program, not once per call.
+//! for cache-resident tiles. The fused node holds that compiled form as a
+//! handle, and the runtime kernel runs it directly. The encoded text is the
+//! handle's label: what a bundle carries, parsed and compiled again when one
+//! is decoded.
 //!
 //! Execution walks the whole program over one ~8 KiB tile at a time
 //! ([`CompiledProgram::eval`]): an N-op group makes one pass over memory
@@ -36,11 +36,6 @@
 //! reach it through [`CompiledProgram::program`] as the differential
 //! reference.
 
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
-
-use std::sync::RwLock;
-use tfe_parallel::{read, write};
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
 use tfe_tensor::lanes::{self, Periodic};
 use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
@@ -150,8 +145,11 @@ impl Program {
         Ok(p)
     }
 
-    /// Lower to the tile-executable form (see [`CompiledProgram`]).
+    /// Lower to the tile-executable form (see [`CompiledProgram`]), under a
+    /// `fused`/`compile` profiler span.
     pub fn compile(self) -> CompiledProgram {
+        let _span = tfe_profile::span("fused", || "compile");
+        tfe_metrics::static_counter!("tfe_fused_compile_total", "Fused programs compiled").inc();
         CompiledProgram::new(self)
     }
 
@@ -561,69 +559,12 @@ thread_local! {
     static SCRATCH: std::cell::RefCell<Vec<Vec<f32>>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
-// ---------------------------------------------------------------------------
-// Process-wide compile cache
-// ---------------------------------------------------------------------------
-
-type CompileCache = RwLock<HashMap<String, Arc<CompiledProgram>>>;
-
-static COMPILED: OnceLock<CompileCache> = OnceLock::new();
-
 fn metric_fused_elements(n: u64) {
     tfe_metrics::static_counter!(
         "tfe_fused_tiled_elements_total",
         "Elements processed by the fused tile executor"
     )
     .add(n);
-}
-
-/// Fetch (or build) the compiled form of an encoded program.
-///
-/// The first call for a given text decodes, validates, and compiles it —
-/// under a `fused`/`compile` profiler span so traces show exactly when
-/// parsing happens; every later call is a read-locked map hit. The fusion
-/// pass warms this cache at fusion time, so steady-state kernel
-/// invocations never parse.
-///
-/// # Errors
-/// Malformed program text (same conditions as [`Program::decode`]).
-pub fn compiled(text: &str) -> Result<Arc<CompiledProgram>, String> {
-    let cache = COMPILED.get_or_init(Default::default);
-    if let Some(p) = read(cache).get(text) {
-        tfe_metrics::static_counter!(
-            "tfe_fused_compile_cache_hits_total",
-            "Fused-program compile-cache hits"
-        )
-        .inc();
-        return Ok(p.clone());
-    }
-    let _span = tfe_profile::span("fused", || "compile");
-    Ok(compile_into(cache, text, Program::decode(text)?))
-}
-
-/// Compile a program the caller already holds and cache it under its
-/// encoded text, which is returned for the node attribute. The fusion pass
-/// calls this so that neither it nor the first kernel invocation ever parses
-/// the text it has just printed; a program already cached is left alone.
-pub fn intern(program: Program) -> String {
-    let text = program.encode();
-    let cache = COMPILED.get_or_init(Default::default);
-    if !read(cache).contains_key(&text) {
-        let _span = tfe_profile::span("fused", || "compile");
-        compile_into(cache, &text, program);
-    }
-    text
-}
-
-fn compile_into(cache: &CompileCache, text: &str, program: Program) -> Arc<CompiledProgram> {
-    let built = Arc::new(program.compile());
-    tfe_metrics::static_counter!(
-        "tfe_fused_compile_total",
-        "Fused programs compiled (cache misses)"
-    )
-    .inc();
-    // A racing compile of the same text may have won; keep the first.
-    write(cache).entry(text.to_string()).or_insert(built).clone()
 }
 
 #[cfg(test)]
@@ -800,14 +741,5 @@ mod tests {
         let c = Program::decode("in:0;in:1;b:add:0:1|2").unwrap().compile();
         let a = tensor(f32s(4));
         assert!(c.eval(&[&a]).is_err());
-    }
-
-    #[test]
-    fn compile_cache_returns_same_instance() {
-        let text = "in:0;u:relu:0;u:neg:1|2";
-        let a = compiled(text).unwrap();
-        let b = compiled(text).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert!(compiled("garbage").is_err());
     }
 }

@@ -171,7 +171,7 @@ pub fn sequence_control_edges(nodes: &[Node]) -> Vec<Vec<NodeId>> {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use tfe_ops::SymShape;
+    use tfe_ops::{Handle, SymShape};
     use tfe_tensor::DType;
 
     fn read(b: &mut GraphBuilder, var: i64) -> crate::ir::TensorRef {
@@ -272,7 +272,7 @@ mod tests {
                 "host_func",
                 vec![r1],
                 Attrs::new()
-                    .with("fn_id", 0i64)
+                    .with("host_fn", Handle::new(std::sync::Arc::new(()), "host_fn"))
                     .with("out_dtypes", sig.0)
                     .with("out_shapes", sig.1),
             )

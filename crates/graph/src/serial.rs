@@ -1,11 +1,20 @@
 //! Graph (de)serialization — the basis of "serializing the program for use
 //! without a Python interpreter" (§4.3): a trace plus its constants can be
 //! written to disk and executed by a runtime with no tracer present.
+//!
+//! Names exist only here. A node holds what it runs as a handle, and a
+//! handle is written as its label: a callee as its function's name, a fused
+//! program as its text. Reading turns them back: [`function_from_value`]
+//! compiles program texts, and [`link`] makes each callee name a handle to
+//! the function of that name in the same set ([`closure`] is the set one
+//! function needs).
 
-use crate::ir::{FunctionLibrary, GraphFunction, Node, NodeId, TensorRef};
+use crate::ir::{GraphFunction, Node, NodeId, TensorRef, CALLEE_KEYS};
+use crate::program::Program;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tfe_encode::Value;
-use tfe_ops::{AttrValue, Attrs, Op, SymShape};
+use tfe_ops::{AttrValue, Attrs, Handle, Op, SymShape};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Serialization failures.
@@ -112,6 +121,10 @@ fn attr_to_value(a: &AttrValue) -> Value {
         AttrValue::Str(v) => Value::object([
             ("t".to_string(), Value::str("s")),
             ("v".to_string(), Value::str(v.clone())),
+        ]),
+        AttrValue::Handle(h) => Value::object([
+            ("t".to_string(), Value::str("s")),
+            ("v".to_string(), Value::str(h.label())),
         ]),
         AttrValue::IntList(v) => Value::object([
             ("t".to_string(), Value::str("il")),
@@ -243,10 +256,11 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
     ])
 }
 
-/// Deserialize one graph function.
+/// Deserialize one graph function. A fused node's program is compiled
+/// here, once per distinct text; a callee stays a name until [`link`].
 ///
 /// # Errors
-/// Structural problems in the encoded value.
+/// Structural problems in the encoded value, or a malformed program.
 pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     let name = v.get("name").and_then(Value::as_str).ok_or_else(|| err("missing name"))?;
     let nodes_v = v.get("nodes").and_then(Value::as_array).ok_or_else(|| err("missing nodes"))?;
@@ -254,6 +268,8 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     // Payloads written before sequencing edges existed lack the per-node
     // "control" field; re-derive the edges from program order in that case.
     let mut legacy_controls = true;
+    // One compiled program per distinct program text, as fusion makes them.
+    let mut compiled: HashMap<String, Handle> = HashMap::new();
     for nv in nodes_v {
         let op = nv.get("op").and_then(Value::as_str).ok_or_else(|| err("missing op"))?;
         let op = Op::from_name(op).map_err(|e| err(e.to_string()))?;
@@ -269,6 +285,20 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
         let mut attrs = Attrs::new();
         for (k, av) in attrs_obj {
             attrs.set(k, attr_from_value(av)?);
+        }
+        if op == Op::FusedElementwise {
+            if let Some(AttrValue::Str(text)) = attrs.get("program") {
+                let program = match compiled.get(text) {
+                    Some(program) => program.clone(),
+                    None => {
+                        let program = Program::decode(text).map_err(err)?.compile();
+                        let program = Handle::new(Arc::new(program), text.as_str());
+                        compiled.insert(text.clone(), program.clone());
+                        program
+                    }
+                };
+                attrs.set("program", program);
+            }
         }
         let outputs: Result<Vec<(DType, SymShape)>, SerialError> = nv
             .get("outputs")
@@ -388,29 +418,83 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     Ok(f)
 }
 
-/// Serialize a whole library (a function plus its callees).
-pub fn library_to_value(lib: &FunctionLibrary) -> Value {
-    let functions: Vec<Value> = lib
-        .names()
-        .into_iter()
-        .filter_map(|n| lib.get(&n))
-        .map(|f| function_to_value(&f))
-        .collect();
-    Value::object([("functions".to_string(), Value::Array(functions))])
-}
-
-/// Deserialize a library.
+/// `entry` and, transitively, every function its nodes hold, each once,
+/// `entry` first: the set bytes must carry for it to run.
 ///
 /// # Errors
-/// Structural problems in any function.
-pub fn library_from_value(v: &Value) -> Result<FunctionLibrary, SerialError> {
-    let lib = FunctionLibrary::new();
-    let funcs =
-        v.get("functions").and_then(Value::as_array).ok_or_else(|| err("missing functions"))?;
-    for fv in funcs {
-        lib.insert(function_from_value(fv)?);
+/// Two different functions under one name, which bytes could not tell apart.
+pub fn closure(entry: &Arc<GraphFunction>) -> Result<Vec<Arc<GraphFunction>>, SerialError> {
+    let mut out = vec![entry.clone()];
+    let mut next = 0;
+    while next < out.len() {
+        for callee in out[next].callees() {
+            match out.iter().find(|g| g.name == callee.name) {
+                Some(g) if Arc::ptr_eq(g, &callee) => {}
+                Some(_) => return Err(err(format!("two functions are named `{}`", callee.name))),
+                None => out.push(callee),
+            }
+        }
+        next += 1;
     }
-    Ok(lib)
+    Ok(out)
+}
+
+/// The callee names `f`'s nodes carry in place of handles.
+fn callee_names(f: &GraphFunction) -> impl Iterator<Item = &str> {
+    f.nodes.iter().flat_map(|n| {
+        CALLEE_KEYS.iter().filter_map(|&key| match n.attrs.get(key) {
+            Some(AttrValue::Str(name)) => Some(name.as_str()),
+            _ => None,
+        })
+    })
+}
+
+/// Link decoded functions into one set, by name: every callee name a node
+/// carries becomes the handle of the function of that name in `functions`.
+/// Callees are linked first, so each function is shared once it holds all
+/// of its own.
+///
+/// # Errors
+/// Two functions under one name, a callee name no function in the set has,
+/// or calls that form a cycle.
+pub fn link(
+    functions: Vec<GraphFunction>,
+) -> Result<BTreeMap<String, Arc<GraphFunction>>, SerialError> {
+    let mut pending: BTreeMap<String, GraphFunction> = BTreeMap::new();
+    for f in functions {
+        if pending.contains_key(&f.name) {
+            return Err(err(format!("two functions are named `{}`", f.name)));
+        }
+        pending.insert(f.name.clone(), f);
+    }
+    let mut linked: BTreeMap<String, Arc<GraphFunction>> = BTreeMap::new();
+    while let Some(name) = pending
+        .iter()
+        .find(|(_, f)| callee_names(f).all(|c| linked.contains_key(c)))
+        .map(|(name, _)| name.clone())
+    {
+        let mut f = pending.remove(&name).expect("found above");
+        for node in &mut f.nodes {
+            for key in CALLEE_KEYS {
+                if let Some(AttrValue::Str(callee)) = node.attrs.get(key) {
+                    let handle = linked[callee.as_str()].handle();
+                    node.attrs.set(key, handle);
+                }
+            }
+        }
+        linked.insert(name, Arc::new(f));
+    }
+    match pending.iter().find_map(|(name, f)| {
+        callee_names(f).find(|c| !pending.contains_key(*c)).map(|c| (name, c))
+    }) {
+        Some((name, callee)) => {
+            Err(err(format!("function `{name}` calls `{callee}`, which is not in the set")))
+        }
+        None => match pending.keys().next() {
+            Some(name) => Err(err(format!("function `{name}` is in a cycle of calls"))),
+            None => Ok(linked),
+        },
+    }
 }
 
 #[cfg(test)]
@@ -469,16 +553,35 @@ mod tests {
     }
 
     #[test]
-    fn library_round_trip() {
-        let lib = FunctionLibrary::new();
-        lib.insert(sample_fn());
-        let mut b = GraphBuilder::new("other");
-        let x = b.placeholder(DType::F64, SymShape::scalar()).unwrap();
-        let y = b.add_node("neg", vec![x], Attrs::new()).unwrap()[0];
-        lib.insert(b.finish(vec![y], 0));
-        let v = library_to_value(&lib);
-        let back = library_from_value(&Value::parse(&v.to_json()).unwrap()).unwrap();
-        assert_eq!(back.names(), vec!["other".to_string(), "sample".to_string()]);
+    fn closure_and_link_round_trip_call_edges() {
+        let callee = Arc::new(sample_fn());
+        let (d, s) = tfe_ops::catalog::encode_sig(&callee.output_sigs());
+        let mut b = GraphBuilder::new("caller");
+        let x = b.placeholder(DType::F32, SymShape::new(vec![None, Some(3)])).unwrap();
+        let attrs = Attrs::new()
+            .with("function", callee.handle())
+            .with("out_dtypes", d)
+            .with("out_shapes", s);
+        let y = b.add_node("call", vec![x], attrs).unwrap()[0];
+        let caller = Arc::new(b.finish(vec![y], 0));
+        let set = closure(&caller).unwrap();
+        assert_eq!(set.len(), 2);
+        // Through text, in the order written: the caller before its callee.
+        let decoded: Vec<GraphFunction> = set
+            .iter()
+            .map(|f| {
+                function_from_value(&Value::parse(&function_to_value(f).to_json()).unwrap())
+                    .unwrap()
+            })
+            .collect();
+        let linked = link(decoded.clone()).unwrap();
+        assert_eq!(linked.keys().collect::<Vec<_>>(), ["caller", "sample"]);
+        let held = linked["caller"].callees();
+        assert!(held.len() == 1 && Arc::ptr_eq(&held[0], &linked["sample"]));
+        assert_eq!(linked["caller"].structural_hash(), caller.structural_hash());
+        // A set without the callee, or with two of one name, does not link.
+        assert!(link(decoded[..1].to_vec()).unwrap_err().0.contains("`sample`"));
+        assert!(link(vec![decoded[1].clone(), decoded[1].clone()]).is_err());
     }
 
     fn stateful_fn() -> GraphFunction {

@@ -86,10 +86,9 @@ pub struct DataParallel {
     workers: Vec<String>,
     reduction: Reduction,
     grad_fn: String,
-    /// Keeps `grad_fn` resolving, here and on the workers, when a traced
-    /// function owns the name; a function put in the library by hand has no
-    /// owner and needs none.
-    _grad_fn_owner: Option<Arc<tfe_core::ConcreteFunction>>,
+    /// The function `grad_fn` names, resolved once: `local_step` runs it,
+    /// and holding it keeps the name resolving on the workers.
+    grad: Arc<tfe_core::ConcreteFunction>,
     vars: Vec<Variable>,
     opt: Arc<dyn Optimizer>,
 }
@@ -97,14 +96,15 @@ pub struct DataParallel {
 impl DataParallel {
     /// Build a trainer.
     ///
-    /// `grad_fn` is the library name of an already-traced gradient
-    /// function (see [`mse_grad_fn`]) returning `[loss, grad per var]`;
-    /// `workers` are the devices that each run one shard. The trainer holds
-    /// the function for its own lifetime, so the caller may drop the `Func`
-    /// it traced the name from.
+    /// `grad_fn` is the name of an already-traced gradient function (see
+    /// [`mse_grad_fn`]) returning `[loss, grad per var]`; `workers` are the
+    /// devices that each run one shard. The trainer holds the function for
+    /// its own lifetime, so the caller may drop the `Func` it traced the
+    /// name from.
     ///
     /// # Errors
-    /// Empty worker lists and unknown devices are rejected up front.
+    /// Empty worker lists, unknown devices and a `grad_fn` that names no
+    /// live traced function are rejected up front.
     pub fn new(
         cluster: Cluster,
         workers: Vec<String>,
@@ -116,6 +116,9 @@ impl DataParallel {
         if workers.is_empty() {
             return Err(DistError::Spec("data-parallel trainer needs at least one worker".into()));
         }
+        let grad = tfe_core::concrete_named(grad_fn).ok_or_else(|| {
+            DistError::Spec(format!("no live traced function is named `{grad_fn}`"))
+        })?;
         for w in &workers {
             cluster.ping(w)?;
         }
@@ -127,7 +130,7 @@ impl DataParallel {
             workers,
             reduction,
             grad_fn: grad_fn.to_string(),
-            _grad_fn_owner: tfe_core::concrete_named(grad_fn),
+            grad,
             vars,
             opt,
         })
@@ -230,18 +233,20 @@ impl DataParallel {
     pub fn local_step(&self, x: &Tensor, y: &Tensor) -> Result<f64> {
         let shards = self.shard(x, y)?;
         let n = self.workers.len();
-        let f = context::library().get(&self.grad_fn).ok_or_else(|| {
-            DistError::Spec(format!("function `{}` not in library", self.grad_fn))
-        })?;
+        let f = &self.grad.function;
         let device = context::device_manager().host_cpu();
 
         let mut outs = Vec::with_capacity(n);
         for (xs, ys) in &shards {
             let inputs =
                 vec![xs.value().map_err(DistError::from)?, ys.value().map_err(DistError::from)?];
-            let out =
-                tfe_runtime::executor::run_function(&f, &inputs, &device, ExecMode::SerialPlanned)
-                    .map_err(DistError::from)?;
+            let out = tfe_runtime::executor::run_function_arc(
+                f,
+                &inputs,
+                &device,
+                ExecMode::SerialPlanned,
+            )
+            .map_err(DistError::from)?;
             if out.len() != 1 + self.vars.len() {
                 return Err(DistError::Spec(format!(
                     "grad fn `{}` returned {} outputs, expected {}",
@@ -289,8 +294,8 @@ mod tests {
         vars.iter().map(|v| v.peek().to_f64_vec().iter().map(|f| f.to_bits()).collect()).collect()
     }
 
-    /// The gradient function comes back as its owner: its library name
-    /// resolves for as long as the `ConcreteFunction` is held.
+    /// The gradient function comes back as its `ConcreteFunction`: its name
+    /// resolves for as long as that is held.
     fn setup(
         tag: &str,
         seed: u64,
@@ -372,6 +377,28 @@ mod tests {
             }
             // Training moved: losses change across steps.
             assert!(dist_losses[0] != dist_losses[2], "no training progress");
+        }
+    }
+
+    /// A name no live traced function has is refused when the trainer is
+    /// built, typed, not at its first step.
+    #[test]
+    fn an_unknown_grad_fn_is_refused_at_construction() {
+        let spec = ClusterSpec::new().with_job("dp_unknown", 1).unwrap();
+        let built = DataParallel::new(
+            Cluster::start(&spec),
+            vec!["/job:dp_unknown/task:0/device:CPU:0".to_string()],
+            Reduction::Ring,
+            "dp_no_such_grad_fn",
+            Vec::new(),
+            Arc::new(Sgd::new(0.05)),
+        );
+        match built {
+            Err(DistError::Spec(detail)) => {
+                assert!(detail.contains("dp_no_such_grad_fn"), "{detail}")
+            }
+            Err(e) => panic!("not a spec error: {e}"),
+            Ok(_) => panic!("a trainer was built for a function that does not exist"),
         }
     }
 

@@ -4,10 +4,58 @@
 //! Attribute values are part of trace-cache keys (§4.6's binding-time
 //! analysis specializes on them), so they implement `Eq`/`Hash` — floats
 //! hash by bit pattern.
+//!
+//! A node that runs something — a callee graph, a compiled fused program, a
+//! host closure — holds it as a [`Handle`]: the object itself, plus the
+//! label that stands for it where bytes are written or printed.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 use tfe_tensor::DType;
+
+/// What a node runs, held by the node: a shared object and its label (a
+/// function name, a program text, `host_fn`).
+///
+/// Two handles are equal when they hold the same object. A handle hashes and
+/// prints as the string of its label, so a graph's structural hash and its
+/// listing do not depend on where the object lives, and a handle serializes
+/// as its label.
+#[derive(Clone)]
+pub struct Handle {
+    object: Arc<dyn Any + Send + Sync>,
+    label: Arc<str>,
+}
+
+impl Handle {
+    /// Hold `object` under `label`.
+    pub fn new<T: Any + Send + Sync>(object: Arc<T>, label: impl Into<Arc<str>>) -> Handle {
+        Handle { object, label: label.into() }
+    }
+
+    /// The label bytes carry in place of the object.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The object, if it is a `T`.
+    pub fn get<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        self.object.clone().downcast().ok()
+    }
+}
+
+impl PartialEq for Handle {
+    fn eq(&self, other: &Handle) -> bool {
+        std::ptr::addr_eq(Arc::as_ptr(&self.object), Arc::as_ptr(&other.object))
+    }
+}
+
+impl fmt::Debug for Handle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Handle({:?})", self.label)
+    }
+}
 
 /// A single attribute value.
 #[derive(Debug, Clone)]
@@ -26,6 +74,8 @@ pub enum AttrValue {
     FloatList(Vec<f64>),
     /// A tensor dtype.
     DType(DType),
+    /// What the node runs, held by it.
+    Handle(Handle),
 }
 
 impl PartialEq for AttrValue {
@@ -41,6 +91,7 @@ impl PartialEq for AttrValue {
                 a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
             }
             (DType(a), DType(b)) => a == b,
+            (Handle(a), Handle(b)) => a == b,
             _ => false,
         }
     }
@@ -67,6 +118,11 @@ impl std::hash::Hash for AttrValue {
             Str(v) => {
                 3u8.hash(state);
                 v.hash(state);
+            }
+            // As the string of its label (see [`Handle`]).
+            Handle(h) => {
+                3u8.hash(state);
+                h.label().hash(state);
             }
             IntList(v) => {
                 4u8.hash(state);
@@ -96,6 +152,7 @@ impl fmt::Display for AttrValue {
             AttrValue::IntList(v) => write!(f, "{v:?}"),
             AttrValue::FloatList(v) => write!(f, "{v:?}"),
             AttrValue::DType(v) => write!(f, "{v}"),
+            AttrValue::Handle(h) => write!(f, "{:?}", h.label()),
         }
     }
 }
@@ -151,6 +208,12 @@ impl From<Vec<f64>> for AttrValue {
 impl From<DType> for AttrValue {
     fn from(v: DType) -> AttrValue {
         AttrValue::DType(v)
+    }
+}
+
+impl From<Handle> for AttrValue {
+    fn from(v: Handle) -> AttrValue {
+        AttrValue::Handle(v)
     }
 }
 
@@ -266,6 +329,31 @@ impl Attrs {
         match self.get(key) {
             Some(AttrValue::Str(v)) => Ok(v),
             other => Err(AttrError::new(key, "str", other)),
+        }
+    }
+
+    /// The object held at `key`, if it is a `T`.
+    ///
+    /// # Errors
+    /// Missing key, or anything but a handle to a `T` (a name included).
+    pub fn handle<T: Any + Send + Sync>(&self, key: &str) -> Result<Arc<T>, AttrError> {
+        let found = self.get(key);
+        match found {
+            Some(AttrValue::Handle(h)) => h.get(),
+            _ => None,
+        }
+        .ok_or_else(|| AttrError::new(key, std::any::type_name::<T>(), found))
+    }
+
+    /// What the node names at `key`: a handle's label, or a string.
+    ///
+    /// # Errors
+    /// Missing key or wrong type.
+    pub fn label(&self, key: &str) -> Result<&str, AttrError> {
+        match self.get(key) {
+            Some(AttrValue::Handle(h)) => Ok(h.label()),
+            Some(AttrValue::Str(v)) => Ok(v),
+            other => Err(AttrError::new(key, "handle or str", other)),
         }
     }
 
@@ -404,5 +492,31 @@ mod tests {
         assert_ne!(AttrValue::Int(1), AttrValue::Float(1.0));
         assert_ne!(AttrValue::Bool(true), AttrValue::Int(1));
         assert_ne!(hash_of(&AttrValue::Int(1)), hash_of(&AttrValue::Float(1.0)));
+    }
+
+    #[test]
+    fn handles_are_equal_by_object_and_hash_as_their_label() {
+        let object = Arc::new(5u32);
+        let a = AttrValue::Handle(Handle::new(object.clone(), "f"));
+        let b = AttrValue::Handle(Handle::new(object, "g"));
+        let c = AttrValue::Handle(Handle::new(Arc::new(5u32), "f"));
+        assert_eq!(a, b, "one object");
+        assert_ne!(a, c, "two objects under one label");
+        assert_eq!(hash_of(&a), hash_of(&c));
+        assert_eq!(hash_of(&a), hash_of(&AttrValue::Str("f".into())));
+        assert_eq!(a.to_string(), AttrValue::Str("f".into()).to_string());
+    }
+
+    #[test]
+    fn a_handle_is_read_by_type_and_a_name_is_not_a_handle() {
+        let attrs = Attrs::new().with("f", Handle::new(Arc::new(7u32), "seven")).with("n", "seven");
+        assert_eq!(*attrs.handle::<u32>("f").unwrap(), 7);
+        assert_eq!(attrs.label("f").unwrap(), "seven");
+        assert_eq!(attrs.label("n").unwrap(), "seven");
+        let wrong_type = attrs.handle::<u64>("f").unwrap_err();
+        assert_eq!(wrong_type.found.as_deref(), Some("\"seven\""));
+        let name = attrs.handle::<u32>("n").unwrap_err();
+        assert_eq!((name.key.as_str(), name.found.as_deref()), ("n", Some("\"seven\"")));
+        assert!(attrs.handle::<u32>("missing").unwrap_err().found.is_none());
     }
 }

@@ -339,7 +339,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 // alias their source and do no work.
                 let n_instr = ctx
                     .attrs
-                    .str("program")
+                    .label("program")
                     .map(|p| p.split(';').filter(|part| !part.starts_with("in:")).count().max(1))
                     .unwrap_or(1) as f64;
                 let out_elems: f64 = outputs.iter().map(|(_, s)| elems_or(s, 1) as f64).sum();
@@ -938,7 +938,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         // pruning pass consults the attr.
         Op::Call => {
             def!(OpDef::new(Arity::AtLeast(0), |ctx| {
-                let _ = ctx.attrs.str("function")?;
+                let _ = ctx.attrs.label("function")?;
                 declared_outputs(ctx.attrs)
             }))
         }
@@ -946,7 +946,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         // staged computation.
         Op::HostFunc => {
             def!(OpDef::new(Arity::AtLeast(0), |ctx| {
-                let _ = ctx.attrs.int("fn_id")?;
+                let _ = ctx.attrs.label("host_fn")?;
                 declared_outputs(ctx.attrs)
             })
             .stateful())
@@ -959,15 +959,15 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                         got: ctx.dtype(0)?,
                     }));
                 }
-                let _ = ctx.attrs.str("then_fn")?;
-                let _ = ctx.attrs.str("else_fn")?;
+                let _ = ctx.attrs.label("then_fn")?;
+                let _ = ctx.attrs.label("else_fn")?;
                 declared_outputs(ctx.attrs)
             }))
         }
         Op::WhileLoop => {
             def!(OpDef::new(Arity::AtLeast(0), |ctx| {
-                let _ = ctx.attrs.str("cond_fn")?;
-                let _ = ctx.attrs.str("body_fn")?;
+                let _ = ctx.attrs.label("cond_fn")?;
+                let _ = ctx.attrs.label("body_fn")?;
                 // Loop-carried values keep their signatures.
                 Ok(ctx.dtypes.iter().copied().zip(ctx.shapes.iter().cloned()).collect())
             }))

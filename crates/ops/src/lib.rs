@@ -30,7 +30,7 @@ pub mod catalog;
 mod opdef;
 mod symshape;
 
-pub use attr::{AttrError, AttrValue, Attrs};
+pub use attr::{AttrError, AttrValue, Attrs, Handle};
 pub use opdef::{elems_or, Arity, InferCtx, Op, OpDef, OpError, OutputSig, WorkEstimate};
 pub use symshape::SymShape;
 pub use tfe_tensor::elementwise::{BinaryOp, CmpOp, LogicalOp, UnaryOp};

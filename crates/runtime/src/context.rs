@@ -19,11 +19,11 @@ use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 use tfe_device::{Device, DeviceManager, DeviceName};
-use tfe_graph::{FunctionLibrary, GraphBuilder, TensorRef};
-use tfe_ops::{Attrs, InferCtx, Op, SymShape};
-use tfe_parallel::{lock, read, write};
+use tfe_graph::{GraphBuilder, TensorRef};
+use tfe_ops::{Attrs, Handle, InferCtx, Op, SymShape};
+use tfe_parallel::lock;
 use tfe_tensor::rng::TensorRng;
 use tfe_tensor::{DType, Shape, TensorData};
 
@@ -37,61 +37,13 @@ pub fn device_manager() -> &'static DeviceManager {
     M.get_or_init(DeviceManager::new)
 }
 
-/// The process-wide graph-function library (resolves `call` nodes): an
-/// index, never an owner (see [`FunctionLibrary`]).
-pub fn library() -> &'static FunctionLibrary {
-    static L: std::sync::OnceLock<FunctionLibrary> = std::sync::OnceLock::new();
-    L.get_or_init(FunctionLibrary::new)
-}
-
-/// A host closure embeddable in graphs — the `py_func` analog (§4.7).
+/// A host closure embeddable in graphs — the `py_func` analog (§4.7). A
+/// `host_func` node holds it, as the handle in its `host_fn` attribute.
 pub type HostFn = Arc<dyn Fn(&[Tensor]) -> Result<Vec<Tensor>> + Send + Sync>;
 
-fn host_fns() -> &'static RwLock<HashMap<u64, HostFn>> {
-    static H: std::sync::OnceLock<RwLock<HashMap<u64, HostFn>>> = std::sync::OnceLock::new();
-    H.get_or_init(|| RwLock::new(HashMap::new()))
-}
-
-/// Register a host function; the returned id goes into `host_func` nodes.
-/// The table is an index: an id registered here has no owner and resolves
-/// for the process; [`HostFnHandle`] is the owning form.
-pub fn register_host_fn(f: HostFn) -> u64 {
-    let id = fresh_id();
-    write(host_fns()).insert(id, f);
-    id
-}
-
-/// Owns one host function: its id resolves until the handle drops. Shared
-/// by whatever can still run a `host_func` node carrying the id — the
-/// `HostFunc` the user holds and the graphs traced through it.
-pub struct HostFnHandle(u64);
-
-impl HostFnHandle {
-    /// Register `f` under a fresh id owned by the returned handle.
-    pub fn new(f: HostFn) -> Arc<HostFnHandle> {
-        Arc::new(HostFnHandle(register_host_fn(f)))
-    }
-
-    /// The id `host_func` nodes carry.
-    pub fn id(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Drop for HostFnHandle {
-    fn drop(&mut self) {
-        // Bound first: what the closure captured is freed after the guard.
-        let removed = write(host_fns()).remove(&self.0);
-        drop(removed);
-    }
-}
-
-/// Resolve a host-function id.
-///
-/// # Errors
-/// Unknown id.
-pub fn host_fn(id: u64) -> Result<HostFn> {
-    read(host_fns()).get(&id).cloned().ok_or(RuntimeError::UnknownHostFunction(id))
+/// The handle through which a `host_func` node holds `f`.
+pub fn host_fn_handle(f: HostFn) -> Handle {
+    Handle::new(Arc::new(f), "host_fn")
 }
 
 fn global_rng() -> &'static Mutex<TensorRng> {
@@ -124,8 +76,6 @@ pub struct TraceFrame {
     capture_refs: HashMap<u64, TensorRef>,
     /// Variables created while this frame was active (§4.6 state creation).
     pub created_variables: Vec<u64>,
-    /// Owners of what the graph's nodes name: callees, host closures.
-    pub owners: Vec<Owner>,
 }
 
 /// Everything [`end_tracing`] hands back to the tracer.
@@ -138,9 +88,6 @@ pub struct FinishedTrace {
     pub captures: Vec<Tensor>,
     /// Variables created during the trace.
     pub created_variables: Vec<u64>,
-    /// Owners of what the graph's nodes name; whoever keeps the graph keeps
-    /// these with it.
-    pub owners: Vec<Owner>,
 }
 
 #[derive(Default)]
@@ -257,21 +204,6 @@ pub fn active_tapes() -> Vec<Arc<Tape>> {
     with_stack(|s| s.tapes.clone())
 }
 
-/// A handle that keeps alive whatever a name or an id written into an
-/// attribute resolves to. The tables that do the resolving are indexes; the
-/// things that can still follow the name hold one of these.
-pub type Owner = Arc<dyn std::any::Any + Send + Sync>;
-
-/// Have the graph being traced keep `owner`: one of its nodes names
-/// something `owner` owns. No-op outside tracing.
-pub fn retain_in_trace(owner: &Owner) {
-    with_stack(|s| {
-        if let Some(frame) = s.traces.last_mut() {
-            frame.owners.push(owner.clone());
-        }
-    });
-}
-
 fn record_on_tapes(op: Op, attrs: Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
     if outputs.is_empty() {
         return; // assigns and friends are not differentiable events
@@ -298,7 +230,6 @@ pub fn begin_tracing(name: &str) -> u64 {
         captures: Vec::new(),
         capture_refs: HashMap::new(),
         created_variables: Vec::new(),
-        owners: Vec::new(),
     };
     with_stack(|s| s.traces.push(frame));
     frame_id
@@ -315,7 +246,6 @@ pub fn end_tracing() -> Result<FinishedTrace> {
             builder: f.builder,
             captures: f.captures,
             created_variables: f.created_variables,
-            owners: f.owners,
         })
         .ok_or_else(|| RuntimeError::Internal("end_tracing without begin_tracing".to_string()))
 }
@@ -700,8 +630,8 @@ fn execute_structural(
         // imperatively): it runs on the caller's own tensors, so its ops
         // record on the tapes one by one. Recording the host_func itself as
         // well would double-count the gradient.
-        let id = attrs.int("fn_id").map_err(tfe_ops::OpError::from)? as u64;
-        return host_fn(id)?(inputs);
+        let f = attrs.handle::<HostFn>("host_fn").map_err(tfe_ops::OpError::from)?;
+        return f(inputs);
     }
     let mut device = resolve_device(inputs);
     if kind == Structural::Copy {
@@ -758,7 +688,7 @@ mod tests {
         }
     }
 
-    /// `g(x) = relu(x * x + x)` in the library: three nodes to run.
+    /// A call of `g(x) = relu(x * x + x)`: three nodes to run.
     fn call_attrs(name: &str) -> Attrs {
         let mut b = GraphBuilder::new(name);
         let x = b.placeholder(DType::F32, SymShape::known(&Shape::from([2]))).unwrap();
@@ -767,8 +697,10 @@ mod tests {
         let r = b.add_node("relu", vec![s], Attrs::new()).unwrap()[0];
         let f = b.finish(vec![r], 0);
         let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        library().insert(f);
-        Attrs::new().with("function", name).with("out_dtypes", d).with("out_shapes", s)
+        Attrs::new()
+            .with("function", Arc::new(f).handle())
+            .with("out_dtypes", d)
+            .with("out_shapes", s)
     }
 
     fn vector() -> Tensor {

@@ -21,10 +21,8 @@ pub enum RuntimeError {
     /// "unique identifiers ... are no longer usable if the Python variable
     /// objects they reference do not exist").
     VariableDead(u64),
-    /// A referenced graph function is missing from the library.
+    /// A node names a graph function it does not hold, so it cannot run it.
     UnknownFunction(String),
-    /// A referenced host function (py_func analog) is missing.
-    UnknownHostFunction(u64),
     /// The operation is valid but deliberately unsupported (documented
     /// limitations, e.g. the gradient of `while_loop`).
     Unsupported(String),
@@ -48,10 +46,7 @@ impl fmt::Display for RuntimeError {
                 write!(f, "variable {id} no longer exists (owning object was dropped)")
             }
             RuntimeError::UnknownFunction(name) => {
-                write!(f, "graph function `{name}` is not in the function library")
-            }
-            RuntimeError::UnknownHostFunction(id) => {
-                write!(f, "host function {id} is not registered")
+                write!(f, "graph function `{name}` is named but not held, so it cannot run")
             }
             RuntimeError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
             RuntimeError::TapeConsumed => write!(

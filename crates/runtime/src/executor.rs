@@ -64,7 +64,7 @@ pub fn run_function(
 }
 
 /// [`run_function`] for callers that already hold a shared graph handle
-/// (the function library hands these out); the parallel scheduler shares
+/// (a `call` node holds its callee as one); the parallel scheduler shares
 /// the `Arc` with its workers instead of cloning the graph.
 ///
 /// # Errors
@@ -157,10 +157,13 @@ pub(crate) enum Structural {
     Copy,
 }
 
-/// The library function that attribute `attr` of a structural op names.
-pub(crate) fn callee(attrs: &Attrs, attr: &str) -> Result<Arc<GraphFunction>> {
-    let name = attrs.str(attr).map_err(OpError::from)?;
-    crate::context::library().get(name).ok_or_else(|| RuntimeError::UnknownFunction(name.into()))
+/// The graph function a structural op holds in attribute `attr`. A node
+/// that carries only a name cannot run it.
+fn held_graph(attrs: &Attrs, attr: &str) -> Result<Arc<GraphFunction>> {
+    match attrs.get(attr) {
+        Some(AttrValue::Str(name)) => Err(RuntimeError::UnknownFunction(name.clone())),
+        _ => Ok(attrs.handle(attr).map_err(OpError::from)?),
+    }
 }
 
 impl Structural {
@@ -186,16 +189,18 @@ impl Structural {
         mode: ExecMode,
     ) -> Result<Vec<Arc<TensorData>>> {
         match self {
-            Structural::Call => run_function_arc(&callee(attrs, "function")?, inputs, device, mode),
+            Structural::Call => {
+                run_function_arc(&held_graph(attrs, "function")?, inputs, device, mode)
+            }
             Structural::Cond => {
                 let (pred, args) = inputs
                     .split_first()
                     .ok_or_else(|| RuntimeError::Internal("cond without predicate".into()))?;
                 let branch = if pred.scalar_f64()? != 0.0 { "then_fn" } else { "else_fn" };
-                run_function_arc(&callee(attrs, branch)?, args, device, mode)
+                run_function_arc(&held_graph(attrs, branch)?, args, device, mode)
             }
             Structural::WhileLoop => {
-                let (cond, body) = (callee(attrs, "cond_fn")?, callee(attrs, "body_fn")?);
+                let (cond, body) = (held_graph(attrs, "cond_fn")?, held_graph(attrs, "body_fn")?);
                 let max = attrs.int_or("max_iterations", 1_000_000).map_err(OpError::from)?;
                 let mut state = inputs.to_vec();
                 let mut trips = 0i64;
@@ -218,10 +223,10 @@ impl Structural {
                 }
             }
             Structural::HostFunc => {
-                // Escape into imperative code (§4.7): the registered host
-                // closure sees the inputs as eager tensors.
-                let id = attrs.int("fn_id").map_err(OpError::from)? as u64;
-                let hf = crate::context::host_fn(id)?;
+                // Escape into imperative code (§4.7): the node's host closure
+                // sees the inputs as eager tensors.
+                let hf =
+                    attrs.handle::<crate::context::HostFn>("host_fn").map_err(OpError::from)?;
                 let eager = crate::context::eager_tensors(inputs.iter().cloned(), device);
                 hf(&eager)?.iter().map(Tensor::value).collect()
             }
@@ -621,8 +626,8 @@ mod tests {
 
     #[test]
     fn parallel_error_propagates() {
-        // A call to a function missing from the library errors at run time;
-        // the run must drain and report the error, not hang.
+        // A call that names its callee instead of holding it errors at run
+        // time; the run must drain and report the error, not hang.
         let mut b = GraphBuilder::new("err");
         let x = b.placeholder(DType::F32, known(&[2])).unwrap();
         let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F32, known(&[2]))]);
@@ -639,7 +644,10 @@ mod tests {
         let r = b.add_node("relu", vec![c], Attrs::new()).unwrap()[0];
         let f = b.finish(vec![r], 0);
         let x = Arc::new(TensorData::zeros(DType::F32, [2]));
-        assert!(run_function(&f, &[x], &device(), ExecMode::Parallel).is_err());
+        assert!(matches!(
+            run_function(&f, &[x], &device(), ExecMode::Parallel),
+            Err(RuntimeError::UnknownFunction(name)) if name == "definitely_not_registered"
+        ));
     }
 
     #[test]
@@ -759,9 +767,8 @@ mod tests {
         let mut ib = GraphBuilder::new("exec_inner");
         let a = ib.placeholder(DType::F32, known(&[2])).unwrap();
         let r = ib.add_node("relu", vec![a], Attrs::new()).unwrap()[0];
-        let inner = ib.finish(vec![r], 0);
+        let inner = Arc::new(ib.finish(vec![r], 0));
         let (d, s) = tfe_ops::catalog::encode_sig(&inner.output_sigs());
-        crate::context::library().insert(inner);
 
         let mut ob = GraphBuilder::new("exec_outer");
         let a = ob.placeholder(DType::F32, known(&[2])).unwrap();
@@ -770,7 +777,7 @@ mod tests {
                 "call",
                 vec![a],
                 Attrs::new()
-                    .with("function", "exec_inner")
+                    .with("function", inner.handle())
                     .with("out_dtypes", d)
                     .with("out_shapes", s),
             )

@@ -180,10 +180,10 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
         Op::Select => one(elementwise::select(in0(i)?, in_n(i, 1)?, in_n(i, 2)?)?),
         Op::Cast => one(in0(i)?.cast(a.dtype("dtype").map_err(attrs_err)?)),
         Op::FusedElementwise => {
-            let text = a.str("program").map_err(attrs_err)?;
-            // Cache hit on the compiled form (warmed at fusion time) — the
-            // program text is only parsed the first time it is ever seen.
-            let program = tfe_graph::program::compiled(text).map_err(RuntimeError::Internal)?;
+            // The node holds the form the fusion pass (or the decoder)
+            // compiled.
+            let program =
+                a.handle::<tfe_graph::program::CompiledProgram>("program").map_err(attrs_err)?;
             let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
             one(program.eval(&refs)?)
         }

@@ -6,7 +6,6 @@
 //! `tfe-autodiff`; this module only owns the data structure and the
 //! recording rule, because recording has to happen inside the dispatcher.
 
-use crate::context::Owner;
 use crate::tensor::Tensor;
 use std::collections::HashSet;
 use std::fmt;
@@ -16,7 +15,9 @@ use tfe_ops::{Attrs, Op};
 use tfe_parallel::lock;
 
 /// One recorded operation. Built once and shared: every tape that records
-/// it, and every `gradient` call that walks it, holds the same `Arc`.
+/// it, and every `gradient` call that walks it, holds the same `Arc`. Its
+/// attributes hold what a `call`, `cond` or `host_func` ran, so the record
+/// keeps that alive for as long as it can be differentiated.
 #[derive(Debug)]
 pub struct TapeRecord {
     /// The operation.
@@ -84,8 +85,6 @@ struct TapeInner {
     watched: HashSet<u64>,
     tracked: HashSet<u64>,
     records: Vec<Arc<TapeRecord>>,
-    /// Owners of the functions the records' `call`/`cond` attributes name.
-    owners: Vec<Owner>,
     consumed: bool,
 }
 
@@ -116,7 +115,6 @@ impl Tape {
                 watched: HashSet::new(),
                 tracked: HashSet::new(),
                 records: Vec::new(),
-                owners: Vec::new(),
                 consumed: false,
             }),
         })
@@ -167,13 +165,6 @@ impl Tape {
             inner.tracked.extend(record.output_ids.iter().copied());
             inner.records.push(record.clone());
         }
-    }
-
-    /// Keep `owner` for as long as this tape can still be differentiated:
-    /// a record names a function `owner` owns, and `gradient` resolves the
-    /// name.
-    pub fn retain(&self, owner: Owner) {
-        lock(&self.inner).owners.push(owner);
     }
 
     /// Snapshot the records (used by backprop): handles, not copies.

@@ -7,18 +7,20 @@
 //! the graph functions it calls, the values of its captured tensors, and
 //! the values of every variable it references. Importing recreates fresh
 //! variables and rewrites variable references, so a bundle is
-//! self-contained and independent of the process that produced it.
+//! self-contained and independent of the process that produced it. A host
+//! closure (`host_func`) is host code, not part of the trace, so a function
+//! that embeds one is not exported.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 use tfe_core::ConcreteFunction;
 use tfe_encode::Value;
 use tfe_graph::serial::{
-    function_from_value, function_to_value, tensor_from_value, tensor_to_value,
+    self, function_from_value, function_to_value, tensor_from_value, tensor_to_value,
 };
 use tfe_graph::GraphFunction;
-use tfe_ops::{AttrValue, Op};
+use tfe_ops::{Attrs, Op};
 use tfe_runtime::{context, RuntimeError, Tensor, Variable};
 
 /// Errors from SavedFunction export/import.
@@ -80,25 +82,15 @@ fn err(msg: impl Into<String>) -> SavedError {
 /// Export a concrete function (and everything it needs) to a JSON value.
 ///
 /// # Errors
-/// Symbolic captures (the function must be traced at the top level) or dead
-/// variables.
+/// Symbolic captures (the function must be traced at the top level), dead
+/// variables, an embedded host closure, or two callees of one name.
 pub fn export_to_value(concrete: &ConcreteFunction) -> Result<Value, SavedError> {
-    // Transitive closure of called functions.
-    let mut functions: Vec<Arc<GraphFunction>> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
-    let mut queue: VecDeque<String> = VecDeque::new();
-    queue.push_back(concrete.function.name.clone());
-    while let Some(name) = queue.pop_front() {
-        if !seen.insert(name.clone()) {
-            continue;
-        }
-        let f = context::library()
-            .get(&name)
-            .ok_or_else(|| err(format!("function `{name}` missing from library")))?;
-        for callee in f.callee_names() {
-            queue.push_back(callee);
-        }
-        functions.push(f);
+    let functions = serial::closure(&concrete.function).map_err(|e| err(e.0))?;
+    if let Some(f) = functions.iter().find(|f| f.nodes.iter().any(|n| n.op == Op::HostFunc)) {
+        return Err(err(format!(
+            "function `{}` embeds a host closure, which a bundle cannot carry",
+            f.name
+        )));
     }
 
     // Captured tensors (must be concrete).
@@ -158,31 +150,19 @@ pub fn export(concrete: &ConcreteFunction, path: impl AsRef<Path>) -> Result<(),
     std::fs::write(path, v.to_json()).map_err(|e| err(format!("write failed: {e}")))
 }
 
-/// The graph functions one load put in the library, under names unique to
-/// that load; taken out again when this drops.
-struct LibraryEntries(Vec<Arc<GraphFunction>>);
-
-impl Drop for LibraryEntries {
-    fn drop(&mut self) {
-        for f in &self.0 {
-            context::library().remove(f);
-        }
-    }
-}
-
 /// A function loaded from a SavedFunction bundle, ready to execute. It owns
 /// what the load created — the graph functions, the recreated variables,
 /// the captures — and all of it goes when this is dropped.
 pub struct LoadedFunction {
-    entry: String,
-    _functions: LibraryEntries,
+    entry: Arc<GraphFunction>,
+    /// The attributes of a call of `entry`, which they hold.
+    call_attrs: Attrs,
     n_args: usize,
     /// Expected (dtype, symbolic shape) per non-capture argument.
     arg_sigs: Vec<(tfe_tensor::DType, tfe_ops::SymShape)>,
     captures: Vec<Tensor>,
     /// Recreated variables, keyed by their id in the *bundle*.
     pub variables: HashMap<i64, Variable>,
-    stateful: bool,
 }
 
 impl LoadedFunction {
@@ -191,8 +171,13 @@ impl LoadedFunction {
         self.n_args
     }
 
-    /// The entry function's name in the library.
+    /// The entry function's name.
     pub fn entry_name(&self) -> &str {
+        &self.entry.name
+    }
+
+    /// The entry function, which holds every function it calls.
+    pub fn entry(&self) -> &Arc<GraphFunction> {
         &self.entry
     }
 
@@ -212,7 +197,7 @@ impl LoadedFunction {
     pub fn call(&self, args: &[&Tensor]) -> Result<Vec<Tensor>, RuntimeError> {
         if args.len() != self.n_args {
             return Err(RuntimeError::Op(tfe_ops::OpError::Arity {
-                op: self.entry.clone(),
+                op: self.entry.name.clone(),
                 expected: format!("{} arguments", self.n_args),
                 got: args.len(),
             }));
@@ -220,7 +205,7 @@ impl LoadedFunction {
         for (i, (arg, (dtype, shape))) in args.iter().zip(&self.arg_sigs).enumerate() {
             if arg.dtype() != *dtype {
                 return Err(tfe_tensor::TensorError::DTypeMismatch {
-                    expected: format!("{dtype:?} for argument {i} of `{}`", self.entry),
+                    expected: format!("{dtype:?} for argument {i} of `{}`", self.entry.name),
                     got: arg.dtype(),
                 }
                 .into());
@@ -228,41 +213,29 @@ impl LoadedFunction {
             let got = arg.shape()?;
             if !shape.matches(&got) {
                 return Err(tfe_tensor::TensorError::ShapeMismatch {
-                    expected: format!("{shape} for argument {i} of `{}`", self.entry),
+                    expected: format!("{shape} for argument {i} of `{}`", self.entry.name),
                     got,
                 }
                 .into());
             }
         }
-        let f = context::library()
-            .get(&self.entry)
-            .ok_or_else(|| RuntimeError::UnknownFunction(self.entry.clone()))?;
         let mut inputs: Vec<Tensor> = args.iter().map(|&t| t.clone()).collect();
         inputs.extend(self.captures.iter().cloned());
-        let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        let attrs = tfe_ops::Attrs::new()
-            .with("function", self.entry.clone())
-            .with("stateful", self.stateful)
-            .with("out_dtypes", d)
-            .with("out_shapes", s);
-        context::execute(Op::Call, &inputs, attrs)
+        context::execute(Op::Call, &inputs, self.call_attrs.clone())
     }
 }
 
-static LOAD_COUNTER: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Import a bundle, recreating variables and registering the graph
-/// functions under fresh names.
+/// Import a bundle, recreating variables and linking each function's calls
+/// to the functions of the bundle.
 ///
 /// # Errors
-/// Malformed bundles.
+/// Malformed bundles, including a call of a function the bundle lacks.
 pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
     tfe_core::init();
     if v.get("format").and_then(Value::as_str) != Some("tfe-saved-function-v1") {
         return Err(SavedError::Format);
     }
     let entry = v.get("entry").and_then(Value::as_str).ok_or(SavedError::Missing("entry"))?;
-    let suffix = LOAD_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 
     // Recreate variables with fresh ids.
     let mut var_map: HashMap<i64, Variable> = HashMap::new();
@@ -278,35 +251,14 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
     }
     let id_map: HashMap<i64, i64> = var_map.iter().map(|(old, v)| (*old, v.id() as i64)).collect();
 
-    // Load functions, renaming them and rewriting references.
+    // Decode the functions, rewrite their variable references, and link
+    // their calls.
     let functions =
         v.get("functions").and_then(Value::as_array).ok_or(SavedError::Missing("functions"))?;
-    let mut name_map: HashMap<String, String> = HashMap::new();
-    let mut loaded: Vec<GraphFunction> = Vec::new();
+    let mut decoded = Vec::with_capacity(functions.len());
     for fv in functions {
-        let f = function_from_value(fv).map_err(|e| SavedError::Decode(e.to_string()))?;
-        let new_name = format!("{}__loaded{suffix}", f.name);
-        name_map.insert(f.name.clone(), new_name);
-        loaded.push(f);
-    }
-    let mut entry_stateful = false;
-    let mut inserted = LibraryEntries(Vec::new());
-    for mut f in loaded {
-        let new_name = name_map[&f.name].clone();
-        if f.name == entry {
-            entry_stateful = f.is_stateful();
-        }
-        f.name = new_name;
+        let mut f = function_from_value(fv).map_err(|e| SavedError::Decode(e.to_string()))?;
         for node in &mut f.nodes {
-            // Remap function references.
-            for key in ["function", "then_fn", "else_fn", "cond_fn", "body_fn"] {
-                if let Some(AttrValue::Str(name)) = node.attrs.get(key) {
-                    if let Some(new) = name_map.get(name) {
-                        node.attrs.set(key, new.clone());
-                    }
-                }
-            }
-            // Remap variable references.
             if let Ok(old) = node.attrs.int("var_id") {
                 let new = id_map.get(&old).ok_or(SavedError::UnknownVariable(old))?;
                 node.attrs.set("var_id", *new);
@@ -319,16 +271,13 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
                 node.attrs.set("var_ids", new?);
             }
         }
-        inserted.0.push(context::library().insert(f));
+        decoded.push(f);
     }
-
-    let entry_new = name_map
+    let linked = serial::link(decoded).map_err(|e| SavedError::Decode(e.to_string()))?;
+    let entry_fn = linked
         .get(entry)
         .cloned()
         .ok_or_else(|| SavedError::Decode(format!("entry function `{entry}` not in bundle")))?;
-    let entry_fn = context::library()
-        .get(&entry_new)
-        .ok_or_else(|| SavedError::Decode("entry function failed to load".to_string()))?;
     let captures: Vec<Tensor> = v
         .get("captures")
         .and_then(Value::as_array)
@@ -346,15 +295,20 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
             got: captures.len(),
         });
     }
+    let (d, s) = tfe_ops::catalog::encode_sig(&entry_fn.output_sigs());
+    let call_attrs = Attrs::new()
+        .with("function", entry_fn.handle())
+        .with("stateful", entry_fn.is_stateful())
+        .with("out_dtypes", d)
+        .with("out_shapes", s);
     // `function_from_value` guarantees num_captures <= inputs.len().
     Ok(LoadedFunction {
-        entry: entry_new,
-        _functions: inserted,
         n_args: entry_fn.inputs.len() - entry_fn.num_captures,
         arg_sigs: entry_fn.arg_sigs(),
+        entry: entry_fn,
+        call_attrs,
         captures,
         variables: var_map,
-        stateful: entry_stateful,
     })
 }
 

@@ -503,12 +503,20 @@ fn stable_sigmoid(x: f64) -> f64 {
     }
 }
 
+/// A NaN comes back as it went in, sign and payload included.
 fn stable_softplus(x: f64) -> f64 {
+    if x.is_nan() {
+        return x;
+    }
     x.max(0.0) + (-x.abs()).exp().ln_1p()
 }
 
 /// Abramowitz–Stegun 7.1.26 rational approximation of erf (|err| < 1.5e-7).
+/// A NaN comes back as it went in, sign and payload included.
 pub fn erf(x: f64) -> f64 {
+    if x.is_nan() {
+        return x;
+    }
     let sign = if x < 0.0 { -1.0 } else { 1.0 };
     let x = x.abs();
     let t = 1.0 / (1.0 + 0.3275911 * x);
@@ -951,6 +959,26 @@ mod tests {
         assert!((erf(1.0) - 0.8427007929).abs() < 1e-6);
         assert!((erf(-1.0) + 0.8427007929).abs() < 1e-6);
         assert!((erf(3.0) - 0.9999779095).abs() < 1e-6);
+    }
+
+    #[test]
+    fn erf_and_softplus_return_a_nan_unchanged() {
+        let nan32 = TensorData::scalar(-f32::NAN);
+        let nan64 = TensorData::scalar(f64::from_bits(0xfff8_0000_0000_0123));
+        for op in [UnaryOp::Erf, UnaryOp::Softplus] {
+            let out = unary(&nan32, op).unwrap();
+            assert_eq!(
+                out.as_slice::<f32>().unwrap()[0].to_bits(),
+                (-f32::NAN).to_bits(),
+                "{op:?}"
+            );
+            let out = unary(&nan64, op).unwrap();
+            assert_eq!(
+                out.as_slice::<f64>().unwrap()[0].to_bits(),
+                0xfff8_0000_0000_0123,
+                "{op:?}"
+            );
+        }
     }
 
     #[test]

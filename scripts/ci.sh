@@ -44,12 +44,17 @@ if grep -rnE '(^|[^A-Za-z_&])Node \{' --include='*.rs' crates src tests examples
 if grep -rnE 'materialize_known|cse_counted|simplify_algebraic_counted|drop_stateful' \
     --include='*.rs' crates src tests examples; then exit 1; fi
 
-# Function-lifetime gate: the tables that resolve a name are indexes. A
-# traced function is owned by its `ConcreteFunction` and held by what can
-# still reach it (DESIGN.md §7); a strong name -> function map in core is the
-# immortal second owner coming back.
-echo "==> no name -> Arc<ConcreteFunction> table in crates/core/src"
+# Function-lifetime gate: a node holds what it runs — its callee graph, its
+# compiled fused program, its host closure — by handle, and one weak name
+# index (`tfe_core::concrete_named`) serves the callers that hold only a name
+# (DESIGN.md §7). A strong name -> function map in core is the immortal
+# second owner coming back; the function library, the fused-program compile
+# cache, the host-closure table, the owner side channel that kept their
+# names resolving and the per-load renaming must not come back either.
+echo "==> no table between a node and what it runs; no name -> Arc<ConcreteFunction> in core"
 if grep -rnE 'HashMap<String, *Arc<ConcreteFunction>>' crates/core/src; then exit 1; fi
+lifetime_gone='library\(\)|FunctionLibrary|COMPILED|retain_in_trace|keep_alive|register_host_fn|HostFnHandle|\bOwner\b|__loaded'
+if grep -rnE "${lifetime_gone}" crates src tests examples; then exit 1; fi
 
 # Copy-kernel gate: the data-movement kernels move typed runs through one
 # helper (`copy_runs`); an element that goes out through `f64` and back
@@ -195,11 +200,14 @@ cargo test --release -q --test differential --test pass_pipeline -- --test-threa
 
 # Fused-executor gate: the compiled tile executor must stay bitwise
 # against per-instruction evaluation (every op variant, random chains,
-# periodic operands, several thread counts, generic fallback,
-# compile-cache identity) with release codegen — the lane kernels only
-# vectorize there.
+# periodic operands, several thread counts, generic fallback, malformed
+# program text rejected) with release codegen — the lane kernels only
+# vectorize there. Then its random chains again at 1500 cases, which reach
+# NaN inputs of `erf` and `softplus` (each returns a NaN unchanged).
 echo "==> fused executor differential (release)"
 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
+echo "==> fused executor random chains at TFE_FUZZ_CASES=1500 (release)"
+TFE_FUZZ_CASES=1500 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
 
 # Fusion is the default lowering, so both gates above also run with the
 # worker pool collapsed to one thread (tiles and periodic windows must
@@ -229,8 +237,7 @@ cargo run --release -q -p tfe-bench --bin serving_smoke > /dev/null
 # The kernel bench doubles as the fused-executor perf gate, and asserts
 # its gates on every run. It times a 10-op fused f32 chain unfused vs
 # tiled (the fused_chain entry of BENCH_kernels.json): the tiled executor
-# must beat op-by-op by >= 2x and a compile-cache hit must beat a
-# re-parse. It stages a dense layer's broadcasting chain (the
+# must beat op-by-op by >= 2x. It stages a dense layer's broadcasting chain (the
 # fused_broadcast_chain entry) with fusion off and on: bitwise equal,
 # fused not slower. It times the adaptive micro-batcher against the
 # unbatched serving front at concurrency 8 (the serving entry): with >= 4

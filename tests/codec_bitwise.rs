@@ -198,8 +198,8 @@ fn folded_bundle_round_trips_without_orphan_constants() {
 
     let bundle = saved::export_to_value(&conc).unwrap();
     let loaded = saved::import_from_value(&bundle).unwrap();
-    let graph = context::library().get(loaded.entry_name()).expect("loaded entry");
-    assert_eq!(graph.constants.len(), const_nodes(&graph), "{}", graph.dump());
+    let graph = loaded.entry();
+    assert_eq!(graph.constants.len(), const_nodes(graph), "{}", graph.dump());
     assert_eq!(graph.constants.len(), conc.function.constants.len());
     for (a, b) in graph.constants.iter().zip(&conc.function.constants) {
         assert_eq!(bits(a), bits(b));

@@ -42,7 +42,7 @@ pub mod oracle;
 
 use std::sync::Arc;
 use tf_eager::graph::{GraphBuilder, GraphFunction, Node, NodeId, TensorRef};
-use tfe_ops::{Attrs, SymShape};
+use tfe_ops::{Attrs, Handle, SymShape};
 use tfe_tensor::rng::Rng;
 use tfe_tensor::{DType, Shape, TensorData};
 
@@ -100,12 +100,11 @@ pub struct Avail {
 pub const UNARY: &[&str] = &["tanh", "sigmoid", "relu", "neg", "sin", "cos"];
 pub const BINARY: &[&str] = &["add", "sub", "mul", "maximum", "minimum"];
 
-/// Register a tiny callee for `dims` and return its name. The body
-/// (`tanh(a) * 2 + 0.5`) keeps values bounded so towers of nested calls
-/// stay well-conditioned.
-pub fn register_inner(tag: &str, dims: &[usize]) -> (String, (String, String)) {
-    let name = format!("diff_inner_{tag}");
-    let mut b = GraphBuilder::new(&name);
+/// A tiny callee for `dims`, as the handle a `call` node holds, and its
+/// output signature. The body (`tanh(a) * 2 + 0.5`) keeps values bounded so
+/// towers of nested calls stay well-conditioned.
+pub fn inner_callee(tag: &str, dims: &[usize]) -> (Handle, (String, String)) {
+    let mut b = GraphBuilder::new(&format!("diff_inner_{tag}"));
     let a = b.placeholder(DType::F64, known(dims)).unwrap();
     let t = b.add_node("tanh", vec![a], Attrs::new()).unwrap()[0];
     let two = b.constant(Arc::new(TensorData::scalar(2.0f64))).unwrap();
@@ -114,56 +113,49 @@ pub fn register_inner(tag: &str, dims: &[usize]) -> (String, (String, String)) {
     let s = b.add_node("add", vec![m, half], Attrs::new()).unwrap()[0];
     let f = b.finish(vec![s], 0);
     let sig = tfe_ops::catalog::encode_sig(&f.output_sigs());
-    tfe_runtime::context::library().insert(f);
-    (name, sig)
+    (Arc::new(f).handle(), sig)
 }
 
-/// Register then/else branches for `dims` (relu vs neg) and return names
-/// plus the shared output signature.
-pub fn register_branches(tag: &str, dims: &[usize]) -> (String, String, (String, String)) {
-    let mk = |name: &str, op: &str| {
-        let mut b = GraphBuilder::new(name);
+/// Then/else branches for `dims` (relu vs neg), as handles, plus the shared
+/// output signature.
+pub fn branch_pair(tag: &str, dims: &[usize]) -> (Handle, Handle, (String, String)) {
+    let mk = |name: String, op: &str| {
+        let mut b = GraphBuilder::new(&name);
         let a = b.placeholder(DType::F64, known(dims)).unwrap();
         let r = b.add_node(op, vec![a], Attrs::new()).unwrap()[0];
-        let f = b.finish(vec![r], 0);
-        let sig = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        tfe_runtime::context::library().insert(f);
-        sig
+        Arc::new(b.finish(vec![r], 0))
     };
-    let then_name = format!("diff_then_{tag}");
-    let else_name = format!("diff_else_{tag}");
-    let sig = mk(&then_name, "relu");
-    mk(&else_name, "neg");
-    (then_name, else_name, sig)
+    let then_fn = mk(format!("diff_then_{tag}"), "relu");
+    let else_fn = mk(format!("diff_else_{tag}"), "neg");
+    let sig = tfe_ops::catalog::encode_sig(&then_fn.output_sigs());
+    (then_fn.handle(), else_fn.handle(), sig)
 }
 
-/// Register the cond/body pair of a counter loop over `(count, x)` with `x`
-/// of `dims`: it runs while `count < trips`, and each trip maps `x` to
-/// `sin(x)` (bounded, so towers of loops stay well-conditioned).
-pub fn register_counter_loop(tag: &str, dims: &[usize], trips: f64) -> (String, String) {
+/// The cond/body pair of a counter loop over `(count, x)` with `x` of
+/// `dims`, as handles: it runs while `count < trips`, and each trip maps `x`
+/// to `sin(x)` (bounded, so towers of loops stay well-conditioned).
+pub fn counter_loop_pair(tag: &str, dims: &[usize], trips: f64) -> (Handle, Handle) {
     let state = |b: &mut GraphBuilder| {
         let c = b.placeholder(DType::F64, known(&[])).unwrap();
         (c, b.placeholder(DType::F64, known(dims)).unwrap())
     };
-    let cond_name = format!("diff_loop_cond_{tag}");
-    let mut b = GraphBuilder::new(&cond_name);
+    let mut b = GraphBuilder::new(&format!("diff_loop_cond_{tag}"));
     let (c, _x) = state(&mut b);
     let limit = b.constant(Arc::new(TensorData::scalar(trips))).unwrap();
     let go = b.add_node("less", vec![c, limit], Attrs::new()).unwrap()[0];
-    tfe_runtime::context::library().insert(b.finish(vec![go], 0));
+    let cond_fn = Arc::new(b.finish(vec![go], 0));
 
-    let body_name = format!("diff_loop_body_{tag}");
-    let mut b = GraphBuilder::new(&body_name);
+    let mut b = GraphBuilder::new(&format!("diff_loop_body_{tag}"));
     let (c, x) = state(&mut b);
     let one = b.constant(Arc::new(TensorData::scalar(1.0f64))).unwrap();
     let next = b.add_node("add", vec![c, one], Attrs::new()).unwrap()[0];
     let y = b.add_node("sin", vec![x], Attrs::new()).unwrap()[0];
-    tfe_runtime::context::library().insert(b.finish(vec![next, y], 0));
-    (cond_name, body_name)
+    let body_fn = Arc::new(b.finish(vec![next, y], 0));
+    (cond_fn.handle(), body_fn.handle())
 }
 
 /// A `while_loop` node over `(0, x)` that makes `trips` trips of the loop
-/// registered by [`register_counter_loop`]; returns the loop's `x` output.
+/// [`counter_loop_pair`] builds; returns the loop's `x` output.
 pub fn counter_loop(
     b: &mut GraphBuilder,
     tag: &str,
@@ -171,21 +163,22 @@ pub fn counter_loop(
     trips: f64,
     attrs: Attrs,
 ) -> TensorRef {
-    let (cond_fn, body_fn) = register_counter_loop(tag, &x.dims, trips);
+    let (cond_fn, body_fn) = counter_loop_pair(tag, &x.dims, trips);
     let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
     let attrs = attrs.with("cond_fn", cond_fn).with("body_fn", body_fn);
     b.add_node("while_loop", vec![zero, x.tref], attrs).unwrap()[1]
 }
 
-/// Id of one registered pure host closure (`x -> tanh(x)`, any shape), the
-/// same for every graph so the corpus does not grow the host-fn table.
-pub fn pure_host_fn() -> i64 {
-    static ID: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    *ID.get_or_init(|| {
-        tfe_runtime::context::register_host_fn(Arc::new(|xs: &[tf_eager::Tensor]| {
+/// One pure host closure (`x -> tanh(x)`, any shape), as the handle a
+/// `host_func` node holds: the same for every graph.
+pub fn pure_host_fn() -> Handle {
+    static F: std::sync::OnceLock<Handle> = std::sync::OnceLock::new();
+    F.get_or_init(|| {
+        tfe_runtime::context::host_fn_handle(Arc::new(|xs: &[tf_eager::Tensor]| {
             Ok(vec![tfe_runtime::api::tanh(&xs[0])?])
         }))
-    }) as i64
+    })
+    .clone()
 }
 
 /// Generate one random graph: a handful of F64 placeholders, then a
@@ -272,13 +265,13 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             }
             // Nested call.
             8 => {
-                let (name, (d, s)) = register_inner(&format!("{seed}_{step}"), &a.dims);
+                let (callee, (d, s)) = inner_callee(&format!("{seed}_{step}"), &a.dims);
                 let t = b
                     .add_node(
                         "call",
                         vec![a.tref],
                         Attrs::new()
-                            .with("function", name)
+                            .with("function", callee)
                             .with("out_dtypes", d)
                             .with("out_shapes", s),
                     )
@@ -291,15 +284,14 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 let gate = scalars[rng.range(0usize..scalars.len())].tref;
                 let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
                 let pred = b.add_node("greater", vec![gate, zero], Attrs::new()).unwrap()[0];
-                let (then_name, else_name, (d, s)) =
-                    register_branches(&format!("{seed}_{step}"), &a.dims);
+                let (then_fn, else_fn, (d, s)) = branch_pair(&format!("{seed}_{step}"), &a.dims);
                 let t = b
                     .add_node(
                         "cond",
                         vec![pred, a.tref],
                         Attrs::new()
-                            .with("then_fn", then_name)
-                            .with("else_fn", else_name)
+                            .with("then_fn", then_fn)
+                            .with("else_fn", else_fn)
                             .with("out_dtypes", d)
                             .with("out_shapes", s),
                     )
@@ -316,7 +308,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             11 => {
                 let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, known(&a.dims))]);
                 let attrs = Attrs::new()
-                    .with("fn_id", pure_host_fn())
+                    .with("host_fn", pure_host_fn())
                     .with("out_dtypes", d)
                     .with("out_shapes", s);
                 let t = b.add_node("host_func", vec![a.tref], attrs).unwrap()[0];

@@ -13,15 +13,14 @@ use super::{
     dot_artifact, fuzz_cases, generate, generate_algebraic, generate_dead_store, generate_stateful,
     make_args, make_signed_zero_args, replay, same_bits, shrink_failing_graph,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use tf_eager::dist::{Cluster, ClusterSpec, DistError, RemoteArg, TransportKind};
 use tf_eager::encode::Value;
 use tf_eager::graph::passes::{self, OptimizeOptions, OptimizeStats, PASS_NAMES};
 use tf_eager::graph::{GraphFunction, Node};
 use tf_eager::state::saved::{self, SavedError};
-use tf_eager::{api, function, Arg, ExecMode, Func, GradientTape, Op, RuntimeError, Tensor};
-use tf_eager::{TensorData, Variable};
+use tf_eager::{api, function, Arg, Attrs, ExecMode, Func, GradientTape, Op, RuntimeError};
+use tf_eager::{Tensor, TensorData, Variable};
 use tfe_runtime::{context, executor};
 
 /// One corpus graph, ready to run in any mode.
@@ -132,7 +131,8 @@ pub enum Mode {
     /// The staged function exported to a bundle, through JSON text and the
     /// binary syntax, imported and called.
     Saved,
-    /// The raw graph called by name on a one-worker cluster.
+    /// The raw graph, called from a traced function that a one-worker
+    /// cluster runs by name.
     Dist(TransportKind),
     /// The graph optimized under a config, then run by a runner.
     Optimized(Config, Runner),
@@ -238,7 +238,19 @@ pub fn run(case: &Case, mode: Mode) -> Outcome {
             let args = tensors(case);
             let concrete =
                 staged(case).concrete_for(&args.iter().map(Arg::from).collect::<Vec<_>>())?;
-            let text = saved::export_to_value(&concrete).map_err(Failure::Saved)?.to_json();
+            let exported = saved::export_to_value(&concrete);
+            if case.graph.nodes.iter().any(|n| n.op == Op::HostFunc) {
+                // A host closure is host code, not trace: a bundle cannot
+                // carry it, and export must refuse, typed. Nothing is loaded,
+                // so the mode answers with the reference.
+                return match exported {
+                    Err(SavedError::Export(e)) if e.contains("host closure") => {
+                        run(case, Mode::Serial)
+                    }
+                    other => Err(Failure::Check(format!("exported a host closure: {other:?}"))),
+                };
+            }
+            let text = exported.map_err(Failure::Saved)?.to_json();
             let bundle = Value::parse(&text)
                 .and_then(|v| Value::from_bytes(&v.to_bytes()))
                 .map_err(|e| Failure::Check(format!("bundle does not parse back: {e}")))?;
@@ -246,15 +258,13 @@ pub fn run(case: &Case, mode: Mode) -> Outcome {
             values(loaded.call(&refs(&args))?)?
         }
         Mode::Dist(kind) => {
-            // A name of its own, so concurrent runs of one graph (or of
-            // its shrinking candidates) never resolve each other's.
-            static NEXT: AtomicUsize = AtomicUsize::new(0);
-            let mut graph = case.graph.clone();
-            graph.name = format!("{}_dist{}", graph.name, NEXT.fetch_add(1, Ordering::Relaxed));
-            let graph = context::library().insert(graph);
-            let args: Vec<RemoteArg> = tensors(case).into_iter().map(RemoteArg::Local).collect();
-            let out = cluster(kind).call_function(DIST_DEVICE, &graph.name, &args);
-            context::library().remove(&graph);
+            // A worker runs a traced function by name: here one whose body
+            // is a single `call` of the case graph, which the node holds.
+            let args = tensors(case);
+            let concrete =
+                called(case).concrete_for(&args.iter().map(Arg::from).collect::<Vec<_>>())?;
+            let args: Vec<RemoteArg> = args.into_iter().map(RemoteArg::Local).collect();
+            let out = cluster(kind).call_function(DIST_DEVICE, &concrete.name, &args);
             let fetched: Result<Vec<Tensor>, DistError> =
                 out.and_then(|out| out.iter().map(|r| r.fetch()).collect());
             values(fetched.map_err(Failure::Dist)?)?
@@ -457,6 +467,22 @@ fn staged(case: &Case) -> Func {
         let tensors: Vec<Tensor> =
             args.iter().map(|a| a.as_tensor().cloned().expect("a tensor argument")).collect();
         replay(&graph, &tensors)
+    })
+}
+
+/// A `function` whose body is one `call` of the case's graph.
+fn called(case: &Case) -> Func {
+    let graph = Arc::new(case.graph.clone());
+    let (d, s) = tfe_ops::catalog::encode_sig(&graph.output_sigs());
+    let attrs = Attrs::new()
+        .with("function", graph.handle())
+        .with("stateful", graph.is_stateful())
+        .with("out_dtypes", d)
+        .with("out_shapes", s);
+    function(&format!("{}_called", graph.name), move |args| {
+        let tensors: Vec<Tensor> =
+            args.iter().map(|a| a.as_tensor().cloned().expect("a tensor argument")).collect();
+        context::execute(Op::Call, &tensors, attrs.clone())
     })
 }
 

@@ -1,5 +1,5 @@
-//! Thread-safety: the context is thread-local, but registries (ops,
-//! kernels, gradients, the function library, variables) are process-wide.
+//! Thread-safety: the context is thread-local, but registries (the traced
+//! function name index, variables, metrics) are process-wide.
 //! Concurrent eager math, tracing, staged calls and shared-variable
 //! updates must all be sound.
 

@@ -1,29 +1,31 @@
-//! Function lifetime (DESIGN.md §7 "Function lifetime"): the process-global
-//! tables that resolve a name or an id are indexes, the handles own.
+//! Function lifetime (DESIGN.md §7 "Function lifetime"): a node holds what
+//! it runs, and one weak name index serves the callers that hold a name.
 //!
 //! Four claims. *Leaves nothing*: a dropped `Func` gives back its graphs,
 //! its captured tensors, its gauge counts and its metric series — by count,
 //! not by RSS, so the check is exact. *Still reachable means still alive*:
-//! whatever can still follow one of a function's names (a tape, an outer
-//! graph, a data-parallel trainer) keeps it, so programs that
-//! drop a `Func` early compute what they computed before. *Gone means
-//! typed*: a name whose owner is gone is `UnknownFunction` / a `DistError`,
-//! in every mode. And the frozen benchmark's pattern — build a trainer from
-//! a name, drop every handle — keeps working.
+//! whatever can still run a function (a tape, an outer graph, a
+//! data-parallel trainer) holds it, so programs that drop a `Func` early
+//! compute what they computed before. *Gone means typed*: a name whose
+//! function is gone is a `DistError` for a remote call, and a bundle that
+//! calls a function it lacks does not load. And the frozen benchmark's
+//! pattern — build a trainer from a name, drop every handle — keeps working.
 //!
 //! The counts are process-wide, so the tests of this file take turns.
 
 mod common;
 
 use common::{bits, tensor_bits, Bits};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use tf_eager::dist::{Cluster, ClusterSpec, DistError};
-use tf_eager::graph::GraphBuilder;
+use tf_eager::encode::Value;
+use tf_eager::graph::{GraphBuilder, GraphFunction};
 use tf_eager::nn::{
     mlp, mse_grad_fn, Activation, DataParallel, Initializer, Layer, Reduction, Sgd,
 };
 use tf_eager::prelude::*;
+use tf_eager::state::saved::{self, SavedError};
 use tf_eager::{context, Attrs, ExecMode, Op, RuntimeError};
 use tfe_ops::SymShape;
 
@@ -38,7 +40,6 @@ fn turn() -> MutexGuard<'static, ()> {
 /// Everything a `Func` used to leave behind, counted.
 #[derive(Debug, PartialEq, Eq)]
 struct Residue {
-    library: usize,
     live_tensors: i64,
     live_tensor_bytes: i64,
     cached_concrete_functions: i64,
@@ -49,7 +50,6 @@ fn residue() -> Residue {
     let snap = tf_eager::metrics::snapshot();
     let gauge = |name: &str| snap.gauge_value(name).unwrap_or(0);
     Residue {
-        library: context::library().len(),
         live_tensors: gauge("tfe_live_tensors"),
         live_tensor_bytes: gauge("tfe_live_tensor_bytes"),
         cached_concrete_functions: gauge("tfe_trace_cache_concrete_functions"),
@@ -66,12 +66,14 @@ fn residue() -> Residue {
 // (i) Leaves nothing
 // ---------------------------------------------------------------------------
 
-/// At the parent commit the loop left +150 library entries, +50 live tensors
-/// (52 MB), +50 cached concrete functions and +200 metric series.
+/// Before functions were held by handle, the loop left +150 function-table
+/// entries, +50 live tensors (52 MB), +50 cached concrete functions and +200
+/// metric series.
 #[test]
 fn a_dropped_func_leaves_nothing_behind() {
     let _t = turn();
     let before = residue();
+    let mut graphs: Vec<Weak<GraphFunction>> = Vec::new();
     for _ in 0..50 {
         let weight = api::ones(DType::F32, [512, 512]); // 1 MiB
         let f = function1("lt_leak", move |x| api::reduce_sum(&api::mul(x, &weight)?, &[], false));
@@ -81,8 +83,14 @@ fn a_dropped_func_leaves_nothing_behind() {
         let y = f.call1(&x).unwrap();
         let g = tape.gradient1(&y, &x).unwrap();
         assert_eq!(g.shape().unwrap().dims(), &[512, 512]);
-        assert!(context::library().len() > before.library, "the function is there while held");
+        // The inference graph, the forward variant and the backward.
+        let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
+        let pair = conc.forward_bundle().unwrap();
+        let held = [&conc.function, &pair.fwd, &pair.bwd.function].map(Arc::downgrade);
+        assert!(held.iter().all(|w| w.strong_count() > 0), "the graphs are there while held");
+        graphs.extend(held);
     }
+    assert!(graphs.iter().all(|w| w.strong_count() == 0), "a graph outlived its Func");
     assert_eq!(residue(), before);
 }
 
@@ -227,11 +235,16 @@ fn an_outer_graph_keeps_its_branches_and_loop_bodies() {
 #[test]
 fn a_graph_keeps_the_host_closure_traced_into_it() {
     let _t = turn();
+    // Owned by the closure alone, so it lives exactly as long.
+    let probe = Arc::new(());
+    let closure: Weak<()> = Arc::downgrade(&probe);
     let host = slot(HostFunc::new(
-        |xs| Ok(vec![api::mul(&xs[0], &xs[0])?]),
+        move |xs| {
+            let _ = &probe;
+            Ok(vec![api::mul(&xs[0], &xs[0])?])
+        },
         vec![(DType::F64, SymShape::scalar())],
     ));
-    let id = host.lock().unwrap().as_ref().unwrap().id();
     let f = {
         let host = host.clone();
         function1("lt_hosty", move |x| {
@@ -250,9 +263,7 @@ fn a_graph_keeps_the_host_closure_traced_into_it() {
 
     // The graph was the last holder.
     drop((f, tape, y));
-    assert!(
-        matches!(context::host_fn(id), Err(RuntimeError::UnknownHostFunction(got)) if got == id)
-    );
+    assert!(closure.upgrade().is_none(), "the closure went with the graph");
 }
 
 // ---------------------------------------------------------------------------
@@ -263,36 +274,41 @@ fn a_graph_keeps_the_host_closure_traced_into_it() {
 fn a_name_whose_owner_is_gone_is_a_typed_error_in_every_mode() {
     let _t = turn();
     let x = api::ones(DType::F64, [2]);
-    let (name, attrs) = {
+    let device = context::device_manager().host_cpu();
+    // A hand-built graph calling the function, run on both drivers and
+    // eagerly; the node holds the callee, so dropping its `Func` changes no
+    // bit of what it computes.
+    let run = |g: &GraphFunction, attrs: &Attrs| -> Vec<Bits> {
+        let mut out: Vec<Bits> = [ExecMode::SerialPlanned, ExecMode::Parallel]
+            .map(|mode| {
+                let y =
+                    tfe_runtime::executor::run_function(g, &[x.value().unwrap()], &device, mode);
+                bits(&y.unwrap()[0])
+            })
+            .to_vec();
+        let eager = context::execute(Op::Call, std::slice::from_ref(&x), attrs.clone());
+        out.push(tensor_bits(&eager.unwrap()[0]));
+        out
+    };
+    let (name, graph, attrs, alive) = {
         let f = function1("lt_gone", api::relu);
         let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
         let (d, s) = tfe_ops::catalog::encode_sig(&conc.function.output_sigs());
-        let name = conc.function.name.clone();
-        assert!(context::library().get(&name).is_some());
-        (
-            name.clone(),
-            Attrs::new().with("function", name).with("out_dtypes", d).with("out_shapes", s),
-        )
+        let attrs = Attrs::new()
+            .with("function", conc.function.handle())
+            .with("out_dtypes", d)
+            .with("out_shapes", s);
+        let mut b = GraphBuilder::new("lt_holds_a_dropped_function");
+        let a = b.placeholder(DType::F64, SymShape::known(&Shape::from([2]))).unwrap();
+        let out = b.add_op(Op::Call, vec![a], attrs.clone()).unwrap()[0];
+        let g = b.finish(vec![out], 0);
+        assert!(tfe_core::concrete_named(&conc.name).is_some());
+        let alive = run(&g, &attrs);
+        (conc.name.clone(), g, attrs, alive)
     };
-    assert!(context::library().get(&name).is_none(), "the name went with the Func");
-    assert!(tfe_core::concrete_named(&name).is_none());
-    let unknown = |e: &RuntimeError| matches!(e, RuntimeError::UnknownFunction(n) if *n == name);
-
-    // A hand-built graph that still names it, on both drivers.
-    let mut b = GraphBuilder::new("lt_names_a_gone_function");
-    let a = b.placeholder(DType::F64, SymShape::known(&Shape::from([2]))).unwrap();
-    let out = b.add_op(Op::Call, vec![a], attrs.clone()).unwrap()[0];
-    let g = b.finish(vec![out], 0);
-    let device = context::device_manager().host_cpu();
-    for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
-        let err = tfe_runtime::executor::run_function(&g, &[x.value().unwrap()], &device, mode)
-            .expect_err("callee is gone");
-        assert!(unknown(&err), "{mode:?}: {err}");
-    }
-    // The eager dispatcher.
-    let err =
-        context::execute(Op::Call, std::slice::from_ref(&x), attrs).expect_err("callee is gone");
-    assert!(unknown(&err), "eager: {err}");
+    assert!(tfe_core::concrete_named(&name).is_none(), "the name went with the Func");
+    assert_eq!(run(&graph, &attrs), alive);
+    assert_eq!(alive[0], bits(&TensorData::from_vec(vec![1.0f64, 1.0], Shape::from([2])).unwrap()));
 
     // A worker asked for it by name.
     let cluster = Cluster::start(&ClusterSpec::new().with_job("worker", 1).unwrap());
@@ -303,6 +319,22 @@ fn a_name_whose_owner_is_gone_is_a_typed_error_in_every_mode() {
         matches!(&err, DistError::RemoteFault { detail, .. } if detail.contains(&name)),
         "{err}"
     );
+
+    // A bundle whose entry calls a function the bundle lacks.
+    let inner = cube("lt_missing_inner");
+    let outer = function1("lt_missing_outer", move |x| inner.call1(x));
+    let conc = outer.concrete_for(&[Arg::from(&x)]).unwrap();
+    let mut bundle = saved::export_to_value(&conc).unwrap();
+    let callee = conc.function.callees()[0].name.clone();
+    if let Value::Object(fields) = &mut bundle {
+        if let Some(Value::Array(functions)) = fields.get_mut("functions") {
+            functions.retain(|f| f.get("name").and_then(Value::as_str) != Some(callee.as_str()));
+        }
+    }
+    match saved::import_from_value(&bundle) {
+        Err(SavedError::Decode(detail)) => assert!(detail.contains(&callee), "{detail}"),
+        other => panic!("loaded a bundle without `{callee}`: {:?}", other.err()),
+    }
 }
 
 // ---------------------------------------------------------------------------

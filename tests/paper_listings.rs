@@ -153,9 +153,8 @@ fn listing_8_figure_2_function_composition() {
         ])
         .unwrap();
     let call_node = conc.raw.nodes.iter().find(|n| n.op == "call").expect("call node");
-    let callee = call_node.attrs.str("function").unwrap();
-    // Figure 2b: the callee's graph exists in the library and is a relu.
-    let inner_graph = tf_eager::context::library().get(callee).expect("inner graph");
+    // Figure 2b: the call node holds the callee's graph, and it is a relu.
+    let inner_graph = call_node.attrs.handle::<tf_eager::graph::GraphFunction>("function").unwrap();
     assert!(inner_graph.nodes.iter().any(|n| n.op == "relu"));
 }
 

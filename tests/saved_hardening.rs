@@ -11,7 +11,7 @@ use tf_eager::{OpError, RuntimeError, TensorError};
 
 /// A representative bundle: entry + nested callee, a by-value capture, and
 /// a variable, so every importer code path sees mutations. Names are
-/// uniqued per call so parallel tests don't race on the function library.
+/// uniqued per call, so no two bundles share a function name.
 fn bundle() -> Value {
     static N: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);

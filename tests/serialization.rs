@@ -44,18 +44,26 @@ fn library_round_trip_preserves_call_edges() {
         function1("serial_outer", move |x| Ok(inner.call_tensors(&[x])?.remove(0)))
     };
     let conc = outer.concrete_for(&[Arg::from(&api::scalar(2.0f64))]).unwrap();
-    // Collect entry + callees into a standalone library and round trip it.
-    let lib = tf_eager::graph::FunctionLibrary::new();
-    let entry = context::library().get(&conc.function.name).unwrap();
-    for name in entry.callee_names() {
-        lib.insert(context::library().get(&name).unwrap().as_ref().clone());
-    }
-    lib.insert(entry.as_ref().clone());
-    let v = serial::library_to_value(&lib);
-    let restored = serial::library_from_value(&Value::parse(&v.to_json()).unwrap()).unwrap();
-    assert_eq!(restored.names(), lib.names());
-    let rf = restored.get(&conc.function.name).unwrap();
+    // The entry and what it calls, through JSON text, linked back by name.
+    let set = serial::closure(&conc.function).unwrap();
+    assert_eq!(set.len(), 2);
+    let decoded = set
+        .iter()
+        .map(|f| {
+            let text = serial::function_to_value(f).to_json();
+            serial::function_from_value(&Value::parse(&text).unwrap()).unwrap()
+        })
+        .collect();
+    let restored = serial::link(decoded).unwrap();
+    let names: Vec<&String> = restored.keys().collect();
+    let mut want: Vec<&String> = set.iter().map(|f| &f.name).collect();
+    want.sort();
+    assert_eq!(names, want);
+    let rf = &restored[&conc.function.name];
     assert!(rf.nodes.iter().any(|n| n.op == "call"));
+    let callees = rf.callees();
+    assert_eq!(callees.len(), 1);
+    assert!(Arc::ptr_eq(&callees[0], &restored[&set[1].name]));
 }
 
 #[test]

@@ -4,8 +4,9 @@
 //! batch sizes, degenerate member shapes, and version swaps — and a
 //! poisoned batch must fail every member with the typed error, never hang.
 
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Barrier, Weak};
 use std::time::{Duration, Instant};
+use tf_eager::graph::GraphFunction;
 use tf_eager::prelude::*;
 use tf_eager::serve::{BatchPolicy, ModelRegistry, ServeError};
 use tf_eager::state::saved;
@@ -364,8 +365,8 @@ fn version_swap_and_rollback() {
 }
 
 /// A model version owns the graphs it was loaded with: every function a
-/// bundle put in the library, under the names of that one load, is there
-/// while a version serves from it and gone once the version is unregistered.
+/// bundle brought is alive while a version serves from it and gone once the
+/// version is unregistered.
 #[test]
 fn unregister_frees_the_functions_a_loaded_version_brought() {
     let inner = function1("serve_owned_inner", api::tanh);
@@ -374,20 +375,19 @@ fn unregister_frees_the_functions_a_loaded_version_brought() {
     let want = f.call1(&x).unwrap().to_f64_vec().unwrap();
     let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
     let loaded = saved::import_from_value(&saved::export_to_value(&conc).unwrap()).unwrap();
-    // Names are `{name}__loaded{N}`, `N` unique to the load.
-    let load = loaded.entry_name()[loaded.entry_name().rfind("__loaded").unwrap()..].to_string();
-    let of_this_load = || {
-        let names = tf_eager::context::library().names();
-        names.into_iter().filter(|n| n.ends_with(&load)).count()
-    };
-    assert_eq!(of_this_load(), 2, "the entry function and the one it calls");
+    let entry = loaded.entry().clone();
+    let of_this_load: Vec<Weak<GraphFunction>> =
+        std::iter::once(&entry).chain(&entry.callees()).map(Arc::downgrade).collect();
+    drop(entry);
+    let alive = || of_this_load.iter().filter(|f| f.strong_count() > 0).count();
+    assert_eq!(alive(), 2, "the entry function and the one it calls");
 
     let registry = ModelRegistry::new();
     registry.register_with("owned", 1, loaded, policy(4)).unwrap();
     assert_eq!(registry.infer("owned", &[&x]).unwrap()[0].to_f64_vec().unwrap(), want);
-    assert_eq!(of_this_load(), 2);
+    assert_eq!(alive(), 2);
     assert!(registry.unregister("owned"));
-    assert_eq!(of_this_load(), 0, "the version took its functions with it");
+    assert_eq!(alive(), 0, "the version took its functions with it");
 }
 
 /// Malformed requests are rejected at the front door with `BadRequest`.

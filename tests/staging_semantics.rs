@@ -160,7 +160,7 @@ fn staged_backward_work_matches_eager() {
     t2.watch(&x);
     let d1 = t2.gradient1(&f.call1(&x).unwrap(), &x).unwrap();
     t1.gradient1(&api::reduce_sum(&api::square(&d1).unwrap(), &[], false).unwrap(), &x).unwrap();
-    let seeded = context::library().get(&format!("{}__bwd2", conc.name)).unwrap();
+    let seeded = seeded_backward(&pair, &format!("{}__bwd2", conc.name)).unwrap();
     assert_eq!(seeded.inputs.len(), 2 * kept + pair.n_primary + seeded.num_captures);
     assert!(
         seeded.executable_node_count() <= bwd.executable_node_count() + kept,
@@ -315,7 +315,7 @@ fn second_order_through_a_function_traced_under_one_tape() {
     assert_eq!(tape.gradient1(&y, &x).unwrap().scalar_f64().unwrap(), 54.0);
     drop(tape);
     let conc = outer.concrete_for(&[Arg::from(&x)]).unwrap();
-    let callees = conc.raw.callee_names();
+    let callees: Vec<String> = conc.raw.callees().iter().map(|f| f.name.clone()).collect();
     assert!(callees.iter().all(|name| name.ends_with("__fwd")), "{callees:?}");
     assert_eq!(two_tape_derivatives(&outer, &x), (54.0, 72.0));
     assert_eq!(outer.num_concrete(), 1);
@@ -379,6 +379,62 @@ fn gradient_inside_a_trace_is_differentiable_from_outside() {
     assert_eq!(tape.gradient1(&y, &x).unwrap().scalar_f64().unwrap(), 9.0);
 }
 
+/// The seeded backward of `pair` named `name`, once built.
+fn seeded_backward(
+    pair: &tfe_core::ForwardBundle,
+    name: &str,
+) -> Option<Arc<tf_eager::graph::GraphFunction>> {
+    let seeded = pair.seeded_backwards().into_iter().find(|b| b.name == name)?;
+    Some(seeded.function.clone())
+}
+
+/// Two hand-built graphs of one name, each called from its own node of one
+/// outer graph: each call runs its own body, under both executor drivers and
+/// eagerly. A call that resolved its callee by name would run one body for
+/// both.
+#[test]
+fn two_callees_of_one_name_each_run_their_own_body() {
+    use tf_eager::graph::{GraphBuilder, GraphFunction};
+    use tf_eager::{Attrs, ExecMode, Op};
+    use tfe_ops::SymShape;
+    tf_eager::init();
+    let shape = SymShape::known(&Shape::from([2]));
+    let callee = |op: &str| {
+        let mut b = GraphBuilder::new("one_name");
+        let x = b.placeholder(DType::F64, shape.clone()).unwrap();
+        let y = b.add_node(op, vec![x], Attrs::new()).unwrap()[0];
+        Arc::new(b.finish(vec![y], 0))
+    };
+    let (neg, square) = (callee("neg"), callee("square"));
+    let (d, s) = tfe_ops::catalog::encode_sig(&neg.output_sigs());
+    let call = |f: &Arc<GraphFunction>| {
+        Attrs::new()
+            .with("function", f.handle())
+            .with("out_dtypes", d.clone())
+            .with("out_shapes", s.clone())
+    };
+    let mut b = GraphBuilder::new("calls_both");
+    let x = b.placeholder(DType::F64, shape.clone()).unwrap();
+    let first = b.add_op(Op::Call, vec![x], call(&neg)).unwrap()[0];
+    let second = b.add_op(Op::Call, vec![x], call(&square)).unwrap()[0];
+    let outer = b.finish(vec![first, second], 0);
+
+    let x = api::constant(vec![3.0f64, -0.5], [2]).unwrap();
+    let want = [vec![-3.0, 0.5], vec![9.0, 0.25]];
+    let device = context::device_manager().host_cpu();
+    for mode in [ExecMode::SerialPlanned, ExecMode::Parallel] {
+        let args = [x.value().unwrap()];
+        let out = tfe_runtime::executor::run_function(&outer, &args, &device, mode).unwrap();
+        assert_eq!([out[0].to_f64_vec(), out[1].to_f64_vec()], want, "{mode:?}");
+    }
+    let eager = [call(&neg), call(&square)].map(|attrs| {
+        context::execute(Op::Call, std::slice::from_ref(&x), attrs).unwrap()[0]
+            .to_f64_vec()
+            .unwrap()
+    });
+    assert_eq!(eager, want, "eager");
+}
+
 /// A gradient that reaches a kept intermediate of a forward record — here
 /// handed to it directly — runs the backward seeded there too, and the
 /// input gradient equals the one eager reverse mode computes from the same
@@ -395,7 +451,8 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
     let pair = conc.forward_bundle().unwrap();
     let (d, s) = tfe_ops::catalog::encode_sig(&pair.fwd.output_sigs());
     let attrs = Attrs::new()
-        .with("function", pair.fwd.name.clone())
+        .with("function", pair.fwd.handle())
+        .with("concrete", conc.handle())
         .with("stateful", false)
         .with("out_dtypes", d)
         .with("out_shapes", s)
@@ -417,7 +474,7 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
         (outputs[2].id(), dy_kept.clone()),
     ]);
     let staged = tfe_autodiff::accumulate_many(&[record], seeds).unwrap();
-    assert!(context::library().get(&format!("{}__bwd2", conc.name)).is_some());
+    assert!(seeded_backward(&pair, &format!("{}__bwd2", conc.name)).is_some());
 
     // Eager: the same two ops, with the seeds on the values they stand for.
     let u = api::mul(&x, &x).unwrap();
