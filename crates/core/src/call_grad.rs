@@ -137,12 +137,6 @@ pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> 
 }
 
 impl ForwardBundle {
-    /// The seeded backwards built so far, each one the first time a
-    /// gradient reached its set of kept intermediates.
-    pub fn seeded_backwards(&self) -> Vec<Arc<ConcreteFunction>> {
-        lock(&self.seeded).values().filter_map(|b| Some(b.as_ref().ok()?.0.clone())).collect()
-    }
-
     /// The backward seeded at the kept intermediates `reached` marks too,
     /// and the slots it returns, built on first need.
     fn seeded_backward(

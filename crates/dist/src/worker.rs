@@ -50,6 +50,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use tfe_encode::Value;
+use tfe_graph::program::Programs;
 use tfe_graph::serial::{attrs_from_value, tensor_from_value, tensor_to_value};
 use tfe_parallel::lock;
 use tfe_runtime::{context, ExecMode};
@@ -240,9 +241,12 @@ fn run_step(step: &Value, inputs: &[Arc<TensorData>]) -> Result<Tensors, String>
         .and_then(Value::as_str)
         .ok_or_else(|| "step has neither `op` nor `call`".to_string())?;
     let op = tfe_ops::Op::from_name(op).map_err(|e| e.to_string())?;
-    let attrs =
+    let mut attrs =
         attrs_from_value(step.get("attrs").ok_or_else(|| "step has no `attrs`".to_string())?)
             .map_err(|e| e.to_string())?;
+    // A fused op arrives with its program as text; the kernel runs the
+    // compiled form.
+    Programs::default().link(op, &mut attrs)?;
     let out = tfe_runtime::kernels::run_kernel(op, &attrs, inputs).map_err(|e| e.to_string())?;
     Ok(out.into_iter().map(Arc::new).collect())
 }

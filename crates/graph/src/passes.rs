@@ -27,11 +27,11 @@
 
 use crate::builder::GraphBuilder;
 use crate::ir::{GraphFunction, Node, NodeId, TensorRef};
-use crate::program::{Instr, Program};
+use crate::program::{Instr, Program, Programs};
 use crate::sequencing::{classify, Access, Resource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use tfe_ops::{Attrs, Handle, Op};
+use tfe_ops::{Attrs, Op};
 use tfe_tensor::{DType, TensorData};
 
 /// The seven rewrite families: the four rule families of the simplifying
@@ -446,9 +446,8 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
     // external inputs by their old references; the other members go. (No
     // group reads another's members, only their outputs by reference.)
     let mut skip = vec![false; n];
-    // One compiled program per distinct program in the graph: the nodes that
-    // run the same program hold the same one.
-    let mut compiled: HashMap<String, Handle> = HashMap::new();
+    // The nodes that run the same program hold the same compiled one.
+    let mut programs = Programs::default();
     for (&sink, members) in &fuse_groups {
         let mut inputs: Vec<TensorRef> = Vec::new();
         let mut reg_of: HashMap<TensorRef, usize> = HashMap::new();
@@ -477,11 +476,7 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
         let output = reg_of[&TensorRef::first(NodeId(sink))];
         // Compiled here, from the program in hand, and held by the node: no
         // kernel invocation ever parses or looks up the program.
-        let program = Program { instrs, output };
-        let program = compiled
-            .entry(program.encode())
-            .or_insert_with_key(|text| Handle::new(Arc::new(program.compile()), text.as_str()))
-            .clone();
+        let program = programs.compiled(Program { instrs, output });
         let outputs = f.nodes[sink].outputs.clone();
         f.nodes[sink] = Node {
             op: Op::FusedElementwise,
@@ -502,7 +497,7 @@ mod tests {
     use super::*;
     use crate::program::CompiledProgram;
     use crate::sequencing::sequence_control_edges;
-    use tfe_ops::{AttrValue, SymShape};
+    use tfe_ops::{AttrValue, Handle, SymShape};
     use tfe_tensor::Shape;
 
     /// One rewrite family, then the prune that clears what it orphaned.

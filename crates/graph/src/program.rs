@@ -36,6 +36,9 @@
 //! reach it through [`CompiledProgram::program`] as the differential
 //! reference.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+use tfe_ops::{AttrValue, Attrs, Handle, Op};
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
 use tfe_tensor::lanes::{self, Periodic};
 use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
@@ -197,6 +200,47 @@ impl Program {
     /// Number of non-input instructions (the "fused op count").
     pub fn op_count(&self) -> usize {
         self.instrs.iter().filter(|i| !matches!(i, Instr::Input(_))).count()
+    }
+}
+
+/// The compiled programs of one graph or one wire message, one per distinct
+/// program text, so the fused nodes that run the same program hold the same
+/// one. Every fused node's `program` handle is made here: by fusion from the
+/// program it built ([`Programs::compiled`]), and by the decoders from the
+/// text it was written as ([`Programs::link`]).
+#[derive(Default)]
+pub struct Programs(HashMap<String, Handle>);
+
+impl Programs {
+    /// The handle a fused node running `program` holds.
+    pub fn compiled(&mut self, program: Program) -> Handle {
+        self.0
+            .entry(program.encode())
+            .or_insert_with_key(|text| Handle::new(Arc::new(program.compile()), text.as_str()))
+            .clone()
+    }
+
+    /// Give a decoded `fused_elementwise` node the compiled form of the
+    /// program text its `program` attribute was written as. Any other node,
+    /// and one that holds its program already, is left as it is.
+    ///
+    /// # Errors
+    /// A malformed program text.
+    pub fn link(&mut self, op: Op, attrs: &mut Attrs) -> Result<(), String> {
+        let text = match attrs.get("program") {
+            Some(AttrValue::Str(text)) if op == Op::FusedElementwise => text.clone(),
+            _ => return Ok(()),
+        };
+        let program = match self.0.get(&text) {
+            Some(program) => program.clone(),
+            None => {
+                let program = Handle::new(Arc::new(Program::decode(&text)?.compile()), &*text);
+                self.0.insert(text, program.clone());
+                program
+            }
+        };
+        attrs.set("program", program);
+        Ok(())
     }
 }
 

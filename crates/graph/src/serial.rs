@@ -10,11 +10,11 @@
 //! function needs).
 
 use crate::ir::{GraphFunction, Node, NodeId, TensorRef, CALLEE_KEYS};
-use crate::program::Program;
-use std::collections::{BTreeMap, HashMap};
+use crate::program::Programs;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use tfe_encode::Value;
-use tfe_ops::{AttrValue, Attrs, Handle, Op, SymShape};
+use tfe_ops::{AttrValue, Attrs, Op, SymShape};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Serialization failures.
@@ -174,10 +174,22 @@ fn sym_shape_from_value(v: &Value) -> Result<SymShape, SerialError> {
     Ok(SymShape::new(dims?))
 }
 
-/// Encode a full attribute map as a JSON object (used by the distributed
-/// wire protocol as well as graph serialization).
+/// Encode an attribute map as a JSON object (used by the distributed wire
+/// protocol as well as graph serialization). Bytes carry every plain value
+/// and, of the handles, what the node runs (its callee, fused program or
+/// host closure) as its label. Any other handle, such as the
+/// `ConcreteFunction` a traced call holds for its gradient, belongs to this
+/// process and is left out.
 pub fn attrs_to_value(attrs: &Attrs) -> Value {
-    Value::object(attrs.iter().map(|(k, v)| (k.clone(), attr_to_value(v))))
+    let written = |key: &str, value: &AttrValue| {
+        !matches!(value, AttrValue::Handle(_))
+            || CALLEE_KEYS.contains(&key)
+            || key == "program"
+            || key == "host_fn"
+    };
+    Value::object(
+        attrs.iter().filter(|(k, v)| written(k, v)).map(|(k, v)| (k.clone(), attr_to_value(v))),
+    )
 }
 
 /// Decode an attribute map produced by [`attrs_to_value`].
@@ -217,10 +229,7 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
                     "inputs".to_string(),
                     Value::Array(n.inputs.iter().map(tensor_ref_to_value).collect()),
                 ),
-                (
-                    "attrs".to_string(),
-                    Value::object(n.attrs.iter().map(|(k, v)| (k.clone(), attr_to_value(v)))),
-                ),
+                ("attrs".to_string(), attrs_to_value(&n.attrs)),
                 (
                     "outputs".to_string(),
                     Value::Array(
@@ -268,8 +277,7 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     // Payloads written before sequencing edges existed lack the per-node
     // "control" field; re-derive the edges from program order in that case.
     let mut legacy_controls = true;
-    // One compiled program per distinct program text, as fusion makes them.
-    let mut compiled: HashMap<String, Handle> = HashMap::new();
+    let mut programs = Programs::default();
     for nv in nodes_v {
         let op = nv.get("op").and_then(Value::as_str).ok_or_else(|| err("missing op"))?;
         let op = Op::from_name(op).map_err(|e| err(e.to_string()))?;
@@ -286,20 +294,7 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
         for (k, av) in attrs_obj {
             attrs.set(k, attr_from_value(av)?);
         }
-        if op == Op::FusedElementwise {
-            if let Some(AttrValue::Str(text)) = attrs.get("program") {
-                let program = match compiled.get(text) {
-                    Some(program) => program.clone(),
-                    None => {
-                        let program = Program::decode(text).map_err(err)?.compile();
-                        let program = Handle::new(Arc::new(program), text.as_str());
-                        compiled.insert(text.clone(), program.clone());
-                        program
-                    }
-                };
-                attrs.set("program", program);
-            }
-        }
+        programs.link(op, &mut attrs).map_err(err)?;
         let outputs: Result<Vec<(DType, SymShape)>, SerialError> = nv
             .get("outputs")
             .and_then(Value::as_array)
@@ -511,6 +506,21 @@ mod tests {
         let r =
             b.add_node("reduce_sum", vec![m], Attrs::new().with("axes", vec![1i64])).unwrap()[0];
         b.finish(vec![r], 0)
+    }
+
+    /// Bytes carry what a node runs, by label, and leave out a handle the
+    /// node only holds for this process.
+    #[test]
+    fn attrs_write_only_the_handles_a_node_runs() {
+        let callee = Arc::new(sample_fn());
+        let attrs = Attrs::new()
+            .with("function", callee.handle())
+            .with("concrete", tfe_ops::Handle::new(Arc::new(()), "sample"))
+            .with("stateful", false);
+        let back = attrs_from_value(&attrs_to_value(&attrs)).unwrap();
+        assert_eq!(back.get("function"), Some(&AttrValue::Str("sample".to_string())));
+        assert_eq!(back.get("stateful"), Some(&AttrValue::Bool(false)));
+        assert_eq!(back.get("concrete"), None);
     }
 
     #[test]

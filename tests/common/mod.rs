@@ -181,6 +181,22 @@ pub fn pure_host_fn() -> Handle {
     .clone()
 }
 
+/// `graph` with each `host_func` node replaced by the `tanh` its closure
+/// ([`pure_host_fn`]) runs: the same values, and a graph a bundle can carry.
+/// Only [`replay`] runs the result; it ignores the sequencing edges that
+/// pointed at the stateful `host_func`.
+pub fn without_host_fns(graph: &GraphFunction) -> GraphFunction {
+    let tanh = tf_eager::Op::from_name("tanh").expect("tanh is an op");
+    let mut twin = graph.clone();
+    for node in twin.nodes.iter_mut().filter(|n| n.op == tf_eager::Op::HostFunc) {
+        node.op = tanh;
+        node.attrs = Attrs::new();
+        node.stateful = false;
+        node.control_inputs.clear();
+    }
+    twin
+}
+
 /// Generate one random graph: a handful of F64 placeholders, then a
 /// seeded walk over op kinds (every structural op among them), always
 /// returning the most recent value plus one random survivor.

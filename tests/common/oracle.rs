@@ -11,7 +11,7 @@
 
 use super::{
     dot_artifact, fuzz_cases, generate, generate_algebraic, generate_dead_store, generate_stateful,
-    make_args, make_signed_zero_args, replay, same_bits, shrink_failing_graph,
+    make_args, make_signed_zero_args, replay, same_bits, shrink_failing_graph, without_host_fns,
 };
 use std::sync::{Arc, OnceLock};
 use tf_eager::dist::{Cluster, ClusterSpec, DistError, RemoteArg, TransportKind};
@@ -129,7 +129,8 @@ pub enum Mode {
     /// called twice: the trace, then a cache hit that must agree with it.
     Staged,
     /// The staged function exported to a bundle, through JSON text and the
-    /// binary syntax, imported and called.
+    /// binary syntax, imported and called. A graph with a `host_func`
+    /// exports its [`without_host_fns`] twin, after its own export refuses.
     Saved,
     /// The raw graph, called from a traced function that a one-worker
     /// cluster runs by name.
@@ -236,19 +237,21 @@ pub fn run(case: &Case, mode: Mode) -> Outcome {
         }
         Mode::Saved => {
             let args = tensors(case);
-            let concrete =
-                staged(case).concrete_for(&args.iter().map(Arg::from).collect::<Vec<_>>())?;
-            let exported = saved::export_to_value(&concrete);
+            let sig: Vec<Arg> = args.iter().map(Arg::from).collect();
+            let mut exported = saved::export_to_value(&*staged(case).concrete_for(&sig)?);
             if case.graph.nodes.iter().any(|n| n.op == Op::HostFunc) {
                 // A host closure is host code, not trace: a bundle cannot
-                // carry it, and export must refuse, typed. Nothing is loaded,
-                // so the mode answers with the reference.
-                return match exported {
-                    Err(SavedError::Export(e)) if e.contains("host closure") => {
-                        run(case, Mode::Serial)
+                // carry it, and export must refuse, typed. What is saved and
+                // loaded is the twin that runs the closure's `tanh` in its
+                // place, whose bits are the reference's.
+                match exported {
+                    Err(SavedError::Export(e)) if e.contains("host closure") => {}
+                    other => {
+                        return Err(Failure::Check(format!("exported a host closure: {other:?}")))
                     }
-                    other => Err(Failure::Check(format!("exported a host closure: {other:?}"))),
-                };
+                }
+                let twin = case.with_graph(without_host_fns(&case.graph));
+                exported = saved::export_to_value(&*staged(&twin).concrete_for(&sig)?);
             }
             let text = exported.map_err(Failure::Saved)?.to_json();
             let bundle = Value::parse(&text)

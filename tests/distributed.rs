@@ -13,10 +13,11 @@ use tf_eager::dist::{
     ring_reference_mean, Cluster, ClusterSpec, DistError, Input, Program, RemoteArg, RemoteTensor,
     RpcOptions, Shard, TransportKind,
 };
+use tf_eager::graph::program::{Program as FusedProgram, Programs};
 use tf_eager::nn::layers::Layer;
 use tf_eager::nn::{mlp, Activation, Initializer};
 use tf_eager::prelude::*;
-use tfe_ops::Attrs;
+use tfe_ops::{AttrValue, Attrs};
 
 fn both_transports() -> [TransportKind; 2] {
     [TransportKind::InProcess, TransportKind::Tcp]
@@ -165,6 +166,33 @@ fn unknown_op_is_a_remote_fault_and_the_worker_keeps_serving() {
         ));
         let out = cluster.execute(dev, "square", &[RemoteArg::from(&x)], Attrs::new()).unwrap();
         assert_eq!(out[0].fetch().unwrap().scalar_f64().unwrap(), 9.0);
+        cluster.shutdown();
+    }
+}
+
+/// A fused op crosses the wire with its program as text, which the worker
+/// compiles: one run remotely gives the bits of the program run locally,
+/// whether the caller holds the compiled program or only its text.
+#[test]
+fn remote_fused_op_runs_its_program_text() {
+    tf_eager::init();
+    let text = "in:0;in:1;b:mul:0:1;u:tanh:2|3";
+    let program = FusedProgram::decode(text).unwrap();
+    let x = api::constant(vec![0.5f32, -1.25, 3.0, -0.0], [4]).unwrap();
+    let y = api::constant(vec![2.0f32, 0.75, -0.5, 1.5], [4]).unwrap();
+    let (xd, yd) = (x.value().unwrap(), y.value().unwrap());
+    let want = program.eval(&[&xd, &yd]).unwrap();
+    let compiled = Programs::default().compiled(program);
+    for kind in both_transports() {
+        let cluster = start(&ClusterSpec::new().with_job("w", 1).unwrap(), kind);
+        let dev = "/job:w/task:0/device:CPU:0";
+        let args = [RemoteArg::from(&x), RemoteArg::from(&y)];
+        for held in [AttrValue::Handle(compiled.clone()), AttrValue::Str(text.to_string())] {
+            let attrs = Attrs::new().with("program", held.clone()).with("out_dtype", DType::F32);
+            let out = cluster.execute(dev, "fused_elementwise", &args, attrs).unwrap();
+            let got = out[0].fetch().unwrap().value().unwrap();
+            assert!(common::same_bits(&got, &want), "{kind:?} {held:?}: {got:?} vs {want:?}");
+        }
         cluster.shutdown();
     }
 }

@@ -159,8 +159,10 @@ fn staged_backward_work_matches_eager() {
     let t2 = GradientTape::new();
     t2.watch(&x);
     let d1 = t2.gradient1(&f.call1(&x).unwrap(), &x).unwrap();
-    t1.gradient1(&api::reduce_sum(&api::square(&d1).unwrap(), &[], false).unwrap(), &x).unwrap();
-    let seeded = seeded_backward(&pair, &format!("{}__bwd2", conc.name)).unwrap();
+    let loss = api::reduce_sum(&api::square(&d1).unwrap(), &[], false).unwrap();
+    let (_, called) = called_during(|| t1.gradient1(&loss, &x).unwrap());
+    let name = format!("{}__bwd2", conc.name);
+    let seeded = called.into_iter().find(|f| f.name == name).expect("the seeded backward ran");
     assert_eq!(seeded.inputs.len(), 2 * kept + pair.n_primary + seeded.num_captures);
     assert!(
         seeded.executable_node_count() <= bwd.executable_node_count() + kept,
@@ -379,13 +381,36 @@ fn gradient_inside_a_trace_is_differentiable_from_outside() {
     assert_eq!(tape.gradient1(&y, &x).unwrap().scalar_f64().unwrap(), 9.0);
 }
 
-/// The seeded backward of `pair` named `name`, once built.
-fn seeded_backward(
-    pair: &tfe_core::ForwardBundle,
-    name: &str,
-) -> Option<Arc<tf_eager::graph::GraphFunction>> {
-    let seeded = pair.seeded_backwards().into_iter().find(|b| b.name == name)?;
-    Some(seeded.function.clone())
+/// What `f` returns, and the graph functions the `call`s it makes eagerly
+/// run, read from the nodes' own handles.
+fn called_during<R>(f: impl FnOnce() -> R) -> (R, Vec<Arc<tf_eager::graph::GraphFunction>>) {
+    use std::cell::RefCell;
+    use tf_eager::device::Device;
+    use tfe_runtime::context::{Observer, Site};
+    #[derive(Default)]
+    struct Calls(RefCell<Vec<Arc<tf_eager::graph::GraphFunction>>>);
+    impl Observer for Calls {
+        fn observe(
+            &self,
+            site: Site,
+            _device: &Device,
+            op: tf_eager::Op,
+            attrs: &tf_eager::Attrs,
+            _inputs: &[Arc<TensorData>],
+        ) -> Result<Option<Vec<Arc<TensorData>>>, RuntimeError> {
+            if site == Site::Call && op == tf_eager::Op::Call {
+                self.0.borrow_mut().push(attrs.handle("function").expect("a call holds its body"));
+            }
+            Ok(None)
+        }
+    }
+    let calls = std::rc::Rc::new(Calls::default());
+    let out = {
+        let _scope = context::observer_scope(calls.clone());
+        f()
+    };
+    let called = calls.0.take();
+    (out, called)
 }
 
 /// Two hand-built graphs of one name, each called from its own node of one
@@ -473,8 +498,10 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
         (outputs[1].id(), dx_kept.clone()),
         (outputs[2].id(), dy_kept.clone()),
     ]);
-    let staged = tfe_autodiff::accumulate_many(&[record], seeds).unwrap();
-    assert!(seeded_backward(&pair, &format!("{}__bwd2", conc.name)).is_some());
+    let (staged, called) =
+        called_during(|| tfe_autodiff::accumulate_many(&[record], seeds).unwrap());
+    let name = format!("{}__bwd2", conc.name);
+    assert!(called.iter().any(|f| f.name == name), "the seeded backward ran");
 
     // Eager: the same two ops, with the seeds on the values they stand for.
     let u = api::mul(&x, &x).unwrap();
