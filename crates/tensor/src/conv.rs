@@ -1,16 +1,31 @@
 //! 2-D convolution and its gradients, NHWC layout with HWIO filters.
 //!
-//! The forward pass lowers to im2col + the packed [`crate::gemm`]
-//! micro-kernel (accumulating in f64, like the direct loop it replaced)
-//! and parallelizes over batch and output rows; the input gradient is
-//! parallel over batches (disjoint outputs, bitwise equal to serial); the
-//! filter gradient tree-reduces per-batch partials with fixed chunking
-//! (deterministic for every thread count, but the partial-sum order
-//! differs from the serial fold — parity tests use a 1e-6 tolerance).
+//! All three kernels run on the packed [`crate::gemm`] micro-kernel in f64
+//! (the accumulation dtype of the direct loops they replaced), each over a
+//! per-batch patch matrix:
+//!
+//! - forward: im2col, then `patches · f`, parallel over batches (or, for
+//!   few large batches, over output rows and the gemm's row blocks);
+//! - input gradient: `go_b · fᵀ`, then col2im scatter-adds the patch
+//!   gradient back in the direct loop's `(oy, ox, ky, kx, ci)` order —
+//!   parallel over batches (disjoint outputs), bitwise equal to
+//!   [`conv2d_backprop_input_reference`] at every thread count;
+//! - filter gradient: `part += patchesᵀ · go_b`, the gemm resuming each
+//!   tap's accumulator across the batches of a chunk, with per-chunk
+//!   partials tree-reduced over fixed batch chunks — deterministic for
+//!   every thread count, bitwise equal to the serial fold
+//!   [`conv2d_backprop_filter_reference`] when there is one chunk.
+//!
+//! Padding enters the gemms as exact `+0.0` patch entries. On finite data
+//! they never change a bit (an accumulator that starts at `+0.0` never
+//! reaches `-0.0`); a ±inf or NaN gradient at a border position makes the
+//! filter gradient's padded taps `0 · g = NaN`, where the direct loop
+//! skipped them. Operands are widened to f64 one batch slice at a time,
+//! into scratch that each parallel task reuses across its batches.
 
 use crate::elementwise::FloatScalar;
 use crate::gemm::gemm_into;
-use crate::{Result, Shape, TensorData, TensorError};
+use crate::{Buffer, Result, Shape, TensorData, TensorError};
 use tfe_parallel::par_chunks_mut;
 
 /// Multiply-adds per batch above which conv kernels parallelize across
@@ -49,6 +64,9 @@ impl Padding {
         match self {
             Padding::Same => {
                 let out = input.div_ceil(stride);
+                if out == 0 {
+                    return (0, 0);
+                }
                 let needed = ((out - 1) * stride + k).saturating_sub(input);
                 (out, needed / 2)
             }
@@ -135,46 +153,120 @@ pub fn conv2d_geometry(
 pub fn conv2d_reference<T: FloatScalar>(x: &[T], f: &[T], g: &Conv2dGeometry) -> Vec<f64> {
     let mut out = vec![0.0f64; g.n * g.oh * g.ow * g.c_out];
     for b in 0..g.n {
-        for oy in 0..g.oh {
-            for ox in 0..g.ow {
-                for ky in 0..g.kh {
-                    let iy = (oy * g.sh + ky) as isize - g.ph as isize;
-                    if iy < 0 || iy as usize >= g.h {
-                        continue;
-                    }
-                    for kx in 0..g.kw {
-                        let ix = (ox * g.sw + kx) as isize - g.pw as isize;
-                        if ix < 0 || ix as usize >= g.w {
-                            continue;
-                        }
-                        let xin = ((b * g.h + iy as usize) * g.w + ix as usize) * g.c_in;
-                        let fin = (ky * g.kw + kx) * g.c_in;
-                        let oout = ((b * g.oh + oy) * g.ow + ox) * g.c_out;
-                        for ci in 0..g.c_in {
-                            let xv = x[xin + ci].to_f64();
-                            let frow = (fin + ci) * g.c_out;
-                            for co in 0..g.c_out {
-                                out[oout + co] += xv * f[frow + co].to_f64();
-                            }
-                        }
-                    }
+        for_each_tap(g, |oy, ox, ky, kx, iy, ix| {
+            let xin = ((b * g.h + iy) * g.w + ix) * g.c_in;
+            let fin = (ky * g.kw + kx) * g.c_in;
+            let oout = ((b * g.oh + oy) * g.ow + ox) * g.c_out;
+            for ci in 0..g.c_in {
+                let xv = x[xin + ci].to_f64();
+                let frow = (fin + ci) * g.c_out;
+                for co in 0..g.c_out {
+                    out[oout + co] += xv * f[frow + co].to_f64();
                 }
             }
-        }
+        });
     }
     out
 }
 
-/// Copy the im2col patch rows `rows` (flat `oy * ow + ox` indices) of
-/// batch `b` into `dst` (one `kh*kw*c_in`-wide row per output position,
-/// zeros where the window hangs over the padding).
-fn pack_patch_rows(
-    x: &[f64],
+/// Direct-loop reference input gradient, kept for parity testing of the
+/// gemm + col2im path: each in-bounds tap adds its serial dot over
+/// `c_out`, in `(oy, ox, ky, kx, ci)` order.
+pub fn conv2d_backprop_input_reference<T: FloatScalar>(
+    f: &[T],
+    go: &[T],
     g: &Conv2dGeometry,
-    b: usize,
-    rows: std::ops::Range<usize>,
-    dst: &mut [f64],
+) -> Vec<f64> {
+    let mut gx = vec![0.0f64; g.n * g.h * g.w * g.c_in];
+    for b in 0..g.n {
+        for_each_tap(g, |oy, ox, ky, kx, iy, ix| {
+            let xin = ((b * g.h + iy) * g.w + ix) * g.c_in;
+            let fin = (ky * g.kw + kx) * g.c_in;
+            let oout = ((b * g.oh + oy) * g.ow + ox) * g.c_out;
+            for ci in 0..g.c_in {
+                let frow = (fin + ci) * g.c_out;
+                let mut acc = 0.0;
+                for co in 0..g.c_out {
+                    acc += go[oout + co].to_f64() * f[frow + co].to_f64();
+                }
+                gx[xin + ci] += acc;
+            }
+        });
+    }
+    gx
+}
+
+/// Direct-loop reference filter gradient, kept for parity testing of the
+/// gemm path: one serial fold over batches, then output positions, of the
+/// in-bounds taps only.
+pub fn conv2d_backprop_filter_reference<T: FloatScalar>(
+    x: &[T],
+    go: &[T],
+    g: &Conv2dGeometry,
+) -> Vec<f64> {
+    let mut gf = vec![0.0f64; g.kh * g.kw * g.c_in * g.c_out];
+    for b in 0..g.n {
+        for_each_tap(g, |oy, ox, ky, kx, iy, ix| {
+            let xin = ((b * g.h + iy) * g.w + ix) * g.c_in;
+            let fin = (ky * g.kw + kx) * g.c_in;
+            let oout = ((b * g.oh + oy) * g.ow + ox) * g.c_out;
+            for ci in 0..g.c_in {
+                let xv = x[xin + ci].to_f64();
+                let frow = (fin + ci) * g.c_out;
+                for co in 0..g.c_out {
+                    gf[frow + co] += xv * go[oout + co].to_f64();
+                }
+            }
+        });
+    }
+    gf
+}
+
+/// Visit every tap of one batch that lands inside the input, in
+/// `(oy, ox, ky, kx)` order, as `visit(oy, ox, ky, kx, iy, ix)`.
+fn for_each_tap(
+    g: &Conv2dGeometry,
+    mut visit: impl FnMut(usize, usize, usize, usize, usize, usize),
 ) {
+    for oy in 0..g.oh {
+        for ox in 0..g.ow {
+            for ky in 0..g.kh {
+                let iy = (oy * g.sh + ky) as isize - g.ph as isize;
+                if iy < 0 || iy as usize >= g.h {
+                    continue;
+                }
+                for kx in 0..g.kw {
+                    let ix = (ox * g.sw + kx) as isize - g.pw as isize;
+                    if ix < 0 || ix as usize >= g.w {
+                        continue;
+                    }
+                    visit(oy, ox, ky, kx, iy as usize, ix as usize);
+                }
+            }
+        }
+    }
+}
+
+/// Widen `t`'s elements `start..start + dst.len()` (row-major) into `dst`:
+/// the kernels below convert one batch's slice of an operand at a time.
+fn widen_into(t: &TensorData, start: usize, dst: &mut [f64]) {
+    match t.buffer() {
+        Buffer::F32(v) => {
+            let src = &v[start..][..dst.len()];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d = f64::from(s);
+            }
+        }
+        Buffer::F64(v) => dst.copy_from_slice(&v[start..][..dst.len()]),
+        _ => unreachable!("conv operands are checked to be float"),
+    }
+}
+
+/// Copy the im2col patch rows `rows` (flat `oy * ow + ox` indices) of one
+/// batch's input `xb` (its `h*w*c_in` slice) into `dst` (one
+/// `kh*kw*c_in`-wide row per output position, zeros where the window
+/// hangs over the padding).
+fn pack_patch_rows(xb: &[f64], g: &Conv2dGeometry, rows: std::ops::Range<usize>, dst: &mut [f64]) {
     let k = g.kh * g.kw * g.c_in;
     for (ri, prow) in rows.zip(dst.chunks_exact_mut(k)) {
         let (oy, ox) = (ri / g.ow, ri % g.ow);
@@ -189,11 +281,25 @@ fn pack_patch_rows(
                 if ix < 0 || ix as usize >= g.w {
                     continue;
                 }
-                let src = &x[((b * g.h + iy as usize) * g.w + ix as usize) * g.c_in..][..g.c_in];
+                let src = &xb[(iy as usize * g.w + ix as usize) * g.c_in..][..g.c_in];
                 prow[(ky * g.kw + kx) * g.c_in..][..g.c_in].copy_from_slice(src);
             }
         }
     }
+}
+
+/// The transpose of [`pack_patch_rows`] over a whole batch: scatter-add
+/// each patch-gradient row of `dpatch` onto that batch's input gradient
+/// `gxb`, in `(oy, ox, ky, kx, ci)` order, dropping the taps that hang
+/// over the padding.
+fn col2im_add(dpatch: &[f64], g: &Conv2dGeometry, gxb: &mut [f64]) {
+    let k = g.kh * g.kw * g.c_in;
+    for_each_tap(g, |oy, ox, ky, kx, iy, ix| {
+        let src = &dpatch[(oy * g.ow + ox) * k + (ky * g.kw + kx) * g.c_in..][..g.c_in];
+        for (d, s) in gxb[(iy * g.w + ix) * g.c_in..][..g.c_in].iter_mut().zip(src) {
+            *d += s;
+        }
+    });
 }
 
 /// im2col + gemm forward pass: per batch, gather the `oh*ow x kh*kw*c_in`
@@ -201,9 +307,10 @@ fn pack_patch_rows(
 /// (HWIO is already that layout). Accumulation order per output element is
 /// (ky, kx, ci) ascending — the same as the direct loop, plus exact-zero
 /// padding terms.
-fn conv2d_im2col(x: &[f64], f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
+fn conv2d_im2col(input: &TensorData, f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
     let k = g.kh * g.kw * g.c_in;
     let m = g.oh * g.ow;
+    let x_elems = g.h * g.w * g.c_in;
     let mut out = vec![0.0f64; g.n * m * g.c_out];
     if k == 0 || m == 0 || g.c_out == 0 || g.n == 0 {
         return out;
@@ -212,10 +319,12 @@ fn conv2d_im2col(x: &[f64], f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
     if per_batch >= CONV_PAR_MADDS {
         // Few large batches: parallelize the patch gather over output rows
         // and let the gemm split its row blocks across the pool.
+        let mut xb = vec![0.0f64; x_elems];
         let mut patches = vec![0.0f64; m * k];
         for b in 0..g.n {
+            widen_into(input, b * x_elems, &mut xb);
             par_chunks_mut(&mut patches, g.ow * k, crate::par::GRAIN_ROWS, |rows, chunk| {
-                pack_patch_rows(x, g, b, rows.start * g.ow..rows.end * g.ow, chunk);
+                pack_patch_rows(&xb, g, rows.start * g.ow..rows.end * g.ow, chunk);
             });
             gemm_into(
                 m,
@@ -233,9 +342,11 @@ fn conv2d_im2col(x: &[f64], f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
         // Many small batches: one task per group of batches, serial inside.
         let grain = (CONV_PAR_MADDS / per_batch.max(1)).max(1);
         par_chunks_mut(&mut out, m * g.c_out, grain, |bs, block| {
+            let mut xb = vec![0.0f64; x_elems];
             let mut patches = vec![0.0f64; m * k];
             for (b, ob) in bs.zip(block.chunks_exact_mut(m * g.c_out)) {
-                pack_patch_rows(x, g, b, 0..m, &mut patches);
+                widen_into(input, b * x_elems, &mut xb);
+                pack_patch_rows(&xb, g, 0..m, &mut patches);
                 gemm_into(m, k, g.c_out, &patches, false, f, false, ob, false);
             }
         });
@@ -256,11 +367,16 @@ pub fn conv2d(
     let _sp = tfe_profile::span("intra", || "conv2d_im2col");
     check_float_pair(input, filter)?;
     let g = conv2d_geometry(input.shape(), filter.shape(), strides, padding)?;
-    let out = conv2d_im2col(&input.to_f64_vec(), &filter.to_f64_vec(), &g);
+    let out = conv2d_im2col(input, &filter.to_f64_vec(), &g);
     Ok(TensorData::from_f64_vec(input.dtype(), out, Shape::from([g.n, g.oh, g.ow, g.c_out])))
 }
 
 /// Gradient of [`conv2d`] with respect to its input.
+///
+/// Per batch, `dpatch = go_b · fᵀ` (the HWIO filter read transposed),
+/// then [`col2im_add`]. Each patch-gradient element is the ascending dot
+/// over `c_out` from `+0.0`, and col2im adds them in the direct loop's
+/// order, so the result is bitwise [`conv2d_backprop_input_reference`].
 ///
 /// # Errors
 /// Geometry or dtype failures; `grad_out` shape must match the forward
@@ -275,57 +391,35 @@ pub fn conv2d_backprop_input(
     check_float_pair(filter, grad_out)?;
     let g = conv2d_geometry(input_shape, filter.shape(), strides, padding)?;
     expect_shape(grad_out, &[g.n, g.oh, g.ow, g.c_out])?;
-    let f = filter.to_f64_vec();
-    let go = grad_out.to_f64_vec();
-    let mut gx = vec![0.0f64; g.n * g.h * g.w * g.c_in];
+    let (m, k) = (g.oh * g.ow, g.kh * g.kw * g.c_in);
     let batch_elems = g.h * g.w * g.c_in;
-    if !gx.is_empty() {
+    let mut gx = vec![0.0f64; g.n * batch_elems];
+    if !gx.is_empty() && m > 0 && k > 0 {
+        let f = filter.to_f64_vec();
         // Batches write disjoint regions of gx, so they run in parallel
-        // with the per-batch loop untouched (bitwise equal to serial).
-        let per_batch = g.oh * g.ow * g.kh * g.kw * g.c_in * g.c_out;
-        let grain = if per_batch >= CONV_PAR_MADDS { 1 } else { g.n };
+        // with the per-batch math untouched (bitwise equal to serial).
+        let grain = if m * k * g.c_out >= CONV_PAR_MADDS { 1 } else { g.n };
         par_chunks_mut(&mut gx, batch_elems, grain, |bs, block| {
+            let mut go_b = vec![0.0f64; m * g.c_out];
+            let mut dpatch = vec![0.0f64; m * k];
             for (b, gxb) in bs.zip(block.chunks_exact_mut(batch_elems)) {
-                input_grad_batch(&f, &go, &g, b, gxb);
+                widen_into(grad_out, b * m * g.c_out, &mut go_b);
+                dpatch.fill(0.0);
+                gemm_into(m, g.c_out, k, &go_b, false, &f, true, &mut dpatch, false);
+                col2im_add(&dpatch, &g, gxb);
             }
         });
     }
     Ok(TensorData::from_f64_vec(filter.dtype(), gx, input_shape.clone()))
 }
 
-/// Accumulate one batch's input gradient into `gxb` (that batch's
-/// `h*w*c_in` slice, already zeroed).
-fn input_grad_batch(f: &[f64], go: &[f64], g: &Conv2dGeometry, b: usize, gxb: &mut [f64]) {
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            for ky in 0..g.kh {
-                let iy = (oy * g.sh + ky) as isize - g.ph as isize;
-                if iy < 0 || iy as usize >= g.h {
-                    continue;
-                }
-                for kx in 0..g.kw {
-                    let ix = (ox * g.sw + kx) as isize - g.pw as isize;
-                    if ix < 0 || ix as usize >= g.w {
-                        continue;
-                    }
-                    let xin = (iy as usize * g.w + ix as usize) * g.c_in;
-                    let fin = (ky * g.kw + kx) * g.c_in;
-                    let oout = ((b * g.oh + oy) * g.ow + ox) * g.c_out;
-                    for ci in 0..g.c_in {
-                        let frow = (fin + ci) * g.c_out;
-                        let mut acc = 0.0;
-                        for co in 0..g.c_out {
-                            acc += go[oout + co] * f[frow + co];
-                        }
-                        gxb[xin + ci] += acc;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Gradient of [`conv2d`] with respect to its filter.
+///
+/// Per batch, `part += patchesᵀ · go_b`: the gemm resumes each tap's
+/// accumulator from `part`, so within a chunk of batches every element is
+/// the direct loop's serial fold, plus `0 · g` terms for padded taps that
+/// leave a finite sum's bits alone. Chunk partials then combine in
+/// ascending batch order.
 ///
 /// # Errors
 /// Geometry or dtype failures.
@@ -339,23 +433,32 @@ pub fn conv2d_backprop_filter(
     check_float_pair(input, grad_out)?;
     let g = conv2d_geometry(input.shape(), filter_shape, strides, padding)?;
     expect_shape(grad_out, &[g.n, g.oh, g.ow, g.c_out])?;
-    let x = input.to_f64_vec();
-    let go = grad_out.to_f64_vec();
-    let flen = g.kh * g.kw * g.c_in * g.c_out;
+    let (m, k) = (g.oh * g.ow, g.kh * g.kw * g.c_in);
+    let x_elems = g.h * g.w * g.c_in;
+    let flen = k * g.c_out;
+    if m == 0 || flen == 0 {
+        let zeros = vec![0.0f64; flen];
+        return Ok(TensorData::from_f64_vec(input.dtype(), zeros, filter_shape.clone()));
+    }
     // All batches accumulate into the same filter gradient, so this is a
     // tree reduction over per-batch-group partials. Chunk boundaries are
     // fixed by (n, grain) and partials combine in ascending batch order —
-    // deterministic for every thread count (though the grouping changes
-    // the float sum versus the serial fold; parity tests use tolerance).
-    let per_batch = g.oh * g.ow * g.kh * g.kw * g.c_in * g.c_out;
-    let grain = if per_batch >= CONV_PAR_MADDS { 1 } else { g.n.max(1) };
+    // deterministic for every thread count (though with more than one
+    // chunk the grouping changes the float sum versus the serial fold).
+    let grain = if m * k * g.c_out >= CONV_PAR_MADDS { 1 } else { g.n.max(1) };
     let gf = tfe_parallel::par_reduce(
         g.n,
         grain,
         |bs| {
             let mut part = vec![0.0f64; flen];
+            let mut xb = vec![0.0f64; x_elems];
+            let mut go_b = vec![0.0f64; m * g.c_out];
+            let mut patches = vec![0.0f64; m * k];
             for b in bs {
-                filter_grad_batch(&x, &go, &g, b, &mut part);
+                widen_into(input, b * x_elems, &mut xb);
+                widen_into(grad_out, b * m * g.c_out, &mut go_b);
+                pack_patch_rows(&xb, &g, 0..m, &mut patches);
+                gemm_into(k, m, g.c_out, &patches, true, &go_b, false, &mut part, false);
             }
             part
         },
@@ -368,36 +471,6 @@ pub fn conv2d_backprop_filter(
     )
     .unwrap_or_else(|| vec![0.0f64; flen]);
     Ok(TensorData::from_f64_vec(input.dtype(), gf, filter_shape.clone()))
-}
-
-/// Accumulate one batch's filter-gradient contribution into `gf`.
-fn filter_grad_batch(x: &[f64], go: &[f64], g: &Conv2dGeometry, b: usize, gf: &mut [f64]) {
-    for oy in 0..g.oh {
-        for ox in 0..g.ow {
-            for ky in 0..g.kh {
-                let iy = (oy * g.sh + ky) as isize - g.ph as isize;
-                if iy < 0 || iy as usize >= g.h {
-                    continue;
-                }
-                for kx in 0..g.kw {
-                    let ix = (ox * g.sw + kx) as isize - g.pw as isize;
-                    if ix < 0 || ix as usize >= g.w {
-                        continue;
-                    }
-                    let xin = ((b * g.h + iy as usize) * g.w + ix as usize) * g.c_in;
-                    let fin = (ky * g.kw + kx) * g.c_in;
-                    let oout = ((b * g.oh + oy) * g.ow + ox) * g.c_out;
-                    for ci in 0..g.c_in {
-                        let xv = x[xin + ci];
-                        let frow = (fin + ci) * g.c_out;
-                        for co in 0..g.c_out {
-                            gf[frow + co] += xv * go[oout + co];
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 fn check_float_pair(a: &TensorData, b: &TensorData) -> Result<()> {
@@ -437,6 +510,10 @@ mod tests {
         assert_eq!(Padding::Same.resolve(5, 3, 1), (5, 1));
         assert_eq!(Padding::Same.resolve(5, 3, 2), (3, 1));
         assert_eq!(Padding::Valid.resolve(5, 3, 2), (2, 0));
+        // An empty extent has no output and no padding (no underflow).
+        assert_eq!(Padding::Same.resolve(0, 3, 1), (0, 0));
+        assert_eq!(Padding::Same.resolve(0, 1, 2), (0, 0));
+        assert_eq!(Padding::Valid.resolve(0, 3, 1), (0, 0));
         assert_eq!(Padding::from_name("same"), Some(Padding::Same));
         assert_eq!(Padding::from_name("x"), None);
     }

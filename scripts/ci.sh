@@ -312,10 +312,12 @@ echo "==> dist smoke (TCP workers, bitwise training parity, chaos)"
 cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 
 # Enlarged corpus: the corpus suites at 1000 cases a corpus, every mode of
-# the oracle's table (≈ 10 s on 2 vCPUs, release; --no-fail-fast, so one
-# suite's failure does not hide the others').
-echo "==> corpus differential on an enlarged corpus (TFE_FUZZ_CASES=1000, release)"
+# the oracle's table, and the kernel parity fuzz at 1000 random geometries
+# a kernel — among them both conv gradients, bitwise against their direct
+# loops (≈ 10 s on 2 vCPUs, release; --no-fail-fast, so one suite's
+# failure does not hide the others').
+echo "==> corpus differential + kernel parity on an enlarged corpus (TFE_FUZZ_CASES=1000, release)"
 TFE_FUZZ_CASES=1000 cargo test --release -q --no-fail-fast --test differential --test exec_differential \
-    --test dist_differential --test pass_pipeline
+    --test dist_differential --test pass_pipeline --test kernel_parity
 
 echo "CI gate passed."

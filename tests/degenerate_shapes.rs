@@ -109,3 +109,21 @@ fn split_rejects_non_positive_num() {
     // The typed-API path (usize) rejects 0 as well.
     assert!(api::split(&z, 0, 0).is_err());
 }
+
+/// An empty spatial extent under SAME padding resolves to an empty output
+/// with no padding. `Padding::resolve` used to compute `(out - 1) * stride`
+/// with `out == 0`: a debug build panicked on the subtraction, a release
+/// build wrapped to a huge pad.
+#[test]
+fn conv_and_pool_on_an_empty_spatial_extent() {
+    let x = api::zeros(DType::F32, [1, 0, 4, 1]);
+    let f = api::constant(vec![1.0f32; 18], [3, 3, 1, 2]).unwrap();
+    let y = api::conv2d(&x, &f, (1, 1), "SAME").unwrap();
+    assert_eq!(y.dtype(), DType::F32);
+    assert_eq!(y.shape().unwrap().dims(), &[1, 0, 4, 2]);
+    assert_eq!(y.to_f64_vec().unwrap(), Vec::<f64>::new());
+    let p = api::max_pool(&x, (2, 2), (2, 2), "SAME").unwrap();
+    assert_eq!(p.dtype(), DType::F32);
+    assert_eq!(p.shape().unwrap().dims(), &[1, 0, 2, 1]);
+    assert_eq!(p.to_f64_vec().unwrap(), Vec::<f64>::new());
+}

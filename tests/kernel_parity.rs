@@ -10,7 +10,8 @@
 //!   zeroed output, so per-element accumulation is the plain ascending
 //!   fold), elementwise + broadcast ops (the 8-wide lane fast path applies
 //!   the identical per-element function), prefix-axis float reductions,
-//!   and `conv2d_backprop_input` (batches are disjoint). `max`/`min`
+//!   and `conv2d_backprop_input` (gemm then col2im, bitwise
+//!   `conv2d_backprop_input_reference`; batches are disjoint). `max`/`min`
 //!   reductions stay bitwise on every axis pattern — reassociating max is
 //!   value-exact on NaN-free input.
 //! * **Bitwise vs the documented lane order** (DESIGN.md §14, reproduced
@@ -21,23 +22,27 @@
 //!   tolerance against the pure left fold (asserted below).
 //! * **Thread-invariant but chunk-grouped**: full float reductions over
 //!   more than one grain of elements, and `conv2d_backprop_filter`
-//!   (fixed-chunk tree over batches).
+//!   (fixed-chunk tree over batches; bitwise its serial-fold reference
+//!   `conv2d_backprop_filter_reference` at batch 1, within 1e-9 of it
+//!   otherwise). On non-finite gradients its padded taps add `0 · g`,
+//!   which the reference skips: pinned by
+//!   `conv2d_backprop_filter_nonfinite_reaches_padded_taps`.
 //! * `conv2d` forward accumulates in f64 in the same (ky, kx, ci) order
 //!   as the reference, with exact `+0.0` padding terms; compared here by
 //!   value (a `-0.0` vs `+0.0` sign difference is tolerated).
 
 mod common;
 
-use common::fuzz_cases;
+use common::{fuzz_cases, same_bits};
 use tfe_parallel::set_intra_threads;
-use tfe_tensor::elementwise::{binary, compare, BinaryOp, CmpOp};
+use tfe_tensor::elementwise::{binary, compare, BinaryOp, CmpOp, FloatScalar};
 use tfe_tensor::gemm::{gemm_into, GemmScalar};
 use tfe_tensor::matmul::{batch_matmul, matmul, matmul_reference};
 use tfe_tensor::reduce::{reduce, ReduceOp};
 use tfe_tensor::rng::{each_seed, Rng};
 use tfe_tensor::shape::BroadcastWalker;
 use tfe_tensor::softmax::{log_softmax, softmax};
-use tfe_tensor::{broadcast_shapes, conv, Shape, TensorData};
+use tfe_tensor::{broadcast_shapes, conv, DType, Shape, TensorData};
 
 /// Run `f` under a forced intra-op thread count, restoring the previous
 /// setting afterwards. Kernels are thread-count invariant by design, so
@@ -794,6 +799,152 @@ fn conv2d_backprops_thread_invariant() {
         conv::conv2d_backprop_filter(&x, f.shape(), &go, (1, 1), conv::Padding::Same).unwrap()
     });
     assert_eq!(bits32(gf1.as_slice::<f32>().unwrap()), bits32(gf8.as_slice::<f32>().unwrap()));
+}
+
+/// One random tensor of `dims`: full-mantissa values in `[-2, 2)`, so
+/// products and sums round and a changed accumulation order shows in the
+/// bits (the `f32s` grid of 1/256 steps sums exactly in f64).
+fn rounding_tensor(rng: &mut Rng, dtype: DType, dims: &[usize]) -> TensorData {
+    let vals = (0..dims.iter().product()).map(|_| rng.f64() * 4.0 - 2.0).collect();
+    TensorData::from_f64_vec(dtype, vals, Shape::from(dims))
+}
+
+/// Both direct-loop backprop references for typed tensors, narrowed to
+/// their dtype (the kernels narrow their f64 accumulators the same way).
+fn conv_backprop_references(
+    x: &TensorData,
+    f: &TensorData,
+    go: &TensorData,
+    g: &conv::Conv2dGeometry,
+) -> (TensorData, TensorData) {
+    fn typed<T: FloatScalar>(
+        x: &TensorData,
+        f: &TensorData,
+        go: &TensorData,
+        g: &conv::Conv2dGeometry,
+    ) -> (Vec<f64>, Vec<f64>) {
+        let (x, f, go) = (x.as_slice::<T>(), f.as_slice::<T>(), go.as_slice::<T>());
+        let (x, f, go) = (x.unwrap(), f.unwrap(), go.unwrap());
+        (
+            conv::conv2d_backprop_input_reference(f, go, g),
+            conv::conv2d_backprop_filter_reference(x, go, g),
+        )
+    }
+    let (gx, gf) = match x.dtype() {
+        DType::F32 => typed::<f32>(x, f, go, g),
+        _ => typed::<f64>(x, f, go, g),
+    };
+    (
+        TensorData::from_f64_vec(x.dtype(), gx, x.shape().clone()),
+        TensorData::from_f64_vec(x.dtype(), gf, f.shape().clone()),
+    )
+}
+
+/// Both backprops of one geometry against their references: the input
+/// gradient bitwise at 1 and 4 threads; the filter gradient bitwise at
+/// batch 1, and otherwise identical at 1 and 4 threads and within 1e-9 of
+/// the serial fold.
+#[allow(clippy::too_many_arguments)]
+fn check_conv_backprops(
+    rng: &mut Rng,
+    dtype: DType,
+    [n, h, w, c_in]: [usize; 4],
+    [kh, kw, c_out]: [usize; 3],
+    stride: usize,
+    padding: conv::Padding,
+) {
+    let x = rounding_tensor(rng, dtype, &[n, h, w, c_in]);
+    let f = rounding_tensor(rng, dtype, &[kh, kw, c_in, c_out]);
+    let strides = (stride, stride);
+    let g = conv::conv2d_geometry(x.shape(), f.shape(), strides, padding).unwrap();
+    let go = rounding_tensor(rng, dtype, &[n, g.oh, g.ow, c_out]);
+    let case = format!("{dtype:?} x{:?} f{:?} stride {stride} {padding:?}", x.shape(), f.shape());
+    let (want_gx, want_gf) = conv_backprop_references(&x, &f, &go, &g);
+    let gx = |t| {
+        with_threads(t, || conv::conv2d_backprop_input(x.shape(), &f, &go, strides, padding))
+            .unwrap()
+    };
+    let gf = |t| {
+        with_threads(t, || conv::conv2d_backprop_filter(&x, f.shape(), &go, strides, padding))
+            .unwrap()
+    };
+    for t in [1, 4] {
+        assert!(same_bits(&gx(t), &want_gx), "input gradient, {t} threads: {case}");
+    }
+    let (gf1, gf4) = (gf(1), gf(4));
+    assert!(same_bits(&gf1, &gf4), "filter gradient thread-variant: {case}");
+    if n == 1 {
+        assert!(same_bits(&gf1, &want_gf), "filter gradient at batch 1: {case}");
+    } else {
+        for (i, (a, b)) in gf1.to_f64_vec().iter().zip(want_gf.to_f64_vec()).enumerate() {
+            assert!((a - b).abs() <= 1e-9 * (1.0 + b.abs()), "filter {i}: {a} vs {b}: {case}");
+        }
+    }
+}
+
+#[test]
+fn conv2d_backprops_match_references_random_geometry() {
+    // Shapes across the gemm's block edges: the filter gradient's depth is
+    // oh*ow (> 256 = KC crosses a depth slice), its rows kh*kw*c_in
+    // (> 128 = MC crosses a row block), and c_out is not a multiple of 8
+    // (NR). The batch-2 shapes take the fixed-chunk tree.
+    let edges = [
+        ([1, 18, 17, 9], [4, 4, 7], 1, conv::Padding::Same),
+        ([2, 24, 24, 15], [3, 3, 9], 1, conv::Padding::Same),
+        ([1, 33, 31, 6], [3, 4, 5], 2, conv::Padding::Same),
+        ([2, 19, 21, 9], [4, 4, 12], 1, conv::Padding::Valid),
+    ];
+    let mut rng = Rng::seed_from_u64(37);
+    for (x_dims, f_dims, stride, padding) in edges {
+        for dtype in [DType::F32, DType::F64] {
+            check_conv_backprops(&mut rng, dtype, x_dims, f_dims, stride, padding);
+        }
+    }
+    each_seed(fuzz_cases(16), |rng| {
+        let x_dims = [rng.range(1..4), rng.range(1..20), rng.range(1..20), rng.range(1..9)];
+        let f_dims = [rng.range(1..5), rng.range(1..5), rng.range(1..9)];
+        let (stride, same) = (rng.range(1..3), rng.bool(0.5));
+        let padding = if same { conv::Padding::Same } else { conv::Padding::Valid };
+        let dtype = if rng.bool(0.5) { DType::F32 } else { DType::F64 };
+        check_conv_backprops(rng, dtype, x_dims, f_dims, stride, padding);
+    });
+}
+
+/// The non-finite contract: padding enters the filter gradient's gemm as
+/// `+0.0` patch entries, so a ±inf in `grad_out` at a border position
+/// makes exactly that position's padded taps `0 · inf = NaN` — the direct
+/// loop skipped them and stays finite there. The in-bounds taps are `+inf`
+/// in both, every other channel is bitwise the reference, and the input
+/// gradient (col2im drops padded taps) is bitwise the reference throughout.
+#[test]
+fn conv2d_backprop_filter_nonfinite_reaches_padded_taps() {
+    let x = TensorData::ones(DType::F32, [1, 3, 3, 1]);
+    let f = TensorData::ones(DType::F32, [3, 3, 1, 2]);
+    let mut gov = vec![1.0f32; 3 * 3 * 2];
+    gov[0] = f32::INFINITY; // position (0, 0), channel 0: the top-left corner
+    let go = TensorData::from_vec(gov, Shape::from([1, 3, 3, 2])).unwrap();
+    let (strides, same) = ((1, 1), conv::Padding::Same);
+    let g = conv::conv2d_geometry(x.shape(), f.shape(), strides, same).unwrap();
+    let (want_gx, want_gf) = conv_backprop_references(&x, &f, &go, &g);
+    let gx = conv::conv2d_backprop_input(x.shape(), &f, &go, strides, same).unwrap();
+    assert!(same_bits(&gx, &want_gx));
+    let gf = conv::conv2d_backprop_filter(&x, f.shape(), &go, strides, same).unwrap();
+    let (got, want) = (gf.as_slice::<f32>().unwrap(), want_gf.as_slice::<f32>().unwrap());
+    for ky in 0..3 {
+        for kx in 0..3 {
+            // At the corner, tap (ky, kx) reads input (ky - 1, kx - 1).
+            let padded = ky == 0 || kx == 0;
+            let (c0, c1) = ((ky * 3 + kx) * 2, (ky * 3 + kx) * 2 + 1);
+            if padded {
+                assert!(got[c0].is_nan(), "padded tap ({ky}, {kx}): {}", got[c0]);
+                assert!(want[c0].is_finite(), "reference skips padded tap ({ky}, {kx})");
+            } else {
+                assert_eq!(got[c0], f32::INFINITY, "in-bounds tap ({ky}, {kx})");
+                assert_eq!(want[c0], f32::INFINITY);
+            }
+            assert_eq!(got[c1].to_bits(), want[c1].to_bits(), "channel 1 tap ({ky}, {kx})");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
