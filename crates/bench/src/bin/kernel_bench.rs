@@ -187,8 +187,7 @@ fn cases() -> Vec<Case> {
 }
 
 /// Fused-elementwise executor: a 10-op f32 chain over 1M elements, timed
-/// unfused (one eager kernel per op, ten passes over memory — what
-/// `Program::eval` does too) and fused-tiled (the compiled tile executor:
+/// unfused (one eager kernel per op, ten passes over memory) and fused-tiled (the compiled tile executor:
 /// one pass over memory in cache-resident tiles). The two must agree
 /// bitwise before anything is timed, and tiled must win by >= 2x. The row
 /// also records the one-time decode+compile cost a fused node pays when it

@@ -371,26 +371,42 @@ fn dead_stores(f: &GraphFunction) -> Vec<bool> {
     dead
 }
 
-fn elementwise_kind(node: &Node) -> Option<()> {
-    if node.outputs.len() != 1 {
-        return None;
-    }
-    let dt = node.outputs[0].0;
-    if dt == DType::Bool {
-        return None;
-    }
-    match node.op {
-        Op::Unary(_) if node.inputs.len() == 1 => Some(()),
-        Op::Binary(_) if node.inputs.len() == 2 => Some(()),
-        _ => None,
-    }
+/// Whether `node` may join a fusion group: a unary or binary map with one
+/// f32 output, the one dtype the tile executor runs.
+fn fusible(node: &Node) -> bool {
+    node.outputs.len() == 1
+        && node.outputs[0].0 == DType::F32
+        && match node.op {
+            Op::Unary(_) => node.inputs.len() == 1,
+            Op::Binary(_) => node.inputs.len() == 2,
+            _ => false,
+        }
+}
+
+/// Whether the tile executor runs the group `members` (ascending node
+/// indices) at every shape the graph admits: each value it reads from
+/// outside the group is f32 and statically a periodic operand of the sink's
+/// output ([`tfe_ops::SymShape::is_periodic_in`]).
+fn tiles_take(f: &GraphFunction, sink: usize, members: &[usize]) -> bool {
+    let out = &f.nodes[sink].outputs[0].1;
+    members.iter().flat_map(|&m| &f.nodes[m].inputs).all(|&input| {
+        members.binary_search(&input.node.0).is_ok() || {
+            let (dtype, shape) = &f.node(input.node).outputs[input.output];
+            *dtype == DType::F32 && shape.is_periodic_in(out)
+        }
+    })
 }
 
 /// Fuse maximal groups of elementwise nodes into `fused_elementwise` nodes.
 ///
-/// A node joins its consumer's group when every consumer is the same group
-/// and the node is not a function output — so each group has a single sink
-/// whose value escapes.
+/// A [`fusible`] node joins its consumer's group when every consumer is the
+/// same group and the node is not a function output — so each group has a
+/// single sink whose value escapes. A group of two or more is fused when
+/// the tiles take it ([`tiles_take`]), decided here from static dtypes and
+/// shapes, once: a group with a `[n, 1]` column, two partial operands, or
+/// an input whose unknown dims could make it either, stays as the ordinary
+/// nodes it was, which run the same `elementwise` kernels. So every fused
+/// node runs on tiles, and nothing else evaluates a fused program.
 ///
 /// Group assignment and emission use ordered (BTree) containers keyed by
 /// node index, so the output node order — and therefore
@@ -399,8 +415,8 @@ fn elementwise_kind(node: &Node) -> Option<()> {
 ///
 /// The one place outside the builder and the deserializer that writes a
 /// node by hand: a fused node stands for nodes that were already checked,
-/// and `fused_elementwise` has no inference to run. It takes its sink's
-/// place, and the [`replay`] that drops the other members rewires it.
+/// and its output is its sink's. It takes the sink's place, and the
+/// [`replay`] that drops the other members rewires it.
 fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFunction {
     let consumers = f.consumers();
     let output_set: HashSet<TensorRef> = f.outputs.iter().copied().collect();
@@ -409,7 +425,7 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
     let mut group: Vec<Option<usize>> = vec![None; n];
     for i in (0..n).rev() {
         let node = &f.nodes[i];
-        if elementwise_kind(node).is_none() {
+        if !fusible(node) {
             continue;
         }
         let out_ref = TensorRef::first(NodeId(i));
@@ -436,9 +452,9 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
             members.entry(*g).or_default().push(i);
         }
     }
-    // Only fuse groups with >= 2 members.
+    // Fuse the groups of two or more that the tiles take.
     let fuse_groups: BTreeMap<usize, Vec<usize>> =
-        members.into_iter().filter(|(_, m)| m.len() >= 2).collect();
+        members.into_iter().filter(|(sink, m)| m.len() >= 2 && tiles_take(&f, *sink, m)).collect();
     if fuse_groups.is_empty() {
         return f;
     }
@@ -481,7 +497,7 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
         f.nodes[sink] = Node {
             op: Op::FusedElementwise,
             inputs,
-            attrs: Attrs::new().with("program", program).with("out_dtype", outputs[0].0),
+            attrs: Attrs::new().with("program", program),
             outputs,
             stateful: false,
             control_inputs: Vec::new(),
@@ -701,7 +717,10 @@ mod tests {
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].inputs.len(), 2);
         let program = fused[0].attrs.handle::<CompiledProgram>("program").unwrap();
-        assert_eq!(fused[0].attrs.label("program").unwrap(), program.program().encode());
+        assert_eq!(
+            fused[0].attrs.label("program").unwrap(),
+            "in:0;in:1;b:add:0:1;u:relu:2;u:exp:3|4"
+        );
         assert_eq!(program.op_count(), 3);
         // Executable count dropped from 3 to 1.
         assert_eq!(g.executable_node_count(), 1);
@@ -750,6 +769,46 @@ mod tests {
         let c = TensorData::from_vec(vec![1.0f32, 1.0, 1.0, 1.0], Shape::from([4])).unwrap();
         let r = program.eval(&[&a, &c]).unwrap();
         assert_eq!(r.to_f64_vec(), vec![4.0, 9.0, 16.0, 0.0]);
+    }
+
+    /// `-(x * w + w)` over inputs of `dtype` and the given shapes, with
+    /// fusion alone, and what fusion did.
+    fn fuse_dense_chain(dtype: DType, x: SymShape, w: SymShape) -> (GraphFunction, u64) {
+        let mut b = GraphBuilder::new("f");
+        let x = b.placeholder(dtype, x).unwrap();
+        let w = b.placeholder(dtype, w).unwrap();
+        let m = b.add_node("mul", vec![x, w], Attrs::new()).unwrap()[0];
+        let s = b.add_node("add", vec![m, w], Attrs::new()).unwrap()[0];
+        let t = b.add_node("neg", vec![s], Attrs::new()).unwrap()[0];
+        let f = b.finish(vec![t], 0);
+        let (g, stats) = optimize_with_stats(&f, &OptimizeOptions::only("fuse_elementwise"), None);
+        (g, stats.rewrites_for("fuse_elementwise"))
+    }
+
+    #[test]
+    fn fusion_refuses_what_the_tiles_do_not_run() {
+        let batch = SymShape::new(vec![None, Some(4)]);
+        // Not f32: the chain stays three nodes.
+        for dtype in [DType::F64, DType::I64] {
+            let (g, fused) = fuse_dense_chain(dtype, known(&[8, 4]), known(&[8, 4]));
+            assert_eq!((fused, g.executable_node_count()), (0, 3), "{dtype:?}\n{}", g.dump());
+        }
+        // A `[n, 1]` column, known or not, and an operand whose unknown dim
+        // is not its first: the group is refused whole.
+        for (x, w) in [
+            (known(&[8, 4]), known(&[8, 1])),
+            (batch.clone(), SymShape::new(vec![None, Some(1)])),
+            (known(&[8, 4]), SymShape::new(vec![Some(8), None])),
+        ] {
+            let (g, fused) = fuse_dense_chain(DType::F32, x.clone(), w.clone());
+            assert_eq!((fused, g.executable_node_count()), (0, 3), "{x} with {w}\n{}", g.dump());
+        }
+        // A dynamic batch with a `[D]` bias, and a scalar, fuse into one node.
+        for w in [known(&[4]), SymShape::scalar()] {
+            let (g, fused) = fuse_dense_chain(DType::F32, batch.clone(), w.clone());
+            assert_eq!((fused, g.executable_node_count()), (1, 1), "{w}\n{}", g.dump());
+            assert_eq!(g.output_sigs(), vec![(DType::F32, batch.clone())]);
+        }
     }
 
     #[test]

@@ -328,10 +328,17 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 Ok(vec![(ctx.attrs.dtype("dtype")?, ctx.shape(0)?.clone())])
             }))
         }
-        // The fused elementwise kernel produced by the XLA-style fusion pass.
+        // The fused elementwise kernel produced by the XLA-style fusion pass:
+        // f32 in, f32 out, the one dtype its tiles run.
         Op::FusedElementwise => {
             def!(OpDef::new(Arity::AtLeast(1), |ctx| {
-                Ok(vec![(ctx.attrs.dtype("out_dtype")?, broadcast_all(ctx)?)])
+                if let Some(&got) = ctx.dtypes.iter().find(|&&dt| dt != DType::F32) {
+                    return Err(OpError::Shape(TensorError::DTypeMismatch {
+                        expected: "f32".to_string(),
+                        got,
+                    }));
+                }
+                Ok(vec![(DType::F32, broadcast_all(ctx)?)])
             })
             .with_work(|ctx, outputs| {
                 // One pass over memory for the whole fused program, but all the

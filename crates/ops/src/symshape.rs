@@ -125,6 +125,26 @@ impl SymShape {
         }
         Ok(SymShape(out))
     }
+
+    /// Whether every run-time instance of this shape is a periodic operand
+    /// ([`Shape::is_periodic_in`]) of every instance of `out` it broadcasts
+    /// into: the tile executor's rule, decided before the dims are known.
+    ///
+    /// Known leading 1s are stripped and the remaining axes align with
+    /// `out` from the right. A known dim must equal a known `out` dim, and
+    /// must not be 1 against an unknown one (that is a `[n, 1]` column
+    /// whenever `n` turns out larger than 1). Only the first remaining axis
+    /// may be unknown: at run time it is then a leading 1 or `out`'s own dim.
+    pub fn is_periodic_in(&self, out: &SymShape) -> bool {
+        let lead = self.0.iter().take_while(|&&d| d == Some(1)).count();
+        let tail = &self.0[lead..];
+        tail.len() <= out.rank()
+            && tail.iter().rev().zip(out.0.iter().rev()).enumerate().all(|(i, pair)| match pair {
+                (Some(d), Some(o)) => d == o,
+                (Some(d), None) => *d != 1,
+                (None, _) => i + 1 == tail.len(),
+            })
+    }
 }
 
 impl fmt::Display for SymShape {
@@ -240,6 +260,75 @@ mod tests {
                 (s, c) => panic!("disagreement: {s:?} vs {c:?}"),
             }
         });
+    }
+
+    #[test]
+    fn periodic_in_by_static_rule() {
+        let sym = |dims: &[Option<usize>]| SymShape::new(dims.to_vec());
+        let batch = sym(&[None, Some(4)]);
+        // A bias, a `[1, k]` row, a scalar and the output itself qualify.
+        for input in [sym(&[Some(4)]), sym(&[Some(1), Some(4)]), SymShape::scalar(), batch.clone()]
+        {
+            assert!(input.is_periodic_in(&batch), "{input} in {batch}");
+        }
+        // A column, a wrong bias, a second unknown axis, a higher rank do not.
+        for input in [
+            sym(&[None, Some(1)]),
+            sym(&[Some(3)]),
+            sym(&[None, None]),
+            sym(&[Some(2), None, Some(4)]),
+        ] {
+            assert!(!input.is_periodic_in(&batch), "{input} in {batch}");
+        }
+        // A known 1 against an unknown output dim may be a column.
+        assert!(!sym(&[Some(5), Some(1)]).is_periodic_in(&sym(&[Some(5), None])));
+        assert!(sym(&[Some(5), Some(1)]).is_periodic_in(&sym(&[Some(5), Some(1)])));
+    }
+
+    /// The static rule never promises what a run-time instance breaks: for
+    /// random symbolic pairs and concrete instances that broadcast,
+    /// `SymShape::is_periodic_in` implies `Shape::is_periodic_in`. The input
+    /// is drawn against the output's trailing axes (its dim, unknown, 1 or
+    /// any), so columns and unknown axes meet known and unknown dims often.
+    #[test]
+    fn static_periodic_implies_every_instance_periodic() {
+        let dim = |rng: &mut Rng| match rng.range(0u32..4) {
+            0 => None,
+            k => Some(k as usize - 1),
+        };
+        let instance = |rng: &mut Rng, s: &SymShape| {
+            let dims = s.dims().iter().map(|d| d.unwrap_or_else(|| rng.range(0usize..3)));
+            Shape::new(dims.collect::<Vec<_>>())
+        };
+        let (mut promised, mut columns) = (0, 0);
+        each_seed(2048, |rng| {
+            let out =
+                SymShape::new((0..rng.range(0usize..4)).map(|_| dim(rng)).collect::<Vec<_>>());
+            let axes = rng.range(0..=out.rank());
+            let input = SymShape::new(
+                out.dims()[out.rank() - axes..]
+                    .iter()
+                    .map(|&o| match rng.range(0u32..4) {
+                        0 => o,
+                        1 => None,
+                        2 => Some(1),
+                        _ => dim(rng),
+                    })
+                    .collect::<Vec<_>>(),
+            );
+            if !input.is_periodic_in(&out) {
+                return;
+            }
+            for _ in 0..8 {
+                let (i, o) = (instance(rng, &input), instance(rng, &out));
+                if tfe_tensor::broadcast_shapes(&i, &o).is_ok_and(|b| b == o) {
+                    assert!(i.is_periodic_in(&o), "{input} in {out} promised, {i} in {o} is not");
+                    promised += 1;
+                    columns += usize::from(i.dims().last().is_some_and(|&d| d == 1));
+                }
+            }
+        });
+        assert!(promised > 1000 && columns > 100, "{promised} instances, {columns} columns");
     }
 
     #[test]

@@ -56,6 +56,16 @@ if grep -rnE 'HashMap<String, *Arc<ConcreteFunction>>' crates/core/src; then exi
 lifetime_gone='library\(\)|FunctionLibrary|COMPILED|retain_in_trace|keep_alive|register_host_fn|HostFnHandle|\bOwner\b|__loaded'
 if grep -rnE "${lifetime_gone}" crates src tests examples; then exit 1; fi
 
+# One-evaluator gate: the fusion pass fuses only what the tile executor
+# takes, and the tiles are the only library code that evaluates a fused
+# program (DESIGN.md §14). The per-instruction fallback beside them, its
+# counter and the fused node's output-dtype attribute (f32 is the only one)
+# must not come back; per-instruction evaluation is a test reference under
+# tests/common. `out_dtypes` of call nodes is another attribute.
+echo "==> one fused evaluator: no fallback, no out_dtype, no Program::eval in crates/ or src/"
+if grep -rnE 'tfe_fused_fallback_evals_total|"out_dtype"|program\(\)\.eval|\bProgram::eval' \
+    crates src; then exit 1; fi
+
 # Copy-kernel gate: the data-movement kernels move typed runs through one
 # helper (`copy_runs`); an element that goes out through `f64` and back
 # loses an i64 beyond 2^53 and quiets a signalling NaN.
@@ -200,9 +210,10 @@ cargo test --release -q --test differential --test pass_pipeline -- --test-threa
 
 # Fused-executor gate: the compiled tile executor must stay bitwise
 # against per-instruction evaluation (every op variant, random chains,
-# periodic operands, several thread counts, generic fallback, malformed
-# program text rejected) with release codegen — the lane kernels only
-# vectorize there. Then its random chains again at 1500 cases, which reach
+# periodic operands, several thread counts), refuse the inputs it does not
+# take with a typed error (locally and from a dist worker) while their
+# groups stay unfused and bitwise eager, and reject malformed program text,
+# with release codegen — the lane kernels only vectorize there. Then its random chains again at 1500 cases, which reach
 # NaN inputs of `erf` and `softplus` (each returns a NaN unchanged).
 echo "==> fused executor differential (release)"
 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"

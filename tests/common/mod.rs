@@ -9,7 +9,7 @@
 //!
 //! | corpus | cases | modes |
 //! |---|---|---|
-//! | stateless ([`generate`]) | 120 | parallel, eager, staged, saved, dist in-process and TCP |
+//! | stateless ([`generate`]; f32 on even seeds, f64 on odd) | 120 | parallel, eager, staged, saved, dist in-process and TCP |
 //! | algebraic ([`generate_algebraic`], signed zeros) | 60 | parallel, eager, staged, saved |
 //! | stateful ([`generate_stateful`]), outputs and variables | 40 | parallel, eager |
 //! | dead-store ([`generate_dead_store`]), outputs and variables | 40 | parallel, eager |
@@ -41,10 +41,12 @@
 pub mod oracle;
 
 use std::sync::Arc;
+use tf_eager::graph::program::{Instr, Program};
 use tf_eager::graph::{GraphBuilder, GraphFunction, Node, NodeId, TensorRef};
 use tfe_ops::{Attrs, Handle, SymShape};
+use tfe_tensor::elementwise::{binary, unary};
 use tfe_tensor::rng::Rng;
-use tfe_tensor::{DType, Shape, TensorData};
+use tfe_tensor::{DType, Shape, TensorData, TensorError};
 
 /// Corpus size: `TFE_FUZZ_CASES` when set (one knob for CI smoke runs vs.
 /// overnight soaks), otherwise the suite's default. Anything but a positive
@@ -89,6 +91,34 @@ pub fn known(dims: &[usize]) -> SymShape {
     SymShape::known(&Shape::new(dims.to_vec()))
 }
 
+/// A scalar constant of `dtype`.
+fn scalar(dtype: DType, value: f64) -> Arc<TensorData> {
+    Arc::new(TensorData::fill_f64(dtype, Shape::scalar(), value))
+}
+
+/// The per-instruction reference for fused programs: one whole-tensor
+/// `elementwise` call per instruction, exactly what the unfused graph
+/// nodes run, over every shape and dtype those kernels take. The tile
+/// executor (`CompiledProgram::eval`) is tested against it.
+pub fn per_instruction(
+    program: &Program,
+    inputs: &[&TensorData],
+) -> tfe_tensor::Result<TensorData> {
+    let mut regs: Vec<TensorData> = Vec::with_capacity(program.instrs.len());
+    for instr in &program.instrs {
+        let value = match *instr {
+            Instr::Input(k) => (*inputs.get(k).ok_or_else(|| {
+                TensorError::InvalidArgument(format!("fused program input {k} missing"))
+            })?)
+            .clone(),
+            Instr::Unary(op, a) => unary(&regs[a], op)?,
+            Instr::Binary(op, a, b) => binary(&regs[a], &regs[b], op)?,
+        };
+        regs.push(value);
+    }
+    Ok(regs.swap_remove(program.output))
+}
+
 /// One value available to the generator: its graph reference plus its
 /// concrete shape.
 #[derive(Clone)]
@@ -100,28 +130,28 @@ pub struct Avail {
 pub const UNARY: &[&str] = &["tanh", "sigmoid", "relu", "neg", "sin", "cos"];
 pub const BINARY: &[&str] = &["add", "sub", "mul", "maximum", "minimum"];
 
-/// A tiny callee for `dims`, as the handle a `call` node holds, and its
-/// output signature. The body (`tanh(a) * 2 + 0.5`) keeps values bounded so
-/// towers of nested calls stay well-conditioned.
-pub fn inner_callee(tag: &str, dims: &[usize]) -> (Handle, (String, String)) {
+/// A tiny callee for `dims` of `dtype`, as the handle a `call` node holds,
+/// and its output signature. The body (`tanh(a) * 2 + 0.5`) keeps values
+/// bounded so towers of nested calls stay well-conditioned.
+pub fn inner_callee(tag: &str, dims: &[usize], dtype: DType) -> (Handle, (String, String)) {
     let mut b = GraphBuilder::new(&format!("diff_inner_{tag}"));
-    let a = b.placeholder(DType::F64, known(dims)).unwrap();
+    let a = b.placeholder(dtype, known(dims)).unwrap();
     let t = b.add_node("tanh", vec![a], Attrs::new()).unwrap()[0];
-    let two = b.constant(Arc::new(TensorData::scalar(2.0f64))).unwrap();
+    let two = b.constant(scalar(dtype, 2.0)).unwrap();
     let m = b.add_node("mul", vec![t, two], Attrs::new()).unwrap()[0];
-    let half = b.constant(Arc::new(TensorData::scalar(0.5f64))).unwrap();
+    let half = b.constant(scalar(dtype, 0.5)).unwrap();
     let s = b.add_node("add", vec![m, half], Attrs::new()).unwrap()[0];
     let f = b.finish(vec![s], 0);
     let sig = tfe_ops::catalog::encode_sig(&f.output_sigs());
     (Arc::new(f).handle(), sig)
 }
 
-/// Then/else branches for `dims` (relu vs neg), as handles, plus the shared
-/// output signature.
-pub fn branch_pair(tag: &str, dims: &[usize]) -> (Handle, Handle, (String, String)) {
+/// Then/else branches for `dims` of `dtype` (relu vs neg), as handles, plus
+/// the shared output signature.
+pub fn branch_pair(tag: &str, dims: &[usize], dtype: DType) -> (Handle, Handle, (String, String)) {
     let mk = |name: String, op: &str| {
         let mut b = GraphBuilder::new(&name);
-        let a = b.placeholder(DType::F64, known(dims)).unwrap();
+        let a = b.placeholder(dtype, known(dims)).unwrap();
         let r = b.add_node(op, vec![a], Attrs::new()).unwrap()[0];
         Arc::new(b.finish(vec![r], 0))
     };
@@ -131,40 +161,43 @@ pub fn branch_pair(tag: &str, dims: &[usize]) -> (Handle, Handle, (String, Strin
     (then_fn.handle(), else_fn.handle(), sig)
 }
 
-/// The cond/body pair of a counter loop over `(count, x)` with `x` of
-/// `dims`, as handles: it runs while `count < trips`, and each trip maps `x`
-/// to `sin(x)` (bounded, so towers of loops stay well-conditioned).
-pub fn counter_loop_pair(tag: &str, dims: &[usize], trips: f64) -> (Handle, Handle) {
+/// The cond/body pair of a counter loop over `(count, x)`, both of `dtype`,
+/// with `x` of `dims`, as handles: it runs while `count < trips`, and each
+/// trip maps `x` to `sin(x)` (bounded, so towers of loops stay
+/// well-conditioned).
+pub fn counter_loop_pair(tag: &str, dims: &[usize], dtype: DType, trips: f64) -> (Handle, Handle) {
     let state = |b: &mut GraphBuilder| {
-        let c = b.placeholder(DType::F64, known(&[])).unwrap();
-        (c, b.placeholder(DType::F64, known(dims)).unwrap())
+        let c = b.placeholder(dtype, known(&[])).unwrap();
+        (c, b.placeholder(dtype, known(dims)).unwrap())
     };
     let mut b = GraphBuilder::new(&format!("diff_loop_cond_{tag}"));
     let (c, _x) = state(&mut b);
-    let limit = b.constant(Arc::new(TensorData::scalar(trips))).unwrap();
+    let limit = b.constant(scalar(dtype, trips)).unwrap();
     let go = b.add_node("less", vec![c, limit], Attrs::new()).unwrap()[0];
     let cond_fn = Arc::new(b.finish(vec![go], 0));
 
     let mut b = GraphBuilder::new(&format!("diff_loop_body_{tag}"));
     let (c, x) = state(&mut b);
-    let one = b.constant(Arc::new(TensorData::scalar(1.0f64))).unwrap();
+    let one = b.constant(scalar(dtype, 1.0)).unwrap();
     let next = b.add_node("add", vec![c, one], Attrs::new()).unwrap()[0];
     let y = b.add_node("sin", vec![x], Attrs::new()).unwrap()[0];
     let body_fn = Arc::new(b.finish(vec![next, y], 0));
     (cond_fn.handle(), body_fn.handle())
 }
 
-/// A `while_loop` node over `(0, x)` that makes `trips` trips of the loop
-/// [`counter_loop_pair`] builds; returns the loop's `x` output.
+/// A `while_loop` node over `(0, x)`, `x` of `dtype`, that makes `trips`
+/// trips of the loop [`counter_loop_pair`] builds; returns the loop's `x`
+/// output.
 pub fn counter_loop(
     b: &mut GraphBuilder,
     tag: &str,
     x: &Avail,
+    dtype: DType,
     trips: f64,
     attrs: Attrs,
 ) -> TensorRef {
-    let (cond_fn, body_fn) = counter_loop_pair(tag, &x.dims, trips);
-    let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
+    let (cond_fn, body_fn) = counter_loop_pair(tag, &x.dims, dtype, trips);
+    let zero = b.constant(scalar(dtype, 0.0)).unwrap();
     let attrs = attrs.with("cond_fn", cond_fn).with("body_fn", body_fn);
     b.add_node("while_loop", vec![zero, x.tref], attrs).unwrap()[1]
 }
@@ -197,23 +230,42 @@ pub fn without_host_fns(graph: &GraphFunction) -> GraphFunction {
     twin
 }
 
-/// Generate one random graph: a handful of F64 placeholders, then a
-/// seeded walk over op kinds (every structural op among them), always
-/// returning the most recent value plus one random survivor.
-pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
+/// The dtype of [`generate`]'s case `seed`: f32 on even seeds, whose fused
+/// groups run on tiles, f64 on odd ones, which fusion leaves unfused.
+pub fn case_dtype(seed: u64) -> DType {
+    if seed.is_multiple_of(2) {
+        DType::F32
+    } else {
+        DType::F64
+    }
+}
+
+/// Generate one random graph: a handful of placeholders of
+/// [`case_dtype`], then a seeded walk over op kinds (every structural op
+/// among them), always returning the most recent value plus one random
+/// survivor. Binary ops broadcast: a mate has the same shape, or is a
+/// scalar, a trailing-suffix bias (`[k]` against `[n, k]`) or a `[n, 1]`
+/// column, which a reduction with kept dims makes and subtracts from the
+/// matrix it came from before a unary op.
+pub fn generate(seed: u64) -> GraphFunction {
     let mut rng = Rng::seed_from_u64(seed * 7919 + 13);
+    // Which value an op takes, which side a binary op's mate goes on and
+    // whether a reduction keeps its axis come from a stream of their own,
+    // so the walk over op kinds does not depend on them.
+    let mut sides = Rng::seed_from_u64(seed ^ 0x51de);
+    let dtype = case_dtype(seed);
     let mut b = GraphBuilder::new(&format!("diff_case_{seed}"));
-    let input_shapes: Vec<Vec<usize>> = vec![vec![2, 3], vec![3, 2], vec![4], vec![]];
     let mut pool: Vec<Avail> = Vec::new();
-    for dims in &input_shapes {
-        let t = b.placeholder(DType::F64, known(dims)).unwrap();
-        pool.push(Avail { tref: t, dims: dims.clone() });
+    for dims in [vec![2, 3], vec![3, 2], vec![4], vec![]] {
+        let t = b.placeholder(dtype, known(&dims)).unwrap();
+        pool.push(Avail { tref: t, dims });
     }
     let steps = rng.range(4usize..14);
     for step in 0..steps {
         let kind = rng.range(0u32..13);
+        // Half the time the latest value, so elementwise chains form.
         let pick = rng.range(0usize..pool.len());
-        let a = pool[pick].clone();
+        let a = pool[if sides.bool(0.5) { pool.len() - 1 } else { pick }].clone();
         match kind {
             // Elementwise unary (weighted: the bread and butter).
             0..=2 => {
@@ -221,13 +273,21 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 let t = b.add_node(op, vec![a.tref], Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
-            // Elementwise binary over same-shaped (or scalar) operands.
+            // Elementwise binary over a mate that broadcasts to `a`'s shape,
+            // on either side.
             3..=4 => {
-                let mates: Vec<&Avail> =
-                    pool.iter().filter(|c| c.dims == a.dims || c.dims.is_empty()).collect();
+                let into_a = |c: &&Avail| {
+                    let (c, a) = (Shape::new(c.dims.clone()), Shape::new(a.dims.clone()));
+                    tfe_tensor::broadcast_shapes(&c, &a).is_ok_and(|s| s == a)
+                };
+                let mut mates: Vec<&Avail> = pool.iter().filter(into_a).collect();
+                if mates.iter().any(|c| c.dims != a.dims) && sides.bool(0.5) {
+                    mates.retain(|c| c.dims != a.dims);
+                }
                 let m = mates[rng.range(0usize..mates.len())].clone();
                 let op = BINARY[rng.range(0usize..BINARY.len())];
-                let t = b.add_node(op, vec![a.tref, m.tref], Attrs::new()).unwrap()[0];
+                let ins = if sides.bool(0.5) { vec![a.tref, m.tref] } else { vec![m.tref, a.tref] };
+                let t = b.add_node(op, ins, Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: a.dims });
             }
             // Matmul over compatible rank-2 pairs.
@@ -250,16 +310,29 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
                 let t = b.add_node("matmul", vec![x.tref, y.tref], Attrs::new()).unwrap()[0];
                 pool.push(Avail { tref: t, dims: vec![x.dims[0], y.dims[1]] });
             }
-            // Reduce the last axis away.
+            // Reduce the last axis away, or a matrix's rows to a column.
             6 => {
-                if a.dims.is_empty() {
-                    continue;
-                }
+                let Some((_, kept)) = a.dims.split_last() else { continue };
+                let axes = Attrs::new().with("axes", vec![kept.len() as i64]);
                 let op = if rng.bool(0.5) { "reduce_sum" } else { "reduce_mean" };
-                let axis = (a.dims.len() - 1) as i64;
-                let t =
-                    b.add_node(op, vec![a.tref], Attrs::new().with("axes", vec![axis])).unwrap()[0];
-                pool.push(Avail { tref: t, dims: a.dims[..a.dims.len() - 1].to_vec() });
+                match kept {
+                    // `f(x - sum(x))` or `f(x - mean(x))` over rows: a
+                    // column against the matrix it came from, in a group
+                    // of two that fusion refuses in an f32 case.
+                    [n] if sides.bool(0.5) => {
+                        let attrs = axes.with("keep_dims", true);
+                        let col = b.add_node(op, vec![a.tref], attrs).unwrap()[0];
+                        let d = b.add_node("sub", vec![a.tref, col], Attrs::new()).unwrap()[0];
+                        let f = UNARY[sides.range(0usize..UNARY.len())];
+                        let t = b.add_node(f, vec![d], Attrs::new()).unwrap()[0];
+                        pool.push(Avail { tref: col, dims: vec![*n, 1] });
+                        pool.push(Avail { tref: t, dims: a.dims });
+                    }
+                    _ => {
+                        let t = b.add_node(op, vec![a.tref], axes).unwrap()[0];
+                        pool.push(Avail { tref: t, dims: kept.to_vec() });
+                    }
+                }
             }
             // Split along an even leading axis; both halves join the pool.
             7 => {
@@ -281,7 +354,7 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             }
             // Nested call.
             8 => {
-                let (callee, (d, s)) = inner_callee(&format!("{seed}_{step}"), &a.dims);
+                let (callee, (d, s)) = inner_callee(&format!("{seed}_{step}"), &a.dims, dtype);
                 let t = b
                     .add_node(
                         "call",
@@ -298,9 +371,10 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             9 => {
                 let scalars: Vec<&Avail> = pool.iter().filter(|c| c.dims.is_empty()).collect();
                 let gate = scalars[rng.range(0usize..scalars.len())].tref;
-                let zero = b.constant(Arc::new(TensorData::scalar(0.0f64))).unwrap();
+                let zero = b.constant(scalar(dtype, 0.0)).unwrap();
                 let pred = b.add_node("greater", vec![gate, zero], Attrs::new()).unwrap()[0];
-                let (then_fn, else_fn, (d, s)) = branch_pair(&format!("{seed}_{step}"), &a.dims);
+                let (then_fn, else_fn, (d, s)) =
+                    branch_pair(&format!("{seed}_{step}"), &a.dims, dtype);
                 let t = b
                     .add_node(
                         "cond",
@@ -317,12 +391,13 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
             // Bounded counter loop; its counter output is never read.
             10 => {
                 let trips = rng.range(0u32..4) as f64;
-                let t = counter_loop(&mut b, &format!("{seed}_{step}"), &a, trips, Attrs::new());
+                let tag = format!("{seed}_{step}");
+                let t = counter_loop(&mut b, &tag, &a, dtype, trips, Attrs::new());
                 pool.push(Avail { tref: t, dims: a.dims });
             }
             // Escape to a (pure) host closure.
             11 => {
-                let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, known(&a.dims))]);
+                let (d, s) = tfe_ops::catalog::encode_sig(&[(dtype, known(&a.dims))]);
                 let attrs = Attrs::new()
                     .with("host_fn", pure_host_fn())
                     .with("out_dtypes", d)
@@ -339,23 +414,28 @@ pub fn generate(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
     }
     let last = pool.last().unwrap().clone();
     let extra = pool[rng.range(0usize..pool.len())].clone();
-    let f = b.finish(vec![last.tref, extra.tref], 0);
-    (f, input_shapes)
+    b.finish(vec![last.tref, extra.tref], 0)
 }
 
-pub fn make_args(seed: u64, shapes: &[Vec<usize>]) -> Vec<Arc<TensorData>> {
+/// Uniform values in `[-1, 1]` for every argument of `graph`, of the dtype
+/// and shape its placeholder declares.
+pub fn make_args(seed: u64, graph: &GraphFunction) -> Vec<Arc<TensorData>> {
     let mut rng = tfe_tensor::rng::TensorRng::seed_from_u64(seed ^ 0x5eed);
-    shapes
-        .iter()
-        .map(|dims| Arc::new(rng.uniform(DType::F64, Shape::new(dims.clone()), -1.0, 1.0).unwrap()))
+    graph
+        .arg_sigs()
+        .into_iter()
+        .map(|(dtype, shape)| {
+            let shape = shape.to_shape().expect("corpus placeholders have known shapes");
+            Arc::new(rng.uniform(dtype, shape, -1.0, 1.0).unwrap())
+        })
         .collect()
 }
 
 /// [`make_args`] with a `-0.0` first and a `+0.0` second in every tensor (a
-/// scalar gets one or the other by `seed`): the inputs on which a rewrite
-/// that is right up to the sign of zero shows.
-pub fn make_signed_zero_args(seed: u64, shapes: &[Vec<usize>]) -> Vec<Arc<TensorData>> {
-    make_args(seed, shapes)
+/// scalar gets one or the other by `seed`), each of its own dtype: the
+/// inputs on which a rewrite that is right up to the sign of zero shows.
+pub fn make_signed_zero_args(seed: u64, graph: &GraphFunction) -> Vec<Arc<TensorData>> {
+    make_args(seed, graph)
         .iter()
         .map(|t| {
             let mut v = t.to_f64_vec();
@@ -363,7 +443,7 @@ pub fn make_signed_zero_args(seed: u64, shapes: &[Vec<usize>]) -> Vec<Arc<Tensor
             for (x, z) in v.iter_mut().zip(zeros) {
                 *x = z;
             }
-            Arc::new(TensorData::from_vec(v, t.shape().clone()).unwrap())
+            Arc::new(TensorData::from_vec(v, t.shape().clone()).unwrap().cast(t.dtype()))
         })
         .collect()
 }
@@ -457,14 +537,13 @@ pub fn generate_stateful(seed: u64, var_ids: &[i64]) -> GraphFunction {
 /// chains, double transposes, transposes feeding matmul, and
 /// `shape_of`/`rank_of`/`size_of` over statically-known shapes — all
 /// interleaved with ordinary math so rewrites have live neighborhoods.
-pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
+pub fn generate_algebraic(seed: u64) -> GraphFunction {
     let mut rng = Rng::seed_from_u64(seed * 6151 + 3);
     let mut b = GraphBuilder::new(&format!("alg_case_{seed}"));
-    let input_shapes: Vec<Vec<usize>> = vec![vec![2, 3], vec![3, 3], vec![]];
     let mut pool: Vec<Avail> = Vec::new();
-    for dims in &input_shapes {
-        let t = b.placeholder(DType::F64, known(dims)).unwrap();
-        pool.push(Avail { tref: t, dims: dims.clone() });
+    for dims in [vec![2, 3], vec![3, 3], vec![]] {
+        let t = b.placeholder(DType::F64, known(&dims)).unwrap();
+        pool.push(Avail { tref: t, dims });
     }
     let mut meta: Vec<TensorRef> = Vec::new();
     for _ in 0..rng.range(6usize..18) {
@@ -537,8 +616,7 @@ pub fn generate_algebraic(seed: u64) -> (GraphFunction, Vec<Vec<usize>>) {
     let extra = pool[rng.range(0usize..pool.len())].clone();
     let mut outs = vec![last.tref, extra.tref];
     outs.extend(meta.into_iter().take(2));
-    let f = b.finish(outs, 0);
-    (f, input_shapes)
+    b.finish(outs, 0)
 }
 
 /// A stateful program biased toward dead stores: bursts of back-to-back

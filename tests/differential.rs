@@ -269,7 +269,7 @@ fn limited_loop(tag: &str, trips: f64) -> Case {
     let mut b = GraphBuilder::new(tag);
     let x = Avail { tref: b.placeholder(DType::F64, known(&[4])).unwrap(), dims: vec![4] };
     let limit = Attrs::new().with("max_iterations", 3i64);
-    let out = counter_loop(&mut b, tag, &x, trips, limit);
+    let out = counter_loop(&mut b, tag, &x, DType::F64, trips, limit);
     with_fault_args(b.finish(vec![out], 0))
 }
 

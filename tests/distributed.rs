@@ -171,8 +171,10 @@ fn unknown_op_is_a_remote_fault_and_the_worker_keeps_serving() {
 }
 
 /// A fused op crosses the wire with its program as text, which the worker
-/// compiles: one run remotely gives the bits of the program run locally,
-/// whether the caller holds the compiled program or only its text.
+/// compiles: one run remotely gives the bits of the program evaluated one
+/// instruction at a time locally, whether the caller holds the compiled
+/// program or only its text. An `out_dtype` attribute, which older writers
+/// sent, is ignored.
 #[test]
 fn remote_fused_op_runs_its_program_text() {
     tf_eager::init();
@@ -181,17 +183,20 @@ fn remote_fused_op_runs_its_program_text() {
     let x = api::constant(vec![0.5f32, -1.25, 3.0, -0.0], [4]).unwrap();
     let y = api::constant(vec![2.0f32, 0.75, -0.5, 1.5], [4]).unwrap();
     let (xd, yd) = (x.value().unwrap(), y.value().unwrap());
-    let want = program.eval(&[&xd, &yd]).unwrap();
+    let want = common::per_instruction(&program, &[&xd, &yd]).unwrap();
     let compiled = Programs::default().compiled(program);
     for kind in both_transports() {
         let cluster = start(&ClusterSpec::new().with_job("w", 1).unwrap(), kind);
         let dev = "/job:w/task:0/device:CPU:0";
         let args = [RemoteArg::from(&x), RemoteArg::from(&y)];
-        for held in [AttrValue::Handle(compiled.clone()), AttrValue::Str(text.to_string())] {
-            let attrs = Attrs::new().with("program", held.clone()).with("out_dtype", DType::F32);
-            let out = cluster.execute(dev, "fused_elementwise", &args, attrs).unwrap();
+        for attrs in [
+            Attrs::new().with("program", AttrValue::Handle(compiled.clone())),
+            Attrs::new().with("program", text),
+            Attrs::new().with("program", text).with("out_dtype", DType::F64),
+        ] {
+            let out = cluster.execute(dev, "fused_elementwise", &args, attrs.clone()).unwrap();
             let got = out[0].fetch().unwrap().value().unwrap();
-            assert!(common::same_bits(&got, &want), "{kind:?} {held:?}: {got:?} vs {want:?}");
+            assert!(common::same_bits(&got, &want), "{kind:?} {attrs:?}: {got:?} vs {want:?}");
         }
         cluster.shutdown();
     }

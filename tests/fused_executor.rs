@@ -1,21 +1,27 @@
 //! Differential tests for the compiled fused-elementwise tile executor
-//! (`tfe_graph::program::CompiledProgram`): the tiled path must be
-//! bit-identical to per-instruction evaluation (`Program::eval`) for every
-//! unary/binary op, at every length (odd tails, multi-tile sizes) and at
-//! every intra-op thread count — for same-shape and for periodic operands
-//! (scalars, biases and masks over trailing axes); non-f32, column and
-//! two-partial operands must take the generic fallback and still agree
-//! with direct eager evaluation; and
-//! a malformed program text must be rejected at decode.
+//! (`tfe_graph::program::CompiledProgram`), the one evaluator of a fused
+//! program: the tiled path must be bit-identical to per-instruction
+//! evaluation (`common::per_instruction`, the unfused nodes' kernels) for
+//! every unary/binary op, at every length (odd tails, multi-tile sizes)
+//! and at every intra-op thread count — for same-shape and for periodic
+//! operands (scalars, biases and masks over trailing axes). Non-f32,
+//! column and two-partial operands are a typed error, locally and from a
+//! dist worker; the fusion pass leaves such groups unfused, and they run
+//! bitwise as eager does. A malformed program text is rejected at decode.
 
 mod common;
 
-use common::{fuzz_cases, same_bits};
+use common::oracle::{self, Case, Config, Mode, Runner};
+use common::{count_op, fuzz_cases, known, per_instruction, same_bits};
+use std::sync::Arc;
+use tf_eager::dist::{Cluster, ClusterSpec, DistError, RemoteArg, RpcOptions, TransportKind};
+use tf_eager::graph::GraphBuilder;
+use tf_eager::{Attrs, Tensor};
 use tfe_graph::program::{CompiledProgram, Instr, Program};
 use tfe_parallel::set_intra_threads;
 use tfe_tensor::elementwise::{binary, unary, BinaryOp, UnaryOp};
 use tfe_tensor::rng::each_seed;
-use tfe_tensor::{DType, Shape, TensorData};
+use tfe_tensor::{Shape, TensorData, TensorError};
 
 /// Run `f` under a forced intra-op thread count, restoring it afterwards.
 fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
@@ -51,14 +57,15 @@ fn compiled(text: &str) -> Result<CompiledProgram, String> {
 }
 
 /// Evaluate `text` on `inputs` through the compiled tile executor and
-/// through the per-instruction reference (`Program::eval`, one
-/// `elementwise` call per instruction); both must agree bitwise.
-/// Returns the tiled result for further checks.
+/// through the per-instruction reference (one `elementwise` call per
+/// instruction); both must agree bitwise. Returns the tiled result for
+/// further checks.
 fn tiled_vs_interpreted(text: &str, inputs: &[&TensorData], ctx: &str) -> TensorData {
-    let compiled = compiled(text).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-    let tiled = compiled.eval(inputs).unwrap_or_else(|e| panic!("{ctx} tiled: {e}"));
+    let program = Program::decode(text).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let tiled =
+        program.clone().compile().eval(inputs).unwrap_or_else(|e| panic!("{ctx} tiled: {e}"));
     let reference =
-        compiled.program().eval(inputs).unwrap_or_else(|e| panic!("{ctx} per-instruction: {e}"));
+        per_instruction(&program, inputs).unwrap_or_else(|e| panic!("{ctx} per-instruction: {e}"));
     assert_eq!(bits32(&tiled), bits32(&reference), "{ctx}: tiled vs per-instruction bits");
     tiled
 }
@@ -135,7 +142,7 @@ fn random_chains_tiled_matches_interpreter() {
         let tiled = tiled_vs_interpreted(&text, &refs, &ctx);
         // Decoding the text loses nothing: the generated program itself
         // evaluates to the same bits.
-        let direct = p.eval(&refs).unwrap();
+        let direct = per_instruction(&p, &refs).unwrap();
         assert_eq!(bits32(&tiled), bits32(&direct), "chain {} n={}", text, n);
     });
 }
@@ -190,12 +197,6 @@ fn periodic_operands_tile_and_match_interpreter_bitwise() {
         let inputs =
             [shaped_f32(out, 41), shaped_f32(w, 42), shaped_f32(bias, 43), shaped_f32(scale, 44)];
         let refs: Vec<&TensorData> = inputs.iter().collect();
-        let compiled = compiled(dense).unwrap();
-        assert_eq!(
-            compiled.tile_output_shape(&refs),
-            Some(Shape::from(out)),
-            "{out:?} * {w:?} + {bias:?}, * {scale:?} must tile"
-        );
         let base = with_threads(1, || tiled_vs_interpreted(dense, &refs, &format!("{out:?} t=1")));
         assert_eq!(base.shape().dims(), out);
         for threads in [2usize, 5] {
@@ -210,47 +211,130 @@ fn periodic_operands_tile_and_match_interpreter_bitwise() {
     // evaluated per instruction) is computed at full length on tiles.
     let small_reg = "in:0;u:tanh:0;in:1;b:mul:1:2|3";
     let (bias, x) = (shaped_f32(&[9], 51), shaped_f32(&[300, 9], 52));
-    assert!(compiled(small_reg).unwrap().tile_output_shape(&[&bias, &x]).is_some());
-    tiled_vs_interpreted(small_reg, &[&bias, &x], "tanh(bias) * x");
+    let tiled = tiled_vs_interpreted(small_reg, &[&bias, &x], "tanh(bias) * x");
+    assert_eq!(tiled.shape().dims(), &[300, 9]);
 }
 
-/// Non-f32 dtypes, a `[n, 1]` column operand, and two partial operands
-/// that only together span the output don't qualify for the tile executor:
-/// `CompiledProgram::eval` must fall back to the generic per-instruction
-/// path and still match direct eager evaluation (broadcast included).
+/// A scalar operand tiles. A column against a row is two partial
+/// operands: the per-instruction reference would broadcast them, the tiles
+/// refuse them, typed (the fusion pass never builds such a node).
 #[test]
-fn mixed_dtype_and_shape_take_generic_fallback() {
-    let text = "in:0;in:1;b:add:0:1;u:tanh:2|3";
-    let compiled = compiled(text).unwrap();
+fn compiled_scalar_operand_tiles_and_column_is_refused() {
+    let text = "in:0;in:1;b:mul:0:1|2";
+    let a = TensorData::from_vec(vec![1.0f32, 2.0], Shape::from([2, 1])).unwrap();
+    let b = TensorData::scalar(10.0f32);
+    let r = tiled_vs_interpreted(text, &[&a, &b], "column * scalar");
+    assert_eq!(r.shape().dims(), &[2, 1]);
+    assert_eq!(r.to_f64_vec(), vec![10.0, 20.0]);
+    let row = TensorData::from_vec(vec![1.0f32, 2.0, 3.0], Shape::from([3])).unwrap();
+    match compiled(text).unwrap().eval(&[&a, &row]) {
+        Err(TensorError::InvalidArgument(e)) => assert!(e.contains("periodic"), "{e}"),
+        other => panic!("want a typed refusal, got {other:?}"),
+    }
+}
 
-    // f64 operands: exact same arithmetic as the eager kernels.
-    let a64 = TensorData::from_vec(
-        (0..100).map(|i| i as f64 * 0.25 - 12.0).collect(),
-        Shape::from([100]),
-    )
-    .unwrap();
-    let b64 = TensorData::from_vec(
-        (0..100).map(|i| 3.0 - i as f64 * 0.125).collect(),
-        Shape::from([100]),
-    )
-    .unwrap();
-    assert_eq!(compiled.tile_output_shape(&[&a64, &b64]), None);
-    let got = compiled.eval(&[&a64, &b64]).unwrap();
-    assert_eq!(got.dtype(), DType::F64);
-    let want = unary(&binary(&a64, &b64, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
-    assert!(same_bits(&want, &got), "f64 fallback must match eager exactly");
+/// The inputs the output register depends on decide the output shape: in
+/// `in:0;in:1;u:neg:0;b:add:0:1|2` input 1 feeds only a dead instruction,
+/// so the output is input 0's shape, and a dead input larger than that is
+/// not a periodic operand of it.
+#[test]
+fn live_inputs_decide_the_output_shape() {
+    let text = "in:0;in:1;u:neg:0;b:add:0:1|2";
+    let small = tensor_f32(3, 61);
+    let big = shaped_f32(&[2, 3], 62);
+    let r = tiled_vs_interpreted(text, &[&small, &small], "dead input of the same shape");
+    assert_eq!(r.shape().dims(), &[3]);
+    assert!(matches!(
+        compiled(text).unwrap().eval(&[&small, &big]),
+        Err(TensorError::InvalidArgument(_))
+    ));
+}
 
-    // Two partial operands, and a column against the full shape: the
-    // broadcast goes through the generic path.
+/// `tanh(a + b)`: the program of the refusal tests.
+const ADD_TANH: &str = "in:0;in:1;b:add:0:1;u:tanh:2|3";
+
+/// Operand pairs the tiles do not take, each with the eager value of
+/// `tanh(a + b)`: f64 operands, two partial operands, and a `[n, 1]`
+/// column against the full shape on either side.
+fn refused_operands() -> Vec<([TensorData; 2], TensorData)> {
+    let f64s = |f: fn(f64) -> f64| {
+        TensorData::from_vec(
+            (0..100).map(|i| f(i as f64)).collect::<Vec<f64>>(),
+            Shape::from([100]),
+        )
+        .unwrap()
+    };
+    let (a64, b64) = (f64s(|i| i * 0.25 - 12.0), f64s(|i| 3.0 - i * 0.125));
     let col = shaped_f32(&[6, 1], 31);
     let row = shaped_f32(&[1, 5], 32);
     let full = shaped_f32(&[6, 5], 33);
-    for (a, b) in [(&col, &row), (&col, &full), (&full, &col)] {
-        assert_eq!(compiled.tile_output_shape(&[a, b]), None, "{:?} + {:?}", a.shape(), b.shape());
-        let got = compiled.eval(&[a, b]).unwrap();
-        assert_eq!(got.shape().dims(), &[6, 5]);
-        let want = unary(&binary(a, b, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
-        assert_eq!(bits32(&want), bits32(&got), "broadcast fallback must match eager bitwise");
+    [[a64, b64], [col.clone(), row], [col.clone(), full.clone()], [full, col]]
+        .into_iter()
+        .map(|[a, b]| {
+            let want = unary(&binary(&a, &b, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
+            ([a, b], want)
+        })
+        .collect()
+}
+
+/// Inputs the tiles do not take are a typed error from
+/// `CompiledProgram::eval`, and from a dist worker handed the fused op as
+/// bytes a `RemoteFault` — never a panic, never another evaluator's answer.
+#[test]
+fn inputs_the_tiles_refuse_are_typed_errors_locally_and_remotely() {
+    tf_eager::init();
+    let compiled = compiled(ADD_TANH).unwrap();
+    let cases = refused_operands();
+    for ([a, b], _) in &cases {
+        let ctx = format!("{:?} {} + {:?} {}", a.dtype(), a.shape(), b.dtype(), b.shape());
+        match compiled.eval(&[a, b]) {
+            Err(TensorError::InvalidArgument(e)) => assert!(e.contains("fused program"), "{e}"),
+            other => panic!("{ctx}: want a typed refusal, got {other:?}"),
+        }
+    }
+    let spec = ClusterSpec::new().with_job("w", 1).unwrap();
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let cluster = Cluster::start_with(&spec, kind, RpcOptions::default()).expect("starts");
+        let dev = "/job:w/task:0/device:CPU:0";
+        for ([a, b], _) in &cases {
+            let args = [a, b].map(|t| RemoteArg::from(&Tensor::from_data(t.clone())));
+            let attrs = Attrs::new().with("program", ADD_TANH);
+            match cluster.execute(dev, "fused_elementwise", &args, attrs) {
+                Err(DistError::RemoteFault { detail, .. }) => {
+                    assert!(detail.contains("fused program"), "{kind:?}: {detail}");
+                }
+                other => panic!("{kind:?}: want a remote fault, got {:?}", other.map(|_| ())),
+            }
+        }
+        cluster.shutdown();
+    }
+}
+
+/// The same operands as graph arguments: the default pipeline leaves the
+/// `add -> tanh` group unfused, and the optimized graph, run by the serial
+/// planner and replayed eagerly, is bitwise the eager kernels.
+#[test]
+fn groups_the_tiles_refuse_stay_unfused_and_match_eager_bitwise() {
+    tf_eager::init();
+    for ([a, b], want) in refused_operands() {
+        let mut g = GraphBuilder::new("refused_add_tanh");
+        let x = g.placeholder(a.dtype(), known(a.shape().dims())).unwrap();
+        let y = g.placeholder(b.dtype(), known(b.shape().dims())).unwrap();
+        let s = g.add_node("add", vec![x, y], Attrs::new()).unwrap()[0];
+        let t = g.add_node("tanh", vec![s], Attrs::new()).unwrap()[0];
+        let ctx = format!("{:?} {} + {}", a.dtype(), a.shape(), b.shape());
+        let case = Case {
+            graph: g.finish(vec![t], 0),
+            args: vec![Arc::new(a), Arc::new(b)],
+            variables: Vec::new(),
+        };
+        let fused = oracle::optimize(&case.graph, Config::Fused).unwrap();
+        assert_eq!(count_op(&fused.graph, "fused_elementwise"), 0, "{ctx}\n{}", fused.graph.dump());
+        assert_eq!(fused.stats.rewrites_for("fuse_elementwise"), 0, "{ctx}");
+        for runner in [Runner::Serial, Runner::Eager] {
+            let got = oracle::run(&case, Mode::Optimized(Config::Fused, runner)).unwrap();
+            assert!(same_bits(&got.outputs[0], &want), "{ctx} {runner:?}");
+        }
     }
 }
 

@@ -14,7 +14,8 @@ mod common;
 use common::oracle::{check_corpus, evaluator, optimized, Config, Corpus, Mode};
 use common::{count_op, fuzz_cases, tensor_bits};
 use tf_eager::graph::passes::{self, OptimizeOptions, PASS_NAMES};
-use tf_eager::ExecMode;
+use tf_eager::graph::{GraphFunction, Node, NodeId, TensorRef};
+use tf_eager::{metrics, DType, ExecMode, Op};
 use tfe_runtime::executor;
 use tfe_tensor::TensorData;
 
@@ -34,15 +35,42 @@ fn all_pass_configs_agree_on_random_graphs() {
 /// The default pipeline, which lowers elementwise islands into fused
 /// kernels, and the same pipeline without the lowering: both bit for bit
 /// with the raw graph in all three runners, so the fused kernel's tile
-/// executor agrees with the op-by-op nodes it replaced. Fusion must fire.
+/// executor agrees with the op-by-op nodes it replaced. Over the corpus
+/// (half of it f32) fusion must fire, fused kernels must run on tiles, and
+/// fusion must refuse a group the tiles would not take (a `[n, 1]` column),
+/// whose nodes then run one by one.
 #[test]
 fn fused_and_unfused_graphs_agree_bitwise() {
-    let mut fused = 0;
+    let tiled = || metrics::snapshot().counter_value("tfe_fused_tiled_evals_total").unwrap_or(0);
+    let tiled_before = tiled();
+    let (mut fused, mut refused) = (0, 0);
     let pipeline = |m: &Mode| matches!(m, Mode::Optimized(Config::Fixpoint | Config::Fused, _));
     check_corpus(Corpus::Stateless, pipeline, |_, report| {
-        fused += optimized(report, Config::Fused).stats.rewrites_for("fuse_elementwise");
+        let optimization = optimized(report, Config::Fused);
+        fused += optimization.stats.rewrites_for("fuse_elementwise");
+        refused += refused_members(&optimization.graph);
     });
     assert!(fused > 0, "corpus never produced a fused kernel");
+    assert!(tiled() > tiled_before, "no fused kernel ran on tiles");
+    assert!(refused > 0, "corpus never made a group that fusion refuses");
+}
+
+/// The f32 unary and binary nodes of a fused graph whose one consumer is
+/// another: members of a group that fusion refused, since it fuses every
+/// other such pair.
+fn refused_members(g: &GraphFunction) -> usize {
+    let consumers = g.consumers();
+    let fusible =
+        |n: &Node| matches!(n.op, Op::Unary(_) | Op::Binary(_)) && n.outputs[0].0 == DType::F32;
+    (0..g.nodes.len())
+        .map(|i| TensorRef::first(NodeId(i)))
+        .filter(|&out| fusible(g.node(out.node)) && !g.outputs.contains(&out))
+        .filter(|out| {
+            consumers
+                .get(out)
+                .is_some_and(|cs| cs.iter().all(|&(c, _)| c == cs[0].0) && fusible(g.node(cs[0].0)))
+        })
+        .count()
 }
 
 /// Stateful corpus: every config preserves outputs *and* final variable
@@ -268,7 +296,7 @@ fn barriers_block_redundant_load_elimination() {
 fn single_passes_are_idempotent() {
     tf_eager::init();
     for seed in 0..fuzz_cases(30) {
-        let graphs = [common::generate(seed).0, common::generate_algebraic(seed).0];
+        let graphs = [common::generate(seed), common::generate_algebraic(seed)];
         for f in &graphs {
             for pass in PASS_NAMES {
                 let opts = OptimizeOptions::only(pass);
@@ -293,7 +321,7 @@ fn single_passes_are_idempotent() {
 fn optimizing_twice_changes_nothing() {
     tf_eager::init();
     for seed in 0..fuzz_cases(30) {
-        let graphs = [common::generate(seed).0, common::generate_algebraic(seed).0];
+        let graphs = [common::generate(seed), common::generate_algebraic(seed)];
         for f in &graphs {
             for opts in [Config::Fixpoint.options(), OptimizeOptions::default()] {
                 let once = passes::optimize(f, &opts, Some(&evaluator));
@@ -318,7 +346,7 @@ fn optimizing_twice_changes_nothing() {
 fn optimized_hashes_are_reproducible() {
     tf_eager::init();
     for seed in 0..fuzz_cases(20) {
-        let (f, _) = common::generate(seed);
+        let f = common::generate(seed);
         let base =
             passes::optimize(&f, &OptimizeOptions::default(), Some(&evaluator)).structural_hash();
         for round in 0..4 {
@@ -335,7 +363,7 @@ fn optimized_hashes_are_reproducible() {
 #[test]
 fn shrinker_truncates_to_failing_prefix() {
     tf_eager::init();
-    let (f, _) = common::generate(7);
+    let f = common::generate(7);
     // "Failure" = the graph still contains its first non-placeholder node.
     let marker = f
         .nodes

@@ -207,6 +207,36 @@ fn importer_typed_errors() {
     assert!(matches!(saved::import_from_value(&m), Err(SavedError::CaptureArity { got: 0, .. })));
 }
 
+/// A fused node carries its program as text, compiled when the bundle is
+/// decoded: an input index at the top of `usize` (whose `+ 1` must not
+/// overflow) or an unknown op is a typed decode error; an index that
+/// decodes but names an input the node does not have fails the call, typed.
+#[test]
+fn malformed_fused_program_text_is_a_typed_error() {
+    let f = function1("fused_text", |x| api::tanh(&api::mul(x, x)?));
+    let probe = api::constant(vec![1.0f32, -2.0], [2]).unwrap();
+    let b = saved::export_to_value(&f.concrete_for(&[Arg::from(&probe)]).unwrap()).unwrap();
+    let nodes = get_at(&b, "/functions/0/nodes").as_array().expect("a node list");
+    let fused = nodes
+        .iter()
+        .position(|n| n.get("op").and_then(Value::as_str) == Some("fused_elementwise"))
+        .expect("the traced chain is fused");
+    let program = format!("/functions/0/nodes/{fused}/attrs/program/v");
+    let with_text = |text: &str| {
+        let mut m = b.clone();
+        assert!(set_at(&mut m, &program, Some(Value::str(text))));
+        saved::import_from_value(&m)
+    };
+    for text in ["in:18446744073709551615|0", "in:0;u:nosuch:0|1"] {
+        match with_text(text) {
+            Err(SavedError::Decode(_)) => {}
+            other => panic!("{text}: want a decode error, got {:?}", other.map(|_| ())),
+        }
+    }
+    let loaded = with_text("in:0;in:7;b:mul:0:1;u:tanh:2|3").expect("decodes");
+    assert!(loaded.call(&[&probe]).is_err());
+}
+
 /// A tensor's `data` may arrive as the bytes leaf (in memory), as the base64
 /// string the text syntax turns that into, or as the decimal array older
 /// bundles hold. Swapping one form for another changes nothing; a payload

@@ -1,12 +1,14 @@
 //! Wire-frame hardening (mirrors `tests/saved_hardening.rs` for the
 //! on-disk format): every one-byte mutation and every truncation of a
 //! valid frame must decode to a typed `WireError` or to a (different but
-//! well-formed) frame — never a panic, never an oversized allocation.
+//! well-formed) frame — never a panic, never an oversized allocation. A
+//! program text inside a well-formed frame crosses the same boundary: a
+//! worker answers a malformed one with a typed fault.
 
 use tf_eager::dist::wire::HEADER_LEN;
-use tf_eager::dist::{Frame, WireError, MAX_FRAME_LEN};
+use tf_eager::dist::{Cluster, ClusterSpec, DistError, Frame, RemoteArg, WireError, MAX_FRAME_LEN};
 use tf_eager::graph::serial::{tensor_from_value, tensor_to_value};
-use tf_eager::TensorData;
+use tf_eager::{api, Attrs, TensorData};
 use tfe_encode::Value;
 
 /// A `run` request whose first step takes one inline tensor and whose
@@ -255,4 +257,34 @@ fn chunked_stream_reads_reassemble() {
             assert_eq!(total, bytes.len());
         }
     }
+}
+
+/// A fused op carries its program as text, which the worker decodes: an
+/// input index at the top of `usize` (whose `+ 1` must not overflow), one
+/// just below it (decodes, then has too few inputs), an unknown op and a
+/// forward reference are each a typed fault, and the worker keeps serving.
+#[test]
+fn malformed_program_text_is_a_remote_fault() {
+    tf_eager::init();
+    let cluster = Cluster::start(&ClusterSpec::new().with_job("w", 1).unwrap());
+    let dev = "/job:w/task:0/device:CPU:0";
+    let x = api::constant(vec![1.5f32, -2.0], [2]).unwrap();
+    let run = |text: &str| {
+        let attrs = Attrs::new().with("program", text);
+        cluster.execute(dev, "fused_elementwise", &[RemoteArg::from(&x)], attrs)
+    };
+    for text in [
+        "in:18446744073709551615|0",
+        "in:0;in:18446744073709551614;b:add:0:1|2",
+        "in:0;u:nosuch:0|1",
+        "b:add:0:1|0",
+    ] {
+        match run(text) {
+            Err(DistError::RemoteFault { .. }) => {}
+            other => panic!("{text}: want a remote fault, got {:?}", other.map(|_| ())),
+        }
+    }
+    let out = run("in:0;u:neg:0|1").expect("the worker keeps serving");
+    assert_eq!(out[0].fetch().unwrap().value().unwrap().to_f64_vec(), vec![-1.5, 2.0]);
+    cluster.shutdown();
 }
