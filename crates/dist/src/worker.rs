@@ -41,11 +41,13 @@
 //! Nothing is adopted until every step has run and every reference has
 //! resolved, so a failed program leaves the table as it found it.
 //! Responses are `{"ok": ...}` or `{"err": "detail"}` — a malformed
-//! request is a typed remote fault, never a worker crash.
+//! request, or a step that panics, is a typed remote fault, never a worker
+//! crash.
 
 use crate::rpc::{err_body, ok_body};
 use crate::wire::Frame;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
@@ -99,10 +101,18 @@ impl WorkerState {
     }
 
     /// Handle one request frame; returns the reply frame and whether the
-    /// worker should shut down after sending it.
+    /// worker should shut down after sending it. A step that panics is
+    /// answered like one that fails, so the worker — and the connection a
+    /// caller waits on — outlive it.
     pub fn handle_frame(&self, frame: &Frame) -> (Frame, bool) {
         let _trace = tfe_profile::adopt_remote(frame.trace, "rpc");
-        let (body, shutdown) = match self.dispatch(&frame.body) {
+        let dispatched = catch_unwind(AssertUnwindSafe(|| self.dispatch(&frame.body)))
+            .unwrap_or_else(|panic| {
+                let text = panic.downcast_ref::<&str>().map(|s| s.to_string());
+                let text = text.or_else(|| panic.downcast_ref::<String>().cloned());
+                Err(format!("the request panicked: {}", text.as_deref().unwrap_or("(no message)")))
+            });
+        let (body, shutdown) = match dispatched {
             Ok((payload, shutdown)) => (ok_body(payload), shutdown),
             Err(msg) => (err_body(&msg), false),
         };

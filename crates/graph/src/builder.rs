@@ -4,12 +4,14 @@
 //! into a graph.
 //!
 //! There are two builders. [`GraphBuilder::new`] appends exactly what it is
-//! given: it is the tracer's door, and what it records (`raw`) is what
-//! gradients are built from and what every differential suite compares
-//! against. [`GraphBuilder::simplifying`] is the optimizer: each node passes
-//! one rule function before it is appended — *smart constructors* — so a
-//! graph replayed through it (see [`passes`](crate::passes)) comes out
-//! locally simplified in one walk, with no pass to run afterwards.
+//! given: it is the tracer's door, and the decoder's (a serialized graph is
+//! replayed through it, see [`serial`](crate::serial)), and what it records
+//! (`raw`) is what gradients are built from and what every differential
+//! suite compares against. [`GraphBuilder::simplifying`] is the optimizer:
+//! each node passes one rule function before it is appended — *smart
+//! constructors* — so a graph replayed through it (see
+//! [`passes`](crate::passes)) comes out locally simplified in one walk, with
+//! no pass to run afterwards.
 //!
 //! The rules, in the order they are tried on a node whose inputs have
 //! already been through them:

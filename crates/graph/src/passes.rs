@@ -413,10 +413,10 @@ fn tiles_take(f: &GraphFunction, sink: usize, members: &[usize]) -> bool {
 /// [`GraphFunction::structural_hash`] — is a pure function of the input
 /// graph: the fused-program cache and the idempotence tests depend on it.
 ///
-/// The one place outside the builder and the deserializer that writes a
-/// node by hand: a fused node stands for nodes that were already checked,
-/// and its output is its sink's. It takes the sink's place, and the
-/// [`replay`] that drops the other members rewires it.
+/// The one place outside the builder that writes a node by hand: a fused
+/// node stands for nodes that were already checked, and its output is its
+/// sink's. It takes the sink's place, and the [`replay`] that drops the
+/// other members rewires it.
 fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFunction {
     let consumers = f.consumers();
     let output_set: HashSet<TensorRef> = f.outputs.iter().copied().collect();

@@ -27,7 +27,7 @@
 //! mutual edges and may run concurrently. Every stateful graph is
 //! sequenceable under this model — there is no fallback.
 
-use crate::ir::{Node, NodeId};
+use crate::ir::NodeId;
 use std::collections::HashMap;
 use tfe_ops::{AttrValue, Attrs, Op};
 
@@ -78,8 +78,8 @@ pub fn classify(op: Op, attrs: &Attrs, stateful: bool) -> Access {
 }
 
 /// Incremental sequencing state: feed nodes in program order, get each
-/// node's control dependencies back. Used by `GraphBuilder` while tracing
-/// and by the deserializer when re-sequencing legacy payloads.
+/// node's control dependencies back. `GraphBuilder` holds one, so every
+/// graph — traced, optimized or decoded — is sequenced by it.
 #[derive(Debug, Default)]
 pub struct SequencingState {
     last_write: HashMap<Resource, NodeId>,
@@ -152,9 +152,10 @@ impl SequencingState {
     }
 }
 
-/// Recompute the control edges of a whole node list (program order). Used
-/// when deserializing graphs encoded before control edges existed.
-pub fn sequence_control_edges(nodes: &[Node]) -> Vec<Vec<NodeId>> {
+/// Recompute the control edges of a whole node list (program order): the
+/// reference the builder's incremental edges are checked against.
+#[cfg(test)]
+pub(crate) fn sequence_control_edges(nodes: &[crate::ir::Node]) -> Vec<Vec<NodeId>> {
     let mut state = SequencingState::new();
     nodes
         .iter()

@@ -2,6 +2,13 @@
 //! without a Python interpreter" (§4.3): a trace plus its constants can be
 //! written to disk and executed by a runtime with no tracer present.
 //!
+//! A node is written as what was given to the builder — its op, inputs and
+//! attributes — and read back through [`GraphBuilder`], the door every
+//! traced node takes, so a decoded graph's output signatures, statefulness
+//! and sequencing edges are the builder's own, never the payload's. Older
+//! payloads that also carry per-node `outputs`, `stateful` and `control`
+//! fields load the same: those fields are not read.
+//!
 //! Names exist only here. A node holds what it runs as a handle, and a
 //! handle is written as its label: a callee as its function's name, a fused
 //! program as its text. Reading turns them back: [`function_from_value`]
@@ -9,12 +16,13 @@
 //! the function of that name in the same set ([`closure`] is the set one
 //! function needs).
 
-use crate::ir::{GraphFunction, Node, NodeId, TensorRef, CALLEE_KEYS};
+use crate::builder::GraphBuilder;
+use crate::ir::{GraphFunction, NodeId, TensorRef, CALLEE_KEYS};
 use crate::program::Programs;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tfe_encode::Value;
-use tfe_ops::{AttrValue, Attrs, Op, SymShape};
+use tfe_ops::{AttrValue, Attrs, Op, OpError};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Serialization failures.
@@ -158,22 +166,6 @@ fn attr_from_value(v: &Value) -> Result<AttrValue, SerialError> {
     })
 }
 
-fn sym_shape_to_value(s: &SymShape) -> Value {
-    Value::Array(s.dims().iter().map(|d| d.map_or(Value::Null, |v| Value::Int(v as i64))).collect())
-}
-
-fn sym_shape_from_value(v: &Value) -> Result<SymShape, SerialError> {
-    let arr = v.as_array().ok_or_else(|| err("bad shape"))?;
-    let dims: Result<Vec<Option<usize>>, SerialError> = arr
-        .iter()
-        .map(|d| match d {
-            Value::Null => Ok(None),
-            other => other.as_i64().map(|v| Some(v as usize)).ok_or_else(|| err("bad shape dim")),
-        })
-        .collect();
-    Ok(SymShape::new(dims?))
-}
-
 /// Encode an attribute map as a JSON object (used by the distributed wire
 /// protocol as well as graph serialization). Bytes carry every plain value
 /// and, of the handles, what the node runs (its callee, fused program or
@@ -217,7 +209,9 @@ fn tensor_ref_from_value(v: &Value) -> Result<TensorRef, SerialError> {
     Ok(TensorRef { node: NodeId(pair[0] as usize), output: pair[1] as usize })
 }
 
-/// Serialize one graph function.
+/// Serialize one graph function: each node as its op, inputs and
+/// attributes. What the builder derives from those — output signatures,
+/// statefulness, sequencing edges — is derived again when it is read.
 pub fn function_to_value(f: &GraphFunction) -> Value {
     let nodes: Vec<Value> = f
         .nodes
@@ -230,22 +224,6 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
                     Value::Array(n.inputs.iter().map(tensor_ref_to_value).collect()),
                 ),
                 ("attrs".to_string(), attrs_to_value(&n.attrs)),
-                (
-                    "outputs".to_string(),
-                    Value::Array(
-                        n.outputs
-                            .iter()
-                            .map(|(d, s)| {
-                                Value::Array(vec![Value::str(d.name()), sym_shape_to_value(s)])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("stateful".to_string(), Value::Bool(n.stateful)),
-                (
-                    "control".to_string(),
-                    Value::Array(n.control_inputs.iter().map(|c| Value::Int(c.0 as i64)).collect()),
-                ),
             ])
         })
         .collect();
@@ -265,82 +243,53 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
     ])
 }
 
-/// Deserialize one graph function. A fused node's program is compiled
-/// here, once per distinct text; a callee stays a name until [`link`].
+/// Deserialize one graph function by replaying its nodes through a plain
+/// [`GraphBuilder`], the door every traced node takes: inference gives each
+/// node its output signature, the op and its `stateful` attribute its
+/// statefulness, and the sequencing model its control edges. A `const`
+/// node is its entry of the constant pool. A fused node's program is
+/// compiled here, once per distinct text; a callee stays a name until
+/// [`link`].
 ///
 /// # Errors
-/// Structural problems in the encoded value, or a malformed program.
+/// Structural problems in the encoded value, a node the builder refuses
+/// (unknown op, an input that is not an earlier node's output, failed
+/// inference), or a malformed program.
 pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     let name = v.get("name").and_then(Value::as_str).ok_or_else(|| err("missing name"))?;
     let nodes_v = v.get("nodes").and_then(Value::as_array).ok_or_else(|| err("missing nodes"))?;
-    let mut nodes = Vec::with_capacity(nodes_v.len());
-    // Payloads written before sequencing edges existed lack the per-node
-    // "control" field; re-derive the edges from program order in that case.
-    let mut legacy_controls = true;
+    let constants: Vec<Arc<TensorData>> = v
+        .get("constants")
+        .and_then(Value::as_array)
+        .ok_or_else(|| err("missing constants"))?
+        .iter()
+        .map(|c| tensor_from_value(c).map(Arc::new))
+        .collect::<Result<_, _>>()?;
+    let mut b = GraphBuilder::new(name);
     let mut programs = Programs::default();
-    for nv in nodes_v {
+    for (i, nv) in nodes_v.iter().enumerate() {
         let op = nv.get("op").and_then(Value::as_str).ok_or_else(|| err("missing op"))?;
         let op = Op::from_name(op).map_err(|e| err(e.to_string()))?;
-        let inputs: Result<Vec<TensorRef>, SerialError> = nv
+        let mut attrs = attrs_from_value(nv.get("attrs").ok_or_else(|| err("missing attrs"))?)?;
+        let refused = |e: OpError| err(format!("node {i}: {e}"));
+        if op == Op::Const {
+            let value = attrs
+                .int("value_index")
+                .ok()
+                .and_then(|k| constants.get(usize::try_from(k).ok()?))
+                .ok_or_else(|| err(format!("node {i}: constant index out of range")))?;
+            b.constant(value.clone()).map_err(refused)?;
+            continue;
+        }
+        let inputs: Vec<TensorRef> = nv
             .get("inputs")
             .and_then(Value::as_array)
             .ok_or_else(|| err("missing inputs"))?
             .iter()
             .map(tensor_ref_from_value)
-            .collect();
-        let attrs_obj =
-            nv.get("attrs").and_then(Value::as_object).ok_or_else(|| err("missing attrs"))?;
-        let mut attrs = Attrs::new();
-        for (k, av) in attrs_obj {
-            attrs.set(k, attr_from_value(av)?);
-        }
+            .collect::<Result<_, _>>()?;
         programs.link(op, &mut attrs).map_err(err)?;
-        let outputs: Result<Vec<(DType, SymShape)>, SerialError> = nv
-            .get("outputs")
-            .and_then(Value::as_array)
-            .ok_or_else(|| err("missing outputs"))?
-            .iter()
-            .map(|ov| {
-                let pair = ov.as_array().ok_or_else(|| err("bad output sig"))?;
-                if pair.len() != 2 {
-                    return Err(err("bad output sig arity"));
-                }
-                let dt = pair[0]
-                    .as_str()
-                    .and_then(DType::from_name)
-                    .ok_or_else(|| err("bad output dtype"))?;
-                Ok((dt, sym_shape_from_value(&pair[1])?))
-            })
-            .collect();
-        let stateful =
-            nv.get("stateful").and_then(Value::as_bool).ok_or_else(|| err("missing stateful"))?;
-        let control_inputs = match nv.get("control") {
-            Some(cv) => {
-                legacy_controls = false;
-                cv.as_i64_array()
-                    .ok_or_else(|| err("bad control list"))?
-                    .into_iter()
-                    .map(|i| NodeId(i as usize))
-                    .collect()
-            }
-            // Payload predates control edges; recomputed below once all
-            // nodes are decoded.
-            None => Vec::new(),
-        };
-        nodes.push(Node {
-            op,
-            inputs: inputs?,
-            attrs,
-            outputs: outputs?,
-            stateful,
-            control_inputs,
-        });
-    }
-    if legacy_controls {
-        let recomputed = crate::sequencing::sequence_control_edges(&nodes);
-        for (n, ctrl) in nodes.iter_mut().zip(recomputed) {
-            n.control_inputs = ctrl;
-        }
+        b.add_op(op, inputs, attrs).map_err(refused)?;
     }
     let inputs: Vec<NodeId> = v
         .get("inputs")
@@ -349,66 +298,32 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
         .into_iter()
         .map(|i| NodeId(i as usize))
         .collect();
-    let outputs: Result<Vec<TensorRef>, SerialError> = v
+    let outputs: Vec<TensorRef> = v
         .get("outputs")
         .and_then(Value::as_array)
         .ok_or_else(|| err("missing output list"))?
         .iter()
         .map(tensor_ref_from_value)
-        .collect();
+        .collect::<Result<_, _>>()?;
     let num_captures =
         v.get("num_captures").and_then(Value::as_i64).ok_or_else(|| err("missing num_captures"))?
             as usize;
-    let constants: Result<Vec<Arc<TensorData>>, SerialError> = v
-        .get("constants")
-        .and_then(Value::as_array)
-        .ok_or_else(|| err("missing constants"))?
-        .iter()
-        .map(|c| tensor_from_value(c).map(Arc::new))
-        .collect();
-    let f = GraphFunction {
-        name: name.to_string(),
-        nodes,
-        inputs,
-        outputs: outputs?,
-        num_captures,
-        constants: constants?,
-    };
-    // Structural validation: every reference must be in range and point
-    // backwards (topological order).
-    for (i, node) in f.nodes.iter().enumerate() {
-        for t in &node.inputs {
-            if t.node.0 >= i {
-                return Err(err(format!("node {i} has forward/self reference")));
-            }
-            if t.output >= f.nodes[t.node.0].outputs.len() {
-                return Err(err(format!("node {i} references bad output {t:?}")));
-            }
-        }
-        for c in &node.control_inputs {
-            if c.0 >= i {
-                return Err(err(format!("node {i} has forward/self control reference")));
-            }
-        }
+    // The builder's inputs are the placeholders in node order, which is what
+    // the writer wrote. `finish` asserts on more captures than inputs, so
+    // the count is set once checked (a negative one wraps to a huge one).
+    let mut f = b.finish(outputs, 0);
+    if f.inputs != inputs {
+        return Err(err("function inputs are not its placeholders"));
     }
-    for t in &f.outputs {
-        if t.node.0 >= f.nodes.len() || t.output >= f.nodes[t.node.0].outputs.len() {
-            return Err(err("function output out of range"));
-        }
-    }
-    for id in &f.inputs {
-        if id.0 >= f.nodes.len() || f.nodes[id.0].op != Op::Placeholder {
-            return Err(err("function input is not a placeholder"));
-        }
-    }
-    // A negative serialized num_captures wraps to a huge usize; either way it
-    // must not exceed the input count or arg-signature slicing underflows.
-    if f.num_captures > f.inputs.len() {
+    if num_captures > f.inputs.len() {
         return Err(err(format!(
-            "num_captures {} exceeds input count {}",
-            f.num_captures,
+            "num_captures {num_captures} exceeds input count {}",
             f.inputs.len()
         )));
+    }
+    f.num_captures = num_captures;
+    if f.outputs.iter().any(|t| f.nodes.get(t.node.0).is_none_or(|n| t.output >= n.outputs.len())) {
+        return Err(err("function output out of range"));
     }
     Ok(f)
 }
@@ -495,7 +410,6 @@ pub fn link(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::GraphBuilder;
     use tfe_ops::SymShape;
 
     fn sample_fn() -> GraphFunction {
@@ -621,39 +535,32 @@ mod tests {
         }
     }
 
+    /// The fields the builder derives are neither written nor read. A
+    /// payload that carries them — as older writers did — with an `assign`
+    /// marked stateless, control lists emptied or pointing forward, and
+    /// output signatures that disagree with the attributes, decodes to the
+    /// graph the builder makes of its ops, inputs and attributes.
     #[test]
-    fn legacy_payload_recomputes_control_edges() {
+    fn decoded_control_edges_are_the_builders() {
         let f = stateful_fn();
         let mut v = function_to_value(&f);
-        // Strip the "control" field to mimic a payload written before
-        // sequencing edges existed.
-        if let Value::Object(map) = &mut v {
-            if let Some(Value::Array(nodes)) = map.get_mut("nodes") {
-                for nv in nodes {
-                    if let Value::Object(n) = nv {
-                        n.remove("control");
-                    }
-                }
-            }
+        let Value::Object(map) = &mut v else { panic!("a function is an object") };
+        let Some(Value::Array(nodes)) = map.get_mut("nodes") else { panic!("a node list") };
+        for (i, nv) in nodes.iter_mut().enumerate() {
+            let Value::Object(n) = nv else { panic!("a node is an object") };
+            assert!(["outputs", "stateful", "control"].iter().all(|k| !n.contains_key(*k)));
+            let control = if i == 0 { vec![Value::Int(99)] } else { Vec::new() };
+            n.insert("control".to_string(), Value::Array(control));
+            n.insert("stateful".to_string(), Value::Bool(false));
+            n.insert("outputs".to_string(), Value::Array(vec![Value::str("int32")]));
         }
         let back = function_from_value(&v).unwrap();
+        assert!(back.nodes.iter().any(|n| !n.control_inputs.is_empty()));
         for (a, b) in f.nodes.iter().zip(&back.nodes) {
             assert_eq!(a.control_inputs, b.control_inputs);
+            assert_eq!(a.stateful, b.stateful);
+            assert_eq!(a.outputs, b.outputs);
         }
-    }
-
-    #[test]
-    fn validation_rejects_forward_control_reference() {
-        let f = stateful_fn();
-        let mut v = function_to_value(&f);
-        if let Value::Object(map) = &mut v {
-            if let Some(Value::Array(nodes)) = map.get_mut("nodes") {
-                if let Value::Object(n0) = &mut nodes[0] {
-                    n0.insert("control".to_string(), Value::Array(vec![Value::Int(99)]));
-                }
-            }
-        }
-        assert!(function_from_value(&v).is_err());
     }
 
     #[test]
@@ -673,6 +580,22 @@ mod tests {
         }
         assert!(function_from_value(&v).is_err());
         assert!(function_from_value(&Value::Null).is_err());
+        // A constant past the pool, an input list that is not the
+        // placeholders, more captures than inputs, an output past its node.
+        let with = |key: &str, value: Value| {
+            let mut v = function_to_value(&f);
+            if let Value::Object(map) = &mut v {
+                map.insert(key.to_string(), value);
+            }
+            function_from_value(&v)
+        };
+        assert!(with("constants", Value::Array(Vec::new())).is_err());
+        assert!(with("inputs", Value::Array(Vec::new())).is_err());
+        assert!(with("num_captures", Value::Int(2)).is_err());
+        assert!(with("num_captures", Value::Int(-1)).is_err());
+        let past = Value::Array(vec![Value::Array(vec![Value::Int(3), Value::Int(1)])]);
+        assert!(with("outputs", past).is_err());
+        assert!(with("num_captures", Value::Int(1)).is_ok());
         assert!(tensor_from_value(
             &Value::parse(r#"{"dtype":"f99","shape":[],"data":[]}"#).unwrap()
         )

@@ -82,7 +82,6 @@ impl TapeRecord {
 }
 
 struct TapeInner {
-    watched: HashSet<u64>,
     tracked: HashSet<u64>,
     records: Vec<Arc<TapeRecord>>,
     consumed: bool,
@@ -112,7 +111,6 @@ impl Tape {
             persistent,
             watch_accessed_variables,
             inner: Mutex::new(TapeInner {
-                watched: HashSet::new(),
                 tracked: HashSet::new(),
                 records: Vec::new(),
                 consumed: false,
@@ -122,9 +120,7 @@ impl Tape {
 
     /// Start watching an id (tensor id or variable id).
     pub fn watch_id(&self, id: u64) {
-        let mut inner = lock(&self.inner);
-        inner.watched.insert(id);
-        inner.tracked.insert(id);
+        lock(&self.inner).tracked.insert(id);
     }
 
     /// Record `op` on each of `tapes` whose differentiable path one of its
@@ -149,10 +145,7 @@ impl Tape {
             let mut inner = lock(&tape.inner);
             let ids = record.as_ref().map_or(&slots[..], |r| &r.input_ids[..]);
             if tape.watch_accessed_variables {
-                for &id in &ids[inputs.len()..] {
-                    inner.watched.insert(id);
-                    inner.tracked.insert(id);
-                }
+                inner.tracked.extend(&ids[inputs.len()..]);
             }
             if !ids.iter().any(|id| inner.tracked.contains(id)) {
                 continue;

@@ -252,7 +252,8 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
     let id_map: HashMap<i64, i64> = var_map.iter().map(|(old, v)| (*old, v.id() as i64)).collect();
 
     // Decode the functions, rewrite their variable references, and link
-    // their calls.
+    // their calls. Each bundle id maps to its own fresh variable, so the
+    // sequencing edges the decoder derived from the bundle's ids still hold.
     let functions =
         v.get("functions").and_then(Value::as_array).ok_or(SavedError::Missing("functions"))?;
     let mut decoded = Vec::with_capacity(functions.len());

@@ -31,18 +31,31 @@ if grep -rnE "${gone}" crates src tests; then exit 1; fi
 if grep -n 'RwLock<HashMap' crates/ops/src/opdef.rs crates/runtime/src/kernels.rs \
     crates/autodiff/src/registry.rs; then exit 1; fi
 
-# One-door gate: a graph node is written by hand where it is made from
-# checked parts — `GraphBuilder` (every traced and every replayed node) and
-# the deserializer, which validates what it builds — plus the one fused node
-# `fuse_elementwise` emits for members that were already checked. The
-# per-pass rewiring the replay replaced must not come back under its names.
-echo "==> Node literals only in graph/{builder,serial}.rs and fuse_elementwise; no per-pass rewiring"
+# One-door gate: a graph node is written by hand only in `GraphBuilder`,
+# which every traced, replayed and decoded node goes through, and in the one
+# fused node `fuse_elementwise` emits for members that were already checked.
+# The per-pass rewiring the replay replaced must not come back under its
+# names.
+echo "==> Node literals only in graph/builder.rs and fuse_elementwise; no per-pass rewiring"
 if grep -rnE '(^|[^A-Za-z_&])Node \{' --include='*.rs' crates src tests examples \
     | grep -vE '(struct|impl|enum) Node \{' \
-    | grep -vE '^crates/graph/src/(builder|serial)\.rs:' \
+    | grep -vE '^crates/graph/src/builder\.rs:' \
     | grep -vE '^crates/graph/src/passes\.rs:[0-9]+: *f\.nodes\[sink\] = Node \{'; then exit 1; fi
 if grep -rnE 'materialize_known|cse_counted|simplify_algebraic_counted|drop_stateful' \
     --include='*.rs' crates src tests examples; then exit 1; fi
+
+# Decoder gate: a decoded graph is replayed through the builder, so its
+# output signatures, statefulness and sequencing edges are derived, never
+# read from the bytes, and the recomputation that re-sequenced old payloads
+# is a test reference only. A file's library part is what comes before its
+# first `#[cfg(test)]`.
+echo "==> graph/serial.rs reads no derived field; sequence_control_edges only under cfg(test)"
+library_part() { sed '/^#\[cfg(test)\]/,$d' "$1"; }
+if library_part crates/graph/src/serial.rs \
+    | grep -nE '"control"|"stateful"|legacy_controls|GraphFunction \{'; then exit 1; fi
+for f in $(grep -rl 'sequence_control_edges' crates src); do
+    if library_part "${f}" | grep -n 'sequence_control_edges'; then exit 1; fi
+done
 
 # Function-lifetime gate: a node holds what it runs — its callee graph, its
 # compiled fused program, its host closure — by handle, and one weak name

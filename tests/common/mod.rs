@@ -16,9 +16,12 @@
 //!
 //! and every corpus also runs each optimizer config (`none`, `only_<pass>`
 //! for each pass, `fixpoint`, `fused`) under the serial, parallel and eager
-//! runners. The stateless graphs whose every op has a gradient also run a
-//! tape over the staged call against a tape over eager replay, under one
-//! tape and under two.
+//! runners. Every graph a check sees, raw and under each of its configs,
+//! also goes to bytes and back and must decode node for node as it was
+//! ([`oracle::structural_divergence`]); the saved mode holds its loaded
+//! bundle to the same. The stateless graphs whose every op has a gradient
+//! also run a tape over the staged call against a tape over eager replay,
+//! under one tape and under two.
 //!
 //! A suite is a call to [`oracle::check_corpus`] that picks modes from a
 //! corpus' row: `exec_differential` takes parallel and eager on the raw
@@ -42,6 +45,7 @@ pub mod oracle;
 
 use std::sync::Arc;
 use tf_eager::graph::program::{Instr, Program};
+use tf_eager::graph::sequencing::{classify, SequencingState};
 use tf_eager::graph::{GraphBuilder, GraphFunction, Node, NodeId, TensorRef};
 use tfe_ops::{Attrs, Handle, SymShape};
 use tfe_tensor::elementwise::{binary, unary};
@@ -85,6 +89,18 @@ pub fn same_bits(a: &TensorData, b: &TensorData) -> bool {
 /// How many nodes of `f` run `op`.
 pub fn count_op(f: &GraphFunction, op: &str) -> usize {
     f.nodes.iter().filter(|n| n.op == op).count()
+}
+
+/// The sequencing model's control edges for `nodes` in program order,
+/// recomputed from scratch: the reference a graph's recorded edges are
+/// checked against.
+pub fn control_edges(nodes: &[Node]) -> Vec<Vec<NodeId>> {
+    let mut state = SequencingState::new();
+    let edges = nodes.iter().enumerate().map(|(i, n)| {
+        let data: Vec<NodeId> = n.inputs.iter().map(|t| t.node).collect();
+        state.sequence(NodeId(i), classify(n.op, &n.attrs, n.stateful), &data)
+    });
+    edges.collect()
 }
 
 pub fn known(dims: &[usize]) -> SymShape {

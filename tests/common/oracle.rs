@@ -17,6 +17,7 @@ use std::sync::{Arc, OnceLock};
 use tf_eager::dist::{Cluster, ClusterSpec, DistError, RemoteArg, TransportKind};
 use tf_eager::encode::Value;
 use tf_eager::graph::passes::{self, OptimizeOptions, OptimizeStats, PASS_NAMES};
+use tf_eager::graph::serial;
 use tf_eager::graph::{GraphFunction, Node};
 use tf_eager::state::saved::{self, SavedError};
 use tf_eager::{api, function, Arg, Attrs, ExecMode, Func, GradientTape, Op, RuntimeError};
@@ -238,7 +239,8 @@ pub fn run(case: &Case, mode: Mode) -> Outcome {
         Mode::Saved => {
             let args = tensors(case);
             let sig: Vec<Arg> = args.iter().map(Arg::from).collect();
-            let mut exported = saved::export_to_value(&*staged(case).concrete_for(&sig)?);
+            let mut concrete = staged(case).concrete_for(&sig)?;
+            let mut exported = saved::export_to_value(&concrete);
             if case.graph.nodes.iter().any(|n| n.op == Op::HostFunc) {
                 // A host closure is host code, not trace: a bundle cannot
                 // carry it, and export must refuse, typed. What is saved and
@@ -251,13 +253,28 @@ pub fn run(case: &Case, mode: Mode) -> Outcome {
                     }
                 }
                 let twin = case.with_graph(without_host_fns(&case.graph));
-                exported = saved::export_to_value(&*staged(&twin).concrete_for(&sig)?);
+                concrete = staged(&twin).concrete_for(&sig)?;
+                exported = saved::export_to_value(&concrete);
             }
             let text = exported.map_err(Failure::Saved)?.to_json();
             let bundle = Value::parse(&text)
                 .and_then(|v| Value::from_bytes(&v.to_bytes()))
                 .map_err(|e| Failure::Check(format!("bundle does not parse back: {e}")))?;
             let loaded = saved::import_from_value(&bundle).map_err(Failure::Saved)?;
+            // What was loaded is what was saved, node for node, callees
+            // included: the builder the decoder replays through derives
+            // what the optimizer recorded.
+            let closure = |f| serial::closure(f).map_err(|e| Failure::Check(e.to_string()));
+            let (saved, loaded_set) = (closure(&concrete.function)?, closure(loaded.entry())?);
+            if saved.len() != loaded_set.len() {
+                let (s, l) = (saved.len(), loaded_set.len());
+                return Err(Failure::Check(format!("saved {s} functions, loaded {l}")));
+            }
+            for (s, l) in saved.iter().zip(&loaded_set) {
+                if let Some(why) = structural_divergence(s, l) {
+                    return Err(Failure::Check(format!("loaded `{}`: {why}", l.name)));
+                }
+            }
             values(loaded.call(&refs(&args))?)?
         }
         Mode::Dist(kind) => {
@@ -365,7 +382,43 @@ pub fn check_with(
             }
         }
     }
+    // Bytes and back, raw and under every config: the decoder's builder
+    // derives what the tracer's and the optimizer's recorded.
+    for graph in std::iter::once(&case.graph).chain(report.iter().map(|o| &o.graph)) {
+        let text = serial::function_to_value(graph).to_json();
+        let decoded = Value::parse(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|v| serial::function_from_value(&v).map_err(|e| e.to_string()))
+            .map(|back| structural_divergence(graph, &back));
+        if let Err(why) | Ok(Some(why)) = decoded {
+            panic!("corpus {corpus:?} seed {seed}: decoded graph: {why}\n{}", graph.dump());
+        }
+    }
     report
+}
+
+/// Where `got` departs from `want` node for node — op, inputs, output
+/// signature, statefulness, control edges — and in its inputs, outputs and
+/// captures, or `None`. Attributes are not compared: a load renames
+/// variables, and a name read back is not the handle that was written.
+pub fn structural_divergence(want: &GraphFunction, got: &GraphFunction) -> Option<String> {
+    let shape =
+        |f: &GraphFunction| (f.nodes.len(), f.inputs.clone(), f.outputs.clone(), f.num_captures);
+    if shape(want) != shape(got) {
+        return Some(format!(
+            "(nodes, inputs, outputs, captures) {:?}, want {:?}",
+            shape(got),
+            shape(want)
+        ));
+    }
+    want.nodes.iter().zip(&got.nodes).enumerate().find_map(|(i, (w, g))| {
+        let same = w.op == g.op
+            && w.inputs == g.inputs
+            && w.outputs == g.outputs
+            && w.stateful == g.stateful
+            && w.control_inputs == g.control_inputs;
+        (!same).then(|| format!("node {i} is {g:?}, want {w:?}"))
+    })
 }
 
 /// Check every case of `corpus` in the modes of its row that `pick`

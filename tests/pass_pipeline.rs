@@ -12,7 +12,7 @@
 mod common;
 
 use common::oracle::{check_corpus, evaluator, optimized, Config, Corpus, Mode};
-use common::{count_op, fuzz_cases, tensor_bits};
+use common::{control_edges, count_op, fuzz_cases, tensor_bits};
 use tf_eager::graph::passes::{self, OptimizeOptions, PASS_NAMES};
 use tf_eager::graph::{GraphFunction, Node, NodeId, TensorRef};
 use tf_eager::{metrics, DType, ExecMode, Op};
@@ -138,7 +138,7 @@ fn redundant_loads_merge_up_to_the_next_store() {
         assert_eq!(count_op(&g, "read_variable"), 2, "{name}\n{}", g.dump());
         assert!(stats.rewrites_for("cse") >= 1, "{name}");
         // The surviving edges are the sequencing model's own.
-        let recomputed = tfe_graph::sequencing::sequence_control_edges(&g.nodes);
+        let recomputed = control_edges(&g.nodes);
         for (i, n) in g.nodes.iter().enumerate() {
             assert_eq!(n.control_inputs, recomputed[i], "{name} node {i}\n{}", g.dump());
         }

@@ -4,6 +4,9 @@
 //! reject malformed requests with typed errors instead of unwinding deep in
 //! the executor.
 
+mod common;
+
+use common::oracle::structural_divergence;
 use tf_eager::encode::Value;
 use tf_eager::prelude::*;
 use tf_eager::state::saved::{self, SavedError};
@@ -235,6 +238,61 @@ fn malformed_fused_program_text_is_a_typed_error() {
     }
     let loaded = with_text("in:0;in:7;b:mul:0:1;u:tanh:2|3").expect("decodes");
     assert!(loaded.call(&[&probe]).is_err());
+}
+
+/// What the builder derives is not read from a bundle. Older writers put
+/// each node's output signatures, statefulness and control edges in it;
+/// one whose `assign` says it is stateless, whose control lists are empty
+/// and whose placeholder's `outputs` disagree with its attributes loads
+/// to the graph the untampered bundle loads to, sequencing edges and all,
+/// and leaves the variable as that one does.
+#[test]
+fn derived_fields_in_a_bundle_are_not_read() {
+    let v = Variable::new(TensorData::scalar(1.0f32));
+    let f = {
+        let v = v.clone();
+        function1("derived_fields", move |x| {
+            let before = v.read()?;
+            v.assign(&api::mul(&before, x)?)?;
+            api::add(&before, &v.read()?)
+        })
+    };
+    let probe = api::scalar(3.0f32);
+    let b = saved::export_to_value(&f.concrete_for(&[Arg::from(&probe)]).unwrap()).unwrap();
+    let mut assigns = 0;
+    let nodes = get_at(&b, "/functions/0/nodes").as_array().expect("a node list");
+    let tampered = nodes.iter().map(|node| {
+        let Value::Object(node) = node else { panic!("a node is an object") };
+        assert!(["outputs", "stateful", "control"].iter().all(|k| !node.contains_key(*k)));
+        let mut node = node.clone();
+        node.insert("control".to_string(), Value::Array(vec![]));
+        match node["op"].as_str() {
+            Some("assign") => {
+                assigns += 1;
+                node.insert("stateful".to_string(), Value::Bool(false));
+            }
+            Some("placeholder") => {
+                let sig = Value::Array(vec![Value::str("int64"), Value::from(vec![7i64])]);
+                node.insert("outputs".to_string(), Value::Array(vec![sig]));
+            }
+            _ => {}
+        }
+        Value::Object(node)
+    });
+    let mut m = b.clone();
+    assert!(set_at(&mut m, "/functions/0/nodes", Some(Value::Array(tampered.collect()))));
+    assert_eq!(assigns, 1);
+    let (want, got) =
+        (saved::import_from_value(&b).unwrap(), saved::import_from_value(&m).unwrap());
+    assert!(want.entry().nodes.iter().any(|n| !n.control_inputs.is_empty()));
+    assert_eq!(structural_divergence(want.entry(), got.entry()), None);
+    let run = |loaded: &saved::LoadedFunction| {
+        let out = loaded.call(&[&probe]).unwrap()[0].scalar_f64().unwrap();
+        let var = loaded.variables.values().next().expect("one variable").peek();
+        (out, var.scalar_f64().unwrap())
+    };
+    assert_eq!(run(&got), (1.0 + 3.0, 3.0));
+    assert_eq!(run(&want), (1.0 + 3.0, 3.0));
 }
 
 /// A tensor's `data` may arrive as the bytes leaf (in memory), as the base64

@@ -6,9 +6,11 @@
 //! worker answers a malformed one with a typed fault.
 
 use tf_eager::dist::wire::HEADER_LEN;
-use tf_eager::dist::{Cluster, ClusterSpec, DistError, Frame, RemoteArg, WireError, MAX_FRAME_LEN};
+use tf_eager::dist::{
+    Cluster, ClusterSpec, DistError, Frame, RemoteArg, TransportKind, WireError, MAX_FRAME_LEN,
+};
 use tf_eager::graph::serial::{tensor_from_value, tensor_to_value};
-use tf_eager::{api, Attrs, TensorData};
+use tf_eager::{api, function1, Arg, Attrs, DType, HostFunc, TensorData};
 use tfe_encode::Value;
 
 /// A `run` request whose first step takes one inline tensor and whose
@@ -287,4 +289,38 @@ fn malformed_program_text_is_a_remote_fault() {
     let out = run("in:0;u:neg:0|1").expect("the worker keeps serving");
     assert_eq!(out[0].fetch().unwrap().value().unwrap().to_f64_vec(), vec![-1.5, 2.0]);
     cluster.shutdown();
+}
+
+/// A step that panics on the worker — here a traced function whose body
+/// calls a host closure that panics — is a typed fault naming the panic,
+/// over either transport, and the worker keeps serving: a ping and a plain
+/// step succeed after it.
+#[test]
+fn panicking_step_is_a_remote_fault() {
+    tf_eager::init();
+    let host = HostFunc::new(
+        |_| panic!("host closure gave up"),
+        vec![(DType::F32, tfe_ops::SymShape::new(vec![Some(2)]))],
+    );
+    let f = function1("panicking_step", move |x| Ok(host.call(&[x])?.remove(0)));
+    let x = api::constant(vec![1.5f32, -2.0], [2]).unwrap();
+    let concrete = f.concrete_for(&[Arg::from(&x)]).unwrap();
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let spec = ClusterSpec::new().with_job("w", 1).unwrap();
+        let cluster = match kind {
+            TransportKind::InProcess => Cluster::start(&spec),
+            TransportKind::Tcp => Cluster::start_tcp(&spec).unwrap(),
+        };
+        let dev = "/job:w/task:0/device:CPU:0";
+        match cluster.call_function(dev, &concrete.name, &[RemoteArg::from(&x)]) {
+            Err(DistError::RemoteFault { detail, .. }) => {
+                assert!(detail.contains("host closure gave up"), "{kind:?}: {detail}")
+            }
+            other => panic!("{kind:?}: want a remote fault, got {:?}", other.map(|_| ())),
+        }
+        cluster.ping(dev).expect("the worker keeps serving");
+        let out = cluster.execute(dev, "neg", &[RemoteArg::from(&x)], Attrs::new()).unwrap();
+        assert_eq!(out[0].fetch().unwrap().value().unwrap().to_f64_vec(), vec![-1.5, 2.0]);
+        cluster.shutdown();
+    }
 }
