@@ -283,17 +283,14 @@ mod tests {
         let x = api::scalar(3.0f64);
         let tape = GradientTape::new();
         tape.watch(&x);
-        let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, tfe_ops::SymShape::scalar())]);
-        let y = tfe_runtime::context::execute(
-            tfe_ops::Op::HostFunc,
-            std::slice::from_ref(&x),
-            tfe_ops::Attrs::new()
-                .with("host_fn", tfe_runtime::context::host_fn_handle(f))
-                .with("out_dtypes", d)
-                .with("out_shapes", s),
-        )
-        .unwrap()
-        .remove(0);
+        let params = tfe_ops::Params::HostFunc {
+            closure: tfe_runtime::context::host_fn_handle(f),
+            outputs: vec![(DType::F64, tfe_ops::SymShape::scalar())],
+        };
+        let y =
+            tfe_runtime::context::execute(tfe_ops::Op::HostFunc, std::slice::from_ref(&x), params)
+                .unwrap()
+                .remove(0);
         assert_eq!(y.scalar_f64().unwrap(), 9.0);
         let g = tape.gradient1(&y, &x).unwrap();
         assert_eq!(g.scalar_f64().unwrap(), 6.0);
@@ -305,7 +302,7 @@ mod lazy_zero_tests {
     use super::*;
     use std::collections::HashMap;
     use std::sync::Arc;
-    use tfe_ops::{Attrs, Op};
+    use tfe_ops::{Op, Params};
     use tfe_runtime::{api, context, TapeRecord, Tensor};
     use tfe_tensor::DType;
 
@@ -317,8 +314,8 @@ mod lazy_zero_tests {
     fn grad_makes_a_zero_once_and_only_when_asked() {
         let x = api::constant(vec![1.0f64, 2.0, 3.0, 4.0], [4]).unwrap();
         let parts = api::split(&x, 4, 0).unwrap();
-        let attrs = Attrs::new().with("num", 4i64).with("axis", 0i64);
-        let record = TapeRecord::new(Op::Split, attrs, std::slice::from_ref(&x), &parts);
+        let params = Params::Split { num: 4, axis: 0 };
+        let record = TapeRecord::new(Op::Split, params, std::slice::from_ref(&x), &parts);
         let grads = [None, Some(api::constant(vec![3.0f64], [1]).unwrap()), None, None];
         let ctx = GradCtx::new(&record, &grads);
         assert_eq!(ctx.grad(1).unwrap().id(), grads[1].as_ref().unwrap().id());
@@ -353,7 +350,10 @@ mod lazy_zero_tests {
         let outputs = f(std::slice::from_ref(&x)).unwrap();
         let record = Arc::new(TapeRecord::new(
             Op::HostFunc,
-            Attrs::new().with("host_fn", context::host_fn_handle(f)),
+            Params::HostFunc {
+                closure: context::host_fn_handle(f),
+                outputs: outputs.iter().map(|t| (t.dtype(), t.sym_shape())).collect(),
+            },
             std::slice::from_ref(&x),
             &outputs,
         ));
@@ -370,14 +370,14 @@ mod lazy_zero_tests {
         let y = api::scalar(2.0f64);
         let dead = Arc::new(TapeRecord::new(
             Op::WhileLoop,
-            Attrs::new(),
+            Params::None,
             std::slice::from_ref(&x),
             std::slice::from_ref(&y),
         ));
         let live = api::neg(&x).unwrap();
         let record = Arc::new(TapeRecord::new(
             Op::Unary(tfe_ops::UnaryOp::Neg),
-            Attrs::new(),
+            Params::None,
             std::slice::from_ref(&x),
             std::slice::from_ref(&live),
         ));
@@ -443,7 +443,7 @@ mod extended_gradient_tests {
                 let y = tfe_runtime::context::execute(
                     tfe_ops::Op::BatchMatmul,
                     &[a, b],
-                    tfe_ops::Attrs::new().with("transpose_a", ta).with("transpose_b", tb),
+                    tfe_ops::Params::Matmul { transpose_a: ta, transpose_b: tb },
                 )
                 .unwrap()
                 .remove(0);
@@ -456,7 +456,7 @@ mod extended_gradient_tests {
             let y = tfe_runtime::context::execute(
                 tfe_ops::Op::BatchMatmul,
                 &[a.clone(), b.clone()],
-                tfe_ops::Attrs::new().with("transpose_a", ta).with("transpose_b", tb),
+                tfe_ops::Params::Matmul { transpose_a: ta, transpose_b: tb },
             )
             .unwrap()
             .remove(0);

@@ -17,7 +17,7 @@
 //! `host_func` read every slot ([`GradCtx::grads`]).
 
 use std::cell::OnceCell;
-use tfe_ops::{Attrs, BinaryOp, Op, UnaryOp};
+use tfe_ops::{BinaryOp, Op, Params, UnaryOp};
 use tfe_runtime::api;
 use tfe_runtime::context::HostFn;
 use tfe_runtime::{Result, RuntimeError, TapeRecord, Tensor};
@@ -93,9 +93,15 @@ impl<'a> GradCtx<'a> {
         (0..self.output_grads.len()).map(|i| self.grad(i)).collect()
     }
 
-    /// The forward attributes.
-    pub fn attrs(&self) -> &Attrs {
-        &self.record.attrs
+    /// The forward parameters.
+    pub fn params(&self) -> &Params {
+        &self.record.params
+    }
+
+    /// The error of a gradient function whose record holds another op's
+    /// parameters.
+    fn mismatch<T>(&self) -> Result<T> {
+        Err(self.params().mismatch().into())
     }
 }
 
@@ -147,20 +153,20 @@ fn sum_to_like(x: &Tensor, reference: &Tensor) -> Result<Tensor> {
     let mut out = tfe_runtime::context::execute(
         Op::SumToLike,
         &[x.clone(), reference.clone()],
-        Attrs::new(),
+        Params::None,
     )?;
     Ok(out.remove(0))
 }
 
 fn zeros_like(x: &Tensor) -> Result<Tensor> {
     let mut out =
-        tfe_runtime::context::execute(Op::ZerosLike, std::slice::from_ref(x), Attrs::new())?;
+        tfe_runtime::context::execute(Op::ZerosLike, std::slice::from_ref(x), Params::None)?;
     Ok(out.remove(0))
 }
 
 fn ones_like(x: &Tensor) -> Result<Tensor> {
     let mut out =
-        tfe_runtime::context::execute(Op::OnesLike, std::slice::from_ref(x), Attrs::new())?;
+        tfe_runtime::context::execute(Op::OnesLike, std::slice::from_ref(x), Params::None)?;
     Ok(out.remove(0))
 }
 
@@ -185,12 +191,11 @@ fn step_mask(x: &Tensor) -> Result<Tensor> {
 
 /// Expand `g` (the reduced gradient) back to input rank by inserting the
 /// reduced axes, then broadcast against the input.
-fn expand_reduced(g: &Tensor, input: &Tensor, attrs: &Attrs, keep: bool) -> Result<Tensor> {
+fn expand_reduced(g: &Tensor, input: &Tensor, axes: &[i64], keep: bool) -> Result<Tensor> {
     if keep {
         return Ok(g.clone());
     }
     let rank = input.rank() as i64;
-    let axes = attrs.int_list_or("axes", &[]).map_err(tfe_ops::OpError::from)?;
     let mut norm: Vec<i64> = if axes.is_empty() {
         (0..rank).collect()
     } else {
@@ -206,9 +211,8 @@ fn expand_reduced(g: &Tensor, input: &Tensor, attrs: &Attrs, keep: bool) -> Resu
 
 /// Number of elements reduced away, as a dynamic scalar in `dtype` (uses
 /// `shape_of` so it works with unknown trace-time dimensions).
-fn reduced_count(input: &Tensor, attrs: &Attrs, dtype: DType) -> Result<Tensor> {
+fn reduced_count(input: &Tensor, axes: &[i64], dtype: DType) -> Result<Tensor> {
     let rank = input.rank() as i64;
-    let axes = attrs.int_list_or("axes", &[]).map_err(tfe_ops::OpError::from)?;
     let norm: Vec<i64> = if axes.is_empty() {
         (0..rank).collect()
     } else {
@@ -408,16 +412,16 @@ fn lookup(op: Op) -> Option<GradFn> {
             |c| Ok(vec![Some(reshape_like(c.grad(0)?, c.input(0)?)?)])
         }
         Op::Transpose => |c| {
-            let perm = c.attrs().int_list("perm").map_err(tfe_ops::OpError::from)?;
+            let Params::Transpose { perm } = c.params() else { return c.mismatch() };
             let mut inverse = vec![0i64; perm.len()];
             for (i, &p) in perm.iter().enumerate() {
-                inverse[p as usize] = i as i64;
+                inverse[p] = i as i64;
             }
             Ok(vec![Some(api::transpose(c.grad(0)?, &inverse)?)])
         },
         Op::Concat => |c| {
             let g = c.grad(0)?;
-            let axis = c.attrs().int("axis").map_err(tfe_ops::OpError::from)?;
+            let axis = c.params().axis()?;
             let rank = c.input(0)?.rank() as i64;
             let ax = if axis < 0 { axis + rank } else { axis } as usize;
             let mut grads = Vec::with_capacity(c.record.inputs.len());
@@ -439,21 +443,21 @@ fn lookup(op: Op) -> Option<GradFn> {
             Ok(grads)
         },
         Op::Split => |c| {
-            let axis = c.attrs().int("axis").map_err(tfe_ops::OpError::from)?;
+            let Params::Split { axis, .. } = *c.params() else { return c.mismatch() };
             Ok(vec![Some(api::concat(&c.grads()?, axis)?)])
         },
         Op::Slice => |c| {
-            let begin = c.attrs().int_list("begin").map_err(tfe_ops::OpError::from)?.to_vec();
+            let Params::Slice { begin, .. } = c.params() else { return c.mismatch() };
             let mut out = tfe_runtime::context::execute(
                 Op::SliceGrad,
                 &[c.input(0)?.clone(), c.grad(0)?.clone()],
-                Attrs::new().with("begin", begin),
+                Params::SliceGrad { begin: begin.clone() },
             )?;
             Ok(vec![Some(out.remove(0))])
         },
         Op::SliceGrad => |c| {
             // Adjoint of the adjoint: slice the incoming gradient back out.
-            let begin = c.attrs().int_list("begin").map_err(tfe_ops::OpError::from)?.to_vec();
+            let Params::SliceGrad { begin } = c.params() else { return c.mismatch() };
             let sizes: Vec<i64> = c
                 .input(1)?
                 .sym_shape()
@@ -461,11 +465,11 @@ fn lookup(op: Op) -> Option<GradFn> {
                 .iter()
                 .map(|d| d.map(|v| v as i64).unwrap_or(-1))
                 .collect();
-            Ok(vec![None, Some(api::slice(c.grad(0)?, &begin, &sizes)?)])
+            Ok(vec![None, Some(api::slice(c.grad(0)?, begin, &sizes)?)])
         },
         Op::Pad => |c| {
-            let flat = c.attrs().int_list("paddings").map_err(tfe_ops::OpError::from)?;
-            let begin: Vec<i64> = flat.chunks(2).map(|p| p[0]).collect();
+            let Params::Pad { paddings, .. } = c.params() else { return c.mismatch() };
+            let begin: Vec<i64> = paddings.iter().map(|&(b, _)| b as i64).collect();
             let sizes: Vec<i64> = c
                 .input(0)?
                 .sym_shape()
@@ -479,14 +483,14 @@ fn lookup(op: Op) -> Option<GradFn> {
             // Normalize a negative axis against the params rank before
             // dispatching, so gather(x, i, axis=-1) on rank-1 params hits the
             // axis-0 scatter path instead of a spurious "unsupported" error.
-            let mut axis = c.attrs().int_or("axis", 0).map_err(tfe_ops::OpError::from)?;
+            let mut axis = c.params().axis()?;
             if axis < 0 {
                 axis += c.input(0)?.rank() as i64;
             }
             let mut out = tfe_runtime::context::execute(
                 Op::GatherGrad,
                 &[c.input(0)?.clone(), c.input(1)?.clone(), c.grad(0)?.clone()],
-                Attrs::new().with("axis", axis),
+                Params::Axis { axis },
             )?;
             Ok(vec![Some(out.remove(0)), None])
         },
@@ -497,77 +501,32 @@ fn lookup(op: Op) -> Option<GradFn> {
             let ga = api::mul(g, &ones_like(c.input(0)?)?)?;
             Ok(vec![Some(ga), None])
         },
-        Op::Reverse => |c| {
-            let axis = c.attrs().int_or("axis", 0).map_err(tfe_ops::OpError::from)?;
-            Ok(vec![Some(api::reverse(c.grad(0)?, axis)?)])
-        },
+        Op::Reverse => |c| Ok(vec![Some(api::reverse(c.grad(0)?, c.params().axis()?)?)]),
         Op::Cumsum => |c| {
             // adjoint of prefix-sum: reversed suffix-sum of the gradient.
-            let axis = c.attrs().int_or("axis", 0).map_err(tfe_ops::OpError::from)?;
+            let axis = c.params().axis()?;
             let r = api::reverse(c.grad(0)?, axis)?;
             let cs = api::cumsum(&r, axis)?;
             Ok(vec![Some(api::reverse(&cs, axis)?)])
         },
         Op::Tile => |c| {
-            let input = c.input(0)?;
-            Ok(vec![Some(sum_tiled(c.grad(0)?, input, c.attrs())?)])
+            let Params::Tile { multiples } = c.params() else { return c.mismatch() };
+            Ok(vec![Some(sum_tiled(c.grad(0)?, c.input(0)?, multiples)?)])
         },
 
         // --- linalg ---------------------------------------------------------------
-        Op::Matmul => |c| {
-            let g = c.grad(0)?;
-            let (a, b) = (c.input(0)?, c.input(1)?);
-            let ta = c.attrs().bool_or("transpose_a", false).map_err(tfe_ops::OpError::from)?;
-            let tb = c.attrs().bool_or("transpose_b", false).map_err(tfe_ops::OpError::from)?;
-            let (ga, gb) = match (ta, tb) {
-                (false, false) => {
-                    (api::matmul_t(g, b, false, true)?, api::matmul_t(a, g, true, false)?)
-                }
-                (true, false) => {
-                    (api::matmul_t(b, g, false, true)?, api::matmul_t(a, g, false, false)?)
-                }
-                (false, true) => {
-                    (api::matmul_t(g, b, false, false)?, api::matmul_t(g, a, true, false)?)
-                }
-                (true, true) => {
-                    (api::matmul_t(b, g, true, true)?, api::matmul_t(g, a, true, true)?)
-                }
-            };
-            Ok(vec![Some(ga), Some(gb)])
-        },
-        Op::BatchMatmul => |c| {
-            let g = c.grad(0)?;
-            let (a, b) = (c.input(0)?, c.input(1)?);
-            let ta = c.attrs().bool_or("transpose_a", false).map_err(tfe_ops::OpError::from)?;
-            let tb = c.attrs().bool_or("transpose_b", false).map_err(tfe_ops::OpError::from)?;
-            let bmm = |x: &Tensor, y: &Tensor, tx: bool, ty: bool| -> Result<Tensor> {
-                Ok(tfe_runtime::context::execute(
-                    Op::BatchMatmul,
-                    &[x.clone(), y.clone()],
-                    Attrs::new().with("transpose_a", tx).with("transpose_b", ty),
-                )?
-                .remove(0))
-            };
-            // Same formulas as the 2-D matmul gradient, batched.
-            let (ga, gb) = match (ta, tb) {
-                (false, false) => (bmm(g, b, false, true)?, bmm(a, g, true, false)?),
-                (true, false) => (bmm(b, g, false, true)?, bmm(a, g, false, false)?),
-                (false, true) => (bmm(g, b, false, false)?, bmm(g, a, true, false)?),
-                (true, true) => (bmm(b, g, true, true)?, bmm(g, a, true, true)?),
-            };
-            Ok(vec![Some(sum_to_like(&ga, a)?), Some(sum_to_like(&gb, b)?)])
-        },
+        Op::Matmul | Op::BatchMatmul => product_grad,
 
         // --- reductions -------------------------------------------------------------
         Op::ReduceSum => |c| {
-            let keep = c.attrs().bool_or("keep_dims", false).map_err(tfe_ops::OpError::from)?;
-            let g = expand_reduced(c.grad(0)?, c.input(0)?, c.attrs(), keep)?;
+            let (axes, keep) = c.params().reduction()?;
+            let g = expand_reduced(c.grad(0)?, c.input(0)?, axes, keep)?;
             Ok(vec![Some(api::mul(&g, &ones_like(c.input(0)?)?)?)])
         },
         Op::ReduceMean => |c| {
-            let keep = c.attrs().bool_or("keep_dims", false).map_err(tfe_ops::OpError::from)?;
-            let g = expand_reduced(c.grad(0)?, c.input(0)?, c.attrs(), keep)?;
-            let count = reduced_count(c.input(0)?, c.attrs(), g.dtype())?;
+            let (axes, keep) = c.params().reduction()?;
+            let g = expand_reduced(c.grad(0)?, c.input(0)?, axes, keep)?;
+            let count = reduced_count(c.input(0)?, axes, g.dtype())?;
             let scaled = api::div(&g, &count)?;
             Ok(vec![Some(api::mul(&scaled, &ones_like(c.input(0)?)?)?)])
         },
@@ -581,15 +540,14 @@ fn lookup(op: Op) -> Option<GradFn> {
             //   one zero:          the zero element gets the product of the
             //                      non-zeros; every other element gets 0
             //   two or more:       everything is 0
-            let keep = c.attrs().bool_or("keep_dims", false).map_err(tfe_ops::OpError::from)?;
-            let axes = c.attrs().int_list_or("axes", &[]).map_err(tfe_ops::OpError::from)?.to_vec();
+            let (axes, keep) = c.params().reduction()?;
             let x = c.input(0)?;
-            let g = expand_reduced(c.grad(0)?, x, c.attrs(), keep)?;
+            let g = expand_reduced(c.grad(0)?, x, axes, keep)?;
             let is_zero = api::cast(&api::equal(x, &zeros_like(x)?)?, x.dtype())?;
             // Zeros replaced by ones: safe to multiply and divide through.
             let safe_x = api::add(x, &is_zero)?;
-            let prod_nz = api::reduce_prod(&safe_x, &axes, true)?;
-            let num_zeros = api::reduce_sum(&is_zero, &axes, true)?;
+            let prod_nz = api::reduce_prod(&safe_x, axes, true)?;
+            let num_zeros = api::reduce_sum(&is_zero, axes, true)?;
             let no_zero = api::cast(&api::equal(&num_zeros, &zeros_like(&num_zeros)?)?, x.dtype())?;
             let one_zero = api::cast(&api::equal(&num_zeros, &ones_like(&num_zeros)?)?, x.dtype())?;
             let not_zero = api::sub(&ones_like(x)?, &is_zero)?;
@@ -619,25 +577,19 @@ fn lookup(op: Op) -> Option<GradFn> {
             let mut out = tfe_runtime::context::execute(
                 Op::SoftmaxXentGrad,
                 &[c.input(0)?.clone(), c.input(1)?.clone(), c.grad(0)?.clone()],
-                Attrs::new(),
+                Params::None,
             )?;
             Ok(vec![Some(out.remove(0)), None])
         },
         Op::Conv2d => |c| {
-            let (x, f, g) = (c.input(0)?, c.input(1)?, c.grad(0)?);
-            let attrs = c.attrs().clone();
-            let gx = tfe_runtime::context::execute(
-                Op::Conv2dBackpropInput,
-                &[x.clone(), f.clone(), g.clone()],
-                attrs.clone(),
-            )?
-            .remove(0);
-            let gf = tfe_runtime::context::execute(
-                Op::Conv2dBackpropFilter,
-                &[x.clone(), f.clone(), g.clone()],
-                attrs,
-            )?
-            .remove(0);
+            let inputs = [c.input(0)?.clone(), c.input(1)?.clone(), c.grad(0)?.clone()];
+            let params = c.params();
+            let gx =
+                tfe_runtime::context::execute(Op::Conv2dBackpropInput, &inputs, params.clone())?
+                    .remove(0);
+            let gf =
+                tfe_runtime::context::execute(Op::Conv2dBackpropFilter, &inputs, params.clone())?
+                    .remove(0);
             Ok(vec![Some(gx), Some(gf)])
         },
         Op::MaxPool => |c| pool_grad(c, Op::MaxPoolGrad),
@@ -652,7 +604,13 @@ fn lookup(op: Op) -> Option<GradFn> {
         // under a fresh tape and differentiates it; inside a trace this emits a
         // new `host_func` node wrapping that computation.
         Op::HostFunc => |c| {
-            let f = c.attrs().handle::<HostFn>("host_fn").map_err(tfe_ops::OpError::from)?;
+            let Params::HostFunc { closure, .. } = c.params() else { return c.mismatch() };
+            let f = closure.get::<HostFn>().ok_or_else(|| {
+                RuntimeError::Unsupported(format!(
+                    "host_func `{}` holds no closure",
+                    closure.label()
+                ))
+            })?;
             let inputs: Vec<Tensor> = c.record.inputs.clone();
             let grads = c.grads()?;
             let all: Vec<Tensor> = inputs.iter().chain(grads).cloned().collect();
@@ -685,17 +643,11 @@ fn lookup(op: Op) -> Option<GradFn> {
                     })
                     .collect::<Result<Vec<_>>>()
             });
-            let sig: Vec<(DType, tfe_ops::SymShape)> =
-                inputs.iter().map(|t| (t.dtype(), t.sym_shape())).collect();
-            let (d, s) = tfe_ops::catalog::encode_sig(&sig);
-            let out = tfe_runtime::context::execute(
-                Op::HostFunc,
-                &all,
-                Attrs::new()
-                    .with("host_fn", tfe_runtime::context::host_fn_handle(grad_closure))
-                    .with("out_dtypes", d)
-                    .with("out_shapes", s),
-            )?;
+            let params = Params::HostFunc {
+                closure: tfe_runtime::context::host_fn_handle(grad_closure),
+                outputs: inputs.iter().map(|t| (t.dtype(), t.sym_shape())).collect(),
+            };
+            let out = tfe_runtime::context::execute(Op::HostFunc, &all, params)?;
             Ok(out.into_iter().map(Some).collect())
         },
 
@@ -745,7 +697,7 @@ fn pool_grad(c: &GradCtx, grad_op: Op) -> Result<Vec<Option<Tensor>>> {
     let out = tfe_runtime::context::execute(
         grad_op,
         &[c.input(0)?.clone(), c.grad(0)?.clone()],
-        c.attrs().clone(),
+        c.params().clone(),
     )?;
     Ok(vec![Some(
         out.into_iter()
@@ -754,16 +706,37 @@ fn pool_grad(c: &GradCtx, grad_op: Op) -> Result<Vec<Option<Tensor>>> {
     )])
 }
 
+/// The gradients of `matmul` and `batch_matmul`: products of the incoming
+/// gradient with the other operand, transposed as the forward flags say. A
+/// batched product then sums broadcast batch dims away.
+fn product_grad(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
+    let (g, a, b) = (c.grad(0)?, c.input(0)?, c.input(1)?);
+    let product = |x: &Tensor, y: &Tensor, transpose_a, transpose_b| {
+        let params = Params::Matmul { transpose_a, transpose_b };
+        let mut out = tfe_runtime::context::execute(c.record.op, &[x.clone(), y.clone()], params)?;
+        Ok::<_, RuntimeError>(out.remove(0))
+    };
+    let (ga, gb) = match c.params().transposes()? {
+        (false, false) => (product(g, b, false, true)?, product(a, g, true, false)?),
+        (true, false) => (product(b, g, false, true)?, product(a, g, false, false)?),
+        (false, true) => (product(g, b, false, false)?, product(g, a, true, false)?),
+        (true, true) => (product(b, g, true, true)?, product(g, a, true, true)?),
+    };
+    if c.record.op == Op::Matmul {
+        return Ok(vec![Some(ga), Some(gb)]);
+    }
+    Ok(vec![Some(sum_to_like(&ga, a)?), Some(sum_to_like(&gb, b)?)])
+}
+
 fn minmax_grad(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
-    let keep = c.attrs().bool_or("keep_dims", false).map_err(tfe_ops::OpError::from)?;
+    let (axes, keep) = c.params().reduction()?;
     let input = c.input(0)?;
-    let g = expand_reduced(c.grad(0)?, input, c.attrs(), keep)?;
-    let y = expand_reduced(c.output(0)?, input, c.attrs(), keep)?;
+    let g = expand_reduced(c.grad(0)?, input, axes, keep)?;
+    let y = expand_reduced(c.output(0)?, input, axes, keep)?;
     let big_y = api::mul(&y, &ones_like(input)?)?;
     let indicator = api::cast(&api::equal(input, &big_y)?, g.dtype())?;
     // Split the gradient among ties, like TensorFlow.
-    let axes = c.attrs().int_list_or("axes", &[]).map_err(tfe_ops::OpError::from)?.to_vec();
-    let num = api::reduce_sum(&indicator, &axes, true)?;
+    let num = api::reduce_sum(&indicator, axes, true)?;
     let share = api::div(&api::mul(&indicator, &g)?, &num)?;
     Ok(vec![Some(share)])
 }
@@ -782,8 +755,7 @@ fn reshape_like(g: &Tensor, reference: &Tensor) -> Result<Tensor> {
 }
 
 /// Gradient of `tile`: fold the repeats back with sums.
-fn sum_tiled(g: &Tensor, input: &Tensor, attrs: &Attrs) -> Result<Tensor> {
-    let multiples = attrs.int_list("multiples").map_err(tfe_ops::OpError::from)?;
+fn sum_tiled(g: &Tensor, input: &Tensor, multiples: &[usize]) -> Result<Tensor> {
     let in_dims = input.sym_shape();
     let Some(shape) = in_dims.to_shape() else {
         return Err(RuntimeError::Unsupported(
@@ -795,7 +767,7 @@ fn sum_tiled(g: &Tensor, input: &Tensor, attrs: &Attrs) -> Result<Tensor> {
     let mut sum_axes: Vec<i64> = Vec::new();
     for (i, (&d, &m)) in shape.dims().iter().zip(multiples).enumerate() {
         sum_axes.push(2 * i as i64);
-        interleaved.push(m);
+        interleaved.push(m as i64);
         interleaved.push(d as i64);
     }
     let r = api::reshape(g, &interleaved)?;

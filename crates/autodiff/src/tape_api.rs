@@ -135,7 +135,7 @@ impl GradientTape {
                     let mut out = tfe_runtime::context::execute(
                         tfe_ops::Op::OnesLike,
                         std::slice::from_ref(target),
-                        tfe_ops::Attrs::new(),
+                        tfe_ops::Params::None,
                     )?;
                     out.remove(0)
                 }

@@ -391,7 +391,7 @@ fn kernel_evaluator(
     node: &tfe_graph::Node,
     ins: &[std::sync::Arc<TensorData>],
 ) -> Result<Vec<TensorData>, String> {
-    tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
+    tfe_runtime::kernels::run_kernel(node.op, &node.params, ins).map_err(|e| e.to_string())
 }
 
 /// The training step of the repo benchmark's `l2hmc_small_ops` (64 chains,
@@ -661,8 +661,10 @@ fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode:
             let t = node.inputs[i];
             g.node(t.node).outputs[t.output].1.to_shape().expect("a static operand shape")
         };
-        let flag = |name| node.attrs.bool_or(name, false).expect("a transpose flag");
-        let (a, b, ta, tb) = (dims(0), dims(1), flag("transpose_a"), flag("transpose_b"));
+        let tfe_ops::Params::Matmul { transpose_a: ta, transpose_b: tb } = node.params else {
+            panic!("a matmul holds its transpose flags");
+        };
+        let (a, b) = (dims(0), dims(1));
         let (m, k) = if ta { (a.dim(1), a.dim(0)) } else { (a.dim(0), a.dim(1)) };
         let n = if tb { b.dim(0) } else { b.dim(1) };
         *shapes.entry((m, k, n, ta, tb)).or_default() += 1;

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
 use tfe_device::{Device, DeviceName};
-use tfe_ops::{Attrs, InferCtx, Op, SymShape, WorkEstimate};
+use tfe_ops::{InferCtx, Op, Params, SymShape, WorkEstimate};
 use tfe_parallel::lock;
 use tfe_runtime::context::{Observer, Site};
 use tfe_runtime::{Result, RuntimeError};
@@ -238,7 +238,7 @@ impl Observer for Simulator {
         site: Site,
         device: &Device,
         op: Op,
-        attrs: &Attrs,
+        params: &Params,
         inputs: &[Arc<TensorData>],
     ) -> Result<Option<Vec<Arc<TensorData>>>> {
         let (stats, dispatch) = (&self.stats, &self.dispatch);
@@ -254,7 +254,7 @@ impl Observer for Simulator {
         }
         let (dtypes, shapes): (Vec<_>, Vec<_>) =
             inputs.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip();
-        let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, attrs };
+        let ctx = InferCtx { dtypes: &dtypes, shapes: &shapes, params };
         let sigs = op.infer(&ctx)?;
         if site == Site::Eager {
             stats.count_eager_op();
@@ -305,6 +305,7 @@ mod tests {
     use crate::harness::sim_device;
     use std::rc::Rc;
     use tfe_graph::GraphBuilder;
+    use tfe_ops::Attrs;
     use tfe_runtime::context;
     use tfe_runtime::{api, Tensor};
 
@@ -410,7 +411,7 @@ mod tests {
     }
 
     /// A call of `f(x, y) = relu(x * y + y)`: three nodes to run.
-    fn call_attrs(name: &str) -> Attrs {
+    fn call_params(name: &str) -> Params {
         let known = SymShape::known(&Shape::from([2, 3]));
         let mut b = GraphBuilder::new(name);
         let x = b.placeholder(DType::F32, known.clone()).unwrap();
@@ -419,9 +420,13 @@ mod tests {
         let s = b.add_node("add", vec![m, y], Attrs::new()).unwrap()[0];
         let r = b.add_node("relu", vec![s], Attrs::new()).unwrap()[0];
         let f = b.finish(vec![r], 0);
-        let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        let f = Arc::new(f).handle();
-        Attrs::new().with("function", f).with("out_dtypes", d).with("out_shapes", s)
+        Params::Call {
+            outputs: f.output_sigs(),
+            function: Arc::new(f).handle(),
+            concrete: None,
+            stateful: false,
+            var_ids: Vec::new(),
+        }
     }
 
     /// Run `f` on a fresh device `name` under a simulator; what it charged,
@@ -464,9 +469,9 @@ mod tests {
         let gpu = calibrate::figure3_gpu().compute;
         let tpu = calibrate::table1_tpu().compute;
         let add = || api::add(&x, &x).unwrap().to_f64_vec().unwrap();
-        let call = |attrs: Attrs| {
+        let call = |params: Params| {
             let args: Vec<Tensor> = vec![x.clone(), x.clone()];
-            move || context::execute(Op::Call, &args, attrs).unwrap()[0].to_f64_vec().unwrap()
+            move || context::execute(Op::Call, &args, params).unwrap()[0].to_f64_vec().unwrap()
         };
 
         let sums = vec![2.0, -4.0, 6.0, -8.0, 10.0, -12.0];
@@ -476,14 +481,14 @@ mod tests {
         );
 
         let relu = vec![2.0, 2.0, 12.0, 12.0, 30.0, 30.0];
-        let simulated = run("/gpu:22", gpu.clone(), false, call(call_attrs("sim_pin_a")));
+        let simulated = run("/gpu:22", gpu.clone(), false, call(call_params("sim_pin_a")));
         assert_eq!(simulated, (counters(0, 3, 1, 3), 10_300, 9_000, relu));
-        let cost_only = run("/gpu:23", gpu, true, call(call_attrs("sim_pin_b")));
+        let cost_only = run("/gpu:23", gpu, true, call(call_params("sim_pin_b")));
         assert_eq!(cost_only, (counters(0, 3, 1, 3), 10_300, 9_000, vec![0.0; 6]));
 
         // A compile-required kind: the eager op pays its compile, the call
         // its program launch.
-        let on_tpu = call(call_attrs("sim_pin_c"));
+        let on_tpu = call(call_params("sim_pin_c"));
         let tpu_run = run("/tpu:21", tpu, true, || [add(), on_tpu()].concat());
         assert_eq!(tpu_run, (counters(1, 3, 1, 4), 111_300, 1_002_800, vec![0.0; 12]));
     }

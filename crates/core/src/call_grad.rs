@@ -32,7 +32,7 @@ use std::sync::RwLock;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use tfe_autodiff::GradCtx;
 use tfe_graph::{passes, GraphFunction, NodeId, TensorRef};
-use tfe_ops::{Attrs, Op, OpError};
+use tfe_ops::{Handle, Op, Params};
 use tfe_parallel::{lock, read, write};
 use tfe_runtime::{context, Result, RuntimeError, TapeRecord, Tensor};
 
@@ -57,7 +57,7 @@ pub struct ForwardBundle {
     /// others, and they get none, as under eager.
     bwd_returns: Vec<bool>,
     /// The `call` attributes of the forward variant, encoded once.
-    pub(crate) fwd_attrs: Attrs,
+    pub(crate) fwd_params: Params,
     /// The kept intermediates, as outputs of the raw trace.
     kept: Vec<TensorRef>,
     /// `bwd` with one more gradient input, after the primary ones, per kept
@@ -124,13 +124,13 @@ pub(crate) fn build_pair(conc: &Arc<ConcreteFunction>) -> Result<ForwardBundle> 
     fwd.name = format!("{}__fwd", conc.name);
     fwd.outputs.extend(&kept);
     let fwd = Arc::new(optimize(&fwd).0);
-    let fwd_attrs = ConcreteFunction::call_attrs(&fwd, conc.stateful, &conc.var_ids);
+    let fwd_params = ConcreteFunction::call_params(&fwd, conc.stateful, &conc.var_ids);
     Ok(ForwardBundle {
         n_primary: conc.n_primary,
         fwd,
         bwd,
         bwd_returns,
-        fwd_attrs,
+        fwd_params,
         kept,
         seeded: Mutex::default(),
     })
@@ -211,7 +211,8 @@ fn build_backward(
             let outputs: Vec<Tensor> = (0..node.outputs.len())
                 .map(|o| value_of[&TensorRef { node: NodeId(i), output: o }].clone())
                 .collect();
-            records.push(Arc::new(TapeRecord::new(node.op, node.attrs.clone(), &inputs, &outputs)));
+            let params = node.params.clone();
+            records.push(Arc::new(TapeRecord::new(node.op, params, &inputs, &outputs)));
         }
 
         // Seeds: dy per gradient target (summing if a ref repeats). The
@@ -246,7 +247,7 @@ fn build_backward(
             .flatten()
             .map(|t| match t {
                 Tensor::Symbolic(s) if s.frame_id == frame_id => Ok(t.clone()),
-                _ => Ok(context::execute(Op::Identity, std::slice::from_ref(t), Attrs::new())?
+                _ => Ok(context::execute(Op::Identity, std::slice::from_ref(t), Params::None)?
                     .remove(0)),
             })
             .collect::<Result<_>>()?;
@@ -310,7 +311,7 @@ fn build_backward(
     let bwd = Arc::new(ConcreteFunction {
         name: name.to_string(),
         label: name.into(),
-        inference_attrs: ConcreteFunction::call_attrs(&function, false, &[]),
+        inference_params: ConcreteFunction::call_params(&function, false, &[]),
         function,
         raw: Arc::new(bwd_raw),
         captures: finished.captures,
@@ -341,7 +342,7 @@ fn run_backward(
         let mut inputs = intermediates.to_vec();
         inputs.extend(dys);
         inputs.extend(bwd.captures.iter().cloned());
-        context::execute(Op::Call, &inputs, bwd.held_by(&bwd.inference_attrs))?
+        context::execute(Op::Call, &inputs, bwd.held_by(&bwd.inference_params))?
     };
     if grads.len() != expected {
         return Err(RuntimeError::Internal(format!(
@@ -364,19 +365,18 @@ fn rerun_and_differentiate(
     c: &GradCtx,
 ) -> Result<Vec<Option<Tensor>>> {
     let pair = conc.forward_bundle()?;
-    let outs = context::execute(Op::Call, inputs, conc.held_by(&pair.fwd_attrs))?;
+    let outs = context::execute(Op::Call, inputs, conc.held_by(&pair.fwd_params))?;
     let dys = (0..pair.n_primary).map(|i| c.grad(i).cloned()).collect::<Result<_>>()?;
     run_backward(&pair.bwd, &pair.bwd_returns, &outs[pair.n_primary..], dys)
 }
 
-/// The concrete function a `call` or `cond` record holds at `key` for the
-/// graph it holds at `graph`: only a call made by [`crate::function`]'s
-/// functions carries one.
-fn concrete_of(c: &GradCtx, graph: &str, key: &str) -> Result<Arc<ConcreteFunction>> {
-    c.attrs().handle::<ConcreteFunction>(key).map_err(|_| {
+/// The concrete function a `call` or `cond` record holds for `graph`: only
+/// a call made by [`crate::function`]'s functions carries one.
+fn concrete_of(graph: &Handle, concrete: &Option<Handle>) -> Result<Arc<ConcreteFunction>> {
+    concrete.as_ref().and_then(Handle::get).ok_or_else(|| {
         RuntimeError::Unsupported(format!(
             "cannot differentiate a call of `{}`: it was not created via tfe_core::function",
-            c.attrs().label(graph).unwrap_or("?")
+            graph.label()
         ))
     })
 }
@@ -384,8 +384,13 @@ fn concrete_of(c: &GradCtx, graph: &str, key: &str) -> Result<Arc<ConcreteFuncti
 /// The gradient of the `call` operation: invoke a backward graph function
 /// with the forward intermediates and the output gradients.
 pub(crate) fn call_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
-    let conc = concrete_of(c, "function", "concrete")?;
-    let graph = c.attrs().handle::<GraphFunction>("function").map_err(OpError::from)?;
+    let Params::Call { function, concrete, .. } = c.params() else {
+        return Err(c.params().mismatch().into());
+    };
+    let conc = concrete_of(function, concrete)?;
+    let graph: Arc<GraphFunction> = function
+        .get()
+        .ok_or_else(|| RuntimeError::UnknownFunction(function.label().to_string()))?;
     let pair = conc.forward_bundle()?;
     if !Arc::ptr_eq(&graph, &pair.fwd) {
         return rerun_and_differentiate(&conc, &c.record.inputs, c);
@@ -420,10 +425,14 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
             "gradient of a `cond` traced inside another function (symbolic predicate)".to_string(),
         ));
     };
+    let Params::Cond { then_fn, else_fn, then_concrete, else_concrete, var_ids, .. } = c.params()
+    else {
+        return Err(c.params().mismatch().into());
+    };
     let conc = if pred_value != 0.0 {
-        concrete_of(c, "then_fn", "then_concrete")?
+        concrete_of(then_fn, then_concrete)?
     } else {
-        concrete_of(c, "else_fn", "else_concrete")?
+        concrete_of(else_fn, else_concrete)?
     };
     // The cond executed the plain branch function, so the record has no
     // intermediates of its own.
@@ -432,7 +441,6 @@ pub(crate) fn cond_gradient(c: &GradCtx) -> Result<Vec<Option<Tensor>>> {
     let var_grads = grads.split_off(branch_args.len());
     // Slots: the predicate, the branch arguments, then the variables either
     // branch reads; one only the other branch reads gets no gradient.
-    let var_ids = c.attrs().int_list_or("var_ids", &[]).map_err(OpError::from)?;
     let mut out: Vec<Option<Tensor>> = vec![None];
     out.append(&mut grads);
     out.extend(var_ids.iter().map(|id| {

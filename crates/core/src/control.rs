@@ -3,7 +3,7 @@
 
 use crate::arg::Arg;
 use crate::func::Func;
-use tfe_ops::{Attrs, Handle, Op, SymShape};
+use tfe_ops::{Handle, Op, Params, SymShape};
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::DType;
 
@@ -37,7 +37,6 @@ pub fn cond(
             "cond branches disagree on output signatures: {t_sig:?} vs {e_sig:?}"
         )));
     }
-    let (d, s) = tfe_ops::catalog::encode_sig(&t_sig);
     let stateful = t.stateful || e.stateful;
     // Both branches' variables are gradient slots of the record, as a
     // `call`'s are: the taken branch fills its own.
@@ -48,15 +47,15 @@ pub fn cond(
     context::execute(
         Op::Cond,
         &inputs,
-        Attrs::new()
-            .with("then_fn", t.function.handle())
-            .with("else_fn", e.function.handle())
-            .with("then_concrete", t.handle())
-            .with("else_concrete", e.handle())
-            .with("out_dtypes", d)
-            .with("out_shapes", s)
-            .with("stateful", stateful)
-            .with("var_ids", var_ids.into_iter().collect::<Vec<_>>()),
+        Params::Cond {
+            then_fn: t.function.handle(),
+            else_fn: e.function.handle(),
+            then_concrete: Some(t.handle()),
+            else_concrete: Some(e.handle()),
+            outputs: t_sig,
+            stateful,
+            var_ids: var_ids.into_iter().collect(),
+        },
     )
 }
 
@@ -100,10 +99,12 @@ pub fn while_loop(cond_fn: &Func, body_fn: &Func, init: &[&Tensor]) -> Result<Ve
     context::execute(
         Op::WhileLoop,
         &inputs,
-        Attrs::new()
-            .with("cond_fn", c.function.handle())
-            .with("body_fn", b.function.handle())
-            .with("stateful", c.stateful || b.stateful),
+        Params::WhileLoop {
+            cond_fn: c.function.handle(),
+            body_fn: b.function.handle(),
+            stateful: c.stateful || b.stateful,
+            max_iterations: tfe_ops::DEFAULT_MAX_ITERATIONS,
+        },
     )
 }
 
@@ -135,16 +136,10 @@ impl HostFunc {
     /// # Errors
     /// Closure failures or signature problems.
     pub fn call(&self, args: &[&Tensor]) -> Result<Vec<Tensor>> {
-        let (d, s) = tfe_ops::catalog::encode_sig(&self.out_sig);
         let inputs: Vec<Tensor> = args.iter().map(|&t| t.clone()).collect();
-        context::execute(
-            Op::HostFunc,
-            &inputs,
-            Attrs::new()
-                .with("host_fn", self.closure.clone())
-                .with("out_dtypes", d)
-                .with("out_shapes", s),
-        )
+        let params =
+            Params::HostFunc { closure: self.closure.clone(), outputs: self.out_sig.clone() };
+        context::execute(Op::HostFunc, &inputs, params)
     }
 }
 

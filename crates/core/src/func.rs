@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::sync::{Mutex, PoisonError};
 use tfe_graph::{passes, GraphFunction, TensorRef};
-use tfe_ops::{Attrs, Handle, Op};
+use tfe_ops::{Handle, Op, Params};
 use tfe_parallel::lock;
 use tfe_runtime::{context, Result, RuntimeError, Tensor};
 use tfe_tensor::{DType, TensorData};
@@ -788,7 +788,7 @@ impl Func {
 
         let (optimized, opt_stats) = optimize(&raw);
         let function = Arc::new(optimized);
-        let inference_attrs = ConcreteFunction::call_attrs(&function, stateful, &var_ids);
+        let inference_params = ConcreteFunction::call_params(&function, stateful, &var_ids);
 
         let concrete = Arc::new(ConcreteFunction {
             label: cname.as_str().into(),
@@ -800,7 +800,7 @@ impl Func {
             stateful,
             n_primary,
             opt_stats,
-            inference_attrs,
+            inference_params,
             pair: OnceLock::new(),
         });
         crate::call_grad::index_concrete(&concrete);
@@ -833,7 +833,7 @@ impl Func {
             outs.into_iter()
                 .map(|t| match &t {
                     Tensor::Symbolic(s) if s.frame_id == frame_id => Ok(t),
-                    _ => Ok(context::execute(Op::Identity, &[t], Attrs::new())?.remove(0)),
+                    _ => Ok(context::execute(Op::Identity, &[t], Params::None)?.remove(0)),
                 })
                 .collect()
         })();
@@ -876,22 +876,18 @@ pub(crate) fn optimize(f: &GraphFunction) -> (GraphFunction, passes::OptimizeSta
     let evaluator = |node: &tfe_graph::Node,
                      inputs: &[Arc<TensorData>]|
      -> std::result::Result<Vec<TensorData>, String> {
-        tfe_runtime::kernels::run_kernel(node.op, &node.attrs, inputs).map_err(|e| e.to_string())
+        tfe_runtime::kernels::run_kernel(node.op, &node.params, inputs).map_err(|e| e.to_string())
     };
     passes::optimize_with_stats(f, &passes::OptimizeOptions::default(), Some(&evaluator))
 }
 
 /// Every variable id referenced by a graph (including, transitively, by its
-/// `call` nodes — which carry their own `var_ids` attribute).
+/// `call` nodes — which carry their own `var_ids`).
 pub(crate) fn collect_var_ids(f: &GraphFunction) -> Vec<i64> {
     let mut set = BTreeSet::new();
     for node in &f.nodes {
-        if let Ok(id) = node.attrs.int("var_id") {
-            set.insert(id);
-        }
-        if let Ok(list) = node.attrs.int_list("var_ids") {
-            set.extend(list.iter().copied());
-        }
+        set.extend(node.params.var_id());
+        set.extend(node.params.var_ids());
     }
     set.into_iter().collect()
 }
@@ -900,7 +896,7 @@ pub(crate) fn collect_var_ids(f: &GraphFunction) -> Vec<i64> {
 ///
 /// The owner of everything traced for it — the inference graph, the raw
 /// trace, the lazily built forward variant and backwards. A `call` node or a
-/// tape record that ran one of its graphs holds it too (attribute
+/// tape record that ran one of its graphs holds it too (the call's
 /// `concrete`), so it lives as long as anything can still run or
 /// differentiate it.
 pub struct ConcreteFunction {
@@ -922,8 +918,8 @@ pub struct ConcreteFunction {
     /// What the optimizer did to turn [`raw`](Self::raw) into
     /// [`function`](Self::function): replay rounds and per-family rewrites.
     pub opt_stats: passes::OptimizeStats,
-    /// The `call` attributes of [`function`](Self::function), encoded once.
-    pub(crate) inference_attrs: Attrs,
+    /// The `call` parameters of [`function`](Self::function), built once.
+    pub(crate) inference_params: Params,
     /// The forward variant and its backwards (§4.2), built when first
     /// needed.
     pub(crate) pair: OnceLock<std::result::Result<Arc<ForwardBundle>, String>>,
@@ -932,15 +928,15 @@ pub struct ConcreteFunction {
 }
 
 impl ConcreteFunction {
-    /// Graph attributes for a `call` node invoking function `f`.
-    pub(crate) fn call_attrs(f: &Arc<GraphFunction>, stateful: bool, var_ids: &[i64]) -> Attrs {
-        let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        Attrs::new()
-            .with("function", f.handle())
-            .with("stateful", stateful)
-            .with("out_dtypes", d)
-            .with("out_shapes", s)
-            .with("var_ids", var_ids.to_vec())
+    /// The parameters of a `call` node invoking function `f`.
+    pub(crate) fn call_params(f: &Arc<GraphFunction>, stateful: bool, var_ids: &[i64]) -> Params {
+        Params::Call {
+            function: f.handle(),
+            concrete: None,
+            stateful,
+            outputs: f.output_sigs(),
+            var_ids: var_ids.to_vec(),
+        }
     }
 
     /// Invoke the graph function on tensor arguments (captures appended
@@ -967,20 +963,24 @@ impl ConcreteFunction {
         let mut all = tensor_args.to_vec();
         all.extend(self.captures.iter().cloned());
         if context::active_tapes().is_empty() {
-            context::execute(Op::Call, &all, self.held_by(&self.inference_attrs))
+            context::execute(Op::Call, &all, self.held_by(&self.inference_params))
         } else {
             let pair = self.forward_bundle()?;
-            let mut outs = context::execute(Op::Call, &all, self.held_by(&pair.fwd_attrs))?;
+            let mut outs = context::execute(Op::Call, &all, self.held_by(&pair.fwd_params))?;
             outs.truncate(self.n_primary);
             Ok(outs)
         }
     }
 
-    /// `attrs` of a call of one of this function's graphs, plus this
-    /// function itself (attribute `concrete`): what the call's gradient
+    /// `params` of a call of one of this function's graphs, plus this
+    /// function itself (its `concrete`): what the call's gradient
     /// differentiates, held by the node or record that made the call.
-    pub(crate) fn held_by(self: &Arc<Self>, attrs: &Attrs) -> Attrs {
-        attrs.clone().with("concrete", self.handle())
+    pub(crate) fn held_by(self: &Arc<Self>, params: &Params) -> Params {
+        let mut params = params.clone();
+        if let Params::Call { concrete, .. } = &mut params {
+            *concrete = Some(self.handle());
+        }
+        params
     }
 
     /// The handle through which a node holds this function.

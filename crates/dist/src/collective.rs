@@ -61,7 +61,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use tfe_encode::Value;
 use tfe_graph::serial::tensor_to_value;
-use tfe_ops::{Attrs, BinaryOp, Op};
+use tfe_ops::{Attrs, BinaryOp, Op, Params};
 use tfe_runtime::kernels::run_kernel;
 use tfe_tensor::{DType, TensorData};
 
@@ -103,12 +103,12 @@ fn chunk_ranges(rows: usize, n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-fn slice_attrs(dims: &[usize], start: usize, len: usize) -> Attrs {
+fn slice_params(dims: &[usize], start: usize, len: usize) -> Params {
     let mut begin = vec![0i64; dims.len()];
     let mut size: Vec<i64> = dims.iter().map(|&d| d as i64).collect();
     begin[0] = start as i64;
     size[0] = len as i64;
-    Attrs::new().with("begin", begin).with("size", size)
+    Params::Slice { begin, size }
 }
 
 /// Dtype and dims of one variable's gradient.
@@ -383,7 +383,8 @@ impl Side<'_> {
                     let piece = match &chunks[i] {
                         None => grad(w, i).clone(),
                         Some(ranges) => {
-                            let attrs = slice_attrs(&specs[i].1, ranges[k].0, ranges[k].1);
+                            let attrs =
+                                slice_params(&specs[i].1, ranges[k].0, ranges[k].1).to_attrs();
                             Input::Step(program.op("slice", &attrs, vec![grad(w, i).clone()]), 0)
                         }
                     };
@@ -540,11 +541,11 @@ pub fn ps_reference_mean(shards: &[Arc<TensorData>]) -> Result<TensorData> {
     let n = shards.len();
     let mut acc = first.clone();
     for s in &shards[1..] {
-        let out = run_kernel(ADD, &Attrs::new(), &[acc, s.clone()])?;
+        let out = run_kernel(ADD, &Params::None, &[acc, s.clone()])?;
         acc = Arc::new(out.into_iter().next().expect("add yields one output"));
     }
     let divisor = Arc::new(scalar(first.dtype(), n as f64));
-    let out = run_kernel(DIV, &Attrs::new(), &[acc, divisor])?;
+    let out = run_kernel(DIV, &Params::None, &[acc, divisor])?;
     Ok(out.into_iter().next().expect("div yields one output"))
 }
 
@@ -585,14 +586,14 @@ pub fn ring_reference_mean(shards: &[Arc<TensorData>]) -> Result<TensorData> {
     if ranges.is_empty() {
         let mut acc = first.clone();
         for s in &shards[1..] {
-            acc = one(run_kernel(ADD, &Attrs::new(), &[acc, s.clone()])?);
+            acc = one(run_kernel(ADD, &Params::None, &[acc, s.clone()])?);
         }
-        let mean = one(run_kernel(DIV, &Attrs::new(), &[acc, divisor])?);
+        let mean = one(run_kernel(DIV, &Params::None, &[acc, divisor])?);
         let out = if dims.is_empty() {
             let zero = Arc::new(scalar(dtype, 0.0));
-            run_kernel(ADD, &Attrs::new(), &[mean, zero])?
+            run_kernel(ADD, &Params::None, &[mean, zero])?
         } else {
-            run_kernel(Op::Concat, &Attrs::new().with("axis", 0i64), &[mean])?
+            run_kernel(Op::Concat, &Params::Axis { axis: 0 }, &[mean])?
         };
         return Ok(out.into_iter().next().expect("one output"));
     }
@@ -600,16 +601,16 @@ pub fn ring_reference_mean(shards: &[Arc<TensorData>]) -> Result<TensorData> {
     let mut chunk_means = Vec::with_capacity(n);
     for (k, &(start, len)) in ranges.iter().enumerate() {
         let mut acc =
-            one(run_kernel(Op::Slice, &slice_attrs(&dims, start, len), &[shards[k].clone()])?);
+            one(run_kernel(Op::Slice, &slice_params(&dims, start, len), &[shards[k].clone()])?);
         for j in 1..n {
             let w = (k + j) % n;
             let piece =
-                one(run_kernel(Op::Slice, &slice_attrs(&dims, start, len), &[shards[w].clone()])?);
-            acc = one(run_kernel(ADD, &Attrs::new(), &[acc, piece])?);
+                one(run_kernel(Op::Slice, &slice_params(&dims, start, len), &[shards[w].clone()])?);
+            acc = one(run_kernel(ADD, &Params::None, &[acc, piece])?);
         }
-        chunk_means.push(one(run_kernel(DIV, &Attrs::new(), &[acc, divisor.clone()])?));
+        chunk_means.push(one(run_kernel(DIV, &Params::None, &[acc, divisor.clone()])?));
     }
-    let out = run_kernel(Op::Concat, &Attrs::new().with("axis", 0i64), &chunk_means)?;
+    let out = run_kernel(Op::Concat, &Params::Axis { axis: 0 }, &chunk_means)?;
     Ok(out.into_iter().next().expect("one output"))
 }
 

@@ -251,13 +251,14 @@ fn run_step(step: &Value, inputs: &[Arc<TensorData>]) -> Result<Tensors, String>
         .and_then(Value::as_str)
         .ok_or_else(|| "step has neither `op` nor `call`".to_string())?;
     let op = tfe_ops::Op::from_name(op).map_err(|e| e.to_string())?;
-    let mut attrs =
+    let attrs =
         attrs_from_value(step.get("attrs").ok_or_else(|| "step has no `attrs`".to_string())?)
             .map_err(|e| e.to_string())?;
+    let mut params = tfe_ops::Params::decode(op, &attrs).map_err(|e| e.to_string())?;
     // A fused op arrives with its program as text; the kernel runs the
     // compiled form.
-    Programs::default().link(op, &mut attrs)?;
-    let out = tfe_runtime::kernels::run_kernel(op, &attrs, inputs).map_err(|e| e.to_string())?;
+    Programs::default().link(&mut params)?;
+    let out = tfe_runtime::kernels::run_kernel(op, &params, inputs).map_err(|e| e.to_string())?;
     Ok(out.into_iter().map(Arc::new).collect())
 }
 

@@ -29,7 +29,7 @@
 //!    feeding `matmul` becomes its `transpose_a` / `transpose_b` flag.
 //!    `x * 0` is not a rule: an annihilator changes NaN/Inf propagation.
 //! 4. **Hash-consing.** What is left is looked up by value — `(Op, inputs,
-//!    &Attrs)`, attribute floats by bits; a constant by dtype, shape and
+//!    &Params)`, parameter floats by bits; a constant by dtype, shape and
 //!    exact bytes — among the nodes already built, and an equal node stands
 //!    in for it. A `read_variable` merges with an earlier read of the same
 //!    variable when the [`SequencingState`] says no write to it and no
@@ -54,7 +54,7 @@ use std::sync::Arc;
 use tfe_ops::algebra::{
     compose_perms, identity_operand, is_identity_perm, is_swap_perm, IdentitySide,
 };
-use tfe_ops::{AttrValue, Attrs, InferCtx, Op, OpError, SymShape};
+use tfe_ops::{Attrs, InferCtx, Op, OpError, Params, SymShape};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Constants above this many elements are not hashed for merging.
@@ -96,7 +96,7 @@ fn node_hash(node: &Node) -> u64 {
     let mut h = DefaultHasher::new();
     node.op.hash(&mut h);
     node.inputs.hash(&mut h);
-    node.attrs.hash(&mut h);
+    node.params.hash(&mut h);
     h.finish()
 }
 
@@ -123,8 +123,12 @@ fn is_filled_with(v: &TensorData, identity: f64) -> bool {
         .all(|&x| if float { x.to_bits() == identity.to_bits() } else { x == identity })
 }
 
-fn perm_of(n: &Node) -> Option<&[i64]> {
-    n.attrs.int_list("perm").ok()
+fn perm_of(n: &Node) -> Option<&[usize]> {
+    if let Params::Transpose { perm } = &n.params {
+        Some(perm)
+    } else {
+        None
+    }
 }
 
 impl<'e> GraphBuilder<'e> {
@@ -175,9 +179,7 @@ impl<'e> GraphBuilder<'e> {
     /// # Errors
     /// Propagates inference errors (none in practice for placeholders).
     pub fn placeholder(&mut self, dtype: DType, shape: SymShape) -> Result<TensorRef, OpError> {
-        let dims: Vec<i64> = shape.dims().iter().map(|d| d.map_or(-1, |v| v as i64)).collect();
-        let attrs = Attrs::new().with("dtype", dtype).with("shape", dims);
-        Ok(self.add_op(Op::Placeholder, Vec::new(), attrs)?[0])
+        Ok(self.add_op(Op::Placeholder, Vec::new(), Params::Placeholder { dtype, shape })?[0])
     }
 
     /// Intern a constant tensor and add a `const` node for it (in a
@@ -208,17 +210,17 @@ impl<'e> GraphBuilder<'e> {
             }
             key = Some(hash);
         }
-        let dims: Vec<i64> = value.shape().dims().iter().map(|&d| d as i64).collect();
-        let attrs = Attrs::new()
-            .with("dtype", value.dtype())
-            .with("shape", dims)
-            .with("value_index", self.constants.len() as i64);
+        let params = Params::Const {
+            dtype: value.dtype(),
+            shape: value.shape().dims().to_vec(),
+            index: self.constants.len(),
+        };
         let outputs = vec![(value.dtype(), SymShape::known(value.shape()))];
         self.constants.push(value);
         let node = Node {
             op: Op::Const,
             inputs: Vec::new(),
-            attrs,
+            params,
             outputs,
             stateful: false,
             control_inputs: Vec::new(),
@@ -226,18 +228,21 @@ impl<'e> GraphBuilder<'e> {
         self.push(node, key)[0]
     }
 
-    /// [`add_op`](GraphBuilder::add_op) for an op given by name — one of
-    /// the places a name becomes an [`Op`].
+    /// [`add_op`](GraphBuilder::add_op) for an op given by name and
+    /// attributes — one of the places a name becomes an [`Op`] and its
+    /// attributes become [`Params`].
     ///
     /// # Errors
-    /// [`OpError::UnknownOp`], or what `add_op` reports.
+    /// [`OpError::UnknownOp`], what [`Params::decode`] refuses, or what
+    /// `add_op` reports.
     pub fn add_node(
         &mut self,
         op: &str,
         inputs: Vec<TensorRef>,
         attrs: Attrs,
     ) -> Result<Vec<TensorRef>, OpError> {
-        self.add_op(Op::from_name(op)?, inputs, attrs)
+        let op = Op::from_name(op)?;
+        self.add_op(op, inputs, Params::decode(op, &attrs)?)
     }
 
     /// Append an op node; returns references to its outputs — in a
@@ -250,7 +255,7 @@ impl<'e> GraphBuilder<'e> {
         &mut self,
         op: Op,
         inputs: Vec<TensorRef>,
-        attrs: Attrs,
+        params: Params,
     ) -> Result<Vec<TensorRef>, OpError> {
         let mut dtypes = Vec::with_capacity(inputs.len());
         let mut shapes = Vec::with_capacity(inputs.len());
@@ -267,12 +272,11 @@ impl<'e> GraphBuilder<'e> {
             dtypes.push(d);
             shapes.push(s);
         }
-        let outputs = op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs: &attrs })?;
-        // `call`-like nodes carry statefulness as an attribute set by the
-        // tracer from the callee's own statefulness.
-        let attr_stateful = matches!(attrs.get("stateful"), Some(AttrValue::Bool(true)));
-        let stateful = op.def().is_stateful() || attr_stateful;
-        Ok(self.append(Node { op, inputs, attrs, outputs, stateful, control_inputs: Vec::new() }))
+        let outputs = op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, params: &params })?;
+        // `call`-like nodes carry statefulness in their parameters, set by
+        // the tracer from the callee's own statefulness.
+        let stateful = op.def().is_stateful() || params.is_stateful();
+        Ok(self.append(Node { op, inputs, params, outputs, stateful, control_inputs: Vec::new() }))
     }
 
     /// Add a node whose output signature and statefulness are already known
@@ -288,8 +292,9 @@ impl<'e> GraphBuilder<'e> {
             }
             if !node.stateful && self.rules.as_ref().is_some_and(|r| r.on.cse) {
                 let hash = node_hash(&node);
-                let same =
-                    |n: &Node| n.op == node.op && n.inputs == node.inputs && n.attrs == node.attrs;
+                let same = |n: &Node| {
+                    n.op == node.op && n.inputs == node.inputs && n.params == node.params
+                };
                 if let Some(existing) = self.find(hash, same) {
                     self.count(CSE, 1);
                     return self.outputs_of(existing);
@@ -305,7 +310,7 @@ impl<'e> GraphBuilder<'e> {
         let id = NodeId(self.nodes.len());
         // Sequencing edges keep stateful ops in program order (per
         // resource) so the parallel executor never needs a serial fallback.
-        let access = sequencing::classify(node.op, &node.attrs, node.stateful);
+        let access = sequencing::classify(node.op, &node.params, node.stateful);
         node.control_inputs = if access == Access::Pure {
             Vec::new()
         } else {
@@ -341,10 +346,8 @@ impl<'e> GraphBuilder<'e> {
 
     /// The value of a `const` node of this graph.
     fn const_value(&self, node: &Node) -> Option<&Arc<TensorData>> {
-        if node.op != Op::Const {
-            return None;
-        }
-        self.constants.get(usize::try_from(node.attrs.int("value_index").ok()?).ok()?)
+        let Params::Const { index, .. } = node.params else { return None };
+        self.constants.get(index)
     }
 
     fn sig_is(&self, t: TensorRef, sig: &(DType, SymShape)) -> bool {
@@ -360,7 +363,7 @@ impl<'e> GraphBuilder<'e> {
         if node.stateful {
             // A load observes what an earlier load of the same variable
             // did when no write to it and no barrier came since.
-            let Access::Read(var) = sequencing::classify(node.op, &node.attrs, true) else {
+            let Access::Read(var) = sequencing::classify(node.op, &node.params, true) else {
                 return None;
             };
             if !on.cse {
@@ -368,7 +371,7 @@ impl<'e> GraphBuilder<'e> {
             }
             let same = |id: &&NodeId| {
                 let n = &self.nodes[id.0];
-                n.attrs == node.attrs && n.outputs == node.outputs
+                n.params == node.params && n.outputs == node.outputs
             };
             let earlier = *self.sequencing.reads_since_write(var).iter().find(same)?;
             self.count(CSE, 1);
@@ -472,12 +475,15 @@ impl<'e> GraphBuilder<'e> {
                     return (1, Some(inner.inputs[0]));
                 }
                 node.inputs[0] = inner.inputs[0];
-                node.attrs.set("perm", q);
+                node.params = Params::Transpose { perm: q };
                 (1, None)
             }
             Op::Matmul if node.inputs.len() == 2 => {
+                let Params::Matmul { transpose_a, transpose_b } = &mut node.params else {
+                    return (0, None);
+                };
                 let mut absorbed = 0;
-                for (slot, flag) in [(0usize, "transpose_a"), (1usize, "transpose_b")] {
+                for (slot, flag) in [(0usize, transpose_a), (1usize, transpose_b)] {
                     let src = node.inputs[slot];
                     let t = producer(src);
                     if src.output != 0 || t.op != Op::Transpose {
@@ -486,9 +492,8 @@ impl<'e> GraphBuilder<'e> {
                     if !perm_of(t).is_some_and(is_swap_perm) {
                         continue;
                     }
-                    let cur = node.attrs.bool_or(flag, false).unwrap_or(false);
                     node.inputs[slot] = t.inputs[0];
-                    node.attrs.set(flag, !cur);
+                    *flag = !*flag;
                     absorbed += 1;
                 }
                 (absorbed, None)
@@ -684,7 +689,7 @@ mod tests {
     fn stateful_attr_propagates() {
         let g = Arc::new(GraphBuilder::new("g").finish(Vec::new(), 0));
         let mut b = GraphBuilder::new("t");
-        let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F32, SymShape::scalar())]);
+        let (d, s) = tfe_ops::encode_sig(&[(DType::F32, SymShape::scalar())]);
         let refs = b
             .add_node(
                 "call",

@@ -7,12 +7,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use tfe_ops::{AttrValue, Attrs, Handle, Op, SymShape};
+use tfe_ops::{Handle, Op, Params, SymShape};
 use tfe_tensor::{DType, TensorData};
-
-/// The attributes through which `call`, `cond` and `while_loop` nodes hold
-/// the graph functions they run.
-pub(crate) const CALLEE_KEYS: [&str; 5] = ["function", "then_fn", "else_fn", "cond_fn", "body_fn"];
 
 /// Index of a node within its graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -43,12 +39,13 @@ pub struct Node {
     pub op: Op,
     /// Input tensors.
     pub inputs: Vec<TensorRef>,
-    /// Static attributes.
-    pub attrs: Attrs,
+    /// Parameters, decoded where the node was made (or built typed by the
+    /// tracer); printed forms write [`Params::to_attrs`].
+    pub params: Params,
     /// Inferred output signature.
     pub outputs: Vec<(DType, SymShape)>,
     /// Whether this node has side effects (resolved at build time; `call`
-    /// nodes take it from their `stateful` attribute).
+    /// nodes take it from their parameters' `stateful`).
     pub stateful: bool,
     /// Sequencing (control) edges: earlier stateful nodes that must finish
     /// before this node runs, beyond its data inputs. Always empty on
@@ -83,8 +80,8 @@ pub struct GraphFunction {
     pub outputs: Vec<TensorRef>,
     /// How many trailing inputs are captures.
     pub num_captures: usize,
-    /// Constant pool: `const` nodes hold an index into this vector (attr
-    /// `value_index`).
+    /// Constant pool: `const` nodes hold an index into this vector
+    /// ([`Params::Const`]).
     pub constants: Vec<Arc<TensorData>>,
 }
 
@@ -143,14 +140,10 @@ impl GraphFunction {
     /// hold (non-recursive), each once, in node order.
     pub fn callees(&self) -> Vec<Arc<GraphFunction>> {
         let mut out: Vec<Arc<GraphFunction>> = Vec::new();
-        for n in &self.nodes {
-            for key in CALLEE_KEYS {
-                if let Some(AttrValue::Handle(h)) = n.attrs.get(key) {
-                    match h.get::<GraphFunction>() {
-                        Some(f) if !out.iter().any(|g| Arc::ptr_eq(g, &f)) => out.push(f),
-                        _ => {}
-                    }
-                }
+        for h in self.nodes.iter().flat_map(|n| n.params.callees()) {
+            match h.get::<GraphFunction>() {
+                Some(f) if !out.iter().any(|g| Arc::ptr_eq(g, &f)) => out.push(f),
+                _ => {}
             }
         }
         out
@@ -181,11 +174,11 @@ impl GraphFunction {
     }
 
     /// A structural fingerprint of the whole function: ops, dataflow,
-    /// attributes, signatures, control edges, outputs, and constant values.
-    /// Two functions with equal hashes are (modulo collisions) the same
-    /// graph: what the idempotence and reproducibility tests of the
-    /// optimizer compare. Uses `DefaultHasher` with its fixed default keys,
-    /// so the value is stable across processes.
+    /// parameters (as the attributes they write), signatures, control
+    /// edges, outputs, and constant values. Two functions with equal hashes
+    /// are (modulo collisions) the same graph: what the idempotence and
+    /// reproducibility tests of the optimizer compare. Uses `DefaultHasher`
+    /// with its fixed default keys, so the value is stable across processes.
     pub fn structural_hash(&self) -> u64 {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -197,7 +190,7 @@ impl GraphFunction {
                 t.node.0.hash(&mut h);
                 t.output.hash(&mut h);
             }
-            n.attrs.hash(&mut h);
+            n.params.to_attrs().hash(&mut h);
             n.outputs.hash(&mut h);
             n.stateful.hash(&mut h);
             for c in &n.control_inputs {
@@ -248,10 +241,11 @@ impl GraphFunction {
                     }
                 })
                 .collect();
-            let attrs = if n.attrs.is_empty() {
+            let attrs = n.params.to_attrs();
+            let attrs = if attrs.is_empty() {
                 String::new()
             } else {
-                let parts: Vec<String> = n.attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                let parts: Vec<String> = attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
                 format!(" {{{}}}", parts.join(", "))
             };
             let ctrl = if n.control_inputs.is_empty() {
@@ -336,6 +330,7 @@ impl fmt::Debug for GraphFunction {
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use tfe_ops::Attrs;
     use tfe_tensor::Shape;
 
     fn simple_fn() -> GraphFunction {

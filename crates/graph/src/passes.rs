@@ -31,7 +31,7 @@ use crate::program::{Instr, Program, Programs};
 use crate::sequencing::{classify, Access, Resource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Op, Params};
 use tfe_tensor::{DType, TensorData};
 
 /// The seven rewrite families: the four rule families of the simplifying
@@ -252,10 +252,8 @@ fn replay(
         for t in &mut node.inputs {
             *t = at(&first, &table, *t);
         }
-        let constant = match node.op {
-            Op::Const => {
-                node.attrs.int("value_index").ok().and_then(|v| f.constants.get(v as usize))
-            }
+        let constant = match node.params {
+            Params::Const { index, .. } if node.op == Op::Const => f.constants.get(index),
             _ => None,
         };
         match constant {
@@ -335,7 +333,7 @@ fn dead_stores(f: &GraphFunction) -> Vec<bool> {
     let mut clobbered: HashSet<i64> = HashSet::new();
     for i in (0..f.nodes.len()).rev() {
         let n = &f.nodes[i];
-        match classify(n.op, &n.attrs, n.stateful) {
+        match classify(n.op, &n.params, n.stateful) {
             Access::Pure => {}
             Access::Barrier => clobbered.clear(),
             Access::Read(Resource::Var(v)) => {
@@ -497,7 +495,7 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
         f.nodes[sink] = Node {
             op: Op::FusedElementwise,
             inputs,
-            attrs: Attrs::new().with("program", program),
+            params: Params::Fused { program },
             outputs,
             stateful: false,
             control_inputs: Vec::new(),
@@ -513,7 +511,7 @@ mod tests {
     use super::*;
     use crate::program::CompiledProgram;
     use crate::sequencing::sequence_control_edges;
-    use tfe_ops::{AttrValue, Handle, SymShape};
+    use tfe_ops::{Attrs, Handle, Params, SymShape};
     use tfe_tensor::Shape;
 
     /// One rewrite family, then the prune that clears what it orphaned.
@@ -623,28 +621,28 @@ mod tests {
     }
 
     #[test]
-    fn cse_keeps_nodes_whose_attrs_differ_only_in_bits_or_type() {
-        // `AttrValue` compares floats by bits and `Int(1)` is not
-        // `Float(1.0)`, though both pairs print alike.
+    fn cse_compares_parameters_not_their_spelling() {
+        // Parameter floats compare by bits: two NaN payloads print alike
+        // and stay apart. An int attribute where a float is read decodes to
+        // the same parameter as the float, so those two nodes are one.
         let fill = |b: &mut GraphBuilder, value: tfe_ops::AttrValue| {
             let attrs = Attrs::new().with("dtype", DType::F32).with("shape", vec![2i64]);
             b.add_node("fill", vec![], attrs.with("value", value)).unwrap()[0]
         };
         let quiet_nan = f64::from_bits(0x7ff8_0000_0000_0000);
         let payload_nan = f64::from_bits(0x7ff8_0000_0000_0001);
-        for (v1, v2) in [
-            (tfe_ops::AttrValue::Float(quiet_nan), tfe_ops::AttrValue::Float(payload_nan)),
-            (tfe_ops::AttrValue::Int(1), tfe_ops::AttrValue::Float(1.0)),
+        for (v1, v2, kept) in [
+            (tfe_ops::AttrValue::Float(quiet_nan), tfe_ops::AttrValue::Float(payload_nan), 2),
+            (tfe_ops::AttrValue::Int(1), tfe_ops::AttrValue::Float(1.0), 1),
         ] {
             let mut b = GraphBuilder::new("f");
             let (a, c) = (fill(&mut b, v1.clone()), fill(&mut b, v2));
             let same = fill(&mut b, v1);
             let f = b.finish(vec![a, c, same], 0);
             let g = run(&f, "cse");
-            // The exact duplicate merges; the look-alike does not.
-            assert_eq!(g.nodes.iter().filter(|n| n.op == "fill").count(), 2, "{}", g.dump());
-            assert_eq!(g.outputs[0], g.outputs[2]);
-            assert_ne!(g.outputs[0], g.outputs[1]);
+            assert_eq!(g.nodes.iter().filter(|n| n.op == "fill").count(), kept, "{}", g.dump());
+            assert_eq!(g.outputs[0], g.outputs[2], "the exact duplicate merges");
+            assert_eq!(g.outputs[0] == g.outputs[1], kept == 1);
         }
     }
 
@@ -677,10 +675,7 @@ mod tests {
         let const_input = add.inputs[1];
         let cnode = g.node(const_input.node);
         assert_eq!(cnode.op, "const");
-        let idx = match cnode.attrs.get("value_index") {
-            Some(AttrValue::Int(i)) => *i as usize,
-            _ => panic!("missing value_index"),
-        };
+        let Params::Const { index: idx, .. } = cnode.params else { panic!("a const") };
         assert_eq!(g.constants[idx].scalar_f64().unwrap(), 6.0);
     }
 
@@ -716,11 +711,9 @@ mod tests {
         let fused: Vec<&Node> = g.nodes.iter().filter(|n| n.op == "fused_elementwise").collect();
         assert_eq!(fused.len(), 1);
         assert_eq!(fused[0].inputs.len(), 2);
-        let program = fused[0].attrs.handle::<CompiledProgram>("program").unwrap();
-        assert_eq!(
-            fused[0].attrs.label("program").unwrap(),
-            "in:0;in:1;b:add:0:1;u:relu:2;u:exp:3|4"
-        );
+        let Params::Fused { program } = &fused[0].params else { panic!("a fused node") };
+        assert_eq!(program.label(), "in:0;in:1;b:add:0:1;u:relu:2;u:exp:3|4");
+        let program = program.get::<CompiledProgram>().unwrap();
         assert_eq!(program.op_count(), 3);
         // Executable count dropped from 3 to 1.
         assert_eq!(g.executable_node_count(), 1);
@@ -764,7 +757,8 @@ mod tests {
         let f = b.finish(vec![sq], 0);
         let g = run(&f, "fuse_elementwise");
         let fused = g.nodes.iter().find(|n| n.op == "fused_elementwise").unwrap();
-        let program = fused.attrs.handle::<CompiledProgram>("program").unwrap();
+        let Params::Fused { program } = &fused.params else { panic!("a fused node") };
+        let program = program.get::<CompiledProgram>().unwrap();
         let a = TensorData::from_vec(vec![1.0f32, 2.0, 3.0, -1.0], Shape::from([4])).unwrap();
         let c = TensorData::from_vec(vec![1.0f32, 1.0, 1.0, 1.0], Shape::from([4])).unwrap();
         let r = program.eval(&[&a, &c]).unwrap();
@@ -835,9 +829,9 @@ mod tests {
     fn const_payload(g: &GraphFunction, t: TensorRef) -> Vec<f64> {
         let n = g.node(t.node);
         assert_eq!(n.op, "const", "expected a const, got {}", n.op);
-        match n.attrs.get("value_index") {
-            Some(AttrValue::Int(i)) => g.constants[*i as usize].to_f64_vec(),
-            _ => panic!("const without value_index"),
+        match n.params {
+            Params::Const { index, .. } => g.constants[index].to_f64_vec(),
+            _ => panic!("const without a pool index"),
         }
     }
 
@@ -918,7 +912,7 @@ mod tests {
         let g = run(&f, "simplify_algebraic");
         assert!(!g.nodes.iter().any(|n| n.op == "transpose"));
         let mm = g.nodes.iter().find(|n| n.op == "matmul").unwrap();
-        assert_eq!(mm.attrs.bool_or("transpose_a", false), Ok(true));
+        assert_eq!(mm.params, Params::Matmul { transpose_a: true, transpose_b: false });
         // Result signature is unchanged by the absorption.
         assert_eq!(g.output_sigs(), f.output_sigs());
     }
@@ -979,7 +973,7 @@ mod tests {
         let x = b.placeholder(DType::F32, SymShape::scalar()).unwrap();
         var_write(&mut b, "assign", 7, x);
         // A barrier (opaque stateful op) may read any variable.
-        let sig = tfe_ops::catalog::encode_sig(&[(DType::F32, SymShape::scalar())]);
+        let sig = tfe_ops::encode_sig(&[(DType::F32, SymShape::scalar())]);
         b.add_node(
             "host_func",
             vec![x],

@@ -38,7 +38,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use tfe_ops::{AttrValue, Attrs, Handle, Op};
+use tfe_ops::{Handle, Params};
 use tfe_tensor::elementwise::{BinaryOp, UnaryOp};
 use tfe_tensor::lanes::{self, Periodic};
 use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
@@ -185,25 +185,25 @@ impl Programs {
     }
 
     /// Give a decoded `fused_elementwise` node the compiled form of the
-    /// program text its `program` attribute was written as. Any other node,
-    /// and one that holds its program already, is left as it is.
+    /// program text it was written as. Any other node, and one that holds
+    /// its program already, is left as it is.
     ///
     /// # Errors
     /// A malformed program text.
-    pub fn link(&mut self, op: Op, attrs: &mut Attrs) -> Result<(), String> {
-        let text = match attrs.get("program") {
-            Some(AttrValue::Str(text)) if op == Op::FusedElementwise => text.clone(),
-            _ => return Ok(()),
-        };
-        let program = match self.0.get(&text) {
-            Some(program) => program.clone(),
+    pub fn link(&mut self, params: &mut Params) -> Result<(), String> {
+        let Params::Fused { program } = params else { return Ok(()) };
+        if program.get::<CompiledProgram>().is_some() {
+            return Ok(());
+        }
+        let text = program.label();
+        *program = match self.0.get(text) {
+            Some(compiled) => compiled.clone(),
             None => {
-                let program = Handle::new(Arc::new(Program::decode(&text)?.compile()), &*text);
-                self.0.insert(text, program.clone());
-                program
+                let compiled = Handle::new(Arc::new(Program::decode(text)?.compile()), text);
+                self.0.insert(text.to_string(), compiled.clone());
+                compiled
             }
         };
-        attrs.set("program", program);
         Ok(())
     }
 }

@@ -29,12 +29,12 @@
 
 use crate::ir::NodeId;
 use std::collections::HashMap;
-use tfe_ops::{AttrValue, Attrs, Op};
+use tfe_ops::{Op, Params};
 
 /// A unit of mutable state a node may touch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
-    /// A runtime variable, keyed by its `var_id` attribute.
+    /// A runtime variable, keyed by its id.
     Var(i64),
     /// The global random-number stream.
     Rng,
@@ -56,14 +56,11 @@ pub enum Access {
 }
 
 /// Classify a node's interaction with mutable state.
-pub fn classify(op: Op, attrs: &Attrs, stateful: bool) -> Access {
+pub fn classify(op: Op, params: &Params, stateful: bool) -> Access {
     if !stateful {
         return Access::Pure;
     }
-    let var = || match attrs.get("var_id") {
-        Some(AttrValue::Int(id)) => Some(Resource::Var(*id)),
-        _ => None,
-    };
+    let var = || params.var_id().map(Resource::Var);
     match op {
         Op::ReadVariable => var().map_or(Access::Barrier, Access::Read),
         Op::Assign | Op::AssignAdd | Op::AssignSub => var().map_or(Access::Barrier, Access::Write),
@@ -161,7 +158,7 @@ pub(crate) fn sequence_control_edges(nodes: &[crate::ir::Node]) -> Vec<Vec<NodeI
         .iter()
         .enumerate()
         .map(|(i, n)| {
-            let access = classify(n.op, &n.attrs, n.stateful);
+            let access = classify(n.op, &n.params, n.stateful);
             let data: Vec<NodeId> = n.inputs.iter().map(|t| t.node).collect();
             state.sequence(NodeId(i), access, &data)
         })
@@ -172,7 +169,7 @@ pub(crate) fn sequence_control_edges(nodes: &[crate::ir::Node]) -> Vec<Vec<NodeI
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
-    use tfe_ops::{Handle, SymShape};
+    use tfe_ops::{Attrs, Handle, SymShape};
     use tfe_tensor::DType;
 
     fn read(b: &mut GraphBuilder, var: i64) -> crate::ir::TensorRef {
@@ -195,19 +192,17 @@ mod tests {
 
     #[test]
     fn classify_covers_the_catalog() {
-        let v = Attrs::new().with("var_id", 3i64);
-        assert_eq!(
-            classify(Op::Binary(tfe_ops::BinaryOp::Add), &Attrs::new(), false),
-            Access::Pure
-        );
+        let v = Params::Assign { var_id: 3 };
+        let none = Params::None;
+        assert_eq!(classify(Op::Binary(tfe_ops::BinaryOp::Add), &none, false), Access::Pure);
         assert_eq!(classify(Op::ReadVariable, &v, true), Access::Read(Resource::Var(3)));
         assert_eq!(classify(Op::AssignAdd, &v, true), Access::Write(Resource::Var(3)));
-        assert_eq!(classify(Op::RandomNormal, &Attrs::new(), true), Access::Write(Resource::Rng));
-        assert_eq!(classify(Op::Print, &Attrs::new(), true), Access::Write(Resource::Io));
-        assert_eq!(classify(Op::HostFunc, &Attrs::new(), true), Access::Barrier);
-        assert_eq!(classify(Op::Call, &Attrs::new(), true), Access::Barrier);
-        // Missing var_id degrades to a barrier, never to Pure.
-        assert_eq!(classify(Op::Assign, &Attrs::new(), true), Access::Barrier);
+        assert_eq!(classify(Op::RandomNormal, &none, true), Access::Write(Resource::Rng));
+        assert_eq!(classify(Op::Print, &none, true), Access::Write(Resource::Io));
+        assert_eq!(classify(Op::HostFunc, &none, true), Access::Barrier);
+        assert_eq!(classify(Op::Call, &none, true), Access::Barrier);
+        // Parameters without a variable degrade to a barrier, never to Pure.
+        assert_eq!(classify(Op::Assign, &none, true), Access::Barrier);
     }
 
     #[test]
@@ -267,7 +262,7 @@ mod tests {
     fn barriers_partition_the_chains() {
         let mut b = GraphBuilder::new("f");
         let r1 = read(&mut b, 1);
-        let sig = tfe_ops::catalog::encode_sig(&[(DType::F32, SymShape::scalar())]);
+        let sig = tfe_ops::encode_sig(&[(DType::F32, SymShape::scalar())]);
         let h = b
             .add_node(
                 "host_func",

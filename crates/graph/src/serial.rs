@@ -3,26 +3,28 @@
 //! written to disk and executed by a runtime with no tracer present.
 //!
 //! A node is written as what was given to the builder — its op, inputs and
-//! attributes — and read back through [`GraphBuilder`], the door every
-//! traced node takes, so a decoded graph's output signatures, statefulness
+//! parameters, as the attributes [`Params::to_attrs`] writes — and read back
+//! through [`Params::decode`] and [`GraphBuilder`], the doors every traced
+//! node takes, so a decoded graph's output signatures, statefulness
 //! and sequencing edges are the builder's own, never the payload's. Older
 //! payloads that also carry per-node `outputs`, `stateful` and `control`
 //! fields load the same: those fields are not read.
 //!
 //! Names exist only here. A node holds what it runs as a handle, and a
 //! handle is written as its label: a callee as its function's name, a fused
-//! program as its text. Reading turns them back: [`function_from_value`]
+//! program as its text. A decoded node holds a handle with only that label
+//! (`Handle::name`) until reading turns it back: [`function_from_value`]
 //! compiles program texts, and [`link`] makes each callee name a handle to
 //! the function of that name in the same set ([`closure`] is the set one
 //! function needs).
 
 use crate::builder::GraphBuilder;
-use crate::ir::{GraphFunction, NodeId, TensorRef, CALLEE_KEYS};
+use crate::ir::{GraphFunction, NodeId, TensorRef};
 use crate::program::Programs;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use tfe_encode::Value;
-use tfe_ops::{AttrValue, Attrs, Op, OpError};
+use tfe_ops::{AttrValue, Attrs, Op, OpError, Params};
 use tfe_tensor::{DType, Shape, TensorData};
 
 /// Serialization failures.
@@ -116,37 +118,19 @@ fn legacy_elements(
 }
 
 fn attr_to_value(a: &AttrValue) -> Value {
-    match a {
-        AttrValue::Int(v) => {
-            Value::object([("t".to_string(), Value::str("i")), ("v".to_string(), Value::Int(*v))])
+    let (t, v) = match a {
+        AttrValue::Int(v) => ("i", Value::Int(*v)),
+        AttrValue::Float(v) => ("f", Value::Float(*v)),
+        AttrValue::Bool(v) => ("b", Value::Bool(*v)),
+        AttrValue::Str(v) => ("s", Value::str(v.clone())),
+        AttrValue::Handle(h) => ("s", Value::str(h.label())),
+        AttrValue::IntList(v) => ("il", Value::Array(v.iter().map(|&i| Value::Int(i)).collect())),
+        AttrValue::FloatList(v) => {
+            ("fl", Value::Array(v.iter().map(|&f| Value::Float(f)).collect()))
         }
-        AttrValue::Float(v) => {
-            Value::object([("t".to_string(), Value::str("f")), ("v".to_string(), Value::Float(*v))])
-        }
-        AttrValue::Bool(v) => {
-            Value::object([("t".to_string(), Value::str("b")), ("v".to_string(), Value::Bool(*v))])
-        }
-        AttrValue::Str(v) => Value::object([
-            ("t".to_string(), Value::str("s")),
-            ("v".to_string(), Value::str(v.clone())),
-        ]),
-        AttrValue::Handle(h) => Value::object([
-            ("t".to_string(), Value::str("s")),
-            ("v".to_string(), Value::str(h.label())),
-        ]),
-        AttrValue::IntList(v) => Value::object([
-            ("t".to_string(), Value::str("il")),
-            ("v".to_string(), Value::Array(v.iter().map(|&i| Value::Int(i)).collect())),
-        ]),
-        AttrValue::FloatList(v) => Value::object([
-            ("t".to_string(), Value::str("fl")),
-            ("v".to_string(), Value::Array(v.iter().map(|&f| Value::Float(f)).collect())),
-        ]),
-        AttrValue::DType(v) => Value::object([
-            ("t".to_string(), Value::str("dt")),
-            ("v".to_string(), Value::str(v.name())),
-        ]),
-    }
+        AttrValue::DType(v) => ("dt", Value::str(v.name())),
+    };
+    Value::object([("t".to_string(), Value::str(t)), ("v".to_string(), v)])
 }
 
 fn attr_from_value(v: &Value) -> Result<AttrValue, SerialError> {
@@ -166,6 +150,11 @@ fn attr_from_value(v: &Value) -> Result<AttrValue, SerialError> {
     })
 }
 
+/// The attributes through which a node holds what it runs: the only
+/// handles bytes carry, as their labels.
+const RUN_KEYS: [&str; 7] =
+    ["function", "then_fn", "else_fn", "cond_fn", "body_fn", "program", "host_fn"];
+
 /// Encode an attribute map as a JSON object (used by the distributed wire
 /// protocol as well as graph serialization). Bytes carry every plain value
 /// and, of the handles, what the node runs (its callee, fused program or
@@ -174,10 +163,7 @@ fn attr_from_value(v: &Value) -> Result<AttrValue, SerialError> {
 /// process and is left out.
 pub fn attrs_to_value(attrs: &Attrs) -> Value {
     let written = |key: &str, value: &AttrValue| {
-        !matches!(value, AttrValue::Handle(_))
-            || CALLEE_KEYS.contains(&key)
-            || key == "program"
-            || key == "host_fn"
+        !matches!(value, AttrValue::Handle(_)) || RUN_KEYS.contains(&key)
     };
     Value::object(
         attrs.iter().filter(|(k, v)| written(k, v)).map(|(k, v)| (k.clone(), attr_to_value(v))),
@@ -210,7 +196,8 @@ fn tensor_ref_from_value(v: &Value) -> Result<TensorRef, SerialError> {
 }
 
 /// Serialize one graph function: each node as its op, inputs and
-/// attributes. What the builder derives from those — output signatures,
+/// parameters, written as attributes ([`Params::to_attrs`]). What the
+/// builder derives from those — output signatures,
 /// statefulness, sequencing edges — is derived again when it is read.
 pub fn function_to_value(f: &GraphFunction) -> Value {
     let nodes: Vec<Value> = f
@@ -223,7 +210,7 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
                     "inputs".to_string(),
                     Value::Array(n.inputs.iter().map(tensor_ref_to_value).collect()),
                 ),
-                ("attrs".to_string(), attrs_to_value(&n.attrs)),
+                ("attrs".to_string(), attrs_to_value(&n.params.to_attrs())),
             ])
         })
         .collect();
@@ -244,8 +231,9 @@ pub fn function_to_value(f: &GraphFunction) -> Value {
 }
 
 /// Deserialize one graph function by replaying its nodes through a plain
-/// [`GraphBuilder`], the door every traced node takes: inference gives each
-/// node its output signature, the op and its `stateful` attribute its
+/// [`GraphBuilder`], the door every traced node takes: each node's
+/// attributes become its [`Params`] ([`Params::decode`]), inference gives
+/// it its output signature, the op and its parameters' `stateful` its
 /// statefulness, and the sequencing model its control edges. A `const`
 /// node is its entry of the constant pool. A fused node's program is
 /// compiled here, once per distinct text; a callee stays a name until
@@ -270,13 +258,12 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
     for (i, nv) in nodes_v.iter().enumerate() {
         let op = nv.get("op").and_then(Value::as_str).ok_or_else(|| err("missing op"))?;
         let op = Op::from_name(op).map_err(|e| err(e.to_string()))?;
-        let mut attrs = attrs_from_value(nv.get("attrs").ok_or_else(|| err("missing attrs"))?)?;
+        let attrs = attrs_from_value(nv.get("attrs").ok_or_else(|| err("missing attrs"))?)?;
         let refused = |e: OpError| err(format!("node {i}: {e}"));
-        if op == Op::Const {
-            let value = attrs
-                .int("value_index")
-                .ok()
-                .and_then(|k| constants.get(usize::try_from(k).ok()?))
+        let mut params = Params::decode(op, &attrs).map_err(refused)?;
+        if let Params::Const { index, .. } = params {
+            let value = constants
+                .get(index)
                 .ok_or_else(|| err(format!("node {i}: constant index out of range")))?;
             b.constant(value.clone()).map_err(refused)?;
             continue;
@@ -288,8 +275,8 @@ pub fn function_from_value(v: &Value) -> Result<GraphFunction, SerialError> {
             .iter()
             .map(tensor_ref_from_value)
             .collect::<Result<_, _>>()?;
-        programs.link(op, &mut attrs).map_err(err)?;
-        b.add_op(op, inputs, attrs).map_err(refused)?;
+        programs.link(&mut params).map_err(err)?;
+        b.add_op(op, inputs, params).map_err(refused)?;
     }
     let inputs: Vec<NodeId> = v
         .get("inputs")
@@ -349,14 +336,10 @@ pub fn closure(entry: &Arc<GraphFunction>) -> Result<Vec<Arc<GraphFunction>>, Se
     Ok(out)
 }
 
-/// The callee names `f`'s nodes carry in place of handles.
+/// The callee names `f`'s nodes carry in place of functions.
 fn callee_names(f: &GraphFunction) -> impl Iterator<Item = &str> {
-    f.nodes.iter().flat_map(|n| {
-        CALLEE_KEYS.iter().filter_map(|&key| match n.attrs.get(key) {
-            Some(AttrValue::Str(name)) => Some(name.as_str()),
-            _ => None,
-        })
-    })
+    let named = |h: &&tfe_ops::Handle| h.get::<GraphFunction>().is_none();
+    f.nodes.iter().flat_map(move |n| n.params.callees().filter(named).map(|h| h.label()))
 }
 
 /// Link decoded functions into one set, by name: every callee name a node
@@ -384,12 +367,9 @@ pub fn link(
         .map(|(name, _)| name.clone())
     {
         let mut f = pending.remove(&name).expect("found above");
-        for node in &mut f.nodes {
-            for key in CALLEE_KEYS {
-                if let Some(AttrValue::Str(callee)) = node.attrs.get(key) {
-                    let handle = linked[callee.as_str()].handle();
-                    node.attrs.set(key, handle);
-                }
+        for callee in f.nodes.iter_mut().flat_map(|n| n.params.callees_mut()) {
+            if callee.get::<GraphFunction>().is_none() {
+                *callee = linked[callee.label()].handle();
             }
         }
         linked.insert(name, Arc::new(f));
@@ -469,9 +449,9 @@ mod tests {
         assert_eq!(back.output_sigs(), f.output_sigs());
         assert_eq!(back.constants.len(), 1);
         assert_eq!(back.constants[0].scalar_f64().unwrap(), 2.5);
-        // Attrs survive.
+        // Parameters survive.
         let rs = back.nodes.iter().find(|n| n.op == "reduce_sum").unwrap();
-        assert_eq!(rs.attrs.int_list("axes").unwrap(), &[1]);
+        assert_eq!(rs.params, Params::Reduce { axes: vec![1], keep_dims: false });
         // Unknown dim survives.
         assert_eq!(back.arg_sigs()[0].1, SymShape::new(vec![None, Some(3)]));
     }
@@ -479,7 +459,7 @@ mod tests {
     #[test]
     fn closure_and_link_round_trip_call_edges() {
         let callee = Arc::new(sample_fn());
-        let (d, s) = tfe_ops::catalog::encode_sig(&callee.output_sigs());
+        let (d, s) = tfe_ops::encode_sig(&callee.output_sigs());
         let mut b = GraphBuilder::new("caller");
         let x = b.placeholder(DType::F32, SymShape::new(vec![None, Some(3)])).unwrap();
         let attrs = Attrs::new()

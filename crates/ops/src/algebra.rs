@@ -37,13 +37,13 @@ pub fn identity_operand(op: BinaryOp) -> Option<(IdentitySide, f64)> {
 }
 
 /// Whether `perm` is the identity permutation `[0, 1, ..., n-1]`.
-pub fn is_identity_perm(perm: &[i64]) -> bool {
-    perm.iter().enumerate().all(|(i, &p)| p == i as i64)
+pub fn is_identity_perm(perm: &[usize]) -> bool {
+    perm.iter().enumerate().all(|(i, &p)| p == i)
 }
 
 /// Whether `perm` is the rank-2 swap `[1, 0]` — the transpose shape the
 /// packed gemm absorbs for free via its `transpose_a`/`transpose_b` flags.
-pub fn is_swap_perm(perm: &[i64]) -> bool {
+pub fn is_swap_perm(perm: &[usize]) -> bool {
     perm == [1, 0]
 }
 
@@ -52,11 +52,11 @@ pub fn is_swap_perm(perm: &[i64]) -> bool {
 /// `compose[i] = inner[outer[i]]`. Returns `None` on rank mismatch or an
 /// out-of-range index (malformed graphs never reach the pass, but the
 /// helper stays total).
-pub fn compose_perms(inner: &[i64], outer: &[i64]) -> Option<Vec<i64>> {
+pub fn compose_perms(inner: &[usize], outer: &[usize]) -> Option<Vec<usize>> {
     if inner.len() != outer.len() {
         return None;
     }
-    outer.iter().map(|&o| inner.get(usize::try_from(o).ok()?).copied()).collect()
+    outer.iter().map(|&o| inner.get(o).copied()).collect()
 }
 
 #[cfg(test)]

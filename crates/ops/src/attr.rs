@@ -1,8 +1,10 @@
-//! Operation attributes: the static (compile-time, in staging terms)
-//! parameters of a primitive operation.
+//! Operation attributes: the boundary form of an op's parameters — what
+//! bundles, wire frames and `GraphBuilder::add_node` carry, keyed by name.
 //!
-//! Attribute values are part of trace-cache keys (§4.6's binding-time
-//! analysis specializes on them), so they implement `Eq`/`Hash` — floats
+//! Inside the process an op's parameters are a typed
+//! [`Params`](crate::Params), decoded from an [`Attrs`] once where the op
+//! enters (the `params` module says where) and written back only where
+//! bytes or listings leave. Attribute values implement `Eq`/`Hash` — floats
 //! hash by bit pattern.
 //!
 //! A node that runs something — a callee graph, a compiled fused program, a
@@ -34,6 +36,12 @@ impl Handle {
         Handle { object, label: label.into() }
     }
 
+    /// A handle that holds nothing but `label`: what a decoded node names
+    /// in place of the object until it is linked.
+    pub fn name(label: &str) -> Handle {
+        Handle::new(Arc::new(()), label)
+    }
+
     /// The label bytes carry in place of the object.
     pub fn label(&self) -> &str {
         &self.label
@@ -48,6 +56,15 @@ impl Handle {
 impl PartialEq for Handle {
     fn eq(&self, other: &Handle) -> bool {
         std::ptr::addr_eq(Arc::as_ptr(&self.object), Arc::as_ptr(&other.object))
+    }
+}
+
+impl Eq for Handle {}
+
+/// As its label, like the [`AttrValue`] that carries it.
+impl std::hash::Hash for Handle {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.label.hash(state);
     }
 }
 
@@ -217,7 +234,9 @@ impl From<Handle> for AttrValue {
     }
 }
 
-/// An ordered attribute map with typed accessors.
+/// An ordered attribute map: the boundary form of an op's parameters, which
+/// [`Params::decode`](crate::Params::decode) reads and
+/// [`Params::to_attrs`](crate::Params::to_attrs) writes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct Attrs(BTreeMap<String, AttrValue>);
 
@@ -252,153 +271,6 @@ impl Attrs {
     pub fn iter(&self) -> impl Iterator<Item = (&String, &AttrValue)> {
         self.0.iter()
     }
-
-    /// Typed integer accessor.
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn int(&self, key: &str) -> Result<i64, AttrError> {
-        match self.get(key) {
-            Some(AttrValue::Int(v)) => Ok(*v),
-            other => Err(AttrError::new(key, "int", other)),
-        }
-    }
-
-    /// Integer with a default when absent.
-    ///
-    /// # Errors
-    /// Present but wrong type.
-    pub fn int_or(&self, key: &str, default: i64) -> Result<i64, AttrError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(AttrValue::Int(v)) => Ok(*v),
-            other => Err(AttrError::new(key, "int", other)),
-        }
-    }
-
-    /// Typed float accessor (accepts ints).
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn float(&self, key: &str) -> Result<f64, AttrError> {
-        match self.get(key) {
-            Some(AttrValue::Float(v)) => Ok(*v),
-            Some(AttrValue::Int(v)) => Ok(*v as f64),
-            other => Err(AttrError::new(key, "float", other)),
-        }
-    }
-
-    /// Float with a default when absent.
-    ///
-    /// # Errors
-    /// Present but wrong type.
-    pub fn float_or(&self, key: &str, default: f64) -> Result<f64, AttrError> {
-        match self.get(key) {
-            None => Ok(default),
-            _ => self.float(key),
-        }
-    }
-
-    /// Typed bool accessor.
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn bool(&self, key: &str) -> Result<bool, AttrError> {
-        match self.get(key) {
-            Some(AttrValue::Bool(v)) => Ok(*v),
-            other => Err(AttrError::new(key, "bool", other)),
-        }
-    }
-
-    /// Bool with a default when absent.
-    ///
-    /// # Errors
-    /// Present but wrong type.
-    pub fn bool_or(&self, key: &str, default: bool) -> Result<bool, AttrError> {
-        match self.get(key) {
-            None => Ok(default),
-            _ => self.bool(key),
-        }
-    }
-
-    /// Typed string accessor.
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn str(&self, key: &str) -> Result<&str, AttrError> {
-        match self.get(key) {
-            Some(AttrValue::Str(v)) => Ok(v),
-            other => Err(AttrError::new(key, "str", other)),
-        }
-    }
-
-    /// The object held at `key`, if it is a `T`.
-    ///
-    /// # Errors
-    /// Missing key, or anything but a handle to a `T` (a name included).
-    pub fn handle<T: Any + Send + Sync>(&self, key: &str) -> Result<Arc<T>, AttrError> {
-        let found = self.get(key);
-        match found {
-            Some(AttrValue::Handle(h)) => h.get(),
-            _ => None,
-        }
-        .ok_or_else(|| AttrError::new(key, std::any::type_name::<T>(), found))
-    }
-
-    /// What the node names at `key`: a handle's label, or a string.
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn label(&self, key: &str) -> Result<&str, AttrError> {
-        match self.get(key) {
-            Some(AttrValue::Handle(h)) => Ok(h.label()),
-            Some(AttrValue::Str(v)) => Ok(v),
-            other => Err(AttrError::new(key, "handle or str", other)),
-        }
-    }
-
-    /// Typed int-list accessor.
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn int_list(&self, key: &str) -> Result<&[i64], AttrError> {
-        match self.get(key) {
-            Some(AttrValue::IntList(v)) => Ok(v),
-            other => Err(AttrError::new(key, "int list", other)),
-        }
-    }
-
-    /// Int list with a default when absent.
-    ///
-    /// # Errors
-    /// Present but wrong type.
-    pub fn int_list_or<'a>(
-        &'a self,
-        key: &str,
-        default: &'a [i64],
-    ) -> Result<&'a [i64], AttrError> {
-        match self.get(key) {
-            None => Ok(default),
-            _ => self.int_list(key),
-        }
-    }
-
-    /// Typed dtype accessor.
-    ///
-    /// # Errors
-    /// Missing key or wrong type.
-    pub fn dtype(&self, key: &str) -> Result<DType, AttrError> {
-        match self.get(key) {
-            Some(AttrValue::DType(v)) => Ok(*v),
-            other => Err(AttrError::new(key, "dtype", other)),
-        }
-    }
-}
-
-impl FromIterator<(String, AttrValue)> for Attrs {
-    fn from_iter<I: IntoIterator<Item = (String, AttrValue)>>(iter: I) -> Attrs {
-        Attrs(iter.into_iter().collect())
-    }
 }
 
 /// A missing or mistyped attribute.
@@ -413,7 +285,7 @@ pub struct AttrError {
 }
 
 impl AttrError {
-    fn new(key: &str, expected: &'static str, found: Option<&AttrValue>) -> AttrError {
+    pub(crate) fn new(key: &str, expected: &'static str, found: Option<&AttrValue>) -> AttrError {
         AttrError { key: key.to_string(), expected, found: found.map(|v| v.to_string()) }
     }
 }
@@ -439,38 +311,6 @@ mod tests {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
-    }
-
-    #[test]
-    fn typed_accessors() {
-        let a = Attrs::new()
-            .with("n", 3i64)
-            .with("rate", 0.5)
-            .with("flag", true)
-            .with("name", "x")
-            .with("dims", vec![1i64, 2])
-            .with("dt", DType::F32);
-        assert_eq!(a.int("n").unwrap(), 3);
-        assert_eq!(a.float("rate").unwrap(), 0.5);
-        assert_eq!(a.float("n").unwrap(), 3.0); // int widens to float
-        assert!(a.bool("flag").unwrap());
-        assert_eq!(a.str("name").unwrap(), "x");
-        assert_eq!(a.int_list("dims").unwrap(), &[1, 2]);
-        assert_eq!(a.dtype("dt").unwrap(), DType::F32);
-    }
-
-    #[test]
-    fn defaults_and_errors() {
-        let a = Attrs::new().with("n", 3i64);
-        assert_eq!(a.int_or("missing", 7).unwrap(), 7);
-        assert!(a.bool_or("missing", true).unwrap());
-        assert_eq!(a.float_or("missing", 1.5).unwrap(), 1.5);
-        let err = a.int("missing").unwrap_err();
-        assert!(err.to_string().contains("missing"));
-        let err = a.bool("n").unwrap_err();
-        assert!(err.to_string().contains("expected bool"));
-        assert!(a.int_or("n", 0).is_ok());
-        assert!(a.bool_or("n", false).is_err()); // present but wrong type
     }
 
     #[test]
@@ -508,15 +348,13 @@ mod tests {
     }
 
     #[test]
-    fn a_handle_is_read_by_type_and_a_name_is_not_a_handle() {
-        let attrs = Attrs::new().with("f", Handle::new(Arc::new(7u32), "seven")).with("n", "seven");
-        assert_eq!(*attrs.handle::<u32>("f").unwrap(), 7);
-        assert_eq!(attrs.label("f").unwrap(), "seven");
-        assert_eq!(attrs.label("n").unwrap(), "seven");
-        let wrong_type = attrs.handle::<u64>("f").unwrap_err();
-        assert_eq!(wrong_type.found.as_deref(), Some("\"seven\""));
-        let name = attrs.handle::<u32>("n").unwrap_err();
-        assert_eq!((name.key.as_str(), name.found.as_deref()), ("n", Some("\"seven\"")));
-        assert!(attrs.handle::<u32>("missing").unwrap_err().found.is_none());
+    fn a_named_handle_holds_only_its_label() {
+        let named = Handle::name("seven");
+        assert_eq!(named.label(), "seven");
+        assert!(named.get::<u32>().is_none());
+        let held = Handle::new(Arc::new(7u32), "seven");
+        assert_eq!(held.get::<u32>().as_deref(), Some(&7));
+        assert!(held.get::<u64>().is_none());
+        assert_ne!(named, held, "two objects under one label");
     }
 }

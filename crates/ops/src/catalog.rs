@@ -2,108 +2,71 @@
 //! single op set shared by eager dispatch, the graph builder, the tracer
 //! and autodiff (§1's "single set of primitive operations, kernels, and
 //! user-visible APIs"). Adding an op means a variant in `opdef.rs` and an
-//! arm in [`def`]; the kernel and gradient tables then fail to compile
-//! until they decide about it too.
+//! arm in [`def`] (and, if it takes parameters, a variant or an arm in the
+//! `params` module); the kernel and gradient tables then fail to compile
+//! until they decide about it too. Inference reads the typed [`Params`].
 
-use crate::attr::Attrs;
 use crate::opdef::{elems_or, Arity, InferCtx, Op, OpDef, OpError, OutputSig, WorkEstimate};
+use crate::params::Params;
 use crate::symshape::SymShape;
 use tfe_tensor::conv::Padding;
 use tfe_tensor::{DType, TensorError};
 
-/// Encode an output signature into the `out_dtypes`/`out_shapes` string
-/// attributes used by `call`, `host_func`, `cond` and `while_loop`.
-pub fn encode_sig(sig: &[(DType, SymShape)]) -> (String, String) {
-    let dtypes = sig.iter().map(|(d, _)| d.name().to_string()).collect::<Vec<_>>().join(",");
-    let shapes = sig
-        .iter()
-        .map(|(_, s)| {
-            let dims = s
-                .dims()
-                .iter()
-                .map(|d| d.map_or("?".to_string(), |v| v.to_string()))
-                .collect::<Vec<_>>()
-                .join(",");
-            format!("({dims})")
-        })
-        .collect::<Vec<_>>()
-        .join(";");
-    (dtypes, shapes)
-}
-
-/// Decode the `out_dtypes`/`out_shapes` attribute pair.
-///
-/// # Errors
-/// Malformed dtype names or shape lists.
-pub fn decode_sig(dtypes: &str, shapes: &str) -> Result<OutputSig, OpError> {
-    if dtypes.is_empty() {
-        return Ok(Vec::new());
-    }
-    let dts: Vec<DType> = dtypes
-        .split(',')
-        .map(|n| {
-            DType::from_name(n).ok_or_else(|| OpError::Invalid(format!("bad dtype name `{n}`")))
-        })
-        .collect::<Result<_, _>>()?;
-    let shs: Vec<SymShape> = shapes
-        .split(';')
-        .map(|s| -> Result<SymShape, OpError> {
-            let inner = s
-                .strip_prefix('(')
-                .and_then(|s| s.strip_suffix(')'))
-                .ok_or_else(|| OpError::Invalid(format!("bad shape encoding `{s}`")))?;
-            if inner.is_empty() {
-                return Ok(SymShape::scalar());
-            }
-            let dims: Result<Vec<Option<usize>>, OpError> = inner
-                .split(',')
-                .filter(|p| !p.is_empty())
-                .map(|p| {
-                    if p == "?" {
-                        Ok(None)
-                    } else {
-                        p.parse::<usize>()
-                            .map(Some)
-                            .map_err(|_| OpError::Invalid(format!("bad dim `{p}`")))
-                    }
-                })
-                .collect();
-            Ok(SymShape::new(dims?))
-        })
-        .collect::<Result<_, _>>()?;
-    if dts.len() != shs.len() {
-        return Err(OpError::Invalid(format!(
-            "signature mismatch: {} dtypes vs {} shapes",
-            dts.len(),
-            shs.len()
-        )));
-    }
-    Ok(dts.into_iter().zip(shs).collect())
-}
-
-/// Read the declared output signature from `attrs` (for `call` etc.).
-///
-/// # Errors
-/// Missing or malformed attributes.
-pub fn declared_outputs(attrs: &Attrs) -> Result<OutputSig, OpError> {
-    decode_sig(attrs.str("out_dtypes")?, attrs.str("out_shapes")?)
-}
-
 fn same_as_input(ctx: &InferCtx) -> Result<OutputSig, OpError> {
-    Ok(vec![(ctx.dtype(0)?, ctx.shape(0)?.clone())])
+    like(ctx, 0, 0)
+}
+
+/// What reading parameters of another op gives; `Op::infer` has checked
+/// that they fit.
+fn unfit(ctx: &InferCtx) -> OpError {
+    ctx.params.mismatch()
+}
+
+/// One output of input `dtype_of`'s dtype and input `shape_of`'s shape.
+fn like(ctx: &InferCtx, dtype_of: usize, shape_of: usize) -> Result<OutputSig, OpError> {
+    Ok(vec![(ctx.dtype(dtype_of)?, ctx.shape(shape_of)?.clone())])
+}
+
+fn mismatch(expected: impl Into<String>, got: DType) -> OpError {
+    OpError::Shape(TensorError::DTypeMismatch { expected: expected.into(), got })
+}
+
+/// The dtype of input `i`, which `ok` must accept.
+fn dtype_where(
+    ctx: &InferCtx,
+    i: usize,
+    expected: &str,
+    ok: fn(DType) -> bool,
+) -> Result<DType, OpError> {
+    let got = ctx.dtype(i)?;
+    if ok(got) {
+        Ok(got)
+    } else {
+        Err(mismatch(expected, got))
+    }
+}
+
+/// `axis` of a rank-`rank` value, counted from the end when negative.
+fn norm_axis(axis: i64, rank: usize) -> Result<usize, OpError> {
+    let r = if axis < 0 { axis + rank as i64 } else { axis };
+    usize::try_from(r)
+        .ok()
+        .filter(|&r| r < rank)
+        .ok_or(OpError::Shape(TensorError::InvalidAxis { axis, rank }))
+}
+
+/// Bytes of the inputs plus those of `outputs`.
+fn io_bytes(ctx: &InferCtx, outputs: &OutputSig) -> f64 {
+    let sigs = ctx.dtypes.iter().zip(ctx.shapes).chain(outputs.iter().map(|(d, s)| (d, s)));
+    sigs.map(|(dt, s)| (elems_or(s, 1) * dt.size_bytes()) as f64).sum()
 }
 
 fn check_same_dtypes(ctx: &InferCtx) -> Result<DType, OpError> {
     let dt = ctx.dtype(0)?;
-    for (i, other) in ctx.dtypes.iter().enumerate().skip(1) {
-        if *other != dt {
-            return Err(OpError::Shape(TensorError::DTypeMismatch {
-                expected: format!("{dt} (input {i} disagrees with input 0)"),
-                got: *other,
-            }));
-        }
+    match ctx.dtypes.iter().enumerate().skip(1).find(|(_, &other)| other != dt) {
+        Some((i, &got)) => Err(mismatch(format!("{dt} (input {i} disagrees with input 0)"), got)),
+        None => Ok(dt),
     }
-    Ok(dt)
 }
 
 fn broadcast_all(ctx: &InferCtx) -> Result<SymShape, OpError> {
@@ -115,13 +78,8 @@ fn broadcast_all(ctx: &InferCtx) -> Result<SymShape, OpError> {
 }
 
 fn infer_binary(ctx: &InferCtx) -> Result<OutputSig, OpError> {
-    let dt = check_same_dtypes(ctx)?;
-    if dt == DType::Bool {
-        return Err(OpError::Shape(TensorError::DTypeMismatch {
-            expected: "a numeric dtype".to_string(),
-            got: DType::Bool,
-        }));
-    }
+    check_same_dtypes(ctx)?;
+    let dt = dtype_where(ctx, 0, "a numeric dtype", |d| d != DType::Bool)?;
     Ok(vec![(dt, broadcast_all(ctx)?)])
 }
 
@@ -130,81 +88,71 @@ fn infer_compare(ctx: &InferCtx) -> Result<OutputSig, OpError> {
     Ok(vec![(DType::Bool, broadcast_all(ctx)?)])
 }
 
-fn static_shape(dims: &[i64]) -> Result<SymShape, OpError> {
-    let d: Result<Vec<Option<usize>>, OpError> = dims
-        .iter()
-        .map(|&v| {
-            if v < 0 {
-                Err(OpError::Invalid(format!("negative dimension {v}")))
-            } else {
-                Ok(Some(v as usize))
-            }
-        })
-        .collect();
-    Ok(SymShape::new(d?))
+fn static_shape(dims: &[usize]) -> SymShape {
+    SymShape::new(dims.iter().map(|&d| Some(d)).collect::<Vec<_>>())
 }
 
-fn float_check(ctx: &InferCtx, i: usize) -> Result<(), OpError> {
-    let dt = ctx.dtype(i)?;
-    if !dt.is_float() {
-        return Err(OpError::Shape(TensorError::DTypeMismatch {
-            expected: "a float dtype".to_string(),
-            got: dt,
-        }));
-    }
-    Ok(())
+fn float_check(ctx: &InferCtx, i: usize) -> Result<DType, OpError> {
+    dtype_where(ctx, i, "a float dtype", DType::is_float)
 }
 
 fn infer_unary(ctx: &InferCtx, supports_int: bool) -> Result<OutputSig, OpError> {
     let dt = ctx.dtype(0)?;
     if dt == DType::Bool || (dt.is_int() && !supports_int) {
-        return Err(OpError::Shape(TensorError::DTypeMismatch {
-            expected: "a supported numeric dtype".to_string(),
-            got: dt,
-        }));
+        return Err(mismatch("a supported numeric dtype", dt));
     }
     same_as_input(ctx)
 }
 
-fn shape_and_dtype_attrs(ctx: &InferCtx) -> Result<OutputSig, OpError> {
-    Ok(vec![(ctx.attrs.dtype("dtype")?, static_shape(ctx.attrs.int_list("shape")?)?)])
+/// The one output of an op whose parameters declare its dtype and shape.
+fn declared_value(ctx: &InferCtx) -> Result<OutputSig, OpError> {
+    let (dtype, shape) = match ctx.params {
+        Params::Const { dtype, shape, .. }
+        | Params::Fill { dtype, shape, .. }
+        | Params::Normal { dtype, shape, .. }
+        | Params::Uniform { dtype, shape, .. }
+        | Params::ReadVariable { dtype, shape, .. } => (dtype, static_shape(shape)),
+        Params::Placeholder { dtype, shape } => (dtype, shape.clone()),
+        Params::Eye { dtype, n } => (dtype, static_shape(&[*n, *n])),
+        Params::Range { dtype, count, .. } => (dtype, static_shape(&[*count])),
+        p => return Err(p.mismatch()),
+    };
+    Ok(vec![(*dtype, shape)])
+}
+
+/// The output signature a `call`, `host_func` or `cond` declares.
+fn callee_outputs(ctx: &InferCtx) -> Result<OutputSig, OpError> {
+    match ctx.params {
+        Params::Call { outputs, .. }
+        | Params::HostFunc { outputs, .. }
+        | Params::Cond { outputs, .. } => Ok(outputs.clone()),
+        p => Err(p.mismatch()),
+    }
 }
 
 fn matmul_work(ctx: &InferCtx, outputs: &OutputSig) -> WorkEstimate {
     // flops = 2*m*k*n per batch element.
     let k = {
         let a = ctx.shapes.first().map(|s| s.dims()).unwrap_or(&[]);
-        let ta = ctx.attrs.bool_or("transpose_a", false).unwrap_or(false);
+        let ta = matches!(ctx.params, Params::Matmul { transpose_a: true, .. });
         let idx = if ta { a.len().saturating_sub(2) } else { a.len().saturating_sub(1) };
         a.get(idx).copied().flatten().unwrap_or(1)
     };
     let out_elems: usize = outputs.iter().map(|(_, s)| elems_or(s, 1)).sum();
-    let in_bytes: f64 = ctx
-        .dtypes
-        .iter()
-        .zip(ctx.shapes)
-        .map(|(dt, s)| (elems_or(s, 1) * dt.size_bytes()) as f64)
-        .sum();
-    let out_bytes: f64 =
-        outputs.iter().map(|(dt, s)| (elems_or(s, 1) * dt.size_bytes()) as f64).sum();
-    WorkEstimate { flops: 2.0 * k as f64 * out_elems as f64, bytes: in_bytes + out_bytes }
+    WorkEstimate { flops: 2.0 * k as f64 * out_elems as f64, bytes: io_bytes(ctx, outputs) }
 }
 
 fn reduced(s: &SymShape, axes: &[i64], keep_dims: bool) -> Result<SymShape, OpError> {
-    let rank = s.rank() as i64;
     let mut norm: Vec<usize> = Vec::new();
     if axes.is_empty() {
         norm = (0..s.rank()).collect();
     } else {
         for &a in axes {
-            let r = if a < 0 { a + rank } else { a };
-            if r < 0 || r >= rank {
-                return Err(OpError::Shape(TensorError::InvalidAxis { axis: a, rank: s.rank() }));
-            }
-            if norm.contains(&(r as usize)) {
+            let r = norm_axis(a, s.rank())?;
+            if norm.contains(&r) {
                 return Err(OpError::Invalid(format!("duplicate reduce axis {a}")));
             }
-            norm.push(r as usize);
+            norm.push(r);
         }
     }
     let mut dims = Vec::new();
@@ -251,16 +199,6 @@ fn conv_out_dim(input: Option<usize>, k: usize, stride: usize, padding: Padding)
     input.map(|i| padding.resolve(i, k, stride).0)
 }
 
-fn conv_attrs(attrs: &Attrs) -> Result<((usize, usize), Padding), OpError> {
-    let strides = attrs.int_list_or("strides", &[1, 1])?;
-    if strides.len() != 2 || strides.iter().any(|&s| s <= 0) {
-        return Err(OpError::Invalid("strides must be two positive ints".to_string()));
-    }
-    let padding = Padding::from_name(attrs.str("padding").unwrap_or("SAME"))
-        .ok_or_else(|| OpError::Invalid("padding must be SAME or VALID".to_string()))?;
-    Ok(((strides[0] as usize, strides[1] as usize), padding))
-}
-
 /// A `'static` [`OpDef`] out of a constant expression.
 macro_rules! def {
     ($def:expr) => {
@@ -282,50 +220,30 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         Op::Compare(_) => def!(OpDef::new(Arity::Exact(2), infer_compare)),
         Op::Logical(_) => {
             def!(OpDef::new(Arity::Exact(2), |ctx| {
-                if ctx.dtype(0)? != DType::Bool || ctx.dtype(1)? != DType::Bool {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "bool".to_string(),
-                        got: if ctx.dtype(0)? != DType::Bool {
-                            ctx.dtype(0)?
-                        } else {
-                            ctx.dtype(1)?
-                        },
-                    }));
-                }
+                dtype_where(ctx, 0, "bool", |d| d == DType::Bool)?;
+                dtype_where(ctx, 1, "bool", |d| d == DType::Bool)?;
                 Ok(vec![(DType::Bool, broadcast_all(ctx)?)])
             }))
         }
         Op::LogicalNot => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                if ctx.dtype(0)? != DType::Bool {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "bool".to_string(),
-                        got: ctx.dtype(0)?,
-                    }));
-                }
+                dtype_where(ctx, 0, "bool", |d| d == DType::Bool)?;
                 same_as_input(ctx)
             }))
         }
         Op::Select => {
             def!(OpDef::new(Arity::Exact(3), |ctx| {
-                if ctx.dtype(0)? != DType::Bool {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "bool condition".to_string(),
-                        got: ctx.dtype(0)?,
-                    }));
-                }
+                dtype_where(ctx, 0, "bool condition", |d| d == DType::Bool)?;
                 if ctx.dtype(1)? != ctx.dtype(2)? {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: ctx.dtype(1)?.name().to_string(),
-                        got: ctx.dtype(2)?,
-                    }));
+                    return Err(mismatch(ctx.dtype(1)?.name(), ctx.dtype(2)?));
                 }
                 Ok(vec![(ctx.dtype(1)?, broadcast_all(ctx)?)])
             }))
         }
         Op::Cast => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                Ok(vec![(ctx.attrs.dtype("dtype")?, ctx.shape(0)?.clone())])
+                let Params::Cast { dtype } = ctx.params else { return Err(unfit(ctx)) };
+                Ok(vec![(*dtype, ctx.shape(0)?.clone())])
             }))
         }
         // The fused elementwise kernel produced by the XLA-style fusion pass:
@@ -333,10 +251,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         Op::FusedElementwise => {
             def!(OpDef::new(Arity::AtLeast(1), |ctx| {
                 if let Some(&got) = ctx.dtypes.iter().find(|&&dt| dt != DType::F32) {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "f32".to_string(),
-                        got,
-                    }));
+                    return Err(mismatch("f32", got));
                 }
                 Ok(vec![(DType::F32, broadcast_all(ctx)?)])
             })
@@ -344,53 +259,26 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 // One pass over memory for the whole fused program, but all the
                 // program's flops. Count only compute instructions — `in:` parts
                 // alias their source and do no work.
-                let n_instr = ctx
-                    .attrs
-                    .label("program")
-                    .map(|p| p.split(';').filter(|part| !part.starts_with("in:")).count().max(1))
-                    .unwrap_or(1) as f64;
+                let n_instr = match ctx.params {
+                    Params::Fused { program } => {
+                        let text = program.label().split(';');
+                        text.filter(|part| !part.starts_with("in:")).count().max(1)
+                    }
+                    _ => 1,
+                } as f64;
                 let out_elems: f64 = outputs.iter().map(|(_, s)| elems_or(s, 1) as f64).sum();
-                let in_bytes: f64 = ctx
-                    .dtypes
-                    .iter()
-                    .zip(ctx.shapes)
-                    .map(|(dt, s)| (elems_or(s, 1) * dt.size_bytes()) as f64)
-                    .sum();
-                let out_bytes: f64 =
-                    outputs.iter().map(|(dt, s)| (elems_or(s, 1) * dt.size_bytes()) as f64).sum();
-                WorkEstimate { flops: n_instr * out_elems, bytes: in_bytes + out_bytes }
+                WorkEstimate { flops: n_instr * out_elems, bytes: io_bytes(ctx, outputs) }
             }))
         }
 
         // --- structure --------------------------------------------------------
-        Op::Const | Op::Fill => def!(OpDef::new(Arity::Exact(0), shape_and_dtype_attrs)),
-        // Graph-function argument. `shape` uses -1 for unknown dims (set from an
-        // input signature); inference preserves them as unknown.
-        Op::Placeholder => {
-            def!(OpDef::new(Arity::Exact(0), |ctx| {
-                let dims: Vec<Option<usize>> = ctx
-                    .attrs
-                    .int_list("shape")?
-                    .iter()
-                    .map(|&d| if d < 0 { None } else { Some(d as usize) })
-                    .collect();
-                Ok(vec![(ctx.attrs.dtype("dtype")?, SymShape::new(dims))])
-            }))
+        // Values the parameters declare; a graph-function argument keeps its
+        // unknown dims.
+        Op::Const | Op::Fill | Op::Placeholder | Op::Eye | Op::Range => {
+            def!(OpDef::new(Arity::Exact(0), declared_value))
         }
         Op::Identity | Op::ZerosLike | Op::OnesLike | Op::Copy => {
             def!(OpDef::new(Arity::Exact(1), same_as_input))
-        }
-        Op::Eye => {
-            def!(OpDef::new(Arity::Exact(0), |ctx| {
-                let n = ctx.attrs.int("n")? as usize;
-                Ok(vec![(ctx.attrs.dtype("dtype")?, SymShape::new(vec![Some(n), Some(n)]))])
-            }))
-        }
-        Op::Range => {
-            def!(OpDef::new(Arity::Exact(0), |ctx| {
-                let count = ctx.attrs.int("count")? as usize;
-                Ok(vec![(ctx.attrs.dtype("dtype")?, SymShape::new(vec![Some(count)]))])
-            }))
         }
         Op::ShapeOf => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
@@ -408,25 +296,14 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         }
         Op::Reshape => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let target = ctx.attrs.int_list("shape")?;
+                let Params::Reshape { shape: target } = ctx.params else { return Err(unfit(ctx)) };
                 let in_shape = ctx.shape(0)?;
-                let mut out: Vec<Option<usize>> = Vec::with_capacity(target.len());
-                let mut wildcard = None;
-                let mut known = 1usize;
-                for (i, &d) in target.iter().enumerate() {
-                    if d == -1 {
-                        if wildcard.is_some() {
-                            return Err(OpError::Invalid("reshape accepts one -1".to_string()));
-                        }
-                        wildcard = Some(i);
-                        out.push(None);
-                    } else if d < 0 {
-                        return Err(OpError::Invalid(format!("bad reshape dim {d}")));
-                    } else {
-                        known = known.saturating_mul(d as usize);
-                        out.push(Some(d as usize));
-                    }
-                }
+                // `Params::check` allowed at most one -1 and no other negative.
+                let out: Vec<Option<usize>> =
+                    target.iter().map(|&d| usize::try_from(d).ok()).collect();
+                let wildcard = out.iter().position(Option::is_none);
+                let known = out.iter().flatten().fold(1usize, |n, &d| n.saturating_mul(d));
+                let mut out = out;
                 if let (Some(w), Some(n)) = (wildcard, in_shape.num_elements()) {
                     if known == 0 || n % known != 0 {
                         return Err(OpError::Shape(TensorError::InvalidArgument(format!(
@@ -449,7 +326,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         }
         Op::Transpose => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let perm = ctx.attrs.int_list("perm")?;
+                let Params::Transpose { perm } = ctx.params else { return Err(unfit(ctx)) };
                 let s = ctx.shape(0)?;
                 if perm.len() != s.rank() {
                     return Err(OpError::Invalid(format!(
@@ -461,7 +338,6 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 let mut seen = vec![false; s.rank()];
                 let mut dims = Vec::with_capacity(s.rank());
                 for &p in perm {
-                    let p = p as usize;
                     if p >= s.rank() || seen[p] {
                         return Err(OpError::Invalid(format!("bad permutation {perm:?}")));
                     }
@@ -474,21 +350,20 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         Op::ExpandDims => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
                 let s = ctx.shape(0)?;
-                let rank = s.rank() as i64;
-                let axis = ctx.attrs.int("axis")?;
-                let ax = if axis < 0 { axis + rank + 1 } else { axis };
-                if ax < 0 || ax > rank {
-                    return Err(OpError::Shape(TensorError::InvalidAxis { axis, rank: s.rank() }));
-                }
+                // The result has one axis more, which `axis` counts in.
+                let axis = ctx.params.axis()?;
+                let ax = norm_axis(axis, s.rank() + 1).map_err(|_| {
+                    OpError::Shape(TensorError::InvalidAxis { axis, rank: s.rank() })
+                })?;
                 let mut dims = s.dims().to_vec();
-                dims.insert(ax as usize, Some(1));
+                dims.insert(ax, Some(1));
                 Ok(vec![(ctx.dtype(0)?, SymShape::new(dims))])
             }))
         }
         Op::Squeeze => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
+                let Params::Squeeze { axes } = ctx.params else { return Err(unfit(ctx)) };
                 let s = ctx.shape(0)?;
-                let axes = ctx.attrs.int_list_or("axes", &[])?;
                 let mut drop = vec![false; s.rank()];
                 if axes.is_empty() {
                     for (i, d) in s.dims().iter().enumerate() {
@@ -496,16 +371,9 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                     }
                 } else {
                     for &a in axes {
-                        let rank = s.rank() as i64;
-                        let r = if a < 0 { a + rank } else { a };
-                        if r < 0 || r >= rank {
-                            return Err(OpError::Shape(TensorError::InvalidAxis {
-                                axis: a,
-                                rank: s.rank(),
-                            }));
-                        }
-                        match s.dims()[r as usize] {
-                            Some(1) | None => drop[r as usize] = true,
+                        let r = norm_axis(a, s.rank())?;
+                        match s.dims()[r] {
+                            Some(1) | None => drop[r] = true,
                             Some(d) => {
                                 return Err(OpError::Invalid(format!(
                                     "cannot squeeze axis {a} of size {d}"
@@ -527,17 +395,9 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         Op::Concat => {
             def!(OpDef::new(Arity::AtLeast(1), |ctx| {
                 let dt = check_same_dtypes(ctx)?;
-                let axis = ctx.attrs.int("axis")?;
+                let axis = ctx.params.axis()?;
                 let first = ctx.shape(0)?;
-                let rank = first.rank() as i64;
-                let ax = if axis < 0 { axis + rank } else { axis };
-                if ax < 0 || ax >= rank {
-                    return Err(OpError::Shape(TensorError::InvalidAxis {
-                        axis,
-                        rank: first.rank(),
-                    }));
-                }
-                let ax = ax as usize;
+                let ax = norm_axis(axis, first.rank())?;
                 let mut dims = first.dims().to_vec();
                 let mut total = Some(0usize);
                 for s in ctx.shapes {
@@ -568,22 +428,12 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         }
         Op::Split => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let num = ctx.attrs.int("num")?;
-                if num < 1 {
-                    return Err(OpError::Invalid(format!("split num must be >= 1, got {num}")));
-                }
-                let num = num as usize;
-                let axis = ctx.attrs.int("axis")?;
+                let Params::Split { num, axis } = *ctx.params else { return Err(unfit(ctx)) };
                 let s = ctx.shape(0)?;
-                let rank = s.rank() as i64;
-                let ax = if axis < 0 { axis + rank } else { axis };
-                if ax < 0 || ax >= rank {
-                    return Err(OpError::Shape(TensorError::InvalidAxis { axis, rank: s.rank() }));
-                }
-                let ax = ax as usize;
+                let ax = norm_axis(axis, s.rank())?;
                 let part = match s.dims()[ax] {
                     Some(d) => {
-                        if num == 0 || d % num != 0 {
+                        if d % num != 0 {
                             return Err(OpError::Invalid(format!(
                                 "cannot split {d} into {num} parts"
                             )));
@@ -600,8 +450,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         }
         Op::Slice => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let begin = ctx.attrs.int_list("begin")?;
-                let size = ctx.attrs.int_list("size")?;
+                let Params::Slice { begin, size } = ctx.params else { return Err(unfit(ctx)) };
                 let s = ctx.shape(0)?;
                 if begin.len() != s.rank() || size.len() != s.rank() {
                     return Err(OpError::Invalid("slice begin/size rank mismatch".to_string()));
@@ -620,45 +469,25 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         // Adjoints of `slice` and the pools over (input, grad_out): shaped
         // like the original input, which is passed only for its shape.
         Op::SliceGrad | Op::MaxPoolGrad | Op::AvgPoolGrad => {
-            def!(OpDef::new(Arity::Exact(2), |ctx| Ok(vec![(
-                ctx.dtype(1)?,
-                ctx.shape(0)?.clone()
-            )])))
+            def!(OpDef::new(Arity::Exact(2), |ctx| like(ctx, 1, 0)))
         }
         Op::Pad => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let paddings = ctx.attrs.int_list("paddings")?;
+                let Params::Pad { paddings, .. } = ctx.params else { return Err(unfit(ctx)) };
                 let s = ctx.shape(0)?;
-                if paddings.len() != 2 * s.rank() {
+                if paddings.len() != s.rank() {
                     return Err(OpError::Invalid("pad wants 2 entries per axis".to_string()));
                 }
-                let dims: Vec<Option<usize>> = s
-                    .dims()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, d)| {
-                        d.map(|d| d + paddings[2 * i] as usize + paddings[2 * i + 1] as usize)
-                    })
-                    .collect();
+                let dims: Vec<Option<usize>> =
+                    s.dims().iter().zip(paddings).map(|(d, (b, e))| d.map(|d| d + b + e)).collect();
                 Ok(vec![(ctx.dtype(0)?, SymShape::new(dims))])
             }))
         }
         Op::Gather => {
             def!(OpDef::new(Arity::Exact(2), |ctx| {
-                if !ctx.dtype(1)?.is_int() {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "integer indices".to_string(),
-                        got: ctx.dtype(1)?,
-                    }));
-                }
-                let axis = ctx.attrs.int_or("axis", 0)?;
+                dtype_where(ctx, 1, "integer indices", DType::is_int)?;
                 let s = ctx.shape(0)?;
-                let rank = s.rank() as i64;
-                let ax = if axis < 0 { axis + rank } else { axis };
-                if ax < 0 || ax >= rank {
-                    return Err(OpError::Shape(TensorError::InvalidAxis { axis, rank: s.rank() }));
-                }
-                let ax = ax as usize;
+                let ax = norm_axis(ctx.params.axis()?, s.rank())?;
                 let mut dims = s.dims()[..ax].to_vec();
                 dims.extend_from_slice(ctx.shape(1)?.dims());
                 dims.extend_from_slice(&s.dims()[ax + 1..]);
@@ -666,58 +495,40 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
             }))
         }
         // Adjoint of axis-0 `gather`: inputs (params, indices, grad_out).
-        Op::GatherGrad => {
-            def!(OpDef::new(Arity::Exact(3), |ctx| Ok(vec![(
-                ctx.dtype(2)?,
-                ctx.shape(0)?.clone()
-            )])))
-        }
+        Op::GatherGrad => def!(OpDef::new(Arity::Exact(3), |ctx| like(ctx, 2, 0))),
         Op::Tile => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let multiples = ctx.attrs.int_list("multiples")?;
+                let Params::Tile { multiples } = ctx.params else { return Err(unfit(ctx)) };
                 let s = ctx.shape(0)?;
                 if multiples.len() != s.rank() {
                     return Err(OpError::Invalid("tile multiples rank mismatch".to_string()));
                 }
-                let dims: Vec<Option<usize>> = s
-                    .dims()
-                    .iter()
-                    .zip(multiples)
-                    .map(|(d, &m)| d.map(|d| d * m as usize))
-                    .collect();
+                let dims: Vec<Option<usize>> =
+                    s.dims().iter().zip(multiples).map(|(d, &m)| d.map(|d| d * m)).collect();
                 Ok(vec![(ctx.dtype(0)?, SymShape::new(dims))])
             }))
         }
         Op::BroadcastTo => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                Ok(vec![(ctx.dtype(0)?, static_shape(ctx.attrs.int_list("shape")?)?)])
+                let Params::BroadcastTo { shape } = ctx.params else { return Err(unfit(ctx)) };
+                Ok(vec![(ctx.dtype(0)?, static_shape(shape))])
             }))
         }
         // Reduce `x` (input 0) down to the shape of `ref` (input 1): the
         // adjoint of broadcasting, used pervasively by binary-op gradients.
-        Op::SumToLike => {
-            def!(OpDef::new(Arity::Exact(2), |ctx| Ok(vec![(
-                ctx.dtype(0)?,
-                ctx.shape(1)?.clone()
-            )])))
-        }
+        Op::SumToLike => def!(OpDef::new(Arity::Exact(2), |ctx| like(ctx, 0, 1))),
         Op::OneHot => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                if !ctx.dtype(0)?.is_int() {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "integer indices".to_string(),
-                        got: ctx.dtype(0)?,
-                    }));
-                }
-                let depth = ctx.attrs.int("depth")? as usize;
+                dtype_where(ctx, 0, "integer indices", DType::is_int)?;
+                let Params::OneHot { depth, dtype } = ctx.params else { return Err(unfit(ctx)) };
                 let mut dims = ctx.shape(0)?.dims().to_vec();
-                dims.push(Some(depth));
-                Ok(vec![(ctx.attrs.dtype("dtype")?, SymShape::new(dims))])
+                dims.push(Some(*depth));
+                Ok(vec![(*dtype, SymShape::new(dims))])
             }))
         }
         Op::Reverse | Op::Cumsum => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let _ = ctx.attrs.int_or("axis", 0)?; // range validated at kernel time
+                ctx.params.axis()?; // range validated at kernel time
                 same_as_input(ctx)
             }))
         }
@@ -732,8 +543,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 if a.rank() != 2 || b.rank() != 2 {
                     return Err(OpError::Invalid("matmul wants rank-2 operands".to_string()));
                 }
-                let ta = ctx.attrs.bool_or("transpose_a", false)?;
-                let tb = ctx.attrs.bool_or("transpose_b", false)?;
+                let (ta, tb) = ctx.params.transposes()?;
                 let (m, k1) =
                     if ta { (a.dims()[1], a.dims()[0]) } else { (a.dims()[0], a.dims()[1]) };
                 let (k2, n) =
@@ -757,8 +567,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 if a.rank() < 2 || b.rank() < 2 {
                     return Err(OpError::Invalid("batch_matmul wants rank>=2".to_string()));
                 }
-                let ta = ctx.attrs.bool_or("transpose_a", false)?;
-                let tb = ctx.attrs.bool_or("transpose_b", false)?;
+                let (ta, tb) = ctx.params.transposes()?;
                 let ab = SymShape::new(a.dims()[..a.rank() - 2].to_vec());
                 let bb = SymShape::new(b.dims()[..b.rank() - 2].to_vec());
                 let batch = ab.broadcast(&bb)?;
@@ -784,15 +593,9 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         // --- reductions -------------------------------------------------------
         Op::ReduceSum | Op::ReduceMean | Op::ReduceMax | Op::ReduceMin | Op::ReduceProd => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                if ctx.dtype(0)? == DType::Bool {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "a numeric dtype".to_string(),
-                        got: DType::Bool,
-                    }));
-                }
-                let axes = ctx.attrs.int_list_or("axes", &[])?;
-                let keep = ctx.attrs.bool_or("keep_dims", false)?;
-                Ok(vec![(ctx.dtype(0)?, reduced(ctx.shape(0)?, axes, keep)?)])
+                let dt = dtype_where(ctx, 0, "a numeric dtype", |d| d != DType::Bool)?;
+                let (axes, keep) = ctx.params.reduction()?;
+                Ok(vec![(dt, reduced(ctx.shape(0)?, axes, keep)?)])
             })
             .with_work(|ctx, _| {
                 let n = elems_or(ctx.shapes.first().unwrap_or(&SymShape::scalar()), 1);
@@ -802,21 +605,14 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         }
         Op::ReduceAny | Op::ReduceAll => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                if ctx.dtype(0)? != DType::Bool {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "bool".to_string(),
-                        got: ctx.dtype(0)?,
-                    }));
-                }
-                let axes = ctx.attrs.int_list_or("axes", &[])?;
-                let keep = ctx.attrs.bool_or("keep_dims", false)?;
+                dtype_where(ctx, 0, "bool", |d| d == DType::Bool)?;
+                let (axes, keep) = ctx.params.reduction()?;
                 Ok(vec![(DType::Bool, reduced(ctx.shape(0)?, axes, keep)?)])
             }))
         }
         Op::Argmax | Op::Argmin => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let axis = ctx.attrs.int_or("axis", 0)?;
-                Ok(vec![(DType::I64, reduced(ctx.shape(0)?, &[axis], false)?)])
+                Ok(vec![(DType::I64, reduced(ctx.shape(0)?, &[ctx.params.axis()?], false)?)])
             }))
         }
 
@@ -825,7 +621,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
             def!(OpDef::new(Arity::Exact(2), |ctx| {
                 float_check(ctx, 0)?;
                 check_same_dtypes(ctx)?;
-                let (strides, padding) = conv_attrs(ctx.attrs)?;
+                let Params::Conv { strides, padding } = *ctx.params else { return Err(unfit(ctx)) };
                 let x = ctx.shape(0)?;
                 let f = ctx.shape(1)?;
                 if x.rank() != 4 || f.rank() != 4 {
@@ -849,32 +645,23 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
             .with_work(conv_work))
         }
         Op::Conv2dBackpropInput => {
-            def!(OpDef::new(Arity::Exact(3), |ctx| Ok(vec![(
-                ctx.dtype(2)?,
-                ctx.shape(0)?.clone()
-            )]))
-            .with_work(conv_work))
+            def!(OpDef::new(Arity::Exact(3), |ctx| like(ctx, 2, 0)).with_work(conv_work))
         }
         Op::Conv2dBackpropFilter => {
-            def!(OpDef::new(Arity::Exact(3), |ctx| Ok(vec![(
-                ctx.dtype(2)?,
-                ctx.shape(1)?.clone()
-            )]))
-            .with_work(conv_work))
+            def!(OpDef::new(Arity::Exact(3), |ctx| like(ctx, 2, 1)).with_work(conv_work))
         }
         Op::MaxPool | Op::AvgPool => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
                 float_check(ctx, 0)?;
-                let ksize = ctx.attrs.int_list("ksize")?;
-                let (strides, padding) = conv_attrs(ctx.attrs)?;
+                let Params::Pool { ksize, strides, padding } = *ctx.params else {
+                    return Err(unfit(ctx));
+                };
                 let x = ctx.shape(0)?;
-                if x.rank() != 4 || ksize.len() != 2 {
-                    return Err(OpError::Invalid(
-                        "pool wants NHWC input and 2-elem ksize".to_string(),
-                    ));
+                if x.rank() != 4 {
+                    return Err(OpError::Invalid("pool wants NHWC input".to_string()));
                 }
-                let oh = conv_out_dim(x.dims()[1], ksize[0] as usize, strides.0, padding);
-                let ow = conv_out_dim(x.dims()[2], ksize[1] as usize, strides.1, padding);
+                let oh = conv_out_dim(x.dims()[1], ksize.0, strides.0, padding);
+                let ow = conv_out_dim(x.dims()[2], ksize.1, strides.1, padding);
                 Ok(vec![(ctx.dtype(0)?, SymShape::new(vec![x.dims()[0], oh, ow, x.dims()[3]]))])
             }))
         }
@@ -887,12 +674,7 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
         Op::SparseSoftmaxXent => {
             def!(OpDef::new(Arity::Exact(2), |ctx| {
                 float_check(ctx, 0)?;
-                if !ctx.dtype(1)?.is_int() {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "integer labels".to_string(),
-                        got: ctx.dtype(1)?,
-                    }));
-                }
+                dtype_where(ctx, 1, "integer labels", DType::is_int)?;
                 let logits = ctx.shape(0)?;
                 if logits.rank() < 1 {
                     return Err(OpError::Invalid("logits must have a class axis".to_string()));
@@ -903,24 +685,15 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
                 )])
             }))
         }
-        Op::SoftmaxXentGrad => {
-            def!(OpDef::new(Arity::Exact(3), |ctx| Ok(vec![(
-                ctx.dtype(0)?,
-                ctx.shape(0)?.clone()
-            )])))
-        }
+        Op::SoftmaxXentGrad => def!(OpDef::new(Arity::Exact(3), same_as_input)),
 
         // --- random -----------------------------------------------------------
         Op::RandomNormal | Op::RandomUniform | Op::TruncatedNormal => {
-            def!(OpDef::new(Arity::Exact(0), shape_and_dtype_attrs).stateful())
+            def!(OpDef::new(Arity::Exact(0), declared_value).stateful())
         }
         Op::DropoutMask => {
             def!(OpDef::new(Arity::Exact(1), |ctx| {
                 float_check(ctx, 0)?;
-                let keep = ctx.attrs.float("keep_prob")?;
-                if !(keep > 0.0 && keep <= 1.0) {
-                    return Err(OpError::Invalid(format!("keep_prob {keep} out of (0,1]")));
-                }
                 same_as_input(ctx)
             })
             .stateful())
@@ -928,54 +701,30 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
 
         // --- state ------------------------------------------------------------
         Op::ReadVariable => {
-            def!(OpDef::new(Arity::Exact(0), shape_and_dtype_attrs).stateful())
+            def!(OpDef::new(Arity::Exact(0), declared_value).stateful())
         }
         Op::Assign | Op::AssignAdd | Op::AssignSub => {
-            def!(OpDef::new(Arity::Exact(1), |ctx| {
-                let _ = ctx.attrs.int("var_id")?;
-                Ok(Vec::new())
-            })
-            .stateful())
+            def!(OpDef::new(Arity::Exact(1), |_| Ok(Vec::new())).stateful())
         }
 
         // --- control ----------------------------------------------------------
         // Graph-function invocation (§4.6 "graph functions are themselves
         // executed by an operation"). Statefulness is decided per call site by
-        // the tracer (attr `stateful`), so the op itself is stateless and the
-        // pruning pass consults the attr.
-        Op::Call => {
-            def!(OpDef::new(Arity::AtLeast(0), |ctx| {
-                let _ = ctx.attrs.label("function")?;
-                declared_outputs(ctx.attrs)
-            }))
-        }
+        // the tracer (the parameters' `stateful`), so the op itself is
+        // stateless and the builder consults the parameters.
+        Op::Call => def!(OpDef::new(Arity::AtLeast(0), callee_outputs)),
         // `py_func` analog (§4.7): runs a host closure imperatively inside a
         // staged computation.
-        Op::HostFunc => {
-            def!(OpDef::new(Arity::AtLeast(0), |ctx| {
-                let _ = ctx.attrs.label("host_fn")?;
-                declared_outputs(ctx.attrs)
-            })
-            .stateful())
-        }
+        Op::HostFunc => def!(OpDef::new(Arity::AtLeast(0), callee_outputs).stateful()),
         Op::Cond => {
             def!(OpDef::new(Arity::AtLeast(1), |ctx| {
-                if ctx.dtype(0)? != DType::Bool {
-                    return Err(OpError::Shape(TensorError::DTypeMismatch {
-                        expected: "bool predicate".to_string(),
-                        got: ctx.dtype(0)?,
-                    }));
-                }
-                let _ = ctx.attrs.label("then_fn")?;
-                let _ = ctx.attrs.label("else_fn")?;
-                declared_outputs(ctx.attrs)
+                dtype_where(ctx, 0, "bool predicate", |d| d == DType::Bool)?;
+                callee_outputs(ctx)
             }))
         }
         Op::WhileLoop => {
+            // Loop-carried values keep their signatures.
             def!(OpDef::new(Arity::AtLeast(0), |ctx| {
-                let _ = ctx.attrs.label("cond_fn")?;
-                let _ = ctx.attrs.label("body_fn")?;
-                // Loop-carried values keep their signatures.
                 Ok(ctx.dtypes.iter().copied().zip(ctx.shapes.iter().cloned()).collect())
             }))
         }
@@ -985,6 +734,8 @@ pub(crate) fn def(op: Op) -> &'static OpDef {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attr::Attrs;
+    use crate::params::encode_sig;
     use tfe_tensor::Shape;
 
     fn infer(
@@ -993,7 +744,8 @@ mod tests {
         shapes: &[SymShape],
         attrs: &Attrs,
     ) -> Result<OutputSig, OpError> {
-        Op::from_name(op).unwrap().infer(&InferCtx { dtypes, shapes, attrs })
+        let op = Op::from_name(op).unwrap();
+        op.infer(&InferCtx { dtypes, shapes, params: &Params::decode(op, attrs)? })
     }
 
     fn known(dims: &[usize]) -> SymShape {
@@ -1184,19 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn sig_encoding_round_trips() {
-        let sig = vec![
-            (DType::F32, SymShape::new(vec![Some(2), None])),
-            (DType::Bool, SymShape::scalar()),
-            (DType::I32, SymShape::new(vec![Some(7)])),
-        ];
-        let (d, s) = encode_sig(&sig);
-        assert_eq!(decode_sig(&d, &s).unwrap(), sig);
-        let (d, s) = encode_sig(&[]);
-        assert_eq!(decode_sig(&d, &s).unwrap(), vec![]);
-    }
-
-    #[test]
     fn stateful_flags() {
         for name in ["random_normal", "read_variable", "assign", "host_func", "print"] {
             assert!(Op::from_name(name).unwrap().def().is_stateful(), "{name} must be stateful");
@@ -1208,9 +947,9 @@ mod tests {
 
     #[test]
     fn matmul_work_estimate() {
-        let attrs = Attrs::new();
+        let params = Params::Matmul { transpose_a: false, transpose_b: false };
         let shapes = [known(&[4, 5]), known(&[5, 6])];
-        let ctx = InferCtx { dtypes: &[DType::F32, DType::F32], shapes: &shapes, attrs: &attrs };
+        let ctx = InferCtx { dtypes: &[DType::F32, DType::F32], shapes: &shapes, params: &params };
         let out = Op::Matmul.infer(&ctx).unwrap();
         let w = Op::Matmul.work(&ctx, &out);
         assert_eq!(w.flops, 2.0 * 5.0 * 24.0);

@@ -8,10 +8,13 @@
 //! all `match`es over it, so an op that lacks a definition, a kernel or a
 //! gradient decision does not compile. An op has a *name* only at the
 //! edges of the process — `GraphBuilder::add_node`, deserialized graphs and
-//! the distributed worker's `execute_op` — where [`Op::from_name`] turns it
-//! into the value everything else carries.
+//! the distributed worker's op step — where [`Op::from_name`] turns it
+//! into the value everything else carries, and
+//! [`Params::decode`](crate::Params::decode) its attributes into typed
+//! parameters beside it.
 
-use crate::attr::{AttrError, Attrs};
+use crate::attr::AttrError;
+use crate::params::Params;
 use crate::symshape::SymShape;
 use std::fmt;
 use tfe_tensor::elementwise::{BinaryOp, CmpOp, LogicalOp, UnaryOp};
@@ -55,12 +58,6 @@ impl fmt::Display for OpError {
 
 impl std::error::Error for OpError {}
 
-impl From<AttrError> for OpError {
-    fn from(e: AttrError) -> OpError {
-        OpError::Attr(e)
-    }
-}
-
 impl From<TensorError> for OpError {
     fn from(e: TensorError) -> OpError {
         OpError::Shape(e)
@@ -98,15 +95,15 @@ impl Arity {
     }
 }
 
-/// What shape inference sees: input types/shapes plus the op's attributes.
+/// What shape inference sees: input types/shapes plus the op's parameters.
 #[derive(Debug)]
 pub struct InferCtx<'a> {
     /// Input dtypes.
     pub dtypes: &'a [DType],
     /// Input (possibly symbolic) shapes.
     pub shapes: &'a [SymShape],
-    /// Op attributes.
-    pub attrs: &'a Attrs,
+    /// Op parameters.
+    pub params: &'a Params,
 }
 
 impl<'a> InferCtx<'a> {
@@ -333,13 +330,19 @@ impl Op {
         crate::catalog::def(self)
     }
 
-    /// Run shape inference (validates arity first).
+    /// Run shape inference (validates arity and the parameters' ranges
+    /// first).
     ///
     /// # Errors
-    /// Arity violations, attribute problems, or shape incompatibilities.
+    /// Arity violations, parameters out of range or not the op's, or shape
+    /// incompatibilities.
     pub fn infer(self, ctx: &InferCtx) -> Result<OutputSig, OpError> {
         let def = self.def();
         def.arity.check(self.name(), ctx.dtypes.len())?;
+        if !ctx.params.fits(self) {
+            return Err(ctx.params.mismatch());
+        }
+        ctx.params.check()?;
         if ctx.dtypes.len() != ctx.shapes.len() {
             return Err(OpError::Invalid("dtype/shape count mismatch".to_string()));
         }
@@ -408,16 +411,14 @@ mod tests {
 
     #[test]
     fn infer_validates_arity() {
-        let attrs = Attrs::new();
-        let ctx = InferCtx { dtypes: &[], shapes: &[], attrs: &attrs };
+        let ctx = InferCtx { dtypes: &[], shapes: &[], params: &Params::None };
         assert!(matches!(Op::RankOf.infer(&ctx), Err(OpError::Arity { .. })));
     }
 
     #[test]
     fn default_work_estimate() {
-        let attrs = Attrs::new();
         let shapes = [SymShape::known(&tfe_tensor::Shape::from([8]))];
-        let ctx = InferCtx { dtypes: &[DType::F32], shapes: &shapes, attrs: &attrs };
+        let ctx = InferCtx { dtypes: &[DType::F32], shapes: &shapes, params: &Params::None };
         let out = Op::RankOf.infer(&ctx).unwrap();
         let w = Op::RankOf.work(&ctx, &out);
         assert_eq!(w.flops, 1.0); // scalar output

@@ -1,20 +1,34 @@
 //! User-visible operation wrappers — the `tf.*` surface of the paper's
 //! listings. Every function here works identically in imperative and staged
-//! mode because it funnels through [`crate::context::execute`].
+//! mode because it funnels through [`crate::context::execute`], with the
+//! op's typed [`Params`] built here — no attribute map on the way.
 
 use crate::context::execute;
 use crate::error::{Result, RuntimeError};
 use crate::tensor::Tensor;
-use tfe_ops::{Attrs, BinaryOp, CmpOp, LogicalOp, Op, UnaryOp};
+use tfe_ops::{BinaryOp, CmpOp, Float, LogicalOp, Op, OpError, Params, UnaryOp};
+use tfe_tensor::conv::Padding;
 use tfe_tensor::{DType, Scalar, Shape, TensorData};
 
 fn one(mut v: Vec<Tensor>) -> Tensor {
     v.remove(0)
 }
 
-fn run1<const N: usize>(op: Op, inputs: &[&Tensor; N], attrs: Attrs) -> Result<Tensor> {
+fn run1<const N: usize>(op: Op, inputs: &[&Tensor; N], params: Params) -> Result<Tensor> {
     let owned = inputs.map(Tensor::clone);
-    Ok(one(execute(op, &owned, attrs)?))
+    Ok(one(execute(op, &owned, params)?))
+}
+
+/// `values` as counts or extents: none may be negative.
+fn counts(what: &str, values: &[i64]) -> Result<Vec<usize>> {
+    let counts = values.iter().map(|&v| usize::try_from(v).ok()).collect::<Option<_>>();
+    let msg = || format!("{what} must not be negative, got {values:?}");
+    counts.ok_or_else(|| RuntimeError::Op(OpError::Invalid(msg())))
+}
+
+fn padding(name: &str) -> Result<Padding> {
+    let msg = || format!("padding must be SAME or VALID, got {name:?}");
+    Padding::from_name(name).ok_or_else(|| RuntimeError::Op(OpError::Invalid(msg())))
 }
 
 // ---------------------------------------------------------------------------
@@ -63,7 +77,7 @@ pub fn ones(dtype: DType, shape: impl Into<Shape>) -> Tensor {
 /// # Errors
 /// Execution failures.
 pub fn eye(dtype: DType, n: usize) -> Result<Tensor> {
-    run1(Op::Eye, &[], Attrs::new().with("dtype", dtype).with("n", n as i64))
+    run1(Op::Eye, &[], Params::Eye { dtype, n })
 }
 
 /// `[start, start + step, ...)` with `count` elements (`tf.range`).
@@ -71,15 +85,7 @@ pub fn eye(dtype: DType, n: usize) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn range(dtype: DType, start: f64, step: f64, count: usize) -> Result<Tensor> {
-    run1(
-        Op::Range,
-        &[],
-        Attrs::new()
-            .with("dtype", dtype)
-            .with("start", start)
-            .with("step", step)
-            .with("count", count as i64),
-    )
+    run1(Op::Range, &[], Params::Range { dtype, start: Float(start), step: Float(step), count })
 }
 
 /// Stateful standard-normal sampling (`tf.random_normal`); correctly stays
@@ -93,15 +99,11 @@ pub fn random_normal(
     mean: f64,
     stddev: f64,
 ) -> Result<Tensor> {
-    let dims: Vec<i64> = shape.into().dims().iter().map(|&d| d as i64).collect();
+    let shape = shape.into().dims().to_vec();
     run1(
         Op::RandomNormal,
         &[],
-        Attrs::new()
-            .with("dtype", dtype)
-            .with("shape", dims)
-            .with("mean", mean)
-            .with("stddev", stddev),
+        Params::Normal { dtype, shape, mean: Float(mean), stddev: Float(stddev) },
     )
 }
 
@@ -115,11 +117,11 @@ pub fn random_uniform(
     low: f64,
     high: f64,
 ) -> Result<Tensor> {
-    let dims: Vec<i64> = shape.into().dims().iter().map(|&d| d as i64).collect();
+    let shape = shape.into().dims().to_vec();
     run1(
         Op::RandomUniform,
         &[],
-        Attrs::new().with("dtype", dtype).with("shape", dims).with("low", low).with("high", high),
+        Params::Uniform { dtype, shape, low: Float(low), high: Float(high) },
     )
 }
 
@@ -128,16 +130,9 @@ pub fn random_uniform(
 /// # Errors
 /// Execution failures.
 pub fn truncated_normal(dtype: DType, shape: impl Into<Shape>, stddev: f64) -> Result<Tensor> {
-    let dims: Vec<i64> = shape.into().dims().iter().map(|&d| d as i64).collect();
-    run1(
-        Op::TruncatedNormal,
-        &[],
-        Attrs::new()
-            .with("dtype", dtype)
-            .with("shape", dims)
-            .with("mean", 0.0)
-            .with("stddev", stddev),
-    )
+    let shape = shape.into().dims().to_vec();
+    let params = Params::Normal { dtype, shape, mean: Float(0.0), stddev: Float(stddev) };
+    run1(Op::TruncatedNormal, &[], params)
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +145,7 @@ macro_rules! binary_fn {
         /// # Errors
         /// Dtype/broadcast mismatches.
         pub fn $name(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-            run1($op, &[a, b], Attrs::new())
+            run1($op, &[a, b], Params::None)
         }
     };
 }
@@ -161,7 +156,7 @@ macro_rules! unary_fn {
         /// # Errors
         /// Unsupported dtype.
         pub fn $name(a: &Tensor) -> Result<Tensor> {
-            run1($op, &[a], Attrs::new())
+            run1($op, &[a], Params::None)
         }
     };
 }
@@ -368,7 +363,7 @@ unary_fn!(
 /// # Errors
 /// Dtype/shape mismatches.
 pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run1(Op::Select, &[cond, a, b], Attrs::new())
+    run1(Op::Select, &[cond, a, b], Params::None)
 }
 
 /// Convert to another dtype.
@@ -376,7 +371,7 @@ pub fn select(cond: &Tensor, a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
-    run1(Op::Cast, &[a], Attrs::new().with("dtype", dtype))
+    run1(Op::Cast, &[a], Params::Cast { dtype })
 }
 
 // ---------------------------------------------------------------------------
@@ -388,7 +383,7 @@ pub fn cast(a: &Tensor, dtype: DType) -> Result<Tensor> {
 /// # Errors
 /// Rank/shape mismatches.
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run1(Op::Matmul, &[a, b], Attrs::new())
+    matmul_t(a, b, false, false)
 }
 
 /// Matmul with transpose flags.
@@ -396,11 +391,7 @@ pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Rank/shape mismatches.
 pub fn matmul_t(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) -> Result<Tensor> {
-    run1(
-        Op::Matmul,
-        &[a, b],
-        Attrs::new().with("transpose_a", transpose_a).with("transpose_b", transpose_b),
-    )
+    run1(Op::Matmul, &[a, b], Params::Matmul { transpose_a, transpose_b })
 }
 
 /// Batched matmul over the last two axes.
@@ -408,7 +399,7 @@ pub fn matmul_t(a: &Tensor, b: &Tensor, transpose_a: bool, transpose_b: bool) ->
 /// # Errors
 /// Rank/shape mismatches.
 pub fn batch_matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    run1(Op::BatchMatmul, &[a, b], Attrs::new())
+    run1(Op::BatchMatmul, &[a, b], Params::Matmul { transpose_a: false, transpose_b: false })
 }
 
 // ---------------------------------------------------------------------------
@@ -423,11 +414,7 @@ macro_rules! reduce_fn {
         /// # Errors
         /// Invalid axes or dtype.
         pub fn $name(a: &Tensor, axes: &[i64], keep_dims: bool) -> Result<Tensor> {
-            run1(
-                $op,
-                &[a],
-                Attrs::new().with("axes", axes.to_vec()).with("keep_dims", keep_dims),
-            )
+            run1($op, &[a], Params::Reduce { axes: axes.to_vec(), keep_dims })
         }
     };
 }
@@ -473,7 +460,7 @@ reduce_fn!(
 /// # Errors
 /// Invalid axis.
 pub fn argmax(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1(Op::Argmax, &[a], Attrs::new().with("axis", axis))
+    run1(Op::Argmax, &[a], Params::Axis { axis })
 }
 
 /// Index of the minimum along `axis`.
@@ -481,7 +468,7 @@ pub fn argmax(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Invalid axis.
 pub fn argmin(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1(Op::Argmin, &[a], Attrs::new().with("axis", axis))
+    run1(Op::Argmin, &[a], Params::Axis { axis })
 }
 
 /// Cumulative sum along `axis`.
@@ -489,7 +476,7 @@ pub fn argmin(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Invalid axis.
 pub fn cumsum(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1(Op::Cumsum, &[a], Attrs::new().with("axis", axis))
+    run1(Op::Cumsum, &[a], Params::Axis { axis })
 }
 
 // ---------------------------------------------------------------------------
@@ -501,7 +488,7 @@ pub fn cumsum(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Element-count mismatch.
 pub fn reshape(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
-    run1(Op::Reshape, &[a], Attrs::new().with("shape", dims.to_vec()))
+    run1(Op::Reshape, &[a], Params::Reshape { shape: dims.to_vec() })
 }
 
 /// Permute axes.
@@ -509,7 +496,7 @@ pub fn reshape(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Bad permutation.
 pub fn transpose(a: &Tensor, perm: &[i64]) -> Result<Tensor> {
-    run1(Op::Transpose, &[a], Attrs::new().with("perm", perm.to_vec()))
+    run1(Op::Transpose, &[a], Params::Transpose { perm: counts("perm", perm)? })
 }
 
 /// Insert a size-1 axis.
@@ -517,7 +504,7 @@ pub fn transpose(a: &Tensor, perm: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Axis out of range.
 pub fn expand_dims(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1(Op::ExpandDims, &[a], Attrs::new().with("axis", axis))
+    run1(Op::ExpandDims, &[a], Params::Axis { axis })
 }
 
 /// Remove size-1 axes (all of them when `axes` is empty).
@@ -525,7 +512,7 @@ pub fn expand_dims(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Named axis not of size 1.
 pub fn squeeze(a: &Tensor, axes: &[i64]) -> Result<Tensor> {
-    run1(Op::Squeeze, &[a], Attrs::new().with("axes", axes.to_vec()))
+    run1(Op::Squeeze, &[a], Params::Squeeze { axes: axes.to_vec() })
 }
 
 /// Concatenate along `axis`.
@@ -534,7 +521,7 @@ pub fn squeeze(a: &Tensor, axes: &[i64]) -> Result<Tensor> {
 /// Shape/dtype mismatches.
 pub fn concat(parts: &[&Tensor], axis: i64) -> Result<Tensor> {
     let owned: Vec<Tensor> = parts.iter().map(|t| (*t).clone()).collect();
-    Ok(one(execute(Op::Concat, &owned, Attrs::new().with("axis", axis))?))
+    Ok(one(execute(Op::Concat, &owned, Params::Axis { axis })?))
 }
 
 /// Split into `num` equal parts along `axis`.
@@ -542,11 +529,7 @@ pub fn concat(parts: &[&Tensor], axis: i64) -> Result<Tensor> {
 /// # Errors
 /// `num` does not divide the axis.
 pub fn split(a: &Tensor, num: usize, axis: i64) -> Result<Vec<Tensor>> {
-    execute(
-        Op::Split,
-        std::slice::from_ref(a),
-        Attrs::new().with("num", num as i64).with("axis", axis),
-    )
+    execute(Op::Split, std::slice::from_ref(a), Params::Split { num, axis })
 }
 
 /// Contiguous slice; `-1` size means "to the end".
@@ -554,7 +537,7 @@ pub fn split(a: &Tensor, num: usize, axis: i64) -> Result<Vec<Tensor>> {
 /// # Errors
 /// Out-of-range begin/size.
 pub fn slice(a: &Tensor, begin: &[i64], size: &[i64]) -> Result<Tensor> {
-    run1(Op::Slice, &[a], Attrs::new().with("begin", begin.to_vec()).with("size", size.to_vec()))
+    run1(Op::Slice, &[a], Params::Slice { begin: begin.to_vec(), size: size.to_vec() })
 }
 
 /// Constant-pad with `(before, after)` per axis.
@@ -563,7 +546,8 @@ pub fn slice(a: &Tensor, begin: &[i64], size: &[i64]) -> Result<Tensor> {
 /// Rank mismatch.
 pub fn pad(a: &Tensor, paddings: &[(i64, i64)], value: f64) -> Result<Tensor> {
     let flat: Vec<i64> = paddings.iter().flat_map(|&(b, e)| [b, e]).collect();
-    run1(Op::Pad, &[a], Attrs::new().with("paddings", flat).with("value", value))
+    let paddings = counts("paddings", &flat)?.chunks(2).map(|c| (c[0], c[1])).collect();
+    run1(Op::Pad, &[a], Params::Pad { paddings, value: Float(value) })
 }
 
 /// Gather rows/elements by integer indices along `axis`.
@@ -571,7 +555,7 @@ pub fn pad(a: &Tensor, paddings: &[(i64, i64)], value: f64) -> Result<Tensor> {
 /// # Errors
 /// Bad indices.
 pub fn gather(a: &Tensor, indices: &Tensor, axis: i64) -> Result<Tensor> {
-    run1(Op::Gather, &[a, indices], Attrs::new().with("axis", axis))
+    run1(Op::Gather, &[a, indices], Params::Axis { axis })
 }
 
 /// Repeat each axis `multiples[i]` times.
@@ -579,7 +563,7 @@ pub fn gather(a: &Tensor, indices: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Rank mismatch.
 pub fn tile(a: &Tensor, multiples: &[i64]) -> Result<Tensor> {
-    run1(Op::Tile, &[a], Attrs::new().with("multiples", multiples.to_vec()))
+    run1(Op::Tile, &[a], Params::Tile { multiples: counts("multiples", multiples)? })
 }
 
 /// Materialize a broadcast to `dims`.
@@ -587,7 +571,7 @@ pub fn tile(a: &Tensor, multiples: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Incompatible shapes.
 pub fn broadcast_to(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
-    run1(Op::BroadcastTo, &[a], Attrs::new().with("shape", dims.to_vec()))
+    run1(Op::BroadcastTo, &[a], Params::BroadcastTo { shape: counts("shape", dims)? })
 }
 
 /// One-hot encode integer indices.
@@ -595,7 +579,7 @@ pub fn broadcast_to(a: &Tensor, dims: &[i64]) -> Result<Tensor> {
 /// # Errors
 /// Non-integer indices.
 pub fn one_hot(indices: &Tensor, depth: usize, dtype: DType) -> Result<Tensor> {
-    run1(Op::OneHot, &[indices], Attrs::new().with("depth", depth as i64).with("dtype", dtype))
+    run1(Op::OneHot, &[indices], Params::OneHot { depth, dtype })
 }
 
 /// Stack equal-shaped tensors along a new axis.
@@ -628,7 +612,7 @@ pub fn unstack(a: &Tensor, axis: i64) -> Result<Vec<Tensor>> {
 /// # Errors
 /// Invalid axis.
 pub fn reverse(a: &Tensor, axis: i64) -> Result<Tensor> {
-    run1(Op::Reverse, &[a], Attrs::new().with("axis", axis))
+    run1(Op::Reverse, &[a], Params::Axis { axis })
 }
 
 /// The runtime shape as an int64 tensor (`tf.shape`).
@@ -636,7 +620,7 @@ pub fn reverse(a: &Tensor, axis: i64) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn shape_of(a: &Tensor) -> Result<Tensor> {
-    run1(Op::ShapeOf, &[a], Attrs::new())
+    run1(Op::ShapeOf, &[a], Params::None)
 }
 
 /// The rank as an int64 scalar (`tf.rank`).
@@ -644,7 +628,7 @@ pub fn shape_of(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn rank_of(a: &Tensor) -> Result<Tensor> {
-    run1(Op::RankOf, &[a], Attrs::new())
+    run1(Op::RankOf, &[a], Params::None)
 }
 
 /// The element count as an int64 scalar (`tf.size`).
@@ -652,7 +636,7 @@ pub fn rank_of(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn size_of(a: &Tensor) -> Result<Tensor> {
-    run1(Op::SizeOf, &[a], Attrs::new())
+    run1(Op::SizeOf, &[a], Params::None)
 }
 
 // ---------------------------------------------------------------------------
@@ -667,15 +651,9 @@ pub fn conv2d(
     input: &Tensor,
     filter: &Tensor,
     strides: (usize, usize),
-    padding: &str,
+    padding_name: &str,
 ) -> Result<Tensor> {
-    run1(
-        Op::Conv2d,
-        &[input, filter],
-        Attrs::new()
-            .with("strides", vec![strides.0 as i64, strides.1 as i64])
-            .with("padding", padding),
-    )
+    run1(Op::Conv2d, &[input, filter], Params::Conv { strides, padding: padding(padding_name)? })
 }
 
 /// 2-D max pooling.
@@ -686,16 +664,9 @@ pub fn max_pool(
     input: &Tensor,
     ksize: (usize, usize),
     strides: (usize, usize),
-    padding: &str,
+    padding_name: &str,
 ) -> Result<Tensor> {
-    run1(
-        Op::MaxPool,
-        &[input],
-        Attrs::new()
-            .with("ksize", vec![ksize.0 as i64, ksize.1 as i64])
-            .with("strides", vec![strides.0 as i64, strides.1 as i64])
-            .with("padding", padding),
-    )
+    run1(Op::MaxPool, &[input], Params::Pool { ksize, strides, padding: padding(padding_name)? })
 }
 
 /// 2-D average pooling.
@@ -706,16 +677,9 @@ pub fn avg_pool(
     input: &Tensor,
     ksize: (usize, usize),
     strides: (usize, usize),
-    padding: &str,
+    padding_name: &str,
 ) -> Result<Tensor> {
-    run1(
-        Op::AvgPool,
-        &[input],
-        Attrs::new()
-            .with("ksize", vec![ksize.0 as i64, ksize.1 as i64])
-            .with("strides", vec![strides.0 as i64, strides.1 as i64])
-            .with("padding", padding),
-    )
+    run1(Op::AvgPool, &[input], Params::Pool { ksize, strides, padding: padding(padding_name)? })
 }
 
 /// Softmax over the last axis.
@@ -723,7 +687,7 @@ pub fn avg_pool(
 /// # Errors
 /// Non-float input.
 pub fn softmax(a: &Tensor) -> Result<Tensor> {
-    run1(Op::Softmax, &[a], Attrs::new())
+    run1(Op::Softmax, &[a], Params::None)
 }
 
 /// Log-softmax over the last axis.
@@ -731,7 +695,7 @@ pub fn softmax(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Non-float input.
 pub fn log_softmax(a: &Tensor) -> Result<Tensor> {
-    run1(Op::LogSoftmax, &[a], Attrs::new())
+    run1(Op::LogSoftmax, &[a], Params::None)
 }
 
 /// Per-example sparse softmax cross-entropy.
@@ -739,7 +703,7 @@ pub fn log_softmax(a: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// Label/shape problems.
 pub fn sparse_softmax_xent(logits: &Tensor, labels: &Tensor) -> Result<Tensor> {
-    run1(Op::SparseSoftmaxXent, &[logits, labels], Attrs::new())
+    run1(Op::SparseSoftmaxXent, &[logits, labels], Params::None)
 }
 
 /// Dropout: scales kept activations by `1/keep_prob` (`tf.nn.dropout`).
@@ -747,7 +711,7 @@ pub fn sparse_softmax_xent(logits: &Tensor, labels: &Tensor) -> Result<Tensor> {
 /// # Errors
 /// keep_prob outside (0, 1].
 pub fn dropout(a: &Tensor, keep_prob: f64) -> Result<Tensor> {
-    let mask = run1(Op::DropoutMask, &[a], Attrs::new().with("keep_prob", keep_prob))?;
+    let mask = run1(Op::DropoutMask, &[a], Params::Dropout { keep_prob: Float(keep_prob) })?;
     mul(a, &mask)
 }
 
@@ -760,7 +724,7 @@ pub fn dropout(a: &Tensor, keep_prob: f64) -> Result<Tensor> {
 /// # Errors
 /// Unknown device.
 pub fn copy_to(a: &Tensor, device: &str) -> Result<Tensor> {
-    run1(Op::Copy, &[a], Attrs::new().with("device", device))
+    run1(Op::Copy, &[a], Params::Copy { device: device.to_string() })
 }
 
 /// Debug-print a tensor as a side-effecting op, passing the value through.
@@ -768,7 +732,7 @@ pub fn copy_to(a: &Tensor, device: &str) -> Result<Tensor> {
 /// # Errors
 /// Execution failures.
 pub fn print(a: &Tensor, message: &str) -> Result<Tensor> {
-    run1(Op::Print, &[a], Attrs::new().with("message", message))
+    run1(Op::Print, &[a], Params::Print { message: message.to_string() })
 }
 
 impl Tensor {

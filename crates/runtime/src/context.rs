@@ -9,7 +9,7 @@
 //! operations" of §1.
 
 use crate::error::{Result, RuntimeError};
-use crate::executor::{ExecMode, Structural};
+use crate::executor::{is_structural, run_structural, ExecMode};
 use crate::kernels::{many, tensor_bytes};
 use crate::tape::Tape;
 use crate::tensor::{fresh_id, EagerTensor, SymbolicTensor, Tensor};
@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use tfe_device::{Device, DeviceManager, DeviceName};
 use tfe_graph::{GraphBuilder, TensorRef};
-use tfe_ops::{Attrs, Handle, InferCtx, Op, SymShape};
+use tfe_ops::{Handle, InferCtx, Op, Params, SymShape};
 use tfe_parallel::lock;
 use tfe_tensor::rng::TensorRng;
 use tfe_tensor::{DType, Shape, TensorData};
@@ -44,6 +44,14 @@ pub type HostFn = Arc<dyn Fn(&[Tensor]) -> Result<Vec<Tensor>> + Send + Sync>;
 /// The handle through which a `host_func` node holds `f`.
 pub fn host_fn_handle(f: HostFn) -> Handle {
     Handle::new(Arc::new(f), "host_fn")
+}
+
+/// The closure a `host_func` holds; one decoded from bytes holds only its
+/// name and cannot run.
+pub(crate) fn held_closure(closure: &Handle) -> Result<Arc<HostFn>> {
+    closure.get::<HostFn>().ok_or_else(|| {
+        RuntimeError::Unsupported(format!("host_func `{}` holds no host closure", closure.label()))
+    })
 }
 
 fn global_rng() -> &'static Mutex<TensorRng> {
@@ -204,11 +212,11 @@ pub fn active_tapes() -> Vec<Arc<Tape>> {
     with_stack(|s| s.tapes.clone())
 }
 
-fn record_on_tapes(op: Op, attrs: Attrs, inputs: &[Tensor], outputs: &[Tensor]) {
+fn record_on_tapes(op: Op, params: Params, inputs: &[Tensor], outputs: &[Tensor]) {
     if outputs.is_empty() {
         return; // assigns and friends are not differentiable events
     }
-    with_stack(|s| Tape::record_on(&s.tapes, op, attrs, inputs, outputs));
+    with_stack(|s| Tape::record_on(&s.tapes, op, params, inputs, outputs));
 }
 
 // ---------------------------------------------------------------------------
@@ -355,7 +363,7 @@ pub trait Observer {
         site: Site,
         device: &Device,
         op: Op,
-        attrs: &Attrs,
+        params: &Params,
         inputs: &[Arc<TensorData>],
     ) -> Result<Option<Vec<Arc<TensorData>>>>;
 }
@@ -396,14 +404,14 @@ pub(crate) fn observe(
     site: Site,
     device: &Device,
     op: Op,
-    attrs: &Attrs,
+    params: &Params,
     inputs: &[Arc<TensorData>],
 ) -> Result<Option<Vec<Arc<TensorData>>>> {
     if OBSERVERS.load(Ordering::Relaxed) == 0 {
         return Ok(None);
     }
     match with_stack(|s| s.observer.clone()) {
-        Some(observer) => observer.observe(site, device, op, attrs, inputs),
+        Some(observer) => observer.observe(site, device, op, params, inputs),
         None => Ok(None),
     }
 }
@@ -438,20 +446,21 @@ pub fn async_scope<R>(f: impl FnOnce() -> R) -> Result<R> {
 // The dispatcher
 // ---------------------------------------------------------------------------
 
-/// Execute (or trace) one primitive operation. This is the single entry
-/// point every API wrapper, gradient function, and layer goes through.
+/// Execute (or trace) one primitive operation with its typed parameters.
+/// This is the single entry point every API wrapper, gradient function, and
+/// layer goes through.
 ///
 /// # Errors
-/// Arity/attr/shape problems, kernel failures, device errors.
-pub fn execute(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
+/// Arity/parameter/shape problems, kernel failures, device errors.
+pub fn execute(op: Op, inputs: &[Tensor], params: Params) -> Result<Vec<Tensor>> {
     if is_tracing() {
-        execute_traced(op, inputs, attrs)
+        execute_traced(op, inputs, params)
     } else {
-        execute_eager(op, inputs, attrs)
+        execute_eager(op, inputs, params)
     }
 }
 
-fn execute_traced(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
+fn execute_traced(op: Op, inputs: &[Tensor], params: Params) -> Result<Vec<Tensor>> {
     let outputs = with_stack(|s| -> Result<Vec<Tensor>> {
         let frame = s
             .traces
@@ -476,7 +485,7 @@ fn execute_traced(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>
             };
             trefs.push(tref);
         }
-        let refs = frame.builder.add_op(op, trefs, attrs.clone())?;
+        let refs = frame.builder.add_op(op, trefs, params.clone())?;
         Ok(refs
             .into_iter()
             .map(|tref| {
@@ -491,7 +500,7 @@ fn execute_traced(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>
             })
             .collect())
     })?;
-    record_on_tapes(op, attrs, inputs, &outputs);
+    record_on_tapes(op, params, inputs, &outputs);
     Ok(outputs)
 }
 
@@ -503,9 +512,9 @@ fn resolve_device(inputs: &[Tensor]) -> Device {
         .unwrap_or_else(|| device_manager().host_cpu())
 }
 
-fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>> {
-    if let Some(kind) = Structural::of(op) {
-        return execute_structural(kind, op, inputs, attrs);
+fn execute_eager(op: Op, inputs: &[Tensor], params: Params) -> Result<Vec<Tensor>> {
+    if is_structural(op) {
+        return execute_structural(op, inputs, params);
     }
 
     tfe_metrics::static_counter!(
@@ -527,10 +536,10 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
 
     let device = resolve_device(inputs);
     let out = with_values(inputs, |values| {
-        validate(op, &attrs, values)?;
-        match observe(Site::Eager, &device, op, &attrs, values)? {
+        validate(op, &params, values)?;
+        match observe(Site::Eager, &device, op, &params, values)? {
             Some(outputs) => Ok(many(outputs)),
-            None => crate::kernels::launch_kernel(op, &attrs, values),
+            None => crate::kernels::launch_kernel(op, &params, values),
         }
     })?;
     let mut out_bytes = 0;
@@ -543,7 +552,7 @@ fn execute_eager(op: Op, inputs: &[Tensor], attrs: Attrs) -> Result<Vec<Tensor>>
     if let Some(sp) = prof_span.as_mut() {
         sp.set_bytes(out_bytes);
     }
-    record_on_tapes(op, attrs, inputs, &outputs);
+    record_on_tapes(op, params, inputs, &outputs);
     Ok(outputs)
 }
 
@@ -558,38 +567,38 @@ fn with_values<R>(inputs: &[Tensor], f: impl FnOnce(&[Arc<TensorData>]) -> Resul
 }
 
 /// An input signature inference accepted: the key [`validate`] checks.
-type Accepted = (Op, Attrs, Vec<(DType, Shape)>);
+type Accepted = (Op, Params, Vec<(DType, Shape)>);
 
 /// Signatures one thread's [`validate`] keeps before it starts over: far
 /// more than a training step dispatches, few enough to stay small.
 const ACCEPTED_CAP: usize = 1024;
 
 /// Validate an eager op through the shared op definition, memoised per
-/// thread. `op.infer` is a function of the op, its attributes and its
+/// thread. `op.infer` is a function of the op, its parameters and its
 /// inputs' dtypes and dims alone, and eager dispatch needs only its verdict,
 /// so what it accepted once is accepted again without a second call. Only
 /// acceptance is kept: a failing op runs inference every time and fails
 /// with the same typed error. A stateful op is not kept: it names its state
-/// in its attributes, so every variable would be a signature of its own.
-fn validate(op: Op, attrs: &Attrs, values: &[Arc<TensorData>]) -> Result<()> {
+/// in its parameters, so every variable would be a signature of its own.
+fn validate(op: Op, params: &Params, values: &[Arc<TensorData>]) -> Result<()> {
     let infer = || -> Result<()> {
         let (dtypes, shapes): (Vec<_>, Vec<_>) =
             values.iter().map(|d| (d.dtype(), SymShape::known(d.shape()))).unzip();
-        op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, attrs })?;
+        op.infer(&InferCtx { dtypes: &dtypes, shapes: &shapes, params })?;
         Ok(())
     };
     if op.def().is_stateful() {
         return infer();
     }
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    (op, attrs).hash(&mut hasher);
+    (op, params).hash(&mut hasher);
     for v in values {
         (v.dtype(), v.shape().dims()).hash(&mut hasher);
     }
     let key = hasher.finish();
     let seen = |(o, a, ins): &Accepted| {
         *o == op
-            && a == attrs
+            && a == params
             && ins.len() == values.len()
             && ins.iter().zip(values).all(|((dt, sh), v)| *dt == v.dtype() && sh == v.shape())
     };
@@ -602,7 +611,7 @@ fn validate(op: Op, attrs: &Attrs, values: &[Arc<TensorData>]) -> Result<()> {
         if s.accepted.len() >= ACCEPTED_CAP {
             s.accepted.clear();
         }
-        s.accepted.insert(key, (op, attrs.clone(), inputs));
+        s.accepted.insert(key, (op, params.clone(), inputs));
     });
     Ok(())
 }
@@ -615,41 +624,34 @@ pub(crate) fn eager_tensors(
     values.into_iter().map(|d| Tensor::Eager(EagerTensor::new(d, device.clone()))).collect()
 }
 
-/// Eager dispatch of a structural op: the op itself is [`Structural::run`],
+/// Eager dispatch of a structural op: the op itself is [`run_structural`],
 /// the same code the executor's node-runner calls; this side only turns
 /// tensors into values and back, and records on tapes.
-fn execute_structural(
-    kind: Structural,
-    op: Op,
-    inputs: &[Tensor],
-    attrs: Attrs,
-) -> Result<Vec<Tensor>> {
-    if kind == Structural::HostFunc {
+fn execute_structural(op: Op, inputs: &[Tensor], params: Params) -> Result<Vec<Tensor>> {
+    if let Params::HostFunc { closure, .. } = &params {
         // Eagerly a host closure is pass-through (§4.7: wrapping a function
         // in py_func "has essentially no effect" when executing
         // imperatively): it runs on the caller's own tensors, so its ops
         // record on the tapes one by one. Recording the host_func itself as
         // well would double-count the gradient.
-        let f = attrs.handle::<HostFn>("host_fn").map_err(tfe_ops::OpError::from)?;
-        return f(inputs);
+        return held_closure(closure)?(inputs);
     }
     let mut device = resolve_device(inputs);
-    if kind == Structural::Copy {
-        let target = attrs.str("device").map_err(tfe_ops::OpError::from)?;
+    if let Params::Copy { device: target } = &params {
         device = device_manager().resolve(target).map_err(RuntimeError::Device)?;
     }
     let values = with_values(inputs, |values| {
-        let observed = match kind {
-            Structural::Call => observe(Site::Call, &device, op, &attrs, values)?,
+        let observed = match op {
+            Op::Call => observe(Site::Call, &device, op, &params, values)?,
             _ => None,
         };
         match observed {
             Some(outputs) => Ok(outputs),
-            None => kind.run(&attrs, values, &device, exec_mode()),
+            None => run_structural(&params, values, &device, exec_mode()),
         }
     })?;
     let outputs = eager_tensors(values, &device);
-    record_on_tapes(op, attrs, inputs, &outputs);
+    record_on_tapes(op, params, inputs, &outputs);
     Ok(outputs)
 }
 
@@ -658,6 +660,7 @@ mod tests {
     use super::*;
     use crate::api;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use tfe_ops::Attrs;
     use tfe_tensor::{DType, Shape};
 
     /// Records every op it sees; stands in for eager ops when `stand_in`
@@ -674,7 +677,7 @@ mod tests {
             site: Site,
             _device: &Device,
             op: Op,
-            _attrs: &Attrs,
+            _params: &Params,
             _inputs: &[Arc<TensorData>],
         ) -> Result<Option<Vec<Arc<TensorData>>>> {
             self.seen.borrow_mut().push((site, op.name()));
@@ -689,18 +692,20 @@ mod tests {
     }
 
     /// A call of `g(x) = relu(x * x + x)`: three nodes to run.
-    fn call_attrs(name: &str) -> Attrs {
+    fn call_params(name: &str) -> Params {
         let mut b = GraphBuilder::new(name);
         let x = b.placeholder(DType::F32, SymShape::known(&Shape::from([2]))).unwrap();
         let m = b.add_node("mul", vec![x, x], Attrs::new()).unwrap()[0];
         let s = b.add_node("add", vec![m, x], Attrs::new()).unwrap()[0];
         let r = b.add_node("relu", vec![s], Attrs::new()).unwrap()[0];
         let f = b.finish(vec![r], 0);
-        let (d, s) = tfe_ops::catalog::encode_sig(&f.output_sigs());
-        Attrs::new()
-            .with("function", Arc::new(f).handle())
-            .with("out_dtypes", d)
-            .with("out_shapes", s)
+        Params::Call {
+            outputs: f.output_sigs(),
+            function: Arc::new(f).handle(),
+            concrete: None,
+            stateful: false,
+            var_ids: Vec::new(),
+        }
     }
 
     fn vector() -> Tensor {
@@ -716,7 +721,7 @@ mod tests {
         api::mul(&y, &x).unwrap();
         assert_eq!(recorder.take(), [(Site::Eager, "add"), (Site::Eager, "mul")]);
 
-        let out = execute(Op::Call, &[x], call_attrs("observed_call")).unwrap();
+        let out = execute(Op::Call, &[x], call_params("observed_call")).unwrap();
         assert_eq!(out[0].to_f64_vec().unwrap(), vec![2.0, 6.0]);
         assert_eq!(
             recorder.take(),

@@ -9,7 +9,7 @@
 //!   by its last reader (§4.1 "buffer reuse"). Plain data: the inline
 //!   driver owns it, the pool driver holds it behind one lock.
 //! - [`run_node`]: the thread's observer, if one is installed, then a
-//!   structural op ([`Structural`], shared with the eager dispatcher), a
+//!   structural op ([`run_structural`], shared with the eager dispatcher), a
 //!   `const`, or a kernel launch.
 //! - The *inline* driver (`SerialPlanned`) walks `f.nodes` in order on the
 //!   calling thread. The *pool* driver (`Parallel`) counts down each node's
@@ -27,7 +27,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use tfe_device::Device;
 use tfe_graph::{GraphFunction, NodeId, TensorRef};
-use tfe_ops::{AttrValue, Attrs, Op, OpError};
+use tfe_ops::{Handle, Op, OpError, Params};
 use tfe_parallel::lock;
 use tfe_tensor::{TensorData, TensorError};
 
@@ -146,95 +146,74 @@ fn validate_args(f: &GraphFunction, args: &[Arc<TensorData>]) -> Result<()> {
 // Structural ops
 // ---------------------------------------------------------------------------
 
-/// The ops the runtime runs itself rather than through a kernel; the eager
-/// dispatcher and [`run_node`] both classify and run them here.
-#[derive(Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Structural {
-    Call,
-    Cond,
-    WhileLoop,
-    HostFunc,
-    Copy,
+/// Whether the runtime runs `op` itself rather than through a kernel; the
+/// eager dispatcher and [`run_node`] both run such an op with
+/// [`run_structural`].
+pub(crate) fn is_structural(op: Op) -> bool {
+    matches!(op, Op::Call | Op::Cond | Op::WhileLoop | Op::HostFunc | Op::Copy)
 }
 
-/// The graph function a structural op holds in attribute `attr`. A node
-/// that carries only a name cannot run it.
-fn held_graph(attrs: &Attrs, attr: &str) -> Result<Arc<GraphFunction>> {
-    match attrs.get(attr) {
-        Some(AttrValue::Str(name)) => Err(RuntimeError::UnknownFunction(name.clone())),
-        _ => Ok(attrs.handle(attr).map_err(OpError::from)?),
-    }
+/// The graph function a structural op holds. A node that carries only a
+/// name cannot run it.
+fn held_graph(callee: &Handle) -> Result<Arc<GraphFunction>> {
+    callee.get().ok_or_else(|| RuntimeError::UnknownFunction(callee.label().to_string()))
 }
 
-impl Structural {
-    pub(crate) fn of(op: Op) -> Option<Structural> {
-        match op {
-            Op::Call => Some(Structural::Call),
-            Op::Cond => Some(Structural::Cond),
-            Op::WhileLoop => Some(Structural::WhileLoop),
-            Op::HostFunc => Some(Structural::HostFunc),
-            Op::Copy => Some(Structural::Copy),
-            _ => None,
+/// Run a structural op, by its parameters, over concrete values. Callee
+/// bodies run on `device` in the caller's `mode`, so a parallel run keeps
+/// its worker pool through function-call boundaries.
+pub(crate) fn run_structural(
+    params: &Params,
+    inputs: &[Arc<TensorData>],
+    device: &Device,
+    mode: ExecMode,
+) -> Result<Vec<Arc<TensorData>>> {
+    match params {
+        Params::Call { function, .. } => {
+            run_function_arc(&held_graph(function)?, inputs, device, mode)
         }
-    }
-
-    /// Run the op over concrete values. Callee bodies run on `device` in the
-    /// caller's `mode`, so a parallel run keeps its worker pool through
-    /// function-call boundaries.
-    pub(crate) fn run(
-        self,
-        attrs: &Attrs,
-        inputs: &[Arc<TensorData>],
-        device: &Device,
-        mode: ExecMode,
-    ) -> Result<Vec<Arc<TensorData>>> {
-        match self {
-            Structural::Call => {
-                run_function_arc(&held_graph(attrs, "function")?, inputs, device, mode)
-            }
-            Structural::Cond => {
-                let (pred, args) = inputs
-                    .split_first()
-                    .ok_or_else(|| RuntimeError::Internal("cond without predicate".into()))?;
-                let branch = if pred.scalar_f64()? != 0.0 { "then_fn" } else { "else_fn" };
-                run_function_arc(&held_graph(attrs, branch)?, args, device, mode)
-            }
-            Structural::WhileLoop => {
-                let (cond, body) = (held_graph(attrs, "cond_fn")?, held_graph(attrs, "body_fn")?);
-                let max = attrs.int_or("max_iterations", 1_000_000).map_err(OpError::from)?;
-                let mut state = inputs.to_vec();
-                let mut trips = 0i64;
-                loop {
-                    let p = run_function_arc(&cond, &state, device, mode)?;
-                    let Some(go) = p.first() else {
-                        return Err(RuntimeError::Internal("while cond returned nothing".into()));
-                    };
-                    if go.scalar_f64()? == 0.0 {
-                        return Ok(state);
-                    }
-                    // The limit bounds trips, so only a trip beyond it fails.
-                    if trips >= max {
-                        return Err(RuntimeError::Internal(format!(
-                            "while_loop exceeded max_iterations={max}"
-                        )));
-                    }
-                    state = run_function_arc(&body, &state, device, mode)?;
-                    trips += 1;
+        Params::Cond { then_fn, else_fn, .. } => {
+            let (pred, args) = inputs
+                .split_first()
+                .ok_or_else(|| RuntimeError::Internal("cond without predicate".into()))?;
+            let branch = if pred.scalar_f64()? != 0.0 { then_fn } else { else_fn };
+            run_function_arc(&held_graph(branch)?, args, device, mode)
+        }
+        Params::WhileLoop { cond_fn, body_fn, max_iterations, .. } => {
+            let (cond, body) = (held_graph(cond_fn)?, held_graph(body_fn)?);
+            let max = *max_iterations;
+            let mut state = inputs.to_vec();
+            let mut trips = 0usize;
+            loop {
+                let p = run_function_arc(&cond, &state, device, mode)?;
+                let Some(go) = p.first() else {
+                    return Err(RuntimeError::Internal("while cond returned nothing".into()));
+                };
+                if go.scalar_f64()? == 0.0 {
+                    return Ok(state);
                 }
+                // The limit bounds trips, so only a trip beyond it fails.
+                if trips >= max {
+                    return Err(RuntimeError::Internal(format!(
+                        "while_loop exceeded max_iterations={max}"
+                    )));
+                }
+                state = run_function_arc(&body, &state, device, mode)?;
+                trips += 1;
             }
-            Structural::HostFunc => {
-                // Escape into imperative code (§4.7): the node's host closure
-                // sees the inputs as eager tensors.
-                let hf =
-                    attrs.handle::<crate::context::HostFn>("host_fn").map_err(OpError::from)?;
-                let eager = crate::context::eager_tensors(inputs.iter().cloned(), device);
-                hf(&eager)?.iter().map(Tensor::value).collect()
-            }
-            Structural::Copy => match inputs.first() {
-                Some(v) => Ok(vec![v.clone()]),
-                None => Err(RuntimeError::Internal("copy without input".into())),
-            },
         }
+        Params::HostFunc { closure, .. } => {
+            // Escape into imperative code (§4.7): the node's host closure
+            // sees the inputs as eager tensors.
+            let hf = crate::context::held_closure(closure)?;
+            let eager = crate::context::eager_tensors(inputs.iter().cloned(), device);
+            hf(&eager)?.iter().map(Tensor::value).collect()
+        }
+        Params::Copy { .. } => match inputs.first() {
+            Some(v) => Ok(vec![v.clone()]),
+            None => Err(RuntimeError::Internal("copy without input".into())),
+        },
+        _ => Err(params.mismatch().into()),
     }
 }
 
@@ -260,18 +239,17 @@ fn run_node(
     if let Some(sp) = prof_span.as_mut() {
         sp.set_detail(f.node_label(id));
     }
-    if let Some(outputs) = observe(Site::Node, device, node.op, &node.attrs, inputs)? {
+    if let Some(outputs) = observe(Site::Node, device, node.op, &node.params, inputs)? {
         return Ok(many(outputs));
     }
-    if let Some(s) = Structural::of(node.op) {
-        return s.run(&node.attrs, inputs, device, mode).map(many);
+    if is_structural(node.op) {
+        return run_structural(&node.params, inputs, device, mode).map(many);
     }
     if node.op == Op::Const {
-        let idx = match node.attrs.get("value_index") {
-            Some(AttrValue::Int(i)) => *i as usize,
-            _ => return Err(RuntimeError::Internal("const without value_index".into())),
+        let Params::Const { index, .. } = node.params else {
+            return Err(node.params.mismatch().into());
         };
-        let value = f.constants.get(idx).cloned();
+        let value = f.constants.get(index).cloned();
         return Ok(shared(
             value.ok_or_else(|| RuntimeError::Internal("const pool underflow".into()))?,
         ));
@@ -285,7 +263,7 @@ fn run_node(
         "Compute kernels launched by the graph executor (structural ops excluded)"
     )
     .inc();
-    crate::kernels::launch_kernel(node.op, &node.attrs, inputs)
+    crate::kernels::launch_kernel(node.op, &node.params, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -630,7 +608,7 @@ mod tests {
         // time; the run must drain and report the error, not hang.
         let mut b = GraphBuilder::new("err");
         let x = b.placeholder(DType::F32, known(&[2])).unwrap();
-        let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F32, known(&[2]))]);
+        let (d, s) = tfe_ops::encode_sig(&[(DType::F32, known(&[2]))]);
         let c = b
             .add_node(
                 "call",
@@ -737,7 +715,7 @@ mod tests {
                 _: Site,
                 _: &Device,
                 _: Op,
-                _: &Attrs,
+                _: &Params,
                 inputs: &[Arc<TensorData>],
             ) -> Result<Option<Vec<Arc<TensorData>>>> {
                 let mut seen = self.0.borrow_mut();
@@ -768,7 +746,7 @@ mod tests {
         let a = ib.placeholder(DType::F32, known(&[2])).unwrap();
         let r = ib.add_node("relu", vec![a], Attrs::new()).unwrap()[0];
         let inner = Arc::new(ib.finish(vec![r], 0));
-        let (d, s) = tfe_ops::catalog::encode_sig(&inner.output_sigs());
+        let (d, s) = tfe_ops::encode_sig(&inner.output_sigs());
 
         let mut ob = GraphBuilder::new("exec_outer");
         let a = ob.placeholder(DType::F32, known(&[2])).unwrap();

@@ -5,15 +5,17 @@
 //! of primitive operations, kernels"). Simulated devices run these same
 //! kernels (or skip them in cost-only mode). The table is one exhaustive
 //! `match` over [`Op`] in [`run_kernel`]: an op without an arm does not
-//! compile, and finding a kernel is a jump, not a map lookup.
+//! compile, and finding a kernel is a jump, not a map lookup. A kernel
+//! reads the fields of the op's typed [`Params`], decoded once where the op
+//! entered; none parses an attribute.
 
 use crate::error::{Result, RuntimeError};
 use std::sync::Arc;
-use tfe_ops::{Attrs, Op, OpError};
-use tfe_tensor::conv::{self, Padding};
+use tfe_ops::{Op, Params};
+use tfe_tensor::conv;
 use tfe_tensor::elementwise::{self, BinaryOp};
 use tfe_tensor::pool::{self, PoolKind};
-use tfe_tensor::{matmul, reduce, shape_ops, softmax, Shape, TensorData, TensorError};
+use tfe_tensor::{matmul, reduce, shape_ops, softmax, Shape, TensorData};
 
 /// What a kernel hands back: its outputs in order, each shared as its
 /// consumers hold it, with no `Vec` for the one output nearly every op has.
@@ -42,13 +44,13 @@ pub(crate) fn tensor_bytes(t: &TensorData) -> u64 {
 /// Kernel failure, or an op the dispatcher runs itself (`call`, `cond`,
 /// `while_loop`, `host_func`, `copy`) or that only marks a graph position
 /// (`placeholder`, `const`).
-pub fn run_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
-    Ok(spanned_kernel(op, attrs, inputs)?.map(Arc::unwrap_or_clone).collect())
+pub fn run_kernel(op: Op, params: &Params, inputs: &[Arc<TensorData>]) -> Result<Vec<TensorData>> {
+    Ok(spanned_kernel(op, params, inputs)?.map(Arc::unwrap_or_clone).collect())
 }
 
-fn spanned_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Outputs> {
+fn spanned_kernel(op: Op, params: &Params, inputs: &[Arc<TensorData>]) -> Result<Outputs> {
     let mut sp = tfe_profile::span("kernel", || op.name());
-    let out = kernel(op, attrs, inputs)?;
+    let out = kernel(op, params, inputs)?;
     if let Some(sp) = sp.as_mut() {
         sp.set_bytes(out.clone().map(|t| tensor_bytes(&t)).sum());
     }
@@ -58,9 +60,13 @@ fn spanned_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<O
 /// The kernel as the executing paths (eager dispatch, the executor's
 /// node-runner) launch it: under a `kernel` span, timed into
 /// `tfe_kernel_time_ns`, its outputs handed on as they were made.
-pub(crate) fn launch_kernel(op: Op, attrs: &Attrs, inputs: &[Arc<TensorData>]) -> Result<Outputs> {
+pub(crate) fn launch_kernel(
+    op: Op,
+    params: &Params,
+    inputs: &[Arc<TensorData>],
+) -> Result<Outputs> {
     let t0 = std::time::Instant::now();
-    let out = spanned_kernel(op, attrs, inputs)?;
+    let out = spanned_kernel(op, params, inputs)?;
     tfe_metrics::static_histogram!(
         "tfe_kernel_time_ns",
         "Wall-clock nanoseconds per compute-kernel invocation (eager and staged)",
@@ -88,47 +94,14 @@ fn in_n(inputs: &[Arc<TensorData>], i: usize) -> Result<&TensorData> {
         .ok_or_else(|| RuntimeError::Internal(format!("missing input {i}")))
 }
 
-fn attrs_err(e: tfe_ops::AttrError) -> RuntimeError {
-    RuntimeError::Op(OpError::Attr(e))
+fn reduce_kernel(p: &Params, i: &[Arc<TensorData>], op: reduce::ReduceOp) -> Result<Outputs> {
+    let (axes, keep_dims) = p.reduction()?;
+    one(reduce::reduce(in0(i)?, axes, keep_dims, op)?)
 }
 
-fn strides_of(attrs: &Attrs) -> Result<(usize, usize)> {
-    let s = attrs.int_list_or("strides", &[1, 1]).map_err(attrs_err)?;
-    if s.len() != 2 || s.iter().any(|&x| x <= 0) {
-        return Err(RuntimeError::Internal("strides must be two positive ints".to_string()));
-    }
-    Ok((s[0] as usize, s[1] as usize))
-}
-
-fn padding_of(attrs: &Attrs) -> Result<Padding> {
-    Padding::from_name(attrs.str("padding").unwrap_or("SAME"))
-        .ok_or_else(|| RuntimeError::Internal("bad padding attr".to_string()))
-}
-
-fn ksize_of(attrs: &Attrs) -> Result<(usize, usize)> {
-    let s = attrs.int_list("ksize").map_err(attrs_err)?;
-    if s.len() != 2 || s.iter().any(|&x| x <= 0) {
-        return Err(RuntimeError::Internal("ksize must be two positive ints".to_string()));
-    }
-    Ok((s[0] as usize, s[1] as usize))
-}
-
-fn shape_attr(a: &Attrs) -> Result<Vec<usize>> {
-    Ok(a.int_list("shape").map_err(attrs_err)?.iter().map(|&d| d as usize).collect())
-}
-
-fn reduce_attrs(a: &Attrs) -> Result<(&[i64], bool)> {
-    let axes = a.int_list_or("axes", &[]).map_err(attrs_err)?;
-    Ok((axes, a.bool_or("keep_dims", false).map_err(attrs_err)?))
-}
-
-fn reduce_kernel(a: &Attrs, i: &[Arc<TensorData>], op: reduce::ReduceOp) -> Result<Outputs> {
-    let (axes, keep) = reduce_attrs(a)?;
-    one(reduce::reduce(in0(i)?, axes, keep, op)?)
-}
-
-fn variable(a: &Attrs) -> Result<Arc<crate::variable::VarStorage>> {
-    crate::variable::registry().resolve(a.int("var_id").map_err(attrs_err)? as u64)
+fn variable(p: &Params) -> Result<Arc<crate::variable::VarStorage>> {
+    let id = p.var_id().ok_or_else(|| p.mismatch())?;
+    crate::variable::registry().resolve(id as u64)
 }
 
 /// Reduce `x` to the shape of `reference` by summing broadcast dimensions —
@@ -169,7 +142,8 @@ pub fn sum_to_shape(x: &TensorData, target: &Shape) -> Result<TensorData> {
 
 /// The kernel table.
 #[allow(clippy::too_many_lines)]
-fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
+fn kernel(op: Op, p: &Params, i: &[Arc<TensorData>]) -> Result<Outputs> {
+    let mismatch = || -> Result<Outputs> { Err(p.mismatch().into()) };
     match op {
         // --- elementwise --------------------------------------------------
         Op::Unary(op) => one(elementwise::unary(in0(i)?, op)?),
@@ -178,12 +152,18 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
         Op::Logical(op) => one(elementwise::logical(in0(i)?, in_n(i, 1)?, op)?),
         Op::LogicalNot => one(elementwise::logical_not(in0(i)?)?),
         Op::Select => one(elementwise::select(in0(i)?, in_n(i, 1)?, in_n(i, 2)?)?),
-        Op::Cast => one(in0(i)?.cast(a.dtype("dtype").map_err(attrs_err)?)),
+        Op::Cast => {
+            let Params::Cast { dtype } = p else { return mismatch() };
+            one(in0(i)?.cast(*dtype))
+        }
         Op::FusedElementwise => {
             // The node holds the form the fusion pass (or the decoder)
             // compiled.
+            let Params::Fused { program } = p else { return mismatch() };
             let program =
-                a.handle::<tfe_graph::program::CompiledProgram>("program").map_err(attrs_err)?;
+                program.get::<tfe_graph::program::CompiledProgram>().ok_or_else(|| {
+                    RuntimeError::Internal(format!("program `{}` is not compiled", program.label()))
+                })?;
             let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
             one(program.eval(&refs)?)
         }
@@ -197,21 +177,16 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
             one(TensorData::ones(x.dtype(), x.shape().clone()))
         }
         Op::Fill => {
-            let dt = a.dtype("dtype").map_err(attrs_err)?;
-            let v = a.float_or("value", 0.0).map_err(attrs_err)?;
-            one(TensorData::fill_f64(dt, shape_attr(a)?, v))
+            let Params::Fill { dtype, shape, value } = p else { return mismatch() };
+            one(TensorData::fill_f64(*dtype, shape.clone(), value.0))
         }
         Op::Eye => {
-            let dt = a.dtype("dtype").map_err(attrs_err)?;
-            let n = a.int("n").map_err(attrs_err)? as usize;
-            one(TensorData::eye(dt, n))
+            let Params::Eye { dtype, n } = p else { return mismatch() };
+            one(TensorData::eye(*dtype, *n))
         }
         Op::Range => {
-            let dt = a.dtype("dtype").map_err(attrs_err)?;
-            let start = a.float_or("start", 0.0).map_err(attrs_err)?;
-            let step = a.float_or("step", 1.0).map_err(attrs_err)?;
-            let count = a.int("count").map_err(attrs_err)? as usize;
-            one(TensorData::range_f64(dt, start, step, count))
+            let Params::Range { dtype, start, step, count } = p else { return mismatch() };
+            one(TensorData::range_f64(*dtype, start.0, step.0, *count))
         }
         Op::ShapeOf => {
             let dims: Vec<i64> = in0(i)?.shape().dims().iter().map(|&d| d as i64).collect();
@@ -220,54 +195,43 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
         }
         Op::RankOf => one(TensorData::scalar(in0(i)?.shape().rank() as i64)),
         Op::SizeOf => one(TensorData::scalar(in0(i)?.num_elements() as i64)),
-        Op::Reshape => one(shape_ops::reshape(in0(i)?, a.int_list("shape").map_err(attrs_err)?)?),
-        Op::Transpose => {
-            let perm: Vec<usize> =
-                a.int_list("perm").map_err(attrs_err)?.iter().map(|&p| p as usize).collect();
-            one(shape_ops::transpose(in0(i)?, &perm)?)
+        Op::Reshape => {
+            let Params::Reshape { shape } = p else { return mismatch() };
+            one(shape_ops::reshape(in0(i)?, shape)?)
         }
-        Op::ExpandDims => one(shape_ops::expand_dims(in0(i)?, a.int("axis").map_err(attrs_err)?)?),
+        Op::Transpose => {
+            let Params::Transpose { perm } = p else { return mismatch() };
+            one(shape_ops::transpose(in0(i)?, perm)?)
+        }
+        Op::ExpandDims => one(shape_ops::expand_dims(in0(i)?, p.axis()?)?),
         Op::Squeeze => {
-            one(shape_ops::squeeze(in0(i)?, a.int_list_or("axes", &[]).map_err(attrs_err)?)?)
+            let Params::Squeeze { axes } = p else { return mismatch() };
+            one(shape_ops::squeeze(in0(i)?, axes)?)
         }
         Op::Concat => {
             let refs: Vec<&TensorData> = i.iter().map(|t| t.as_ref()).collect();
-            one(shape_ops::concat(&refs, a.int("axis").map_err(attrs_err)?)?)
+            one(shape_ops::concat(&refs, p.axis()?)?)
         }
         Op::Split => {
-            let num = a.int("num").map_err(attrs_err)?;
-            if num < 1 {
-                return Err(TensorError::InvalidArgument(format!(
-                    "split num must be >= 1, got {num}"
-                ))
-                .into());
-            }
-            let parts = shape_ops::split(in0(i)?, num as usize, a.int("axis").map_err(attrs_err)?)?;
+            let Params::Split { num, axis } = *p else { return mismatch() };
+            let parts = shape_ops::split(in0(i)?, num, axis)?;
             Ok(many(parts.into_iter().map(Arc::new).collect()))
         }
-        Op::Slice => one(shape_ops::slice(
-            in0(i)?,
-            a.int_list("begin").map_err(attrs_err)?,
-            a.int_list("size").map_err(attrs_err)?,
-        )?),
+        Op::Slice => {
+            let Params::Slice { begin, size } = p else { return mismatch() };
+            one(shape_ops::slice(in0(i)?, begin, size)?)
+        }
         Op::SliceGrad => {
-            let input = in0(i)?;
-            let grad = in_n(i, 1)?;
-            one(shape_ops::pad_to(grad, a.int_list("begin").map_err(attrs_err)?, input.shape())?)
+            let Params::SliceGrad { begin } = p else { return mismatch() };
+            one(shape_ops::pad_to(in_n(i, 1)?, begin, in0(i)?.shape())?)
         }
         Op::Pad => {
-            let flat = a.int_list("paddings").map_err(attrs_err)?;
-            let pairs: Vec<(usize, usize)> =
-                flat.chunks(2).map(|c| (c[0] as usize, c[1] as usize)).collect();
-            let v = a.float_or("value", 0.0).map_err(attrs_err)?;
-            one(shape_ops::pad(in0(i)?, &pairs, v)?)
+            let Params::Pad { paddings, value } = p else { return mismatch() };
+            one(shape_ops::pad(in0(i)?, paddings, value.0)?)
         }
-        Op::Gather => {
-            one(shape_ops::gather(in0(i)?, in_n(i, 1)?, a.int_or("axis", 0).map_err(attrs_err)?)?)
-        }
+        Op::Gather => one(shape_ops::gather(in0(i)?, in_n(i, 1)?, p.axis()?)?),
         Op::GatherGrad => {
-            let axis = a.int_or("axis", 0).map_err(attrs_err)?;
-            if axis != 0 {
+            if p.axis()? != 0 {
                 return Err(RuntimeError::Unsupported(
                     "gather gradient is implemented for axis 0 only".to_string(),
                 ));
@@ -285,120 +249,101 @@ fn kernel(op: Op, a: &Attrs, i: &[Arc<TensorData>]) -> Result<Outputs> {
             one(scattered.with_shape(params.shape().clone())?)
         }
         Op::Tile => {
-            let m: Vec<usize> =
-                a.int_list("multiples").map_err(attrs_err)?.iter().map(|&x| x as usize).collect();
-            one(shape_ops::tile(in0(i)?, &m)?)
+            let Params::Tile { multiples } = p else { return mismatch() };
+            one(shape_ops::tile(in0(i)?, multiples)?)
         }
-        Op::BroadcastTo => one(shape_ops::broadcast_to(in0(i)?, &Shape::new(shape_attr(a)?))?),
+        Op::BroadcastTo => {
+            let Params::BroadcastTo { shape } = p else { return mismatch() };
+            one(shape_ops::broadcast_to(in0(i)?, &Shape::new(shape.clone()))?)
+        }
         Op::SumToLike => {
             let target = in_n(i, 1)?.shape().clone();
             one(sum_to_shape(in0(i)?, &target)?)
         }
-        Op::Reverse => one(shape_ops::reverse(in0(i)?, a.int_or("axis", 0).map_err(attrs_err)?)?),
-        Op::OneHot => one(shape_ops::one_hot(
-            in0(i)?,
-            a.int("depth").map_err(attrs_err)? as usize,
-            a.dtype("dtype").map_err(attrs_err)?,
-        )?),
+        Op::Reverse => one(shape_ops::reverse(in0(i)?, p.axis()?)?),
+        Op::OneHot => {
+            let Params::OneHot { depth, dtype } = p else { return mismatch() };
+            one(shape_ops::one_hot(in0(i)?, *depth, *dtype)?)
+        }
         Op::Print => {
+            let Params::Print { message } = p else { return mismatch() };
             let x = in0(i)?;
-            let tag = a.str("message").unwrap_or("");
-            eprintln!("[tfe print] {tag}{:?}", x);
+            eprintln!("[tfe print] {message}{:?}", x);
             one(x.clone())
         }
-        Op::Matmul => one(matmul::matmul(
-            in0(i)?,
-            in_n(i, 1)?,
-            a.bool_or("transpose_a", false).map_err(attrs_err)?,
-            a.bool_or("transpose_b", false).map_err(attrs_err)?,
-        )?),
-        Op::BatchMatmul => one(matmul::batch_matmul(
-            in0(i)?,
-            in_n(i, 1)?,
-            a.bool_or("transpose_a", false).map_err(attrs_err)?,
-            a.bool_or("transpose_b", false).map_err(attrs_err)?,
-        )?),
-        Op::ReduceSum => reduce_kernel(a, i, reduce::ReduceOp::Sum),
-        Op::ReduceMean => reduce_kernel(a, i, reduce::ReduceOp::Mean),
-        Op::ReduceMax => reduce_kernel(a, i, reduce::ReduceOp::Max),
-        Op::ReduceMin => reduce_kernel(a, i, reduce::ReduceOp::Min),
-        Op::ReduceProd => reduce_kernel(a, i, reduce::ReduceOp::Prod),
+        Op::Matmul | Op::BatchMatmul => {
+            let (ta, tb) = p.transposes()?;
+            let (a, b) = (in0(i)?, in_n(i, 1)?);
+            one(if op == Op::Matmul {
+                matmul::matmul(a, b, ta, tb)?
+            } else {
+                matmul::batch_matmul(a, b, ta, tb)?
+            })
+        }
+        Op::ReduceSum => reduce_kernel(p, i, reduce::ReduceOp::Sum),
+        Op::ReduceMean => reduce_kernel(p, i, reduce::ReduceOp::Mean),
+        Op::ReduceMax => reduce_kernel(p, i, reduce::ReduceOp::Max),
+        Op::ReduceMin => reduce_kernel(p, i, reduce::ReduceOp::Min),
+        Op::ReduceProd => reduce_kernel(p, i, reduce::ReduceOp::Prod),
         Op::ReduceAny | Op::ReduceAll => {
-            let (axes, keep) = reduce_attrs(a)?;
-            one(reduce::reduce_bool(in0(i)?, axes, keep, op == Op::ReduceAll)?)
+            let (axes, keep_dims) = p.reduction()?;
+            one(reduce::reduce_bool(in0(i)?, axes, keep_dims, op == Op::ReduceAll)?)
         }
-        Op::Argmax | Op::Argmin => {
-            let axis = a.int_or("axis", 0).map_err(attrs_err)?;
-            one(reduce::argminmax(in0(i)?, axis, op == Op::Argmax)?)
-        }
-        Op::Cumsum => one(reduce::cumsum(in0(i)?, a.int_or("axis", 0).map_err(attrs_err)?)?),
-        Op::Conv2d => one(conv::conv2d(in0(i)?, in_n(i, 1)?, strides_of(a)?, padding_of(a)?)?),
-        Op::Conv2dBackpropInput => {
-            let input = in0(i)?;
-            one(conv::conv2d_backprop_input(
-                input.shape(),
-                in_n(i, 1)?,
-                in_n(i, 2)?,
-                strides_of(a)?,
-                padding_of(a)?,
-            )?)
-        }
-        Op::Conv2dBackpropFilter => {
-            let filter = in_n(i, 1)?;
-            one(conv::conv2d_backprop_filter(
-                in0(i)?,
-                filter.shape(),
-                in_n(i, 2)?,
-                strides_of(a)?,
-                padding_of(a)?,
-            )?)
+        Op::Argmax | Op::Argmin => one(reduce::argminmax(in0(i)?, p.axis()?, op == Op::Argmax)?),
+        Op::Cumsum => one(reduce::cumsum(in0(i)?, p.axis()?)?),
+        Op::Conv2d | Op::Conv2dBackpropInput | Op::Conv2dBackpropFilter => {
+            let Params::Conv { strides, padding } = *p else { return mismatch() };
+            let (x, f) = (in0(i)?, in_n(i, 1)?);
+            one(match op {
+                Op::Conv2d => conv::conv2d(x, f, strides, padding)?,
+                Op::Conv2dBackpropInput => {
+                    conv::conv2d_backprop_input(x.shape(), f, in_n(i, 2)?, strides, padding)?
+                }
+                _ => conv::conv2d_backprop_filter(x, f.shape(), in_n(i, 2)?, strides, padding)?,
+            })
         }
         Op::MaxPool | Op::AvgPool => {
+            let Params::Pool { ksize, strides, padding } = *p else { return mismatch() };
             let kind = if op == Op::MaxPool { PoolKind::Max } else { PoolKind::Avg };
-            one(pool::pool2d(in0(i)?, ksize_of(a)?, strides_of(a)?, padding_of(a)?, kind)?)
+            one(pool::pool2d(in0(i)?, ksize, strides, padding, kind)?)
         }
         Op::MaxPoolGrad | Op::AvgPoolGrad => {
+            let Params::Pool { ksize, strides, padding } = *p else { return mismatch() };
             let kind = if op == Op::MaxPoolGrad { PoolKind::Max } else { PoolKind::Avg };
-            let (ksize, strides) = (ksize_of(a)?, strides_of(a)?);
-            one(pool::pool2d_grad(in0(i)?, in_n(i, 1)?, ksize, strides, padding_of(a)?, kind)?)
+            one(pool::pool2d_grad(in0(i)?, in_n(i, 1)?, ksize, strides, padding, kind)?)
         }
         Op::Softmax => one(softmax::softmax(in0(i)?)?),
         Op::LogSoftmax => one(softmax::log_softmax(in0(i)?)?),
         Op::SparseSoftmaxXent => one(softmax::sparse_softmax_xent(in0(i)?, in_n(i, 1)?)?),
         Op::SoftmaxXentGrad => one(softmax::softmax_xent_grad(in0(i)?, in_n(i, 1)?, in_n(i, 2)?)?),
         Op::RandomNormal | Op::TruncatedNormal => {
-            let dt = a.dtype("dtype").map_err(attrs_err)?;
-            let shape = shape_attr(a)?;
-            let mean = a.float_or("mean", 0.0).map_err(attrs_err)?;
-            let stddev = a.float_or("stddev", 1.0).map_err(attrs_err)?;
+            let Params::Normal { dtype, shape, mean, stddev } = p else { return mismatch() };
+            let (dt, shape, mean, stddev) = (*dtype, shape.clone(), mean.0, stddev.0);
             one(crate::context::with_rng(|rng| match op {
                 Op::RandomNormal => rng.normal(dt, shape, mean, stddev),
                 _ => rng.truncated_normal(dt, shape, mean, stddev),
             })?)
         }
         Op::RandomUniform => {
-            let dt = a.dtype("dtype").map_err(attrs_err)?;
-            let shape = shape_attr(a)?;
-            let low = a.float_or("low", 0.0).map_err(attrs_err)?;
-            let high = a.float_or("high", 1.0).map_err(attrs_err)?;
-            one(crate::context::with_rng(|rng| rng.uniform(dt, shape, low, high))?)
+            let Params::Uniform { dtype, shape, low, high } = p else { return mismatch() };
+            one(crate::context::with_rng(|rng| rng.uniform(*dtype, shape.clone(), low.0, high.0))?)
         }
         Op::DropoutMask => {
+            let Params::Dropout { keep_prob } = p else { return mismatch() };
             let x = in0(i)?;
-            let keep = a.float("keep_prob").map_err(attrs_err)?;
             one(crate::context::with_rng(|rng| {
-                rng.dropout_mask(x.dtype(), x.shape().clone(), keep)
+                rng.dropout_mask(x.dtype(), x.shape().clone(), keep_prob.0)
             })?)
         }
         // The variable's own `Arc`: an assign replaces it rather than
         // writing into it, so a value read earlier keeps its contents.
-        Op::ReadVariable => Ok(shared(variable(a)?.value())),
+        Op::ReadVariable => Ok(shared(variable(p)?.value())),
         Op::Assign => {
-            variable(a)?.set_value(in0(i)?.clone())?;
+            variable(p)?.set_value(in0(i)?.clone())?;
             Ok(many(Vec::new()))
         }
         Op::AssignAdd | Op::AssignSub => {
-            let storage = variable(a)?;
+            let storage = variable(p)?;
             let step = if op == Op::AssignAdd { BinaryOp::Add } else { BinaryOp::Sub };
             storage.set_value(elementwise::binary(&storage.value(), in0(i)?, step)?)?;
             Ok(many(Vec::new()))
@@ -424,10 +369,13 @@ mod tests {
     fn run_kernel_basic() {
         let a = Arc::new(TensorData::scalar(2.0f32));
         let b = Arc::new(TensorData::scalar(3.0f32));
-        let out = run_kernel(Op::Binary(BinaryOp::Mul), &Attrs::new(), &[a, b]).unwrap();
+        let out = run_kernel(Op::Binary(BinaryOp::Mul), &Params::None, &[a, b]).unwrap();
         assert_eq!(out[0].scalar_f64().unwrap(), 6.0);
-        // Ops the dispatcher runs itself answer with an error, not a panic.
-        assert!(run_kernel(Op::Call, &Attrs::new(), &[]).is_err());
+        // Ops the dispatcher runs itself answer with an error, not a panic,
+        // and so do parameters that are not the op's.
+        assert!(run_kernel(Op::Call, &Params::None, &[]).is_err());
+        let x = Arc::new(TensorData::scalar(2.0f32));
+        assert!(run_kernel(Op::Cast, &Params::None, &[x]).is_err());
     }
 
     #[test]
@@ -448,8 +396,8 @@ mod tests {
     fn slice_grad_kernel_is_pad_adjoint() {
         let input = Arc::new(TensorData::zeros(DType::F32, [4]));
         let grad = Arc::new(TensorData::ones(DType::F32, [2]));
-        let attrs = Attrs::new().with("begin", vec![1i64]);
-        let out = run_kernel(Op::SliceGrad, &attrs, &[input, grad]).unwrap();
+        let params = Params::SliceGrad { begin: vec![1] };
+        let out = run_kernel(Op::SliceGrad, &params, &[input, grad]).unwrap();
         assert_eq!(out[0].to_f64_vec(), vec![0.0, 1.0, 1.0, 0.0]);
     }
 
@@ -461,7 +409,8 @@ mod tests {
             TensorData::from_vec(vec![1.0f32, 1.0, 2.0, 2.0, 4.0, 4.0], Shape::from([3, 2]))
                 .unwrap(),
         );
-        let out = run_kernel(Op::GatherGrad, &Attrs::new(), &[params, idx, grad]).unwrap();
+        let axis = Params::Axis { axis: 0 };
+        let out = run_kernel(Op::GatherGrad, &axis, &[params, idx, grad]).unwrap();
         assert_eq!(out[0].to_f64_vec(), vec![2.0, 2.0, 0.0, 0.0, 5.0, 5.0]);
     }
 }

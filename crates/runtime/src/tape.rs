@@ -11,19 +11,19 @@ use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use std::sync::Mutex;
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Op, Params};
 use tfe_parallel::lock;
 
 /// One recorded operation. Built once and shared: every tape that records
 /// it, and every `gradient` call that walks it, holds the same `Arc`. Its
-/// attributes hold what a `call`, `cond` or `host_func` ran, so the record
+/// parameters hold what a `call`, `cond` or `host_func` ran, so the record
 /// keeps that alive for as long as it can be differentiated.
 #[derive(Debug)]
 pub struct TapeRecord {
     /// The operation.
     pub op: Op,
-    /// Attributes it ran with.
-    pub attrs: Attrs,
+    /// Parameters it ran with.
+    pub params: Params,
     /// Input handles (eager or symbolic — tapes work in both modes).
     pub inputs: Vec<Tensor>,
     /// Output handles.
@@ -40,39 +40,35 @@ impl TapeRecord {
     /// written. Usually the input ids. `read_variable` flows from its
     /// *variable id*, so that every read of one variable aliases to one
     /// gradient slot (§4.2/§4.3); a `call` or `cond` appends the variables
-    /// its graphs read (attr `var_ids`, set by the tracer), so gradients
+    /// its graphs read (its parameters' `var_ids`, set by the tracer), so gradients
     /// reach variables *through* staged functions. Variable slots, when
     /// present, are exactly the ones past `inputs.len()`.
-    fn gradient_slots(op: Op, attrs: &Attrs, inputs: &[Tensor]) -> Vec<u64> {
+    fn gradient_slots(op: Op, params: &Params, inputs: &[Tensor]) -> Vec<u64> {
         let mut slots: Vec<u64> = inputs.iter().map(Tensor::id).collect();
-        match op {
-            Op::ReadVariable => slots.extend(attrs.int("var_id").ok().map(|id| id as u64)),
-            Op::Call | Op::Cond => {
-                let var_ids = attrs.int_list("var_ids").unwrap_or(&[]);
-                slots.extend(var_ids.iter().map(|&id| id as u64));
-            }
-            _ => {}
+        if op == Op::ReadVariable {
+            slots.extend(params.var_id().map(|id| id as u64));
         }
+        slots.extend(params.var_ids().iter().map(|&id| id as u64));
         slots
     }
 
     /// The record of `op` over these handles.
-    pub fn new(op: Op, attrs: Attrs, inputs: &[Tensor], outputs: &[Tensor]) -> TapeRecord {
-        let slots = TapeRecord::gradient_slots(op, &attrs, inputs);
-        TapeRecord::with_slots(slots, op, attrs, inputs, outputs)
+    pub fn new(op: Op, params: Params, inputs: &[Tensor], outputs: &[Tensor]) -> TapeRecord {
+        let slots = TapeRecord::gradient_slots(op, &params, inputs);
+        TapeRecord::with_slots(slots, op, params, inputs, outputs)
     }
 
     fn with_slots(
         input_ids: Vec<u64>,
         op: Op,
-        attrs: Attrs,
+        params: Params,
         inputs: &[Tensor],
         outputs: &[Tensor],
     ) -> TapeRecord {
         let output_ids = outputs.iter().map(Tensor::id).collect();
         TapeRecord {
             op,
-            attrs,
+            params,
             inputs: inputs.to_vec(),
             outputs: outputs.to_vec(),
             input_ids,
@@ -127,19 +123,19 @@ impl Tape {
     /// gradient slots is on, taking each tape's lock once. A tape that
     /// watches accessed variables first watches the ones `op` reads (§4.3).
     /// One record, built for the first tape that takes it, is shared by
-    /// every other; `attrs` move into it.
+    /// every other; `params` move into it.
     pub(crate) fn record_on(
         tapes: &[Arc<Tape>],
         op: Op,
-        attrs: Attrs,
+        params: Params,
         inputs: &[Tensor],
         outputs: &[Tensor],
     ) {
         if tapes.is_empty() {
             return;
         }
-        let mut slots = TapeRecord::gradient_slots(op, &attrs, inputs);
-        let mut attrs = Some(attrs);
+        let mut slots = TapeRecord::gradient_slots(op, &params, inputs);
+        let mut params = Some(params);
         let mut record: Option<Arc<TapeRecord>> = None;
         for tape in tapes {
             let mut inner = lock(&tape.inner);
@@ -151,9 +147,9 @@ impl Tape {
                 continue;
             }
             let record = record.get_or_insert_with(|| {
-                let attrs = attrs.take().unwrap_or_default();
+                let params = params.take().unwrap_or(Params::None);
                 let slots = std::mem::take(&mut slots);
-                Arc::new(TapeRecord::with_slots(slots, op, attrs, inputs, outputs))
+                Arc::new(TapeRecord::with_slots(slots, op, params, inputs, outputs))
             });
             inner.tracked.extend(record.output_ids.iter().copied());
             inner.records.push(record.clone());
@@ -211,7 +207,7 @@ mod tests {
     fn op(tapes: &[Arc<Tape>], inputs: &[&Tensor]) -> Tensor {
         let out = scalar();
         let inputs: Vec<Tensor> = inputs.iter().map(|&t| t.clone()).collect();
-        Tape::record_on(tapes, Op::Identity, Attrs::new(), &inputs, std::slice::from_ref(&out));
+        Tape::record_on(tapes, Op::Identity, Params::None, &inputs, std::slice::from_ref(&out));
         out
     }
 

@@ -13,7 +13,7 @@ use std::fmt;
 use std::sync::RwLock;
 use std::sync::{Arc, Weak};
 use tfe_device::DeviceName;
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Op, Params};
 use tfe_parallel::{read, write};
 use tfe_tensor::{DType, Shape, TensorData};
 
@@ -170,12 +170,12 @@ impl Variable {
     /// # Errors
     /// Execution failures.
     pub fn read(&self) -> Result<Tensor> {
-        let dims: Vec<i64> = self.storage.shape.dims().iter().map(|&d| d as i64).collect();
-        let attrs = Attrs::new()
-            .with("var_id", self.storage.id as i64)
-            .with("dtype", self.storage.dtype)
-            .with("shape", dims);
-        let mut out = crate::context::execute(Op::ReadVariable, &[], attrs)?;
+        let params = Params::ReadVariable {
+            var_id: self.storage.id as i64,
+            dtype: self.storage.dtype,
+            shape: self.storage.shape.dims().to_vec(),
+        };
+        let mut out = crate::context::execute(Op::ReadVariable, &[], params)?;
         Ok(out.remove(0))
     }
 
@@ -204,8 +204,8 @@ impl Variable {
     }
 
     fn assign_op(&self, op: Op, value: &Tensor) -> Result<()> {
-        let attrs = Attrs::new().with("var_id", self.storage.id as i64);
-        crate::context::execute(op, std::slice::from_ref(value), attrs)?;
+        let params = Params::Assign { var_id: self.storage.id as i64 };
+        crate::context::execute(op, std::slice::from_ref(value), params)?;
         Ok(())
     }
 

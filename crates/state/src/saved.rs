@@ -20,7 +20,7 @@ use tfe_graph::serial::{
     self, function_from_value, function_to_value, tensor_from_value, tensor_to_value,
 };
 use tfe_graph::GraphFunction;
-use tfe_ops::{Attrs, Op};
+use tfe_ops::{Op, Params};
 use tfe_runtime::{context, RuntimeError, Tensor, Variable};
 
 /// Errors from SavedFunction export/import.
@@ -109,9 +109,7 @@ pub fn export_to_value(concrete: &ConcreteFunction) -> Result<Value, SavedError>
     let mut var_ids: HashSet<i64> = concrete.var_ids.iter().copied().collect();
     for f in &functions {
         for node in &f.nodes {
-            if let Ok(id) = node.attrs.int("var_id") {
-                var_ids.insert(id);
-            }
+            var_ids.extend(node.params.var_id());
         }
     }
     let mut var_ids: Vec<i64> = var_ids.into_iter().collect();
@@ -156,7 +154,7 @@ pub fn export(concrete: &ConcreteFunction, path: impl AsRef<Path>) -> Result<(),
 pub struct LoadedFunction {
     entry: Arc<GraphFunction>,
     /// The attributes of a call of `entry`, which they hold.
-    call_attrs: Attrs,
+    call_params: Params,
     n_args: usize,
     /// Expected (dtype, symbolic shape) per non-capture argument.
     arg_sigs: Vec<(tfe_tensor::DType, tfe_ops::SymShape)>,
@@ -221,7 +219,7 @@ impl LoadedFunction {
         }
         let mut inputs: Vec<Tensor> = args.iter().map(|&t| t.clone()).collect();
         inputs.extend(self.captures.iter().cloned());
-        context::execute(Op::Call, &inputs, self.call_attrs.clone())
+        context::execute(Op::Call, &inputs, self.call_params.clone())
     }
 }
 
@@ -259,18 +257,8 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
     let mut decoded = Vec::with_capacity(functions.len());
     for fv in functions {
         let mut f = function_from_value(fv).map_err(|e| SavedError::Decode(e.to_string()))?;
-        for node in &mut f.nodes {
-            if let Ok(old) = node.attrs.int("var_id") {
-                let new = id_map.get(&old).ok_or(SavedError::UnknownVariable(old))?;
-                node.attrs.set("var_id", *new);
-            }
-            if let Ok(list) = node.attrs.int_list("var_ids") {
-                let new: Result<Vec<i64>, SavedError> = list
-                    .iter()
-                    .map(|old| id_map.get(old).copied().ok_or(SavedError::UnknownVariable(*old)))
-                    .collect();
-                node.attrs.set("var_ids", new?);
-            }
+        for id in f.nodes.iter_mut().flat_map(|n| n.params.var_ids_mut()) {
+            *id = *id_map.get(id).ok_or(SavedError::UnknownVariable(*id))?;
         }
         decoded.push(f);
     }
@@ -296,18 +284,19 @@ pub fn import_from_value(v: &Value) -> Result<LoadedFunction, SavedError> {
             got: captures.len(),
         });
     }
-    let (d, s) = tfe_ops::catalog::encode_sig(&entry_fn.output_sigs());
-    let call_attrs = Attrs::new()
-        .with("function", entry_fn.handle())
-        .with("stateful", entry_fn.is_stateful())
-        .with("out_dtypes", d)
-        .with("out_shapes", s);
+    let call_params = Params::Call {
+        function: entry_fn.handle(),
+        concrete: None,
+        stateful: entry_fn.is_stateful(),
+        outputs: entry_fn.output_sigs(),
+        var_ids: Vec::new(),
+    };
     // `function_from_value` guarantees num_captures <= inputs.len().
     Ok(LoadedFunction {
         n_args: entry_fn.inputs.len() - entry_fn.num_captures,
         arg_sigs: entry_fn.arg_sigs(),
         entry: entry_fn,
-        call_attrs,
+        call_params,
         captures,
         variables: var_map,
     })

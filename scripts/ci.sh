@@ -57,6 +57,23 @@ for f in $(grep -rl 'sequence_control_edges' crates src); do
     if library_part "${f}" | grep -n 'sequence_control_edges'; then exit 1; fi
 done
 
+# Typed-parameter gate: an op's attributes are read by key in one place,
+# `Params::decode` (crates/ops/src/params.rs), which applies every default
+# and range check; the attribute map's own module and the graph codec are the
+# boundary around it. Kernels, inference, gradients, passes and the
+# executor read typed fields, so no other library part may read an
+# attribute by key.
+echo "==> string-keyed attribute reads only in ops/attr.rs, ops/params.rs and graph/serial.rs"
+keyed_read='\.(int|float|bool|str|int_list|dtype|label|handle)(_or)?(::<[^>]*>)?\("'
+keyed=0
+for f in $(grep -rlE "${keyed_read}" --include='*.rs' crates/*/src src); do
+    case "${f}" in
+        crates/ops/src/attr.rs | crates/ops/src/params.rs | crates/graph/src/serial.rs) continue ;;
+    esac
+    if library_part "${f}" | grep -nE "${keyed_read}" | sed "s|^|${f}:|" | grep .; then keyed=1; fi
+done
+[ "${keyed}" = 0 ]
+
 # Function-lifetime gate: a node holds what it runs — its callee graph, its
 # compiled fused program, its host closure — by handle, and one weak name
 # index (`tfe_core::concrete_named`) serves the callers that hold only a name

@@ -49,7 +49,7 @@ pub use tfe_core::{cond, function, function1, init_scope, while_loop};
 pub use tfe_core::{
     Arg, ConcreteFunction, Func, FuncStats, HostFunc, RetraceCause, RetraceEvent, TensorSpec,
 };
-pub use tfe_ops::{Attrs, Op, OpError};
+pub use tfe_ops::{Attrs, Op, OpError, Params};
 pub use tfe_runtime::api;
 pub use tfe_runtime::context::async_scope;
 pub use tfe_runtime::{context, DeviceScope, ExecMode, RuntimeError, Tensor, Variable};

@@ -116,7 +116,11 @@ fn returns_all(name: &str, tensors: &[TensorData]) -> Func {
     function(name, move |_args| {
         let mut out = Vec::new();
         for c in &captures {
-            out.extend(context::execute(Op::Identity, std::slice::from_ref(c), Attrs::new())?);
+            out.extend(context::execute(
+                Op::Identity,
+                std::slice::from_ref(c),
+                tf_eager::Params::None,
+            )?);
         }
         for v in &variables {
             out.push(v.read()?);

@@ -98,7 +98,7 @@ pub fn control_edges(nodes: &[Node]) -> Vec<Vec<NodeId>> {
     let mut state = SequencingState::new();
     let edges = nodes.iter().enumerate().map(|(i, n)| {
         let data: Vec<NodeId> = n.inputs.iter().map(|t| t.node).collect();
-        state.sequence(NodeId(i), classify(n.op, &n.attrs, n.stateful), &data)
+        state.sequence(NodeId(i), classify(n.op, &n.params, n.stateful), &data)
     });
     edges.collect()
 }
@@ -158,7 +158,7 @@ pub fn inner_callee(tag: &str, dims: &[usize], dtype: DType) -> (Handle, (String
     let half = b.constant(scalar(dtype, 0.5)).unwrap();
     let s = b.add_node("add", vec![m, half], Attrs::new()).unwrap()[0];
     let f = b.finish(vec![s], 0);
-    let sig = tfe_ops::catalog::encode_sig(&f.output_sigs());
+    let sig = tfe_ops::encode_sig(&f.output_sigs());
     (Arc::new(f).handle(), sig)
 }
 
@@ -173,7 +173,7 @@ pub fn branch_pair(tag: &str, dims: &[usize], dtype: DType) -> (Handle, Handle, 
     };
     let then_fn = mk(format!("diff_then_{tag}"), "relu");
     let else_fn = mk(format!("diff_else_{tag}"), "neg");
-    let sig = tfe_ops::catalog::encode_sig(&then_fn.output_sigs());
+    let sig = tfe_ops::encode_sig(&then_fn.output_sigs());
     (then_fn.handle(), else_fn.handle(), sig)
 }
 
@@ -239,7 +239,7 @@ pub fn without_host_fns(graph: &GraphFunction) -> GraphFunction {
     let mut twin = graph.clone();
     for node in twin.nodes.iter_mut().filter(|n| n.op == tf_eager::Op::HostFunc) {
         node.op = tanh;
-        node.attrs = Attrs::new();
+        node.params = tf_eager::Params::None;
         node.stateful = false;
         node.control_inputs.clear();
     }
@@ -413,7 +413,7 @@ pub fn generate(seed: u64) -> GraphFunction {
             }
             // Escape to a (pure) host closure.
             11 => {
-                let (d, s) = tfe_ops::catalog::encode_sig(&[(dtype, known(&a.dims))]);
+                let (d, s) = tfe_ops::encode_sig(&[(dtype, known(&a.dims))]);
                 let attrs = Attrs::new()
                     .with("host_fn", pure_host_fn())
                     .with("out_dtypes", d)
@@ -481,13 +481,15 @@ pub fn replay(
         match node.op.name() {
             "placeholder" => {}
             "const" => {
-                let idx = node.attrs.int("value_index").expect("const index") as usize;
-                vals.insert((id, 0), tf_eager::Tensor::from_data((*f.constants[idx]).clone()));
+                let tf_eager::Params::Const { index, .. } = node.params else {
+                    panic!("a const holds its pool index");
+                };
+                vals.insert((id, 0), tf_eager::Tensor::from_data((*f.constants[index]).clone()));
             }
             _ => {
                 let ins: Vec<tf_eager::Tensor> =
                     node.inputs.iter().map(|r| vals[&(r.node.0, r.output)].clone()).collect();
-                let outs = tfe_runtime::context::execute(node.op, &ins, node.attrs.clone())?;
+                let outs = tfe_runtime::context::execute(node.op, &ins, node.params.clone())?;
                 for (k, t) in outs.into_iter().enumerate() {
                     vals.insert((id, k), t);
                 }

@@ -20,7 +20,7 @@ use tf_eager::graph::passes::{self, OptimizeOptions, OptimizeStats, PASS_NAMES};
 use tf_eager::graph::serial;
 use tf_eager::graph::{GraphFunction, Node};
 use tf_eager::state::saved::{self, SavedError};
-use tf_eager::{api, function, Arg, Attrs, ExecMode, Func, GradientTape, Op, RuntimeError};
+use tf_eager::{api, function, Arg, ExecMode, Func, GradientTape, Op, Params, RuntimeError};
 use tf_eager::{DType, Tensor, TensorData, Variable};
 use tfe_runtime::{context, executor};
 
@@ -308,7 +308,7 @@ pub fn run(case: &Case, mode: Mode) -> Outcome {
 /// What an optimized graph answers with: the runtime's own kernels fold
 /// its constants.
 pub fn evaluator(node: &Node, ins: &[Arc<TensorData>]) -> Result<Vec<TensorData>, String> {
-    tfe_runtime::kernels::run_kernel(node.op, &node.attrs, ins).map_err(|e| e.to_string())
+    tfe_runtime::kernels::run_kernel(node.op, &node.params, ins).map_err(|e| e.to_string())
 }
 
 /// One config's optimization of a graph, with what the optimizer did.
@@ -531,16 +531,17 @@ fn staged(case: &Case) -> Func {
 /// A `function` whose body is one `call` of the case's graph.
 fn called(case: &Case) -> Func {
     let graph = Arc::new(case.graph.clone());
-    let (d, s) = tfe_ops::catalog::encode_sig(&graph.output_sigs());
-    let attrs = Attrs::new()
-        .with("function", graph.handle())
-        .with("stateful", graph.is_stateful())
-        .with("out_dtypes", d)
-        .with("out_shapes", s);
+    let params = Params::Call {
+        function: graph.handle(),
+        concrete: None,
+        stateful: graph.is_stateful(),
+        outputs: graph.output_sigs(),
+        var_ids: Vec::new(),
+    };
     function(&format!("{}_called", graph.name), move |args| {
         let tensors: Vec<Tensor> =
             args.iter().map(|a| a.as_tensor().cloned().expect("a tensor argument")).collect();
-        context::execute(Op::Call, &tensors, attrs.clone())
+        context::execute(Op::Call, &tensors, params.clone())
     })
 }
 

@@ -93,19 +93,19 @@ fn split_grad_partial_use() {
 }
 
 /// A negative `num` attribute used to wrap to a huge usize and abort on a
-/// capacity overflow when the axis extent was 0; now a typed error on both
-/// the OpDef (shape inference) and kernel paths.
+/// capacity overflow when the axis extent was 0; now a typed error where
+/// the attributes are decoded, and where typed parameters are checked.
 #[test]
 fn split_rejects_non_positive_num() {
     let z = api::zeros(DType::F32, [0, 2]);
     for num in [-3i64, 0] {
-        let r = tf_eager::context::execute(
-            tf_eager::Op::Split,
-            std::slice::from_ref(&z),
-            tf_eager::Attrs::new().with("num", num).with("axis", 0i64),
-        );
+        let attrs = tf_eager::Attrs::new().with("num", num).with("axis", 0i64);
+        let r = tf_eager::Params::decode(tf_eager::Op::Split, &attrs);
         assert!(r.is_err(), "split num={num} must be a typed error, not a panic");
     }
+    let zero = tf_eager::Params::Split { num: 0, axis: 0 };
+    let r = tf_eager::context::execute(tf_eager::Op::Split, std::slice::from_ref(&z), zero);
+    assert!(r.is_err(), "split num=0 must be a typed error, not a panic");
     // The typed-API path (usize) rejects 0 as well.
     assert!(api::split(&z, 0, 0).is_err());
 }
@@ -126,4 +126,79 @@ fn conv_and_pool_on_an_empty_spatial_extent() {
     assert_eq!(p.dtype(), DType::F32);
     assert_eq!(p.shape().unwrap().dims(), &[1, 0, 2, 1]);
     assert_eq!(p.to_f64_vec().unwrap(), Vec::<f64>::new());
+}
+
+/// Attributes that make a count or a dim negative, one set per op that takes
+/// one, with the key that is refused and the dtype of the op's input.
+fn negative_counts() -> Vec<(&'static str, tf_eager::Attrs, &'static str, Option<DType>)> {
+    let dtype = || tf_eager::Attrs::new().with("dtype", DType::F32);
+    let shape = || dtype().with("shape", vec![2i64, -1]);
+    vec![
+        ("range", dtype().with("count", -1i64), "count", None),
+        ("eye", dtype().with("n", -1i64), "n", None),
+        ("one_hot", dtype().with("depth", -1i64), "depth", Some(DType::I64)),
+        (
+            "split",
+            tf_eager::Attrs::new().with("num", -1i64).with("axis", 0i64),
+            "num",
+            Some(DType::F32),
+        ),
+        ("fill", shape(), "shape", None),
+        ("random_normal", shape(), "shape", None),
+        ("random_uniform", shape(), "shape", None),
+        ("truncated_normal", shape(), "shape", None),
+    ]
+}
+
+/// A negative count or dim is refused where the builder decodes the
+/// attributes, with a typed error naming the key: it never reaches
+/// inference or a kernel (a negative `range` count used to be accepted and
+/// then abort the kernel on a capacity overflow; a negative `eye` size
+/// wrapped to a one-element matrix and a loop of about 2^64 trips).
+#[test]
+fn negative_counts_and_dims_are_refused_at_add_node() {
+    use tf_eager::graph::GraphBuilder;
+    for (op, attrs, key, input) in negative_counts() {
+        let mut b = GraphBuilder::new("negative_counts");
+        let inputs = match input {
+            Some(dtype) => {
+                vec![b.placeholder(dtype, tfe_ops::SymShape::new(vec![Some(4)])).unwrap()]
+            }
+            None => Vec::new(),
+        };
+        match b.add_node(op, inputs, attrs) {
+            Err(tf_eager::OpError::Attr(e)) => assert_eq!(e.key, key, "{op}"),
+            other => panic!("{op}: want a typed attribute error, got {other:?}"),
+        }
+        assert_eq!(b.num_nodes(), usize::from(input.is_some()), "{op}: nothing was appended");
+    }
+}
+
+/// A value of the wrong type is refused, not replaced by the default:
+/// `padding: 7` used to run as `SAME`, and a non-string `print` message
+/// used to print as `""`.
+#[test]
+fn mistyped_parameters_are_refused_not_defaulted() {
+    use tf_eager::graph::GraphBuilder;
+    use tf_eager::Attrs;
+    let mut b = GraphBuilder::new("mistyped");
+    let x =
+        b.placeholder(DType::F32, tfe_ops::SymShape::new(vec![Some(1), Some(4), Some(4), Some(2)]));
+    let f =
+        b.placeholder(DType::F32, tfe_ops::SymShape::new(vec![Some(3), Some(3), Some(2), Some(2)]));
+    let (x, f) = (x.unwrap(), f.unwrap());
+    let padding = Attrs::new().with("strides", vec![1i64, 1]).with("padding", 7i64);
+    match b.add_node("conv2d", vec![x, f], padding) {
+        Err(tf_eager::OpError::Attr(e)) => assert_eq!(e.key, "padding"),
+        other => panic!("padding: want a typed attribute error, got {other:?}"),
+    }
+    match b.add_node("print", vec![x], Attrs::new().with("message", 3i64)) {
+        Err(tf_eager::OpError::Attr(e)) => assert_eq!(e.key, "message"),
+        other => panic!("message: want a typed attribute error, got {other:?}"),
+    }
+    // Spelled right, both are accepted; a missing padding is `SAME`.
+    let same = Attrs::new().with("padding", "SAME");
+    assert!(b.add_node("conv2d", vec![x, f], same).is_ok());
+    assert!(b.add_node("conv2d", vec![x, f], Attrs::new()).is_ok());
+    assert!(b.add_node("print", vec![x], Attrs::new().with("message", "x = ")).is_ok());
 }

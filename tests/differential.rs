@@ -307,7 +307,7 @@ fn unknown_callee_fails_alike_in_every_mode() {
     tf_eager::init();
     let mut b = GraphBuilder::new("calls_nothing");
     let x = b.placeholder(DType::F64, known(&[4])).unwrap();
-    let (d, s) = tfe_ops::catalog::encode_sig(&[(DType::F64, known(&[4]))]);
+    let (d, s) = tfe_ops::encode_sig(&[(DType::F64, known(&[4]))]);
     let attrs = Attrs::new()
         .with("function", "diff_no_such_fn")
         .with("out_dtypes", d)

@@ -31,6 +31,30 @@ fn an_eager_op_allocates_its_output_and_little_else() {
             black_box(api::add(&a, &b).unwrap());
         })
     };
+    // A product, the same product with its transpose flags spelled out, and
+    // one through a transposed operand. The flags are typed parameters and
+    // cost no allocation; a transposed `b` costs the kernel one, the k x n
+    // copy it multiplies from (DESIGN.md §9).
+    let w = api::constant((0..6).map(|i| i as f32 * 0.25).collect::<Vec<_>>(), [2, 3]).unwrap();
+    let wt = api::transpose(&w, &[1, 0]).unwrap();
+    let products = || {
+        let plain = allocations_per_call(N, || {
+            black_box(api::matmul(&x, &w).unwrap());
+        });
+        let flagged = allocations_per_call(N, || {
+            black_box(api::matmul_t(&x, &w, false, false).unwrap());
+        });
+        let transposed = allocations_per_call(N, || {
+            black_box(api::matmul_t(&x, &wt, false, true).unwrap());
+        });
+        (plain, flagged, transposed)
+    };
+    let (matmul, matmul_t, matmul_tb) = products();
+    let (taped_matmul, taped_matmul_t, taped_matmul_tb) = {
+        let tape = GradientTape::new();
+        tape.watch(&x);
+        products()
+    };
     let v = Variable::new(TensorData::scalar(2.0f32));
     let read = allocations_per_call(N, || {
         black_box(v.read().unwrap());
@@ -41,11 +65,23 @@ fn an_eager_op_allocates_its_output_and_little_else() {
     });
     println!(
         "allocations per op: scalar add {add}, [64,2] mul {mul}, taped scalar add {taped_add}, \
-         Variable::read {read}, cache-hit call1 {call}"
+         matmul {matmul} / flags spelled {matmul_t} / transposed b {matmul_tb}, taped matmul \
+         {taped_matmul} / {taped_matmul_t} / {taped_matmul_tb}, Variable::read {read}, \
+         cache-hit call1 {call}"
     );
 
     assert!(add <= 5.0, "an untaped scalar add makes {add} allocations (at most 5)");
     assert!(mul <= 7.0, "an untaped [64,2] mul makes {mul} allocations (at most 7)");
     assert!(taped_add <= 10.0, "a taped scalar add makes {taped_add} allocations (at most 10)");
+    assert!(matmul_t <= matmul, "matmul_t makes {matmul_t} allocations, matmul {matmul}");
+    assert!(
+        taped_matmul_t <= taped_matmul,
+        "taped, matmul_t makes {taped_matmul_t} allocations, matmul {taped_matmul}"
+    );
+    assert!(matmul_tb <= matmul + 1.0, "a transposed b makes {matmul_tb}, matmul {matmul}");
+    assert!(
+        taped_matmul_tb <= taped_matmul + 1.0,
+        "taped, a transposed b makes {taped_matmul_tb}, matmul {taped_matmul}"
+    );
     assert!(call <= 31.0, "a cache-hit call1 makes {call} allocations (at most 31)");
 }

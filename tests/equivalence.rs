@@ -52,13 +52,13 @@ fn eval(expr: &Expr, inputs: &[Tensor]) -> Result<Tensor, RuntimeError> {
         Expr::Unary(op, e) => {
             let x = eval(e, inputs)?;
             let op = tfe_ops::Op::from_name(op).expect("a catalog op");
-            tfe_runtime::context::execute(op, &[x], tfe_ops::Attrs::new()).map(|mut v| v.remove(0))
+            tfe_runtime::context::execute(op, &[x], tfe_ops::Params::None).map(|mut v| v.remove(0))
         }
         Expr::Binary(op, a, b) => {
             let a = eval(a, inputs)?;
             let b = eval(b, inputs)?;
             let op = tfe_ops::Op::from_name(op).expect("a catalog op");
-            tfe_runtime::context::execute(op, &[a, b], tfe_ops::Attrs::new())
+            tfe_runtime::context::execute(op, &[a, b], tfe_ops::Params::None)
                 .map(|mut v| v.remove(0))
         }
         Expr::Reduce(e, keep) => {

@@ -26,7 +26,7 @@ use tf_eager::nn::{
 };
 use tf_eager::prelude::*;
 use tf_eager::state::saved::{self, SavedError};
-use tf_eager::{context, Attrs, ExecMode, Op, RuntimeError};
+use tf_eager::{context, ExecMode, Op, Params, RuntimeError};
 use tfe_ops::SymShape;
 
 static TURN: Mutex<()> = Mutex::new(());
@@ -278,7 +278,7 @@ fn a_name_whose_owner_is_gone_is_a_typed_error_in_every_mode() {
     // A hand-built graph calling the function, run on both drivers and
     // eagerly; the node holds the callee, so dropping its `Func` changes no
     // bit of what it computes.
-    let run = |g: &GraphFunction, attrs: &Attrs| -> Vec<Bits> {
+    let run = |g: &GraphFunction, attrs: &Params| -> Vec<Bits> {
         let mut out: Vec<Bits> = [ExecMode::SerialPlanned, ExecMode::Parallel]
             .map(|mode| {
                 let y =
@@ -293,11 +293,13 @@ fn a_name_whose_owner_is_gone_is_a_typed_error_in_every_mode() {
     let (name, graph, attrs, alive) = {
         let f = function1("lt_gone", api::relu);
         let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
-        let (d, s) = tfe_ops::catalog::encode_sig(&conc.function.output_sigs());
-        let attrs = Attrs::new()
-            .with("function", conc.function.handle())
-            .with("out_dtypes", d)
-            .with("out_shapes", s);
+        let attrs = Params::Call {
+            function: conc.function.handle(),
+            concrete: None,
+            stateful: false,
+            outputs: conc.function.output_sigs(),
+            var_ids: Vec::new(),
+        };
         let mut b = GraphBuilder::new("lt_holds_a_dropped_function");
         let a = b.placeholder(DType::F64, SymShape::known(&Shape::from([2]))).unwrap();
         let out = b.add_op(Op::Call, vec![a], attrs.clone()).unwrap()[0];

@@ -154,7 +154,8 @@ fn listing_8_figure_2_function_composition() {
         .unwrap();
     let call_node = conc.raw.nodes.iter().find(|n| n.op == "call").expect("call node");
     // Figure 2b: the call node holds the callee's graph, and it is a relu.
-    let inner_graph = call_node.attrs.handle::<tf_eager::graph::GraphFunction>("function").unwrap();
+    let tf_eager::Params::Call { function, .. } = &call_node.params else { panic!("a call") };
+    let inner_graph = function.get::<tf_eager::graph::GraphFunction>().unwrap();
     assert!(inner_graph.nodes.iter().any(|n| n.op == "relu"));
 }
 

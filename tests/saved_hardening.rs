@@ -397,3 +397,47 @@ fn loaded_call_rejects_malformed_requests() {
         Err(RuntimeError::Tensor(TensorError::ShapeMismatch { .. }))
     ));
 }
+
+/// A bundle whose node makes a count or a dim negative does not load: the
+/// decoder refuses the node's attributes, typed and naming the key, before
+/// anything is built or run (a negative `range` count used to load and
+/// then abort the call on a capacity overflow).
+#[test]
+fn negative_counts_in_a_bundle_are_refused() {
+    use tf_eager::graph::serial::attrs_to_value;
+    let f = function1("negative_count_host", api::neg);
+    let probe = api::constant(vec![1.0f32, -2.0], [2]).unwrap();
+    let b = saved::export_to_value(&f.concrete_for(&[Arg::from(&probe)]).unwrap()).unwrap();
+    let nodes = get_at(&b, "/functions/0/nodes").as_array().expect("a node list");
+    let neg = nodes
+        .iter()
+        .position(|n| n.get("op").and_then(Value::as_str) == Some("neg"))
+        .expect("the traced neg");
+    let dtype = || tf_eager::Attrs::new().with("dtype", DType::F32);
+    let shape = || dtype().with("shape", vec![2i64, -1]);
+    // (op, attributes, the key refused, whether the op takes the input)
+    let cases = [
+        ("range", dtype().with("count", -1i64), "count", false),
+        ("eye", dtype().with("n", -1i64), "n", false),
+        ("one_hot", dtype().with("depth", -1i64), "depth", true),
+        ("split", tf_eager::Attrs::new().with("num", -1i64).with("axis", 0i64), "num", true),
+        ("fill", shape(), "shape", false),
+        ("random_normal", shape(), "shape", false),
+        ("random_uniform", shape(), "shape", false),
+    ];
+    for (op, attrs, key, unary) in cases {
+        let mut m = b.clone();
+        let path = format!("/functions/0/nodes/{neg}");
+        assert!(set_at(&mut m, &format!("{path}/op"), Some(Value::str(op))));
+        assert!(set_at(&mut m, &format!("{path}/attrs"), Some(attrs_to_value(&attrs))));
+        if !unary {
+            assert!(set_at(&mut m, &format!("{path}/inputs"), Some(Value::Array(Vec::new()))));
+        }
+        match saved::import_from_value(&m) {
+            Err(SavedError::Decode(why)) => {
+                assert!(why.contains(&format!("attribute `{key}`")), "{op}: {why}")
+            }
+            other => panic!("{op}: want a decode error, got {:?}", other.map(|_| ())),
+        }
+    }
+}

@@ -394,12 +394,12 @@ fn called_during<R>(f: impl FnOnce() -> R) -> (R, Vec<Arc<tf_eager::graph::Graph
             &self,
             site: Site,
             _device: &Device,
-            op: tf_eager::Op,
-            attrs: &tf_eager::Attrs,
+            _op: tf_eager::Op,
+            params: &tf_eager::Params,
             _inputs: &[Arc<TensorData>],
         ) -> Result<Option<Vec<Arc<TensorData>>>, RuntimeError> {
-            if site == Site::Call && op == tf_eager::Op::Call {
-                self.0.borrow_mut().push(attrs.handle("function").expect("a call holds its body"));
+            if let (Site::Call, tf_eager::Params::Call { function, .. }) = (site, params) {
+                self.0.borrow_mut().push(function.get().expect("a call holds its body"));
             }
             Ok(None)
         }
@@ -420,7 +420,7 @@ fn called_during<R>(f: impl FnOnce() -> R) -> (R, Vec<Arc<tf_eager::graph::Graph
 #[test]
 fn two_callees_of_one_name_each_run_their_own_body() {
     use tf_eager::graph::{GraphBuilder, GraphFunction};
-    use tf_eager::{Attrs, ExecMode, Op};
+    use tf_eager::{Attrs, ExecMode, Op, Params};
     use tfe_ops::SymShape;
     tf_eager::init();
     let shape = SymShape::known(&Shape::from([2]));
@@ -431,12 +431,12 @@ fn two_callees_of_one_name_each_run_their_own_body() {
         Arc::new(b.finish(vec![y], 0))
     };
     let (neg, square) = (callee("neg"), callee("square"));
-    let (d, s) = tfe_ops::catalog::encode_sig(&neg.output_sigs());
-    let call = |f: &Arc<GraphFunction>| {
-        Attrs::new()
-            .with("function", f.handle())
-            .with("out_dtypes", d.clone())
-            .with("out_shapes", s.clone())
+    let call = |f: &Arc<GraphFunction>| Params::Call {
+        function: f.handle(),
+        concrete: None,
+        stateful: false,
+        outputs: neg.output_sigs(),
+        var_ids: Vec::new(),
     };
     let mut b = GraphBuilder::new("calls_both");
     let x = b.placeholder(DType::F64, shape.clone()).unwrap();
@@ -467,21 +467,20 @@ fn two_callees_of_one_name_each_run_their_own_body() {
 #[test]
 fn gradient_into_a_kept_intermediate_matches_eager() {
     use std::collections::HashMap;
-    use tfe_ops::{Attrs, BinaryOp, Op, UnaryOp};
+    use tfe_ops::{BinaryOp, Op, Params, UnaryOp};
     use tfe_runtime::TapeRecord;
     tf_eager::init();
     let f = function1("kept_seed", |x| api::tanh(&api::mul(x, x)?));
     let x = api::constant(vec![0.3f64, -0.2], [2]).unwrap();
     let conc = f.concrete_for(&[Arg::from(&x)]).unwrap();
     let pair = conc.forward_bundle().unwrap();
-    let (d, s) = tfe_ops::catalog::encode_sig(&pair.fwd.output_sigs());
-    let attrs = Attrs::new()
-        .with("function", pair.fwd.handle())
-        .with("concrete", conc.handle())
-        .with("stateful", false)
-        .with("out_dtypes", d)
-        .with("out_shapes", s)
-        .with("var_ids", Vec::<i64>::new());
+    let attrs = Params::Call {
+        function: pair.fwd.handle(),
+        concrete: Some(conc.handle()),
+        stateful: false,
+        outputs: pair.fwd.output_sigs(),
+        var_ids: Vec::new(),
+    };
     let outputs = context::execute(Op::Call, std::slice::from_ref(&x), attrs.clone()).unwrap();
     // The backward of tanh(x*x) reads x and the tanh: they are kept.
     assert_eq!(outputs.len(), 3);
@@ -508,8 +507,8 @@ fn gradient_into_a_kept_intermediate_matches_eager() {
     let y = api::tanh(&u).unwrap();
     let (u, y) = (std::slice::from_ref(&u), std::slice::from_ref(&y));
     let records = [
-        TapeRecord::new(Op::Binary(BinaryOp::Mul), Attrs::new(), &[x.clone(), x.clone()], u),
-        TapeRecord::new(Op::Unary(UnaryOp::Tanh), Attrs::new(), u, y),
+        TapeRecord::new(Op::Binary(BinaryOp::Mul), Params::None, &[x.clone(), x.clone()], u),
+        TapeRecord::new(Op::Unary(UnaryOp::Tanh), Params::None, u, y),
     ]
     .map(Arc::new);
     let seeds = HashMap::from([(y[0].id(), api::add(&dy, &dy_kept).unwrap()), (x.id(), dx_kept)]);
@@ -924,7 +923,7 @@ fn eager_validation_errors_are_typed_and_repeat() {
         vec![x.clone(), api::constant(vec![1.0f32, 2.0], [2]).unwrap()],
     ];
     let fail = |inputs: &[Tensor]| {
-        let err = context::execute(add, inputs, tf_eager::Attrs::new()).unwrap_err();
+        let err = context::execute(add, inputs, tf_eager::Params::None).unwrap_err();
         assert!(matches!(err, RuntimeError::Op(_)), "typed op error: {err:?}");
         format!("{err:?}")
     };

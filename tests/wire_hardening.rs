@@ -324,3 +324,46 @@ fn panicking_step_is_a_remote_fault() {
         cluster.shutdown();
     }
 }
+
+/// An op step whose attributes make a count or a dim negative is a typed
+/// fault naming the key, over either transport: the worker refuses the
+/// attributes before its kernel runs (a negative `range` count used to
+/// abort the kernel on a capacity overflow), and keeps serving.
+#[test]
+fn negative_counts_in_an_op_step_are_refused() {
+    tf_eager::init();
+    let x = api::constant(vec![1.5f32, -2.0], [2]).unwrap();
+    let ids = api::constant(vec![0i64, 1], [2]).unwrap();
+    let dtype = || Attrs::new().with("dtype", DType::F32);
+    let shape = || dtype().with("shape", vec![2i64, -1]);
+    let cases = [
+        ("range", dtype().with("count", -1i64), "count", None),
+        ("eye", dtype().with("n", -1i64), "n", None),
+        ("one_hot", dtype().with("depth", -1i64), "depth", Some(&ids)),
+        ("split", Attrs::new().with("num", -1i64).with("axis", 0i64), "num", Some(&x)),
+        ("fill", shape(), "shape", None),
+        ("random_normal", shape(), "shape", None),
+        ("random_uniform", shape(), "shape", None),
+    ];
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let spec = ClusterSpec::new().with_job("w", 1).unwrap();
+        let cluster = match kind {
+            TransportKind::InProcess => Cluster::start(&spec),
+            TransportKind::Tcp => Cluster::start_tcp(&spec).unwrap(),
+        };
+        let dev = "/job:w/task:0/device:CPU:0";
+        for (op, attrs, key, input) in &cases {
+            let args: Vec<RemoteArg> = input.iter().map(|&t| RemoteArg::from(t)).collect();
+            match cluster.execute(dev, op, &args, attrs.clone()) {
+                Err(DistError::RemoteFault { detail, .. }) => {
+                    let named = detail.contains(&format!("attribute `{key}`"));
+                    assert!(named && !detail.contains("panicked"), "{kind:?} {op}: {detail}")
+                }
+                other => panic!("{kind:?} {op}: want a remote fault, got {:?}", other.map(|_| ())),
+            }
+        }
+        let out = cluster.execute(dev, "neg", &[RemoteArg::from(&x)], Attrs::new()).unwrap();
+        assert_eq!(out[0].fetch().unwrap().value().unwrap().to_f64_vec(), vec![-1.5, 2.0]);
+        cluster.shutdown();
+    }
+}
