@@ -277,14 +277,15 @@ fn bench_fused_chain(iters: usize, reps: usize, quick: bool) -> tfe_encode::Valu
 /// (one `fused_elementwise` node on the periodic-operand tile path), at the
 /// L2HMC size and at a multi-tile size. The two graphs must agree bitwise
 /// and fused must not be slower. The row also times the bias add alone
-/// through `binary`'s periodic slice path and through the per-element
-/// `BroadcastWalker` map it replaced.
+/// through `binary`'s periodic slice path and through a per-element map
+/// that finds each operand's element with `broadcast_source_index`, the
+/// reference the bits are checked against.
 fn bench_fused_broadcast_chain(quick: bool) -> tfe_encode::Value {
     use tfe_graph::passes::{self, OptimizeOptions};
     use tfe_graph::GraphBuilder;
     use tfe_ops::{Attrs, SymShape};
     use tfe_runtime::{executor, ExecMode};
-    use tfe_tensor::shape::BroadcastWalker;
+    use tfe_tensor::shape::broadcast_source_index;
     use tfe_tensor::DType;
 
     let device = tfe_runtime::context::device_manager().host_cpu();
@@ -349,12 +350,9 @@ fn bench_fused_broadcast_chain(quick: bool) -> tfe_encode::Value {
             binary(&xt, &bt, BinaryOp::Add).expect("bias add");
         });
         let walker_add = || -> Vec<f32> {
-            let out = xt.shape();
             let (xv, bv) = (xt.as_slice::<f32>().unwrap(), bt.as_slice::<f32>().unwrap());
-            BroadcastWalker::new(out, xt.shape())
-                .zip(BroadcastWalker::new(out, bt.shape()))
-                .map(|(i, j)| BinaryOp::Add.eval_f32(xv[i], bv[j]))
-                .collect()
+            let j = |i| broadcast_source_index(xt.shape().dims(), bt.shape().dims(), i);
+            xv.iter().enumerate().map(|(i, &x)| BinaryOp::Add.eval_f32(x, bv[j(i)])).collect()
         };
         assert_eq!(
             bits(&binary(&xt, &bt, BinaryOp::Add).expect("bias add")),

@@ -174,7 +174,7 @@ impl GraphFunction {
     }
 
     /// A structural fingerprint of the whole function: ops, dataflow,
-    /// parameters (as the attributes they write), signatures, control
+    /// typed parameters (a handle as its label), signatures, control
     /// edges, outputs, and constant values. Two functions with equal hashes
     /// are (modulo collisions) the same graph: what the idempotence and
     /// reproducibility tests of the optimizer compare. Uses `DefaultHasher`
@@ -190,7 +190,7 @@ impl GraphFunction {
                 t.node.0.hash(&mut h);
                 t.output.hash(&mut h);
             }
-            n.params.to_attrs().hash(&mut h);
+            n.params.hash(&mut h);
             n.outputs.hash(&mut h);
             n.stateful.hash(&mut h);
             for c in &n.control_inputs {

@@ -12,7 +12,7 @@
 //! [`Params::decode`], the only reader of keys, applies every default and
 //! range check once and refuses a missing, mistyped or out-of-range value
 //! with a typed [`OpError`]. [`Params::to_attrs`], the only writer (bundles,
-//! wire frames, listings, structural hashes), writes every field, except
+//! wire frames, listings), writes every field, except
 //! `matmul`'s flags when neither is set and an `unless` field holding that
 //! value. An output signature is the texts `out_dtypes`/`out_shapes`.
 

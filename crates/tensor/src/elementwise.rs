@@ -1,12 +1,18 @@
 //! Elementwise binary/unary/comparison kernels with NumPy-style broadcasting.
 //!
+//! Every kernel reads and writes typed slices, and a comparison runs in the
+//! operands' own type. A broadcast operand whose shape is a suffix of the
+//! output's is read through [`Periodic`] windows; any other through the
+//! crate's one index walk, `shape::strided`, which a parallel tile
+//! starts at its first element.
+//!
 //! The op enums here double as the instruction set of the fused-elementwise
 //! interpreter in `tfe-graph` (our XLA stand-in), so every op is a small,
 //! named, pure function.
 
 use crate::data::Scalar;
 use crate::lanes::Periodic;
-use crate::shape::{broadcast_shapes, BroadcastWalker};
+use crate::shape::{broadcast_shapes, broadcast_walk};
 use crate::{DType, Result, TensorData, TensorError};
 
 /// Floating-point scalars with transcendental math.
@@ -441,7 +447,7 @@ impl CmpOp {
         &[CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge]
     }
 
-    fn eval(self, a: f64, b: f64) -> bool {
+    fn eval<T: PartialOrd>(self, a: T, b: T) -> bool {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
@@ -553,9 +559,9 @@ fn map2<T: Scalar, U: Scalar>(
             out.push(f(av[i], bv[i])?);
         }
     } else {
-        let wa = BroadcastWalker::new(&out_shape, a.shape());
-        let wb = BroadcastWalker::new(&out_shape, b.shape());
-        for (ia, ib) in wa.zip(wb) {
+        let walks =
+            broadcast_walk(&out_shape, a.shape(), 0).zip(broadcast_walk(&out_shape, b.shape(), 0));
+        for (ia, ib) in walks {
             out.push(f(av[ia], bv[ib])?);
         }
     }
@@ -563,7 +569,7 @@ fn map2<T: Scalar, U: Scalar>(
 }
 
 /// Infallible variant of [`map2`] that splits the output across the shared
-/// pool; each tile walks its own [`BroadcastWalker::new_at`] cursor.
+/// pool; each tile walks the operands from its own first element.
 /// Element results are independent, so any partition gives identical bits.
 fn map2_par<T: Scalar, U: Scalar + Default>(
     a: &TensorData,
@@ -582,8 +588,8 @@ fn map2_par<T: Scalar, U: Scalar + Default>(
         });
     } else {
         tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-            let wa = BroadcastWalker::new_at(&out_shape, a.shape(), r.start);
-            let wb = BroadcastWalker::new_at(&out_shape, b.shape(), r.start);
+            let wa = broadcast_walk(&out_shape, a.shape(), r.start);
+            let wb = broadcast_walk(&out_shape, b.shape(), r.start);
             for ((o, ia), ib) in chunk.iter_mut().zip(wa).zip(wb) {
                 *o = f(av[ia], bv[ib]);
             }
@@ -651,7 +657,9 @@ pub fn unary(a: &TensorData, op: UnaryOp) -> Result<TensorData> {
     }
 }
 
-/// Elementwise comparison with broadcasting, producing a bool tensor.
+/// Elementwise comparison with broadcasting, producing a bool tensor. The
+/// predicate runs in the operands' own type, so an i64 beyond 2^53 compares
+/// exactly.
 ///
 /// # Errors
 /// Dtype mismatch between operands; ordering comparisons on bool.
@@ -663,37 +671,15 @@ pub fn compare(a: &TensorData, b: &TensorData, op: CmpOp) -> Result<TensorData> 
             got: DType::Bool,
         });
     }
-    // Same-shape and periodic numeric operands compare over typed slices;
-    // `to_f64` is the widening `get_f64_linear` applies, so the predicate —
-    // and every result — is the walker's.
-    let typed = match dt {
-        DType::F32 => compare_periodic::<f32>(a, b, op)?,
-        DType::F64 => compare_periodic::<f64>(a, b, op)?,
-        DType::I32 => compare_periodic::<i32>(a, b, op)?,
-        DType::I64 => compare_periodic::<i64>(a, b, op)?,
-        DType::Bool => None,
-    };
-    if let Some(out) = typed {
-        return Ok(out);
-    }
-    let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let n = out_shape.num_elements();
-    let mut out = Vec::with_capacity(n);
-    let wa = BroadcastWalker::new(&out_shape, a.shape());
-    let wb = BroadcastWalker::new(&out_shape, b.shape());
-    for (ia, ib) in wa.zip(wb) {
-        out.push(op.eval(a.get_f64_linear(ia), b.get_f64_linear(ib)));
-    }
-    TensorData::from_vec(out, out_shape)
+    typed!(dt, |T| compare_typed::<T>(a, b, op))
 }
 
-/// Typed fast path of [`compare`]; `None` when an operand is not periodic.
-fn compare_periodic<T: Scalar>(
-    a: &TensorData,
-    b: &TensorData,
-    op: CmpOp,
-) -> Result<Option<TensorData>> {
-    let Some(out_shape) = periodic_out_shape(a, b)? else { return Ok(None) };
+/// [`compare`] over typed slices: periodic operands through slice windows,
+/// any other broadcast through the strided walk of [`map2_par`].
+fn compare_typed<T: Scalar>(a: &TensorData, b: &TensorData, op: CmpOp) -> Result<TensorData> {
+    let Some(out_shape) = periodic_out_shape(a, b)? else {
+        return map2_par::<T, bool>(a, b, |x, y| op.eval(x, y));
+    };
     let n = out_shape.num_elements();
     let av = Periodic::new(a.as_slice::<T>()?, n, PERIODIC_WINDOW);
     let bv = Periodic::new(b.as_slice::<T>()?, n, PERIODIC_WINDOW);
@@ -707,14 +693,14 @@ fn compare_periodic<T: Scalar>(
                     for at in (0..n).step_by(PERIODIC_WINDOW) {
                         let len = PERIODIC_WINDOW.min(n - at);
                         let (x, y) = (av.window(at, len), bv.window(at, len));
-                        out.extend(x.iter().zip(y).map(|(p, q)| CmpOp::$v.eval(p.to_f64(), q.to_f64())));
+                        out.extend(x.iter().zip(y).map(|(p, q)| CmpOp::$v.eval(p, q)));
                     }
                 })*
             }
         };
     }
     dispatch!(Eq, Ne, Lt, Le, Gt, Ge);
-    TensorData::from_vec(out, out_shape).map(Some)
+    TensorData::from_vec(out, out_shape)
 }
 
 /// Elementwise boolean logic with broadcasting.
@@ -733,7 +719,7 @@ pub fn logical(a: &TensorData, b: &TensorData, op: LogicalOp) -> Result<TensorDa
 
 /// The output shape when both operands of a broadcasting map are periodic
 /// in it (and so can be read through [`Periodic`] windows), or `None` when
-/// either needs a [`BroadcastWalker`] (a `[n, 1]` column, two partial
+/// either needs the strided walk (a `[n, 1]` column, two partial
 /// operands). Same-shape operands are the common case and never compute
 /// the broadcast.
 fn periodic_out_shape(a: &TensorData, b: &TensorData) -> Result<Option<crate::Shape>> {
@@ -752,7 +738,7 @@ const PERIODIC_WINDOW: usize = 4096;
 /// F32 fast path for [`binary`]: same-shape and periodic operands (scalars,
 /// biases, masks over trailing axes) run the fixed-width lane kernel
 /// ([`crate::lanes::binary_f32`], op dispatch hoisted per block) over
-/// contiguous [`Periodic`] windows; other broadcasts keep the walker-based
+/// contiguous [`Periodic`] windows; other broadcasts keep the strided-walk
 /// map. Both are bit-identical to scalar evaluation — lanes only
 /// restructure an element-independent map.
 fn binary_f32_lanes(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<TensorData> {
@@ -793,7 +779,9 @@ pub fn logical_not(a: &TensorData) -> Result<TensorData> {
     TensorData::from_vec(unary_par(v, |x: bool| !x), a.shape().clone())
 }
 
-/// `where(cond, a, b)` with three-way broadcasting.
+/// `where(cond, a, b)` with three-way broadcasting. Every element moves
+/// as it is: an i64 beyond 2^53, a signalling NaN and `-0.0` keep their
+/// bits.
 ///
 /// # Errors
 /// `cond` not bool; `a`/`b` dtype mismatch; incompatible shapes.
@@ -801,20 +789,27 @@ pub fn select(cond: &TensorData, a: &TensorData, b: &TensorData) -> Result<Tenso
     if cond.dtype() != DType::Bool {
         return Err(TensorError::DTypeMismatch { expected: "bool".to_string(), got: cond.dtype() });
     }
-    let dt = check_same_dtype(a, b)?;
+    typed!(check_same_dtype(a, b)?, |T| select_typed::<T>(cond, a, b))
+}
+
+/// [`select`] over typed slices, each operand along its own strided walk.
+fn select_typed<T: Scalar + Default>(
+    cond: &TensorData,
+    a: &TensorData,
+    b: &TensorData,
+) -> Result<TensorData> {
     let s = broadcast_shapes(cond.shape(), &broadcast_shapes(a.shape(), b.shape())?)?;
-    let n = s.num_elements();
-    let cv = cond.as_slice::<bool>()?;
-    let wc = BroadcastWalker::new(&s, cond.shape());
-    let wa = BroadcastWalker::new(&s, a.shape());
-    let wb = BroadcastWalker::new(&s, b.shape());
-    let mut out = TensorData::zeros(dt, s.clone());
-    for (i, ((ic, ia), ib)) in wc.zip(wa).zip(wb).enumerate() {
-        let v = if cv[ic] { a.get_f64_linear(ia) } else { b.get_f64_linear(ib) };
-        out.set_f64_linear(i, v);
-    }
-    let _ = n;
-    Ok(out)
+    let (cv, av, bv) = (cond.as_slice::<bool>()?, a.as_slice::<T>()?, b.as_slice::<T>()?);
+    let mut out = vec![T::default(); s.num_elements()];
+    tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
+        let walks = broadcast_walk(&s, cond.shape(), r.start)
+            .zip(broadcast_walk(&s, a.shape(), r.start))
+            .zip(broadcast_walk(&s, b.shape(), r.start));
+        for (o, ((ic, ia), ib)) in chunk.iter_mut().zip(walks) {
+            *o = if cv[ic] { av[ia] } else { bv[ib] };
+        }
+    });
+    TensorData::from_vec(out, s)
 }
 
 #[cfg(test)]
@@ -1049,7 +1044,7 @@ mod tests {
             let r = select(&cond, &a, &b).unwrap();
             for (i, m) in mask.iter().enumerate() {
                 let expect = if *m { i as f64 } else { -(i as f64) };
-                assert_eq!(r.get_f64_linear(i), expect);
+                assert_eq!(r.as_slice::<f64>().unwrap()[i], expect);
             }
         });
     }

@@ -18,13 +18,15 @@
 //!   `binary`/`compare` kernels and the fused tile executor in `tfe-graph`
 //!   share it, so a broadcast op costs about what a same-shape op does and
 //!   produces the bits the same-shape loops produce. Operands that are not
-//!   periodic (a `[n, 1]` column) keep the per-element `BroadcastWalker`.
+//!   periodic (a `[n, 1]` column) are read through the crate's one index
+//!   walk, `shape::strided`.
 //! - [`lane_fold_f64`] folds a row through `LANES` independent accumulators.
 //!   This **reassociates** the fold, so for non-associative ops (float
 //!   `add`/`mul`) the bits differ from a strict left fold; the combine order
 //!   is fixed and documented below, so results are still deterministic and
-//!   thread-count invariant. Callers with an exactness contract must not use
-//!   it (see DESIGN.md "Exactness vs. tolerance policy").
+//!   thread-count invariant. The float reductions use it for suffix and full
+//!   sum/mean/prod, and nowhere else (DESIGN.md "Exactness policy" has the
+//!   order per axis pattern).
 //! - [`fold_columns_f64`] folds one source row into per-column accumulators.
 //!   Per-column fold order is unchanged from the scalar loop (column `j`
 //!   still sees its elements in the same sequence), so it stays bitwise.

@@ -29,6 +29,30 @@
 
 #![warn(missing_docs)]
 
+/// `$body` with the type `$T` standing for the element type of `$dtype`:
+/// one `match` per call, a typed loop in each arm. The `numeric` form
+/// refuses a bool with a typed error.
+macro_rules! typed {
+    ($dtype:expr, |$T:ident| $body:expr) => {
+        typed!(@arms $dtype, $T, $body, { type $T = bool; $body })
+    };
+    (numeric $dtype:expr, |$T:ident| $body:expr) => {
+        typed!(@arms $dtype, $T, $body, Err($crate::TensorError::DTypeMismatch {
+            expected: "a numeric dtype".to_string(),
+            got: $crate::DType::Bool,
+        }))
+    };
+    (@arms $dtype:expr, $T:ident, $body:expr, $bool:expr) => {
+        match $dtype {
+            $crate::DType::F32 => { type $T = f32; $body }
+            $crate::DType::F64 => { type $T = f64; $body }
+            $crate::DType::I32 => { type $T = i32; $body }
+            $crate::DType::I64 => { type $T = i64; $body }
+            $crate::DType::Bool => $bool,
+        }
+    };
+}
+
 mod bytes;
 mod data;
 mod dtype;

@@ -252,8 +252,8 @@ pub fn batch_matmul(
     let batch_n = batch.num_elements();
     let a_mat = a.shape().dim(ar - 2) * a.shape().dim(ar - 1);
     let b_mat = b.shape().dim(br - 2) * b.shape().dim(br - 1);
-    let wa: Vec<usize> = crate::shape::BroadcastWalker::new(&batch, &a_batch).collect();
-    let wb: Vec<usize> = crate::shape::BroadcastWalker::new(&batch, &b_batch).collect();
+    let wa: Vec<usize> = crate::shape::broadcast_walk(&batch, &a_batch, 0).collect();
+    let wb: Vec<usize> = crate::shape::broadcast_walk(&batch, &b_batch, 0).collect();
 
     match a.dtype() {
         DType::F32 => {

@@ -1,19 +1,23 @@
-//! Reductions over axes: sum, mean, max, min, prod, any/all, argmax/argmin.
+//! Reductions over axes: sum, mean, max, min, prod, any/all, argmax/argmin,
+//! and the running sum `cumsum`.
 //!
-//! Float reductions over contiguous leading or trailing axes run in
-//! parallel on the shared pool. Full and trailing-axis (row) reductions
-//! fold through [`crate::lanes::lane_fold_f64`]'s fixed 8-lane accumulator
-//! order, and full reductions additionally use
-//! [`tfe_parallel::par_reduce`]'s fixed chunking — both depend only on the
-//! element count, so results are **deterministic and thread-count
-//! invariant**, but the accumulation order is reassociated relative to a
-//! strict left fold: `sum`/`mean`/`prod` carry a documented rounding
-//! tolerance versus the serial odometer, while `max`/`min` stay
-//! value-exact (NaN-free inputs assumed). Leading-axis (column)
-//! reductions keep the exact serial per-element fold order, bit-for-bit.
-//! See DESIGN.md ("Exactness vs. tolerance policy").
+//! Every kernel reads and writes typed slices, and every one that adds
+//! elements up holds them by one rule, `Accumulate`: a float in `f64`, an
+//! int in `i64` (exact; an `i32` result saturates when it is narrowed
+//! back), a bool in a bool fold for any/all.
+//!
+//! The fold order per axis pattern is the table in DESIGN.md ("Exactness
+//! policy"). Full and suffix-axis (row) float sum/mean/prod fold through
+//! [`crate::lanes::lane_fold_f64`]'s fixed 8-lane order, full ones also
+//! through [`tfe_parallel::par_reduce`]'s fixed chunks: deterministic and
+//! thread-count invariant, but reassociated versus a left fold. Every other
+//! pattern folds each output in linear order: prefix axes by column in
+//! parallel, the rest along `shape::strided`, the crate's one
+//! walk, whose output index is stride 0 on the reduced axes. max/min are
+//! value-exact on every pattern (NaN-free input assumed), and ints exact.
 
 use crate::data::Scalar;
+use crate::shape::broadcast_walk;
 use crate::{DType, Result, Shape, TensorData, TensorError};
 
 /// The supported reduction kinds.
@@ -54,6 +58,165 @@ impl ReduceOp {
     }
 }
 
+/// An accumulator: `f64` for floats, `i64` for ints.
+pub(crate) trait Wide: Copy + Send + Sync {
+    /// `op`'s identity.
+    fn identity(op: ReduceOp) -> Self;
+    /// One step of `op`'s fold (a sum for `Mean`).
+    fn fold(op: ReduceOp, acc: Self, x: Self) -> Self;
+    /// A sum over `count` elements divided by `count` (at least 1); an int
+    /// truncates toward zero, like `tf.reduce_mean` on integer tensors.
+    fn mean(self, count: usize) -> Self;
+    /// The parallel contiguous-axes paths, where the pattern has one (floats
+    /// only): `acc` arrives holding the identity. False leaves it to the
+    /// linear walk.
+    fn fold_contiguous<T: Scalar>(
+        _v: &[T],
+        _s: &Shape,
+        _axes: &[usize],
+        _op: ReduceOp,
+        _acc: &mut [Self],
+    ) -> bool {
+        false
+    }
+}
+
+impl Wide for f64 {
+    fn identity(op: ReduceOp) -> f64 {
+        match op {
+            ReduceOp::Sum | ReduceOp::Mean => 0.0,
+            ReduceOp::Prod => 1.0,
+            ReduceOp::Max => f64::NEG_INFINITY,
+            ReduceOp::Min => f64::INFINITY,
+        }
+    }
+    fn fold(op: ReduceOp, acc: f64, x: f64) -> f64 {
+        match op {
+            ReduceOp::Sum | ReduceOp::Mean => acc + x,
+            ReduceOp::Prod => acc * x,
+            ReduceOp::Max => acc.max(x),
+            ReduceOp::Min => acc.min(x),
+        }
+    }
+    fn mean(self, count: usize) -> f64 {
+        self / count.max(1) as f64
+    }
+    fn fold_contiguous<T: Scalar>(
+        v: &[T],
+        shape: &Shape,
+        axes: &[usize],
+        op: ReduceOp,
+        acc: &mut [f64],
+    ) -> bool {
+        let rank = shape.rank();
+        let la = axes.len();
+        // `axes` is sorted; classify contiguous patterns.
+        let all = la == rank;
+        let suffix = axes.iter().enumerate().all(|(i, &ax)| ax == rank - la + i);
+        let prefix = axes.iter().enumerate().all(|(i, &ax)| ax == i);
+        let fold = |a, b| f64::fold(op, a, b);
+        if all {
+            // Full reduction: fixed-chunk tree, each chunk folded through the
+            // 8-lane accumulator order, chunks combined in ascending order —
+            // deterministic for every thread count; reassociated vs. a left
+            // fold for sum/mean/prod (tolerance mode), value-exact for max/min.
+            let init = acc[0];
+            acc[0] = tfe_parallel::par_reduce(
+                v.len(),
+                crate::par::GRAIN_REDUCE,
+                |r| crate::lanes::lane_fold_f64(&v[r], init, fold),
+                fold,
+            )
+            .unwrap_or(init);
+        } else if suffix {
+            // Trailing axes: each output element folds one contiguous row
+            // through the fixed 8-lane order (`lane_fold_f64`) — deterministic
+            // and thread-invariant, tolerance mode for sum/mean/prod.
+            let row: usize = shape.dims()[rank - la..].iter().product();
+            if row == 0 {
+                return true;
+            }
+            let grain = (crate::par::GRAIN_ELEMWISE / row).max(1);
+            tfe_parallel::par_chunks_mut(acc, 1, grain, |rs, chunk| {
+                for (o, r) in chunk.iter_mut().zip(v[rs.start * row..].chunks_exact(row)) {
+                    *o = crate::lanes::lane_fold_f64(r, *o, fold);
+                }
+            });
+        } else if prefix {
+            // Leading axes: column reduction. Each output element accumulates
+            // strided entries with the outer index ascending — the linear order
+            // per element (lane blocks only reschedule columns, never reorder
+            // within one), so this branch stays bit-for-bit.
+            let inner: usize = shape.dims()[la..].iter().product();
+            let outer = v.len() / inner;
+            let grain = (crate::par::GRAIN_ELEMWISE / outer.max(1)).max(1);
+            tfe_parallel::par_chunks_mut(acc, 1, grain, |r, chunk| {
+                for k in 0..outer {
+                    let src = &v[k * inner + r.start..][..chunk.len()];
+                    crate::lanes::fold_columns_f64(chunk, src, fold);
+                }
+            });
+        } else {
+            return false;
+        }
+        true
+    }
+}
+
+impl Wide for i64 {
+    fn identity(op: ReduceOp) -> i64 {
+        match op {
+            ReduceOp::Sum | ReduceOp::Mean => 0,
+            ReduceOp::Prod => 1,
+            ReduceOp::Max => i64::MIN,
+            ReduceOp::Min => i64::MAX,
+        }
+    }
+    fn fold(op: ReduceOp, acc: i64, x: i64) -> i64 {
+        match op {
+            ReduceOp::Sum | ReduceOp::Mean => acc.wrapping_add(x),
+            ReduceOp::Prod => acc.wrapping_mul(x),
+            ReduceOp::Max => acc.max(x),
+            ReduceOp::Min => acc.min(x),
+        }
+    }
+    fn mean(self, count: usize) -> i64 {
+        self / count.max(1) as i64
+    }
+}
+
+/// How an element type is accumulated: widened into its [`Wide`] type and
+/// narrowed back, an `f32` by rounding and an `i32` by saturating.
+pub(crate) trait Accumulate: Scalar + Default {
+    /// The accumulator type.
+    type Wide: Wide;
+    /// The element as an accumulator (exact).
+    fn widen(self) -> Self::Wide;
+    /// An accumulator as an element.
+    fn narrow(w: Self::Wide) -> Self;
+}
+
+macro_rules! accumulate {
+    ($($t:ty => $w:ty, $narrow:expr;)*) => {$(
+        impl Accumulate for $t {
+            type Wide = $w;
+            fn widen(self) -> $w {
+                self as $w
+            }
+            fn narrow(w: $w) -> $t {
+                $narrow(w)
+            }
+        }
+    )*};
+}
+
+accumulate! {
+    f32 => f64, |w: f64| w as f32;
+    f64 => f64, |w: f64| w;
+    i32 => i64, |w: i64| w.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+    i64 => i64, |w: i64| w;
+}
+
 /// Normalize and validate a reduction axis list.
 ///
 /// Empty `axes` means "reduce over all axes". Axes may be negative.
@@ -91,6 +254,21 @@ pub fn reduced_shape(shape: &Shape, axes: &[usize], keep_dims: bool) -> Shape {
     Shape::new(dims)
 }
 
+/// Fold every element of `v` (of shape `s`) into `acc[o]`, `o` its output
+/// index: the linear walk over the input, with stride 0 on the reduced
+/// `axes`.
+fn fold_linear<T: Copy, A>(
+    v: &[T],
+    s: &Shape,
+    axes: &[usize],
+    acc: &mut [A],
+    f: impl Fn(&mut A, T),
+) {
+    for (&x, o) in v.iter().zip(broadcast_walk(s, &reduced_shape(s, axes, true), 0)) {
+        f(&mut acc[o], x);
+    }
+}
+
 /// Reduce `a` over `axes` (empty = all axes).
 ///
 /// Follows `tf.reduce_*` semantics: the reduced dimensions are removed
@@ -101,229 +279,36 @@ pub fn reduced_shape(shape: &Shape, axes: &[usize], keep_dims: bool) -> Shape {
 /// Invalid axes; bool inputs for arithmetic reductions; empty reduction
 /// extent for max/min.
 pub fn reduce(a: &TensorData, axes: &[i64], keep_dims: bool, op: ReduceOp) -> Result<TensorData> {
-    if a.dtype() == DType::Bool {
-        return Err(TensorError::DTypeMismatch {
-            expected: "a numeric dtype (use reduce_any/reduce_all for bool)".to_string(),
-            got: DType::Bool,
-        });
-    }
+    typed!(numeric a.dtype(), |T| reduce_typed::<T>(a, axes, keep_dims, op))
+}
+
+fn reduce_typed<T: Accumulate>(
+    a: &TensorData,
+    axes: &[i64],
+    keep_dims: bool,
+    op: ReduceOp,
+) -> Result<TensorData> {
     let axes = normalize_axes(a.shape(), axes)?;
     let out_shape = reduced_shape(a.shape(), &axes, keep_dims);
-    let reduce_count: usize = axes.iter().map(|&i| a.shape().dim(i)).product();
-    if reduce_count == 0 && matches!(op, ReduceOp::Max | ReduceOp::Min) {
+    let count: usize = axes.iter().map(|&i| a.shape().dim(i)).product();
+    if count == 0 && matches!(op, ReduceOp::Max | ReduceOp::Min) {
         return Err(TensorError::InvalidArgument(
             "max/min reduction over an empty extent".to_string(),
         ));
     }
-
-    // A zero-extent kept dimension means the output itself is empty; there
-    // is nothing to accumulate, and sizing the accumulator `max(out_n, 1)`
-    // would desync it from the output length.
-    if out_shape.num_elements() == 0 {
-        return Ok(TensorData::zeros(a.dtype(), out_shape));
+    let v = a.as_slice::<T>()?;
+    let mut acc = vec![T::Wide::identity(op); out_shape.num_elements()];
+    // A zero-extent kept dimension leaves nothing to fold into.
+    if !acc.is_empty() && !T::Wide::fold_contiguous(v, a.shape(), &axes, op, &mut acc) {
+        fold_linear(v, a.shape(), &axes, &mut acc, |w, x| *w = Wide::fold(op, *w, x.widen()));
     }
-
-    // Accumulate in f64 for floats, i64 for ints.
-    let out_n = out_shape.num_elements();
-    let init = match op {
-        ReduceOp::Sum | ReduceOp::Mean => 0.0,
-        ReduceOp::Prod => 1.0,
-        ReduceOp::Max => f64::NEG_INFINITY,
-        ReduceOp::Min => f64::INFINITY,
-    };
-    let mut acc = vec![init; out_n];
-    let mut iacc: Vec<i64> = match op {
-        ReduceOp::Prod => vec![1; out_n],
-        ReduceOp::Max => vec![i64::MIN; out_n],
-        ReduceOp::Min => vec![i64::MAX; out_n],
-        _ => vec![0; out_n],
-    };
-    let is_int = a.dtype().is_int();
-
-    let in_dims = a.shape().dims();
-    let rank = in_dims.len();
-    // Strides of the *output* aligned to input dims: 0 on reduced axes.
-    let full_out_shape = reduced_shape(a.shape(), &axes, true);
-    let out_strides_kept = full_out_shape.strides();
-    let mut aligned = vec![0usize; rank];
-    for i in 0..rank {
-        if !axes.contains(&i) {
-            aligned[i] = out_strides_kept[i];
-        }
-    }
-
-    let n = a.num_elements();
-    let int_vals: Option<Vec<i64>> = if is_int { Some(a.to_i64_vec()) } else { None };
-    if int_vals.is_none() && n > 0 && float_fast_reduce(a, &axes, op, &mut acc) {
-        return Ok(finish_reduce(a.dtype(), acc, iacc, is_int, op, reduce_count, out_shape));
-    }
-    let mut coords = vec![0usize; rank];
-    let mut out_idx = 0usize;
-    for lin in 0..n {
-        if let Some(iv) = &int_vals {
-            let v = iv[lin];
-            match op {
-                ReduceOp::Sum | ReduceOp::Mean => iacc[out_idx] = iacc[out_idx].wrapping_add(v),
-                ReduceOp::Prod => iacc[out_idx] = iacc[out_idx].wrapping_mul(v),
-                ReduceOp::Max => iacc[out_idx] = iacc[out_idx].max(v),
-                ReduceOp::Min => iacc[out_idx] = iacc[out_idx].min(v),
-            }
-        } else {
-            let v = a.get_f64_linear(lin);
-            match op {
-                ReduceOp::Sum | ReduceOp::Mean => acc[out_idx] += v,
-                ReduceOp::Prod => acc[out_idx] *= v,
-                ReduceOp::Max => acc[out_idx] = acc[out_idx].max(v),
-                ReduceOp::Min => acc[out_idx] = acc[out_idx].min(v),
-            }
-        }
-        // Advance odometer and the aligned output index together.
-        for i in (0..rank).rev() {
-            coords[i] += 1;
-            out_idx += aligned[i];
-            if coords[i] < in_dims[i] {
-                break;
-            }
-            out_idx -= aligned[i] * in_dims[i];
-            coords[i] = 0;
-        }
-    }
-
-    Ok(finish_reduce(a.dtype(), acc, iacc, is_int, op, reduce_count, out_shape))
+    let mean = op == ReduceOp::Mean;
+    let out = acc.into_iter().map(|w| T::narrow(if mean { w.mean(count) } else { w }));
+    TensorData::from_vec(out.collect(), out_shape)
 }
 
-/// Final Mean division / int truncation and materialization, shared by the
-/// odometer path and the parallel float fast paths.
-fn finish_reduce(
-    dtype: DType,
-    acc: Vec<f64>,
-    iacc: Vec<i64>,
-    is_int: bool,
-    op: ReduceOp,
-    reduce_count: usize,
-    out_shape: Shape,
-) -> TensorData {
-    let vals: Vec<f64> = if is_int {
-        let mut v: Vec<f64> = iacc.iter().map(|&x| x as f64).collect();
-        if op == ReduceOp::Mean {
-            for x in &mut v {
-                *x /= reduce_count.max(1) as f64;
-            }
-        }
-        // Mean on ints truncates, like tf.reduce_mean on integer tensors.
-        if op == ReduceOp::Mean {
-            for x in &mut v {
-                *x = x.trunc();
-            }
-        }
-        v
-    } else {
-        let mut v = acc;
-        if op == ReduceOp::Mean {
-            for x in &mut v {
-                *x /= reduce_count.max(1) as f64;
-            }
-        }
-        v
-    };
-    TensorData::from_f64_vec(dtype, vals, out_shape)
-}
-
-fn fold(op: ReduceOp, acc: f64, v: f64) -> f64 {
-    match op {
-        ReduceOp::Sum | ReduceOp::Mean => acc + v,
-        ReduceOp::Prod => acc * v,
-        ReduceOp::Max => acc.max(v),
-        ReduceOp::Min => acc.min(v),
-    }
-}
-
-/// Parallel float fast paths. `acc` arrives pre-filled with the op's
-/// identity and receives the (pre-Mean-division) per-element accumulators.
-/// Returns false when the axis pattern has no fast path (mixed interior
-/// axes fall back to the serial odometer).
-fn float_fast_reduce(a: &TensorData, axes: &[usize], op: ReduceOp, acc: &mut [f64]) -> bool {
-    let rank = a.shape().rank();
-    let la = axes.len();
-    // `axes` is sorted; classify contiguous patterns.
-    let all = la == rank;
-    let suffix = axes.iter().enumerate().all(|(i, &ax)| ax == rank - la + i);
-    let prefix = axes.iter().enumerate().all(|(i, &ax)| ax == i);
-    if !(all || suffix || prefix) {
-        return false;
-    }
-    match a.dtype() {
-        DType::F32 => {
-            float_fast_typed(a.as_slice::<f32>().unwrap(), a.shape(), la, op, acc, all, suffix)
-        }
-        DType::F64 => {
-            float_fast_typed(a.as_slice::<f64>().unwrap(), a.shape(), la, op, acc, all, suffix)
-        }
-        _ => return false,
-    }
-    true
-}
-
-fn float_fast_typed<T: Scalar>(
-    v: &[T],
-    shape: &Shape,
-    num_axes: usize,
-    op: ReduceOp,
-    acc: &mut [f64],
-    all: bool,
-    suffix: bool,
-) {
-    let rank = shape.rank();
-    if all {
-        // Full reduction: fixed-chunk tree, each chunk folded through the
-        // 8-lane accumulator order, chunks combined in ascending order —
-        // deterministic for every thread count; reassociated vs. a left
-        // fold for sum/mean/prod (tolerance mode), value-exact for max/min.
-        let init = acc[0];
-        acc[0] = tfe_parallel::par_reduce(
-            v.len(),
-            crate::par::GRAIN_REDUCE,
-            |r| crate::lanes::lane_fold_f64(&v[r], init, |a, b| fold(op, a, b)),
-            |a, b| match op {
-                ReduceOp::Sum | ReduceOp::Mean => a + b,
-                ReduceOp::Prod => a * b,
-                ReduceOp::Max => a.max(b),
-                ReduceOp::Min => a.min(b),
-            },
-        )
-        .unwrap_or(init);
-    } else if suffix {
-        // Trailing axes: each output element folds one contiguous row
-        // through the fixed 8-lane order (`lane_fold_f64`) — deterministic
-        // and thread-invariant, tolerance mode for sum/mean/prod.
-        let row: usize = shape.dims()[rank - num_axes..].iter().product();
-        if row == 0 {
-            return;
-        }
-        let grain = (crate::par::GRAIN_ELEMWISE / row).max(1);
-        tfe_parallel::par_chunks_mut(acc, 1, grain, |rs, chunk| {
-            for (o, r) in chunk.iter_mut().zip(v[rs.start * row..].chunks_exact(row)) {
-                *o = crate::lanes::lane_fold_f64(r, *o, |a, b| fold(op, a, b));
-            }
-        });
-    } else {
-        // Leading axes: column reduction. Each output element accumulates
-        // strided entries with the outer index ascending — the exact serial
-        // odometer order per element (lane blocks only reschedule columns,
-        // never reorder within one), so this branch stays bit-for-bit.
-        let inner: usize = shape.dims()[num_axes..].iter().product();
-        let outer = v.len() / inner;
-        let grain = (crate::par::GRAIN_ELEMWISE / outer.max(1)).max(1);
-        tfe_parallel::par_chunks_mut(acc, 1, grain, |r, chunk| {
-            for k in 0..outer {
-                let src = &v[k * inner + r.start..][..chunk.len()];
-                crate::lanes::fold_columns_f64(chunk, src, |a, b| fold(op, a, b));
-            }
-        });
-    }
-}
-
-/// `reduce_any` / `reduce_all` over bool tensors.
+/// `reduce_any` / `reduce_all` over bool tensors, folded as bools. Over an
+/// empty extent, `any` is false and `all` is true.
 ///
 /// # Errors
 /// Non-bool input or invalid axes.
@@ -331,78 +316,78 @@ pub fn reduce_bool(a: &TensorData, axes: &[i64], keep_dims: bool, all: bool) -> 
     if a.dtype() != DType::Bool {
         return Err(TensorError::DTypeMismatch { expected: "bool".to_string(), got: a.dtype() });
     }
-    let as_i = a.cast(DType::I64);
-    let red = reduce(&as_i, axes, keep_dims, if all { ReduceOp::Min } else { ReduceOp::Max })?;
-    Ok(red.cast(DType::Bool))
+    let axes = normalize_axes(a.shape(), axes)?;
+    let out_shape = reduced_shape(a.shape(), &axes, keep_dims);
+    let mut acc = vec![all; out_shape.num_elements()];
+    fold_linear(a.as_slice::<bool>()?, a.shape(), &axes, &mut acc, |w, x| {
+        *w = if all { *w && x } else { *w || x }
+    });
+    TensorData::from_vec(acc, out_shape)
 }
 
-/// Index of the maximum (or minimum) element along `axis`; result is `int64`.
+/// Index of the maximum (or minimum) element along `axis`, compared in the
+/// element type; result is `int64`.
 ///
 /// Ties resolve to the lowest index, matching `tf.argmax`.
 ///
 /// # Errors
 /// Invalid axis, bool input, or empty extent.
 pub fn argminmax(a: &TensorData, axis: i64, max: bool) -> Result<TensorData> {
-    if a.dtype() == DType::Bool {
-        return Err(TensorError::DTypeMismatch {
-            expected: "a numeric dtype".to_string(),
-            got: DType::Bool,
-        });
-    }
+    typed!(numeric a.dtype(), |T| argminmax_typed::<T>(a, axis, max))
+}
+
+fn argminmax_typed<T: Scalar>(a: &TensorData, axis: i64, max: bool) -> Result<TensorData> {
     let ax = a.shape().resolve_axis(axis)?;
-    let extent = a.shape().dim(ax);
+    let (outer, extent, inner) = around_axis(a.shape(), ax);
     if extent == 0 {
         return Err(TensorError::InvalidArgument("argmax over an empty axis".to_string()));
     }
-    let out_shape = reduced_shape(a.shape(), &[ax], false);
-    let outer: usize = a.shape().dims()[..ax].iter().product();
-    let inner: usize = a.shape().dims()[ax + 1..].iter().product();
+    let v = a.as_slice::<T>()?;
     let mut out = Vec::with_capacity(outer * inner);
-    for o in 0..outer {
+    for block in v.chunks_exact((extent * inner).max(1)) {
         for i in 0..inner {
-            let mut best_idx = 0i64;
-            let mut best = a.get_f64_linear(o * extent * inner + i);
+            let mut best = (0, block[i]);
             for k in 1..extent {
-                let v = a.get_f64_linear((o * extent + k) * inner + i);
-                let better = if max { v > best } else { v < best };
-                if better {
-                    best = v;
-                    best_idx = k as i64;
+                let x = block[k * inner + i];
+                if if max { x > best.1 } else { x < best.1 } {
+                    best = (k as i64, x);
                 }
             }
-            out.push(best_idx);
+            out.push(best.0);
         }
     }
-    TensorData::from_vec(out, out_shape)
+    TensorData::from_vec(out, reduced_shape(a.shape(), &[ax], false))
 }
 
-/// Cumulative sum along `axis` (exclusive=false, reverse=false variant).
+/// Cumulative sum along `axis` (exclusive=false, reverse=false variant),
+/// accumulated by the `Accumulate` rule.
 ///
 /// # Errors
 /// Invalid axis or bool input.
 pub fn cumsum(a: &TensorData, axis: i64) -> Result<TensorData> {
-    if a.dtype() == DType::Bool {
-        return Err(TensorError::DTypeMismatch {
-            expected: "a numeric dtype".to_string(),
-            got: DType::Bool,
-        });
-    }
-    let ax = a.shape().resolve_axis(axis)?;
-    let extent = a.shape().dim(ax);
-    let outer: usize = a.shape().dims()[..ax].iter().product();
-    let inner: usize = a.shape().dims()[ax + 1..].iter().product();
-    let mut out = TensorData::zeros(a.dtype(), a.shape().clone());
-    for o in 0..outer {
+    typed!(numeric a.dtype(), |T| cumsum_typed::<T>(a, axis))
+}
+
+fn cumsum_typed<T: Accumulate>(a: &TensorData, axis: i64) -> Result<TensorData> {
+    let (_, extent, inner) = around_axis(a.shape(), a.shape().resolve_axis(axis)?);
+    let (v, run) = (a.as_slice::<T>()?, (extent * inner).max(1));
+    let mut out = vec![T::default(); v.len()];
+    for (src, dst) in v.chunks_exact(run).zip(out.chunks_exact_mut(run)) {
         for i in 0..inner {
-            let mut acc = 0.0;
+            let mut acc = T::Wide::identity(ReduceOp::Sum);
             for k in 0..extent {
-                let lin = (o * extent + k) * inner + i;
-                acc += a.get_f64_linear(lin);
-                out.set_f64_linear(lin, acc);
+                acc = Wide::fold(ReduceOp::Sum, acc, src[k * inner + i].widen());
+                dst[k * inner + i] = T::narrow(acc);
             }
         }
     }
-    Ok(out)
+    TensorData::from_vec(out, a.shape().clone())
+}
+
+/// The element counts before, along and after axis `ax`.
+fn around_axis(s: &Shape, ax: usize) -> (usize, usize, usize) {
+    let (before, after) = (&s.dims()[..ax], &s.dims()[ax + 1..]);
+    (before.iter().product(), s.dim(ax), after.iter().product())
 }
 
 #[cfg(test)]
@@ -484,6 +469,15 @@ mod tests {
         assert_eq!(any.to_f64_vec(), vec![1.0, 1.0]);
         let all = reduce_bool(&a, &[1], false, true).unwrap();
         assert_eq!(all.to_f64_vec(), vec![0.0, 1.0]);
+    }
+
+    #[test]
+    fn bool_reduce_over_an_empty_extent_is_the_identity() {
+        let a = TensorData::from_vec(Vec::<bool>::new(), Shape::from([2, 0])).unwrap();
+        let any = reduce_bool(&a, &[1], false, false).unwrap();
+        assert_eq!(any.as_slice::<bool>().unwrap(), &[false, false]);
+        let all = reduce_bool(&a, &[1], false, true).unwrap();
+        assert_eq!(all.as_slice::<bool>().unwrap(), &[true, true]);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! Tensor shapes, row-major strides, index arithmetic and broadcasting.
+//!
+//! `strided` is the crate's one index walk: every kernel that visits an
+//! index space in row-major order — a broadcasting map, `select`, the
+//! batch offsets of `batch_matmul`, the data-movement kernels, a
+//! reduction's output index — runs on it, with per-axis strides (0 to
+//! broadcast, repeat or reduce) and a start position for parallel tiles.
 
 use crate::{Result, TensorError};
 use std::fmt;
@@ -95,7 +101,7 @@ impl Shape {
     /// exactly when this shape, leading 1s stripped, is a suffix of `out` —
     /// scalars (`p = 1`), biases and masks over trailing axes, and `out`
     /// itself (`p` = every element). Anything else (a `[n, 1]` column
-    /// against `[n, k]`) needs a [`BroadcastWalker`].
+    /// against `[n, k]`) is read through a `strided` walk.
     pub fn is_periodic_in(&self, out: &Shape) -> bool {
         let lead = self.0.iter().take_while(|&&d| d == 1).count();
         let tail = &self.0[lead..];
@@ -177,6 +183,8 @@ pub fn broadcast_shapes(a: &Shape, b: &Shape) -> Result<Shape> {
 /// shape broadcasts to `shape`.
 ///
 /// `src_dims` are the source dimensions right-aligned against `out_dims`.
+/// The kernels walk with `strided`; this per-index form is the
+/// independent reference the tests hold that walk to.
 pub fn broadcast_source_index(out_dims: &[usize], src_dims: &[usize], linear: usize) -> usize {
     let rank = out_dims.len();
     let offset = rank - src_dims.len();
@@ -208,87 +216,74 @@ pub fn broadcast_source_index(out_dims: &[usize], src_dims: &[usize], linear: us
     src_index
 }
 
-/// A cursor that walks every multi-dimensional index of a shape in row-major
-/// order while maintaining the corresponding linear index into a broadcast
-/// source. Much faster than calling [`broadcast_source_index`] per element.
-#[derive(Debug)]
-pub struct BroadcastWalker {
-    out_dims: Vec<usize>,
-    coords: Vec<usize>,
-    src_strides: Vec<usize>, // aligned to out rank, 0 where broadcast
-    src_index: usize,
-    remaining: usize,
-}
-
-impl BroadcastWalker {
-    /// Create a walker producing, for each element of `out` in row-major
-    /// order, the linear index into a source of shape `src` (which must
-    /// broadcast to `out`).
-    pub fn new(out: &Shape, src: &Shape) -> BroadcastWalker {
-        let rank = out.rank();
-        let offset = rank - src.rank();
-        let raw = src.strides();
-        let mut src_strides = vec![0usize; rank];
-        for i in 0..src.rank() {
-            src_strides[i + offset] = if src.dims()[i] == 1 { 0 } else { raw[i] };
-        }
-        BroadcastWalker {
-            out_dims: out.dims().to_vec(),
-            coords: vec![0; rank],
-            src_strides,
-            src_index: 0,
-            remaining: out.num_elements(),
-        }
-    }
-
-    /// Like [`BroadcastWalker::new`] but starting from linear position
-    /// `start` of `out` (row-major). Lets parallel kernels hand each tile
-    /// its own walker over just that tile's index range.
-    pub fn new_at(out: &Shape, src: &Shape, start: usize) -> BroadcastWalker {
-        let mut w = BroadcastWalker::new(out, src);
-        debug_assert!(start <= w.remaining);
-        // Decompose `start` into coordinates and accumulate the source
-        // index with the stride-0 broadcast semantics.
+/// The crate's one row-major walk: the offsets `Σ coords[i]·strides[i]`
+/// of every index of `extents` in row-major order, from linear position
+/// `start` on (a parallel tile's first element). A stride of 0 repeats an
+/// axis: a broadcast operand ([`broadcast_strides`]), a tiled one, or the
+/// output of a reduction, whose index is this walk over the input with
+/// stride 0 on the reduced axes.
+pub(crate) fn strided(
+    extents: &[usize],
+    strides: &[usize],
+    start: usize,
+) -> impl Iterator<Item = usize> {
+    let total: usize = extents.iter().product();
+    debug_assert!(start <= total);
+    let mut coords = vec![0usize; extents.len()];
+    let mut offset = 0;
+    if start < total {
         let mut rem = start;
-        for i in (0..w.out_dims.len()).rev() {
-            let c = rem % w.out_dims[i];
-            rem /= w.out_dims[i];
-            w.coords[i] = c;
-            w.src_index += c * w.src_strides[i];
+        for i in (0..extents.len()).rev() {
+            coords[i] = rem % extents[i];
+            rem /= extents[i];
+            offset += coords[i] * strides[i];
         }
-        w.remaining -= start;
-        w
     }
-}
-
-impl Iterator for BroadcastWalker {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        if self.remaining == 0 {
+    let (extents, strides) = (extents.to_vec(), strides.to_vec());
+    let mut left = total.saturating_sub(start);
+    std::iter::from_fn(move || {
+        if left == 0 {
             return None;
         }
-        let current = self.src_index;
-        self.remaining -= 1;
-        // Advance the odometer.
-        for i in (0..self.out_dims.len()).rev() {
-            self.coords[i] += 1;
-            self.src_index += self.src_strides[i];
-            if self.coords[i] < self.out_dims[i] {
+        left -= 1;
+        let current = offset;
+        for i in (0..extents.len()).rev() {
+            coords[i] += 1;
+            offset += strides[i];
+            if coords[i] < extents[i] {
                 break;
             }
-            self.src_index -= self.src_strides[i] * self.out_dims[i];
-            self.coords[i] = 0;
+            offset -= strides[i] * extents[i];
+            coords[i] = 0;
         }
         Some(current)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
+    })
 }
 
-impl ExactSizeIterator for BroadcastWalker {}
+/// The strides that read a source of shape `src` as if broadcast to `out`:
+/// `src`'s row-major strides right-aligned against `out`, 0 on every axis
+/// `src` stretches (extent 1) or lacks.
+pub(crate) fn broadcast_strides(out: &Shape, src: &Shape) -> Vec<usize> {
+    let mut strides = vec![0; out.rank()];
+    let mut acc = 1;
+    for (s, &d) in strides.iter_mut().rev().zip(src.dims().iter().rev()) {
+        if d != 1 {
+            *s = acc;
+        }
+        acc *= d;
+    }
+    strides
+}
+
+/// [`strided`] over `out` reading a source of shape `src` broadcast to it:
+/// for each element of `out` from `start` on, the source's linear index.
+pub(crate) fn broadcast_walk(
+    out: &Shape,
+    src: &Shape,
+    start: usize,
+) -> impl Iterator<Item = usize> {
+    strided(out.dims(), &broadcast_strides(out, src), start)
+}
 
 #[cfg(test)]
 mod tests {
@@ -346,37 +341,26 @@ mod tests {
         assert!(s.resolve_axis(-4).is_err());
     }
 
-    #[test]
-    fn walker_identity() {
-        let s = Shape::from([2, 3]);
-        let idx: Vec<usize> = BroadcastWalker::new(&s, &s).collect();
-        assert_eq!(idx, (0..6).collect::<Vec<_>>());
+    fn walk(out: &[usize], src: &[usize], start: usize) -> Vec<usize> {
+        broadcast_walk(&Shape::from(out), &Shape::from(src), start).collect()
     }
 
     #[test]
-    fn walker_broadcast_row() {
-        // src shape (3,) broadcast over (2, 3): 0 1 2 0 1 2
-        let out = Shape::from([2, 3]);
-        let src = Shape::from([3]);
-        let idx: Vec<usize> = BroadcastWalker::new(&out, &src).collect();
-        assert_eq!(idx, vec![0, 1, 2, 0, 1, 2]);
+    fn walk_identity_row_col_and_scalar() {
+        assert_eq!(walk(&[2, 3], &[2, 3], 0), (0..6).collect::<Vec<_>>());
+        assert_eq!(walk(&[2, 3], &[3], 0), vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(walk(&[2, 3], &[2, 1], 0), vec![0, 0, 0, 1, 1, 1]);
+        assert_eq!(walk(&[2, 2], &[], 0), vec![0, 0, 0, 0]);
+        assert_eq!(walk(&[2, 0], &[2, 1], 0), Vec::<usize>::new());
     }
 
     #[test]
-    fn walker_broadcast_col() {
-        // src shape (2,1) broadcast over (2, 3): 0 0 0 1 1 1
-        let out = Shape::from([2, 3]);
-        let src = Shape::from([2, 1]);
-        let idx: Vec<usize> = BroadcastWalker::new(&out, &src).collect();
-        assert_eq!(idx, vec![0, 0, 0, 1, 1, 1]);
-    }
-
-    #[test]
-    fn walker_scalar_src() {
-        let out = Shape::from([2, 2]);
-        let src = Shape::scalar();
-        let idx: Vec<usize> = BroadcastWalker::new(&out, &src).collect();
-        assert_eq!(idx, vec![0, 0, 0, 0]);
+    fn strided_repeats_and_offsets() {
+        // `tile`'s form: a repeated axis reads at stride 0.
+        let got: Vec<usize> = strided(&[2, 3], &[0, 1], 0).collect();
+        assert_eq!(got, vec![0, 1, 2, 0, 1, 2]);
+        let got: Vec<usize> = strided(&[2, 2], &[10, 1], 1).collect();
+        assert_eq!(got, vec![1, 10, 11]);
     }
 
     fn small_dims(rng: &mut Rng) -> Shape {
@@ -405,26 +389,18 @@ mod tests {
     }
 
     #[test]
-    fn walker_matches_per_element_math() {
+    fn walk_matches_per_index_math_from_every_start() {
         each_seed(64, |rng| {
             let (sa, sb) = (small_dims(rng), small_dims(rng));
             if let Ok(out) = broadcast_shapes(&sa, &sb) {
-                let walked: Vec<usize> = BroadcastWalker::new(&out, &sa).collect();
-                let direct: Vec<usize> = (0..out.num_elements())
-                    .map(|i| broadcast_source_index(out.dims(), sa.dims(), i))
-                    .collect();
-                assert_eq!(walked, direct);
-            }
-        });
-    }
-
-    #[test]
-    fn walker_indices_in_bounds() {
-        each_seed(64, |rng| {
-            let (sa, sb) = (small_dims(rng), small_dims(rng));
-            if let Ok(out) = broadcast_shapes(&sa, &sb) {
-                let n = sa.num_elements();
-                assert!(BroadcastWalker::new(&out, &sa).all(|idx| idx < n));
+                let n = out.num_elements();
+                let direct: Vec<usize> =
+                    (0..n).map(|i| broadcast_source_index(out.dims(), sa.dims(), i)).collect();
+                for start in 0..=n {
+                    let walked: Vec<usize> = broadcast_walk(&out, &sa, start).collect();
+                    assert_eq!(walked, direct[start..]);
+                }
+                assert!(direct.iter().all(|&idx| idx < sa.num_elements()));
             }
         });
     }

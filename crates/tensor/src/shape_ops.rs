@@ -1,8 +1,15 @@
 //! Shape-manipulating kernels: reshape, transpose, concat, split, slice,
 //! pad, gather/scatter, tile, broadcast_to, one-hot, stack/unstack.
+//!
+//! The data-movement kernels move typed runs through `copy_runs`, each at
+//! offsets from `shape::strided`, the crate's one index walk.
+//! `scatter_add_rows` adds by the reductions' accumulator rule
+//! ([`crate::reduce`]), and `one_hot` writes a typed 1: no kernel here
+//! converts an element through `f64`.
 
-use crate::shape::broadcast_shapes;
-use crate::{Buffer, DType, Result, Shape, TensorData, TensorError};
+use crate::reduce::{Accumulate, ReduceOp, Wide};
+use crate::shape::{broadcast_shapes, broadcast_strides, strided};
+use crate::{Buffer, DType, Result, Scalar, Shape, TensorData, TensorError};
 
 /// Reshape with a single optional `-1` wildcard dimension (like
 /// `tf.reshape`).
@@ -82,33 +89,6 @@ fn copy_runs(
     }
 }
 
-/// The offsets `base + Σ coords[i]·strides[i]` of a row-major walk over
-/// `extents`. A stride of 0 repeats an axis (tile, broadcast).
-fn strided(extents: &[usize], strides: &[usize], base: usize) -> impl Iterator<Item = usize> {
-    let extents = extents.to_vec();
-    let strides = strides.to_vec();
-    let mut coords = vec![0usize; extents.len()];
-    let mut offset = base;
-    let mut left: usize = extents.iter().product();
-    std::iter::from_fn(move || {
-        if left == 0 {
-            return None;
-        }
-        left -= 1;
-        let current = offset;
-        for i in (0..extents.len()).rev() {
-            coords[i] += 1;
-            offset += strides[i];
-            if coords[i] < extents[i] {
-                break;
-            }
-            offset -= strides[i] * extents[i];
-            coords[i] = 0;
-        }
-        Some(current)
-    })
-}
-
 /// Copy the box of `extents` elements at `src_begin` of `src` to
 /// `dst_begin` of `dst` (slice, pad and concat are all this). Trailing axes
 /// the box spans whole on both sides fold into the run, together with the
@@ -135,11 +115,9 @@ fn copy_box(
             break;
         }
     }
-    let offsets = strided(&extents[..outer], &dst_strides[..outer], dst_base).zip(strided(
-        &extents[..outer],
-        &src_strides[..outer],
-        src_base,
-    ));
+    let offsets = strided(&extents[..outer], &dst_strides[..outer], 0)
+        .zip(strided(&extents[..outer], &src_strides[..outer], 0))
+        .map(|(d, s)| (dst_base + d, src_base + s));
     copy_runs(dst, src, run, offsets);
 }
 
@@ -426,23 +404,31 @@ pub fn scatter_add_rows(
             got: updates.shape().clone(),
         });
     }
-    let inner: usize = updates.shape().dims()[1..].iter().product();
+    if let Some(i) = idx.iter().find(|&&i| i < 0 || i as usize >= dim0) {
+        return Err(TensorError::InvalidArgument(format!(
+            "scatter index {i} out of range for {dim0} rows"
+        )));
+    }
     let mut out_dims = vec![dim0];
     out_dims.extend_from_slice(&updates.shape().dims()[1..]);
-    let mut out = TensorData::zeros(updates.dtype(), out_dims);
-    for (j, &i) in idx.iter().enumerate() {
-        if i < 0 || i as usize >= dim0 {
-            return Err(TensorError::InvalidArgument(format!(
-                "scatter index {i} out of range for {dim0} rows"
-            )));
-        }
-        for k in 0..inner {
-            let dst = i as usize * inner + k;
-            let cur = out.get_f64_linear(dst);
-            out.set_f64_linear(dst, cur + updates.get_f64_linear(j * inner + k));
+    typed!(numeric updates.dtype(), |T| scatter_typed::<T>(&idx, updates, out_dims))
+}
+
+/// Each update row added into its output row in update order, every
+/// addition narrowed back to the element type ([`Accumulate`]).
+fn scatter_typed<T: Accumulate>(
+    idx: &[i64],
+    updates: &TensorData,
+    out_dims: Vec<usize>,
+) -> Result<TensorData> {
+    let inner: usize = out_dims[1..].iter().product();
+    let mut out = vec![T::default(); out_dims[0] * inner];
+    for (&i, row) in idx.iter().zip(updates.as_slice::<T>()?.chunks_exact(inner.max(1))) {
+        for (o, &u) in out[i as usize * inner..].iter_mut().zip(row) {
+            *o = T::narrow(Wide::fold(ReduceOp::Sum, o.widen(), u.widen()));
         }
     }
-    Ok(out)
+    TensorData::from_vec(out, out_dims)
 }
 
 /// Reverse the order of elements along `axis`.
@@ -513,11 +499,9 @@ pub fn broadcast_to(a: &TensorData, shape: &Shape) -> Result<TensorData> {
     let mut out = TensorData::zeros(a.dtype(), shape.clone());
     let rank = shape.rank();
     let lead = rank - a.shape().rank();
-    let a_strides = a.shape().strides();
-    // Stride 0 along every axis `a` is stretched (or does not have).
+    let src_strides = broadcast_strides(shape, a.shape());
+    // Trailing axes that `a` has and does not stretch fold into the run.
     let stretched = |i: usize| i < lead || a.shape().dim(i - lead) != shape.dim(i);
-    let src_strides: Vec<usize> =
-        (0..rank).map(|i| if stretched(i) { 0 } else { a_strides[i - lead] }).collect();
     let mut outer = rank;
     while outer > 0 && !stretched(outer - 1) {
         outer -= 1;
@@ -542,16 +526,24 @@ pub fn one_hot(indices: &TensorData, depth: usize, dtype: DType) -> Result<Tenso
             got: indices.dtype(),
         });
     }
-    let idx = indices.to_i64_vec();
     let mut out_dims = indices.shape().dims().to_vec();
     out_dims.push(depth);
-    let mut out = TensorData::zeros(dtype, out_dims);
-    for (j, &i) in idx.iter().enumerate() {
-        if i >= 0 && (i as usize) < depth {
-            out.set_f64_linear(j * depth + i as usize, 1.0);
+    typed!(dtype, |T| one_hot_typed::<T>(&indices.to_i64_vec(), depth, out_dims))
+}
+
+/// One `1` of the output type per row, where the index is in range.
+fn one_hot_typed<T: Scalar + Default>(
+    idx: &[i64],
+    depth: usize,
+    out_dims: Vec<usize>,
+) -> Result<TensorData> {
+    let mut out = vec![T::default(); idx.len() * depth];
+    for (row, &i) in out.chunks_exact_mut(depth.max(1)).zip(idx) {
+        if let Some(o) = usize::try_from(i).ok().and_then(|i| row.get_mut(i)) {
+            *o = T::from_f64(1.0);
         }
     }
-    Ok(out)
+    TensorData::from_vec(out, out_dims)
 }
 
 /// Stack tensors of identical shape along a new leading `axis`.

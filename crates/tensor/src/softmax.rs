@@ -8,7 +8,7 @@
 //! [`crate::lanes::lane_fold_f64`]'s fixed 8-lane order: the row max is
 //! value-exact (NaN-free inputs), while the exp-sum is reassociated
 //! relative to a strict left fold (tolerance mode — see DESIGN.md
-//! "Exactness vs. tolerance policy").
+//! "Exactness policy").
 
 use crate::par::GRAIN_ROWS;
 use crate::{Result, Shape, TensorData, TensorError};

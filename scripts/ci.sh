@@ -96,11 +96,22 @@ echo "==> one fused evaluator: no fallback, no out_dtype, no Program::eval in cr
 if grep -rnE 'tfe_fused_fallback_evals_total|"out_dtype"|program\(\)\.eval|\bProgram::eval' \
     crates src; then exit 1; fi
 
-# Copy-kernel gate: the data-movement kernels move typed runs through one
-# helper (`copy_runs`); an element that goes out through `f64` and back
-# loses an i64 beyond 2^53 and quiets a signalling NaN.
-echo "==> no set_f64_linear(get_f64_linear(..)) copy in tensor/src/shape_ops.rs"
-if grep -nE 'set_f64_linear\([^,]*, *[A-Za-z_.]*get_f64_linear\(' crates/tensor/src/shape_ops.rs; then exit 1; fi
+# Typed-element gate: the tensor kernels read and write typed slices (the
+# data-movement ones move typed runs through `copy_runs`), and walk an index
+# space with `shape::strided`, the crate's one walk. An element that goes
+# out through `f64` and back loses an i64 beyond 2^53 and quiets a
+# signalling NaN, so only `data.rs`, which defines the conversions, may
+# call them; the second walk they replaced must not come back anywhere.
+echo "==> tensor kernels: no get_f64_linear/set_f64_linear outside data.rs, no BroadcastWalker"
+f64_route=0
+for f in crates/tensor/src/*.rs; do
+    [ "${f}" = crates/tensor/src/data.rs ] && continue
+    if library_part "${f}" | grep -nE 'get_f64_linear|set_f64_linear' | sed "s|^|${f}:|" | grep .; then
+        f64_route=1
+    fi
+done
+[ "${f64_route}" = 0 ]
+if grep -rn 'BroadcastWalker' crates src tests examples; then exit 1; fi
 
 # Synchronous-dispatch gate: an eager op runs on the caller before
 # `execute` returns. The async streams, pending handles, deferred errors,

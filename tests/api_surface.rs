@@ -80,6 +80,46 @@ fn comparison_and_logic_surface() {
     );
 }
 
+/// Int64 values beyond 2^53 keep their exact value through comparison,
+/// `select`, `reduce_sum`, `argmax` and `cumsum`, eagerly and staged alike.
+/// `both_modes` compares through `f64`, which rounds them, so this case
+/// compares exact values.
+#[test]
+fn int64_beyond_2_53_exact_eager_and_staged() {
+    tf_eager::init();
+    let big = 1i64 << 53;
+    let build = |xs: &[Tensor]| -> Result<Vec<Tensor>, RuntimeError> {
+        let (x, y) = (&xs[0], &xs[1]);
+        Ok(vec![
+            api::cast(&api::equal(x, y)?, DType::I64)?,
+            api::select(&api::greater(x, y)?, x, y)?,
+            api::reduce_sum(x, &[], false)?,
+            api::argmax(x, 0)?,
+            api::cumsum(x, 0)?,
+        ])
+    };
+    let x = api::constant(vec![big, big + 1, 1], [3]).unwrap();
+    let y = api::constant(vec![big, big, big + 2], [3]).unwrap();
+    let want = [
+        vec![1, 0, 0],
+        vec![big, big + 1, big + 2],
+        vec![2 * big + 2],
+        vec![1],
+        vec![big, 2 * big + 1, 2 * big + 2],
+    ];
+    let eager = build(&[x.clone(), y.clone()]).unwrap();
+    let staged = function("surface_int64_exact", move |args: &[Arg]| {
+        let tensors: Vec<Tensor> = args.iter().filter_map(|a| a.as_tensor().cloned()).collect();
+        build(&tensors)
+    })
+    .call(&[Arg::from(&x), Arg::from(&y)])
+    .unwrap();
+    for (mode, outs) in [("eager", eager), ("staged", staged)] {
+        let got: Vec<Vec<i64>> = outs.iter().map(|t| t.value().unwrap().to_i64_vec()).collect();
+        assert_eq!(got, want, "{mode}");
+    }
+}
+
 #[test]
 fn structural_surface() {
     both_modes(

@@ -83,5 +83,9 @@ fn an_eager_op_allocates_its_output_and_little_else() {
         taped_matmul_tb <= taped_matmul + 1.0,
         "taped, a transposed b makes {taped_matmul_tb}, matmul {taped_matmul}"
     );
-    assert!(call <= 31.0, "a cache-hit call1 makes {call} allocations (at most 31)");
+    // Pinned where typed parameters left them: a read builds no attribute
+    // map, and a cache-hit call clones none. The fraction allows for a rare
+    // one-off allocation among the calls averaged; one more per call fails.
+    assert!(read <= 3.5, "Variable::read makes {read} allocations (3)");
+    assert!(call <= 23.5, "a cache-hit call1 makes {call} allocations (23)");
 }

@@ -40,9 +40,9 @@ use tfe_tensor::gemm::{gemm_into, GemmScalar};
 use tfe_tensor::matmul::{batch_matmul, matmul, matmul_reference};
 use tfe_tensor::reduce::{reduce, ReduceOp};
 use tfe_tensor::rng::{each_seed, Rng};
-use tfe_tensor::shape::BroadcastWalker;
+use tfe_tensor::shape::broadcast_source_index;
 use tfe_tensor::softmax::{log_softmax, softmax};
-use tfe_tensor::{broadcast_shapes, conv, DType, Shape, TensorData};
+use tfe_tensor::{broadcast_shapes, conv, DType, Scalar, Shape, TensorData};
 
 /// Run `f` under a forced intra-op thread count, restoring the previous
 /// setting afterwards. Kernels are thread-count invariant by design, so
@@ -318,7 +318,7 @@ fn broadcast_binary_parity() {
 
 // ---------------------------------------------------------------------------
 // Periodic operands: the slice fast path of `binary` and `compare` against
-// a per-element BroadcastWalker reference, exact bits.
+// a per-index `broadcast_source_index` reference, exact bits.
 // ---------------------------------------------------------------------------
 
 /// Values with every special the fast path could mishandle: NaNs with
@@ -344,8 +344,8 @@ fn special_f32s(n: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// What the walker path computes: one `BroadcastWalker` per operand, the
-/// op's scalar function per element. The result is compared bit for bit —
+/// What the kernel must compute: each operand's element at the index
+/// `broadcast_source_index` gives, the op's scalar function per element. The result is compared bit for bit —
 /// a NaN operand's payload must come through — except where *both*
 /// operands are NaN: which payload survives then depends on the operand
 /// order the compiler chose for a commutative instruction, so there the
@@ -353,12 +353,10 @@ fn special_f32s(n: usize, seed: u64) -> Vec<f32> {
 fn walker_binary_f32(a: &TensorData, b: &TensorData, op: BinaryOp) -> (Shape, Vec<Option<u32>>) {
     let out = broadcast_shapes(a.shape(), b.shape()).unwrap();
     let (av, bv) = (a.as_slice::<f32>().unwrap(), b.as_slice::<f32>().unwrap());
-    let wa = BroadcastWalker::new(&out, a.shape());
-    let wb = BroadcastWalker::new(&out, b.shape());
-    let v = wa
-        .zip(wb)
-        .map(|(ia, ib)| {
-            let (x, y) = (av[ia], bv[ib]);
+    let v = (0..out.num_elements())
+        .map(|i| {
+            let x = av[broadcast_source_index(out.dims(), a.shape().dims(), i)];
+            let y = bv[broadcast_source_index(out.dims(), b.shape().dims(), i)];
             (!(x.is_nan() && y.is_nan())).then(|| op.eval_f32(x, y).to_bits())
         })
         .collect();
@@ -376,25 +374,34 @@ fn assert_matches_walker(got: &TensorData, want: &[Option<u32>], ctx: &str) {
     }
 }
 
-/// The comparison predicate on operands widened to `f64`, per element.
+/// The comparison predicate in the operands' own type, per element, at the
+/// indices `broadcast_source_index` gives.
 fn walker_compare(a: &TensorData, b: &TensorData, op: CmpOp) -> (Shape, Vec<bool>) {
+    fn typed<T: Scalar>(a: &TensorData, b: &TensorData, out: &Shape, op: CmpOp) -> Vec<bool> {
+        let (av, bv) = (a.as_slice::<T>().unwrap(), b.as_slice::<T>().unwrap());
+        (0..out.num_elements())
+            .map(|i| {
+                let x = av[broadcast_source_index(out.dims(), a.shape().dims(), i)];
+                let y = bv[broadcast_source_index(out.dims(), b.shape().dims(), i)];
+                match op {
+                    CmpOp::Eq => x == y,
+                    CmpOp::Ne => x != y,
+                    CmpOp::Lt => x < y,
+                    CmpOp::Le => x <= y,
+                    CmpOp::Gt => x > y,
+                    CmpOp::Ge => x >= y,
+                }
+            })
+            .collect()
+    }
     let out = broadcast_shapes(a.shape(), b.shape()).unwrap();
-    let wa = BroadcastWalker::new(&out, a.shape());
-    let wb = BroadcastWalker::new(&out, b.shape());
-    let v = wa
-        .zip(wb)
-        .map(|(ia, ib)| {
-            let (x, y) = (a.get_f64_linear(ia), b.get_f64_linear(ib));
-            match op {
-                CmpOp::Eq => x == y,
-                CmpOp::Ne => x != y,
-                CmpOp::Lt => x < y,
-                CmpOp::Le => x <= y,
-                CmpOp::Gt => x > y,
-                CmpOp::Ge => x >= y,
-            }
-        })
-        .collect();
+    let v = match a.dtype() {
+        DType::F32 => typed::<f32>(a, b, &out, op),
+        DType::F64 => typed::<f64>(a, b, &out, op),
+        DType::I32 => typed::<i32>(a, b, &out, op),
+        DType::I64 => typed::<i64>(a, b, &out, op),
+        DType::Bool => typed::<bool>(a, b, &out, op),
+    };
     (out, v)
 }
 
@@ -434,8 +441,8 @@ fn binary_periodic_matches_walker_bitwise() {
 }
 
 /// Every comparison on f32 (specials included), f64, i32 and i64 (beyond
-/// 2^53, where widening to f64 rounds): same predicate, same answers as the
-/// walker.
+/// 2^53, where widening to f64 would round): the predicate in the operands'
+/// own type, as the reference evaluates it.
 #[test]
 fn compare_periodic_matches_walker() {
     each_seed(fuzz_cases(256), |rng| {
@@ -945,6 +952,190 @@ fn conv2d_backprop_filter_nonfinite_reaches_padded_taps() {
             assert_eq!(got[c1].to_bits(), want[c1].to_bits(), "channel 1 tap ({ky}, {kx})");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Typed elements: the comparison, `select` and reduction kernels read and
+// write elements in their own type, so an int64 beyond 2^53 keeps its
+// value, a signalling NaN and -0.0 keep their bits, and an i32 result
+// saturates as it always has.
+// ---------------------------------------------------------------------------
+
+const BIG: i64 = 1 << 53;
+
+fn i64s(v: &[i64], dims: &[usize]) -> TensorData {
+    TensorData::from_vec(v.to_vec(), Shape::from(dims)).unwrap()
+}
+
+fn i32s(v: &[i32], dims: &[usize]) -> TensorData {
+    TensorData::from_vec(v.to_vec(), Shape::from(dims)).unwrap()
+}
+
+/// Same-shape, periodic (a scalar, a row) and `[n, 1]` x `[1, m]` operands,
+/// each way round, every predicate: the exact i64 comparison.
+#[test]
+fn compare_int64_beyond_2_53_exact() {
+    let cases = [
+        (i64s(&[BIG + 1, BIG, BIG - 1], &[3]), i64s(&[BIG, BIG, BIG], &[3])),
+        (i64s(&[BIG + 1, BIG, BIG + 2, BIG + 3], &[2, 2]), i64s(&[BIG + 2], &[])),
+        (i64s(&[BIG + 1, BIG, BIG + 2, BIG + 3], &[2, 2]), i64s(&[BIG + 1, BIG + 3], &[2])),
+        (i64s(&[BIG + 1, BIG], &[2, 1]), i64s(&[BIG, BIG + 1], &[1, 2])),
+    ];
+    for (a, b) in &cases {
+        for &op in CmpOp::all() {
+            for (x, y) in [(a, b), (b, a)] {
+                let (shape, want) = walker_compare(x, y, op);
+                let got = compare(x, y, op).unwrap();
+                assert_eq!(got.shape(), &shape);
+                let ctx = format!("{op:?} {:?} {:?}", x.shape(), y.shape());
+                assert_eq!(got.as_slice::<bool>().unwrap(), &want[..], "{ctx}");
+            }
+        }
+    }
+    let eq = compare(&i64s(&[BIG + 1], &[]), &i64s(&[BIG], &[]), CmpOp::Eq).unwrap();
+    assert_eq!(eq.as_slice::<bool>().unwrap(), &[false]);
+    let gt = compare(&cases[3].0, &cases[3].1, CmpOp::Gt).unwrap();
+    assert_eq!(gt.as_slice::<bool>().unwrap(), &[true, false, false, false]);
+}
+
+/// `select` moves elements as they are: int64 beyond 2^53 under l2hmc's
+/// `[n, 1]` condition against a `[n, m]` and a periodic operand, and a
+/// signalling NaN and -0.0 in f32 and f64, checked by their bits.
+#[test]
+fn select_moves_elements_as_they_are() {
+    use tfe_tensor::elementwise::select;
+    let cond = TensorData::from_vec(vec![true, false, true], Shape::from([3, 1])).unwrap();
+    let a = i64s(&[BIG + 1, BIG + 3, BIG + 5, BIG + 7, BIG + 9, BIG + 11], &[3, 2]);
+    let b = i64s(&[-BIG - 1, -BIG - 3], &[2]);
+    let got = select(&cond, &a, &b).unwrap();
+    let want = [BIG + 1, BIG + 3, -BIG - 1, -BIG - 3, BIG + 9, BIG + 11];
+    assert_eq!(got.as_slice::<i64>().unwrap(), &want);
+    let got = select(&cond, &b, &a).unwrap();
+    let want = [-BIG - 1, -BIG - 3, BIG + 5, BIG + 7, -BIG - 1, -BIG - 3];
+    assert_eq!(got.as_slice::<i64>().unwrap(), &want);
+
+    let picks = TensorData::from_vec(vec![true, false, true, false], Shape::from([2, 2])).unwrap();
+    let x32 = [0x7f80_0001u32, 0x8000_0000];
+    let y32 = [0xff80_0001u32, 0x8000_0000];
+    let f32s_of = |bits: &[u32], dims: &[usize]| {
+        let v: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        TensorData::from_vec(v, Shape::from(dims)).unwrap()
+    };
+    let got = select(&picks, &f32s_of(&x32, &[2]), &f32s_of(&y32, &[2, 1])).unwrap();
+    let got: Vec<u32> = got.as_slice::<f32>().unwrap().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, [0x7f80_0001, 0xff80_0001, 0x7f80_0001, 0x8000_0000]);
+
+    let x64 = [0x7ff0_0000_0000_0001u64, 0x8000_0000_0000_0000];
+    let v: Vec<f64> = x64.iter().map(|&b| f64::from_bits(b)).collect();
+    let x = TensorData::from_vec(v, Shape::from([2])).unwrap();
+    let got = select(&picks, &x, &TensorData::scalar(1.0f64)).unwrap();
+    let got: Vec<u64> = got.as_slice::<f64>().unwrap().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(got, [x64[0], 1.0f64.to_bits(), x64[0], 1.0f64.to_bits()]);
+}
+
+/// The exact int reference: each element folded into its output slot in
+/// linear order, in i64 with wrapping arithmetic; a mean truncates.
+fn reduce_i64_reference(v: &[i64], dims: &[usize], axes: &[usize], op: ReduceOp) -> Vec<i64> {
+    let kept: Vec<usize> =
+        dims.iter().enumerate().map(|(i, &d)| if axes.contains(&i) { 1 } else { d }).collect();
+    let init = match op {
+        ReduceOp::Sum | ReduceOp::Mean => 0,
+        ReduceOp::Prod => 1,
+        ReduceOp::Max => i64::MIN,
+        ReduceOp::Min => i64::MAX,
+    };
+    let mut acc = vec![init; kept.iter().product()];
+    for (i, &x) in v.iter().enumerate() {
+        let o = &mut acc[broadcast_source_index(dims, &kept, i)];
+        *o = match op {
+            ReduceOp::Sum | ReduceOp::Mean => o.wrapping_add(x),
+            ReduceOp::Prod => o.wrapping_mul(x),
+            ReduceOp::Max => (*o).max(x),
+            ReduceOp::Min => (*o).min(x),
+        };
+    }
+    let count: usize = axes.iter().map(|&a| dims[a]).product();
+    if op == ReduceOp::Mean {
+        acc.iter_mut().for_each(|x| *x /= count.max(1) as i64);
+    }
+    acc
+}
+
+/// Every reduction over int64 beyond 2^53 on every axis pattern of a
+/// `[2, 2, 2]` tensor — all, suffix, prefix, middle and mixed — is exact,
+/// and so are `reduce_any`/`reduce_all` over an exact comparison, argmax,
+/// argmin, cumsum and `scatter_add_rows`.
+#[test]
+fn reductions_exact_for_int64_beyond_2_53() {
+    use tfe_tensor::reduce::{argminmax, cumsum, reduce_bool};
+    use tfe_tensor::shape_ops::scatter_add_rows;
+    let dims = [2usize, 2, 2];
+    let big: Vec<i64> = [1, 0, 3, 2, 5, -1, 7, 2].iter().map(|k| BIG + k).collect();
+    let small: Vec<i64> = [1, 3, 1, 5, 7, 1, 3, 1].iter().map(|k| (1 << 27) + k).collect();
+    let axis_sets: [&[usize]; 7] = [&[0, 1, 2], &[2], &[1, 2], &[0], &[0, 1], &[1], &[0, 2]];
+    for op in ReduceOp::all().iter().copied() {
+        // A product of values near 2^53 wraps; near 2^27 it is exact.
+        let v = if op == ReduceOp::Prod { &small } else { &big };
+        for axes in axis_sets {
+            let as_i64: Vec<i64> = axes.iter().map(|&a| a as i64).collect();
+            let got = reduce(&i64s(v, &dims), &as_i64, false, op).unwrap();
+            let want = reduce_i64_reference(v, &dims, axes, op);
+            assert_eq!(got.as_slice::<i64>().unwrap(), &want[..], "{op:?} over {axes:?}");
+        }
+    }
+    assert_eq!(
+        reduce(&i64s(&[BIG, 1], &[2]), &[], false, ReduceOp::Sum).unwrap().to_i64_vec(),
+        [BIG + 1]
+    );
+
+    // No element equals 2^53, though 2^53 + 1 would in f64.
+    let x = i64s(&[BIG + 1, BIG + 3, BIG + 5, BIG + 1], &[2, 2]);
+    let eq = compare(&x, &i64s(&[BIG], &[]), CmpOp::Eq).unwrap();
+    let any = reduce_bool(&eq, &[0], false, false).unwrap();
+    assert_eq!(any.as_slice::<bool>().unwrap(), &[false, false]);
+    let ne = compare(&x, &i64s(&[BIG], &[]), CmpOp::Ne).unwrap();
+    let all = reduce_bool(&ne, &[1], false, true).unwrap();
+    assert_eq!(all.as_slice::<bool>().unwrap(), &[true, true]);
+
+    let x = i64s(&[BIG, BIG + 1, BIG - 1], &[3]);
+    assert_eq!(argminmax(&x, 0, true).unwrap().to_i64_vec(), [1]);
+    assert_eq!(argminmax(&i64s(&[BIG + 1, BIG], &[2]), 0, false).unwrap().to_i64_vec(), [1]);
+    assert_eq!(argminmax(&i64s(&big, &dims), 1, true).unwrap().to_i64_vec(), [1, 1, 1, 1]);
+
+    let sums = cumsum(&i64s(&[BIG, 1, 1, -3], &[4]), 0).unwrap();
+    assert_eq!(sums.as_slice::<i64>().unwrap(), &[BIG, BIG + 1, BIG + 2, BIG - 1]);
+
+    let rows = i64s(&[0, 0, 1], &[3]);
+    let updates = i64s(&[BIG, BIG + 2, 1, 3, BIG - 1, 5], &[3, 2]);
+    let out = scatter_add_rows(&rows, &updates, 2).unwrap();
+    assert_eq!(out.as_slice::<i64>().unwrap(), &[BIG + 1, BIG + 5, BIG - 1, 5]);
+}
+
+/// An i32 sum that leaves the i32 range saturates: `reduce_sum` and
+/// `cumsum` narrow each result once, from an exact i64 running sum;
+/// `scatter_add_rows` narrows after every addition.
+#[test]
+fn int32_overflow_saturates() {
+    use tfe_tensor::reduce::cumsum;
+    use tfe_tensor::shape_ops::scatter_add_rows;
+    let (max, min) = (i32::MAX, i32::MIN);
+    let sum = |v: &[i32]| {
+        reduce(&i32s(v, &[v.len()]), &[], false, ReduceOp::Sum).unwrap().to_i64_vec()[0]
+    };
+    assert_eq!(sum(&[max, 1]), i64::from(max));
+    assert_eq!(sum(&[min, -1]), i64::from(min));
+    assert_eq!(sum(&[max, 1, -1]), i64::from(max) + 1 - 1);
+    assert_eq!(sum(&[max, max, min]), i64::from(max) - 1);
+    let rows = reduce(&i32s(&[max, 1, min, -1], &[2, 2]), &[1], false, ReduceOp::Sum).unwrap();
+    assert_eq!(rows.as_slice::<i32>().unwrap(), &[max, min]);
+
+    let sums = cumsum(&i32s(&[max, 1, -2, min], &[4]), 0).unwrap();
+    assert_eq!(sums.as_slice::<i32>().unwrap(), &[max, max, max - 1, -2]);
+
+    let rows = i32s(&[0, 0, 0, 1, 1], &[5]);
+    let updates = i32s(&[max, 1, -1, min, -1], &[5, 1]);
+    let out = scatter_add_rows(&rows, &updates, 2).unwrap();
+    assert_eq!(out.as_slice::<i32>().unwrap(), &[max - 1, min]);
 }
 
 // ---------------------------------------------------------------------------
