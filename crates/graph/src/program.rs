@@ -14,33 +14,32 @@
 //! handle's label: what a bundle carries, parsed and compiled again when one
 //! is decoded.
 //!
-//! Execution walks the whole program over one ~8 KiB tile at a time
-//! ([`CompiledProgram::eval`]): an N-op group makes one pass over memory
-//! instead of N, which is where fusion's real memory-traffic saving comes
-//! from. Tiles take every input f32 and a *periodic operand* of the output
-//! ([`tfe_tensor::Shape::is_periodic_in`]) — the output's own shape, or a
-//! scalar, bias or mask over trailing axes, which a tile reads as
-//! `src[i % p]` through [`tfe_tensor::lanes::Periodic`] windows (a period
-//! longer than a tile simply wraps inside one). So `x * w + bias`, `x * eps`,
-//! mask multiplies and an LSTM cell's gate chains run on tiles. The fusion
-//! pass decides that from static types
+//! Execution walks the whole program over one cache-resident tile at a
+//! time ([`CompiledProgram::eval`]): an N-op group makes one pass over
+//! memory instead of N, which is where fusion's real memory-traffic saving
+//! comes from. The tiles are those of every elementwise map
+//! ([`tfe_tensor::lanes::Tiler`]): lane multiples fixed by the element
+//! count, so an element's bits depend only on its index, the length and the
+//! op, and a fused program gives the bits of the unfused nodes — one
+//! whole-tensor `tfe_tensor::elementwise` call per instruction, which the
+//! tests keep as the per-instruction reference — at every thread count,
+//! NaNs included. Tiles take every input f32 and a *periodic operand* of
+//! the output ([`tfe_tensor::Shape::is_periodic_in`]) — the output's own
+//! shape, or a scalar, bias or mask over trailing axes, which a tile reads
+//! as `src[i % p]` through [`tfe_tensor::lanes::Periodic`] windows (a period
+//! longer than a tile simply wraps inside one). So `x * w + bias`,
+//! `x * eps`, mask multiplies and an LSTM cell's gate chains run on tiles.
+//! The fusion pass decides that from static types
 //! ([`tfe_ops::SymShape::is_periodic_in`]) and leaves any other group
 //! unfused, so the tiles are the only evaluator: inputs that do not qualify
 //! (which only a fused node that arrived as bytes can hold) are a typed
 //! error.
-//!
-//! Tile boundaries depend only on the element count
-//! ([`tfe_parallel::tile_len`]) and every instruction is an element-
-//! independent map, so serial and parallel runs are bit-identical — and
-//! both are bit-identical to the unfused graph nodes, one whole-tensor
-//! `tfe_tensor::elementwise` call per instruction, which the tests keep as
-//! the per-instruction reference.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use tfe_ops::{Handle, Params};
 use tfe_tensor::elementwise::{BinaryOp, UnaryOp};
-use tfe_tensor::lanes::{self, Periodic};
+use tfe_tensor::lanes::{self, Periodic, Tiler};
 use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
 
 /// One instruction; instruction `i` writes register `i`.
@@ -431,21 +430,18 @@ impl CompiledProgram {
     }
 
     /// The tile executor, for inputs [`CompiledProgram::output_shape`]
-    /// accepted.
+    /// accepted, on the tiles of every elementwise map ([`Tiler`]).
     fn eval_tiled_f32(&self, inputs: &[&TensorData], shape: Shape) -> TResult<TensorData> {
         let n = shape.num_elements();
-        // Tile length depends only on the working set (inputs + scratch +
-        // output), never the thread count — fixed boundaries keep tiled
-        // results bitwise reproducible under any parallel split.
-        let tile =
-            tfe_parallel::tile_len(std::mem::size_of::<f32>(), self.num_bufs + inputs.len() + 1);
-        let mut srcs: Vec<Periodic<'_, f32>> = Vec::with_capacity(inputs.len());
-        for t in inputs {
-            srcs.push(Periodic::new(t.as_slice::<f32>()?, n, tile));
-        }
-        let n_tiles = n.div_ceil(tile.max(1));
+        // The working set is the inputs, the scratch registers and the output.
+        let tiler = Tiler::new(n, std::mem::size_of::<f32>(), self.num_bufs + inputs.len() + 1);
+        let tile = tiler.tile();
+        let srcs: Vec<Periodic<'_, f32>> = inputs
+            .iter()
+            .map(|t| Ok(Periodic::new(t.as_slice::<f32>()?, n, tile)))
+            .collect::<TResult<_>>()?;
         let mut span = tfe_profile::span("fused", || {
-            format!("fused_tiled:{}op:{}tile", self.steps.len(), n_tiles)
+            format!("fused_tiled:{}op:{}tile", self.steps.len(), n.div_ceil(tile))
         });
         if let Some(s) = span.as_mut() {
             // One read per input element plus one output write.
@@ -458,25 +454,8 @@ impl CompiledProgram {
         .inc();
         metric_fused_elements(n as u64);
         let mut out = vec![0.0f32; n];
-        // The pool on the terms of a plain elementwise kernel: as many
-        // tiles as make its grain run inline, however many registers shrank
-        // the tile. Who runs a tile changes, its boundaries do not.
-        let grain = tfe_tensor::GRAIN_ELEMWISE.div_ceil(tile);
-        tfe_parallel::par_chunks_mut(&mut out, tile, grain, |tiles, block| {
-            SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                if scratch.len() < self.num_bufs {
-                    scratch.resize_with(self.num_bufs, Vec::new);
-                }
-                for buf in scratch.iter_mut().take(self.num_bufs) {
-                    if buf.len() < tile {
-                        buf.resize(tile, 0.0);
-                    }
-                }
-                for (t, out_tile) in tiles.zip(block.chunks_mut(tile)) {
-                    self.run_tile(&srcs, &mut scratch, out_tile, t * tile);
-                }
-            });
+        tiler.run_with_scratch(&mut out, self.num_bufs, |start, out_tile, bufs| {
+            self.run_tile(&srcs, bufs, out_tile, start)
         });
         TensorData::from_vec(out, shape)
     }
@@ -540,12 +519,6 @@ impl CompiledProgram {
             Slot::Buf(s) => out_tile.copy_from_slice(&bufs[s][..len]),
         }
     }
-}
-
-thread_local! {
-    /// Per-thread tile scratch, reused across tiles and programs so the
-    /// executor never allocates on the steady-state hot path.
-    static SCRATCH: std::cell::RefCell<Vec<Vec<f32>>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 fn metric_fused_elements(n: u64) {

@@ -367,10 +367,13 @@ pub fn link(
         .map(|(name, _)| name.clone())
     {
         let mut f = pending.remove(&name).expect("found above");
-        for callee in f.nodes.iter_mut().flat_map(|n| n.params.callees_mut()) {
-            if callee.get::<GraphFunction>().is_none() {
-                *callee = linked[callee.label()].handle();
+        for (id, node) in f.nodes.iter_mut().enumerate() {
+            for callee in node.params.callees_mut() {
+                if callee.get::<GraphFunction>().is_none() {
+                    *callee = linked[callee.label()].handle();
+                }
             }
+            check_declared(&name, id, node.op, &node.params)?;
         }
         linked.insert(name, Arc::new(f));
     }
@@ -385,6 +388,36 @@ pub fn link(
             None => Ok(linked),
         },
     }
+}
+
+/// What a decoded `call`, `cond` or `while_loop` declares must be what its
+/// linked callees give: its statefulness, and a `call`'s outputs. The
+/// builder has already taken the node's sequencing edges and signature from
+/// the declaration, so a bundle that declared a side-effecting call
+/// stateless would let common-subexpression elimination merge two of them.
+fn check_declared(function: &str, id: usize, op: Op, params: &Params) -> Result<(), SerialError> {
+    let callees: Vec<Arc<GraphFunction>> =
+        params.callees().filter_map(|c| c.get::<GraphFunction>()).collect();
+    if callees.is_empty() {
+        return Ok(());
+    }
+    let refuse = |what: String| {
+        Err(err(format!("function `{function}` node {id} (`{}`) {what}", op.name())))
+    };
+    let stateful = callees.iter().any(|c| c.is_stateful());
+    if params.is_stateful() != stateful {
+        return refuse(format!(
+            "declares stateful {}, but its callees are stateful {stateful}",
+            params.is_stateful()
+        ));
+    }
+    if let Params::Call { outputs, .. } = params {
+        let sigs = callees[0].output_sigs();
+        if *outputs != sigs {
+            return refuse(format!("declares outputs {outputs:?}, but its callee gives {sigs:?}"));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

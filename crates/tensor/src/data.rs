@@ -1,7 +1,9 @@
 //! Concrete tensor storage: a contiguous row-major buffer plus a shape.
 
 use crate::{DType, Result, Shape, TensorError};
+use std::cell::RefCell;
 use std::fmt;
+use std::thread::LocalKey;
 
 /// Marker trait connecting Rust scalar types to [`DType`]s.
 ///
@@ -19,6 +21,9 @@ pub trait Scalar: Copy + PartialEq + PartialOrd + fmt::Debug + Send + Sync + 'st
     fn slice_mut(buf: &mut Buffer) -> Option<&mut [Self]>;
     /// Wrap a vector of this type into a buffer.
     fn into_buffer(v: Vec<Self>) -> Buffer;
+    /// This type's per-thread pool of elementwise tile scratch
+    /// ([`crate::lanes::Tiler`]), reused across tiles and calls.
+    fn scratch() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>>;
 }
 
 macro_rules! impl_scalar {
@@ -45,6 +50,12 @@ macro_rules! impl_scalar {
             }
             fn into_buffer(v: Vec<Self>) -> Buffer {
                 Buffer::$variant(v)
+            }
+            fn scratch() -> &'static LocalKey<RefCell<Vec<Vec<Self>>>> {
+                thread_local! {
+                    static SCRATCH: RefCell<Vec<Vec<$ty>>> = const { RefCell::new(Vec::new()) };
+                }
+                &SCRATCH
             }
         }
     };

@@ -1,18 +1,19 @@
 //! Elementwise binary/unary/comparison kernels with NumPy-style broadcasting.
 //!
-//! Every kernel reads and writes typed slices, and a comparison runs in the
-//! operands' own type. A broadcast operand whose shape is a suffix of the
-//! output's is read through [`Periodic`] windows; any other through the
-//! crate's one index walk, `shape::strided`, which a parallel tile
-//! starts at its first element.
+//! Every kernel fills its output through [`Tiler`], the one tiler of every
+//! elementwise map (the fused tile executor in `tfe-graph` runs on it too),
+//! and reads and writes typed slices: a comparison runs in the operands' own
+//! type. A broadcast operand whose shape is a suffix of the output's is read
+//! through [`lanes::Periodic`] windows; any other is gathered along the
+//! crate's one index walk, `shape::strided`, into tile scratch.
 //!
 //! The op enums here double as the instruction set of the fused-elementwise
 //! interpreter in `tfe-graph` (our XLA stand-in), so every op is a small,
 //! named, pure function.
 
 use crate::data::Scalar;
-use crate::lanes::Periodic;
-use crate::shape::{broadcast_shapes, broadcast_walk};
+use crate::lanes::{self, map_binary, map_unary, Operand, Tiler};
+use crate::shape::broadcast_shapes;
 use crate::{DType, Result, TensorData, TensorError};
 
 /// Floating-point scalars with transcendental math.
@@ -45,10 +46,6 @@ pub trait FloatScalar: Scalar {
     fn fmax(self, y: Self) -> Self;
     /// minimum treating NaN as missing
     fn fmin(self, y: Self) -> Self;
-    /// 0, 1 and -1 constants
-    fn zero() -> Self;
-    /// 1
-    fn one() -> Self;
 }
 
 macro_rules! impl_float_scalar {
@@ -95,12 +92,6 @@ macro_rules! impl_float_scalar {
             }
             fn fmin(self, y: Self) -> Self {
                 self.min(y)
-            }
-            fn zero() -> Self {
-                0.0
-            }
-            fn one() -> Self {
-                1.0
             }
         }
     };
@@ -153,19 +144,7 @@ impl BinaryOp {
 
     /// Inverse of [`BinaryOp::name`].
     pub fn from_name(name: &str) -> Option<BinaryOp> {
-        Some(match name {
-            "add" => BinaryOp::Add,
-            "sub" => BinaryOp::Sub,
-            "mul" => BinaryOp::Mul,
-            "div" => BinaryOp::Div,
-            "floor_div" => BinaryOp::FloorDiv,
-            "mod" => BinaryOp::Mod,
-            "pow" => BinaryOp::Pow,
-            "maximum" => BinaryOp::Maximum,
-            "minimum" => BinaryOp::Minimum,
-            "squared_difference" => BinaryOp::SquaredDifference,
-            _ => return None,
-        })
+        BinaryOp::all().iter().copied().find(|op| op.name() == name)
     }
 
     /// All binary ops (for registration loops and property tests).
@@ -213,36 +192,33 @@ impl BinaryOp {
         }
     }
 
-    fn eval_int(self, a: i64, b: i64) -> Result<i64> {
-        Ok(match self {
+    /// What an integer `self` refuses as its right operand `b`, if anything.
+    fn int_refusal(self, b: i64) -> Option<&'static str> {
+        match self {
+            BinaryOp::Div | BinaryOp::FloorDiv if b == 0 => Some("integer division by zero"),
+            BinaryOp::Mod if b == 0 => Some("integer modulo by zero"),
+            BinaryOp::Pow if b < 0 => Some("negative integer exponent"),
+            _ => None,
+        }
+    }
+
+    /// Integer evaluation of an operand pair [`BinaryOp::int_refusal`]
+    /// passed.
+    fn eval_int(self, a: i64, b: i64) -> i64 {
+        match self {
             BinaryOp::Add => a.wrapping_add(b),
             BinaryOp::Sub => a.wrapping_sub(b),
             BinaryOp::Mul => a.wrapping_mul(b),
-            BinaryOp::Div | BinaryOp::FloorDiv => {
-                if b == 0 {
-                    return Err(TensorError::InvalidArgument("integer division by zero".into()));
-                }
-                a.div_euclid(b)
-            }
-            BinaryOp::Mod => {
-                if b == 0 {
-                    return Err(TensorError::InvalidArgument("integer modulo by zero".into()));
-                }
-                a.rem_euclid(b)
-            }
-            BinaryOp::Pow => {
-                if b < 0 {
-                    return Err(TensorError::InvalidArgument("negative integer exponent".into()));
-                }
-                a.wrapping_pow(b.min(u32::MAX as i64) as u32)
-            }
+            BinaryOp::Div | BinaryOp::FloorDiv => a.div_euclid(b),
+            BinaryOp::Mod => a.rem_euclid(b),
+            BinaryOp::Pow => a.wrapping_pow(b.min(u32::MAX as i64) as u32),
             BinaryOp::Maximum => a.max(b),
             BinaryOp::Minimum => a.min(b),
             BinaryOp::SquaredDifference => {
                 let d = a.wrapping_sub(b);
                 d.wrapping_mul(d)
             }
-        })
+        }
     }
 }
 
@@ -544,58 +520,21 @@ fn check_same_dtype(a: &TensorData, b: &TensorData) -> Result<DType> {
     Ok(a.dtype())
 }
 
-fn map2<T: Scalar, U: Scalar>(
+/// `f` over the tiles of `a`'s and `b`'s broadcast, into a new tensor: the
+/// [`Tiler`] of every two-operand map.
+fn tiled2<T: Scalar, U: Scalar + Default + Send>(
     a: &TensorData,
     b: &TensorData,
-    f: impl Fn(T, T) -> Result<U>,
+    f: impl Fn(&[T], &[T], &mut [U]) + Sync,
 ) -> Result<TensorData> {
-    let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let av = a.as_slice::<T>()?;
-    let bv = b.as_slice::<T>()?;
-    let n = out_shape.num_elements();
-    let mut out = Vec::with_capacity(n);
-    if a.shape() == b.shape() {
-        for i in 0..n {
-            out.push(f(av[i], bv[i])?);
-        }
-    } else {
-        let walks =
-            broadcast_walk(&out_shape, a.shape(), 0).zip(broadcast_walk(&out_shape, b.shape(), 0));
-        for (ia, ib) in walks {
-            out.push(f(av[ia], bv[ib])?);
-        }
-    }
-    TensorData::from_vec(out, out_shape)
-}
-
-/// Infallible variant of [`map2`] that splits the output across the shared
-/// pool; each tile walks the operands from its own first element.
-/// Element results are independent, so any partition gives identical bits.
-fn map2_par<T: Scalar, U: Scalar + Default>(
-    a: &TensorData,
-    b: &TensorData,
-    f: impl Fn(T, T) -> U + Sync,
-) -> Result<TensorData> {
-    let out_shape = broadcast_shapes(a.shape(), b.shape())?;
-    let av = a.as_slice::<T>()?;
-    let bv = b.as_slice::<T>()?;
-    let mut out = vec![U::default(); out_shape.num_elements()];
-    if a.shape() == b.shape() {
-        tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-            for ((o, &x), &y) in chunk.iter_mut().zip(&av[r.clone()]).zip(&bv[r]) {
-                *o = f(x, y);
-            }
-        });
-    } else {
-        tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-            let wa = broadcast_walk(&out_shape, a.shape(), r.start);
-            let wb = broadcast_walk(&out_shape, b.shape(), r.start);
-            for ((o, ia), ib) in chunk.iter_mut().zip(wa).zip(wb) {
-                *o = f(av[ia], bv[ib]);
-            }
-        });
-    }
-    TensorData::from_vec(out, out_shape)
+    let shape = broadcast_shapes(a.shape(), b.shape())?;
+    let n = shape.num_elements();
+    let tiler = Tiler::new(n, std::mem::size_of::<T>(), 3);
+    let x = Operand::new(a.as_slice::<T>()?, a.shape(), &shape, &tiler);
+    let y = Operand::new(b.as_slice::<T>()?, b.shape(), &shape, &tiler);
+    let mut out = vec![U::default(); n];
+    tiler.run(&mut out, |at, o| x.read(at, o.len(), |x| y.read(at, o.len(), |y| f(x, y, o))));
+    TensorData::from_vec(out, shape)
 }
 
 /// Apply a binary elementwise op with broadcasting.
@@ -605,17 +544,35 @@ fn map2_par<T: Scalar, U: Scalar + Default>(
 /// (e.g. `pow` on bool), and integer division by zero.
 pub fn binary(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<TensorData> {
     match check_same_dtype(a, b)? {
-        DType::F32 => binary_f32_lanes(a, b, op),
-        DType::F64 => map2_par::<f64, f64>(a, b, |x, y| op.eval_float(x, y)),
-        DType::I32 => {
-            map2::<i32, i32>(a, b, |x, y| op.eval_int(x as i64, y as i64).map(|v| v as i32))
+        DType::F32 => tiled2(a, b, |x, y, o: &mut [f32]| lanes::binary_f32(op, x, y, o)),
+        DType::F64 => {
+            tiled2(a, b, |x, y, o| map_binary(x, y, o, |p, q| op.eval_float::<f64>(p, q)))
         }
-        DType::I64 => map2::<i64, i64>(a, b, |x, y| op.eval_int(x, y)),
+        DType::I32 => binary_int::<i32>(a, b, op, i64::from, |v| v as i32),
+        DType::I64 => binary_int::<i64>(a, b, op, |v| v, |v| v),
         DType::Bool => Err(TensorError::DTypeMismatch {
             expected: "a numeric dtype".to_string(),
             got: DType::Bool,
         }),
     }
+}
+
+/// [`binary`] on integers, in i64. A non-empty output reads every element
+/// of `b`, so a zero divisor or a negative exponent in it is refused before
+/// any element is computed; an empty one reads none.
+fn binary_int<T: Scalar + Default>(
+    a: &TensorData,
+    b: &TensorData,
+    op: BinaryOp,
+    wide: fn(T) -> i64,
+    narrow: fn(i64) -> T,
+) -> Result<TensorData> {
+    if broadcast_shapes(a.shape(), b.shape())?.num_elements() > 0 {
+        if let Some(why) = b.as_slice::<T>()?.iter().find_map(|&q| op.int_refusal(wide(q))) {
+            return Err(TensorError::InvalidArgument(why.into()));
+        }
+    }
+    tiled2(a, b, |x, y, o| map_binary(x, y, o, |p, q| narrow(op.eval_int(wide(p), wide(q)))))
 }
 
 /// Apply a unary elementwise op.
@@ -624,37 +581,29 @@ pub fn binary(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<TensorData
 /// Unsupported dtype (bool always; ints for transcendental ops).
 pub fn unary(a: &TensorData, op: UnaryOp) -> Result<TensorData> {
     match a.dtype() {
-        DType::F32 => {
-            // Lane fast path: op dispatch hoisted per tile, 8-wide blocks.
-            // Bit-identical to the scalar map (no cross-element math).
-            let v = a.as_slice::<f32>()?;
-            let mut out = vec![0.0f32; v.len()];
-            tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-                crate::lanes::unary_f32(op, &v[r], chunk);
-            });
-            TensorData::from_vec(out, a.shape().clone())
+        DType::F32 => tiled1(a, |x, o: &mut [f32]| lanes::unary_f32(op, x, o)),
+        DType::F64 => tiled1(a, |x, o| map_unary(x, o, |v: f64| op.eval_float(v))),
+        DType::I32 if op.supports_int() => {
+            tiled1(a, |x, o| map_unary(x, o, |v: i32| op.eval_int(v as i64) as i32))
         }
-        DType::F64 => {
-            let v = a.as_slice::<f64>()?;
-            TensorData::from_vec(unary_par(v, |x| op.eval_float(x)), a.shape().clone())
-        }
-        DType::I32 | DType::I64 if op.supports_int() => {
-            if a.dtype() == DType::I32 {
-                let v = a.as_slice::<i32>()?;
-                TensorData::from_vec(
-                    v.iter().map(|&x| op.eval_int(x as i64) as i32).collect(),
-                    a.shape().clone(),
-                )
-            } else {
-                let v = a.as_slice::<i64>()?;
-                TensorData::from_vec(v.iter().map(|&x| op.eval_int(x)).collect(), a.shape().clone())
-            }
-        }
+        DType::I64 if op.supports_int() => tiled1(a, |x, o| map_unary(x, o, |v| op.eval_int(v))),
         got => Err(TensorError::DTypeMismatch {
             expected: format!("a dtype supporting `{}`", op.name()),
             got,
         }),
     }
+}
+
+/// `f` over the tiles of `a`, into a new tensor of its shape.
+fn tiled1<T: Scalar, U: Scalar + Default + Send>(
+    a: &TensorData,
+    f: impl Fn(&[T], &mut [U]) + Sync,
+) -> Result<TensorData> {
+    let v = a.as_slice::<T>()?;
+    let mut out = vec![U::default(); v.len()];
+    Tiler::new(v.len(), std::mem::size_of::<T>(), 2)
+        .run(&mut out, |at, o| f(&v[at..at + o.len()], o));
+    TensorData::from_vec(out, a.shape().clone())
 }
 
 /// Elementwise comparison with broadcasting, producing a bool tensor. The
@@ -671,36 +620,20 @@ pub fn compare(a: &TensorData, b: &TensorData, op: CmpOp) -> Result<TensorData> 
             got: DType::Bool,
         });
     }
-    typed!(dt, |T| compare_typed::<T>(a, b, op))
+    typed!(dt, |T| tiled2::<T, bool>(a, b, |x, y, o| compare_block(op, x, y, o)))
 }
 
-/// [`compare`] over typed slices: periodic operands through slice windows,
-/// any other broadcast through the strided walk of [`map2_par`].
-fn compare_typed<T: Scalar>(a: &TensorData, b: &TensorData, op: CmpOp) -> Result<TensorData> {
-    let Some(out_shape) = periodic_out_shape(a, b)? else {
-        return map2_par::<T, bool>(a, b, |x, y| op.eval(x, y));
-    };
-    let n = out_shape.num_elements();
-    let av = Periodic::new(a.as_slice::<T>()?, n, PERIODIC_WINDOW);
-    let bv = Periodic::new(b.as_slice::<T>()?, n, PERIODIC_WINDOW);
-    let mut out = Vec::with_capacity(n);
-    // One `match` per call, not per element: each arm is a loop over slices
-    // with the predicate inlined.
+/// One tile of [`compare`]: one `match` per tile, a lane loop with the
+/// predicate inlined in each arm.
+fn compare_block<T: Copy + PartialOrd>(op: CmpOp, x: &[T], y: &[T], o: &mut [bool]) {
     macro_rules! dispatch {
         ($($v:ident),*) => {
             match op {
-                $(CmpOp::$v => {
-                    for at in (0..n).step_by(PERIODIC_WINDOW) {
-                        let len = PERIODIC_WINDOW.min(n - at);
-                        let (x, y) = (av.window(at, len), bv.window(at, len));
-                        out.extend(x.iter().zip(y).map(|(p, q)| CmpOp::$v.eval(p, q)));
-                    }
-                })*
+                $(CmpOp::$v => map_binary(x, y, o, |p, q| CmpOp::$v.eval(p, q)),)*
             }
         };
     }
-    dispatch!(Eq, Ne, Lt, Le, Gt, Ge);
-    TensorData::from_vec(out, out_shape)
+    dispatch!(Eq, Ne, Lt, Le, Gt, Ge)
 }
 
 /// Elementwise boolean logic with broadcasting.
@@ -714,60 +647,7 @@ pub fn logical(a: &TensorData, b: &TensorData, op: LogicalOp) -> Result<TensorDa
             got: if a.dtype() != DType::Bool { a.dtype() } else { b.dtype() },
         });
     }
-    map2_par::<bool, bool>(a, b, |x, y| op.eval(x, y))
-}
-
-/// The output shape when both operands of a broadcasting map are periodic
-/// in it (and so can be read through [`Periodic`] windows), or `None` when
-/// either needs the strided walk (a `[n, 1]` column, two partial
-/// operands). Same-shape operands are the common case and never compute
-/// the broadcast.
-fn periodic_out_shape(a: &TensorData, b: &TensorData) -> Result<Option<crate::Shape>> {
-    if a.shape() == b.shape() {
-        return Ok(Some(a.shape().clone()));
-    }
-    let out = broadcast_shapes(a.shape(), b.shape())?;
-    let periodic = a.shape().is_periodic_in(&out) && b.shape().is_periodic_in(&out);
-    Ok(periodic.then_some(out))
-}
-
-/// Longest slice the periodic fast paths read at once: one L1-resident
-/// block, which also bounds the repeated pattern a short operand costs.
-const PERIODIC_WINDOW: usize = 4096;
-
-/// F32 fast path for [`binary`]: same-shape and periodic operands (scalars,
-/// biases, masks over trailing axes) run the fixed-width lane kernel
-/// ([`crate::lanes::binary_f32`], op dispatch hoisted per block) over
-/// contiguous [`Periodic`] windows; other broadcasts keep the strided-walk
-/// map. Both are bit-identical to scalar evaluation — lanes only
-/// restructure an element-independent map.
-fn binary_f32_lanes(a: &TensorData, b: &TensorData, op: BinaryOp) -> Result<TensorData> {
-    let Some(out_shape) = periodic_out_shape(a, b)? else {
-        return map2_par::<f32, f32>(a, b, |x, y| op.eval_float(x, y));
-    };
-    let n = out_shape.num_elements();
-    let av = Periodic::new(a.as_slice::<f32>()?, n, PERIODIC_WINDOW);
-    let bv = Periodic::new(b.as_slice::<f32>()?, n, PERIODIC_WINDOW);
-    let mut out = vec![0.0f32; n];
-    tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-        for (k, block) in chunk.chunks_mut(PERIODIC_WINDOW).enumerate() {
-            let at = r.start + k * PERIODIC_WINDOW;
-            let len = block.len();
-            crate::lanes::binary_f32(op, av.window(at, len), bv.window(at, len), block);
-        }
-    });
-    TensorData::from_vec(out, out_shape)
-}
-
-/// Parallel map over a contiguous slice (the unary fast path).
-fn unary_par<T: Scalar, U: Scalar + Default>(v: &[T], f: impl Fn(T) -> U + Sync) -> Vec<U> {
-    let mut out = vec![U::default(); v.len()];
-    tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-        for (o, &x) in chunk.iter_mut().zip(&v[r]) {
-            *o = f(x);
-        }
-    });
-    out
+    tiled2(a, b, |x, y, o| map_binary(x, y, o, |p, q| op.eval(p, q)))
 }
 
 /// Elementwise boolean negation.
@@ -775,8 +655,7 @@ fn unary_par<T: Scalar, U: Scalar + Default>(v: &[T], f: impl Fn(T) -> U + Sync)
 /// # Errors
 /// Operand not bool.
 pub fn logical_not(a: &TensorData) -> Result<TensorData> {
-    let v = a.as_slice::<bool>()?;
-    TensorData::from_vec(unary_par(v, |x: bool| !x), a.shape().clone())
+    tiled1(a, |x, o| map_unary(x, o, |v: bool| !v))
 }
 
 /// `where(cond, a, b)` with three-way broadcasting. Every element moves
@@ -792,24 +671,31 @@ pub fn select(cond: &TensorData, a: &TensorData, b: &TensorData) -> Result<Tenso
     typed!(check_same_dtype(a, b)?, |T| select_typed::<T>(cond, a, b))
 }
 
-/// [`select`] over typed slices, each operand along its own strided walk.
+/// [`select`] over typed slices, each operand read on its own terms.
 fn select_typed<T: Scalar + Default>(
     cond: &TensorData,
     a: &TensorData,
     b: &TensorData,
 ) -> Result<TensorData> {
     let s = broadcast_shapes(cond.shape(), &broadcast_shapes(a.shape(), b.shape())?)?;
-    let (cv, av, bv) = (cond.as_slice::<bool>()?, a.as_slice::<T>()?, b.as_slice::<T>()?);
-    let mut out = vec![T::default(); s.num_elements()];
-    tfe_parallel::par_chunks_mut(&mut out, 1, crate::par::GRAIN_ELEMWISE, |r, chunk| {
-        let walks = broadcast_walk(&s, cond.shape(), r.start)
-            .zip(broadcast_walk(&s, a.shape(), r.start))
-            .zip(broadcast_walk(&s, b.shape(), r.start));
-        for (o, ((ic, ia), ib)) in chunk.iter_mut().zip(walks) {
-            *o = if cv[ic] { av[ia] } else { bv[ib] };
-        }
+    let n = s.num_elements();
+    let tiler = Tiler::new(n, std::mem::size_of::<T>(), 4);
+    let c = Operand::new(cond.as_slice::<bool>()?, cond.shape(), &s, &tiler);
+    let x = Operand::new(a.as_slice::<T>()?, a.shape(), &s, &tiler);
+    let y = Operand::new(b.as_slice::<T>()?, b.shape(), &s, &tiler);
+    let mut out = vec![T::default(); n];
+    tiler.run(&mut out, |at, o| {
+        let len = o.len();
+        c.read(at, len, |c| x.read(at, len, |x| y.read(at, len, |y| select_block(c, x, y, o))))
     });
     TensorData::from_vec(out, s)
+}
+
+/// One tile of [`select`].
+fn select_block<T: Copy>(c: &[bool], x: &[T], y: &[T], o: &mut [T]) {
+    for (((o, &c), &x), &y) in o.iter_mut().zip(c).zip(x).zip(y) {
+        *o = if c { x } else { y };
+    }
 }
 
 #[cfg(test)]

@@ -1,25 +1,24 @@
-//! Fixed-width lane inner loops for the elementwise and reduction kernels.
+//! Fixed-width lane inner loops for the elementwise and reduction kernels,
+//! and the one tiler every elementwise map runs on.
 //!
-//! Every hot f32 loop in this crate funnels through the helpers here, which
-//! restructure the work into [`LANES`]-wide blocks (8 × f32 = one 256-bit
-//! vector register) that the compiler can autovectorize:
-//!
-//! - [`unary_f32`] / [`binary_f32`] hoist the op dispatch out of the loop
-//!   (one `match` per tile, not per element) and run the op body over
-//!   fixed-size `[f32; LANES]` blocks. Each lane applies exactly the same
-//!   per-element function as the scalar path ([`UnaryOp::eval_f32`] /
-//!   [`BinaryOp::eval_f32`]), so results are **bit-identical** to scalar
-//!   evaluation — maps have no cross-element dependence to reassociate.
+//! - [`Tiler`] fills every elementwise output: the unfused kernels of
+//!   [`crate::elementwise`] for every dtype and the fused tile executor in
+//!   `tfe-graph`. Its tiles are [`LANES`] multiples fixed by the length, so
+//!   an element's bits depend only on its index, the length, the op and the
+//!   build — never on the thread count or on whether it ran fused.
+//! - A tile runs a block function: [`unary_f32`] / [`binary_f32`] for f32
+//!   (op dispatch hoisted out of the loop), the scalar `eval` formulas for
+//!   every other dtype, each over fixed-size `[T; LANES]` blocks plus a
+//!   scalar tail. Each lane applies the per-element function
+//!   ([`UnaryOp::eval_f32`] / [`BinaryOp::eval_f32`]), so every non-NaN
+//!   result is the scalar one; which NaN two NaN operands give depends on
+//!   the operand order the compiler picked, in a block or in the tail.
 //! - [`Periodic`] is how broadcasting reaches those loops: an operand whose
 //!   shape is a suffix of the output's (a scalar, a bias, a mask over
-//!   trailing axes) is read as `src[i % p]`, and `Periodic::window` hands
-//!   the loops a contiguous slice of that sequence — repeated once per
-//!   call into a pattern at most one window longer than the operand. The
-//!   `binary`/`compare` kernels and the fused tile executor in `tfe-graph`
-//!   share it, so a broadcast op costs about what a same-shape op does and
-//!   produces the bits the same-shape loops produce. Operands that are not
-//!   periodic (a `[n, 1]` column) are read through the crate's one index
-//!   walk, `shape::strided`.
+//!   trailing axes) is read as `src[i % p]` through contiguous windows, so a
+//!   broadcast op costs about what a same-shape op does. Any other operand
+//!   (a `[n, 1]` column) is gathered along the crate's one index walk,
+//!   `shape::strided`, into per-thread tile scratch.
 //! - [`lane_fold_f64`] folds a row through `LANES` independent accumulators.
 //!   This **reassociates** the fold, so for non-associative ops (float
 //!   `add`/`mul`) the bits differ from a strict left fold; the combine order
@@ -43,24 +42,27 @@
 
 use crate::data::Scalar;
 use crate::elementwise::{BinaryOp, UnaryOp};
+use crate::shape::{broadcast_strides, strided, Shape};
 
 /// Lane width of the restructured inner loops: 8 × f32 fills one 256-bit
 /// vector register, and 8 × f64 accumulators fill two — enough independent
 /// chains to hide FMA latency on current cores.
 pub const LANES: usize = 8;
 
-/// Apply `f` to every element of `src`, writing `dst` (equal lengths), in
-/// [`LANES`]-wide blocks plus a scalar tail. Bit-identical to a plain loop.
+/// `dst[i] = f(src[i])` (equal lengths) in [`LANES`]-wide blocks plus a
+/// scalar tail: the shape of every elementwise block function. Under the
+/// [`Tiler`] only the last tile has a tail, so whether an element runs in
+/// a block or in the tail depends on its index alone.
 #[inline(always)]
-fn map_unary(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
+pub(crate) fn map_unary<A: Copy, U>(src: &[A], dst: &mut [U], f: impl Fn(A) -> U) {
     debug_assert_eq!(src.len(), dst.len());
     let m = src.len() - src.len() % LANES;
     let (sb, st) = src.split_at(m);
     let (db, dt) = dst.split_at_mut(m);
     for (d, s) in db.chunks_exact_mut(LANES).zip(sb.chunks_exact(LANES)) {
         // Fixed-size views let the compiler fully unroll the lane loop.
-        let d: &mut [f32; LANES] = d.try_into().unwrap();
-        let s: &[f32; LANES] = s.try_into().unwrap();
+        let d: &mut [U; LANES] = d.try_into().unwrap();
+        let s: &[A; LANES] = s.try_into().unwrap();
         for (o, &x) in d.iter_mut().zip(s.iter()) {
             *o = f(x);
         }
@@ -72,7 +74,12 @@ fn map_unary(src: &[f32], dst: &mut [f32], f: impl Fn(f32) -> f32) {
 
 /// Two-source variant of [`map_unary`].
 #[inline(always)]
-fn map_binary(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(f32, f32) -> f32) {
+pub(crate) fn map_binary<A: Copy, B: Copy, U>(
+    a: &[A],
+    b: &[B],
+    dst: &mut [U],
+    f: impl Fn(A, B) -> U,
+) {
     debug_assert_eq!(a.len(), dst.len());
     debug_assert_eq!(b.len(), dst.len());
     let m = dst.len() - dst.len() % LANES;
@@ -82,9 +89,9 @@ fn map_binary(a: &[f32], b: &[f32], dst: &mut [f32], f: impl Fn(f32, f32) -> f32
     for ((d, x), y) in
         db.chunks_exact_mut(LANES).zip(ab.chunks_exact(LANES)).zip(bb.chunks_exact(LANES))
     {
-        let d: &mut [f32; LANES] = d.try_into().unwrap();
-        let x: &[f32; LANES] = x.try_into().unwrap();
-        let y: &[f32; LANES] = y.try_into().unwrap();
+        let d: &mut [U; LANES] = d.try_into().unwrap();
+        let x: &[A; LANES] = x.try_into().unwrap();
+        let y: &[B; LANES] = y.try_into().unwrap();
         for ((o, &p), &q) in d.iter_mut().zip(x.iter()).zip(y.iter()) {
             *o = f(p, q);
         }
@@ -174,6 +181,121 @@ impl<'a, T: Copy> Periodic<'a, T> {
     pub fn window(&self, start: usize, len: usize) -> &[T] {
         let phase = start % self.period;
         &self.buf[phase..phase + len]
+    }
+}
+
+/// The tiles of an `n`-element elementwise map: the one loop that fills
+/// every elementwise output, the unfused kernels of
+/// [`crate::elementwise`] and the fused tile executor in `tfe-graph` alike.
+///
+/// - Tile boundaries are multiples of [`LANES`], fixed by `n` and
+///   [`tfe_parallel::tile_len`] (rounded down to a lane multiple) alone, so
+///   only the last tile has a scalar tail and whether an element runs in a
+///   lane block or in that tail depends on its index alone.
+/// - The map goes parallel at `GRAIN_ELEMWISE` elements, one
+///   `par_chunks_mut` call per map, whole tiles per chunk.
+/// - Each operand is read on its own terms: a [`Periodic`] window when it
+///   is periodic in the output, otherwise gathered along the crate's index
+///   walk into per-thread tile scratch.
+///
+/// So fused runs, unfused runs and every thread count give an element the
+/// same bits, NaNs included: the block function, its position in a block
+/// and its operands' values are the same wherever it runs.
+#[derive(Debug)]
+pub struct Tiler {
+    n: usize,
+    tile: usize,
+}
+
+impl Tiler {
+    /// Tiles for an `n`-element map that keeps `buffers` live arrays of
+    /// `elem_bytes`-byte elements per tile (operands, scratch, output).
+    pub fn new(n: usize, elem_bytes: usize, buffers: usize) -> Tiler {
+        Tiler { n, tile: tfe_parallel::tile_len(elem_bytes, buffers) / LANES * LANES }
+    }
+
+    /// Elements per tile, a multiple of [`LANES`]: the widest window a
+    /// [`Periodic`] operand of this map is read in.
+    pub fn tile(&self) -> usize {
+        self.tile
+    }
+
+    /// Fill `out` (`n` elements) tile by tile: `body(start, out_tile)` for
+    /// each tile, on the shared pool once the map reaches
+    /// `GRAIN_ELEMWISE` elements.
+    pub fn run<U: Send>(&self, out: &mut [U], body: impl Fn(usize, &mut [U]) + Sync) {
+        debug_assert_eq!(out.len(), self.n);
+        let tile = self.tile;
+        let grain = crate::par::GRAIN_ELEMWISE.div_ceil(tile);
+        tfe_parallel::par_chunks_mut(out, tile, grain, |tiles, block| {
+            for (t, out_tile) in tiles.zip(block.chunks_mut(tile)) {
+                body(t * tile, out_tile);
+            }
+        });
+    }
+
+    /// [`Tiler::run`] with `buffers` scratch arrays of at least a tile each,
+    /// from the per-thread pool the gathered operands use too: the fused
+    /// tile executor's registers.
+    pub fn run_with_scratch<U: Scalar>(
+        &self,
+        out: &mut [U],
+        buffers: usize,
+        body: impl Fn(usize, &mut [U], &mut [Vec<U>]) + Sync,
+    ) {
+        self.run(out, |start, out_tile| {
+            let mut pool = U::scratch().take();
+            if pool.len() < buffers {
+                pool.resize_with(buffers, Vec::new);
+            }
+            for buf in &mut pool[..buffers] {
+                buf.resize(buf.len().max(self.tile), U::from_f64(0.0));
+            }
+            body(start, out_tile, &mut pool[..buffers]);
+            U::scratch().set(pool);
+        });
+    }
+}
+
+/// How the tiles of a map with output shape `out` read one operand.
+pub(crate) enum Operand<'a, T: Copy> {
+    /// Periodic in the output: contiguous windows.
+    Window(Periodic<'a, T>),
+    /// Anything else (a `[n, 1]` column, one of two partial operands):
+    /// gathered along the broadcast walk from the tile's first element.
+    Gathered { src: &'a [T], dims: Vec<usize>, strides: Vec<usize> },
+}
+
+impl<'a, T: Scalar> Operand<'a, T> {
+    /// `src`, of shape `shape`, as an operand of `tiler`'s map to `out`.
+    pub(crate) fn new(src: &'a [T], shape: &Shape, out: &Shape, tiler: &Tiler) -> Self {
+        if shape.is_periodic_in(out) {
+            Operand::Window(Periodic::new(src, tiler.n, tiler.tile))
+        } else {
+            Operand::Gathered {
+                src,
+                dims: out.dims().to_vec(),
+                strides: broadcast_strides(out, shape),
+            }
+        }
+    }
+
+    /// `k` of elements `start .. start + len` of the operand broadcast to
+    /// the output, contiguous.
+    pub(crate) fn read<R>(&self, start: usize, len: usize, k: impl FnOnce(&[T]) -> R) -> R {
+        match self {
+            Operand::Window(p) => k(p.window(start, len)),
+            Operand::Gathered { src, dims, strides } => {
+                // Taken out of the pool for the call, so a kernel the
+                // continuation runs on this thread finds the pool usable.
+                let mut buf = T::scratch().with(|s| s.borrow_mut().pop()).unwrap_or_default();
+                buf.clear();
+                buf.extend(strided(dims, strides, start).take(len).map(|i| src[i]));
+                let r = k(&buf);
+                T::scratch().with(|s| s.borrow_mut().push(buf));
+                r
+            }
+        }
     }
 }
 
@@ -278,6 +400,21 @@ mod tests {
                         want
                     );
                 }
+            }
+        }
+    }
+
+    /// Whatever the working set, a tile is a whole number of lanes, so only
+    /// a map's last `n % LANES` elements run in a scalar tail.
+    #[test]
+    fn tiles_are_lane_multiples() {
+        for buffers in 1..40 {
+            for elem_bytes in [1, 4, 8] {
+                let tile = Tiler::new(10_000, elem_bytes, buffers).tile();
+                assert!(
+                    tile > 0 && tile.is_multiple_of(LANES),
+                    "{elem_bytes} B x {buffers}: {tile}"
+                );
             }
         }
     }

@@ -75,5 +75,4 @@ pub mod softmax;
 pub use data::{Buffer, Scalar, TensorData};
 pub use dtype::DType;
 pub use error::{Result, TensorError};
-pub use par::GRAIN_ELEMWISE;
 pub use shape::{broadcast_shapes, Shape};

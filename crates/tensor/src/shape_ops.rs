@@ -414,21 +414,24 @@ pub fn scatter_add_rows(
     typed!(numeric updates.dtype(), |T| scatter_typed::<T>(&idx, updates, out_dims))
 }
 
-/// Each update row added into its output row in update order, every
-/// addition narrowed back to the element type ([`Accumulate`]).
+/// Each update row added into its output row in update order, in the
+/// accumulator type ([`Accumulate`]): an integer row sums in i64 and
+/// narrows once, saturating as `reduce_sum` and `cumsum` do, whatever the
+/// update order; a float row rounds every addition to the element type.
 fn scatter_typed<T: Accumulate>(
     idx: &[i64],
     updates: &TensorData,
     out_dims: Vec<usize>,
 ) -> Result<TensorData> {
     let inner: usize = out_dims[1..].iter().product();
-    let mut out = vec![T::default(); out_dims[0] * inner];
+    let mut acc = vec![T::Wide::identity(ReduceOp::Sum); out_dims[0] * inner];
     for (&i, row) in idx.iter().zip(updates.as_slice::<T>()?.chunks_exact(inner.max(1))) {
-        for (o, &u) in out[i as usize * inner..].iter_mut().zip(row) {
-            *o = T::narrow(Wide::fold(ReduceOp::Sum, o.widen(), u.widen()));
+        for (a, &u) in acc[i as usize * inner..].iter_mut().zip(row) {
+            let sum = Wide::fold(ReduceOp::Sum, *a, u.widen());
+            *a = if T::DTYPE.is_int() { sum } else { T::narrow(sum).widen() };
         }
     }
-    TensorData::from_vec(out, out_dims)
+    TensorData::from_vec(acc.into_iter().map(T::narrow).collect::<Vec<T>>(), out_dims)
 }
 
 /// Reverse the order of elements along `axis`.

@@ -113,6 +113,24 @@ done
 [ "${f64_route}" = 0 ]
 if grep -rn 'BroadcastWalker' crates src tests examples; then exit 1; fi
 
+# One-tiler gate: every elementwise map — the unfused kernels of every dtype
+# and the fused tile executor — fills its output through
+# `tfe_tensor::lanes::Tiler`, whose lane-multiple tiles make an element's
+# bits (a NaN's included) depend on its index, not on the split or on who ran
+# it (DESIGN.md §9). The per-dtype loops it replaced must not come back, and
+# neither file may split an output itself. Library parts only: each file cut
+# at its first `#[cfg(test)]`.
+echo "==> one elementwise tiler: no per-dtype map loops, no par_chunks_mut in elementwise.rs or program.rs"
+tiler=0
+for f in $(grep -rlE 'map2_par|binary_f32_lanes|unary_par|PERIODIC_WINDOW' crates src tests); do
+    if library_part "${f}" | grep -nE 'map2_par|binary_f32_lanes|unary_par|PERIODIC_WINDOW' \
+        | sed "s|^|${f}:|" | grep .; then tiler=1; fi
+done
+for f in crates/tensor/src/elementwise.rs crates/graph/src/program.rs; do
+    if library_part "${f}" | grep -n 'par_chunks_mut' | sed "s|^|${f}:|" | grep .; then tiler=1; fi
+done
+[ "${tiler}" = 0 ]
+
 # Synchronous-dispatch gate: an eager op runs on the caller before
 # `execute` returns. The async streams, pending handles, deferred errors,
 # the dispatch-mode switches and the serve dispatch option must not come
@@ -371,5 +389,10 @@ cargo run --release -q -p tfe-bench --bin dist_smoke > /dev/null
 echo "==> corpus differential + kernel parity on an enlarged corpus (TFE_FUZZ_CASES=1000, release)"
 TFE_FUZZ_CASES=1000 cargo test --release -q --no-fail-fast --test differential --test exec_differential \
     --test dist_differential --test pass_pipeline --test kernel_parity
+# The fused executor's random chains at 5000 cases: NaN inputs meet in
+# binary ops there, and the fused and unfused bits must still agree exactly
+# (`common::same_bits`), which the lane-aligned tiles make hold.
+echo "==> fused executor random chains at TFE_FUZZ_CASES=5000 (release)"
+TFE_FUZZ_CASES=5000 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
 
 echo "CI gate passed."

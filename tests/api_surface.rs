@@ -2,10 +2,15 @@
 //! eagerly AND inside a trace, confirming the two paths share one
 //! catalog/kernels/inference (§1's central implementation claim).
 
+mod common;
+
+use common::same_bits;
 use tf_eager::prelude::*;
 use tf_eager::RuntimeError;
 
-/// Run `build` eagerly and staged; assert identical outputs.
+/// Run `build` eagerly and staged; assert bit-identical outputs (dtype,
+/// shape and every element's bits: an i64 beyond 2^53, a NaN's payload and
+/// a zero's sign included).
 fn both_modes(
     name: &str,
     build: impl Fn(&[Tensor]) -> Result<Vec<Tensor>, RuntimeError> + Send + Sync + Clone + 'static,
@@ -22,7 +27,7 @@ fn both_modes(
     assert_eq!(eager.len(), staged.len());
     for (i, (e, s)) in eager.iter().zip(&staged).enumerate() {
         let (e, s) = (e.value().unwrap(), s.value().unwrap());
-        assert!(e.all_close(&s, 1e-6, 1e-9), "{name} output {i}: {e:?} vs {s:?}");
+        assert!(same_bits(&e, &s), "{name} output {i}: {e:?} vs {s:?}");
     }
 }
 

@@ -169,6 +169,43 @@ fn tiled_execution_is_thread_count_invariant() {
     }
 }
 
+/// `n` elements: quiet NaNs of the given bits, every fifth one a number.
+fn nans_f32(n: usize, bits: u32, seed: u64) -> TensorData {
+    let v = f32s(n, seed)
+        .into_iter()
+        .enumerate()
+        .map(|(i, x)| if i % 5 == 4 { x } else { f32::from_bits(bits) })
+        .collect();
+    TensorData::from_vec(v, Shape::from([n])).unwrap()
+}
+
+/// A fused program and the unfused kernels it replaces run on the same
+/// lane-aligned tiles, so opposite-sign NaN operands give the same bits
+/// through both, at 1 and at 4 intra-op threads: which NaN an element
+/// propagates depends only on its index, the length and the op.
+#[test]
+fn fused_and_unfused_agree_on_nan_bits_at_every_thread_count() {
+    for n in [4099usize, 40_001, 100_005] {
+        let a = nans_f32(n, 0x7fc0_0001, 31);
+        let b = nans_f32(n, 0xffc0_0002, 32);
+        for &op in BinaryOp::all() {
+            let text = format!("in:0;in:1;b:{}:0:1;u:neg:2;b:{}:3:1|4", op.name(), op.name());
+            let program = Program::decode(&text).unwrap();
+            let fused = program.clone().compile();
+            for threads in [1usize, 4] {
+                let ctx = format!("{text} n={n} threads={threads}");
+                let (tiled, unfused) = with_threads(threads, || {
+                    (fused.eval(&[&a, &b]).unwrap(), per_instruction(&program, &[&a, &b]).unwrap())
+                });
+                assert_eq!(bits32(&tiled), bits32(&unfused), "{ctx}: fused vs unfused");
+                let one = with_threads(1, || binary(&a, &b, op).unwrap());
+                let many = with_threads(threads, || binary(&a, &b, op).unwrap());
+                assert_eq!(bits32(&one), bits32(&many), "{ctx}: unfused at 1 thread");
+            }
+        }
+    }
+}
+
 fn shaped_f32(dims: &[usize], seed: u64) -> TensorData {
     TensorData::from_vec(f32s(dims.iter().product(), seed), Shape::from(dims)).unwrap()
 }

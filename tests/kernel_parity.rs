@@ -317,6 +317,61 @@ fn broadcast_binary_parity() {
 }
 
 // ---------------------------------------------------------------------------
+// NaN bits at every thread count: an elementwise map's tiles are lane
+// multiples fixed by its length, so whether an element runs in a lane block
+// or in the scalar tail does not depend on how the map is split.
+// ---------------------------------------------------------------------------
+
+/// Every elementwise kernel, f32 and f64, at 1 and at 4 intra-op threads,
+/// on opposite-sign quiet NaNs with distinct payloads (every fifth element
+/// a number): the same bits.
+#[test]
+fn elementwise_nan_bits_do_not_depend_on_the_thread_count() {
+    use tfe_tensor::elementwise::{select, unary, UnaryOp};
+    for n in [4099usize, 40_001, 100_005] {
+        let shape = Shape::from([n]);
+        let numbers = f32s(n, n as u64);
+        let nans32 = |bits: u32| {
+            let v = numbers.iter().enumerate();
+            let v = v.map(|(i, &x)| if i % 5 == 4 { x } else { f32::from_bits(bits) }).collect();
+            TensorData::from_vec::<f32>(v, shape.clone()).unwrap()
+        };
+        let nans64 = |bits: u64| {
+            let v = numbers.iter().enumerate();
+            let v = v.map(|(i, &x)| if i % 5 == 4 { x as f64 } else { f64::from_bits(bits) });
+            TensorData::from_vec::<f64>(v.collect(), shape.clone()).unwrap()
+        };
+        let pairs = [
+            (nans32(0x7fc0_0001), nans32(0xffc0_0002)),
+            (nans64(0x7ff8_0000_0000_0001), nans64(0xfff8_0000_0000_0002)),
+        ];
+        let cond = (0..n).map(|i| i % 3 == 0).collect::<Vec<bool>>();
+        let cond = TensorData::from_vec(cond, shape.clone()).unwrap();
+        let mut kernels: Vec<(String, Box<dyn Fn() -> TensorData + '_>)> = Vec::new();
+        for (a, b) in &pairs {
+            let dt = a.dtype().name();
+            for &op in BinaryOp::all() {
+                kernels.push((format!("{op:?} {dt}"), Box::new(move || binary(a, b, op).unwrap())));
+            }
+            for &op in UnaryOp::all() {
+                kernels.push((format!("{op:?} {dt}"), Box::new(move || unary(a, op).unwrap())));
+            }
+            for &op in CmpOp::all() {
+                kernels
+                    .push((format!("{op:?} {dt}"), Box::new(move || compare(a, b, op).unwrap())));
+            }
+            let cond = &cond;
+            kernels.push((format!("select {dt}"), Box::new(move || select(cond, a, b).unwrap())));
+        }
+        for (name, kernel) in &kernels {
+            let one = with_threads(1, kernel);
+            let four = with_threads(4, kernel);
+            assert!(same_bits(&one, &four), "{name} n={n}: 1 vs 4 intra-op threads");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Periodic operands: the slice fast path of `binary` and `compare` against
 // a per-index `broadcast_source_index` reference, exact bits.
 // ---------------------------------------------------------------------------
@@ -1132,10 +1187,13 @@ fn int32_overflow_saturates() {
     let sums = cumsum(&i32s(&[max, 1, -2, min], &[4]), 0).unwrap();
     assert_eq!(sums.as_slice::<i32>().unwrap(), &[max, max, max - 1, -2]);
 
+    // A row sums in i64 and saturates once, so the update order does not
+    // matter: `[MAX, 1, -1]` is MAX in any order.
     let rows = i32s(&[0, 0, 0, 1, 1], &[5]);
-    let updates = i32s(&[max, 1, -1, min, -1], &[5, 1]);
-    let out = scatter_add_rows(&rows, &updates, 2).unwrap();
-    assert_eq!(out.as_slice::<i32>().unwrap(), &[max - 1, min]);
+    for updates in [[max, 1, -1, min, -1], [1, max, -1, -1, min], [-1, 1, max, min, -1]] {
+        let out = scatter_add_rows(&rows, &i32s(&updates, &[5, 1]), 2).unwrap();
+        assert_eq!(out.as_slice::<i32>().unwrap(), &[max, min], "updates {updates:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

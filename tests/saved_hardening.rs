@@ -295,6 +295,58 @@ fn derived_fields_in_a_bundle_are_not_read() {
     assert_eq!(run(&want), (1.0 + 3.0, 3.0));
 }
 
+/// A `call` declares its statefulness and outputs, and the builder takes
+/// the node's sequencing edges and signature from them, so linking holds
+/// them to the callee: a bundle whose two `assign_add` calls say they are
+/// stateless (which would let a traced caller merge them into one), or
+/// whose call declares outputs its callee does not give, is a typed decode
+/// error naming the function and the node.
+#[test]
+fn a_bundle_cannot_declare_a_call_stateless() {
+    let v = Variable::new(TensorData::scalar(1.0f32));
+    let bump = {
+        let v = v.clone();
+        function1("declared_bump", move |x| {
+            v.assign_add(x)?;
+            v.read()
+        })
+    };
+    let twice = function1("declared_twice", move |x| {
+        bump.call_tensors(&[x])?;
+        Ok(bump.call_tensors(&[x])?.remove(0))
+    });
+    let probe = api::scalar(3.0f32);
+    let b = saved::export_to_value(&twice.concrete_for(&[Arg::from(&probe)]).unwrap()).unwrap();
+    let mut calls = Vec::new();
+    for (k, f) in get_at(&b, "/functions").as_array().expect("a function list").iter().enumerate() {
+        for (i, node) in f.get("nodes").and_then(Value::as_array).expect("nodes").iter().enumerate()
+        {
+            if node.get("op").and_then(Value::as_str) == Some("call") {
+                calls.push(format!("/functions/{k}/nodes/{i}/attrs"));
+            }
+        }
+    }
+    assert_eq!(calls.len(), 2, "{calls:?}");
+    assert!(saved::import_from_value(&b).unwrap().entry().is_stateful());
+    let refused = |attr: &str, value: Value, want: &str| {
+        let mut m = b.clone();
+        for call in &calls {
+            assert!(set_at(&mut m, &format!("{call}/{attr}/v"), Some(value.clone())), "{call}");
+        }
+        match saved::import_from_value(&m) {
+            Err(SavedError::Decode(why)) => {
+                assert!(
+                    why.contains("node") && why.contains("`call`") && why.contains(want),
+                    "{why}"
+                )
+            }
+            other => panic!("{attr}: want a decode error, got {:?}", other.map(|_| ())),
+        }
+    };
+    refused("stateful", Value::Bool(false), "declares stateful false");
+    refused("out_shapes", Value::str("(7)"), "declares outputs");
+}
+
 /// A tensor's `data` may arrive as the bytes leaf (in memory), as the base64
 /// string the text syntax turns that into, or as the decimal array older
 /// bundles hold. Swapping one form for another changes nothing; a payload
