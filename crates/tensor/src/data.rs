@@ -67,6 +67,49 @@ impl_scalar!(i32, DType::I32, I32, |x: i32| x as f64, |v: f64| v as i32);
 impl_scalar!(i64, DType::I64, I64, |x: i64| x as f64, |v: f64| v as i64);
 impl_scalar!(bool, DType::Bool, Bool, |x: bool| if x { 1.0 } else { 0.0 }, |v: f64| v != 0.0);
 
+/// A buffer on loan from this thread's [`Scalar::scratch`] pool: empty when
+/// taken (its capacity kept), handed back to the pool on drop. Kernels that
+/// run many tiles or calls on one thread take their scratch here instead of
+/// allocating it.
+pub(crate) struct Scratch<U: Scalar>(Vec<U>);
+
+impl<U: Scalar> Scratch<U> {
+    /// An empty buffer from the pool.
+    pub(crate) fn take() -> Self {
+        let mut v = U::scratch().with(|s| s.borrow_mut().pop()).unwrap_or_default();
+        v.clear();
+        Scratch(v)
+    }
+
+    /// A buffer from the pool holding `len` copies of `value`.
+    pub(crate) fn filled(len: usize, value: U) -> Self {
+        let mut s = Scratch::take();
+        s.0.resize(len, value);
+        s
+    }
+}
+
+impl<U: Scalar> Drop for Scratch<U> {
+    fn drop(&mut self) {
+        let v = std::mem::take(&mut self.0);
+        // A thread being torn down has no pool left to return it to.
+        let _ = U::scratch().try_with(|s| s.borrow_mut().push(v));
+    }
+}
+
+impl<U: Scalar> std::ops::Deref for Scratch<U> {
+    type Target = Vec<U>;
+    fn deref(&self) -> &Vec<U> {
+        &self.0
+    }
+}
+
+impl<U: Scalar> std::ops::DerefMut for Scratch<U> {
+    fn deref_mut(&mut self) -> &mut Vec<U> {
+        &mut self.0
+    }
+}
+
 /// Typed contiguous storage for tensor elements.
 #[derive(Clone, PartialEq)]
 pub enum Buffer {

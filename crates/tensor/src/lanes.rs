@@ -40,7 +40,7 @@
 //! 3. tail elements `row[m..]` are folded into that result in ascending
 //!    order.
 
-use crate::data::Scalar;
+use crate::data::{Scalar, Scratch};
 use crate::elementwise::{BinaryOp, UnaryOp};
 use crate::shape::{broadcast_strides, strided, Shape};
 
@@ -288,12 +288,9 @@ impl<'a, T: Scalar> Operand<'a, T> {
             Operand::Gathered { src, dims, strides } => {
                 // Taken out of the pool for the call, so a kernel the
                 // continuation runs on this thread finds the pool usable.
-                let mut buf = T::scratch().with(|s| s.borrow_mut().pop()).unwrap_or_default();
-                buf.clear();
+                let mut buf = Scratch::take();
                 buf.extend(strided(dims, strides, start).take(len).map(|i| src[i]));
-                let r = k(&buf);
-                T::scratch().with(|s| s.borrow_mut().push(buf));
-                r
+                k(&buf)
             }
         }
     }

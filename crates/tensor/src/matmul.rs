@@ -9,7 +9,9 @@
 //! identical to the serial reference loop regardless of path and thread
 //! count.
 
+use crate::data::Scratch;
 use crate::gemm::{gemm_into, GemmScalar};
+use crate::shape::{broadcast_strides, strided};
 use crate::{DType, Result, Shape, TensorData, TensorError};
 
 /// Multiply-adds per batch above which `batch_matmul` parallelizes inside
@@ -49,9 +51,10 @@ pub fn matmul_reference<T: GemmScalar>(
 
 /// `out = op(a) @ op(b)` by plain loops, for products too small to pay for
 /// packing: `i-p-j`, row `i` of `out` taking `a[i,p]` times row `p` of
-/// `b`, with a transposed `b` first copied out as `k x n` (a dot over `p`
-/// per element measured slower on the transposed L2HMC shapes: DESIGN.md
-/// §9). Each element is the ascending-`p` sum from the zeroed `out`, so
+/// `b`, with a transposed `b` first copied out as `k x n` into scratch
+/// from the per-thread `T::scratch()` pool (a dot over `p` per element
+/// measured slower on the transposed L2HMC shapes: DESIGN.md §9). Each
+/// element is the ascending-`p` sum from the zeroed `out`, so
 /// the bits are [`matmul_reference`]'s and the packed kernel's. Layouts as
 /// in [`matmul_reference`].
 #[allow(clippy::too_many_arguments)]
@@ -70,9 +73,9 @@ pub fn matmul_direct<T: GemmScalar>(
         return;
     }
     let a_at = |i: usize, p: usize| if ta { a[p * m + i] } else { a[i * k + p] };
-    let mut bt = Vec::new();
+    let mut bt: Scratch<T>;
     let b = if tb {
-        bt.reserve_exact(k * n);
+        bt = Scratch::take();
         for p in 0..k {
             bt.extend((0..n).map(|j| b[j * k + p]));
         }
@@ -252,8 +255,10 @@ pub fn batch_matmul(
     let batch_n = batch.num_elements();
     let a_mat = a.shape().dim(ar - 2) * a.shape().dim(ar - 1);
     let b_mat = b.shape().dim(br - 2) * b.shape().dim(br - 1);
-    let wa: Vec<usize> = crate::shape::broadcast_walk(&batch, &a_batch, 0).collect();
-    let wb: Vec<usize> = crate::shape::broadcast_walk(&batch, &b_batch, 0).collect();
+    let walk = |src: &Shape| -> Vec<usize> {
+        strided(batch.dims(), &broadcast_strides(&batch, src), 0).collect()
+    };
+    let (wa, wb) = (walk(&a_batch), walk(&b_batch));
 
     match a.dtype() {
         DType::F32 => {

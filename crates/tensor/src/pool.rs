@@ -1,7 +1,40 @@
 //! Max/average 2-D pooling and gradients, NHWC layout.
+//!
+//! Both kernels read and write typed slices in the input's own dtype, the
+//! channel run innermost and contiguous: a window folds one `C`-long pixel
+//! row per tap, taps in `(ky, kx)` order, into a `C`-long accumulator row.
+//!
+//! - max forward: the row starts at `-inf` and takes a tap where it is
+//!   strictly greater, in the element type. That is exact, drops a NaN as
+//!   `f64::max` does, and keeps the first of equal taps (`-0.0` and `+0.0`
+//!   are equal);
+//! - avg forward: the taps add up in an `f64` row from `+0.0`, divided by
+//!   the window's valid count and narrowed once;
+//! - gradients: each window routes `grad_out` to the first strict maximum
+//!   per channel (found in the element type), or `g / count` to every valid
+//!   tap, and an input element's sum is kept in `f64` in `(b, oy, ox)`
+//!   order and narrowed once. Where stride ≥ ksize on both axes the windows
+//!   are disjoint, each element takes at most one `0 + v`, and it is written
+//!   in place; where they overlap, the sums run in a per-task `f64` block.
+//!
+//! The forward splits over output rows, the gradients over input rows, with
+//! `par_chunks_mut`; a task that shares a window with its neighbour reads
+//! that window again, so each element's arithmetic is fixed by the geometry
+//! alone. The results are bitwise [`pool2d_reference`] and
+//! [`pool2d_grad_reference`] — the direct `f64` loops these replaced — at
+//! every thread count (`tests/kernel_parity.rs`), except where the
+//! references leave a choice to the compiler (DESIGN.md §9): where two NaNs
+//! meet in a sum (an average, or overlapping windows' gradients), which
+//! one's sign and payload come out, and where `-0.0` and `+0.0` tie for a
+//! max, which zero `f64::max` returns. The references' own builds differ
+//! there; the first tap's zero is this kernel's rule. The `C`-long scratch
+//! rows come from the per-thread `Scalar::scratch` pools.
 
 use crate::conv::Padding;
-use crate::{Result, Shape, TensorData, TensorError};
+use crate::data::Scratch;
+use crate::{DType, Result, Scalar, Shape, TensorData, TensorError};
+use std::ops::Range;
+use tfe_parallel::par_chunks_mut;
 
 /// Pooling kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -53,11 +86,242 @@ fn geometry(
     Ok(PoolGeometry { n, h, w, c, kh, kw, sh, sw, oh, ow, ph, pw })
 }
 
+impl PoolGeometry {
+    /// The input rows window row `oy` covers inside the image.
+    fn rows(&self, oy: usize) -> Range<usize> {
+        inside(oy * self.sh, self.ph, self.kh, self.h)
+    }
+
+    /// The input columns window column `ox` covers inside the image.
+    fn cols(&self, ox: usize) -> Range<usize> {
+        inside(ox * self.sw, self.pw, self.kw, self.w)
+    }
+
+    /// Offset of pixel `(b, iy, ix)`'s channel row in the input.
+    fn pixel(&self, b: usize, iy: usize, ix: usize) -> usize {
+        ((b * self.h + iy) * self.w + ix) * self.c
+    }
+
+    /// Whether no input element lies in two windows.
+    fn disjoint(&self) -> bool {
+        self.sh >= self.kh && self.sw >= self.kw
+    }
+}
+
+/// `start - pad .. start - pad + k`, clipped to `0..extent`: one window
+/// axis's in-bounds taps, ascending.
+fn inside(start: usize, pad: usize, k: usize, extent: usize) -> Range<usize> {
+    let lo = start.saturating_sub(pad).min(extent);
+    let hi = (start + k).saturating_sub(pad).min(extent);
+    lo..hi.max(lo)
+}
+
+/// Units (rows of `unit` elements) per parallel task.
+fn grain(unit: usize) -> usize {
+    crate::par::GRAIN_ELEMWISE.div_ceil(unit.max(1))
+}
+
 /// Forward pooling.
 ///
 /// # Errors
 /// Non-float input or invalid geometry.
 pub fn pool2d(
+    input: &TensorData,
+    ksize: (usize, usize),
+    strides: (usize, usize),
+    padding: Padding,
+    kind: PoolKind,
+) -> Result<TensorData> {
+    if !input.dtype().is_float() {
+        return Err(TensorError::DTypeMismatch {
+            expected: "a float dtype".to_string(),
+            got: input.dtype(),
+        });
+    }
+    let g = geometry(input.shape(), ksize, strides, padding)?;
+    let dims = Shape::from([g.n, g.oh, g.ow, g.c]);
+    match input.dtype() {
+        DType::F32 => TensorData::from_vec(pool_typed::<f32>(input.as_slice()?, &g, kind), dims),
+        _ => TensorData::from_vec(pool_typed::<f64>(input.as_slice()?, &g, kind), dims),
+    }
+}
+
+/// [`pool2d`] over a typed input, one task per group of output rows.
+fn pool_typed<T: Scalar>(x: &[T], g: &PoolGeometry, kind: PoolKind) -> Vec<T> {
+    let row = g.ow * g.c;
+    let mut out = vec![T::from_f64(0.0); g.n * g.oh * row];
+    par_chunks_mut(&mut out, row, grain(row), |rows, block| {
+        let mut acc = Scratch::filled(if kind == PoolKind::Avg { g.c } else { 0 }, 0.0f64);
+        for (r, orow) in rows.zip(block.chunks_exact_mut(row)) {
+            let (b, iys) = (r / g.oh, g.rows(r % g.oh));
+            for (ox, o) in orow.chunks_exact_mut(g.c).enumerate() {
+                let ixs = g.cols(ox);
+                match kind {
+                    PoolKind::Max => {
+                        o.fill(T::from_f64(f64::NEG_INFINITY));
+                        for iy in iys.clone() {
+                            for ix in ixs.clone() {
+                                for (m, &v) in o.iter_mut().zip(&x[g.pixel(b, iy, ix)..][..g.c]) {
+                                    *m = if v > *m { v } else { *m };
+                                }
+                            }
+                        }
+                    }
+                    PoolKind::Avg => {
+                        acc.fill(0.0);
+                        for iy in iys.clone() {
+                            for ix in ixs.clone() {
+                                let taps = acc.iter_mut().zip(&x[g.pixel(b, iy, ix)..][..g.c]);
+                                for (a, &v) in taps {
+                                    *a += v.to_f64();
+                                }
+                            }
+                        }
+                        let count = iys.len() * ixs.len();
+                        for (o, &a) in o.iter_mut().zip(acc.iter()) {
+                            *o = T::from_f64(if count == 0 { 0.0 } else { a / count as f64 });
+                        }
+                    }
+                }
+            }
+        }
+    });
+    out
+}
+
+/// Gradient of [`pool2d`] with respect to its input.
+///
+/// For max pooling the gradient routes to the (first) argmax element of each
+/// window; for average pooling it spreads uniformly over the valid window.
+///
+/// # Errors
+/// Shape or dtype mismatches.
+pub fn pool2d_grad(
+    input: &TensorData,
+    grad_out: &TensorData,
+    ksize: (usize, usize),
+    strides: (usize, usize),
+    padding: Padding,
+    kind: PoolKind,
+) -> Result<TensorData> {
+    let g = geometry(input.shape(), ksize, strides, padding)?;
+    if grad_out.shape().dims() != [g.n, g.oh, g.ow, g.c] {
+        return Err(TensorError::ShapeMismatch {
+            expected: format!("pool output shape ({},{},{},{})", g.n, g.oh, g.ow, g.c),
+            got: grad_out.shape().clone(),
+        });
+    }
+    if !input.dtype().is_float() || grad_out.dtype() != input.dtype() {
+        return Err(TensorError::DTypeMismatch {
+            expected: format!("a float grad_out of the input's dtype {}", input.dtype().name()),
+            got: grad_out.dtype(),
+        });
+    }
+    let (x, go, dims) = (input, grad_out, input.shape().clone());
+    match input.dtype() {
+        DType::F32 => {
+            TensorData::from_vec(grad_typed::<f32>(x.as_slice()?, go.as_slice()?, &g, kind), dims)
+        }
+        _ => TensorData::from_vec(grad_typed::<f64>(x.as_slice()?, go.as_slice()?, &g, kind), dims),
+    }
+}
+
+/// [`pool2d_grad`] over typed operands, one task per group of input rows.
+fn grad_typed<T: Scalar>(x: &[T], go: &[T], g: &PoolGeometry, kind: PoolKind) -> Vec<T> {
+    let row = g.w * g.c;
+    let mut gx = vec![T::from_f64(0.0); g.n * g.h * row];
+    par_chunks_mut(&mut gx, row, grain(row), |rows, block| {
+        let lo = rows.start * row;
+        if g.disjoint() {
+            route(x, go, g, kind, rows, |i, v| block[i - lo] = T::from_f64(0.0 + v));
+        } else {
+            // As large as the task's block, so not kept in a per-thread pool.
+            let mut acc = vec![0.0f64; block.len()];
+            route(x, go, g, kind, rows, |i, v| acc[i - lo] += v);
+            for (o, &a) in block.iter_mut().zip(&acc) {
+                *o = T::from_f64(a);
+            }
+        }
+    });
+    gx
+}
+
+/// Hand `add(i, v)` every gradient contribution `v` that lands on an input
+/// element `i` of the input rows `rows` (`b * h + iy`), in `(b, oy, ox)`
+/// order: per window, `grad_out` to the first strict maximum of each
+/// channel (max), or `g / count` to each valid tap (avg).
+fn route<T: Scalar>(
+    x: &[T],
+    go: &[T],
+    g: &PoolGeometry,
+    kind: PoolKind,
+    rows: Range<usize>,
+    mut add: impl FnMut(usize, f64),
+) {
+    let c = g.c;
+    let elems = rows.start * g.w * c..rows.end * g.w * c;
+    let mut best = Scratch::filled(c, T::from_f64(0.0));
+    let mut arg = Scratch::filled(c, 0i64);
+    let mut share = Scratch::filled(c, 0.0f64);
+    for b in rows.start / g.h..rows.end.div_ceil(g.h) {
+        // This task's input rows of batch `b`.
+        let ys = rows.start.max(b * g.h) - b * g.h..rows.end.min((b + 1) * g.h) - b * g.h;
+        for oy in 0..g.oh {
+            let iys = g.rows(oy);
+            if iys.end <= ys.start || iys.start >= ys.end {
+                continue;
+            }
+            for ox in 0..g.ow {
+                let ixs = g.cols(ox);
+                let gorow = &go[((b * g.oh + oy) * g.ow + ox) * c..][..c];
+                match kind {
+                    PoolKind::Max => {
+                        best.fill(T::from_f64(f64::NEG_INFINITY));
+                        arg.fill(-1);
+                        for iy in iys.clone() {
+                            for ix in ixs.clone() {
+                                let p = g.pixel(b, iy, ix);
+                                let taps = best.iter_mut().zip(arg.iter_mut()).zip(&x[p..][..c]);
+                                for ((m, a), &v) in taps {
+                                    let above = v > *m;
+                                    *m = if above { v } else { *m };
+                                    *a = if above { p as i64 } else { *a };
+                                }
+                            }
+                        }
+                        for (ci, (&p, &gv)) in arg.iter().zip(gorow).enumerate() {
+                            if p >= 0 && elems.contains(&(p as usize)) {
+                                add(p as usize + ci, gv.to_f64());
+                            }
+                        }
+                    }
+                    PoolKind::Avg => {
+                        let count = (iys.len() * ixs.len()) as f64;
+                        for (s, &gv) in share.iter_mut().zip(gorow) {
+                            *s = gv.to_f64() / count;
+                        }
+                        for iy in iys.start.max(ys.start)..iys.end.min(ys.end) {
+                            for ix in ixs.clone() {
+                                let p = g.pixel(b, iy, ix);
+                                for (ci, &s) in share.iter().enumerate() {
+                                    add(p + ci, s);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Direct-loop reference forward pooling: every element widened to `f64`,
+/// one serial scalar loop per output element. Kept for parity testing of
+/// [`pool2d`] (`tests/kernel_parity.rs`).
+///
+/// # Errors
+/// Non-float input or invalid geometry.
+pub fn pool2d_reference(
     input: &TensorData,
     ksize: (usize, usize),
     strides: (usize, usize),
@@ -118,14 +382,13 @@ pub fn pool2d(
     Ok(TensorData::from_f64_vec(input.dtype(), out, Shape::from([g.n, g.oh, g.ow, g.c])))
 }
 
-/// Gradient of [`pool2d`] with respect to its input.
-///
-/// For max pooling the gradient routes to the (first) argmax element of each
-/// window; for average pooling it spreads uniformly over the valid window.
+/// Direct-loop reference pooling gradient: each output element's window
+/// searched again (max) or collected into a `Vec` (avg), added in `f64` in
+/// `(b, oy, ox, ci)` order. Kept for parity testing of [`pool2d_grad`].
 ///
 /// # Errors
 /// Shape or dtype mismatches.
-pub fn pool2d_grad(
+pub fn pool2d_grad_reference(
     input: &TensorData,
     grad_out: &TensorData,
     ksize: (usize, usize),

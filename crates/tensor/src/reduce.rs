@@ -17,7 +17,7 @@
 //! value-exact on every pattern (NaN-free input assumed), and ints exact.
 
 use crate::data::Scalar;
-use crate::shape::broadcast_walk;
+use crate::shape::{broadcast_strides, strided};
 use crate::{DType, Result, Shape, TensorData, TensorError};
 
 /// The supported reduction kinds.
@@ -264,7 +264,8 @@ fn fold_linear<T: Copy, A>(
     acc: &mut [A],
     f: impl Fn(&mut A, T),
 ) {
-    for (&x, o) in v.iter().zip(broadcast_walk(s, &reduced_shape(s, axes, true), 0)) {
+    let to_out = broadcast_strides(s, &reduced_shape(s, axes, true));
+    for (&x, o) in v.iter().zip(strided(s.dims(), &to_out, 0)) {
         f(&mut acc[o], x);
     }
 }

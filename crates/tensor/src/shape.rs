@@ -221,12 +221,13 @@ pub fn broadcast_source_index(out_dims: &[usize], src_dims: &[usize], linear: us
 /// `start` on (a parallel tile's first element). A stride of 0 repeats an
 /// axis: a broadcast operand ([`broadcast_strides`]), a tiled one, or the
 /// output of a reduction, whose index is this walk over the input with
-/// stride 0 on the reduced axes.
-pub(crate) fn strided(
-    extents: &[usize],
-    strides: &[usize],
+/// stride 0 on the reduced axes. The walk borrows `extents` and `strides`;
+/// its one allocation is the coordinate odometer.
+pub(crate) fn strided<'a>(
+    extents: &'a [usize],
+    strides: &'a [usize],
     start: usize,
-) -> impl Iterator<Item = usize> {
+) -> impl Iterator<Item = usize> + 'a {
     let total: usize = extents.iter().product();
     debug_assert!(start <= total);
     let mut coords = vec![0usize; extents.len()];
@@ -239,7 +240,6 @@ pub(crate) fn strided(
             offset += coords[i] * strides[i];
         }
     }
-    let (extents, strides) = (extents.to_vec(), strides.to_vec());
     let mut left = total.saturating_sub(start);
     std::iter::from_fn(move || {
         if left == 0 {
@@ -273,16 +273,6 @@ pub(crate) fn broadcast_strides(out: &Shape, src: &Shape) -> Vec<usize> {
         acc *= d;
     }
     strides
-}
-
-/// [`strided`] over `out` reading a source of shape `src` broadcast to it:
-/// for each element of `out` from `start` on, the source's linear index.
-pub(crate) fn broadcast_walk(
-    out: &Shape,
-    src: &Shape,
-    start: usize,
-) -> impl Iterator<Item = usize> {
-    strided(out.dims(), &broadcast_strides(out, src), start)
 }
 
 #[cfg(test)]
@@ -342,7 +332,7 @@ mod tests {
     }
 
     fn walk(out: &[usize], src: &[usize], start: usize) -> Vec<usize> {
-        broadcast_walk(&Shape::from(out), &Shape::from(src), start).collect()
+        strided(out, &broadcast_strides(&Shape::from(out), &Shape::from(src)), start).collect()
     }
 
     #[test]
@@ -397,7 +387,8 @@ mod tests {
                 let direct: Vec<usize> =
                     (0..n).map(|i| broadcast_source_index(out.dims(), sa.dims(), i)).collect();
                 for start in 0..=n {
-                    let walked: Vec<usize> = broadcast_walk(&out, &sa, start).collect();
+                    let strides = broadcast_strides(&out, &sa);
+                    let walked: Vec<usize> = strided(out.dims(), &strides, start).collect();
                     assert_eq!(walked, direct[start..]);
                 }
                 assert!(direct.iter().all(|&idx| idx < sa.num_elements()));

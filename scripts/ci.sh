@@ -131,6 +131,16 @@ for f in crates/tensor/src/elementwise.rs crates/graph/src/program.rs; do
 done
 [ "${tiler}" = 0 ]
 
+# Typed-pooling gate: `pool2d` and `pool2d_grad` read and write typed slices
+# in the input's dtype, their scratch rows from the per-thread pools
+# (DESIGN.md §9). Only the two direct-loop references kept for the parity
+# tests may widen a whole tensor to `f64` and back or build a `Vec` per
+# window. Library part only.
+echo "==> pool.rs: no to_f64_vec, from_f64_vec or Vec::new() outside the *_reference functions"
+if library_part crates/tensor/src/pool.rs \
+    | awk '/^pub fn pool2d(_grad)?_reference\(/ { skip = 1 } !skip { print NR ": " $0 } skip && /^}/ { skip = 0 }' \
+    | grep -E 'to_f64_vec|from_f64_vec|Vec::new\(\)'; then exit 1; fi
+
 # Synchronous-dispatch gate: an eager op runs on the caller before
 # `execute` returns. The async streams, pending handles, deferred errors,
 # the dispatch-mode switches and the serve dispatch option must not come

@@ -30,6 +30,13 @@
 //! * `conv2d` forward accumulates in f64 in the same (ky, kx, ci) order
 //!   as the reference, with exact `+0.0` padding terms; compared here by
 //!   value (a `-0.0` vs `+0.0` sign difference is tolerated).
+//! * `pool2d` and `pool2d_grad` are bitwise `pool2d_reference` and
+//!   `pool2d_grad_reference` at any thread count, NaN payloads included,
+//!   except where the references leave a choice to the compiler: where two
+//!   NaNs meet in a sum (an average, or overlapping windows' gradients)
+//!   only NaN-ness is compared, and where `-0.0` and `+0.0` tie for a
+//!   window's max (the reference's `f64::max` may return either) only the
+//!   value. The kernel's own tie rule, the first tap, is pinned apart.
 
 mod common;
 
@@ -42,7 +49,7 @@ use tfe_tensor::reduce::{reduce, ReduceOp};
 use tfe_tensor::rng::{each_seed, Rng};
 use tfe_tensor::shape::broadcast_source_index;
 use tfe_tensor::softmax::{log_softmax, softmax};
-use tfe_tensor::{broadcast_shapes, conv, DType, Scalar, Shape, TensorData};
+use tfe_tensor::{broadcast_shapes, conv, pool, DType, Scalar, Shape, TensorData};
 
 /// Run `f` under a forced intra-op thread count, restoring the previous
 /// setting afterwards. Kernels are thread-count invariant by design, so
@@ -1007,6 +1014,191 @@ fn conv2d_backprop_filter_nonfinite_reaches_padded_taps() {
             assert_eq!(got[c1].to_bits(), want[c1].to_bits(), "channel 1 tap ({ky}, {kx})");
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pooling: the non-finite contract, pinned on the loops it was first
+// written against, then the kernels against those loops bit for bit.
+// ---------------------------------------------------------------------------
+
+/// One `[1, 2, 2, 1]` image with the given elements, pooled by one 2×2
+/// window (its four taps in `(ky, kx)` order).
+fn window_2x2<T: Scalar>(taps: [T; 4]) -> TensorData {
+    TensorData::from_vec(taps.to_vec(), Shape::from([1, 2, 2, 1])).unwrap()
+}
+
+fn max_pool_2x2(x: &TensorData) -> (TensorData, TensorData) {
+    let (k, s, valid, max) = ((2, 2), (2, 2), conv::Padding::Valid, pool::PoolKind::Max);
+    let y = pool::pool2d(x, k, s, valid, max).unwrap();
+    let go = TensorData::ones(x.dtype(), [1, 1, 1, 1]);
+    (y, pool::pool2d_grad(x, &go, k, s, valid, max).unwrap())
+}
+
+/// Max pooling drops a NaN as `f64::max` does: a window of only NaN pools
+/// to `-inf`, a NaN never takes the gradient, and a window with no element
+/// above `-inf` routes its gradient nowhere.
+#[test]
+fn max_pool_drops_nan() {
+    let nan = f32::from_bits(0xffc1_2345);
+    let (y, gx) = max_pool_2x2(&window_2x2([f32::NAN, nan, f32::NAN, nan]));
+    assert_eq!(y.as_slice::<f32>().unwrap(), [f32::NEG_INFINITY]);
+    assert_eq!(bits32(gx.as_slice::<f32>().unwrap()), [0; 4], "an all-NaN window routes nothing");
+
+    let (y, gx) = max_pool_2x2(&window_2x2([f64::NAN, -3.0, f64::NAN, -5.0]));
+    assert_eq!(y.as_slice::<f64>().unwrap(), [-3.0]);
+    assert_eq!(gx.as_slice::<f64>().unwrap(), [0.0, 1.0, 0.0, 0.0], "NaN never takes the max");
+
+    let (y, gx) = max_pool_2x2(&window_2x2([f32::NEG_INFINITY, f32::NAN, f32::NEG_INFINITY, nan]));
+    assert_eq!(y.as_slice::<f32>().unwrap(), [f32::NEG_INFINITY]);
+    assert_eq!(bits32(gx.as_slice::<f32>().unwrap()), [0; 4], "-inf is no strict maximum");
+}
+
+/// A lone NaN in a sum comes out with its sign and payload: in an average
+/// window, and in an input element that two overlapping windows' gradients
+/// reach.
+#[test]
+fn pool_sums_carry_a_lone_nan() {
+    let nan = f32::from_bits(0xffc1_2345);
+    let x = window_2x2([1.0f32, nan, 2.0, 3.0]);
+    let avg = pool::PoolKind::Avg;
+    let y = pool::pool2d(&x, (2, 2), (2, 2), conv::Padding::Valid, avg).unwrap();
+    assert_eq!(bits32(y.as_slice::<f32>().unwrap()), [nan.to_bits()]);
+    // 2×2 windows at stride 1 over a 3×1 image: the middle row is in both.
+    let x = TensorData::from_vec(vec![1.0f32, 2.0, 3.0], Shape::from([1, 3, 1, 1])).unwrap();
+    let go = TensorData::from_vec(vec![nan, 4.0], Shape::from([1, 2, 1, 1])).unwrap();
+    let gx = pool::pool2d_grad(&x, &go, (2, 1), (1, 1), conv::Padding::Valid, avg).unwrap();
+    let gx = bits32(gx.as_slice::<f32>().unwrap());
+    assert_eq!(gx, [nan.to_bits(), nan.to_bits(), 2.0f32.to_bits()]);
+}
+
+/// A `-0.0`/`+0.0` tie is a tie: the first tap keeps the max, its sign
+/// included, and takes the gradient. (The direct loop's `f64::max` gave
+/// the same here with the stable toolchain, but may return either zero.)
+#[test]
+fn max_pool_signed_zero_ties_go_to_the_first_tap() {
+    for (taps, first) in [([-0.0f32, 0.0, -1.0, 0.0], 0), ([-2.0f32, 0.0, -0.0, 0.0], 1)] {
+        let (y, gx) = max_pool_2x2(&window_2x2(taps));
+        assert_eq!(bits32(y.as_slice::<f32>().unwrap()), [taps[first].to_bits()], "{taps:?}");
+        let mut want = [0.0f32; 4];
+        want[first] = 1.0;
+        assert_eq!(bits32(gx.as_slice::<f32>().unwrap()), bits32(&want), "{taps:?}");
+    }
+    let (y, gx) = max_pool_2x2(&window_2x2([0.0f64, -0.0, -0.0, 0.0]));
+    assert_eq!(y.as_slice::<f64>().unwrap()[0].to_bits(), 0.0f64.to_bits());
+    assert_eq!(gx.as_slice::<f64>().unwrap(), [1.0, 0.0, 0.0, 0.0]);
+}
+
+/// Pool operands with ties and every special: NaNs of both signs (one
+/// with a payload), both infinities, both zeros, repeated small integers
+/// (equal taps), otherwise full-mantissa values in `[-2, 2)`.
+fn pool_tensor(rng: &mut Rng, dtype: DType, dims: &[usize]) -> TensorData {
+    let specials = [f64::NAN, -f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 0.0];
+    let vals = (0..dims.iter().product())
+        .map(|_| match rng.range(0..50usize) {
+            i @ 0..=2 => specials[i * 2 + rng.range(0..2usize)],
+            3..=14 => rng.range(0..4usize) as f64 - 2.0,
+            _ => rng.f64() * 4.0 - 2.0,
+        })
+        .collect();
+    let t = TensorData::from_f64_vec(dtype, vals, Shape::from(dims));
+    if dtype != DType::F32 {
+        return t;
+    }
+    // A NaN payload must come through the gradient's `0 + g` as it is.
+    let mut v = t.as_slice::<f32>().unwrap().to_vec();
+    for x in v.iter_mut().filter(|x| x.is_nan()).step_by(2) {
+        *x = f32::from_bits(0xffc1_2345);
+    }
+    TensorData::from_vec(v, Shape::from(dims)).unwrap()
+}
+
+/// Whether `got` is `want` bit for bit, except for two choices the
+/// direct loops leave to the compiler. Where `nan_sums`, an element NaN in
+/// both may differ in sign and payload: where two NaNs meet in a sum, which
+/// one comes out depends on the operand order, and the references' own
+/// debug and release builds differ there. Where `zero_max`, an element zero
+/// in both may differ in sign: `f64::max` may return either of `-0.0` and
+/// `+0.0`, and which one it does varies with the toolchain (stable and
+/// nightly differ) and the optimization level.
+fn pool_bits(got: &TensorData, want: &TensorData, nan_sums: bool, zero_max: bool) -> bool {
+    if !nan_sums && !zero_max {
+        return same_bits(got, want);
+    }
+    // Widening keeps a non-NaN's bits apart, and a NaN a NaN.
+    let (a, b) = (got.to_f64_vec(), want.to_f64_vec());
+    got.dtype() == want.dtype()
+        && got.shape() == want.shape()
+        && a.iter().zip(&b).all(|(&x, &y)| {
+            x.to_bits() == y.to_bits()
+                || nan_sums && x.is_nan() && y.is_nan()
+                || zero_max && x == 0.0 && y == 0.0
+        })
+}
+
+/// Both pool kinds of one geometry, forward and gradient, against the
+/// direct loops bit for bit at 1 and 4 threads. A max and a disjoint
+/// window's gradient add at most one NaN to anything, so there a NaN's
+/// payload must come through too; the gradients find the first strict
+/// maximum with `>` in both, so a zero's sign must come through as well.
+fn check_pool(
+    rng: &mut Rng,
+    dtype: DType,
+    dims: [usize; 4],
+    ksize: (usize, usize),
+    strides: (usize, usize),
+    padding: conv::Padding,
+) {
+    let x = pool_tensor(rng, dtype, &dims);
+    let disjoint = strides.0 >= ksize.0 && strides.1 >= ksize.1;
+    for kind in [pool::PoolKind::Max, pool::PoolKind::Avg] {
+        let case = format!("{kind:?} {dtype:?} x{dims:?} k{ksize:?} s{strides:?} {padding:?}");
+        let want = pool::pool2d_reference(&x, ksize, strides, padding, kind).unwrap();
+        let go = pool_tensor(rng, dtype, want.shape().dims());
+        let want_gx = pool::pool2d_grad_reference(&x, &go, ksize, strides, padding, kind).unwrap();
+        for t in [1, 4] {
+            let y = with_threads(t, || pool::pool2d(&x, ksize, strides, padding, kind)).unwrap();
+            let avg = kind == pool::PoolKind::Avg;
+            assert!(pool_bits(&y, &want, avg, !avg), "forward, {t} threads: {case}");
+            let gx = with_threads(t, || pool::pool2d_grad(&x, &go, ksize, strides, padding, kind))
+                .unwrap();
+            assert!(pool_bits(&gx, &want_gx, !disjoint, false), "gradient, {t} threads: {case}");
+        }
+    }
+}
+
+#[test]
+fn pool_matches_reference_bitwise() {
+    use conv::Padding::{Same, Valid};
+    // The convnet's pools (disjoint 2×2 / 2), the ResNet stem's (3×3 / 2,
+    // overlapping), a stride above the window (gaps), a window taller than
+    // its stride on one axis only, empty spatial extents and batch 0.
+    let fixed = [
+        ([4, 32, 32, 16], (2, 2), (2, 2), Valid),
+        ([2, 17, 15, 8], (2, 2), (2, 2), Same),
+        ([3, 23, 21, 5], (3, 3), (2, 2), Same),
+        ([2, 14, 13, 3], (3, 3), (1, 1), Valid),
+        ([2, 11, 10, 4], (2, 3), (3, 4), Same),
+        ([2, 12, 12, 6], (3, 2), (2, 2), Valid),
+        ([2, 0, 5, 3], (2, 2), (2, 2), Same),
+        ([2, 5, 0, 3], (2, 2), (1, 1), Valid),
+        ([2, 1, 1, 3], (2, 2), (2, 2), Valid),
+        ([0, 6, 6, 3], (2, 2), (2, 2), Same),
+        ([2, 6, 6, 0], (3, 3), (2, 2), Same),
+    ];
+    let mut rng = Rng::seed_from_u64(44);
+    for (dims, k, s, padding) in fixed {
+        for dtype in [DType::F32, DType::F64] {
+            check_pool(&mut rng, dtype, dims, k, s, padding);
+        }
+    }
+    each_seed(fuzz_cases(24), |rng| {
+        let dims = [rng.range(0..4), rng.range(0..20), rng.range(0..20), rng.range(1..10)];
+        let k = (rng.range(1..5), rng.range(1..5));
+        let s = (rng.range(1..5), rng.range(1..5));
+        let padding = if rng.bool(0.5) { Same } else { Valid };
+        let dtype = if rng.bool(0.5) { DType::F32 } else { DType::F64 };
+        check_pool(rng, dtype, dims, k, s, padding);
+    });
 }
 
 // ---------------------------------------------------------------------------
