@@ -4,7 +4,6 @@
 //! "a graph with named inputs and outputs, representing the exact
 //! computation of interest".
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use tfe_ops::{Handle, Op, Params, SymShape};
@@ -147,18 +146,6 @@ impl GraphFunction {
             }
         }
         out
-    }
-
-    /// Consumers of every node output: map from (node, output) to the list
-    /// of (consumer node, input index).
-    pub fn consumers(&self) -> HashMap<TensorRef, Vec<(NodeId, usize)>> {
-        let mut map: HashMap<TensorRef, Vec<(NodeId, usize)>> = HashMap::new();
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (slot, &input) in n.inputs.iter().enumerate() {
-                map.entry(input).or_default().push((NodeId(i), slot));
-            }
-        }
-        map
     }
 
     /// Deduplicated predecessor nodes of `id`: the producers of its data
@@ -351,15 +338,6 @@ mod tests {
         assert_eq!(f.output_sigs()[0].0, DType::F32);
         assert!(!f.is_stateful());
         assert_eq!(f.executable_node_count(), 2);
-    }
-
-    #[test]
-    fn consumers_map() {
-        let f = simple_fn();
-        let consumers = f.consumers();
-        // The add node output feeds relu.
-        let add_ref = TensorRef::first(NodeId(2));
-        assert_eq!(consumers.get(&add_ref).map(|v| v.len()), Some(1));
     }
 
     #[test]

@@ -29,7 +29,7 @@ use crate::builder::GraphBuilder;
 use crate::ir::{GraphFunction, Node, NodeId, TensorRef};
 use crate::program::{Instr, Program, Programs};
 use crate::sequencing::{classify, Access, Resource};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use tfe_ops::{Op, Params};
 use tfe_tensor::{DType, TensorData};
@@ -395,6 +395,17 @@ fn tiles_take(f: &GraphFunction, sink: usize, members: &[usize]) -> bool {
     })
 }
 
+/// What the reverse walk of [`fuse_elementwise`] knows of a node's consumers.
+#[derive(Clone, Copy)]
+enum Consumers {
+    /// None visited yet.
+    Unseen,
+    /// Every one visited is in group `g`.
+    One(usize),
+    /// Two groups, or a consumer in none.
+    Mixed,
+}
+
 /// Fuse maximal groups of elementwise nodes into `fused_elementwise` nodes.
 ///
 /// A [`fusible`] node joins its consumer's group when every consumer is the
@@ -416,31 +427,29 @@ fn tiles_take(f: &GraphFunction, sink: usize, members: &[usize]) -> bool {
 /// sink's. It takes the sink's place, and the [`replay`] that drops the
 /// other members rewires it.
 fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFunction {
-    let consumers = f.consumers();
     let output_set: HashSet<TensorRef> = f.outputs.iter().copied().collect();
     let n = f.nodes.len();
     // group id per node (sink's node index).
     let mut group: Vec<Option<usize>> = vec![None; n];
+    // The groups of each node's consumers seen so far. Consumers come after
+    // their producers, so the reverse walk has seen them all by the time it
+    // reaches the producer.
+    let mut consumers = vec![Consumers::Unseen; n];
     for i in (0..n).rev() {
         let node = &f.nodes[i];
-        if !fusible(node) {
-            continue;
+        if fusible(node) {
+            group[i] = match consumers[i] {
+                Consumers::One(g) if !output_set.contains(&TensorRef::first(NodeId(i))) => Some(g),
+                _ => Some(i), // start a group with this node as sink
+            };
         }
-        let out_ref = TensorRef::first(NodeId(i));
-        let cons = consumers.get(&out_ref);
-        let escapes = output_set.contains(&out_ref);
-        let consumer_groups: Option<BTreeSet<usize>> = cons
-            .map(|list| list.iter().filter_map(|(c, _)| group[c.0]).collect::<BTreeSet<usize>>());
-        let all_consumers_one_group = match (&cons, &consumer_groups) {
-            (Some(list), Some(gs)) if !list.is_empty() => {
-                gs.len() == 1 && list.iter().all(|(c, _)| group[c.0].is_some())
-            }
-            _ => false,
-        };
-        if !escapes && all_consumers_one_group {
-            group[i] = consumer_groups.and_then(|gs| gs.into_iter().next());
-        } else {
-            group[i] = Some(i); // start a group with this node as sink
+        for input in &node.inputs {
+            let seen = &mut consumers[input.node.0];
+            *seen = match (*seen, group[i]) {
+                (Consumers::Unseen, Some(g)) => Consumers::One(g),
+                (Consumers::One(h), Some(g)) if h == g => Consumers::One(g),
+                _ => Consumers::Mixed,
+            };
         }
     }
     // Collect members per sink, in topological order.

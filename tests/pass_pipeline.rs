@@ -13,6 +13,7 @@ mod common;
 
 use common::oracle::{check_corpus, evaluator, optimized, Config, Corpus, Mode};
 use common::{control_edges, count_op, fuzz_cases, tensor_bits};
+use std::collections::HashMap;
 use tf_eager::graph::passes::{self, OptimizeOptions, PASS_NAMES};
 use tf_eager::graph::{GraphFunction, Node, NodeId, TensorRef};
 use tf_eager::{metrics, DType, ExecMode, Op};
@@ -59,7 +60,12 @@ fn fused_and_unfused_graphs_agree_bitwise() {
 /// another: members of a group that fusion refused, since it fuses every
 /// other such pair.
 fn refused_members(g: &GraphFunction) -> usize {
-    let consumers = g.consumers();
+    let mut consumers: HashMap<TensorRef, Vec<NodeId>> = HashMap::new();
+    for (i, n) in g.nodes.iter().enumerate() {
+        for &input in &n.inputs {
+            consumers.entry(input).or_default().push(NodeId(i));
+        }
+    }
     let fusible =
         |n: &Node| matches!(n.op, Op::Unary(_) | Op::Binary(_)) && n.outputs[0].0 == DType::F32;
     (0..g.nodes.len())
@@ -68,7 +74,7 @@ fn refused_members(g: &GraphFunction) -> usize {
         .filter(|out| {
             consumers
                 .get(out)
-                .is_some_and(|cs| cs.iter().all(|&(c, _)| c == cs[0].0) && fusible(g.node(cs[0].0)))
+                .is_some_and(|cs| cs.iter().all(|&c| c == cs[0]) && fusible(g.node(cs[0])))
         })
         .count()
 }
