@@ -381,20 +381,6 @@ fn fusible(node: &Node) -> bool {
         }
 }
 
-/// Whether the tile executor runs the group `members` (ascending node
-/// indices) at every shape the graph admits: each value it reads from
-/// outside the group is f32 and statically a periodic operand of the sink's
-/// output ([`tfe_ops::SymShape::is_periodic_in`]).
-fn tiles_take(f: &GraphFunction, sink: usize, members: &[usize]) -> bool {
-    let out = &f.nodes[sink].outputs[0].1;
-    members.iter().flat_map(|&m| &f.nodes[m].inputs).all(|&input| {
-        members.binary_search(&input.node.0).is_ok() || {
-            let (dtype, shape) = &f.node(input.node).outputs[input.output];
-            *dtype == DType::F32 && shape.is_periodic_in(out)
-        }
-    })
-}
-
 /// What the reverse walk of [`fuse_elementwise`] knows of a node's consumers.
 #[derive(Clone, Copy)]
 enum Consumers {
@@ -410,11 +396,10 @@ enum Consumers {
 ///
 /// A [`fusible`] node joins its consumer's group when every consumer is the
 /// same group and the node is not a function output — so each group has a
-/// single sink whose value escapes. A group of two or more is fused when
-/// the tiles take it ([`tiles_take`]), decided here from static dtypes and
-/// shapes, once: a group with a `[n, 1]` column, two partial operands, or
-/// an input whose unknown dims could make it either, stays as the ordinary
-/// nodes it was, which run the same `elementwise` kernels. So every fused
+/// single sink whose value escapes. Every group of two or more is fused:
+/// its members' shape inference makes every input f32 and broadcast into
+/// the sink's output, which is all the tiles ask, and they read each input
+/// through the same `lanes::Operand` as the unfused kernels. So every fused
 /// node runs on tiles, and nothing else evaluates a fused program.
 ///
 /// Group assignment and emission use ordered (BTree) containers keyed by
@@ -459,9 +444,8 @@ fn fuse_elementwise(mut f: GraphFunction, stats: &mut OptimizeStats) -> GraphFun
             members.entry(*g).or_default().push(i);
         }
     }
-    // Fuse the groups of two or more that the tiles take.
     let fuse_groups: BTreeMap<usize, Vec<usize>> =
-        members.into_iter().filter(|(sink, m)| m.len() >= 2 && tiles_take(&f, *sink, m)).collect();
+        members.into_iter().filter(|(_, m)| m.len() >= 2).collect();
     if fuse_groups.is_empty() {
         return f;
     }
@@ -789,28 +773,26 @@ mod tests {
     }
 
     #[test]
-    fn fusion_refuses_what_the_tiles_do_not_run() {
+    fn fusion_takes_every_f32_group() {
         let batch = SymShape::new(vec![None, Some(4)]);
         // Not f32: the chain stays three nodes.
         for dtype in [DType::F64, DType::I64] {
             let (g, fused) = fuse_dense_chain(dtype, known(&[8, 4]), known(&[8, 4]));
             assert_eq!((fused, g.executable_node_count()), (0, 3), "{dtype:?}\n{}", g.dump());
         }
-        // A `[n, 1]` column, known or not, and an operand whose unknown dim
-        // is not its first: the group is refused whole.
+        // A dynamic batch with a `[D]` bias, a scalar, a `[n, 1]` column,
+        // known or not, and an operand whose unknown dim is not its first:
+        // one node each.
         for (x, w) in [
+            (batch.clone(), known(&[4])),
+            (batch.clone(), SymShape::scalar()),
             (known(&[8, 4]), known(&[8, 1])),
             (batch.clone(), SymShape::new(vec![None, Some(1)])),
             (known(&[8, 4]), SymShape::new(vec![Some(8), None])),
         ] {
             let (g, fused) = fuse_dense_chain(DType::F32, x.clone(), w.clone());
-            assert_eq!((fused, g.executable_node_count()), (0, 3), "{x} with {w}\n{}", g.dump());
-        }
-        // A dynamic batch with a `[D]` bias, and a scalar, fuse into one node.
-        for w in [known(&[4]), SymShape::scalar()] {
-            let (g, fused) = fuse_dense_chain(DType::F32, batch.clone(), w.clone());
-            assert_eq!((fused, g.executable_node_count()), (1, 1), "{w}\n{}", g.dump());
-            assert_eq!(g.output_sigs(), vec![(DType::F32, batch.clone())]);
+            assert_eq!((fused, g.executable_node_count()), (1, 1), "{x} with {w}\n{}", g.dump());
+            assert_eq!(g.output_sigs(), vec![(DType::F32, x.broadcast(&w).unwrap())]);
         }
     }
 

@@ -20,26 +20,24 @@
 //! comes from. The tiles are those of every elementwise map
 //! ([`tfe_tensor::lanes::Tiler`]): lane multiples fixed by the element
 //! count, so an element's bits depend only on its index, the length and the
-//! op, and a fused program gives the bits of the unfused nodes — one
-//! whole-tensor `tfe_tensor::elementwise` call per instruction, which the
-//! tests keep as the per-instruction reference — at every thread count,
-//! NaNs included. Tiles take every input f32 and a *periodic operand* of
-//! the output ([`tfe_tensor::Shape::is_periodic_in`]) — the output's own
-//! shape, or a scalar, bias or mask over trailing axes, which a tile reads
-//! as `src[i % p]` through [`tfe_tensor::lanes::Periodic`] windows (a period
-//! longer than a tile simply wraps inside one). So `x * w + bias`,
-//! `x * eps`, mask multiplies and an LSTM cell's gate chains run on tiles.
-//! The fusion pass decides that from static types
-//! ([`tfe_ops::SymShape::is_periodic_in`]) and leaves any other group
-//! unfused, so the tiles are the only evaluator: inputs that do not qualify
-//! (which only a fused node that arrived as bytes can hold) are a typed
-//! error.
+//! op. Every input is read through [`tfe_tensor::lanes::Operand`], the
+//! reader the unfused kernels use: a scalar, bias or mask over trailing axes
+//! through contiguous windows, a `[n, 1]` column or one of two partial
+//! operands gathered into a tile buffer. So a fused program gives the bits
+//! of the unfused nodes — one whole-tensor `tfe_tensor::elementwise` call
+//! per instruction, which the tests keep as the per-instruction reference —
+//! at every thread count, NaNs included, wherever every register is as long
+//! as the output (a shorter one is computed at full length here: the same
+//! non-NaN bits, DESIGN.md §14). The fusion pass fuses every group of f32
+//! unary and binary nodes, so the tiles are the only evaluator; inputs they
+//! do not take (which only a fused node that arrived as bytes can hold) are
+//! a typed error.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use tfe_ops::{Handle, Params};
 use tfe_tensor::elementwise::{BinaryOp, UnaryOp};
-use tfe_tensor::lanes::{self, Periodic, Tiler};
+use tfe_tensor::lanes::{self, Operand, Tiler};
 use tfe_tensor::{broadcast_shapes, DType, Result as TResult, Shape, TensorData, TensorError};
 
 /// One instruction; instruction `i` writes register `i`.
@@ -380,8 +378,9 @@ impl CompiledProgram {
     /// and to the unfused nodes).
     ///
     /// # Errors
-    /// `InvalidArgument` for missing inputs, an input that is not f32, or
-    /// one that is not a periodic operand of the output.
+    /// `InvalidArgument` for missing inputs, an input that is not f32, a
+    /// program whose output depends on no input, or an input that does not
+    /// broadcast into the output.
     pub fn eval(&self, inputs: &[&TensorData]) -> TResult<TensorData> {
         let shape = self.output_shape(inputs)?;
         self.eval_tiled_f32(&inputs[..self.num_inputs], shape)
@@ -389,20 +388,16 @@ impl CompiledProgram {
 
     /// The output shape of `inputs`, when the tiles take them.
     ///
-    /// Tiles treat every register as a flat array of the output's length,
-    /// so each input must be f32 and a *periodic operand* of the output
-    /// ([`Shape::is_periodic_in`]): the output shape itself, or a scalar,
-    /// bias or mask over trailing axes, read as `src[i % p]`. The output
-    /// shape is the broadcast of the inputs the output register depends on.
-    /// A register that the unfused nodes would keep smaller than the output
-    /// is computed at full length here, on repeated operands — the same
-    /// scalar function on the same values, so the same bits. A `[n, 1]`
-    /// column against `[n, k]`, two partial operands that only together
-    /// span the output (`[n, 1]` with `[1, k]`), or a non-f32 input never
-    /// reach here from the fusion pass, which keeps such groups unfused.
+    /// The output shape is the broadcast of the inputs the output register
+    /// depends on. Every input must be f32 and broadcast *into* that shape:
+    /// the tiles read each one through a [`lanes::Operand`] of the output,
+    /// which gives every element the operand value the unfused kernels read
+    /// there. Only a dead input can break that, and only in a fused node
+    /// that arrived as bytes (a bundle, a dist worker's step).
     ///
     /// # Errors
-    /// `InvalidArgument` for missing, non-f32 or non-periodic inputs.
+    /// `InvalidArgument` for missing or non-f32 inputs, no live input, or
+    /// an input that does not broadcast into the output.
     fn output_shape(&self, inputs: &[&TensorData]) -> TResult<Shape> {
         let refuse =
             |why: String| Err(TensorError::InvalidArgument(format!("fused program: {why}")));
@@ -420,9 +415,18 @@ impl CompiledProgram {
                 shape = broadcast_shapes(&shape, s)?;
             }
         }
-        match inputs.iter().position(|t| !t.shape().is_periodic_in(&shape)) {
+        // `broadcast_shapes(s, shape) == shape`, without building it.
+        let into = |s: &Shape| {
+            s.rank() <= shape.rank()
+                && s.dims()
+                    .iter()
+                    .rev()
+                    .zip(shape.dims().iter().rev())
+                    .all(|(&d, &o)| d == o || d == 1)
+        };
+        match inputs.iter().position(|t| !into(t.shape())) {
             Some(k) => refuse(format!(
-                "input {k} of shape {} is not a periodic operand of the output {shape}",
+                "input {k} of shape {} does not broadcast into the output {shape}",
                 inputs[k].shape()
             )),
             None => Ok(shape),
@@ -435,13 +439,12 @@ impl CompiledProgram {
         let n = shape.num_elements();
         // The working set is the inputs, the scratch registers and the output.
         let tiler = Tiler::new(n, std::mem::size_of::<f32>(), self.num_bufs + inputs.len() + 1);
-        let tile = tiler.tile();
-        let srcs: Vec<Periodic<'_, f32>> = inputs
+        let srcs: Vec<Operand<'_, f32>> = inputs
             .iter()
-            .map(|t| Ok(Periodic::new(t.as_slice::<f32>()?, n, tile)))
+            .map(|t| Ok(Operand::new(t.as_slice::<f32>()?, t.shape(), &shape, &tiler)))
             .collect::<TResult<_>>()?;
         let mut span = tfe_profile::span("fused", || {
-            format!("fused_tiled:{}op:{}tile", self.steps.len(), n.div_ceil(tile))
+            format!("fused_tiled:{}op:{}tile", self.steps.len(), n.div_ceil(tiler.tile()))
         });
         if let Some(s) = span.as_mut() {
             // One read per input element plus one output write.
@@ -454,32 +457,39 @@ impl CompiledProgram {
         .inc();
         metric_fused_elements(n as u64);
         let mut out = vec![0.0f32; n];
-        tiler.run_with_scratch(&mut out, self.num_bufs, |start, out_tile, bufs| {
+        // The registers, then one buffer per operand of a step for the
+        // inputs that are gathered.
+        tiler.run_with_scratch(&mut out, self.num_bufs + 2, |start, out_tile, bufs| {
             self.run_tile(&srcs, bufs, out_tile, start)
         });
         TensorData::from_vec(out, shape)
     }
 
     /// Run every step over one tile: `out_tile` covers absolute elements
-    /// `start .. start + out_tile.len()` of the flattened tensors.
+    /// `start .. start + out_tile.len()` of the flattened tensors. `bufs`
+    /// holds the registers and two buffers an input is gathered into when
+    /// it is read, one for each operand of a step.
     fn run_tile(
         &self,
-        srcs: &[Periodic<'_, f32>],
+        srcs: &[Operand<'_, f32>],
         bufs: &mut [Vec<f32>],
         out_tile: &mut [f32],
         start: usize,
     ) {
         let len = out_tile.len();
+        let (regs, gather) = bufs.split_at_mut(self.num_bufs);
+        let [ga, gb] = gather else { unreachable!("two gather buffers") };
         fn resolve<'a>(
             slot: Slot,
-            srcs: &'a [Periodic<'_, f32>],
-            bufs: &'a [Vec<f32>],
+            srcs: &'a [Operand<'_, f32>],
+            regs: &'a [Vec<f32>],
+            gather: &'a mut Vec<f32>,
             start: usize,
             len: usize,
         ) -> &'a [f32] {
             match slot {
-                Slot::In(k) => srcs[k].window(start, len),
-                Slot::Buf(s) => &bufs[s][..len],
+                Slot::In(k) => srcs[k].read(start, len, gather),
+                Slot::Buf(s) => &regs[s][..len],
                 Slot::Out => unreachable!("the output tile is never a source"),
             }
         }
@@ -487,12 +497,12 @@ impl CompiledProgram {
             ($step:expr, $dst:expr) => {
                 match *$step {
                     Step::Unary { op, a, .. } => {
-                        lanes::unary_f32(op, resolve(a, srcs, bufs, start, len), $dst)
+                        lanes::unary_f32(op, resolve(a, srcs, regs, ga, start, len), $dst)
                     }
                     Step::Binary { op, a, b, .. } => lanes::binary_f32(
                         op,
-                        resolve(a, srcs, bufs, start, len),
-                        resolve(b, srcs, bufs, start, len),
+                        resolve(a, srcs, regs, ga, start, len),
+                        resolve(b, srcs, regs, gb, start, len),
                         $dst,
                     ),
                 }
@@ -504,9 +514,9 @@ impl CompiledProgram {
                 Slot::Buf(s) => {
                     // Slot-plan invariant: `s` aliases no live source, so
                     // taking it out cannot disturb this step's reads.
-                    let mut buf = std::mem::take(&mut bufs[s]);
+                    let mut buf = std::mem::take(&mut regs[s]);
                     apply!(step, &mut buf[..len]);
-                    bufs[s] = buf;
+                    regs[s] = buf;
                 }
                 Slot::In(_) => unreachable!("inputs are never written"),
             }
@@ -515,8 +525,8 @@ impl CompiledProgram {
         // finish with one tile-local copy.
         match self.out {
             Slot::Out => {}
-            Slot::In(k) => out_tile.copy_from_slice(srcs[k].window(start, len)),
-            Slot::Buf(s) => out_tile.copy_from_slice(&bufs[s][..len]),
+            Slot::In(k) => out_tile.copy_from_slice(srcs[k].read(start, len, ga)),
+            Slot::Buf(s) => out_tile.copy_from_slice(&regs[s][..len]),
         }
     }
 }

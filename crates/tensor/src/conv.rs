@@ -21,11 +21,13 @@
 //! reaches `-0.0`); a ±inf or NaN gradient at a border position makes the
 //! filter gradient's padded taps `0 · g = NaN`, where the direct loop
 //! skipped them. Operands are widened to f64 one batch slice at a time,
-//! into scratch that each parallel task reuses across its batches.
+//! into scratch that each parallel task reuses across its batches; the
+//! forward narrows each batch's f64 product into the typed output.
 
+use crate::data::Scalar;
 use crate::elementwise::FloatScalar;
 use crate::gemm::gemm_into;
-use crate::{Buffer, Result, Shape, TensorData, TensorError};
+use crate::{Buffer, DType, Result, Shape, TensorData, TensorError};
 use tfe_parallel::par_chunks_mut;
 
 /// Multiply-adds per batch above which conv kernels parallelize across
@@ -304,50 +306,52 @@ fn col2im_add(dpatch: &[f64], g: &Conv2dGeometry, gxb: &mut [f64]) {
 
 /// im2col + gemm forward pass: per batch, gather the `oh*ow x kh*kw*c_in`
 /// patch matrix and multiply by the `kh*kw*c_in x c_out` filter matrix
-/// (HWIO is already that layout). Accumulation order per output element is
-/// (ky, kx, ci) ascending — the same as the direct loop, plus exact-zero
-/// padding terms.
-fn conv2d_im2col(input: &TensorData, f: &[f64], g: &Conv2dGeometry) -> Vec<f64> {
+/// (HWIO is already that layout) into an f64 accumulator that each task
+/// reuses, then narrow it into the batch's slice of the typed output, each
+/// element once. Accumulation order per output element is (ky, kx, ci)
+/// ascending — the same as the direct loop, plus exact-zero padding terms.
+fn conv2d_im2col<T: Scalar>(input: &TensorData, f: &[f64], g: &Conv2dGeometry) -> Vec<T> {
     let k = g.kh * g.kw * g.c_in;
     let m = g.oh * g.ow;
     let x_elems = g.h * g.w * g.c_in;
-    let mut out = vec![0.0f64; g.n * m * g.c_out];
+    let mut out = vec![T::from_f64(0.0); g.n * m * g.c_out];
     if k == 0 || m == 0 || g.c_out == 0 || g.n == 0 {
         return out;
     }
+    // One batch: widen its input, gather its patches (over output rows in
+    // parallel when `par`, as the gemm's row blocks), multiply, narrow.
+    let batch = |b: usize, s: &mut (Vec<f64>, Vec<f64>, Vec<f64>), ob: &mut [T], par: bool| {
+        let (xb, patches, acc) = s;
+        widen_into(input, b * x_elems, xb);
+        if par {
+            par_chunks_mut(patches, g.ow * k, crate::par::GRAIN_ROWS, |rows, chunk| {
+                pack_patch_rows(xb, g, rows.start * g.ow..rows.end * g.ow, chunk);
+            });
+        } else {
+            pack_patch_rows(xb, g, 0..m, patches);
+        }
+        acc.fill(0.0);
+        gemm_into(m, k, g.c_out, patches, false, f, false, acc, par);
+        for (o, &v) in ob.iter_mut().zip(acc.iter()) {
+            *o = T::from_f64(v);
+        }
+    };
+    let scratch = || (vec![0.0f64; x_elems], vec![0.0f64; m * k], vec![0.0f64; m * g.c_out]);
     let per_batch = m * k * g.c_out;
     if per_batch >= CONV_PAR_MADDS {
         // Few large batches: parallelize the patch gather over output rows
         // and let the gemm split its row blocks across the pool.
-        let mut xb = vec![0.0f64; x_elems];
-        let mut patches = vec![0.0f64; m * k];
-        for b in 0..g.n {
-            widen_into(input, b * x_elems, &mut xb);
-            par_chunks_mut(&mut patches, g.ow * k, crate::par::GRAIN_ROWS, |rows, chunk| {
-                pack_patch_rows(&xb, g, rows.start * g.ow..rows.end * g.ow, chunk);
-            });
-            gemm_into(
-                m,
-                k,
-                g.c_out,
-                &patches,
-                false,
-                f,
-                false,
-                &mut out[b * m * g.c_out..][..m * g.c_out],
-                true,
-            );
+        let mut s = scratch();
+        for (b, ob) in out.chunks_exact_mut(m * g.c_out).enumerate() {
+            batch(b, &mut s, ob, true);
         }
     } else {
         // Many small batches: one task per group of batches, serial inside.
         let grain = (CONV_PAR_MADDS / per_batch.max(1)).max(1);
         par_chunks_mut(&mut out, m * g.c_out, grain, |bs, block| {
-            let mut xb = vec![0.0f64; x_elems];
-            let mut patches = vec![0.0f64; m * k];
+            let mut s = scratch();
             for (b, ob) in bs.zip(block.chunks_exact_mut(m * g.c_out)) {
-                widen_into(input, b * x_elems, &mut xb);
-                pack_patch_rows(&xb, g, 0..m, &mut patches);
-                gemm_into(m, k, g.c_out, &patches, false, f, false, ob, false);
+                batch(b, &mut s, ob, false);
             }
         });
     }
@@ -367,8 +371,11 @@ pub fn conv2d(
     let _sp = tfe_profile::span("intra", || "conv2d_im2col");
     check_float_pair(input, filter)?;
     let g = conv2d_geometry(input.shape(), filter.shape(), strides, padding)?;
-    let out = conv2d_im2col(input, &filter.to_f64_vec(), &g);
-    Ok(TensorData::from_f64_vec(input.dtype(), out, Shape::from([g.n, g.oh, g.ow, g.c_out])))
+    let (f, dims) = (filter.to_f64_vec(), Shape::from([g.n, g.oh, g.ow, g.c_out]));
+    match input.dtype() {
+        DType::F32 => TensorData::from_vec(conv2d_im2col::<f32>(input, &f, &g), dims),
+        _ => TensorData::from_vec(conv2d_im2col::<f64>(input, &f, &g), dims),
+    }
 }
 
 /// Gradient of [`conv2d`] with respect to its input.

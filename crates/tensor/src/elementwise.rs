@@ -3,15 +3,16 @@
 //! Every kernel fills its output through [`Tiler`], the one tiler of every
 //! elementwise map (the fused tile executor in `tfe-graph` runs on it too),
 //! and reads and writes typed slices: a comparison runs in the operands' own
-//! type. A broadcast operand whose shape is a suffix of the output's is read
-//! through [`lanes::Periodic`] windows; any other is gathered along the
-//! crate's one index walk, `shape::strided`, into tile scratch.
+//! type. Every operand is read through [`lanes::Operand`], as the fused tile
+//! executor reads its inputs: one whose shape is a suffix of the output's
+//! through contiguous windows, any other gathered along the crate's one
+//! index walk, `shape::strided`, into tile scratch.
 //!
 //! The op enums here double as the instruction set of the fused-elementwise
 //! interpreter in `tfe-graph` (our XLA stand-in), so every op is a small,
 //! named, pure function.
 
-use crate::data::Scalar;
+use crate::data::{Scalar, Scratch};
 use crate::lanes::{self, map_binary, map_unary, Operand, Tiler};
 use crate::shape::broadcast_shapes;
 use crate::{DType, Result, TensorData, TensorError};
@@ -533,7 +534,10 @@ fn tiled2<T: Scalar, U: Scalar + Default + Send>(
     let x = Operand::new(a.as_slice::<T>()?, a.shape(), &shape, &tiler);
     let y = Operand::new(b.as_slice::<T>()?, b.shape(), &shape, &tiler);
     let mut out = vec![U::default(); n];
-    tiler.run(&mut out, |at, o| x.read(at, o.len(), |x| y.read(at, o.len(), |y| f(x, y, o))));
+    tiler.run(&mut out, |at, o| {
+        let (mut bx, mut by) = (Scratch::take(), Scratch::take());
+        f(x.read(at, o.len(), &mut bx), y.read(at, o.len(), &mut by), o)
+    });
     TensorData::from_vec(out, shape)
 }
 
@@ -686,7 +690,9 @@ fn select_typed<T: Scalar + Default>(
     let mut out = vec![T::default(); n];
     tiler.run(&mut out, |at, o| {
         let len = o.len();
-        c.read(at, len, |c| x.read(at, len, |x| y.read(at, len, |y| select_block(c, x, y, o))))
+        let (mut bc, mut bx, mut by) = (Scratch::take(), Scratch::take(), Scratch::take());
+        let (c, x) = (c.read(at, len, &mut bc), x.read(at, len, &mut bx));
+        select_block(c, x, y.read(at, len, &mut by), o)
     });
     TensorData::from_vec(out, s)
 }

@@ -13,12 +13,14 @@
 //!   ([`UnaryOp::eval_f32`] / [`BinaryOp::eval_f32`]), so every non-NaN
 //!   result is the scalar one; which NaN two NaN operands give depends on
 //!   the operand order the compiler picked, in a block or in the tail.
-//! - [`Periodic`] is how broadcasting reaches those loops: an operand whose
-//!   shape is a suffix of the output's (a scalar, a bias, a mask over
-//!   trailing axes) is read as `src[i % p]` through contiguous windows, so a
+//! - [`Operand`] is how broadcasting reaches those loops, the one
+//!   per-operand reader of every map, fused or not. An operand whose shape
+//!   is a suffix of the output's (a scalar, a bias, a mask over trailing
+//!   axes) is read as `src[i % p]` through contiguous windows, so a
 //!   broadcast op costs about what a same-shape op does. Any other operand
-//!   (a `[n, 1]` column) is gathered along the crate's one index walk,
-//!   `shape::strided`, into per-thread tile scratch.
+//!   (a `[n, 1]` column, one of two partial operands) is gathered along the
+//!   crate's one index walk, `shape::strided`, into a tile buffer the
+//!   caller supplies.
 //! - [`lane_fold_f64`] folds a row through `LANES` independent accumulators.
 //!   This **reassociates** the fold, so for non-associative ops (float
 //!   `add`/`mul`) the bits differ from a strict left fold; the combine order
@@ -40,9 +42,10 @@
 //! 3. tail elements `row[m..]` are folded into that result in ascending
 //!    order.
 
-use crate::data::{Scalar, Scratch};
+use crate::data::Scalar;
 use crate::elementwise::{BinaryOp, UnaryOp};
 use crate::shape::{broadcast_strides, strided, Shape};
+use std::borrow::Cow;
 
 /// Lane width of the restructured inner loops: 8 × f32 fills one 256-bit
 /// vector register, and 8 × f64 accumulators fill two — enough independent
@@ -133,57 +136,6 @@ pub fn binary_f32(op: BinaryOp, a: &[f32], b: &[f32], dst: &mut [f32]) {
     dispatch!(Add, Sub, Mul, Div, FloorDiv, Mod, Pow, Maximum, Minimum, SquaredDifference,)
 }
 
-/// A *periodic operand* of a flat elementwise map with `n` outputs: output
-/// `i` reads `src[i % src.len()]` (see [`crate::Shape::is_periodic_in`] for which
-/// broadcasts are of that form). [`Periodic::window`] hands out contiguous
-/// slices of that virtual length-`n` sequence, so broadcasting kernels run
-/// the same slice loops — and produce the same bits — as same-shape ones.
-///
-/// An operand that already has `n` elements is borrowed. A shorter one is
-/// repeated once, at construction, into a pattern long enough that any
-/// window of up to `max_window` elements is contiguous in it; that costs
-/// `src.len() + min(max_window, n)` elements per call, however large `n`.
-pub struct Periodic<'a, T: Copy> {
-    buf: std::borrow::Cow<'a, [T]>,
-    period: usize,
-}
-
-impl<'a, T: Copy> Periodic<'a, T> {
-    /// View `src` as a periodic operand of an `n`-element map that will be
-    /// read in windows of at most `max_window` elements. `src.len()` must
-    /// divide `n` (it does whenever `is_periodic_in` accepted the shapes).
-    pub fn new(src: &'a [T], n: usize, max_window: usize) -> Self {
-        let period = src.len();
-        if period == n || period == 0 {
-            return Periodic { buf: src.into(), period: period.max(1) };
-        }
-        debug_assert!(n.is_multiple_of(period));
-        // A window starts at a phase below `period` and is at most
-        // `min(max_window, n)` long.
-        let want = period + max_window.min(n);
-        if period == 1 {
-            return Periodic { buf: vec![src[0]; want].into(), period };
-        }
-        let mut pattern = Vec::with_capacity(want + period);
-        pattern.extend_from_slice(src);
-        while pattern.len() < want {
-            // Doubling copies: O(log) memcpys however short the period.
-            // Whole periods only, so the pattern stays periodic.
-            let take = pattern.len().min(want - pattern.len()).next_multiple_of(period);
-            pattern.extend_from_within(..take);
-        }
-        Periodic { buf: pattern.into(), period }
-    }
-
-    /// Elements `start .. start + len` of the virtual sequence, contiguous.
-    /// `len` must not exceed the `max_window` given to [`Periodic::new`].
-    #[inline]
-    pub fn window(&self, start: usize, len: usize) -> &[T] {
-        let phase = start % self.period;
-        &self.buf[phase..phase + len]
-    }
-}
-
 /// The tiles of an `n`-element elementwise map: the one loop that fills
 /// every elementwise output, the unfused kernels of
 /// [`crate::elementwise`] and the fused tile executor in `tfe-graph` alike.
@@ -194,9 +146,9 @@ impl<'a, T: Copy> Periodic<'a, T> {
 ///   lane block or in that tail depends on its index alone.
 /// - The map goes parallel at `GRAIN_ELEMWISE` elements, one
 ///   `par_chunks_mut` call per map, whole tiles per chunk.
-/// - Each operand is read on its own terms: a [`Periodic`] window when it
-///   is periodic in the output, otherwise gathered along the crate's index
-///   walk into per-thread tile scratch.
+/// - Each operand is read through an [`Operand`]: a window of the operand
+///   when it is periodic in the output, otherwise gathered along the
+///   crate's index walk into a tile buffer.
 ///
 /// So fused runs, unfused runs and every thread count give an element the
 /// same bits, NaNs included: the block function, its position in a block
@@ -214,8 +166,8 @@ impl Tiler {
         Tiler { n, tile: tfe_parallel::tile_len(elem_bytes, buffers) / LANES * LANES }
     }
 
-    /// Elements per tile, a multiple of [`LANES`]: the widest window a
-    /// [`Periodic`] operand of this map is read in.
+    /// Elements per tile, a multiple of [`LANES`]: the widest window an
+    /// [`Operand`] of this map is read in.
     pub fn tile(&self) -> usize {
         self.tile
     }
@@ -235,8 +187,9 @@ impl Tiler {
     }
 
     /// [`Tiler::run`] with `buffers` scratch arrays of at least a tile each,
-    /// from the per-thread pool the gathered operands use too: the fused
-    /// tile executor's registers.
+    /// from this thread's [`Scalar::scratch`] pool, which the body has to
+    /// itself: the fused tile executor's registers and the buffers its
+    /// gathered inputs are read into.
     pub fn run_with_scratch<U: Scalar>(
         &self,
         out: &mut [U],
@@ -257,40 +210,73 @@ impl Tiler {
     }
 }
 
-/// How the tiles of a map with output shape `out` read one operand.
-pub(crate) enum Operand<'a, T: Copy> {
-    /// Periodic in the output: contiguous windows.
-    Window(Periodic<'a, T>),
+/// One operand of an elementwise map with output shape `out`, as the
+/// map's tiles read it: the one per-operand reader of every elementwise
+/// map, the unfused kernels of [`crate::elementwise`] and the fused tile
+/// executor in `tfe-graph` alike. Tile `start .. start + len` reads, for
+/// every output element, the operand element the broadcast puts there, so
+/// a map gives an element the same operand values wherever it runs.
+pub struct Operand<'a, T: Copy>(Source<'a, T>);
+
+enum Source<'a, T: Copy> {
+    /// A *periodic* operand ([`crate::Shape::is_periodic_in`]): output `i`
+    /// reads `src[i % period]`, handed out as contiguous windows of `buf`,
+    /// so a broadcast map runs the slice loops — and gives the bits — of a
+    /// same-shape one. An operand with every element is borrowed; a shorter
+    /// one is repeated once into a pattern that holds any window of up to a
+    /// tile, `period + min(tile, n)` elements however large `n`.
+    Window { buf: Cow<'a, [T]>, period: usize },
     /// Anything else (a `[n, 1]` column, one of two partial operands):
     /// gathered along the broadcast walk from the tile's first element.
     Gathered { src: &'a [T], dims: Vec<usize>, strides: Vec<usize> },
 }
 
-impl<'a, T: Scalar> Operand<'a, T> {
+impl<'a, T: Copy> Operand<'a, T> {
     /// `src`, of shape `shape`, as an operand of `tiler`'s map to `out`.
-    pub(crate) fn new(src: &'a [T], shape: &Shape, out: &Shape, tiler: &Tiler) -> Self {
-        if shape.is_periodic_in(out) {
-            Operand::Window(Periodic::new(src, tiler.n, tiler.tile))
-        } else {
-            Operand::Gathered {
-                src,
-                dims: out.dims().to_vec(),
-                strides: broadcast_strides(out, shape),
-            }
+    /// `shape` must broadcast *into* `out` (`broadcast_shapes(shape, out)`
+    /// is `out`).
+    pub fn new(src: &'a [T], shape: &Shape, out: &Shape, tiler: &Tiler) -> Self {
+        if !shape.is_periodic_in(out) {
+            let (dims, strides) = (out.dims().to_vec(), broadcast_strides(out, shape));
+            return Operand(Source::Gathered { src, dims, strides });
         }
+        let (period, n) = (src.len(), tiler.n);
+        if period == n || period == 0 {
+            return Operand(Source::Window { buf: src.into(), period: period.max(1) });
+        }
+        debug_assert!(n.is_multiple_of(period));
+        // A window starts at a phase below `period` and is at most
+        // `min(tile, n)` long.
+        let want = period + tiler.tile.min(n);
+        if period == 1 {
+            return Operand(Source::Window { buf: vec![src[0]; want].into(), period });
+        }
+        let mut pattern = Vec::with_capacity(want + period);
+        pattern.extend_from_slice(src);
+        while pattern.len() < want {
+            // Doubling copies: O(log) memcpys however short the period.
+            // Whole periods only, so the pattern stays periodic.
+            let take = pattern.len().min(want - pattern.len()).next_multiple_of(period);
+            pattern.extend_from_within(..take);
+        }
+        Operand(Source::Window { buf: pattern.into(), period })
     }
 
-    /// `k` of elements `start .. start + len` of the operand broadcast to
-    /// the output, contiguous.
-    pub(crate) fn read<R>(&self, start: usize, len: usize, k: impl FnOnce(&[T]) -> R) -> R {
-        match self {
-            Operand::Window(p) => k(p.window(start, len)),
-            Operand::Gathered { src, dims, strides } => {
-                // Taken out of the pool for the call, so a kernel the
-                // continuation runs on this thread finds the pool usable.
-                let mut buf = Scratch::take();
+    /// Elements `start .. start + len` (`len` at most a tile) of the operand
+    /// broadcast to the output, contiguous: a window of the operand itself,
+    /// or gathered into `buf`. A `buf` with room for `len` elements is not
+    /// reallocated.
+    #[inline]
+    pub fn read<'b>(&'b self, start: usize, len: usize, buf: &'b mut Vec<T>) -> &'b [T] {
+        match &self.0 {
+            Source::Window { buf: pattern, period } => {
+                let phase = start % period;
+                &pattern[phase..phase + len]
+            }
+            Source::Gathered { src, dims, strides } => {
+                buf.clear();
                 buf.extend(strided(dims, strides, start).take(len).map(|i| src[i]));
-                k(&buf)
+                buf
             }
         }
     }

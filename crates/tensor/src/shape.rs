@@ -90,11 +90,6 @@ impl Shape {
         strides
     }
 
-    /// Whether this shape broadcasts with `other` under NumPy rules.
-    pub fn broadcasts_with(&self, other: &Shape) -> bool {
-        broadcast_shapes(self, other).is_ok()
-    }
-
     /// Whether an operand of this shape is *periodic* when broadcast to
     /// `out`: flat element `i` of the result reads flat element `i % p` of
     /// the operand, `p` being this shape's element count. That holds
@@ -186,33 +181,20 @@ pub fn broadcast_shapes(a: &Shape, b: &Shape) -> Result<Shape> {
 /// The kernels walk with `strided`; this per-index form is the
 /// independent reference the tests hold that walk to.
 pub fn broadcast_source_index(out_dims: &[usize], src_dims: &[usize], linear: usize) -> usize {
-    let rank = out_dims.len();
-    let offset = rank - src_dims.len();
-    let mut rem = linear;
-    let mut src_index = 0;
-    let mut src_stride = 1;
-    // Walk dimensions from the innermost outwards, accumulating the source
-    // index with stride-0 semantics for broadcast dimensions.
-    let mut src_strides = vec![0usize; src_dims.len()];
-    {
-        let mut acc = 1;
-        for i in (0..src_dims.len()).rev() {
-            src_strides[i] = acc;
-            acc *= src_dims[i];
-        }
-    }
-    for i in (0..rank).rev() {
+    let offset = out_dims.len() - src_dims.len();
+    let (mut rem, mut src_index, mut src_stride) = (linear, 0, 1);
+    // From the innermost axis outwards: each output coordinate at the
+    // source's row-major stride, or at stride 0 where the source stretches.
+    for i in (0..out_dims.len()).rev() {
         let coord = rem % out_dims[i];
         rem /= out_dims[i];
-        if i >= offset {
-            let sd = src_dims[i - offset];
-            if sd != 1 {
-                src_index += coord * src_strides[i - offset];
+        if let Some(&d) = i.checked_sub(offset).map(|j| &src_dims[j]) {
+            if d != 1 {
+                src_index += coord * src_stride;
             }
+            src_stride *= d;
         }
-        src_stride *= out_dims[i];
     }
-    let _ = src_stride;
     src_index
 }
 
@@ -221,8 +203,9 @@ pub fn broadcast_source_index(out_dims: &[usize], src_dims: &[usize], linear: us
 /// `start` on (a parallel tile's first element). A stride of 0 repeats an
 /// axis: a broadcast operand ([`broadcast_strides`]), a tiled one, or the
 /// output of a reduction, whose index is this walk over the input with
-/// stride 0 on the reduced axes. The walk borrows `extents` and `strides`;
-/// its one allocation is the coordinate odometer.
+/// stride 0 on the reduced axes. The walk borrows `extents` and `strides`
+/// and keeps its coordinates in an [`Odometer`], so an elementwise tile
+/// that gathers an operand starts one without allocating.
 pub(crate) fn strided<'a>(
     extents: &'a [usize],
     strides: &'a [usize],
@@ -230,7 +213,8 @@ pub(crate) fn strided<'a>(
 ) -> impl Iterator<Item = usize> + 'a {
     let total: usize = extents.iter().product();
     debug_assert!(start <= total);
-    let mut coords = vec![0usize; extents.len()];
+    let mut odometer = Odometer::new(extents.len());
+    let coords = odometer.coords();
     let mut offset = 0;
     if start < total {
         let mut rem = start;
@@ -247,6 +231,7 @@ pub(crate) fn strided<'a>(
         }
         left -= 1;
         let current = offset;
+        let coords = odometer.coords();
         for i in (0..extents.len()).rev() {
             coords[i] += 1;
             offset += strides[i];
@@ -258,6 +243,31 @@ pub(crate) fn strided<'a>(
         }
         Some(current)
     })
+}
+
+/// The coordinates of a [`strided`] walk: inline up to rank 8, so a walk
+/// over the ranks tensors have in practice allocates nothing.
+enum Odometer {
+    Inline([usize; 8], usize),
+    Heap(Vec<usize>),
+}
+
+impl Odometer {
+    fn new(rank: usize) -> Odometer {
+        if rank <= 8 {
+            Odometer::Inline([0; 8], rank)
+        } else {
+            Odometer::Heap(vec![0; rank])
+        }
+    }
+
+    #[inline(always)]
+    fn coords(&mut self) -> &mut [usize] {
+        match self {
+            Odometer::Inline(coords, rank) => &mut coords[..*rank],
+            Odometer::Heap(coords) => coords,
+        }
+    }
 }
 
 /// The strides that read a source of shape `src` as if broadcast to `out`:
@@ -351,6 +361,15 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 0, 1, 2]);
         let got: Vec<usize> = strided(&[2, 2], &[10, 1], 1).collect();
         assert_eq!(got, vec![1, 10, 11]);
+        // Ranks on both sides of the inline odometer's walk alike.
+        for rank in [8, 9] {
+            let out = vec![2usize; rank];
+            let mut col = out.clone();
+            col[rank - 1] = 1;
+            let direct: Vec<usize> =
+                (0..1 << rank).map(|i| broadcast_source_index(&out, &col, i)).collect();
+            assert_eq!(walk(&out, &col, 3), direct[3..], "rank {rank}");
+        }
     }
 
     fn small_dims(rng: &mut Rng) -> Shape {

@@ -86,9 +86,9 @@ if grep -rnE 'HashMap<String, *Arc<ConcreteFunction>>' crates/core/src; then exi
 lifetime_gone='library\(\)|FunctionLibrary|COMPILED|retain_in_trace|keep_alive|register_host_fn|HostFnHandle|\bOwner\b|__loaded'
 if grep -rnE "${lifetime_gone}" crates src tests examples; then exit 1; fi
 
-# One-evaluator gate: the fusion pass fuses only what the tile executor
-# takes, and the tiles are the only library code that evaluates a fused
-# program (DESIGN.md §14). The per-instruction fallback beside them, its
+# One-evaluator gate: the fusion pass fuses every group of f32 unary and
+# binary nodes, all of which the tile executor takes, and the tiles are the
+# only library code that evaluates a fused program (DESIGN.md §14). The per-instruction fallback beside them, its
 # counter and the fused node's output-dtype attribute (f32 is the only one)
 # must not come back; per-instruction evaluation is a test reference under
 # tests/common. `out_dtypes` of call nodes is another attribute.
@@ -130,6 +130,26 @@ for f in crates/tensor/src/elementwise.rs crates/graph/src/program.rs; do
     if library_part "${f}" | grep -n 'par_chunks_mut' | sed "s|^|${f}:|" | grep .; then tiler=1; fi
 done
 [ "${tiler}" = 0 ]
+
+# One-operand-reader gate: the fused tile executor reads its inputs through
+# `tfe_tensor::lanes::Operand`, as every unfused elementwise kernel does, so
+# fusion needs no shape rule of its own (DESIGN.md §14). The static periodic
+# rule, the group check built on it and a periodic reader outside lanes.rs
+# must not come back. Library parts only: each file cut at its first
+# `#[cfg(test)]`.
+echo "==> one operand reader: no static periodic rule, no tiles_take, Periodic only in lanes.rs"
+reader=0
+for f in $(grep -rl 'is_periodic_in' crates/ops/src crates/graph/src); do
+    if library_part "${f}" | grep -n 'is_periodic_in' | sed "s|^|${f}:|" | grep .; then reader=1; fi
+done
+for f in $(grep -rl 'tiles_take' crates src tests); do
+    if library_part "${f}" | grep -n 'tiles_take' | sed "s|^|${f}:|" | grep .; then reader=1; fi
+done
+for f in $(grep -rlw 'Periodic' crates src); do
+    [ "${f}" = crates/tensor/src/lanes.rs ] && continue
+    if library_part "${f}" | grep -nw 'Periodic' | sed "s|^|${f}:|" | grep .; then reader=1; fi
+done
+[ "${reader}" = 0 ]
 
 # Typed-pooling gate: `pool2d` and `pool2d_grad` read and write typed slices
 # in the input's dtype, their scratch rows from the per-thread pools
@@ -279,19 +299,22 @@ cargo test --release -q --test differential --test pass_pipeline -- --test-threa
 
 # Fused-executor gate: the compiled tile executor must stay bitwise
 # against per-instruction evaluation (every op variant, random chains,
-# periodic operands, several thread counts), refuse the inputs it does not
-# take with a typed error (locally and from a dist worker) while their
-# groups stay unfused and bitwise eager, and reject malformed program text,
-# with release codegen — the lane kernels only vectorize there. Then its random chains again at 1500 cases, which reach
-# NaN inputs of `erf` and `softplus` (each returns a NaN unchanged).
+# periodic and gathered operands, NaN bits, several thread counts), give
+# gathered operands the eager bits locally, in optimized graphs and from a
+# dist worker, refuse non-f32 inputs and an input that does not broadcast
+# into the output with a typed error (locally and from a dist worker), keep
+# non-f32 groups unfused and bitwise eager, and reject malformed program
+# text, with release codegen — the lane kernels only vectorize there. Then
+# its random chains again at 1500 cases, which reach NaN inputs of `erf` and
+# `softplus` (each returns a NaN unchanged).
 echo "==> fused executor differential (release)"
 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
 echo "==> fused executor random chains at TFE_FUZZ_CASES=1500 (release)"
 TFE_FUZZ_CASES=1500 cargo test --release -q --test fused_executor -- --test-threads "${THREADS}"
 
 # Fusion is the default lowering, so both gates above also run with the
-# worker pool collapsed to one thread (tiles and periodic windows must
-# not depend on a split).
+# worker pool collapsed to one thread (tiles, periodic windows and gathered
+# operands must not depend on a split).
 echo "==> pass pipeline + fused executor with TFE_NUM_THREADS=1 (release)"
 TFE_NUM_THREADS=1 cargo test --release -q --test differential --test pass_pipeline \
     --test fused_executor

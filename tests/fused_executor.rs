@@ -3,11 +3,15 @@
 //! program: the tiled path must be bit-identical to per-instruction
 //! evaluation (`common::per_instruction`, the unfused nodes' kernels) for
 //! every unary/binary op, at every length (odd tails, multi-tile sizes)
-//! and at every intra-op thread count — for same-shape and for periodic
-//! operands (scalars, biases and masks over trailing axes). Non-f32,
-//! column and two-partial operands are a typed error, locally and from a
-//! dist worker; the fusion pass leaves such groups unfused, and they run
-//! bitwise as eager does. A malformed program text is rejected at decode.
+//! and at every intra-op thread count — for same-shape operands, for
+//! periodic ones (scalars, biases and masks over trailing axes) and for
+//! gathered ones (`[n, 1]` columns, two partial operands), which every
+//! fused program reads through `lanes::Operand` as the unfused kernels do.
+//! Gathered operands run bitwise as eager does through `eval`, through the
+//! optimized graph and from a dist worker. Non-f32 inputs and an input that
+//! does not broadcast into the output are a typed error, locally and from a
+//! dist worker; fusion leaves non-f32 groups unfused, and they run bitwise
+//! as eager does. A malformed program text is rejected at decode.
 
 mod common;
 
@@ -169,14 +173,15 @@ fn tiled_execution_is_thread_count_invariant() {
     }
 }
 
-/// `n` elements: quiet NaNs of the given bits, every fifth one a number.
-fn nans_f32(n: usize, bits: u32, seed: u64) -> TensorData {
-    let v = f32s(n, seed)
+/// A tensor of shape `dims`: quiet NaNs of the given bits, every fifth
+/// element a number.
+fn nans_f32(dims: &[usize], bits: u32, seed: u64) -> TensorData {
+    let v = f32s(dims.iter().product(), seed)
         .into_iter()
         .enumerate()
         .map(|(i, x)| if i % 5 == 4 { x } else { f32::from_bits(bits) })
         .collect();
-    TensorData::from_vec(v, Shape::from([n])).unwrap()
+    TensorData::from_vec(v, Shape::from(dims)).unwrap()
 }
 
 /// A fused program and the unfused kernels it replaces run on the same
@@ -186,8 +191,8 @@ fn nans_f32(n: usize, bits: u32, seed: u64) -> TensorData {
 #[test]
 fn fused_and_unfused_agree_on_nan_bits_at_every_thread_count() {
     for n in [4099usize, 40_001, 100_005] {
-        let a = nans_f32(n, 0x7fc0_0001, 31);
-        let b = nans_f32(n, 0xffc0_0002, 32);
+        let a = nans_f32(&[n], 0x7fc0_0001, 31);
+        let b = nans_f32(&[n], 0xffc0_0002, 32);
         for &op in BinaryOp::all() {
             let text = format!("in:0;in:1;b:{}:0:1;u:neg:2;b:{}:3:1|4", op.name(), op.name());
             let program = Program::decode(&text).unwrap();
@@ -201,6 +206,37 @@ fn fused_and_unfused_agree_on_nan_bits_at_every_thread_count() {
                 let one = with_threads(1, || binary(&a, &b, op).unwrap());
                 let many = with_threads(threads, || binary(&a, &b, op).unwrap());
                 assert_eq!(bits32(&one), bits32(&many), "{ctx}: unfused at 1 thread");
+            }
+        }
+    }
+}
+
+/// The same with gathered operands: a `[n, 1]` column against `[n, k]` on
+/// either side, and a column against a `[1, k]` row. Every register of
+/// these programs is as long as the output, so the fused and the unfused
+/// NaN bits agree exactly, at 1 and at 4 intra-op threads. (4 099 is
+/// prime, so outputs of 4 098 and 4 101 elements stand beside it.)
+#[test]
+fn fused_and_unfused_agree_on_gathered_nan_bits_at_every_thread_count() {
+    for [n, k] in [[683usize, 6], [1367, 3], [3077, 13], [6667, 15]] {
+        let col = nans_f32(&[n, 1], 0x7fc0_0001, 33);
+        let full = nans_f32(&[n, k], 0xffc0_0002, 34);
+        let row = nans_f32(&[1, k], 0xffc0_0003, 35);
+        for (name, [a, b]) in
+            [("col, full", [&col, &full]), ("full, col", [&full, &col]), ("col, row", [&col, &row])]
+        {
+            for &op in BinaryOp::all() {
+                let text = format!("in:0;in:1;b:{}:0:1;u:neg:2;b:{}:3:1|4", op.name(), op.name());
+                let program = Program::decode(&text).unwrap();
+                let fused = program.clone().compile();
+                for threads in [1usize, 4] {
+                    let ctx = format!("{text} [{name}] {n}x{k} threads={threads}");
+                    let (tiled, unfused) = with_threads(threads, || {
+                        (fused.eval(&[a, b]).unwrap(), per_instruction(&program, &[a, b]).unwrap())
+                    });
+                    assert_eq!(tiled.shape().dims(), &[n, k], "{ctx}");
+                    assert_eq!(bits32(&tiled), bits32(&unfused), "{ctx}: fused vs unfused");
+                }
             }
         }
     }
@@ -252,11 +288,11 @@ fn periodic_operands_tile_and_match_interpreter_bitwise() {
     assert_eq!(tiled.shape().dims(), &[300, 9]);
 }
 
-/// A scalar operand tiles. A column against a row is two partial
-/// operands: the per-instruction reference would broadcast them, the tiles
-/// refuse them, typed (the fusion pass never builds such a node).
+/// A scalar operand tiles, and so does a column against a row: two
+/// partial operands that only together span the `[2, 3]` output, each
+/// gathered, bitwise the per-instruction reference.
 #[test]
-fn compiled_scalar_operand_tiles_and_column_is_refused() {
+fn compiled_scalar_and_column_operands_tile() {
     let text = "in:0;in:1;b:mul:0:1|2";
     let a = TensorData::from_vec(vec![1.0f32, 2.0], Shape::from([2, 1])).unwrap();
     let b = TensorData::scalar(10.0f32);
@@ -264,16 +300,15 @@ fn compiled_scalar_operand_tiles_and_column_is_refused() {
     assert_eq!(r.shape().dims(), &[2, 1]);
     assert_eq!(r.to_f64_vec(), vec![10.0, 20.0]);
     let row = TensorData::from_vec(vec![1.0f32, 2.0, 3.0], Shape::from([3])).unwrap();
-    match compiled(text).unwrap().eval(&[&a, &row]) {
-        Err(TensorError::InvalidArgument(e)) => assert!(e.contains("periodic"), "{e}"),
-        other => panic!("want a typed refusal, got {other:?}"),
-    }
+    let r = tiled_vs_interpreted(text, &[&a, &row], "column * row");
+    assert_eq!(r.shape().dims(), &[2, 3]);
+    assert_eq!(r.to_f64_vec(), vec![1.0, 2.0, 3.0, 2.0, 4.0, 6.0]);
 }
 
 /// The inputs the output register depends on decide the output shape: in
 /// `in:0;in:1;u:neg:0;b:add:0:1|2` input 1 feeds only a dead instruction,
-/// so the output is input 0's shape, and a dead input larger than that is
-/// not a periodic operand of it.
+/// so the output is input 0's shape, and a dead input larger than that
+/// does not broadcast into it: a typed refusal.
 #[test]
 fn live_inputs_decide_the_output_shape() {
     let text = "in:0;in:1;u:neg:0;b:add:0:1|2";
@@ -281,19 +316,81 @@ fn live_inputs_decide_the_output_shape() {
     let big = shaped_f32(&[2, 3], 62);
     let r = tiled_vs_interpreted(text, &[&small, &small], "dead input of the same shape");
     assert_eq!(r.shape().dims(), &[3]);
-    assert!(matches!(
-        compiled(text).unwrap().eval(&[&small, &big]),
-        Err(TensorError::InvalidArgument(_))
-    ));
+    match compiled(text).unwrap().eval(&[&small, &big]) {
+        Err(TensorError::InvalidArgument(e)) => assert!(e.contains("broadcast into"), "{e}"),
+        other => panic!("want a typed refusal, got {other:?}"),
+    }
 }
 
-/// `tanh(a + b)`: the program of the refusal tests.
+/// `tanh(a + b)`: the program of the operand tests.
 const ADD_TANH: &str = "in:0;in:1;b:add:0:1;u:tanh:2|3";
 
-/// Operand pairs the tiles do not take, each with the eager value of
-/// `tanh(a + b)`: f64 operands, two partial operands, and a `[n, 1]`
+/// The eager value of `tanh(a + b)`.
+fn add_tanh(a: &TensorData, b: &TensorData) -> TensorData {
+    unary(&binary(a, b, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap()
+}
+
+/// `tanh(a + b)` as a graph over two arguments.
+fn add_tanh_case(name: &str, a: &TensorData, b: &TensorData) -> Case {
+    let mut g = GraphBuilder::new(name);
+    let x = g.placeholder(a.dtype(), known(a.shape().dims())).unwrap();
+    let y = g.placeholder(b.dtype(), known(b.shape().dims())).unwrap();
+    let s = g.add_node("add", vec![x, y], Attrs::new()).unwrap()[0];
+    let t = g.add_node("tanh", vec![s], Attrs::new()).unwrap()[0];
+    Case {
+        graph: g.finish(vec![t], 0),
+        args: vec![Arc::new(a.clone()), Arc::new(b.clone())],
+        variables: Vec::new(),
+    }
+}
+
+/// Operand pairs the tiles gather: two partial operands, and a `[n, 1]`
 /// column against the full shape on either side.
-fn refused_operands() -> Vec<([TensorData; 2], TensorData)> {
+fn gathered_operands() -> Vec<[TensorData; 2]> {
+    let col = shaped_f32(&[6, 1], 31);
+    let row = shaped_f32(&[1, 5], 32);
+    let full = shaped_f32(&[6, 5], 33);
+    vec![[col.clone(), row], [col.clone(), full.clone()], [full, col]]
+}
+
+/// Gathered operands give the eager bits three ways: through
+/// `CompiledProgram::eval`, through the optimized graph (fused into one
+/// node, run by the serial planner and replayed eagerly), and from a dist
+/// worker handed the fused op as bytes, over both transports.
+#[test]
+fn gathered_operands_match_eager_bitwise_locally_in_graphs_and_remotely() {
+    tf_eager::init();
+    let cases = gathered_operands();
+    let compiled = compiled(ADD_TANH).unwrap();
+    for [a, b] in &cases {
+        let ctx = format!("{} + {}", a.shape(), b.shape());
+        let want = add_tanh(a, b);
+        assert!(same_bits(&compiled.eval(&[a, b]).unwrap(), &want), "{ctx}: eval");
+        let case = add_tanh_case("gathered_add_tanh", a, b);
+        let fused = oracle::optimize(&case.graph, Config::Fused).unwrap();
+        assert_eq!(count_op(&fused.graph, "fused_elementwise"), 1, "{ctx}\n{}", fused.graph.dump());
+        for runner in [Runner::Serial, Runner::Eager] {
+            let got = oracle::run(&case, Mode::Optimized(Config::Fused, runner)).unwrap();
+            assert!(same_bits(&got.outputs[0], &want), "{ctx} {runner:?}");
+        }
+    }
+    let spec = ClusterSpec::new().with_job("w", 1).unwrap();
+    for kind in [TransportKind::InProcess, TransportKind::Tcp] {
+        let cluster = Cluster::start_with(&spec, kind, RpcOptions::default()).expect("starts");
+        let dev = "/job:w/task:0/device:CPU:0";
+        for [a, b] in &cases {
+            let args = [a, b].map(|t| RemoteArg::from(&Tensor::from_data(t.clone())));
+            let attrs = Attrs::new().with("program", ADD_TANH);
+            let out = cluster.execute(dev, "fused_elementwise", &args, attrs).unwrap();
+            let got = out[0].fetch().unwrap().value().unwrap();
+            assert!(same_bits(&got, &add_tanh(a, b)), "{kind:?} {} + {}", a.shape(), b.shape());
+        }
+        cluster.shutdown();
+    }
+}
+
+/// f64 operands of `tanh(a + b)`.
+fn f64_operands() -> [TensorData; 2] {
     let f64s = |f: fn(f64) -> f64| {
         TensorData::from_vec(
             (0..100).map(|i| f(i as f64)).collect::<Vec<f64>>(),
@@ -301,17 +398,15 @@ fn refused_operands() -> Vec<([TensorData; 2], TensorData)> {
         )
         .unwrap()
     };
-    let (a64, b64) = (f64s(|i| i * 0.25 - 12.0), f64s(|i| 3.0 - i * 0.125));
-    let col = shaped_f32(&[6, 1], 31);
-    let row = shaped_f32(&[1, 5], 32);
-    let full = shaped_f32(&[6, 5], 33);
-    [[a64, b64], [col.clone(), row], [col.clone(), full.clone()], [full, col]]
-        .into_iter()
-        .map(|[a, b]| {
-            let want = unary(&binary(&a, &b, BinaryOp::Add).unwrap(), UnaryOp::Tanh).unwrap();
-            ([a, b], want)
-        })
-        .collect()
+    [f64s(|i| i * 0.25 - 12.0), f64s(|i| 3.0 - i * 0.125)]
+}
+
+/// Inputs the tiles do not take, each with the program it is given: f64
+/// operands, and a dead `[2, 3]` input against a `[3]` output, which does
+/// not broadcast into it.
+fn refused_inputs() -> Vec<(&'static str, [TensorData; 2])> {
+    let dead = "in:0;in:1;u:neg:0;b:add:0:1|2";
+    vec![(ADD_TANH, f64_operands()), (dead, [tensor_f32(3, 61), shaped_f32(&[2, 3], 62)])]
 }
 
 /// Inputs the tiles do not take are a typed error from
@@ -320,11 +415,10 @@ fn refused_operands() -> Vec<([TensorData; 2], TensorData)> {
 #[test]
 fn inputs_the_tiles_refuse_are_typed_errors_locally_and_remotely() {
     tf_eager::init();
-    let compiled = compiled(ADD_TANH).unwrap();
-    let cases = refused_operands();
-    for ([a, b], _) in &cases {
-        let ctx = format!("{:?} {} + {:?} {}", a.dtype(), a.shape(), b.dtype(), b.shape());
-        match compiled.eval(&[a, b]) {
+    let cases = refused_inputs();
+    for (text, [a, b]) in &cases {
+        let ctx = format!("{text}: {:?} {} + {:?} {}", a.dtype(), a.shape(), b.dtype(), b.shape());
+        match compiled(text).unwrap().eval(&[a, b]) {
             Err(TensorError::InvalidArgument(e)) => assert!(e.contains("fused program"), "{e}"),
             other => panic!("{ctx}: want a typed refusal, got {other:?}"),
         }
@@ -333,9 +427,9 @@ fn inputs_the_tiles_refuse_are_typed_errors_locally_and_remotely() {
     for kind in [TransportKind::InProcess, TransportKind::Tcp] {
         let cluster = Cluster::start_with(&spec, kind, RpcOptions::default()).expect("starts");
         let dev = "/job:w/task:0/device:CPU:0";
-        for ([a, b], _) in &cases {
+        for (text, [a, b]) in &cases {
             let args = [a, b].map(|t| RemoteArg::from(&Tensor::from_data(t.clone())));
-            let attrs = Attrs::new().with("program", ADD_TANH);
+            let attrs = Attrs::new().with("program", *text);
             match cluster.execute(dev, "fused_elementwise", &args, attrs) {
                 Err(DistError::RemoteFault { detail, .. }) => {
                     assert!(detail.contains("fused program"), "{kind:?}: {detail}");
@@ -347,31 +441,21 @@ fn inputs_the_tiles_refuse_are_typed_errors_locally_and_remotely() {
     }
 }
 
-/// The same operands as graph arguments: the default pipeline leaves the
+/// f64 operands as graph arguments: the default pipeline leaves the
 /// `add -> tanh` group unfused, and the optimized graph, run by the serial
 /// planner and replayed eagerly, is bitwise the eager kernels.
 #[test]
 fn groups_the_tiles_refuse_stay_unfused_and_match_eager_bitwise() {
     tf_eager::init();
-    for ([a, b], want) in refused_operands() {
-        let mut g = GraphBuilder::new("refused_add_tanh");
-        let x = g.placeholder(a.dtype(), known(a.shape().dims())).unwrap();
-        let y = g.placeholder(b.dtype(), known(b.shape().dims())).unwrap();
-        let s = g.add_node("add", vec![x, y], Attrs::new()).unwrap()[0];
-        let t = g.add_node("tanh", vec![s], Attrs::new()).unwrap()[0];
-        let ctx = format!("{:?} {} + {}", a.dtype(), a.shape(), b.shape());
-        let case = Case {
-            graph: g.finish(vec![t], 0),
-            args: vec![Arc::new(a), Arc::new(b)],
-            variables: Vec::new(),
-        };
-        let fused = oracle::optimize(&case.graph, Config::Fused).unwrap();
-        assert_eq!(count_op(&fused.graph, "fused_elementwise"), 0, "{ctx}\n{}", fused.graph.dump());
-        assert_eq!(fused.stats.rewrites_for("fuse_elementwise"), 0, "{ctx}");
-        for runner in [Runner::Serial, Runner::Eager] {
-            let got = oracle::run(&case, Mode::Optimized(Config::Fused, runner)).unwrap();
-            assert!(same_bits(&got.outputs[0], &want), "{ctx} {runner:?}");
-        }
+    let [a, b] = f64_operands();
+    let want = add_tanh(&a, &b);
+    let case = add_tanh_case("refused_add_tanh", &a, &b);
+    let fused = oracle::optimize(&case.graph, Config::Fused).unwrap();
+    assert_eq!(count_op(&fused.graph, "fused_elementwise"), 0, "{}", fused.graph.dump());
+    assert_eq!(fused.stats.rewrites_for("fuse_elementwise"), 0);
+    for runner in [Runner::Serial, Runner::Eager] {
+        let got = oracle::run(&case, Mode::Optimized(Config::Fused, runner)).unwrap();
+        assert!(same_bits(&got.outputs[0], &want), "{runner:?}");
     }
 }
 

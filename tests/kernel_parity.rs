@@ -815,6 +815,26 @@ fn softmax_thread_invariant_bitwise() {
 // Conv2d: forward vs direct-loop reference; backprops thread-invariant.
 // ---------------------------------------------------------------------------
 
+/// `conv2d` at 1 and 4 threads: bitwise equal to each other, and equal in
+/// value to the direct loop (the im2col path's +0.0 padding terms can flip
+/// a -0.0 to +0.0, which `==` treats as equal).
+fn check_conv2d_forward(x: &TensorData, f: &TensorData, stride: usize, padding: conv::Padding) {
+    let Ok(g) = conv::conv2d_geometry(x.shape(), f.shape(), (stride, stride), padding) else {
+        // Valid padding can make the output empty; nothing to compare.
+        return;
+    };
+    let want =
+        conv::conv2d_reference(x.as_slice::<f32>().unwrap(), f.as_slice::<f32>().unwrap(), &g);
+    let one = with_threads(1, || conv::conv2d(x, f, (stride, stride), padding).unwrap());
+    let four = with_threads(4, || conv::conv2d(x, f, (stride, stride), padding).unwrap());
+    let got = four.as_slice::<f32>().unwrap();
+    assert_eq!(bits32(one.as_slice::<f32>().unwrap()), bits32(got), "{g:?}: 1 vs 4 threads");
+    assert_eq!(got.len(), want.len());
+    for (i, (&gv, &wv)) in got.iter().zip(&want).enumerate() {
+        assert!(gv == wv as f32, "{g:?} element {i}: got {gv} want {wv}");
+    }
+}
+
 #[test]
 fn conv2d_forward_parity_random_geometry() {
     each_seed(fuzz_cases(16), |rng| {
@@ -830,21 +850,13 @@ fn conv2d_forward_parity_random_geometry() {
             Shape::from([kh, kw, c_in, c_out]),
         )
         .unwrap();
-        let Ok(g) = conv::conv2d_geometry(x.shape(), f.shape(), (stride, stride), padding) else {
-            // Valid padding can make the output empty; nothing to compare.
-            return;
-        };
-        let want =
-            conv::conv2d_reference(x.as_slice::<f32>().unwrap(), f.as_slice::<f32>().unwrap(), &g);
-        let got = with_threads(4, || conv::conv2d(&x, &f, (stride, stride), padding).unwrap());
-        let got = got.as_slice::<f32>().unwrap();
-        assert_eq!(got.len(), want.len());
-        for (i, (&gv, &wv)) in got.iter().zip(&want).enumerate() {
-            // Value equality: the im2col path's +0.0 padding terms can
-            // flip a -0.0 to +0.0, which `==` treats as equal.
-            assert!(gv == wv as f32, "element {i}: got {gv} want {wv}");
-        }
+        check_conv2d_forward(&x, &f, stride, padding);
     });
+    // The convnet's first layer: batches large enough that the patch gather
+    // and the gemm split within a batch.
+    let x = TensorData::from_vec(f32s(2 * 32 * 32 * 3, 7), Shape::from([2, 32, 32, 3])).unwrap();
+    let f = TensorData::from_vec(f32s(3 * 3 * 3 * 16, 8), Shape::from([3, 3, 3, 16])).unwrap();
+    check_conv2d_forward(&x, &f, 1, conv::Padding::Same);
 }
 
 #[test]
