@@ -68,32 +68,33 @@ impl_scalar!(i64, DType::I64, I64, |x: i64| x as f64, |v: f64| v as i64);
 impl_scalar!(bool, DType::Bool, Bool, |x: bool| if x { 1.0 } else { 0.0 }, |v: f64| v != 0.0);
 
 /// A buffer on loan from this thread's [`Scalar::scratch`] pool: empty when
-/// taken (its capacity kept), handed back to the pool on drop. Kernels that
-/// run many tiles or calls on one thread take their scratch here instead of
-/// allocating it.
+/// taken, drawn from the pool (its capacity kept) when first borrowed
+/// mutably, and handed back on drop if it was. Kernels that run many tiles or calls on
+/// one thread take their scratch here instead of allocating it; a tile that
+/// takes one for an operand it reads in place never touches the pool.
 pub(crate) struct Scratch<U: Scalar>(Vec<U>);
 
 impl<U: Scalar> Scratch<U> {
-    /// An empty buffer from the pool.
+    /// An empty buffer.
     pub(crate) fn take() -> Self {
-        let mut v = U::scratch().with(|s| s.borrow_mut().pop()).unwrap_or_default();
-        v.clear();
-        Scratch(v)
+        Scratch(Vec::new())
     }
 
     /// A buffer from the pool holding `len` copies of `value`.
     pub(crate) fn filled(len: usize, value: U) -> Self {
         let mut s = Scratch::take();
-        s.0.resize(len, value);
+        s.resize(len, value);
         s
     }
 }
 
 impl<U: Scalar> Drop for Scratch<U> {
     fn drop(&mut self) {
-        let v = std::mem::take(&mut self.0);
-        // A thread being torn down has no pool left to return it to.
-        let _ = U::scratch().try_with(|s| s.borrow_mut().push(v));
+        if self.0.capacity() > 0 {
+            let v = std::mem::take(&mut self.0);
+            // A thread being torn down has no pool left to return it to.
+            let _ = U::scratch().try_with(|s| s.borrow_mut().push(v));
+        }
     }
 }
 
@@ -106,6 +107,18 @@ impl<U: Scalar> std::ops::Deref for Scratch<U> {
 
 impl<U: Scalar> std::ops::DerefMut for Scratch<U> {
     fn deref_mut(&mut self) -> &mut Vec<U> {
+        self.as_mut()
+    }
+}
+
+impl<U: Scalar> AsMut<Vec<U>> for Scratch<U> {
+    fn as_mut(&mut self) -> &mut Vec<U> {
+        if self.0.capacity() == 0 {
+            if let Some(mut v) = U::scratch().with(|s| s.borrow_mut().pop()) {
+                v.clear();
+                self.0 = v;
+            }
+        }
         &mut self.0
     }
 }

@@ -264,16 +264,22 @@ impl<'a, T: Copy> Operand<'a, T> {
 
     /// Elements `start .. start + len` (`len` at most a tile) of the operand
     /// broadcast to the output, contiguous: a window of the operand itself,
-    /// or gathered into `buf`. A `buf` with room for `len` elements is not
-    /// reallocated.
+    /// or gathered into `buf`, which a window leaves untouched. A `buf` with
+    /// room for `len` elements is not reallocated.
     #[inline]
-    pub fn read<'b>(&'b self, start: usize, len: usize, buf: &'b mut Vec<T>) -> &'b [T] {
+    pub fn read<'b>(
+        &'b self,
+        start: usize,
+        len: usize,
+        buf: &'b mut impl AsMut<Vec<T>>,
+    ) -> &'b [T] {
         match &self.0 {
             Source::Window { buf: pattern, period } => {
                 let phase = start % period;
                 &pattern[phase..phase + len]
             }
             Source::Gathered { src, dims, strides } => {
+                let buf = buf.as_mut();
                 buf.clear();
                 buf.extend(strided(dims, strides, start).take(len).map(|i| src[i]));
                 buf

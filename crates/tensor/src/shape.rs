@@ -7,6 +7,7 @@
 //! broadcast, repeat or reduce) and a start position for parallel tiles.
 
 use crate::{Result, TensorError};
+use std::cell::RefCell;
 use std::fmt;
 
 /// The shape of a tensor: a list of non-negative dimension sizes.
@@ -214,7 +215,7 @@ pub(crate) fn strided<'a>(
     let total: usize = extents.iter().product();
     debug_assert!(start <= total);
     let mut odometer = Odometer::new(extents.len());
-    let coords = odometer.coords();
+    let coords = &mut odometer.0;
     let mut offset = 0;
     if start < total {
         let mut rem = start;
@@ -231,7 +232,7 @@ pub(crate) fn strided<'a>(
         }
         left -= 1;
         let current = offset;
-        let coords = odometer.coords();
+        let coords = &mut odometer.0;
         for i in (0..extents.len()).rev() {
             coords[i] += 1;
             offset += strides[i];
@@ -245,28 +246,29 @@ pub(crate) fn strided<'a>(
     })
 }
 
-/// The coordinates of a [`strided`] walk: inline up to rank 8, so a walk
-/// over the ranks tensors have in practice allocates nothing.
-enum Odometer {
-    Inline([usize; 8], usize),
-    Heap(Vec<usize>),
+/// The coordinates of a [`strided`] walk, on loan from this thread's pool
+/// of finished walks' buffers, so starting a walk allocates nothing once
+/// the thread has walked at that rank.
+struct Odometer(Vec<usize>);
+
+thread_local! {
+    static ODOMETERS: RefCell<Vec<Vec<usize>>> = const { RefCell::new(Vec::new()) };
 }
 
 impl Odometer {
     fn new(rank: usize) -> Odometer {
-        if rank <= 8 {
-            Odometer::Inline([0; 8], rank)
-        } else {
-            Odometer::Heap(vec![0; rank])
-        }
+        let mut coords = ODOMETERS.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+        coords.clear();
+        coords.resize(rank, 0);
+        Odometer(coords)
     }
+}
 
-    #[inline(always)]
-    fn coords(&mut self) -> &mut [usize] {
-        match self {
-            Odometer::Inline(coords, rank) => &mut coords[..*rank],
-            Odometer::Heap(coords) => coords,
-        }
+impl Drop for Odometer {
+    fn drop(&mut self) {
+        let coords = std::mem::take(&mut self.0);
+        // A thread being torn down has no pool left to return it to.
+        let _ = ODOMETERS.try_with(|p| p.borrow_mut().push(coords));
     }
 }
 
@@ -361,15 +363,6 @@ mod tests {
         assert_eq!(got, vec![0, 1, 2, 0, 1, 2]);
         let got: Vec<usize> = strided(&[2, 2], &[10, 1], 1).collect();
         assert_eq!(got, vec![1, 10, 11]);
-        // Ranks on both sides of the inline odometer's walk alike.
-        for rank in [8, 9] {
-            let out = vec![2usize; rank];
-            let mut col = out.clone();
-            col[rank - 1] = 1;
-            let direct: Vec<usize> =
-                (0..1 << rank).map(|i| broadcast_source_index(&out, &col, i)).collect();
-            assert_eq!(walk(&out, &col, 3), direct[3..], "rank {rank}");
-        }
     }
 
     fn small_dims(rng: &mut Rng) -> Shape {
