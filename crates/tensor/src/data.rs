@@ -17,8 +17,6 @@ pub trait Scalar: Copy + PartialEq + PartialOrd + fmt::Debug + Send + Sync + 'st
     fn from_f64(v: f64) -> Self;
     /// View a buffer as a slice of this type, if the dtype matches.
     fn slice(buf: &Buffer) -> Option<&[Self]>;
-    /// Mutable variant of [`Scalar::slice`].
-    fn slice_mut(buf: &mut Buffer) -> Option<&mut [Self]>;
     /// Wrap a vector of this type into a buffer.
     fn into_buffer(v: Vec<Self>) -> Buffer;
     /// This type's per-thread pool of elementwise tile scratch
@@ -37,12 +35,6 @@ macro_rules! impl_scalar {
                 ($from)(v)
             }
             fn slice(buf: &Buffer) -> Option<&[Self]> {
-                match buf {
-                    Buffer::$variant(v) => Some(v),
-                    _ => None,
-                }
-            }
-            fn slice_mut(buf: &mut Buffer) -> Option<&mut [Self]> {
                 match buf {
                     Buffer::$variant(v) => Some(v),
                     _ => None,
@@ -325,11 +317,6 @@ impl TensorData {
         &mut self.buf
     }
 
-    /// Consume into the underlying buffer and shape.
-    pub fn into_parts(self) -> (Buffer, Shape) {
-        (self.buf, self.shape)
-    }
-
     /// Typed view of the elements.
     ///
     /// # Errors
@@ -338,18 +325,6 @@ impl TensorData {
         T::slice(&self.buf).ok_or_else(|| TensorError::DTypeMismatch {
             expected: T::DTYPE.name().to_string(),
             got: self.dtype(),
-        })
-    }
-
-    /// Mutable typed view of the elements.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::DTypeMismatch`] when `T` does not match.
-    pub fn as_slice_mut<T: Scalar>(&mut self) -> Result<&mut [T]> {
-        let dtype = self.dtype();
-        T::slice_mut(&mut self.buf).ok_or_else(|| TensorError::DTypeMismatch {
-            expected: T::DTYPE.name().to_string(),
-            got: dtype,
         })
     }
 
