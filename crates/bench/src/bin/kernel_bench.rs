@@ -640,17 +640,18 @@ fn bench_wide_graph(iters: usize, reps: usize, quick: bool) -> tfe_encode::Value
     ])
 }
 
-/// Small products, direct against packed: every distinct `matmul` of the
+/// Small products, unpacked against packed: every distinct `matmul` of the
 /// staged L2HMC training step ([`l2hmc_train_step`]'s optimized graph), run
-/// through `matmul_direct` — what `matmul` runs below `DIRECT_MADDS`
-/// multiply-adds — and through the packed `gemm_into` it ran before, each
-/// allocating its zeroed output as `matmul` does. Both must give
+/// through the register tiles on the operands in place
+/// (`gemm_unpacked_into`, what `matmul` runs below `DIRECT_MADDS`
+/// multiply-adds) and on packed panels (`gemm_into`), each allocating its
+/// zeroed output as `matmul` does. Both must give
 /// `matmul_reference`'s bits before either is timed. The per-step totals
 /// weigh each shape by how often the step runs it.
 fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode::Value {
     use std::collections::BTreeMap;
     use tfe_ops::Op;
-    use tfe_tensor::gemm::gemm_into;
+    use tfe_tensor::gemm::{gemm_into, gemm_unpacked_into};
 
     let g = &l2hmc_step.function;
     let mut shapes: BTreeMap<(usize, usize, usize, bool, bool), usize> = BTreeMap::new();
@@ -676,7 +677,7 @@ fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode:
         let (av, bv) = (a.as_slice::<f32>().unwrap(), b.as_slice::<f32>().unwrap());
         let direct = || {
             let mut out = vec![0.0f32; m * n];
-            matmul::matmul_direct(av, bv, m, k, n, ta, tb, &mut out);
+            gemm_unpacked_into(m, k, n, av, ta, bv, tb, &mut out);
             out
         };
         let packed = || {
@@ -708,7 +709,7 @@ fn bench_small_matmul(l2hmc_step: &ConcreteFunction, quick: bool) -> tfe_encode:
             packed_ns / direct_ns,
             "-"
         );
-        // (for this row "serial ns/op" = packed, "par ns/op" = direct)
+        // (for this row "serial ns/op" = packed, "par ns/op" = unpacked)
         direct_step += direct_ns * calls as f64;
         packed_step += packed_ns * calls as f64;
         cases.push(tfe_encode::Value::object(vec![

@@ -1,38 +1,39 @@
-//! Packed, cache-blocked, register-tiled GEMM — the shared micro-kernel
-//! behind [`crate::matmul`] and the im2col convolution path.
+//! Register-tiled GEMM: the one micro-kernel behind [`crate::matmul`] and
+//! the im2col convolution path.
 //!
-//! Structure follows the classic GotoBLAS/BLIS decomposition:
+//! Every product runs on `tile`, an `MR x NR` block of accumulators held
+//! in registers across the depth loop, generic over its size and over how
+//! it reads the operands at depth `p`: `along` takes the tile's values side
+//! by side (a packed panel, a row of `b`, a column of a transposed `a`),
+//! `across` one line apart (a row-major `a`, a transposed `b`).
 //!
-//! - the `n` dimension is split into `NC` column slabs, `k` into `KC`
-//!   depth slices, and `m` into `MC` row blocks;
-//! - for each (slab, slice) the relevant panel of B is **packed** into a
-//!   contiguous `NR`-wide layout, and each row block packs its panel of A
-//!   into an `MR`-tall layout — the packing step also absorbs the
-//!   transpose flags, so all four `transpose_a`/`transpose_b` combinations
-//!   run the same fast loop;
-//! - an `MR x NR` register-tiled micro-kernel walks the packed panels.
+//! - [`gemm_into`] packs, after the GotoBLAS/BLIS decomposition: `NC`
+//!   column slabs, `KC` depth slices and `MC` row blocks; per (slab, slice)
+//!   B's panel is packed `NR` wide and each row block's panel of A `MR`
+//!   tall, into buffers from the per-thread [`Scalar::scratch`] pool. The
+//!   packing absorbs the transposes, so every flag combination runs the
+//!   same 4 x 8 tile, which resumes from `out` across the slices. Row
+//!   blocks run in parallel ([`tfe_parallel::par_chunks_mut`]) when the
+//!   product is large enough.
+//! - [`gemm_unpacked_into`] reads the operands in place, for products too
+//!   small to pay for packing: `NR` ∈ {8, 4, 2, 1} by the columns left,
+//!   `MR` = 8 when `NR` ≤ 4 (4 otherwise) stepping down to 1 for the rows
+//!   left, so every tile is full and starts from `+0.0`.
 //!
-//! Row blocks are independent, so they run in parallel on the shared pool
-//! ([`tfe_parallel::par_chunks_mut`], one `MC x n` block of `out` per unit)
-//! when the problem is large enough.
-//!
-//! # Determinism
-//!
-//! The micro-kernel *continues* each output element's accumulator from
-//! `out` across the sequential `KC` slices, so every element is the plain
-//! left-to-right sum over `p = 0..k` — bit-for-bit identical to the naive
-//! triple loop, for every transpose combination, block size, and thread
-//! count.
+//! Either way every element is its start (`+0.0`, or what `out` held) plus
+//! the plain left-to-right sum over `p = 0..k`: from a zeroed `out`,
+//! bit-for-bit the naive triple loop for every transpose combination,
+//! block size, tile size and thread count.
 
-use crate::data::Scalar;
+use crate::data::{Scalar, Scratch};
 use std::ops::{Add, Mul};
 
-/// Rows per register tile.
+/// Rows per packed register tile.
 const MR: usize = 4;
-/// Columns per register tile.
+/// Columns per packed register tile.
 const NR: usize = 8;
-/// Depth (k) block: one packed panel pair stays in cache while the
-/// micro-kernel sweeps it.
+/// Depth (k) block: one packed panel pair stays in cache while the tiles
+/// sweep it.
 const KC: usize = 256;
 /// Row (m) block per parallel task.
 const MC: usize = 128;
@@ -55,8 +56,8 @@ impl<T: Scalar + Add<Output = T> + Mul<Output = T> + Default + Send + Sync> Gemm
 /// optionally transposes. `a` is `m x k` after `op` (stored `k x m` when
 /// `ta`), `b` is `k x n` after `op` (stored `n x k` when `tb`), `out` is
 /// `m x n`. Accumulates *into* `out`, so pass a zeroed buffer for a plain
-/// product. Parallel over row blocks unless `allow_par` is false or the
-/// product is small.
+/// product. Packs both operands; parallel over row blocks unless
+/// `allow_par` is false or the product is small.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_into<T: GemmScalar>(
     m: usize,
@@ -69,9 +70,7 @@ pub fn gemm_into<T: GemmScalar>(
     out: &mut [T],
     allow_par: bool,
 ) {
-    assert_eq!(out.len(), m * n, "gemm output buffer size");
-    assert_eq!(a.len(), m * k, "gemm lhs buffer size");
-    assert_eq!(b.len(), k * n, "gemm rhs buffer size");
+    check_sizes(m, k, n, a, b, out);
     if m == 0 || n == 0 || k == 0 {
         return;
     }
@@ -80,15 +79,14 @@ pub fn gemm_into<T: GemmScalar>(
 
     for jc in (0..n).step_by(NC) {
         let nc = NC.min(n - jc);
-        let n_panels = nc.div_ceil(NR);
         for pc in (0..k).step_by(KC) {
             let kc = KC.min(k - pc);
             // Pack the B panel once per (jc, pc); every row block reads it.
-            let mut bp = vec![T::default(); n_panels * kc * NR];
-            for jp in 0..n_panels {
+            // The tile reads all `NR` columns: those past `jw` stay zero.
+            let mut bp = Scratch::filled(nc.div_ceil(NR) * kc * NR, T::default());
+            for (jp, dst) in bp.chunks_exact_mut(kc * NR).enumerate() {
                 let j0 = jc + jp * NR;
                 let jw = NR.min(jc + nc - j0);
-                let dst = &mut bp[jp * kc * NR..][..kc * NR];
                 for (p, drow) in dst.chunks_exact_mut(NR).enumerate() {
                     for (jr, d) in drow.iter_mut().take(jw).enumerate() {
                         *d = b_at(pc + p, j0 + jr);
@@ -97,33 +95,38 @@ pub fn gemm_into<T: GemmScalar>(
             }
             let n_blocks = m.div_ceil(MC);
             let grain = if allow_par && m * nc * kc >= PAR_MADDS { 1 } else { n_blocks };
-            let bp = &bp;
+            let bp = &bp[..];
             tfe_parallel::par_chunks_mut(out, MC * n, grain, |blocks, rows| {
-                let mut ap = vec![T::default(); MC.div_ceil(MR) * kc * MR];
+                let mut ap = Scratch::filled(MC.min(m).div_ceil(MR) * kc * MR, T::default());
                 for (ib, row_block) in blocks.zip(rows.chunks_mut(MC * n)) {
                     let ic = ib * MC;
                     let mc = MC.min(m - ic);
-                    let m_panels = mc.div_ceil(MR);
+                    let ap = &mut ap[..mc.div_ceil(MR) * kc * MR];
                     // Pack this row block of A (transpose absorbed here).
-                    for ipl in 0..m_panels {
-                        let i0 = ic + ipl * MR;
+                    for (ip, dst) in ap.chunks_exact_mut(kc * MR).enumerate() {
+                        let i0 = ic + ip * MR;
                         let iw = MR.min(m - i0);
-                        let dst = &mut ap[ipl * kc * MR..][..kc * MR];
                         for (p, drow) in dst.chunks_exact_mut(MR).enumerate() {
                             for (ir, d) in drow.iter_mut().enumerate() {
                                 *d = if ir < iw { a_at(i0 + ir, pc + p) } else { T::default() };
                             }
                         }
                     }
-                    for jp in 0..n_panels {
+                    for (jp, bpan) in bp.chunks_exact(kc * NR).enumerate() {
                         let j0 = jc + jp * NR;
                         let jw = NR.min(jc + nc - j0);
-                        let bpan = &bp[jp * kc * NR..][..kc * NR];
-                        for ipl in 0..m_panels {
-                            let i0 = ic + ipl * MR;
-                            let iw = MR.min(m - i0);
-                            let apan = &ap[ipl * kc * MR..][..kc * MR];
-                            micro_kernel(apan, bpan, kc, row_block, i0 - ic, j0, iw, jw, n);
+                        for (ip, apan) in ap.chunks_exact(kc * MR).enumerate() {
+                            let iw = MR.min(mc - ip * MR);
+                            let corner = &mut row_block[ip * MR * n + j0..];
+                            // Resume each element's sum from the last KC slice.
+                            let mut acc = [[T::default(); NR]; MR];
+                            for (row, o) in acc.iter_mut().zip(corner.chunks(n)).take(iw) {
+                                row[..jw].copy_from_slice(&o[..jw]);
+                            }
+                            let acc = tile(acc, kc, along(apan, 0, MR), along(bpan, 0, NR));
+                            for (row, o) in acc.iter().zip(corner.chunks_mut(n)).take(iw) {
+                                o[..jw].copy_from_slice(&row[..jw]);
+                            }
                         }
                     }
                 }
@@ -132,42 +135,131 @@ pub fn gemm_into<T: GemmScalar>(
     }
 }
 
-/// One `MR x NR` register tile: resumes the accumulators from `out` (a
-/// row block with row stride `ldc`; the tile's corner is row `i0`, column
-/// `j0` of it), sweeps the packed panels over `kc` depth steps, writes the
-/// valid `iw x jw` corner back.
+/// `out = op(a) @ op(b)`, shapes and layouts as in [`gemm_into`], serially
+/// and without packing: each tile reads `a` and `b` where they lie and sums
+/// from `+0.0`, so `out` need not be zeroed.
 #[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel<T: GemmScalar>(
-    apan: &[T],
-    bpan: &[T],
-    kc: usize,
+pub fn gemm_unpacked_into<T: GemmScalar>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[T],
+    ta: bool,
+    b: &[T],
+    tb: bool,
     out: &mut [T],
-    i0: usize,
-    j0: usize,
-    iw: usize,
-    jw: usize,
-    ldc: usize,
 ) {
-    let mut acc = [[T::default(); NR]; MR];
-    // Resume each element's accumulation chain from the previous KC slice
-    // so the final sum is the plain ascending-p fold (bitwise == naive).
-    for (ir, row) in acc.iter_mut().enumerate().take(iw) {
-        row[..jw].copy_from_slice(&out[(i0 + ir) * ldc + j0..][..jw]);
+    check_sizes(m, k, n, a, b, out);
+    // At depth 1 each operand is stored the same either way: read both
+    // along their rows, whose values lie side by side.
+    let (ta, tb) = (ta || k == 1, tb && k > 1);
+    let op = Unpacked { m, k, n, a, ta, b, tb };
+    let mut j0 = 0;
+    while j0 < n {
+        j0 += match n - j0 {
+            8.. => op.columns::<8>(out, j0),
+            4..=7 => op.columns::<4>(out, j0),
+            2 | 3 => op.columns::<2>(out, j0),
+            _ => op.columns::<1>(out, j0),
+        };
     }
+}
+
+/// An unpacked product's operands.
+struct Unpacked<'x, T> {
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &'x [T],
+    ta: bool,
+    b: &'x [T],
+    tb: bool,
+}
+
+impl<T: GemmScalar> Unpacked<'_, T> {
+    /// Tiles `NR` columns of `out` from column `j0`, top to bottom; returns
+    /// `NR`.
+    fn columns<const NR: usize>(&self, out: &mut [T], j0: usize) -> usize {
+        let mut i0 = 0;
+        while i0 < self.m {
+            i0 += match self.m - i0 {
+                8.. if NR <= 4 => self.tile::<8, NR>(out, i0, j0),
+                4.. => self.tile::<4, NR>(out, i0, j0),
+                2 | 3 => self.tile::<2, NR>(out, i0, j0),
+                _ => self.tile::<1, NR>(out, i0, j0),
+            };
+        }
+        NR
+    }
+
+    /// The full `MR x NR` tile of `out` at (`i0`, `j0`), summed from
+    /// `+0.0`; returns `MR`.
+    #[inline]
+    fn tile<const MR: usize, const NR: usize>(&self, out: &mut [T], i0: usize, j0: usize) -> usize {
+        let Unpacked { m, k, n, a, ta, b, tb } = *self;
+        let zero = [[T::default(); NR]; MR];
+        let acc = match (ta, tb) {
+            (false, false) => tile(zero, k, across(a, i0, k), along(b, j0, n)),
+            (true, false) => tile(zero, k, along(a, i0, m), along(b, j0, n)),
+            (false, true) => tile(zero, k, across(a, i0, k), across(b, j0, k)),
+            (true, true) => tile(zero, k, along(a, i0, m), across(b, j0, k)),
+        };
+        for (row, o) in acc.iter().zip(out[i0 * n + j0..].chunks_mut(n)) {
+            o[..NR].copy_from_slice(row);
+        }
+        MR
+    }
+}
+
+/// A tile's `W` values at depth `p` of an operand that stores each depth
+/// step contiguously, `ld` apart: `v[p * ld + first..][..W]`.
+#[inline(always)]
+fn along<T: Copy, const W: usize>(
+    v: &[T],
+    first: usize,
+    ld: usize,
+) -> impl Fn(usize) -> [T; W] + '_ {
+    move |p| v[p * ld + first..][..W].try_into().expect("a slice W long")
+}
+
+/// A tile's `W` values at depth `p` of a `k`-deep operand that stores each
+/// of its lines contiguously: `v[(first + w) * k + p]`.
+#[inline(always)]
+fn across<T: Copy, const W: usize>(
+    v: &[T],
+    first: usize,
+    k: usize,
+) -> impl Fn(usize) -> [T; W] + '_ {
+    let lines = &v[first * k..][..W * k];
+    move |p| std::array::from_fn(|w| lines[w * k + p])
+}
+
+fn check_sizes<T>(m: usize, k: usize, n: usize, a: &[T], b: &[T], out: &[T]) {
+    assert_eq!(out.len(), m * n, "gemm output buffer size");
+    assert_eq!(a.len(), m * k, "gemm lhs buffer size");
+    assert_eq!(b.len(), k * n, "gemm rhs buffer size");
+}
+
+/// One `MR x NR` register tile: adds `a(p)[ir] · b(p)[jr]` to
+/// `acc[ir][jr]` for `p` ascending over `0..kc`, where `a(p)` is the
+/// tile's `MR` values of column `p` of `op(a)` and `b(p)` its `NR` values
+/// of row `p` of `op(b)`.
+#[inline(always)]
+fn tile<T: GemmScalar, const MR: usize, const NR: usize>(
+    mut acc: [[T; NR]; MR],
+    kc: usize,
+    a: impl Fn(usize) -> [T; MR],
+    b: impl Fn(usize) -> [T; NR],
+) -> [[T; NR]; MR] {
     for p in 0..kc {
-        let av = &apan[p * MR..p * MR + MR];
-        let bv = &bpan[p * NR..p * NR + NR];
-        for (ir, row) in acc.iter_mut().enumerate() {
-            let aval = av[ir];
-            for (jr, v) in row.iter_mut().enumerate() {
-                *v = *v + aval * bv[jr];
+        let (av, bv) = (a(p), b(p));
+        for (row, &x) in acc.iter_mut().zip(&av) {
+            for (v, &y) in row.iter_mut().zip(&bv) {
+                *v = *v + x * y;
             }
         }
     }
-    for (ir, row) in acc.iter().enumerate().take(iw) {
-        out[(i0 + ir) * ldc + j0..][..jw].copy_from_slice(&row[..jw]);
-    }
+    acc
 }
 
 #[cfg(test)]
@@ -200,23 +292,49 @@ mod tests {
             .collect()
     }
 
+    /// Both gemms on `op(a) @ op(b)` under every transpose combination,
+    /// bit for bit the naive loop.
+    fn check(m: usize, k: usize, n: usize, seed: u64) {
+        let (a, b) = (fill(m * k, seed), fill(k * n, seed + 1));
+        for (ta, tb) in [(false, false), (true, false), (false, true), (true, true)] {
+            let want = naive(m, k, n, &a, ta, &b, tb);
+            let mut packed = vec![0.0f64; m * n];
+            gemm_into(m, k, n, &a, ta, &b, tb, &mut packed, true);
+            // Unpacked tiles overwrite `out`, whatever it held.
+            let mut unpacked = vec![f64::NAN; m * n];
+            gemm_unpacked_into(m, k, n, &a, ta, &b, tb, &mut unpacked);
+            for (what, got) in [("packed", packed), ("unpacked", unpacked)] {
+                assert!(
+                    got.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
+                    "{what} mismatch at m={m} k={k} n={n} ta={ta} tb={tb}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn matches_naive_bitwise_over_blocked_shapes() {
         // Shapes chosen to cross MR/NR/KC/MC edges (including k > KC, which
         // exercises the accumulator-resume path).
-        for &(m, k, n) in
-            &[(1, 1, 1), (3, 5, 7), (4, 8, 8), (5, 300, 9), (130, 17, 11), (33, 513, 19)]
+        for (m, k, n) in
+            [(1, 1, 1), (3, 5, 7), (4, 8, 8), (5, 300, 9), (130, 17, 11), (33, 513, 19)]
         {
-            let a = fill(m * k, (m * 31 + k * 7 + n) as u64);
-            let b = fill(k * n, (n * 13 + k) as u64);
-            for &(ta, tb) in &[(false, false), (true, false), (false, true), (true, true)] {
-                let mut out = vec![0.0f64; m * n];
-                gemm_into(m, k, n, &a, ta, &b, tb, &mut out, true);
-                let want = naive(m, k, n, &a, ta, &b, tb);
-                assert!(
-                    out.iter().zip(&want).all(|(x, y)| x.to_bits() == y.to_bits()),
-                    "mismatch at m={m} k={k} n={n} ta={ta} tb={tb}"
-                );
+            check(m, k, n, (m * 31 + k * 7 + n) as u64);
+        }
+    }
+
+    #[test]
+    fn packed_edge_tiles_match_naive_bitwise() {
+        // Rows short of a multiple of MR, columns short of a multiple of NR,
+        // depth past KC (the tiles resume across slices), each row and
+        // column count against each. A product of NaNs first leaves this
+        // thread's pooled packing buffers full of NaNs.
+        let k = KC + 5;
+        let nans = vec![f64::NAN; 16 * k];
+        gemm_into(16, k, 16, &nans, false, &nans, false, &mut vec![0.0; 256], false);
+        for m in [1, 2, 3, 5, 6, 7, 9, 11] {
+            for n in [1, 2, 3, 5, 6, 7, 9, 12, 15] {
+                check(m, k, n, (m * 3 + n) as u64);
             }
         }
     }

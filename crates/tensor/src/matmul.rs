@@ -1,16 +1,14 @@
 //! Matrix multiplication: 2-D `matmul` with transpose flags and batched
 //! matmul with broadcast batch dimensions.
 //!
-//! Products run on the packed, register-tiled [`crate::gemm`] kernel —
-//! all four transpose combinations hit the same fast path (the packing
-//! step absorbs the transposes), large products split across the shared
-//! worker pool — except those below [`DIRECT_MADDS`] multiply-adds, which
-//! [`matmul_direct`] runs without packing. Every result is bit-for-bit
-//! identical to the serial reference loop regardless of path and thread
-//! count.
+//! Products run on the register tiles of [`crate::gemm`]: those below
+//! [`DIRECT_MADDS`] multiply-adds on the operands in place
+//! ([`gemm_unpacked_into`]), the rest on packed panels ([`gemm_into`]),
+//! where the packing absorbs the transposes and large products split
+//! across the shared worker pool. Every result is bit-for-bit identical to
+//! the serial reference loop regardless of path and thread count.
 
-use crate::data::Scratch;
-use crate::gemm::{gemm_into, GemmScalar};
+use crate::gemm::{gemm_into, gemm_unpacked_into, GemmScalar};
 use crate::shape::{broadcast_strides, strided};
 use crate::{DType, Result, Shape, TensorData, TensorError};
 
@@ -18,12 +16,12 @@ use crate::{DType, Result, Shape, TensorData, TensorError};
 /// each product rather than across batches.
 const BATCH_INNER_PAR_MADDS: usize = 1 << 18;
 
-/// Multiply-adds below which `matmul` runs [`matmul_direct`] instead of the
-/// packed kernel (`kernel_bench`'s `small_matmul` row; DESIGN.md §9).
+/// Multiply-adds below which a product reads its operands in place rather
+/// than packing them (`kernel_bench`'s `small_matmul` row; DESIGN.md §9).
 pub const DIRECT_MADDS: usize = 1 << 14;
 
 /// Naive serial triple loop, kept as the reference implementation the
-/// packed and direct kernels are tested against (`crates/tensor/src/gemm.rs`
+/// packed and unpacked tiles are tested against (`crates/tensor/src/gemm.rs`
 /// tests and `tests/kernel_parity.rs`).
 #[allow(clippy::too_many_arguments)]
 pub fn matmul_reference<T: GemmScalar>(
@@ -46,68 +44,6 @@ pub fn matmul_reference<T: GemmScalar>(
             }
             out[i * n + j] = acc;
         }
-    }
-}
-
-/// `out = op(a) @ op(b)` by plain loops, for products too small to pay for
-/// packing: `i-p-j`, row `i` of `out` taking `a[i,p]` times row `p` of
-/// `b`, with a transposed `b` first copied out as `k x n` into scratch
-/// from the per-thread `T::scratch()` pool (a dot over `p` per element
-/// measured slower on the transposed L2HMC shapes: DESIGN.md §9). Each
-/// element is the ascending-`p` sum from the zeroed `out`, so
-/// the bits are [`matmul_reference`]'s and the packed kernel's. Layouts as
-/// in [`matmul_reference`].
-#[allow(clippy::too_many_arguments)]
-pub fn matmul_direct<T: GemmScalar>(
-    a: &[T],
-    b: &[T],
-    m: usize,
-    k: usize,
-    n: usize,
-    ta: bool,
-    tb: bool,
-    out: &mut [T],
-) {
-    assert_eq!((a.len(), b.len(), out.len()), (m * k, k * n, m * n), "matmul buffer sizes");
-    if n == 0 {
-        return;
-    }
-    let a_at = |i: usize, p: usize| if ta { a[p * m + i] } else { a[i * k + p] };
-    let mut bt: Scratch<T>;
-    let b = if tb {
-        bt = Scratch::take();
-        for p in 0..k {
-            bt.extend((0..n).map(|j| b[j * k + p]));
-        }
-        &bt[..]
-    } else {
-        b
-    };
-    for (i, row) in out.chunks_exact_mut(n).enumerate() {
-        for (p, b_row) in b.chunks_exact(n).enumerate() {
-            let x = a_at(i, p);
-            for (o, &y) in row.iter_mut().zip(b_row) {
-                *o = *o + x * y;
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn mm_f<T: GemmScalar>(
-    a: &[T],
-    b: &[T],
-    m: usize,
-    k: usize,
-    n: usize,
-    ta: bool,
-    tb: bool,
-    out: &mut [T],
-) {
-    if m * k * n < DIRECT_MADDS {
-        matmul_direct(a, b, m, k, n, ta, tb, out);
-    } else {
-        gemm_into(m, k, n, a, ta, b, tb, out, true);
     }
 }
 
@@ -141,45 +77,26 @@ pub fn matmul(
             got: b.shape().clone(),
         });
     }
-    let out_shape = Shape::from([m, n]);
+    let shape = Shape::from([m, n]);
     match a.dtype() {
         DType::F32 => {
-            let mut out = vec![0.0f32; m * n];
-            mm_f(
-                a.as_slice::<f32>()?,
-                b.as_slice::<f32>()?,
-                m,
-                k1,
-                n,
-                transpose_a,
-                transpose_b,
-                &mut out,
-            );
-            TensorData::from_vec(out, out_shape)
+            products::<f32>(a, b, (&[0], &[0]), (m, k1, n), (transpose_a, transpose_b), shape)
         }
         DType::F64 => {
-            let mut out = vec![0.0f64; m * n];
-            mm_f(
-                a.as_slice::<f64>()?,
-                b.as_slice::<f64>()?,
-                m,
-                k1,
-                n,
-                transpose_a,
-                transpose_b,
-                &mut out,
-            );
-            TensorData::from_vec(out, out_shape)
+            products::<f64>(a, b, (&[0], &[0]), (m, k1, n), (transpose_a, transpose_b), shape)
         }
         _ => unreachable!("check_float_pair verified dtype"),
     }
 }
 
+/// The last two dimensions of `t` as `op` sees them.
 fn dims2(t: &TensorData, transpose: bool) -> (usize, usize) {
+    let d = t.shape().dims();
+    let (rows, cols) = (d[d.len() - 2], d[d.len() - 1]);
     if transpose {
-        (t.shape().dim(1), t.shape().dim(0))
+        (cols, rows)
     } else {
-        (t.shape().dim(0), t.shape().dim(1))
+        (rows, cols)
     }
 }
 
@@ -226,22 +143,8 @@ pub fn batch_matmul(
     let a_batch = Shape::new(a.shape().dims()[..ar - 2].to_vec());
     let b_batch = Shape::new(b.shape().dims()[..br - 2].to_vec());
     let batch = crate::shape::broadcast_shapes(&a_batch, &b_batch)?;
-    let (m, k1) = {
-        let d = &a.shape().dims()[ar - 2..];
-        if transpose_a {
-            (d[1], d[0])
-        } else {
-            (d[0], d[1])
-        }
-    };
-    let (kb, n) = {
-        let d = &b.shape().dims()[br - 2..];
-        if transpose_b {
-            (d[1], d[0])
-        } else {
-            (d[0], d[1])
-        }
-    };
+    let (m, k1) = dims2(a, transpose_a);
+    let (kb, n) = dims2(b, transpose_b);
     if k1 != kb {
         return Err(TensorError::ShapeMismatch {
             expected: format!("inner dimensions to match ({k1} vs {kb})"),
@@ -250,98 +153,56 @@ pub fn batch_matmul(
     }
     let mut out_dims = batch.dims().to_vec();
     out_dims.extend_from_slice(&[m, n]);
-    let out_shape = Shape::new(out_dims);
-
-    let batch_n = batch.num_elements();
-    let a_mat = a.shape().dim(ar - 2) * a.shape().dim(ar - 1);
-    let b_mat = b.shape().dim(br - 2) * b.shape().dim(br - 1);
     let walk = |src: &Shape| -> Vec<usize> {
         strided(batch.dims(), &broadcast_strides(&batch, src), 0).collect()
     };
-    let (wa, wb) = (walk(&a_batch), walk(&b_batch));
-
+    let walks = (&walk(&a_batch)[..], &walk(&b_batch)[..]);
+    let flags = (transpose_a, transpose_b);
     match a.dtype() {
-        DType::F32 => {
-            let mut out = vec![0.0f32; batch_n * m * n];
-            batch_mm(
-                a.as_slice::<f32>()?,
-                b.as_slice::<f32>()?,
-                &wa,
-                &wb,
-                (m, k1, n),
-                (transpose_a, transpose_b),
-                (a_mat, b_mat),
-                &mut out,
-            );
-            TensorData::from_vec(out, out_shape)
-        }
-        DType::F64 => {
-            let mut out = vec![0.0f64; batch_n * m * n];
-            batch_mm(
-                a.as_slice::<f64>()?,
-                b.as_slice::<f64>()?,
-                &wa,
-                &wb,
-                (m, k1, n),
-                (transpose_a, transpose_b),
-                (a_mat, b_mat),
-                &mut out,
-            );
-            TensorData::from_vec(out, out_shape)
-        }
+        DType::F32 => products::<f32>(a, b, walks, (m, k1, n), flags, Shape::new(out_dims)),
+        DType::F64 => products::<f64>(a, b, walks, (m, k1, n), flags, Shape::new(out_dims)),
         _ => unreachable!("check_float_pair verified dtype"),
     }
 }
 
-/// Batched product body: a few large products keep the batch loop serial
-/// and parallelize inside each gemm; many small products parallelize
-/// across batches (grain sized so each task has enough work) and run each
-/// gemm serially. Either way every batch's result is the same bits.
-#[allow(clippy::too_many_arguments)]
-fn batch_mm<T: GemmScalar>(
-    av: &[T],
-    bv: &[T],
-    wa: &[usize],
-    wb: &[usize],
+/// `op(a) @ op(b)` for each batch `i` of the output `shape`: matrix `wa[i]`
+/// of `a` times matrix `wb[i]` of `b`, on the operands in place below
+/// [`DIRECT_MADDS`] and packed above. One product, or a few large ones,
+/// keep the batch loop serial and parallelize inside each gemm; many small
+/// products parallelize across batches (grain sized so each task has enough
+/// work) and run each gemm serially. Either way every batch's result is the
+/// same bits.
+fn products<T: GemmScalar>(
+    a: &TensorData,
+    b: &TensorData,
+    (wa, wb): (&[usize], &[usize]),
     (m, k, n): (usize, usize, usize),
     (ta, tb): (bool, bool),
-    (a_mat, b_mat): (usize, usize),
-    out: &mut [T],
-) {
-    let batch_n = wa.len();
+    shape: Shape,
+) -> Result<TensorData> {
+    let (av, bv) = (a.as_slice::<T>()?, b.as_slice::<T>()?);
+    let mut out = vec![T::default(); wa.len() * m * n];
     let per = m * n * k;
-    if per >= BATCH_INNER_PAR_MADDS {
-        for i in 0..batch_n {
-            gemm_into(
-                m,
-                k,
-                n,
-                &av[wa[i] * a_mat..][..a_mat],
-                ta,
-                &bv[wb[i] * b_mat..][..b_mat],
-                tb,
-                &mut out[i * m * n..][..m * n],
-                true,
-            );
+    let one = |i: usize, o: &mut [T], par: bool| {
+        let (a, b) = (&av[wa[i] * m * k..][..m * k], &bv[wb[i] * k * n..][..k * n]);
+        if per < DIRECT_MADDS {
+            gemm_unpacked_into(m, k, n, a, ta, b, tb, o);
+        } else {
+            gemm_into(m, k, n, a, ta, b, tb, o, par);
         }
-    } else {
-        let grain = (BATCH_INNER_PAR_MADDS / per.max(1)).max(1);
-        tfe_parallel::par_chunks_mut(out, m * n, grain, |bs, block| {
+    };
+    if per > 0 && (per >= BATCH_INNER_PAR_MADDS || wa.len() == 1) {
+        for (i, o) in out.chunks_exact_mut(m * n).enumerate() {
+            one(i, o, true);
+        }
+    } else if let Some(grain) = BATCH_INNER_PAR_MADDS.checked_div(per) {
+        tfe_parallel::par_chunks_mut(&mut out, m * n, grain, |bs, block| {
             for (i, o) in bs.zip(block.chunks_exact_mut(m * n)) {
-                gemm_into(
-                    m,
-                    k,
-                    n,
-                    &av[wa[i] * a_mat..][..a_mat],
-                    ta,
-                    &bv[wb[i] * b_mat..][..b_mat],
-                    tb,
-                    o,
-                    false,
-                );
+                one(i, o, false);
             }
         });
     }
+    TensorData::from_vec(out, shape)
 }
 
 #[cfg(test)]

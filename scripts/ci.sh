@@ -151,6 +151,17 @@ for f in $(grep -rlw 'Periodic' crates src); do
 done
 [ "${reader}" = 0 ]
 
+# One-product-kernel gate: every matrix product runs on gemm.rs's register
+# tile, reading packed panels or the operands in place (DESIGN.md §9). The
+# separate small-product loop it replaced must not come back under its
+# name. Library parts only: each file cut at its first `#[cfg(test)]`.
+echo "==> one product kernel: no matmul_direct"
+direct=0
+for f in $(grep -rl 'matmul_direct' crates src tests); do
+    if library_part "${f}" | grep -n 'matmul_direct' | sed "s|^|${f}:|" | grep .; then direct=1; fi
+done
+[ "${direct}" = 0 ]
+
 # Typed-pooling gate: `pool2d` and `pool2d_grad` read and write typed slices
 # in the input's dtype, their scratch rows from the per-thread pools
 # (DESIGN.md §9). Only the two direct-loop references kept for the parity

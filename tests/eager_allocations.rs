@@ -34,7 +34,7 @@ fn an_eager_op_allocates_its_output_and_little_else() {
     // A product, the same product with its transpose flags spelled out, and
     // one through a transposed operand. The flags are typed parameters and
     // cost no allocation; a transposed `b` costs none either, since the
-    // k x n copy it multiplies from is per-thread scratch (DESIGN.md §9).
+    // register tiles read it in place (DESIGN.md §9).
     let w = api::constant((0..6).map(|i| i as f32 * 0.25).collect::<Vec<_>>(), [2, 3]).unwrap();
     let wt = api::transpose(&w, &[1, 0]).unwrap();
     let products = || {
@@ -73,6 +73,18 @@ fn an_eager_op_allocates_its_output_and_little_else() {
     assert!(add <= 5.0, "an untaped scalar add makes {add} allocations (at most 5)");
     assert!(mul <= 7.0, "an untaped [64,2] mul makes {mul} allocations (at most 7)");
     assert!(taped_add <= 10.0, "a taped scalar add makes {taped_add} allocations (at most 10)");
+    // Pinned where the register tiles left them: the output and the
+    // dispatch's own, nothing per product, whatever the flags.
+    for (what, count, pin) in [
+        ("an untaped matmul", matmul, 5.0),
+        ("an untaped matmul_t", matmul_t, 5.0),
+        ("an untaped product with a transposed b", matmul_tb, 5.0),
+        ("a taped matmul", taped_matmul, 10.0),
+        ("a taped matmul_t", taped_matmul_t, 10.0),
+        ("a taped product with a transposed b", taped_matmul_tb, 10.0),
+    ] {
+        assert!(count <= pin + 0.5, "{what} makes {count} allocations ({pin})");
+    }
     assert!(matmul_t <= matmul, "matmul_t makes {matmul_t} allocations, matmul {matmul}");
     assert!(
         taped_matmul_t <= taped_matmul,

@@ -5,10 +5,10 @@
 //! Determinism contract (see DESIGN.md "Two-level parallelism"):
 //!
 //! * **Bitwise** vs the serial reference at any thread count: matmul /
-//!   batch matmul (the packed micro-kernel resumes its accumulators from
-//!   the output tile, and the direct loop for small products adds into the
-//!   zeroed output, so per-element accumulation is the plain ascending
-//!   fold), elementwise + broadcast ops (the 8-wide lane fast path applies
+//!   batch matmul (the packed register tile resumes its accumulators from
+//!   the output tile, and the unpacked one for small products starts them
+//!   at `+0.0`, so per-element accumulation is the plain ascending fold),
+//!   elementwise + broadcast ops (the 8-wide lane fast path applies
 //!   the identical per-element function), prefix-axis float reductions,
 //!   and `conv2d_backprop_input` (gemm then col2im, bitwise
 //!   `conv2d_backprop_input_reference`; batches are disjoint). `max`/`min`
@@ -169,8 +169,8 @@ fn matmul_parity_random_shapes() {
 
 // ---------------------------------------------------------------------------
 // Small products: below `DIRECT_MADDS` (2^14 multiply-adds) `matmul` runs
-// plain loops instead of the packed kernel; both must give the reference's
-// bits, specials included.
+// the register tiles on the operands in place instead of packing them; both
+// must give the reference's bits, specials included.
 // ---------------------------------------------------------------------------
 
 /// Finite values with, one in 32, a special: both zeros, both infinities,
@@ -248,6 +248,14 @@ fn small_matmul_matches_reference_bitwise() {
     for m in grid {
         for k in grid {
             shapes.extend(grid.map(|n| (m, k, n)));
+        }
+    }
+    // Every (MR, NR) remainder of the unpacked tiles: rows and columns
+    // 1..=17 (NR steps 8, 4, 2, 1 by the columns left; MR 8, 4, 2, 1 by the
+    // rows left), at depths from none to several tiles' worth.
+    for m in 1..=17 {
+        for n in 1..=17 {
+            shapes.extend([0, 1, 2, 7, 64].map(|k| (m, k, n)));
         }
     }
     // Either side of the threshold, and empty dimensions.
